@@ -4,7 +4,7 @@
 //! harnesses); downstream users get a builder that catches nonsensical
 //! configurations at construction instead of as panics deep inside a run.
 
-use crate::engine::{EngineConfig, HostExec, ReloadPolicy, ZeroCopyPolicy};
+use crate::engine::{EngineConfig, ReloadPolicy, ZeroCopyPolicy};
 use crate::reshuffle::ReshuffleMode;
 use lt_gpusim::{CostModel, FaultPlan, GpuConfig};
 
@@ -178,31 +178,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Host execution strategy for the parallel phases: scoped spawns,
-    /// persistent pool, the pipelined pool, or the adaptive chooser
-    /// ([`HostExec::Auto`], the default) that picks among them per drain
-    /// phase. Every strategy — and every Auto decision sequence —
-    /// produces bit-identical results (DESIGN.md §11–§12).
-    pub fn host_exec(mut self, mode: HostExec) -> Self {
-        self.cfg.host_exec = mode;
-        self
-    }
-
-    /// Minimum walkers per kernel chunk before another chunk is opened
-    /// (`0` = the built-in default). Tunes the inline-vs-parallel
-    /// crossover; never changes results.
-    pub fn min_chunk_walkers(mut self, walkers: usize) -> Self {
-        self.cfg.min_chunk_walkers = walkers;
-        self
-    }
-
-    /// Minimum movers per reshuffle worker before another worker is
-    /// engaged (`0` = the built-in default). Never changes results.
-    pub fn min_movers_per_worker(mut self, movers: usize) -> Self {
-        self.cfg.min_movers_per_worker = movers;
-        self
-    }
-
     /// Track per-tag (per-job) step, visit, and length attribution so
     /// [`crate::LightTraffic::take_tag_deltas`] yields results. Costs one
     /// visit event per step; off by default.
@@ -321,9 +296,6 @@ mod tests {
             .max_iterations(123)
             .kernel_threads(3)
             .reshuffle_threads(5)
-            .host_exec(HostExec::Pool)
-            .min_chunk_walkers(32)
-            .min_movers_per_worker(512)
             .track_tags(true)
             .fault_plan(Some(FaultPlan::retryable_only(11, 0.5)))
             .checkpoint_every(Some(40))
@@ -349,9 +321,6 @@ mod tests {
         assert_eq!(cfg.max_iterations, 123);
         assert_eq!(cfg.kernel_threads, 3);
         assert_eq!(cfg.reshuffle_threads, 5);
-        assert_eq!(cfg.host_exec, HostExec::Pool);
-        assert_eq!(cfg.min_chunk_walkers, 32);
-        assert_eq!(cfg.min_movers_per_worker, 512);
         assert!(cfg.track_tags);
         assert_eq!(cfg.gpu.faults, Some(FaultPlan::retryable_only(11, 0.5)));
         assert_eq!(cfg.checkpoint_every, Some(40));

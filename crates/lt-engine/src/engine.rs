@@ -16,7 +16,7 @@
 
 use crate::algorithm::WalkAlgorithm;
 use crate::batch::{split_chunks, WalkBatch};
-use crate::exec::{calibrate, Calibration, ExecPool, PendingGroup};
+use crate::exec::{ExecPool, PendingGroup};
 use crate::graphpool::{DeviceGraphPool, GraphEviction};
 use crate::hostcache::HostDecodeCache;
 use crate::kernel::{self, GraphView, OocHostView, OwnedGraphView};
@@ -72,86 +72,10 @@ pub enum ReloadPolicy {
     FullRefresh,
 }
 
-/// How the engine executes its host-side parallel phases (kernel chunk
-/// stepping, reshuffle grouping, sharded inserts).
-///
-/// Every mode produces bit-identical outputs — visit counts, paths,
-/// simulated metrics, event streams — for any
-/// [`EngineConfig::kernel_threads`] / [`EngineConfig::reshuffle_threads`]
-/// setting; the modes differ only in host wall-clock cost (see
-/// DESIGN.md §11 and the differential battery).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum HostExec {
-    /// Legacy `std::thread::scope` spawn per parallel phase per batch
-    /// (three spawn/join rounds per iteration on the hot path).
-    Spawn,
-    /// A persistent per-engine worker pool ([`crate::exec::ExecPool`]):
-    /// phases dispatch ordered task groups, no thread is ever re-spawned.
-    Pool,
-    /// The pool, plus cross-phase pipelining inside the partition drain:
-    /// workers speculatively step batch *b+1* while the scheduler thread
-    /// merges and charges batch *b*. All walk-pool mutation stays on the
-    /// scheduler thread and speculative outputs are validated against
-    /// the batch actually acquired, so determinism is preserved verbatim.
-    Pipeline,
-    /// Adaptive: the engine picks one of the fixed strategies itself —
-    /// per engine and again per drain phase — from the batch capacity,
-    /// the live walker density of the partition being drained, and the
-    /// observed speculation hit/miss rate, seeded by a short startup
-    /// calibration pass on its own [`crate::exec::ExecPool`]
-    /// ([`crate::exec::calibrate`]). Because every fixed strategy is
-    /// bit-identical, Auto may switch freely mid-run without touching
-    /// any deterministic output; switches are counted in
-    /// [`crate::metrics::Metrics::host_strategy_switches`] and the
-    /// current pick is exported via `lt_exec_*` telemetry. Tests can pin
-    /// the pick with the `LT_TEST_FORCE_STRATEGY` environment variable.
-    #[default]
-    Auto,
-}
-
-/// Speculation outcomes observed before the [`HostExec::Auto`] decision
-/// layer trusts the hit/miss rate: below this sample size the pipelined
-/// strategy keeps the benefit of the doubt.
-const AUTO_SPEC_DECIDE_MIN: u64 = 16;
-
-/// Live decision state of [`HostExec::Auto`] (one per engine).
-struct AutoState {
-    /// Strategy pinned by `LT_TEST_FORCE_STRATEGY`; overrides every
-    /// decision input.
-    forced: Option<HostExec>,
-    /// Startup dispatch-overhead measurements; `None` when calibration
-    /// was skipped (single-threaded engine or forced strategy).
-    calibration: Option<Calibration>,
-    /// The strategy currently in effect; `None` before the first drain
-    /// phase (the first pick is not counted as a switch).
-    current: Option<HostExec>,
-}
-
-/// Read-only snapshot of the [`HostExec::Auto`] decision layer, exported
-/// by [`LightTraffic::auto_status`] for telemetry and tests. `None` from
-/// engines running a fixed strategy.
-#[derive(Clone, Copy, Debug)]
-pub struct AutoStatus {
-    /// The fixed strategy currently in effect (`None` before the first
-    /// drain phase).
-    pub current: Option<HostExec>,
-    /// Strategy pinned by `LT_TEST_FORCE_STRATEGY`, if any.
-    pub forced: Option<HostExec>,
-    /// The startup calibration measurements, when the pass ran.
-    pub calibration: Option<Calibration>,
-}
-
-/// Parse a fixed-strategy name (`spawn` / `pool` / `pipeline`) as used
-/// by `LT_TEST_FORCE_STRATEGY`. `auto` is deliberately rejected — the
-/// variable pins Auto's *choice*, which must be a fixed strategy.
-fn parse_fixed_strategy(s: &str) -> Option<HostExec> {
-    match s {
-        "spawn" => Some(HostExec::Spawn),
-        "pool" => Some(HostExec::Pool),
-        "pipeline" => Some(HostExec::Pipeline),
-        _ => None,
-    }
-}
+/// Speculation outcomes observed before the per-drain speculation gate
+/// ([`LightTraffic::drain_partition`]) trusts the hit/miss rate: below
+/// this sample size speculation keeps the benefit of the doubt.
+const SPEC_DECIDE_MIN: u64 = 16;
 
 /// Engine configuration. Start from [`EngineConfig::baseline`] or
 /// [`EngineConfig::light_traffic`] and override fields.
@@ -220,21 +144,8 @@ pub struct EngineConfig {
     /// (`min(P, 8)` shards, partition `p` in shard `p % S`) and workers
     /// only split the fixed shard set, so eviction decisions and the
     /// simulated timeline never depend on this knob. See
-    /// [`crate::reshuffle::partition_groups_parallel`] and DESIGN.md §10.
+    /// [`crate::reshuffle::partition_groups`] and DESIGN.md §10.
     pub reshuffle_threads: usize,
-    /// Host execution strategy for the parallel phases: legacy scoped
-    /// spawns, the persistent worker pool, or the pool with cross-phase
-    /// pipelining (default). Bit-identical outputs in every mode; see
-    /// [`HostExec`] and DESIGN.md §11.
-    pub host_exec: HostExec,
-    /// Minimum walkers per kernel chunk before another chunk is worth
-    /// opening (`0` = built-in default, [`crate::kernel`]'s 64). Smaller
-    /// values parallelize smaller batches; `bench_exec` sweeps this to
-    /// locate the inline-vs-parallel crossover.
-    pub min_chunk_walkers: usize,
-    /// Minimum movers per reshuffle worker before another worker is worth
-    /// engaging (`0` = built-in default, [`crate::reshuffle`]'s 2048).
-    pub min_movers_per_worker: usize,
     /// Attribute every executed step and finished walk to the owning job
     /// tag ([`crate::Walker::tag`]) and buffer the per-tag results as
     /// [`crate::TagDelta`]s for [`LightTraffic::take_tag_deltas`]. This is
@@ -291,9 +202,6 @@ impl EngineConfig {
             max_iterations: 10_000_000,
             kernel_threads: 0,
             reshuffle_threads: 0,
-            host_exec: Self::default_host_exec(),
-            min_chunk_walkers: 0,
-            min_movers_per_worker: 0,
             track_tags: false,
             attribution: false,
             reload_policy: ReloadPolicy::default(),
@@ -321,21 +229,6 @@ impl EngineConfig {
             gpu.faults = Some(lt_gpusim::FaultPlan::retryable_only(seed, 0.02));
         }
         gpu
-    }
-
-    /// [`HostExec::default`] (adaptive), unless the CI matrix overrides
-    /// it: `LT_TEST_HOST_EXEC` ∈ {`spawn`, `pool`, `pipeline`, `auto`}
-    /// forces the host execution strategy for every baseline-derived
-    /// config, so the whole test suite can run under each strategy. Like
-    /// the thread knobs, the strategy never changes simulated outputs.
-    fn default_host_exec() -> HostExec {
-        match std::env::var("LT_TEST_HOST_EXEC").ok().as_deref() {
-            Some("spawn") => HostExec::Spawn,
-            Some("pool") => HostExec::Pool,
-            Some("pipeline") => HostExec::Pipeline,
-            Some("auto") => HostExec::Auto,
-            _ => HostExec::default(),
-        }
     }
 
     /// Full LightTraffic: PS + SS + adaptive zero copy + two-level
@@ -580,22 +473,17 @@ pub struct LightTraffic {
     /// Resolved [`EngineConfig::reshuffle_threads`] (`0` already expanded
     /// to the resolved `kernel_threads`).
     reshuffle_threads: usize,
-    /// Resolved [`EngineConfig::min_chunk_walkers`] (`0` already expanded
-    /// to the built-in default).
-    min_chunk_walkers: usize,
-    /// Resolved [`EngineConfig::min_movers_per_worker`] (`0` already
-    /// expanded to the built-in default).
-    min_movers_per_worker: usize,
-    /// Persistent host worker pool ([`HostExec::Pool`] / `Pipeline` /
-    /// `Auto`); `None` in [`HostExec::Spawn`] mode, where the legacy
-    /// per-batch scoped spawns run instead.
-    exec: Option<Arc<ExecPool>>,
-    /// Decision state of [`HostExec::Auto`]; `None` under the fixed
-    /// strategies.
-    auto: Option<AutoState>,
+    /// Persistent host worker pool every parallel phase runs on (kernel
+    /// chunks, reshuffle grouping, sharded inserts, out-of-core decode,
+    /// speculative stepping).
+    exec: Arc<ExecPool>,
+    /// Whether the previous partition drain speculated (`None` before
+    /// the first drain); a drain whose gate differs counts one
+    /// [`Metrics::host_strategy_switches`].
+    last_drain_speculated: Option<bool>,
     /// Recycled per-chunk output buffers shared by every stepping site
-    /// (inline, pooled, scoped, speculative). Allocation cache only —
-    /// outputs are bit-identical with or without recycling.
+    /// (inline, pooled, speculative). Allocation cache only — outputs
+    /// are bit-identical with or without recycling.
     scratch: Arc<kernel::ScratchPool>,
     /// Recycled prediction buffers for speculative stepping
     /// ([`Self::launch_speculation`] fills one, the validation site
@@ -734,46 +622,9 @@ impl LightTraffic {
         } else {
             cfg.reshuffle_threads
         };
-        let min_chunk_walkers = if cfg.min_chunk_walkers == 0 {
-            kernel::MIN_CHUNK_WALKERS
-        } else {
-            cfg.min_chunk_walkers
-        };
-        let min_movers_per_worker = if cfg.min_movers_per_worker == 0 {
-            crate::reshuffle::MIN_MOVERS_PER_WORKER
-        } else {
-            cfg.min_movers_per_worker
-        };
         // One long-lived pool sized for the widest phase; it outlives every
-        // batch, so the hot path never spawns a thread again.
-        let exec = match cfg.host_exec {
-            HostExec::Spawn => None,
-            HostExec::Pool | HostExec::Pipeline | HostExec::Auto => Some(Arc::new(ExecPool::new(
-                kernel_threads.max(reshuffle_threads),
-            ))),
-        };
-        let auto = (cfg.host_exec == HostExec::Auto).then(|| {
-            // Fresh read per engine (not cached): tests pin different
-            // strategies for different engines in one process.
-            let forced = std::env::var("LT_TEST_FORCE_STRATEGY")
-                .ok()
-                .as_deref()
-                .and_then(parse_fixed_strategy);
-            // Calibrate only when there is a real decision to seed: a
-            // single-threaded engine always steps inline, and a forced
-            // strategy ignores the measurements.
-            let calibration = (kernel_threads > 1 && forced.is_none()).then(|| {
-                calibrate(
-                    exec.as_deref().expect("auto mode always builds a pool"),
-                    kernel_threads,
-                )
-            });
-            AutoState {
-                forced,
-                calibration,
-                current: None,
-            }
-        });
+        // batch, so the hot path never spawns a thread.
+        let exec = Arc::new(ExecPool::new(kernel_threads.max(reshuffle_threads)));
         let telemetry = gpu.telemetry();
         let ledger = cfg.attribution.then(TrafficLedger::new);
         let (host_cache, seed_csr) = match pg.store() {
@@ -817,10 +668,8 @@ impl LightTraffic {
             active: 0,
             kernel_threads,
             reshuffle_threads,
-            min_chunk_walkers,
-            min_movers_per_worker,
             exec,
-            auto,
+            last_drain_speculated: None,
             scratch: Arc::new(kernel::ScratchPool::new()),
             spec_bufs: Vec::new(),
             degraded: vec![false; p as usize],
@@ -862,79 +711,37 @@ impl LightTraffic {
         self.telemetry.clone()
     }
 
-    /// Live counters of the persistent worker pool, `None` under
-    /// [`HostExec::Spawn`]. Published by the telemetry snapshot as
+    /// Live counters of the persistent worker pool (always `Some`; the
+    /// `Option` is kept for callers written against the engine when the
+    /// pool was optional). Published by the telemetry snapshot as
     /// `lt_exec_*` series.
     pub fn exec_stats(&self) -> Option<crate::exec::ExecStats> {
-        self.exec.as_ref().map(|p| p.stats())
+        Some(self.exec.stats())
     }
 
-    /// Snapshot of the [`HostExec::Auto`] decision layer: the strategy
-    /// currently in effect, any test-forced pin, and the startup
-    /// calibration. `None` when the engine runs a fixed strategy.
-    pub fn auto_status(&self) -> Option<AutoStatus> {
-        self.auto.as_ref().map(|a| AutoStatus {
-            current: a.current,
-            forced: a.forced,
-            calibration: a.calibration,
-        })
-    }
-
-    /// The fixed strategy the parallel phases run under right now: the
-    /// configured one, or — under [`HostExec::Auto`] — the decision
-    /// layer's current pick ([`HostExec::Pool`] before the first drain
-    /// phase: pool dispatch without speculation is the safe opener).
-    fn current_strategy(&self) -> HostExec {
-        match &self.auto {
-            Some(a) => a.current.or(a.forced).unwrap_or(HostExec::Pool),
-            None => self.cfg.host_exec,
+    /// The speculation gate, evaluated once per drain of partition `i`:
+    /// speculate unless the first batch plans a single chunk (it steps
+    /// inline, where speculation only adds validation overhead) or the
+    /// observed history is miss-dominated after [`SPEC_DECIDE_MIN`]
+    /// outcomes. `kernel_threads: 1` always plans one chunk, so it never
+    /// speculates. The gate reads only schedule-deterministic state and
+    /// — like every speculation outcome — can only change host
+    /// wall-clock, so it emits no event; flips are counted in
+    /// [`Metrics::host_strategy_switches`].
+    fn speculation_gate(&mut self, i: PartitionId) -> bool {
+        let walkers = (self.walks_in(i) as usize).min(self.cfg.batch_capacity);
+        let m = &self.metrics;
+        let miss_dominated = m.host_spec_hits + m.host_spec_misses >= SPEC_DECIDE_MIN
+            && m.host_spec_misses > m.host_spec_hits;
+        let speculate = kernel::plan_chunks(walkers, self.kernel_threads) > 1 && !miss_dominated;
+        if self
+            .last_drain_speculated
+            .is_some_and(|last| last != speculate)
+        {
+            self.metrics.host_strategy_switches += 1;
         }
-    }
-
-    /// Re-pick the effective strategy for the drain phase of partition
-    /// `i` ([`HostExec::Auto`] only). Inputs, in priority order: a test
-    /// pin; the planned chunk fan-out of the next batch (batch capacity ×
-    /// live walker density — a single-chunk batch steps inline, where
-    /// speculation only adds validation overhead, so Pool wins); the
-    /// observed speculation hit/miss rate (a miss-dominated history
-    /// disables pipelining); and the startup calibration (scoped spawns
-    /// win only when they measured decisively cheaper than both pool
-    /// primitives — rare, but machine-dependent). Every candidate is
-    /// bit-identical, so this only ever changes host wall-clock.
-    fn decide_auto_strategy(&mut self, i: PartitionId) {
-        let Some(auto) = self.auto.as_ref() else {
-            return;
-        };
-        let pick = if let Some(f) = auto.forced {
-            f
-        } else {
-            let walkers = (self.walks_in(i) as usize).min(self.cfg.batch_capacity);
-            let chunks = kernel::plan_chunks(walkers, self.kernel_threads, self.min_chunk_walkers);
-            let hits = self.metrics.host_spec_hits;
-            let misses = self.metrics.host_spec_misses;
-            let spec_unprofitable = hits + misses >= AUTO_SPEC_DECIDE_MIN && misses > hits;
-            if chunks <= 1 || spec_unprofitable {
-                HostExec::Pool
-            } else if auto.calibration.is_some_and(|c| {
-                c.spawn_dispatch_ns * 2 < c.pool_dispatch_ns.min(c.pipeline_dispatch_ns)
-            }) {
-                HostExec::Spawn
-            } else {
-                HostExec::Pipeline
-            }
-        };
-        // No event-stream emission here: the pick depends on host timing
-        // (calibration, speculation history), and engine events must stay
-        // bit-identical across machines and thread counts. The decision
-        // is exported via the pull-based telemetry snapshot instead
-        // (`lt_exec_strategy*` gauges), quarantined like `ExecStats`.
-        let auto = self.auto.as_mut().expect("checked above");
-        if auto.current != Some(pick) {
-            if auto.current.is_some() {
-                self.metrics.host_strategy_switches += 1;
-            }
-            auto.current = Some(pick);
-        }
+        self.last_drain_speculated = Some(speculate);
+        speculate
     }
 
     /// Open a [`crate::session::Session`] over `graph` — the preferred
@@ -1511,7 +1318,7 @@ impl LightTraffic {
         } else {
             GraphEviction::Fifo
         };
-        let f = cache.fetch(i, policy, &counts, i, self.exec.as_deref(), self.kernel_threads);
+        let f = cache.fetch(i, policy, &counts, i, Some(&self.exec), self.kernel_threads);
         if f.missed {
             let bytes = f.data.bytes();
             self.metrics.host_cache_misses += 1;
@@ -1705,7 +1512,7 @@ impl LightTraffic {
     /// ([`EngineConfig::track_tags`]): one [`crate::job::TagDelta`] per
     /// tag that made progress, in ascending tag order. Each delta's
     /// `visits` are sorted — the visit *multiset* per tag is invariant
-    /// across `kernel_threads`, chunkings, and [`HostExec`] strategies,
+    /// across `kernel_threads`, chunkings, and speculation outcomes,
     /// but the event order is not, so the canonical form is sorted.
     /// `lengths` are already emitted in the deterministic chunk-merge
     /// order and are left as-is. Empty when tags are not tracked.
@@ -1864,7 +1671,8 @@ impl LightTraffic {
                 .device_pool
                 .pop_queue_batch(j)
                 .expect("picked partition has a queued batch");
-            self.run_kernel(j, batch, false)?;
+            let stepped = self.step_batch(j, batch, false);
+            self.finish_kernel(j, false, stepped)?;
             self.gpu.synchronize(self.comp_stream);
             self.metrics.preemptive_batches += 1;
         }
@@ -1905,21 +1713,28 @@ impl LightTraffic {
     /// the frontier drain). Walks loaded from the host stream through the
     /// pipeline: copy on the load stream, kernel on the compute stream.
     ///
-    /// Under [`HostExec::Pipeline`] consecutive batches overlap on the
-    /// host: while the scheduler merges batch *b* and runs its reshuffle,
-    /// the pool workers speculatively step a *clone* of the predicted
-    /// batch *b+1*. All walk-pool and metrics mutation stays on this
-    /// thread, and the speculation is validated against the batch actually
-    /// acquired, so every mode is bit-identical (DESIGN.md §11).
+    /// One loop: acquire → ([`Self::redeem_or_step`]: validated
+    /// speculation | [`Self::step_batch`]) → [`Self::launch_speculation`]
+    /// → [`Self::finish_kernel`]. When the drain speculates
+    /// ([`Self::speculation_gate`]), pool workers step a *clone* of the
+    /// predicted batch *b+1* while this thread merges and reshuffles
+    /// batch *b*. All walk-pool and metrics mutation stays on this
+    /// thread and the acquire is the serial sequence point, so with or
+    /// without speculation the run is bit-identical (DESIGN.md §11); with
+    /// no speculation in flight this is exactly the serial loop.
     fn drain_partition(&mut self, i: PartitionId, use_zc: bool) -> Result<(), EngineError> {
-        self.decide_auto_strategy(i);
-        if self.current_strategy() == HostExec::Pipeline && self.exec.is_some() {
-            self.drain_partition_pipelined(i, use_zc)?;
-        } else {
-            while let Some(batch) = self.acquire_next_batch(i)? {
-                self.run_kernel(i, batch, use_zc)?;
+        let speculate = self.speculation_gate(i);
+        let mut spec: Option<Speculation> = None;
+        // On `Err`, `spec`'s Drop joins any in-flight group before we unwind.
+        while let Some(batch) = self.acquire_next_batch(i)? {
+            let stepped = self.redeem_or_step(i, batch, use_zc, spec.take());
+            if speculate {
+                spec = self.launch_speculation(i, use_zc);
             }
+            self.finish_kernel(i, use_zc, stepped)?;
         }
+        // Predicted another batch but the drain is over.
+        self.discard_speculation(spec);
         debug_assert_eq!(
             self.walks_in(i),
             0,
@@ -1928,15 +1743,65 @@ impl LightTraffic {
         Ok(())
     }
 
+    /// Turn the batch just acquired into a [`SteppedBatch`]: redeem `spec`
+    /// if it stepped exactly these walkers (a hit — the workers used
+    /// exactly the serial chunking, and only the join stall lands on the
+    /// host clock), otherwise join and discard it and step the batch
+    /// normally.
+    fn redeem_or_step(
+        &mut self,
+        i: PartitionId,
+        mut batch: WalkBatch,
+        use_zc: bool,
+        spec: Option<Speculation>,
+    ) -> SteppedBatch {
+        match spec {
+            Some(s) if s.walkers.as_slice() == batch.walkers() => {
+                let Speculation {
+                    walkers,
+                    chunks,
+                    pending,
+                } = s;
+                let wall = Instant::now();
+                let outputs = pending.wait();
+                self.metrics.host_spec_hits += 1;
+                self.recycle_spec_buf(walkers);
+                batch.drain(); // consumed by the speculative step
+                SteppedBatch {
+                    chunks,
+                    outputs,
+                    wall_ns: wall.elapsed().as_nanos() as u64,
+                }
+            }
+            stale => {
+                self.discard_speculation(stale);
+                self.step_batch(i, batch, use_zc)
+            }
+        }
+    }
+
+    /// Count a mispredicted speculation as a miss, join its group, and
+    /// recycle its prediction buffer.
+    fn discard_speculation(&mut self, spec: Option<Speculation>) {
+        if let Some(Speculation {
+            walkers, pending, ..
+        }) = spec
+        {
+            self.metrics.host_spec_misses += 1;
+            drop(pending); // join the stale group
+            self.recycle_spec_buf(walkers);
+        }
+    }
+
     /// Pop the next batch of partition `i` in drain order: host batches
     /// first (H2D copy on the load stream, then through the device queue),
     /// then device-resident queued batches, then the frontier remainder.
     /// `Ok(None)` means the partition is drained.
     ///
     /// This is the single sequence point where the walk pool hands
-    /// walkers to a kernel. The serial and the pipelined drain both call
-    /// it, in the same order relative to every reshuffle, so simulated
-    /// copies and charges are issued identically in every mode.
+    /// walkers to a kernel, in the same order relative to every reshuffle
+    /// whether or not a speculation is in flight, so simulated copies and
+    /// charges are issued identically either way.
     fn acquire_next_batch(&mut self, i: PartitionId) -> Result<Option<WalkBatch>, EngineError> {
         if let Some(batch) = self.host_pool.pop_batch(i) {
             let rows = self.walk_rows(&batch);
@@ -1980,80 +1845,6 @@ impl LightTraffic {
         Ok(self.device_pool.take_frontier(i))
     }
 
-    /// The pipelined drain ([`HostExec::Pipeline`]): step the current
-    /// batch, launch a speculative step of the predicted next batch on
-    /// the pool, then merge/reshuffle/charge the current batch on this
-    /// thread while the workers run ahead. The acquire that follows is
-    /// the serial sequence point; the speculation is used only if the
-    /// acquired walkers equal the prediction exactly, otherwise it is
-    /// joined and discarded and the batch is re-stepped normally.
-    fn drain_partition_pipelined(
-        &mut self,
-        i: PartitionId,
-        use_zc: bool,
-    ) -> Result<(), EngineError> {
-        let pool = Arc::clone(self.exec.as_ref().expect("pipelined drain needs a pool"));
-        let mut spec: Option<Speculation> = None;
-        loop {
-            let batch = match self.acquire_next_batch(i) {
-                Ok(Some(b)) => b,
-                Ok(None) => {
-                    // Predicted another batch but the drain is over.
-                    if let Some(s) = spec.take() {
-                        self.metrics.host_spec_misses += 1;
-                        let Speculation {
-                            walkers, pending, ..
-                        } = s;
-                        drop(pending); // join the stale group
-                        self.recycle_spec_buf(walkers);
-                    }
-                    break;
-                }
-                // `spec`'s Drop joins any stale group before we unwind.
-                Err(e) => return Err(e),
-            };
-            let stepped = match spec.take() {
-                Some(s) if s.walkers.as_slice() == batch.walkers() => {
-                    // Hit: the workers already stepped exactly these
-                    // walkers with exactly the serial chunking. Only the
-                    // join stall (ideally ~0) lands on the host clock.
-                    let Speculation {
-                        walkers,
-                        chunks,
-                        pending,
-                    } = s;
-                    let wall = Instant::now();
-                    let outputs = pending.wait();
-                    self.metrics.host_spec_hits += 1;
-                    self.recycle_spec_buf(walkers);
-                    let mut batch = batch;
-                    batch.drain(); // consumed by the speculative step
-                    SteppedBatch {
-                        chunks,
-                        outputs,
-                        wall_ns: wall.elapsed().as_nanos() as u64,
-                    }
-                }
-                other => {
-                    if let Some(s) = other {
-                        self.metrics.host_spec_misses += 1;
-                        let Speculation {
-                            walkers, pending, ..
-                        } = s;
-                        drop(pending); // join the stale group before re-stepping
-                        self.recycle_spec_buf(walkers);
-                    }
-                    self.step_batch(i, batch, use_zc)
-                }
-            };
-            // Overlap: the workers step the predicted next batch while
-            // this thread merges and reshuffles the current one below.
-            spec = self.launch_speculation(i, use_zc, &pool);
-            self.finish_kernel(i, use_zc, stepped)?;
-        }
-        Ok(())
-    }
-
     /// Predict the walkers [`Self::acquire_next_batch`] will hand out
     /// *after* the current batch's reshuffle, by peeking the pools in the
     /// same order the acquire reads them. The intervening reshuffle can
@@ -2094,12 +1885,7 @@ impl LightTraffic {
     /// `split_chunks`). Stepping is pure — counter-based walker RNG, all
     /// simulated cost charged separately at merge time — so a validated
     /// speculation is indistinguishable from stepping after the acquire.
-    fn launch_speculation(
-        &mut self,
-        i: PartitionId,
-        use_zc: bool,
-        pool: &Arc<ExecPool>,
-    ) -> Option<Speculation> {
+    fn launch_speculation(&mut self, i: PartitionId, use_zc: bool) -> Option<Speculation> {
         // Zero copy over an out-of-core store steps against a per-batch
         // host view whose partition set depends on the batch actually
         // acquired — a prediction cannot build it, so speculation simply
@@ -2124,8 +1910,7 @@ impl LightTraffic {
             self.recycle_spec_buf(walkers);
             return None;
         }
-        let chunks =
-            kernel::plan_chunks(walkers.len(), self.kernel_threads, self.min_chunk_walkers);
+        let chunks = kernel::plan_chunks(walkers.len(), self.kernel_threads);
         let view = if use_zc {
             OwnedGraphView::Host(Arc::clone(self.pg.csr()))
         } else {
@@ -2156,7 +1941,7 @@ impl LightTraffic {
                     Box::new(move || kernel::step_chunk(&task.as_task(), ws)) as _
                 })
                 .collect();
-        let pending = pool.submit_group(tasks);
+        let pending = self.exec.submit_group(tasks);
         Some(Speculation {
             walkers,
             chunks,
@@ -2211,32 +1996,16 @@ impl LightTraffic {
         res
     }
 
-    /// Execute one batch kernel: step every walker until it terminates or
-    /// leaves partition `part` ([`Self::step_batch`]), then merge the
-    /// outputs, reshuffle leavers into their new frontiers, and charge the
-    /// kernel's simulated cost ([`Self::finish_kernel`]). The pipelined
-    /// drain calls the two halves separately with a speculation launch in
-    /// between; the result is identical either way.
-    fn run_kernel(
-        &mut self,
-        part: PartitionId,
-        batch: WalkBatch,
-        use_zc: bool,
-    ) -> Result<(), EngineError> {
-        let stepped = self.step_batch(part, batch, use_zc);
-        self.finish_kernel(part, use_zc, stepped)
-    }
-
     /// Step one batch to completion on the host — the pure half of the
-    /// kernel. The batch splits into up to `kernel_threads` contiguous
-    /// chunks (floor [`EngineConfig::min_chunk_walkers`]) stepped against
-    /// the shared [`GraphView`]: inline when one chunk, on the persistent
-    /// pool under [`HostExec::Pool`]/`Pipeline`, on scoped threads under
-    /// [`HostExec::Spawn`]. Outputs come back in chunk order, which equals
-    /// the sequential iteration order of the batch, so every mode and
-    /// thread count merges to bit-identical results (see
+    /// kernel: every walker runs until it terminates or leaves partition
+    /// `part`. The batch splits into up to `kernel_threads` contiguous
+    /// chunks (floor [`kernel::MIN_CHUNK_WALKERS`]) stepped against the
+    /// shared [`GraphView`]: inline when one chunk, as an ordered group
+    /// on the persistent pool otherwise. Outputs come back in chunk
+    /// order, which equals the sequential iteration order of the batch,
+    /// so every thread count merges to bit-identical results (see
     /// [`crate::kernel`]). No pool, metric, or simulated-device state is
-    /// touched here beyond the spawn-round counter.
+    /// touched here.
     fn step_batch(
         &mut self,
         part: PartitionId,
@@ -2244,26 +2013,13 @@ impl LightTraffic {
         use_zc: bool,
     ) -> SteppedBatch {
         debug_assert_eq!(batch.partition(), part);
-        let chunks = kernel::plan_chunks(batch.len(), self.kernel_threads, self.min_chunk_walkers);
-        let spawn_strategy = self.current_strategy() == HostExec::Spawn;
-        // Count every stepping round of the scoped-spawn strategy —
-        // including ones the chunk floor degrades to inline — so small
-        // batches report their round count instead of a misleading 0
-        // (see `Metrics::host_spawn_rounds`).
-        if spawn_strategy && self.kernel_threads > 1 {
-            self.metrics.host_spawn_rounds += 1;
-        }
-        let pool = if spawn_strategy {
-            None
-        } else {
-            self.exec.clone()
-        };
+        let chunks = kernel::plan_chunks(batch.len(), self.kernel_threads);
         // Zero copy over an out-of-core store has no RAM CSR to read —
         // gather the decoded partitions this batch can touch instead
         // (fetches go through the host decode cache and are charged to
         // the host tier like any other decode).
-        let ooc_view = (use_zc && self.host_cache.is_some())
-            .then(|| self.build_ooc_view(part, &batch));
+        let ooc_view =
+            (use_zc && self.host_cache.is_some()).then(|| self.build_ooc_view(part, &batch));
         let wall = Instant::now();
         let outputs: Vec<kernel::ChunkOutput> = {
             let task = kernel::KernelTask {
@@ -2287,7 +2043,7 @@ impl LightTraffic {
             };
             if chunks <= 1 {
                 vec![kernel::step_chunk(&task, batch.drain())]
-            } else if let Some(pool) = pool.as_ref() {
+            } else {
                 let tasks: Vec<Box<dyn FnOnce() -> kernel::ChunkOutput + Send + '_>> = batch
                     .drain_chunks(chunks)
                     .into_iter()
@@ -2296,22 +2052,7 @@ impl LightTraffic {
                         Box::new(move || kernel::step_chunk(task, ws)) as _
                     })
                     .collect();
-                pool.run_ordered(tasks)
-            } else {
-                let walker_chunks = batch.drain_chunks(chunks);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = walker_chunks
-                        .into_iter()
-                        .map(|ws| {
-                            let task = &task;
-                            s.spawn(move || kernel::step_chunk(task, ws))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("kernel worker panicked"))
-                        .collect()
-                })
+                self.exec.run_ordered(tasks)
             }
         };
         SteppedBatch {
@@ -2338,7 +2079,12 @@ impl LightTraffic {
         }
         needed.sort_unstable();
         needed.dedup();
-        OocHostView::new(needed.into_iter().map(|p| self.fetch_partition(p)).collect())
+        OocHostView::new(
+            needed
+                .into_iter()
+                .map(|p| self.fetch_partition(p))
+                .collect(),
+        )
     }
 
     /// The stateful half of the kernel: merge the chunk outputs in chunk
@@ -2436,30 +2182,14 @@ impl LightTraffic {
         // phases are bit-identical for any `reshuffle_threads`: grouping
         // preserves arrival order per partition, and every insert/evict
         // decision is shard-local while the shard layout is structural.
-        let spawn_strategy = self.current_strategy() == HostExec::Spawn;
         let rs_wall = Instant::now();
-        let (mut groups, grouping_spawns) = reshuffle::partition_groups_pooled(
+        let mut groups = reshuffle::partition_groups_pooled(
             moved,
             &|w: &Walker| pg.partition_of(w.vertex),
             np,
             self.reshuffle_threads,
-            self.min_movers_per_worker,
-            if spawn_strategy {
-                None
-            } else {
-                self.exec.as_deref()
-            },
+            &self.exec,
         );
-        // Count both phase-A rounds of the scoped-spawn strategy even
-        // when the mover floor degrades them to inline (the
-        // `host_spawn_rounds` reporting contract); the pooled strategies
-        // never spawn here.
-        if spawn_strategy && self.reshuffle_threads > 1 {
-            self.metrics.host_spawn_rounds += 2;
-        } else {
-            debug_assert_eq!(grouping_spawns, 0, "pooled grouping must not spawn");
-        }
-        let _ = grouping_spawns;
         debug_assert!(
             groups[part as usize].is_empty(),
             "multi-step walking never reinserts locally"
@@ -2474,32 +2204,19 @@ impl LightTraffic {
                 shard_work[p % num_shards].push((p as PartitionId, std::mem::take(g)));
             }
         }
-        // Phase B: shards on scoped threads (contiguous shard chunks per
-        // worker), each worker owning disjoint `&mut Shard`s plus shared
-        // read-only views for the eviction heuristic. Evicted batches are
-        // collected per shard; their D2H copies are charged *after* the
-        // phase, sequentially in shard order, so the simulated timeline is
-        // schedule-independent.
+        // Phase B: contiguous shard chunks per pool task, each task owning
+        // disjoint `&mut Shard`s plus shared read-only views for the
+        // eviction heuristic. Evicted batches are collected per shard;
+        // their D2H copies are charged *after* the phase, sequentially in
+        // shard order, so the simulated timeline is schedule-independent.
         let selective = self.cfg.selective;
         let host = &self.host_pool;
         let graph = &self.graph_pool;
         // Same min-work floor as phase A: with few movers the dispatch
         // overhead dwarfs the inserts, so degrade to the inline loop. Safe —
         // the outcome is worker-count invariant by construction.
-        let spawn_worthy = (n_moved as usize / self.min_movers_per_worker.max(1)).max(1);
-        let workers = self
-            .reshuffle_threads
-            .clamp(1, num_shards.min(spawn_worthy));
-        // Phase-B round of the scoped-spawn strategy: counted up front,
-        // like phase A, so the degraded `workers <= 1` case reports too.
-        if spawn_strategy && self.reshuffle_threads > 1 {
-            self.metrics.host_spawn_rounds += 1;
-        }
-        let pool = if spawn_strategy {
-            None
-        } else {
-            self.exec.clone()
-        };
+        let worthy = (n_moved as usize / reshuffle::MIN_MOVERS_PER_WORKER).max(1);
+        let workers = self.reshuffle_threads.clamp(1, num_shards.min(worthy));
         let evicted: Vec<WalkBatch> = {
             let shards = self.device_pool.shards_mut();
             if workers <= 1 {
@@ -2508,7 +2225,7 @@ impl LightTraffic {
                     out.extend(insert_into_shard(shard, work, host, graph, selective, part));
                 }
                 out
-            } else if let Some(pool) = pool.as_ref() {
+            } else {
                 let chunk = num_shards.div_ceil(workers);
                 let mut work_iter = shard_work.into_iter();
                 let tasks: Vec<Box<dyn FnOnce() -> Vec<WalkBatch> + Send + '_>> = shards
@@ -2526,31 +2243,7 @@ impl LightTraffic {
                         }) as _
                     })
                     .collect();
-                pool.run_ordered(tasks).into_iter().flatten().collect()
-            } else {
-                let chunk = num_shards.div_ceil(workers);
-                let mut work_iter = shard_work.into_iter();
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = shards
-                        .chunks_mut(chunk)
-                        .map(|sc| {
-                            let wc: Vec<_> = work_iter.by_ref().take(sc.len()).collect();
-                            s.spawn(move || {
-                                let mut out = Vec::new();
-                                for (shard, work) in sc.iter_mut().zip(wc) {
-                                    out.extend(insert_into_shard(
-                                        shard, work, host, graph, selective, part,
-                                    ));
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("reshuffle worker panicked"))
-                        .collect()
-                })
+                self.exec.run_ordered(tasks).into_iter().flatten().collect()
             }
         };
         self.metrics.host_reshuffle_wall_ns += rs_wall.elapsed().as_nanos() as u64;
@@ -2677,9 +2370,9 @@ struct SteppedBatch {
     wall_ns: u64,
 }
 
-/// An in-flight speculative step of the predicted next batch
-/// ([`HostExec::Pipeline`]): the predicted walkers (compared against the
-/// actually-acquired batch before the outputs may be used), the chunk
+/// An in-flight speculative step of the predicted next batch: the
+/// predicted walkers (compared against the actually-acquired batch
+/// before the outputs may be used), the chunk
 /// count the clone was split with, and the pending pool group computing
 /// the chunk outputs. Dropping it joins the group.
 struct Speculation {
@@ -2796,13 +2489,6 @@ fn insert_into_shard(
     }
     evicted
 }
-
-/// Serializes in-process tests that set `LT_TEST_FORCE_STRATEGY` against
-/// tests that assert on un-forced Auto state (the variable is read at
-/// every Auto engine construction, and `cargo test` threads share the
-/// process environment).
-#[cfg(test)]
-pub(crate) static TEST_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -2995,86 +2681,73 @@ mod tests {
                 "variant {k} never fanned out — the parallel path was not exercised"
             );
             assert_eq!(seq.metrics.max_kernel_threads, 1);
+            // Both shapes of the drain ran: one thread never speculates,
+            // four use validated speculations.
+            let m = &seq.metrics;
+            assert_eq!(m.host_spec_hits + m.host_spec_misses, 0, "variant {k}");
+            assert_eq!(m.host_strategy_switches, 0, "variant {k}");
+            assert!(
+                par.metrics.host_spec_hits > 0,
+                "variant {k} never speculated"
+            );
+            assert_eq!(
+                par.deterministic_fingerprint(),
+                seq.deterministic_fingerprint(),
+                "variant {k} fingerprint"
+            );
         }
     }
 
-    /// `HostExec::Auto` must expose its decision state, calibrate on
-    /// multi-threaded engines, and produce the same simulated results as
-    /// any fixed strategy.
+    /// Both outcomes of [`LightTraffic::redeem_or_step`], driven directly.
+    /// The batteries only ever reach the hit — the drained partition is
+    /// protected from eviction, so predictions validate — hence the miss
+    /// is forced here: a speculation offered against a batch it did not
+    /// predict must be joined, counted as a miss and ignored, the batch
+    /// being stepped as if no speculation existed.
     #[test]
-    fn auto_strategy_matches_fixed_and_exposes_status() {
-        let _env = super::TEST_ENV_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let g = graph();
-        let run = |mode: HostExec| {
-            let cfg = EngineConfig {
-                batch_capacity: 256,
-                kernel_threads: 4,
-                host_exec: mode,
-                record_paths: true,
-                ..EngineConfig::light_traffic(16 << 10, 4)
-            };
-            let mut e =
-                LightTraffic::new(g.clone(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-            let auto = e.auto_status();
-            let r = e.run(3_000).unwrap();
-            (r, auto, e.auto_status())
-        };
-        let (fixed, none_before, none_after) = run(HostExec::Pool);
-        assert!(none_before.is_none() && none_after.is_none());
-        let (auto, before, after) = run(HostExec::Auto);
-        let before = before.expect("auto engines expose status");
-        assert!(before.current.is_none(), "no decision before a drain");
-        assert!(before.forced.is_none());
-        assert!(
-            before.calibration.is_some(),
-            "multi-threaded auto engines calibrate at startup"
-        );
-        let after = after.unwrap();
-        assert!(after.current.is_some(), "a strategy was chosen");
-        assert_eq!(auto.visit_counts, fixed.visit_counts);
-        assert_eq!(auto.paths, fixed.paths);
-        assert_eq!(auto.metrics.makespan_ns, fixed.metrics.makespan_ns);
-    }
-
-    /// `LT_TEST_FORCE_STRATEGY` pins Auto's choice at construction: no
-    /// calibration runs, the forced strategy is used throughout, and no
-    /// switches are counted.
-    #[test]
-    fn force_strategy_env_pins_auto() {
-        let _env = super::TEST_ENV_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let g = graph();
-        std::env::set_var("LT_TEST_FORCE_STRATEGY", "spawn");
+    fn speculation_is_redeemed_on_a_hit_and_restepped_on_a_miss() {
         let cfg = EngineConfig {
             batch_capacity: 256,
             kernel_threads: 4,
-            host_exec: HostExec::Auto,
-            ..EngineConfig::light_traffic(16 << 10, 4)
+            zero_copy: ZeroCopyPolicy::Always, // steps against the host CSR
+            ..EngineConfig::baseline(16 << 10, 4)
         };
-        let e = LightTraffic::new(g.clone(), Arc::new(PageRank::new(8, 0.15)), cfg.clone());
-        std::env::remove_var("LT_TEST_FORCE_STRATEGY");
-        let mut e = e.unwrap();
-        let st = e.auto_status().unwrap();
-        assert_eq!(st.forced, Some(HostExec::Spawn));
-        assert!(st.calibration.is_none(), "forced engines skip calibration");
-        let r = e.run(2_000).unwrap();
-        assert_eq!(e.auto_status().unwrap().current, Some(HostExec::Spawn));
-        assert_eq!(r.metrics.host_strategy_switches, 0);
-        assert!(
-            r.metrics.host_spawn_rounds > 0,
-            "a pinned spawn strategy must count its scoped-spawn rounds"
+        let mut e = LightTraffic::new(graph(), Arc::new(UniformSampling::new(8)), cfg).unwrap();
+        e.inject_walks(8_000);
+        let i = (0..e.pg.num_partitions())
+            .find(|&p| e.host_pool.num_batches(p) >= 3)
+            .expect("some partition holds three host batches");
+        let digest = |s: &SteppedBatch| -> Vec<(u64, u64, Vec<Walker>)> {
+            s.outputs
+                .iter()
+                .map(|o| (o.steps, o.finished, o.moved.clone()))
+                .collect()
+        };
+
+        let spec = e.launch_speculation(i, true).expect("a batch to predict");
+        let a = e.acquire_next_batch(i).unwrap().expect("first batch");
+        let expected = digest(&e.step_batch(i, a.clone(), true));
+        let redeemed = e.redeem_or_step(i, a, true, Some(spec));
+        assert_eq!(digest(&redeemed), expected);
+        assert_eq!(
+            (e.metrics.host_spec_hits, e.metrics.host_spec_misses),
+            (1, 0)
         );
-        // The pin changes only host execution, never simulated results.
-        let mut fixed = LightTraffic::new(g, Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-        let f = fixed.run(2_000).unwrap();
-        assert_eq!(r.visit_counts, f.visit_counts);
-        assert_eq!(r.metrics.makespan_ns, f.metrics.makespan_ns);
+
+        let stale = e.launch_speculation(i, true).expect("a batch to predict");
+        let _predicted = e.acquire_next_batch(i).unwrap().expect("second batch");
+        let c = e.acquire_next_batch(i).unwrap().expect("third batch");
+        assert_ne!(stale.walkers.as_slice(), c.walkers());
+        let expected = digest(&e.step_batch(i, c.clone(), true));
+        let restepped = e.redeem_or_step(i, c, true, Some(stale));
+        assert_eq!(digest(&restepped), expected);
+        assert_eq!(
+            (e.metrics.host_spec_hits, e.metrics.host_spec_misses),
+            (1, 1)
+        );
     }
 
-    /// Regression for the full-pool retry loop in `run_kernel`: with the
+    /// Regression for the full-pool retry loop in `finish_kernel`: with the
     /// walk pool at its `2P + 1` floor and batches small enough that every
     /// frontier block is occupied, `try_insert` keeps failing until
     /// eviction — including when the only evictable victim belongs to the

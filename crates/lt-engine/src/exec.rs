@@ -1,13 +1,13 @@
 //! Persistent deterministic host executor.
 //!
-//! Every hot host-side phase used to pay a fresh `std::thread::scope`
-//! spawn per batch — three spawn/join rounds per iteration.  This module
-//! replaces those with one long-lived worker pool per engine: workers
-//! park on a condvar, tasks carry their submission index, and the
-//! ordered-join primitives ([`ExecPool::run_ordered`],
+//! Every parallel host-side phase (kernel chunks, reshuffle grouping,
+//! sharded inserts, out-of-core decode, speculative stepping) runs on
+//! one long-lived worker pool per engine — the hot path never spawns a
+//! thread.  Workers park on a condvar, tasks carry their submission
+//! index, and the ordered-join primitives ([`ExecPool::run_ordered`],
 //! [`ExecPool::submit_group`]) collect outputs in submission order, so
-//! every bit-identical-to-serial guarantee of the scoped code is
-//! preserved verbatim (see DESIGN.md §11).
+//! merged results are bit-identical to serial execution (see DESIGN.md
+//! §11).
 //!
 //! Two join disciplines are offered:
 //!
@@ -17,7 +17,7 @@
 //!   stack references to the pool sound.
 //! - [`ExecPool::submit_group`] accepts `'static` (owning) closures and
 //!   returns a [`PendingGroup`] handle immediately — the primitive the
-//!   engine's cross-phase pipelining uses to step batch *b+1* while the
+//!   engine's speculative drain uses to step batch *b+1* while the
 //!   scheduler thread is still merging batch *b*.
 //!
 //! While a caller waits on a group it *helps*: it pops queued jobs and
@@ -382,80 +382,6 @@ impl Drop for ExecPool {
     }
 }
 
-/// Micro-rounds timed per strategy by [`calibrate`]; the best (minimum)
-/// round is kept, so a scheduler hiccup in one round cannot poison the
-/// measurement.
-const CALIBRATE_ROUNDS: usize = 3;
-
-/// Measured dispatch overheads of the three host-execution strategies on
-/// this machine (host wall clock — quarantined from deterministic
-/// outputs exactly like [`ExecStats`]). Produced by [`calibrate`] and
-/// consumed by the `HostExec::Auto` decision layer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Calibration {
-    /// Best-of-rounds cost of one `std::thread::scope` spawn/join round
-    /// of trivial tasks.
-    pub spawn_dispatch_ns: u64,
-    /// Best-of-rounds cost of one ordered pool round
-    /// ([`ExecPool::run_ordered`]) of trivial tasks.
-    pub pool_dispatch_ns: u64,
-    /// Best-of-rounds cost of one submit-then-wait round
-    /// ([`ExecPool::submit_group`]) of trivial tasks — the pipelined
-    /// strategy's dispatch primitive.
-    pub pipeline_dispatch_ns: u64,
-}
-
-/// Time the pure dispatch overhead of each host-execution strategy with
-/// `tasks` trivial jobs per round, on `pool`'s own workers. Used once at
-/// engine startup by `HostExec::Auto` (and skipped entirely when the
-/// engine is single-threaded — there is nothing to dispatch). Touches
-/// only the host wall clock; the simulated timeline never sees it.
-pub fn calibrate(pool: &ExecPool, tasks: usize) -> Calibration {
-    let tasks = tasks.max(1);
-    let trivial = || -> Vec<Box<dyn FnOnce() -> u64 + Send + 'static>> {
-        (0..tasks)
-            .map(|i| {
-                Box::new(move || std::hint::black_box(i as u64 + 1))
-                    as Box<dyn FnOnce() -> u64 + Send + 'static>
-            })
-            .collect()
-    };
-    // Warm the pool (wake workers, fault in queue allocations) before
-    // timing anything.
-    pool.run_ordered(trivial());
-    let best = |f: &mut dyn FnMut()| -> u64 {
-        (0..CALIBRATE_ROUNDS)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_nanos() as u64
-            })
-            .min()
-            .unwrap_or(0)
-    };
-    let spawn_dispatch_ns = best(&mut || {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..tasks)
-                .map(|i| s.spawn(move || std::hint::black_box(i as u64 + 1)))
-                .collect();
-            for h in handles {
-                let _ = h.join();
-            }
-        });
-    });
-    let pool_dispatch_ns = best(&mut || {
-        std::hint::black_box(pool.run_ordered(trivial()));
-    });
-    let pipeline_dispatch_ns = best(&mut || {
-        std::hint::black_box(pool.submit_group(trivial()).wait());
-    });
-    Calibration {
-        spawn_dispatch_ns,
-        pool_dispatch_ns,
-        pipeline_dispatch_ns,
-    }
-}
-
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
@@ -621,19 +547,6 @@ mod tests {
         assert_eq!(stats.tasks, 0);
         assert_eq!(stats.caller_tasks, 4);
         assert_eq!(stats.queue_depth_log2[0], 4);
-    }
-
-    #[test]
-    fn calibration_measures_every_strategy() {
-        let pool = ExecPool::new(2);
-        let c = calibrate(&pool, 2);
-        // Trivial tasks still cost nonzero dispatch time on every path.
-        assert!(c.spawn_dispatch_ns > 0);
-        assert!(c.pool_dispatch_ns > 0);
-        assert!(c.pipeline_dispatch_ns > 0);
-        // The pool is untouched by calibration failures and still usable.
-        let out = pool.run_ordered(boxed(vec![|| 7usize]));
-        assert_eq!(out, vec![7]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Determinism: `fetch` is only called from the scheduler thread at
 //! schedule-deterministic points, so hit/miss/eviction counts are
-//! reproducible across kernel thread counts and host-exec strategies.
+//! reproducible across kernel thread counts.
 //! Only `decode_wall_ns` is wall-clock (quarantined like the other
 //! `host_*_wall_ns` counters).
 

@@ -15,8 +15,7 @@
 //! local walker id, step)` — the table routes each step to the owning
 //! job's algorithm *and seed*, ignoring the engine seed — so a job's
 //! visit multiset is bit-identical whether it runs alone or interleaved
-//! with any number of other jobs, at any `kernel_threads` /
-//! [`crate::HostExec`] setting.
+//! with any number of other jobs, at any `kernel_threads` setting.
 
 use crate::algorithm::{StepContext, StepDecision, WalkAlgorithm};
 use crate::engine::EngineError;

@@ -138,20 +138,18 @@ impl GraphView<'_> {
 }
 
 /// Smallest chunk worth a thread: below this, dispatch overhead dwarfs
-/// the stepping work and the batch runs inline instead. The built-in
-/// default; overridable per engine via
-/// [`crate::EngineConfig::min_chunk_walkers`] (`0` keeps this value).
+/// the stepping work and the batch runs inline instead.
 pub(crate) const MIN_CHUNK_WALKERS: usize = 64;
 
 /// Number of chunks a batch of `walkers` walkers is split into when up to
 /// `threads` host threads are available and a chunk must carry at least
-/// `min_chunk` walkers. `1` means "run inline on the scheduler thread".
-pub(crate) fn plan_chunks(walkers: usize, threads: usize, min_chunk: usize) -> usize {
+/// [`MIN_CHUNK_WALKERS`] walkers. `1` means "run inline on the scheduler
+/// thread".
+pub(crate) fn plan_chunks(walkers: usize, threads: usize) -> usize {
     if threads <= 1 || walkers == 0 {
         return 1;
     }
-    let min_chunk = min_chunk.max(1);
-    threads.min(walkers.div_ceil(min_chunk)).max(1)
+    threads.min(walkers.div_ceil(MIN_CHUNK_WALKERS)).max(1)
 }
 
 /// Resolve the [`crate::EngineConfig::kernel_threads`] knob: `0` means
@@ -261,7 +259,7 @@ impl ChunkOutput {
 const SCRATCH_POOL_CAP: usize = 32;
 
 /// Recycled [`ChunkOutput`] buffers shared by every chunk-step site of an
-/// engine — inline, pooled, scoped, and speculative stepping. The
+/// engine — inline, pooled, and speculative stepping. The
 /// scheduler thread returns each buffer after merging it, so steady-state
 /// drains reuse the per-chunk vectors instead of reallocating them every
 /// round. Purely an allocation cache: a recycled buffer is cleared before
@@ -388,7 +386,7 @@ const INTERLEAVE_MIN: usize = 2 * INTERLEAVE_WIDTH;
 /// Step every walker of one chunk until it terminates or leaves the task's
 /// range.
 ///
-/// This is the kernel core shared by every execution strategy: the
+/// This is the kernel core shared by every stepping site: the
 /// `kernel_threads = 1` path runs it inline on the whole batch, the
 /// parallel paths run it once per chunk on worker threads. Large chunks
 /// go through the step-interleaved core (software-prefetched groups of
@@ -632,20 +630,12 @@ mod tests {
 
     #[test]
     fn plan_chunks_bounds() {
-        let m = MIN_CHUNK_WALKERS;
-        assert_eq!(plan_chunks(0, 8, m), 1);
-        assert_eq!(plan_chunks(1000, 1, m), 1);
-        assert_eq!(plan_chunks(63, 8, m), 1);
-        assert_eq!(plan_chunks(65, 8, m), 2);
-        assert_eq!(plan_chunks(10_000, 4, m), 4);
-        assert_eq!(plan_chunks(128, 64, m), 2);
-        // Overridable crossover: a smaller floor admits more chunks, a
-        // larger one fewer; 0 is normalized to 1 by the caller contract
-        // but plan_chunks itself clamps defensively.
-        assert_eq!(plan_chunks(63, 8, 16), 4);
-        assert_eq!(plan_chunks(65, 8, 1024), 1);
-        assert_eq!(plan_chunks(8, 8, 1), 8);
-        assert_eq!(plan_chunks(8, 8, 0), 8);
+        assert_eq!(plan_chunks(0, 8), 1);
+        assert_eq!(plan_chunks(1000, 1), 1);
+        assert_eq!(plan_chunks(63, 8), 1);
+        assert_eq!(plan_chunks(65, 8), 2);
+        assert_eq!(plan_chunks(10_000, 4), 4);
+        assert_eq!(plan_chunks(128, 64), 2);
     }
 
     #[test]

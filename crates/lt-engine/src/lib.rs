@@ -15,14 +15,12 @@
 //! - host-parallel kernel execution with a deterministic chunk-order merge
 //!   (wall-clock throughput scales with [`EngineConfig::kernel_threads`]
 //!   while simulated results stay bit-identical) — [`kernel`];
-//! - a persistent deterministic executor: one long-lived worker pool per
-//!   engine replaces per-batch thread spawns, the [`HostExec::Pipeline`]
-//!   strategy overlaps the next batch's stepping with the current batch's
-//!   merge/reshuffle via validated speculation, and the default
-//!   [`HostExec::Auto`] strategy picks between spawn/pool/pipeline per
-//!   drain phase from batch occupancy, speculation history, and a startup
-//!   calibration pass — all still bit-identical to serial execution —
-//!   [`exec`];
+//! - a persistent deterministic executor: every parallel phase runs on
+//!   one long-lived worker pool per engine, and the partition drain
+//!   overlaps the next batch's stepping with the current batch's
+//!   merge/reshuffle via validated speculation, gated per drain on the
+//!   planned chunk fan-out and the observed hit/miss history — all
+//!   bit-identical to the `kernel_threads: 1` serial drain — [`exec`];
 //! - fault injection and recovery: retry-with-backoff for faulted copies,
 //!   corruption-driven degradation to zero copy, and automatic rollback to
 //!   periodic in-memory checkpoints on fatal device errors
@@ -75,10 +73,9 @@ pub use alias::{AliasTable, AliasWeightedWalk};
 pub use checkpoint::Checkpoint;
 pub use config::{ConfigError, EngineConfigBuilder};
 pub use engine::{
-    AutoStatus, EngineConfig, EngineError, EpochSummary, HostExec, LightTraffic, ReloadPolicy,
-    RunStatus, ZeroCopyPolicy,
+    EngineConfig, EngineError, EpochSummary, LightTraffic, ReloadPolicy, RunStatus, ZeroCopyPolicy,
 };
-pub use exec::{calibrate, Calibration, ExecPool, ExecStats};
+pub use exec::{ExecPool, ExecStats};
 pub use graphpool::GraphEviction;
 pub use hostcache::HostDecodeCache;
 pub use job::{JobId, JobSpec, JobStart, JobStatus, JobTable, TagDelta};

@@ -69,31 +69,25 @@ pub struct Metrics {
     pub host_reshuffles: u64,
     /// Widest worker fan-out any reshuffle phase used.
     pub max_reshuffle_threads: u64,
-    /// Parallel-phase rounds executed under the scoped-spawn strategy
-    /// (kernel stepping, reshuffle grouping ×2, sharded insert — per
-    /// batch). Counted whenever the effective strategy is
-    /// [`crate::HostExec::Spawn`] and the phase's thread budget exceeds
-    /// one, *including* rounds the min-work floors degrade to inline
-    /// execution — so small-batch spawn runs report their round count
-    /// instead of a misleading 0. Stays 0 under the pooled strategies.
-    /// Host-only and machine/mode-dependent like the wall counters:
-    /// never published to the metric registry, and masked by the
-    /// differential fingerprints.
+    /// Retired: counted scoped-thread spawn rounds when the engine still
+    /// had a spawn strategy. Every parallel phase now runs on the
+    /// persistent pool, so this always reads 0; the field stays only
+    /// because `benchmark/` reads it by name.
     pub host_spawn_rounds: u64,
     /// Speculative batches whose pre-stepped outputs were validated and
-    /// used (cross-phase pipelining). Host-only: never published, masked
-    /// by fingerprints — speculation outcomes depend on timing-free
-    /// structure only, but the counters differ across `host_exec` modes.
+    /// used (the speculative drain, DESIGN.md §11). Host-only: never
+    /// published to the metric registry and zeroed by
+    /// [`RunResult::deterministic_fingerprint`] — the outcome never
+    /// changes results, but the count depends on `kernel_threads`.
     pub host_spec_hits: u64,
     /// Speculative batches discarded after validation failed (the batch
     /// acquired at the serial sequence point differed from the
     /// prediction). Host-only like `host_spec_hits`.
     pub host_spec_misses: u64,
-    /// Times [`crate::HostExec::Auto`] changed its effective strategy
-    /// mid-run (the initial pick is not a switch). Host-only like the
-    /// speculation counters: never published to the metric registry
-    /// (exported as `lt_exec_strategy_switches_total` by the telemetry
-    /// snapshot instead) and masked by the differential fingerprints.
+    /// Partition drains whose speculation gate differed from the previous
+    /// drain's (the first drain is not a switch). Host-only like the
+    /// speculation counters: exported as
+    /// `lt_exec_strategy_switches_total` by the telemetry snapshot.
     pub host_strategy_switches: u64,
     /// Most walkers resident in host memory at once (the CPU-side walk
     /// index footprint).
@@ -114,8 +108,8 @@ pub struct Metrics {
     pub host_cache_evictions: u64,
     /// *Host* wall-clock ns spent decoding compressed partitions.
     /// Wall-clock like `host_kernel_wall_ns`: machine-dependent, never
-    /// published to the metric registry, masked by the differential
-    /// fingerprints.
+    /// published to the metric registry, zeroed by
+    /// [`RunResult::deterministic_fingerprint`].
     pub host_decode_wall_ns: u64,
     /// Log₂ histogram of finished walk lengths: `bucket[i]` counts walks
     /// that terminated with step count in `[2^i, 2^(i+1))`; index 0 also
@@ -361,6 +355,40 @@ impl RunResult {
     /// Simulated wall time in seconds.
     pub fn seconds(&self) -> f64 {
         self.metrics.makespan_ns as f64 / 1e9
+    }
+
+    /// Everything this run produced, serialized, with the host-only
+    /// fields zeroed: the wall clocks (`host_*_wall_ns`), the fan-out
+    /// high-water marks (`max_*_threads`) and the speculation
+    /// bookkeeping (`host_spec_*`, `host_strategy_switches`,
+    /// `host_spawn_rounds`). Two runs of the same workload and seed must
+    /// agree on this string whatever their thread counts, speculation
+    /// outcomes or machine — the one equality every differential battery
+    /// asserts.
+    pub fn deterministic_fingerprint(&self) -> String {
+        let metrics = Metrics {
+            host_kernel_wall_ns: 0,
+            host_reshuffle_wall_ns: 0,
+            host_decode_wall_ns: 0,
+            max_kernel_threads: 0,
+            max_reshuffle_threads: 0,
+            host_spec_hits: 0,
+            host_spec_misses: 0,
+            host_strategy_switches: 0,
+            host_spawn_rounds: 0,
+            ..self.metrics.clone()
+        };
+        fn json<T: Serialize>(v: &T) -> String {
+            serde_json::to_string(v).expect("counters and id vectors always serialize")
+        }
+        [
+            json(&metrics),
+            json(&self.gpu),
+            json(&self.visit_counts),
+            json(&self.paths),
+            json(&self.iterations),
+        ]
+        .join("|")
     }
 
     /// Normalize visit frequencies into a probability vector (the

@@ -56,63 +56,13 @@ pub fn write_order(
     num_partitions: u32,
     mode: ReshuffleMode,
 ) -> Vec<Walker> {
-    write_order_parallel(walkers, partition_of, num_partitions, mode, 1)
-}
-
-/// [`write_order`] with the per-block counting sorts spread over up to
-/// `threads` host threads.
-///
-/// Each `threads_per_block` chunk of [`ReshuffleMode::TwoLevel`] is sorted
-/// independently (thread blocks share nothing in Algorithm 1 either), so
-/// the blocks can be pre-counted and sorted in parallel and concatenated
-/// in block order — the output is bit-identical to the sequential path for
-/// every thread count. [`ReshuffleMode::DirectWrite`] has no work to
-/// parallelize.
-pub fn write_order_parallel(
-    walkers: Vec<Walker>,
-    partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),
-    num_partitions: u32,
-    mode: ReshuffleMode,
-    threads: usize,
-) -> Vec<Walker> {
     match mode {
         ReshuffleMode::DirectWrite => walkers,
         ReshuffleMode::TwoLevel { threads_per_block } => {
             assert!(threads_per_block > 0);
-            let blocks: Vec<&[Walker]> = walkers.chunks(threads_per_block).collect();
-            // One worker per contiguous run of blocks; fewer than two runs
-            // (or a trivial input) degenerates to the sequential loop.
-            let workers = threads.clamp(1, blocks.len().max(1));
-            if workers <= 1 {
-                let mut out = Vec::with_capacity(walkers.len());
-                for chunk in &blocks {
-                    counting_sort_chunk(chunk, partition_of, num_partitions, &mut out);
-                }
-                return out;
-            }
-            let runs: Vec<&[&[Walker]]> = blocks.chunks(blocks.len().div_ceil(workers)).collect();
-            let sorted_runs: Vec<Vec<Walker>> = std::thread::scope(|s| {
-                let handles: Vec<_> = runs
-                    .into_iter()
-                    .map(|run| {
-                        s.spawn(move || {
-                            let mut out = Vec::with_capacity(run.iter().map(|c| c.len()).sum());
-                            for chunk in run {
-                                counting_sort_chunk(chunk, partition_of, num_partitions, &mut out);
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("reshuffle worker panicked"))
-                    .collect()
-            });
-            // Deterministic merge: runs concatenate in block order.
             let mut out = Vec::with_capacity(walkers.len());
-            for run in sorted_runs {
-                out.extend(run);
+            for chunk in walkers.chunks(threads_per_block) {
+                counting_sort_chunk(chunk, partition_of, num_partitions, &mut out);
             }
             out
         }
@@ -121,154 +71,95 @@ pub fn write_order_parallel(
 
 /// Smallest mover count worth a grouping worker: below this the dispatch
 /// costs more than the counting sort it would run (the reshuffle analog
-/// of [`crate::kernel::MIN_CHUNK_WALKERS`]). The built-in default;
-/// overridable per engine via
-/// [`crate::EngineConfig::min_movers_per_worker`] (`0` keeps this value).
+/// of [`crate::kernel::MIN_CHUNK_WALKERS`]).
 pub(crate) const MIN_MOVERS_PER_WORKER: usize = 2048;
 
-/// [`partition_groups_parallel`] with one worker (the serial reference
-/// path the differential tests compare the parallel pipeline against).
+/// Group reshuffled walkers by target partition in one serial pass of
+/// arrival-order bucketing: `groups[p]` is exactly the arrival-order
+/// subsequence of `walkers` targeting `p`. The reference the pooled
+/// pipeline the engine runs (`partition_groups_pooled`) is tested against.
 pub fn partition_groups(
     walkers: Vec<Walker>,
     partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),
     num_partitions: u32,
 ) -> Vec<Vec<Walker>> {
-    partition_groups_parallel(walkers, partition_of, num_partitions, 1)
+    let mut groups: Vec<Vec<Walker>> = (0..num_partitions).map(|_| Vec::new()).collect();
+    for w in walkers {
+        groups[partition_of(&w) as usize].push(w);
+    }
+    groups
 }
 
-/// Group reshuffled walkers by target partition with a two-phase parallel
-/// pipeline (DESIGN.md §10), preserving arrival order within every group.
+/// [`partition_groups`] as a two-phase parallel pipeline on the
+/// persistent executor (DESIGN.md §10), preserving arrival order within
+/// every group.
 ///
-/// Phase 1 runs up to `threads` workers over contiguous chunks of the
-/// input; each worker bucket-counts its chunk per partition, prefix-sums
-/// the counts into chunk-local offsets, and stably scatters the chunk into
-/// partition order (the same counting sort Algorithm 1 runs per thread
-/// block). Phase 2 runs workers over contiguous *partition* ranges; each
-/// assembles `groups[p]` by concatenating the chunk-local `p`-slices in
-/// chunk order.
+/// Phase 1 runs up to `threads` tasks over contiguous chunks of the
+/// input (at least [`MIN_MOVERS_PER_WORKER`] movers each); each
+/// bucket-counts its chunk per partition, prefix-sums the counts into
+/// chunk-local offsets, and stably scatters the chunk into partition
+/// order (the same counting sort Algorithm 1 runs per thread block).
+/// Phase 2 runs tasks over contiguous *partition* ranges; each assembles
+/// `groups[p]` by concatenating the chunk-local `p`-slices in chunk
+/// order.
 ///
 /// Because chunks are contiguous and concatenation follows chunk order,
-/// `groups[p]` is exactly the arrival-order subsequence of `walkers`
-/// targeting `p` — for *any* thread count and any chunking. That is the
-/// determinism argument the sharded insert phase builds on: per-partition
-/// insertion order (and hence every downstream decision) never depends on
-/// `reshuffle_threads`.
-pub fn partition_groups_parallel(
-    walkers: Vec<Walker>,
-    partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),
-    num_partitions: u32,
-    threads: usize,
-) -> Vec<Vec<Walker>> {
-    partition_groups_pooled(
-        walkers,
-        partition_of,
-        num_partitions,
-        threads,
-        MIN_MOVERS_PER_WORKER,
-        None,
-    )
-    .0
-}
-
-/// [`partition_groups_parallel`] with an explicit work floor and an
-/// optional persistent executor. With `exec: Some(pool)` both phases run
-/// as ordered task groups on the pool (no thread spawns); with `None`
-/// they run on scoped threads, one spawn round per phase. Returns the
-/// groups plus the number of scoped spawn rounds actually paid (0 on the
-/// pooled or serial path) so the engine can account `host_spawn_rounds`.
+/// `groups[p]` is the arrival-order subsequence for *any* thread count
+/// and any chunking. That is the determinism argument the sharded insert
+/// phase builds on: per-partition insertion order (and hence every
+/// downstream decision) never depends on `reshuffle_threads`.
 pub(crate) fn partition_groups_pooled(
     walkers: Vec<Walker>,
     partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),
     num_partitions: u32,
     threads: usize,
-    min_movers: usize,
-    exec: Option<&ExecPool>,
-) -> (Vec<Vec<Walker>>, u32) {
+    exec: &ExecPool,
+) -> Vec<Vec<Walker>> {
     let np = num_partitions as usize;
     let n = walkers.len();
-    // Below `min_movers` movers per thread, dispatch overhead dwarfs the
+    // Below the mover floor per thread, dispatch overhead dwarfs the
     // bucketing work — degrade toward the serial pass. Safe because the
     // output is worker-count invariant by construction.
-    let workers = threads.clamp(1, (n / min_movers.max(1)).max(1));
+    let workers = threads.clamp(1, (n / MIN_MOVERS_PER_WORKER).max(1));
     if workers <= 1 {
-        // Serial reference: one pass of arrival-order bucketing.
-        let mut groups: Vec<Vec<Walker>> = (0..np).map(|_| Vec::new()).collect();
-        for w in walkers {
-            groups[partition_of(&w) as usize].push(w);
-        }
-        return (groups, 0);
+        return partition_groups(walkers, partition_of, num_partitions);
     }
     // Phase 1: per-chunk bucket count + prefix sum + stable scatter.
-    let chunks: Vec<&[Walker]> = walkers.chunks(n.div_ceil(workers)).collect();
-    let sorted: Vec<(Vec<Walker>, Vec<u32>)> = if let Some(pool) = exec {
-        let tasks: Vec<SortTask<'_>> = chunks
-            .into_iter()
-            .map(|chunk| {
-                Box::new(move || {
-                    let mut out = Vec::new();
-                    let offsets =
-                        counting_sort_chunk(chunk, partition_of, num_partitions, &mut out);
-                    (out, offsets)
-                }) as SortTask<'_>
-            })
-            .collect();
-        pool.run_ordered(tasks)
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let offsets =
-                            counting_sort_chunk(chunk, partition_of, num_partitions, &mut out);
-                        (out, offsets)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reshuffle count worker panicked"))
-                .collect()
+    let tasks: Vec<SortTask<'_>> = walkers
+        .chunks(n.div_ceil(workers))
+        .map(|chunk| {
+            Box::new(move || {
+                let mut out = Vec::new();
+                let offsets = counting_sort_chunk(chunk, partition_of, num_partitions, &mut out);
+                (out, offsets)
+            }) as SortTask<'_>
         })
-    };
+        .collect();
+    let sorted = exec.run_ordered(tasks);
     // Phase 2: parallel assembly over disjoint partition ranges. Each
-    // worker owns a contiguous slice of `groups` and fills it from the
+    // task owns a contiguous slice of `groups` and fills it from the
     // chunk-local slices, concatenated in chunk order.
     let mut groups: Vec<Vec<Walker>> = (0..np).map(|_| Vec::new()).collect();
     let range = np.div_ceil(workers).max(1);
-    let assemble = |r: usize, slot: &mut [Vec<Walker>], sorted: &[(Vec<Walker>, Vec<u32>)]| {
-        for (i, g) in slot.iter_mut().enumerate() {
-            let p = r * range + i;
-            let total: usize = sorted.iter().map(|(_, o)| (o[p + 1] - o[p]) as usize).sum();
-            g.reserve_exact(total);
-            for (chunk, offsets) in sorted {
-                g.extend_from_slice(&chunk[offsets[p] as usize..offsets[p + 1] as usize]);
-            }
-        }
-    };
-    if let Some(pool) = exec {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = groups
-            .chunks_mut(range)
-            .enumerate()
-            .map(|(r, slot)| {
-                let sorted = &sorted;
-                let assemble = &assemble;
-                Box::new(move || assemble(r, slot, sorted)) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_ordered(tasks);
-        (groups, 0)
-    } else {
-        std::thread::scope(|s| {
-            for (r, slot) in groups.chunks_mut(range).enumerate() {
-                let sorted = &sorted;
-                let assemble = &assemble;
-                s.spawn(move || assemble(r, slot, sorted));
-            }
-        });
-        (groups, 2)
-    }
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = groups
+        .chunks_mut(range)
+        .enumerate()
+        .map(|(r, slot)| {
+            let sorted = &sorted;
+            Box::new(move || {
+                for (i, g) in slot.iter_mut().enumerate() {
+                    let p = r * range + i;
+                    let total: usize = sorted.iter().map(|(_, o)| (o[p + 1] - o[p]) as usize).sum();
+                    g.reserve_exact(total);
+                    for (chunk, offsets) in sorted {
+                        g.extend_from_slice(&chunk[offsets[p] as usize..offsets[p + 1] as usize]);
+                    }
+                }
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    exec.run_ordered(tasks);
+    groups
 }
 
 /// Algorithm 1's shared-memory phase for one thread block: local counters
@@ -388,23 +279,20 @@ mod tests {
     fn empty_input_is_fine() {
         let out = write_order(vec![], &pof, 4, ReshuffleMode::default());
         assert!(out.is_empty());
-        let out = write_order_parallel(vec![], &pof, 4, ReshuffleMode::default(), 8);
-        assert!(out.is_empty());
     }
 
-    /// The two-phase grouping pipeline must yield arrival-order groups for
-    /// any thread count — the bit-identity invariant the sharded insert
-    /// phase relies on.
+    /// The serial reference yields arrival-order groups, and the pooled
+    /// two-phase pipeline matches it for any thread count and pool size —
+    /// the bit-identity invariant the sharded insert phase relies on.
     #[test]
-    fn partition_groups_parallel_matches_serial() {
-        // Enough movers that the min-work-per-worker floor still grants
-        // several workers — the genuinely parallel path is exercised.
+    fn partition_groups_pooled_matches_serial() {
+        // Enough movers that the work floor still grants several workers —
+        // the genuinely parallel path is exercised.
         let vs: Vec<u32> = (0..(4 * MIN_MOVERS_PER_WORKER as u32 + 13))
             .map(|i| (i * 29) % 40)
             .collect();
         let ws = walkers(&vs);
         let reference = partition_groups(ws.clone(), &pof, 4);
-        // Serial reference: each group is the arrival-order subsequence.
         for (p, group) in reference.iter().enumerate() {
             let expect: Vec<u64> = ws
                 .iter()
@@ -414,58 +302,44 @@ mod tests {
             let got: Vec<u64> = group.iter().map(|w| w.id).collect();
             assert_eq!(got, expect, "group {p} is not in arrival order");
         }
-        for threads in [1, 2, 3, 4, 8, 999] {
-            let got = partition_groups_parallel(ws.clone(), &pof, 4, threads);
-            assert_eq!(got, reference, "{threads} threads");
-        }
-    }
-
-    /// The pooled grouping path must match the serial reference for any
-    /// worker count and pool size — same oracle as the scoped path, with
-    /// zero spawn rounds.
-    #[test]
-    fn partition_groups_pooled_matches_serial() {
-        let vs: Vec<u32> = (0..1000u32).map(|i| (i * 31) % 40).collect();
-        let ws = walkers(&vs);
-        let reference = partition_groups(ws.clone(), &pof, 4);
         for pool_workers in [0, 1, 4] {
             let pool = ExecPool::new(pool_workers);
-            for threads in [1, 2, 4, 8] {
-                // A tiny floor forces the genuinely parallel path.
-                let (got, rounds) =
-                    partition_groups_pooled(ws.clone(), &pof, 4, threads, 16, Some(&pool));
+            for threads in [1, 2, 3, 4, 8, 999] {
+                let got = partition_groups_pooled(ws.clone(), &pof, 4, threads, &pool);
                 assert_eq!(got, reference, "{pool_workers} workers, {threads} threads");
-                assert_eq!(rounds, 0, "pooled path must not spawn");
             }
         }
     }
 
     #[test]
     fn partition_groups_handles_empty_and_tiny_inputs() {
-        let empty = partition_groups_parallel(vec![], &pof, 4, 8);
+        let pool = ExecPool::new(2);
+        let empty = partition_groups_pooled(vec![], &pof, 4, 8, &pool);
         assert_eq!(empty.len(), 4);
         assert!(empty.iter().all(|g| g.is_empty()));
-        let one = partition_groups_parallel(walkers(&[35]), &pof, 4, 8);
+        let one = partition_groups_pooled(walkers(&[35]), &pof, 4, 8, &pool);
         assert_eq!(one[3].len(), 1);
         assert_eq!(one.iter().map(|g| g.len()).sum::<usize>(), 1);
     }
 
-    /// The parallel pre-count must be invisible in the output: every thread
-    /// count yields the sequential ordering, for block sizes that divide
-    /// the input unevenly and thread counts exceeding the block count.
+    /// Block sizes that divide the input unevenly still sort each block
+    /// independently and concatenate them in block order.
     #[test]
-    fn parallel_write_order_matches_sequential() {
+    fn write_order_sorts_each_block_independently() {
         let vs: Vec<u32> = (0..257u32).map(|i| (i * 13) % 40).collect();
         let ws = walkers(&vs);
         for tpb in [3, 7, 64, 1024] {
             let mode = ReshuffleMode::TwoLevel {
                 threads_per_block: tpb,
             };
-            let reference = write_order(ws.clone(), &pof, 4, mode);
-            for threads in [1, 2, 3, 8, 999] {
-                let got = write_order_parallel(ws.clone(), &pof, 4, mode, threads);
-                assert_eq!(got, reference, "tpb {tpb}, {threads} threads");
+            let got = write_order(ws.clone(), &pof, 4, mode);
+            let mut expect = Vec::new();
+            for block in ws.chunks(tpb) {
+                let mut b = block.to_vec();
+                b.sort_by_key(pof); // stable, like the counting sort
+                expect.extend(b);
             }
+            assert_eq!(got, expect, "tpb {tpb}");
         }
     }
 }

@@ -133,23 +133,6 @@ impl Session {
         SessionBuilder::default()
     }
 
-    /// Build a session over `graph` running `alg`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Session::builder().graph(..).algorithm(..).config(..).build()"
-    )]
-    pub fn new(
-        graph: Arc<Csr>,
-        alg: Arc<dyn WalkAlgorithm>,
-        cfg: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        Session::builder()
-            .graph(graph)
-            .algorithm(alg)
-            .config(cfg)
-            .build()
-    }
-
     /// Wrap an existing engine.
     pub(crate) fn from_engine(engine: LightTraffic) -> Self {
         Session { engine }

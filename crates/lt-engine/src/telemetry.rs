@@ -108,9 +108,11 @@ pub fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
             )
             .set(free as f64);
     }
-    // Persistent-executor activity (DESIGN.md §11), absent under
-    // `HostExec::Spawn`. All values are host-wall observations — like the
-    // `host_*` metrics they never feed back into simulated outputs.
+    // Persistent-executor and speculation activity (DESIGN.md §11). All
+    // values are host-side observations — like the `host_*` metrics they
+    // never feed back into simulated outputs, so they are exported here,
+    // on the pull side, and never emitted into the deterministic event
+    // stream.
     if let Some(es) = engine.exec_stats() {
         registry
             .gauge("lt_exec_workers", "Persistent executor worker threads", &[])
@@ -167,67 +169,27 @@ pub fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
                 h.observe_n(bounds[i], count);
             }
         }
-    }
-    // Adaptive-strategy decision state (DESIGN.md §12), present only under
-    // [`crate::HostExec::Auto`]. The decision depends on host timing
-    // (calibration, speculation history), so it is exported here — the
-    // pull side — and never emitted into the deterministic event stream.
-    if let Some(a) = engine.auto_status() {
-        let name = |s: crate::engine::HostExec| match s {
-            crate::engine::HostExec::Spawn => "spawn",
-            crate::engine::HostExec::Pool => "pool",
-            crate::engine::HostExec::Pipeline => "pipeline",
-            crate::engine::HostExec::Auto => "auto",
-        };
-        for s in [
-            crate::engine::HostExec::Spawn,
-            crate::engine::HostExec::Pool,
-            crate::engine::HostExec::Pipeline,
-        ] {
-            registry
-                .gauge(
-                    "lt_exec_strategy",
-                    "1 for the strategy Auto currently runs, 0 otherwise",
-                    &[("strategy", name(s))],
-                )
-                .set(if a.current == Some(s) { 1.0 } else { 0.0 });
-        }
         registry
             .counter(
                 "lt_exec_strategy_switches_total",
-                "Mid-run strategy changes made by HostExec::Auto",
+                "Partition drains whose speculation gate differed from the previous drain's",
                 &[],
             )
             .set(m.host_strategy_switches);
         registry
             .counter(
                 "lt_exec_spec_hits_total",
-                "Speculative pipeline rounds whose prediction validated",
+                "Speculative batch steps whose prediction validated",
                 &[],
             )
             .set(m.host_spec_hits);
         registry
             .counter(
                 "lt_exec_spec_misses_total",
-                "Speculative pipeline rounds discarded on validation",
+                "Speculative batch steps discarded on validation",
                 &[],
             )
             .set(m.host_spec_misses);
-        if let Some(c) = a.calibration {
-            for (s, ns) in [
-                ("spawn", c.spawn_dispatch_ns),
-                ("pool", c.pool_dispatch_ns),
-                ("pipeline", c.pipeline_dispatch_ns),
-            ] {
-                registry
-                    .gauge(
-                        "lt_exec_calibration_ns",
-                        "Startup micro-benchmark dispatch cost per strategy",
-                        &[("strategy", s)],
-                    )
-                    .set(ns as f64);
-            }
-        }
     }
     // Traffic attribution (DESIGN.md §14), present only under
     // [`crate::EngineConfig::attribution`]. Like the ledger itself the
@@ -382,76 +344,39 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_publishes_executor_series_for_pool_modes_only() {
-        use crate::engine::HostExec;
-        let run = |mode: HostExec| {
+    fn snapshot_always_publishes_executor_series() {
+        // `kernel_threads: 1` never dispatches a kernel chunk or a
+        // speculation; the series must be there all the same.
+        for kernel_threads in [1, 4] {
             let cfg = EngineConfig {
                 batch_capacity: 256,
-                kernel_threads: 4,
-                host_exec: mode,
+                kernel_threads,
                 ..EngineConfig::light_traffic(16 << 10, 4)
             };
             let mut s =
                 LightTraffic::session(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
             s.inject_walks(2_000);
             while let crate::engine::RunStatus::Paused = s.step(64).unwrap() {}
-            s.telemetry().prometheus()
-        };
-        for mode in [HostExec::Pool, HostExec::Pipeline] {
-            let text = run(mode);
+            let text = s.telemetry().prometheus();
             for series in [
                 "lt_exec_workers",
                 "lt_exec_tasks_total",
                 "lt_exec_caller_tasks_total",
                 "lt_exec_busy_ns",
                 "lt_exec_worker_utilization",
-                "lt_exec_queue_depth_bucket",
+                "lt_exec_strategy_switches_total",
+                "lt_exec_spec_hits_total",
+                "lt_exec_spec_misses_total",
             ] {
                 assert!(
                     text.contains(series),
-                    "{series} missing from the {mode:?} export"
+                    "{series} missing at kernel_threads={kernel_threads}"
                 );
             }
+            assert!(!text.contains("lt_exec_strategy{"));
+            if kernel_threads > 1 {
+                assert!(text.contains("lt_exec_queue_depth_bucket"));
+            }
         }
-        assert!(
-            !run(HostExec::Spawn).contains("lt_exec_"),
-            "spawn mode has no persistent pool and must not export lt_exec_*"
-        );
-    }
-
-    #[test]
-    fn snapshot_publishes_auto_decision_series() {
-        use crate::engine::HostExec;
-        let _env = crate::engine::TEST_ENV_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let cfg = EngineConfig {
-            batch_capacity: 256,
-            kernel_threads: 4,
-            host_exec: HostExec::Auto,
-            ..EngineConfig::light_traffic(16 << 10, 4)
-        };
-        let mut s = LightTraffic::session(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-        s.inject_walks(2_000);
-        while let crate::engine::RunStatus::Paused = s.step(64).unwrap() {}
-        let text = s.telemetry().prometheus();
-        for series in [
-            "lt_exec_strategy{strategy=\"spawn\"}",
-            "lt_exec_strategy{strategy=\"pool\"}",
-            "lt_exec_strategy{strategy=\"pipeline\"}",
-            "lt_exec_strategy_switches_total",
-            "lt_exec_spec_hits_total",
-            "lt_exec_spec_misses_total",
-            "lt_exec_calibration_ns{strategy=\"spawn\"}",
-            "lt_exec_workers",
-        ] {
-            assert!(text.contains(series), "{series} missing from Auto export");
-        }
-        // Exactly one strategy gauge is hot.
-        let hot = text
-            .lines()
-            .filter(|l| l.starts_with("lt_exec_strategy{") && l.ends_with(" 1"))
-            .count();
-        assert_eq!(hot, 1, "Auto must report exactly one active strategy");
     }
 }

@@ -1,14 +1,16 @@
-//! Property tests of the persistent executor (DESIGN.md §11–§12): for
-//! any thread fan-out in {1, 2, 4, 8}² and with or without retryable
-//! fault injection, the pooled, pipelined, and adaptive host execution
-//! strategies must reproduce the legacy scoped-spawn runs **bit for
-//! bit** — metrics, recorded paths, and the full simulated device
-//! breakdown. A stress test additionally reuses one engine (and
-//! therefore one pool) across many `run` calls, the long-lived usage
-//! the pool exists for.
+//! Property tests of the persistent executor and the speculative drain
+//! (DESIGN.md §11): for any thread fan-out in {2, 4, 8} × {1, 2, 4, 8}
+//! and with or without retryable fault injection, pooled kernels, pooled
+//! reshuffles and validated speculation must reproduce the
+//! `kernel_threads: 1` run — inline stepping, no speculation — **bit for
+//! bit**: metrics, recorded paths, and the full simulated device
+//! breakdown. A stress test additionally reuses one engine (and therefore
+//! one pool) across many `run` calls, the long-lived usage the pool
+//! exists for. (The speculation miss path cannot be reached from a run —
+//! see the `engine.rs` unit test that drives it directly.)
 
 use lt_engine::algorithm::{PageRank, UniformSampling};
-use lt_engine::{EngineConfig, HostExec, LightTraffic};
+use lt_engine::{EngineConfig, LightTraffic, RunResult};
 use lt_gpusim::{FaultPlan, GpuConfig};
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
@@ -28,7 +30,6 @@ fn graph(seed: u64) -> Arc<Csr> {
 }
 
 fn config(
-    mode: HostExec,
     kernel_threads: usize,
     reshuffle_threads: usize,
     fault_seed: Option<u64>,
@@ -38,7 +39,6 @@ fn config(
         record_paths: true,
         kernel_threads,
         reshuffle_threads,
-        host_exec: mode,
         gpu: GpuConfig {
             faults: fault_seed.map(|s| FaultPlan::retryable_only(s, 0.05)),
             ..GpuConfig::default()
@@ -47,69 +47,54 @@ fn config(
     }
 }
 
-/// Serialize everything a run produced, masking only the host wall-clock
-/// and host-strategy bookkeeping (the documented non-deterministic
-/// fields — see `Metrics`).
-fn fingerprint(g: &Arc<Csr>, cfg: EngineConfig) -> String {
+fn run(g: &Arc<Csr>, cfg: EngineConfig) -> RunResult {
     let mut e =
         LightTraffic::new(g.clone(), Arc::new(UniformSampling::new(8)), cfg).expect("pools fit");
-    let mut r = e.run(g.num_vertices().min(600)).expect("run completes");
-    r.metrics.host_kernel_wall_ns = 0;
-    r.metrics.host_reshuffle_wall_ns = 0;
-    r.metrics.max_kernel_threads = 0;
-    r.metrics.max_reshuffle_threads = 0;
-    r.metrics.host_spawn_rounds = 0;
-    r.metrics.host_spec_hits = 0;
-    r.metrics.host_spec_misses = 0;
-    r.metrics.host_strategy_switches = 0;
-    format!(
-        "{}|{}|{}",
-        serde_json::to_string(&r.metrics).unwrap(),
-        serde_json::to_string(&r.gpu).unwrap(),
-        serde_json::to_string(&r.paths).unwrap(),
-    )
+    e.run(g.num_vertices().min(600)).expect("run completes")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn pooled_execution_is_bit_identical_to_scoped_spawn(
+    fn pooled_execution_is_bit_identical_to_the_serial_drain(
         graph_seed in 0u64..1000,
-        kt_idx in 0usize..4,
+        kt_idx in 0usize..3,
         rt_idx in 0usize..4,
         inject_faults in any::<bool>(),
     ) {
-        let threads = [1usize, 2, 4, 8];
-        let (kt, rt) = (threads[kt_idx], threads[rt_idx]);
+        let (kt, rt) = ([2usize, 4, 8][kt_idx], [1usize, 2, 4, 8][rt_idx]);
         let fault_seed = inject_faults.then_some(graph_seed ^ 0x5eed);
         let g = graph(graph_seed);
-        let spawn = fingerprint(&g, config(HostExec::Spawn, kt, rt, fault_seed));
-        for mode in [HostExec::Pool, HostExec::Pipeline, HostExec::Auto] {
-            prop_assert_eq!(
-                &fingerprint(&g, config(mode, kt, rt, fault_seed)),
-                &spawn,
-                "{:?} diverged from Spawn at kt={}, rt={}, faults={}",
-                mode, kt, rt, inject_faults
-            );
-        }
+        let serial = run(&g, config(1, 1, fault_seed));
+        prop_assert_eq!(serial.metrics.host_spec_hits + serial.metrics.host_spec_misses, 0);
+        let pooled = run(&g, config(kt, rt, fault_seed));
+        prop_assert!(
+            pooled.metrics.host_spec_hits > 0,
+            "kt={} never used a speculation", kt
+        );
+        prop_assert_eq!(
+            pooled.deterministic_fingerprint(),
+            serial.deterministic_fingerprint(),
+            "kt={}, rt={}, faults={} diverged from kernel_threads=1",
+            kt, rt, inject_faults
+        );
     }
 }
 
 /// One engine, one pool, many runs: the pool must survive reuse across
-/// `run` calls with results identical to a fresh-spawn engine driven the
-/// same way, and the persistent workers (not per-batch spawns) must have
-/// done the stepping.
+/// `run` calls with results identical to a `kernel_threads: 1` engine
+/// driven the same way, and the persistent workers must have done the
+/// stepping.
 #[test]
-fn one_engine_reused_across_many_runs_matches_spawn_engine() {
+fn one_engine_reused_across_many_runs_matches_the_serial_engine() {
     const ROUNDS: u64 = 30;
     const WALKS: u64 = 200;
     let g = graph(7);
-    let run_all = |mode: HostExec| {
+    let run_all = |kernel_threads: usize| {
         let cfg = EngineConfig {
             batch_capacity: 256,
-            kernel_threads: 4,
-            host_exec: mode,
+            kernel_threads,
             ..EngineConfig::light_traffic(8 << 10, 4)
         };
         let mut e =
@@ -118,56 +103,25 @@ fn one_engine_reused_across_many_runs_matches_spawn_engine() {
         for _ in 0..ROUNDS {
             last = Some(e.run(WALKS).expect("run completes"));
         }
-        let stats = e.exec_stats();
-        let mut r = last.expect("at least one round ran");
+        let r = last.expect("at least one round ran");
         assert_eq!(r.metrics.finished_walks, ROUNDS * WALKS);
-        r.metrics.host_kernel_wall_ns = 0;
-        r.metrics.host_reshuffle_wall_ns = 0;
-        r.metrics.max_kernel_threads = 0;
-        r.metrics.max_reshuffle_threads = 0;
-        r.metrics.host_spawn_rounds = 0;
-        r.metrics.host_spec_hits = 0;
-        r.metrics.host_spec_misses = 0;
-        r.metrics.host_strategy_switches = 0;
-        (
-            format!(
-                "{}|{}|{}",
-                serde_json::to_string(&r.metrics).unwrap(),
-                serde_json::to_string(&r.gpu).unwrap(),
-                serde_json::to_string(&r.visit_counts).unwrap(),
-            ),
-            stats,
-        )
+        let stats = e.exec_stats().expect("the executor is always present");
+        (r, stats)
     };
-    let (spawn_fp, spawn_stats) = run_all(HostExec::Spawn);
-    assert!(spawn_stats.is_none(), "spawn mode must not build a pool");
-    for mode in [HostExec::Pool, HostExec::Pipeline, HostExec::Auto] {
-        let (fp, stats) = run_all(mode);
-        assert_eq!(fp, spawn_fp, "{mode:?} diverged from Spawn after reuse");
-        let stats = stats.expect("pool modes expose executor stats");
-        assert!(
-            stats.tasks + stats.caller_tasks > 0,
-            "{mode:?}: the persistent pool never executed a task"
-        );
-    }
-}
-
-/// Calibration exists to price multi-threaded dispatch; a single-threaded
-/// engine has nothing to dispatch and must not pay for (or even run) the
-/// startup micro-rounds.
-#[test]
-fn auto_skips_calibration_when_single_threaded() {
-    let g = graph(3);
-    let e = LightTraffic::new(
-        g,
-        Arc::new(UniformSampling::new(8)),
-        config(HostExec::Auto, 1, 1, None),
-    )
-    .expect("pools fit");
-    let st = e.auto_status().expect("auto engines expose status");
-    assert!(
-        st.calibration.is_none(),
-        "single-threaded auto engine ran calibration"
+    let (serial, serial_stats) = run_all(1);
+    assert_eq!(
+        serial_stats.tasks + serial_stats.caller_tasks,
+        0,
+        "kernel_threads=1 must step and reshuffle inline"
     );
-    assert!(st.forced.is_none() && st.current.is_none());
+    let (pooled, stats) = run_all(4);
+    assert_eq!(
+        pooled.deterministic_fingerprint(),
+        serial.deterministic_fingerprint(),
+        "the pooled engine diverged from kernel_threads=1 after reuse"
+    );
+    assert!(
+        stats.tasks + stats.caller_tasks > 0,
+        "the persistent pool never executed a task"
+    );
 }

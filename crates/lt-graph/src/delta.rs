@@ -138,7 +138,7 @@ impl DeltaGraph {
         }
     }
 
-    /// Build a mutation overlay over a [`GraphStore`].
+    /// Build a mutation overlay over a [`crate::GraphStore`].
     ///
     /// The overlay's read paths (`neighbors`, `neighbor_weights`, …)
     /// return borrowed slices, so the base must be RAM-resident: a RAM

@@ -233,6 +233,7 @@ pub fn parse_chunk_plans(
 /// `weights`/`timestamps`) are the slices `[first_edge .. first_edge +
 /// num_edges)` of the partition's output buffers — disjoint across chunks,
 /// so a parallel decode needs no synchronization.
+#[allow(clippy::too_many_arguments)] // one pre-split output slice per CSR array
 pub fn decode_chunk(
     region: &[u8],
     plan: &ChunkPlan,

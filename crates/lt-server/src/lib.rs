@@ -18,8 +18,7 @@
 //! Determinism: scheduling decisions are pure functions of submission
 //! order and budget state, and each job's result is bit-identical to the
 //! same spec run alone — at any [`lt_engine::EngineConfig::kernel_threads`]
-//! or [`lt_engine::HostExec`] setting, with or without fault injection
-//! (DESIGN.md §13).
+//! setting, with or without fault injection (DESIGN.md §13).
 //!
 //! ```
 //! use lt_engine::{EngineConfig, JobSpec};

@@ -6,9 +6,9 @@
 //! sizes, parking — are pure functions of submission order, pump count,
 //! and budget state: no wall clock, no OS scheduling, no randomness. Two
 //! schedulers fed the same jobs in the same order produce bit-identical
-//! per-job results at any [`lt_engine::EngineConfig::kernel_threads`] or
-//! [`lt_engine::HostExec`] setting, and each job's result is
-//! bit-identical to the same spec run alone (see DESIGN.md §13).
+//! per-job results at any [`lt_engine::EngineConfig::kernel_threads`]
+//! setting, and each job's result is bit-identical to the same spec run
+//! alone (see DESIGN.md §13).
 //!
 //! # Budgets (QRES-style admission control)
 //!

@@ -1,10 +1,10 @@
 //! The multi-tenant determinism contract (DESIGN.md §13): N concurrent
 //! jobs — mixed deepwalk / node2vec — multiplexed through one engine
 //! produce per-job results bit-identical to the same specs run
-//! sequentially in isolation, at every `kernel_threads` × `HostExec` ×
-//! fault-injection combination.
+//! sequentially in isolation at `kernel_threads: 1`, at every
+//! `kernel_threads` × fault-injection combination.
 
-use lt_engine::{EngineConfig, HostExec, JobSpec, JobStatus};
+use lt_engine::{EngineConfig, JobSpec, JobStatus};
 use lt_gpusim::FaultPlan;
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
@@ -25,10 +25,9 @@ fn graph() -> Arc<Csr> {
 
 /// The serving config under test: small partitions so jobs span many
 /// batches, plus the combo's execution knobs.
-fn server_config(kernel_threads: usize, host_exec: HostExec, faults: bool) -> ServerConfig {
+fn server_config(kernel_threads: usize, faults: bool) -> ServerConfig {
     let mut engine = EngineConfig::light_traffic(8 << 10, 4);
     engine.kernel_threads = kernel_threads;
-    engine.host_exec = host_exec;
     if faults {
         engine.gpu.faults = Some(FaultPlan::retryable_only(7, 0.05));
     }
@@ -69,14 +68,9 @@ fn job_strategy() -> impl Strategy<Value = ArbJob> {
 }
 
 /// Run `jobs` concurrently on one scheduler and return per-job results.
-fn run_multiplexed(
-    jobs: &[ArbJob],
-    kernel_threads: usize,
-    host_exec: HostExec,
-    faults: bool,
-) -> Vec<JobResult> {
-    let mut sched = Scheduler::new(graph(), server_config(kernel_threads, host_exec, faults))
-        .expect("scheduler builds");
+fn run_multiplexed(jobs: &[ArbJob], kernel_threads: usize, faults: bool) -> Vec<JobResult> {
+    let mut sched =
+        Scheduler::new(graph(), server_config(kernel_threads, faults)).expect("scheduler builds");
     let ids: Vec<_> = jobs
         .iter()
         .enumerate()
@@ -97,17 +91,11 @@ fn run_multiplexed(
 }
 
 /// Run each job alone on its own scheduler (the isolation reference).
-fn run_isolated(
-    jobs: &[ArbJob],
-    kernel_threads: usize,
-    host_exec: HostExec,
-    faults: bool,
-) -> Vec<JobResult> {
+fn run_isolated(jobs: &[ArbJob], kernel_threads: usize, faults: bool) -> Vec<JobResult> {
     jobs.iter()
         .map(|j| {
-            let mut sched =
-                Scheduler::new(graph(), server_config(kernel_threads, host_exec, faults))
-                    .expect("scheduler builds");
+            let mut sched = Scheduler::new(graph(), server_config(kernel_threads, faults))
+                .expect("scheduler builds");
             let (id, _rx) = sched.submit("solo", j.spec()).expect("submit");
             sched.run_until_idle().expect("isolated run completes");
             assert_eq!(sched.status(id), Some(JobStatus::Done));
@@ -121,28 +109,25 @@ proptest! {
 
     /// Concurrent jobs on a shared graph == the same jobs in isolation,
     /// bit for bit, across every execution combo. The isolation
-    /// reference is computed once at the serial/spawn/fault-free corner;
+    /// reference is computed once at the `kernel_threads: 1`, fault-free corner;
     /// every multiplexed combo must reproduce it exactly.
     #[test]
     fn multiplexed_jobs_match_isolated_runs(jobs in prop::collection::vec(job_strategy(), 1..5)) {
-        let reference = run_isolated(&jobs, 1, HostExec::Spawn, false);
+        let reference = run_isolated(&jobs, 1, false);
         for (j, r) in jobs.iter().zip(&reference) {
             prop_assert_eq!(r.finished, j.walks);
             prop_assert_eq!(r.lengths.len() as u64, j.walks);
         }
-        for &kernel_threads in &[1usize, 4] {
-            for &host_exec in &[HostExec::Spawn, HostExec::Auto] {
-                for &faults in &[false, true] {
-                    let got = run_multiplexed(&jobs, kernel_threads, host_exec, faults);
-                    prop_assert_eq!(
-                        &got,
-                        &reference,
-                        "combo kernel_threads={} host_exec={:?} faults={}",
-                        kernel_threads,
-                        host_exec,
-                        faults
-                    );
-                }
+        for &kernel_threads in &[1usize, 2, 4, 8] {
+            for &faults in &[false, true] {
+                let got = run_multiplexed(&jobs, kernel_threads, faults);
+                prop_assert_eq!(
+                    &got,
+                    &reference,
+                    "combo kernel_threads={} faults={}",
+                    kernel_threads,
+                    faults
+                );
             }
         }
     }
@@ -150,14 +135,9 @@ proptest! {
 
 /// Canonical span streams (sim/host clocks masked) for jobs run
 /// concurrently on one scheduler.
-fn multiplexed_spans(
-    jobs: &[ArbJob],
-    kernel_threads: usize,
-    host_exec: HostExec,
-    faults: bool,
-) -> Vec<String> {
-    let mut sched = Scheduler::new(graph(), server_config(kernel_threads, host_exec, faults))
-        .expect("scheduler builds");
+fn multiplexed_spans(jobs: &[ArbJob], kernel_threads: usize, faults: bool) -> Vec<String> {
+    let mut sched =
+        Scheduler::new(graph(), server_config(kernel_threads, faults)).expect("scheduler builds");
     let ids: Vec<_> = jobs
         .iter()
         .enumerate()
@@ -178,8 +158,8 @@ fn multiplexed_spans(
 fn isolated_spans(jobs: &[ArbJob]) -> Vec<String> {
     jobs.iter()
         .map(|j| {
-            let mut sched = Scheduler::new(graph(), server_config(1, HostExec::Spawn, false))
-                .expect("scheduler builds");
+            let mut sched =
+                Scheduler::new(graph(), server_config(1, false)).expect("scheduler builds");
             let (id, _rx) = sched.submit("solo", j.spec()).expect("submit");
             sched.run_until_idle().expect("isolated run completes");
             sched.trace(id).expect("trace exists").canonical_jsonl()
@@ -204,19 +184,16 @@ proptest! {
             prop_assert!(r.contains("\"phase\":\"submitted\""));
             prop_assert!(r.contains("\"phase\":\"done\""));
         }
-        for &kernel_threads in &[1usize, 4] {
-            for &host_exec in &[HostExec::Spawn, HostExec::Auto] {
-                for &faults in &[false, true] {
-                    let got = multiplexed_spans(&jobs, kernel_threads, host_exec, faults);
-                    prop_assert_eq!(
-                        &got,
-                        &reference,
-                        "combo kernel_threads={} host_exec={:?} faults={}",
-                        kernel_threads,
-                        host_exec,
-                        faults
-                    );
-                }
+        for &kernel_threads in &[1usize, 2, 4, 8] {
+            for &faults in &[false, true] {
+                let got = multiplexed_spans(&jobs, kernel_threads, faults);
+                prop_assert_eq!(
+                    &got,
+                    &reference,
+                    "combo kernel_threads={} faults={}",
+                    kernel_threads,
+                    faults
+                );
             }
         }
     }
@@ -240,9 +217,9 @@ fn results_are_invariant_to_pump_granularity() {
             seed: 4,
         },
     ];
-    let baseline = run_multiplexed(&jobs, 1, HostExec::Spawn, false);
+    let baseline = run_multiplexed(&jobs, 1, false);
     for (tranche, pump) in [(1usize, 1u64), (7, 3), (1 << 12, 64)] {
-        let mut cfg = server_config(1, HostExec::Spawn, false);
+        let mut cfg = server_config(1, false);
         cfg.tranche_walkers = tranche;
         cfg.pump_iterations = pump;
         let mut sched = Scheduler::new(graph(), cfg).unwrap();
@@ -257,4 +234,53 @@ fn results_are_invariant_to_pump_granularity() {
             .collect();
         assert_eq!(got, baseline, "tranche={tranche} pump={pump}");
     }
+}
+
+/// The proptest jobs above are too small to fan a batch out, so their
+/// drains never speculate. This one is big enough: at `kernel_threads: 4`
+/// the engine must use speculations, at `kernel_threads: 1` none, and the
+/// served results must not tell the two apart.
+#[test]
+fn speculating_server_matches_the_serial_one() {
+    let jobs = [
+        ArbJob {
+            node2vec: false,
+            walks: 3_000,
+            max_length: 8,
+            seed: 5,
+        },
+        ArbJob {
+            node2vec: true,
+            walks: 2_000,
+            max_length: 6,
+            seed: 6,
+        },
+    ];
+    let run = |kernel_threads: usize| {
+        let mut cfg = server_config(kernel_threads, false);
+        cfg.tranche_walkers = 1 << 12;
+        let mut sched = Scheduler::new(graph(), cfg).unwrap();
+        let ids: Vec<_> = jobs
+            .iter()
+            .map(|j| sched.submit("t", j.spec()).unwrap().0)
+            .collect();
+        sched.run_until_idle().unwrap();
+        let results: Vec<_> = ids
+            .iter()
+            .map(|&id| sched.result(id).unwrap().clone())
+            .collect();
+        let text = sched.telemetry().prometheus();
+        let spec_hits: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("lt_exec_spec_hits_total "))
+            .expect("executor series are always exported")
+            .parse()
+            .unwrap();
+        (results, spec_hits)
+    };
+    let (serial, serial_hits) = run(1);
+    let (pooled, pooled_hits) = run(4);
+    assert_eq!(serial_hits, 0, "kernel_threads=1 must never speculate");
+    assert!(pooled_hits > 0, "kernel_threads=4 never used a speculation");
+    assert_eq!(pooled, serial);
 }

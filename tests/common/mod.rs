@@ -10,9 +10,7 @@
 //! uses a different subset of it.
 #![allow(dead_code)]
 
-use lighttraffic::engine::{
-    EdgeUpdate, EngineConfig, HostExec, ReloadPolicy, ReshuffleMode, ZeroCopyPolicy,
-};
+use lighttraffic::engine::{EdgeUpdate, EngineConfig, ReloadPolicy, ReshuffleMode, ZeroCopyPolicy};
 use lighttraffic::gpusim::GpuConfig;
 use lighttraffic::graph::builder::GraphBuilder;
 use lighttraffic::graph::gen::{erdos_renyi, rmat, RmatParams};
@@ -34,13 +32,12 @@ pub struct ArbConfig {
     pub tight_walk_pool: bool,
     pub kernel_threads: usize,
     pub reshuffle_threads: usize,
-    pub host_exec: u8,
 }
 
 /// Strategy over [`ArbConfig`]: small pools, both scheduling policies,
-/// all zero-copy policies, both reshuffle modes, thread counts 0–4 for
-/// both the kernel and reshuffle pipelines (0 = auto), and all three
-/// host execution strategies (spawn / pool / pipeline).
+/// all zero-copy policies, both reshuffle modes, and thread counts 0–4
+/// for both the kernel and reshuffle pipelines (0 = one per CPU; 1 is
+/// the non-speculating serial drain, more may speculate).
 pub fn config_strategy() -> impl Strategy<Value = ArbConfig> {
     (
         4u64..64,
@@ -51,7 +48,7 @@ pub fn config_strategy() -> impl Strategy<Value = ArbConfig> {
         0u8..3,
         any::<bool>(),
         any::<bool>(),
-        (0usize..5, 0usize..5, 0u8..3),
+        (0usize..5, 0usize..5),
     )
         .prop_map(
             |(
@@ -63,7 +60,7 @@ pub fn config_strategy() -> impl Strategy<Value = ArbConfig> {
                 zero_copy,
                 direct_reshuffle,
                 tight_walk_pool,
-                (kernel_threads, reshuffle_threads, host_exec),
+                (kernel_threads, reshuffle_threads),
             )| ArbConfig {
                 partition_kb,
                 graph_pool,
@@ -75,19 +72,8 @@ pub fn config_strategy() -> impl Strategy<Value = ArbConfig> {
                 tight_walk_pool,
                 kernel_threads,
                 reshuffle_threads,
-                host_exec,
             },
         )
-}
-
-/// Decode the [`ArbConfig::host_exec`] discriminant (shrinks toward
-/// `Spawn`, the legacy reference path).
-pub fn host_exec_of(d: u8) -> HostExec {
-    match d {
-        0 => HostExec::Spawn,
-        1 => HostExec::Pool,
-        _ => HostExec::Pipeline,
-    }
 }
 
 /// Strategy over small graphs: R-MAT (skewed) or Erdős–Rényi (uniform),
@@ -231,9 +217,6 @@ pub fn to_engine_config(c: &ArbConfig, g: &Arc<Csr>) -> EngineConfig {
         max_iterations: 10_000_000,
         kernel_threads: c.kernel_threads,
         reshuffle_threads: c.reshuffle_threads,
-        host_exec: host_exec_of(c.host_exec),
-        min_chunk_walkers: 0,
-        min_movers_per_worker: 0,
         track_tags: false,
         // Attribution on across the whole differential battery: the
         // ledger is quarantined off the deterministic path (DESIGN.md

@@ -23,7 +23,7 @@ mod common;
 use common::random_graph;
 use lighttraffic::baselines::cpu;
 use lighttraffic::engine::algorithm::{SecondOrderWalk, UniformSampling, WalkAlgorithm};
-use lighttraffic::engine::{EngineConfig, HostExec, LightTraffic, RunResult, ZeroCopyPolicy};
+use lighttraffic::engine::{EngineConfig, LightTraffic, RunResult, ZeroCopyPolicy};
 use lighttraffic::gpusim::{FaultPlan, GpuConfig};
 use lighttraffic::graph::Csr;
 use std::sync::Arc;
@@ -157,24 +157,7 @@ fn sharded_reshuffle_is_bit_identical_across_thread_counts() {
         let g = random_graph(graph_seed);
         for (name, alg, zc) in algorithms() {
             let fingerprint = |threads: usize| {
-                let mut r = run_engine(&g, &alg, config(zc, 1, threads, None));
-                // Host wall-clock and fan-out bookkeeping are the only
-                // machine/thread-dependent outputs; everything else must
-                // match byte for byte.
-                r.metrics.host_kernel_wall_ns = 0;
-                r.metrics.host_reshuffle_wall_ns = 0;
-                r.metrics.max_kernel_threads = 0;
-                r.metrics.max_reshuffle_threads = 0;
-                r.metrics.host_spawn_rounds = 0;
-                r.metrics.host_spec_hits = 0;
-                r.metrics.host_spec_misses = 0;
-                r.metrics.host_strategy_switches = 0;
-                format!(
-                    "{}|{}|{}",
-                    serde_json::to_string(&r.metrics).unwrap(),
-                    serde_json::to_string(&r.gpu).unwrap(),
-                    serde_json::to_string(&r.paths).unwrap(),
-                )
+                run_engine(&g, &alg, config(zc, 1, threads, None)).deterministic_fingerprint()
             };
             let serial = fingerprint(1);
             for threads in [2usize, 4, 8] {
@@ -189,71 +172,55 @@ fn sharded_reshuffle_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Acceptance check for the persistent executor (DESIGN.md §11–§12): the
-/// four host execution strategies — legacy scoped spawns, the persistent
-/// pool, the pipelined pool with speculative stepping, and the adaptive
-/// chooser — produce **bit-identical** runs (paths, visit counts,
-/// simulated clock, full device-stats breakdown) for every host fan-out,
-/// with and without injected retryable faults. The fixed pool strategies
-/// must also never spawn a per-batch thread (`host_spawn_rounds == 0`);
-/// Auto is exempt because it may legitimately pick the spawn strategy.
+/// Acceptance check for the persistent executor and the speculative
+/// drain (DESIGN.md §11): `kernel_threads` ∈ {2, 4, 8} × `reshuffle_threads`
+/// ∈ {1, same} — pooled kernels, pooled reshuffle, speculation hits —
+/// produce runs **bit-identical** to the `kernel_threads: 1` reference
+/// (inline stepping, no speculation): paths, visit counts, simulated
+/// clock, full device-stats breakdown, with and without injected
+/// retryable faults. Both drain shapes must provably run: the reference
+/// never speculates, and some multi-thread run uses a speculation.
 #[test]
-fn host_exec_strategies_are_bit_identical() {
+fn pooled_speculative_runs_match_the_serial_reference() {
     for graph_seed in [4u64, 9] {
         let g = random_graph(graph_seed);
         for (name, alg, zc) in algorithms() {
-            let fingerprint = |mode: HostExec, threads: usize, fault_seed: Option<u64>| {
-                let mut cfg = config(
-                    zc,
-                    threads,
-                    threads,
-                    fault_seed.map(|s| FaultPlan::retryable_only(s, 0.05)),
-                );
-                cfg.host_exec = mode;
-                let mut r = run_engine(&g, &alg, cfg);
-                let spawns = r.metrics.host_spawn_rounds;
-                // Host wall-clock and host-strategy bookkeeping are the
-                // only mode/thread-dependent outputs.
-                r.metrics.host_kernel_wall_ns = 0;
-                r.metrics.host_reshuffle_wall_ns = 0;
-                r.metrics.max_kernel_threads = 0;
-                r.metrics.max_reshuffle_threads = 0;
-                r.metrics.host_spawn_rounds = 0;
-                r.metrics.host_spec_hits = 0;
-                r.metrics.host_spec_misses = 0;
-                r.metrics.host_strategy_switches = 0;
-                (
-                    spawns,
-                    format!(
-                        "{}|{}|{}",
-                        serde_json::to_string(&r.metrics).unwrap(),
-                        serde_json::to_string(&r.gpu).unwrap(),
-                        serde_json::to_string(&r.paths).unwrap(),
-                    ),
+            let run = |kernel_threads: usize, reshuffle_threads: usize, fault_seed: Option<u64>| {
+                let faults = fault_seed.map(|s| FaultPlan::retryable_only(s, 0.05));
+                run_engine(
+                    &g,
+                    &alg,
+                    config(zc, kernel_threads, reshuffle_threads, faults),
                 )
             };
-            for threads in [1usize, 2, 4, 8] {
-                for fault_seed in [None, Some(11u64)] {
-                    let (_, reference) = fingerprint(HostExec::Spawn, threads, fault_seed);
-                    for mode in [HostExec::Pool, HostExec::Pipeline, HostExec::Auto] {
-                        let (spawns, fp) = fingerprint(mode, threads, fault_seed);
-                        if mode != HostExec::Auto {
-                            assert_eq!(
-                                spawns, 0,
-                                "graph seed {graph_seed}, {name}, {mode:?}: the pool \
-                                 strategies must not spawn per-batch threads"
-                            );
-                        }
+            let mut spec_hits = 0;
+            for fault_seed in [None, Some(11u64)] {
+                let reference = run(1, 1, fault_seed);
+                assert_eq!(
+                    reference.metrics.host_spec_hits + reference.metrics.host_spec_misses,
+                    0,
+                    "graph seed {graph_seed}, {name}: kernel_threads=1 speculated"
+                );
+                let reference = reference.deterministic_fingerprint();
+                for kernel_threads in [2usize, 4, 8] {
+                    for reshuffle_threads in [1, kernel_threads] {
+                        let r = run(kernel_threads, reshuffle_threads, fault_seed);
+                        spec_hits += r.metrics.host_spec_hits;
+                        assert_eq!(r.metrics.host_spawn_rounds, 0);
                         assert_eq!(
-                            fp,
+                            r.deterministic_fingerprint(),
                             reference,
-                            "graph seed {graph_seed}, {name}, threads={threads}, \
-                             faults={}: {mode:?} diverged from the spawn strategy",
+                            "graph seed {graph_seed}, {name}, kt={kernel_threads}, \
+                             rt={reshuffle_threads}, faults={}: diverged from kernel_threads=1",
                             fault_seed.is_some()
                         );
                     }
                 }
             }
+            assert!(
+                spec_hits > 0,
+                "graph seed {graph_seed}, {name}: no multi-thread run used a speculation"
+            );
         }
     }
 }

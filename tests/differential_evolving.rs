@@ -8,9 +8,10 @@
 //! then seal), which is the regime where visibility is deterministic: a
 //! wave's trajectories depend on the sealed adjacency alone, never on
 //! scheduling. The battery therefore demands **bit-identical** visit
-//! fingerprints across kernel-thread counts, host execution strategies,
-//! retryable fault injection, and compaction cadence — none of which may
-//! leak into what a walker observes.
+//! fingerprints across kernel-thread counts (the non-speculating serial
+//! drain at 1, pooled speculative drains above), retryable fault
+//! injection, and compaction cadence — none of which may leak into what a
+//! walker observes.
 
 mod common;
 
@@ -18,8 +19,7 @@ use common::random_graph;
 use lighttraffic::baselines::evolving::{run_evolving_waves, Wave};
 use lighttraffic::engine::algorithm::{TemporalWalk, UniformSampling, WalkAlgorithm};
 use lighttraffic::engine::{
-    EdgeOp, EdgeUpdate, EngineConfig, HostExec, LightTraffic, RunResult, RunStatus, Session,
-    ZeroCopyPolicy,
+    EdgeOp, EdgeUpdate, EngineConfig, LightTraffic, RunResult, RunStatus, Session, ZeroCopyPolicy,
 };
 use lighttraffic::gpusim::{FaultPlan, GpuConfig};
 use lighttraffic::graph::{Csr, VertexId};
@@ -85,12 +85,7 @@ enum Cadence {
     Auto,
 }
 
-fn config(
-    kernel_threads: usize,
-    host_exec: HostExec,
-    faults: Option<FaultPlan>,
-    cadence: Cadence,
-) -> EngineConfig {
+fn config(kernel_threads: usize, faults: Option<FaultPlan>, cadence: Cadence) -> EngineConfig {
     EngineConfig {
         batch_capacity: 128,
         seed: SEED,
@@ -98,7 +93,6 @@ fn config(
         attribution: true,
         zero_copy: ZeroCopyPolicy::adaptive(),
         kernel_threads,
-        host_exec,
         compaction_threshold: match cadence {
             Cadence::Auto => 1,
             _ => 0,
@@ -177,8 +171,10 @@ fn temporal_graph() -> Arc<Csr> {
 
 /// The battery: for a skewed static-start graph under DeepWalk-style
 /// uniform walks and a timestamped graph under temporal walks, every
-/// point of the kernel-threads × host-exec × faults × compaction-cadence
-/// grid reproduces the naive CPU walker's fingerprint exactly.
+/// point of the kernel-threads × faults × compaction-cadence grid
+/// reproduces the naive CPU walker's visits exactly, and every pooled run
+/// equals the `kernel_threads: 1` run on the full deterministic
+/// fingerprint.
 #[test]
 fn evolving_engine_matches_naive_walker_across_execution_grid() {
     let workloads: Vec<(&str, Arc<Csr>, Arc<dyn WalkAlgorithm>)> = vec![
@@ -205,26 +201,40 @@ fn evolving_engine_matches_naive_walker_across_execution_grid() {
         let baseline = run_evolving_waves(&g, &alg, &waves, SEED);
         let expected = baseline.visits.expect("baseline tracks visits");
 
-        for kernel_threads in [1usize, 4] {
-            for host_exec in [HostExec::Spawn, HostExec::Pool, HostExec::Pipeline] {
-                for faults in [None, Some(FaultPlan::retryable_only(7, 0.05))] {
-                    for cadence in [Cadence::Never, Cadence::EverySeal, Cadence::Auto] {
-                        let faulty = faults.is_some();
-                        let cfg = config(kernel_threads, host_exec, faults.clone(), cadence);
-                        let r = run_engine_waves(&g, &alg, cfg, &waves, cadence);
-                        assert_eq!(
-                            visits_from_paths(&r, g.num_vertices()),
-                            expected,
-                            "{name}: kt={kernel_threads}, exec={host_exec:?}, \
-                             faults={faulty}, cadence={cadence:?} diverged from \
-                             the naive walker"
-                        );
-                        assert_eq!(r.metrics.total_steps, baseline.metrics.total_steps);
-                        assert_eq!(r.metrics.finished_walks, baseline.metrics.finished_walks);
+        let mut spec_hits = 0;
+        for faults in [None, Some(FaultPlan::retryable_only(7, 0.05))] {
+            for cadence in [Cadence::Never, Cadence::EverySeal, Cadence::Auto] {
+                let faulty = faults.is_some();
+                // `kernel_threads: 1` steps inline and never speculates:
+                // the engine-side reference the pooled runs must equal.
+                let mut reference = None;
+                for kernel_threads in [1usize, 2, 4, 8] {
+                    let cfg = config(kernel_threads, faults.clone(), cadence);
+                    let r = run_engine_waves(&g, &alg, cfg, &waves, cadence);
+                    let at = format!(
+                        "{name}: kt={kernel_threads}, faults={faulty}, cadence={cadence:?}"
+                    );
+                    assert_eq!(
+                        visits_from_paths(&r, g.num_vertices()),
+                        expected,
+                        "{at} diverged from the naive walker"
+                    );
+                    assert_eq!(r.metrics.total_steps, baseline.metrics.total_steps);
+                    assert_eq!(r.metrics.finished_walks, baseline.metrics.finished_walks);
+                    if kernel_threads == 1 {
+                        assert_eq!(r.metrics.host_spec_hits + r.metrics.host_spec_misses, 0);
                     }
+                    spec_hits += r.metrics.host_spec_hits;
+                    let fp = r.deterministic_fingerprint();
+                    assert_eq!(
+                        *reference.get_or_insert_with(|| fp.clone()),
+                        fp,
+                        "{at} diverged from kernel_threads=1"
+                    );
                 }
             }
         }
+        assert!(spec_hits > 0, "{name}: no pooled run used a speculation");
     }
 }
 
@@ -238,12 +248,8 @@ fn mid_flight_seals_are_reproducible() {
     let alg: Arc<dyn WalkAlgorithm> = Arc::new(UniformSampling::new(8));
     let waves = schedule(&g, 99, 3, 32, 256);
     let run = || {
-        let mut s = LightTraffic::session(
-            g.clone(),
-            alg.clone(),
-            config(1, HostExec::Spawn, None, Cadence::Never),
-        )
-        .expect("pools fit");
+        let mut s = LightTraffic::session(g.clone(), alg.clone(), config(1, None, Cadence::Never))
+            .expect("pools fit");
         s.inject_walks(256);
         for wave in &waves {
             // Seal after a bounded slice, with walks still in flight.

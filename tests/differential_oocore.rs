@@ -3,12 +3,12 @@
 //! through the host decode cache must be **bit-identical** to the same
 //! engine over the RAM-resident graph — same walks, same paths, same
 //! simulated clock, same device-stats breakdown — across kernel thread
-//! counts, host execution strategies, and retryable fault injection.
+//! counts (serial drain at 1, pooled speculative drains above) and
+//! retryable fault injection.
 //!
 //! The only outputs allowed to differ are the host-tier counters the RAM
 //! store never touches (`host_decode_bytes`, `host_cache_*`) and the
-//! wall-clock/fan-out bookkeeping every differential fingerprint already
-//! masks. A separate test pins the host-tier counters themselves:
+//! host-only bookkeeping `RunResult::deterministic_fingerprint` zeroes. A separate test pins the host-tier counters themselves:
 //! decode and cache behavior is schedule-deterministic, so OOC runs
 //! fingerprint identically across thread counts *without* masking them.
 //!
@@ -21,7 +21,7 @@ mod common;
 
 use common::random_graph;
 use lighttraffic::engine::algorithm::{SecondOrderWalk, UniformSampling, WalkAlgorithm};
-use lighttraffic::engine::{EngineConfig, HostExec, LightTraffic, RunResult, ZeroCopyPolicy};
+use lighttraffic::engine::{EngineConfig, LightTraffic, RunResult, ZeroCopyPolicy};
 use lighttraffic::gpusim::{FaultPlan, GpuConfig};
 use lighttraffic::graph::oocore::write_oocore;
 use lighttraffic::graph::{Csr, GraphStore, OocGraph, PartitionedGraph};
@@ -53,7 +53,6 @@ fn algorithms() -> Vec<(&'static str, Arc<dyn WalkAlgorithm>, ZeroCopyPolicy)> {
 fn config(
     zero_copy: ZeroCopyPolicy,
     kernel_threads: usize,
-    host_exec: HostExec,
     faults: Option<FaultPlan>,
 ) -> EngineConfig {
     EngineConfig {
@@ -63,7 +62,6 @@ fn config(
         attribution: true,
         zero_copy,
         kernel_threads,
-        host_exec,
         gpu: GpuConfig {
             faults,
             ..GpuConfig::default()
@@ -94,109 +92,90 @@ fn run_ram(g: &Arc<Csr>, alg: &Arc<dyn WalkAlgorithm>, cfg: EngineConfig) -> Run
 
 fn run_ooc(ooc: &Arc<OocGraph>, alg: &Arc<dyn WalkAlgorithm>, cfg: EngineConfig) -> RunResult {
     let walks = ooc.num_vertices().min(1_000);
-    let mut e = LightTraffic::from_store(
-        GraphStore::OutOfCore(Arc::clone(ooc)),
-        Arc::clone(alg),
-        cfg,
-    )
-    .expect("pools fit");
+    let mut e =
+        LightTraffic::from_store(GraphStore::OutOfCore(Arc::clone(ooc)), Arc::clone(alg), cfg)
+            .expect("pools fit");
     e.run(walks).expect("run completes")
 }
 
-/// The standard differential fingerprint: everything except host
-/// wall-clock and fan-out bookkeeping (machine-dependent) — including
-/// the deterministic host-tier counters.
-fn fingerprint(mut r: RunResult) -> String {
-    r.metrics.host_kernel_wall_ns = 0;
-    r.metrics.host_reshuffle_wall_ns = 0;
-    r.metrics.max_kernel_threads = 0;
-    r.metrics.max_reshuffle_threads = 0;
-    r.metrics.host_spawn_rounds = 0;
-    r.metrics.host_spec_hits = 0;
-    r.metrics.host_spec_misses = 0;
-    r.metrics.host_strategy_switches = 0;
-    r.metrics.host_decode_wall_ns = 0;
-    format!(
-        "{}|{}|{}",
-        serde_json::to_string(&r.metrics).unwrap(),
-        serde_json::to_string(&r.gpu).unwrap(),
-        serde_json::to_string(&r.paths).unwrap(),
-    )
-}
-
-/// [`fingerprint`] with the host-tier counters additionally masked — the
-/// substrate-comparison form (a RAM store never decodes, so these are
-/// the one legitimate Ram/OOC difference).
+/// The deterministic fingerprint with the host-tier counters additionally
+/// masked — the substrate-comparison form (a RAM store never decodes, so
+/// these are the one legitimate Ram/OOC difference).
 fn tier_masked_fingerprint(mut r: RunResult) -> String {
     r.metrics.host_decode_bytes = 0;
     r.metrics.host_cache_hits = 0;
     r.metrics.host_cache_misses = 0;
     r.metrics.host_cache_evictions = 0;
-    fingerprint(r)
+    r.deterministic_fingerprint()
 }
 
-/// The acceptance matrix: Ram vs OutOfCore, cell by cell over
-/// kernel_threads × host-exec strategy × retryable faults, bit-identical
-/// outside the host tier. The OOC run must actually exercise the tier
-/// (decode bytes flow on every cell — the store has no other source of
-/// adjacency).
+/// The acceptance matrix: every OutOfCore cell of kernel_threads ×
+/// retryable faults is bit-identical, outside the host tier, to the RAM
+/// engine at `kernel_threads: 1` (the non-speculating reference). The OOC
+/// run must actually exercise the tier (decode bytes flow on every cell —
+/// the store has no other source of adjacency), and the pooled cells must
+/// actually speculate where the substrate allows it (zero copy over an
+/// out-of-core store declines, so node2vec never does).
 #[test]
-fn ooc_is_bit_identical_to_ram_across_threads_exec_and_faults() {
+fn ooc_is_bit_identical_to_ram_across_threads_and_faults() {
     for graph_seed in [3u64, 8] {
         let g = random_graph(graph_seed);
         for (name, alg, zc) in algorithms() {
             let ooc = ooc_graph(&g, &format!("battery_{graph_seed}_{name}"));
-            for kernel_threads in [1usize, 4] {
-                for host_exec in [HostExec::Spawn, HostExec::Auto] {
-                    for fault_seed in [None, Some(7u64)] {
-                        let faults = fault_seed.map(|s| FaultPlan::retryable_only(s, 0.05));
-                        let cfg = config(zc, kernel_threads, host_exec, faults.clone());
-                        let ram = run_ram(&g, &alg, cfg.clone());
-                        let ooc_run = run_ooc(&ooc, &alg, cfg);
-                        assert_eq!(
-                            ram.metrics.host_decode_bytes, 0,
-                            "RAM stores must never touch the host decode tier"
-                        );
-                        assert!(
-                            ooc_run.metrics.host_decode_bytes > 0,
-                            "OOC run never decoded — the substrate was not exercised"
-                        );
-                        assert_eq!(
-                            tier_masked_fingerprint(ooc_run),
-                            tier_masked_fingerprint(ram),
-                            "graph seed {graph_seed}, {name}, kt={kernel_threads}, \
-                             {host_exec:?}, faults={}: out-of-core run diverged from RAM",
-                            fault_seed.is_some()
-                        );
-                    }
+            let mut spec_hits = 0;
+            for fault_seed in [None, Some(7u64)] {
+                let faults = fault_seed.map(|s| FaultPlan::retryable_only(s, 0.05));
+                let ram = run_ram(&g, &alg, config(zc, 1, faults.clone()));
+                assert_eq!(
+                    ram.metrics.host_decode_bytes, 0,
+                    "RAM stores must never touch the host decode tier"
+                );
+                assert_eq!(ram.metrics.host_spec_hits + ram.metrics.host_spec_misses, 0);
+                let reference = tier_masked_fingerprint(ram);
+                for kernel_threads in [1usize, 2, 4, 8] {
+                    let ooc_run = run_ooc(&ooc, &alg, config(zc, kernel_threads, faults.clone()));
+                    assert!(
+                        ooc_run.metrics.host_decode_bytes > 0,
+                        "OOC run never decoded — the substrate was not exercised"
+                    );
+                    spec_hits += ooc_run.metrics.host_spec_hits;
+                    assert_eq!(
+                        tier_masked_fingerprint(ooc_run),
+                        reference,
+                        "graph seed {graph_seed}, {name}, kt={kernel_threads}, faults={}: \
+                         out-of-core run diverged from RAM at kernel_threads=1",
+                        fault_seed.is_some()
+                    );
                 }
             }
+            assert_eq!(
+                spec_hits > 0,
+                zc != ZeroCopyPolicy::Always,
+                "graph seed {graph_seed}, {name}: speculation over the out-of-core store"
+            );
         }
     }
 }
 
 /// The host tier itself is deterministic: OOC fingerprints — *including*
 /// decode bytes and cache hit/miss/eviction counts — are identical
-/// across kernel thread counts and host execution strategies. Decode
-/// requests happen at schedule-deterministic points on the scheduler
-/// thread; worker fan-out only splits fixed chunk boundaries.
+/// across kernel thread counts. Decode requests happen at
+/// schedule-deterministic points on the scheduler thread; worker fan-out
+/// only splits fixed chunk boundaries.
 #[test]
 fn ooc_host_tier_counters_are_deterministic() {
     let g = random_graph(5);
     for (name, alg, zc) in algorithms() {
         let ooc = ooc_graph(&g, &format!("determinism_{name}"));
-        let reference = fingerprint(run_ooc(&ooc, &alg, config(zc, 1, HostExec::Spawn, None)));
-        for kernel_threads in [1usize, 4] {
-            for host_exec in [HostExec::Spawn, HostExec::Pool, HostExec::Pipeline, HostExec::Auto]
-            {
-                let r = run_ooc(&ooc, &alg, config(zc, kernel_threads, host_exec, None));
-                assert_eq!(
-                    fingerprint(r),
-                    reference,
-                    "{name}, kt={kernel_threads}, {host_exec:?}: host-tier counters \
-                     are not schedule-deterministic"
-                );
-            }
+        let reference = run_ooc(&ooc, &alg, config(zc, 1, None)).deterministic_fingerprint();
+        for kernel_threads in [2usize, 4, 8] {
+            let r = run_ooc(&ooc, &alg, config(zc, kernel_threads, None));
+            assert_eq!(
+                r.deterministic_fingerprint(),
+                reference,
+                "{name}, kt={kernel_threads}: host-tier counters are not \
+                 schedule-deterministic"
+            );
         }
     }
 }
@@ -211,12 +190,12 @@ fn host_cache_pressure_changes_no_output() {
     let (name, alg, zc) = algorithms().remove(0);
     let ooc = ooc_graph(&g, &format!("pressure_{name}"));
     let roomy = {
-        let mut cfg = config(zc, 2, HostExec::Auto, None);
+        let mut cfg = config(zc, 2, None);
         cfg.host_cache_partitions = ooc.num_partitions() as usize;
         run_ooc(&ooc, &alg, cfg)
     };
     let tight = {
-        let mut cfg = config(zc, 2, HostExec::Auto, None);
+        let mut cfg = config(zc, 2, None);
         cfg.host_cache_partitions = 1;
         run_ooc(&ooc, &alg, cfg)
     };
@@ -246,7 +225,7 @@ fn host_load_attribution_is_exact() {
         let mut e = LightTraffic::from_store(
             GraphStore::OutOfCore(Arc::clone(&ooc)),
             Arc::clone(&alg),
-            config(zc, 2, HostExec::Auto, None),
+            config(zc, 2, None),
         )
         .expect("pools fit");
         let r = e.run(walks).expect("run completes");
