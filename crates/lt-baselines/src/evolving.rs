@@ -2,13 +2,14 @@
 //! mutation-aware differential battery.
 //!
 //! The engine layers its evolving support on [`lt_graph::delta::DeltaGraph`]
-//! (copy-on-write overlay, partition reloads, compaction). This module
-//! deliberately shares none of that machinery: the graph is a plain
+//! (a one-pass merge of each epoch's updates into the next CSR, then
+//! partition reloads). This module deliberately shares none of that
+//! machinery: the graph is a plain
 //! per-vertex adjacency list mutated in place, and walks are stepped one at
 //! a time to completion. The only shared code is the algorithm object and
 //! the counter RNG underneath it — exactly the pieces whose determinism the
-//! battery relies on. If the engine's overlay/seal/reload/compaction path
-//! disagrees with this walker about any trajectory, the battery fails.
+//! battery relies on. If the engine's seal/reload path disagrees with
+//! this walker about any trajectory, the battery fails.
 //!
 //! Execution follows the battery's *wave* structure (the shape under which
 //! mutation visibility is deterministic, DESIGN.md §15): inject a wave of

@@ -1,6 +1,5 @@
-//! Evolving-graph benchmark: reload traffic vs mutation rate and the
-//! compaction-threshold sweep (DESIGN.md §15). Writes
-//! `results/BENCH_dynamic.json`.
+//! Evolving-graph benchmark: reload traffic vs mutation rate and
+//! mutation locality (DESIGN.md §15). Writes `results/BENCH_dynamic.json`.
 //!
 //! Three sections:
 //!
@@ -10,13 +9,12 @@
 //!    evolving layer's whole point is that localized mutations re-copy
 //!    only stale partitions; at low rates dirty reloads must move a small
 //!    fraction of a full refresh, converging toward it as the rate grows.
-//! 2. **Compaction-threshold sweep** — `EngineConfig::compaction_threshold`
-//!    swept from "never" to "every seal", recording compaction counts and
-//!    seal wall time; walk outputs are asserted identical across the sweep
-//!    (compaction transparency).
-//! 3. **Policy equivalence** — walk trajectories are asserted identical
+//! 2. **Policy equivalence** — walk trajectories are asserted identical
 //!    between the two reload policies at every rate: the policy may only
 //!    change traffic, never results.
+//! 3. **Mutation-locality sweep** — the same comparison at a fixed rate
+//!    with the update stream's locality window swept from uniform down
+//!    to 1/256 of the vertex space.
 //!
 //! Accepts `--scale N` (extra shrink shift), `--seed N`, and `--smoke`
 //! (CI gate: at a 1% mutation rate, dirty-partition reloads must move
@@ -29,7 +27,6 @@ use lt_graph::gen::{locality_mutations, rmat, RmatParams};
 use lt_graph::Csr;
 use serde_json::json;
 use std::sync::Arc;
-use std::time::Instant;
 
 const EPOCHS: usize = 6;
 
@@ -40,11 +37,10 @@ const EPOCHS: usize = 6;
 /// invalidation converts into saved traffic.
 const DEFAULT_LOCALITY: f64 = 1.0 / 16.0;
 
-fn config(partition_bytes: u64, seed: u64, policy: ReloadPolicy, threshold: u64) -> EngineConfig {
+fn config(partition_bytes: u64, seed: u64, policy: ReloadPolicy) -> EngineConfig {
     EngineConfig {
         seed,
         reload_policy: policy,
-        compaction_threshold: threshold,
         ..EngineConfig::light_traffic(partition_bytes, 4)
     }
 }
@@ -60,8 +56,6 @@ struct EpochRun {
     reload_bytes: u64,
     reloaded_partitions: u64,
     dirty_partitions: u64,
-    compactions: u64,
-    seal_wall_s: f64,
     /// Total steps after all waves — the walk-output fingerprint (the
     /// full trajectory check lives in the differential battery; a bench
     /// only needs a cheap invariant).
@@ -69,7 +63,7 @@ struct EpochRun {
 }
 
 /// Run `EPOCHS` waves of walks, sealing `per_epoch` mutations between
-/// waves, and accumulate reload traffic and seal wall time.
+/// waves, and accumulate reload traffic.
 fn run_epochs(
     g: &Arc<Csr>,
     cfg: EngineConfig,
@@ -85,8 +79,6 @@ fn run_epochs(
         reload_bytes: 0,
         reloaded_partitions: 0,
         dirty_partitions: 0,
-        compactions: 0,
-        seal_wall_s: 0.0,
         total_steps: 0,
     };
     for _ in 0..EPOCHS {
@@ -94,14 +86,11 @@ fn run_epochs(
         drain(&mut s);
         s.mutate(locality_mutations(g, per_epoch, locality, &mut state))
             .expect("schedule is valid");
-        let t = Instant::now();
         let summary = s.seal_epoch().expect("seal succeeds");
-        out.seal_wall_s += t.elapsed().as_secs_f64();
         out.reload_bytes += summary.reload_bytes;
         out.reloaded_partitions += summary.reloaded_partitions;
         out.dirty_partitions += summary.dirty_partitions;
     }
-    out.compactions = s.engine().metrics().compactions;
     out.total_steps = s.engine().metrics().total_steps;
     out
 }
@@ -135,7 +124,7 @@ fn main() {
         let per_epoch = (g.num_edges() / 100).max(1); // 1% of edges per epoch
         let dirty = run_epochs(
             &g,
-            config(partition_bytes, seed, ReloadPolicy::DirtyOnly, 0),
+            config(partition_bytes, seed, ReloadPolicy::DirtyOnly),
             walks,
             per_epoch,
             DEFAULT_LOCALITY,
@@ -143,7 +132,7 @@ fn main() {
         );
         let full = run_epochs(
             &g,
-            config(partition_bytes, seed, ReloadPolicy::FullRefresh, 0),
+            config(partition_bytes, seed, ReloadPolicy::FullRefresh),
             walks,
             per_epoch,
             DEFAULT_LOCALITY,
@@ -178,7 +167,7 @@ fn main() {
         let per_epoch = ((g.num_edges() as f64 * rate) as u64).max(1);
         let dirty = run_epochs(
             &g,
-            config(partition_bytes, seed, ReloadPolicy::DirtyOnly, 0),
+            config(partition_bytes, seed, ReloadPolicy::DirtyOnly),
             walks,
             per_epoch,
             DEFAULT_LOCALITY,
@@ -186,13 +175,13 @@ fn main() {
         );
         let full = run_epochs(
             &g,
-            config(partition_bytes, seed, ReloadPolicy::FullRefresh, 0),
+            config(partition_bytes, seed, ReloadPolicy::FullRefresh),
             walks,
             per_epoch,
             DEFAULT_LOCALITY,
             seed,
         );
-        // Section 3 inline: the policy may only change traffic.
+        // Section 2 inline: the policy may only change traffic.
         assert_eq!(
             dirty.total_steps, full.total_steps,
             "reload policy changed walk output at rate {rate}"
@@ -221,43 +210,7 @@ fn main() {
         }));
     }
 
-    // --- Section 2: compaction-threshold sweep --------------------------
-    // Threshold 0 never compacts; 1 compacts at every dirty seal; larger
-    // values bound overlay growth. Walk output must not move.
-    println!(
-        "{:>12} {:>12} {:>16}",
-        "threshold", "compactions", "seal wall (ms)"
-    );
-    let mut threshold_rows = Vec::new();
-    let per_epoch = (g.num_edges() / 100).max(1);
-    let mut reference_steps = None;
-    for &threshold in &[0u64, 1, 1 << 10, 1 << 14, 1 << 18] {
-        let r = run_epochs(
-            &g,
-            config(partition_bytes, seed, ReloadPolicy::DirtyOnly, threshold),
-            walks,
-            per_epoch,
-            DEFAULT_LOCALITY,
-            seed,
-        );
-        match reference_steps {
-            None => reference_steps = Some(r.total_steps),
-            Some(s) => assert_eq!(s, r.total_steps, "compaction threshold changed walk output"),
-        }
-        println!(
-            "{threshold:>12} {:>12} {:>16.2}",
-            r.compactions,
-            r.seal_wall_s * 1e3
-        );
-        threshold_rows.push(json!({
-            "compaction_threshold": threshold,
-            "compactions": r.compactions,
-            "seal_wall_ms": r.seal_wall_s * 1e3,
-            "reload_bytes": r.reload_bytes,
-        }));
-    }
-
-    // --- Section 4: mutation-locality sweep -----------------------------
+    // --- Section 3: mutation-locality sweep -----------------------------
     // Fixed 1% mutation rate, locality window swept from fully uniform
     // (frac 1.0) down to 1/256 of the vertex space. Tighter windows dirty
     // fewer partitions, so `DirtyOnly` reload traffic must shrink —
@@ -268,11 +221,12 @@ fn main() {
         "locality", "dirty parts", "dirty (B)", "full (B)", "ratio"
     );
     let mut locality_rows = Vec::new();
+    let per_epoch = (g.num_edges() / 100).max(1);
     let mut uniform_dirty_bytes = None;
     for &frac in &[1.0f64, 0.25, 1.0 / 16.0, 1.0 / 64.0, 1.0 / 256.0] {
         let dirty = run_epochs(
             &g,
-            config(partition_bytes, seed, ReloadPolicy::DirtyOnly, 0),
+            config(partition_bytes, seed, ReloadPolicy::DirtyOnly),
             walks,
             per_epoch,
             frac,
@@ -280,7 +234,7 @@ fn main() {
         );
         let full = run_epochs(
             &g,
-            config(partition_bytes, seed, ReloadPolicy::FullRefresh, 0),
+            config(partition_bytes, seed, ReloadPolicy::FullRefresh),
             walks,
             per_epoch,
             frac,
@@ -323,7 +277,6 @@ fn main() {
             "walks_per_wave": walks,
             "epochs": EPOCHS,
             "mutation_rate_sweep": rate_rows,
-            "compaction_threshold_sweep": threshold_rows,
             "mutation_locality_sweep": locality_rows,
         }),
     );

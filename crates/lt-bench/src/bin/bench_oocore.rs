@@ -149,8 +149,7 @@ fn main() {
         }
     }
     let decode_s = t.elapsed().as_secs_f64();
-    let decode_gbps =
-        (ooc.uncompressed_bytes() * passes as u64) as f64 / decode_s.max(1e-9) / 1e9;
+    let decode_gbps = (ooc.uncompressed_bytes() * passes as u64) as f64 / decode_s.max(1e-9) / 1e9;
     println!(
         "decode: {passes} full passes over {} partitions in {decode_s:.3} s = {decode_gbps:.2} GB/s",
         ooc.num_partitions()
@@ -176,9 +175,7 @@ fn main() {
     };
     let reps = 3;
     let ram = timed_run(
-        || {
-            LightTraffic::new(Arc::clone(&g), alg.clone(), cfg.clone()).expect("pools fit")
-        },
+        || LightTraffic::new(Arc::clone(&g), alg.clone(), cfg.clone()).expect("pools fit"),
         walks,
         reps,
     );

@@ -137,15 +137,6 @@ pub struct EngineConfig {
     /// bit-identical visit counts, paths, and simulated metrics — only
     /// wall-clock throughput changes. See [`crate::kernel`].
     pub kernel_threads: usize,
-    /// Host threads running the reshuffle pipeline (grouping leavers by
-    /// target partition and inserting them into the sharded device pool).
-    /// `0` follows the resolved `kernel_threads`. Like kernels, every
-    /// thread count is bit-identical — the shard layout is structural
-    /// (`min(P, 8)` shards, partition `p` in shard `p % S`) and workers
-    /// only split the fixed shard set, so eviction decisions and the
-    /// simulated timeline never depend on this knob. See
-    /// [`crate::reshuffle::partition_groups`] and DESIGN.md §10.
-    pub reshuffle_threads: usize,
     /// Attribute every executed step and finished walk to the owning job
     /// tag ([`crate::Walker::tag`]) and buffer the per-tag results as
     /// [`crate::TagDelta`]s for [`LightTraffic::take_tag_deltas`]. This is
@@ -166,13 +157,6 @@ pub struct EngineConfig {
     /// Which resident graph partitions [`LightTraffic::seal_epoch`]
     /// re-copies to the device after applying buffered edge mutations.
     pub reload_policy: ReloadPolicy,
-    /// Auto-compaction threshold for the evolving-graph overlay, in
-    /// overlay edge entries ([`lt_graph::delta::DeltaGraph::overlay_edges`]):
-    /// a seal that leaves the overlay above this folds it into a fresh
-    /// base CSR. `0` disables auto-compaction (explicit
-    /// [`LightTraffic::compact`] still works). Compaction never changes
-    /// walk output — only where the adjacency is stored.
-    pub compaction_threshold: u64,
     /// Decoded-partition slots in the host decode cache used when the
     /// graph store is out-of-core ([`lt_graph::GraphStore::OutOfCore`]).
     /// `0` derives `max(2, 2 × graph_pool_blocks)` (clamped to the
@@ -201,11 +185,9 @@ impl EngineConfig {
             gpu: Self::default_gpu(),
             max_iterations: 10_000_000,
             kernel_threads: 0,
-            reshuffle_threads: 0,
             track_tags: false,
             attribution: false,
             reload_policy: ReloadPolicy::default(),
-            compaction_threshold: 0,
             host_cache_partitions: 0,
             checkpoint_every: None,
             copy_retries: 3,
@@ -241,6 +223,27 @@ impl EngineConfig {
             ..Self::baseline(partition_bytes, graph_pool_blocks)
         }
     }
+
+    /// Reject values no run can work with, before they reach a pool
+    /// constructor or the partitioner as a panic. Only what can be judged
+    /// without the partition count is checked here; a tight
+    /// `walk_pool_blocks` is raised to its floor at construction instead.
+    fn validate(&self) -> Result<(), EngineError> {
+        let reason = if self.partition_bytes <= 16 {
+            "partition_bytes must exceed 16, the size of an empty partition's offsets"
+        } else if self.batch_capacity == 0 {
+            "batch_capacity must be at least 1"
+        } else if self.graph_pool_blocks == 0 {
+            "graph_pool_blocks must be at least 1"
+        } else if self.max_iterations == 0 {
+            "max_iterations must be at least 1"
+        } else if matches!(self.zero_copy, ZeroCopyPolicy::Adaptive { alpha: 0 }) {
+            "adaptive zero copy with alpha = 0 always fires; use ZeroCopyPolicy::Always"
+        } else {
+            return Ok(());
+        };
+        Err(EngineError::InvalidConfig(reason))
+    }
 }
 
 /// What one [`LightTraffic::seal_epoch`] did: the mutation volume it
@@ -266,9 +269,6 @@ pub struct EpochSummary {
     /// [`lt_gpusim::Category::GraphReload`] /
     /// [`lt_telemetry::TrafficDirection::Reload`]).
     pub reload_bytes: u64,
-    /// Whether the seal triggered an automatic overlay compaction
-    /// ([`EngineConfig::compaction_threshold`]).
-    pub compacted: bool,
 }
 
 /// Outcome of a bounded scheduling call ([`LightTraffic::run_at_most`]).
@@ -286,6 +286,9 @@ pub enum RunStatus {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum EngineError {
+    /// An [`EngineConfig`] field holds a value no run can work with; the
+    /// message names the field and the bound.
+    InvalidConfig(&'static str),
     /// The configured pools (plus visit buffer) exceed device memory.
     OutOfMemory(OutOfMemory),
     /// A device copy failed past the retry budget (or fatally on the first
@@ -345,6 +348,7 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EngineError::InvalidConfig(reason) => write!(f, "invalid engine config: {reason}"),
             EngineError::OutOfMemory(e) => write!(f, "{e}"),
             EngineError::Device(e) => write!(f, "device error: {e}"),
             EngineError::IterationLimit(n) => {
@@ -470,9 +474,6 @@ pub struct LightTraffic {
     /// Resolved [`EngineConfig::kernel_threads`] (`0` already expanded to
     /// the available parallelism).
     kernel_threads: usize,
-    /// Resolved [`EngineConfig::reshuffle_threads`] (`0` already expanded
-    /// to the resolved `kernel_threads`).
-    reshuffle_threads: usize,
     /// Persistent host worker pool every parallel phase runs on (kernel
     /// chunks, reshuffle grouping, sharded inserts, out-of-core decode,
     /// speculative stepping).
@@ -545,6 +546,8 @@ impl LightTraffic {
         alg: Arc<dyn WalkAlgorithm>,
         cfg: EngineConfig,
     ) -> Result<Self, EngineError> {
+        // The partitioner panics on a block too small for a header.
+        cfg.validate()?;
         let pg = Arc::new(PartitionedGraph::build(graph, cfg.partition_bytes));
         Self::with_partitioned(pg, alg, cfg)
     }
@@ -577,6 +580,7 @@ impl LightTraffic {
         alg: Arc<dyn WalkAlgorithm>,
         cfg: EngineConfig,
     ) -> Result<Self, EngineError> {
+        cfg.validate()?;
         let p = pg.num_partitions();
         let gpu = Gpu::new(cfg.gpu.clone());
         let cost = gpu.cost_model();
@@ -617,14 +621,9 @@ impl LightTraffic {
         let paths = cfg.record_paths.then(PathLog::default);
         let iteration_log = cfg.record_iterations.then(Vec::new);
         let kernel_threads = kernel::resolve_threads(cfg.kernel_threads);
-        let reshuffle_threads = if cfg.reshuffle_threads == 0 {
-            kernel_threads
-        } else {
-            cfg.reshuffle_threads
-        };
-        // One long-lived pool sized for the widest phase; it outlives every
-        // batch, so the hot path never spawns a thread.
-        let exec = Arc::new(ExecPool::new(kernel_threads.max(reshuffle_threads)));
+        // One long-lived pool; it outlives every batch, so the hot path
+        // never spawns a thread.
+        let exec = Arc::new(ExecPool::new(kernel_threads));
         let telemetry = gpu.telemetry();
         let ledger = cfg.attribution.then(TrafficLedger::new);
         let (host_cache, seed_csr) = match pg.store() {
@@ -667,7 +666,6 @@ impl LightTraffic {
             rr_cursor: 0,
             active: 0,
             kernel_threads,
-            reshuffle_threads,
             exec,
             last_drain_speculated: None,
             scratch: Arc::new(kernel::ScratchPool::new()),
@@ -913,9 +911,9 @@ impl LightTraffic {
         self.evolving.as_ref().map_or(0, |d| d.pending())
     }
 
-    /// The evolving-graph layer needs the full base adjacency in RAM
-    /// (overlay merges read arbitrary rows); an out-of-core store cannot
-    /// serve that. Materialize with [`lt_graph::OocGraph::to_csr`] first.
+    /// The evolving-graph layer needs the full adjacency in RAM (a seal
+    /// rewrites the CSR); an out-of-core store cannot serve that.
+    /// Materialize with [`lt_graph::OocGraph::to_csr`] first.
     fn reject_ooc_mutation(&self) -> Result<(), EngineError> {
         match self.pg.store() {
             GraphStore::Ram(_) => Ok(()),
@@ -939,8 +937,7 @@ impl LightTraffic {
     /// are invisible to every walker until the next [`Self::seal_epoch`]
     /// — sampling decisions never observe a half-applied batch, which is
     /// what keeps mutation visibility deterministic across kernel thread
-    /// counts and host execution strategies (DESIGN.md §15). Returns the
-    /// number of updates now pending.
+    /// counts (DESIGN.md §15). Returns the number of updates now pending.
     ///
     /// Fails with [`EngineError::Admission`] when an endpoint is outside
     /// the (frozen) vertex set or a weight is invalid; updates before the
@@ -958,20 +955,17 @@ impl LightTraffic {
 
     /// Apply every buffered mutation, advance the graph epoch, and
     /// invalidate affected device state: the partition table is rebuilt
-    /// (under the *frozen* partition boundaries, so walker→partition
-    /// routing never changes) and resident partitions are re-copied per
-    /// [`EngineConfig::reload_policy`], charged on the simulated link as
-    /// [`Category::GraphReload`] and attributed in the traffic ledger
-    /// under [`TrafficDirection::Reload`].
+    /// over the CSR the seal produced (the same allocation the delta
+    /// layer keeps, under the *frozen* partition boundaries, so
+    /// walker→partition routing never changes) and resident partitions
+    /// are re-copied per [`EngineConfig::reload_policy`], charged on the
+    /// simulated link as [`Category::GraphReload`] and attributed in the
+    /// traffic ledger under [`TrafficDirection::Reload`].
     ///
     /// Call this only *between* [`Self::run_at_most`] slices — the epoch
     /// barrier. Sealing with nothing buffered still advances the epoch
     /// (and the temporal default-timestamp clock) but touches no device
     /// state.
-    ///
-    /// When the seal leaves the overlay above
-    /// [`EngineConfig::compaction_threshold`] (non-zero), the overlay is
-    /// folded into a fresh base CSR; compaction never changes walk output.
     ///
     /// # Errors
     /// [`EngineError::OversizedPartition`] when a mutated hub vertex
@@ -981,7 +975,9 @@ impl LightTraffic {
     /// fatal copy failure.
     pub fn seal_epoch(&mut self) -> Result<EpochSummary, EngineError> {
         self.reject_ooc_mutation()?;
-        let seal = self.delta_mut().seal_epoch();
+        let delta = self.delta_mut();
+        let seal = delta.seal_epoch();
+        let sealed = Arc::clone(delta.base());
         self.metrics.epochs += 1;
         let mut summary = EpochSummary {
             epoch: seal.epoch,
@@ -1000,12 +996,12 @@ impl LightTraffic {
                 .collect();
             dirty_parts.dedup();
             summary.dirty_partitions = dirty_parts.len() as u64;
-            // Swap in the merged snapshot under the frozen boundaries.
-            let delta = self.evolving.as_ref().expect("sealed above");
-            let merged = Arc::new(delta.snapshot_csr());
+            // Partition the sealed CSR under the frozen boundaries. The old
+            // table (and with it the previous epoch's CSR) is dropped when
+            // the new one is installed below.
             let boundaries = self.pg.boundaries().to_vec();
             let pg = Arc::new(PartitionedGraph::with_boundaries(
-                merged,
+                sealed,
                 boundaries,
                 self.cfg.partition_bytes,
             ));
@@ -1056,12 +1052,6 @@ impl LightTraffic {
             self.metrics.reload_copies += summary.reloaded_partitions;
             self.metrics.reload_bytes += summary.reload_bytes;
         }
-        let threshold = self.cfg.compaction_threshold;
-        let delta = self.evolving.as_mut().expect("sealed above");
-        if delta.should_compact(threshold) && delta.compact() {
-            self.metrics.compactions += 1;
-            summary.compacted = true;
-        }
         if self.telemetry.level_enabled(Level::Info) {
             self.telemetry.emit(
                 Level::Info,
@@ -1075,31 +1065,10 @@ impl LightTraffic {
                     ("dirty_partitions", summary.dirty_partitions.into()),
                     ("reloaded_partitions", summary.reloaded_partitions.into()),
                     ("reload_bytes", summary.reload_bytes.into()),
-                    ("compacted", summary.compacted.into()),
                 ],
             );
         }
         Ok(summary)
-    }
-
-    /// Fold the evolving-graph overlay into a fresh base CSR right now
-    /// (see [`lt_graph::delta::DeltaGraph::compact`]). Returns whether
-    /// anything was folded. Walk output is unchanged; only storage moves.
-    pub fn compact(&mut self) -> bool {
-        let compacted = self.evolving.as_mut().is_some_and(DeltaGraph::compact);
-        if compacted {
-            self.metrics.compactions += 1;
-            if self.telemetry.level_enabled(Level::Info) {
-                self.telemetry.emit(
-                    Level::Info,
-                    self.gpu.now(),
-                    "engine",
-                    "compaction",
-                    vec![("epoch", self.epoch().into())],
-                );
-            }
-        }
-        compacted
     }
 
     /// Run at most `iterations` scheduler iterations, pausing (state
@@ -1212,8 +1181,7 @@ impl LightTraffic {
             );
         }
         if !use_zc {
-            let hit = self.graph_pool.probe(i);
-            if hit {
+            if self.graph_pool.contains(i) {
                 self.metrics.graph_pool_hits += 1;
             } else {
                 self.metrics.graph_pool_misses += 1;
@@ -1293,7 +1261,7 @@ impl LightTraffic {
             } else {
                 GraphEviction::Fifo
             };
-            self.graph_pool.insert_arc(data, policy, &counts, i);
+            self.graph_pool.insert(data, policy, &counts, i);
             return Ok(true);
         }
     }
@@ -1605,8 +1573,8 @@ impl LightTraffic {
     /// Per-shard occupancy of the sharded device walk pool:
     /// `(resident walkers, free blocks)` for each shard, in shard order.
     /// Both numbers derive from the schedule alone, so they are
-    /// bit-identical across `kernel_threads` / `reshuffle_threads`
-    /// settings (the telemetry snapshot publishes them as gauges).
+    /// bit-identical across `kernel_threads` settings (the telemetry
+    /// snapshot publishes them as gauges).
     pub fn walk_pool_shards(&self) -> Vec<(u64, usize)> {
         (0..self.device_pool.num_shards())
             .map(|s| {
@@ -2179,7 +2147,7 @@ impl LightTraffic {
         // Phase A groups leavers by target partition with the two-phase
         // parallel counting sort; phase B inserts each group into its
         // shard of the device pool, shards processed in parallel. Both
-        // phases are bit-identical for any `reshuffle_threads`: grouping
+        // phases are bit-identical for any `kernel_threads`: grouping
         // preserves arrival order per partition, and every insert/evict
         // decision is shard-local while the shard layout is structural.
         let rs_wall = Instant::now();
@@ -2187,7 +2155,7 @@ impl LightTraffic {
             moved,
             &|w: &Walker| pg.partition_of(w.vertex),
             np,
-            self.reshuffle_threads,
+            self.kernel_threads,
             &self.exec,
         );
         debug_assert!(
@@ -2216,7 +2184,7 @@ impl LightTraffic {
         // overhead dwarfs the inserts, so degrade to the inline loop. Safe —
         // the outcome is worker-count invariant by construction.
         let worthy = (n_moved as usize / reshuffle::MIN_MOVERS_PER_WORKER).max(1);
-        let workers = self.reshuffle_threads.clamp(1, num_shards.min(worthy));
+        let workers = self.kernel_threads.clamp(1, num_shards.min(worthy));
         let evicted: Vec<WalkBatch> = {
             let shards = self.device_pool.shards_mut();
             if workers <= 1 {
@@ -2900,6 +2868,71 @@ mod tests {
             Err(EngineError::OutOfMemory(_)) => {}
             other => panic!("expected OOM, got {:?}", other.err()),
         }
+    }
+
+    #[test]
+    fn unusable_config_values_are_errors_at_construction() {
+        type Spoil = fn(&mut EngineConfig);
+        let bad: [(&str, Spoil); 5] = [
+            ("partition_bytes", |c| c.partition_bytes = 16),
+            ("batch_capacity", |c| c.batch_capacity = 0),
+            ("graph_pool_blocks", |c| c.graph_pool_blocks = 0),
+            ("max_iterations", |c| c.max_iterations = 0),
+            ("alpha", |c| {
+                c.zero_copy = ZeroCopyPolicy::Adaptive { alpha: 0 }
+            }),
+        ];
+        let pg = Arc::new(PartitionedGraph::build(graph(), 16 << 10));
+        for (field, spoil) in bad {
+            let mut cfg = EngineConfig::light_traffic(16 << 10, 4);
+            spoil(&mut cfg);
+            let alg = Arc::new(UniformSampling::new(4));
+            // Both entry points: `new` must not reach the partitioner's
+            // block-size assert either.
+            for built in [
+                LightTraffic::new(graph(), alg.clone(), cfg.clone()),
+                LightTraffic::with_partitioned(pg.clone(), alg.clone(), cfg.clone()),
+            ] {
+                match built {
+                    Err(EngineError::InvalidConfig(reason)) => {
+                        assert!(reason.contains(field), "{field}: {reason}")
+                    }
+                    other => panic!("{field}: expected InvalidConfig, got {:?}", other.err()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dirty_seal_shares_one_csr_between_delta_layer_and_partition_table() {
+        let g = graph();
+        let mut e =
+            LightTraffic::new(g.clone(), Arc::new(UniformSampling::new(4)), small_cfg()).unwrap();
+        // A delete of an absent edge applies nothing: the seal is clean and
+        // every layer keeps the allocation the engine was built over.
+        let absent = (0..g.num_vertices() as VertexId)
+            .find(|v| !g.neighbors(0).contains(v))
+            .expect("vertex 0 does not reach every vertex");
+        e.mutate(vec![EdgeUpdate::delete(0, absent)]).unwrap();
+        let summary = e.seal_epoch().unwrap();
+        assert_eq!((summary.epoch, summary.dirty_vertices), (1, 0));
+        let delta = e.evolving.as_ref().expect("mutate creates the delta layer");
+        assert!(Arc::ptr_eq(delta.base(), &g));
+        assert!(Arc::ptr_eq(e.pg.csr(), &g));
+
+        e.mutate(vec![EdgeUpdate::insert(0, absent)]).unwrap();
+        let summary = e.seal_epoch().unwrap();
+        assert_eq!((summary.epoch, summary.dirty_vertices), (2, 1));
+        let delta = e.evolving.as_ref().expect("still there");
+        assert!(
+            !Arc::ptr_eq(delta.base(), &g),
+            "a dirty seal writes a new CSR"
+        );
+        assert!(
+            Arc::ptr_eq(delta.base(), e.pg.csr()),
+            "the partition table must walk the delta layer's CSR, not a copy"
+        );
+        assert_eq!(e.pg.csr().neighbors(0).last(), Some(&absent));
     }
 
     #[test]

@@ -33,8 +33,24 @@ pub struct DeviceGraphPool {
     resident: Vec<Option<BlockId>>,
     /// Residency order, oldest first (for FIFO eviction).
     order: VecDeque<PartitionId>,
-    hits: u64,
-    misses: u64,
+}
+
+/// The partition to evict from a full residency queue (`order`, oldest
+/// first) under `policy`; `protect` is never chosen. Shared by the device
+/// graph pool and the host decode cache, which evict by the same rule one
+/// tier apart.
+pub(crate) fn pick_victim(
+    order: &VecDeque<PartitionId>,
+    policy: GraphEviction,
+    walk_counts: &dyn Fn(PartitionId) -> u64,
+    protect: PartitionId,
+) -> PartitionId {
+    let candidates = || order.iter().copied().filter(|&p| p != protect);
+    match policy {
+        GraphEviction::Fifo => candidates().next(),
+        GraphEviction::FewestWalks => candidates().min_by_key(|&p| (walk_counts(p), p)),
+    }
+    .expect("a full cache holds at least one unprotected resident partition")
 }
 
 impl DeviceGraphPool {
@@ -50,8 +66,6 @@ impl DeviceGraphPool {
             pool: BlockPool::reserve(gpu, blocks, block_bytes)?,
             resident: vec![None; num_partitions as usize],
             order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
         })
     }
 
@@ -61,9 +75,7 @@ impl DeviceGraphPool {
         self.resident[p as usize].is_some()
     }
 
-    /// Borrow the resident copy of partition `p`, recording neither a hit
-    /// nor a miss (lookups during preemptive scanning are not cache
-    /// events).
+    /// Borrow the resident copy of partition `p`.
     pub fn get(&self, p: PartitionId) -> Option<&PartitionData> {
         self.resident[p as usize].map(|id| &**self.pool.get(id))
     }
@@ -74,36 +86,14 @@ impl DeviceGraphPool {
         self.resident[p as usize].map(|id| Arc::clone(self.pool.get(id)))
     }
 
-    /// Record a scheduler cache probe for partition `p` (hit when
-    /// resident). Returns whether it was a hit.
-    pub fn probe(&mut self, p: PartitionId) -> bool {
-        if self.contains(p) {
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
-    }
-
     /// Insert partition data, evicting per `policy` if the pool is full.
     /// `walk_counts(p)` supplies the per-partition walk totals selective
     /// eviction minimizes over; `protect` (the partition being scheduled)
-    /// is never evicted. Returns the evicted partition, if any.
+    /// is never evicted. Returns the evicted partition, if any. The data
+    /// comes behind an `Arc` because out-of-core stores share one decoded
+    /// copy between the host decode cache and the device pool instead of
+    /// cloning megabytes per upload.
     pub fn insert(
-        &mut self,
-        data: PartitionData,
-        policy: GraphEviction,
-        walk_counts: &dyn Fn(PartitionId) -> u64,
-        protect: PartitionId,
-    ) -> Option<PartitionId> {
-        self.insert_arc(Arc::new(data), policy, walk_counts, protect)
-    }
-
-    /// [`DeviceGraphPool::insert`] for data already behind an `Arc` —
-    /// out-of-core stores share one decoded copy between the host decode
-    /// cache and the device pool instead of cloning megabytes per upload.
-    pub fn insert_arc(
         &mut self,
         data: Arc<PartitionData>,
         policy: GraphEviction,
@@ -113,7 +103,7 @@ impl DeviceGraphPool {
         debug_assert!(!self.contains(data.id), "partition already resident");
         let mut evicted = None;
         if self.pool.is_full() {
-            let victim = self.pick_victim(policy, walk_counts, protect);
+            let victim = pick_victim(&self.order, policy, walk_counts, protect);
             self.evict(victim);
             evicted = Some(victim);
         }
@@ -151,27 +141,12 @@ impl DeviceGraphPool {
         self.order.retain(|&x| x != p);
     }
 
-    fn pick_victim(
-        &self,
-        policy: GraphEviction,
-        walk_counts: &dyn Fn(PartitionId) -> u64,
-        protect: PartitionId,
-    ) -> PartitionId {
-        let candidates = || self.order.iter().copied().filter(|&p| p != protect);
-        match policy {
-            GraphEviction::Fifo => candidates().next(),
-            GraphEviction::FewestWalks => candidates().min_by_key(|&p| (walk_counts(p), p)),
-        }
-        .expect("pool full implies at least one unprotected resident partition")
-    }
-
     /// Resident partitions, oldest first.
     pub fn resident_partitions(&self) -> impl Iterator<Item = PartitionId> + '_ {
         self.order.iter().copied()
     }
 
-    /// Drop every resident partition (checkpoint recovery). Hit/miss
-    /// counters are kept: they describe the whole run, not one epoch.
+    /// Drop every resident partition (checkpoint recovery).
     pub fn reset(&mut self) {
         while let Some(p) = self.order.pop_front() {
             let id = self.resident[p as usize]
@@ -179,16 +154,6 @@ impl DeviceGraphPool {
                 .expect("order lists only resident partitions");
             self.pool.release(id);
         }
-    }
-
-    /// Cache hits recorded by [`DeviceGraphPool::probe`].
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses recorded by [`DeviceGraphPool::probe`].
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Number of blocks.
@@ -209,6 +174,10 @@ mod tests {
     use lt_graph::gen::{rmat, RmatParams};
     use lt_graph::PartitionedGraph;
     use std::sync::Arc;
+
+    fn part(pg: &PartitionedGraph, p: PartitionId) -> Arc<PartitionData> {
+        Arc::new(pg.extract(p))
+    }
 
     fn setup() -> (Gpu, PartitionedGraph) {
         let gpu = Gpu::new(GpuConfig {
@@ -234,15 +203,15 @@ mod tests {
         let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
         let zero = |_: PartitionId| 0u64;
         assert_eq!(
-            pool.insert(pg.extract(0), GraphEviction::Fifo, &zero, 0),
+            pool.insert(part(&pg, 0), GraphEviction::Fifo, &zero, 0),
             None
         );
         assert_eq!(
-            pool.insert(pg.extract(1), GraphEviction::Fifo, &zero, 1),
+            pool.insert(part(&pg, 1), GraphEviction::Fifo, &zero, 1),
             None
         );
         assert!(pool.contains(0) && pool.contains(1));
-        let ev = pool.insert(pg.extract(2), GraphEviction::Fifo, &zero, 2);
+        let ev = pool.insert(part(&pg, 2), GraphEviction::Fifo, &zero, 2);
         assert_eq!(ev, Some(0));
         assert!(!pool.contains(0));
         assert!(pool.contains(1) && pool.contains(2));
@@ -259,9 +228,9 @@ mod tests {
             _ => 0,
         };
         for p in 0..3 {
-            pool.insert(pg.extract(p), GraphEviction::FewestWalks, &counts, p);
+            pool.insert(part(&pg, p), GraphEviction::FewestWalks, &counts, p);
         }
-        let ev = pool.insert(pg.extract(3), GraphEviction::FewestWalks, &counts, 3);
+        let ev = pool.insert(part(&pg, 3), GraphEviction::FewestWalks, &counts, 3);
         assert_eq!(ev, Some(1), "partition with fewest walks evicted");
     }
 
@@ -270,31 +239,19 @@ mod tests {
         let (gpu, pg) = setup();
         let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 1, 16 << 10).unwrap();
         let counts = |_: PartitionId| 0u64;
-        pool.insert(pg.extract(0), GraphEviction::FewestWalks, &counts, 0);
+        pool.insert(part(&pg, 0), GraphEviction::FewestWalks, &counts, 0);
         // Pool of one block: inserting partition 1 while protecting 1 must
         // evict 0 even though policy would accept anything.
-        let ev = pool.insert(pg.extract(1), GraphEviction::FewestWalks, &counts, 1);
+        let ev = pool.insert(part(&pg, 1), GraphEviction::FewestWalks, &counts, 1);
         assert_eq!(ev, Some(0));
         assert!(pool.contains(1));
-    }
-
-    #[test]
-    fn probe_counts_hits_and_misses() {
-        let (gpu, pg) = setup();
-        let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
-        assert!(!pool.probe(0));
-        pool.insert(pg.extract(0), GraphEviction::Fifo, &|_| 0, 0);
-        assert!(pool.probe(0));
-        assert!(!pool.probe(1));
-        assert_eq!(pool.hits(), 1);
-        assert_eq!(pool.misses(), 2);
     }
 
     #[test]
     fn get_returns_correct_data() {
         let (gpu, pg) = setup();
         let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
-        pool.insert(pg.extract(1), GraphEviction::Fifo, &|_| 0, 1);
+        pool.insert(part(&pg, 1), GraphEviction::Fifo, &|_| 0, 1);
         let d = pool.get(1).unwrap();
         assert_eq!(d.id, 1);
         assert_eq!(*d, pg.extract(1));

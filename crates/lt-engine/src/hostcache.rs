@@ -10,13 +10,13 @@
 //! ledger's exactness invariant (DESIGN.md §14) extends to the host tier.
 //!
 //! Determinism: `fetch` is only called from the scheduler thread at
-//! schedule-deterministic points, so hit/miss/eviction counts are
-//! reproducible across kernel thread counts.
-//! Only `decode_wall_ns` is wall-clock (quarantined like the other
+//! schedule-deterministic points, so the hits, misses and evictions the
+//! engine books from [`Fetched`] are reproducible across kernel thread
+//! counts. Only `decode_ns` is wall-clock (quarantined like the other
 //! `host_*_wall_ns` counters).
 
 use crate::exec::ExecPool;
-use crate::graphpool::GraphEviction;
+use crate::graphpool::{pick_victim, GraphEviction};
 use lt_graph::oocore::decode_chunk;
 use lt_graph::{GraphError, OocGraph, PartitionData, PartitionId};
 use std::collections::VecDeque;
@@ -49,11 +49,6 @@ pub struct HostDecodeCache {
     order: VecDeque<PartitionId>,
     capacity: usize,
     recycled: Vec<PartitionData>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    decoded_bytes: u64,
-    decode_wall_ns: u64,
 }
 
 impl HostDecodeCache {
@@ -66,17 +61,7 @@ impl HostDecodeCache {
             order: VecDeque::new(),
             capacity: capacity.min(p.max(1)),
             recycled: Vec::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            decoded_bytes: 0,
-            decode_wall_ns: 0,
         }
-    }
-
-    /// The backing out-of-core graph.
-    pub fn ooc(&self) -> &Arc<OocGraph> {
-        &self.ooc
     }
 
     /// Fetch partition `p`, decoding from disk on a miss. Eviction (when
@@ -95,7 +80,6 @@ impl HostDecodeCache {
         threads: usize,
     ) -> Fetched {
         if let Some(data) = &self.slots[p as usize] {
-            self.hits += 1;
             return Fetched {
                 data: Arc::clone(data),
                 missed: false,
@@ -103,10 +87,9 @@ impl HostDecodeCache {
                 decode_ns: 0,
             };
         }
-        self.misses += 1;
         let mut evicted = false;
         if self.order.len() >= self.capacity {
-            let victim = self.pick_victim(policy, walk_counts, protect);
+            let victim = pick_victim(&self.order, policy, walk_counts, protect);
             self.evict(victim);
             evicted = true;
         }
@@ -114,8 +97,6 @@ impl HostDecodeCache {
         let start = Instant::now();
         decode_into(&self.ooc, p, &mut buf, exec, threads);
         let decode_ns = start.elapsed().as_nanos() as u64;
-        self.decode_wall_ns += decode_ns;
-        self.decoded_bytes += buf.bytes();
         let data = Arc::new(buf);
         self.slots[p as usize] = Some(Arc::clone(&data));
         self.order.push_back(p);
@@ -127,22 +108,7 @@ impl HostDecodeCache {
         }
     }
 
-    fn pick_victim(
-        &self,
-        policy: GraphEviction,
-        walk_counts: &dyn Fn(PartitionId) -> u64,
-        protect: PartitionId,
-    ) -> PartitionId {
-        let candidates = || self.order.iter().copied().filter(|&p| p != protect);
-        match policy {
-            GraphEviction::Fifo => candidates().next(),
-            GraphEviction::FewestWalks => candidates().min_by_key(|&p| (walk_counts(p), p)),
-        }
-        .expect("cache full implies at least one unprotected resident partition")
-    }
-
     fn evict(&mut self, p: PartitionId) {
-        self.evictions += 1;
         let arc = self.slots[p as usize]
             .take()
             .expect("evicting a non-resident partition");
@@ -159,40 +125,6 @@ impl HostDecodeCache {
     /// Whether partition `p` is resident.
     pub fn contains(&self, p: PartitionId) -> bool {
         self.slots[p as usize].is_some()
-    }
-
-    /// Number of cache slots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Slots in use.
-    pub fn in_use(&self) -> usize {
-        self.order.len()
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Total uncompressed bytes decoded from disk (Σ of
-    /// [`PartitionData::bytes`] over misses). The ledger's `HostLoad`
-    /// cells must sum to exactly this.
-    pub fn decoded_bytes(&self) -> u64 {
-        self.decoded_bytes
-    }
-
-    /// Cumulative decode wall time (quarantined).
-    pub fn decode_wall_ns(&self) -> u64 {
-        self.decode_wall_ns
     }
 }
 
@@ -382,11 +314,9 @@ mod tests {
         let mut cache = HostDecodeCache::new(Arc::clone(&ooc), ooc.num_partitions() as usize);
         for p in 0..ooc.num_partitions() {
             let f = cache.fetch(p, GraphEviction::Fifo, &|_| 0, p, None, 1);
-            assert!(f.missed);
+            assert!(f.missed && !f.evicted);
             assert_eq!(*f.data, pg.extract(p), "partition {p} decode mismatch");
         }
-        assert_eq!(cache.misses(), ooc.num_partitions() as u64);
-        assert_eq!(cache.hits(), 0);
     }
 
     #[test]
@@ -414,18 +344,17 @@ mod tests {
         assert!(ooc.num_partitions() >= 3);
         let mut cache = HostDecodeCache::new(Arc::clone(&ooc), 2);
         let f0 = cache.fetch(0, GraphEviction::Fifo, &|_| 0, 0, None, 1);
-        let bytes0 = cache.decoded_bytes();
+        assert!(f0.missed && !f0.evicted);
         let again = cache.fetch(0, GraphEviction::Fifo, &|_| 0, 0, None, 1);
         assert!(!again.missed && !again.evicted);
-        assert_eq!(cache.decoded_bytes(), bytes0, "hit must not decode");
+        assert_eq!(again.decode_ns, 0, "hit must not decode");
         assert!(Arc::ptr_eq(&f0.data, &again.data));
-        cache.fetch(1, GraphEviction::Fifo, &|_| 0, 1, None, 1);
-        assert_eq!(cache.in_use(), 2);
+        let f1 = cache.fetch(1, GraphEviction::Fifo, &|_| 0, 1, None, 1);
+        assert!(f1.missed && !f1.evicted, "the second slot was free");
         let f2 = cache.fetch(2, GraphEviction::Fifo, &|_| 0, 2, None, 1);
-        assert!(f2.evicted);
+        assert!(f2.missed && f2.evicted);
         assert!(!cache.contains(0), "FIFO evicts the oldest");
         assert!(cache.contains(1) && cache.contains(2));
-        assert_eq!(cache.evictions(), 1);
     }
 
     #[test]

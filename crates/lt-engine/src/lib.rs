@@ -53,7 +53,6 @@ pub mod algorithm;
 pub mod alias;
 pub mod batch;
 pub mod checkpoint;
-pub mod config;
 pub mod engine;
 pub mod exec;
 pub mod graphpool;
@@ -71,7 +70,6 @@ pub mod walkpool;
 pub use algorithm::{PageRank, Ppr, UniformSampling, WalkAlgorithm};
 pub use alias::{AliasTable, AliasWeightedWalk};
 pub use checkpoint::Checkpoint;
-pub use config::{ConfigError, EngineConfigBuilder};
 pub use engine::{
     EngineConfig, EngineError, EpochSummary, LightTraffic, ReloadPolicy, RunStatus, ZeroCopyPolicy,
 };

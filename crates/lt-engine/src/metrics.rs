@@ -128,7 +128,10 @@ pub struct Metrics {
     pub recoveries: u64,
     /// Graph epochs sealed ([`crate::LightTraffic::seal_epoch`]).
     pub epochs: u64,
-    /// Evolving-graph overlay compactions (automatic and explicit).
+    /// Retired: counted folds of the per-vertex delta store the evolving
+    /// layer used to keep beside the CSR. A seal now writes the next CSR
+    /// directly, so this always reads 0; the field stays only because
+    /// `benchmark/` reads it by name.
     pub compactions: u64,
     /// Resident partitions re-copied to the device after epoch seals.
     pub reload_copies: u64,
@@ -199,7 +202,7 @@ impl Metrics {
     /// names, plus the `lt_walk_length_steps` histogram rebuilt from the
     /// log₂ buckets. Values are `set`, so re-publishing overwrites.
     pub fn publish(&self, registry: &MetricRegistry) {
-        let series: [(&str, &str, u64); 21] = [
+        let series: [(&str, &str, u64); 20] = [
             (
                 "lt_engine_iterations_total",
                 "Scheduler iterations",
@@ -274,11 +277,6 @@ impl Metrics {
                 "lt_engine_epochs_total",
                 "Graph mutation epochs sealed",
                 self.epochs,
-            ),
-            (
-                "lt_engine_compactions_total",
-                "Evolving-graph overlay compactions",
-                self.compactions,
             ),
             (
                 "lt_engine_reload_copies_total",

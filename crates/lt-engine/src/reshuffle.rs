@@ -107,7 +107,7 @@ pub fn partition_groups(
 /// `groups[p]` is the arrival-order subsequence for *any* thread count
 /// and any chunking. That is the determinism argument the sharded insert
 /// phase builds on: per-partition insertion order (and hence every
-/// downstream decision) never depends on `reshuffle_threads`.
+/// downstream decision) never depends on the thread count.
 pub(crate) fn partition_groups_pooled(
     walkers: Vec<Walker>,
     partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),

@@ -195,12 +195,6 @@ impl Session {
         self.engine.seal_epoch()
     }
 
-    /// Fold the evolving-graph overlay into a fresh base CSR (see
-    /// [`LightTraffic::compact`]). Walk output is unchanged.
-    pub fn compact(&mut self) -> bool {
-        self.engine.compact()
-    }
-
     /// The current graph epoch (0 = static graph).
     pub fn epoch(&self) -> u64 {
         self.engine.epoch()

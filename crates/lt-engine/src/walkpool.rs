@@ -18,7 +18,7 @@
 //! worker thread a disjoint `&mut Shard` without any locking. The shard
 //! count is *structural*: it depends only on the partition count, never on
 //! thread knobs or the machine, so eviction timing — and with it the whole
-//! simulated timeline — is bit-identical for any `reshuffle_threads`.
+//! simulated timeline — is bit-identical for any `kernel_threads`.
 //!
 //! The livelock invariant of the engine's insert-or-evict loop holds *per
 //! shard*: every shard pins `2·Pₛ` blocks (frontier + reserve per owned
@@ -148,7 +148,7 @@ pub struct PoolFull;
 /// Number of shards a `num_partitions`-partition device pool is split
 /// into. Structural — a function of the partition count alone (never of
 /// thread knobs or the host machine), so shard-local decisions are
-/// bit-identical across `kernel_threads` / `reshuffle_threads` settings.
+/// bit-identical across `kernel_threads` settings.
 pub fn shard_count(num_partitions: u32) -> usize {
     (num_partitions as usize).clamp(1, MAX_SHARDS)
 }

@@ -156,13 +156,13 @@ fn graph_pool_of_one_block_still_completes() {
 }
 
 #[test]
-fn adaptive_alpha_zero_never_zero_copies() {
-    // alpha = 0 makes the adaptive predicate `0 < S_p` true... for w > 0
-    // the product is 0, so zero copy is always chosen for non-resident
-    // partitions. Conversely alpha = u64::MAX never chooses it. Exercise
-    // both extremes.
+fn adaptive_alpha_extremes_pick_one_side() {
+    // alpha = 1 (the smallest legal value; 0 is rejected at construction)
+    // keeps `alpha * w` below every partition's size here, so zero copy
+    // is always chosen for non-resident partitions. Conversely alpha =
+    // u64::MAX never chooses it. Exercise both extremes.
     let g = small_graph();
-    for (alpha, expect_zc) in [(0u64, true), (u64::MAX, false)] {
+    for (alpha, expect_zc) in [(1u64, true), (u64::MAX, false)] {
         let mut e = LightTraffic::new(
             g.clone(),
             Arc::new(UniformSampling::new(6)),

@@ -1,6 +1,6 @@
 //! Property tests of the persistent executor and the speculative drain
-//! (DESIGN.md §11): for any thread fan-out in {2, 4, 8} × {1, 2, 4, 8}
-//! and with or without retryable fault injection, pooled kernels, pooled
+//! (DESIGN.md §11): for any thread fan-out in {2, 4, 8} and with or
+//! without retryable fault injection, pooled kernels, pooled
 //! reshuffles and validated speculation must reproduce the
 //! `kernel_threads: 1` run — inline stepping, no speculation — **bit for
 //! bit**: metrics, recorded paths, and the full simulated device
@@ -29,16 +29,11 @@ fn graph(seed: u64) -> Arc<Csr> {
     )
 }
 
-fn config(
-    kernel_threads: usize,
-    reshuffle_threads: usize,
-    fault_seed: Option<u64>,
-) -> EngineConfig {
+fn config(kernel_threads: usize, fault_seed: Option<u64>) -> EngineConfig {
     EngineConfig {
         batch_capacity: 96,
         record_paths: true,
         kernel_threads,
-        reshuffle_threads,
         gpu: GpuConfig {
             faults: fault_seed.map(|s| FaultPlan::retryable_only(s, 0.05)),
             ..GpuConfig::default()
@@ -60,15 +55,14 @@ proptest! {
     fn pooled_execution_is_bit_identical_to_the_serial_drain(
         graph_seed in 0u64..1000,
         kt_idx in 0usize..3,
-        rt_idx in 0usize..4,
         inject_faults in any::<bool>(),
     ) {
-        let (kt, rt) = ([2usize, 4, 8][kt_idx], [1usize, 2, 4, 8][rt_idx]);
+        let kt = [2usize, 4, 8][kt_idx];
         let fault_seed = inject_faults.then_some(graph_seed ^ 0x5eed);
         let g = graph(graph_seed);
-        let serial = run(&g, config(1, 1, fault_seed));
+        let serial = run(&g, config(1, fault_seed));
         prop_assert_eq!(serial.metrics.host_spec_hits + serial.metrics.host_spec_misses, 0);
-        let pooled = run(&g, config(kt, rt, fault_seed));
+        let pooled = run(&g, config(kt, fault_seed));
         prop_assert!(
             pooled.metrics.host_spec_hits > 0,
             "kt={} never used a speculation", kt
@@ -76,8 +70,8 @@ proptest! {
         prop_assert_eq!(
             pooled.deterministic_fingerprint(),
             serial.deterministic_fingerprint(),
-            "kt={}, rt={}, faults={} diverged from kernel_threads=1",
-            kt, rt, inject_faults
+            "kt={}, faults={} diverged from kernel_threads=1",
+            kt, inject_faults
         );
     }
 }

@@ -1,22 +1,22 @@
-//! Evolving-graph layer: delta buffers over an immutable CSR.
+//! Evolving-graph layer: buffered edge updates over one immutable CSR.
 //!
 //! The paper walks a static CSR, but its reshuffle/cache design is most
 //! stressed when partition contents change mid-run (the LightRW /
-//! FlexiWalker dynamic-walk scenario). [`DeltaGraph`] wraps the immutable
-//! [`Csr`] with per-vertex insert/delete buffers and an epoch clock:
+//! FlexiWalker dynamic-walk scenario). [`DeltaGraph`] pairs the current
+//! [`Csr`] with a buffer of pending updates and an epoch clock:
 //!
 //! - **Buffering**: [`DeltaGraph::buffer`] queues [`EdgeUpdate`]s without
 //!   making them visible to readers.
-//! - **Epoch seal**: [`DeltaGraph::seal_epoch`] applies every buffered
-//!   update to a copy-on-write per-vertex overlay, advances the epoch and
-//!   reports the dirty vertex set. All readers observe the new adjacency
-//!   atomically after the seal — the engine runs seals only at iteration
-//!   barriers, which is what makes mutation visibility deterministic
-//!   (DESIGN.md §15).
-//! - **Compaction**: [`DeltaGraph::compact`] folds the overlay into a
-//!   fresh base CSR. Compaction never changes the adjacency a reader
-//!   sees, only where it is stored — the property the evolving-graph
-//!   property tests pin down.
+//! - **Epoch seal**: [`DeltaGraph::seal_epoch`] merges every buffered
+//!   update into the *next* CSR in one pass over the current one,
+//!   advances the epoch and reports the dirty vertex set. All readers
+//!   observe the new adjacency atomically after the seal — the engine
+//!   runs seals only at iteration barriers, which is what makes mutation
+//!   visibility deterministic (DESIGN.md §15).
+//!
+//! There is exactly one graph per epoch: [`DeltaGraph::base`] *is* the
+//! sealed view, the allocation the engine partitions, and the input of
+//! the next seal.
 //!
 //! Temporal coupling: on a temporal base graph, an insert without an
 //! explicit timestamp is stamped with the sealing epoch's index, so the
@@ -25,7 +25,7 @@
 //! move forward as epochs are sealed.
 
 use crate::{Csr, GraphError, VertexId};
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// What an [`EdgeUpdate`] does.
@@ -82,12 +82,115 @@ impl EdgeUpdate {
     }
 }
 
-/// The copy-on-write replacement adjacency of one mutated vertex.
-#[derive(Clone, Debug)]
-struct VertexDelta {
+/// Edge columns: targets plus the optional parallel weight and timestamp
+/// arrays. A seal fills one as the next CSR's edge storage and reuses
+/// another as the scratch copy of each touched row.
+struct Columns {
     edges: Vec<VertexId>,
     weights: Option<Vec<f32>>,
     timestamps: Option<Vec<u32>>,
+}
+
+impl Columns {
+    /// Empty columns with the same optional arrays as `base`.
+    fn like(base: &Csr, capacity: usize) -> Self {
+        Columns {
+            edges: Vec::with_capacity(capacity),
+            weights: base.is_weighted().then(|| Vec::with_capacity(capacity)),
+            timestamps: base.is_temporal().then(|| Vec::with_capacity(capacity)),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.edges.clear();
+        if let Some(w) = &mut self.weights {
+            w.clear();
+        }
+        if let Some(t) = &mut self.timestamps {
+            t.clear();
+        }
+    }
+
+    /// Append `base`'s edge entries `range` as whole slices.
+    fn extend_from_base(&mut self, base: &Csr, range: Range<usize>) {
+        self.edges.extend_from_slice(&base.edges()[range.clone()]);
+        if let (Some(out), Some(w)) = (&mut self.weights, base.weights()) {
+            out.extend_from_slice(&w[range.clone()]);
+        }
+        if let (Some(out), Some(t)) = (&mut self.timestamps, base.timestamps()) {
+            out.extend_from_slice(&t[range]);
+        }
+    }
+
+    fn extend_from(&mut self, row: &Columns) {
+        self.edges.extend_from_slice(&row.edges);
+        if let (Some(out), Some(w)) = (&mut self.weights, &row.weights) {
+            out.extend_from_slice(w);
+        }
+        if let (Some(out), Some(t)) = (&mut self.timestamps, &row.timestamps) {
+            out.extend_from_slice(t);
+        }
+    }
+
+    fn push(&mut self, dst: VertexId, weight: f32, timestamp: u32) {
+        self.edges.push(dst);
+        if let Some(w) = &mut self.weights {
+            w.push(weight);
+        }
+        if let Some(t) = &mut self.timestamps {
+            t.push(timestamp);
+        }
+    }
+
+    fn remove(&mut self, k: usize) {
+        self.edges.remove(k);
+        if let Some(w) = &mut self.weights {
+            w.remove(k);
+        }
+        if let Some(t) = &mut self.timestamps {
+            t.remove(k);
+        }
+    }
+}
+
+/// The CSR a dirty seal is writing: the offsets of the rows emitted so
+/// far (always ending in the current edge count) and their edges.
+struct NextCsr {
+    offsets: Vec<u64>,
+    cols: Columns,
+}
+
+impl NextCsr {
+    /// Sized for `base` grown by at most `max_inserts` edges.
+    fn new(base: &Csr, max_inserts: usize) -> Self {
+        let mut offsets = Vec::with_capacity(base.offsets().len());
+        offsets.push(0);
+        NextCsr {
+            offsets,
+            cols: Columns::like(base, base.num_edges() as usize + max_inserts),
+        }
+    }
+
+    /// Emit the rows from the first one not yet written up to `until` —
+    /// a run no update touched — as whole slices of `base`, with their
+    /// offsets rebased onto the output.
+    fn copy_clean_rows(&mut self, base: &Csr, until: usize) {
+        let from = self.offsets.len() - 1;
+        let base_off = base.offsets();
+        let start = self.cols.edges.len() as u64;
+        self.cols
+            .extend_from_base(base, base_off[from] as usize..base_off[until] as usize);
+        self.offsets.extend(
+            base_off[from + 1..=until]
+                .iter()
+                .map(|&o| o - base_off[from] + start),
+        );
+    }
+
+    fn push_row(&mut self, row: &Columns) {
+        self.cols.extend_from(row);
+        self.offsets.push(self.cols.edges.len() as u64);
+    }
 }
 
 /// Result of sealing one epoch: which vertices changed and how much.
@@ -103,7 +206,7 @@ pub struct EpochSeal {
     pub deleted: u64,
 }
 
-/// An immutable CSR plus buffered per-vertex deltas and an epoch clock.
+/// The current CSR, the updates buffered against it, and an epoch clock.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -120,37 +223,17 @@ pub struct EpochSeal {
 #[derive(Clone, Debug)]
 pub struct DeltaGraph {
     base: Arc<Csr>,
-    overlay: BTreeMap<VertexId, VertexDelta>,
     pending: Vec<EdgeUpdate>,
     epoch: u64,
-    compactions: u64,
 }
 
 impl DeltaGraph {
-    /// Wrap an immutable base CSR at epoch 0 with empty delta buffers.
+    /// Start at epoch 0 over `base` with nothing buffered.
     pub fn new(base: Arc<Csr>) -> Self {
         DeltaGraph {
             base,
-            overlay: BTreeMap::new(),
             pending: Vec::new(),
             epoch: 0,
-            compactions: 0,
-        }
-    }
-
-    /// Build a mutation overlay over a [`crate::GraphStore`].
-    ///
-    /// The overlay's read paths (`neighbors`, `neighbor_weights`, …)
-    /// return borrowed slices, so the base must be RAM-resident: a RAM
-    /// store is wrapped as-is, an out-of-core store is **materialized**
-    /// via [`crate::OocGraph::to_csr`] — mutating a disk-backed graph
-    /// costs the decode up front. (Keeping the overlay out-of-core too is
-    /// the deferred half of this design; the engine refuses `mutate` on
-    /// out-of-core sessions instead of paying this silently.)
-    pub fn from_store(store: &crate::GraphStore) -> Result<Self, crate::GraphError> {
-        match store {
-            crate::GraphStore::Ram(base) => Ok(DeltaGraph::new(Arc::clone(base))),
-            crate::GraphStore::OutOfCore(ooc) => Ok(DeltaGraph::new(Arc::new(ooc.to_csr()?))),
         }
     }
 
@@ -160,14 +243,9 @@ impl DeltaGraph {
         self.epoch
     }
 
-    /// Compactions performed so far.
-    #[inline]
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// The current base CSR (most recent compaction output, or the
-    /// original graph). Does **not** include sealed overlay deltas.
+    /// The sealed view: the graph as of the last seal (the original graph
+    /// before the first). A seal that changes any row installs a new
+    /// allocation here; one that changes none keeps this `Arc` as is.
     #[inline]
     pub fn base(&self) -> &Arc<Csr> {
         &self.base
@@ -178,13 +256,10 @@ impl DeltaGraph {
         self.base.num_vertices()
     }
 
-    /// Current (sealed-view) edge count: base edges plus overlay growth.
+    /// Sealed-view edge count.
+    #[inline]
     pub fn num_edges(&self) -> u64 {
-        let mut n = self.base.num_edges() as i64;
-        for (&v, d) in &self.overlay {
-            n += d.edges.len() as i64 - self.base.degree(v) as i64;
-        }
-        n as u64
+        self.base.num_edges()
     }
 
     #[inline]
@@ -201,19 +276,6 @@ impl DeltaGraph {
     #[inline]
     pub fn pending(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Vertices with a sealed overlay row.
-    #[inline]
-    pub fn overlay_vertices(&self) -> usize {
-        self.overlay.len()
-    }
-
-    /// Edge entries held in sealed overlay rows — the quantity a
-    /// compaction threshold bounds (each overlay row duplicates its
-    /// vertex's full adjacency).
-    pub fn overlay_edges(&self) -> u64 {
-        self.overlay.values().map(|d| d.edges.len() as u64).sum()
     }
 
     /// Queue one update; it stays invisible until [`DeltaGraph::seal_epoch`].
@@ -240,9 +302,18 @@ impl DeltaGraph {
         Ok(())
     }
 
-    /// Apply every buffered update in submission order, advance the epoch
-    /// and report the dirty vertex set. Sealing with an empty buffer still
-    /// advances the epoch (an empty epoch).
+    /// Apply every buffered update, advance the epoch and report the dirty
+    /// vertex set. Sealing with an empty buffer still advances the epoch
+    /// (an empty epoch).
+    ///
+    /// Updates take effect in submission order per source vertex (rows
+    /// are independent, so that is the full submission order): an insert
+    /// appends with weight 1.0 and the sealing epoch as defaults, a
+    /// delete removes the first stored match and is a no-op that dirties
+    /// nothing when there is none. The next CSR is written in one pass
+    /// over the current one — runs of untouched vertices between touched
+    /// sources are copied as whole slices — so a seal that changes a row
+    /// costs O(|V| + |E|) and one that changes none costs O(pending).
     pub fn seal_epoch(&mut self) -> EpochSeal {
         self.epoch += 1;
         let default_ts = self.epoch.min(u32::MAX as u64) as u32;
@@ -250,127 +321,78 @@ impl DeltaGraph {
             epoch: self.epoch,
             ..EpochSeal::default()
         };
-        let pending = std::mem::take(&mut self.pending);
-        for u in pending {
-            let base = &self.base;
-            let row = self.overlay.entry(u.src).or_insert_with(|| VertexDelta {
-                edges: base.neighbors(u.src).to_vec(),
-                weights: base.neighbor_weights(u.src).map(|w| w.to_vec()),
-                timestamps: base.neighbor_timestamps(u.src).map(|t| t.to_vec()),
-            });
-            match u.op {
-                EdgeOp::Insert => {
-                    row.edges.push(u.dst);
-                    if let Some(w) = &mut row.weights {
-                        w.push(u.weight.unwrap_or(1.0));
+        let mut pending = std::mem::take(&mut self.pending);
+        // Stable, so the ops of one source keep their submission order.
+        pending.sort_by_key(|u| u.src);
+        let base = &*self.base;
+        // Created by the first row that changes.
+        let mut next: Option<NextCsr> = None;
+        let mut row = Columns::like(base, 0);
+        for ops in pending.chunk_by(|a, b| a.src == b.src) {
+            let src = ops[0].src;
+            let range = base.edge_range(src);
+            row.clear();
+            row.extend_from_base(base, range.start as usize..range.end as usize);
+            let applied_before = seal.inserted + seal.deleted;
+            for u in ops {
+                match u.op {
+                    EdgeOp::Insert => {
+                        row.push(
+                            u.dst,
+                            u.weight.unwrap_or(1.0),
+                            u.timestamp.unwrap_or(default_ts),
+                        );
+                        seal.inserted += 1;
                     }
-                    if let Some(t) = &mut row.timestamps {
-                        t.push(u.timestamp.unwrap_or(default_ts));
-                    }
-                    seal.inserted += 1;
-                    seal.dirty.push(u.src);
-                }
-                EdgeOp::Delete => {
-                    if let Some(k) = row.edges.iter().position(|&x| x == u.dst) {
-                        row.edges.remove(k);
-                        if let Some(w) = &mut row.weights {
-                            w.remove(k);
+                    EdgeOp::Delete => {
+                        if let Some(k) = row.edges.iter().position(|&x| x == u.dst) {
+                            row.remove(k);
+                            seal.deleted += 1;
                         }
-                        if let Some(t) = &mut row.timestamps {
-                            t.remove(k);
-                        }
-                        seal.deleted += 1;
-                        seal.dirty.push(u.src);
                     }
                 }
             }
+            if seal.inserted + seal.deleted == applied_before {
+                continue;
+            }
+            seal.dirty.push(src);
+            let next = next.get_or_insert_with(|| NextCsr::new(base, pending.len()));
+            next.copy_clean_rows(base, src as usize);
+            next.push_row(&row);
         }
-        seal.dirty.sort_unstable();
-        seal.dirty.dedup();
+        if let Some(mut next) = next {
+            next.copy_clean_rows(base, base.num_vertices() as usize);
+            let NextCsr { offsets, cols } = next;
+            self.base = Arc::new(
+                Csr::with_timestamps(offsets, cols.edges, cols.weights, cols.timestamps)
+                    .expect("validated updates applied to a valid CSR give a valid CSR"),
+            );
+        }
         seal
     }
 
-    /// Sealed-view neighbors of `v` (overlay row if mutated, else base).
+    /// Sealed-view neighbors of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        match self.overlay.get(&v) {
-            Some(d) => &d.edges,
-            None => self.base.neighbors(v),
-        }
+        self.base.neighbors(v)
     }
 
     /// Sealed-view weights parallel to [`DeltaGraph::neighbors`].
     #[inline]
     pub fn neighbor_weights(&self, v: VertexId) -> Option<&[f32]> {
-        match self.overlay.get(&v) {
-            Some(d) => d.weights.as_deref(),
-            None => self.base.neighbor_weights(v),
-        }
+        self.base.neighbor_weights(v)
     }
 
     /// Sealed-view timestamps parallel to [`DeltaGraph::neighbors`].
     #[inline]
     pub fn neighbor_timestamps(&self, v: VertexId) -> Option<&[u32]> {
-        match self.overlay.get(&v) {
-            Some(d) => d.timestamps.as_deref(),
-            None => self.base.neighbor_timestamps(v),
-        }
+        self.base.neighbor_timestamps(v)
     }
 
     /// Sealed-view out-degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> u64 {
-        match self.overlay.get(&v) {
-            Some(d) => d.edges.len() as u64,
-            None => self.base.degree(v),
-        }
-    }
-
-    /// Materialize the sealed view as a standalone CSR (base + overlay).
-    /// This is what the engine swaps into its partition table at an epoch
-    /// barrier, and what [`DeltaGraph::compact`] installs as the new base.
-    pub fn snapshot_csr(&self) -> Csr {
-        if self.overlay.is_empty() {
-            return (*self.base).clone();
-        }
-        let nv = self.base.num_vertices() as usize;
-        let ne = self.num_edges() as usize;
-        let mut offsets = Vec::with_capacity(nv + 1);
-        let mut edges = Vec::with_capacity(ne);
-        let mut weights = self.base.is_weighted().then(|| Vec::with_capacity(ne));
-        let mut timestamps = self.base.is_temporal().then(|| Vec::with_capacity(ne));
-        offsets.push(0u64);
-        for v in 0..nv as VertexId {
-            edges.extend_from_slice(self.neighbors(v));
-            if let (Some(out), Some(row)) = (&mut weights, self.neighbor_weights(v)) {
-                out.extend_from_slice(row);
-            }
-            if let (Some(out), Some(row)) = (&mut timestamps, self.neighbor_timestamps(v)) {
-                out.extend_from_slice(row);
-            }
-            offsets.push(edges.len() as u64);
-        }
-        Csr::with_timestamps(offsets, edges, weights, timestamps)
-            .expect("snapshot of a valid delta graph is a valid CSR")
-    }
-
-    /// Fold the overlay into a fresh base CSR. Returns `false` (and does
-    /// nothing) when the overlay is empty. The sealed view — what every
-    /// reader observes — is unchanged; the epoch does not advance.
-    pub fn compact(&mut self) -> bool {
-        if self.overlay.is_empty() {
-            return false;
-        }
-        self.base = Arc::new(self.snapshot_csr());
-        self.overlay.clear();
-        self.compactions += 1;
-        true
-    }
-
-    /// Whether the overlay has outgrown `threshold_edges` (a compaction
-    /// policy hook; `0` disables auto-compaction by convention of callers).
-    pub fn should_compact(&self, threshold_edges: u64) -> bool {
-        threshold_edges > 0 && self.overlay_edges() > threshold_edges
+        self.base.degree(v)
     }
 }
 
@@ -419,29 +441,40 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_sealed_view_and_compaction_is_transparent() {
+    fn ops_on_one_source_apply_in_submission_order() {
         let mut dg = DeltaGraph::new(base());
         for u in [
-            EdgeUpdate::insert(2, 3),
-            EdgeUpdate::insert(2, 1),
-            EdgeUpdate::delete(3, 1),
+            EdgeUpdate::delete(3, 3), // 3 -> 3 is absent now ...
+            EdgeUpdate::insert(3, 3), // ... present from here ...
+            EdgeUpdate::insert(0, 0),
+            EdgeUpdate::delete(3, 3), // ... and gone again.
+            EdgeUpdate::delete(3, 0),
+            EdgeUpdate::insert(3, 0),
         ] {
             dg.buffer(u).unwrap();
         }
+        let seal = dg.seal_epoch();
+        assert_eq!(seal.dirty, vec![0, 3]);
+        assert_eq!((seal.inserted, seal.deleted), (3, 2));
+        assert_eq!(dg.neighbors(0), &[1, 2, 0]);
+        assert_eq!(dg.neighbors(3), &[1, 2, 0]);
+        assert_eq!(dg.base().offsets(), &[0, 3, 4, 4, 7]);
+    }
+
+    #[test]
+    fn only_a_seal_that_changes_a_row_installs_a_new_base() {
+        let original = base();
+        let mut dg = DeltaGraph::new(Arc::clone(&original));
         dg.seal_epoch();
-        let before = dg.snapshot_csr();
-        assert!(dg.compact());
-        assert_eq!(dg.overlay_vertices(), 0);
-        assert_eq!(dg.compactions(), 1);
-        let after = dg.snapshot_csr();
-        assert_eq!(before.offsets(), after.offsets());
-        assert_eq!(before.edges(), after.edges());
-        for v in 0..4 {
-            assert_eq!(dg.neighbors(v), before.neighbors(v));
-        }
-        // Compacting an empty overlay is a no-op.
-        assert!(!dg.compact());
-        assert_eq!(dg.compactions(), 1);
+        dg.buffer(EdgeUpdate::delete(2, 0)).unwrap();
+        let seal = dg.seal_epoch();
+        assert_eq!((seal.epoch, dg.pending()), (2, 0));
+        assert!(Arc::ptr_eq(dg.base(), &original));
+        dg.buffer(EdgeUpdate::insert(2, 0)).unwrap();
+        dg.seal_epoch();
+        assert!(!Arc::ptr_eq(dg.base(), &original));
+        assert_eq!(original.neighbors(2), &[] as &[u32]);
+        assert_eq!(dg.neighbors(2), &[0]);
     }
 
     #[test]
@@ -456,20 +489,5 @@ mod tests {
         assert_eq!(seal.epoch, 2);
         assert_eq!(dg.neighbor_timestamps(1), Some(&[2u32][..]));
         assert_eq!(dg.neighbor_timestamps(0), Some(&[7u32, 99][..]));
-        let snap = dg.snapshot_csr();
-        assert!(snap.is_temporal());
-        assert_eq!(snap.neighbor_timestamps(1), Some(&[2u32][..]));
-    }
-
-    #[test]
-    fn overlay_growth_drives_compaction_policy() {
-        let mut dg = DeltaGraph::new(base());
-        dg.buffer(EdgeUpdate::insert(3, 3)).unwrap();
-        dg.seal_epoch();
-        // Row 3 was cloned (3 base edges) and grew by one.
-        assert_eq!(dg.overlay_edges(), 4);
-        assert!(dg.should_compact(3));
-        assert!(!dg.should_compact(4));
-        assert!(!dg.should_compact(0), "0 disables auto-compaction");
     }
 }

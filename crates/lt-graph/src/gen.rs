@@ -139,12 +139,7 @@ pub fn with_random_timestamps(csr: &Csr, seed: u64, horizon: u32) -> Csr {
 /// locality dirty-partition invalidation converts into saved traffic
 /// (DESIGN.md §15). The caller threads `state` (any nonzero xorshift64
 /// seed) across calls so consecutive epochs draw distinct windows.
-pub fn locality_mutations(
-    g: &Csr,
-    k: u64,
-    window_frac: f64,
-    state: &mut u64,
-) -> Vec<EdgeUpdate> {
+pub fn locality_mutations(g: &Csr, k: u64, window_frac: f64, state: &mut u64) -> Vec<EdgeUpdate> {
     assert!(
         (0.0..=1.0).contains(&window_frac) && window_frac > 0.0,
         "window_frac must be in (0, 1]"

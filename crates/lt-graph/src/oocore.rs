@@ -274,9 +274,8 @@ pub fn decode_chunk(
                     let mut prev = *first as i64;
                     for slot in rest {
                         prev += unzigzag(get_varint(region, &mut pos).ok_or_else(truncated)?);
-                        *slot = u32::try_from(prev).map_err(|_| {
-                            GraphError::Format("timestamp out of u32 range".into())
-                        })?;
+                        *slot = u32::try_from(prev)
+                            .map_err(|_| GraphError::Format("timestamp out of u32 range".into()))?;
                     }
                 }
             }
@@ -409,14 +408,7 @@ mod mm {
     unsafe impl Sync for Mapping {}
 
     extern "C" {
-        fn mmap(
-            addr: *mut u8,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut u8;
+        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
         fn munmap(addr: *mut u8, len: usize) -> i32;
     }
 
@@ -575,7 +567,9 @@ impl OocGraph {
             || boundaries[p] as u64 != num_vertices
             || boundaries.windows(2).any(|w| w[0] >= w[1])
         {
-            return Err(GraphError::Format("partition boundaries not monotone".into()));
+            return Err(GraphError::Format(
+                "partition boundaries not monotone".into(),
+            ));
         }
         if regions.windows(2).any(|w| w[0] > w[1]) {
             return Err(GraphError::Format("region table not monotone".into()));
@@ -733,7 +727,10 @@ impl OocGraph {
         for plan in &plans {
             let ls = (plan.v_start - v_start) as usize;
             let le = (plan.v_end - v_start) as usize;
-            let (e0, e1) = (plan.first_edge as usize, (plan.first_edge + plan.num_edges) as usize);
+            let (e0, e1) = (
+                plan.first_edge as usize,
+                (plan.first_edge + plan.num_edges) as usize,
+            );
             decode_chunk(
                 &region,
                 plan,
@@ -751,7 +748,7 @@ impl OocGraph {
 
     /// Decode the whole graph back into a RAM-resident [`Csr`] — the
     /// escape hatch for consumers that need full random access (alias
-    /// table construction, the mutation overlay's base, tests).
+    /// table construction, evolving-graph runs, tests).
     pub fn to_csr(&self) -> Result<Csr, GraphError> {
         let nv = self.num_vertices as usize;
         let ne = self.num_edges as usize;
@@ -798,7 +795,7 @@ impl std::fmt::Debug for OocGraph {
 // ---------------------------------------------------------------------------
 
 /// Where a graph's adjacency lives: the substrate abstraction threaded
-/// through [`PartitionedGraph`], the mutation overlay, and the engine.
+/// through [`PartitionedGraph`] and the engine.
 ///
 /// `Ram` is the original fully-resident CSR; `OutOfCore` keeps only the
 /// partition table resident and decodes partitions on demand. Walk results

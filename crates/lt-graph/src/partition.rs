@@ -295,7 +295,9 @@ impl PartitionedGraph {
                     .map(|&o| o - base)
                     .collect();
                 let edges = csr.edges()[base as usize..end as usize].to_vec();
-                let weights = csr.weights().map(|w| w[base as usize..end as usize].to_vec());
+                let weights = csr
+                    .weights()
+                    .map(|w| w[base as usize..end as usize].to_vec());
                 let timestamps = csr
                     .timestamps()
                     .map(|t| t[base as usize..end as usize].to_vec());

@@ -33,7 +33,7 @@
 //!
 //! ```text
 //! → {"op":"mutate","edges":[{"op":"insert","src":1,"dst":2,"t":5},{"op":"delete","src":3,"dst":4}]}
-//! ← {"ok":true,"epoch":1,"inserted":1,"deleted":1,"dirty_vertices":2,"dirty_partitions":1,"reloaded_partitions":1,"reload_bytes":4096,"compacted":false}
+//! ← {"ok":true,"epoch":1,"inserted":1,"deleted":1,"dirty_vertices":2,"dirty_partitions":1,"reloaded_partitions":1,"reload_bytes":4096}
 //! ```
 //!
 //! Inserts take optional `t` (timestamp; defaults to the sealing epoch)
@@ -629,7 +629,6 @@ fn dispatch(
                     "dirty_partitions": s.dirty_partitions,
                     "reloaded_partitions": s.reloaded_partitions,
                     "reload_bytes": s.reload_bytes,
-                    "compacted": s.compacted,
                 }),
             },
         },

@@ -50,11 +50,11 @@ fn main() {
         } else {
             unweighted.clone()
         };
-        let cfg = EngineConfig::builder(64 << 10, 6)
-            .batch_capacity(512)
-            .seed(42)
-            .build()
-            .expect("valid config");
+        let cfg = EngineConfig {
+            batch_capacity: 512,
+            seed: 42,
+            ..EngineConfig::light_traffic(64 << 10, 6)
+        };
         let mut engine = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("fits");
         let walks = 2 * g.num_vertices();
         let r = engine.run(walks).expect("completes");

@@ -31,13 +31,12 @@ pub struct ArbConfig {
     pub direct_reshuffle: bool,
     pub tight_walk_pool: bool,
     pub kernel_threads: usize,
-    pub reshuffle_threads: usize,
 }
 
 /// Strategy over [`ArbConfig`]: small pools, both scheduling policies,
 /// all zero-copy policies, both reshuffle modes, and thread counts 0–4
-/// for both the kernel and reshuffle pipelines (0 = one per CPU; 1 is
-/// the non-speculating serial drain, more may speculate).
+/// (0 = one per CPU; 1 is the non-speculating serial drain with a serial
+/// reshuffle, more may speculate and fan the reshuffle out).
 pub fn config_strategy() -> impl Strategy<Value = ArbConfig> {
     (
         4u64..64,
@@ -48,7 +47,7 @@ pub fn config_strategy() -> impl Strategy<Value = ArbConfig> {
         0u8..3,
         any::<bool>(),
         any::<bool>(),
-        (0usize..5, 0usize..5),
+        0usize..5,
     )
         .prop_map(
             |(
@@ -60,7 +59,7 @@ pub fn config_strategy() -> impl Strategy<Value = ArbConfig> {
                 zero_copy,
                 direct_reshuffle,
                 tight_walk_pool,
-                (kernel_threads, reshuffle_threads),
+                kernel_threads,
             )| ArbConfig {
                 partition_kb,
                 graph_pool,
@@ -71,7 +70,6 @@ pub fn config_strategy() -> impl Strategy<Value = ArbConfig> {
                 direct_reshuffle,
                 tight_walk_pool,
                 kernel_threads,
-                reshuffle_threads,
             },
         )
 }
@@ -216,7 +214,6 @@ pub fn to_engine_config(c: &ArbConfig, g: &Arc<Csr>) -> EngineConfig {
         },
         max_iterations: 10_000_000,
         kernel_threads: c.kernel_threads,
-        reshuffle_threads: c.reshuffle_threads,
         track_tags: false,
         // Attribution on across the whole differential battery: the
         // ledger is quarantined off the deterministic path (DESIGN.md
@@ -224,7 +221,6 @@ pub fn to_engine_config(c: &ArbConfig, g: &Arc<Csr>) -> EngineConfig {
         // as proof that tracing perturbs nothing.
         attribution: true,
         reload_policy: ReloadPolicy::default(),
-        compaction_threshold: 0,
         host_cache_partitions: 0,
         checkpoint_every: None,
         copy_retries: 3,

@@ -49,7 +49,6 @@ fn algorithms() -> Vec<(&'static str, Arc<dyn WalkAlgorithm>, ZeroCopyPolicy)> {
 fn config(
     zero_copy: ZeroCopyPolicy,
     kernel_threads: usize,
-    reshuffle_threads: usize,
     faults: Option<FaultPlan>,
 ) -> EngineConfig {
     EngineConfig {
@@ -61,7 +60,6 @@ fn config(
         attribution: true,
         zero_copy,
         kernel_threads,
-        reshuffle_threads,
         gpu: GpuConfig {
             faults,
             ..GpuConfig::default()
@@ -96,7 +94,7 @@ fn engine_matches_cpu_baseline_on_twenty_graphs() {
         let g = random_graph(graph_seed);
         let walks = g.num_vertices().min(1_000);
         for (name, alg, zc) in algorithms() {
-            let r = run_engine(&g, &alg, config(zc, 1, 1, None));
+            let r = run_engine(&g, &alg, config(zc, 1, None));
             let engine_visits = visits_from_paths(&r, g.num_vertices());
             let baseline = cpu::run_walk_centric_tracked(&g, &alg, walks, SEED, 1);
             assert_eq!(
@@ -110,92 +108,58 @@ fn engine_matches_cpu_baseline_on_twenty_graphs() {
     }
 }
 
-/// Visit counts are identical across `kernel_threads` × `reshuffle_threads`
-/// in {1, 4}, with and without injected retryable faults. Retries replay
-/// copies on the simulated timeline but never alter trajectories.
+/// Visit counts are identical across `kernel_threads` in {1, 4}, with and
+/// without injected retryable faults. Retries replay copies on the
+/// simulated timeline but never alter trajectories.
 #[test]
 fn thread_counts_and_retryable_faults_do_not_change_results() {
     for graph_seed in [3u64, 8, 13] {
         let g = random_graph(graph_seed);
         for (name, alg, zc) in algorithms() {
-            let reference = visits_from_paths(
-                &run_engine(&g, &alg, config(zc, 1, 1, None)),
-                g.num_vertices(),
-            );
+            let reference =
+                visits_from_paths(&run_engine(&g, &alg, config(zc, 1, None)), g.num_vertices());
             for kernel_threads in [1usize, 4] {
-                for reshuffle_threads in [1usize, 4] {
-                    for faults in [None, Some(FaultPlan::retryable_only(7, 0.05))] {
-                        let faulty = faults.is_some();
-                        let cfg = config(zc, kernel_threads, reshuffle_threads, faults);
-                        let r = run_engine(&g, &alg, cfg);
-                        if faulty {
-                            assert!(
-                                r.metrics.retries > 0 || r.metrics.faults_injected == 0,
-                                "injected faults were never retried"
-                            );
-                        }
-                        assert_eq!(
-                            visits_from_paths(&r, g.num_vertices()),
-                            reference,
-                            "graph seed {graph_seed}, {name}, kt={kernel_threads}, \
-                             rt={reshuffle_threads}, faults={faulty}"
+                for faults in [None, Some(FaultPlan::retryable_only(7, 0.05))] {
+                    let faulty = faults.is_some();
+                    let r = run_engine(&g, &alg, config(zc, kernel_threads, faults));
+                    if faulty {
+                        assert!(
+                            r.metrics.retries > 0 || r.metrics.faults_injected == 0,
+                            "injected faults were never retried"
                         );
                     }
+                    assert_eq!(
+                        visits_from_paths(&r, g.num_vertices()),
+                        reference,
+                        "graph seed {graph_seed}, {name}, kt={kernel_threads}, faults={faulty}"
+                    );
                 }
             }
         }
     }
 }
 
-/// Acceptance check for the sharded reshuffle: `reshuffle_threads` ∈
-/// {1, 2, 4, 8} produce **bit-identical** runs — paths, visit counts,
-/// simulated clock, and the full device-stats breakdown. Only the
-/// wall-clock/fan-out bookkeeping may differ.
-#[test]
-fn sharded_reshuffle_is_bit_identical_across_thread_counts() {
-    for graph_seed in [2u64, 5] {
-        let g = random_graph(graph_seed);
-        for (name, alg, zc) in algorithms() {
-            let fingerprint = |threads: usize| {
-                run_engine(&g, &alg, config(zc, 1, threads, None)).deterministic_fingerprint()
-            };
-            let serial = fingerprint(1);
-            for threads in [2usize, 4, 8] {
-                assert_eq!(
-                    fingerprint(threads),
-                    serial,
-                    "graph seed {graph_seed}, {name}: reshuffle_threads={threads} \
-                     diverged from the serial pipeline"
-                );
-            }
-        }
-    }
-}
-
 /// Acceptance check for the persistent executor and the speculative
-/// drain (DESIGN.md §11): `kernel_threads` ∈ {2, 4, 8} × `reshuffle_threads`
-/// ∈ {1, same} — pooled kernels, pooled reshuffle, speculation hits —
-/// produce runs **bit-identical** to the `kernel_threads: 1` reference
-/// (inline stepping, no speculation): paths, visit counts, simulated
-/// clock, full device-stats breakdown, with and without injected
-/// retryable faults. Both drain shapes must provably run: the reference
+/// drain (DESIGN.md §11) and for the sharded reshuffle (§10):
+/// `kernel_threads` ∈ {2, 4, 8} — pooled kernels, pooled reshuffle,
+/// speculation hits — produce runs **bit-identical** to the
+/// `kernel_threads: 1` reference (inline stepping, serial reshuffle, no
+/// speculation): paths, visit counts, simulated clock, full device-stats
+/// breakdown, with and without injected retryable faults. Only the
+/// wall-clock/fan-out bookkeeping may differ. Both drain shapes must provably run: the reference
 /// never speculates, and some multi-thread run uses a speculation.
 #[test]
 fn pooled_speculative_runs_match_the_serial_reference() {
-    for graph_seed in [4u64, 9] {
+    for graph_seed in [2u64, 4, 5, 9] {
         let g = random_graph(graph_seed);
         for (name, alg, zc) in algorithms() {
-            let run = |kernel_threads: usize, reshuffle_threads: usize, fault_seed: Option<u64>| {
+            let run = |kernel_threads: usize, fault_seed: Option<u64>| {
                 let faults = fault_seed.map(|s| FaultPlan::retryable_only(s, 0.05));
-                run_engine(
-                    &g,
-                    &alg,
-                    config(zc, kernel_threads, reshuffle_threads, faults),
-                )
+                run_engine(&g, &alg, config(zc, kernel_threads, faults))
             };
             let mut spec_hits = 0;
             for fault_seed in [None, Some(11u64)] {
-                let reference = run(1, 1, fault_seed);
+                let reference = run(1, fault_seed);
                 assert_eq!(
                     reference.metrics.host_spec_hits + reference.metrics.host_spec_misses,
                     0,
@@ -203,18 +167,16 @@ fn pooled_speculative_runs_match_the_serial_reference() {
                 );
                 let reference = reference.deterministic_fingerprint();
                 for kernel_threads in [2usize, 4, 8] {
-                    for reshuffle_threads in [1, kernel_threads] {
-                        let r = run(kernel_threads, reshuffle_threads, fault_seed);
-                        spec_hits += r.metrics.host_spec_hits;
-                        assert_eq!(r.metrics.host_spawn_rounds, 0);
-                        assert_eq!(
-                            r.deterministic_fingerprint(),
-                            reference,
-                            "graph seed {graph_seed}, {name}, kt={kernel_threads}, \
-                             rt={reshuffle_threads}, faults={}: diverged from kernel_threads=1",
-                            fault_seed.is_some()
-                        );
-                    }
+                    let r = run(kernel_threads, fault_seed);
+                    spec_hits += r.metrics.host_spec_hits;
+                    assert_eq!(r.metrics.host_spawn_rounds, 0);
+                    assert_eq!(
+                        r.deterministic_fingerprint(),
+                        reference,
+                        "graph seed {graph_seed}, {name}, kt={kernel_threads}, faults={}: \
+                         diverged from kernel_threads=1",
+                        fault_seed.is_some()
+                    );
                 }
             }
             assert!(

@@ -1,7 +1,7 @@
 //! Mutation-aware differential battery (DESIGN.md §15): the engine's
-//! evolving-graph path — delta overlay, epoch seals, dirty-partition
-//! reloads, compaction — against the naive adjacency-list CPU walker in
-//! `lt_baselines::evolving`, replaying the *same seeded edge-update
+//! evolving-graph path — epoch seals that write the next CSR, then
+//! dirty-partition reloads — against the naive adjacency-list CPU walker
+//! in `lt_baselines::evolving`, replaying the *same seeded edge-update
 //! schedule* on both sides.
 //!
 //! Mutations are only sealed at inter-wave barriers (run to quiescence,
@@ -9,9 +9,8 @@
 //! wave's trajectories depend on the sealed adjacency alone, never on
 //! scheduling. The battery therefore demands **bit-identical** visit
 //! fingerprints across kernel-thread counts (the non-speculating serial
-//! drain at 1, pooled speculative drains above), retryable fault
-//! injection, and compaction cadence — none of which may leak into what a
-//! walker observes.
+//! drain at 1, pooled speculative drains above) and retryable fault
+//! injection — neither of which may leak into what a walker observes.
 
 mod common;
 
@@ -73,19 +72,7 @@ fn schedule(g: &Csr, schedule_seed: u64, waves: usize, per_wave: usize, walks: u
         .collect()
 }
 
-/// When (relative to seals) the engine folds its overlay into a new base.
-#[derive(Clone, Copy, Debug)]
-enum Cadence {
-    /// Never compact: the overlay grows for the whole run.
-    Never,
-    /// Explicit compaction after every seal.
-    EverySeal,
-    /// Auto-compaction via `compaction_threshold = 1` (any non-empty
-    /// overlay compacts inside the seal itself).
-    Auto,
-}
-
-fn config(kernel_threads: usize, faults: Option<FaultPlan>, cadence: Cadence) -> EngineConfig {
+fn config(kernel_threads: usize, faults: Option<FaultPlan>) -> EngineConfig {
     EngineConfig {
         batch_capacity: 128,
         seed: SEED,
@@ -93,10 +80,6 @@ fn config(kernel_threads: usize, faults: Option<FaultPlan>, cadence: Cadence) ->
         attribution: true,
         zero_copy: ZeroCopyPolicy::adaptive(),
         kernel_threads,
-        compaction_threshold: match cadence {
-            Cadence::Auto => 1,
-            _ => 0,
-        },
         gpu: GpuConfig {
             faults,
             ..GpuConfig::default()
@@ -114,14 +97,13 @@ fn drain(s: &mut Session) -> RunResult {
 
 /// Drive the wave schedule through the engine: inject (ids offset past
 /// earlier waves so every trajectory draws distinct randomness), run to
-/// quiescence, seal the wave's updates, optionally compact. Returns the
-/// final cumulative result.
+/// quiescence, seal the wave's updates. Returns the final cumulative
+/// result.
 fn run_engine_waves(
     g: &Arc<Csr>,
     alg: &Arc<dyn WalkAlgorithm>,
     cfg: EngineConfig,
     waves: &[Wave],
-    cadence: Cadence,
 ) -> RunResult {
     let mut s = LightTraffic::session(g.clone(), alg.clone(), cfg).expect("pools fit");
     let mut next_id = 0u64;
@@ -136,9 +118,6 @@ fn run_engine_waves(
         last = Some(drain(&mut s));
         s.mutate(wave.updates.clone()).expect("schedule is valid");
         s.seal_epoch().expect("seal succeeds");
-        if matches!(cadence, Cadence::EverySeal) {
-            s.compact();
-        }
     }
     last.expect("schedule has at least one wave")
 }
@@ -171,10 +150,9 @@ fn temporal_graph() -> Arc<Csr> {
 
 /// The battery: for a skewed static-start graph under DeepWalk-style
 /// uniform walks and a timestamped graph under temporal walks, every
-/// point of the kernel-threads × faults × compaction-cadence grid
-/// reproduces the naive CPU walker's visits exactly, and every pooled run
-/// equals the `kernel_threads: 1` run on the full deterministic
-/// fingerprint.
+/// point of the kernel-threads × faults grid reproduces the naive CPU
+/// walker's visits exactly, and every pooled run equals the
+/// `kernel_threads: 1` run on the full deterministic fingerprint.
 #[test]
 fn evolving_engine_matches_naive_walker_across_execution_grid() {
     let workloads: Vec<(&str, Arc<Csr>, Arc<dyn WalkAlgorithm>)> = vec![
@@ -203,35 +181,31 @@ fn evolving_engine_matches_naive_walker_across_execution_grid() {
 
         let mut spec_hits = 0;
         for faults in [None, Some(FaultPlan::retryable_only(7, 0.05))] {
-            for cadence in [Cadence::Never, Cadence::EverySeal, Cadence::Auto] {
-                let faulty = faults.is_some();
-                // `kernel_threads: 1` steps inline and never speculates:
-                // the engine-side reference the pooled runs must equal.
-                let mut reference = None;
-                for kernel_threads in [1usize, 2, 4, 8] {
-                    let cfg = config(kernel_threads, faults.clone(), cadence);
-                    let r = run_engine_waves(&g, &alg, cfg, &waves, cadence);
-                    let at = format!(
-                        "{name}: kt={kernel_threads}, faults={faulty}, cadence={cadence:?}"
-                    );
-                    assert_eq!(
-                        visits_from_paths(&r, g.num_vertices()),
-                        expected,
-                        "{at} diverged from the naive walker"
-                    );
-                    assert_eq!(r.metrics.total_steps, baseline.metrics.total_steps);
-                    assert_eq!(r.metrics.finished_walks, baseline.metrics.finished_walks);
-                    if kernel_threads == 1 {
-                        assert_eq!(r.metrics.host_spec_hits + r.metrics.host_spec_misses, 0);
-                    }
-                    spec_hits += r.metrics.host_spec_hits;
-                    let fp = r.deterministic_fingerprint();
-                    assert_eq!(
-                        *reference.get_or_insert_with(|| fp.clone()),
-                        fp,
-                        "{at} diverged from kernel_threads=1"
-                    );
+            let faulty = faults.is_some();
+            // `kernel_threads: 1` steps inline and never speculates: the
+            // engine-side reference the pooled runs must equal.
+            let mut reference = None;
+            for kernel_threads in [1usize, 2, 4, 8] {
+                let cfg = config(kernel_threads, faults.clone());
+                let r = run_engine_waves(&g, &alg, cfg, &waves);
+                let at = format!("{name}: kt={kernel_threads}, faults={faulty}");
+                assert_eq!(
+                    visits_from_paths(&r, g.num_vertices()),
+                    expected,
+                    "{at} diverged from the naive walker"
+                );
+                assert_eq!(r.metrics.total_steps, baseline.metrics.total_steps);
+                assert_eq!(r.metrics.finished_walks, baseline.metrics.finished_walks);
+                if kernel_threads == 1 {
+                    assert_eq!(r.metrics.host_spec_hits + r.metrics.host_spec_misses, 0);
                 }
+                spec_hits += r.metrics.host_spec_hits;
+                let fp = r.deterministic_fingerprint();
+                assert_eq!(
+                    *reference.get_or_insert_with(|| fp.clone()),
+                    fp,
+                    "{at} diverged from kernel_threads=1"
+                );
             }
         }
         assert!(spec_hits > 0, "{name}: no pooled run used a speculation");
@@ -248,8 +222,8 @@ fn mid_flight_seals_are_reproducible() {
     let alg: Arc<dyn WalkAlgorithm> = Arc::new(UniformSampling::new(8));
     let waves = schedule(&g, 99, 3, 32, 256);
     let run = || {
-        let mut s = LightTraffic::session(g.clone(), alg.clone(), config(1, None, Cadence::Never))
-            .expect("pools fit");
+        let mut s =
+            LightTraffic::session(g.clone(), alg.clone(), config(1, None)).expect("pools fit");
         s.inject_walks(256);
         for wave in &waves {
             // Seal after a bounded slice, with walks still in flight.

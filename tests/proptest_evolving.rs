@@ -1,14 +1,14 @@
 //! Property tests of the evolving-graph layer (DESIGN.md §15): arbitrary
 //! interleavings of bounded run slices, epoch seals carrying arbitrary
-//! insert/delete schedules, overlay compactions, and checkpoint/restore —
-//! under arbitrary engine configurations.
+//! insert/delete schedules, and checkpoint/restore — under arbitrary
+//! engine configurations.
 //!
 //! Two invariants are pinned:
 //!
-//! 1. **Compaction transparency**: dropping (or keeping) every compaction
-//!    in an interleaving changes nothing a walk or the simulated device
-//!    can observe — compaction only moves the sealed adjacency between
-//!    storage forms.
+//! 1. **Barrier determinism**: seals placed between arbitrary run slices,
+//!    with walks in flight, give the same walks, simulated clock and
+//!    traffic whatever the kernel thread count — a seal is a barrier,
+//!    so nothing a pooled drain does can straddle it.
 //! 2. **Epoch-pinned replay**: a checkpoint taken at epoch E replays
 //!    identically on a fresh engine brought to the same epoch, no matter
 //!    what mutations the original engine sealed afterwards; and it refuses
@@ -35,8 +35,6 @@ enum EvolveOp {
     Slice(u64),
     /// Buffer a mutation schedule and seal it as one epoch.
     Seal(Vec<RawUpdate>),
-    /// Fold the overlay into a fresh base CSR.
-    Compact,
 }
 
 fn ops_strategy() -> impl Strategy<Value = Vec<EvolveOp>> {
@@ -44,15 +42,14 @@ fn ops_strategy() -> impl Strategy<Value = Vec<EvolveOp>> {
         prop_oneof![
             (1u64..6).prop_map(EvolveOp::Slice),
             raw_updates_strategy(24).prop_map(EvolveOp::Seal),
-            Just(EvolveOp::Compact),
         ],
         1..12,
     )
 }
 
 /// Trajectory-and-traffic fingerprint of a finished run. Host wall-clock
-/// and compaction bookkeeping are excluded by construction: only fields a
-/// compaction or checkpoint could never legitimately change are compared.
+/// bookkeeping is excluded by construction: only fields a thread count
+/// or checkpoint could never legitimately change are compared.
 type Fingerprint = (Option<Vec<u64>>, u64, u64, u64, u64, u64, u64);
 
 fn fingerprint(r: &RunResult) -> Fingerprint {
@@ -74,16 +71,15 @@ fn session(g: &Arc<Csr>, c: &ArbConfig, walks: u64) -> Session {
     s
 }
 
-/// Drive `ops` (honoring or skipping the compactions) and drain. A seal
-/// can legitimately fail terminally when inserts grow a partition past
-/// the block size under `ZeroCopyPolicy::Never`; the error message is the
-/// result then — both arms of a comparison must agree on it.
+/// Drive `ops` and drain. A seal can legitimately fail terminally when
+/// inserts grow a partition past the block size under
+/// `ZeroCopyPolicy::Never`; the error message is the result then — both
+/// arms of a comparison must agree on it.
 fn run_ops(
     g: &Arc<Csr>,
     c: &ArbConfig,
     walks: u64,
     ops: &[EvolveOp],
-    honor_compactions: bool,
 ) -> Result<Fingerprint, String> {
     let mut s = session(g, c, walks);
     for op in ops {
@@ -96,11 +92,6 @@ fn run_ops(
                 s.mutate(updates).map_err(|e| e.to_string())?;
                 s.seal_epoch().map_err(|e| e.to_string())?;
             }
-            EvolveOp::Compact => {
-                if honor_compactions {
-                    s.compact();
-                }
-            }
         }
     }
     match s.step(u64::MAX).map_err(|e| e.to_string())? {
@@ -112,20 +103,23 @@ fn run_ops(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Invariant 1: compacting at arbitrary points of an arbitrary
-    /// interleaving never changes walk output, the simulated clock, or
-    /// any traffic direction — including the reload bytes of subsequent
-    /// dirty seals.
+    /// Invariant 1: an arbitrary interleaving of slices and mid-flight
+    /// seals gives the same walk output, simulated clock and traffic in
+    /// every direction — including the reload bytes of each dirty seal —
+    /// on the serial drain as on the sampled thread count.
     #[test]
-    fn compaction_at_any_epoch_is_transparent(
+    fn interleaved_seals_are_thread_count_invariant(
         g in graph_strategy(),
         c in config_strategy(),
         ops in ops_strategy(),
     ) {
         let walks = g.num_vertices().min(800);
-        let with = run_ops(&g, &c, walks, &ops, true);
-        let without = run_ops(&g, &c, walks, &ops, false);
-        prop_assert_eq!(with, without, "compaction placement leaked into results");
+        let serial = ArbConfig { kernel_threads: 1, ..c.clone() };
+        prop_assert_eq!(
+            run_ops(&g, &c, walks, &ops),
+            run_ops(&g, &serial, walks, &ops),
+            "kernel_threads leaked across an epoch barrier"
+        );
     }
 
     /// Invariant 2: a checkpoint taken mid-flight at epoch E is a pure

@@ -1,18 +1,20 @@
 //! Property-based tests of the graph substrate: the builder's
-//! preprocessing, CSR structure, the range partitioner's invariants, and
-//! binary serialization — DESIGN.md invariants 1, 2 and 7.
+//! preprocessing, CSR structure, the range partitioner's invariants,
+//! binary serialization — DESIGN.md invariants 1, 2 and 7 — and the
+//! evolving layer's epoch seal (§15).
 //!
 //! Generators live in [`common`] and are shared with `proptest_engine`
 //! and `differential`.
 
 mod common;
 
-use common::{build_csr, edges_strategy};
+use common::{build_csr, edges_strategy, materialize_update, raw_updates_strategy};
+use lighttraffic::graph::delta::{DeltaGraph, EdgeOp};
 use lighttraffic::graph::gen::{with_random_timestamps, with_random_weights};
 use lighttraffic::graph::oocore::write_oocore;
-use lighttraffic::graph::{io, OocGraph, PartitionedGraph};
+use lighttraffic::graph::{io, OocGraph, PartitionedGraph, VertexId};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 proptest! {
@@ -143,6 +145,104 @@ proptest! {
             }
             std::fs::remove_file(&disk_path).ok();
             std::fs::remove_file(&ooc_path).ok();
+        }
+    }
+
+    /// The single-CSR seal against a naive per-vertex model applied op by
+    /// op, over arbitrary multi-epoch schedules on all three graph
+    /// flavors: duplicate edges, deletes of absent edges, several ops on
+    /// one source in one epoch, empty epochs, explicit and default
+    /// timestamps and weights. After every seal the sealed view and the
+    /// seal report equal the model's, and only a seal that changed a row
+    /// replaced the CSR.
+    #[test]
+    fn multi_epoch_seals_match_a_naive_adjacency_model(
+        edges in edges_strategy(),
+        epochs in prop::collection::vec(raw_updates_strategy(24), 1..6),
+        seed in 0u64..1000,
+    ) {
+        let Some(plain) = build_csr(&edges) else { return Ok(()); };
+        let weighted = with_random_weights(&plain, seed);
+        let temporal = with_random_timestamps(&plain, seed, 16);
+        for (flavor, g) in [("plain", plain), ("weighted", weighted), ("temporal", temporal)] {
+            let nv = g.num_vertices() as VertexId;
+            // One `(target, weight, timestamp)` row per vertex; the columns
+            // a flavor lacks carry the insert defaults and are not compared.
+            let mut model: Vec<Vec<(VertexId, f32, u32)>> = (0..nv)
+                .map(|v| {
+                    let w = g.neighbor_weights(v);
+                    let t = g.neighbor_timestamps(v);
+                    g.neighbors(v)
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &dst)| (dst, w.map_or(1.0, |w| w[k]), t.map_or(0, |t| t[k])))
+                        .collect()
+                })
+                .collect();
+            let mut dg = DeltaGraph::new(Arc::new(g));
+            for (i, raw) in epochs.iter().enumerate() {
+                let epoch = i as u64 + 1;
+                let before = Arc::clone(dg.base());
+                let (mut dirty, mut inserted, mut deleted) = (BTreeSet::new(), 0u64, 0u64);
+                for r in raw {
+                    // Bound to the *current* view, so aimed deletes hit
+                    // edges earlier epochs inserted too. An explicit
+                    // timestamp doubles as the source of an explicit weight.
+                    let mut u = materialize_update(r, dg.base());
+                    u.weight = u.timestamp.map(|t| t as f32 / 4.0);
+                    dg.buffer(u).unwrap();
+                    let row = &mut model[u.src as usize];
+                    match u.op {
+                        EdgeOp::Insert => {
+                            row.push((
+                                u.dst,
+                                u.weight.unwrap_or(1.0),
+                                u.timestamp.unwrap_or(epoch as u32),
+                            ));
+                            inserted += 1;
+                            dirty.insert(u.src);
+                        }
+                        EdgeOp::Delete => {
+                            if let Some(k) = row.iter().position(|e| e.0 == u.dst) {
+                                row.remove(k);
+                                deleted += 1;
+                                dirty.insert(u.src);
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(dg.pending(), raw.len());
+                let seal = dg.seal_epoch();
+                let at = format!("{flavor}, epoch {epoch}");
+                prop_assert_eq!(
+                    (seal.epoch, seal.inserted, seal.deleted),
+                    (epoch, inserted, deleted),
+                    "{}", at
+                );
+                prop_assert_eq!(&seal.dirty, &dirty.iter().copied().collect::<Vec<_>>(), "{}", at);
+                prop_assert_eq!((dg.epoch(), dg.pending()), (epoch, 0));
+                prop_assert_eq!(Arc::ptr_eq(dg.base(), &before), dirty.is_empty(), "{}", at);
+                prop_assert_eq!(
+                    dg.num_edges(),
+                    model.iter().map(|row| row.len() as u64).sum::<u64>()
+                );
+                for v in 0..nv {
+                    let row = &model[v as usize];
+                    let targets: Vec<_> = row.iter().map(|e| e.0).collect();
+                    prop_assert_eq!(dg.neighbors(v), &targets[..], "{}, vertex {}", at, v);
+                    prop_assert_eq!(dg.degree(v), row.len() as u64);
+                    if let Some(w) = dg.neighbor_weights(v) {
+                        let expected: Vec<_> = row.iter().map(|e| e.1).collect();
+                        prop_assert_eq!(w, &expected[..], "{}, vertex {} weights", at, v);
+                    }
+                    if let Some(t) = dg.neighbor_timestamps(v) {
+                        let expected: Vec<_> = row.iter().map(|e| e.2).collect();
+                        prop_assert_eq!(t, &expected[..], "{}, vertex {} timestamps", at, v);
+                    }
+                }
+                prop_assert_eq!(dg.is_weighted(), flavor == "weighted");
+                prop_assert_eq!(dg.is_temporal(), flavor == "temporal");
+            }
         }
     }
 
