@@ -1,11 +1,9 @@
 //! Criterion micro-benchmarks for the hot primitives behind the paper's
-//! figures: per-step sampling, the counter-based RNG, partition lookup,
-//! reshuffle ordering (two-level vs direct — the Figure 12 primitive),
+//! figures: per-step sampling, the counter-based RNG, partition lookup
 //! and partition extraction.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lt_engine::algorithm::{PageRank, StepContext, UniformSampling, WalkAlgorithm};
-use lt_engine::reshuffle::{write_order, ReshuffleMode};
 use lt_engine::rng;
 use lt_engine::walker::Walker;
 use lt_graph::gen::{rmat, RmatParams};
@@ -101,46 +99,6 @@ fn bench_partition_lookup(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_reshuffle(c: &mut Criterion) {
-    let graph = graph();
-    let pg = Arc::new(PartitionedGraph::build(graph.clone(), 16 << 10));
-    let n = 16_384usize;
-    let walkers: Vec<Walker> = (0..n as u64)
-        .map(|i| {
-            Walker::new(
-                i,
-                rng::uniform_index(rng::step_value(1, i, 0), graph.num_vertices()) as u32,
-            )
-        })
-        .collect();
-    let mut g = c.benchmark_group("reshuffle_order");
-    g.throughput(Throughput::Elements(n as u64));
-    for (name, mode) in [
-        ("two_level_1024", ReshuffleMode::default()),
-        (
-            "two_level_128",
-            ReshuffleMode::TwoLevel {
-                threads_per_block: 128,
-            },
-        ),
-        ("direct", ReshuffleMode::DirectWrite),
-    ] {
-        let pg = Arc::clone(&pg);
-        let walkers = walkers.clone();
-        g.bench_function(name, move |b| {
-            b.iter(|| {
-                black_box(write_order(
-                    walkers.clone(),
-                    &|w: &Walker| pg.partition_of(w.vertex),
-                    pg.num_partitions(),
-                    mode,
-                ))
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_generation(c: &mut Criterion) {
     let mut g = c.benchmark_group("generate");
     g.sample_size(10);
@@ -166,7 +124,6 @@ criterion_group!(
     bench_rng,
     bench_step,
     bench_partition_lookup,
-    bench_reshuffle,
     bench_generation,
     bench_alias,
     bench_reorder

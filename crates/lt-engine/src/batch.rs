@@ -71,6 +71,23 @@ impl WalkBatch {
         Ok(())
     }
 
+    /// Append a run of walkers with one copy (the bulk form of
+    /// [`WalkBatch::push`]).
+    ///
+    /// # Panics
+    /// Panics if the run does not fit in the remaining capacity.
+    #[inline]
+    pub(crate) fn extend_from_slice(&mut self, run: &[Walker]) {
+        assert!(
+            run.len() <= self.capacity - self.walkers.len(),
+            "run of {} walkers overflows a batch holding {} of {}",
+            run.len(),
+            self.walkers.len(),
+            self.capacity
+        );
+        self.walkers.extend_from_slice(run);
+    }
+
     /// The stored walkers.
     #[inline]
     pub fn walkers(&self) -> &[Walker] {
@@ -100,30 +117,35 @@ impl WalkBatch {
     }
 }
 
-/// Split a walker list into `chunks` contiguous runs in storage order,
-/// sizes differing by at most one (the first `len % chunks` chunks get
-/// the extra walker). This is the single source of the chunking rule:
-/// both [`WalkBatch::drain_chunks`] and the speculative pipelining path
-/// (which steps a *cloned* copy of a batch before it is popped) use it,
-/// so a validated speculation is guaranteed to have used the exact
-/// chunking the serial path would.
-pub(crate) fn split_chunks(mut ws: Vec<Walker>, chunks: usize) -> Vec<Vec<Walker>> {
+/// The index ranges of `chunks` contiguous runs over `len` walkers, sizes
+/// differing by at most one: chunk `k` starts at `k*base + min(k, extra)`,
+/// so the first `len % chunks` chunks carry the extra walker. This is the
+/// single source of the chunking rule: [`split_chunks`] cuts a drained
+/// batch by it and the speculative pipelining path copies a *peeked*
+/// batch by it, so a validated speculation is guaranteed to have used the
+/// exact chunking the serial path would.
+pub(crate) fn chunk_bounds(
+    len: usize,
+    chunks: usize,
+) -> impl DoubleEndedIterator<Item = std::ops::Range<usize>> + ExactSizeIterator {
     assert!(chunks > 0, "at least one chunk");
-    if chunks == 1 {
-        // The inline path: hand the input allocation straight through.
-        return vec![ws];
-    }
-    let base = ws.len() / chunks;
-    let extra = ws.len() % chunks;
+    let (base, extra) = (len / chunks, len % chunks);
+    let start = move |k: usize| k * base + k.min(extra);
+    (0..chunks).map(move |k| start(k)..start(k + 1))
+}
+
+/// Split a walker list into `chunks` contiguous runs in storage order by
+/// the [`chunk_bounds`] rule. Trailing chunks are empty when
+/// `chunks > len`.
+pub(crate) fn split_chunks(mut ws: Vec<Walker>, chunks: usize) -> Vec<Vec<Walker>> {
     // Cut tails off back to front so chunk 0 keeps the input allocation
-    // (one memcpy per non-head chunk, none for the head). Chunk `k`
-    // starts at `k*base + min(k, extra)` — the first `extra` chunks carry
-    // one extra walker.
-    let mut out = Vec::with_capacity(chunks);
-    for k in (1..chunks).rev() {
-        let start = k * base + k.min(extra);
-        out.push(ws.split_off(start));
-    }
+    // (one memcpy per non-head chunk, none for the head or the inline
+    // single-chunk path).
+    let mut out: Vec<Vec<Walker>> = chunk_bounds(ws.len(), chunks)
+        .skip(1)
+        .rev()
+        .map(|r| ws.split_off(r.start))
+        .collect();
     out.push(ws);
     out.reverse();
     out

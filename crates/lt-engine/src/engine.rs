@@ -15,15 +15,15 @@
 //! paper's CUDA streams do.
 
 use crate::algorithm::WalkAlgorithm;
-use crate::batch::{split_chunks, WalkBatch};
+use crate::batch::{chunk_bounds, WalkBatch};
 use crate::exec::{ExecPool, PendingGroup};
 use crate::graphpool::{DeviceGraphPool, GraphEviction};
 use crate::hostcache::HostDecodeCache;
 use crate::kernel::{self, GraphView, OocHostView, OwnedGraphView};
 use crate::metrics::{Metrics, RunResult};
-use crate::reshuffle::{self, ReshuffleMode};
+use crate::reshuffle::{LocalIndex, ReshuffleMode};
 use crate::walker::Walker;
-use crate::walkpool::{DeviceWalkPool, HostWalkPool, PoolFull};
+use crate::walkpool::{DeviceWalkPool, HostWalkPool, Shard};
 use lt_gpusim::sim::{Allocation, OutOfMemory};
 use lt_gpusim::{Category, CostModel, Direction, Gpu, GpuConfig, KernelCost, StreamId};
 use lt_graph::delta::{DeltaGraph, EdgeUpdate};
@@ -475,8 +475,7 @@ pub struct LightTraffic {
     /// the available parallelism).
     kernel_threads: usize,
     /// Persistent host worker pool every parallel phase runs on (kernel
-    /// chunks, reshuffle grouping, sharded inserts, out-of-core decode,
-    /// speculative stepping).
+    /// chunks, out-of-core decode, speculative stepping).
     exec: Arc<ExecPool>,
     /// Whether the previous partition drain speculated (`None` before
     /// the first drain); a drain whose gate differs counts one
@@ -490,6 +489,9 @@ pub struct LightTraffic {
     /// ([`Self::launch_speculation`] fills one, the validation site
     /// returns it).
     spec_bufs: Vec<Vec<Walker>>,
+    /// The reshuffle's local index (Algorithm 1): the recycled buffers
+    /// [`Self::finish_kernel`] counting-sorts each kernel's movers into.
+    local_index: LocalIndex,
     /// Partitions degraded to zero-copy access after repeated corrupted
     /// loads (fault recovery, alongside `oversized`).
     degraded: Vec<bool>,
@@ -670,6 +672,7 @@ impl LightTraffic {
             last_drain_speculated: None,
             scratch: Arc::new(kernel::ScratchPool::new()),
             spec_bufs: Vec::new(),
+            local_index: LocalIndex::default(),
             degraded: vec![false; p as usize],
             corrupt_loads: vec![0; p as usize],
             tag_deltas: std::collections::BTreeMap::new(),
@@ -1847,12 +1850,12 @@ impl LightTraffic {
         }
     }
 
-    /// Clone the predicted next walkers and submit them to the pool as
-    /// one ordered group of chunk-step tasks, split with the exact
-    /// chunking rule the serial path uses ([`crate::batch`]'s
-    /// `split_chunks`). Stepping is pure — counter-based walker RNG, all
-    /// simulated cost charged separately at merge time — so a validated
-    /// speculation is indistinguishable from stepping after the acquire.
+    /// Copy the predicted next walkers and submit them to the pool as
+    /// one ordered group of chunk-step tasks, cut with the exact chunking
+    /// rule the serial path uses ([`chunk_bounds`]). Stepping is pure —
+    /// counter-based walker RNG, all simulated cost charged separately at
+    /// merge time — so a validated speculation is indistinguishable from
+    /// stepping after the acquire.
     fn launch_speculation(&mut self, i: PartitionId, use_zc: bool) -> Option<Speculation> {
         // Zero copy over an out-of-core store steps against a per-batch
         // host view whose partition set depends on the batch actually
@@ -1862,34 +1865,24 @@ impl LightTraffic {
         if use_zc && self.host_cache.is_some() {
             return None;
         }
-        // Copy the prediction into a recycled buffer (the clone is
-        // unavoidable — the workers need owned walkers — but the
-        // allocation is not).
-        let mut walkers = self.spec_bufs.pop().unwrap_or_default();
-        debug_assert!(walkers.is_empty());
-        let predicted = match self.predict_next_walkers(i) {
-            Some(ws) => {
-                walkers.extend_from_slice(ws);
-                true
-            }
-            None => false,
-        };
-        if !predicted {
-            self.recycle_spec_buf(walkers);
-            return None;
-        }
-        let chunks = kernel::plan_chunks(walkers.len(), self.kernel_threads);
         let view = if use_zc {
             OwnedGraphView::Host(Arc::clone(self.pg.csr()))
         } else {
-            match self.graph_pool.get_arc(i) {
-                Some(d) => OwnedGraphView::Resident(d),
-                None => {
-                    self.recycle_spec_buf(walkers);
-                    return None;
-                }
-            }
+            OwnedGraphView::Resident(self.graph_pool.get_arc(i)?)
         };
+        // The prediction is copied twice, which is the minimum: once into
+        // a recycled buffer that stays behind for validation, and once
+        // into the per-chunk vectors the workers own.
+        let mut walkers = self.spec_bufs.pop().unwrap_or_default();
+        debug_assert!(walkers.is_empty());
+        match self.predict_next_walkers(i) {
+            Some(ws) => walkers.extend_from_slice(ws),
+            None => {
+                self.recycle_spec_buf(walkers);
+                return None;
+            }
+        }
+        let chunks = kernel::plan_chunks(walkers.len(), self.kernel_threads);
         let task = Arc::new(kernel::OwnedKernelTask {
             view,
             alg: Arc::clone(&self.alg),
@@ -1902,10 +1895,10 @@ impl LightTraffic {
             scratch: Some(Arc::clone(&self.scratch)),
         });
         let tasks: Vec<Box<dyn FnOnce() -> kernel::ChunkOutput + Send + 'static>> =
-            split_chunks(walkers.clone(), chunks)
-                .into_iter()
-                .map(|ws| {
+            chunk_bounds(walkers.len(), chunks)
+                .map(|r| {
                     let task = Arc::clone(&task);
+                    let ws = walkers[r].to_vec();
                     Box::new(move || kernel::step_chunk(&task.as_task(), ws)) as _
                 })
                 .collect();
@@ -2077,7 +2070,6 @@ impl LightTraffic {
         // and the reshuffle input come out exactly as with one thread.
         let mut steps: u64 = 0;
         let mut finished: u64 = 0;
-        let mut moved: Vec<Walker> = Vec::new();
         // Per-tag steps of *this* kernel, needed only to weight the
         // zero-copy H2D charge below (tag_deltas is cumulative, so the
         // raw map cannot serve). Rather than a second per-visit counting
@@ -2091,7 +2083,7 @@ impl LightTraffic {
         } else {
             Vec::new()
         };
-        for mut o in outputs {
+        for o in &outputs {
             steps += o.steps;
             finished += o.finished;
             if self.cfg.track_tags {
@@ -2115,21 +2107,18 @@ impl LightTraffic {
                 }
             }
             if let Some(counts) = self.visit_counts.as_mut() {
-                for v in o.visits.drain(..) {
+                for &v in &o.visits {
                     counts[v as usize] += 1;
                 }
             }
             if let Some(paths) = self.paths.as_mut() {
-                for (id, v) in o.path_events.drain(..) {
+                for &(id, v) in &o.path_events {
                     paths.push(id, v);
                 }
             }
-            for l in o.lengths.drain(..) {
+            for &l in &o.lengths {
                 self.metrics.record_length(l);
             }
-            moved.append(&mut o.moved);
-            // Merged out: hand the buffer back for the next round's chunks.
-            self.scratch.put(o);
         }
         self.metrics.host_kernel_wall_ns += wall_ns;
         self.metrics.host_kernels += 1;
@@ -2140,84 +2129,41 @@ impl LightTraffic {
         self.active -= finished;
         self.metrics.total_steps += steps;
         self.metrics.finished_walks += finished;
-        let n_moved = moved.len() as u64;
         let np = self.pg.num_partitions();
-        let pg = Arc::clone(&self.pg);
-        // Reshuffle pipeline (DESIGN.md §10), wall-clocked end to end.
-        // Phase A groups leavers by target partition with the two-phase
-        // parallel counting sort; phase B inserts each group into its
-        // shard of the device pool, shards processed in parallel. Both
-        // phases are bit-identical for any `kernel_threads`: grouping
-        // preserves arrival order per partition, and every insert/evict
-        // decision is shard-local while the shard layout is structural.
+        // Reshuffle (DESIGN.md §10), wall-clocked end to end: one stable
+        // counting sort of the movers by target partition, read straight
+        // out of the chunk outputs in chunk order, then one bulk insert
+        // per run, shard-major. It runs here on the scheduler thread,
+        // where it overlaps the workers' speculative step of the next
+        // batch. Every insert and evict decision is a function of the
+        // batch and the (structural) shard layout alone.
         let rs_wall = Instant::now();
-        let mut groups = reshuffle::partition_groups_pooled(
-            moved,
-            &|w: &Walker| pg.partition_of(w.vertex),
-            np,
-            self.kernel_threads,
-            &self.exec,
+        self.local_index.sort(
+            outputs.iter().map(|o| o.moved.as_slice()),
+            self.pg.boundaries(),
         );
         debug_assert!(
-            groups[part as usize].is_empty(),
+            self.local_index.run(part).is_empty(),
             "multi-step walking never reinserts locally"
         );
-        let num_shards = self.device_pool.num_shards();
-        // Per-shard work lists in ascending partition order — the same
-        // order a serial pass over the grouped output would insert in.
-        let mut shard_work: Vec<Vec<(PartitionId, Vec<Walker>)>> =
-            (0..num_shards).map(|_| Vec::new()).collect();
-        for (p, g) in groups.iter_mut().enumerate() {
-            if !g.is_empty() {
-                shard_work[p % num_shards].push((p as PartitionId, std::mem::take(g)));
-            }
-        }
-        // Phase B: contiguous shard chunks per pool task, each task owning
-        // disjoint `&mut Shard`s plus shared read-only views for the
-        // eviction heuristic. Evicted batches are collected per shard;
-        // their D2H copies are charged *after* the phase, sequentially in
-        // shard order, so the simulated timeline is schedule-independent.
-        let selective = self.cfg.selective;
-        let host = &self.host_pool;
-        let graph = &self.graph_pool;
-        // Same min-work floor as phase A: with few movers the dispatch
-        // overhead dwarfs the inserts, so degrade to the inline loop. Safe —
-        // the outcome is worker-count invariant by construction.
-        let worthy = (n_moved as usize / reshuffle::MIN_MOVERS_PER_WORKER).max(1);
-        let workers = self.kernel_threads.clamp(1, num_shards.min(worthy));
-        let evicted: Vec<WalkBatch> = {
-            let shards = self.device_pool.shards_mut();
-            if workers <= 1 {
-                let mut out = Vec::new();
-                for (shard, work) in shards.iter_mut().zip(shard_work) {
-                    out.extend(insert_into_shard(shard, work, host, graph, selective, part));
-                }
-                out
-            } else {
-                let chunk = num_shards.div_ceil(workers);
-                let mut work_iter = shard_work.into_iter();
-                let tasks: Vec<Box<dyn FnOnce() -> Vec<WalkBatch> + Send + '_>> = shards
-                    .chunks_mut(chunk)
-                    .map(|sc| {
-                        let wc: Vec<_> = work_iter.by_ref().take(sc.len()).collect();
-                        Box::new(move || {
-                            let mut out = Vec::new();
-                            for (shard, work) in sc.iter_mut().zip(wc) {
-                                out.extend(insert_into_shard(
-                                    shard, work, host, graph, selective, part,
-                                ));
-                            }
-                            out
-                        }) as _
-                    })
-                    .collect();
-                self.exec.run_ordered(tasks).into_iter().flatten().collect()
-            }
-        };
+        let evicted = insert_runs(
+            self.device_pool.shards_mut(),
+            &self.local_index,
+            &self.host_pool,
+            &self.graph_pool,
+            self.cfg.selective,
+            part,
+        );
         self.metrics.host_reshuffle_wall_ns += rs_wall.elapsed().as_nanos() as u64;
         self.metrics.host_reshuffles += 1;
-        self.metrics.max_reshuffle_threads = self.metrics.max_reshuffle_threads.max(workers as u64);
-        // Charge the evictions' D2H copies in shard order. Every moved
+        self.metrics.max_reshuffle_threads = 1;
+        let n_moved = self.local_index.len() as u64;
+        // Merged and sorted out: hand the buffers back for the next
+        // round's chunks.
+        for o in outputs {
+            self.scratch.put(o);
+        }
+        // Charge the evictions' D2H copies in eviction order. Every moved
         // walker is already inside the device pool, so even a fatal copy
         // fault here leaves the walk index intact: the remaining evicted
         // batches are parked on the host before the error surfaces.
@@ -2243,7 +2189,7 @@ impl LightTraffic {
                 return Err(e);
             }
         }
-        let two_level = matches!(self.cfg.reshuffle, ReshuffleMode::TwoLevel { .. });
+        let two_level = self.cfg.reshuffle == ReshuffleMode::TwoLevel;
         let working_set = self.pg.partition_bytes(part);
         let kcost = KernelCost {
             update_ns: self.cost.step_time_in(steps, working_set),
@@ -2404,54 +2350,53 @@ fn pick_victim(
     }
 }
 
-/// Phase-B worker body of the reshuffle pipeline: insert one shard's
-/// partition groups (ascending partition order, arrival order within each
-/// group) into the shard, evicting a shard-local victim whenever the
-/// shard's free list runs dry. Returns the evicted batches in eviction
-/// order; the caller charges their D2H copies sequentially in shard order.
+/// The insert half of the reshuffle: copy every run of the sorted movers
+/// into its frontier — shards `0..S`, within a shard its partitions
+/// ascending, within a partition arrival order — evicting a shard-local
+/// victim whenever a promotion finds the shard's free list empty.
+/// Returns the evicted batches in eviction order; the caller charges
+/// their D2H copies afterwards, so the host pool the victim heuristic
+/// reads does not change during the phase.
 ///
-/// Livelock audit, per shard: `try_insert` fails only when the shard's
-/// free list is empty; the `2P + S` floor pins exactly `2·Pₛ` blocks per
-/// shard to frontier/reserve pairs, so every remaining block then holds a
-/// queued batch and `evict_queue_batch` frees exactly one — even when the
-/// only victim is the protected partition itself. The next `try_insert`
-/// succeeds, so the loop runs at most twice per walker.
-fn insert_into_shard(
-    shard: &mut crate::walkpool::Shard,
-    work: Vec<(PartitionId, Vec<Walker>)>,
+/// Livelock audit, per shard: `insert_run` stops early only when the
+/// shard's free list is empty; the `2P + S` floor pins exactly `2·Pₛ`
+/// blocks per shard to frontier/reserve pairs, so every remaining block
+/// then holds a queued batch and `evict_queue_batch` frees exactly one —
+/// even when the only victim is the protected partition itself. The next
+/// `insert_run` promotes and takes at least one walker, so the loop
+/// evicts at most once per frontier block the run fills.
+fn insert_runs(
+    shards: &mut [Shard],
+    movers: &LocalIndex,
     host: &HostWalkPool,
     graph: &DeviceGraphPool,
     selective: bool,
     protect: PartitionId,
 ) -> Vec<WalkBatch> {
     let mut evicted = Vec::new();
-    for (p, ws) in work {
-        for w in ws {
-            loop {
-                match shard.try_insert(p, w) {
-                    Ok(()) => break,
-                    Err(PoolFull) => {
-                        debug_assert!(
-                            shard.eviction_candidate_exists(),
-                            "full shard without an eviction victim breaks the 2P+S floor"
-                        );
-                        let candidates: Vec<PartitionId> =
-                            shard.partitions_with_queued_batches().collect();
-                        let victim = pick_victim(
-                            &candidates,
-                            host,
-                            |q| shard.count(q),
-                            graph,
-                            selective,
-                            protect,
-                        );
-                        evicted.push(
-                            shard
-                                .evict_queue_batch(victim)
-                                .expect("victim has a queued batch"),
-                        );
-                    }
-                }
+    for shard in shards {
+        for p in shard.partitions() {
+            let mut run = shard.insert_run(p, movers.run(p));
+            while !run.is_empty() {
+                debug_assert!(
+                    shard.eviction_candidate_exists(),
+                    "full shard without an eviction victim breaks the 2P+S floor"
+                );
+                let candidates: Vec<PartitionId> = shard.partitions_with_queued_batches().collect();
+                let victim = pick_victim(
+                    &candidates,
+                    host,
+                    |q| shard.count(q),
+                    graph,
+                    selective,
+                    protect,
+                );
+                evicted.push(
+                    shard
+                        .evict_queue_batch(victim)
+                        .expect("victim has a queued batch"),
+                );
+                run = shard.insert_run(p, run);
             }
         }
     }

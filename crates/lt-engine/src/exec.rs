@@ -226,7 +226,7 @@ impl<T> Drop for PendingGroup<T> {
 }
 
 /// Long-lived worker pool with ordered joins.  One per engine; shared by
-/// kernel chunk stepping, reshuffle phase A/B and speculative stepping.
+/// kernel chunk stepping, out-of-core decode and speculative stepping.
 pub struct ExecPool {
     inner: Arc<Inner>,
     handles: Vec<JoinHandle<()>>,

@@ -105,36 +105,6 @@ impl GraphView<'_> {
             }
         }
     }
-
-    /// Hint the offsets cache line of `v` — the first load of a neighbor
-    /// lookup. Out-of-partition vertices are ignored by the resident view.
-    #[inline]
-    fn prefetch_offsets(&self, v: VertexId) {
-        match self {
-            GraphView::Resident(d) => d.prefetch_offsets(v),
-            GraphView::Host(g) => g.prefetch_offsets(v),
-            GraphView::OocHost(h) => {
-                if let Some(d) = h.find(v) {
-                    d.prefetch_offsets(v);
-                }
-            }
-        }
-    }
-
-    /// Hint the start of `v`'s edge (and weight) row — the second load of
-    /// a neighbor lookup. Issue after [`GraphView::prefetch_offsets`].
-    #[inline]
-    fn prefetch_edges(&self, v: VertexId) {
-        match self {
-            GraphView::Resident(d) => d.prefetch_edges(v),
-            GraphView::Host(g) => g.prefetch_edges(v),
-            GraphView::OocHost(h) => {
-                if let Some(d) = h.find(v) {
-                    d.prefetch_edges(v);
-                }
-            }
-        }
-    }
 }
 
 /// Smallest chunk worth a thread: below this, dispatch overhead dwarfs
@@ -372,72 +342,24 @@ impl OwnedKernelTask {
     }
 }
 
-/// Number of walkers stepped round-robin by the interleaved core. Eight
-/// in-flight lookups cover the typical L2 miss latency without spilling
-/// the active set out of registers/L1 (ThunderRW uses the same order of
-/// magnitude).
-const INTERLEAVE_WIDTH: usize = 8;
-
-/// Chunks below this run the plain sequential core: with fewer walkers
-/// than two interleave groups the bookkeeping outweighs the latency
-/// hiding.
-const INTERLEAVE_MIN: usize = 2 * INTERLEAVE_WIDTH;
-
-/// Step every walker of one chunk until it terminates or leaves the task's
-/// range.
+/// Step every walker of one chunk, one at a time and each to its exit:
+/// until it terminates or leaves the task's range.
 ///
-/// This is the kernel core shared by every stepping site: the
+/// This is the one kernel core, shared by every stepping site: the
 /// `kernel_threads = 1` path runs it inline on the whole batch, the
-/// parallel paths run it once per chunk on worker threads. Large chunks
-/// go through the step-interleaved core (software-prefetched groups of
-/// [`INTERLEAVE_WIDTH`] walkers), small ones through the sequential
-/// loop; both produce identical [`ChunkOutput`]s — see the determinism
-/// argument on [`step_chunk_interleaved`].
+/// parallel paths run it once per chunk on worker threads. `moved` and
+/// `lengths` are emitted in walker order with no staging.
+///
+/// There is deliberately no step-interleaved variant (ThunderRW-style
+/// groups of walkers with software prefetch): interleaving pays when a
+/// walker stays resident long enough to prefetch its next lookup, and an
+/// out-of-memory engine at ~50 partitions sees 98 % of all steps leave
+/// the partition — one step per residency (measured, DESIGN.md §12).
 pub(crate) fn step_chunk(task: &KernelTask<'_>, walkers: Vec<Walker>) -> ChunkOutput {
     let mut out = match task.scratch {
         Some(s) => s.take(walkers.len(), task.track_visits, task.track_paths),
         None => ChunkOutput::with_capacity(walkers.len(), task.track_visits, task.track_paths),
     };
-    if walkers.len() >= INTERLEAVE_MIN {
-        step_chunk_interleaved(task, walkers, &mut out);
-    } else {
-        step_chunk_sequential(task, walkers, &mut out);
-    }
-    out
-}
-
-/// One step of `w` against the task's view — the single-sourced step body
-/// of both kernel cores. Second-order context: the previous vertex's
-/// adjacency is served when it is readable from this kernel's view
-/// (always via zero copy; only in-partition when resident — the asymmetry
-/// second-order systems accept).
-#[inline]
-fn step_once(task: &KernelTask<'_>, w: &Walker) -> StepDecision {
-    let (neighbors, weights, timestamps) = task.view.neighbors(w.vertex);
-    // `aux` is only a vertex id for second-order walks; temporal walks
-    // store their clock there, which can exceed |V| — the bounds guard
-    // keeps the lookup safe (temporal walks ignore `prev_neighbors`, so a
-    // small clock aliasing a vertex id is harmless and deterministic).
-    let prev_neighbors = match (&task.view, w.aux) {
-        (_, VertexId::MAX) => None,
-        (GraphView::Host(g), aux) if (aux as u64) < task.num_vertices => Some(g.neighbors(aux)),
-        (GraphView::Resident(d), aux) if d.contains(aux) => Some(d.neighbors(aux)),
-        (GraphView::OocHost(h), aux) if (aux as u64) < task.num_vertices => h.prev_neighbors(aux),
-        _ => None,
-    };
-    let ctx = StepContext {
-        neighbors,
-        weights,
-        prev_neighbors,
-        timestamps,
-        num_vertices: task.num_vertices,
-    };
-    task.alg.step(w, ctx, task.seed)
-}
-
-/// The classic one-walker-at-a-time core: each walker runs to its exit
-/// before the next starts.
-fn step_chunk_sequential(task: &KernelTask<'_>, walkers: Vec<Walker>, out: &mut ChunkOutput) {
     for mut w in walkers {
         debug_assert!(task.range.contains(&w.vertex), "batch invariant violated");
         loop {
@@ -471,121 +393,35 @@ fn step_chunk_sequential(task: &KernelTask<'_>, walkers: Vec<Walker>, out: &mut 
             }
         }
     }
+    out
 }
 
-/// Where one walker of an interleaved chunk ended up, recorded by chunk
-/// position so the order-sensitive outputs can be emitted in the exact
-/// order the sequential core would.
-enum Outcome {
-    /// Left the task's range (reshuffle input).
-    Moved(Walker),
-    /// Terminated after `steps` steps; `tag` is the owning job slot
-    /// (meaningful only when tags are tracked).
-    Finished { steps: u32, tag: u32 },
-}
-
-/// The ThunderRW-style interleaved core: up to [`INTERLEAVE_WIDTH`]
-/// walkers advance round-robin, and each round first hints every active
-/// walker's offsets row, then every edge row, before any walker steps —
-/// so the CSR's dependent random loads overlap instead of serializing.
-///
-/// Determinism: trajectories are pure in `(seed, walk_id, step)`, so the
-/// stepping order cannot change any walker's path. The order-sensitive
-/// outputs (`moved`, `lengths`) are staged per chunk position in
-/// `outcomes` and emitted in position order afterwards, which is exactly
-/// the sequential core's emission order. `visits`/`path_events` interleave
-/// across walkers but stay in step order per walk id, and their consumers
-/// (per-vertex counts, per-id path assembly) are insensitive to cross-id
-/// order — the same argument that already covers cross-chunk merging.
-fn step_chunk_interleaved(task: &KernelTask<'_>, walkers: Vec<Walker>, out: &mut ChunkOutput) {
-    let n = walkers.len();
-    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(n);
-    outcomes.resize_with(n, || None);
-    let mut feed = walkers.into_iter().enumerate();
-    let mut active: Vec<(usize, Walker)> = Vec::with_capacity(INTERLEAVE_WIDTH);
-    for _ in 0..INTERLEAVE_WIDTH {
-        if let Some((i, w)) = feed.next() {
-            debug_assert!(task.range.contains(&w.vertex), "batch invariant violated");
-            active.push((i, w));
-        }
-    }
-    while !active.is_empty() {
-        // Prefetch stage: offsets rows first, then — with those lines in
-        // flight — the edge rows they index.
-        for (_, w) in &active {
-            task.view.prefetch_offsets(w.vertex);
-        }
-        for (_, w) in &active {
-            task.view.prefetch_edges(w.vertex);
-        }
-        // Step stage: one step per active walker; an exiting walker's
-        // slot is refilled from the feed (the replacement steps in this
-        // same pass — its first loads have not been prefetched yet, which
-        // costs at most one cold lookup per walker).
-        let mut k = 0;
-        while k < active.len() {
-            let (idx, w) = &mut active[k];
-            let d = step_once(task, w);
-            match d {
-                StepDecision::Terminate => {
-                    outcomes[*idx] = Some(Outcome::Finished {
-                        steps: w.step,
-                        tag: w.tag,
-                    });
-                    refill_slot(&mut active, k, &mut feed, task);
-                }
-                StepDecision::Move(v) | StepDecision::MoveAt(v, _) => {
-                    out.steps += 1;
-                    d.advance(w);
-                    if task.track_visits {
-                        out.visits.push(v);
-                        if task.track_tags {
-                            out.visit_tags.push(w.tag);
-                        }
-                    }
-                    if task.track_paths {
-                        out.path_events.push((w.id, v));
-                    }
-                    if task.range.contains(&v) {
-                        k += 1;
-                    } else {
-                        outcomes[*idx] = Some(Outcome::Moved(*w));
-                        refill_slot(&mut active, k, &mut feed, task);
-                    }
-                }
-            }
-        }
-    }
-    for o in outcomes {
-        match o.expect("every walker resolves to an outcome") {
-            Outcome::Moved(w) => out.moved.push(w),
-            Outcome::Finished { steps, tag } => {
-                out.finished += 1;
-                out.lengths.push(steps);
-                if task.track_tags {
-                    out.length_tags.push(tag);
-                }
-            }
-        }
-    }
-}
-
-/// Replace `active[k]` with the next walker from the feed, or close the
-/// slot when the feed is exhausted (`swap_remove` — slot order within
-/// `active` is irrelevant, outcomes are keyed by chunk position).
+/// One step of `w` against the task's view. Second-order context: the
+/// previous vertex's adjacency is served when it is readable from this
+/// kernel's view (always via zero copy; only in-partition when resident —
+/// the asymmetry second-order systems accept).
 #[inline]
-fn refill_slot(
-    active: &mut Vec<(usize, Walker)>,
-    k: usize,
-    feed: &mut std::iter::Enumerate<std::vec::IntoIter<Walker>>,
-    task: &KernelTask<'_>,
-) {
-    if let Some((i, w)) = feed.next() {
-        debug_assert!(task.range.contains(&w.vertex), "batch invariant violated");
-        active[k] = (i, w);
-    } else {
-        active.swap_remove(k);
-    }
+fn step_once(task: &KernelTask<'_>, w: &Walker) -> StepDecision {
+    let (neighbors, weights, timestamps) = task.view.neighbors(w.vertex);
+    // `aux` is only a vertex id for second-order walks; temporal walks
+    // store their clock there, which can exceed |V| — the bounds guard
+    // keeps the lookup safe (temporal walks ignore `prev_neighbors`, so a
+    // small clock aliasing a vertex id is harmless and deterministic).
+    let prev_neighbors = match (&task.view, w.aux) {
+        (_, VertexId::MAX) => None,
+        (GraphView::Host(g), aux) if (aux as u64) < task.num_vertices => Some(g.neighbors(aux)),
+        (GraphView::Resident(d), aux) if d.contains(aux) => Some(d.neighbors(aux)),
+        (GraphView::OocHost(h), aux) if (aux as u64) < task.num_vertices => h.prev_neighbors(aux),
+        _ => None,
+    };
+    let ctx = StepContext {
+        neighbors,
+        weights,
+        prev_neighbors,
+        timestamps,
+        num_vertices: task.num_vertices,
+    };
+    task.alg.step(w, ctx, task.seed)
 }
 
 /// Apply a move decision to a walker: remember the previous vertex for
@@ -722,62 +558,6 @@ mod tests {
             merged, whole.moved,
             "chunk-order concat == sequential order"
         );
-    }
-
-    /// The interleaved core (chunks >= INTERLEAVE_MIN) must be
-    /// indistinguishable from the sequential core (chunks below it) on
-    /// every output field, including mover and length order.
-    #[test]
-    fn interleaved_core_matches_sequential_core() {
-        let g = Arc::new(erdos_renyi(256, 4096, 5).csr);
-        let alg = UniformSampling::new(16);
-        let walkers: Vec<Walker> = (0..211).map(|i| Walker::new(i, (i % 128) as u32)).collect();
-        let task = KernelTask {
-            view: GraphView::Host(&g),
-            alg: &alg,
-            seed: 3,
-            num_vertices: g.num_vertices(),
-            range: 0..128u32, // half the graph: walks leave
-            track_visits: true,
-            track_paths: true,
-            track_tags: false,
-            scratch: None,
-        };
-        // Whole batch takes the interleaved path (211 >= INTERLEAVE_MIN).
-        assert!(walkers.len() >= INTERLEAVE_MIN);
-        let inter = step_chunk(&task, walkers.clone());
-        // Tiny chunks force the sequential path.
-        let seq_chunk = INTERLEAVE_MIN - 1;
-        let mut seq = ChunkOutput::with_capacity(walkers.len(), true, true);
-        for chunk in walkers.chunks(seq_chunk) {
-            let o = step_chunk(&task, chunk.to_vec());
-            seq.steps += o.steps;
-            seq.finished += o.finished;
-            seq.moved.extend(o.moved);
-            seq.visits.extend(o.visits);
-            seq.path_events.extend(o.path_events);
-            seq.lengths.extend(o.lengths);
-        }
-        assert_eq!(inter.steps, seq.steps);
-        assert_eq!(inter.finished, seq.finished);
-        assert_eq!(inter.moved, seq.moved, "mover order must match");
-        assert_eq!(inter.lengths, seq.lengths, "length order must match");
-        let count = |evs: &[VertexId]| {
-            let mut c = vec![0u64; 256];
-            for &v in evs {
-                c[v as usize] += 1;
-            }
-            c
-        };
-        assert_eq!(count(&inter.visits), count(&seq.visits));
-        let by_id = |evs: &[(u64, VertexId)]| {
-            let mut p = vec![Vec::new(); 211];
-            for &(id, v) in evs {
-                p[id as usize].push(v);
-            }
-            p
-        };
-        assert_eq!(by_id(&inter.path_events), by_id(&seq.path_events));
     }
 
     /// Recycled scratch buffers must not leak state between rounds.

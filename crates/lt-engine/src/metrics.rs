@@ -59,15 +59,17 @@ pub struct Metrics {
     pub host_kernels: u64,
     /// Widest host-thread fan-out any single kernel used.
     pub max_kernel_threads: u64,
-    /// *Host* wall-clock ns spent in the reshuffle pipeline (partition
-    /// grouping + sharded insert-or-evict). Wall-clock like
+    /// *Host* wall-clock ns spent in the reshuffle (counting sort of the
+    /// movers + shard-major insert-or-evict). Wall-clock like
     /// `host_kernel_wall_ns`: machine-dependent, and deliberately never
     /// published into the metric registry so telemetry streams stay
     /// bit-identical across thread counts.
     pub host_reshuffle_wall_ns: u64,
-    /// Reshuffle pipeline invocations (one per host kernel).
+    /// Reshuffle invocations (one per host kernel).
     pub host_reshuffles: u64,
-    /// Widest worker fan-out any reshuffle phase used.
+    /// Threads the reshuffle ran on. It is one serial pass on the
+    /// scheduler thread, so this reads 1 once a kernel has finished; the
+    /// field stays because `benchmark/` reads it by name.
     pub max_reshuffle_threads: u64,
     /// Retired: counted scoped-thread spawn rounds when the engine still
     /// had a spawn strategy. Every parallel phase now runs on the

@@ -3,81 +3,38 @@
 //! After a batch is processed, its updated walks must be inserted into the
 //! write frontiers of their new partitions. The first-level cache is the
 //! device walk pool's resident frontiers (see
-//! [`crate::walkpool::DeviceWalkPool`]); this module implements the
-//! second level: the per-SM *local index* in shared memory that sorts each
-//! thread block's walks by target partition (counting sort over local
-//! atomic counters + an inverted map), so global-memory frontier writes are
-//! coalesced and contention drops.
+//! [`crate::walkpool::DeviceWalkPool`]); this module is the second level:
+//! Algorithm 1's *local index*, which counts a block's walks per target
+//! partition, prefix-sums the counts and scatters the walks through the
+//! inverted map, so that each frontier receives one contiguous run
+//! instead of scattered single writes.
 //!
-//! The data outcome is an ordering of the walks; the simulated *time*
-//! difference between the two-level path and the direct-write baseline is
-//! charged by [`lt_gpusim::CostModel::reshuffle_time`]. Figure 12 is
-//! regenerated from exactly these two paths.
+//! On the host that is `LocalIndex::sort`: one partition lookup per
+//! mover, one stable counting-sort scatter into a recycled buffer, and —
+//! in the engine — one bulk copy of each run into its frontier
+//! (`Shard::insert_run`). The host always runs this one sort.
+//! [`ReshuffleMode`] does not select a host path; it selects which branch
+//! of [`lt_gpusim::CostModel::reshuffle_time`] the *simulated* device is
+//! charged, which is the whole of the Figure 12 comparison.
 
-use crate::exec::ExecPool;
 use crate::walker::Walker;
-use lt_graph::PartitionId;
+use lt_graph::{PartitionId, VertexId};
 
-/// One phase-A counting-sort task: its chunk's sorted walkers plus the
-/// per-partition offsets.
-type SortTask<'a> = Box<dyn FnOnce() -> (Vec<Walker>, Vec<u32>) + Send + 'a>;
-
-/// How updated walks are written to the frontiers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How the simulated device writes updated walks to the frontiers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReshuffleMode {
     /// Per-SM local index + counting sort + coalesced writes (Algorithm 1).
-    TwoLevel {
-        /// Walks handled by one simulated thread block (SM).
-        threads_per_block: usize,
-    },
+    #[default]
+    TwoLevel,
     /// Every thread writes its walk straight to global memory with an
     /// atomic append — the Figure 12 baseline.
     DirectWrite,
 }
 
-impl Default for ReshuffleMode {
-    fn default() -> Self {
-        ReshuffleMode::TwoLevel {
-            threads_per_block: 1024,
-        }
-    }
-}
-
-/// Produce the frontier-write order for `walkers` under `mode`.
-///
-/// `partition_of(w)` gives each walker's target partition. Under
-/// [`ReshuffleMode::DirectWrite`] the arrival order is kept (scattered
-/// writes); under [`ReshuffleMode::TwoLevel`] each `threads_per_block`
-/// chunk is stably counting-sorted by partition, mirroring Algorithm 1
-/// lines 6–14, so consecutive writes target the same frontier.
-pub fn write_order(
-    walkers: Vec<Walker>,
-    partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),
-    num_partitions: u32,
-    mode: ReshuffleMode,
-) -> Vec<Walker> {
-    match mode {
-        ReshuffleMode::DirectWrite => walkers,
-        ReshuffleMode::TwoLevel { threads_per_block } => {
-            assert!(threads_per_block > 0);
-            let mut out = Vec::with_capacity(walkers.len());
-            for chunk in walkers.chunks(threads_per_block) {
-                counting_sort_chunk(chunk, partition_of, num_partitions, &mut out);
-            }
-            out
-        }
-    }
-}
-
-/// Smallest mover count worth a grouping worker: below this the dispatch
-/// costs more than the counting sort it would run (the reshuffle analog
-/// of [`crate::kernel::MIN_CHUNK_WALKERS`]).
-pub(crate) const MIN_MOVERS_PER_WORKER: usize = 2048;
-
 /// Group reshuffled walkers by target partition in one serial pass of
 /// arrival-order bucketing: `groups[p]` is exactly the arrival-order
-/// subsequence of `walkers` targeting `p`. The reference the pooled
-/// pipeline the engine runs (`partition_groups_pooled`) is tested against.
+/// subsequence of `walkers` targeting `p`. The reference the engine's
+/// fused sort (`LocalIndex`) is tested against.
 pub fn partition_groups(
     walkers: Vec<Walker>,
     partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),
@@ -90,119 +47,84 @@ pub fn partition_groups(
     groups
 }
 
-/// [`partition_groups`] as a two-phase parallel pipeline on the
-/// persistent executor (DESIGN.md §10), preserving arrival order within
-/// every group.
-///
-/// Phase 1 runs up to `threads` tasks over contiguous chunks of the
-/// input (at least [`MIN_MOVERS_PER_WORKER`] movers each); each
-/// bucket-counts its chunk per partition, prefix-sums the counts into
-/// chunk-local offsets, and stably scatters the chunk into partition
-/// order (the same counting sort Algorithm 1 runs per thread block).
-/// Phase 2 runs tasks over contiguous *partition* ranges; each assembles
-/// `groups[p]` by concatenating the chunk-local `p`-slices in chunk
-/// order.
-///
-/// Because chunks are contiguous and concatenation follows chunk order,
-/// `groups[p]` is the arrival-order subsequence for *any* thread count
-/// and any chunking. That is the determinism argument the sharded insert
-/// phase builds on: per-partition insertion order (and hence every
-/// downstream decision) never depends on the thread count.
-pub(crate) fn partition_groups_pooled(
-    walkers: Vec<Walker>,
-    partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),
-    num_partitions: u32,
-    threads: usize,
-    exec: &ExecPool,
-) -> Vec<Vec<Walker>> {
-    let np = num_partitions as usize;
-    let n = walkers.len();
-    // Below the mover floor per thread, dispatch overhead dwarfs the
-    // bucketing work — degrade toward the serial pass. Safe because the
-    // output is worker-count invariant by construction.
-    let workers = threads.clamp(1, (n / MIN_MOVERS_PER_WORKER).max(1));
-    if workers <= 1 {
-        return partition_groups(walkers, partition_of, num_partitions);
-    }
-    // Phase 1: per-chunk bucket count + prefix sum + stable scatter.
-    let tasks: Vec<SortTask<'_>> = walkers
-        .chunks(n.div_ceil(workers))
-        .map(|chunk| {
-            Box::new(move || {
-                let mut out = Vec::new();
-                let offsets = counting_sort_chunk(chunk, partition_of, num_partitions, &mut out);
-                (out, offsets)
-            }) as SortTask<'_>
-        })
-        .collect();
-    let sorted = exec.run_ordered(tasks);
-    // Phase 2: parallel assembly over disjoint partition ranges. Each
-    // task owns a contiguous slice of `groups` and fills it from the
-    // chunk-local slices, concatenated in chunk order.
-    let mut groups: Vec<Vec<Walker>> = (0..np).map(|_| Vec::new()).collect();
-    let range = np.div_ceil(workers).max(1);
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = groups
-        .chunks_mut(range)
-        .enumerate()
-        .map(|(r, slot)| {
-            let sorted = &sorted;
-            Box::new(move || {
-                for (i, g) in slot.iter_mut().enumerate() {
-                    let p = r * range + i;
-                    let total: usize = sorted.iter().map(|(_, o)| (o[p + 1] - o[p]) as usize).sum();
-                    g.reserve_exact(total);
-                    for (chunk, offsets) in sorted {
-                        g.extend_from_slice(&chunk[offsets[p] as usize..offsets[p + 1] as usize]);
-                    }
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    exec.run_ordered(tasks);
-    groups
+/// Algorithm 1's local index on the host: the movers of one kernel,
+/// stably counting-sorted by target partition. The three buffers are
+/// recycled across reshuffles (cleared, never shrunk), so a steady-state
+/// reshuffle allocates nothing.
+#[derive(Default)]
+pub(crate) struct LocalIndex {
+    /// Target partition of every mover, in arrival order.
+    parts: Vec<PartitionId>,
+    /// `offsets[p]..offsets[p + 1]` is partition `p`'s run in `sorted`.
+    offsets: Vec<u32>,
+    /// The movers in partition order, arrival order within a partition.
+    /// Only the first `offsets[P]` entries belong to the current sort.
+    sorted: Vec<Walker>,
 }
 
-/// Algorithm 1's shared-memory phase for one thread block: local counters
-/// per partition, prefix sums for offsets, and the inverted map that
-/// assigns adjacent output slots to walks with the same target partition.
-/// Returns the per-partition offsets (length `num_partitions + 1`,
-/// relative to the start of the chunk's appended region).
-fn counting_sort_chunk(
-    chunk: &[Walker],
-    partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),
-    num_partitions: u32,
-    out: &mut Vec<Walker>,
-) -> Vec<u32> {
-    // localLen[part] = number of walks targeting `part` (atomicAdd per walk).
-    let mut local_len = vec![0u32; num_partitions as usize];
-    let parts: Vec<PartitionId> = chunk
-        .iter()
-        .map(|w| {
-            let p = partition_of(w);
-            local_len[p as usize] += 1;
-            p
-        })
-        .collect();
-    // Prefix sum of localLen gives each partition's base offset.
-    let mut offsets = vec![0u32; num_partitions as usize + 1];
-    for p in 0..num_partitions as usize {
-        offsets[p + 1] = offsets[p] + local_len[p];
+impl LocalIndex {
+    /// Sort the movers of `chunks` (read in the order given, which is
+    /// their arrival order) by the partition their vertex lies in.
+    /// `boundaries[p]..boundaries[p + 1]` is partition `p`'s vertex
+    /// interval, as in [`lt_graph::PartitionedGraph::boundaries`].
+    ///
+    /// Pass 1 looks every mover's partition up once and builds the
+    /// histogram; a prefix sum turns it into run offsets; pass 2 scatters
+    /// through a cursor per partition. Both passes read the movers in
+    /// arrival order, so the sort is stable: `run(p)` equals
+    /// `partition_groups(..)[p]` element for element.
+    ///
+    /// # Panics
+    /// Panics if a mover's vertex lies outside `boundaries`.
+    pub(crate) fn sort<'a>(
+        &mut self,
+        chunks: impl Iterator<Item = &'a [Walker]> + Clone,
+        boundaries: &[VertexId],
+    ) {
+        let np = boundaries.len() - 1;
+        self.parts.clear();
+        self.offsets.clear();
+        self.offsets.resize(np + 1, 0);
+        for w in chunks.clone().flatten() {
+            let p = boundaries.partition_point(|&b| b <= w.vertex) - 1;
+            self.offsets[p + 1] += 1;
+            self.parts.push(p as PartitionId);
+        }
+        for p in 0..np {
+            self.offsets[p + 1] += self.offsets[p];
+        }
+        let n = self.parts.len();
+        if self.sorted.len() < n {
+            self.sorted.resize(n, Walker::new(u64::MAX, 0));
+        }
+        // After the scatter `offsets[p]` has advanced to the end of run
+        // `p`, i.e. the start of run `p + 1`; shifting one slot right
+        // restores the run starts without a second cursor array.
+        for (w, &p) in chunks.flatten().zip(&self.parts) {
+            let slot = &mut self.offsets[p as usize];
+            self.sorted[*slot as usize] = *w;
+            *slot += 1;
+        }
+        self.offsets.copy_within(0..np, 1);
+        self.offsets[0] = 0;
     }
-    // Inverted map: stable scatter into the sorted layout.
-    let base = out.len();
-    out.resize(base + chunk.len(), Walker::new(u64::MAX, 0));
-    let mut cursor = offsets.clone();
-    for (w, &p) in chunk.iter().zip(parts.iter()) {
-        let pos = cursor[p as usize];
-        cursor[p as usize] += 1;
-        out[base + pos as usize] = *w;
+
+    /// Movers sorted by the last [`LocalIndex::sort`].
+    pub(crate) fn len(&self) -> usize {
+        self.parts.len()
     }
-    offsets
+
+    /// The movers targeting partition `p`, in arrival order.
+    pub(crate) fn run(&self, p: PartitionId) -> &[Walker] {
+        let p = p as usize;
+        &self.sorted[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn walkers(vs: &[u32]) -> Vec<Walker> {
         vs.iter()
@@ -211,135 +133,86 @@ mod tests {
             .collect()
     }
 
-    // Partition = vertex / 10.
-    fn pof(w: &Walker) -> PartitionId {
-        w.vertex / 10
-    }
-
     #[test]
-    fn direct_write_keeps_order() {
-        let ws = walkers(&[25, 3, 17, 4, 38]);
-        let out = write_order(ws.clone(), &pof, 4, ReshuffleMode::DirectWrite);
-        assert_eq!(out, ws);
-    }
-
-    #[test]
-    fn two_level_groups_within_block() {
+    fn partition_groups_keeps_arrival_order() {
         let ws = walkers(&[25, 3, 17, 4, 38, 11]);
-        let out = write_order(
-            ws,
-            &pof,
-            4,
-            ReshuffleMode::TwoLevel {
-                threads_per_block: 6,
-            },
-        );
-        // Grouped by partition, stable within groups:
-        // part0: 3,4 ; part1: 17,11 ; part2: 25 ; part3: 38.
-        let vs: Vec<u32> = out.iter().map(|w| w.vertex).collect();
-        assert_eq!(vs, vec![3, 4, 17, 11, 25, 38]);
-    }
-
-    #[test]
-    fn two_level_is_a_permutation() {
-        let ws = walkers(&[5, 15, 25, 35, 1, 11, 21, 31, 9, 19]);
-        let out = write_order(
-            ws.clone(),
-            &pof,
-            4,
-            ReshuffleMode::TwoLevel {
-                threads_per_block: 4,
-            },
-        );
-        let mut a: Vec<u64> = ws.iter().map(|w| w.id).collect();
-        let mut b: Vec<u64> = out.iter().map(|w| w.id).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert!(out.iter().all(|w| w.id != u64::MAX));
-    }
-
-    #[test]
-    fn chunking_respects_block_size() {
-        // Two blocks of 3: sorting happens only within each block.
-        let ws = walkers(&[30, 0, 10, 0, 30, 10]);
-        let out = write_order(
-            ws,
-            &pof,
-            4,
-            ReshuffleMode::TwoLevel {
-                threads_per_block: 3,
-            },
-        );
-        let vs: Vec<u32> = out.iter().map(|w| w.vertex).collect();
-        assert_eq!(vs, vec![0, 10, 30, 0, 10, 30]);
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let out = write_order(vec![], &pof, 4, ReshuffleMode::default());
-        assert!(out.is_empty());
-    }
-
-    /// The serial reference yields arrival-order groups, and the pooled
-    /// two-phase pipeline matches it for any thread count and pool size —
-    /// the bit-identity invariant the sharded insert phase relies on.
-    #[test]
-    fn partition_groups_pooled_matches_serial() {
-        // Enough movers that the work floor still grants several workers —
-        // the genuinely parallel path is exercised.
-        let vs: Vec<u32> = (0..(4 * MIN_MOVERS_PER_WORKER as u32 + 13))
-            .map(|i| (i * 29) % 40)
+        let groups = partition_groups(ws, &|w: &Walker| w.vertex / 10, 4);
+        let vs: Vec<Vec<u32>> = groups
+            .iter()
+            .map(|g| g.iter().map(|w| w.vertex).collect())
             .collect();
-        let ws = walkers(&vs);
-        let reference = partition_groups(ws.clone(), &pof, 4);
-        for (p, group) in reference.iter().enumerate() {
-            let expect: Vec<u64> = ws
+        assert_eq!(vs, vec![vec![3, 4], vec![17, 11], vec![25], vec![38]]);
+    }
+
+    #[test]
+    fn local_index_is_reusable_and_handles_empty_input() {
+        let boundaries = [0, 10, 20, 30, 40];
+        let mut index = LocalIndex::default();
+        let big = walkers(&[25, 3, 17, 4, 38, 11]);
+        index.sort([&big[..4], &big[4..]].into_iter(), &boundaries);
+        assert_eq!(index.len(), 6);
+        let ids = |ws: &[Walker]| ws.iter().map(|w| w.id).collect::<Vec<_>>();
+        assert_eq!(ids(index.run(0)), vec![1, 3]);
+        assert_eq!(ids(index.run(1)), vec![2, 5]);
+        // A smaller sort over the same buffers must not see stale movers.
+        let small = walkers(&[35]);
+        index.sort([small.as_slice()].into_iter(), &boundaries);
+        assert_eq!(index.len(), 1);
+        assert_eq!(ids(index.run(3)), vec![0]);
+        assert!((0..3).all(|p| index.run(p).is_empty()));
+        index.sort(std::iter::empty(), &boundaries);
+        assert_eq!(index.len(), 0);
+        assert!((0..4).all(|p| index.run(p).is_empty()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// For arbitrary movers, partition counts and boundary tables,
+        /// however the movers are split into chunks, the fused sort's
+        /// runs are `partition_groups`' groups element for element.
+        #[test]
+        fn local_index_runs_equal_partition_groups(
+            widths in prop::collection::vec(1u32..40, 1..=64),
+            picks in prop::collection::vec(any::<u32>(), 0..400),
+            cuts in prop::collection::vec(any::<u32>(), 0..6),
+            reused in any::<bool>(),
+        ) {
+            let mut boundaries = vec![0u32];
+            for w in &widths {
+                boundaries.push(boundaries.last().unwrap() + w);
+            }
+            let nv = *boundaries.last().unwrap();
+            let np = widths.len() as u32;
+            let movers: Vec<Walker> = picks
                 .iter()
-                .filter(|w| pof(w) as usize == p)
-                .map(|w| w.id)
+                .enumerate()
+                .map(|(i, &r)| Walker::new(i as u64, r % nv))
                 .collect();
-            let got: Vec<u64> = group.iter().map(|w| w.id).collect();
-            assert_eq!(got, expect, "group {p} is not in arrival order");
-        }
-        for pool_workers in [0, 1, 4] {
-            let pool = ExecPool::new(pool_workers);
-            for threads in [1, 2, 3, 4, 8, 999] {
-                let got = partition_groups_pooled(ws.clone(), &pof, 4, threads, &pool);
-                assert_eq!(got, reference, "{pool_workers} workers, {threads} threads");
+            let mut cuts: Vec<usize> = cuts
+                .iter()
+                .map(|&c| c as usize % (movers.len() + 1))
+                .collect();
+            cuts.extend([0, movers.len()]);
+            cuts.sort_unstable();
+            let chunks: Vec<&[Walker]> = cuts.windows(2).map(|c| &movers[c[0]..c[1]]).collect();
+            let mut index = LocalIndex::default();
+            if reused {
+                // Dirty the recycled buffers with an unrelated, larger sort.
+                let other = walkers(&(0..500).map(|i| i % nv).collect::<Vec<_>>());
+                index.sort([other.as_slice()].into_iter(), &boundaries);
             }
-        }
-    }
-
-    #[test]
-    fn partition_groups_handles_empty_and_tiny_inputs() {
-        let pool = ExecPool::new(2);
-        let empty = partition_groups_pooled(vec![], &pof, 4, 8, &pool);
-        assert_eq!(empty.len(), 4);
-        assert!(empty.iter().all(|g| g.is_empty()));
-        let one = partition_groups_pooled(walkers(&[35]), &pof, 4, 8, &pool);
-        assert_eq!(one[3].len(), 1);
-        assert_eq!(one.iter().map(|g| g.len()).sum::<usize>(), 1);
-    }
-
-    /// Block sizes that divide the input unevenly still sort each block
-    /// independently and concatenate them in block order.
-    #[test]
-    fn write_order_sorts_each_block_independently() {
-        let vs: Vec<u32> = (0..257u32).map(|i| (i * 13) % 40).collect();
-        let ws = walkers(&vs);
-        for tpb in [3, 7, 64, 1024] {
-            let mode = ReshuffleMode::TwoLevel {
-                threads_per_block: tpb,
-            };
-            let got = write_order(ws.clone(), &pof, 4, mode);
-            let mut expect = Vec::new();
-            for block in ws.chunks(tpb) {
-                let mut b = block.to_vec();
-                b.sort_by_key(pof); // stable, like the counting sort
-                expect.extend(b);
+            index.sort(chunks.iter().copied(), &boundaries);
+            let b = boundaries.clone();
+            let reference = partition_groups(
+                movers.clone(),
+                &move |w: &Walker| (b.partition_point(|&x| x <= w.vertex) - 1) as PartitionId,
+                np,
+            );
+            prop_assert_eq!(index.len(), movers.len());
+            for p in 0..np {
+                prop_assert_eq!(index.run(p), reference[p as usize].as_slice(), "partition {}", p);
             }
-            assert_eq!(got, expect, "tpb {tpb}");
         }
     }
 }

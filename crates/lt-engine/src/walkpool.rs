@@ -14,8 +14,11 @@
 //! The device pool is split into [`DeviceWalkPool::num_shards`] *shards*
 //! (DESIGN.md §10). Partition `p` lives in shard `p % S`; each shard owns
 //! its partitions' queues, frontiers, reserves, counts, **and its own
-//! [`BlockPool`] free list**, so the parallel reshuffle phase can hand each
-//! worker thread a disjoint `&mut Shard` without any locking. The shard
+//! [`BlockPool`] free list**, so every insert-or-evict decision of the
+//! reshuffle is local to one shard. The reshuffle visits the shards in
+//! order and hands each partition's movers to `Shard::insert_run` as one
+//! run (one bulk copy per frontier block); [`DeviceWalkPool::try_insert`] is the
+//! walker-by-walker reference it is tested against. The shard
 //! count is *structural*: it depends only on the partition count, never on
 //! thread knobs or the machine, so eviction timing — and with it the whole
 //! simulated timeline — is bit-identical for any `kernel_threads`.
@@ -153,15 +156,15 @@ pub fn shard_count(num_partitions: u32) -> usize {
     (num_partitions as usize).clamp(1, MAX_SHARDS)
 }
 
-/// Upper bound on device-pool shards. Eight matches the widest parallel
-/// reshuffle fan-out the bench sweeps; beyond that per-shard free lists
-/// fragment the pool without adding useful parallelism.
+/// Upper bound on device-pool shards. Beyond eight, per-shard free lists
+/// fragment the pool. The value is part of the order contract: which
+/// shard a partition lives in decides when its inserts evict, so changing
+/// it changes every simulated timeline.
 pub const MAX_SHARDS: usize = 8;
 
 /// One shard of the device walk pool: the queues, frontier/reserve pairs,
 /// and private [`BlockPool`] free list of every partition `p` with
-/// `p % num_shards == shard id`. Parallel reshuffle workers operate on
-/// disjoint `&mut Shard`s.
+/// `p % num_shards == shard id`.
 #[derive(Debug)]
 pub(crate) struct Shard {
     pool: BlockPool<WalkBatch>,
@@ -208,6 +211,13 @@ impl Shard {
         self.counts[self.local(part)]
     }
 
+    /// Owned partitions, ascending. The iterator does not borrow the
+    /// shard, so the reshuffle can insert while walking it.
+    pub(crate) fn partitions(&self) -> impl Iterator<Item = PartitionId> {
+        let (id, stride) = (self.id, self.stride);
+        (0..self.counts.len()).map(move |l| (l * stride + id) as PartitionId)
+    }
+
     /// Owned partitions that have at least one queued batch, ascending.
     pub(crate) fn partitions_with_queued_batches(&self) -> impl Iterator<Item = PartitionId> + '_ {
         self.queues
@@ -224,6 +234,18 @@ impl Shard {
         self.partitions_with_queued_batches().next().is_some()
     }
 
+    /// Queue the (full) frontier of local partition `l`, make the reserve
+    /// the new frontier and draw a fresh reserve from the free list. The
+    /// caller has checked that the free list is not empty.
+    fn promote_frontier(&mut self, l: usize, part: PartitionId) {
+        self.queues[l].push_back(self.frontier[l]);
+        self.frontier[l] = self.reserve[l];
+        self.reserve[l] = self
+            .pool
+            .acquire(WalkBatch::new(part, self.batch_capacity))
+            .expect("free block checked by the caller");
+    }
+
     /// Insert a reshuffled walker into owned partition `part`'s frontier;
     /// see [`DeviceWalkPool::try_insert`].
     pub(crate) fn try_insert(&mut self, part: PartitionId, w: Walker) -> Result<(), PoolFull> {
@@ -233,13 +255,7 @@ impl Shard {
             if self.pool.free_blocks() == 0 {
                 return Err(PoolFull);
             }
-            let full = self.frontier[l];
-            self.queues[l].push_back(full);
-            self.frontier[l] = self.reserve[l];
-            self.reserve[l] = self
-                .pool
-                .acquire(WalkBatch::new(part, self.batch_capacity))
-                .expect("free block checked above");
+            self.promote_frontier(l, part);
         }
         self.pool
             .get_mut(self.frontier[l])
@@ -248,6 +264,38 @@ impl Shard {
         self.counts[l] += 1;
         self.total += 1;
         Ok(())
+    }
+
+    /// Insert a run of reshuffled walkers, all targeting owned partition
+    /// `part`, with one bulk copy per frontier block: fill the frontier to
+    /// capacity, promote it exactly where [`Shard::try_insert`] would (a
+    /// full frontier is promoted only when another walker arrives), and
+    /// continue into the new frontier. Returns the walkers not yet
+    /// inserted: empty when the whole run went in, otherwise the rest of
+    /// the run at the point where the frontier is full and the free list
+    /// is empty — the caller must evict a queued batch from this shard
+    /// and call again with the rest. Counts are bumped before that
+    /// return, so the eviction heuristic reads the same counts as it
+    /// would between two `try_insert` calls.
+    pub(crate) fn insert_run<'a>(&mut self, part: PartitionId, run: &'a [Walker]) -> &'a [Walker] {
+        let l = self.local(part);
+        debug_assert_eq!(self.pool.get(self.frontier[l]).partition(), part);
+        let mut rest = run;
+        while !rest.is_empty() {
+            if self.pool.get(self.frontier[l]).is_full() {
+                if self.pool.free_blocks() == 0 {
+                    break;
+                }
+                self.promote_frontier(l, part);
+            }
+            let frontier = self.pool.get_mut(self.frontier[l]);
+            let (head, tail) = rest.split_at(rest.len().min(frontier.capacity() - frontier.len()));
+            frontier.extend_from_slice(head);
+            self.counts[l] += head.len() as u64;
+            self.total += head.len() as u64;
+            rest = tail;
+        }
+        rest
     }
 
     /// Add a host-loaded batch to its partition's queue; see
@@ -434,8 +482,8 @@ impl DeviceWalkPool {
         &mut self.shards[s]
     }
 
-    /// The shards themselves, for the parallel reshuffle phase: workers
-    /// split this slice into disjoint `&mut Shard`s.
+    /// The shards themselves, for the reshuffle's shard-major insert
+    /// phase.
     #[inline]
     pub(crate) fn shards_mut(&mut self) -> &mut [Shard] {
         &mut self.shards
@@ -617,6 +665,7 @@ impl DeviceWalkPool {
 mod tests {
     use super::*;
     use lt_gpusim::{Gpu, GpuConfig};
+    use proptest::prelude::*;
 
     fn gpu() -> Gpu {
         Gpu::new(GpuConfig {
@@ -842,6 +891,134 @@ mod tests {
         // Reshuffle-insert to device.
         dp.try_insert(1, walker(100)).unwrap();
         assert_eq!(grand(&hp, &dp), 8);
+    }
+
+    /// Insert `run` into `part` the way the engine does, either walker
+    /// by walker (`try_insert`, evict on `PoolFull`) or in bulk
+    /// (`insert_run`, evict on a non-empty rest). The victim is the
+    /// shard's queued partition with the fewest walkers, lowest id on a
+    /// tie, so the choice depends on the counts at the moment of the
+    /// eviction. Returns the evicted batches (partition, walker ids) in
+    /// order.
+    fn insert_or_evict(
+        dp: &mut DeviceWalkPool,
+        part: PartitionId,
+        run: &[Walker],
+        bulk: bool,
+    ) -> Vec<(PartitionId, Vec<u64>)> {
+        let s = dp.shard_of(part);
+        let shard = &mut dp.shards_mut()[s];
+        let mut evicted = Vec::new();
+        let mut evict = |shard: &mut Shard| {
+            let victim = shard
+                .partitions_with_queued_batches()
+                .min_by_key(|&q| (shard.count(q), q))
+                .expect("2P+S floor guarantees a victim");
+            let b = shard.evict_queue_batch(victim).unwrap();
+            evicted.push((b.partition(), b.walkers().iter().map(|w| w.id).collect()));
+        };
+        if bulk {
+            let mut rest = shard.insert_run(part, run);
+            while !rest.is_empty() {
+                evict(shard);
+                rest = shard.insert_run(part, rest);
+            }
+        } else {
+            for &w in run {
+                while shard.try_insert(part, w).is_err() {
+                    evict(shard);
+                }
+            }
+        }
+        evicted
+    }
+
+    #[test]
+    fn insert_run_promotes_where_try_insert_would() {
+        let g = gpu();
+        // One partition, capacity 2, two circulating blocks.
+        let mut dp = DeviceWalkPool::new(&g, 1, 4, 1024, 2).unwrap();
+        let ws: Vec<Walker> = (0..9).map(walker).collect();
+        let shard = &mut dp.shards_mut()[0];
+        // A run that exactly fills the frontier does not promote it.
+        assert!(shard.insert_run(0, &ws[..2]).is_empty());
+        assert_eq!((shard.frontier_len(0), shard.queue_len(0)), (2, 0));
+        assert_eq!(shard.free_blocks(), 2);
+        // An empty run changes nothing, even on a full frontier.
+        assert!(shard.insert_run(0, &[]).is_empty());
+        assert_eq!(shard.queue_len(0), 0);
+        // Five more arrive on the full frontier: promote, fill, promote,
+        // fill, and stop with one walker left where the third promotion
+        // finds the free list empty. Counts cover what went in.
+        let rest = shard.insert_run(0, &ws[2..7]);
+        assert_eq!(rest, &ws[6..7]);
+        assert_eq!((shard.frontier_len(0), shard.queue_len(0)), (2, 2));
+        assert_eq!(
+            (shard.count(0), shard.total(), shard.free_blocks()),
+            (6, 6, 0)
+        );
+        // One eviction unblocks the rest.
+        assert_eq!(shard.evict_queue_batch(0).unwrap().walkers(), &ws[2..4]);
+        assert!(shard.insert_run(0, rest).is_empty());
+        assert_eq!((shard.frontier_len(0), shard.queue_len(0)), (1, 2));
+        let ids: Vec<u64> = dp.iter_walkers().map(|w| w.id).collect();
+        assert_eq!(ids, vec![0, 1, 4, 5, 6]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On two identically prepared pools, bulk runs with
+        /// evict-on-rest and per-walker inserts with evict-on-`PoolFull`
+        /// evict the same batches in the same order and leave the same
+        /// walkers, counts and free lists behind — for any capacity,
+        /// any free-list depth from the `2P + S` floor up, and runs
+        /// spanning up to five frontier blocks.
+        #[test]
+        fn insert_run_matches_per_walker_inserts(
+            parts in 1u32..=12,
+            capacity in 1usize..=16,
+            spare in 0usize..20,
+            prepare in prop::collection::vec((0u32..12, 0usize..40), 0..12),
+            runs in prop::collection::vec((0u32..12, 0usize..80), 1..16),
+        ) {
+            let g = gpu();
+            let blocks = 2 * parts as usize + shard_count(parts) + spare;
+            let mut serial = DeviceWalkPool::new(&g, parts, blocks, 1024, capacity).unwrap();
+            let mut bulk = DeviceWalkPool::new(&g, parts, blocks, 1024, capacity).unwrap();
+            let mut next_id = 0u64;
+            let mut fresh = |n: usize| -> Vec<Walker> {
+                let ws = (next_id..next_id + n as u64).map(walker).collect();
+                next_id += n as u64;
+                ws
+            };
+            // Arbitrary queue/frontier fill, built the same way on both.
+            for &(p, n) in &prepare {
+                let ws = fresh(n);
+                for dp in [&mut serial, &mut bulk] {
+                    insert_or_evict(dp, p % parts, &ws, false);
+                }
+            }
+            for &(p, n) in &runs {
+                let (p, n) = (p % parts, n.min(5 * capacity));
+                let ws = fresh(n);
+                let expect = insert_or_evict(&mut serial, p, &ws, false);
+                let got = insert_or_evict(&mut bulk, p, &ws, true);
+                prop_assert_eq!(got, expect, "evictions of a {}-walker run into {}", n, p);
+            }
+            let ids = |dp: &DeviceWalkPool| dp.iter_walkers().map(|w| w.id).collect::<Vec<_>>();
+            prop_assert_eq!(ids(&bulk), ids(&serial));
+            prop_assert_eq!(bulk.total(), serial.total());
+            for p in 0..parts {
+                prop_assert_eq!(bulk.count(p), serial.count(p));
+                prop_assert_eq!(bulk.queue_len(p), serial.queue_len(p));
+                prop_assert_eq!(bulk.frontier_len(p), serial.frontier_len(p));
+            }
+            for s in 0..bulk.num_shards() {
+                prop_assert_eq!(bulk.shard_free_blocks(s), serial.shard_free_blocks(s));
+                prop_assert_eq!(bulk.shard_walkers(s), serial.shard_walkers(s));
+            }
+        }
     }
 
     #[test]

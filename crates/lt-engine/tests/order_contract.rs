@@ -1,0 +1,153 @@
+//! The order contract, pinned **across commits**.
+//!
+//! Every other battery compares `kernel_threads: N` with `1` at one
+//! commit, so a reorder applied consistently to both sides (a different
+//! frontier insertion order, an eviction taken one walker earlier) would
+//! pass them all while changing the simulated timeline. These three
+//! fixed configurations instead compare a run's
+//! [`RunResult::deterministic_fingerprint`] with constants recorded once,
+//! at commit `5dc395d` (per-walker `try_insert` reshuffle, before the
+//! fused counting sort replaced it). A change that keeps frontier order,
+//! eviction timing and victim choice keeps these numbers; any other change
+//! must say why it moves them.
+//!
+//! The device config is spelled out (`GpuConfig::default()`), so the
+//! `LT_TEST_FAULT_SEED` drill does not reach these runs, and the
+//! fingerprint is thread-count invariant, so `LT_TEST_KERNEL_THREADS`
+//! cannot either.
+
+use lt_engine::algorithm::{PageRank, UniformSampling, WalkAlgorithm};
+use lt_engine::{EngineConfig, LightTraffic, ReshuffleMode, RunResult};
+use lt_gpusim::GpuConfig;
+use lt_graph::gen::{rmat, RmatParams};
+use lt_graph::Csr;
+use std::sync::Arc;
+
+fn graph(scale: u32) -> Arc<Csr> {
+    Arc::new(
+        rmat(RmatParams {
+            scale,
+            edge_factor: 8,
+            seed: 5,
+            ..RmatParams::default()
+        })
+        .csr,
+    )
+}
+
+/// FNV-1a over the fingerprint: stable across toolchains, unlike
+/// `DefaultHasher`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What a configuration is pinned to: the hashed fingerprint plus three
+/// counters a reader can interpret when the hash moves.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    fingerprint: u64,
+    walk_batches_evicted: u64,
+    iterations: u64,
+    makespan_ns: u64,
+}
+
+fn run(g: Arc<Csr>, alg: Arc<dyn WalkAlgorithm>, cfg: EngineConfig, walks: u64) -> RunResult {
+    let cfg = EngineConfig {
+        gpu: GpuConfig::default(),
+        record_iterations: true,
+        ..cfg
+    };
+    let mut e = LightTraffic::new(g, alg, cfg).expect("pools fit");
+    let r = e.run(walks).expect("run completes");
+    assert_eq!(r.metrics.finished_walks, walks);
+    r
+}
+
+fn pinned(r: &RunResult) -> Pinned {
+    Pinned {
+        fingerprint: fnv1a(&r.deterministic_fingerprint()),
+        walk_batches_evicted: r.metrics.walk_batches_evicted,
+        iterations: r.metrics.iterations,
+        makespan_ns: r.metrics.makespan_ns,
+    }
+}
+
+/// The derived `4P` pool and the default 4096-walker batches, with more
+/// walks than the pool holds: a single reshuffle carries thousands of
+/// movers and the pool still has to evict.
+#[test]
+fn default_pool_large_batches() {
+    let g = graph(12);
+    let walks = 100 * g.num_vertices();
+    let cfg = EngineConfig {
+        kernel_threads: 4,
+        ..EngineConfig::light_traffic(8 << 10, 4)
+    };
+    let r = run(g, Arc::new(UniformSampling::new(6)), cfg, walks);
+    assert!(r.metrics.walk_batches_evicted > 0, "the pool must evict");
+    assert_eq!(
+        pinned(&r),
+        Pinned {
+            fingerprint: 10_583_177_161_569_302_260,
+            walk_batches_evicted: 69,
+            iterations: 176,
+            makespan_ns: 7_113_947,
+        }
+    );
+}
+
+/// The `2P + S` floor with 8-walker batches: every shard has one
+/// circulating block, so the insert-or-evict loop evicts constantly and a
+/// run usually spans several promotions of one frontier.
+#[test]
+fn pool_floor_evicts_constantly() {
+    let g = graph(10);
+    let cfg = EngineConfig {
+        batch_capacity: 8,
+        walk_pool_blocks: Some(0), // raised to the 2P + S floor
+        record_paths: true,
+        kernel_threads: 2,
+        ..EngineConfig::light_traffic(8 << 10, 3)
+    };
+    let r = run(g, Arc::new(UniformSampling::new(10)), cfg, 3000);
+    assert!(r.metrics.walk_batches_evicted > 1000, "the floor must bite");
+    assert_eq!(
+        pinned(&r),
+        Pinned {
+            fingerprint: 1_377_275_187_493_448_333,
+            walk_batches_evicted: 3213,
+            iterations: 52,
+            makespan_ns: 36_830_022,
+        }
+    );
+}
+
+/// The Figure 12 baseline mode without selective scheduling: the victim
+/// is the first unprotected candidate, and the simulated reshuffle cost
+/// takes the direct-write branch.
+#[test]
+fn direct_write_without_selective_scheduling() {
+    let g = graph(11);
+    let cfg = EngineConfig {
+        batch_capacity: 32,
+        walk_pool_blocks: Some(0),
+        selective: false,
+        reshuffle: ReshuffleMode::DirectWrite,
+        record_paths: true,
+        kernel_threads: 3,
+        ..EngineConfig::light_traffic(8 << 10, 3)
+    };
+    let r = run(g, Arc::new(PageRank::new(10, 0.15)), cfg, 6000);
+    assert!(r.metrics.walk_batches_evicted > 0, "the pool must evict");
+    assert_eq!(
+        pinned(&r),
+        Pinned {
+            fingerprint: 564_580_558_176_187_771,
+            walk_batches_evicted: 1679,
+            iterations: 121,
+            makespan_ns: 20_587_309,
+        }
+    );
+}

@@ -1,10 +1,8 @@
 //! Property tests of the sampling machinery: Vose alias tables and the
-//! reshuffle orderings, over arbitrary weight vectors and walker sets.
+//! counter-based RNG, over arbitrary weight vectors and seeds.
 
 use lt_engine::alias::AliasTable;
-use lt_engine::reshuffle::{write_order, ReshuffleMode};
 use lt_engine::rng;
-use lt_engine::walker::Walker;
 use lt_graph::Csr;
 use proptest::prelude::*;
 
@@ -64,60 +62,6 @@ proptest! {
                 expect
             );
         }
-    }
-
-    /// Reshuffle orderings are permutations that respect partition grouping
-    /// within each thread block, for any walker multiset and block size.
-    #[test]
-    fn write_order_invariants(
-        vertices in prop::collection::vec(0u32..1000, 0..300),
-        threads_per_block in 1usize..64,
-        num_partitions in 1u32..32,
-    ) {
-        let walkers: Vec<Walker> = vertices
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| Walker::new(i as u64, v))
-            .collect();
-        let np = num_partitions;
-        let pof = move |w: &Walker| w.vertex % np;
-        let out = write_order(
-            walkers.clone(),
-            &pof,
-            num_partitions,
-            ReshuffleMode::TwoLevel { threads_per_block },
-        );
-        // Permutation.
-        let mut a: Vec<u64> = walkers.iter().map(|w| w.id).collect();
-        let mut b: Vec<u64> = out.iter().map(|w| w.id).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-        // Within each block: grouped by partition, stable inside groups.
-        for chunk in out.chunks(threads_per_block) {
-            let parts: Vec<u32> = chunk.iter().map(&pof).collect();
-            // Grouped: once we leave a partition we never see it again.
-            let mut seen = std::collections::HashSet::new();
-            let mut cur = None;
-            for &p in &parts {
-                if Some(p) != cur {
-                    prop_assert!(seen.insert(p), "partition {p} appears twice in a block");
-                    cur = Some(p);
-                }
-            }
-            // Stable: ids within one partition of a block stay in input order.
-            for p in seen {
-                let ids: Vec<u64> = chunk
-                    .iter()
-                    .filter(|w| pof(w) == p)
-                    .map(|w| w.id)
-                    .collect();
-                prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "not stable");
-            }
-        }
-        // DirectWrite is the identity.
-        let direct = write_order(walkers.clone(), &pof, num_partitions, ReshuffleMode::DirectWrite);
-        prop_assert_eq!(direct, walkers);
     }
 
     /// Counter-based RNG draws are uniform enough for a chi-squared bound

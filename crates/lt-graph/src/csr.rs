@@ -166,32 +166,6 @@ impl Csr {
         self.edges[(base + k) as usize]
     }
 
-    /// Prefetch the offsets-array cache line of `v` (the first load a
-    /// neighbor lookup performs). A pure hint — see
-    /// [`crate::prefetch_read`].
-    #[inline]
-    pub fn prefetch_offsets(&self, v: VertexId) {
-        crate::prefetch_read(&self.offsets[v as usize]);
-    }
-
-    /// Prefetch the start of `v`'s edge row (and weight row when
-    /// weighted) — the second load of a neighbor lookup. Reads
-    /// `offsets[v]`, so call it after [`Csr::prefetch_offsets`] has had a
-    /// chance to land. Safe no-op for zero-degree vertices.
-    #[inline]
-    pub fn prefetch_edges(&self, v: VertexId) {
-        let lo = self.offsets[v as usize] as usize;
-        if lo < self.edges.len() {
-            crate::prefetch_read(&self.edges[lo]);
-            if let Some(w) = &self.weights {
-                crate::prefetch_read(&w[lo]);
-            }
-            if let Some(t) = &self.timestamps {
-                crate::prefetch_read(&t[lo]);
-            }
-        }
-    }
-
     /// Range of edge-array indices owned by `v`.
     #[inline]
     pub fn edge_range(&self, v: VertexId) -> std::ops::Range<EdgeIndex> {

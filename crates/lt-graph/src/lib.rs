@@ -44,23 +44,6 @@ pub const VERTEX_ENTRY_BYTES: u64 = 8;
 /// Bytes used per edge entry in the CSR on-device layout (one `u32` target).
 pub const EDGE_ENTRY_BYTES: u64 = 4;
 
-/// Hint the CPU to pull the cache line holding `p` into L1 ahead of a
-/// demand load. Purely a performance hint: it never faults, never reads
-/// the value, and compiles to a no-op on architectures without a stable
-/// prefetch intrinsic. Used by the step-interleaved kernel path to hide
-/// the CSR's random-access latency (offsets row, then edge row).
-#[inline(always)]
-pub fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        // SAFETY: prefetch is a hint; it is defined for any address and
-        // performs no memory access observable by the program.
-        core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 /// Errors produced by the graph layer.
 #[derive(Debug)]
 pub enum GraphError {

@@ -357,34 +357,6 @@ impl PartitionData {
         Some(&t[self.offsets[i] as usize..self.offsets[i + 1] as usize])
     }
 
-    /// Prefetch the rebased offsets cache line of global vertex `v`.
-    /// Ignores vertices outside the partition (the hinted walker may be
-    /// about to leave), making the hint safe to issue unconditionally.
-    #[inline]
-    pub fn prefetch_offsets(&self, v: VertexId) {
-        if self.contains(v) {
-            crate::prefetch_read(&self.offsets[(v - self.v_start) as usize]);
-        }
-    }
-
-    /// Prefetch the start of global vertex `v`'s edge row (and weight row
-    /// when weighted). Reads the rebased offset, so issue it after
-    /// [`PartitionData::prefetch_offsets`]. Ignores out-of-partition and
-    /// zero-degree vertices.
-    #[inline]
-    pub fn prefetch_edges(&self, v: VertexId) {
-        if !self.contains(v) {
-            return;
-        }
-        let lo = self.offsets[(v - self.v_start) as usize] as usize;
-        if lo < self.edges.len() {
-            crate::prefetch_read(&self.edges[lo]);
-            if let Some(w) = &self.weights {
-                crate::prefetch_read(&w[lo]);
-            }
-        }
-    }
-
     /// Transfer size of this partition in bytes.
     pub fn bytes(&self) -> u64 {
         self.offsets.len() as u64 * VERTEX_ENTRY_BYTES
