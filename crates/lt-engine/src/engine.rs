@@ -23,7 +23,7 @@ use crate::kernel::{self, GraphView, OocHostView, OwnedGraphView};
 use crate::metrics::{Metrics, RunResult};
 use crate::reshuffle::{LocalIndex, ReshuffleMode};
 use crate::walker::Walker;
-use crate::walkpool::{DeviceWalkPool, HostWalkPool, Shard};
+use crate::walkpool::{DeviceWalkPool, HostWalkPool};
 use lt_gpusim::sim::{Allocation, OutOfMemory};
 use lt_gpusim::{Category, CostModel, Direction, Gpu, GpuConfig, KernelCost, StreamId};
 use lt_graph::delta::{DeltaGraph, EdgeUpdate};
@@ -88,10 +88,9 @@ pub struct EngineConfig {
     /// Graph-pool blocks (`m_g`).
     pub graph_pool_blocks: usize,
     /// Walk-pool blocks; `None` derives `4P` (roomy). The engine raises
-    /// any value below the sharded pool's `2P + S` floor (`S = min(P, 8)`
-    /// shards), so configs tuned for the historical `2P + 1` minimum keep
-    /// working at the new minimum tightness of one circulating block per
-    /// shard.
+    /// any value below the paper's `2P + 1` floor (a frontier and a
+    /// reserve per partition plus one circulating block) to it, so
+    /// `Some(0)` means "the floor".
     pub walk_pool_blocks: Option<usize>,
     /// RNG seed for all walks.
     pub seed: u64,
@@ -589,14 +588,11 @@ impl LightTraffic {
         let walker_bytes = alg.walker_state_bytes();
         let batch_capacity = cfg.batch_capacity;
         let batch_bytes = batch_capacity as u64 * walker_bytes;
-        // The sharded pool needs one circulating block per shard on top of
-        // the 2P pinned frontier/reserve pairs; `4P >= 2P + S` always (S <=
-        // P), so derived sizes are unaffected and only explicitly tight
-        // configs get bumped to the new floor.
+        // 2P pinned frontier/reserve pairs plus one circulating block.
         let walk_blocks = cfg
             .walk_pool_blocks
             .unwrap_or(4 * p as usize)
-            .max(2 * p as usize + crate::walkpool::shard_count(p));
+            .max(2 * p as usize + 1);
         let graph_pool = DeviceGraphPool::new(&gpu, p, cfg.graph_pool_blocks, cfg.partition_bytes)?;
         let device_pool = DeviceWalkPool::new(&gpu, p, walk_blocks, batch_bytes, batch_capacity)?;
         let (visit_counts, visit_alloc) = if alg.tracks_visits() {
@@ -855,11 +851,6 @@ impl LightTraffic {
             visit_counts: self.visit_counts.clone(),
             total_steps: self.metrics.total_steps,
             finished_walks: self.metrics.finished_walks,
-            shard_walkers: self
-                .walk_pool_shards()
-                .into_iter()
-                .map(|(walkers, _free)| walkers)
-                .collect(),
         }
     }
 
@@ -1573,20 +1564,10 @@ impl LightTraffic {
         self.host_pool.count(p) + self.device_pool.count(p)
     }
 
-    /// Per-shard occupancy of the sharded device walk pool:
-    /// `(resident walkers, free blocks)` for each shard, in shard order.
-    /// Both numbers derive from the schedule alone, so they are
-    /// bit-identical across `kernel_threads` settings (the telemetry
-    /// snapshot publishes them as gauges).
-    pub fn walk_pool_shards(&self) -> Vec<(u64, usize)> {
-        (0..self.device_pool.num_shards())
-            .map(|s| {
-                (
-                    self.device_pool.shard_walkers(s),
-                    self.device_pool.shard_free_blocks(s),
-                )
-            })
-            .collect()
+    /// The device walk pool (the telemetry snapshot publishes its
+    /// occupancy, which derives from the schedule alone).
+    pub(crate) fn device_pool(&self) -> &DeviceWalkPool {
+        &self.device_pool
     }
 
     fn select_partition(&mut self) -> PartitionId {
@@ -1910,29 +1891,13 @@ impl LightTraffic {
         })
     }
 
-    /// Evict one queued walk batch of the shard owning `for_part` to the
-    /// host to free a block there, never from the partition currently
-    /// being drained unless it is the only choice.
-    ///
-    /// Victim selection is shard-local: with per-shard free lists, only an
-    /// eviction *within* `for_part`'s shard can unblock an insertion or
-    /// load for `for_part` (other shards' free blocks are unreachable by
-    /// design).
-    ///
-    /// Even when the eviction copy fails fatally the walkers land in the
-    /// host pool (the host-side walk index shadows in-flight batches), so
-    /// no walk is ever lost to a device fault.
+    /// Evict one queued walk batch to the host to free a block for
+    /// `for_part`, never from `for_part` itself unless it is the only
+    /// choice ([`pick_victim`] over the whole pool).
     fn evict_walk_batch(&mut self, for_part: PartitionId) -> Result<(), EngineError> {
-        let shard = self.device_pool.shard_of(for_part);
-        let candidates: Vec<PartitionId> = self
-            .device_pool
-            .shard_partitions_with_queued_batches(shard)
-            .collect();
-        debug_assert!(!candidates.is_empty(), "2P+S sizing guarantees a victim");
         let victim = pick_victim(
-            &candidates,
+            &self.device_pool,
             &self.host_pool,
-            |p| self.device_pool.count(p),
             &self.graph_pool,
             self.cfg.selective,
             for_part,
@@ -1941,20 +1906,41 @@ impl LightTraffic {
             .device_pool
             .evict_queue_batch(victim)
             .expect("victim has a queued batch");
-        let rows = self.walk_rows(&batch);
-        let res = self.copy_with_retry(
-            Direction::DeviceToHost,
-            batch.bytes(self.walker_bytes).max(1),
-            Category::WalkEvict,
-            self.evict_stream,
-            victim,
-            &rows,
-        );
-        if res.is_ok() {
-            self.metrics.walk_batches_evicted += 1;
+        self.park_evicted([batch])
+    }
+
+    /// Charge the D2H copies of batches already taken out of the device
+    /// pool, in order, and park each on the host, counting the copies that
+    /// succeed. On a fatal copy fault the remaining batches are parked
+    /// before the error surfaces (the host-side walk index shadows
+    /// in-flight batches), so no walk is ever lost to a device fault.
+    fn park_evicted(
+        &mut self,
+        evicted: impl IntoIterator<Item = WalkBatch>,
+    ) -> Result<(), EngineError> {
+        let mut evicted = evicted.into_iter();
+        while let Some(batch) = evicted.next() {
+            let rows = self.walk_rows(&batch);
+            let res = self.copy_with_retry(
+                Direction::DeviceToHost,
+                batch.bytes(self.walker_bytes).max(1),
+                Category::WalkEvict,
+                self.evict_stream,
+                batch.partition(),
+                &rows,
+            );
+            if res.is_ok() {
+                self.metrics.walk_batches_evicted += 1;
+            }
+            self.host_pool.push_evicted(batch);
+            if let Err(e) = res {
+                for rest in evicted.by_ref() {
+                    self.host_pool.push_evicted(rest);
+                }
+                return Err(e);
+            }
         }
-        self.host_pool.push_evicted(batch);
-        res
+        Ok(())
     }
 
     /// Step one batch to completion on the host — the pure half of the
@@ -2050,7 +2036,7 @@ impl LightTraffic {
 
     /// The stateful half of the kernel: merge the chunk outputs in chunk
     /// order, book the walk metrics, reshuffle leavers into their new
-    /// frontiers (charging eviction copies in shard order), and charge
+    /// frontiers (charging eviction copies in eviction order), and charge
     /// the kernel's simulated cost. Runs on the scheduler thread only —
     /// in the pipelined drain this is exactly the work that overlaps the
     /// workers' speculative stepping of the next batch.
@@ -2133,10 +2119,10 @@ impl LightTraffic {
         // Reshuffle (DESIGN.md §10), wall-clocked end to end: one stable
         // counting sort of the movers by target partition, read straight
         // out of the chunk outputs in chunk order, then one bulk insert
-        // per run, shard-major. It runs here on the scheduler thread,
-        // where it overlaps the workers' speculative step of the next
-        // batch. Every insert and evict decision is a function of the
-        // batch and the (structural) shard layout alone.
+        // per run, partitions ascending. It runs here on the scheduler
+        // thread, where it overlaps the workers' speculative step of the
+        // next batch. Every insert and evict decision is a function of
+        // the batch and the pool state alone.
         let rs_wall = Instant::now();
         self.local_index.sort(
             outputs.iter().map(|o| o.moved.as_slice()),
@@ -2147,7 +2133,7 @@ impl LightTraffic {
             "multi-step walking never reinserts locally"
         );
         let evicted = insert_runs(
-            self.device_pool.shards_mut(),
+            &mut self.device_pool,
             &self.local_index,
             &self.host_pool,
             &self.graph_pool,
@@ -2165,30 +2151,8 @@ impl LightTraffic {
         }
         // Charge the evictions' D2H copies in eviction order. Every moved
         // walker is already inside the device pool, so even a fatal copy
-        // fault here leaves the walk index intact: the remaining evicted
-        // batches are parked on the host before the error surfaces.
-        let mut evicted = evicted.into_iter();
-        while let Some(batch) = evicted.next() {
-            let rows = self.walk_rows(&batch);
-            let res = self.copy_with_retry(
-                Direction::DeviceToHost,
-                batch.bytes(self.walker_bytes).max(1),
-                Category::WalkEvict,
-                self.evict_stream,
-                batch.partition(),
-                &rows,
-            );
-            if res.is_ok() {
-                self.metrics.walk_batches_evicted += 1;
-            }
-            self.host_pool.push_evicted(batch);
-            if let Err(e) = res {
-                for rest in evicted.by_ref() {
-                    self.host_pool.push_evicted(rest);
-                }
-                return Err(e);
-            }
-        }
+        // fault here leaves the walk index intact.
+        self.park_evicted(evicted)?;
         let two_level = self.cfg.reshuffle == ReshuffleMode::TwoLevel;
         let working_set = self.pg.partition_bytes(part);
         let kcost = KernelCost {
@@ -2303,70 +2267,45 @@ impl Drop for LightTraffic {
     }
 }
 
-/// The §III-D eviction-victim heuristic over one shard's candidate set,
-/// shared by the reshuffle insert phase and
+/// The §III-D eviction-victim heuristic over the partitions of `device`
+/// that hold a queued batch, shared by the reshuffle insert phase and
 /// [`LightTraffic::evict_walk_batch`]: protect the partition being
 /// drained unless it is the only choice; under selective scheduling
-/// prefer non-graph-resident partitions and break ties by fewest walks,
-/// then lowest id.
+/// prefer non-graph-resident partitions (their batches cannot be computed
+/// without a future load anyway) and break ties by fewest walks; then
+/// lowest id.
 fn pick_victim(
-    candidates: &[PartitionId],
+    device: &DeviceWalkPool,
     host: &HostWalkPool,
-    device_count: impl Fn(PartitionId) -> u64,
     graph: &DeviceGraphPool,
     selective: bool,
     protect: PartitionId,
 ) -> PartitionId {
-    let unprotected: Vec<PartitionId> = candidates
-        .iter()
-        .copied()
-        .filter(|&p| p != protect)
-        .collect();
-    let pool: &[PartitionId] = if unprotected.is_empty() {
-        candidates
-    } else {
-        &unprotected
-    };
-    if selective {
-        // Prefer partitions whose graph is not resident (their batches
-        // cannot be computed without a future load anyway); among those,
-        // the one with the fewest walks.
-        let non_resident: Vec<PartitionId> = pool
-            .iter()
-            .copied()
-            .filter(|&p| !graph.contains(p))
-            .collect();
-        let set: &[PartitionId] = if non_resident.is_empty() {
-            pool
-        } else {
-            &non_resident
-        };
-        set.iter()
-            .copied()
-            .min_by_key(|&p| (host.count(p) + device_count(p), p))
-            .expect("non-empty")
-    } else {
-        pool[0]
-    }
+    device
+        .partitions_with_queued_batches()
+        .min_by_key(|&p| {
+            let by_policy = selective.then(|| (graph.contains(p), host.count(p) + device.count(p)));
+            (p == protect, by_policy, p)
+        })
+        .expect("the 2P+1 floor guarantees a queued batch when the free list is empty")
 }
 
 /// The insert half of the reshuffle: copy every run of the sorted movers
-/// into its frontier — shards `0..S`, within a shard its partitions
-/// ascending, within a partition arrival order — evicting a shard-local
-/// victim whenever a promotion finds the shard's free list empty.
-/// Returns the evicted batches in eviction order; the caller charges
-/// their D2H copies afterwards, so the host pool the victim heuristic
-/// reads does not change during the phase.
+/// into its frontier — partitions ascending, within a partition arrival
+/// order — evicting a victim whenever a promotion finds the free list
+/// empty. Returns the evicted batches in eviction order; the caller
+/// charges their D2H copies afterwards, so the host pool the victim
+/// heuristic reads does not change during the phase.
 ///
-/// Livelock audit, per shard: `insert_run` stops early only when the
-/// shard's free list is empty; the `2P + S` floor pins exactly `2·Pₛ`
-/// blocks per shard to frontier/reserve pairs, so every remaining block
-/// then holds a queued batch and `evict_queue_batch` frees exactly one —
-/// even when the only victim is the protected partition itself. The next
-/// `insert_run` promotes and takes at least one walker, so the loop
-/// evicts at most once per frontier block the run fills.
+/// Livelock audit: `insert_run` stops early only when the free list is
+/// empty; the `2P + 1` floor pins exactly `2P` blocks to frontier/reserve
+/// pairs, so every remaining block then holds a queued batch and
+/// `evict_queue_batch` frees exactly one — even when the only victim is
+/// the protected partition itself. The next `insert_run` promotes and
+/// takes at least one walker, so the loop evicts at most once per
+/// frontier block the run fills.
 fn insert_runs(
-    shards: &mut [Shard],
+    device: &mut DeviceWalkPool,
     movers: &LocalIndex,
     host: &HostWalkPool,
     graph: &DeviceGraphPool,
@@ -2374,30 +2313,16 @@ fn insert_runs(
     protect: PartitionId,
 ) -> Vec<WalkBatch> {
     let mut evicted = Vec::new();
-    for shard in shards {
-        for p in shard.partitions() {
-            let mut run = shard.insert_run(p, movers.run(p));
-            while !run.is_empty() {
-                debug_assert!(
-                    shard.eviction_candidate_exists(),
-                    "full shard without an eviction victim breaks the 2P+S floor"
-                );
-                let candidates: Vec<PartitionId> = shard.partitions_with_queued_batches().collect();
-                let victim = pick_victim(
-                    &candidates,
-                    host,
-                    |q| shard.count(q),
-                    graph,
-                    selective,
-                    protect,
-                );
-                evicted.push(
-                    shard
-                        .evict_queue_batch(victim)
-                        .expect("victim has a queued batch"),
-                );
-                run = shard.insert_run(p, run);
-            }
+    for p in 0..device.num_partitions() {
+        let mut run = device.insert_run(p, movers.run(p));
+        while !run.is_empty() {
+            let victim = pick_victim(device, host, graph, selective, protect);
+            evicted.push(
+                device
+                    .evict_queue_batch(victim)
+                    .expect("victim has a queued batch"),
+            );
+            run = device.insert_run(p, run);
         }
     }
     evicted
@@ -2899,6 +2824,30 @@ mod tests {
             "tight pool must trigger evictions"
         );
         assert!(r.gpu.walk_evict.bytes > 0);
+    }
+
+    /// Fails with a free list per group of partitions: a pool sized to
+    /// hold every walk (Figure 15's largest pool, one block per full batch
+    /// on top of the `2P + 1` floor, plus one per partition for the
+    /// partial batches the initial injection leaves) never evicts, however
+    /// skewed the graph.
+    #[test]
+    fn a_pool_that_holds_every_walk_never_evicts() {
+        let g = graph();
+        let pg = Arc::new(PartitionedGraph::build(g.clone(), 16 << 10));
+        let p = pg.num_partitions() as usize;
+        let (walks, batch) = (20_000, 32);
+        let cfg = EngineConfig {
+            batch_capacity: batch,
+            walk_pool_blocks: Some(walks / batch + 2 * p + 1 + p),
+            ..EngineConfig::light_traffic(16 << 10, 4)
+        };
+        let mut e =
+            LightTraffic::with_partitioned(pg, Arc::new(UniformSampling::new(8)), cfg).unwrap();
+        let r = e.run(walks as u64).unwrap();
+        assert_eq!(r.metrics.finished_walks, walks as u64);
+        assert!(r.metrics.walk_batches_loaded > 0);
+        assert_eq!(r.metrics.walk_batches_evicted, 0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Persistent deterministic host executor.
 //!
-//! Every parallel host-side phase (kernel chunks, reshuffle grouping,
-//! sharded inserts, out-of-core decode, speculative stepping) runs on
-//! one long-lived worker pool per engine — the hot path never spawns a
+//! Every parallel host-side phase (kernel chunks, out-of-core decode,
+//! speculative stepping) runs on one long-lived worker pool per engine — the hot path never spawns a
 //! thread.  Workers park on a condvar, tasks carry their submission
 //! index, and the ordered-join primitives ([`ExecPool::run_ordered`],
 //! [`ExecPool::submit_group`]) collect outputs in submission order, so

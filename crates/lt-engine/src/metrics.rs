@@ -60,7 +60,7 @@ pub struct Metrics {
     /// Widest host-thread fan-out any single kernel used.
     pub max_kernel_threads: u64,
     /// *Host* wall-clock ns spent in the reshuffle (counting sort of the
-    /// movers + shard-major insert-or-evict). Wall-clock like
+    /// movers + insert-or-evict, partitions ascending). Wall-clock like
     /// `host_kernel_wall_ns`: machine-dependent, and deliberately never
     /// published into the metric registry so telemetry streams stay
     /// bit-identical across thread counts.

@@ -12,7 +12,7 @@
 //! On the host that is `LocalIndex::sort`: one partition lookup per
 //! mover, one stable counting-sort scatter into a recycled buffer, and —
 //! in the engine — one bulk copy of each run into its frontier
-//! (`Shard::insert_run`). The host always runs this one sort.
+//! ([`crate::walkpool::DeviceWalkPool::insert_run`]). The host always runs this one sort.
 //! [`ReshuffleMode`] does not select a host path; it selects which branch
 //! of [`lt_gpusim::CostModel::reshuffle_time`] the *simulated* device is
 //! charged, which is the whole of the Figure 12 comparison.

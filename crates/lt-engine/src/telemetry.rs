@@ -88,26 +88,23 @@ pub fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
             &[],
         )
         .set(m.host_decode_bytes);
-    // Per-shard occupancy of the sharded walk pool (DESIGN.md §10). Both
-    // gauges derive from the schedule alone, so the export stays
-    // bit-identical across kernel/reshuffle thread counts.
-    for (s, (walkers, free)) in engine.walk_pool_shards().into_iter().enumerate() {
-        let label = s.to_string();
-        registry
-            .gauge(
-                "lt_walk_pool_shard_walkers",
-                "Walkers resident in one device walk-pool shard",
-                &[("shard", &label)],
-            )
-            .set(walkers as f64);
-        registry
-            .gauge(
-                "lt_walk_pool_shard_free_blocks",
-                "Free blocks on one device walk-pool shard's free list",
-                &[("shard", &label)],
-            )
-            .set(free as f64);
-    }
+    // Device walk-pool occupancy (DESIGN.md §10). Both gauges derive from
+    // the schedule alone, so the export stays bit-identical across
+    // `kernel_threads` settings.
+    registry
+        .gauge(
+            "lt_walk_pool_walkers",
+            "Walkers resident in the device walk pool",
+            &[],
+        )
+        .set(engine.device_pool().total() as f64);
+    registry
+        .gauge(
+            "lt_walk_pool_free_blocks",
+            "Blocks on the device walk pool's free list",
+            &[],
+        )
+        .set(engine.device_pool().free_blocks() as f64);
     // Persistent-executor and speculation activity (DESIGN.md §11). All
     // values are host-side observations — like the `host_*` metrics they
     // never feed back into simulated outputs, so they are exported here,
@@ -331,10 +328,10 @@ mod tests {
         assert!(text.contains("lt_gpu_makespan_ns"));
         assert!(text.contains("lt_walk_length_steps_bucket"));
         assert!(
-            text.contains("lt_walk_pool_shard_walkers{shard=\"0\"}"),
-            "per-shard occupancy gauges missing from the export"
+            text.contains("lt_walk_pool_walkers "),
+            "walk-pool occupancy gauges missing from the export"
         );
-        assert!(text.contains("lt_walk_pool_shard_free_blocks{shard=\"0\"}"));
+        assert!(text.contains("lt_walk_pool_free_blocks "));
         let p = t.pipeline.expect("op log was recorded");
         assert_eq!(p.makespan_ns, r.metrics.makespan_ns);
         assert!(p.tracks.iter().any(|tr| tr.busy_ns > 0));

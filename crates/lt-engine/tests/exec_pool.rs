@@ -1,13 +1,13 @@
 //! Property tests of the persistent executor and the speculative drain
 //! (DESIGN.md §11): for any thread fan-out in {2, 4, 8} and with or
-//! without retryable fault injection, pooled kernels, pooled
-//! reshuffles and validated speculation must reproduce the
-//! `kernel_threads: 1` run — inline stepping, no speculation — **bit for
-//! bit**: metrics, recorded paths, and the full simulated device
-//! breakdown. A stress test additionally reuses one engine (and therefore
+//! without retryable fault injection, pooled kernels and validated
+//! speculation must reproduce the `kernel_threads: 1` run — inline
+//! stepping, no speculation — **bit for bit**: metrics, recorded paths,
+//! and the full simulated device breakdown. A stress test additionally reuses one engine (and therefore
 //! one pool) across many `run` calls, the long-lived usage the pool
-//! exists for. (The speculation miss path cannot be reached from a run —
-//! see the `engine.rs` unit test that drives it directly.)
+//! exists for. The speculation miss path cannot be reached from a run
+//! (DESIGN.md §11 has the argument; the `engine.rs` unit test drives it
+//! directly), so every battery here asserts `host_spec_misses == 0`.
 
 use lt_engine::algorithm::{PageRank, UniformSampling};
 use lt_engine::{EngineConfig, LightTraffic, RunResult};
@@ -67,12 +67,37 @@ proptest! {
             pooled.metrics.host_spec_hits > 0,
             "kt={} never used a speculation", kt
         );
+        prop_assert_eq!(pooled.metrics.host_spec_misses, 0);
         prop_assert_eq!(
             pooled.deterministic_fingerprint(),
             serial.deterministic_fingerprint(),
             "kt={}, faults={} diverged from kernel_threads=1",
             kt, inject_faults
         );
+    }
+}
+
+/// The tightest pool that still speculates: the `2P + 1` floor, where every
+/// promotion evicts, with two-chunk batches. No eviction may take the
+/// batch a speculation predicted.
+#[test]
+fn speculation_never_misses_at_the_pool_floor() {
+    for graph_seed in [3, 7, 11] {
+        let g = graph(graph_seed);
+        let cfg = EngineConfig {
+            batch_capacity: 128,
+            walk_pool_blocks: Some(0),
+            ..config(4, None)
+        };
+        let mut e = LightTraffic::new(g.clone(), Arc::new(UniformSampling::new(8)), cfg)
+            .expect("pools fit");
+        let m = e.run(20_000).expect("run completes").metrics;
+        assert!(m.walk_batches_evicted > 0, "the floor must bite");
+        assert!(
+            m.host_spec_hits > 0,
+            "graph seed {graph_seed} never speculated"
+        );
+        assert_eq!(m.host_spec_misses, 0, "graph seed {graph_seed}");
     }
 }
 

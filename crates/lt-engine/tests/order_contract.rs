@@ -5,11 +5,24 @@
 //! frontier insertion order, an eviction taken one walker earlier) would
 //! pass them all while changing the simulated timeline. These three
 //! fixed configurations instead compare a run's
-//! [`RunResult::deterministic_fingerprint`] with constants recorded once,
-//! at commit `5dc395d` (per-walker `try_insert` reshuffle, before the
-//! fused counting sort replaced it). A change that keeps frontier order,
-//! eviction timing and victim choice keeps these numbers; any other change
-//! must say why it moves them.
+//! [`RunResult::deterministic_fingerprint`] with recorded constants. A
+//! change that keeps frontier order, eviction timing and victim choice
+//! keeps these numbers; any later change must say why it moves them.
+//!
+//! History of the constants:
+//! - recorded at `5dc395d` (per-walker `try_insert` reshuffle) and kept
+//!   by PR 16 (`7160872`, fused counting sort);
+//! - re-recorded by PR 17 (the commit after `7160872`, "One walk pool, one
+//!   free list"), which changed the *scope of an eviction* from
+//!   shard-local to pool-global: the device walk pool has one free list
+//!   again, so an insert evicts only when the whole pool is full, the
+//!   victim is chosen among all partitions, and inserts visit partitions
+//!   in ascending order. `walk_pool_blocks: Some(0)` now means the paper's
+//!   `2P + 1` floor (it meant `2P + min(P, 8)`), and the derived `4P` pool
+//!   of the first configuration no longer evicts at `100 * |V|` walks, so
+//!   that run was doubled to `200 * |V|`. Evictions / iterations /
+//!   makespan before: 69 / 176 / 7113947 (at `100 * |V|`),
+//!   3213 / 52 / 36830022, 1679 / 121 / 20587309.
 //!
 //! The device config is spelled out (`GpuConfig::default()`), so the
 //! `LT_TEST_FAULT_SEED` drill does not reach these runs, and the
@@ -80,7 +93,7 @@ fn pinned(r: &RunResult) -> Pinned {
 #[test]
 fn default_pool_large_batches() {
     let g = graph(12);
-    let walks = 100 * g.num_vertices();
+    let walks = 200 * g.num_vertices();
     let cfg = EngineConfig {
         kernel_threads: 4,
         ..EngineConfig::light_traffic(8 << 10, 4)
@@ -90,23 +103,23 @@ fn default_pool_large_batches() {
     assert_eq!(
         pinned(&r),
         Pinned {
-            fingerprint: 10_583_177_161_569_302_260,
-            walk_batches_evicted: 69,
-            iterations: 176,
-            makespan_ns: 7_113_947,
+            fingerprint: 7_736_391_454_572_833_660,
+            walk_batches_evicted: 195,
+            iterations: 175,
+            makespan_ns: 13_416_232,
         }
     );
 }
 
-/// The `2P + S` floor with 8-walker batches: every shard has one
-/// circulating block, so the insert-or-evict loop evicts constantly and a
-/// run usually spans several promotions of one frontier.
+/// The `2P + 1` floor with 8-walker batches: one block circulates, so the
+/// insert-or-evict loop evicts constantly and a run usually spans several
+/// promotions of one frontier.
 #[test]
 fn pool_floor_evicts_constantly() {
     let g = graph(10);
     let cfg = EngineConfig {
         batch_capacity: 8,
-        walk_pool_blocks: Some(0), // raised to the 2P + S floor
+        walk_pool_blocks: Some(0), // raised to the 2P + 1 floor
         record_paths: true,
         kernel_threads: 2,
         ..EngineConfig::light_traffic(8 << 10, 3)
@@ -116,10 +129,10 @@ fn pool_floor_evicts_constantly() {
     assert_eq!(
         pinned(&r),
         Pinned {
-            fingerprint: 1_377_275_187_493_448_333,
-            walk_batches_evicted: 3213,
-            iterations: 52,
-            makespan_ns: 36_830_022,
+            fingerprint: 5_076_428_522_729_951_092,
+            walk_batches_evicted: 3236,
+            iterations: 54,
+            makespan_ns: 36_775_922,
         }
     );
 }
@@ -144,10 +157,10 @@ fn direct_write_without_selective_scheduling() {
     assert_eq!(
         pinned(&r),
         Pinned {
-            fingerprint: 564_580_558_176_187_771,
-            walk_batches_evicted: 1679,
-            iterations: 121,
-            makespan_ns: 20_587_309,
+            fingerprint: 7_915_301_084_599_244_605,
+            walk_batches_evicted: 1694,
+            iterations: 124,
+            makespan_ns: 20_526_390,
         }
     );
 }

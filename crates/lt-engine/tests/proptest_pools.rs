@@ -5,7 +5,7 @@
 
 use lt_engine::batch::WalkBatch;
 use lt_engine::walker::Walker;
-use lt_engine::walkpool::{shard_count, DeviceWalkPool, HostWalkPool};
+use lt_engine::walkpool::{DeviceWalkPool, HostWalkPool};
 use lt_gpusim::{Gpu, GpuConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -46,7 +46,7 @@ proptest! {
     #[test]
     fn pools_conserve_walkers_under_any_interleaving(
         ops in prop::collection::vec(op_strategy(), 1..200),
-        blocks in (2 * PARTS as usize + shard_count(PARTS))..24,
+        blocks in (2 * PARTS as usize + 1)..24,
     ) {
         let gpu = Gpu::new(GpuConfig {
             memory_bytes: 1 << 30,
@@ -127,14 +127,14 @@ proptest! {
     fn device_pool_structural_floor_always_holds(
         inserts in prop::collection::vec((0u32..PARTS, 1u64..50), 1..30),
     ) {
-        // With exactly 2P+S blocks (the sharded floor), any insertion
+        // With exactly 2P+1 blocks (the floor), any insertion
         // pattern either succeeds or reports PoolFull — never panics,
         // never loses the reserve.
         let gpu = Gpu::new(GpuConfig {
             memory_bytes: 1 << 30,
             ..Default::default()
         });
-        let floor = 2 * PARTS as usize + shard_count(PARTS);
+        let floor = 2 * PARTS as usize + 1;
         let mut dev = DeviceWalkPool::new(&gpu, PARTS, floor, 64, 2).unwrap();
         let mut id = 0u64;
         for (p, n) in inserts {
@@ -142,13 +142,12 @@ proptest! {
                 match dev.try_insert(p, Walker::new(id, p)) {
                     Ok(()) => id += 1,
                     Err(_) => {
-                        // Eviction always recovers insertion capacity —
-                        // from the *same shard*: free lists are per shard,
-                        // so only a shard-local victim helps `p`.
+                        // Eviction always recovers insertion capacity,
+                        // whichever partition the victim belongs to.
                         let victim = dev
-                            .shard_partitions_with_queued_batches(dev.shard_of(p))
+                            .partitions_with_queued_batches()
                             .next()
-                            .expect("full shard must have a queued batch");
+                            .expect("full pool must have a queued batch");
                         dev.evict_queue_batch(victim).unwrap();
                         dev.try_insert(p, Walker::new(id, p)).unwrap();
                         id += 1;

@@ -483,7 +483,6 @@ impl Scheduler {
             visit_counts: None,
             total_steps: j.result.steps,
             finished_walks: j.result.finished,
-            shard_walkers: Vec::new(),
         })
     }
 

@@ -140,11 +140,10 @@ fn thread_counts_and_retryable_faults_do_not_change_results() {
 }
 
 /// Acceptance check for the persistent executor and the speculative
-/// drain (DESIGN.md §11) and for the sharded reshuffle (§10):
-/// `kernel_threads` ∈ {2, 4, 8} — pooled kernels, pooled reshuffle,
-/// speculation hits — produce runs **bit-identical** to the
-/// `kernel_threads: 1` reference (inline stepping, serial reshuffle, no
-/// speculation): paths, visit counts, simulated clock, full device-stats
+/// drain (DESIGN.md §11) and for the one-pass reshuffle (§10):
+/// `kernel_threads` ∈ {2, 4, 8} — pooled kernels, speculation hits and
+/// never a miss — produce runs **bit-identical** to the
+/// `kernel_threads: 1` reference (inline stepping, no speculation): paths, visit counts, simulated clock, full device-stats
 /// breakdown, with and without injected retryable faults. Only the
 /// wall-clock/fan-out bookkeeping may differ. Both drain shapes must provably run: the reference
 /// never speculates, and some multi-thread run uses a speculation.
@@ -169,6 +168,7 @@ fn pooled_speculative_runs_match_the_serial_reference() {
                 for kernel_threads in [2usize, 4, 8] {
                     let r = run(kernel_threads, fault_seed);
                     spec_hits += r.metrics.host_spec_hits;
+                    assert_eq!(r.metrics.host_spec_misses, 0);
                     assert_eq!(r.metrics.host_spawn_rounds, 0);
                     assert_eq!(
                         r.deterministic_fingerprint(),

@@ -81,11 +81,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Checkpoint → restore round-trip from an arbitrary pause point
-    /// reproduces the uninterrupted run bit-identically — on the sharded
-    /// pool, under any configuration (thread counts included). The pause
-    /// lands between scheduler iterations, i.e. after reshuffles have
-    /// scattered walkers across the shards, so the snapshot exercises the
-    /// sharded walk index, not just a fresh pool.
+    /// reproduces the uninterrupted run bit-identically under any
+    /// configuration (thread counts included). The pause lands between
+    /// scheduler iterations, i.e. after reshuffles have scattered walkers
+    /// across queues and frontiers, so the snapshot exercises a used walk
+    /// index, not just a fresh pool.
     #[test]
     fn checkpoint_restore_round_trip_is_bit_identical(
         g in graph_strategy(),
@@ -115,10 +115,6 @@ proptest! {
             e.checkpoint()
         };
         prop_assert!(cp.active_walks() > 0);
-        // The snapshot reflects the sharded device pool: one occupancy
-        // entry per shard, totals bounded by the in-flight population.
-        prop_assert!(!cp.shard_walkers.is_empty());
-        prop_assert!(cp.shard_walkers.iter().sum::<u64>() <= cp.active_walks());
 
         // JSON round-trip, then resume on a brand-new engine.
         let json = serde_json::to_string(&cp).expect("checkpoint serializes");
