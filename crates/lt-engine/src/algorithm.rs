@@ -67,11 +67,12 @@ pub struct StepContext<'a> {
     pub neighbors: &'a [VertexId],
     /// Edge weights parallel to `neighbors`, for weighted walks.
     pub weights: Option<&'a [f32]>,
-    /// Neighbors of the *previous* vertex (`walker.aux`), when the engine
-    /// can serve them (second-order walks need them; `None` when the
-    /// previous vertex lies outside the resident partition — the
-    /// second-order engines the paper cites hit the same asymmetry and
-    /// fall back to first-order weights there, as we do).
+    /// Neighbors of the *previous* vertex (`walker.aux`). `Some` only for
+    /// an algorithm whose [`WalkAlgorithm::reads_prev_neighbors`] is
+    /// `true`, and even then `None` when the previous vertex lies outside
+    /// the resident partition — the second-order engines the paper cites
+    /// hit the same asymmetry and fall back to first-order weights there,
+    /// as we do.
     pub prev_neighbors: Option<&'a [VertexId]>,
     /// Edge timestamps parallel to `neighbors`, for temporal walks.
     /// `None` on non-temporal graphs.
@@ -97,6 +98,14 @@ pub trait WalkAlgorithm: Send + Sync {
     /// Decide walker's next move. Called with `walker.step` equal to the
     /// number of steps already taken.
     fn step(&self, walker: &Walker, ctx: StepContext<'_>, seed: u64) -> StepDecision;
+
+    /// Whether [`WalkAlgorithm::step`] reads
+    /// [`StepContext::prev_neighbors`]. The engine asks once per batch and
+    /// only on `true` looks `walker.aux` up — and, over an out-of-core
+    /// store, decodes the partitions it points into. No default on
+    /// purpose: a wrong `false` silently makes a second-order walk
+    /// first-order, so every implementer has to answer.
+    fn reads_prev_neighbors(&self) -> bool;
 
     /// Whether per-vertex visit frequencies must be maintained in device
     /// memory (PageRank, PPR).
@@ -162,6 +171,10 @@ impl WalkAlgorithm for UniformSampling {
         16 // current_vertex + walked_steps + walk_id
     }
 
+    fn reads_prev_neighbors(&self) -> bool {
+        false
+    }
+
     fn max_steps(&self) -> u32 {
         self.length
     }
@@ -211,6 +224,10 @@ impl WalkAlgorithm for PageRank {
 
     fn tracks_visits(&self) -> bool {
         true
+    }
+
+    fn reads_prev_neighbors(&self) -> bool {
+        false
     }
 
     fn max_steps(&self) -> u32 {
@@ -278,6 +295,10 @@ impl WalkAlgorithm for Ppr {
         true
     }
 
+    fn reads_prev_neighbors(&self) -> bool {
+        false
+    }
+
     fn max_steps(&self) -> u32 {
         self.cap
     }
@@ -342,6 +363,10 @@ impl WalkAlgorithm for WeightedWalk {
             }
             salt += 1;
         }
+    }
+
+    fn reads_prev_neighbors(&self) -> bool {
+        false
     }
 
     fn max_steps(&self) -> u32 {
@@ -450,6 +475,10 @@ impl WalkAlgorithm for SecondOrderWalk {
         20 // vertex + steps + id + previous vertex
     }
 
+    fn reads_prev_neighbors(&self) -> bool {
+        true
+    }
+
     fn max_steps(&self) -> u32 {
         self.length
     }
@@ -553,6 +582,10 @@ impl WalkAlgorithm for TemporalWalk {
 
     fn walker_state_bytes(&self) -> u64 {
         16 // vertex + steps + clock
+    }
+
+    fn reads_prev_neighbors(&self) -> bool {
+        false
     }
 
     fn max_steps(&self) -> u32 {
@@ -744,6 +777,53 @@ mod tests {
         let rate = returns as f64 / trials as f64;
         // Stationary: weight 4 vs 1+1+1 => 4/7 ≈ 0.571.
         assert!(rate > 0.45, "return rate {rate}");
+    }
+
+    /// The declaration cannot lie silently: an algorithm answering `false`
+    /// decides identically whether or not the engine serves
+    /// `prev_neighbors`, and the one answering `true` really depends on it.
+    #[test]
+    fn reads_prev_neighbors_matches_what_step_reads() {
+        let nv = 64u64;
+        let g = with_random_weights(&erdos_renyi(nv, 1024, 5).csr, 6);
+        let g = lt_graph::gen::with_random_timestamps(&g, 7, 64);
+        // Whether walker `id`, mid-walk at some vertex with another one in
+        // `aux`, decides the same with and without second-order context.
+        let same = |alg: &dyn WalkAlgorithm, id: u64| {
+            let (v, prev) = ((id * 7 % nv) as VertexId, (id * 13 % nv) as VertexId);
+            let w = Walker {
+                step: 1 + (id % 6) as u32,
+                aux: prev,
+                ..Walker::new(id, v)
+            };
+            let with = StepContext {
+                neighbors: g.neighbors(v),
+                weights: g.neighbor_weights(v),
+                prev_neighbors: Some(g.neighbors(prev)),
+                timestamps: g.neighbor_timestamps(v),
+                num_vertices: nv,
+            };
+            let without = StepContext {
+                prev_neighbors: None,
+                ..with
+            };
+            alg.step(&w, with, 3) == alg.step(&w, without, 3)
+        };
+        let first_order: [Box<dyn WalkAlgorithm>; 6] = [
+            Box::new(UniformSampling::new(8)),
+            Box::new(PageRank::new(8, 0.15)),
+            Box::new(Ppr::new(0, 0.15)),
+            Box::new(WeightedWalk::new(8)),
+            Box::new(crate::alias::AliasWeightedWalk::new(&g, 8)),
+            Box::new(TemporalWalk::new(8, 16)),
+        ];
+        for alg in &first_order {
+            assert!(!alg.reads_prev_neighbors(), "{}", alg.name());
+            assert!((0..300).all(|id| same(alg.as_ref(), id)), "{}", alg.name());
+        }
+        let node2vec = SecondOrderWalk::node2vec(8, 0.25, 4.0);
+        assert!(node2vec.reads_prev_neighbors());
+        assert!(!(0..300).all(|id| same(&node2vec, id)));
     }
 
     #[test]

@@ -226,6 +226,10 @@ impl WalkAlgorithm for AliasWeightedWalk {
         16
     }
 
+    fn reads_prev_neighbors(&self) -> bool {
+        false
+    }
+
     fn max_steps(&self) -> u32 {
         self.length
     }

@@ -18,7 +18,7 @@ use crate::algorithm::WalkAlgorithm;
 use crate::batch::{chunk_bounds, WalkBatch};
 use crate::exec::{ExecPool, PendingGroup};
 use crate::graphpool::{DeviceGraphPool, GraphEviction};
-use crate::hostcache::HostDecodeCache;
+use crate::hostcache::{self, HostDecodeCache};
 use crate::kernel::{self, GraphView, OocHostView, OwnedGraphView};
 use crate::metrics::{Metrics, RunResult};
 use crate::reshuffle::{LocalIndex, ReshuffleMode};
@@ -1272,15 +1272,16 @@ impl LightTraffic {
         let Some(cache) = self.host_cache.as_mut() else {
             return Arc::new(self.pg.extract(i));
         };
-        let host = &self.host_pool;
-        let dev = &self.device_pool;
-        let counts = move |p: PartitionId| host.count(p) + dev.count(p);
+        let (host, dev, resident) = (&self.host_pool, &self.device_pool, &self.graph_pool);
+        let rank = move |p: PartitionId| {
+            hostcache::eviction_rank(resident.contains(p), host.count(p) + dev.count(p))
+        };
         let policy = if self.cfg.selective {
             GraphEviction::FewestWalks
         } else {
             GraphEviction::Fifo
         };
-        let f = cache.fetch(i, policy, &counts, i, Some(&self.exec), self.kernel_threads);
+        let f = cache.fetch(i, policy, &rank, i, Some(&self.exec), self.kernel_threads);
         if f.missed {
             let bytes = f.data.bytes();
             self.metrics.host_cache_misses += 1;
@@ -1838,11 +1839,12 @@ impl LightTraffic {
     /// merge time — so a validated speculation is indistinguishable from
     /// stepping after the acquire.
     fn launch_speculation(&mut self, i: PartitionId, use_zc: bool) -> Option<Speculation> {
-        // Zero copy over an out-of-core store steps against a per-batch
-        // host view whose partition set depends on the batch actually
-        // acquired — a prediction cannot build it, so speculation simply
-        // declines (host-side throughput only; outputs are unaffected,
-        // like any skipped speculation).
+        // Zero copy over an out-of-core store steps against a host view
+        // fetched through the decode cache. A speculative fetch would
+        // make `host_cache_hits` depend on `kernel_threads`, and the
+        // host-tier counters are part of the deterministic fingerprint —
+        // so speculation declines (host-side throughput only; outputs
+        // are unaffected, like any skipped speculation).
         if use_zc && self.host_cache.is_some() {
             return None;
         }
@@ -1867,6 +1869,7 @@ impl LightTraffic {
         let task = Arc::new(kernel::OwnedKernelTask {
             view,
             alg: Arc::clone(&self.alg),
+            reads_prev: self.alg.reads_prev_neighbors(),
             seed: self.cfg.seed,
             num_vertices: self.pg.num_vertices(),
             range: self.pg.vertex_range(i),
@@ -1961,12 +1964,13 @@ impl LightTraffic {
     ) -> SteppedBatch {
         debug_assert_eq!(batch.partition(), part);
         let chunks = kernel::plan_chunks(batch.len(), self.kernel_threads);
+        let reads_prev = self.alg.reads_prev_neighbors();
         // Zero copy over an out-of-core store has no RAM CSR to read —
-        // gather the decoded partitions this batch can touch instead
+        // gather the decoded partitions this batch can read instead
         // (fetches go through the host decode cache and are charged to
         // the host tier like any other decode).
-        let ooc_view =
-            (use_zc && self.host_cache.is_some()).then(|| self.build_ooc_view(part, &batch));
+        let ooc_view = (use_zc && self.host_cache.is_some())
+            .then(|| self.build_ooc_view(part, &batch, reads_prev));
         let wall = Instant::now();
         let outputs: Vec<kernel::ChunkOutput> = {
             let task = kernel::KernelTask {
@@ -1978,6 +1982,7 @@ impl LightTraffic {
                     }
                 },
                 alg: self.alg.as_ref(),
+                reads_prev,
                 seed: self.cfg.seed,
                 num_vertices: self.pg.num_vertices(),
                 range: self.pg.vertex_range(part),
@@ -2010,22 +2015,29 @@ impl LightTraffic {
     }
 
     /// Collect the decoded partitions a zero-copy kernel over an
-    /// out-of-core store can touch: the batch's own partition plus the
-    /// partition of every walker's previous vertex (`aux` holding a
-    /// vertex id at batch start; after the first step `aux` always lies
-    /// in the batch's partition). Temporal clocks stored in `aux` can
-    /// alias vertices outside this set — those lookups return `None`,
-    /// which temporal algorithms ignore (see [`kernel::OocHostView`]).
-    fn build_ooc_view(&mut self, part: PartitionId, batch: &WalkBatch) -> OocHostView {
-        let nv = self.pg.num_vertices();
+    /// out-of-core store can read: the batch's own partition and, only
+    /// when the algorithm reads second-order context (`reads_prev`), the
+    /// partition of every walker's previous vertex (`aux` at batch start;
+    /// after the first step `aux` always lies in the batch's partition).
+    /// A first-order walk costs one fetch per kernel, like an explicit
+    /// copy. For clocks in `aux` see [`kernel::OocHostView`].
+    fn build_ooc_view(
+        &mut self,
+        part: PartitionId,
+        batch: &WalkBatch,
+        reads_prev: bool,
+    ) -> OocHostView {
         let mut needed: Vec<PartitionId> = vec![part];
-        for w in batch.walkers() {
-            if w.aux != VertexId::MAX && (w.aux as u64) < nv {
-                needed.push(self.pg.partition_of(w.aux));
+        if reads_prev {
+            let nv = self.pg.num_vertices();
+            for w in batch.walkers() {
+                if w.aux != VertexId::MAX && (w.aux as u64) < nv {
+                    needed.push(self.pg.partition_of(w.aux));
+                }
             }
+            needed.sort_unstable();
+            needed.dedup();
         }
-        needed.sort_unstable();
-        needed.dedup();
         OocHostView::new(
             needed
                 .into_iter()

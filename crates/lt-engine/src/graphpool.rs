@@ -36,19 +36,20 @@ pub struct DeviceGraphPool {
 }
 
 /// The partition to evict from a full residency queue (`order`, oldest
-/// first) under `policy`; `protect` is never chosen. Shared by the device
-/// graph pool and the host decode cache, which evict by the same rule one
-/// tier apart.
-pub(crate) fn pick_victim(
+/// first) under `policy`; `protect` is never chosen.
+/// [`GraphEviction::FewestWalks`] takes the minimum of `(rank(p), p)`: the
+/// device graph pool ranks by pending walks, the host decode cache by
+/// [`crate::hostcache::eviction_rank`].
+pub(crate) fn pick_victim<K: Ord>(
     order: &VecDeque<PartitionId>,
     policy: GraphEviction,
-    walk_counts: &dyn Fn(PartitionId) -> u64,
+    rank: &dyn Fn(PartitionId) -> K,
     protect: PartitionId,
 ) -> PartitionId {
     let candidates = || order.iter().copied().filter(|&p| p != protect);
     match policy {
         GraphEviction::Fifo => candidates().next(),
-        GraphEviction::FewestWalks => candidates().min_by_key(|&p| (walk_counts(p), p)),
+        GraphEviction::FewestWalks => candidates().min_by_key(|&p| (rank(p), p)),
     }
     .expect("a full cache holds at least one unprotected resident partition")
 }

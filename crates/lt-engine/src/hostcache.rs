@@ -9,6 +9,15 @@
 //! [`lt_telemetry::TrafficDirection::HostLoad`] by the engine so the
 //! ledger's exactness invariant (DESIGN.md §14) extends to the host tier.
 //!
+//! The engine fetches one partition per explicit graph copy and per
+//! zero-copy kernel, plus the walkers' previous-vertex partitions only for
+//! an algorithm that
+//! [reads them](crate::WalkAlgorithm::reads_prev_neighbors). Selective
+//! eviction drops what the device already holds first ([`eviction_rank`]);
+//! a miss decodes into fresh buffers (the evicted copy is usually still
+//! shared with the device pool, so there is nothing to recycle) in chunk
+//! groups of equal edge count. DESIGN.md §16 has the measurements.
+//!
 //! Determinism: `fetch` is only called from the scheduler thread at
 //! schedule-deterministic points, so the hits, misses and evictions the
 //! engine books from [`Fetched`] are reproducible across kernel thread
@@ -17,15 +26,25 @@
 
 use crate::exec::ExecPool;
 use crate::graphpool::{pick_victim, GraphEviction};
-use lt_graph::oocore::decode_chunk;
+use lt_graph::oocore::{decode_chunk, ChunkPlan};
 use lt_graph::{GraphError, OocGraph, PartitionData, PartitionId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How many evicted buffers to keep around for recycling. Decoding into a
-/// recycled buffer avoids re-allocating multi-megabyte vectors per miss.
-const MAX_RECYCLED: usize = 4;
+/// Selective eviction's key for one cached partition; the lowest is
+/// evicted. A device-resident partition goes first: it cannot be fetched
+/// again until the device pool evicts it, so its host slot is dead weight
+/// until then — and longest for the one with the *most* pending walks,
+/// which the device (evicting by fewest walks) keeps longest. Among the
+/// rest the fewest pending walks lose, as on the device.
+pub fn eviction_rank(device_resident: bool, walks: u64) -> (bool, u64) {
+    if device_resident {
+        (false, !walks)
+    } else {
+        (true, walks)
+    }
+}
 
 /// Result of a [`HostDecodeCache::fetch`].
 pub struct Fetched {
@@ -48,7 +67,6 @@ pub struct HostDecodeCache {
     /// [`crate::graphpool::DeviceGraphPool`].
     order: VecDeque<PartitionId>,
     capacity: usize,
-    recycled: Vec<PartitionData>,
 }
 
 impl HostDecodeCache {
@@ -60,13 +78,12 @@ impl HostDecodeCache {
             slots: vec![None; p],
             order: VecDeque::new(),
             capacity: capacity.min(p.max(1)),
-            recycled: Vec::new(),
         }
     }
 
-    /// Fetch partition `p`, decoding from disk on a miss. Eviction (when
-    /// the cache is full) follows the same policy as the device graph
-    /// pool: `walk_counts` feeds selective (fewest-walks) eviction and
+    /// Fetch partition `p`, decoding from disk on a miss. When the cache
+    /// is full, selective eviction drops the cached partition with the
+    /// lowest `rank` (an [`eviction_rank`]); `Fifo` ignores it, and
     /// `protect` is never evicted. `exec` fans the chunk decode out over
     /// up to `threads` workers; chunk boundaries are fixed by the file
     /// format, so the decoded bytes are identical at any thread count.
@@ -74,7 +91,7 @@ impl HostDecodeCache {
         &mut self,
         p: PartitionId,
         policy: GraphEviction,
-        walk_counts: &dyn Fn(PartitionId) -> u64,
+        rank: &dyn Fn(PartitionId) -> (bool, u64),
         protect: PartitionId,
         exec: Option<&ExecPool>,
         threads: usize,
@@ -89,15 +106,14 @@ impl HostDecodeCache {
         }
         let mut evicted = false;
         if self.order.len() >= self.capacity {
-            let victim = pick_victim(&self.order, policy, walk_counts, protect);
-            self.evict(victim);
+            let victim = pick_victim(&self.order, policy, rank, protect);
+            self.slots[victim as usize] = None;
+            self.order.retain(|&x| x != victim);
             evicted = true;
         }
-        let mut buf = self.recycled.pop().unwrap_or_else(empty_partition);
         let start = Instant::now();
-        decode_into(&self.ooc, p, &mut buf, exec, threads);
+        let data = Arc::new(decode(&self.ooc, p, exec, threads));
         let decode_ns = start.elapsed().as_nanos() as u64;
-        let data = Arc::new(buf);
         self.slots[p as usize] = Some(Arc::clone(&data));
         self.order.push_back(p);
         Fetched {
@@ -108,172 +124,134 @@ impl HostDecodeCache {
         }
     }
 
-    fn evict(&mut self, p: PartitionId) {
-        let arc = self.slots[p as usize]
-            .take()
-            .expect("evicting a non-resident partition");
-        self.order.retain(|&x| x != p);
-        // Recycle the buffers when nothing else (device pool, in-flight
-        // kernel task) still holds the decoded copy.
-        if self.recycled.len() < MAX_RECYCLED {
-            if let Ok(buf) = Arc::try_unwrap(arc) {
-                self.recycled.push(buf);
-            }
-        }
-    }
-
     /// Whether partition `p` is resident.
     pub fn contains(&self, p: PartitionId) -> bool {
         self.slots[p as usize].is_some()
     }
 }
 
-fn empty_partition() -> PartitionData {
-    PartitionData {
-        id: 0,
-        v_start: 0,
-        v_end: 0,
-        offsets: Vec::new(),
-        edges: Vec::new(),
-        weights: None,
-        timestamps: None,
+/// Cut `plans` (one partition's chunks, `part_edges` edges in all) into
+/// `groups` contiguous non-empty runs of about equal *edge* count, as
+/// exclusive end indices: decode time follows edges, and a power-law
+/// partition keeps its hubs in the first chunks. Run `g` ends at the first
+/// chunk starting at or past `g/groups` of the edges, clamped so that
+/// every run keeps a chunk.
+fn group_ends(plans: &[ChunkPlan], part_edges: u64, groups: usize) -> Vec<usize> {
+    debug_assert!((1..=plans.len()).contains(&groups));
+    let mut ends = Vec::with_capacity(groups);
+    let mut start = 0;
+    for g in 1..groups {
+        let target = g as u64 * part_edges / groups as u64;
+        let end = plans
+            .partition_point(|c| c.first_edge < target)
+            .clamp(start + 1, plans.len() - (groups - g));
+        ends.push(end);
+        start = end;
     }
+    ends.push(plans.len());
+    ends
 }
 
-/// Decode partition `p` of `ooc` into `buf`, reusing its allocations.
-/// Equivalent to [`OocGraph::decode_partition`], but fans contiguous
-/// chunk groups out over `exec` when available. Panics on a corrupt
-/// region — the file was validated at open, so mid-run decode failure is
-/// a programming or I/O error, matching `PartitionedGraph::extract`.
-fn decode_into(
+/// Decode partition `p` of `ooc`: [`OocGraph::decode_partition`], fanned
+/// out over `exec` in contiguous chunk groups when there is a pool and
+/// more than one chunk to share. Panics on a corrupt region — the file was
+/// validated at open, so mid-run decode failure is a programming or I/O
+/// error, matching `PartitionedGraph::extract`.
+fn decode(
     ooc: &OocGraph,
     p: PartitionId,
-    buf: &mut PartitionData,
     exec: Option<&ExecPool>,
     threads: usize,
-) {
-    let v_start = ooc.boundaries()[p as usize];
-    let v_end = ooc.boundaries()[p as usize + 1];
-    let n = (v_end - v_start) as usize;
-    let ne = ooc.partition_edges(p) as usize;
-    let (weighted, temporal) = (ooc.is_weighted(), ooc.is_temporal());
-    buf.id = p;
-    buf.v_start = v_start;
-    buf.v_end = v_end;
-    buf.offsets.clear();
-    buf.offsets.resize(n + 1, 0);
-    buf.edges.clear();
-    buf.edges.resize(ne, 0);
-    if weighted {
-        let w = buf.weights.get_or_insert_with(Vec::new);
-        w.clear();
-        w.resize(ne, 0.0);
-    } else {
-        buf.weights = None;
-    }
-    if temporal {
-        let t = buf.timestamps.get_or_insert_with(Vec::new);
-        t.clear();
-        t.resize(ne, 0);
-    } else {
-        buf.timestamps = None;
-    }
-
+) -> PartitionData {
+    let serial = || {
+        ooc.decode_partition(p)
+            .unwrap_or_else(|e| panic!("decoding partition {p}: {e}"))
+    };
+    let Some(exec) = exec.filter(|_| threads > 1) else {
+        return serial();
+    };
     let region = ooc
         .region(p)
         .unwrap_or_else(|e| panic!("reading region of partition {p}: {e}"));
     let plans = ooc
         .chunk_plans(p, &region)
         .unwrap_or_else(|e| panic!("parsing chunk index of partition {p}: {e}"));
-
-    let groups = match exec {
-        Some(_) => threads.clamp(1, plans.len().max(1)),
-        None => 1,
+    let groups = threads.min(plans.len());
+    if groups <= 1 {
+        return serial();
+    }
+    let v_start = ooc.boundaries()[p as usize];
+    let v_end = ooc.boundaries()[p as usize + 1];
+    let n = (v_end - v_start) as usize;
+    let ne = ooc.partition_edges(p) as usize;
+    let (weighted, temporal) = (ooc.is_weighted(), ooc.is_temporal());
+    let mut buf = PartitionData {
+        id: p,
+        v_start,
+        v_end,
+        offsets: vec![0; n + 1],
+        edges: vec![0; ne],
+        weights: weighted.then(|| vec![0.0; ne]),
+        timestamps: temporal.then(|| vec![0; ne]),
     };
-    if groups <= 1 || plans.len() <= 1 {
-        for plan in &plans {
-            let ls = (plan.v_start - v_start) as usize;
-            let le = (plan.v_end - v_start) as usize;
-            let (e0, e1) = (
-                plan.first_edge as usize,
-                (plan.first_edge + plan.num_edges) as usize,
-            );
-            decode_chunk(
-                &region,
-                plan,
-                weighted,
-                temporal,
-                &mut buf.offsets[ls..le],
-                &mut buf.edges[e0..e1],
-                buf.weights.as_mut().map(|w| &mut w[e0..e1]),
-                buf.timestamps.as_mut().map(|t| &mut t[e0..e1]),
-            )
-            .unwrap_or_else(|e| panic!("decoding partition {p}: {e}"));
-        }
-    } else {
-        // Split the chunk list into `groups` contiguous runs; each run's
-        // vertex and edge spans are contiguous, so the output buffers
-        // split into disjoint `&mut` subslices — no synchronization
-        // inside the decode.
-        let exec = exec.expect("groups > 1 implies a pool");
-        let region = &*region;
-        let mut tasks: Vec<Box<dyn FnOnce() -> Result<(), GraphError> + Send + '_>> =
-            Vec::with_capacity(groups);
-        let mut off_rest: &mut [u64] = &mut buf.offsets[..n];
-        let mut edge_rest: &mut [u32] = &mut buf.edges[..];
-        let mut w_rest: Option<&mut [f32]> = buf.weights.as_mut().map(|w| &mut w[..]);
-        let mut t_rest: Option<&mut [u32]> = buf.timestamps.as_mut().map(|t| &mut t[..]);
-        let per = plans.len() / groups;
-        let extra = plans.len() % groups;
-        let mut idx = 0;
-        for g in 0..groups {
-            let take = per + usize::from(g < extra);
-            let group = &plans[idx..idx + take];
-            idx += take;
-            let first = &group[0];
-            let last = &group[group.len() - 1];
-            let gv = (last.v_end - first.v_start) as usize;
-            let ge = (last.first_edge + last.num_edges - first.first_edge) as usize;
-            let (off_g, rest) = off_rest.split_at_mut(gv);
-            off_rest = rest;
-            let (edge_g, rest) = edge_rest.split_at_mut(ge);
-            edge_rest = rest;
-            let mut w_g = w_rest.take().map(|w| {
-                let (a, b) = w.split_at_mut(ge);
-                w_rest = Some(b);
-                a
-            });
-            let mut t_g = t_rest.take().map(|t| {
-                let (a, b) = t.split_at_mut(ge);
-                t_rest = Some(b);
-                a
-            });
-            let (v_base, e_base) = (first.v_start, first.first_edge);
-            tasks.push(Box::new(move || {
-                for plan in group {
-                    let ls = (plan.v_start - v_base) as usize;
-                    let le = (plan.v_end - v_base) as usize;
-                    let e0 = (plan.first_edge - e_base) as usize;
-                    let e1 = e0 + plan.num_edges as usize;
-                    decode_chunk(
-                        region,
-                        plan,
-                        weighted,
-                        temporal,
-                        &mut off_g[ls..le],
-                        &mut edge_g[e0..e1],
-                        w_g.as_mut().map(|w| &mut w[e0..e1]),
-                        t_g.as_mut().map(|t| &mut t[e0..e1]),
-                    )?;
-                }
-                Ok(())
-            }));
-        }
-        for r in exec.run_ordered(tasks) {
-            r.unwrap_or_else(|e| panic!("decoding partition {p}: {e}"));
-        }
+    // Each run's vertex and edge spans are contiguous, so the output
+    // buffers split into disjoint `&mut` subslices — no
+    // synchronization inside the decode.
+    let region = &*region;
+    let mut tasks: Vec<Box<dyn FnOnce() -> Result<(), GraphError> + Send + '_>> =
+        Vec::with_capacity(groups);
+    let mut off_rest: &mut [u64] = &mut buf.offsets[..n];
+    let mut edge_rest: &mut [u32] = &mut buf.edges[..];
+    let mut w_rest: Option<&mut [f32]> = buf.weights.as_mut().map(|w| &mut w[..]);
+    let mut t_rest: Option<&mut [u32]> = buf.timestamps.as_mut().map(|t| &mut t[..]);
+    let mut idx = 0;
+    for end in group_ends(&plans, ne as u64, groups) {
+        let group = &plans[idx..end];
+        idx = end;
+        let first = &group[0];
+        let last = &group[group.len() - 1];
+        let gv = (last.v_end - first.v_start) as usize;
+        let ge = (last.first_edge + last.num_edges - first.first_edge) as usize;
+        let (off_g, rest) = off_rest.split_at_mut(gv);
+        off_rest = rest;
+        let (edge_g, rest) = edge_rest.split_at_mut(ge);
+        edge_rest = rest;
+        let mut w_g = w_rest.take().map(|w| {
+            let (a, b) = w.split_at_mut(ge);
+            w_rest = Some(b);
+            a
+        });
+        let mut t_g = t_rest.take().map(|t| {
+            let (a, b) = t.split_at_mut(ge);
+            t_rest = Some(b);
+            a
+        });
+        let (v_base, e_base) = (first.v_start, first.first_edge);
+        tasks.push(Box::new(move || {
+            for plan in group {
+                let ls = (plan.v_start - v_base) as usize;
+                let le = (plan.v_end - v_base) as usize;
+                let e0 = (plan.first_edge - e_base) as usize;
+                let e1 = e0 + plan.num_edges as usize;
+                decode_chunk(
+                    region,
+                    plan,
+                    weighted,
+                    temporal,
+                    &mut off_g[ls..le],
+                    &mut edge_g[e0..e1],
+                    w_g.as_mut().map(|w| &mut w[e0..e1]),
+                    t_g.as_mut().map(|t| &mut t[e0..e1]),
+                )?;
+            }
+            Ok(())
+        }));
+    }
+    for r in exec.run_ordered(tasks) {
+        r.unwrap_or_else(|e| panic!("decoding partition {p}: {e}"));
     }
     buf.offsets[n] = ne as u64;
+    buf
 }
 
 #[cfg(test)]
@@ -308,19 +286,18 @@ mod tests {
         .csr
     }
 
-    #[test]
-    fn fetch_decodes_identically_to_extract() {
-        let (ooc, pg) = ooc_graph("ident", base_csr());
-        let mut cache = HostDecodeCache::new(Arc::clone(&ooc), ooc.num_partitions() as usize);
-        for p in 0..ooc.num_partitions() {
-            let f = cache.fetch(p, GraphEviction::Fifo, &|_| 0, p, None, 1);
-            assert!(f.missed && !f.evicted);
-            assert_eq!(*f.data, pg.extract(p), "partition {p} decode mismatch");
-        }
+    /// Fetch `p` under FIFO (which ignores ranks), protecting only `p`.
+    fn fetch_fifo(
+        cache: &mut HostDecodeCache,
+        p: PartitionId,
+        exec: Option<&ExecPool>,
+        threads: usize,
+    ) -> Fetched {
+        cache.fetch(p, GraphEviction::Fifo, &|_| (true, 0), p, exec, threads)
     }
 
     #[test]
-    fn parallel_decode_matches_serial_for_all_flavors() {
+    fn serial_and_parallel_decode_match_extract_for_all_flavors() {
         let exec = ExecPool::new(4);
         let base = base_csr();
         let flavors = [
@@ -330,10 +307,14 @@ mod tests {
         ];
         for (name, csr) in flavors {
             let (ooc, pg) = ooc_graph(name, csr);
-            let mut cache = HostDecodeCache::new(Arc::clone(&ooc), ooc.num_partitions() as usize);
-            for p in 0..ooc.num_partitions() {
-                let f = cache.fetch(p, GraphEviction::Fifo, &|_| 0, p, Some(&exec), 4);
-                assert_eq!(*f.data, pg.extract(p), "{name} partition {p} mismatch");
+            for (exec, threads) in [(None, 1), (Some(&exec), 4)] {
+                let mut cache =
+                    HostDecodeCache::new(Arc::clone(&ooc), pg.num_partitions() as usize);
+                for p in 0..ooc.num_partitions() {
+                    let f = fetch_fifo(&mut cache, p, exec, threads);
+                    assert!(f.missed && !f.evicted);
+                    assert_eq!(*f.data, pg.extract(p), "{name} {threads} partition {p}");
+                }
             }
         }
     }
@@ -343,57 +324,92 @@ mod tests {
         let (ooc, _) = ooc_graph("evict", base_csr());
         assert!(ooc.num_partitions() >= 3);
         let mut cache = HostDecodeCache::new(Arc::clone(&ooc), 2);
-        let f0 = cache.fetch(0, GraphEviction::Fifo, &|_| 0, 0, None, 1);
+        let f0 = fetch_fifo(&mut cache, 0, None, 1);
         assert!(f0.missed && !f0.evicted);
-        let again = cache.fetch(0, GraphEviction::Fifo, &|_| 0, 0, None, 1);
+        let again = fetch_fifo(&mut cache, 0, None, 1);
         assert!(!again.missed && !again.evicted);
         assert_eq!(again.decode_ns, 0, "hit must not decode");
         assert!(Arc::ptr_eq(&f0.data, &again.data));
-        let f1 = cache.fetch(1, GraphEviction::Fifo, &|_| 0, 1, None, 1);
+        let f1 = fetch_fifo(&mut cache, 1, None, 1);
         assert!(f1.missed && !f1.evicted, "the second slot was free");
-        let f2 = cache.fetch(2, GraphEviction::Fifo, &|_| 0, 2, None, 1);
+        // Partition 1 is on the device; FIFO does not care.
+        let rank = |p: PartitionId| eviction_rank(p == 1, 0);
+        let f2 = cache.fetch(2, GraphEviction::Fifo, &rank, 2, None, 1);
         assert!(f2.missed && f2.evicted);
         assert!(!cache.contains(0), "FIFO evicts the oldest");
         assert!(cache.contains(1) && cache.contains(2));
     }
 
+    /// Selective eviction drops what the device already holds first: a
+    /// device-resident partition cannot be fetched again until the device
+    /// pool evicts it, however many walks wait on it.
     #[test]
-    fn fewest_walks_eviction_respects_protect() {
-        let (ooc, _) = ooc_graph("protect", base_csr());
-        assert!(ooc.num_partitions() >= 3);
-        let mut cache = HostDecodeCache::new(Arc::clone(&ooc), 2);
-        let counts = |p: PartitionId| match p {
-            0 => 5u64,
-            1 => 50,
-            _ => 0,
+    fn selective_eviction_prefers_device_resident_and_respects_protect() {
+        let (ooc, _) = ooc_graph("resident", base_csr());
+        assert!(ooc.num_partitions() >= 4);
+        // Device-resident by most walks, then the rest by fewest.
+        assert!(eviction_rank(true, 50) < eviction_rank(true, 5));
+        assert!(eviction_rank(true, 5) < eviction_rank(false, 0));
+        assert!(eviction_rank(false, 0) < eviction_rank(false, 5));
+        // Partition 1 has ten times partition 0's walks and is on the device.
+        let rank = |p: PartitionId| match p {
+            0 => eviction_rank(false, 5),
+            1 => eviction_rank(true, 50),
+            _ => eviction_rank(false, 0),
         };
-        cache.fetch(0, GraphEviction::FewestWalks, &counts, 0, None, 1);
-        cache.fetch(1, GraphEviction::FewestWalks, &counts, 1, None, 1);
-        // Partition 0 has the fewest walks, but protecting it forces the
-        // policy to pick 1.
-        cache.fetch(2, GraphEviction::FewestWalks, &counts, 0, None, 1);
-        assert!(cache.contains(0));
-        assert!(!cache.contains(1));
+        let fetch = |cache: &mut HostDecodeCache, p, protect| {
+            cache.fetch(p, GraphEviction::FewestWalks, &rank, protect, None, 1);
+        };
+        let filled = || {
+            let mut cache = HostDecodeCache::new(Arc::clone(&ooc), 2);
+            fetch(&mut cache, 0, 0);
+            fetch(&mut cache, 1, 1);
+            cache
+        };
+        let mut cache = filled();
+        fetch(&mut cache, 2, 2);
+        assert!(cache.contains(0) && !cache.contains(1), "resident first");
+        // Among non-resident partitions the fewest walks lose (2 has none).
+        fetch(&mut cache, 3, 3);
+        assert!(cache.contains(0) && !cache.contains(2));
+        // `protect` wins over residency and walk counts alike.
+        let mut cache = filled();
+        fetch(&mut cache, 2, 1);
+        assert!(cache.contains(1) && !cache.contains(0));
     }
 
+    /// A hub in a partition's first chunk: groups of equal chunk count
+    /// would give one worker most of the edges. The edge-balanced cut
+    /// keeps the larger of two groups within one chunk of half, and the
+    /// decode is identical however many workers share it.
     #[test]
-    fn eviction_recycles_sole_owner_buffers() {
-        let (ooc, pg) = ooc_graph("recycle", base_csr());
-        assert!(ooc.num_partitions() >= 3);
-        let mut cache = HostDecodeCache::new(Arc::clone(&ooc), 2);
-        drop(cache.fetch(0, GraphEviction::Fifo, &|_| 0, 0, None, 1));
-        // Sole owner: eviction recycles the buffer...
-        cache.evict(0);
-        assert_eq!(cache.recycled.len(), 1);
-        // ...and the next miss consumes it and still decodes correctly.
-        let f1 = cache.fetch(1, GraphEviction::Fifo, &|_| 0, 1, None, 1);
-        assert_eq!(cache.recycled.len(), 0);
-        assert_eq!(*f1.data, pg.extract(1));
-        // Held Arc: eviction must not recycle (data still shared).
-        let held = cache.fetch(2, GraphEviction::Fifo, &|_| 0, 2, None, 1);
-        cache.evict(2);
-        assert_eq!(cache.recycled.len(), 0, "shared buffer is not recycled");
-        assert_eq!(*held.data, pg.extract(2), "shared copy survives eviction");
+    fn skewed_partition_splits_by_edges_and_decodes_identically() {
+        let (n, hub_degree) = (2048u32, 2000u32);
+        let mut edges: Vec<u32> = (1..=hub_degree).collect();
+        edges.extend((1..n).map(|v| (v + 1) % n));
+        let offsets = (0..=n as u64).map(|v| if v == 0 { 0 } else { hub_degree as u64 + v - 1 });
+        let csr = Csr::new(offsets.collect(), edges, None).unwrap();
+        let (ooc, pg) = ooc_graph("skewed", csr);
+        let ne = ooc.partition_edges(0);
+        let plans = ooc.chunk_plans(0, &ooc.region(0).unwrap()).unwrap();
+        assert!(plans.len() >= 4, "partition 0 has {} chunks", plans.len());
+        assert!(2 * plans[0].num_edges > ne, "the first chunk holds the hub");
+        let ends = group_ends(&plans, ne, 2);
+        assert_eq!(ends, [1, plans.len()], "the hub's chunk is its own group");
+        let largest_chunk = plans.iter().map(|c| c.num_edges).max().unwrap();
+        assert!(plans[0].num_edges <= ne / 2 + largest_chunk);
+        for groups in 1..=plans.len() {
+            let ends = group_ends(&plans, ne, groups);
+            assert_eq!((ends.len(), ends[groups - 1]), (groups, plans.len()));
+            assert!(ends[0] >= 1 && ends.windows(2).all(|w| w[0] < w[1]));
+        }
+        let exec = ExecPool::new(4);
+        // 64 asks for more groups than the partition has chunks.
+        for threads in [1, 2, 4, 64] {
+            let mut cache = HostDecodeCache::new(Arc::clone(&ooc), 1);
+            let f = fetch_fifo(&mut cache, 0, Some(&exec), threads);
+            assert_eq!(*f.data, pg.extract(0), "{threads} decode workers");
+        }
     }
 
     #[test]
@@ -408,8 +424,7 @@ mod tests {
                     (0..parts)
                         .map(|p| {
                             let off = (p + t) % parts;
-                            let f = cache.fetch(off, GraphEviction::Fifo, &|_| 0, off, None, 1);
-                            (off, f.data)
+                            (off, fetch_fifo(&mut cache, off, None, 1).data)
                         })
                         .collect::<Vec<_>>()
                 })

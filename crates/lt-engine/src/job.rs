@@ -21,7 +21,7 @@ use crate::algorithm::{StepContext, StepDecision, WalkAlgorithm};
 use crate::engine::EngineError;
 use crate::walker::Walker;
 use lt_graph::{Csr, VertexId};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Handle of a submitted job, unique per scheduler.
@@ -198,6 +198,9 @@ struct JobEntry {
 pub struct JobTable {
     entries: Box<[OnceLock<JobEntry>]>,
     next: AtomicU32,
+    /// Latched by the first registered job that
+    /// [`WalkAlgorithm::reads_prev_neighbors`] (slots are append-only).
+    reads_prev: AtomicBool,
 }
 
 impl JobTable {
@@ -208,6 +211,7 @@ impl JobTable {
         JobTable {
             entries: entries.into_boxed_slice(),
             next: AtomicU32::new(0),
+            reads_prev: AtomicBool::new(false),
         }
     }
 
@@ -234,6 +238,11 @@ impl JobTable {
                 "job table full ({} slots)",
                 self.entries.len()
             )));
+        }
+        // Release before the slot is published, Acquire in
+        // `reads_prev_neighbors`: whoever can step this job sees the flag.
+        if algorithm.reads_prev_neighbors() {
+            self.reads_prev.store(true, Ordering::Release);
         }
         self.entries[idx]
             .set(JobEntry { algorithm, seed })
@@ -274,6 +283,12 @@ impl WalkAlgorithm for JobTable {
     /// The host walker superset: id (8) + vertex, step, aux, tag (4 each).
     fn walker_state_bytes(&self) -> u64 {
         24
+    }
+
+    /// True once any registered job reads second-order context: batches
+    /// mix tenants, so one node2vec job makes every later batch need it.
+    fn reads_prev_neighbors(&self) -> bool {
+        self.reads_prev.load(Ordering::Acquire)
     }
 
     /// Safety rail: the widest registered job (0 when empty).

@@ -42,13 +42,15 @@ pub(crate) enum GraphView<'a> {
 }
 
 /// The host-side graph view for zero-copy kernels over an out-of-core
-/// store. Holds the decoded partitions a batch can touch: the batch's own
-/// partition plus every partition a second-order walker's previous vertex
-/// lives in (computed at batch start — walkers' `prev` never changes
-/// mid-kernel, only `aux`-as-clock does for temporal walks, and those
-/// ignore `prev_neighbors`). Lookups of uncovered vertices therefore only
-/// happen for temporal clocks aliasing vertex ids and return `None`,
-/// exactly matching what those algorithms observe on a RAM store.
+/// store. Holds the decoded partitions a batch can read: its own and, only
+/// when the algorithm
+/// [reads second-order context](WalkAlgorithm::reads_prev_neighbors),
+/// every partition a walker's previous vertex lives in (computed at batch
+/// start; after a walker's first step its `aux` lies in the batch's own
+/// partition). A lookup outside the view then only comes from a
+/// [`crate::JobTable`] mixing a second-order job with a temporal one — a
+/// clock in `aux` aliasing a vertex id — and returns `None`, which
+/// temporal walks never read.
 pub(crate) struct OocHostView {
     /// Covered partitions, sorted by vertex range, pairwise disjoint.
     parts: Vec<Arc<PartitionData>>,
@@ -74,7 +76,7 @@ impl OocHostView {
     }
 
     /// Previous-vertex adjacency for second-order context; `None` when the
-    /// view does not cover `v` (only temporal clock aliases reach here).
+    /// view does not cover `v` (see the type docs for who gets here).
     #[inline]
     fn prev_neighbors(&self, v: VertexId) -> Option<&[VertexId]> {
         self.find(v).map(|d| d.neighbors(v))
@@ -276,6 +278,8 @@ pub(crate) struct KernelTask<'a> {
     pub view: GraphView<'a>,
     /// The walk algorithm.
     pub alg: &'a dyn WalkAlgorithm,
+    /// [`WalkAlgorithm::reads_prev_neighbors`], read once per batch.
+    pub reads_prev: bool,
     /// RNG seed (trajectories hash `(seed, walk_id, step)`).
     pub seed: u64,
     /// `|V|` of the full graph.
@@ -314,6 +318,7 @@ pub(crate) enum OwnedGraphView {
 pub(crate) struct OwnedKernelTask {
     pub view: OwnedGraphView,
     pub alg: Arc<dyn WalkAlgorithm>,
+    pub reads_prev: bool,
     pub seed: u64,
     pub num_vertices: u64,
     pub range: Range<VertexId>,
@@ -331,6 +336,7 @@ impl OwnedKernelTask {
                 OwnedGraphView::Host(g) => GraphView::Host(g),
             },
             alg: self.alg.as_ref(),
+            reads_prev: self.reads_prev,
             seed: self.seed,
             num_vertices: self.num_vertices,
             range: self.range.clone(),
@@ -396,18 +402,21 @@ pub(crate) fn step_chunk(task: &KernelTask<'_>, walkers: Vec<Walker>) -> ChunkOu
     out
 }
 
-/// One step of `w` against the task's view. Second-order context: the
-/// previous vertex's adjacency is served when it is readable from this
-/// kernel's view (always via zero copy; only in-partition when resident —
-/// the asymmetry second-order systems accept).
+/// One step of `w` against the task's view. Second-order context is built
+/// only for an algorithm that declared it reads it — on every view alike,
+/// so a first-order walk sees `None` in RAM and out of core — and then the
+/// previous vertex's adjacency is served where this kernel's view reaches
+/// it (always via zero copy; only in-partition when resident — the
+/// asymmetry second-order systems accept).
 #[inline]
 fn step_once(task: &KernelTask<'_>, w: &Walker) -> StepDecision {
     let (neighbors, weights, timestamps) = task.view.neighbors(w.vertex);
-    // `aux` is only a vertex id for second-order walks; temporal walks
-    // store their clock there, which can exceed |V| — the bounds guard
-    // keeps the lookup safe (temporal walks ignore `prev_neighbors`, so a
-    // small clock aliasing a vertex id is harmless and deterministic).
+    // The bounds guard is for a `JobTable` mixing a second-order job with
+    // a temporal one: `reads_prev` then holds for the whole batch, and a
+    // temporal walker's clock in `aux` can exceed |V| (a small clock
+    // aliasing a vertex id is harmless: temporal walks ignore the field).
     let prev_neighbors = match (&task.view, w.aux) {
+        _ if !task.reads_prev => None,
         (_, VertexId::MAX) => None,
         (GraphView::Host(g), aux) if (aux as u64) < task.num_vertices => Some(g.neighbors(aux)),
         (GraphView::Resident(d), aux) if d.contains(aux) => Some(d.neighbors(aux)),
@@ -490,6 +499,7 @@ mod tests {
         let task = KernelTask {
             view: GraphView::Host(&g),
             alg: &alg,
+            reads_prev: false,
             seed: 7,
             num_vertices: nv,
             range: 0..nv as VertexId, // whole graph: no movers
@@ -541,6 +551,7 @@ mod tests {
         let task = KernelTask {
             view: GraphView::Host(&g),
             alg: &alg,
+            reads_prev: false,
             seed: 1,
             num_vertices: g.num_vertices(),
             range: 0..128u32, // half the graph: walks leave
@@ -570,6 +581,7 @@ mod tests {
         let mk_task = |scratch| KernelTask {
             view: GraphView::Host(&g),
             alg: &alg,
+            reads_prev: false,
             seed: 5,
             num_vertices: g.num_vertices(),
             range: 0..128u32,

@@ -20,8 +20,10 @@ pub struct Walker {
     pub vertex: VertexId,
     /// `walked_steps` of the paper.
     pub step: u32,
-    /// Application-specific auxiliary state (previous vertex for
-    /// second-order walks; unused otherwise).
+    /// Application-specific auxiliary state: a plain move leaves the
+    /// previous vertex here (looked up only for an algorithm that
+    /// [reads it](crate::WalkAlgorithm::reads_prev_neighbors)), a temporal
+    /// move the walker's clock.
     pub aux: u32,
     /// Owning job slot when the engine multiplexes several jobs
     /// ([`crate::JobTable`], [`crate::EngineConfig::track_tags`]); `0` for

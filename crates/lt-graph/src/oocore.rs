@@ -705,9 +705,9 @@ impl OocGraph {
 
     /// Decode partition `p` serially into a fresh [`PartitionData`].
     ///
-    /// The engine's host decode cache uses the chunk-level API instead to
-    /// fan the decode out and recycle buffers; this is the simple path for
-    /// tests, `extract`, and [`OocGraph::to_csr`].
+    /// The engine's host decode cache uses the chunk-level API instead
+    /// when it has workers to fan the decode out over; this is the path
+    /// for everything else (`extract`, [`OocGraph::to_csr`], tests).
     pub fn decode_partition(&self, p: u32) -> Result<PartitionData, GraphError> {
         let v_start = self.boundaries[p as usize];
         let v_end = self.boundaries[p as usize + 1];

@@ -59,12 +59,12 @@ fn main() {
         let walks = 2 * g.num_vertices();
         let r = engine.run(walks).expect("completes");
         assert_eq!(r.metrics.finished_walks, walks);
-        let label = match alg.name() {
-            "second-order" => {
-                // Distinguish the two node2vec parameterizations.
-                "node2vec (2nd-order)".to_string()
-            }
-            other => other.to_string(),
+        // The trait says which walks need their previous vertex's
+        // adjacency; only those make the engine look `aux` up.
+        let label = if alg.reads_prev_neighbors() {
+            "node2vec (2nd-order)"
+        } else {
+            alg.name()
         };
         println!(
             "{:<28} {:>9} {:>12} {:>12.1} {:>9}",

@@ -12,6 +12,9 @@
 //! decode and cache behavior is schedule-deterministic, so OOC runs
 //! fingerprint identically across thread counts *without* masking them.
 //!
+//! A third test gates *how much* the tier decodes: one fetch per graph
+//! copy and per zero-copy kernel unless the walk is second-order.
+//!
 //! Also covered: the DESIGN.md §14 exactness invariant extended to the
 //! host tier — every decoded byte lands in exactly one
 //! `(SHARED_TAG, partition, host_load)` ledger cell, and the link
@@ -20,9 +23,14 @@
 mod common;
 
 use common::random_graph;
-use lighttraffic::engine::algorithm::{SecondOrderWalk, UniformSampling, WalkAlgorithm};
-use lighttraffic::engine::{EngineConfig, LightTraffic, RunResult, ZeroCopyPolicy};
+use lighttraffic::engine::algorithm::{
+    PageRank, SecondOrderWalk, TemporalWalk, UniformSampling, WalkAlgorithm,
+};
+use lighttraffic::engine::{
+    EngineConfig, JobSpec, JobTable, LightTraffic, RunResult, ZeroCopyPolicy,
+};
 use lighttraffic::gpusim::{FaultPlan, GpuConfig};
+use lighttraffic::graph::gen::with_random_timestamps;
 use lighttraffic::graph::oocore::write_oocore;
 use lighttraffic::graph::{Csr, GraphStore, OocGraph, PartitionedGraph};
 use lighttraffic::telemetry::SHARED_TAG;
@@ -157,6 +165,55 @@ fn ooc_is_bit_identical_to_ram_across_threads_and_faults() {
     }
 }
 
+/// A [`JobTable`] mixing DeepWalk, temporal and node2vec jobs reads
+/// second-order context for every batch, so first-order walkers ride
+/// through kernels that serve it, and a temporal clock in `aux` both
+/// aliases vertex ids and exceeds |V|. Out of core still equals RAM.
+#[test]
+fn mixed_job_table_over_ooc_matches_ram() {
+    let g = Arc::new(with_random_timestamps(&random_graph(8), 9, 5_000));
+    let ooc = ooc_graph(&g, "mixed_table");
+    let temporal = JobSpec {
+        algorithm: Arc::new(TemporalWalk::new(8, 2_000)),
+        ..JobSpec::deepwalk(300, 8, 13)
+    };
+    let specs = [
+        JobSpec::deepwalk(300, 8, 11),
+        temporal,
+        JobSpec::node2vec(300, 8, 0.5, 2.0, 12),
+    ];
+    let table = Arc::new(JobTable::with_capacity(specs.len()));
+    let mut walkers = Vec::new();
+    for spec in &specs {
+        // The table is first-order until the node2vec job registers.
+        assert!(!table.reads_prev_neighbors());
+        let tag = table.register(Arc::clone(&spec.algorithm), spec.seed);
+        // Job-local ids restart at 0; shift them so paths stay one per walk.
+        let base = walkers.len() as u64;
+        for mut w in spec.initial_walkers(&g, tag.expect("table has room")) {
+            w.id += base;
+            walkers.push(w);
+        }
+    }
+    let alg: Arc<dyn WalkAlgorithm> = table;
+    assert!(alg.reads_prev_neighbors());
+    let cfg = |kernel_threads| config(ZeroCopyPolicy::Always, kernel_threads, None);
+    let mut ram = LightTraffic::new(Arc::clone(&g), Arc::clone(&alg), cfg(1)).expect("pools fit");
+    let reference = tier_masked_fingerprint(ram.run_with_walkers(walkers.clone()).unwrap());
+    for kernel_threads in [1usize, 4] {
+        let store = GraphStore::OutOfCore(Arc::clone(&ooc));
+        let mut e = LightTraffic::from_store(store, Arc::clone(&alg), cfg(kernel_threads))
+            .expect("pools fit");
+        let r = e.run_with_walkers(walkers.clone()).expect("run completes");
+        assert!(r.metrics.zero_copy_kernels > 0);
+        assert_eq!(
+            tier_masked_fingerprint(r),
+            reference,
+            "kt={kernel_threads}: mixed job table diverged from RAM"
+        );
+    }
+}
+
 /// The host tier itself is deterministic: OOC fingerprints — *including*
 /// decode bytes and cache hit/miss/eviction counts — are identical
 /// across kernel thread counts. Decode requests happen at
@@ -209,6 +266,53 @@ fn host_cache_pressure_changes_no_output() {
         tier_masked_fingerprint(roomy),
         "cache capacity leaked into walk output"
     );
+}
+
+/// The host tier decodes only what a kernel can read. A first-order walk
+/// costs exactly one fetch per explicit graph copy and per zero-copy
+/// kernel — never the partitions its walkers' `aux` happens to point into
+/// — and at most one decoded partition per fetch; second-order walks
+/// fetch their previous vertices' partitions on top.
+#[test]
+fn host_tier_fetches_only_what_a_kernel_reads() {
+    let g = random_graph(8);
+    let temporal = Arc::new(with_random_timestamps(&g, 9, 64));
+    let deepwalk: Arc<dyn WalkAlgorithm> = Arc::new(UniformSampling::new(8));
+    let cases = [
+        ("deepwalk", &g, deepwalk),
+        ("pagerank", &g, Arc::new(PageRank::new(8, 0.15))),
+        ("temporal", &temporal, Arc::new(TemporalWalk::new(8, 16))),
+        (
+            "node2vec",
+            &g,
+            Arc::new(SecondOrderWalk::node2vec(8, 0.5, 2.0)),
+        ),
+    ];
+    for (name, graph, alg) in cases {
+        let second_order = alg.reads_prev_neighbors();
+        assert_eq!(second_order, name == "node2vec", "{name}");
+        let ooc = ooc_graph(graph, &format!("gate_{name}"));
+        let pg = PartitionedGraph::from_ooc(Arc::clone(&ooc));
+        let partitions = 0..pg.num_partitions();
+        assert!(partitions.len() > 4, "{name}: {partitions:?}");
+        let max_bytes = partitions.map(|p| pg.partition_bytes(p)).max().unwrap();
+        for kernel_threads in [1usize, 4] {
+            let mut cfg = config(ZeroCopyPolicy::adaptive(), kernel_threads, None);
+            cfg.host_cache_partitions = 2;
+            let m = run_ooc(&ooc, &alg, cfg).metrics;
+            assert!(m.zero_copy_kernels > 0, "{name}: no zero-copy kernel ran");
+            let fetches = m.host_cache_hits + m.host_cache_misses;
+            let reads = m.explicit_graph_copies + m.zero_copy_kernels;
+            let what = format!("{name}, kt={kernel_threads}: {fetches} fetches, {reads} reads");
+            if second_order {
+                assert!(fetches >= reads, "{what}");
+            } else {
+                assert_eq!(fetches, reads, "{what}");
+                let decoded = m.host_decode_bytes;
+                assert!(decoded <= reads * max_bytes, "{what}, {decoded} B decoded");
+            }
+        }
+    }
 }
 
 /// DESIGN.md §14 extended to the host tier: every decoded byte is
