@@ -87,7 +87,7 @@ fn walk_centric(
     track: bool,
 ) -> BaselineRun {
     let nv = graph.num_vertices();
-    let walkers = alg.initial_walkers(graph, num_walks);
+    let walkers = alg.place_walkers(graph.num_vertices(), num_walks);
     let threads = threads.max(1);
     let start = Instant::now();
 
@@ -158,7 +158,7 @@ pub fn run_shuffle_sorted(
     seed: u64,
 ) -> BaselineRun {
     let nv = graph.num_vertices();
-    let mut live: Vec<Walker> = alg.initial_walkers(graph, num_walks);
+    let mut live: Vec<Walker> = alg.place_walkers(graph.num_vertices(), num_walks);
     let mut visit_counts = alg.tracks_visits().then(|| vec![0u64; nv as usize]);
     let mut total_steps = 0u64;
     let mut finished = 0u64;

@@ -94,7 +94,7 @@ pub fn run_csaw(
 
     // Step-synchronous execution through the queue lattice.
     let nv = graph.num_vertices();
-    let mut walkers = alg.initial_walkers(graph, num_walks);
+    let mut walkers = alg.place_walkers(graph.num_vertices(), num_walks);
     let mut total_steps = 0u64;
     let mut finished = 0u64;
     let mut live = walkers.len();

@@ -15,7 +15,7 @@
 use lt_engine::algorithm::{StepContext, StepDecision, WalkAlgorithm};
 use lt_engine::walker::Walker;
 use lt_graph::io::DiskGraph;
-use lt_graph::{Csr, GraphError};
+use lt_graph::GraphError;
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;
@@ -63,13 +63,9 @@ pub fn run_disk_walker(
     let p = dg.num_partitions() as usize;
     let nv = dg.num_vertices();
 
-    // `initial_walkers` needs a Csr for |V| and degrees; PPR-style
-    // algorithms pick their source before this call, and the spread
-    // placements only use |V|, so a vertex-count shim suffices.
-    let shim = vertex_count_shim(nv);
     let mut buckets: Vec<Vec<Walker>> = vec![Vec::new(); p];
     let mut active = 0u64;
-    for w in alg.initial_walkers(&shim, num_walks) {
+    for w in alg.place_walkers(nv, num_walks) {
         buckets[dg.partition_of(w.vertex) as usize].push(w);
         active += 1;
     }
@@ -135,18 +131,13 @@ pub fn run_disk_walker(
     })
 }
 
-/// A degree-free CSR with the right vertex count, for initial placement.
-fn vertex_count_shim(nv: u64) -> Csr {
-    Csr::new(vec![0u64; nv as usize + 1], Vec::new(), None).expect("empty csr")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lt_engine::algorithm::{PageRank, UniformSampling};
     use lt_graph::gen::{rmat, RmatParams};
     use lt_graph::io::write_partitioned;
-    use lt_graph::PartitionedGraph;
+    use lt_graph::{Csr, PartitionedGraph};
 
     fn setup(name: &str) -> (Arc<Csr>, std::path::PathBuf) {
         let g = Arc::new(

@@ -2,7 +2,7 @@
 //! mutation-aware differential battery.
 //!
 //! The engine layers its evolving support on [`lt_graph::delta::DeltaGraph`]
-//! (a one-pass merge of each epoch's updates into the next CSR, then
+//! (a per-partition merge of each epoch's updates into fresh blocks, then
 //! partition reloads). This module deliberately shares none of that
 //! machinery: the graph is a plain
 //! per-vertex adjacency list mutated in place, and walks are stepped one at
@@ -180,7 +180,7 @@ pub fn run_evolving_waves(
     let mut next_id = 0u64;
     let start = Instant::now();
     for wave in waves {
-        let mut walkers = alg.initial_walkers(base, wave.walks);
+        let mut walkers = alg.place_walkers(nv, wave.walks);
         for w in &mut walkers {
             w.id += next_id;
         }
@@ -218,6 +218,7 @@ mod tests {
     use lt_engine::algorithm::UniformSampling;
     use lt_graph::delta::DeltaGraph;
     use lt_graph::gen::erdos_renyi;
+    use lt_graph::PartitionedGraph;
 
     fn base() -> Arc<Csr> {
         Arc::new(erdos_renyi(64, 256, 7).csr)
@@ -230,7 +231,7 @@ mod tests {
     fn adjacency_seal_matches_delta_graph() {
         let g = base();
         let mut adj = AdjacencyGraph::from_csr(&g);
-        let mut dg = DeltaGraph::new(g.clone());
+        let mut dg = DeltaGraph::new(&PartitionedGraph::build(g.clone(), 256));
         let schedule = vec![
             EdgeUpdate::insert(3, 9),
             EdgeUpdate::delete(3, 9),
@@ -259,7 +260,7 @@ mod tests {
         let g =
             Arc::new(Csr::with_timestamps(vec![0, 1, 1], vec![1], None, Some(vec![7])).unwrap());
         let mut adj = AdjacencyGraph::from_csr(&g);
-        let mut dg = DeltaGraph::new(g);
+        let mut dg = DeltaGraph::new(&PartitionedGraph::build(g, 256));
         adj.seal(&[]);
         dg.seal_epoch();
         let schedule = vec![EdgeUpdate::insert(1, 0), EdgeUpdate::insert_at(0, 1, 99)];

@@ -79,7 +79,7 @@ pub fn run_in_gpu_memory(
     .expect("no fault plan in the in-GPU baseline");
     gpu.synchronize(stream);
 
-    let mut walkers = alg.initial_walkers(graph, num_walks);
+    let mut walkers = alg.place_walkers(graph.num_vertices(), num_walks);
     let mut visit_counts = alg.tracks_visits().then(|| vec![0u64; nv as usize]);
     let mut total_steps = 0u64;
     let mut finished = 0u64;

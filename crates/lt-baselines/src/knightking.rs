@@ -80,7 +80,7 @@ pub fn run_bsp_cpu(
     let track = alg.tracks_visits();
 
     let mut resident: Vec<Vec<Walker>> = vec![Vec::new(); k];
-    for w in alg.initial_walkers(graph, num_walks) {
+    for w in alg.place_walkers(graph.num_vertices(), num_walks) {
         resident[shard_of(&bounds, w.vertex)].push(w);
     }
     let mut visit_counts = track.then(|| vec![0u64; nv as usize]);

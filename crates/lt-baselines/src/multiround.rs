@@ -38,7 +38,7 @@ pub fn run_multi_round(
     // Fit one round: its own batches plus the pinned frontier/reserve pairs.
     cfg.walk_pool_blocks = Some(round_batches + 2 * estimate_partitions(&graph, &cfg) + 1);
     let mut engine = LightTraffic::new(graph.clone(), alg.clone(), cfg)?;
-    let walkers = alg.initial_walkers(&graph, num_walks);
+    let walkers = alg.place_walkers(graph.num_vertices(), num_walks);
     let mut result = None;
     for chunk in walkers.chunks(per_round.max(1) as usize) {
         result = Some(engine.run_with_walkers(chunk.to_vec())?);

@@ -142,7 +142,7 @@ pub fn run_subway_traced(
     // the harness can still report a (charitable) number.
     let _walk_alloc = walk_alloc.ok();
 
-    let mut walkers = alg.initial_walkers(graph, num_walks);
+    let mut walkers = alg.place_walkers(graph.num_vertices(), num_walks);
     let mut active: Vec<bool> = vec![true; walkers.len()];
     let mut visit_counts = alg.tracks_visits().then(|| vec![0u64; nv as usize]);
 

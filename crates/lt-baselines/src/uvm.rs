@@ -119,7 +119,7 @@ pub fn run_uvm_scaled(
     let vertex_entry_page = |v: u32| (v as u64 * 8) / page_bytes;
     let edge_page = move |edge_index: u64| (nv * 8 + edge_index * 4) / page_bytes;
 
-    let mut walkers = alg.initial_walkers(graph, num_walks);
+    let mut walkers = alg.place_walkers(graph.num_vertices(), num_walks);
     let mut visit_counts = alg.tracks_visits().then(|| vec![0u64; nv as usize]);
     let mut total_steps = 0u64;
     let mut finished = 0u64;

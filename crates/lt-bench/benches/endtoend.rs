@@ -190,8 +190,10 @@ fn bench_checkpoint(c: &mut Criterion) {
     grp.sample_size(10);
     grp.bench_function("snapshot_10k_walks", |b| {
         let mut e = LightTraffic::new(g.clone(), alg.clone(), base_cfg()).unwrap();
-        e.inject(lt_engine::algorithm::WalkAlgorithm::initial_walkers(
-            &*alg, &g, 10_000,
+        e.inject(lt_engine::algorithm::WalkAlgorithm::place_walkers(
+            &*alg,
+            g.num_vertices(),
+            10_000,
         ));
         let _ = e.run_at_most(3).unwrap();
         b.iter(|| black_box(e.checkpoint().active_walks()))

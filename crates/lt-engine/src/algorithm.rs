@@ -91,9 +91,19 @@ pub trait WalkAlgorithm: Send + Sync {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
-    /// Place the initial walkers. `num_walks` is the workload size
-    /// (typically `2|V|`).
-    fn initial_walkers(&self, graph: &Csr, num_walks: u64) -> Vec<Walker>;
+    /// Place the initial walkers on a graph of `num_vertices` vertices.
+    /// `num_walks` is the workload size (typically `2|V|`). Placement
+    /// reads the vertex count and nothing else of the graph, so an engine
+    /// over an out-of-core store or an evolving block table seeds walks
+    /// without a CSR in hand.
+    fn place_walkers(&self, num_vertices: u64, num_walks: u64) -> Vec<Walker>;
+
+    /// [`WalkAlgorithm::place_walkers`] for a caller holding a CSR. Kept
+    /// only because the frozen `benchmark/` harness calls it; nothing in
+    /// this repository does.
+    fn initial_walkers(&self, graph: &Csr, num_walks: u64) -> Vec<Walker> {
+        self.place_walkers(graph.num_vertices(), num_walks)
+    }
 
     /// Decide walker's next move. Called with `walker.step` equal to the
     /// number of steps already taken.
@@ -127,8 +137,7 @@ pub trait WalkAlgorithm: Send + Sync {
 /// Helper: spread `num_walks` walkers uniformly over all vertices
 /// (walk `w` starts at vertex `w mod |V|`), the paper's placement for
 /// PageRank and uniform sampling.
-fn spread_walkers(graph: &Csr, num_walks: u64) -> Vec<Walker> {
-    let nv = graph.num_vertices();
+fn spread_walkers(nv: u64, num_walks: u64) -> Vec<Walker> {
     (0..num_walks)
         .map(|w| Walker::new(w, (w % nv) as VertexId))
         .collect()
@@ -154,8 +163,8 @@ impl WalkAlgorithm for UniformSampling {
         "uniform"
     }
 
-    fn initial_walkers(&self, graph: &Csr, num_walks: u64) -> Vec<Walker> {
-        spread_walkers(graph, num_walks)
+    fn place_walkers(&self, num_vertices: u64, num_walks: u64) -> Vec<Walker> {
+        spread_walkers(num_vertices, num_walks)
     }
 
     fn step(&self, walker: &Walker, ctx: StepContext<'_>, seed: u64) -> StepDecision {
@@ -204,8 +213,8 @@ impl WalkAlgorithm for PageRank {
         "pagerank"
     }
 
-    fn initial_walkers(&self, graph: &Csr, num_walks: u64) -> Vec<Walker> {
-        spread_walkers(graph, num_walks)
+    fn place_walkers(&self, num_vertices: u64, num_walks: u64) -> Vec<Walker> {
+        spread_walkers(num_vertices, num_walks)
     }
 
     fn step(&self, walker: &Walker, ctx: StepContext<'_>, seed: u64) -> StepDecision {
@@ -272,7 +281,7 @@ impl WalkAlgorithm for Ppr {
         "ppr"
     }
 
-    fn initial_walkers(&self, _graph: &Csr, num_walks: u64) -> Vec<Walker> {
+    fn place_walkers(&self, _num_vertices: u64, num_walks: u64) -> Vec<Walker> {
         (0..num_walks)
             .map(|w| Walker::new(w, self.source))
             .collect()
@@ -325,8 +334,8 @@ impl WalkAlgorithm for WeightedWalk {
         "weighted"
     }
 
-    fn initial_walkers(&self, graph: &Csr, num_walks: u64) -> Vec<Walker> {
-        spread_walkers(graph, num_walks)
+    fn place_walkers(&self, num_vertices: u64, num_walks: u64) -> Vec<Walker> {
+        spread_walkers(num_vertices, num_walks)
     }
 
     fn step(&self, walker: &Walker, ctx: StepContext<'_>, seed: u64) -> StepDecision {
@@ -436,8 +445,8 @@ impl WalkAlgorithm for SecondOrderWalk {
         "second-order"
     }
 
-    fn initial_walkers(&self, graph: &Csr, num_walks: u64) -> Vec<Walker> {
-        spread_walkers(graph, num_walks)
+    fn place_walkers(&self, num_vertices: u64, num_walks: u64) -> Vec<Walker> {
+        spread_walkers(num_vertices, num_walks)
     }
 
     fn step(&self, walker: &Walker, ctx: StepContext<'_>, seed: u64) -> StepDecision {
@@ -544,8 +553,8 @@ impl WalkAlgorithm for TemporalWalk {
         "temporal"
     }
 
-    fn initial_walkers(&self, graph: &Csr, num_walks: u64) -> Vec<Walker> {
-        spread_walkers(graph, num_walks)
+    fn place_walkers(&self, num_vertices: u64, num_walks: u64) -> Vec<Walker> {
+        spread_walkers(num_vertices, num_walks)
     }
 
     fn step(&self, walker: &Walker, ctx: StepContext<'_>, seed: u64) -> StepDecision {
@@ -711,7 +720,7 @@ mod tests {
     fn ppr_all_walkers_start_at_source() {
         let g = erdos_renyi(128, 1024, 1).csr;
         let alg = Ppr::from_highest_degree(&g, 0.15);
-        let ws = alg.initial_walkers(&g, 100);
+        let ws = alg.place_walkers(g.num_vertices(), 100);
         assert_eq!(ws.len(), 100);
         assert!(ws.iter().all(|w| w.vertex == alg.source));
         assert_eq!(g.degree(alg.source), g.max_degree());

@@ -197,8 +197,7 @@ impl WalkAlgorithm for AliasWeightedWalk {
         "alias-weighted"
     }
 
-    fn initial_walkers(&self, graph: &Csr, num_walks: u64) -> Vec<Walker> {
-        let nv = graph.num_vertices();
+    fn place_walkers(&self, nv: u64, num_walks: u64) -> Vec<Walker> {
         (0..num_walks)
             .map(|w| Walker::new(w, (w % nv) as VertexId))
             .collect()

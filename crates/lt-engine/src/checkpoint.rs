@@ -129,7 +129,7 @@ mod tests {
         // resume in a brand new engine.
         let cp = {
             let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg()).unwrap();
-            e.inject(alg.initial_walkers(&g, walks));
+            e.inject(alg.place_walkers(g.num_vertices(), walks));
             match e.run_at_most(7).unwrap() {
                 RunStatus::Paused => {}
                 RunStatus::Completed(_) => panic!("should not finish in 7 iterations"),
@@ -163,7 +163,7 @@ mod tests {
         let g = graph();
         let alg = Arc::new(PageRank::new(3, 0.15));
         let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg()).unwrap();
-        e.inject(alg.initial_walkers(&g, 100));
+        e.inject(alg.place_walkers(g.num_vertices(), 100));
         match e.run_at_most(100_000).unwrap() {
             RunStatus::Completed(r) => {
                 assert_eq!(r.metrics.finished_walks, 100);

@@ -19,7 +19,7 @@ use crate::batch::{chunk_bounds, WalkBatch};
 use crate::exec::{ExecPool, PendingGroup};
 use crate::graphpool::{DeviceGraphPool, GraphEviction};
 use crate::hostcache::{self, HostDecodeCache};
-use crate::kernel::{self, GraphView, OocHostView, OwnedGraphView};
+use crate::kernel::{self, GraphView, HostBlockView, OwnedGraphView};
 use crate::metrics::{Metrics, RunResult};
 use crate::reshuffle::{LocalIndex, ReshuffleMode};
 use crate::walker::Walker;
@@ -523,19 +523,16 @@ pub struct LightTraffic {
     /// `take_tag_deltas` drain — instead of per kernel, keeping
     /// attribution off the merge hot path.
     ledger_steps_credited: Vec<(u32, u64)>,
-    /// Evolving-graph delta layer, created lazily by the first
+    /// Evolving-graph block table, created lazily by the first
     /// [`LightTraffic::mutate`] / [`LightTraffic::seal_epoch`] call.
     /// `None` means the graph is static and the epoch clock reads 0.
+    /// `Some` means every adjacency read goes to these blocks: `pg` has
+    /// released its store and keeps only the partition geometry and sizes.
     evolving: Option<DeltaGraph>,
     /// Host decode cache — the RAM tier between disk and device when the
     /// graph store is out-of-core. `None` on RAM stores (partition
     /// extraction is a slice copy there).
     host_cache: Option<HostDecodeCache>,
-    /// The CSR walker seeding reads. On RAM stores this is the graph
-    /// itself; on out-of-core stores it is an empty skeleton with the
-    /// right vertex count — [`crate::WalkAlgorithm::initial_walkers`]
-    /// implementations only read `num_vertices`.
-    seed_csr: Arc<Csr>,
 }
 
 impl LightTraffic {
@@ -624,21 +621,14 @@ impl LightTraffic {
         let exec = Arc::new(ExecPool::new(kernel_threads));
         let telemetry = gpu.telemetry();
         let ledger = cfg.attribution.then(TrafficLedger::new);
-        let (host_cache, seed_csr) = match pg.store() {
-            GraphStore::Ram(g) => (None, Arc::clone(g)),
-            GraphStore::OutOfCore(ooc) => {
-                let slots = if cfg.host_cache_partitions == 0 {
-                    (2 * cfg.graph_pool_blocks).max(2)
-                } else {
-                    cfg.host_cache_partitions
-                };
-                let cache = HostDecodeCache::new(Arc::clone(ooc), slots.min(p as usize).max(1));
-                let nv = ooc.num_vertices() as usize;
-                let skeleton = Csr::new(vec![0u64; nv + 1], Vec::new(), None)
-                    .expect("empty skeleton CSR is always valid");
-                (Some(cache), Arc::new(skeleton))
-            }
-        };
+        let host_cache = pg.store().ooc().map(|ooc| {
+            let slots = if cfg.host_cache_partitions == 0 {
+                (2 * cfg.graph_pool_blocks).max(2)
+            } else {
+                cfg.host_cache_partitions
+            };
+            HostDecodeCache::new(Arc::clone(ooc), slots.min(p as usize).max(1))
+        });
         Ok(LightTraffic {
             telemetry,
             ledger,
@@ -676,7 +666,6 @@ impl LightTraffic {
             snapshot: None,
             evolving: None,
             host_cache,
-            seed_csr,
         })
     }
 
@@ -799,7 +788,7 @@ impl LightTraffic {
     /// Generate and add `num_walks` of the algorithm's standard walkers to
     /// the in-flight set without running anything.
     pub fn inject_walks(&mut self, num_walks: u64) {
-        let walkers = self.alg.initial_walkers(&self.seed_csr, num_walks);
+        let walkers = self.alg.place_walkers(self.pg.num_vertices(), num_walks);
         self.inject(walkers);
     }
 
@@ -905,24 +894,28 @@ impl LightTraffic {
         self.evolving.as_ref().map_or(0, |d| d.pending())
     }
 
-    /// The evolving-graph layer needs the full adjacency in RAM (a seal
-    /// rewrites the CSR); an out-of-core store cannot serve that.
-    /// Materialize with [`lt_graph::OocGraph::to_csr`] first.
+    /// The evolving-graph layer holds every partition block in RAM (a
+    /// seal rewrites the dirty ones); an out-of-core store cannot serve
+    /// that. Materialize with [`lt_graph::OocGraph::to_csr`] first.
     fn reject_ooc_mutation(&self) -> Result<(), EngineError> {
-        match self.pg.store() {
-            GraphStore::Ram(_) => Ok(()),
-            GraphStore::OutOfCore(_) => Err(EngineError::Admission(
+        if self.host_cache.is_some() {
+            return Err(EngineError::Admission(
                 "graph store is out-of-core (immutable); decode it to RAM \
                  (OocGraph::to_csr) to run evolving-graph workloads"
                     .into(),
-            )),
+            ));
         }
+        Ok(())
     }
 
-    /// The evolving-graph delta layer, creating it on first use.
+    /// The evolving-graph block table, creating it on first use: one copy
+    /// of every partition, after which the partition table lets go of the
+    /// epoch-0 CSR — nothing reads adjacency from it again.
     fn delta_mut(&mut self) -> &mut DeltaGraph {
         if self.evolving.is_none() {
-            self.evolving = Some(DeltaGraph::new(Arc::clone(self.pg.csr())));
+            let pg = Arc::make_mut(&mut self.pg);
+            self.evolving = Some(DeltaGraph::new(pg));
+            pg.release_store();
         }
         self.evolving.as_mut().expect("just initialized")
     }
@@ -948,13 +941,14 @@ impl LightTraffic {
     }
 
     /// Apply every buffered mutation, advance the graph epoch, and
-    /// invalidate affected device state: the partition table is rebuilt
-    /// over the CSR the seal produced (the same allocation the delta
-    /// layer keeps, under the *frozen* partition boundaries, so
-    /// walker→partition routing never changes) and resident partitions
-    /// are re-copied per [`EngineConfig::reload_policy`], charged on the
-    /// simulated link as [`Category::GraphReload`] and attributed in the
-    /// traffic ledger under [`TrafficDirection::Reload`].
+    /// invalidate affected device state: the delta layer rebuilds the
+    /// blocks of the dirty partitions (the partition boundaries are
+    /// *frozen*, so walker→partition routing never changes), the
+    /// partition table takes their new sizes, and resident partitions are
+    /// refreshed per [`EngineConfig::reload_policy`] — handed the sealed
+    /// block, charged on the simulated link as [`Category::GraphReload`]
+    /// and attributed in the traffic ledger under
+    /// [`TrafficDirection::Reload`]. Clean partitions are not visited.
     ///
     /// Call this only *between* [`Self::run_at_most`] slices — the epoch
     /// barrier. Sealing with nothing buffered still advances the epoch
@@ -969,64 +963,47 @@ impl LightTraffic {
     /// fatal copy failure.
     pub fn seal_epoch(&mut self) -> Result<EpochSummary, EngineError> {
         self.reject_ooc_mutation()?;
-        let delta = self.delta_mut();
-        let seal = delta.seal_epoch();
-        let sealed = Arc::clone(delta.base());
+        let seal = self.delta_mut().seal_epoch();
         self.metrics.epochs += 1;
         let mut summary = EpochSummary {
             epoch: seal.epoch,
             inserted: seal.inserted,
             deleted: seal.deleted,
             dirty_vertices: seal.dirty.len() as u64,
+            dirty_partitions: seal.dirty_partitions.len() as u64,
             ..EpochSummary::default()
         };
-        if !seal.dirty.is_empty() {
-            // Dirty vertices are sorted and partitions are contiguous
-            // vertex ranges, so the mapped list is sorted too.
-            let mut dirty_parts: Vec<PartitionId> = seal
-                .dirty
-                .iter()
-                .map(|&v| self.pg.partition_of(v))
-                .collect();
-            dirty_parts.dedup();
-            summary.dirty_partitions = dirty_parts.len() as u64;
-            // Partition the sealed CSR under the frozen boundaries. The old
-            // table (and with it the previous epoch's CSR) is dropped when
-            // the new one is installed below.
-            let boundaries = self.pg.boundaries().to_vec();
-            let pg = Arc::new(PartitionedGraph::with_boundaries(
-                sealed,
-                boundaries,
-                self.cfg.partition_bytes,
-            ));
+        if !seal.dirty_partitions.is_empty() {
+            let delta = self.evolving.as_ref().expect("sealed just above");
             // Mutation can grow a hub past its block (or shrink one back
-            // under it): recompute the oversized set wholesale.
-            let mut oversized = vec![false; pg.num_partitions() as usize];
-            for part in pg.oversized_partitions() {
-                if matches!(self.cfg.zero_copy, ZeroCopyPolicy::Never) {
+            // under it); only a rebuilt block can have changed size.
+            let pg = Arc::make_mut(&mut self.pg);
+            for &p in &seal.dirty_partitions {
+                let bytes = delta.block(p).bytes();
+                pg.set_partition_bytes(p, bytes);
+                let oversized = bytes > self.cfg.partition_bytes;
+                if oversized && matches!(self.cfg.zero_copy, ZeroCopyPolicy::Never) {
                     return Err(EngineError::OversizedPartition {
-                        partition: part,
-                        bytes: pg.partition_bytes(part),
+                        partition: p,
+                        bytes,
                         block_bytes: self.cfg.partition_bytes,
                     });
                 }
-                oversized[part as usize] = true;
+                self.oversized[p as usize] = oversized;
             }
-            self.oversized = oversized;
-            self.pg = pg;
             // Refresh stale resident partitions. Residency order (oldest
             // first) is schedule-deterministic, so reload charges are too.
-            let refresh: Vec<PartitionId> = match self.cfg.reload_policy {
-                ReloadPolicy::DirtyOnly => self
-                    .graph_pool
-                    .resident_partitions()
-                    .filter(|p| dirty_parts.binary_search(p).is_ok())
-                    .collect(),
-                ReloadPolicy::FullRefresh => self.graph_pool.resident_partitions().collect(),
-            };
-            for p in refresh {
-                let data = self.pg.extract(p);
-                let bytes = data.bytes();
+            let refresh: Vec<Arc<PartitionData>> = self
+                .graph_pool
+                .resident_partitions()
+                .filter(|p| match self.cfg.reload_policy {
+                    ReloadPolicy::DirtyOnly => seal.dirty_partitions.binary_search(p).is_ok(),
+                    ReloadPolicy::FullRefresh => true,
+                })
+                .map(|p| Arc::clone(delta.block(p)))
+                .collect();
+            for data in refresh {
+                let (p, bytes) = (data.id, data.bytes());
                 self.copy_with_retry_as(
                     Direction::HostToDevice,
                     TrafficDirection::Reload,
@@ -1260,15 +1237,20 @@ impl LightTraffic {
         }
     }
 
-    /// Produce partition `i`'s decoded data. A RAM store extracts it
-    /// (slice copies) per call; an out-of-core store fetches through the
-    /// host decode cache, charging each miss's decode to the host traffic
-    /// tier ([`TrafficDirection::HostLoad`] in the ledger, keyed like
-    /// graph loads by `(SHARED_TAG, partition)`, plus
-    /// `host_decode_bytes`) — exactly once per decode, so
-    /// corruption-driven reload loops (cache hits on re-fetch) add no
-    /// phantom host-tier traffic.
+    /// Produce partition `i`'s data behind an `Arc`. An evolving graph
+    /// hands out its sealed block — no copy, and the same allocation every
+    /// reader of this epoch shares; a static RAM store extracts it (slice
+    /// copies) per call; an out-of-core store fetches through the host
+    /// decode cache, charging each miss's decode to the host traffic tier
+    /// ([`TrafficDirection::HostLoad`] in the ledger, keyed like graph
+    /// loads by `(SHARED_TAG, partition)`, plus `host_decode_bytes`) —
+    /// exactly once per decode, so corruption-driven reload loops (cache
+    /// hits on re-fetch) add no phantom host-tier traffic. Only that last
+    /// case is a decode and only it moves a host-tier counter.
     fn fetch_partition(&mut self, i: PartitionId) -> Arc<PartitionData> {
+        if let Some(delta) = &self.evolving {
+            return Arc::clone(delta.block(i));
+        }
         let Some(cache) = self.host_cache.as_mut() else {
             return Arc::new(self.pg.extract(i));
         };
@@ -1839,7 +1821,7 @@ impl LightTraffic {
     /// merge time — so a validated speculation is indistinguishable from
     /// stepping after the acquire.
     fn launch_speculation(&mut self, i: PartitionId, use_zc: bool) -> Option<Speculation> {
-        // Zero copy over an out-of-core store steps against a host view
+        // Zero copy over an out-of-core store steps against a block view
         // fetched through the decode cache. A speculative fetch would
         // make `host_cache_hits` depend on `kernel_threads`, and the
         // host-tier counters are part of the deterministic fingerprint —
@@ -1848,10 +1830,10 @@ impl LightTraffic {
         if use_zc && self.host_cache.is_some() {
             return None;
         }
-        let view = if use_zc {
-            OwnedGraphView::Host(Arc::clone(self.pg.csr()))
+        let resident = if use_zc {
+            None
         } else {
-            OwnedGraphView::Resident(self.graph_pool.get_arc(i)?)
+            Some(self.graph_pool.get_arc(i)?)
         };
         // The prediction is copied twice, which is the minimum: once into
         // a recycled buffer that stays behind for validation, and once
@@ -1865,11 +1847,19 @@ impl LightTraffic {
                 return None;
             }
         }
+        let reads_prev = self.alg.reads_prev_neighbors();
+        let view = match (resident, self.pg.ram_csr()) {
+            (Some(d), _) => OwnedGraphView::Resident(d),
+            (None, Some(g)) => OwnedGraphView::Host(Arc::clone(g)),
+            // An evolving graph has no CSR: an owned block view over the
+            // predicted walkers, fetched free of charge from the table.
+            (None, None) => OwnedGraphView::Blocks(self.build_block_view(i, &walkers, reads_prev)),
+        };
         let chunks = kernel::plan_chunks(walkers.len(), self.kernel_threads);
         let task = Arc::new(kernel::OwnedKernelTask {
             view,
             alg: Arc::clone(&self.alg),
-            reads_prev: self.alg.reads_prev_neighbors(),
+            reads_prev,
             seed: self.cfg.seed,
             num_vertices: self.pg.num_vertices(),
             range: self.pg.vertex_range(i),
@@ -1965,17 +1955,18 @@ impl LightTraffic {
         debug_assert_eq!(batch.partition(), part);
         let chunks = kernel::plan_chunks(batch.len(), self.kernel_threads);
         let reads_prev = self.alg.reads_prev_neighbors();
-        // Zero copy over an out-of-core store has no RAM CSR to read —
-        // gather the decoded partitions this batch can read instead
-        // (fetches go through the host decode cache and are charged to
-        // the host tier like any other decode).
-        let ooc_view = (use_zc && self.host_cache.is_some())
-            .then(|| self.build_ooc_view(part, &batch, reads_prev));
+        // Zero copy over an out-of-core store or an evolving graph has no
+        // RAM CSR to read — gather the partition blocks this batch can
+        // read instead (out of core, the fetches go through the host
+        // decode cache and are charged to the host tier like any other
+        // decode).
+        let block_view = (use_zc && self.pg.ram_csr().is_none())
+            .then(|| self.build_block_view(part, batch.walkers(), reads_prev));
         let wall = Instant::now();
         let outputs: Vec<kernel::ChunkOutput> = {
             let task = kernel::KernelTask {
-                view: match (use_zc, ooc_view.as_ref()) {
-                    (true, Some(h)) => GraphView::OocHost(h),
+                view: match (use_zc, block_view.as_ref()) {
+                    (true, Some(h)) => GraphView::Blocks(h),
                     (true, None) => GraphView::Host(self.pg.csr()),
                     (false, _) => {
                         GraphView::Resident(self.graph_pool.get(part).expect("graph resident"))
@@ -2014,23 +2005,24 @@ impl LightTraffic {
         }
     }
 
-    /// Collect the decoded partitions a zero-copy kernel over an
-    /// out-of-core store can read: the batch's own partition and, only
-    /// when the algorithm reads second-order context (`reads_prev`), the
-    /// partition of every walker's previous vertex (`aux` at batch start;
-    /// after the first step `aux` always lies in the batch's partition).
-    /// A first-order walk costs one fetch per kernel, like an explicit
-    /// copy. For clocks in `aux` see [`kernel::OocHostView`].
-    fn build_ooc_view(
+    /// Collect the partition blocks a zero-copy kernel can read where no
+    /// RAM CSR exists (out-of-core store, evolving graph): the batch's own
+    /// partition and, only when the algorithm reads second-order context
+    /// (`reads_prev`), the partition of every walker's previous vertex
+    /// (`aux` at batch start; after the first step `aux` always lies in
+    /// the batch's partition). A first-order walk costs one fetch per
+    /// kernel, like an explicit copy. For clocks in `aux` see
+    /// [`kernel::HostBlockView`].
+    fn build_block_view(
         &mut self,
         part: PartitionId,
-        batch: &WalkBatch,
+        walkers: &[Walker],
         reads_prev: bool,
-    ) -> OocHostView {
+    ) -> HostBlockView {
         let mut needed: Vec<PartitionId> = vec![part];
         if reads_prev {
             let nv = self.pg.num_vertices();
-            for w in batch.walkers() {
+            for w in walkers {
                 if w.aux != VertexId::MAX && (w.aux as u64) < nv {
                     needed.push(self.pg.partition_of(w.aux));
                 }
@@ -2038,7 +2030,7 @@ impl LightTraffic {
             needed.sort_unstable();
             needed.dedup();
         }
-        OocHostView::new(
+        HostBlockView::new(
             needed
                 .into_iter()
                 .map(|p| self.fetch_partition(p))
@@ -2785,36 +2777,90 @@ mod tests {
         }
     }
 
+    /// The block table's contract with the engine: the first mutation
+    /// moves adjacency out of the epoch-0 CSR for good, a dirty seal
+    /// replaces exactly the dirty block and re-sizes exactly its table
+    /// entry, and a block that outgrows the budget flips its own
+    /// `oversized` flag — clean partitions are not visited at all.
     #[test]
-    fn a_dirty_seal_shares_one_csr_between_delta_layer_and_partition_table() {
+    fn a_dirty_seal_replaces_exactly_the_dirty_block() {
         let g = graph();
-        let mut e =
-            LightTraffic::new(g.clone(), Arc::new(UniformSampling::new(4)), small_cfg()).unwrap();
-        // A delete of an absent edge applies nothing: the seal is clean and
-        // every layer keeps the allocation the engine was built over.
-        let absent = (0..g.num_vertices() as VertexId)
+        let nv = g.num_vertices() as VertexId;
+        let absent = (0..nv)
             .find(|v| !g.neighbors(0).contains(v))
             .expect("vertex 0 does not reach every vertex");
+        let engine = |zero_copy| {
+            let cfg = EngineConfig {
+                zero_copy,
+                ..small_cfg()
+            };
+            LightTraffic::new(g.clone(), Arc::new(UniformSampling::new(4)), cfg).unwrap()
+        };
+        let mut e = engine(ZeroCopyPolicy::adaptive());
+        // A delete of an absent edge applies nothing: the seal is clean,
+        // but the table exists and the CSR is no longer the engine's.
         e.mutate(vec![EdgeUpdate::delete(0, absent)]).unwrap();
         let summary = e.seal_epoch().unwrap();
-        assert_eq!((summary.epoch, summary.dirty_vertices), (1, 0));
-        let delta = e.evolving.as_ref().expect("mutate creates the delta layer");
-        assert!(Arc::ptr_eq(delta.base(), &g));
-        assert!(Arc::ptr_eq(e.pg.csr(), &g));
+        assert_eq!(
+            (
+                summary.epoch,
+                summary.dirty_vertices,
+                summary.dirty_partitions
+            ),
+            (1, 0, 0)
+        );
+        assert!(e.pg.ram_csr().is_none());
+        assert_eq!(Arc::strong_count(&g), 1, "the engine still holds the CSR");
+        let np = e.pg.num_partitions();
+        let blocks = |e: &LightTraffic| -> Vec<Arc<PartitionData>> {
+            let delta = e.evolving.as_ref().expect("mutate creates the table");
+            (0..np).map(|p| Arc::clone(delta.block(p))).collect()
+        };
+        let before = blocks(&e);
+        // Only a visit could reset this marker on a clean partition.
+        e.oversized[np as usize - 1] = true;
 
         e.mutate(vec![EdgeUpdate::insert(0, absent)]).unwrap();
         let summary = e.seal_epoch().unwrap();
-        assert_eq!((summary.epoch, summary.dirty_vertices), (2, 1));
-        let delta = e.evolving.as_ref().expect("still there");
-        assert!(
-            !Arc::ptr_eq(delta.base(), &g),
-            "a dirty seal writes a new CSR"
+        assert_eq!(
+            (
+                summary.epoch,
+                summary.dirty_vertices,
+                summary.dirty_partitions
+            ),
+            (2, 1, 1)
         );
+        let after = blocks(&e);
+        for p in 0..np as usize {
+            assert_eq!(Arc::ptr_eq(&after[p], &before[p]), p != 0, "block {p}");
+            assert_eq!(e.pg.partition_bytes(p as PartitionId), after[p].bytes());
+        }
+        assert_eq!(after[0].bytes(), before[0].bytes() + 4);
+        assert_eq!(after[0].neighbors(0).last(), Some(&absent));
+        assert!(!e.oversized[0] && e.oversized[np as usize - 1]);
+
+        // Enough inserts into one row to overflow the 16 KiB block.
+        let flood: Vec<EdgeUpdate> = (0..5_000).map(|k| EdgeUpdate::insert(0, k % nv)).collect();
+        e.mutate(flood.clone()).unwrap();
+        e.seal_epoch().unwrap();
+        assert!(e.oversized[0] && e.pg.partition_bytes(0) > e.cfg.partition_bytes);
+        let r = e.run(500).unwrap();
+        assert_eq!(r.metrics.finished_walks, 500);
         assert!(
-            Arc::ptr_eq(delta.base(), e.pg.csr()),
-            "the partition table must walk the delta layer's CSR, not a copy"
+            r.metrics.zero_copy_kernels > 0,
+            "the hub block reads in place"
         );
-        assert_eq!(e.pg.csr().neighbors(0).last(), Some(&absent));
+
+        let mut never = engine(ZeroCopyPolicy::Never);
+        never.mutate(flood).unwrap();
+        match never.seal_epoch() {
+            Err(EngineError::OversizedPartition {
+                partition: 0,
+                bytes,
+                block_bytes,
+            }) => assert!(bytes > block_bytes),
+            other => panic!("expected an oversized block, got {other:?}"),
+        }
     }
 
     #[test]

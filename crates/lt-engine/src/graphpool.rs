@@ -116,20 +116,21 @@ impl DeviceGraphPool {
     }
 
     /// Replace the resident copy of partition `p` in place (evolving-graph
-    /// reload after an epoch seal). Residency order is untouched: a
-    /// refresh is not a new insertion, so FIFO eviction age is preserved
-    /// and eviction decisions are identical to a run without mutations.
-    /// Prior `Arc` handles (speculative kernel tasks) keep the old data —
-    /// the engine seals epochs only at iteration barriers, where none are
-    /// live.
+    /// reload after an epoch seal) with the sealed block itself — a handle,
+    /// not a copy: the simulated link is charged for the bytes, the host
+    /// moves none. Residency order is untouched: a refresh is not a new
+    /// insertion, so FIFO eviction age is preserved and eviction decisions
+    /// are identical to a run without mutations. Prior `Arc` handles
+    /// (speculative kernel tasks) keep the old data — the engine seals
+    /// epochs only at iteration barriers, where none are live.
     ///
     /// # Panics
     /// Panics if `p` is not resident or `data` belongs to another
     /// partition.
-    pub fn refresh(&mut self, p: PartitionId, data: PartitionData) {
+    pub fn refresh(&mut self, p: PartitionId, data: Arc<PartitionData>) {
         assert_eq!(data.id, p, "refresh data must belong to partition {p}");
         let id = self.resident[p as usize].expect("refreshing a non-resident partition");
-        *self.pool.get_mut(id) = Arc::new(data);
+        *self.pool.get_mut(id) = data;
     }
 
     /// Drop partition `p` from the cache (graph data needs no write-back —

@@ -20,7 +20,7 @@
 use crate::algorithm::{StepContext, StepDecision, WalkAlgorithm};
 use crate::engine::EngineError;
 use crate::walker::Walker;
-use lt_graph::{Csr, VertexId};
+use lt_graph::VertexId;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -132,10 +132,10 @@ impl JobSpec {
     /// The job's initial walkers, tagged with its slot. Walker ids are
     /// job-local (`0..n`) so the same spec replays identical trajectories
     /// whether it runs alone or multiplexed.
-    pub fn initial_walkers(&self, graph: &Csr, tag: u32) -> Vec<Walker> {
+    pub fn place_walkers(&self, num_vertices: u64, tag: u32) -> Vec<Walker> {
         match &self.start {
             JobStart::WalkCount(n) => {
-                let mut ws = self.algorithm.initial_walkers(graph, *n);
+                let mut ws = self.algorithm.place_walkers(num_vertices, *n);
                 for w in &mut ws {
                     w.tag = tag;
                 }
@@ -264,8 +264,8 @@ impl WalkAlgorithm for JobTable {
     }
 
     /// The table has no workload of its own — the scheduler injects each
-    /// job's walkers explicitly ([`JobSpec::initial_walkers`]).
-    fn initial_walkers(&self, _graph: &Csr, _num_walks: u64) -> Vec<Walker> {
+    /// job's walkers explicitly ([`JobSpec::place_walkers`]).
+    fn place_walkers(&self, _num_vertices: u64, _num_walks: u64) -> Vec<Walker> {
         Vec::new()
     }
 
@@ -344,7 +344,7 @@ mod tests {
     fn spec_walkers_are_tagged_and_job_local() {
         let g = lt_graph::gen::erdos_renyi(64, 256, 1).csr;
         let spec = JobSpec::deepwalk(10, 4, 7);
-        let ws = spec.initial_walkers(&g, 3);
+        let ws = spec.place_walkers(g.num_vertices(), 3);
         assert_eq!(ws.len(), 10);
         for (i, w) in ws.iter().enumerate() {
             assert_eq!(w.id, i as u64);
@@ -355,7 +355,7 @@ mod tests {
             start: JobStart::Seeds(vec![5, 9]),
             seed: 7,
         };
-        let ws = seeded.initial_walkers(&g, 1);
+        let ws = seeded.place_walkers(g.num_vertices(), 1);
         assert_eq!(ws.len(), 2);
         assert_eq!((ws[0].vertex, ws[0].tag, ws[0].id), (5, 1, 0));
         assert_eq!((ws[1].vertex, ws[1].tag, ws[1].id), (9, 1, 1));

@@ -30,37 +30,41 @@ use lt_graph::{Csr, PartitionData, VertexId};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Where a kernel reads its graph data from.
+/// Where a kernel reads its graph data from: the CSR or partition blocks,
+/// nothing else.
 pub(crate) enum GraphView<'a> {
     /// The partition is resident in the graph pool.
     Resident(&'a PartitionData),
     /// Zero copy: read the host CSR directly.
     Host(&'a Csr),
-    /// Zero copy against an out-of-core store: read the host decode
-    /// cache's partitions directly (no RAM CSR exists).
-    OocHost(&'a OocHostView),
+    /// Zero copy where no host CSR exists — an out-of-core store or an
+    /// evolving graph: read host-side partition blocks directly.
+    Blocks(&'a HostBlockView),
 }
 
-/// The host-side graph view for zero-copy kernels over an out-of-core
-/// store. Holds the decoded partitions a batch can read: its own and, only
-/// when the algorithm
+/// The host-side graph view for zero-copy kernels over a graph held as
+/// partition blocks: the host decode cache's partitions of an out-of-core
+/// store, or the block table of an evolving graph
+/// ([`lt_graph::delta::DeltaGraph`]). Holds the blocks a batch can read:
+/// its own and, only when the algorithm
 /// [reads second-order context](WalkAlgorithm::reads_prev_neighbors),
 /// every partition a walker's previous vertex lives in (computed at batch
 /// start; after a walker's first step its `aux` lies in the batch's own
 /// partition). A lookup outside the view then only comes from a
 /// [`crate::JobTable`] mixing a second-order job with a temporal one — a
 /// clock in `aux` aliasing a vertex id — and returns `None`, which
-/// temporal walks never read.
-pub(crate) struct OocHostView {
+/// temporal walks never read. The view owns its `Arc`s, so the same type
+/// serves a borrowed kernel task and a speculative one.
+pub(crate) struct HostBlockView {
     /// Covered partitions, sorted by vertex range, pairwise disjoint.
     parts: Vec<Arc<PartitionData>>,
 }
 
-impl OocHostView {
-    pub(crate) fn new(mut parts: Vec<Arc<PartitionData>>) -> OocHostView {
+impl HostBlockView {
+    pub(crate) fn new(mut parts: Vec<Arc<PartitionData>>) -> HostBlockView {
         parts.sort_by_key(|d| d.v_start);
         parts.dedup_by_key(|d| d.id);
-        OocHostView { parts }
+        HostBlockView { parts }
     }
 
     #[inline]
@@ -72,7 +76,7 @@ impl OocHostView {
     #[inline]
     fn covering(&self, v: VertexId) -> &PartitionData {
         self.find(v)
-            .unwrap_or_else(|| panic!("OOC zero-copy view does not cover vertex {v}"))
+            .unwrap_or_else(|| panic!("zero-copy block view does not cover vertex {v}"))
     }
 
     /// Previous-vertex adjacency for second-order context; `None` when the
@@ -97,7 +101,7 @@ impl GraphView<'_> {
                 g.neighbor_weights(v),
                 g.neighbor_timestamps(v),
             ),
-            GraphView::OocHost(h) => {
+            GraphView::Blocks(h) => {
                 let d = h.covering(v);
                 (
                     d.neighbors(v),
@@ -310,6 +314,10 @@ pub(crate) enum OwnedGraphView {
     Resident(Arc<PartitionData>),
     /// Zero copy: read the host CSR directly.
     Host(Arc<Csr>),
+    /// Zero copy over an evolving graph's block table. Built from the
+    /// *predicted* walkers, so it covers every partition their `aux` can
+    /// name — the second-order context `Host` serves from the whole CSR.
+    Blocks(HostBlockView),
 }
 
 /// Owning variant of [`KernelTask`] for speculative stepping; borrow a
@@ -334,6 +342,7 @@ impl OwnedKernelTask {
             view: match &self.view {
                 OwnedGraphView::Resident(d) => GraphView::Resident(d),
                 OwnedGraphView::Host(g) => GraphView::Host(g),
+                OwnedGraphView::Blocks(h) => GraphView::Blocks(h),
             },
             alg: self.alg.as_ref(),
             reads_prev: self.reads_prev,
@@ -404,7 +413,7 @@ pub(crate) fn step_chunk(task: &KernelTask<'_>, walkers: Vec<Walker>) -> ChunkOu
 
 /// One step of `w` against the task's view. Second-order context is built
 /// only for an algorithm that declared it reads it — on every view alike,
-/// so a first-order walk sees `None` in RAM and out of core — and then the
+/// so a first-order walk sees `None` on a CSR and on blocks — and then the
 /// previous vertex's adjacency is served where this kernel's view reaches
 /// it (always via zero copy; only in-partition when resident — the
 /// asymmetry second-order systems accept).
@@ -420,7 +429,7 @@ fn step_once(task: &KernelTask<'_>, w: &Walker) -> StepDecision {
         (_, VertexId::MAX) => None,
         (GraphView::Host(g), aux) if (aux as u64) < task.num_vertices => Some(g.neighbors(aux)),
         (GraphView::Resident(d), aux) if d.contains(aux) => Some(d.neighbors(aux)),
-        (GraphView::OocHost(h), aux) if (aux as u64) < task.num_vertices => h.prev_neighbors(aux),
+        (GraphView::Blocks(h), aux) if (aux as u64) < task.num_vertices => h.prev_neighbors(aux),
         _ => None,
     };
     let ctx = StepContext {

@@ -1,22 +1,28 @@
-//! Evolving-graph layer: buffered edge updates over one immutable CSR.
+//! Evolving-graph layer: buffered edge updates over one block per
+//! partition.
 //!
 //! The paper walks a static CSR, but its reshuffle/cache design is most
 //! stressed when partition contents change mid-run (the LightRW /
-//! FlexiWalker dynamic-walk scenario). [`DeltaGraph`] pairs the current
-//! [`Csr`] with a buffer of pending updates and an epoch clock:
+//! FlexiWalker dynamic-walk scenario). [`DeltaGraph`] holds the graph as
+//! the table of [`PartitionData`] blocks the engine already moves — the
+//! paper's unit of traffic (§III-B) is also the unit of mutation — with a
+//! buffer of pending updates and an epoch clock:
 //!
 //! - **Buffering**: [`DeltaGraph::buffer`] queues [`EdgeUpdate`]s without
 //!   making them visible to readers.
 //! - **Epoch seal**: [`DeltaGraph::seal_epoch`] merges every buffered
-//!   update into the *next* CSR in one pass over the current one,
-//!   advances the epoch and reports the dirty vertex set. All readers
-//!   observe the new adjacency atomically after the seal — the engine
-//!   runs seals only at iteration barriers, which is what makes mutation
-//!   visibility deterministic (DESIGN.md §15).
+//!   update into fresh blocks for the partitions it touches, advances the
+//!   epoch and reports the dirty vertex and partition sets. A clean
+//!   partition keeps its `Arc`, so a seal costs the bytes of the dirty
+//!   partitions, not of the graph. All readers observe the new adjacency
+//!   atomically after the seal — the engine runs seals only at iteration
+//!   barriers, which is what makes mutation visibility deterministic
+//!   (DESIGN.md §15).
 //!
-//! There is exactly one graph per epoch: [`DeltaGraph::base`] *is* the
-//! sealed view, the allocation the engine partitions, and the input of
-//! the next seal.
+//! There is exactly one block per partition per epoch:
+//! [`DeltaGraph::block`] *is* the sealed view, the allocation the engine
+//! loads, reloads and reads through zero copy, and the input of the next
+//! seal. A copy of a block is stale exactly when `Arc::ptr_eq` says so.
 //!
 //! Temporal coupling: on a temporal base graph, an insert without an
 //! explicit timestamp is stamped with the sealing epoch's index, so the
@@ -24,7 +30,7 @@
 //! temporal walkers' sliding windows (see `TemporalWalk` in `lt-engine`)
 //! move forward as epochs are sealed.
 
-use crate::{Csr, GraphError, VertexId};
+use crate::{Csr, GraphError, PartitionData, PartitionId, PartitionedGraph, VertexId};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -83,7 +89,7 @@ impl EdgeUpdate {
 }
 
 /// Edge columns: targets plus the optional parallel weight and timestamp
-/// arrays. A seal fills one as the next CSR's edge storage and reuses
+/// arrays. A seal fills one as a rebuilt block's edge storage and reuses
 /// another as the scratch copy of each touched row.
 struct Columns {
     edges: Vec<VertexId>,
@@ -93,11 +99,14 @@ struct Columns {
 
 impl Columns {
     /// Empty columns with the same optional arrays as `base`.
-    fn like(base: &Csr, capacity: usize) -> Self {
+    fn like(base: &PartitionData, capacity: usize) -> Self {
         Columns {
             edges: Vec::with_capacity(capacity),
-            weights: base.is_weighted().then(|| Vec::with_capacity(capacity)),
-            timestamps: base.is_temporal().then(|| Vec::with_capacity(capacity)),
+            weights: base.weights.as_ref().map(|_| Vec::with_capacity(capacity)),
+            timestamps: base
+                .timestamps
+                .as_ref()
+                .map(|_| Vec::with_capacity(capacity)),
         }
     }
 
@@ -112,12 +121,12 @@ impl Columns {
     }
 
     /// Append `base`'s edge entries `range` as whole slices.
-    fn extend_from_base(&mut self, base: &Csr, range: Range<usize>) {
-        self.edges.extend_from_slice(&base.edges()[range.clone()]);
-        if let (Some(out), Some(w)) = (&mut self.weights, base.weights()) {
+    fn extend_from_base(&mut self, base: &PartitionData, range: Range<usize>) {
+        self.edges.extend_from_slice(&base.edges[range.clone()]);
+        if let (Some(out), Some(w)) = (&mut self.weights, &base.weights) {
             out.extend_from_slice(&w[range.clone()]);
         }
-        if let (Some(out), Some(t)) = (&mut self.timestamps, base.timestamps()) {
+        if let (Some(out), Some(t)) = (&mut self.timestamps, &base.timestamps) {
             out.extend_from_slice(&t[range]);
         }
     }
@@ -153,30 +162,31 @@ impl Columns {
     }
 }
 
-/// The CSR a dirty seal is writing: the offsets of the rows emitted so
-/// far (always ending in the current edge count) and their edges.
-struct NextCsr {
+/// The block a dirty seal is writing for one partition: the offsets of the
+/// rows emitted so far (always ending in the current edge count) and their
+/// edges. Offsets are partition-relative, like the block's own.
+struct NextBlock {
     offsets: Vec<u64>,
     cols: Columns,
 }
 
-impl NextCsr {
+impl NextBlock {
     /// Sized for `base` grown by at most `max_inserts` edges.
-    fn new(base: &Csr, max_inserts: usize) -> Self {
-        let mut offsets = Vec::with_capacity(base.offsets().len());
+    fn new(base: &PartitionData, max_inserts: usize) -> Self {
+        let mut offsets = Vec::with_capacity(base.offsets.len());
         offsets.push(0);
-        NextCsr {
+        NextBlock {
             offsets,
-            cols: Columns::like(base, base.num_edges() as usize + max_inserts),
+            cols: Columns::like(base, base.edges.len() + max_inserts),
         }
     }
 
-    /// Emit the rows from the first one not yet written up to `until` —
-    /// a run no update touched — as whole slices of `base`, with their
-    /// offsets rebased onto the output.
-    fn copy_clean_rows(&mut self, base: &Csr, until: usize) {
+    /// Emit the rows from the first one not yet written up to local row
+    /// `until` — a run no update touched — as whole slices of `base`, with
+    /// their offsets rebased onto the output.
+    fn copy_clean_rows(&mut self, base: &PartitionData, until: usize) {
         let from = self.offsets.len() - 1;
-        let base_off = base.offsets();
+        let base_off = &base.offsets;
         let start = self.cols.edges.len() as u64;
         self.cols
             .extend_from_base(base, base_off[from] as usize..base_off[until] as usize);
@@ -200,38 +210,50 @@ pub struct EpochSeal {
     pub epoch: u64,
     /// Sorted, deduplicated source vertices whose adjacency changed.
     pub dirty: Vec<VertexId>,
+    /// Sorted partitions holding a dirty vertex — exactly the blocks this
+    /// seal replaced.
+    pub dirty_partitions: Vec<PartitionId>,
     /// Edges inserted by this seal.
     pub inserted: u64,
     /// Edges actually removed by this seal (absent targets are no-ops).
     pub deleted: u64,
 }
 
-/// The current CSR, the updates buffered against it, and an epoch clock.
+/// One block per partition, the updates buffered against them, and an
+/// epoch clock.
 ///
 /// ```
 /// use std::sync::Arc;
-/// use lt_graph::{Csr, delta::{DeltaGraph, EdgeUpdate}};
+/// use lt_graph::{Csr, PartitionedGraph, delta::{DeltaGraph, EdgeUpdate}};
 /// let base = Arc::new(Csr::new(vec![0, 2, 3, 3], vec![1, 2, 0], None).unwrap());
-/// let mut dg = DeltaGraph::new(base);
+/// let mut dg = DeltaGraph::new(&PartitionedGraph::build(base, 40));
 /// dg.buffer(EdgeUpdate::insert(2, 0)).unwrap();
 /// assert_eq!(dg.neighbors(2), &[] as &[u32]); // invisible until sealed
 /// let seal = dg.seal_epoch();
 /// assert_eq!(seal.epoch, 1);
 /// assert_eq!(seal.dirty, vec![2]);
+/// assert_eq!(seal.dirty_partitions, vec![1]);
 /// assert_eq!(dg.neighbors(2), &[0]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeltaGraph {
-    base: Arc<Csr>,
+    /// `boundaries[p]..boundaries[p+1]` is block `p`'s vertex interval,
+    /// copied from the partition table and frozen.
+    boundaries: Vec<VertexId>,
+    blocks: Vec<Arc<PartitionData>>,
     pending: Vec<EdgeUpdate>,
     epoch: u64,
 }
 
 impl DeltaGraph {
-    /// Start at epoch 0 over `base` with nothing buffered.
-    pub fn new(base: Arc<Csr>) -> Self {
+    /// Start at epoch 0 with nothing buffered, over a copy of every
+    /// partition of `pg` (one [`PartitionedGraph::extract`] each).
+    pub fn new(pg: &PartitionedGraph) -> Self {
         DeltaGraph {
-            base,
+            boundaries: pg.boundaries().to_vec(),
+            blocks: (0..pg.num_partitions())
+                .map(|p| Arc::new(pg.extract(p)))
+                .collect(),
             pending: Vec::new(),
             epoch: 0,
         }
@@ -243,33 +265,40 @@ impl DeltaGraph {
         self.epoch
     }
 
-    /// The sealed view: the graph as of the last seal (the original graph
-    /// before the first). A seal that changes any row installs a new
-    /// allocation here; one that changes none keeps this `Arc` as is.
+    /// The sealed view of partition `p`: its rows as of the last seal. A
+    /// seal that changes one of them installs a new allocation here; every
+    /// other seal keeps this `Arc` as is, so `Arc::ptr_eq` against an
+    /// earlier clone tells whether that copy went stale.
     #[inline]
-    pub fn base(&self) -> &Arc<Csr> {
-        &self.base
+    pub fn block(&self, p: PartitionId) -> &Arc<PartitionData> {
+        &self.blocks[p as usize]
+    }
+
+    /// The block holding vertex `v` (binary search over the boundaries,
+    /// as in [`PartitionedGraph::partition_of`]).
+    #[inline]
+    fn block_of(&self, v: VertexId) -> &PartitionData {
+        &self.blocks[self.boundaries.partition_point(|&b| b <= v) - 1]
     }
 
     #[inline]
     pub fn num_vertices(&self) -> u64 {
-        self.base.num_vertices()
+        *self.boundaries.last().expect("at least one partition") as u64
     }
 
     /// Sealed-view edge count.
-    #[inline]
     pub fn num_edges(&self) -> u64 {
-        self.base.num_edges()
+        self.blocks.iter().map(|b| b.edges.len() as u64).sum()
     }
 
     #[inline]
     pub fn is_weighted(&self) -> bool {
-        self.base.is_weighted()
+        self.blocks[0].weights.is_some()
     }
 
     #[inline]
     pub fn is_temporal(&self) -> bool {
-        self.base.is_temporal()
+        self.blocks[0].timestamps.is_some()
     }
 
     /// Buffered updates awaiting the next seal.
@@ -282,7 +311,7 @@ impl DeltaGraph {
     /// Both endpoints must be existing vertices (the vertex set is frozen;
     /// only edges evolve).
     pub fn buffer(&mut self, update: EdgeUpdate) -> Result<(), GraphError> {
-        let nv = self.base.num_vertices();
+        let nv = self.num_vertices();
         for v in [update.src, update.dst] {
             if (v as u64) >= nv {
                 return Err(GraphError::VertexOutOfRange {
@@ -303,17 +332,19 @@ impl DeltaGraph {
     }
 
     /// Apply every buffered update, advance the epoch and report the dirty
-    /// vertex set. Sealing with an empty buffer still advances the epoch
-    /// (an empty epoch).
+    /// vertex and partition sets. Sealing with an empty buffer still
+    /// advances the epoch (an empty epoch).
     ///
     /// Updates take effect in submission order per source vertex (rows
     /// are independent, so that is the full submission order): an insert
     /// appends with weight 1.0 and the sealing epoch as defaults, a
     /// delete removes the first stored match and is a no-op that dirties
-    /// nothing when there is none. The next CSR is written in one pass
-    /// over the current one — runs of untouched vertices between touched
-    /// sources are copied as whole slices — so a seal that changes a row
-    /// costs O(|V| + |E|) and one that changes none costs O(pending).
+    /// nothing when there is none. The sorted updates are cut at partition
+    /// boundaries and each touched partition's block is rewritten in one
+    /// pass over the old one — runs of untouched vertices between touched
+    /// sources are copied as whole slices — so a seal costs
+    /// O(pending + bytes of the dirty partitions), and a partition none of
+    /// whose updates applied keeps its block.
     pub fn seal_epoch(&mut self) -> EpochSeal {
         self.epoch += 1;
         let default_ts = self.epoch.min(u32::MAX as u64) as u32;
@@ -324,49 +355,19 @@ impl DeltaGraph {
         let mut pending = std::mem::take(&mut self.pending);
         // Stable, so the ops of one source keep their submission order.
         pending.sort_by_key(|u| u.src);
-        let base = &*self.base;
-        // Created by the first row that changes.
-        let mut next: Option<NextCsr> = None;
-        let mut row = Columns::like(base, 0);
-        for ops in pending.chunk_by(|a, b| a.src == b.src) {
-            let src = ops[0].src;
-            let range = base.edge_range(src);
-            row.clear();
-            row.extend_from_base(base, range.start as usize..range.end as usize);
-            let applied_before = seal.inserted + seal.deleted;
-            for u in ops {
-                match u.op {
-                    EdgeOp::Insert => {
-                        row.push(
-                            u.dst,
-                            u.weight.unwrap_or(1.0),
-                            u.timestamp.unwrap_or(default_ts),
-                        );
-                        seal.inserted += 1;
-                    }
-                    EdgeOp::Delete => {
-                        if let Some(k) = row.edges.iter().position(|&x| x == u.dst) {
-                            row.remove(k);
-                            seal.deleted += 1;
-                        }
-                    }
-                }
+        let mut row = Columns::like(&self.blocks[0], 0);
+        let mut rest = pending.as_slice();
+        while let Some(first) = rest.first() {
+            let p = self.boundaries.partition_point(|&b| b <= first.src) - 1;
+            let v_end = self.boundaries[p + 1];
+            let (ops, tail) = rest.split_at(rest.partition_point(|u| u.src < v_end));
+            rest = tail;
+            if let Some(block) =
+                rebuild_block(&self.blocks[p], ops, default_ts, &mut row, &mut seal)
+            {
+                self.blocks[p] = Arc::new(block);
+                seal.dirty_partitions.push(p as PartitionId);
             }
-            if seal.inserted + seal.deleted == applied_before {
-                continue;
-            }
-            seal.dirty.push(src);
-            let next = next.get_or_insert_with(|| NextCsr::new(base, pending.len()));
-            next.copy_clean_rows(base, src as usize);
-            next.push_row(&row);
-        }
-        if let Some(mut next) = next {
-            next.copy_clean_rows(base, base.num_vertices() as usize);
-            let NextCsr { offsets, cols } = next;
-            self.base = Arc::new(
-                Csr::with_timestamps(offsets, cols.edges, cols.weights, cols.timestamps)
-                    .expect("validated updates applied to a valid CSR give a valid CSR"),
-            );
         }
         seal
     }
@@ -374,40 +375,122 @@ impl DeltaGraph {
     /// Sealed-view neighbors of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.base.neighbors(v)
+        self.block_of(v).neighbors(v)
     }
 
     /// Sealed-view weights parallel to [`DeltaGraph::neighbors`].
     #[inline]
     pub fn neighbor_weights(&self, v: VertexId) -> Option<&[f32]> {
-        self.base.neighbor_weights(v)
+        self.block_of(v).neighbor_weights(v)
     }
 
     /// Sealed-view timestamps parallel to [`DeltaGraph::neighbors`].
     #[inline]
     pub fn neighbor_timestamps(&self, v: VertexId) -> Option<&[u32]> {
-        self.base.neighbor_timestamps(v)
+        self.block_of(v).neighbor_timestamps(v)
     }
 
     /// Sealed-view out-degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> u64 {
-        self.base.degree(v)
+        self.block_of(v).degree(v)
     }
+
+    /// The sealed view as one CSR — O(|V| + |E|), for tests and reference
+    /// implementations that want a whole graph; nothing on the walk path
+    /// builds one.
+    pub fn to_csr(&self) -> Csr {
+        let mut offsets = Vec::with_capacity(self.num_vertices() as usize + 1);
+        offsets.push(0);
+        let mut cols = Columns::like(&self.blocks[0], self.num_edges() as usize);
+        for b in &self.blocks {
+            let start = cols.edges.len() as u64;
+            offsets.extend(b.offsets[1..].iter().map(|&o| o + start));
+            cols.extend_from_base(b, 0..b.edges.len());
+        }
+        Csr::with_timestamps(offsets, cols.edges, cols.weights, cols.timestamps)
+            .expect("valid blocks concatenate to a valid CSR")
+    }
+}
+
+/// Apply `part_ops` — the sealed epoch's updates whose source lies in `base`'s
+/// partition, sorted by source, submission order within one — and return
+/// the rebuilt block, or `None` when none of them changed a row. `row` is
+/// scratch; `seal` collects the dirty vertices and the applied counts.
+fn rebuild_block(
+    base: &PartitionData,
+    part_ops: &[EdgeUpdate],
+    default_ts: u32,
+    row: &mut Columns,
+    seal: &mut EpochSeal,
+) -> Option<PartitionData> {
+    // Created by the first row that changes.
+    let mut next: Option<NextBlock> = None;
+    for ops in part_ops.chunk_by(|a, b| a.src == b.src) {
+        let src = ops[0].src;
+        let local = (src - base.v_start) as usize;
+        row.clear();
+        row.extend_from_base(
+            base,
+            base.offsets[local] as usize..base.offsets[local + 1] as usize,
+        );
+        let applied_before = seal.inserted + seal.deleted;
+        for u in ops {
+            match u.op {
+                EdgeOp::Insert => {
+                    row.push(
+                        u.dst,
+                        u.weight.unwrap_or(1.0),
+                        u.timestamp.unwrap_or(default_ts),
+                    );
+                    seal.inserted += 1;
+                }
+                EdgeOp::Delete => {
+                    if let Some(k) = row.edges.iter().position(|&x| x == u.dst) {
+                        row.remove(k);
+                        seal.deleted += 1;
+                    }
+                }
+            }
+        }
+        if seal.inserted + seal.deleted == applied_before {
+            continue;
+        }
+        seal.dirty.push(src);
+        let next = next.get_or_insert_with(|| NextBlock::new(base, part_ops.len()));
+        next.copy_clean_rows(base, local);
+        next.push_row(row);
+    }
+    let mut next = next?;
+    next.copy_clean_rows(base, base.num_vertices() as usize);
+    let NextBlock { offsets, cols } = next;
+    Some(PartitionData {
+        id: base.id,
+        v_start: base.v_start,
+        v_end: base.v_end,
+        offsets,
+        edges: cols.edges,
+        weights: cols.weights,
+        timestamps: cols.timestamps,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn base() -> Arc<Csr> {
-        // 0 -> 1,2 ; 1 -> 0 ; 2 -> (none) ; 3 -> 0,1,2
-        Arc::new(Csr::new(vec![0, 2, 3, 3, 6], vec![1, 2, 0, 0, 1, 2], None).unwrap())
+    /// 0 -> 1,2 ; 1 -> 0 ; 2 -> (none) ; 3 -> 0,1,2 — cut into the
+    /// partitions {0}, {1, 2}, {3} by a 30-byte budget.
+    fn base() -> DeltaGraph {
+        let g = Csr::new(vec![0, 2, 3, 3, 6], vec![1, 2, 0, 0, 1, 2], None).unwrap();
+        let pg = PartitionedGraph::build(Arc::new(g), 30);
+        assert_eq!(pg.boundaries(), &[0, 1, 3, 4]);
+        DeltaGraph::new(&pg)
     }
 
     #[test]
     fn buffered_updates_invisible_until_seal() {
-        let mut dg = DeltaGraph::new(base());
+        let mut dg = base();
         dg.buffer(EdgeUpdate::insert(1, 3)).unwrap();
         dg.buffer(EdgeUpdate::delete(0, 2)).unwrap();
         assert_eq!(dg.neighbors(1), &[0]);
@@ -416,6 +499,7 @@ mod tests {
         let seal = dg.seal_epoch();
         assert_eq!(seal.epoch, 1);
         assert_eq!(seal.dirty, vec![0, 1]);
+        assert_eq!(seal.dirty_partitions, vec![0, 1]);
         assert_eq!((seal.inserted, seal.deleted), (1, 1));
         assert_eq!(dg.neighbors(1), &[0, 3]);
         assert_eq!(dg.neighbors(0), &[1]);
@@ -424,17 +508,17 @@ mod tests {
 
     #[test]
     fn delete_of_absent_edge_is_noop() {
-        let mut dg = DeltaGraph::new(base());
+        let mut dg = base();
         dg.buffer(EdgeUpdate::delete(2, 0)).unwrap();
         let seal = dg.seal_epoch();
         assert_eq!(seal.deleted, 0);
-        assert!(seal.dirty.is_empty());
+        assert!(seal.dirty.is_empty() && seal.dirty_partitions.is_empty());
         assert_eq!(dg.num_edges(), 6);
     }
 
     #[test]
     fn rejects_out_of_range_endpoints() {
-        let mut dg = DeltaGraph::new(base());
+        let mut dg = base();
         assert!(dg.buffer(EdgeUpdate::insert(0, 9)).is_err());
         assert!(dg.buffer(EdgeUpdate::insert(9, 0)).is_err());
         assert_eq!(dg.pending(), 0);
@@ -442,7 +526,7 @@ mod tests {
 
     #[test]
     fn ops_on_one_source_apply_in_submission_order() {
-        let mut dg = DeltaGraph::new(base());
+        let mut dg = base();
         for u in [
             EdgeUpdate::delete(3, 3), // 3 -> 3 is absent now ...
             EdgeUpdate::insert(3, 3), // ... present from here ...
@@ -455,33 +539,44 @@ mod tests {
         }
         let seal = dg.seal_epoch();
         assert_eq!(seal.dirty, vec![0, 3]);
+        assert_eq!(seal.dirty_partitions, vec![0, 2]);
         assert_eq!((seal.inserted, seal.deleted), (3, 2));
         assert_eq!(dg.neighbors(0), &[1, 2, 0]);
         assert_eq!(dg.neighbors(3), &[1, 2, 0]);
-        assert_eq!(dg.base().offsets(), &[0, 3, 4, 4, 7]);
+        assert_eq!(dg.to_csr().offsets(), &[0, 3, 4, 4, 7]);
     }
 
     #[test]
-    fn only_a_seal_that_changes_a_row_installs_a_new_base() {
-        let original = base();
-        let mut dg = DeltaGraph::new(Arc::clone(&original));
+    fn only_a_seal_that_changes_a_row_installs_a_new_block() {
+        let mut dg = base();
+        let original: Vec<_> = (0..3).map(|p| Arc::clone(dg.block(p))).collect();
+        let kept = |dg: &DeltaGraph| -> Vec<bool> {
+            (0..3)
+                .map(|p| Arc::ptr_eq(dg.block(p), &original[p as usize]))
+                .collect()
+        };
         dg.seal_epoch();
         dg.buffer(EdgeUpdate::delete(2, 0)).unwrap();
         let seal = dg.seal_epoch();
         assert_eq!((seal.epoch, dg.pending()), (2, 0));
-        assert!(Arc::ptr_eq(dg.base(), &original));
+        assert_eq!(kept(&dg), [true, true, true]);
         dg.buffer(EdgeUpdate::insert(2, 0)).unwrap();
         dg.seal_epoch();
-        assert!(!Arc::ptr_eq(dg.base(), &original));
-        assert_eq!(original.neighbors(2), &[] as &[u32]);
+        assert_eq!(kept(&dg), [true, false, true]);
+        assert_eq!(original[1].neighbors(2), &[] as &[u32]);
         assert_eq!(dg.neighbors(2), &[0]);
+        // The rebuilt block keeps its partition's identity and its clean
+        // rows, with offsets still partition-relative.
+        let b = dg.block(1);
+        assert_eq!((b.id, b.v_start, b.v_end), (1, 1, 3));
+        assert_eq!(b.offsets, vec![0, 1, 2]);
+        assert_eq!(b.neighbors(1), &[0]);
     }
 
     #[test]
     fn temporal_inserts_default_to_sealing_epoch() {
-        let base =
-            Arc::new(Csr::with_timestamps(vec![0, 1, 1], vec![1], None, Some(vec![7])).unwrap());
-        let mut dg = DeltaGraph::new(base);
+        let g = Csr::with_timestamps(vec![0, 1, 1], vec![1], None, Some(vec![7])).unwrap();
+        let mut dg = DeltaGraph::new(&PartitionedGraph::build(Arc::new(g), 1 << 10));
         dg.seal_epoch(); // epoch 1
         dg.buffer(EdgeUpdate::insert(1, 0)).unwrap();
         dg.buffer(EdgeUpdate::insert_at(0, 1, 99)).unwrap();

@@ -6,6 +6,14 @@
 //! preserved here: transmission of a partition is one contiguous copy, the
 //! partition size approximately fits any budget, and the partition of a
 //! vertex is found by binary search.
+//!
+//! A [`PartitionedGraph`] is the table plus the store its adjacency is
+//! read from. An evolving engine moves the adjacency into a
+//! [`crate::delta::DeltaGraph`]'s block table on its first mutation and
+//! [releases the store](PartitionedGraph::release_store): from then on the
+//! table answers geometry and byte-size questions only, and
+//! [`PartitionedGraph::store`], [`PartitionedGraph::csr`] and
+//! [`PartitionedGraph::extract`] panic instead of serving epoch-0 rows.
 
 use crate::oocore::{GraphStore, OocGraph};
 use crate::{Csr, VertexId, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES};
@@ -29,7 +37,9 @@ pub type PartitionId = u32;
 #[derive(Clone, Debug)]
 pub struct PartitionedGraph {
     /// Where adjacency lives: RAM CSR or the out-of-core compressed file.
-    store: GraphStore,
+    /// `None` once [`PartitionedGraph::release_store`] handed it over to an
+    /// evolving graph's block table.
+    store: Option<GraphStore>,
     /// `boundaries[p]..boundaries[p+1]` is partition `p`'s vertex interval.
     boundaries: Vec<VertexId>,
     /// CSR bytes of each partition (what an explicit copy transfers).
@@ -95,7 +105,7 @@ impl PartitionedGraph {
         boundaries.push(nv as VertexId);
         bytes.push(cur_bytes);
         PartitionedGraph {
-            store: GraphStore::Ram(csr),
+            store: Some(GraphStore::Ram(csr)),
             boundaries,
             bytes,
             block_bytes,
@@ -113,42 +123,7 @@ impl PartitionedGraph {
             .collect();
         let block_bytes = ooc.block_bytes();
         PartitionedGraph {
-            store: GraphStore::OutOfCore(ooc),
-            boundaries,
-            bytes,
-            block_bytes,
-        }
-    }
-
-    /// Re-partition a (possibly mutated) graph under a **frozen** boundary
-    /// table: the vertex intervals of an existing table are kept, only the
-    /// per-partition byte sizes are recomputed from `csr`. This is how the
-    /// evolving-graph layer swaps in a fresh CSR at an epoch barrier
-    /// without perturbing the vertex→partition map that in-flight walkers
-    /// and the device graph pool are keyed by (DESIGN.md §15).
-    ///
-    /// # Panics
-    /// Panics if `boundaries` is not a valid cover of `csr`'s vertex range
-    /// (`boundaries[0] == 0`, strictly increasing, last entry `== |V|`).
-    pub fn with_boundaries(csr: Arc<Csr>, boundaries: Vec<VertexId>, block_bytes: u64) -> Self {
-        assert!(
-            boundaries.len() >= 2
-                && boundaries[0] == 0
-                && *boundaries.last().unwrap() as u64 == csr.num_vertices()
-                && boundaries.windows(2).all(|w| w[0] < w[1]),
-            "boundaries must cover 0..|V| in strictly increasing intervals"
-        );
-        let extra = Self::extra_edge_bytes(&csr);
-        let bytes = boundaries
-            .windows(2)
-            .map(|w| {
-                let row_edges = csr.offsets()[w[1] as usize] - csr.offsets()[w[0] as usize];
-                (w[1] - w[0] + 1) as u64 * VERTEX_ENTRY_BYTES
-                    + row_edges * (EDGE_ENTRY_BYTES + extra)
-            })
-            .collect();
-        PartitionedGraph {
-            store: GraphStore::Ram(csr),
+            store: Some(GraphStore::OutOfCore(ooc)),
             boundaries,
             bytes,
             block_bytes,
@@ -168,8 +143,8 @@ impl PartitionedGraph {
     }
 
     /// The interval boundary table (`boundaries[p]..boundaries[p+1]` is
-    /// partition `p`). Used to rebuild the table with
-    /// [`PartitionedGraph::with_boundaries`] after a mutation epoch.
+    /// partition `p`). Frozen for the life of the table: an evolving graph
+    /// changes partition sizes, never the vertex→partition map.
     #[inline]
     pub fn boundaries(&self) -> &[VertexId] {
         &self.boundaries
@@ -184,27 +159,53 @@ impl PartitionedGraph {
     /// [`PartitionedGraph::extract`] instead.
     #[inline]
     pub fn csr(&self) -> &Arc<Csr> {
-        self.store
+        self.store()
             .ram()
             .expect("csr(): graph store is out-of-core; adjacency is not RAM-resident")
     }
 
     /// The graph substrate.
+    ///
+    /// # Panics
+    /// Panics after [`PartitionedGraph::release_store`]: the adjacency an
+    /// evolving engine walks lives in its block table, and the epoch-0
+    /// rows this table was built over must not be read in its place.
     #[inline]
     pub fn store(&self) -> &GraphStore {
-        &self.store
+        self.store
+            .as_ref()
+            .expect("graph store released: adjacency lives in the evolving block table")
     }
 
-    /// The RAM CSR, when the store is RAM-resident.
+    /// The RAM CSR, when there is one to read: `None` for an out-of-core
+    /// store and after [`PartitionedGraph::release_store`].
     #[inline]
     pub fn ram_csr(&self) -> Option<&Arc<Csr>> {
-        self.store.ram()
+        self.store.as_ref().and_then(GraphStore::ram)
     }
 
-    /// `|V|` of the full graph (both substrates).
+    /// Drop this table's handle on the graph store. Called by an evolving
+    /// engine once every partition has been copied into its
+    /// [`crate::delta::DeltaGraph`]; a caller that also drops its own
+    /// handle gets the epoch-0 graph's memory back.
+    pub fn release_store(&mut self) {
+        self.store = None;
+    }
+
+    /// Record partition `p`'s new transfer size after an epoch seal
+    /// rebuilt its block ([`PartitionData::bytes`] of the new block).
+    pub fn set_partition_bytes(&mut self, p: PartitionId, bytes: u64) {
+        self.bytes[p as usize] = bytes;
+    }
+
+    /// `|V|` of the full graph (every substrate): the boundary table ends
+    /// there.
     #[inline]
     pub fn num_vertices(&self) -> u64 {
-        self.store.num_vertices()
+        *self
+            .boundaries
+            .last()
+            .expect("a table has at least one partition") as u64
     }
 
     /// Number of partitions `P`.
@@ -226,10 +227,7 @@ impl PartitionedGraph {
     /// Panics if `v >= |V|`.
     #[inline]
     pub fn partition_of(&self, v: VertexId) -> PartitionId {
-        assert!(
-            (v as u64) < self.store.num_vertices(),
-            "vertex {v} out of range"
-        );
+        assert!((v as u64) < self.num_vertices(), "vertex {v} out of range");
         // partition_point returns the count of boundaries <= v; boundaries[0]=0
         // so the result is >= 1.
         (self.boundaries.partition_point(|&b| b <= v) - 1) as PartitionId
@@ -256,7 +254,7 @@ impl PartitionedGraph {
 
     /// Number of edges in partition `p`.
     pub fn num_edges_in(&self, p: PartitionId) -> u64 {
-        match &self.store {
+        match self.store() {
             GraphStore::Ram(csr) => {
                 let r = self.vertex_range(p);
                 csr.offsets()[r.end as usize] - csr.offsets()[r.start as usize]
@@ -285,7 +283,7 @@ impl PartitionedGraph {
     /// Panics if an out-of-core region fails to read or decode — an
     /// unreadable graph file is unrecoverable mid-run.
     pub fn extract(&self, p: PartitionId) -> PartitionData {
-        match &self.store {
+        match self.store() {
             GraphStore::Ram(csr) => {
                 let r = self.vertex_range(p);
                 let base = csr.offsets()[r.start as usize];
@@ -463,19 +461,6 @@ mod tests {
         let pg = PartitionedGraph::build(g.clone(), u64::MAX);
         assert_eq!(pg.num_partitions(), 1);
         assert_eq!(pg.partition_bytes(0), g.csr_bytes());
-    }
-
-    #[test]
-    fn with_boundaries_preserves_table_and_recomputes_bytes() {
-        let g = graph();
-        let pg = PartitionedGraph::build(g.clone(), 8 << 10);
-        let rebuilt =
-            PartitionedGraph::with_boundaries(g.clone(), pg.boundaries().to_vec(), 8 << 10);
-        assert_eq!(rebuilt.boundaries(), pg.boundaries());
-        for p in 0..pg.num_partitions() {
-            assert_eq!(rebuilt.partition_bytes(p), pg.partition_bytes(p));
-            assert_eq!(rebuilt.extract(p), pg.extract(p));
-        }
     }
 
     #[test]

@@ -225,7 +225,7 @@ pub fn run_multi_gpu(
     // Distribute the initial walkers.
     let nv = graph.num_vertices();
     let mut resident: Vec<Vec<Walker>> = vec![Vec::new(); k];
-    for w in alg.initial_walkers(graph, num_walks) {
+    for w in alg.place_walkers(graph.num_vertices(), num_walks) {
         resident[shard_of(&bounds, w.vertex)].push(w);
     }
     let mut visit_counts = alg.tracks_visits().then(|| vec![0u64; nv as usize]);

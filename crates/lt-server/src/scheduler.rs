@@ -307,7 +307,7 @@ impl Scheduler {
         let tag = self.table.register(spec.algorithm.clone(), spec.seed)?;
         debug_assert_eq!(tag as usize, self.jobs.len());
         self.tenant_entry(tenant);
-        let pending: VecDeque<Walker> = spec.initial_walkers(&self.graph, tag).into();
+        let pending: VecDeque<Walker> = spec.place_walkers(self.graph.num_vertices(), tag).into();
         let id = JobId(tag as u64);
         let (tx, rx) = std::sync::mpsc::sync_channel(self.cfg.stream_capacity.max(1));
         let total = pending.len() as u64;

@@ -371,7 +371,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     if let Some(cp_path) = f.get("checkpoint") {
         let pause_after: u64 = f.get_parse("pause-after", 100)?;
-        engine.inject(setup.alg.initial_walkers(&setup.graph, setup.walks));
+        engine.inject(
+            setup
+                .alg
+                .place_walkers(setup.graph.num_vertices(), setup.walks),
+        );
         return match engine.run_at_most(pause_after).map_err(|e| e.to_string())? {
             lighttraffic::engine::RunStatus::Completed(r) => {
                 write_metrics_out(&f, &r)?;

@@ -1,6 +1,6 @@
 //! Mutation-aware differential battery (DESIGN.md §15): the engine's
-//! evolving-graph path — epoch seals that write the next CSR, then
-//! dirty-partition reloads — against the naive adjacency-list CPU walker
+//! evolving-graph path — epoch seals that rebuild the dirty partition
+//! blocks, then dirty-partition reloads — against the naive adjacency-list CPU walker
 //! in `lt_baselines::evolving`, replaying the *same seeded edge-update
 //! schedule* on both sides.
 //!
@@ -16,7 +16,9 @@ mod common;
 
 use common::random_graph;
 use lighttraffic::baselines::evolving::{run_evolving_waves, Wave};
-use lighttraffic::engine::algorithm::{TemporalWalk, UniformSampling, WalkAlgorithm};
+use lighttraffic::engine::algorithm::{
+    SecondOrderWalk, TemporalWalk, UniformSampling, WalkAlgorithm,
+};
 use lighttraffic::engine::{
     EdgeOp, EdgeUpdate, EngineConfig, LightTraffic, RunResult, RunStatus, Session, ZeroCopyPolicy,
 };
@@ -109,7 +111,7 @@ fn run_engine_waves(
     let mut next_id = 0u64;
     let mut last = None;
     for wave in waves {
-        let mut walkers = alg.initial_walkers(g, wave.walks);
+        let mut walkers = alg.place_walkers(g.num_vertices(), wave.walks);
         for w in &mut walkers {
             w.id += next_id;
         }
@@ -209,6 +211,113 @@ fn evolving_engine_matches_naive_walker_across_execution_grid() {
             }
         }
         assert!(spec_hits > 0, "{name}: no pooled run used a speculation");
+    }
+}
+
+/// What one CSR per epoch could not get wrong and a block table can: a
+/// zero-copy kernel after a seal reads through a view assembled from the
+/// table — the batch's block plus, for a second-order walk, the blocks its
+/// walkers' previous vertices live in — and a speculative kernel through
+/// an owned copy of that view. A pool of one block under a low `alpha`
+/// forces zero copy on batches big enough to fan out; `Always` makes
+/// every kernel (hence every redeemed speculation) read block views. The
+/// first wave rewires one vertex completely — every old edge deleted, one
+/// absent edge inserted — so later walks standing there must take the
+/// inserted edge and can take no deleted one, on top of matching the
+/// naive walker — except node2vec under `Adaptive`, whose resident
+/// kernels see second-order context only inside their partition
+/// (`StepContext::prev_neighbors`) and are held to `kernel_threads: 1`
+/// instead.
+#[test]
+fn zero_copy_after_a_seal_reads_the_sealed_blocks() {
+    let workloads: Vec<(&str, Arc<Csr>, Arc<dyn WalkAlgorithm>)> = vec![
+        (
+            "node2vec",
+            random_graph(6),
+            Arc::new(SecondOrderWalk::node2vec(8, 0.5, 2.0)),
+        ),
+        (
+            "temporal",
+            temporal_graph(),
+            Arc::new(TemporalWalk::new(8, 4)),
+        ),
+    ];
+    for (name, g, alg) in workloads {
+        let nv = g.num_vertices();
+        let hub = (0..nv as VertexId)
+            .max_by_key(|&v| g.degree(v))
+            .expect("graph has vertices");
+        let fresh = (0..nv as VertexId)
+            .find(|v| *v != hub && !g.neighbors(hub).contains(v))
+            .expect("the hub does not reach every vertex");
+        let mut waves = schedule(&g, 0xBEEF ^ g.num_edges(), 3, 32, 2 * nv);
+        // Later waves leave the rewired row alone.
+        for w in &mut waves {
+            w.updates.retain(|u| u.src != hub);
+        }
+        waves[0]
+            .updates
+            .extend(g.neighbors(hub).iter().map(|&d| EdgeUpdate::delete(hub, d)));
+        waves[0].updates.push(EdgeUpdate::insert(hub, fresh));
+        let first_wave_walks = waves[0].walks as usize;
+
+        let baseline = run_evolving_waves(&g, &alg, &waves, SEED);
+        let expected = baseline.visits.expect("baseline tracks visits");
+        for zero_copy in [
+            ZeroCopyPolicy::Adaptive { alpha: 16 },
+            ZeroCopyPolicy::Always,
+        ] {
+            let matches_naive = !alg.reads_prev_neighbors() || zero_copy == ZeroCopyPolicy::Always;
+            let mut reference = None;
+            for kernel_threads in [1usize, 4] {
+                let at = format!("{name}: {zero_copy:?}, kt={kernel_threads}");
+                let cfg = EngineConfig {
+                    zero_copy,
+                    ..config(kernel_threads, None)
+                };
+                let cfg = EngineConfig {
+                    partition_bytes: 2 << 10,
+                    graph_pool_blocks: 1,
+                    ..cfg
+                };
+                let before_seal = run_engine_waves(&g, &alg, cfg.clone(), &waves[..1]).metrics;
+                let r = run_engine_waves(&g, &alg, cfg, &waves);
+                if matches_naive {
+                    assert_eq!(visits_from_paths(&r, nv), expected, "{at}");
+                    assert_eq!(r.metrics.total_steps, baseline.metrics.total_steps, "{at}");
+                }
+                let fp = r.deterministic_fingerprint();
+                assert_eq!(
+                    *reference.get_or_insert_with(|| fp.clone()),
+                    fp,
+                    "{at} diverged from kernel_threads=1"
+                );
+                assert!(
+                    r.metrics.zero_copy_kernels > before_seal.zero_copy_kernels,
+                    "{at}: no zero-copy kernel ran after the first seal"
+                );
+                if kernel_threads > 1 {
+                    assert!(
+                        r.metrics.host_spec_hits > before_seal.host_spec_hits,
+                        "{at}: no speculation was redeemed after the first seal"
+                    );
+                }
+                // Walk ids are offset per wave, so everything past the
+                // first wave's ids walked the rewired row.
+                let paths = r.paths.as_ref().expect("paths were recorded");
+                let hops_from_hub: Vec<VertexId> = paths[first_wave_walks..]
+                    .iter()
+                    .flat_map(|p| p.windows(2))
+                    .filter(|hop| hop[0] == hub)
+                    .map(|hop| hop[1])
+                    .collect();
+                assert!(!hops_from_hub.is_empty(), "{at}: nobody left the hub");
+                assert!(
+                    hops_from_hub.iter().all(|&v| v == fresh),
+                    "{at}: a walk took a deleted edge out of {hub}"
+                );
+            }
+        }
     }
 }
 

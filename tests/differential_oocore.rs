@@ -190,7 +190,7 @@ fn mixed_job_table_over_ooc_matches_ram() {
         let tag = table.register(Arc::clone(&spec.algorithm), spec.seed);
         // Job-local ids restart at 0; shift them so paths stay one per walk.
         let base = walkers.len() as u64;
-        for mut w in spec.initial_walkers(&g, tag.expect("table has room")) {
+        for mut w in spec.place_walkers(g.num_vertices(), tag.expect("table has room")) {
             w.id += base;
             walkers.push(w);
         }

@@ -104,7 +104,7 @@ proptest! {
         let cp = {
             let cfg = to_engine_config(&c, &g);
             let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("pools fit");
-            e.inject(alg.initial_walkers(&g, walks));
+            e.inject(alg.place_walkers(g.num_vertices(), walks));
             match e.run_at_most(pause).expect("partial run completes") {
                 RunStatus::Paused => {}
                 // The workload finished inside the budget: nothing left to

@@ -148,18 +148,20 @@ proptest! {
         }
     }
 
-    /// The single-CSR seal against a naive per-vertex model applied op by
-    /// op, over arbitrary multi-epoch schedules on all three graph
-    /// flavors: duplicate edges, deletes of absent edges, several ops on
-    /// one source in one epoch, empty epochs, explicit and default
-    /// timestamps and weights. After every seal the sealed view and the
-    /// seal report equal the model's, and only a seal that changed a row
-    /// replaced the CSR.
+    /// The per-partition block seal against a naive per-vertex model
+    /// applied op by op, over arbitrary multi-epoch schedules on all three
+    /// graph flavors and arbitrary partitionings: duplicate edges, deletes
+    /// of absent edges, several ops on one source in one epoch, empty
+    /// epochs, explicit and default timestamps and weights. After every
+    /// seal the sealed view (row accessors and `to_csr`) and the seal
+    /// report equal the model's, and exactly the partitions holding a
+    /// changed row got a new block.
     #[test]
     fn multi_epoch_seals_match_a_naive_adjacency_model(
         edges in edges_strategy(),
         epochs in prop::collection::vec(raw_updates_strategy(24), 1..6),
         seed in 0u64..1000,
+        budget in 64u64..1024,
     ) {
         let Some(plain) = build_csr(&edges) else { return Ok(()); };
         let weighted = with_random_weights(&plain, seed);
@@ -179,16 +181,22 @@ proptest! {
                         .collect()
                 })
                 .collect();
-            let mut dg = DeltaGraph::new(Arc::new(g));
+            let pg = PartitionedGraph::build(Arc::new(g), budget);
+            let mut dg = DeltaGraph::new(&pg);
             for (i, raw) in epochs.iter().enumerate() {
                 let epoch = i as u64 + 1;
-                let before = Arc::clone(dg.base());
+                let before: Vec<_> = (0..pg.num_partitions())
+                    .map(|p| Arc::clone(dg.block(p)))
+                    .collect();
+                // Bound to the *current* view (buffered updates stay
+                // invisible, so one snapshot serves the epoch), so aimed
+                // deletes hit edges earlier epochs inserted too.
+                let view = dg.to_csr();
                 let (mut dirty, mut inserted, mut deleted) = (BTreeSet::new(), 0u64, 0u64);
                 for r in raw {
-                    // Bound to the *current* view, so aimed deletes hit
-                    // edges earlier epochs inserted too. An explicit
-                    // timestamp doubles as the source of an explicit weight.
-                    let mut u = materialize_update(r, dg.base());
+                    // An explicit timestamp doubles as the source of an
+                    // explicit weight.
+                    let mut u = materialize_update(r, &view);
                     u.weight = u.timestamp.map(|t| t as f32 / 4.0);
                     dg.buffer(u).unwrap();
                     let row = &mut model[u.src as usize];
@@ -221,16 +229,32 @@ proptest! {
                 );
                 prop_assert_eq!(&seal.dirty, &dirty.iter().copied().collect::<Vec<_>>(), "{}", at);
                 prop_assert_eq!((dg.epoch(), dg.pending()), (epoch, 0));
-                prop_assert_eq!(Arc::ptr_eq(dg.base(), &before), dirty.is_empty(), "{}", at);
+                let touched: BTreeSet<_> = dirty.iter().map(|&v| pg.partition_of(v)).collect();
+                prop_assert_eq!(
+                    &seal.dirty_partitions,
+                    &touched.iter().copied().collect::<Vec<_>>(),
+                    "{}", at
+                );
+                for (p, old) in before.iter().enumerate() {
+                    prop_assert_eq!(
+                        Arc::ptr_eq(dg.block(p as u32), old),
+                        !touched.contains(&(p as u32)),
+                        "{}, block {}", at, p
+                    );
+                }
                 prop_assert_eq!(
                     dg.num_edges(),
                     model.iter().map(|row| row.len() as u64).sum::<u64>()
                 );
+                let csr = dg.to_csr();
                 for v in 0..nv {
                     let row = &model[v as usize];
                     let targets: Vec<_> = row.iter().map(|e| e.0).collect();
                     prop_assert_eq!(dg.neighbors(v), &targets[..], "{}, vertex {}", at, v);
+                    prop_assert_eq!(csr.neighbors(v), &targets[..], "{}, vertex {}", at, v);
                     prop_assert_eq!(dg.degree(v), row.len() as u64);
+                    prop_assert_eq!(dg.neighbor_weights(v), csr.neighbor_weights(v));
+                    prop_assert_eq!(dg.neighbor_timestamps(v), csr.neighbor_timestamps(v));
                     if let Some(w) = dg.neighbor_weights(v) {
                         let expected: Vec<_> = row.iter().map(|e| e.1).collect();
                         prop_assert_eq!(w, &expected[..], "{}, vertex {} weights", at, v);
