@@ -493,6 +493,53 @@ impl WalkAlgorithm for SecondOrderWalk {
     }
 }
 
+/// Rows at least this long are sampled by propose-accept before they are
+/// scanned (see [`TemporalWalk`]); shorter ones are cheaper to scan.
+const PROPOSE_MIN_ROW: usize = 256;
+
+/// Width of the blocks the window scan counts and skips by.
+const SCAN_BLOCK: usize = 64;
+
+/// Proposals a row of `len` edges gets before the scan: the scan they
+/// avoid costs ∝ `len`, so the budget grows with it — one try per scan
+/// block, between 16 and 64 (sweep in DESIGN.md §15).
+#[inline]
+fn propose_tries(len: usize) -> u64 {
+    (len / SCAN_BLOCK).clamp(16, 64) as u64
+}
+
+/// Timestamps of `ts` in `[t, t + span]`. A plain sum of compares over
+/// `u32` lanes, which the compiler vectorises.
+#[inline]
+fn count_in_window(ts: &[u32], t: u32, span: u32) -> u32 {
+    ts.iter().map(|&x| (x.wrapping_sub(t) <= span) as u32).sum()
+}
+
+/// Index of the `pick`-th (0-based, row order) timestamp in
+/// `[t, t + span]`: whole blocks are counted and skipped, only the block
+/// holding the answer is walked.
+///
+/// # Panics
+/// Panics if fewer than `pick + 1` timestamps are in the window.
+#[inline]
+fn nth_in_window(ts: &[u32], t: u32, span: u32, mut pick: usize) -> usize {
+    for (b, block) in ts.chunks(SCAN_BLOCK).enumerate() {
+        let c = count_in_window(block, t, span) as usize;
+        if pick < c {
+            let k = block
+                .iter()
+                .enumerate()
+                .filter(|(_, &x)| x.wrapping_sub(t) <= span)
+                .nth(pick)
+                .map(|(k, _)| k)
+                .expect("pick < in-window count of this block");
+            return b * SCAN_BLOCK + k;
+        }
+        pick -= c;
+    }
+    panic!("pick exceeds the in-window count");
+}
+
 /// Temporal random walk on a timestamped graph (DESIGN.md §15): each step
 /// may only traverse edges whose timestamp lies in the sliding window
 /// `[t, t + window]`, where `t` is the walker's clock — the timestamp of
@@ -500,6 +547,19 @@ impl WalkAlgorithm for SecondOrderWalk {
 /// in-window edges the choice is uniform; a walk terminates when no edge
 /// falls inside its window (it has "run out of time") or after `length`
 /// steps.
+///
+/// Sampling pays for what it touches. A row shorter than
+/// `PROPOSE_MIN_ROW` (256) is scanned: a blocked count of the in-window
+/// edges, one draw, and a select that skips whole blocks. A longer row —
+/// walkers sit on hubs, so these are most steps of a skewed graph — is
+/// first sampled by propose-accept: draw a uniform edge index, take it if
+/// its timestamp is in the window, up to `propose_tries(len)` (16 to 64)
+/// times, each with its own salted draw; only when every proposal missed does the
+/// scan run, with the unsalted draw no proposal used. An accepted
+/// proposal and the scan are both uniform over the in-window edges, so
+/// the sampled distribution is the scan's exactly, and only the scan
+/// (`count == 0`) ever terminates a walk. The decision is a pure function
+/// of `(row, walker, seed)`: every graph view samples the same edge.
 ///
 /// The walker's clock lives in `walker.aux` via [`StepDecision::MoveAt`]:
 /// time only moves forward (candidate timestamps are `>= t`), matching the
@@ -571,21 +631,24 @@ impl WalkAlgorithm for TemporalWalk {
             }
         };
         let t = self.clock(walker);
-        let hi = t.saturating_add(self.window);
-        let in_window = |&x: &u32| x >= t && x <= hi;
-        let count = ts.iter().filter(|x| in_window(x)).count() as u64;
+        // `x` is in `[t, t + window]` iff `x - t`, wrapping, is at most
+        // the (saturated) window width: one unsigned compare.
+        let span = t.saturating_add(self.window) - t;
+        if ts.len() >= PROPOSE_MIN_ROW {
+            for salt in 1..=propose_tries(ts.len()) {
+                let r = step_value(seed ^ (salt << 32), walker.id, walker.step);
+                let k = uniform_index(r, ts.len() as u64) as usize;
+                if ts[k].wrapping_sub(t) <= span {
+                    return StepDecision::MoveAt(ctx.neighbors[k], ts[k]);
+                }
+            }
+        }
+        let count = count_in_window(ts, t, span);
         if count == 0 {
             return StepDecision::Terminate;
         }
         let r = step_value(seed, walker.id, walker.step);
-        let pick = uniform_index(r, count) as usize;
-        let k = ts
-            .iter()
-            .enumerate()
-            .filter(|(_, x)| in_window(x))
-            .nth(pick)
-            .map(|(k, _)| k)
-            .expect("pick < in-window count");
+        let k = nth_in_window(ts, t, span, uniform_index(r, count as u64) as usize);
         StepDecision::MoveAt(ctx.neighbors[k], ts[k])
     }
 
@@ -894,6 +957,113 @@ mod tests {
             alg.step(&w, tctx(&nbrs, &ts, 100), 5),
             StepDecision::Terminate
         );
+    }
+
+    /// Short rows keep the draw they always had: decisions pinned on the
+    /// scan-twice sampler this one replaced.
+    #[test]
+    fn temporal_short_rows_keep_their_goldens() {
+        let alg = TemporalWalk::starting_at(80, 12, 20);
+        let goldens: [(usize, [(u32, u32); 3]); 2] = [
+            (40, [(1108, 30), (1111, 67), (1015, 95)]),
+            (200, [(1558, 25), (1528, 59), (1162, 90)]),
+        ];
+        for (n, expected) in goldens {
+            assert!(n < PROPOSE_MIN_ROW);
+            let nbrs: Vec<VertexId> = (0..n as u32).map(|k| 1000 + k * 3).collect();
+            let ts: Vec<u32> = (0..n as u32).map(|k| (k * 37 + 11) % 101).collect();
+            let walkers = [
+                (0u64, 0u32, u32::MAX, 42u64),
+                (7, 3, 55, 1234),
+                (123_456, 17, 90, 9),
+            ];
+            for ((id, step, aux, seed), (v, time)) in walkers.into_iter().zip(expected) {
+                let w = Walker {
+                    id,
+                    vertex: 0,
+                    step,
+                    aux,
+                    tag: 0,
+                };
+                assert_eq!(
+                    alg.step(&w, tctx(&nbrs, &ts, 5000), seed),
+                    StepDecision::MoveAt(v, time),
+                    "row of {n}, walker {id}"
+                );
+            }
+        }
+    }
+
+    /// A long row whose in-window edges are known: every in-window edge
+    /// is drawn about equally often, whichever of propose-accept and the
+    /// scan produced it, and nothing else is drawn at all.
+    #[test]
+    fn temporal_long_rows_sample_the_window_uniformly() {
+        let n = 4096u32;
+        let nbrs: Vec<VertexId> = (0..n).collect();
+        // Every 16th edge is in the window [10, 14]: 256 candidates, so
+        // a proposal hits with probability 1/16 and both paths are used.
+        let ts: Vec<u32> = (0..n)
+            .map(|k| if k % 16 == 5 { 10 + k % 5 } else { 40 + k % 7 })
+            .collect();
+        let alg = TemporalWalk::starting_at(10, 4, 10);
+        let mut counts = vec![0u64; n as usize];
+        let trials = 256 * 400u64;
+        for id in 0..trials {
+            match alg.step(&Walker::new(id, 0), tctx(&nbrs, &ts, n as u64), 77) {
+                StepDecision::MoveAt(v, time) => {
+                    assert_eq!(time, ts[v as usize]);
+                    counts[v as usize] += 1;
+                }
+                d => panic!("expected MoveAt, got {d:?}"),
+            }
+        }
+        let expect = 400.0;
+        let mut chi2 = 0.0;
+        for (k, &c) in counts.iter().enumerate() {
+            if k % 16 == 5 {
+                chi2 += (c as f64 - expect).powi(2) / expect;
+            } else {
+                assert_eq!(c, 0, "edge {k} is outside the window");
+            }
+        }
+        // 255 degrees of freedom: mean 255, sd ~22.6; 370 is five sd out.
+        assert!(chi2 < 370.0, "chi-square {chi2} over 256 in-window edges");
+    }
+
+    #[test]
+    fn temporal_long_row_with_an_empty_window_terminates() {
+        let nbrs: Vec<VertexId> = (0..5000).collect();
+        let ts = vec![3u32; 5000];
+        let alg = TemporalWalk::starting_at(10, 4, 10);
+        for id in 0..200 {
+            let w = Walker::new(id, 0);
+            assert_eq!(
+                alg.step(&w, tctx(&nbrs, &ts, 5000), 5),
+                StepDecision::Terminate
+            );
+        }
+    }
+
+    /// One in-window edge among 10,000: 64 proposals find it once in 156
+    /// walkers, so 1,000 walkers all finding it is the fallback scan's
+    /// doing.
+    #[test]
+    fn temporal_long_row_falls_back_to_the_exact_scan() {
+        let n = 10_000usize;
+        assert!(propose_tries(n) <= 64);
+        let nbrs: Vec<VertexId> = (0..n as u32).collect();
+        let mut ts = vec![3u32; n];
+        ts[7_321] = 12;
+        let alg = TemporalWalk::starting_at(10, 4, 10);
+        for id in 0..1_000 {
+            let w = Walker::new(id, 0);
+            assert_eq!(
+                alg.step(&w, tctx(&nbrs, &ts, n as u64), 5),
+                StepDecision::MoveAt(7_321, 12),
+                "walker {id}"
+            );
+        }
     }
 
     #[test]

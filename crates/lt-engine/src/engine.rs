@@ -66,9 +66,8 @@ pub enum ReloadPolicy {
     /// refreshing the whole residency set.
     #[default]
     DirtyOnly,
-    /// Re-copy every resident partition on every seal. The naive baseline
-    /// `bench_dynamic` compares against; never cheaper than
-    /// [`ReloadPolicy::DirtyOnly`].
+    /// Re-copy every resident partition on every seal. The naive baseline:
+    /// same walk output, never cheaper than [`ReloadPolicy::DirtyOnly`].
     FullRefresh,
 }
 

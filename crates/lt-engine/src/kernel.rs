@@ -580,6 +580,51 @@ mod tests {
         );
     }
 
+    /// A step is a pure function of `(row, walker, seed)`: the temporal
+    /// sampler — proposals on long rows, scans on short ones — picks the
+    /// same edges whether the row is read from the CSR, a resident
+    /// partition or a block view.
+    #[test]
+    fn temporal_steps_agree_on_every_view() {
+        use crate::algorithm::TemporalWalk;
+        use lt_graph::gen::with_random_timestamps;
+        use lt_graph::PartitionedGraph;
+        // Dense enough that most rows are long (~280 edges): all three
+        // views go through propose-accept, its fallback and the plain scan.
+        let g = Arc::new(with_random_timestamps(
+            &erdos_renyi(512, 512 * 220, 11).csr,
+            3,
+            64,
+        ));
+        let long_rows = (0..512).filter(|&v| g.degree(v) >= 256).count();
+        assert!((256..512).contains(&long_rows), "{long_rows} long rows");
+        let pg = PartitionedGraph::build(g.clone(), u64::MAX);
+        let block = Arc::new(pg.extract(0));
+        let blocks = HostBlockView::new(vec![block.clone()]);
+        let alg = TemporalWalk::new(40, 6);
+        let walkers: Vec<Walker> = (0..500).map(|i| Walker::new(i, (i % 512) as u32)).collect();
+        let run = |view| {
+            let task = KernelTask {
+                view,
+                alg: &alg,
+                reads_prev: false,
+                seed: 9,
+                num_vertices: 512,
+                range: 0..512,
+                track_visits: true,
+                track_paths: false,
+                track_tags: false,
+                scratch: None,
+            };
+            let o = step_chunk(&task, walkers.clone());
+            (o.steps, o.visits, o.lengths)
+        };
+        let host = run(GraphView::Host(&g));
+        assert!(host.0 > 2_000, "walks must actually move: {} steps", host.0);
+        assert_eq!(run(GraphView::Resident(&block)), host);
+        assert_eq!(run(GraphView::Blocks(&blocks)), host);
+    }
+
     /// Recycled scratch buffers must not leak state between rounds.
     #[test]
     fn scratch_pool_recycling_is_transparent() {

@@ -1,5 +1,6 @@
 //! Evolving-graph acceptance tests (DESIGN.md §15): epoch-sealed mutation
-//! visibility, dirty-partition reloads vs whole-graph refreshes, reload
+//! visibility, dirty-partition reloads vs whole-graph refreshes (traffic
+//! differs, walk output never), reload
 //! traffic exactness in the ledger, epoch-pinned checkpoints, and the
 //! epoch-barrier budget regression (a seal landing exactly on a
 //! `Session::step` boundary neither double-charges nor skips scheduler
@@ -10,7 +11,7 @@ use lt_engine::{
     EdgeUpdate, EngineConfig, EngineError, LightTraffic, ReloadPolicy, RunResult, RunStatus,
     Session,
 };
-use lt_graph::gen::{rmat, RmatParams};
+use lt_graph::gen::{locality_mutations, rmat, RmatParams};
 use lt_graph::{Csr, VertexId};
 use lt_telemetry::SHARED_TAG;
 use std::sync::Arc;
@@ -132,6 +133,50 @@ fn dirty_only_moves_fewer_bytes_than_full_refresh() {
         "dirty-only reload ({} B) must undercut a full refresh ({} B)",
         dirty.reload_bytes,
         full.reload_bytes
+    );
+}
+
+/// The reload policy may only change traffic: over several epochs of a
+/// clustered update stream (1 % of the edges each), every walk takes the
+/// same path under `DirtyOnly` and under `FullRefresh`.
+#[test]
+fn reload_policy_never_changes_walk_output() {
+    let run = |policy: ReloadPolicy| {
+        let g = skewed();
+        let mut s = LightTraffic::session(
+            g.clone(),
+            Arc::new(UniformSampling::new(8)),
+            EngineConfig {
+                reload_policy: policy,
+                ..cfg()
+            },
+        )
+        .expect("pools fit");
+        let mut state = 0x5EED_u64;
+        let mut reload_bytes = 0;
+        for _ in 0..4 {
+            s.inject_walks(512);
+            drain(&mut s);
+            s.mutate(locality_mutations(
+                &g,
+                g.num_edges() / 100,
+                1.0 / 16.0,
+                &mut state,
+            ))
+            .unwrap();
+            reload_bytes += s.seal_epoch().expect("seal succeeds").reload_bytes;
+        }
+        s.inject_walks(512);
+        let r = drain(&mut s);
+        (r.paths, r.metrics.total_steps, reload_bytes)
+    };
+    let (dirty_paths, dirty_steps, dirty_bytes) = run(ReloadPolicy::DirtyOnly);
+    let (full_paths, full_steps, full_bytes) = run(ReloadPolicy::FullRefresh);
+    assert_eq!(dirty_steps, full_steps);
+    assert_eq!(dirty_paths, full_paths, "the reload policy changed a walk");
+    assert!(
+        dirty_bytes < full_bytes,
+        "{dirty_bytes} B vs {full_bytes} B"
     );
 }
 

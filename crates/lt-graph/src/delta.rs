@@ -274,11 +274,16 @@ impl DeltaGraph {
         &self.blocks[p as usize]
     }
 
-    /// The block holding vertex `v` (binary search over the boundaries,
-    /// as in [`PartitionedGraph::partition_of`]).
+    /// Index of the partition holding vertex `v` (binary search over the
+    /// boundaries, as in [`PartitionedGraph::partition_of`]).
+    #[inline]
+    fn partition_of(&self, v: VertexId) -> usize {
+        self.boundaries.partition_point(|&b| b <= v) - 1
+    }
+
     #[inline]
     fn block_of(&self, v: VertexId) -> &PartitionData {
-        &self.blocks[self.boundaries.partition_point(|&b| b <= v) - 1]
+        &self.blocks[self.partition_of(v)]
     }
 
     #[inline]
@@ -358,7 +363,7 @@ impl DeltaGraph {
         let mut row = Columns::like(&self.blocks[0], 0);
         let mut rest = pending.as_slice();
         while let Some(first) = rest.first() {
-            let p = self.boundaries.partition_point(|&b| b <= first.src) - 1;
+            let p = self.partition_of(first.src);
             let v_end = self.boundaries[p + 1];
             let (ops, tail) = rest.split_at(rest.partition_point(|u| u.src < v_end));
             rest = tail;

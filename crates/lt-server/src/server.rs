@@ -412,6 +412,9 @@ fn serve_connection(
     streams: &Mutex<HashMap<u64, Receiver<JobEvent>>>,
 ) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
+    // Replies are single small writes answered by the client's next
+    // request: Nagle would hold each one back for the peer's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
     for line in reader.lines() {
@@ -423,10 +426,18 @@ fn serve_connection(
             Ok(req) => dispatch(&req, handle, streams, &mut writer)?,
             Err(e) => err_json(&format!("bad json: {e:?}")),
         };
-        writeln!(writer, "{reply}")?;
-        writer.flush()?;
+        write_line(&mut writer, &reply)?;
     }
     Ok(())
+}
+
+/// Send one JSONL line as one `write_all`: formatting a [`Value`]
+/// straight onto the socket would issue a write (a syscall, and with
+/// `TCP_NODELAY` a segment) per token.
+fn write_line(writer: &mut TcpStream, line: &Value) -> std::io::Result<()> {
+    let mut buf = line.to_string();
+    buf.push('\n');
+    writer.write_all(buf.as_bytes())
 }
 
 fn err_json(msg: &str) -> Value {
@@ -642,8 +653,7 @@ fn dispatch(
                         // One line per event until the scheduler drops
                         // the sender (job done/evicted, backlog drained).
                         for ev in rx.iter() {
-                            writeln!(writer, "{}", event_json(&ev))?;
-                            writer.flush()?;
+                            write_line(writer, &event_json(&ev))?;
                         }
                         json!({"ok": true, "end": true})
                     }
