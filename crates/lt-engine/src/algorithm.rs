@@ -517,10 +517,7 @@ fn count_in_window(ts: &[u32], t: u32, span: u32) -> u32 {
 
 /// Index of the `pick`-th (0-based, row order) timestamp in
 /// `[t, t + span]`: whole blocks are counted and skipped, only the block
-/// holding the answer is walked.
-///
-/// # Panics
-/// Panics if fewer than `pick + 1` timestamps are in the window.
+/// holding the answer is walked. `pick` must be below the in-window count.
 #[inline]
 fn nth_in_window(ts: &[u32], t: u32, span: u32, mut pick: usize) -> usize {
     for (b, block) in ts.chunks(SCAN_BLOCK).enumerate() {
@@ -548,18 +545,15 @@ fn nth_in_window(ts: &[u32], t: u32, span: u32, mut pick: usize) -> usize {
 /// falls inside its window (it has "run out of time") or after `length`
 /// steps.
 ///
-/// Sampling pays for what it touches. A row shorter than
-/// `PROPOSE_MIN_ROW` (256) is scanned: a blocked count of the in-window
-/// edges, one draw, and a select that skips whole blocks. A longer row —
-/// walkers sit on hubs, so these are most steps of a skewed graph — is
-/// first sampled by propose-accept: draw a uniform edge index, take it if
-/// its timestamp is in the window, up to `propose_tries(len)` (16 to 64)
-/// times, each with its own salted draw; only when every proposal missed does the
-/// scan run, with the unsalted draw no proposal used. An accepted
-/// proposal and the scan are both uniform over the in-window edges, so
-/// the sampled distribution is the scan's exactly, and only the scan
-/// (`count == 0`) ever terminates a walk. The decision is a pure function
-/// of `(row, walker, seed)`: every graph view samples the same edge.
+/// Sampling pays for what it touches (DESIGN.md §15). A row shorter than
+/// `PROPOSE_MIN_ROW` is scanned: a vectorised count of the in-window
+/// edges, one draw, a select that skips whole blocks. A longer row —
+/// walkers sit on hubs — first proposes uniform edge indices with salted
+/// draws, up to `propose_tries(len)` of them, taking the first whose
+/// timestamp is in the window; only when all miss does the scan run, with
+/// the unsalted draw. Both are uniform over the in-window edges, so the
+/// law is the scan's exactly, only the scan (`count == 0`) terminates a
+/// walk, and the decision is a pure function of `(row, walker, seed)`.
 ///
 /// The walker's clock lives in `walker.aux` via [`StepDecision::MoveAt`]:
 /// time only moves forward (candidate timestamps are `>= t`), matching the
@@ -963,34 +957,25 @@ mod tests {
     /// scan-twice sampler this one replaced.
     #[test]
     fn temporal_short_rows_keep_their_goldens() {
+        let n = 200u32;
+        assert!((n as usize) < PROPOSE_MIN_ROW);
         let alg = TemporalWalk::starting_at(80, 12, 20);
-        let goldens: [(usize, [(u32, u32); 3]); 2] = [
-            (40, [(1108, 30), (1111, 67), (1015, 95)]),
-            (200, [(1558, 25), (1528, 59), (1162, 90)]),
-        ];
-        for (n, expected) in goldens {
-            assert!(n < PROPOSE_MIN_ROW);
-            let nbrs: Vec<VertexId> = (0..n as u32).map(|k| 1000 + k * 3).collect();
-            let ts: Vec<u32> = (0..n as u32).map(|k| (k * 37 + 11) % 101).collect();
-            let walkers = [
-                (0u64, 0u32, u32::MAX, 42u64),
-                (7, 3, 55, 1234),
-                (123_456, 17, 90, 9),
-            ];
-            for ((id, step, aux, seed), (v, time)) in walkers.into_iter().zip(expected) {
-                let w = Walker {
-                    id,
-                    vertex: 0,
-                    step,
-                    aux,
-                    tag: 0,
-                };
-                assert_eq!(
-                    alg.step(&w, tctx(&nbrs, &ts, 5000), seed),
-                    StepDecision::MoveAt(v, time),
-                    "row of {n}, walker {id}"
-                );
-            }
+        let nbrs: Vec<VertexId> = (0..n).map(|k| 1000 + k * 3).collect();
+        let ts: Vec<u32> = (0..n).map(|k| (k * 37 + 11) % 101).collect();
+        for ((id, step, aux, seed), (v, time)) in [
+            ((0u64, 0u32, u32::MAX, 42u64), (1558, 25)),
+            ((7, 3, 55, 1234), (1528, 59)),
+            ((123_456, 17, 90, 9), (1162, 90)),
+        ] {
+            let w = Walker {
+                id,
+                vertex: 0,
+                step,
+                aux,
+                tag: 0,
+            };
+            let d = alg.step(&w, tctx(&nbrs, &ts, 5000), seed);
+            assert_eq!(d, StepDecision::MoveAt(v, time), "walker {id}");
         }
     }
 
@@ -1031,38 +1016,23 @@ mod tests {
         assert!(chi2 < 370.0, "chi-square {chi2} over 256 in-window edges");
     }
 
+    /// Termination and rare hits belong to the scan: an empty window
+    /// terminates, and with one in-window edge among 10,000 the 64
+    /// proposals find it once in 156 walkers — 1,000 walkers all finding
+    /// it is the fallback's doing.
     #[test]
-    fn temporal_long_row_with_an_empty_window_terminates() {
-        let nbrs: Vec<VertexId> = (0..5000).collect();
-        let ts = vec![3u32; 5000];
-        let alg = TemporalWalk::starting_at(10, 4, 10);
-        for id in 0..200 {
-            let w = Walker::new(id, 0);
-            assert_eq!(
-                alg.step(&w, tctx(&nbrs, &ts, 5000), 5),
-                StepDecision::Terminate
-            );
-        }
-    }
-
-    /// One in-window edge among 10,000: 64 proposals find it once in 156
-    /// walkers, so 1,000 walkers all finding it is the fallback scan's
-    /// doing.
-    #[test]
-    fn temporal_long_row_falls_back_to_the_exact_scan() {
+    fn temporal_long_rows_fall_back_to_the_exact_scan() {
         let n = 10_000usize;
         assert!(propose_tries(n) <= 64);
         let nbrs: Vec<VertexId> = (0..n as u32).collect();
         let mut ts = vec![3u32; n];
-        ts[7_321] = 12;
         let alg = TemporalWalk::starting_at(10, 4, 10);
-        for id in 0..1_000 {
-            let w = Walker::new(id, 0);
-            assert_eq!(
-                alg.step(&w, tctx(&nbrs, &ts, n as u64), 5),
-                StepDecision::MoveAt(7_321, 12),
-                "walker {id}"
-            );
+        for expected in [StepDecision::Terminate, StepDecision::MoveAt(7_321, 12)] {
+            for id in 0..1_000 {
+                let d = alg.step(&Walker::new(id, 0), tctx(&nbrs, &ts, n as u64), 5);
+                assert_eq!(d, expected, "walker {id}");
+            }
+            ts[7_321] = 12;
         }
     }
 

@@ -2799,15 +2799,8 @@ mod tests {
         // A delete of an absent edge applies nothing: the seal is clean,
         // but the table exists and the CSR is no longer the engine's.
         e.mutate(vec![EdgeUpdate::delete(0, absent)]).unwrap();
-        let summary = e.seal_epoch().unwrap();
-        assert_eq!(
-            (
-                summary.epoch,
-                summary.dirty_vertices,
-                summary.dirty_partitions
-            ),
-            (1, 0, 0)
-        );
+        let s = e.seal_epoch().unwrap();
+        assert_eq!((s.epoch, s.dirty_vertices, s.dirty_partitions), (1, 0, 0));
         assert!(e.pg.ram_csr().is_none());
         assert_eq!(Arc::strong_count(&g), 1, "the engine still holds the CSR");
         let np = e.pg.num_partitions();
@@ -2820,15 +2813,8 @@ mod tests {
         e.oversized[np as usize - 1] = true;
 
         e.mutate(vec![EdgeUpdate::insert(0, absent)]).unwrap();
-        let summary = e.seal_epoch().unwrap();
-        assert_eq!(
-            (
-                summary.epoch,
-                summary.dirty_vertices,
-                summary.dirty_partitions
-            ),
-            (2, 1, 1)
-        );
+        let s = e.seal_epoch().unwrap();
+        assert_eq!((s.epoch, s.dirty_vertices, s.dirty_partitions), (2, 1, 1));
         let after = blocks(&e);
         for p in 0..np as usize {
             assert_eq!(Arc::ptr_eq(&after[p], &before[p]), p != 0, "block {p}");
@@ -2843,12 +2829,9 @@ mod tests {
         e.mutate(flood.clone()).unwrap();
         e.seal_epoch().unwrap();
         assert!(e.oversized[0] && e.pg.partition_bytes(0) > e.cfg.partition_bytes);
-        let r = e.run(500).unwrap();
-        assert_eq!(r.metrics.finished_walks, 500);
-        assert!(
-            r.metrics.zero_copy_kernels > 0,
-            "the hub block reads in place"
-        );
+        let r = e.run(500).unwrap().metrics;
+        assert_eq!(r.finished_walks, 500);
+        assert!(r.zero_copy_kernels > 0, "the hub block reads in place");
 
         let mut never = engine(ZeroCopyPolicy::Never);
         never.mutate(flood).unwrap();

@@ -14,15 +14,11 @@
 //!   update into fresh blocks for the partitions it touches, advances the
 //!   epoch and reports the dirty vertex and partition sets. A clean
 //!   partition keeps its `Arc`, so a seal costs the bytes of the dirty
-//!   partitions, not of the graph. All readers observe the new adjacency
+//!   partitions, not of the graph, and a copy of a block is stale exactly
+//!   when `Arc::ptr_eq` says so. All readers observe the new adjacency
 //!   atomically after the seal — the engine runs seals only at iteration
 //!   barriers, which is what makes mutation visibility deterministic
 //!   (DESIGN.md §15).
-//!
-//! There is exactly one block per partition per epoch:
-//! [`DeltaGraph::block`] *is* the sealed view, the allocation the engine
-//! loads, reloads and reads through zero copy, and the input of the next
-//! seal. A copy of a block is stale exactly when `Arc::ptr_eq` says so.
 //!
 //! Temporal coupling: on a temporal base graph, an insert without an
 //! explicit timestamp is stamped with the sealing epoch's index, so the
@@ -265,10 +261,9 @@ impl DeltaGraph {
         self.epoch
     }
 
-    /// The sealed view of partition `p`: its rows as of the last seal. A
-    /// seal that changes one of them installs a new allocation here; every
-    /// other seal keeps this `Arc` as is, so `Arc::ptr_eq` against an
-    /// earlier clone tells whether that copy went stale.
+    /// The sealed view of partition `p`: its rows as of the last seal, in
+    /// the allocation the engine loads, reloads and reads through zero
+    /// copy. Only a seal that changes one of the rows replaces it.
     #[inline]
     pub fn block(&self, p: PartitionId) -> &Arc<PartitionData> {
         &self.blocks[p as usize]
@@ -346,10 +341,8 @@ impl DeltaGraph {
     /// delete removes the first stored match and is a no-op that dirties
     /// nothing when there is none. The sorted updates are cut at partition
     /// boundaries and each touched partition's block is rewritten in one
-    /// pass over the old one — runs of untouched vertices between touched
-    /// sources are copied as whole slices — so a seal costs
-    /// O(pending + bytes of the dirty partitions), and a partition none of
-    /// whose updates applied keeps its block.
+    /// pass over the old one (`rebuild_block`), so a seal costs
+    /// O(pending + bytes of the dirty partitions).
     pub fn seal_epoch(&mut self) -> EpochSeal {
         self.epoch += 1;
         let default_ts = self.epoch.min(u32::MAX as u64) as u32;
@@ -383,22 +376,10 @@ impl DeltaGraph {
         self.block_of(v).neighbors(v)
     }
 
-    /// Sealed-view weights parallel to [`DeltaGraph::neighbors`].
-    #[inline]
-    pub fn neighbor_weights(&self, v: VertexId) -> Option<&[f32]> {
-        self.block_of(v).neighbor_weights(v)
-    }
-
     /// Sealed-view timestamps parallel to [`DeltaGraph::neighbors`].
     #[inline]
     pub fn neighbor_timestamps(&self, v: VertexId) -> Option<&[u32]> {
         self.block_of(v).neighbor_timestamps(v)
-    }
-
-    /// Sealed-view out-degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> u64 {
-        self.block_of(v).degree(v)
     }
 
     /// The sealed view as one CSR — O(|V| + |E|), for tests and reference
@@ -549,33 +530,6 @@ mod tests {
         assert_eq!(dg.neighbors(0), &[1, 2, 0]);
         assert_eq!(dg.neighbors(3), &[1, 2, 0]);
         assert_eq!(dg.to_csr().offsets(), &[0, 3, 4, 4, 7]);
-    }
-
-    #[test]
-    fn only_a_seal_that_changes_a_row_installs_a_new_block() {
-        let mut dg = base();
-        let original: Vec<_> = (0..3).map(|p| Arc::clone(dg.block(p))).collect();
-        let kept = |dg: &DeltaGraph| -> Vec<bool> {
-            (0..3)
-                .map(|p| Arc::ptr_eq(dg.block(p), &original[p as usize]))
-                .collect()
-        };
-        dg.seal_epoch();
-        dg.buffer(EdgeUpdate::delete(2, 0)).unwrap();
-        let seal = dg.seal_epoch();
-        assert_eq!((seal.epoch, dg.pending()), (2, 0));
-        assert_eq!(kept(&dg), [true, true, true]);
-        dg.buffer(EdgeUpdate::insert(2, 0)).unwrap();
-        dg.seal_epoch();
-        assert_eq!(kept(&dg), [true, false, true]);
-        assert_eq!(original[1].neighbors(2), &[] as &[u32]);
-        assert_eq!(dg.neighbors(2), &[0]);
-        // The rebuilt block keeps its partition's identity and its clean
-        // rows, with offsets still partition-relative.
-        let b = dg.block(1);
-        assert_eq!((b.id, b.v_start, b.v_end), (1, 1, 3));
-        assert_eq!(b.offsets, vec![0, 1, 2]);
-        assert_eq!(b.neighbors(1), &[0]);
     }
 
     #[test]

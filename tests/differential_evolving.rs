@@ -214,20 +214,17 @@ fn evolving_engine_matches_naive_walker_across_execution_grid() {
     }
 }
 
-/// What one CSR per epoch could not get wrong and a block table can: a
-/// zero-copy kernel after a seal reads through a view assembled from the
-/// table — the batch's block plus, for a second-order walk, the blocks its
-/// walkers' previous vertices live in — and a speculative kernel through
-/// an owned copy of that view. A pool of one block under a low `alpha`
-/// forces zero copy on batches big enough to fan out; `Always` makes
-/// every kernel (hence every redeemed speculation) read block views. The
-/// first wave rewires one vertex completely — every old edge deleted, one
-/// absent edge inserted — so later walks standing there must take the
-/// inserted edge and can take no deleted one, on top of matching the
-/// naive walker — except node2vec under `Adaptive`, whose resident
-/// kernels see second-order context only inside their partition
-/// (`StepContext::prev_neighbors`) and are held to `kernel_threads: 1`
-/// instead.
+/// What a block table can get wrong and one CSR per epoch could not: a
+/// zero-copy kernel after a seal reads a view assembled from the table
+/// (the batch's block plus, for a second-order walk, the blocks its
+/// walkers' previous vertices live in), a speculative one an owned copy.
+/// One pool block under a low `alpha` forces zero copy on batches big
+/// enough to fan out; `Always` makes every kernel read block views. The
+/// first wave rewires one vertex completely, so later walks standing
+/// there must take the inserted edge and no deleted one, on top of
+/// matching the naive walker — except node2vec under `Adaptive`, whose
+/// resident kernels see `prev_neighbors` only inside their partition and
+/// are held to `kernel_threads: 1` instead.
 #[test]
 fn zero_copy_after_a_seal_reads_the_sealed_blocks() {
     let workloads: Vec<(&str, Arc<Csr>, Arc<dyn WalkAlgorithm>)> = vec![
@@ -273,12 +270,9 @@ fn zero_copy_after_a_seal_reads_the_sealed_blocks() {
                 let at = format!("{name}: {zero_copy:?}, kt={kernel_threads}");
                 let cfg = EngineConfig {
                     zero_copy,
-                    ..config(kernel_threads, None)
-                };
-                let cfg = EngineConfig {
                     partition_bytes: 2 << 10,
                     graph_pool_blocks: 1,
-                    ..cfg
+                    ..config(kernel_threads, None)
                 };
                 let before_seal = run_engine_waves(&g, &alg, cfg.clone(), &waves[..1]).metrics;
                 let r = run_engine_waves(&g, &alg, cfg, &waves);
