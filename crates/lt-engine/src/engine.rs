@@ -1966,7 +1966,9 @@ impl LightTraffic {
             let task = kernel::KernelTask {
                 view: match (use_zc, block_view.as_ref()) {
                     (true, Some(h)) => GraphView::Blocks(h),
-                    (true, None) => GraphView::Host(self.pg.csr()),
+                    (true, None) => {
+                        GraphView::Host(self.pg.ram_csr().expect("no block view: RAM CSR"))
+                    }
                     (false, _) => {
                         GraphView::Resident(self.graph_pool.get(part).expect("graph resident"))
                     }

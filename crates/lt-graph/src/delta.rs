@@ -291,16 +291,6 @@ impl DeltaGraph {
         self.blocks.iter().map(|b| b.edges.len() as u64).sum()
     }
 
-    #[inline]
-    pub fn is_weighted(&self) -> bool {
-        self.blocks[0].weights.is_some()
-    }
-
-    #[inline]
-    pub fn is_temporal(&self) -> bool {
-        self.blocks[0].timestamps.is_some()
-    }
-
     /// Buffered updates awaiting the next seal.
     #[inline]
     pub fn pending(&self) -> usize {

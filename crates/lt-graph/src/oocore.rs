@@ -314,7 +314,9 @@ pub fn decode_chunk(
 /// header's `part_bytes` records the uncompressed [`PartitionData::bytes`]
 /// so engine-side H2D charges are identical between substrates.
 pub fn write_oocore(pg: &PartitionedGraph, path: &Path) -> Result<u64, GraphError> {
-    let csr = pg.csr();
+    let csr = pg
+        .ram_csr()
+        .ok_or_else(|| GraphError::Format("write_oocore needs a RAM-resident graph".into()))?;
     let p = pg.num_partitions() as usize;
     let flags = (u8::from(csr.is_weighted()) * FLAG_WEIGHTED)
         | (u8::from(csr.is_temporal()) * FLAG_TEMPORAL);

@@ -11,9 +11,9 @@
 //! read from. An evolving engine moves the adjacency into a
 //! [`crate::delta::DeltaGraph`]'s block table on its first mutation and
 //! [releases the store](PartitionedGraph::release_store): from then on the
-//! table answers geometry and byte-size questions only, and
-//! [`PartitionedGraph::store`], [`PartitionedGraph::csr`] and
-//! [`PartitionedGraph::extract`] panic instead of serving epoch-0 rows.
+//! table answers geometry and byte-size questions only:
+//! [`PartitionedGraph::ram_csr`] is `None`, and [`PartitionedGraph::store`]
+//! and [`PartitionedGraph::extract`] panic instead of serving epoch-0 rows.
 
 use crate::oocore::{GraphStore, OocGraph};
 use crate::{Csr, VertexId, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES};
@@ -148,20 +148,6 @@ impl PartitionedGraph {
     #[inline]
     pub fn boundaries(&self) -> &[VertexId] {
         &self.boundaries
-    }
-
-    /// The underlying RAM-resident graph.
-    ///
-    /// # Panics
-    /// Panics for an out-of-core store — adjacency is not resident there.
-    /// Substrate-generic callers use [`PartitionedGraph::store`],
-    /// [`PartitionedGraph::num_vertices`] and
-    /// [`PartitionedGraph::extract`] instead.
-    #[inline]
-    pub fn csr(&self) -> &Arc<Csr> {
-        self.store()
-            .ram()
-            .expect("csr(): graph store is out-of-core; adjacency is not RAM-resident")
     }
 
     /// The graph substrate.

@@ -262,8 +262,8 @@ proptest! {
                         prop_assert_eq!(t, &expected[..], "{}, vertex {} timestamps", at, v);
                     }
                 }
-                prop_assert_eq!(dg.is_weighted(), flavor == "weighted");
-                prop_assert_eq!(dg.is_temporal(), flavor == "temporal");
+                prop_assert_eq!(csr.is_weighted(), flavor == "weighted");
+                prop_assert_eq!(csr.is_temporal(), flavor == "temporal");
             }
         }
     }
