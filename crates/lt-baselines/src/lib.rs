@@ -24,13 +24,10 @@ use serde::Serialize;
 
 pub mod cpu;
 pub mod csaw;
-pub mod diskwalker;
 pub mod evolving;
 pub mod ingpu;
-pub mod knightking;
 pub mod multiround;
 pub mod subway;
-pub mod uvm;
 
 pub use cpu::CpuThroughputModel;
 pub use ingpu::run_in_gpu_memory;
@@ -42,8 +39,7 @@ pub use subway::SubwayConfig;
 /// regardless of which system produced the run.
 ///
 /// Counters live in the same [`Metrics`] struct the LightTraffic engine
-/// reports; baseline-specific quantities map onto its closest fields
-/// (e.g. the UVM page cache reports through `graph_pool_hits`/`misses`).
+/// reports; baseline-specific quantities map onto its closest fields.
 /// Simulated engines also attach the device's [`GpuStats`]; host-executed
 /// engines leave it `None` and carry wall time in `metrics.makespan_ns`,
 /// so [`Metrics::throughput`] reads correctly either way.

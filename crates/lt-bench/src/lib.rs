@@ -174,21 +174,12 @@ pub fn save_json(experiment: &str, rows: &serde_json::Value) {
 }
 
 /// Parse `--scale N` (extra shrink shift) and `--seed N` from argv, with
-/// defaults. Every harness binary accepts these.
+/// defaults. Every harness binary accepts these; unknown arguments panic
+/// so typos never silently run the default experiment.
 pub fn parse_args() -> (u32, u64) {
-    let (shift, seed, _) = parse_args_with_flags(&[]);
-    (shift, seed)
-}
-
-/// [`parse_args`] plus a set of binary-specific boolean `flags` (e.g.
-/// `--smoke`): returns the common knobs and, per flag, whether it was
-/// present. Unknown arguments still panic so typos never silently run
-/// the default experiment.
-pub fn parse_args_with_flags(flags: &[&str]) -> (u32, u64, Vec<bool>) {
     let args: Vec<String> = std::env::args().collect();
     let mut shift = 0u32;
     let mut seed = 42u64;
-    let mut present = vec![false; flags.len()];
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -197,28 +188,18 @@ pub fn parse_args_with_flags(flags: &[&str]) -> (u32, u64, Vec<bool>) {
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
                     .expect("--scale takes an integer shrink shift");
-                i += 2;
             }
             "--seed" => {
                 seed = args
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
                     .expect("--seed takes an integer");
-                i += 2;
             }
-            other => {
-                match flags.iter().position(|f| *f == other) {
-                    Some(k) => present[k] = true,
-                    None => panic!(
-                        "unknown argument {other} (supported: --scale N, --seed N{})",
-                        flags.iter().map(|f| format!(", {f}")).collect::<String>()
-                    ),
-                }
-                i += 1;
-            }
+            other => panic!("unknown argument {other} (supported: --scale N, --seed N)"),
         }
+        i += 2;
     }
-    (shift, seed, present)
+    (shift, seed)
 }
 
 #[cfg(test)]

@@ -78,10 +78,9 @@ pub struct GpuConfig {
     /// default plan) injects nothing.
     pub faults: Option<FaultPlan>,
     /// Event bus ops and faults are published on. The default bus is
-    /// disabled — one pointer check per emission site (`bench_telemetry`
-    /// pins the overhead). All emission happens under the device mutex in
-    /// enqueue order, stamped with the simulated clock, so the stream is
-    /// independent of host thread count.
+    /// disabled — one pointer check per emission site. All emission
+    /// happens under the device mutex in enqueue order, stamped with the
+    /// simulated clock, so the stream is independent of host thread count.
     pub telemetry: EventBus,
 }
 

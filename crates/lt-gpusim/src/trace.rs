@@ -6,12 +6,11 @@
 //! for a real run. Useful to eyeball whether preemptive kernels actually
 //! fill the load-stream gaps.
 //!
-//! Multi-device runs render as one trace *process* per device
-//! ([`DeviceTrace`] / [`to_chrome_trace_devices`]): the viewer shows a
-//! named group per GPU with its three engine rows, instead of collapsing
-//! every device onto pid 0. Injected faults always ride along as instant
-//! markers — there is one writer, [`write_chrome_trace`], and it takes
-//! the fault log.
+//! A device renders as one trace *process* ([`DeviceTrace`] /
+//! [`render_devices_into`]) with its three engine rows, so the serving
+//! layer can put per-job tracks beside it in one file. Injected faults
+//! always ride along as instant markers — there is one writer,
+//! [`write_chrome_trace`], and it takes the fault log.
 
 use crate::fault::FaultRecord;
 use crate::sim::OpRecord;
@@ -29,7 +28,7 @@ fn engine_name(e: usize) -> String {
     }
 }
 
-/// One device's recorded timeline, for multi-GPU trace export.
+/// One device's recorded timeline.
 #[derive(Clone, Debug, Serialize)]
 pub struct DeviceTrace {
     /// Process label in the viewer (e.g. `"gpu 0"`).
@@ -40,19 +39,13 @@ pub struct DeviceTrace {
     pub faults: Vec<FaultRecord>,
 }
 
-/// Render one trace process per device: a `process_name` metadata record,
-/// named engine rows covering every engine index that appears, `ph:"X"`
-/// spans for ops, and `ph:"i"` instants for faults.
-pub fn to_chrome_trace_devices(devices: &[DeviceTrace]) -> String {
-    let mut b = ChromeTraceBuilder::new();
-    render_devices_into(&mut b, devices);
-    b.build()
-}
-
-/// Render device timelines into an existing builder, so callers (the
-/// serving layer's per-job tracks) can compose device rows with their own
-/// processes in one trace file. Devices occupy pids `0..devices.len()`;
-/// composers should claim pids above that range.
+/// Render one trace process per device into an existing builder: a
+/// `process_name` metadata record, named engine rows covering every
+/// engine index that appears, `ph:"X"` spans for ops, and `ph:"i"`
+/// instants for faults. Callers (the serving layer's per-job tracks)
+/// compose device rows with their own processes in one trace file.
+/// Devices occupy pids `0..devices.len()`; composers should claim pids
+/// above that range.
 pub fn render_devices_into(b: &mut ChromeTraceBuilder, devices: &[DeviceTrace]) {
     for (pid, dev) in devices.iter().enumerate() {
         let pid = pid as u64;
@@ -108,11 +101,16 @@ pub fn to_chrome_trace(ops: &[OpRecord]) -> String {
 
 /// Single-device trace with fault instant markers.
 pub fn to_chrome_trace_with_faults(ops: &[OpRecord], faults: &[FaultRecord]) -> String {
-    to_chrome_trace_devices(&[DeviceTrace {
-        name: "gpu 0".to_string(),
-        ops: ops.to_vec(),
-        faults: faults.to_vec(),
-    }])
+    let mut b = ChromeTraceBuilder::new();
+    render_devices_into(
+        &mut b,
+        &[DeviceTrace {
+            name: "gpu 0".to_string(),
+            ops: ops.to_vec(),
+            faults: faults.to_vec(),
+        }],
+    );
+    b.build()
 }
 
 /// Write a device's full timeline — ops *and* injected faults — to `path`.
@@ -209,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_device_traces_get_one_process_per_gpu() {
+    fn each_device_gets_its_own_process() {
         let devices: Vec<DeviceTrace> = (0..3)
             .map(|i| {
                 let g = sample_gpu();
@@ -220,8 +218,9 @@ mod tests {
                 }
             })
             .collect();
-        let v: serde_json::Value =
-            serde_json::from_str(&to_chrome_trace_devices(&devices)).unwrap();
+        let mut b = ChromeTraceBuilder::new();
+        render_devices_into(&mut b, &devices);
+        let v: serde_json::Value = serde_json::from_str(&b.build()).unwrap();
         let arr = v.as_array().unwrap();
         let procs: Vec<_> = arr.iter().filter(|e| e["name"] == "process_name").collect();
         assert_eq!(procs.len(), 3);

@@ -197,344 +197,3 @@ mod tests {
         assert!(matches!(read_binary(&path), Err(GraphError::Format(_))));
     }
 }
-
-/// A partitioned graph stored on disk, one contiguous region per
-/// partition, for disk-based engines (GraphWalker/DrunkardMob-style
-/// baselines). The header records the partition table so partitions can be
-/// read independently with one seek each.
-pub struct DiskGraph {
-    file: std::fs::File,
-    boundaries: Vec<VertexId>,
-    /// Byte offset of each partition's region (length `P + 1`).
-    regions: Vec<u64>,
-    weighted: bool,
-    temporal: bool,
-}
-
-/// Format revision 1: `weighted` flag only — temporal graphs round-tripped
-/// lossily. Still readable; new files are written as v2.
-const DISK_MAGIC_V1: &[u8; 8] = b"LTDISKG1";
-/// Format revision 2: the flag byte carries `weighted` (bit 0) and
-/// `temporal` (bit 1), and temporal regions append a timestamp array.
-const DISK_MAGIC_V2: &[u8; 8] = b"LTDISKG2";
-
-/// Write `pg` to `path` in the partitioned on-disk format (v2).
-///
-/// Region offsets are sized from the partition table alone, so each
-/// partition is extracted exactly **once**, in the write loop — which also
-/// makes this writer work for out-of-core stores, where an extract is a
-/// full decompression.
-pub fn write_partitioned(
-    pg: &crate::PartitionedGraph,
-    path: impl AsRef<Path>,
-) -> Result<(), GraphError> {
-    let f = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(f);
-    let p = pg.num_partitions();
-    let weighted = pg.store().is_weighted();
-    let temporal = pg.store().is_temporal();
-    let per_edge = 4 + u64::from(weighted) * 4 + u64::from(temporal) * 4;
-    let mut header = Vec::new();
-    header.put_slice(DISK_MAGIC_V2);
-    header.put_u32_le(p);
-    header.put_u8(u8::from(weighted) | (u8::from(temporal) << 1));
-    for b in 0..=p {
-        let v = if b == p {
-            pg.num_vertices() as u32
-        } else {
-            pg.vertex_range(b).start
-        };
-        header.put_u32_le(v);
-    }
-    // Region offsets, computed from the partition table (vertex and edge
-    // counts), not from materialized partitions.
-    let header_len = 8 + 4 + 1 + 4 * (p as u64 + 1) + 8 * (p as u64 + 1);
-    let mut offset = header_len;
-    for part in 0..p {
-        header.put_u64_le(offset);
-        offset += 8 * (pg.num_vertices_in(part) + 1) + per_edge * pg.num_edges_in(part);
-    }
-    header.put_u64_le(offset);
-    w.write_all(&header)?;
-    let mut buf = Vec::new();
-    for part in 0..p {
-        let data = pg.extract(part);
-        buf.clear();
-        for &o in &data.offsets {
-            buf.put_u64_le(o);
-        }
-        for &e in &data.edges {
-            buf.put_u32_le(e);
-        }
-        if let Some(ws) = &data.weights {
-            for &x in ws {
-                buf.put_f32_le(x);
-            }
-        }
-        if let Some(ts) = &data.timestamps {
-            for &t in ts {
-                buf.put_u32_le(t);
-            }
-        }
-        w.write_all(&buf)?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-impl DiskGraph {
-    /// Open a partitioned graph file (v2, or a legacy v1 file — those
-    /// carry no timestamps).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, GraphError> {
-        let mut file = std::fs::File::open(path)?;
-        let mut head = [0u8; 13];
-        file.read_exact(&mut head)?;
-        let v2 = &head[..8] == DISK_MAGIC_V2;
-        if !v2 && &head[..8] != DISK_MAGIC_V1 {
-            return Err(GraphError::Format("bad disk-graph magic".into()));
-        }
-        let p = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
-        let flags = head[12];
-        let weighted = flags & 1 != 0;
-        let temporal = v2 && flags & 2 != 0;
-        let mut rest = vec![0u8; 4 * (p as usize + 1) + 8 * (p as usize + 1)];
-        file.read_exact(&mut rest)?;
-        let mut buf = &rest[..];
-        let boundaries: Vec<VertexId> = (0..=p).map(|_| buf.get_u32_le()).collect();
-        let regions: Vec<u64> = (0..=p).map(|_| buf.get_u64_le()).collect();
-        Ok(DiskGraph {
-            file,
-            boundaries,
-            regions,
-            weighted,
-            temporal,
-        })
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> u32 {
-        (self.boundaries.len() - 1) as u32
-    }
-
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> u64 {
-        *self.boundaries.last().expect("non-empty") as u64
-    }
-
-    /// Partition containing `v`.
-    pub fn partition_of(&self, v: VertexId) -> crate::PartitionId {
-        (self.boundaries.partition_point(|&b| b <= v) - 1) as crate::PartitionId
-    }
-
-    /// Bytes of partition `p` on disk.
-    pub fn partition_bytes(&self, p: crate::PartitionId) -> u64 {
-        self.regions[p as usize + 1] - self.regions[p as usize]
-    }
-
-    /// Read partition `p` from disk (one seek + one contiguous read).
-    pub fn read_partition(
-        &mut self,
-        p: crate::PartitionId,
-    ) -> Result<crate::PartitionData, GraphError> {
-        use std::io::Seek;
-        let v_start = self.boundaries[p as usize];
-        let v_end = self.boundaries[p as usize + 1];
-        let nv = (v_end - v_start) as usize;
-        self.file
-            .seek(std::io::SeekFrom::Start(self.regions[p as usize]))?;
-        let mut raw = vec![0u8; self.partition_bytes(p) as usize];
-        self.file.read_exact(&mut raw)?;
-        let mut buf = &raw[..];
-        let offsets: Vec<u64> = (0..=nv).map(|_| buf.get_u64_le()).collect();
-        let ne = *offsets.last().expect("non-empty") as usize;
-        let edges: Vec<VertexId> = (0..ne).map(|_| buf.get_u32_le()).collect();
-        let weights = if self.weighted {
-            Some((0..ne).map(|_| buf.get_f32_le()).collect())
-        } else {
-            None
-        };
-        // v1 files carry no timestamps; `temporal` is only ever set for v2.
-        let timestamps = if self.temporal {
-            Some((0..ne).map(|_| buf.get_u32_le()).collect())
-        } else {
-            None
-        };
-        Ok(crate::PartitionData {
-            id: p,
-            v_start,
-            v_end,
-            offsets,
-            edges,
-            weights,
-            timestamps,
-        })
-    }
-}
-
-#[cfg(test)]
-mod disk_tests {
-    use super::*;
-    use crate::gen::{rmat, with_random_timestamps, with_random_weights, RmatParams};
-    use crate::PartitionedGraph;
-    use std::sync::Arc;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("lt_diskgraph_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}_{}", std::process::id()))
-    }
-
-    /// Temporal graphs round-trip losslessly in the v2 format — the v1
-    /// header had no temporal flag and silently dropped timestamps.
-    #[test]
-    fn disk_partitions_roundtrip_timestamps() {
-        let g = rmat(RmatParams {
-            scale: 9,
-            edge_factor: 6,
-            seed: 5,
-            ..RmatParams::default()
-        })
-        .csr;
-        let g = Arc::new(with_random_timestamps(&g, 8, 1024));
-        let pg = PartitionedGraph::build(g.clone(), 8 << 10);
-        let path = tmp("temporal.bin");
-        write_partitioned(&pg, &path).unwrap();
-        let mut dg = DiskGraph::open(&path).unwrap();
-        for p in 0..pg.num_partitions() {
-            assert_eq!(dg.read_partition(p).unwrap(), pg.extract(p));
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Legacy v1 files (pre-timestamp header) must keep opening and
-    /// reading: same layout, `LTDISKG1` magic, flag byte = weighted only.
-    #[test]
-    fn disk_v1_files_still_read() {
-        let g = Arc::new(
-            rmat(RmatParams {
-                scale: 8,
-                edge_factor: 4,
-                seed: 2,
-                ..RmatParams::default()
-            })
-            .csr,
-        );
-        let pg = PartitionedGraph::build(g.clone(), 4 << 10);
-        let p = pg.num_partitions();
-        // Hand-roll a v1 file: identical layout, old magic, no timestamps.
-        let mut out = Vec::new();
-        out.put_slice(DISK_MAGIC_V1);
-        out.put_u32_le(p);
-        out.put_u8(0);
-        for &b in pg.boundaries() {
-            out.put_u32_le(b);
-        }
-        let header_len = 8 + 4 + 1 + 4 * (p as u64 + 1) + 8 * (p as u64 + 1);
-        let mut offset = header_len;
-        for part in 0..p {
-            out.put_u64_le(offset);
-            offset += 8 * (pg.num_vertices_in(part) + 1) + 4 * pg.num_edges_in(part);
-        }
-        out.put_u64_le(offset);
-        for part in 0..p {
-            let data = pg.extract(part);
-            for &o in &data.offsets {
-                out.put_u64_le(o);
-            }
-            for &e in &data.edges {
-                out.put_u32_le(e);
-            }
-        }
-        let path = tmp("v1.bin");
-        std::fs::write(&path, &out).unwrap();
-        let mut dg = DiskGraph::open(&path).unwrap();
-        assert_eq!(dg.num_partitions(), p);
-        for part in 0..p {
-            assert_eq!(dg.read_partition(part).unwrap(), pg.extract(part));
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// The disk writer also serializes an out-of-core store (extract
-    /// decodes), so format conversions need no RAM materialization.
-    #[test]
-    fn disk_writer_accepts_ooc_store() {
-        let g = Arc::new(
-            rmat(RmatParams {
-                scale: 9,
-                edge_factor: 6,
-                seed: 7,
-                ..RmatParams::default()
-            })
-            .csr,
-        );
-        let ram = PartitionedGraph::build(g.clone(), 8 << 10);
-        let ooc_path = tmp("ooc_src.bin");
-        crate::oocore::write_oocore(&ram, &ooc_path).unwrap();
-        let ooc = Arc::new(crate::OocGraph::open(&ooc_path).unwrap());
-        let pg = PartitionedGraph::from_ooc(ooc);
-        let path = tmp("from_ooc.bin");
-        write_partitioned(&pg, &path).unwrap();
-        let mut dg = DiskGraph::open(&path).unwrap();
-        for p in 0..ram.num_partitions() {
-            assert_eq!(dg.read_partition(p).unwrap(), ram.extract(p));
-        }
-        std::fs::remove_file(&ooc_path).ok();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disk_partitions_match_extract() {
-        let g = Arc::new(
-            rmat(RmatParams {
-                scale: 10,
-                edge_factor: 6,
-                seed: 5,
-                ..RmatParams::default()
-            })
-            .csr,
-        );
-        let pg = PartitionedGraph::build(g.clone(), 8 << 10);
-        let path = tmp("plain.bin");
-        write_partitioned(&pg, &path).unwrap();
-        let mut dg = DiskGraph::open(&path).unwrap();
-        assert_eq!(dg.num_partitions(), pg.num_partitions());
-        assert_eq!(dg.num_vertices(), g.num_vertices());
-        for p in 0..pg.num_partitions() {
-            assert_eq!(dg.read_partition(p).unwrap(), pg.extract(p));
-        }
-        for v in 0..g.num_vertices() as u32 {
-            assert_eq!(dg.partition_of(v), pg.partition_of(v));
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disk_partitions_roundtrip_weights() {
-        let g = rmat(RmatParams {
-            scale: 9,
-            edge_factor: 6,
-            seed: 5,
-            ..RmatParams::default()
-        })
-        .csr;
-        let g = Arc::new(with_random_weights(&g, 8));
-        let pg = PartitionedGraph::build(g.clone(), 8 << 10);
-        let path = tmp("weighted.bin");
-        write_partitioned(&pg, &path).unwrap();
-        let mut dg = DiskGraph::open(&path).unwrap();
-        for p in 0..pg.num_partitions() {
-            let d = dg.read_partition(p).unwrap();
-            assert_eq!(d.weights, pg.extract(p).weights);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disk_open_rejects_garbage() {
-        let path = tmp("garbage.bin");
-        std::fs::write(&path, b"definitely not a graph").unwrap();
-        assert!(DiskGraph::open(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-}

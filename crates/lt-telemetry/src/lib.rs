@@ -30,7 +30,7 @@
 //! engine's proptests.
 //!
 //! A disabled [`EventBus`] (the default) is a `None` check per potential
-//! emission site: near-free, measured by `bench_telemetry`.
+//! emission site.
 
 pub mod bus;
 pub mod chrome;

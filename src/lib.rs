@@ -17,8 +17,6 @@
 //!   preemptive/selective/adaptive scheduling.
 //! - [`baselines`] ([`lt_baselines`]): Subway-like, multi-round,
 //!   in-GPU-memory, and CPU comparison engines.
-//! - [`multigpu`] ([`lt_multigpu`]): BSP scale-out over multiple simulated
-//!   devices with inter-GPU walk exchange (extension).
 //! - [`server`] ([`lt_server`]): walk-as-a-service — the multi-tenant
 //!   job scheduler with budgeted admission control and the TCP/JSONL
 //!   front end.
@@ -49,6 +47,5 @@ pub use lt_baselines as baselines;
 pub use lt_engine as engine;
 pub use lt_gpusim as gpusim;
 pub use lt_graph as graph;
-pub use lt_multigpu as multigpu;
 pub use lt_server as server;
 pub use lt_telemetry as telemetry;
