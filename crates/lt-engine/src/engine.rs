@@ -19,7 +19,7 @@ use crate::batch::{chunk_bounds, WalkBatch};
 use crate::exec::{ExecPool, PendingGroup};
 use crate::graphpool::{DeviceGraphPool, GraphEviction};
 use crate::hostcache::{self, HostDecodeCache};
-use crate::kernel::{self, GraphView, HostBlockView, OwnedGraphView};
+use crate::kernel::{self, GraphView, HostBlockView};
 use crate::metrics::{Metrics, RunResult};
 use crate::reshuffle::{LocalIndex, ReshuffleMode};
 use crate::walker::Walker;
@@ -1829,11 +1829,9 @@ impl LightTraffic {
         if use_zc && self.host_cache.is_some() {
             return None;
         }
-        let resident = if use_zc {
-            None
-        } else {
-            Some(self.graph_pool.get_arc(i)?)
-        };
+        if !use_zc && !self.graph_pool.contains(i) {
+            return None;
+        }
         // The prediction is copied twice, which is the minimum: once into
         // a recycled buffer that stays behind for validation, and once
         // into the per-chunk vectors the workers own.
@@ -1846,41 +1844,35 @@ impl LightTraffic {
                 return None;
             }
         }
-        let reads_prev = self.alg.reads_prev_neighbors();
-        let view = match (resident, self.pg.ram_csr()) {
-            (Some(d), _) => OwnedGraphView::Resident(d),
-            (None, Some(g)) => OwnedGraphView::Host(Arc::clone(g)),
-            // An evolving graph has no CSR: an owned block view over the
-            // predicted walkers, fetched free of charge from the table.
-            (None, None) => OwnedGraphView::Blocks(self.build_block_view(i, &walkers, reads_prev)),
-        };
+        // Over an evolving graph the block view covers the predicted
+        // walkers, fetched free of charge from the table.
+        let task = self.kernel_task(i, &walkers, use_zc);
         let chunks = kernel::plan_chunks(walkers.len(), self.kernel_threads);
-        let task = Arc::new(kernel::OwnedKernelTask {
-            view,
-            alg: Arc::clone(&self.alg),
-            reads_prev,
-            seed: self.cfg.seed,
-            num_vertices: self.pg.num_vertices(),
-            range: self.pg.vertex_range(i),
-            track_visits: self.visit_counts.is_some() || self.cfg.track_tags,
-            track_paths: self.paths.is_some(),
-            track_tags: self.cfg.track_tags,
-            scratch: Some(Arc::clone(&self.scratch)),
-        });
-        let tasks: Vec<Box<dyn FnOnce() -> kernel::ChunkOutput + Send + 'static>> =
-            chunk_bounds(walkers.len(), chunks)
-                .map(|r| {
-                    let task = Arc::clone(&task);
-                    let ws = walkers[r].to_vec();
-                    Box::new(move || kernel::step_chunk(&task.as_task(), ws)) as _
-                })
-                .collect();
-        let pending = self.exec.submit_group(tasks);
+        let chunk_walkers = chunk_bounds(walkers.len(), chunks).map(|r| walkers[r].to_vec());
+        let pending = self.submit_chunks(task, chunk_walkers);
         Some(Speculation {
             walkers,
             chunks,
             pending,
         })
+    }
+
+    /// Fan one kernel out over the pool: one chunk-step task per walker
+    /// vector, outputs collected in submission order.
+    fn submit_chunks(
+        &self,
+        task: kernel::KernelTask,
+        chunk_walkers: impl Iterator<Item = Vec<Walker>>,
+    ) -> PendingGroup<kernel::ChunkOutput> {
+        let task = Arc::new(task);
+        self.exec.submit_group(
+            chunk_walkers
+                .map(|ws| {
+                    let task = Arc::clone(&task);
+                    Box::new(move || kernel::step_chunk(&task, ws)) as _
+                })
+                .collect(),
+        )
     }
 
     /// Evict one queued walk batch to the host to free a block for
@@ -1953,56 +1945,54 @@ impl LightTraffic {
     ) -> SteppedBatch {
         debug_assert_eq!(batch.partition(), part);
         let chunks = kernel::plan_chunks(batch.len(), self.kernel_threads);
-        let reads_prev = self.alg.reads_prev_neighbors();
-        // Zero copy over an out-of-core store or an evolving graph has no
-        // RAM CSR to read — gather the partition blocks this batch can
-        // read instead (out of core, the fetches go through the host
-        // decode cache and are charged to the host tier like any other
-        // decode).
-        let block_view = (use_zc && self.pg.ram_csr().is_none())
-            .then(|| self.build_block_view(part, batch.walkers(), reads_prev));
+        let task = self.kernel_task(part, batch.walkers(), use_zc);
         let wall = Instant::now();
-        let outputs: Vec<kernel::ChunkOutput> = {
-            let task = kernel::KernelTask {
-                view: match (use_zc, block_view.as_ref()) {
-                    (true, Some(h)) => GraphView::Blocks(h),
-                    (true, None) => {
-                        GraphView::Host(self.pg.ram_csr().expect("no block view: RAM CSR"))
-                    }
-                    (false, _) => {
-                        GraphView::Resident(self.graph_pool.get(part).expect("graph resident"))
-                    }
-                },
-                alg: self.alg.as_ref(),
-                reads_prev,
-                seed: self.cfg.seed,
-                num_vertices: self.pg.num_vertices(),
-                range: self.pg.vertex_range(part),
-                // Tag attribution needs the per-step visit events even
-                // when no algorithm-level visit buffer exists.
-                track_visits: self.visit_counts.is_some() || self.cfg.track_tags,
-                track_paths: self.paths.is_some(),
-                track_tags: self.cfg.track_tags,
-                scratch: Some(&*self.scratch),
-            };
-            if chunks <= 1 {
-                vec![kernel::step_chunk(&task, batch.drain())]
-            } else {
-                let tasks: Vec<Box<dyn FnOnce() -> kernel::ChunkOutput + Send + '_>> = batch
-                    .drain_chunks(chunks)
-                    .into_iter()
-                    .map(|ws| {
-                        let task = &task;
-                        Box::new(move || kernel::step_chunk(task, ws)) as _
-                    })
-                    .collect();
-                self.exec.run_ordered(tasks)
-            }
+        let outputs = if chunks <= 1 {
+            vec![kernel::step_chunk(&task, batch.drain())]
+        } else {
+            self.submit_chunks(task, batch.drain_chunks(chunks).into_iter())
+                .wait()
         };
         SteppedBatch {
             chunks,
             outputs,
             wall_ns: wall.elapsed().as_nanos() as u64,
+        }
+    }
+
+    /// The inputs of one kernel over `walkers` of partition `part`, the
+    /// same for a step after the acquire and a speculative one before it.
+    /// Zero copy over an out-of-core store or an evolving graph has no RAM
+    /// CSR to read and gathers the partition blocks these walkers can read
+    /// instead (out of core, the fetches go through the host decode cache
+    /// and are charged to the host tier like any other decode).
+    fn kernel_task(
+        &mut self,
+        part: PartitionId,
+        walkers: &[Walker],
+        use_zc: bool,
+    ) -> kernel::KernelTask {
+        let reads_prev = self.alg.reads_prev_neighbors();
+        let view = if !use_zc {
+            GraphView::Resident(self.graph_pool.get_arc(part).expect("graph resident"))
+        } else if let Some(g) = self.pg.ram_csr() {
+            GraphView::Host(Arc::clone(g))
+        } else {
+            GraphView::Blocks(self.build_block_view(part, walkers, reads_prev))
+        };
+        kernel::KernelTask {
+            view,
+            alg: Arc::clone(&self.alg),
+            reads_prev,
+            seed: self.cfg.seed,
+            num_vertices: self.pg.num_vertices(),
+            range: self.pg.vertex_range(part),
+            // Tag attribution needs the per-step visit events even when
+            // no algorithm-level visit buffer exists.
+            track_visits: self.visit_counts.is_some() || self.cfg.track_tags,
+            track_paths: self.paths.is_some(),
+            track_tags: self.cfg.track_tags,
+            scratch: Some(Arc::clone(&self.scratch)),
         }
     }
 

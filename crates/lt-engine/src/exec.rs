@@ -1,8 +1,8 @@
 //! Persistent deterministic host executor.
 //!
 //! Every parallel host-side phase (kernel chunks, out-of-core decode,
-//! speculative stepping) runs on one long-lived worker pool per engine — the hot path never spawns a
-//! thread.  Workers park on a condvar, tasks carry their submission
+//! speculative stepping) runs on one long-lived worker pool per engine —
+//! the hot path never spawns a thread.  Workers park on a condvar, tasks carry their submission
 //! index, and the ordered-join primitives ([`ExecPool::run_ordered`],
 //! [`ExecPool::submit_group`]) collect outputs in submission order, so
 //! merged results are bit-identical to serial execution (see DESIGN.md
@@ -13,11 +13,14 @@
 //! - [`ExecPool::run_ordered`] accepts *borrowing* closures (like
 //!   `thread::scope`): it blocks until every task of the group has
 //!   finished before returning, which is exactly what makes lending
-//!   stack references to the pool sound.
+//!   stack references to the pool sound. The out-of-core decode lends
+//!   disjoint `&mut` slices of one partition through it; the kernel no
+//!   longer borrows anything.
 //! - [`ExecPool::submit_group`] accepts `'static` (owning) closures and
-//!   returns a [`PendingGroup`] handle immediately — the primitive the
-//!   engine's speculative drain uses to step batch *b+1* while the
-//!   scheduler thread is still merging batch *b*.
+//!   returns a [`PendingGroup`] handle immediately. Every kernel fan-out
+//!   goes through it: a step after the acquire waits on the group at
+//!   once, the speculative drain steps batch *b+1* while the scheduler
+//!   thread is still merging batch *b*.
 //!
 //! While a caller waits on a group it *helps*: it pops queued jobs and
 //! runs them on its own thread (counted as `caller_tasks` in

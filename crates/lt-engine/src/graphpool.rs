@@ -76,13 +76,8 @@ impl DeviceGraphPool {
         self.resident[p as usize].is_some()
     }
 
-    /// Borrow the resident copy of partition `p`.
-    pub fn get(&self, p: PartitionId) -> Option<&PartitionData> {
-        self.resident[p as usize].map(|id| &**self.pool.get(id))
-    }
-
-    /// Clone the owned handle to the resident copy of partition `p` (for
-    /// speculative kernel tasks that outlive the current borrow scope).
+    /// Clone the owned handle to the resident copy of partition `p` (a
+    /// kernel task owns what it reads, see [`crate::kernel`]).
     pub fn get_arc(&self, p: PartitionId) -> Option<Arc<PartitionData>> {
         self.resident[p as usize].map(|id| Arc::clone(self.pool.get(id)))
     }
@@ -254,9 +249,9 @@ mod tests {
         let (gpu, pg) = setup();
         let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
         pool.insert(part(&pg, 1), GraphEviction::Fifo, &|_| 0, 1);
-        let d = pool.get(1).unwrap();
+        let d = pool.get_arc(1).unwrap();
         assert_eq!(d.id, 1);
         assert_eq!(*d, pg.extract(1));
-        assert!(pool.get(0).is_none());
+        assert!(pool.get_arc(0).is_none());
     }
 }

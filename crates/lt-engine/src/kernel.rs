@@ -31,15 +31,17 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Where a kernel reads its graph data from: the CSR or partition blocks,
-/// nothing else.
-pub(crate) enum GraphView<'a> {
+/// nothing else. The view owns its handles, so one task serves a step on
+/// the scheduler thread and a speculative one on the workers. `Host` and
+/// `Resident` differ in second-order context availability.
+pub(crate) enum GraphView {
     /// The partition is resident in the graph pool.
-    Resident(&'a PartitionData),
+    Resident(Arc<PartitionData>),
     /// Zero copy: read the host CSR directly.
-    Host(&'a Csr),
+    Host(Arc<Csr>),
     /// Zero copy where no host CSR exists — an out-of-core store or an
     /// evolving graph: read host-side partition blocks directly.
-    Blocks(&'a HostBlockView),
+    Blocks(HostBlockView),
 }
 
 /// The host-side graph view for zero-copy kernels over a graph held as
@@ -53,8 +55,7 @@ pub(crate) enum GraphView<'a> {
 /// partition). A lookup outside the view then only comes from a
 /// [`crate::JobTable`] mixing a second-order job with a temporal one — a
 /// clock in `aux` aliasing a vertex id — and returns `None`, which
-/// temporal walks never read. The view owns its `Arc`s, so the same type
-/// serves a borrowed kernel task and a speculative one.
+/// temporal walks never read.
 pub(crate) struct HostBlockView {
     /// Covered partitions, sorted by vertex range, pairwise disjoint.
     parts: Vec<Arc<PartitionData>>,
@@ -87,7 +88,7 @@ impl HostBlockView {
     }
 }
 
-impl GraphView<'_> {
+impl GraphView {
     #[inline]
     pub(crate) fn neighbors(&self, v: VertexId) -> (&[VertexId], Option<&[f32]>, Option<&[u32]>) {
         match self {
@@ -276,12 +277,13 @@ impl ScratchPool {
 }
 
 /// Shared read-only inputs of one kernel invocation; every chunk of the
-/// batch steps against the same task from its worker thread.
-pub(crate) struct KernelTask<'a> {
+/// batch steps against the same task, inline or from a worker thread
+/// (behind an `Arc`: the task owns everything it reads).
+pub(crate) struct KernelTask {
     /// Where graph data is read from.
-    pub view: GraphView<'a>,
+    pub view: GraphView,
     /// The walk algorithm.
-    pub alg: &'a dyn WalkAlgorithm,
+    pub alg: Arc<dyn WalkAlgorithm>,
     /// [`WalkAlgorithm::reads_prev_neighbors`], read once per batch.
     pub reads_prev: bool,
     /// RNG seed (trajectories hash `(seed, walk_id, step)`).
@@ -301,60 +303,7 @@ pub(crate) struct KernelTask<'a> {
     pub track_tags: bool,
     /// Recycled output buffers; `None` allocates fresh ones (tests,
     /// baselines).
-    pub scratch: Option<&'a ScratchPool>,
-}
-
-/// An owning (`'static`) variant of [`GraphView`], used by speculative
-/// cross-phase pipelining: workers step batch *b+1* while the scheduler
-/// thread is still merging batch *b*, so their tasks cannot borrow from
-/// the engine. The view must reproduce the borrowed view *exactly* —
-/// `Host` vs `Resident` differ in second-order context availability.
-pub(crate) enum OwnedGraphView {
-    /// The partition is resident in the graph pool.
-    Resident(Arc<PartitionData>),
-    /// Zero copy: read the host CSR directly.
-    Host(Arc<Csr>),
-    /// Zero copy over an evolving graph's block table. Built from the
-    /// *predicted* walkers, so it covers every partition their `aux` can
-    /// name — the second-order context `Host` serves from the whole CSR.
-    Blocks(HostBlockView),
-}
-
-/// Owning variant of [`KernelTask`] for speculative stepping; borrow a
-/// per-chunk [`KernelTask`] from it with [`OwnedKernelTask::as_task`] so
-/// the stepping core ([`step_chunk`]) stays single-sourced.
-pub(crate) struct OwnedKernelTask {
-    pub view: OwnedGraphView,
-    pub alg: Arc<dyn WalkAlgorithm>,
-    pub reads_prev: bool,
-    pub seed: u64,
-    pub num_vertices: u64,
-    pub range: Range<VertexId>,
-    pub track_visits: bool,
-    pub track_paths: bool,
-    pub track_tags: bool,
     pub scratch: Option<Arc<ScratchPool>>,
-}
-
-impl OwnedKernelTask {
-    pub(crate) fn as_task(&self) -> KernelTask<'_> {
-        KernelTask {
-            view: match &self.view {
-                OwnedGraphView::Resident(d) => GraphView::Resident(d),
-                OwnedGraphView::Host(g) => GraphView::Host(g),
-                OwnedGraphView::Blocks(h) => GraphView::Blocks(h),
-            },
-            alg: self.alg.as_ref(),
-            reads_prev: self.reads_prev,
-            seed: self.seed,
-            num_vertices: self.num_vertices,
-            range: self.range.clone(),
-            track_visits: self.track_visits,
-            track_paths: self.track_paths,
-            track_tags: self.track_tags,
-            scratch: self.scratch.as_deref(),
-        }
-    }
 }
 
 /// Step every walker of one chunk, one at a time and each to its exit:
@@ -370,15 +319,18 @@ impl OwnedKernelTask {
 /// walker stays resident long enough to prefetch its next lookup, and an
 /// out-of-memory engine at ~50 partitions sees 98 % of all steps leave
 /// the partition — one step per residency (measured, DESIGN.md §12).
-pub(crate) fn step_chunk(task: &KernelTask<'_>, walkers: Vec<Walker>) -> ChunkOutput {
-    let mut out = match task.scratch {
+pub(crate) fn step_chunk(task: &KernelTask, walkers: Vec<Walker>) -> ChunkOutput {
+    let mut out = match &task.scratch {
         Some(s) => s.take(walkers.len(), task.track_visits, task.track_paths),
         None => ChunkOutput::with_capacity(walkers.len(), task.track_visits, task.track_paths),
     };
+    // Bound once per chunk: going through the `Arc<dyn _>` at every step
+    // measured 2-10 % slower on DeepWalk.
+    let alg: &dyn WalkAlgorithm = &*task.alg;
     for mut w in walkers {
         debug_assert!(task.range.contains(&w.vertex), "batch invariant violated");
         loop {
-            let d = step_once(task, &w);
+            let d = step_once(task, alg, &w);
             match d {
                 StepDecision::Terminate => {
                     out.finished += 1;
@@ -418,7 +370,7 @@ pub(crate) fn step_chunk(task: &KernelTask<'_>, walkers: Vec<Walker>) -> ChunkOu
 /// it (always via zero copy; only in-partition when resident — the
 /// asymmetry second-order systems accept).
 #[inline]
-fn step_once(task: &KernelTask<'_>, w: &Walker) -> StepDecision {
+fn step_once(task: &KernelTask, alg: &dyn WalkAlgorithm, w: &Walker) -> StepDecision {
     let (neighbors, weights, timestamps) = task.view.neighbors(w.vertex);
     // The bounds guard is for a `JobTable` mixing a second-order job with
     // a temporal one: `reads_prev` then holds for the whole batch, and a
@@ -439,7 +391,7 @@ fn step_once(task: &KernelTask<'_>, w: &Walker) -> StepDecision {
         timestamps,
         num_vertices: task.num_vertices,
     };
-    task.alg.step(w, ctx, task.seed)
+    alg.step(w, ctx, task.seed)
 }
 
 /// Apply a move decision to a walker: remember the previous vertex for
@@ -502,12 +454,12 @@ mod tests {
     #[test]
     fn chunked_equals_sequential() {
         let g = Arc::new(erdos_renyi(512, 4096, 3).csr);
-        let alg = UniformSampling::new(9);
+        let alg = Arc::new(UniformSampling::new(9));
         let nv = g.num_vertices();
         let walkers: Vec<Walker> = (0..300).map(|i| Walker::new(i, (i % 512) as u32)).collect();
         let task = KernelTask {
-            view: GraphView::Host(&g),
-            alg: &alg,
+            view: GraphView::Host(g.clone()),
+            alg,
             reads_prev: false,
             seed: 7,
             num_vertices: nv,
@@ -555,11 +507,11 @@ mod tests {
     #[test]
     fn movers_keep_stepping_order_within_chunk() {
         let g = Arc::new(erdos_renyi(256, 4096, 5).csr);
-        let alg = UniformSampling::new(20);
+        let alg = Arc::new(UniformSampling::new(20));
         let walkers: Vec<Walker> = (0..200).map(|i| Walker::new(i, (i % 128) as u32)).collect();
         let task = KernelTask {
-            view: GraphView::Host(&g),
-            alg: &alg,
+            view: GraphView::Host(g.clone()),
+            alg,
             reads_prev: false,
             seed: 1,
             num_vertices: g.num_vertices(),
@@ -600,13 +552,12 @@ mod tests {
         assert!((256..512).contains(&long_rows), "{long_rows} long rows");
         let pg = PartitionedGraph::build(g.clone(), u64::MAX);
         let block = Arc::new(pg.extract(0));
-        let blocks = HostBlockView::new(vec![block.clone()]);
-        let alg = TemporalWalk::new(40, 6);
+        let alg = Arc::new(TemporalWalk::new(40, 6));
         let walkers: Vec<Walker> = (0..500).map(|i| Walker::new(i, (i % 512) as u32)).collect();
         let run = |view| {
             let task = KernelTask {
                 view,
-                alg: &alg,
+                alg: alg.clone(),
                 reads_prev: false,
                 seed: 9,
                 num_vertices: 512,
@@ -619,22 +570,25 @@ mod tests {
             let o = step_chunk(&task, walkers.clone());
             (o.steps, o.visits, o.lengths)
         };
-        let host = run(GraphView::Host(&g));
+        let host = run(GraphView::Host(g.clone()));
         assert!(host.0 > 2_000, "walks must actually move: {} steps", host.0);
-        assert_eq!(run(GraphView::Resident(&block)), host);
-        assert_eq!(run(GraphView::Blocks(&blocks)), host);
+        assert_eq!(run(GraphView::Resident(block.clone())), host);
+        assert_eq!(
+            run(GraphView::Blocks(HostBlockView::new(vec![block]))),
+            host
+        );
     }
 
     /// Recycled scratch buffers must not leak state between rounds.
     #[test]
     fn scratch_pool_recycling_is_transparent() {
         let g = Arc::new(erdos_renyi(256, 4096, 7).csr);
-        let alg = UniformSampling::new(12);
-        let pool = ScratchPool::new();
+        let alg = Arc::new(UniformSampling::new(12));
+        let pool = Arc::new(ScratchPool::new());
         let walkers: Vec<Walker> = (0..150).map(|i| Walker::new(i, (i % 128) as u32)).collect();
         let mk_task = |scratch| KernelTask {
-            view: GraphView::Host(&g),
-            alg: &alg,
+            view: GraphView::Host(g.clone()),
+            alg: alg.clone(),
             reads_prev: false,
             seed: 5,
             num_vertices: g.num_vertices(),
@@ -650,7 +604,7 @@ mod tests {
         let dirty: Vec<Walker> = (500..700)
             .map(|i| Walker::new(i, (i % 100) as u32))
             .collect();
-        let task = mk_task(Some(&pool));
+        let task = mk_task(Some(pool.clone()));
         let o = step_chunk(&task, dirty);
         pool.put(o);
         let recycled = step_chunk(&task, walkers);
