@@ -56,26 +56,6 @@ impl ZeroCopyPolicy {
     }
 }
 
-/// Which resident graph partitions an epoch seal re-copies to the device
-/// after applying buffered edge mutations ([`LightTraffic::seal_epoch`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReloadPolicy {
-    /// Re-copy only resident partitions whose vertices changed this epoch
-    /// — the evolving-graph extension of the paper's traffic thesis: at
-    /// low mutation rates the reload traffic is a small fraction of
-    /// refreshing the whole residency set.
-    #[default]
-    DirtyOnly,
-    /// Re-copy every resident partition on every seal. The naive baseline:
-    /// same walk output, never cheaper than [`ReloadPolicy::DirtyOnly`].
-    FullRefresh,
-}
-
-/// Speculation outcomes observed before the per-drain speculation gate
-/// ([`LightTraffic::drain_partition`]) trusts the hit/miss rate: below
-/// this sample size speculation keeps the benefit of the doubt.
-const SPEC_DECIDE_MIN: u64 = 16;
-
 /// Engine configuration. Start from [`EngineConfig::baseline`] or
 /// [`EngineConfig::light_traffic`] and override fields.
 #[derive(Clone, Debug)]
@@ -152,9 +132,6 @@ pub struct EngineConfig {
     /// it never feeds back into scheduling or the simulated timeline.
     /// Off by default — disabled runs pay one `Option` check per copy.
     pub attribution: bool,
-    /// Which resident graph partitions [`LightTraffic::seal_epoch`]
-    /// re-copies to the device after applying buffered edge mutations.
-    pub reload_policy: ReloadPolicy,
     /// Decoded-partition slots in the host decode cache used when the
     /// graph store is out-of-core ([`lt_graph::GraphStore::OutOfCore`]).
     /// `0` derives `max(2, 2 × graph_pool_blocks)` (clamped to the
@@ -185,7 +162,6 @@ impl EngineConfig {
             kernel_threads: 0,
             track_tags: false,
             attribution: false,
-            reload_policy: ReloadPolicy::default(),
             host_cache_partitions: 0,
             checkpoint_every: None,
             copy_retries: 3,
@@ -260,8 +236,7 @@ pub struct EpochSummary {
     pub dirty_vertices: u64,
     /// Partitions containing at least one dirty vertex.
     pub dirty_partitions: u64,
-    /// Resident partitions re-copied to the device (per
-    /// [`EngineConfig::reload_policy`]).
+    /// Resident partitions re-copied to the device: the dirty ones.
     pub reloaded_partitions: u64,
     /// Bytes those re-copies moved over the link (charged as
     /// [`lt_gpusim::Category::GraphReload`] /
@@ -706,19 +681,16 @@ impl LightTraffic {
 
     /// The speculation gate, evaluated once per drain of partition `i`:
     /// speculate unless the first batch plans a single chunk (it steps
-    /// inline, where speculation only adds validation overhead) or the
-    /// observed history is miss-dominated after [`SPEC_DECIDE_MIN`]
-    /// outcomes. `kernel_threads: 1` always plans one chunk, so it never
-    /// speculates. The gate reads only schedule-deterministic state and
-    /// — like every speculation outcome — can only change host
-    /// wall-clock, so it emits no event; flips are counted in
-    /// [`Metrics::host_strategy_switches`].
+    /// inline, where speculation only adds validation overhead).
+    /// `kernel_threads: 1` always plans one chunk, so it never speculates.
+    /// There is no miss-rate term: a prediction cannot miss (DESIGN.md
+    /// §11, pinned by `tests/exec_pool.rs`). The gate reads only
+    /// schedule-deterministic state and — like every speculation outcome —
+    /// can only change host wall-clock, so it emits no event; flips are
+    /// counted in [`Metrics::host_strategy_switches`].
     fn speculation_gate(&mut self, i: PartitionId) -> bool {
         let walkers = (self.walks_in(i) as usize).min(self.cfg.batch_capacity);
-        let m = &self.metrics;
-        let miss_dominated = m.host_spec_hits + m.host_spec_misses >= SPEC_DECIDE_MIN
-            && m.host_spec_misses > m.host_spec_hits;
-        let speculate = kernel::plan_chunks(walkers, self.kernel_threads) > 1 && !miss_dominated;
+        let speculate = kernel::plan_chunks(walkers, self.kernel_threads) > 1;
         if self
             .last_drain_speculated
             .is_some_and(|last| last != speculate)
@@ -943,11 +915,13 @@ impl LightTraffic {
     /// invalidate affected device state: the delta layer rebuilds the
     /// blocks of the dirty partitions (the partition boundaries are
     /// *frozen*, so walker→partition routing never changes), the
-    /// partition table takes their new sizes, and resident partitions are
-    /// refreshed per [`EngineConfig::reload_policy`] — handed the sealed
-    /// block, charged on the simulated link as [`Category::GraphReload`]
-    /// and attributed in the traffic ledger under
-    /// [`TrafficDirection::Reload`]. Clean partitions are not visited.
+    /// partition table takes their new sizes, and the resident partitions
+    /// among them are refreshed — handed the sealed block, charged on the
+    /// simulated link as [`Category::GraphReload`] and attributed in the
+    /// traffic ledger under [`TrafficDirection::Reload`]. At low mutation
+    /// rates that is a small fraction of the residency set (the
+    /// evolving-graph extension of the paper's traffic thesis). Clean
+    /// partitions are not visited.
     ///
     /// Call this only *between* [`Self::run_at_most`] slices — the epoch
     /// barrier. Sealing with nothing buffered still advances the epoch
@@ -995,10 +969,7 @@ impl LightTraffic {
             let refresh: Vec<Arc<PartitionData>> = self
                 .graph_pool
                 .resident_partitions()
-                .filter(|p| match self.cfg.reload_policy {
-                    ReloadPolicy::DirtyOnly => seal.dirty_partitions.binary_search(p).is_ok(),
-                    ReloadPolicy::FullRefresh => true,
-                })
+                .filter(|p| seal.dirty_partitions.binary_search(p).is_ok())
                 .map(|p| Arc::clone(delta.block(p)))
                 .collect();
             for data in refresh {
@@ -1784,9 +1755,10 @@ impl LightTraffic {
     /// same order the acquire reads them. The intervening reshuffle can
     /// only *shrink* partition `i`'s device queue — movers never target
     /// the draining partition, and evictions pop the queue *back* while
-    /// re-parking batches on the host-queue *front* — so the peeked head
-    /// is what the acquire returns in every ordinary schedule; when a
-    /// rare eviction cascade changes it, validation catches the mismatch.
+    /// re-parking batches on the host-queue *front* — and the pool never
+    /// evicts from `i` between the peek and the acquire (DESIGN.md §11),
+    /// so the peeked head is what the acquire returns. Validation stays
+    /// as the guard that keeps correctness independent of that argument.
     fn predict_next_walkers(&self, i: PartitionId) -> Option<&[Walker]> {
         if self.host_pool.head_batch(i).is_some() {
             // The host branch loads the host batch into the device queue

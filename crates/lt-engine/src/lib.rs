@@ -71,7 +71,7 @@ pub use algorithm::{PageRank, Ppr, UniformSampling, WalkAlgorithm};
 pub use alias::{AliasTable, AliasWeightedWalk};
 pub use checkpoint::Checkpoint;
 pub use engine::{
-    EngineConfig, EngineError, EpochSummary, LightTraffic, ReloadPolicy, RunStatus, ZeroCopyPolicy,
+    EngineConfig, EngineError, EpochSummary, LightTraffic, RunStatus, ZeroCopyPolicy,
 };
 pub use exec::{ExecPool, ExecStats};
 pub use graphpool::GraphEviction;

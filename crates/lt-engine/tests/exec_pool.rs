@@ -3,9 +3,9 @@
 //! without retryable fault injection, pooled kernels and validated
 //! speculation must reproduce the `kernel_threads: 1` run — inline
 //! stepping, no speculation — **bit for bit**: metrics, recorded paths,
-//! and the full simulated device breakdown. A stress test additionally reuses one engine (and therefore
-//! one pool) across many `run` calls, the long-lived usage the pool
-//! exists for. The speculation miss path cannot be reached from a run
+//! and the full simulated device breakdown. A stress test additionally
+//! reuses one engine (and therefore one pool) across many `run` calls,
+//! the long-lived usage the pool exists for. The speculation miss path cannot be reached from a run
 //! (DESIGN.md §11 has the argument; the `engine.rs` unit test drives it
 //! directly), so every battery here asserts `host_spec_misses == 0`.
 
@@ -13,7 +13,7 @@ use lt_engine::algorithm::{PageRank, UniformSampling};
 use lt_engine::{EngineConfig, LightTraffic, RunResult};
 use lt_gpusim::{FaultPlan, GpuConfig};
 use lt_graph::gen::{rmat, RmatParams};
-use lt_graph::Csr;
+use lt_graph::{Csr, PartitionedGraph};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -77,27 +77,49 @@ proptest! {
     }
 }
 
-/// The tightest pool that still speculates: the `2P + 1` floor, where every
-/// promotion evicts, with two-chunk batches. No eviction may take the
-/// batch a speculation predicted.
+/// The tightest pools that still speculate: the `2P + 1` floor (where
+/// every promotion evicts) and one and two blocks above it, small
+/// batches, either eviction policy. No eviction may take the batch a
+/// speculation predicted (DESIGN.md §11 has the argument; this is the
+/// sweep that found no counterexample), and the run equals the
+/// `kernel_threads: 1` one.
 #[test]
-fn speculation_never_misses_at_the_pool_floor() {
+fn speculation_never_misses_in_tight_pools() {
     for graph_seed in [3, 7, 11] {
         let g = graph(graph_seed);
-        let cfg = EngineConfig {
-            batch_capacity: 128,
-            walk_pool_blocks: Some(0),
-            ..config(4, None)
-        };
-        let mut e = LightTraffic::new(g.clone(), Arc::new(UniformSampling::new(8)), cfg)
-            .expect("pools fit");
-        let m = e.run(20_000).expect("run completes").metrics;
-        assert!(m.walk_batches_evicted > 0, "the floor must bite");
-        assert!(
-            m.host_spec_hits > 0,
-            "graph seed {graph_seed} never speculated"
-        );
-        assert_eq!(m.host_spec_misses, 0, "graph seed {graph_seed}");
+        let p = PartitionedGraph::build(g.clone(), 8 << 10).num_partitions() as usize;
+        for walk_pool_blocks in [0, 2 * p + 2, 2 * p + 3] {
+            for batch_capacity in [96, 128] {
+                for selective in [false, true] {
+                    let run = |kernel_threads| {
+                        let cfg = EngineConfig {
+                            batch_capacity,
+                            walk_pool_blocks: Some(walk_pool_blocks),
+                            selective,
+                            ..config(kernel_threads, None)
+                        };
+                        LightTraffic::new(g.clone(), Arc::new(UniformSampling::new(8)), cfg)
+                            .expect("pools fit")
+                            .run(20_000)
+                            .expect("run completes")
+                    };
+                    let case = format!(
+                        "graph seed {graph_seed}, {walk_pool_blocks} blocks, \
+                         batch {batch_capacity}, selective {selective}"
+                    );
+                    let pooled = run(4);
+                    let m = &pooled.metrics;
+                    assert!(m.walk_batches_evicted > 0, "{case}: the pool must bite");
+                    assert!(m.host_spec_hits > 0, "{case}: never speculated");
+                    assert_eq!(m.host_spec_misses, 0, "{case}");
+                    assert_eq!(
+                        pooled.deterministic_fingerprint(),
+                        run(1).deterministic_fingerprint(),
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -2,7 +2,9 @@
 //! masked, the structured event stream of a run is *bit-identical* across
 //! host thread counts — engine events are emitted only from the driver
 //! thread and stamped with the simulated clock, and device events are
-//! sequenced under the device mutex in enqueue order.
+//! sequenced under the device mutex in enqueue order. And the bus only
+//! observes: a run with it enabled has the deterministic fingerprint of
+//! the same run with it disabled.
 
 use lt_engine::algorithm::PageRank;
 use lt_engine::{EngineConfig, EventBus, Level, LightTraffic};
@@ -11,9 +13,9 @@ use lt_telemetry::event::deterministic_jsonl;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Run `walks` PageRank walks with full telemetry and return the
-/// host-masked JSONL event stream.
-fn event_stream(graph_seed: u64, walks: u64, kernel_threads: usize) -> String {
+/// Run `walks` PageRank walks on `bus` and return the run's deterministic
+/// fingerprint.
+fn run_on(bus: EventBus, graph_seed: u64, walks: u64, kernel_threads: usize) -> String {
     let g = Arc::new(
         rmat(RmatParams {
             scale: 10,
@@ -23,8 +25,6 @@ fn event_stream(graph_seed: u64, walks: u64, kernel_threads: usize) -> String {
         })
         .csr,
     );
-    let bus = EventBus::new(Level::Debug);
-    let ring = bus.ring(1 << 16).expect("bus is enabled");
     let cfg = EngineConfig {
         batch_capacity: 256,
         kernel_threads,
@@ -37,9 +37,17 @@ fn event_stream(graph_seed: u64, walks: u64, kernel_threads: usize) -> String {
     };
     let mut s = LightTraffic::session(g, Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
     s.inject_walks(walks);
-    let _ = s.finish().unwrap();
+    s.finish().unwrap().deterministic_fingerprint()
+}
+
+/// [`run_on`] with full telemetry: the host-masked JSONL event stream and
+/// the run's fingerprint.
+fn event_stream(graph_seed: u64, walks: u64, kernel_threads: usize) -> (String, String) {
+    let bus = EventBus::new(Level::Debug);
+    let ring = bus.ring(1 << 16).expect("bus is enabled");
+    let fingerprint = run_on(bus, graph_seed, walks, kernel_threads);
     assert_eq!(ring.dropped(), 0, "ring must hold the whole stream");
-    deterministic_jsonl(&ring.snapshot())
+    (deterministic_jsonl(&ring.snapshot()), fingerprint)
 }
 
 proptest! {
@@ -50,12 +58,17 @@ proptest! {
         graph_seed in 1u64..100,
         walks in 500u64..2_000,
     ) {
-        let seq = event_stream(graph_seed, walks, 1);
-        let par = event_stream(graph_seed, walks, 4);
+        let (seq, observed) = event_stream(graph_seed, walks, 1);
+        let (par, _) = event_stream(graph_seed, walks, 4);
         prop_assert!(!seq.is_empty(), "an enabled bus must observe events");
         prop_assert!(seq.contains("\"name\":\"iteration\""));
         prop_assert!(seq.contains("\"name\":\"run_complete\""));
         prop_assert_eq!(seq, par);
+        prop_assert_eq!(
+            observed,
+            run_on(EventBus::disabled(), graph_seed, walks, 1),
+            "telemetry changed the run"
+        );
     }
 }
 

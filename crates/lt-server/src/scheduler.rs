@@ -535,9 +535,8 @@ impl Scheduler {
     /// loop executes commands between pump rounds, which are exactly the
     /// scheduler-iteration barriers where mutation visibility is
     /// deterministic: walks in flight simply observe the new adjacency
-    /// from their next step on. Stale resident partitions are re-copied
-    /// under the session's [`lt_engine::ReloadPolicy`], and the returned
-    /// summary carries the epoch, the update counts, and the reload
+    /// from their next step on. Stale resident partitions are re-copied,
+    /// and the returned summary carries the epoch, the update counts, and the reload
     /// traffic the seal charged.
     pub fn mutate(
         &mut self,

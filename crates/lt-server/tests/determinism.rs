@@ -236,6 +236,51 @@ fn results_are_invariant_to_pump_granularity() {
     }
 }
 
+/// Attribution observes and never steers (DESIGN.md §14): four tenants'
+/// jobs served with the traffic ledger on and off give equal per-job
+/// results and an equal device — every `lt_gpu_*` series (bytes, ops,
+/// busy time, makespan).
+#[test]
+fn attribution_changes_no_result_and_no_device_counter() {
+    let jobs: Vec<ArbJob> = (0..4u64)
+        .map(|i| ArbJob {
+            node2vec: i % 2 == 1,
+            walks: 400 + 50 * i,
+            max_length: 8,
+            seed: 20 + i,
+        })
+        .collect();
+    let run = |attribution: bool| {
+        let mut cfg = server_config(4, false);
+        cfg.engine.attribution = attribution;
+        let mut sched = Scheduler::new(graph(), cfg).unwrap();
+        let ids: Vec<_> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| sched.submit(&format!("tenant-{i}"), j.spec()).unwrap().0)
+            .collect();
+        sched.run_until_idle().unwrap();
+        assert_eq!(sched.traffic_report(4).is_some(), attribution);
+        let results: Vec<_> = ids
+            .iter()
+            .map(|&id| sched.result(id).unwrap().clone())
+            .collect();
+        let device: Vec<String> = sched
+            .telemetry()
+            .prometheus()
+            .lines()
+            .filter(|l| l.starts_with("lt_gpu_"))
+            .map(String::from)
+            .collect();
+        (results, device)
+    };
+    let (on, on_device) = run(true);
+    let (off, off_device) = run(false);
+    assert!(on_device.iter().any(|l| l.contains("makespan")));
+    assert_eq!(on, off, "attribution changed a job's result");
+    assert_eq!(on_device, off_device, "attribution changed the device");
+}
+
 /// The proptest jobs above are too small to fan a batch out, so their
 /// drains never speculate. This one is big enough: at `kernel_threads: 4`
 /// the engine must use speculations, at `kernel_threads: 1` none, and the

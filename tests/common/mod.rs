@@ -10,7 +10,7 @@
 //! uses a different subset of it.
 #![allow(dead_code)]
 
-use lighttraffic::engine::{EdgeUpdate, EngineConfig, ReloadPolicy, ReshuffleMode, ZeroCopyPolicy};
+use lighttraffic::engine::{EdgeUpdate, EngineConfig, ReshuffleMode, ZeroCopyPolicy};
 use lighttraffic::gpusim::GpuConfig;
 use lighttraffic::graph::builder::GraphBuilder;
 use lighttraffic::graph::gen::{erdos_renyi, rmat, RmatParams};
@@ -220,7 +220,6 @@ pub fn to_engine_config(c: &ArbConfig, g: &Arc<Csr>) -> EngineConfig {
         // §14), so every fingerprint comparison in these sweeps doubles
         // as proof that tracing perturbs nothing.
         attribution: true,
-        reload_policy: ReloadPolicy::default(),
         host_cache_partitions: 0,
         checkpoint_every: None,
         copy_retries: 3,
