@@ -1801,6 +1801,8 @@ impl LightTraffic {
         if use_zc && self.host_cache.is_some() {
             return None;
         }
+        // An explicit-copy drain whose partition is no longer resident has
+        // nothing to step against.
         if !use_zc && !self.graph_pool.contains(i) {
             return None;
         }

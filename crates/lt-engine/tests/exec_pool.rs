@@ -5,9 +5,10 @@
 //! stepping, no speculation — **bit for bit**: metrics, recorded paths,
 //! and the full simulated device breakdown. A stress test additionally
 //! reuses one engine (and therefore one pool) across many `run` calls,
-//! the long-lived usage the pool exists for. The speculation miss path cannot be reached from a run
-//! (DESIGN.md §11 has the argument; the `engine.rs` unit test drives it
-//! directly), so every battery here asserts `host_spec_misses == 0`.
+//! the long-lived usage the pool exists for. The speculation miss path
+//! cannot be reached from a run (DESIGN.md §11 has the argument; the
+//! `engine.rs` unit test drives it directly), so every battery here
+//! asserts `host_spec_misses == 0`.
 
 use lt_engine::algorithm::{PageRank, UniformSampling};
 use lt_engine::{EngineConfig, LightTraffic, RunResult};
