@@ -117,34 +117,19 @@ impl WalkBatch {
     }
 }
 
-/// The index ranges of `chunks` contiguous runs over `len` walkers, sizes
-/// differing by at most one: chunk `k` starts at `k*base + min(k, extra)`,
-/// so the first `len % chunks` chunks carry the extra walker. This is the
-/// single source of the chunking rule: [`split_chunks`] cuts a drained
-/// batch by it and the speculative pipelining path copies a *peeked*
-/// batch by it, so a validated speculation is guaranteed to have used the
-/// exact chunking the serial path would.
-pub(crate) fn chunk_bounds(
-    len: usize,
-    chunks: usize,
-) -> impl DoubleEndedIterator<Item = std::ops::Range<usize>> + ExactSizeIterator {
-    assert!(chunks > 0, "at least one chunk");
-    let (base, extra) = (len / chunks, len % chunks);
-    let start = move |k: usize| k * base + k.min(extra);
-    (0..chunks).map(move |k| start(k)..start(k + 1))
-}
-
-/// Split a walker list into `chunks` contiguous runs in storage order by
-/// the [`chunk_bounds`] rule. Trailing chunks are empty when
-/// `chunks > len`.
+/// Split a walker list into `chunks` contiguous runs in storage order,
+/// sizes differing by at most one: chunk `k` starts at
+/// `k*base + min(k, extra)`, so the first `len % chunks` chunks carry the
+/// extra walker. Trailing chunks are empty when `chunks > len`.
 pub(crate) fn split_chunks(mut ws: Vec<Walker>, chunks: usize) -> Vec<Vec<Walker>> {
+    assert!(chunks > 0, "at least one chunk");
+    let (base, extra) = (ws.len() / chunks, ws.len() % chunks);
     // Cut tails off back to front so chunk 0 keeps the input allocation
     // (one memcpy per non-head chunk, none for the head or the inline
     // single-chunk path).
-    let mut out: Vec<Vec<Walker>> = chunk_bounds(ws.len(), chunks)
-        .skip(1)
+    let mut out: Vec<Vec<Walker>> = (1..chunks)
         .rev()
-        .map(|r| ws.split_off(r.start))
+        .map(|k| ws.split_off(k * base + k.min(extra)))
         .collect();
     out.push(ws);
     out.reverse();

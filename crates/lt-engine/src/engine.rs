@@ -15,8 +15,8 @@
 //! paper's CUDA streams do.
 
 use crate::algorithm::WalkAlgorithm;
-use crate::batch::{chunk_bounds, WalkBatch};
-use crate::exec::{ExecPool, PendingGroup};
+use crate::batch::WalkBatch;
+use crate::exec::ExecPool;
 use crate::graphpool::{DeviceGraphPool, GraphEviction};
 use crate::hostcache::{self, HostDecodeCache};
 use crate::kernel::{self, GraphView, HostBlockView};
@@ -448,20 +448,12 @@ pub struct LightTraffic {
     /// the available parallelism).
     kernel_threads: usize,
     /// Persistent host worker pool every parallel phase runs on (kernel
-    /// chunks, out-of-core decode, speculative stepping).
-    exec: Arc<ExecPool>,
-    /// Whether the previous partition drain speculated (`None` before
-    /// the first drain); a drain whose gate differs counts one
-    /// [`Metrics::host_strategy_switches`].
-    last_drain_speculated: Option<bool>,
-    /// Recycled per-chunk output buffers shared by every stepping site
-    /// (inline, pooled, speculative). Allocation cache only — outputs
-    /// are bit-identical with or without recycling.
+    /// chunks, out-of-core decode).
+    exec: ExecPool,
+    /// Recycled per-chunk output buffers shared by inline and pooled
+    /// stepping. Allocation cache only — outputs are bit-identical with
+    /// or without recycling.
     scratch: Arc<kernel::ScratchPool>,
-    /// Recycled prediction buffers for speculative stepping
-    /// ([`Self::launch_speculation`] fills one, the validation site
-    /// returns it).
-    spec_bufs: Vec<Vec<Walker>>,
     /// The reshuffle's local index (Algorithm 1): the recycled buffers
     /// [`Self::finish_kernel`] counting-sorts each kernel's movers into.
     local_index: LocalIndex,
@@ -592,7 +584,7 @@ impl LightTraffic {
         let kernel_threads = kernel::resolve_threads(cfg.kernel_threads);
         // One long-lived pool; it outlives every batch, so the hot path
         // never spawns a thread.
-        let exec = Arc::new(ExecPool::new(kernel_threads));
+        let exec = ExecPool::new(kernel_threads);
         let telemetry = gpu.telemetry();
         let ledger = cfg.attribution.then(TrafficLedger::new);
         let host_cache = pg.store().ooc().map(|ooc| {
@@ -629,9 +621,7 @@ impl LightTraffic {
             active: 0,
             kernel_threads,
             exec,
-            last_drain_speculated: None,
             scratch: Arc::new(kernel::ScratchPool::new()),
-            spec_bufs: Vec::new(),
             local_index: LocalIndex::default(),
             degraded: vec![false; p as usize],
             corrupt_loads: vec![0; p as usize],
@@ -677,28 +667,6 @@ impl LightTraffic {
     /// `lt_exec_*` series.
     pub fn exec_stats(&self) -> Option<crate::exec::ExecStats> {
         Some(self.exec.stats())
-    }
-
-    /// The speculation gate, evaluated once per drain of partition `i`:
-    /// speculate unless the first batch plans a single chunk (it steps
-    /// inline, where speculation only adds validation overhead).
-    /// `kernel_threads: 1` always plans one chunk, so it never speculates.
-    /// There is no miss-rate term: a prediction cannot miss (DESIGN.md
-    /// §11, pinned by `tests/exec_pool.rs`). The gate reads only
-    /// schedule-deterministic state and — like every speculation outcome —
-    /// can only change host wall-clock, so it emits no event; flips are
-    /// counted in [`Metrics::host_strategy_switches`].
-    fn speculation_gate(&mut self, i: PartitionId) -> bool {
-        let walkers = (self.walks_in(i) as usize).min(self.cfg.batch_capacity);
-        let speculate = kernel::plan_chunks(walkers, self.kernel_threads) > 1;
-        if self
-            .last_drain_speculated
-            .is_some_and(|last| last != speculate)
-        {
-            self.metrics.host_strategy_switches += 1;
-        }
-        self.last_drain_speculated = Some(speculate);
-        speculate
     }
 
     /// Open a [`crate::session::Session`] over `graph` — the preferred
@@ -1427,8 +1395,8 @@ impl LightTraffic {
     /// ([`EngineConfig::track_tags`]): one [`crate::job::TagDelta`] per
     /// tag that made progress, in ascending tag order. Each delta's
     /// `visits` are sorted — the visit *multiset* per tag is invariant
-    /// across `kernel_threads`, chunkings, and speculation outcomes,
-    /// but the event order is not, so the canonical form is sorted.
+    /// across `kernel_threads` and chunkings, but the event order is
+    /// not, so the canonical form is sorted.
     /// `lengths` are already emitted in the deterministic chunk-merge
     /// order and are left as-is. Empty when tags are not tracked.
     pub fn take_tag_deltas(&mut self) -> Vec<crate::job::TagDelta> {
@@ -1576,8 +1544,8 @@ impl LightTraffic {
                 .device_pool
                 .pop_queue_batch(j)
                 .expect("picked partition has a queued batch");
-            let stepped = self.step_batch(j, batch, false);
-            self.finish_kernel(j, false, stepped)?;
+            let outputs = self.step_batch(j, batch, false);
+            self.finish_kernel(j, false, outputs)?;
             self.gpu.synchronize(self.comp_stream);
             self.metrics.preemptive_batches += 1;
         }
@@ -1618,28 +1586,15 @@ impl LightTraffic {
     /// the frontier drain). Walks loaded from the host stream through the
     /// pipeline: copy on the load stream, kernel on the compute stream.
     ///
-    /// One loop: acquire → ([`Self::redeem_or_step`]: validated
-    /// speculation | [`Self::step_batch`]) → [`Self::launch_speculation`]
-    /// → [`Self::finish_kernel`]. When the drain speculates
-    /// ([`Self::speculation_gate`]), pool workers step a *clone* of the
-    /// predicted batch *b+1* while this thread merges and reshuffles
-    /// batch *b*. All walk-pool and metrics mutation stays on this
-    /// thread and the acquire is the serial sequence point, so with or
-    /// without speculation the run is bit-identical (DESIGN.md §11); with
-    /// no speculation in flight this is exactly the serial loop.
+    /// One loop: acquire → [`Self::step_batch`] → [`Self::finish_kernel`].
+    /// Only the stepping fans out over the pool; every walk-pool and
+    /// metrics mutation stays on this thread, so every `kernel_threads`
+    /// runs the same sequence of acquires and reshuffles (DESIGN.md §11).
     fn drain_partition(&mut self, i: PartitionId, use_zc: bool) -> Result<(), EngineError> {
-        let speculate = self.speculation_gate(i);
-        let mut spec: Option<Speculation> = None;
-        // On `Err`, `spec`'s Drop joins any in-flight group before we unwind.
         while let Some(batch) = self.acquire_next_batch(i)? {
-            let stepped = self.redeem_or_step(i, batch, use_zc, spec.take());
-            if speculate {
-                spec = self.launch_speculation(i, use_zc);
-            }
-            self.finish_kernel(i, use_zc, stepped)?;
+            let outputs = self.step_batch(i, batch, use_zc);
+            self.finish_kernel(i, use_zc, outputs)?;
         }
-        // Predicted another batch but the drain is over.
-        self.discard_speculation(spec);
         debug_assert_eq!(
             self.walks_in(i),
             0,
@@ -1648,65 +1603,15 @@ impl LightTraffic {
         Ok(())
     }
 
-    /// Turn the batch just acquired into a [`SteppedBatch`]: redeem `spec`
-    /// if it stepped exactly these walkers (a hit — the workers used
-    /// exactly the serial chunking, and only the join stall lands on the
-    /// host clock), otherwise join and discard it and step the batch
-    /// normally.
-    fn redeem_or_step(
-        &mut self,
-        i: PartitionId,
-        mut batch: WalkBatch,
-        use_zc: bool,
-        spec: Option<Speculation>,
-    ) -> SteppedBatch {
-        match spec {
-            Some(s) if s.walkers.as_slice() == batch.walkers() => {
-                let Speculation {
-                    walkers,
-                    chunks,
-                    pending,
-                } = s;
-                let wall = Instant::now();
-                let outputs = pending.wait();
-                self.metrics.host_spec_hits += 1;
-                self.recycle_spec_buf(walkers);
-                batch.drain(); // consumed by the speculative step
-                SteppedBatch {
-                    chunks,
-                    outputs,
-                    wall_ns: wall.elapsed().as_nanos() as u64,
-                }
-            }
-            stale => {
-                self.discard_speculation(stale);
-                self.step_batch(i, batch, use_zc)
-            }
-        }
-    }
-
-    /// Count a mispredicted speculation as a miss, join its group, and
-    /// recycle its prediction buffer.
-    fn discard_speculation(&mut self, spec: Option<Speculation>) {
-        if let Some(Speculation {
-            walkers, pending, ..
-        }) = spec
-        {
-            self.metrics.host_spec_misses += 1;
-            drop(pending); // join the stale group
-            self.recycle_spec_buf(walkers);
-        }
-    }
-
     /// Pop the next batch of partition `i` in drain order: host batches
     /// first (H2D copy on the load stream, then through the device queue),
     /// then device-resident queued batches, then the frontier remainder.
     /// `Ok(None)` means the partition is drained.
     ///
     /// This is the single sequence point where the walk pool hands
-    /// walkers to a kernel, in the same order relative to every reshuffle
-    /// whether or not a speculation is in flight, so simulated copies and
-    /// charges are issued identically either way.
+    /// walkers to a kernel, always after the previous batch's reshuffle,
+    /// so simulated copies and charges are issued identically for every
+    /// `kernel_threads`.
     fn acquire_next_batch(&mut self, i: PartitionId) -> Result<Option<WalkBatch>, EngineError> {
         if let Some(batch) = self.host_pool.pop_batch(i) {
             let rows = self.walk_rows(&batch);
@@ -1748,105 +1653,6 @@ impl LightTraffic {
             return Ok(Some(b));
         }
         Ok(self.device_pool.take_frontier(i))
-    }
-
-    /// Predict the walkers [`Self::acquire_next_batch`] will hand out
-    /// *after* the current batch's reshuffle, by peeking the pools in the
-    /// same order the acquire reads them. The intervening reshuffle can
-    /// only *shrink* partition `i`'s device queue — movers never target
-    /// the draining partition, and evictions pop the queue *back* while
-    /// re-parking batches on the host-queue *front* — and the pool never
-    /// evicts from `i` between the peek and the acquire (DESIGN.md §11),
-    /// so the peeked head is what the acquire returns. Validation stays
-    /// as the guard that keeps correctness independent of that argument.
-    fn predict_next_walkers(&self, i: PartitionId) -> Option<&[Walker]> {
-        if self.host_pool.head_batch(i).is_some() {
-            // The host branch loads the host batch into the device queue
-            // and then pops the queue *front* — the pre-existing head if
-            // the queue is non-empty, the loaded batch otherwise.
-            if let Some(ws) = self.device_pool.queue_head_walkers(i) {
-                return Some(ws);
-            }
-            return self.host_pool.head_batch(i).map(|b| b.walkers());
-        }
-        if let Some(ws) = self.device_pool.queue_head_walkers(i) {
-            return Some(ws);
-        }
-        let f = self.device_pool.frontier_walkers(i);
-        (!f.is_empty()).then_some(f)
-    }
-
-    /// Return a speculation's prediction buffer to the recycle stack
-    /// (bounded; a deep stack would only mean speculation stopped).
-    fn recycle_spec_buf(&mut self, mut buf: Vec<Walker>) {
-        if self.spec_bufs.len() < 4 {
-            buf.clear();
-            self.spec_bufs.push(buf);
-        }
-    }
-
-    /// Copy the predicted next walkers and submit them to the pool as
-    /// one ordered group of chunk-step tasks, cut with the exact chunking
-    /// rule the serial path uses ([`chunk_bounds`]). Stepping is pure —
-    /// counter-based walker RNG, all simulated cost charged separately at
-    /// merge time — so a validated speculation is indistinguishable from
-    /// stepping after the acquire.
-    fn launch_speculation(&mut self, i: PartitionId, use_zc: bool) -> Option<Speculation> {
-        // Zero copy over an out-of-core store steps against a block view
-        // fetched through the decode cache. A speculative fetch would
-        // make `host_cache_hits` depend on `kernel_threads`, and the
-        // host-tier counters are part of the deterministic fingerprint —
-        // so speculation declines (host-side throughput only; outputs
-        // are unaffected, like any skipped speculation).
-        if use_zc && self.host_cache.is_some() {
-            return None;
-        }
-        // An explicit-copy drain whose partition is no longer resident has
-        // nothing to step against.
-        if !use_zc && !self.graph_pool.contains(i) {
-            return None;
-        }
-        // The prediction is copied twice, which is the minimum: once into
-        // a recycled buffer that stays behind for validation, and once
-        // into the per-chunk vectors the workers own.
-        let mut walkers = self.spec_bufs.pop().unwrap_or_default();
-        debug_assert!(walkers.is_empty());
-        match self.predict_next_walkers(i) {
-            Some(ws) => walkers.extend_from_slice(ws),
-            None => {
-                self.recycle_spec_buf(walkers);
-                return None;
-            }
-        }
-        // Over an evolving graph the block view covers the predicted
-        // walkers, fetched free of charge from the table.
-        let task = self.kernel_task(i, &walkers, use_zc);
-        let chunks = kernel::plan_chunks(walkers.len(), self.kernel_threads);
-        let chunk_walkers = chunk_bounds(walkers.len(), chunks).map(|r| walkers[r].to_vec());
-        let pending = self.submit_chunks(task, chunk_walkers);
-        Some(Speculation {
-            walkers,
-            chunks,
-            pending,
-        })
-    }
-
-    /// Fan one kernel out over the pool: one chunk-step task per walker
-    /// vector, outputs collected in submission order.
-    fn submit_chunks(
-        &self,
-        task: kernel::KernelTask,
-        chunk_walkers: impl Iterator<Item = Vec<Walker>>,
-    ) -> PendingGroup<kernel::ChunkOutput> {
-        let task = Arc::new(task);
-        self.exec.submit_group(
-            chunk_walkers
-                .map(|ws| {
-                    let task = Arc::clone(&task);
-                    Box::new(move || kernel::step_chunk(&task, ws)) as _
-                })
-                .collect(),
-        )
     }
 
     /// Evict one queued walk batch to the host to free a block for
@@ -1909,14 +1715,14 @@ impl LightTraffic {
     /// on the persistent pool otherwise. Outputs come back in chunk
     /// order, which equals the sequential iteration order of the batch,
     /// so every thread count merges to bit-identical results (see
-    /// [`crate::kernel`]). No pool, metric, or simulated-device state is
-    /// touched here.
+    /// [`crate::kernel`]). Only the kernel counters are booked here; no
+    /// walk-pool or simulated-device state is touched.
     fn step_batch(
         &mut self,
         part: PartitionId,
         mut batch: WalkBatch,
         use_zc: bool,
-    ) -> SteppedBatch {
+    ) -> Vec<kernel::ChunkOutput> {
         debug_assert_eq!(batch.partition(), part);
         let chunks = kernel::plan_chunks(batch.len(), self.kernel_threads);
         let task = self.kernel_task(part, batch.walkers(), use_zc);
@@ -1924,18 +1730,22 @@ impl LightTraffic {
         let outputs = if chunks <= 1 {
             vec![kernel::step_chunk(&task, batch.drain())]
         } else {
-            self.submit_chunks(task, batch.drain_chunks(chunks).into_iter())
-                .wait()
+            let task = &task;
+            self.exec.run_ordered(
+                batch
+                    .drain_chunks(chunks)
+                    .into_iter()
+                    .map(|ws| Box::new(move || kernel::step_chunk(task, ws)) as _)
+                    .collect(),
+            )
         };
-        SteppedBatch {
-            chunks,
-            outputs,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-        }
+        self.metrics.host_kernel_wall_ns += wall.elapsed().as_nanos() as u64;
+        self.metrics.host_kernels += 1;
+        self.metrics.max_kernel_threads = self.metrics.max_kernel_threads.max(chunks as u64);
+        outputs
     }
 
-    /// The inputs of one kernel over `walkers` of partition `part`, the
-    /// same for a step after the acquire and a speculative one before it.
+    /// The inputs of one kernel over `walkers` of partition `part`.
     /// Zero copy over an out-of-core store or an evolving graph has no RAM
     /// CSR to read and gathers the partition blocks these walkers can read
     /// instead (out of core, the fetches go through the host decode cache
@@ -2006,20 +1816,15 @@ impl LightTraffic {
     /// The stateful half of the kernel: merge the chunk outputs in chunk
     /// order, book the walk metrics, reshuffle leavers into their new
     /// frontiers (charging eviction copies in eviction order), and charge
-    /// the kernel's simulated cost. Runs on the scheduler thread only —
-    /// in the pipelined drain this is exactly the work that overlaps the
-    /// workers' speculative stepping of the next batch.
+    /// the kernel's simulated cost. Runs on the scheduler thread only.
+    /// `outputs` holds one entry per chunk, in chunk order.
     fn finish_kernel(
         &mut self,
         part: PartitionId,
         use_zc: bool,
-        stepped: SteppedBatch,
+        outputs: Vec<kernel::ChunkOutput>,
     ) -> Result<(), EngineError> {
-        let SteppedBatch {
-            chunks,
-            outputs,
-            wall_ns,
-        } = stepped;
+        let chunks = outputs.len();
         // Deterministic merge: chunk order equals the sequential iteration
         // order of the batch, so visit counts, paths, the length histogram,
         // and the reshuffle input come out exactly as with one thread.
@@ -2075,9 +1880,6 @@ impl LightTraffic {
                 self.metrics.record_length(l);
             }
         }
-        self.metrics.host_kernel_wall_ns += wall_ns;
-        self.metrics.host_kernels += 1;
-        self.metrics.max_kernel_threads = self.metrics.max_kernel_threads.max(chunks as u64);
         // The kernel side effects are already applied; book them before the
         // reshuffle so a fatal eviction fault below leaves the counters
         // consistent with the walkers we park.
@@ -2088,10 +1890,9 @@ impl LightTraffic {
         // Reshuffle (DESIGN.md §10), wall-clocked end to end: one stable
         // counting sort of the movers by target partition, read straight
         // out of the chunk outputs in chunk order, then one bulk insert
-        // per run, partitions ascending. It runs here on the scheduler
-        // thread, where it overlaps the workers' speculative step of the
-        // next batch. Every insert and evict decision is a function of
-        // the batch and the pool state alone.
+        // per run, partitions ascending, on the scheduler thread. Every
+        // insert and evict decision is a function of the batch and the
+        // pool state alone.
         let rs_wall = Instant::now();
         self.local_index.sort(
             outputs.iter().map(|o| o.moved.as_slice()),
@@ -2205,27 +2006,6 @@ enum JobInput {
     Walkers(Vec<Walker>),
     /// A checkpoint to restore and finish (boxed — checkpoints are big).
     Resume(Box<crate::checkpoint::Checkpoint>),
-}
-
-/// A stepped batch awaiting its merge: the deterministic chunk count it
-/// was split with, the per-chunk outputs in chunk order, and the host
-/// wall-clock the scheduler observed for the stepping (on a speculative
-/// hit, only the join stall).
-struct SteppedBatch {
-    chunks: usize,
-    outputs: Vec<kernel::ChunkOutput>,
-    wall_ns: u64,
-}
-
-/// An in-flight speculative step of the predicted next batch: the
-/// predicted walkers (compared against the actually-acquired batch
-/// before the outputs may be used), the chunk
-/// count the clone was split with, and the pending pool group computing
-/// the chunk outputs. Dropping it joins the group.
-struct Speculation {
-    walkers: Vec<Walker>,
-    chunks: usize,
-    pending: PendingGroup<kernel::ChunkOutput>,
 }
 
 impl Drop for LightTraffic {
@@ -2488,70 +2268,12 @@ mod tests {
                 "variant {k} never fanned out — the parallel path was not exercised"
             );
             assert_eq!(seq.metrics.max_kernel_threads, 1);
-            // Both shapes of the drain ran: one thread never speculates,
-            // four use validated speculations.
-            let m = &seq.metrics;
-            assert_eq!(m.host_spec_hits + m.host_spec_misses, 0, "variant {k}");
-            assert_eq!(m.host_strategy_switches, 0, "variant {k}");
-            assert!(
-                par.metrics.host_spec_hits > 0,
-                "variant {k} never speculated"
-            );
             assert_eq!(
                 par.deterministic_fingerprint(),
                 seq.deterministic_fingerprint(),
                 "variant {k} fingerprint"
             );
         }
-    }
-
-    /// Both outcomes of [`LightTraffic::redeem_or_step`], driven directly.
-    /// The batteries only ever reach the hit — the drained partition is
-    /// protected from eviction, so predictions validate — hence the miss
-    /// is forced here: a speculation offered against a batch it did not
-    /// predict must be joined, counted as a miss and ignored, the batch
-    /// being stepped as if no speculation existed.
-    #[test]
-    fn speculation_is_redeemed_on_a_hit_and_restepped_on_a_miss() {
-        let cfg = EngineConfig {
-            batch_capacity: 256,
-            kernel_threads: 4,
-            zero_copy: ZeroCopyPolicy::Always, // steps against the host CSR
-            ..EngineConfig::baseline(16 << 10, 4)
-        };
-        let mut e = LightTraffic::new(graph(), Arc::new(UniformSampling::new(8)), cfg).unwrap();
-        e.inject_walks(8_000);
-        let i = (0..e.pg.num_partitions())
-            .find(|&p| e.host_pool.num_batches(p) >= 3)
-            .expect("some partition holds three host batches");
-        let digest = |s: &SteppedBatch| -> Vec<(u64, u64, Vec<Walker>)> {
-            s.outputs
-                .iter()
-                .map(|o| (o.steps, o.finished, o.moved.clone()))
-                .collect()
-        };
-
-        let spec = e.launch_speculation(i, true).expect("a batch to predict");
-        let a = e.acquire_next_batch(i).unwrap().expect("first batch");
-        let expected = digest(&e.step_batch(i, a.clone(), true));
-        let redeemed = e.redeem_or_step(i, a, true, Some(spec));
-        assert_eq!(digest(&redeemed), expected);
-        assert_eq!(
-            (e.metrics.host_spec_hits, e.metrics.host_spec_misses),
-            (1, 0)
-        );
-
-        let stale = e.launch_speculation(i, true).expect("a batch to predict");
-        let _predicted = e.acquire_next_batch(i).unwrap().expect("second batch");
-        let c = e.acquire_next_batch(i).unwrap().expect("third batch");
-        assert_ne!(stale.walkers.as_slice(), c.walkers());
-        let expected = digest(&e.step_batch(i, c.clone(), true));
-        let restepped = e.redeem_or_step(i, c, true, Some(stale));
-        assert_eq!(digest(&restepped), expected);
-        assert_eq!(
-            (e.metrics.host_spec_hits, e.metrics.host_spec_misses),
-            (1, 1)
-        );
     }
 
     /// Regression for the full-pool retry loop in `finish_kernel`: with the

@@ -1,33 +1,27 @@
 //! Persistent deterministic host executor.
 //!
-//! Every parallel host-side phase (kernel chunks, out-of-core decode,
-//! speculative stepping) runs on one long-lived worker pool per engine —
-//! the hot path never spawns a thread.  Workers park on a condvar, tasks carry their submission
-//! index, and the ordered-join primitives ([`ExecPool::run_ordered`],
-//! [`ExecPool::submit_group`]) collect outputs in submission order, so
+//! Every parallel host-side phase (kernel chunks, out-of-core decode)
+//! runs on one long-lived worker pool per engine — the hot path never
+//! spawns a thread.  Workers park on a condvar, tasks carry their
+//! submission index, and the one join primitive,
+//! [`ExecPool::run_ordered`], collects outputs in submission order, so
 //! merged results are bit-identical to serial execution (see DESIGN.md
 //! §11).
 //!
-//! Two join disciplines are offered:
+//! `run_ordered` accepts *borrowing* closures (like `thread::scope`): the
+//! kernel lends its task and the out-of-core decode lends disjoint `&mut`
+//! slices of one partition.  That is sound because the call blocks until
+//! every task of its group has finished — panicking or not — before it
+//! returns, so no borrow outlives the frame that lent it.
 //!
-//! - [`ExecPool::run_ordered`] accepts *borrowing* closures (like
-//!   `thread::scope`): it blocks until every task of the group has
-//!   finished before returning, which is exactly what makes lending
-//!   stack references to the pool sound. The out-of-core decode lends
-//!   disjoint `&mut` slices of one partition through it; the kernel no
-//!   longer borrows anything.
-//! - [`ExecPool::submit_group`] accepts `'static` (owning) closures and
-//!   returns a [`PendingGroup`] handle immediately. Every kernel fan-out
-//!   goes through it: a step after the acquire waits on the group at
-//!   once, the speculative drain steps batch *b+1* while the scheduler
-//!   thread is still merging batch *b*.
-//!
-//! While a caller waits on a group it *helps*: it pops queued jobs and
+//! While a caller waits on its group it *helps*: it pops queued jobs and
 //! runs them on its own thread (counted as `caller_tasks` in
-//! [`ExecStats`]).  That is safe for the same reason `thread::scope` is:
-//! every queued job belongs to a group whose owner is blocked until the
-//! job completes (`run_ordered` blocks in place; `PendingGroup` blocks
-//! in `wait` or in `Drop`), so any borrow the job carries is still live.
+//! [`ExecStats`]).  A popped job may belong to another group, but every
+//! queued job belongs to some `run_ordered` call that is still blocked
+//! waiting for it, so any borrow the job carries is still live.  Nested
+//! calls (a task that itself calls `run_ordered`) are covered by the same
+//! argument, and cannot deadlock: a waiter either runs a queued job
+//! itself or parks only while its remaining tasks are already running.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -195,40 +189,8 @@ impl<T> Group<T> {
     }
 }
 
-/// A submitted group of `'static` tasks whose results have not been
-/// collected yet.  `wait` blocks (helping the pool) and returns results
-/// in submission order; dropping without waiting still blocks until the
-/// group completes, then discards the results (including any panic).
-pub struct PendingGroup<T> {
-    group: Arc<Group<T>>,
-    inner: Arc<Inner>,
-    collected: bool,
-}
-
-impl<T> PendingGroup<T> {
-    /// Block until all tasks finish and return their outputs in
-    /// submission order.  Re-raises the first task panic.
-    pub fn wait(mut self) -> Vec<T> {
-        self.group.wait_help(&self.inner);
-        self.collected = true;
-        self.group.collect()
-    }
-}
-
-impl<T> Drop for PendingGroup<T> {
-    fn drop(&mut self) {
-        if !self.collected {
-            // Must still block: discarding a speculative group may not
-            // leave its jobs running past the engine call that owns the
-            // data they borrowed (all submit_group tasks are 'static,
-            // but the blocking keeps pool lifecycle simple and bounded).
-            self.group.wait_help(&self.inner);
-        }
-    }
-}
-
 /// Long-lived worker pool with ordered joins.  One per engine; shared by
-/// kernel chunk stepping, out-of-core decode and speculative stepping.
+/// kernel chunk stepping and out-of-core decode.
 pub struct ExecPool {
     inner: Arc<Inner>,
     handles: Vec<JoinHandle<()>>,
@@ -311,27 +273,6 @@ impl ExecPool {
         self.enqueue(jobs);
         group.wait_help(&self.inner);
         group.collect()
-    }
-
-    /// Submit a group of owning (`'static`) tasks without blocking.
-    /// The returned [`PendingGroup`] collects outputs in submission
-    /// order on `wait`; dropping it unwaited still joins the group.
-    pub fn submit_group<T: Send + 'static>(
-        &self,
-        tasks: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> PendingGroup<T> {
-        let group = Group::new(tasks.len());
-        let jobs: Vec<Job> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| group.wrap(i, t) as Job)
-            .collect();
-        self.enqueue(jobs);
-        PendingGroup {
-            group,
-            inner: Arc::clone(&self.inner),
-            collected: false,
-        }
     }
 
     fn enqueue(&self, jobs: Vec<Job>) {
@@ -502,28 +443,56 @@ mod tests {
         }
     }
 
+    /// Tasks that themselves call `run_ordered` on the same pool: the
+    /// outer call still returns in submission order, a panic in a nested
+    /// group resurfaces at the outer call only after every other task ran,
+    /// and the pool stays usable — on inline, one- and two-worker pools.
     #[test]
-    fn submit_group_wait_returns_in_order() {
-        let pool = ExecPool::new(2);
-        let pending = pool.submit_group(boxed((0..16).map(|i| move || i * 3).collect::<Vec<_>>()));
-        assert_eq!(pending.wait(), (0..16).map(|i| i * 3).collect::<Vec<_>>());
-    }
+    fn nested_run_ordered_keeps_order_and_survives_panics() {
+        type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
+        for workers in [0, 1, 2] {
+            let pool = &ExecPool::new(workers);
+            for round in 0..20u64 {
+                let outer: Vec<Task<'_, Vec<u64>>> = (0..6u64)
+                    .map(|i| {
+                        Box::new(move || {
+                            pool.run_ordered(boxed(
+                                (0..5u64)
+                                    .map(|j| move || round * 100 + i * 10 + j)
+                                    .collect::<Vec<_>>(),
+                            ))
+                        }) as Task<'_, Vec<u64>>
+                    })
+                    .collect();
+                let want: Vec<Vec<u64>> = (0..6)
+                    .map(|i| (0..5).map(|j| round * 100 + i * 10 + j).collect())
+                    .collect();
+                assert_eq!(pool.run_ordered(outer), want, "workers={workers}");
+            }
 
-    #[test]
-    fn dropping_pending_group_joins_it() {
-        let pool = ExecPool::new(2);
-        let hits = Arc::new(AtomicU64::new(0));
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..8)
-            .map(|_| {
-                let h = Arc::clone(&hits);
-                Box::new(move || {
-                    h.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        drop(pool.submit_group(tasks));
-        // Drop blocked until all tasks ran.
-        assert_eq!(hits.load(Ordering::SeqCst), 8);
+            let ran = &AtomicU64::new(0);
+            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let outer: Vec<Task<'_, ()>> = (0..4u64)
+                    .map(|i| {
+                        Box::new(move || {
+                            let inner: Vec<Task<'_, ()>> = (0..3u64)
+                                .map(|j| {
+                                    Box::new(move || {
+                                        assert!(i != 2 || j != 1, "nested task panicked");
+                                        ran.fetch_add(1, Ordering::SeqCst);
+                                    }) as Task<'_, ()>
+                                })
+                                .collect();
+                            pool.run_ordered(inner);
+                        }) as Task<'_, ()>
+                    })
+                    .collect();
+                pool.run_ordered(outer)
+            }));
+            assert!(r.is_err(), "workers={workers}: the nested panic was lost");
+            assert_eq!(ran.load(Ordering::SeqCst), 11, "workers={workers}");
+            assert_eq!(pool.run_ordered(boxed(vec![|| 7u64])), vec![7]);
+        }
     }
 
     #[test]

@@ -25,10 +25,10 @@ pub enum GraphEviction {
 /// A cache of graph partitions in reserved device blocks.
 #[derive(Debug)]
 pub struct DeviceGraphPool {
-    // Blocks hold `Arc<PartitionData>` so speculative kernel tasks can
-    // hold an owned view of a resident partition while the scheduler
-    // thread keeps running (see engine.rs pipelining / DESIGN.md §11).
-    // Graph data is immutable, so the shared handle is free of hazards.
+    // Blocks hold `Arc<PartitionData>`: out-of-core stores share one
+    // decoded copy with the host decode cache (see `insert`), and a kernel
+    // task owns the handle it reads (see `crate::kernel`). Graph data is
+    // immutable, so the shared handle is free of hazards.
     pool: BlockPool<Arc<PartitionData>>,
     resident: Vec<Option<BlockId>>,
     /// Residency order, oldest first (for FIFO eviction).
@@ -115,9 +115,9 @@ impl DeviceGraphPool {
     /// not a copy: the simulated link is charged for the bytes, the host
     /// moves none. Residency order is untouched: a refresh is not a new
     /// insertion, so FIFO eviction age is preserved and eviction decisions
-    /// are identical to a run without mutations. Prior `Arc` handles
-    /// (speculative kernel tasks) keep the old data — the engine seals
-    /// epochs only at iteration barriers, where none are live.
+    /// are identical to a run without mutations. Prior `Arc` handles keep
+    /// the old data — the engine seals epochs only at iteration barriers,
+    /// where no kernel task is live.
     ///
     /// # Panics
     /// Panics if `p` is not resident or `data` belongs to another

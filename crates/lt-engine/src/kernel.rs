@@ -31,8 +31,8 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Where a kernel reads its graph data from: the CSR or partition blocks,
-/// nothing else. The view owns its handles, so one task serves a step on
-/// the scheduler thread and a speculative one on the workers. `Host` and
+/// nothing else. The view owns its handles (cheap `Arc` clones), so a
+/// task never borrows from the engine it was built by. `Host` and
 /// `Resident` differ in second-order context availability.
 pub(crate) enum GraphView {
     /// The partition is resident in the graph pool.
@@ -231,13 +231,12 @@ impl ChunkOutput {
 }
 
 /// Upper bound of buffers [`ScratchPool`] retains: enough for the widest
-/// realistic fan-out (one chunk group plus one speculative group in
-/// flight) without hoarding memory after a burst.
+/// realistic fan-out (one chunk group in flight) without hoarding memory
+/// after a burst.
 const SCRATCH_POOL_CAP: usize = 32;
 
 /// Recycled [`ChunkOutput`] buffers shared by every chunk-step site of an
-/// engine — inline, pooled, and speculative stepping. The
-/// scheduler thread returns each buffer after merging it, so steady-state
+/// engine — inline and pooled stepping. The scheduler thread returns each buffer after merging it, so steady-state
 /// drains reuse the per-chunk vectors instead of reallocating them every
 /// round. Purely an allocation cache: a recycled buffer is cleared before
 /// reuse, so outputs are bit-identical with or without it.
@@ -278,7 +277,7 @@ impl ScratchPool {
 
 /// Shared read-only inputs of one kernel invocation; every chunk of the
 /// batch steps against the same task, inline or from a worker thread
-/// (behind an `Arc`: the task owns everything it reads).
+/// that borrows it for the duration of the fan-out.
 pub(crate) struct KernelTask {
     /// Where graph data is read from.
     pub view: GraphView,

@@ -16,11 +16,9 @@
 //!   (wall-clock throughput scales with [`EngineConfig::kernel_threads`]
 //!   while simulated results stay bit-identical) — [`kernel`];
 //! - a persistent deterministic executor: every parallel phase runs on
-//!   one long-lived worker pool per engine, and the partition drain
-//!   overlaps the next batch's stepping with the current batch's
-//!   merge/reshuffle via validated speculation, gated per drain on the
-//!   planned chunk fan-out and the observed hit/miss history — all
-//!   bit-identical to the `kernel_threads: 1` serial drain — [`exec`];
+//!   one long-lived worker pool per engine with ordered joins, so the
+//!   one drain loop (acquire → step → merge/reshuffle) is bit-identical
+//!   to the `kernel_threads: 1` run that steps inline — [`exec`];
 //! - fault injection and recovery: retry-with-backoff for faulted copies,
 //!   corruption-driven degradation to zero copy, and automatic rollback to
 //!   periodic in-memory checkpoints on fatal device errors

@@ -76,20 +76,16 @@ pub struct Metrics {
     /// persistent pool, so this always reads 0; the field stays only
     /// because `benchmark/` reads it by name.
     pub host_spawn_rounds: u64,
-    /// Speculative batches whose pre-stepped outputs were validated and
-    /// used (the speculative drain, DESIGN.md §11). Host-only: never
-    /// published to the metric registry and zeroed by
-    /// [`RunResult::deterministic_fingerprint`] — the outcome never
-    /// changes results, but the count depends on `kernel_threads`.
+    /// Retired: counted redeemed batches when the drain still pre-stepped
+    /// the next batch speculatively. The drain is one loop now, so this
+    /// always reads 0; the field stays only because `benchmark/` reads it
+    /// by name.
     pub host_spec_hits: u64,
-    /// Speculative batches discarded after validation failed (the batch
-    /// acquired at the serial sequence point differed from the
-    /// prediction). Host-only like `host_spec_hits`.
+    /// Retired like `host_spec_hits` (counted discarded speculations);
+    /// always 0.
     pub host_spec_misses: u64,
-    /// Partition drains whose speculation gate differed from the previous
-    /// drain's (the first drain is not a switch). Host-only like the
-    /// speculation counters: exported as
-    /// `lt_exec_strategy_switches_total` by the telemetry snapshot.
+    /// Retired like `host_spec_hits` (counted flips of the speculation
+    /// gate between drains); always 0.
     pub host_strategy_switches: u64,
     /// Most walkers resident in host memory at once (the CPU-side walk
     /// index footprint).
@@ -358,13 +354,10 @@ impl RunResult {
     }
 
     /// Everything this run produced, serialized, with the host-only
-    /// fields zeroed: the wall clocks (`host_*_wall_ns`), the fan-out
-    /// high-water marks (`max_*_threads`) and the speculation
-    /// bookkeeping (`host_spec_*`, `host_strategy_switches`,
-    /// `host_spawn_rounds`). Two runs of the same workload and seed must
-    /// agree on this string whatever their thread counts, speculation
-    /// outcomes or machine — the one equality every differential battery
-    /// asserts.
+    /// fields zeroed: the wall clocks (`host_*_wall_ns`) and the fan-out
+    /// high-water marks (`max_*_threads`). Two runs of the same workload
+    /// and seed must agree on this string whatever their thread counts or
+    /// machine — the one equality every differential battery asserts.
     pub fn deterministic_fingerprint(&self) -> String {
         let metrics = Metrics {
             host_kernel_wall_ns: 0,
@@ -372,10 +365,6 @@ impl RunResult {
             host_decode_wall_ns: 0,
             max_kernel_threads: 0,
             max_reshuffle_threads: 0,
-            host_spec_hits: 0,
-            host_spec_misses: 0,
-            host_strategy_switches: 0,
-            host_spawn_rounds: 0,
             ..self.metrics.clone()
         };
         fn json<T: Serialize>(v: &T) -> String {

@@ -105,7 +105,7 @@ pub fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
             &[],
         )
         .set(engine.device_pool().free_blocks() as f64);
-    // Persistent-executor and speculation activity (DESIGN.md §11). All
+    // Persistent-executor activity (DESIGN.md §11). All
     // values are host-side observations — like the `host_*` metrics they
     // never feed back into simulated outputs, so they are exported here,
     // on the pull side, and never emitted into the deterministic event
@@ -166,27 +166,6 @@ pub fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
                 h.observe_n(bounds[i], count);
             }
         }
-        registry
-            .counter(
-                "lt_exec_strategy_switches_total",
-                "Partition drains whose speculation gate differed from the previous drain's",
-                &[],
-            )
-            .set(m.host_strategy_switches);
-        registry
-            .counter(
-                "lt_exec_spec_hits_total",
-                "Speculative batch steps whose prediction validated",
-                &[],
-            )
-            .set(m.host_spec_hits);
-        registry
-            .counter(
-                "lt_exec_spec_misses_total",
-                "Speculative batch steps discarded on validation",
-                &[],
-            )
-            .set(m.host_spec_misses);
     }
     // Traffic attribution (DESIGN.md §14), present only under
     // [`crate::EngineConfig::attribution`]. Like the ledger itself the
@@ -342,8 +321,8 @@ mod tests {
 
     #[test]
     fn snapshot_always_publishes_executor_series() {
-        // `kernel_threads: 1` never dispatches a kernel chunk or a
-        // speculation; the series must be there all the same.
+        // `kernel_threads: 1` never dispatches a kernel chunk; the series
+        // must be there all the same.
         for kernel_threads in [1, 4] {
             let cfg = EngineConfig {
                 batch_capacity: 256,
@@ -361,9 +340,6 @@ mod tests {
                 "lt_exec_caller_tasks_total",
                 "lt_exec_busy_ns",
                 "lt_exec_worker_utilization",
-                "lt_exec_strategy_switches_total",
-                "lt_exec_spec_hits_total",
-                "lt_exec_spec_misses_total",
             ] {
                 assert!(
                     text.contains(series),

@@ -93,13 +93,6 @@ impl HostWalkPool {
         self.queues[part].push_front(batch);
     }
 
-    /// Peek the head batch of `part` — the batch the next
-    /// [`HostWalkPool::pop_batch`] will return (speculative pipelining
-    /// predicts the next device load from it).
-    pub fn head_batch(&self, part: PartitionId) -> Option<&WalkBatch> {
-        self.queues[part as usize].front()
-    }
-
     /// Walkers of `part` currently on the host.
     #[inline]
     pub fn count(&self, part: PartitionId) -> u64 {
@@ -241,7 +234,7 @@ impl DeviceWalkPool {
 
     /// Walkers in the frontier batch of `part`.
     pub fn frontier_len(&self, part: PartitionId) -> usize {
-        self.frontier_walkers(part).len()
+        self.pool.get(self.frontier[part as usize]).len()
     }
 
     fn head_batch(&self, part: PartitionId) -> Option<&WalkBatch> {
@@ -259,19 +252,6 @@ impl DeviceWalkPool {
     /// Walkers in the head queued batch of `part` (0 when none).
     pub fn head_batch_len(&self, part: PartitionId) -> usize {
         self.head_batch(part).map_or(0, |b| b.len())
-    }
-
-    /// Peek the walkers of the head queued batch of `part` — what the
-    /// next [`DeviceWalkPool::pop_queue_batch`] will return (speculative
-    /// pipelining clones them to pre-step the next batch).
-    pub fn queue_head_walkers(&self, part: PartitionId) -> Option<&[Walker]> {
-        self.head_batch(part).map(|b| b.walkers())
-    }
-
-    /// Peek the walkers of the frontier batch of `part` — what
-    /// [`DeviceWalkPool::take_frontier`] would drain.
-    pub fn frontier_walkers(&self, part: PartitionId) -> &[Walker] {
-        self.pool.get(self.frontier[part as usize]).walkers()
     }
 
     /// Partitions that have at least one queued batch, ascending.

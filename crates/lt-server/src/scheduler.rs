@@ -21,8 +21,8 @@
 //! were spent at first admission.
 
 use lt_engine::{
-    Checkpoint, EdgeUpdate, EngineConfig, EngineError, JobId, JobSpec, JobStatus, JobTable,
-    Session, Walker,
+    Checkpoint, EdgeUpdate, EngineConfig, EngineError, JobId, JobSpec, JobStart, JobStatus,
+    JobTable, Session, Walker,
 };
 use lt_graph::{Csr, VertexId};
 use lt_telemetry::chrome::ChromeTraceBuilder;
@@ -294,8 +294,8 @@ impl Scheduler {
 
     /// Submit a job for `tenant`. Returns the job handle plus the
     /// receiving end of its event stream. Fails with
-    /// [`EngineError::Admission`] when the job table is full or the spec
-    /// is empty.
+    /// [`EngineError::Admission`] when the job table is full, the spec
+    /// is empty, or a seed vertex is not in the graph.
     pub fn submit(
         &mut self,
         tenant: &str,
@@ -304,10 +304,18 @@ impl Scheduler {
         if spec.num_walks() == 0 {
             return Err(EngineError::Admission("job has zero walks".into()));
         }
+        let nv = self.graph.num_vertices();
+        if let JobStart::Seeds(seeds) = &spec.start {
+            if let Some(v) = seeds.iter().find(|&&v| u64::from(v) >= nv) {
+                return Err(EngineError::Admission(format!(
+                    "seed vertex {v} is not in the graph (|V| = {nv})"
+                )));
+            }
+        }
         let tag = self.table.register(spec.algorithm.clone(), spec.seed)?;
         debug_assert_eq!(tag as usize, self.jobs.len());
         self.tenant_entry(tenant);
-        let pending: VecDeque<Walker> = spec.place_walkers(self.graph.num_vertices(), tag).into();
+        let pending: VecDeque<Walker> = spec.place_walkers(nv, tag).into();
         let id = JobId(tag as u64);
         let (tx, rx) = std::sync::mpsc::sync_channel(self.cfg.stream_capacity.max(1));
         let total = pending.len() as u64;

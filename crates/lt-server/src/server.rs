@@ -26,7 +26,12 @@
 //! Other ops: `cancel {job}`, `topup {tenant,tokens}`, `budget
 //! {tenant}`, `result {job}`. `submit` accepts `algorithm`
 //! `"deepwalk"` or `"node2vec"` (with `p`/`q`), `walks` or explicit
-//! `seeds:[v,…]`, `max_length`, `seed`.
+//! `seeds:[v,…]`, `max_length`, `seed`. A seed vertex outside the graph
+//! is refused with `ok:false`.
+//!
+//! A request line may be at most [`MAX_REQUEST_LINE_BYTES`] long; a
+//! longer one is answered with `{"ok":false,"error":…}` and the connection
+//! is closed.
 //!
 //! Evolving graphs (DESIGN.md §15): `mutate` seals an edge-update batch
 //! as one graph epoch on the serving session —
@@ -47,7 +52,7 @@ use lt_graph::Csr;
 use lt_telemetry::MetricRegistry;
 use serde_json::{json, Value};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
@@ -406,6 +411,11 @@ impl Drop for TcpFrontend {
     }
 }
 
+/// Longest request line a connection may send, newline excluded. A longer
+/// one is answered with an error and the connection is closed, so a client
+/// cannot make the server buffer an unbounded line.
+pub const MAX_REQUEST_LINE_BYTES: usize = 4 << 20;
+
 fn serve_connection(
     stream: TcpStream,
     handle: &ServerHandle,
@@ -416,19 +426,32 @@ fn serve_connection(
     // request: Nagle would hold each one back for the peer's delayed ACK.
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an oversized line from a full one.
+        let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_REQUEST_LINE_BYTES {
+            let msg = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+            return write_line(&mut writer, &err_json(&msg));
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match serde_json::from_str::<Value>(&line) {
+        let reply = match serde_json::from_str::<Value>(line) {
             Ok(req) => dispatch(&req, handle, streams, &mut writer)?,
             Err(e) => err_json(&format!("bad json: {e:?}")),
         };
         write_line(&mut writer, &reply)?;
     }
-    Ok(())
 }
 
 /// Send one JSONL line as one `write_all`: formatting a [`Value`]
@@ -491,10 +514,14 @@ fn parse_updates(req: &Value) -> Result<Vec<EdgeUpdate>, String> {
 }
 
 fn parse_spec(req: &Value) -> Result<JobSpec, String> {
-    let max_length = get_u64(req, "max_length").unwrap_or(80) as u32;
+    let max_length = u32::try_from(get_u64(req, "max_length").unwrap_or(80))
+        .map_err(|_| "max_length out of range")?;
     let seed = get_u64(req, "seed").unwrap_or(0);
     let start = if let Some(seeds) = req.get("seeds").and_then(Value::as_array) {
-        let vs: Option<Vec<u32>> = seeds.iter().map(|v| v.as_u64().map(|x| x as u32)).collect();
+        let vs: Option<Vec<u32>> = seeds
+            .iter()
+            .map(|v| v.as_u64().and_then(|x| u32::try_from(x).ok()))
+            .collect();
         JobStart::Seeds(vs.ok_or("seeds must be an array of vertex ids")?)
     } else {
         JobStart::WalkCount(get_u64(req, "walks").ok_or("need walks or seeds")?)

@@ -1,14 +1,16 @@
 //! Budget lifecycle, fairness at equal budgets, streaming delivery,
 //! suspend/resume, and the TCP/JSONL front end.
 
-use lt_engine::{EngineConfig, JobSpec, JobStatus};
+use lt_engine::{EngineConfig, EngineError, JobSpec, JobStart, JobStatus};
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
+use lt_server::server::MAX_REQUEST_LINE_BYTES;
 use lt_server::{JobEvent, Scheduler, Server, ServerConfig, TcpFrontend};
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn graph() -> Arc<Csr> {
     Arc::new(
@@ -274,6 +276,25 @@ fn job_table_capacity_is_enforced() {
     sched.run_until_idle().unwrap();
 }
 
+/// A seed vertex outside the graph is refused at `submit`, before it can
+/// reach a pump, where the partition lookup would panic the scheduler
+/// thread and take every tenant down with it.
+#[test]
+fn out_of_range_seeds_are_refused_at_submit() {
+    let g = graph();
+    let nv = g.num_vertices() as u32;
+    let mut sched = Scheduler::new(g, config()).unwrap();
+    let seeded = |seeds| JobSpec {
+        start: JobStart::Seeds(seeds),
+        ..JobSpec::deepwalk(0, 4, 1)
+    };
+    let err = sched.submit("t", seeded(vec![0, nv])).unwrap_err();
+    assert!(matches!(err, EngineError::Admission(_)), "got: {err}");
+    let (id, _rx) = sched.submit("t", seeded(vec![0, nv - 1])).unwrap();
+    sched.run_until_idle().unwrap();
+    assert_eq!(sched.result(id).unwrap().finished, 2);
+}
+
 fn send_req(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &Value) -> Value {
     writeln!(writer, "{req}").unwrap();
     writer.flush().unwrap();
@@ -382,6 +403,76 @@ fn tcp_frontend_serves_submit_status_stream_result_metrics() {
     );
     assert!(r.get("spent").and_then(Value::as_u64).unwrap() > 0);
 
+    front.shutdown();
+    server.shutdown();
+}
+
+/// A TCP client on `addr` whose reads give up instead of hanging a broken
+/// server.
+fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    (stream.try_clone().unwrap(), BufReader::new(stream))
+}
+
+/// Over the wire, a seed outside the graph — also one that only fits a
+/// `u64`, which must not wrap to vertex 0 — is answered `ok:false`, and
+/// the same connection's next `submit` is served to completion.
+#[test]
+fn tcp_submit_with_out_of_range_seeds_is_refused() {
+    let g = graph();
+    let nv = g.num_vertices();
+    let server = Server::start(g, config()).unwrap();
+    let front = TcpFrontend::bind(server.handle(), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = connect(front.local_addr());
+    let submit = |seeds: Value| json!({"op": "submit", "seeds": seeds, "max_length": 4});
+    let past_u32 = u64::from(u32::MAX) + 1;
+    for seeds in [json!([0, nv]), json!([0, past_u32])] {
+        let r = send_req(&mut writer, &mut reader, &submit(seeds));
+        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false), "{r}");
+    }
+    let r = send_req(&mut writer, &mut reader, &submit(json!([0, nv - 1])));
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r}");
+    let job = r.get("job").and_then(Value::as_u64).unwrap();
+    let status = (0..500)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            let r = send_req(
+                &mut writer,
+                &mut reader,
+                &json!({"op": "status", "job": job}),
+            );
+            r.get("status").and_then(Value::as_str).unwrap().to_string()
+        })
+        .find(|s| s == "done");
+    assert_eq!(status.as_deref(), Some("done"));
+    front.shutdown();
+    server.shutdown();
+}
+
+/// A request line past the cap is answered with an error and the
+/// connection is closed, without the server waiting for a newline.
+#[test]
+fn tcp_oversized_request_line_is_refused_and_closed() {
+    let server = Server::start(graph(), config()).unwrap();
+    let front = TcpFrontend::bind(server.handle(), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = connect(front.local_addr());
+    writer
+        .write_all(&vec![b'x'; MAX_REQUEST_LINE_BYTES + 1])
+        .unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let r: Value = serde_json::from_str(&line).unwrap();
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false), "{r}");
+    assert!(r["error"].as_str().unwrap().contains("exceeds"), "{r}");
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "the connection was not closed"
+    );
     front.shutdown();
     server.shutdown();
 }

@@ -281,12 +281,12 @@ fn attribution_changes_no_result_and_no_device_counter() {
     assert_eq!(on_device, off_device, "attribution changed the device");
 }
 
-/// The proptest jobs above are too small to fan a batch out, so their
-/// drains never speculate. This one is big enough: at `kernel_threads: 4`
-/// the engine must use speculations, at `kernel_threads: 1` none, and the
-/// served results must not tell the two apart.
+/// The proptest jobs above are too small to fan a batch out. This one is
+/// big enough: at `kernel_threads: 4` kernels must run on the executor,
+/// at `kernel_threads: 1` none may, and the served results must not tell
+/// the two apart.
 #[test]
-fn speculating_server_matches_the_serial_one() {
+fn pooled_server_matches_the_serial_one() {
     let jobs = [
         ArbJob {
             node2vec: false,
@@ -315,17 +315,19 @@ fn speculating_server_matches_the_serial_one() {
             .map(|&id| sched.result(id).unwrap().clone())
             .collect();
         let text = sched.telemetry().prometheus();
-        let spec_hits: u64 = text
-            .lines()
-            .find_map(|l| l.strip_prefix("lt_exec_spec_hits_total "))
-            .expect("executor series are always exported")
-            .parse()
-            .unwrap();
-        (results, spec_hits)
+        let series = |name: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .expect("executor series are always exported")
+                .parse()
+                .unwrap()
+        };
+        let pool_tasks = series("lt_exec_tasks_total") + series("lt_exec_caller_tasks_total");
+        (results, pool_tasks)
     };
-    let (serial, serial_hits) = run(1);
-    let (pooled, pooled_hits) = run(4);
-    assert_eq!(serial_hits, 0, "kernel_threads=1 must never speculate");
-    assert!(pooled_hits > 0, "kernel_threads=4 never used a speculation");
+    let (serial, serial_tasks) = run(1);
+    let (pooled, pooled_tasks) = run(4);
+    assert_eq!(serial_tasks, 0, "kernel_threads=1 must step inline");
+    assert!(pooled_tasks > 0, "kernel_threads=4 never fanned out");
     assert_eq!(pooled, serial);
 }

@@ -32,8 +32,8 @@
 //!
 //! The ledger is *written* on the scheduler thread from simulated-side
 //! quantities only (byte counts, tags, partitions — never host wall
-//! time), so its contents are bit-identical across `kernel_threads`,
-//! speculation outcomes, and retryable-fault plans. It is *read* only
+//! time), so its contents are bit-identical across `kernel_threads` and
+//! retryable-fault plans. It is *read* only
 //! pull-side — `Session::telemetry()`, the server's metric publication —
 //! and never feeds an event stream or a scheduling decision, so enabling
 //! attribution cannot perturb any deterministic fingerprint.

@@ -35,8 +35,8 @@ pub struct ArbConfig {
 
 /// Strategy over [`ArbConfig`]: small pools, both scheduling policies,
 /// all zero-copy policies, both reshuffle modes, and thread counts 0–4
-/// (0 = one per CPU; 1 is the non-speculating serial drain with a serial
-/// reshuffle, more may speculate and fan the reshuffle out).
+/// (0 = one per CPU; 1 steps every batch inline, more may fan kernels out
+/// over the pool).
 pub fn config_strategy() -> impl Strategy<Value = ArbConfig> {
     (
         4u64..64,

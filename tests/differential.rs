@@ -139,16 +139,16 @@ fn thread_counts_and_retryable_faults_do_not_change_results() {
     }
 }
 
-/// Acceptance check for the persistent executor and the speculative
-/// drain (DESIGN.md §11) and for the one-pass reshuffle (§10):
-/// `kernel_threads` ∈ {2, 4, 8} — pooled kernels, speculation hits and
-/// never a miss — produce runs **bit-identical** to the
-/// `kernel_threads: 1` reference (inline stepping, no speculation): paths, visit counts, simulated clock, full device-stats
-/// breakdown, with and without injected retryable faults. Only the
-/// wall-clock/fan-out bookkeeping may differ. Both drain shapes must provably run: the reference
-/// never speculates, and some multi-thread run uses a speculation.
+/// Acceptance check for the persistent executor (DESIGN.md §11) and for
+/// the one-pass reshuffle (§10): `kernel_threads` ∈ {2, 4, 8} — kernels
+/// fanned out over the pool — produce runs **bit-identical** to the
+/// `kernel_threads: 1` reference (every batch stepped inline): paths,
+/// visit counts, simulated clock, full device-stats breakdown, with and
+/// without injected retryable faults. Only the wall-clock/fan-out
+/// bookkeeping may differ. Both shapes must provably run: the reference
+/// never fans out, and some multi-thread run does.
 #[test]
-fn pooled_speculative_runs_match_the_serial_reference() {
+fn pooled_runs_match_the_serial_reference() {
     for graph_seed in [2u64, 4, 5, 9] {
         let g = random_graph(graph_seed);
         for (name, alg, zc) in algorithms() {
@@ -156,20 +156,17 @@ fn pooled_speculative_runs_match_the_serial_reference() {
                 let faults = fault_seed.map(|s| FaultPlan::retryable_only(s, 0.05));
                 run_engine(&g, &alg, config(zc, kernel_threads, faults))
             };
-            let mut spec_hits = 0;
+            let mut fanned_out = false;
             for fault_seed in [None, Some(11u64)] {
                 let reference = run(1, fault_seed);
                 assert_eq!(
-                    reference.metrics.host_spec_hits + reference.metrics.host_spec_misses,
-                    0,
-                    "graph seed {graph_seed}, {name}: kernel_threads=1 speculated"
+                    reference.metrics.max_kernel_threads, 1,
+                    "graph seed {graph_seed}, {name}: kernel_threads=1 fanned out"
                 );
                 let reference = reference.deterministic_fingerprint();
                 for kernel_threads in [2usize, 4, 8] {
                     let r = run(kernel_threads, fault_seed);
-                    spec_hits += r.metrics.host_spec_hits;
-                    assert_eq!(r.metrics.host_spec_misses, 0);
-                    assert_eq!(r.metrics.host_spawn_rounds, 0);
+                    fanned_out |= r.metrics.max_kernel_threads > 1;
                     assert_eq!(
                         r.deterministic_fingerprint(),
                         reference,
@@ -180,8 +177,8 @@ fn pooled_speculative_runs_match_the_serial_reference() {
                 }
             }
             assert!(
-                spec_hits > 0,
-                "graph seed {graph_seed}, {name}: no multi-thread run used a speculation"
+                fanned_out,
+                "graph seed {graph_seed}, {name}: no multi-thread run fanned out"
             );
         }
     }

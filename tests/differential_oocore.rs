@@ -3,7 +3,7 @@
 //! through the host decode cache must be **bit-identical** to the same
 //! engine over the RAM-resident graph — same walks, same paths, same
 //! simulated clock, same device-stats breakdown — across kernel thread
-//! counts (serial drain at 1, pooled speculative drains above) and
+//! counts (inline stepping at 1, kernels fanned out over the pool above) and
 //! retryable fault injection.
 //!
 //! The only outputs allowed to differ are the host-tier counters the RAM
@@ -119,18 +119,17 @@ fn tier_masked_fingerprint(mut r: RunResult) -> String {
 
 /// The acceptance matrix: every OutOfCore cell of kernel_threads ×
 /// retryable faults is bit-identical, outside the host tier, to the RAM
-/// engine at `kernel_threads: 1` (the non-speculating reference). The OOC
-/// run must actually exercise the tier (decode bytes flow on every cell —
-/// the store has no other source of adjacency), and the pooled cells must
-/// actually speculate where the substrate allows it (zero copy over an
-/// out-of-core store declines, so node2vec never does).
+/// engine at `kernel_threads: 1` (the inline reference). The OOC run must
+/// actually exercise the tier (decode bytes flow on every cell — the
+/// store has no other source of adjacency), and some pooled cell must
+/// actually fan a kernel out.
 #[test]
 fn ooc_is_bit_identical_to_ram_across_threads_and_faults() {
     for graph_seed in [3u64, 8] {
         let g = random_graph(graph_seed);
         for (name, alg, zc) in algorithms() {
             let ooc = ooc_graph(&g, &format!("battery_{graph_seed}_{name}"));
-            let mut spec_hits = 0;
+            let mut fanned_out = false;
             for fault_seed in [None, Some(7u64)] {
                 let faults = fault_seed.map(|s| FaultPlan::retryable_only(s, 0.05));
                 let ram = run_ram(&g, &alg, config(zc, 1, faults.clone()));
@@ -138,7 +137,7 @@ fn ooc_is_bit_identical_to_ram_across_threads_and_faults() {
                     ram.metrics.host_decode_bytes, 0,
                     "RAM stores must never touch the host decode tier"
                 );
-                assert_eq!(ram.metrics.host_spec_hits + ram.metrics.host_spec_misses, 0);
+                assert_eq!(ram.metrics.max_kernel_threads, 1);
                 let reference = tier_masked_fingerprint(ram);
                 for kernel_threads in [1usize, 2, 4, 8] {
                     let ooc_run = run_ooc(&ooc, &alg, config(zc, kernel_threads, faults.clone()));
@@ -146,7 +145,7 @@ fn ooc_is_bit_identical_to_ram_across_threads_and_faults() {
                         ooc_run.metrics.host_decode_bytes > 0,
                         "OOC run never decoded — the substrate was not exercised"
                     );
-                    spec_hits += ooc_run.metrics.host_spec_hits;
+                    fanned_out |= ooc_run.metrics.max_kernel_threads > 1;
                     assert_eq!(
                         tier_masked_fingerprint(ooc_run),
                         reference,
@@ -156,10 +155,9 @@ fn ooc_is_bit_identical_to_ram_across_threads_and_faults() {
                     );
                 }
             }
-            assert_eq!(
-                spec_hits > 0,
-                zc != ZeroCopyPolicy::Always,
-                "graph seed {graph_seed}, {name}: speculation over the out-of-core store"
+            assert!(
+                fanned_out,
+                "graph seed {graph_seed}, {name}: no pooled run fanned out"
             );
         }
     }
