@@ -41,7 +41,8 @@ pub fn run_multi_round(
     let walkers = alg.place_walkers(graph.num_vertices(), num_walks);
     let mut result = None;
     for chunk in walkers.chunks(per_round.max(1) as usize) {
-        result = Some(engine.run_with_walkers(chunk.to_vec())?);
+        engine.inject(chunk.to_vec());
+        result = Some(engine.finish()?);
     }
     Ok(result.expect("at least one round"))
 }

@@ -29,10 +29,10 @@ fn lt_throughput(tb: &Testbed, alg: &Arc<dyn WalkAlgorithm>, cost: CostModel, se
         gpu: tb.gpu_config(cost),
         ..tb.engine_config()
     };
-    let mut session =
-        LightTraffic::session(tb.graph.clone(), alg.clone(), cfg).expect("scaled pools fit");
-    session.inject_walks(tb.standard_walks());
-    let r = session.finish().expect("run completes");
+    let r = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
+        .expect("scaled pools fit")
+        .run(tb.standard_walks())
+        .expect("run completes");
     r.metrics.throughput()
 }
 
@@ -143,10 +143,10 @@ pub fn fig10(shift: u32, seed: u64) -> Value {
                 seed,
                 ..tb.engine_config()
             };
-            let mut session =
-                LightTraffic::session(tb.graph.clone(), alg.clone(), cfg).expect("pools fit");
-            session.inject_walks(walks);
-            let lt = session.finish().expect("run completes");
+            let lt = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
+                .expect("pools fit")
+                .run(walks)
+                .expect("run completes");
             let sub_gpu = sub.gpu.as_ref().expect("subway is simulated");
             let total_speedup = sub.metrics.makespan_ns as f64 / lt.metrics.makespan_ns as f64;
             let comp_speedup = sub_gpu.computing_ns() as f64 / lt.gpu.computing_ns().max(1) as f64;
@@ -204,10 +204,10 @@ pub fn fig11(shift: u32, seed: u64) -> Value {
                 seed,
                 ..tb.engine_config()
             };
-            let mut session =
-                LightTraffic::session(tb.graph.clone(), alg.clone(), cfg).expect("pools fit");
-            session.inject_walks(walks);
-            let lt = session.finish().expect("run completes");
+            let lt = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
+                .expect("pools fit")
+                .run(walks)
+                .expect("run completes");
             let speedup = ig.metrics.makespan_ns as f64 / lt.metrics.makespan_ns as f64;
             let lt_telemetry = crate::run_telemetry_json(&lt);
             rows.push(vec![

@@ -35,10 +35,10 @@ pub fn fig15(shift: u32, seed: u64) -> Value {
                 gpu: tb.gpu_config(CostModel::pcie3()),
                 ..EngineConfig::light_traffic(tb.partition_bytes, pool)
             };
-            let mut session =
-                LightTraffic::session(tb.graph.clone(), alg.clone(), cfg).expect("pools fit");
-            session.inject_walks(total_walks);
-            let r = session.finish().expect("run completes");
+            let r = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
+                .expect("pools fit")
+                .run(total_walks)
+                .expect("run completes");
             let g = &r.gpu;
             rows.push(vec![
                 pool.to_string(),
@@ -105,9 +105,10 @@ pub fn fig17(shift: u32, seed: u64) -> Value {
             },
             ..EngineConfig::light_traffic(part_bytes, pool)
         };
-        let mut session = LightTraffic::session(tb.graph.clone(), alg.clone(), cfg).expect("fits");
-        session.inject_walks(tb.standard_walks());
-        let r = session.finish().expect("run completes");
+        let r = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
+            .expect("fits")
+            .run(tb.standard_walks())
+            .expect("run completes");
         let g = &r.gpu;
         rows.push(vec![
             human_bytes(part_bytes),
@@ -168,10 +169,10 @@ pub fn fig18(shift: u32, seed: u64) -> Value {
                 gpu: tb.gpu_config(CostModel::pcie3()),
                 ..EngineConfig::light_traffic(tb.partition_bytes, pool)
             };
-            let mut session =
-                LightTraffic::session(tb.graph.clone(), alg.clone(), cfg).expect("fits");
-            session.inject_walks(walks);
-            let r = session.finish().expect("run completes");
+            let r = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
+                .expect("fits")
+                .run(walks)
+                .expect("run completes");
             let density = walks as f64 * s_w / tb.graph.csr_bytes() as f64;
             let theory = (cost.pcie_bandwidth / s_w) / (1.0 + 1.0 / density);
             rows.push(vec![

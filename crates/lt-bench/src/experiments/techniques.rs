@@ -18,9 +18,10 @@ fn run_engine(
     cfg: EngineConfig,
     walks: u64,
 ) -> RunResult {
-    let mut session = LightTraffic::session(tb.graph.clone(), alg.clone(), cfg).expect("pools fit");
-    session.inject_walks(walks);
-    session.finish().expect("run completes")
+    LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
+        .expect("pools fit")
+        .run(walks)
+        .expect("run completes")
 }
 
 /// Figure 12: walk reshuffling time, two-level caching vs direct write,

@@ -123,6 +123,15 @@ pub trait WalkAlgorithm: Send + Sync {
         false
     }
 
+    /// Whether the algorithm carries state built from the epoch-0 graph
+    /// (e.g. [`crate::AliasWeightedWalk`]'s alias table, indexed by the
+    /// original CSR offsets). Such state goes stale at the first seal, so
+    /// the engine refuses [`crate::LightTraffic::mutate`] and
+    /// [`crate::LightTraffic::seal_epoch`] under it.
+    fn holds_epoch0_state(&self) -> bool {
+        false
+    }
+
     /// Simulated walk-index size `S_w` in bytes (8 for plain
     /// vertex+steps, 16 when a walk id is carried, 20 for second-order).
     fn walker_state_bytes(&self) -> u64 {

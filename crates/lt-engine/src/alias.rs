@@ -229,6 +229,11 @@ impl WalkAlgorithm for AliasWeightedWalk {
         false
     }
 
+    /// The alias table is indexed by the epoch-0 CSR offsets.
+    fn holds_epoch0_state(&self) -> bool {
+        true
+    }
+
     fn max_steps(&self) -> u32 {
         self.length
     }

@@ -88,7 +88,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{PageRank, WalkAlgorithm};
+    use crate::algorithm::PageRank;
     use crate::{EngineConfig, LightTraffic, RunStatus};
     use lt_graph::gen::{rmat, RmatParams};
     use std::sync::Arc;
@@ -129,8 +129,8 @@ mod tests {
         // resume in a brand new engine.
         let cp = {
             let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg()).unwrap();
-            e.inject(alg.place_walkers(g.num_vertices(), walks));
-            match e.run_at_most(7).unwrap() {
+            e.inject_walks(walks);
+            match e.step(7).unwrap() {
                 RunStatus::Paused => {}
                 RunStatus::Completed(_) => panic!("should not finish in 7 iterations"),
             }
@@ -148,7 +148,8 @@ mod tests {
 
         let resumed = {
             let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg()).unwrap();
-            e.resume(restored).unwrap()
+            e.restore(restored).unwrap();
+            e.finish().unwrap()
         };
         assert_eq!(
             resumed.metrics.finished_walks,
@@ -156,20 +157,6 @@ mod tests {
         );
         assert_eq!(resumed.metrics.total_steps, reference.metrics.total_steps);
         assert_eq!(resumed.visit_counts, reference.visit_counts);
-    }
-
-    #[test]
-    fn run_at_most_completes_small_jobs() {
-        let g = graph();
-        let alg = Arc::new(PageRank::new(3, 0.15));
-        let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg()).unwrap();
-        e.inject(alg.place_walkers(g.num_vertices(), 100));
-        match e.run_at_most(100_000).unwrap() {
-            RunStatus::Completed(r) => {
-                assert_eq!(r.metrics.finished_walks, 100);
-            }
-            RunStatus::Paused => panic!("tiny job must complete"),
-        }
     }
 
     #[test]
@@ -200,7 +187,8 @@ mod tests {
             assert_eq!((cp.seed, cp.total_steps, cp.active_walks()), (42, 5, 2));
             let alg = Arc::new(PageRank::new(12, 0.15));
             let mut e = LightTraffic::new(graph(), alg, cfg()).unwrap();
-            e.resume(cp).unwrap()
+            e.restore(cp).unwrap();
+            e.finish().unwrap()
         };
         let (with_key, without) = (resume(&old), resume(&json("")));
         assert_eq!(with_key.metrics.finished_walks, 3);

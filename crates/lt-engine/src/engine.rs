@@ -244,7 +244,7 @@ pub struct EpochSummary {
     pub reload_bytes: u64,
 }
 
-/// Outcome of a bounded scheduling call ([`LightTraffic::run_at_most`]).
+/// Outcome of a bounded scheduling call ([`LightTraffic::step`]).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunStatus {
@@ -485,7 +485,7 @@ pub struct LightTraffic {
     ledger: Option<TrafficLedger>,
     /// Per-tag steps already credited to the ledger from the live
     /// `tag_deltas` counters (sorted by tag). Step credit is synced
-    /// lazily — once per `run_at_most` return and before each
+    /// lazily — once per `step` return and before each
     /// `take_tag_deltas` drain — instead of per kernel, keeping
     /// attribution off the merge hot path.
     ledger_steps_credited: Vec<(u32, u64)>,
@@ -669,58 +669,31 @@ impl LightTraffic {
         Some(self.exec.stats())
     }
 
-    /// Open a [`crate::session::Session`] over `graph` — the preferred
-    /// driver API (inject walks, step with a budget, checkpoint, finish).
-    pub fn session(
-        graph: Arc<Csr>,
-        alg: Arc<dyn WalkAlgorithm>,
-        cfg: EngineConfig,
-    ) -> Result<crate::session::Session, EngineError> {
-        Ok(crate::session::Session::from_engine(Self::new(
-            graph, alg, cfg,
-        )?))
+    /// Identity; kept for `benchmark/src/library.rs`, its only caller.
+    #[doc(hidden)]
+    pub fn into_session(self) -> Self {
+        self
     }
 
-    /// Wrap an already-built engine in a [`crate::session::Session`].
-    pub fn into_session(self) -> crate::session::Session {
-        crate::session::Session::from_engine(self)
+    /// Identity; kept for `benchmark/src/library.rs`, its only caller.
+    #[doc(hidden)]
+    pub fn engine(&self) -> &Self {
+        self
     }
 
-    /// Run the algorithm's standard workload of `num_walks` walks.
-    ///
-    /// **Deprecated convenience:** equivalent to a [`crate::session::Session`]
-    /// with `inject_walks(num_walks)` followed by `finish()`. Prefer the
-    /// session API; this wrapper stays for one-shot experiments.
+    /// Run the algorithm's standard workload of `num_walks` walks:
+    /// [`Self::inject_walks`] then [`Self::finish`].
     pub fn run(&mut self, num_walks: u64) -> Result<RunResult, EngineError> {
-        self.drive_job(JobInput::Walks(num_walks))
+        self.inject_walks(num_walks);
+        self.finish()
     }
 
-    /// Run an explicit set of initial walkers (used by the multi-round
-    /// baseline and by tests).
-    ///
-    /// **Deprecated convenience:** equivalent to
-    /// [`crate::session::Session::inject`] followed by `finish()`.
-    ///
-    /// # Panics
-    /// Panics if a walker's `vertex` is outside the graph (see
-    /// [`LightTraffic::inject`]).
-    pub fn run_with_walkers(&mut self, walkers: Vec<Walker>) -> Result<RunResult, EngineError> {
-        self.drive_job(JobInput::Walkers(walkers))
-    }
-
-    /// The one internal job-driven path every convenience wrapper
-    /// (`run`, `run_with_walkers`, `resume`) funnels through: seed the
-    /// in-flight set from the job input, then drive it to completion.
-    /// The session API is the stepwise exposure of the same flow.
-    fn drive_job(&mut self, input: JobInput) -> Result<RunResult, EngineError> {
-        match input {
-            JobInput::Walks(n) => self.inject_walks(n),
-            JobInput::Walkers(ws) => self.inject(ws),
-            JobInput::Resume(cp) => self.restore(*cp)?,
-        }
-        match self.run_at_most(u64::MAX)? {
+    /// Drive every walk in flight to completion and return the result.
+    /// The engine stays usable: inject more walks and run again.
+    pub fn finish(&mut self) -> Result<RunResult, EngineError> {
+        match self.step(u64::MAX)? {
             RunStatus::Completed(r) => Ok(*r),
-            _ => unreachable!("unbounded run cannot pause"),
+            RunStatus::Paused => unreachable!("an unbounded step cannot pause"),
         }
     }
 
@@ -782,9 +755,12 @@ impl LightTraffic {
         }
     }
 
-    /// Load a checkpoint into this engine without running: progress
-    /// counters and visit counts merge in, walkers join the in-flight set.
-    pub fn restore(&mut self, cp: crate::checkpoint::Checkpoint) -> Result<(), EngineError> {
+    /// Check that `cp` can join this engine: same seed, same graph epoch,
+    /// every walker on a vertex of this graph, and visit counts (when
+    /// present) one per vertex. [`Self::restore`] runs it before touching
+    /// any state; the serving layer runs it before re-admitting a
+    /// suspended job.
+    pub fn check_checkpoint(&self, cp: &crate::checkpoint::Checkpoint) -> Result<(), EngineError> {
         if cp.seed != self.cfg.seed {
             return Err(EngineError::SeedMismatch {
                 checkpoint: cp.seed,
@@ -797,6 +773,28 @@ impl LightTraffic {
                 engine: self.epoch(),
             });
         }
+        let nv = self.pg.num_vertices();
+        if let Some(w) = cp.walkers.iter().find(|w| u64::from(w.vertex) >= nv) {
+            return Err(EngineError::Admission(format!(
+                "checkpoint walker {} sits on vertex {}, outside this graph (|V| = {nv})",
+                w.id, w.vertex
+            )));
+        }
+        if let Some(counts) = cp.visit_counts.as_ref().filter(|c| c.len() as u64 != nv) {
+            return Err(EngineError::Admission(format!(
+                "checkpoint holds {} visit counts for a graph of {nv} vertices",
+                counts.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Load a checkpoint into this engine without running: progress
+    /// counters and visit counts merge in, walkers join the in-flight set.
+    /// A checkpoint [`Self::check_checkpoint`] refuses leaves the engine
+    /// unchanged.
+    pub fn restore(&mut self, cp: crate::checkpoint::Checkpoint) -> Result<(), EngineError> {
+        self.check_checkpoint(&cp)?;
         self.metrics.total_steps += cp.total_steps;
         self.metrics.finished_walks += cp.finished_walks;
         match (self.visit_counts.as_mut(), cp.visit_counts) {
@@ -812,16 +810,6 @@ impl LightTraffic {
         Ok(())
     }
 
-    /// Resume a checkpointed run to completion on this (fresh) engine.
-    /// Visit counts and progress counters continue from the snapshot;
-    /// trajectories are bit-identical to the uninterrupted run.
-    ///
-    /// **Deprecated convenience:** equivalent to
-    /// [`crate::session::Session::restore`] followed by `finish()`.
-    pub fn resume(&mut self, cp: crate::checkpoint::Checkpoint) -> Result<RunResult, EngineError> {
-        self.drive_job(JobInput::Resume(Box::new(cp)))
-    }
-
     /// The current graph epoch: the number of [`Self::seal_epoch`] calls.
     /// 0 for a static (never-mutated) graph.
     pub fn epoch(&self) -> u64 {
@@ -833,16 +821,26 @@ impl LightTraffic {
         self.evolving.as_ref().map_or(0, |d| d.pending())
     }
 
-    /// The evolving-graph layer holds every partition block in RAM (a
-    /// seal rewrites the dirty ones); an out-of-core store cannot serve
-    /// that. Materialize with [`lt_graph::OocGraph::to_csr`] first.
-    fn reject_ooc_mutation(&self) -> Result<(), EngineError> {
+    /// Refuse mutation where a seal could not be honoured:
+    /// - the evolving-graph layer holds every partition block in RAM (a
+    ///   seal rewrites the dirty ones); an out-of-core store cannot serve
+    ///   that. Materialize with [`lt_graph::OocGraph::to_csr`] first.
+    /// - an algorithm with [`WalkAlgorithm::holds_epoch0_state`] would
+    ///   keep sampling from the epoch-0 graph after the seal.
+    fn reject_mutation(&self) -> Result<(), EngineError> {
         if self.host_cache.is_some() {
             return Err(EngineError::Admission(
                 "graph store is out-of-core (immutable); decode it to RAM \
                  (OocGraph::to_csr) to run evolving-graph workloads"
                     .into(),
             ));
+        }
+        if self.alg.holds_epoch0_state() {
+            return Err(EngineError::Admission(format!(
+                "algorithm `{}` holds state built from the epoch-0 graph; \
+                 it cannot walk a mutated graph",
+                self.alg.name()
+            )));
         }
         Ok(())
     }
@@ -867,9 +865,11 @@ impl LightTraffic {
     ///
     /// Fails with [`EngineError::Admission`] when an endpoint is outside
     /// the (frozen) vertex set or a weight is invalid; updates before the
-    /// offending one stay buffered.
+    /// offending one stay buffered. Refuses, buffering nothing, over an
+    /// out-of-core store or under an algorithm that
+    /// [`WalkAlgorithm::holds_epoch0_state`].
     pub fn mutate(&mut self, updates: Vec<EdgeUpdate>) -> Result<usize, EngineError> {
-        self.reject_ooc_mutation()?;
+        self.reject_mutation()?;
         let delta = self.delta_mut();
         for u in updates {
             delta
@@ -891,19 +891,20 @@ impl LightTraffic {
     /// evolving-graph extension of the paper's traffic thesis). Clean
     /// partitions are not visited.
     ///
-    /// Call this only *between* [`Self::run_at_most`] slices — the epoch
+    /// Call this only *between* [`Self::step`] slices — the epoch
     /// barrier. Sealing with nothing buffered still advances the epoch
     /// (and the temporal default-timestamp clock) but touches no device
     /// state.
     ///
     /// # Errors
+    /// [`EngineError::Admission`] where [`Self::mutate`] refuses.
     /// [`EngineError::OversizedPartition`] when a mutated hub vertex
     /// overflows its partition block under [`ZeroCopyPolicy::Never`] —
     /// the engine cannot make the partition resident and should be
     /// dropped. Device errors from the reload copies propagate like any
     /// fatal copy failure.
     pub fn seal_epoch(&mut self) -> Result<EpochSummary, EngineError> {
-        self.reject_ooc_mutation()?;
+        self.reject_mutation()?;
         let seal = self.delta_mut().seal_epoch();
         self.metrics.epochs += 1;
         let mut summary = EpochSummary {
@@ -980,15 +981,17 @@ impl LightTraffic {
         Ok(summary)
     }
 
-    /// Run at most `iterations` scheduler iterations, pausing (state
-    /// intact, checkpointable) if walks remain.
+    /// The driver: run at most `iterations` scheduler iterations
+    /// (Algorithm 2's loop), pausing — state intact, checkpointable — if
+    /// walks remain. Any budget, 0 included, is boundary safe: slicing a
+    /// run never changes its result.
     ///
     /// With [`EngineConfig::checkpoint_every`] set, an in-memory snapshot
     /// is taken on that cadence and a fatal device error rolls back to it
     /// instead of aborting: data state (walkers, visit counts, paths)
     /// restores exactly, while the simulated clock and traffic counters
     /// keep the lost work on the books as recovery overhead.
-    pub fn run_at_most(&mut self, iterations: u64) -> Result<RunStatus, EngineError> {
+    pub fn step(&mut self, iterations: u64) -> Result<RunStatus, EngineError> {
         let mut done = 0u64;
         while self.active > 0 {
             if done >= iterations {
@@ -1417,8 +1420,8 @@ impl LightTraffic {
 
     /// Credit the ledger with per-tag steps accumulated in `tag_deltas`
     /// since the last sync. O(tags), idempotent (a sorted mirror tracks
-    /// what was already credited), and called once per `run_at_most`
-    /// return and drain rather than once per kernel — attribution's step
+    /// what was already credited), and called once per `step` return
+    /// and drain rather than once per kernel — attribution's step
     /// accounting stays off the merge hot path.
     fn sync_ledger_steps(&mut self) {
         let Some(l) = self.ledger.as_mut() else {
@@ -1994,18 +1997,6 @@ impl LightTraffic {
         }
         Ok(())
     }
-}
-
-/// The ways a one-shot run can seed its walker population — the input of
-/// [`LightTraffic::drive_job`], the single internal path behind `run`,
-/// `run_with_walkers`, and `resume`.
-enum JobInput {
-    /// The algorithm's standard workload of this many walks.
-    Walks(u64),
-    /// An explicit walker set.
-    Walkers(Vec<Walker>),
-    /// A checkpoint to restore and finish (boxed — checkpoints are big).
-    Resume(Box<crate::checkpoint::Checkpoint>),
 }
 
 impl Drop for LightTraffic {

@@ -28,21 +28,27 @@
 //!
 //! # Quick example
 //!
-//! Runs are driven through a [`Session`]: inject walks, step under an
-//! iteration budget (checkpointable between slices), finish for the result.
+//! [`LightTraffic`] is the one driver: inject walks, [`LightTraffic::step`]
+//! under an iteration budget (checkpointable between slices), then
+//! [`LightTraffic::finish`] for the result. [`LightTraffic::run`] does
+//! both for the algorithm's standard workload.
 //!
 //! ```
 //! use std::sync::Arc;
-//! use lt_engine::{EngineConfig, LightTraffic};
+//! use lt_engine::{EngineConfig, LightTraffic, RunStatus};
 //! use lt_engine::algorithm::PageRank;
 //! use lt_graph::gen::{rmat, RmatParams};
 //!
 //! let graph = Arc::new(rmat(RmatParams { scale: 10, edge_factor: 8, ..Default::default() }).csr);
 //! let cfg = EngineConfig::light_traffic(64 << 10, 4);
-//! let mut session =
-//!     LightTraffic::session(graph.clone(), Arc::new(PageRank::new(10, 0.15)), cfg).unwrap();
-//! session.inject_walks(2 * graph.num_vertices());
-//! let result = session.finish().unwrap();
+//! let mut engine =
+//!     LightTraffic::new(graph.clone(), Arc::new(PageRank::new(10, 0.15)), cfg).unwrap();
+//! engine.inject_walks(2 * graph.num_vertices());
+//! // Drive in bounded slices — checkpointable between any two.
+//! while let RunStatus::Paused = engine.step(16).unwrap() {
+//!     let _cp = engine.checkpoint();
+//! }
+//! let result = engine.finish().unwrap();
 //! assert_eq!(result.metrics.finished_walks, 2 * graph.num_vertices());
 //! println!("throughput: {:.0} steps/s", result.metrics.throughput());
 //! ```
@@ -60,7 +66,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod reshuffle;
 pub mod rng;
-pub mod session;
 pub mod telemetry;
 pub mod walker;
 pub mod walkpool;
@@ -81,6 +86,5 @@ pub use lt_telemetry::{EventBus, Level, MetricRegistry};
 pub use metrics::IterationRecord;
 pub use metrics::{Metrics, RunResult};
 pub use reshuffle::ReshuffleMode;
-pub use session::{Session, SessionBuilder};
 pub use telemetry::TelemetrySnapshot;
 pub use walker::Walker;

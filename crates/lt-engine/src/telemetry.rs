@@ -1,5 +1,5 @@
 //! The engine's observability surface: one call
-//! ([`crate::session::Session::telemetry`]) snapshots everything the
+//! ([`LightTraffic::telemetry`]) snapshots everything the
 //! telemetry layer can derive from a run — a metric registry filled from
 //! [`Metrics`] and [`lt_gpusim::GpuStats`], the pipeline-bubble analysis
 //! of the recorded op log, and the straggler report over the iteration
@@ -52,9 +52,17 @@ pub fn iteration_samples(records: &[IterationRecord]) -> Vec<IterationSample> {
         .collect()
 }
 
-/// Build a snapshot from a live engine (used by
-/// [`crate::session::Session::telemetry`]).
-pub fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
+impl LightTraffic {
+    /// Snapshot the run's observability surface: a metric registry filled
+    /// from engine and device counters, the pipeline-bubble analysis (when
+    /// the op log is recorded), and the straggler report (when iterations
+    /// are recorded). Callable at any pause and after [`Self::finish`].
+    pub fn telemetry(&self) -> TelemetrySnapshot {
+        snapshot(self)
+    }
+}
+
+fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
     let registry = MetricRegistry::new();
     let gpu_stats = engine.gpu().stats();
     // Mid-run the metrics struct lags the device for the run-end fields;
@@ -279,29 +287,15 @@ mod tests {
             },
             ..EngineConfig::light_traffic(16 << 10, 4)
         };
-        let mut s = LightTraffic::session(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-        s.inject_walks(2_000);
-        let t = s.telemetry();
+        let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+        e.inject_walks(2_000);
+        let t = e.telemetry();
         // Before any work: registry renders, no ops, no iterations.
         assert!(t.prometheus().contains("lt_engine_iterations_total 0"));
         assert!(t.pipeline.is_none());
         assert!(t.stragglers.is_none());
-        let r = s.finish().unwrap();
-        // finish() consumed the session; rebuild from a fresh run to check
-        // the populated path.
-        let cfg = EngineConfig {
-            batch_capacity: 256,
-            record_iterations: true,
-            gpu: lt_gpusim::GpuConfig {
-                record_ops: true,
-                ..Default::default()
-            },
-            ..EngineConfig::light_traffic(16 << 10, 4)
-        };
-        let mut s = LightTraffic::session(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-        s.inject_walks(2_000);
-        while let crate::engine::RunStatus::Paused = s.step(64).unwrap() {}
-        let t = s.telemetry();
+        let r = e.finish().unwrap();
+        let t = e.telemetry();
         let text = t.prometheus();
         assert!(text.contains("lt_engine_finished_walks_total 2000"));
         assert!(text.contains("lt_gpu_makespan_ns"));
@@ -329,11 +323,9 @@ mod tests {
                 kernel_threads,
                 ..EngineConfig::light_traffic(16 << 10, 4)
             };
-            let mut s =
-                LightTraffic::session(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-            s.inject_walks(2_000);
-            while let crate::engine::RunStatus::Paused = s.step(64).unwrap() {}
-            let text = s.telemetry().prometheus();
+            let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+            e.run(2_000).unwrap();
+            let text = e.telemetry().prometheus();
             for series in [
                 "lt_exec_workers",
                 "lt_exec_tasks_total",

@@ -54,7 +54,8 @@ fn single_walker_completes() {
         },
     )
     .unwrap();
-    let r = e.run_with_walkers(vec![Walker::new(0, 5)]).unwrap();
+    e.inject(vec![Walker::new(0, 5)]);
+    let r = e.finish().unwrap();
     assert_eq!(r.metrics.finished_walks, 1);
     assert_eq!(r.metrics.total_steps, 100);
 }
@@ -199,7 +200,8 @@ fn walkers_can_start_anywhere_not_just_spread() {
     // All walkers on the last vertex.
     let last = (g.num_vertices() - 1) as u32;
     let walkers: Vec<Walker> = (0..300).map(|i| Walker::new(i, last)).collect();
-    let r = e.run_with_walkers(walkers).unwrap();
+    e.inject(walkers);
+    let r = e.finish().unwrap();
     assert_eq!(r.metrics.finished_walks, 300);
     assert_eq!(r.metrics.total_steps, 1200);
 }

@@ -2,12 +2,12 @@
 //! visibility, seals reloading exactly the dirty resident partitions,
 //! reload traffic exactness in the ledger, epoch-pinned checkpoints, and the
 //! epoch-barrier budget regression (a seal landing exactly on a
-//! `Session::step` boundary neither double-charges nor skips scheduler
+//! `LightTraffic::step` boundary neither double-charges nor skips scheduler
 //! iterations).
 
 use lt_engine::algorithm::{PageRank, UniformSampling};
 use lt_engine::{
-    EdgeOp, EdgeUpdate, EngineConfig, EngineError, LightTraffic, RunResult, RunStatus, Session,
+    AliasWeightedWalk, EdgeOp, EdgeUpdate, EngineConfig, EngineError, LightTraffic, RunStatus,
 };
 use lt_graph::gen::{locality_mutations, rmat, RmatParams};
 use lt_graph::{Csr, PartitionedGraph, VertexId};
@@ -45,23 +45,15 @@ fn cfg() -> EngineConfig {
     }
 }
 
-fn drain(s: &mut Session) -> RunResult {
-    match s.step(u64::MAX).expect("wave completes") {
-        RunStatus::Completed(r) => *r,
-        other => unreachable!("unbounded step cannot pause: {other:?}"),
-    }
-}
-
 /// Buffered mutations stay invisible through a full wave; sealing at the
 /// inter-wave barrier flips the very next wave onto the new adjacency.
 #[test]
 fn mutations_invisible_until_sealed_at_the_barrier() {
     let g = cycle(64);
-    let mut s =
-        LightTraffic::session(g, Arc::new(UniformSampling::new(4)), cfg()).expect("pools fit");
+    let mut s = LightTraffic::new(g, Arc::new(UniformSampling::new(4)), cfg()).expect("pools fit");
 
     s.inject_walks(1); // walker 0 starts at vertex 0
-    let r = drain(&mut s);
+    let r = s.finish().expect("wave completes");
     let forced = vec![0u32, 1, 2, 3, 4];
     assert_eq!(r.paths.as_ref().unwrap()[0], forced);
 
@@ -71,7 +63,7 @@ fn mutations_invisible_until_sealed_at_the_barrier() {
         .expect("valid updates");
     assert_eq!(pending, 2);
     s.inject_walks(1);
-    let r = drain(&mut s);
+    let r = s.finish().expect("wave completes");
     assert_eq!(
         r.paths.as_ref().unwrap()[0],
         forced,
@@ -85,7 +77,7 @@ fn mutations_invisible_until_sealed_at_the_barrier() {
     assert_eq!(s.epoch(), 1);
 
     s.inject_walks(1);
-    let r = drain(&mut s);
+    let r = s.finish().expect("wave completes");
     assert_eq!(
         r.paths.as_ref().unwrap()[0],
         vec![0u32, 1, 0, 1, 0],
@@ -104,7 +96,7 @@ fn mutations_invisible_until_sealed_at_the_barrier() {
 fn a_seal_reloads_exactly_the_dirty_resident_partitions() {
     let g = skewed();
     let p = PartitionedGraph::build(g.clone(), 8 << 10).num_partitions();
-    let mut s = LightTraffic::session(
+    let mut s = LightTraffic::new(
         g.clone(),
         Arc::new(UniformSampling::new(8)),
         EngineConfig {
@@ -117,8 +109,8 @@ fn a_seal_reloads_exactly_the_dirty_resident_partitions() {
     let mut reloaded = 0;
     for _ in 0..4 {
         s.inject_walks(96);
-        drain(&mut s);
-        let ledger = s.engine().traffic_ledger().expect("attribution is on");
+        s.finish().expect("wave completes");
+        let ledger = s.traffic_ledger().expect("attribution is on");
         let resident: BTreeSet<u32> = ledger
             .cells()
             .filter(|c| c.tag == SHARED_TAG && c.h2d_bytes > 0)
@@ -127,13 +119,13 @@ fn a_seal_reloads_exactly_the_dirty_resident_partitions() {
         // Inserts only: each one dirties its source's partition.
         let mut updates = locality_mutations(&g, g.num_edges() / 100, 1.0 / 16.0, &mut state);
         updates.retain(|u| u.op == EdgeOp::Insert);
-        let pg = s.engine().partitions();
+        let pg = s.partitions();
         let dirty: BTreeSet<u32> = updates.iter().map(|u| pg.partition_of(u.src)).collect();
         s.mutate(updates).unwrap();
         let summary = s.seal_epoch().expect("seal succeeds");
 
         // Sizes after the seal: a dirty block is reloaded at its new size.
-        let pg = s.engine().partitions();
+        let pg = s.partitions();
         let bytes_of =
             |set: &BTreeSet<u32>| set.iter().map(|&p| pg.partition_bytes(p)).sum::<u64>();
         let expected: BTreeSet<u32> = resident.intersection(&dirty).copied().collect();
@@ -159,11 +151,10 @@ fn a_seal_reloads_exactly_the_dirty_resident_partitions() {
 fn reload_traffic_is_exact_in_the_ledger() {
     let g = skewed();
     let nv = g.num_vertices() as VertexId;
-    let mut s =
-        LightTraffic::session(g, Arc::new(UniformSampling::new(8)), cfg()).expect("pools fit");
+    let mut s = LightTraffic::new(g, Arc::new(UniformSampling::new(8)), cfg()).expect("pools fit");
     for round in 0..3u32 {
         s.inject_walks(256);
-        drain(&mut s);
+        s.finish().expect("wave completes");
         s.mutate(vec![
             EdgeUpdate::insert(round % nv, (round * 7 + 1) % nv),
             EdgeUpdate::delete((round * 13) % nv, (round * 3) % nv),
@@ -174,7 +165,7 @@ fn reload_traffic_is_exact_in_the_ledger() {
     }
 
     let stats = s.gpu().stats();
-    let ledger = s.engine().traffic_ledger().expect("attribution is on");
+    let ledger = s.traffic_ledger().expect("attribution is on");
     let (mut h2d, mut d2h, mut reload, mut shared_reload) = (0u64, 0u64, 0u64, 0u64);
     for cell in ledger.cells() {
         h2d += cell.h2d_bytes;
@@ -187,7 +178,7 @@ fn reload_traffic_is_exact_in_the_ledger() {
     assert!(reload > 0, "three dirty seals must move reload traffic");
     assert_eq!(reload, stats.reload_bytes(), "ledger reload != device");
     assert_eq!(reload, ledger.reload_bytes(), "total disagrees with cells");
-    assert_eq!(reload, s.engine().metrics().reload_bytes);
+    assert_eq!(reload, s.metrics().reload_bytes);
     assert_eq!(shared_reload, reload, "reloads must land on the shared tag");
     assert_eq!(h2d, stats.h2d_bytes(), "reloads contaminated H2D cells");
     assert_eq!(d2h, stats.d2h_bytes(), "reloads contaminated D2H cells");
@@ -199,8 +190,7 @@ fn reload_traffic_is_exact_in_the_ledger() {
 #[test]
 fn restore_rejects_checkpoints_from_older_epochs() {
     let g = skewed();
-    let mut s =
-        LightTraffic::session(g, Arc::new(UniformSampling::new(8)), cfg()).expect("pools fit");
+    let mut s = LightTraffic::new(g, Arc::new(UniformSampling::new(8)), cfg()).expect("pools fit");
     s.inject_walks(512);
     match s.step(2).expect("slice runs") {
         RunStatus::Paused => {}
@@ -217,15 +207,40 @@ fn restore_rejects_checkpoints_from_older_epochs() {
     }
 }
 
+/// An algorithm holding state built from the epoch-0 graph cannot walk a
+/// mutated one: after trimming a hub to one edge and sealing,
+/// `AliasWeightedWalk` would still draw from the hub's original row and
+/// index past the new one inside a kernel task. `mutate` and `seal_epoch`
+/// refuse it with a typed error before buffering anything, and the engine
+/// keeps walking the graph its table was built from.
+#[test]
+fn mutation_is_refused_under_epoch0_algorithm_state() {
+    let g = skewed();
+    let hub = (0..g.num_vertices() as VertexId)
+        .max_by_key(|&v| g.degree(v))
+        .expect("non-empty graph");
+    let trim: Vec<EdgeUpdate> = g.neighbors(hub)[1..]
+        .iter()
+        .map(|&dst| EdgeUpdate::delete(hub, dst))
+        .collect();
+    let alg = Arc::new(AliasWeightedWalk::new(&g, 8));
+    let mut e = LightTraffic::new(g, alg, cfg()).expect("pools fit");
+    assert!(matches!(e.mutate(trim), Err(EngineError::Admission(_))));
+    assert_eq!(e.pending_mutations(), 0);
+    assert!(matches!(e.seal_epoch(), Err(EngineError::Admission(_))));
+    assert_eq!(e.epoch(), 0);
+    let r = e.run(2_000).expect("run completes");
+    assert_eq!(r.metrics.finished_walks, 2_000);
+}
+
 /// An empty seal advances the epoch clock but touches nothing on the
 /// device: no partitions reload, no bytes move.
 #[test]
 fn empty_seal_advances_epoch_without_traffic() {
     let g = skewed();
-    let mut s =
-        LightTraffic::session(g, Arc::new(UniformSampling::new(8)), cfg()).expect("pools fit");
+    let mut s = LightTraffic::new(g, Arc::new(UniformSampling::new(8)), cfg()).expect("pools fit");
     s.inject_walks(256);
-    drain(&mut s);
+    s.finish().expect("wave completes");
     let before = s.gpu().stats().reload_bytes();
     let summary = s.seal_epoch().expect("empty seal");
     assert_eq!(summary.epoch, 1);
@@ -236,7 +251,7 @@ fn empty_seal_advances_epoch_without_traffic() {
 }
 
 /// The epoch-barrier budget regression: a seal landing exactly on every
-/// `Session::step` pause — including seals that reload a resident
+/// `LightTraffic::step` pause — including seals that reload a resident
 /// partition — must neither double-charge nor skip scheduler iterations,
 /// and must leave trajectories identical to a run that never seals
 /// (the sealed schedule is a net no-op: insert an absent edge, delete it
@@ -257,14 +272,14 @@ fn seals_on_step_boundaries_never_double_charge_or_skip() {
 
     let total = 600u64;
     let reference = {
-        let mut s = LightTraffic::session(g.clone(), Arc::new(PageRank::new(8, 0.15)), cfg())
+        let mut s = LightTraffic::new(g.clone(), Arc::new(PageRank::new(8, 0.15)), cfg())
             .expect("pools fit");
         s.inject_walks(total);
-        drain(&mut s)
+        s.finish().expect("wave completes")
     };
 
     for budget in [1u64, 2, 3, 5, 8, 13, 64] {
-        let mut s = LightTraffic::session(g.clone(), Arc::new(PageRank::new(8, 0.15)), cfg())
+        let mut s = LightTraffic::new(g.clone(), Arc::new(PageRank::new(8, 0.15)), cfg())
             .expect("pools fit");
         s.inject_walks(total);
         let mut pauses = 0u64;
@@ -273,7 +288,7 @@ fn seals_on_step_boundaries_never_double_charge_or_skip() {
                 RunStatus::Paused => {
                     pauses += 1;
                     assert_eq!(
-                        s.active_walks() + s.engine().metrics().finished_walks,
+                        s.active_walks() + s.metrics().finished_walks,
                         total,
                         "budget {budget}: conservation broke at pause {pauses}"
                     );
@@ -285,7 +300,7 @@ fn seals_on_step_boundaries_never_double_charge_or_skip() {
                     let summary = s.seal_epoch().expect("barrier seal");
                     assert_eq!(summary.epoch, pauses, "epoch clock drifted from seals");
                     assert_eq!(summary.dirty_vertices, 1);
-                    assert!(pauses < 1_000_000, "budget {budget}: runaway session");
+                    assert!(pauses < 1_000_000, "budget {budget}: runaway run");
                 }
                 RunStatus::Completed(r) => break r,
                 other => panic!("unexpected status {other:?}"),

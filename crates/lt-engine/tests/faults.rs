@@ -35,14 +35,13 @@ fn cfg(faults: Option<FaultPlan>, kernel_threads: usize) -> EngineConfig {
 
 fn run(faults: Option<FaultPlan>, kernel_threads: usize) -> RunResult {
     let g = graph();
-    let mut s = LightTraffic::session(
+    let mut e = LightTraffic::new(
         g,
         Arc::new(PageRank::new(8, 0.15)),
         cfg(faults, kernel_threads),
     )
     .unwrap();
-    s.inject_walks(2_000);
-    s.finish().unwrap()
+    e.run(2_000).unwrap()
 }
 
 proptest! {
@@ -113,9 +112,8 @@ fn fatal_faults_recover_from_auto_checkpoints() {
     };
     let mut cfg = cfg(Some(plan), 1);
     cfg.checkpoint_every = Some(8);
-    let mut s = LightTraffic::session(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-    s.inject_walks(2_000);
-    let r = s.finish().unwrap();
+    let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+    let r = e.run(2_000).unwrap();
     assert!(
         r.metrics.recoveries > 0,
         "8% fatal rate over this run must trigger recovery"
@@ -140,7 +138,7 @@ fn fatal_fault_without_recovery_surfaces_and_preserves_walks() {
         copy_fatal_rate: 0.05,
         ..FaultPlan::default()
     };
-    let mut s = LightTraffic::session(
+    let mut s = LightTraffic::new(
         graph(),
         Arc::new(UniformSampling::new(12)),
         cfg(Some(plan), 1),
@@ -178,7 +176,7 @@ fn manual_checkpoint_round_trip_through_a_fatal_fault() {
         ..FaultPlan::default()
     };
     // Drive with periodic manual checkpoints until the device dies.
-    let mut s = LightTraffic::session(
+    let mut s = LightTraffic::new(
         graph(),
         Arc::new(PageRank::new(8, 0.15)),
         cfg(Some(plan), 1),
@@ -198,7 +196,7 @@ fn manual_checkpoint_round_trip_through_a_fatal_fault() {
     assert!(crashed, "8% fatal rate over this many copies must crash");
     // "Reboot": fresh fault-free engine, resume from the survivor.
     let mut fresh =
-        LightTraffic::session(graph(), Arc::new(PageRank::new(8, 0.15)), cfg(None, 1)).unwrap();
+        LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg(None, 1)).unwrap();
     fresh.restore(cp).unwrap();
     let r = fresh.finish().unwrap();
     assert_eq!(r.visit_counts, clean.visit_counts);
@@ -217,9 +215,8 @@ fn corrupted_partitions_degrade_to_zero_copy() {
     };
     let mut cfg = cfg(Some(plan), 1);
     cfg.corruption_degrade_threshold = 2;
-    let mut s = LightTraffic::session(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-    s.inject_walks(2_000);
-    let r = s.finish().unwrap();
+    let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+    let r = e.run(2_000).unwrap();
     assert!(
         r.metrics.degraded_partitions > 0,
         "60% corruption must degrade at least one partition"

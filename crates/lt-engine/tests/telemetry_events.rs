@@ -35,9 +35,8 @@ fn run_on(bus: EventBus, graph_seed: u64, walks: u64, kernel_threads: usize) -> 
         },
         ..EngineConfig::light_traffic(16 << 10, 4)
     };
-    let mut s = LightTraffic::session(g, Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-    s.inject_walks(walks);
-    s.finish().unwrap().deterministic_fingerprint()
+    let mut e = LightTraffic::new(g, Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+    e.run(walks).unwrap().deterministic_fingerprint()
 }
 
 /// [`run_on`] with full telemetry: the host-masked JSONL event stream and
@@ -98,9 +97,8 @@ fn faulted_event_stream_is_thread_count_independent() {
             },
             ..EngineConfig::light_traffic(16 << 10, 4)
         };
-        let mut s = LightTraffic::session(g, Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-        s.inject_walks(2_000);
-        let _ = s.finish().unwrap();
+        let mut e = LightTraffic::new(g, Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+        e.run(2_000).unwrap();
         deterministic_jsonl(&ring.snapshot())
     };
     let seq = run(1);

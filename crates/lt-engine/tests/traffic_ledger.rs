@@ -7,7 +7,7 @@
 //! them).
 
 use lt_engine::algorithm::{SecondOrderWalk, UniformSampling, WalkAlgorithm};
-use lt_engine::{EngineConfig, LightTraffic, RunStatus, ZeroCopyPolicy};
+use lt_engine::{EngineConfig, LightTraffic, ZeroCopyPolicy};
 use lt_gpusim::FaultPlan;
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
@@ -46,14 +46,10 @@ fn cfg(
 /// GPU's category counters exactly; returns total steps for follow-on
 /// checks.
 fn assert_exact(alg: Arc<dyn WalkAlgorithm>, cfg: EngineConfig, walks: u64) -> u64 {
-    let mut s = LightTraffic::session(graph(), alg, cfg).expect("pools fit");
-    s.inject_walks(walks);
-    let result = match s.step(u64::MAX).expect("run completes") {
-        RunStatus::Completed(r) => *r,
-        other => panic!("run did not complete: {other:?}"),
-    };
-    let stats = s.gpu().stats();
-    let ledger = s.engine().traffic_ledger().expect("attribution is on");
+    let mut e = LightTraffic::new(graph(), alg, cfg).expect("pools fit");
+    let result = e.run(walks).expect("run completes");
+    let stats = e.gpu().stats();
+    let ledger = e.traffic_ledger().expect("attribution is on");
 
     // The exactness invariant: summed over every (tag, partition) cell,
     // the ledger reproduces the device's direction totals with zero
@@ -157,9 +153,8 @@ fn ledger_stays_exact_under_retryable_faults() {
 fn no_ledger_without_attribution() {
     let mut c = cfg(ZeroCopyPolicy::adaptive(), 1, None);
     c.attribution = false;
-    let mut s =
-        LightTraffic::session(graph(), Arc::new(UniformSampling::new(8)), c).expect("pools fit");
-    s.inject_walks(100);
-    s.step(u64::MAX).expect("run completes");
-    assert!(s.engine().traffic_ledger().is_none());
+    let mut e =
+        LightTraffic::new(graph(), Arc::new(UniformSampling::new(8)), c).expect("pools fit");
+    e.run(100).expect("run completes");
+    assert!(e.traffic_ledger().is_none());
 }

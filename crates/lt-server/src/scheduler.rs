@@ -1,6 +1,6 @@
 //! The deterministic multi-tenant job scheduler.
 //!
-//! One [`Scheduler`] owns one engine ([`lt_engine::Session`]) over one
+//! One [`Scheduler`] owns one engine ([`lt_engine::LightTraffic`]) over one
 //! shared immutable graph and multiplexes any number of tenant-submitted
 //! jobs through it. All scheduling decisions — admission order, tranche
 //! sizes, parking — are pure functions of submission order, pump count,
@@ -22,7 +22,7 @@
 
 use lt_engine::{
     Checkpoint, EdgeUpdate, EngineConfig, EngineError, JobId, JobSpec, JobStart, JobStatus,
-    JobTable, Session, Walker,
+    JobTable, LightTraffic, Walker,
 };
 use lt_graph::{Csr, VertexId};
 use lt_telemetry::chrome::ChromeTraceBuilder;
@@ -215,7 +215,7 @@ struct Tenant {
 /// The deterministic multiplexer: many jobs, one engine. See the module
 /// docs for the scheduling and budget model.
 pub struct Scheduler {
-    session: Session,
+    engine: LightTraffic,
     graph: Arc<Csr>,
     table: Arc<JobTable>,
     jobs: Vec<JobState>,
@@ -250,14 +250,10 @@ impl Scheduler {
         cfg.engine.track_tags = true;
         cfg.engine.record_paths = false;
         let table = Arc::new(JobTable::with_capacity(cfg.max_jobs));
-        let session = Session::builder()
-            .graph(graph.clone())
-            .algorithm(table.clone())
-            .config(cfg.engine.clone())
-            .build()?;
-        let bus = session.gpu().telemetry();
+        let engine = LightTraffic::new(graph.clone(), table.clone(), cfg.engine.clone())?;
+        let bus = engine.telemetry_bus();
         Ok(Scheduler {
-            session,
+            engine,
             graph,
             table,
             jobs: Vec::new(),
@@ -356,7 +352,7 @@ impl Scheduler {
     /// logical clock; `sim_ns`/`host_ns` are the wall-like clocks the
     /// canonical form masks.
     fn record_span(&mut self, idx: usize, phase: JobPhase, detail: String) {
-        let sim_ns = self.session.gpu().now();
+        let sim_ns = self.engine.gpu().now();
         let host_ns = self.epoch.elapsed().as_nanos() as u64;
         let j = &mut self.jobs[idx];
         j.trace
@@ -417,7 +413,7 @@ impl Scheduler {
             return true;
         }
         if self.jobs[idx].in_flight() > 0 {
-            self.session.extract_tagged(idx as u32);
+            self.engine.extract_tagged(idx as u32);
         }
         let j = &mut self.jobs[idx];
         j.pending.clear();
@@ -465,7 +461,7 @@ impl Scheduler {
             return None;
         }
         let mut walkers = if self.jobs[idx].in_flight() > 0 {
-            self.session.extract_tagged(idx as u32)
+            self.engine.extract_tagged(idx as u32)
         } else {
             Vec::new()
         };
@@ -486,7 +482,7 @@ impl Scheduler {
         let j = &mut self.jobs[idx];
         Some(Checkpoint {
             seed: self.cfg.engine.seed,
-            epoch: self.session.epoch(),
+            epoch: self.engine.epoch(),
             walkers,
             visit_counts: None,
             total_steps: j.result.steps,
@@ -496,20 +492,12 @@ impl Scheduler {
 
     /// Resume a suspended job from its checkpoint. The walkers re-enter
     /// the parked set (re-admission is free — their tokens were spent at
-    /// first admission) and the job unblocks on the next pump.
+    /// first admission) and the job unblocks on the next pump. A
+    /// checkpoint the engine would not restore
+    /// ([`LightTraffic::check_checkpoint`]) is refused here, before any
+    /// walker reaches the engine.
     pub fn resume(&mut self, id: JobId, cp: Checkpoint) -> Result<(), EngineError> {
-        if cp.seed != self.cfg.engine.seed {
-            return Err(EngineError::SeedMismatch {
-                checkpoint: cp.seed,
-                engine: self.cfg.engine.seed,
-            });
-        }
-        if cp.epoch != self.session.epoch() {
-            return Err(EngineError::EpochMismatch {
-                checkpoint: cp.epoch,
-                engine: self.session.epoch(),
-            });
-        }
+        self.engine.check_checkpoint(&cp)?;
         let Some(j) = self.jobs.get_mut(id.0 as usize) else {
             return Err(EngineError::Admission(format!("unknown job {id}")));
         };
@@ -550,14 +538,14 @@ impl Scheduler {
         &mut self,
         updates: Vec<EdgeUpdate>,
     ) -> Result<lt_engine::EpochSummary, EngineError> {
-        self.session.mutate(updates)?;
-        self.session.seal_epoch()
+        self.engine.mutate(updates)?;
+        self.engine.seal_epoch()
     }
 
-    /// The session's current graph epoch (0 = never mutated). Suspended
+    /// The engine's current graph epoch (0 = never mutated). Suspended
     /// jobs resume only at the epoch their checkpoint was taken at.
     pub fn epoch(&self) -> u64 {
-        self.session.epoch()
+        self.engine.epoch()
     }
 
     /// Push `ev` to the job's stream; overflow and disconnects fall back
@@ -617,14 +605,14 @@ impl Scheduler {
     pub fn pump(&mut self) -> Result<bool, EngineError> {
         self.pumps += 1;
         self.admit();
-        let sim_start = self.session.gpu().now();
-        if self.session.active_walks() > 0 {
-            if let Err(e) = self.session.step(self.cfg.pump_iterations) {
+        let sim_start = self.engine.gpu().now();
+        if self.engine.active_walks() > 0 {
+            if let Err(e) = self.engine.step(self.cfg.pump_iterations) {
                 self.on_fault(&e);
                 return Err(e);
             }
         }
-        let sim_elapsed = self.session.gpu().now().saturating_sub(sim_start);
+        let sim_elapsed = self.engine.gpu().now().saturating_sub(sim_start);
         self.drain(sim_elapsed);
         self.park_exhausted();
         self.retire();
@@ -642,7 +630,7 @@ impl Scheduler {
                 "walkers in flight inside the engine",
                 &[],
             )
-            .set(self.session.active_walks() as f64);
+            .set(self.engine.active_walks() as f64);
         Ok(runnable)
     }
 
@@ -672,7 +660,7 @@ impl Scheduler {
     /// admissible walkers whose tenant still holds tokens. Parked jobs
     /// waiting on a top-up are not runnable.
     pub fn has_runnable_work(&self) -> bool {
-        if self.session.active_walks() > 0 {
+        if self.engine.active_walks() > 0 {
             return true;
         }
         self.jobs.iter().any(|j| {
@@ -739,7 +727,7 @@ impl Scheduler {
                     &[("tenant", &tenant)],
                 )
                 .add(fresh);
-            self.session.inject(batch);
+            self.engine.inject(batch);
             if was_queued {
                 // First walkers in: the queued span ends, the running one
                 // opens. Both step_clock 0, both schedule-invariant.
@@ -755,7 +743,7 @@ impl Scheduler {
     /// costs, observe per-tenant step latency, and stream progress
     /// events. `sim_elapsed` is the pump round's simulated duration.
     fn drain(&mut self, sim_elapsed: u64) {
-        for delta in self.session.take_tag_deltas() {
+        for delta in self.engine.take_tag_deltas() {
             let idx = delta.tag as usize;
             let tenant = self.jobs[idx].tenant.clone();
             let j = &mut self.jobs[idx];
@@ -812,7 +800,7 @@ impl Scheduler {
                 continue;
             }
             if j.in_flight() > 0 {
-                let extracted = self.session.extract_tagged(idx as u32);
+                let extracted = self.engine.extract_tagged(idx as u32);
                 self.jobs[idx].parked.extend(extracted);
             }
             let j = &mut self.jobs[idx];
@@ -896,8 +884,8 @@ impl Scheduler {
     /// traffic ledger, per-tenant latency histograms — into the metric
     /// registry. Pure pull: nothing here is read back by the scheduler.
     fn publish_observability(&self) {
-        self.session.gpu().stats().publish(&self.registry);
-        if let Some(l) = self.session.engine().traffic_ledger() {
+        self.engine.gpu().stats().publish(&self.registry);
+        if let Some(l) = self.engine.traffic_ledger() {
             let mut per_tenant: BTreeMap<String, (u64, u64)> = BTreeMap::new();
             for c in l.cells() {
                 let e = per_tenant
@@ -953,16 +941,13 @@ impl Scheduler {
     /// The engine's traffic report with at most `top_k` hot partitions
     /// (`None` when attribution is disabled).
     pub fn traffic_report(&self, top_k: usize) -> Option<TrafficReport> {
-        self.session
-            .engine()
-            .traffic_ledger()
-            .map(|l| l.report(top_k))
+        self.engine.traffic_ledger().map(|l| l.report(top_k))
     }
 
-    /// Full telemetry snapshot of the underlying session (registry,
+    /// Full telemetry snapshot of the underlying engine (registry,
     /// pipeline report, stragglers, traffic report).
     pub fn telemetry(&self) -> lt_engine::TelemetrySnapshot {
-        self.session.telemetry()
+        self.engine.telemetry()
     }
 
     /// Build a job's flight-record JSONL on demand: a meta line, the
@@ -975,7 +960,7 @@ impl Scheduler {
     }
 
     fn job_traffic_rows(&self, tag: u32) -> Vec<(u32, &'static str, u64)> {
-        let Some(l) = self.session.engine().traffic_ledger() else {
+        let Some(l) = self.engine.traffic_ledger() else {
             return Vec::new();
         };
         let mut rows = Vec::new();
@@ -1012,7 +997,7 @@ impl Scheduler {
     /// single row renders the phase spans on the simulated clock.
     pub fn chrome_trace(&self) -> String {
         let mut b = ChromeTraceBuilder::new();
-        let gpu = self.session.gpu();
+        let gpu = self.engine.gpu();
         lt_gpusim::trace::render_devices_into(
             &mut b,
             &[lt_gpusim::trace::DeviceTrace {

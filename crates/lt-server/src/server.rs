@@ -34,7 +34,7 @@
 //! is closed.
 //!
 //! Evolving graphs (DESIGN.md §15): `mutate` seals an edge-update batch
-//! as one graph epoch on the serving session —
+//! as one graph epoch on the serving engine —
 //!
 //! ```text
 //! → {"op":"mutate","edges":[{"op":"insert","src":1,"dst":2,"t":5},{"op":"delete","src":3,"dst":4}]}
@@ -188,7 +188,7 @@ impl ServerHandle {
         })
     }
 
-    /// Seal `updates` as one graph epoch on the serving session (see
+    /// Seal `updates` as one graph epoch on the serving engine (see
     /// [`Scheduler::mutate`]). The scheduler thread executes this at an
     /// inter-pump barrier, so jobs in flight observe the new adjacency
     /// deterministically from their next step on.

@@ -243,6 +243,29 @@ fn suspend_resume_round_trips_through_a_checkpoint() {
     assert_eq!(sched.result(id).unwrap(), &want);
 }
 
+/// A checkpoint with a walker outside this graph (one taken on a larger
+/// graph, say) is refused at `resume`, before the walker can reach the
+/// engine and panic the pump; the job stays suspended and other jobs run
+/// on.
+#[test]
+fn resume_refuses_walkers_outside_the_graph() {
+    let mut sched = Scheduler::new(graph(), config()).unwrap();
+    let (id, _rx) = sched.submit("t", JobSpec::deepwalk(90, 8, 7)).unwrap();
+    let (other, _) = sched.submit("t", JobSpec::deepwalk(90, 8, 8)).unwrap();
+    sched.pump().unwrap();
+    let mut cp = sched.suspend(id).expect("live job suspends");
+    assert!(!cp.walkers.is_empty(), "one pump leaves walkers in flight");
+    cp.walkers[0].vertex = graph().num_vertices() as u32;
+    assert!(matches!(
+        sched.resume(id, cp),
+        Err(EngineError::Admission(_))
+    ));
+    assert!(matches!(sched.status(id), Some(JobStatus::Blocked { .. })));
+    sched.pump().unwrap();
+    sched.run_until_idle().unwrap();
+    assert_eq!(sched.status(other), Some(JobStatus::Done));
+}
+
 /// Cancellation evicts promptly and leaves partial results readable.
 #[test]
 fn cancel_evicts_and_keeps_partial_results() {

@@ -1,6 +1,6 @@
 //! Evolving graphs through the serving layer (DESIGN.md §15): the
 //! `mutate` command seals edge-update batches as graph epochs on the
-//! shared session, new jobs observe the sealed adjacency, suspended
+//! shared engine, new jobs observe the sealed adjacency, suspended
 //! jobs stay pinned to their checkpoint epoch, and the TCP/JSONL front
 //! end exposes the whole path.
 

@@ -34,7 +34,7 @@
 //! quantities only (byte counts, tags, partitions — never host wall
 //! time), so its contents are bit-identical across `kernel_threads` and
 //! retryable-fault plans. It is *read* only
-//! pull-side — `Session::telemetry()`, the server's metric publication —
+//! pull-side — `LightTraffic::telemetry()`, the server's metric publication —
 //! and never feeds an event stream or a scheduling decision, so enabling
 //! attribution cannot perturb any deterministic fingerprint.
 //!

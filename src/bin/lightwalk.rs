@@ -352,7 +352,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "[resuming {} in-flight walks from {cp_path}]",
             cp.active_walks()
         );
-        let r = engine.resume(cp).map_err(|e| e.to_string())?;
+        engine.restore(cp).map_err(|e| e.to_string())?;
+        let r = engine.finish().map_err(|e| e.to_string())?;
         write_metrics_out(&f, &r)?;
         if f.has("json") {
             println!(
@@ -371,12 +372,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     if let Some(cp_path) = f.get("checkpoint") {
         let pause_after: u64 = f.get_parse("pause-after", 100)?;
-        engine.inject(
-            setup
-                .alg
-                .place_walkers(setup.graph.num_vertices(), setup.walks),
-        );
-        return match engine.run_at_most(pause_after).map_err(|e| e.to_string())? {
+        engine.inject_walks(setup.walks);
+        return match engine.step(pause_after).map_err(|e| e.to_string())? {
             lighttraffic::engine::RunStatus::Completed(r) => {
                 write_metrics_out(&f, &r)?;
                 if f.has("json") {

@@ -20,7 +20,7 @@ use lighttraffic::engine::algorithm::{
     SecondOrderWalk, TemporalWalk, UniformSampling, WalkAlgorithm,
 };
 use lighttraffic::engine::{
-    EdgeOp, EdgeUpdate, EngineConfig, LightTraffic, RunResult, RunStatus, Session, ZeroCopyPolicy,
+    EdgeOp, EdgeUpdate, EngineConfig, LightTraffic, RunResult, ZeroCopyPolicy,
 };
 use lighttraffic::gpusim::{FaultPlan, GpuConfig};
 use lighttraffic::graph::{Csr, VertexId};
@@ -90,13 +90,6 @@ fn config(kernel_threads: usize, faults: Option<FaultPlan>) -> EngineConfig {
     }
 }
 
-fn drain(s: &mut Session) -> RunResult {
-    match s.step(u64::MAX).expect("wave completes") {
-        RunStatus::Completed(r) => *r,
-        other => unreachable!("unbounded step cannot pause: {other:?}"),
-    }
-}
-
 /// Drive the wave schedule through the engine: inject (ids offset past
 /// earlier waves so every trajectory draws distinct randomness), run to
 /// quiescence, seal the wave's updates. Returns the final cumulative
@@ -108,7 +101,7 @@ fn run_engine_waves(
     cfg: EngineConfig,
     waves: &[Wave],
 ) -> (RunResult, u64) {
-    let mut s = LightTraffic::session(g.clone(), alg.clone(), cfg).expect("pools fit");
+    let mut s = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("pools fit");
     let mut next_id = 0u64;
     let mut last = None;
     for wave in waves {
@@ -118,14 +111,11 @@ fn run_engine_waves(
         }
         next_id += wave.walks;
         s.inject(walkers);
-        last = Some(drain(&mut s));
+        last = Some(s.finish().expect("wave completes"));
         s.mutate(wave.updates.clone()).expect("schedule is valid");
         s.seal_epoch().expect("seal succeeds");
     }
-    let x = s
-        .engine()
-        .exec_stats()
-        .expect("the executor is always present");
+    let x = s.exec_stats().expect("the executor is always present");
     (
         last.expect("schedule has at least one wave"),
         x.tasks + x.caller_tasks,
@@ -335,8 +325,7 @@ fn mid_flight_seals_are_reproducible() {
     let alg: Arc<dyn WalkAlgorithm> = Arc::new(UniformSampling::new(8));
     let waves = schedule(&g, 99, 3, 32, 256);
     let run = || {
-        let mut s =
-            LightTraffic::session(g.clone(), alg.clone(), config(1, None)).expect("pools fit");
+        let mut s = LightTraffic::new(g.clone(), alg.clone(), config(1, None)).expect("pools fit");
         s.inject_walks(256);
         for wave in &waves {
             // Seal after a bounded slice, with walks still in flight.
@@ -344,7 +333,7 @@ fn mid_flight_seals_are_reproducible() {
             s.mutate(wave.updates.clone()).expect("schedule is valid");
             s.seal_epoch().expect("seal succeeds");
         }
-        let r = drain(&mut s);
+        let r = s.finish().expect("wave completes");
         (
             visits_from_paths(&r, g.num_vertices()),
             r.metrics.total_steps,

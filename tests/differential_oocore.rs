@@ -197,12 +197,14 @@ fn mixed_job_table_over_ooc_matches_ram() {
     assert!(alg.reads_prev_neighbors());
     let cfg = |kernel_threads| config(ZeroCopyPolicy::Always, kernel_threads, None);
     let mut ram = LightTraffic::new(Arc::clone(&g), Arc::clone(&alg), cfg(1)).expect("pools fit");
-    let reference = tier_masked_fingerprint(ram.run_with_walkers(walkers.clone()).unwrap());
+    ram.inject(walkers.clone());
+    let reference = tier_masked_fingerprint(ram.finish().unwrap());
     for kernel_threads in [1usize, 4] {
         let store = GraphStore::OutOfCore(Arc::clone(&ooc));
         let mut e = LightTraffic::from_store(store, Arc::clone(&alg), cfg(kernel_threads))
             .expect("pools fit");
-        let r = e.run_with_walkers(walkers.clone()).expect("run completes");
+        e.inject(walkers.clone());
+        let r = e.finish().expect("run completes");
         assert!(r.metrics.zero_copy_kernels > 0);
         assert_eq!(
             tier_masked_fingerprint(r),

@@ -104,8 +104,8 @@ proptest! {
         let cp = {
             let cfg = to_engine_config(&c, &g);
             let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("pools fit");
-            e.inject(alg.place_walkers(g.num_vertices(), walks));
-            match e.run_at_most(pause).expect("partial run completes") {
+            e.inject_walks(walks);
+            match e.step(pause).expect("partial run completes") {
                 RunStatus::Paused => {}
                 // The workload finished inside the budget: nothing left to
                 // checkpoint, the property is vacuous for this sample.
@@ -123,7 +123,8 @@ proptest! {
         let resumed = {
             let cfg = to_engine_config(&c, &g);
             let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("pools fit");
-            e.resume(restored).expect("resume completes")
+            e.restore(restored).expect("checkpoint fits");
+            e.finish().expect("resume completes")
         };
 
         prop_assert_eq!(resumed.metrics.finished_walks, reference.metrics.finished_walks);

@@ -21,13 +21,13 @@ use common::{
     ArbConfig, RawUpdate,
 };
 use lighttraffic::engine::algorithm::{PageRank, WalkAlgorithm};
-use lighttraffic::engine::{EngineError, LightTraffic, RunResult, RunStatus, Session};
+use lighttraffic::engine::{EngineError, LightTraffic, RunResult, RunStatus};
 use lighttraffic::graph::Csr;
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// One step of an evolving-run interleaving. Every variant executes at a
-/// scheduler-iteration barrier (between `Session::step` slices), the only
+/// scheduler-iteration barrier (between `LightTraffic::step` slices), the only
 /// place mutation visibility is deterministic.
 #[derive(Clone, Debug)]
 enum EvolveOp {
@@ -64,11 +64,11 @@ fn fingerprint(r: &RunResult) -> Fingerprint {
     )
 }
 
-fn session(g: &Arc<Csr>, c: &ArbConfig, walks: u64) -> Session {
+fn engine(g: &Arc<Csr>, c: &ArbConfig, walks: u64) -> LightTraffic {
     let alg: Arc<dyn WalkAlgorithm> = Arc::new(PageRank::new(8, 0.15));
-    let mut s = LightTraffic::session(g.clone(), alg, to_engine_config(c, g)).expect("pools fit");
-    s.inject_walks(walks);
-    s
+    let mut e = LightTraffic::new(g.clone(), alg, to_engine_config(c, g)).expect("pools fit");
+    e.inject_walks(walks);
+    e
 }
 
 /// Drive `ops` and drain. A seal can legitimately fail terminally when
@@ -81,7 +81,7 @@ fn run_ops(
     walks: u64,
     ops: &[EvolveOp],
 ) -> Result<Fingerprint, String> {
-    let mut s = session(g, c, walks);
+    let mut s = engine(g, c, walks);
     for op in ops {
         match op {
             EvolveOp::Slice(budget) => {
@@ -94,10 +94,9 @@ fn run_ops(
             }
         }
     }
-    match s.step(u64::MAX).map_err(|e| e.to_string())? {
-        RunStatus::Completed(r) => Ok(fingerprint(&r)),
-        other => unreachable!("unbounded step cannot pause: {other:?}"),
-    }
+    s.finish()
+        .map(|r| fingerprint(&r))
+        .map_err(|e| e.to_string())
 }
 
 proptest! {
@@ -137,8 +136,8 @@ proptest! {
     ) {
         let walks = g.num_vertices().min(800);
 
-        // Bring a session to epoch E = prefix.len() with walks in flight.
-        let advance = |s: &mut Session| -> Result<(), String> {
+        // Bring an engine to epoch E = prefix.len() with walks in flight.
+        let advance = |s: &mut LightTraffic| -> Result<(), String> {
             for raw in &prefix {
                 let updates = raw.iter().map(|r| materialize_update(r, &g)).collect();
                 s.mutate(updates).map_err(|e| e.to_string())?;
@@ -147,7 +146,7 @@ proptest! {
             Ok(())
         };
 
-        let mut a = session(&g, &c, walks);
+        let mut a = engine(&g, &c, walks);
         if advance(&mut a).is_err() {
             // Oversized-partition seal under ZeroCopyPolicy::Never: a
             // terminal condition covered elsewhere; vacuous here.
@@ -176,20 +175,17 @@ proptest! {
 
         // Replay on fresh engines at the same epoch: bit-identical runs.
         let replay = || -> Result<Fingerprint, String> {
-            let mut b = session(&g, &c, 0);
+            let mut b = engine(&g, &c, 0);
             advance(&mut b)?;
             let cp = serde_json::from_str(&frozen).expect("checkpoint deserializes");
             b.restore(cp).map_err(|e| e.to_string())?;
-            match b.step(u64::MAX).map_err(|e| e.to_string())? {
-                RunStatus::Completed(r) => Ok(fingerprint(&r)),
-                other => unreachable!("unbounded step cannot pause: {other:?}"),
-            }
+            b.finish().map(|r| fingerprint(&r)).map_err(|e| e.to_string())
         };
         prop_assert_eq!(replay(), replay(), "epoch-E replay is nondeterministic");
 
         // The wrong epoch is refused, not silently accepted.
         if !prefix.is_empty() {
-            let mut wrong = session(&g, &c, 0);
+            let mut wrong = engine(&g, &c, 0);
             let cp = serde_json::from_str(&frozen).expect("checkpoint deserializes");
             match wrong.restore(cp) {
                 Err(EngineError::EpochMismatch { checkpoint, engine }) => {
