@@ -1,11 +1,12 @@
-//! Runs the entire evaluation: every table and figure, in paper order.
-//! Accepts `--scale N` and `--seed N`.
+//! Runs the paper's evaluation: every table and figure in paper order, or
+//! only the ones named (`run_all fig13 table3`). Accepts `--scale N` and
+//! `--seed N`; an unknown name exits with the list of valid ones.
 use lt_bench::experiments as exp;
 
 type Experiment = fn(u32, u64) -> serde_json::Value;
 
 fn main() {
-    let (shift, seed) = lt_bench::parse_args();
+    let (names, shift, seed) = lt_bench::parse_named_args();
     let all: [(&str, Experiment); 14] = [
         ("table2", exp::table2),
         ("fig03", exp::motivation::fig03),
@@ -22,7 +23,15 @@ fn main() {
         ("fig17", exp::sensitivity::fig17),
         ("fig18", exp::sensitivity::fig18),
     ];
+    if let Some(bad) = names.iter().find(|n| all.iter().all(|(name, _)| name != n)) {
+        let valid: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown experiment {bad}; valid names: {}", valid.join(" "));
+        std::process::exit(2);
+    }
     for (name, f) in all {
+        if !names.is_empty() && !names.iter().any(|n| n == name) {
+            continue;
+        }
         println!("\n================ {name} ================\n");
         let start = std::time::Instant::now();
         let rows = f(shift, seed);

@@ -3,9 +3,10 @@
 //!
 //! Each experiment is a library function in [`experiments`] that runs the
 //! scaled workload, prints the same rows/series the paper reports, and
-//! returns machine-readable rows. One thin binary per table/figure wraps
-//! each function (`cargo run -p lt-bench --bin fig09`), and `run_all`
-//! executes the whole evaluation and writes `results/*.json`.
+//! returns machine-readable rows. `run_all` executes the whole evaluation,
+//! or the experiments it is given by name
+//! (`cargo run -p lt-bench --bin run_all fig09`), and writes their
+//! `results/*.json`.
 //!
 //! Scaling discipline (DESIGN.md §5): every dataset of Table II gets a
 //! deterministic stand-in a few thousand times smaller; GPU pool sizes are
@@ -177,29 +178,41 @@ pub fn save_json(experiment: &str, rows: &serde_json::Value) {
 /// defaults. Every harness binary accepts these; unknown arguments panic
 /// so typos never silently run the default experiment.
 pub fn parse_args() -> (u32, u64) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut shift = 0u32;
-    let mut seed = 42u64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    match parse_named_args() {
+        (names, shift, seed) if names.is_empty() => (shift, seed),
+        (names, ..) => panic!(
+            "unknown argument {} (supported: --scale N, --seed N)",
+            names[0]
+        ),
+    }
+}
+
+/// [`parse_args`] that also collects bare arguments (experiment names)
+/// in order.
+pub fn parse_named_args() -> (Vec<String>, u32, u64) {
+    let mut args = std::env::args().skip(1);
+    let (mut names, mut shift, mut seed) = (Vec::new(), 0u32, 42u64);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--scale" => {
                 shift = args
-                    .get(i + 1)
+                    .next()
                     .and_then(|s| s.parse().ok())
                     .expect("--scale takes an integer shrink shift");
             }
             "--seed" => {
                 seed = args
-                    .get(i + 1)
+                    .next()
                     .and_then(|s| s.parse().ok())
                     .expect("--seed takes an integer");
             }
-            other => panic!("unknown argument {other} (supported: --scale N, --seed N)"),
+            flag if flag.starts_with('-') => {
+                panic!("unknown argument {flag} (supported: --scale N, --seed N)")
+            }
+            _ => names.push(arg),
         }
-        i += 2;
     }
-    (shift, seed)
+    (names, shift, seed)
 }
 
 #[cfg(test)]

@@ -1,0 +1,664 @@
+//! Draining a partition (Algorithm 2 lines 10–17): acquire its walk
+//! batches in drain order, step each through the host kernel, and
+//! reshuffle the movers into their new partitions' frontiers (§III-C),
+//! evicting queued batches to the host when the walk pool runs full. The
+//! preemptive phase (§III-D) runs the same acquire-free half on batches
+//! already cached. Each kernel's merge also feeds the per-tag results and
+//! the traffic ledger kept here.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
+use super::*;
+use crate::job::TagDelta;
+use crate::kernel::{ChunkOutput, GraphView, HostBlockView, KernelTask};
+use lt_gpusim::KernelCost;
+use std::collections::BTreeMap;
+use std::time::Instant;
+
+/// Per-job-tag results ([`super::EngineConfig::track_tags`]) and the
+/// traffic ledger ([`super::EngineConfig::attribution`]).
+pub(super) struct Attribution {
+    /// Per-tag results since the last [`LightTraffic::take_tag_deltas`]
+    /// drain. A `BTreeMap` so drains observe tags in ascending order —
+    /// deterministic for any thread count. Between drains every entry only
+    /// grows, which is what lets a recovery roll it back to length marks.
+    pub(super) deltas: BTreeMap<u32, TagDelta>,
+    /// Per-`(tag, partition, direction)` byte attribution; `None` when
+    /// attribution is off. Charged in lock-step with the simulated link
+    /// (including failed attempts) and, like the device's traffic
+    /// counters, never rolled back by a recovery: moved bytes really
+    /// moved, and executed steps really ran.
+    pub(super) ledger: Option<TrafficLedger>,
+}
+
+impl Attribution {
+    /// Fold one chunk's tagged visit and termination events in, crediting
+    /// the ledger with the steps. A walker's steps are consecutive events,
+    /// so the visits go in one run of equal tags at a time.
+    fn fold(&mut self, o: &ChunkOutput) {
+        debug_assert_eq!(o.visits.len(), o.visit_tags.len());
+        debug_assert_eq!(o.lengths.len(), o.length_tags.len());
+        let mut at = 0;
+        for run in o.visit_tags.chunk_by(|a, b| a == b) {
+            let (t, n) = (run[0], run.len());
+            let d = self.deltas.entry(t).or_insert_with(|| TagDelta::new(t));
+            d.steps += n as u64;
+            d.visits.extend_from_slice(&o.visits[at..at + n]);
+            at += n;
+            if let Some(l) = self.ledger.as_mut() {
+                l.add_steps(t, n as u64);
+            }
+        }
+        for (&l, &t) in o.lengths.iter().zip(&o.length_tags) {
+            let d = self.deltas.entry(t).or_insert_with(|| TagDelta::new(t));
+            d.finished += 1;
+            d.lengths.push(l);
+        }
+    }
+
+    /// Each tag's visit and length counts, ascending by tag: the marks
+    /// [`Self::roll_back`] returns to.
+    pub(super) fn marks(&self) -> Vec<(u32, usize, usize)> {
+        let mark = |(&t, d): (&u32, &TagDelta)| (t, d.visits.len(), d.lengths.len());
+        self.deltas.iter().map(mark).collect()
+    }
+
+    /// Return the per-tag results to `marks`; a tag without a mark had
+    /// no results yet.
+    pub(super) fn roll_back(&mut self, marks: &[(u32, usize, usize)]) {
+        self.deltas.retain(|t, d| {
+            let Ok(i) = marks.binary_search_by_key(t, |&(m, _, _)| m) else {
+                return false;
+            };
+            let (_, visits, lengths) = marks[i];
+            d.visits.truncate(visits);
+            d.lengths.truncate(lengths);
+            d.steps = visits as u64;
+            d.finished = lengths as u64;
+            true
+        });
+    }
+}
+
+/// This kernel's steps per job tag (one per visit event), ascending by
+/// tag.
+fn tag_steps(outputs: &[ChunkOutput]) -> Vec<(u32, u64)> {
+    let mut steps = BTreeMap::new();
+    for run in outputs
+        .iter()
+        .flat_map(|o| o.visit_tags.chunk_by(|a, b| a == b))
+    {
+        *steps.entry(run[0]).or_insert(0) += run.len() as u64;
+    }
+    steps.into_iter().collect()
+}
+
+/// Take the queued batch [`schedule::pick_victim`] picks out of the
+/// device pool.
+fn evict_victim(pools: &mut Pools, selective: bool, protect: PartitionId) -> WalkBatch {
+    let victim = schedule::pick_victim(pools, selective, protect);
+    pools
+        .device
+        .evict_queue_batch(victim)
+        .expect("pick_victim names a partition with a queued batch")
+}
+
+impl LightTraffic {
+    /// Drain the per-tag results accumulated since the previous drain
+    /// ([`super::EngineConfig::track_tags`]): one [`TagDelta`] per tag
+    /// that made progress, in ascending tag order. Each delta's `visits`
+    /// are sorted — the visit *multiset* per tag is invariant across
+    /// `kernel_threads` and chunkings, but the event order is not, so the
+    /// canonical form is sorted. `lengths` are already emitted in the
+    /// deterministic chunk-merge order and are left as-is. Empty when tags
+    /// are not tracked.
+    pub fn take_tag_deltas(&mut self) -> Vec<TagDelta> {
+        self.drop_snapshot();
+        let mut deltas: Vec<TagDelta> = std::mem::take(&mut self.attr.deltas)
+            .into_values()
+            .collect();
+        deltas.iter_mut().for_each(|d| d.visits.sort_unstable());
+        deltas
+    }
+
+    /// The traffic ledger accumulated so far, `None` unless
+    /// [`super::EngineConfig::attribution`] is on.
+    pub fn traffic_ledger(&self) -> Option<&TrafficLedger> {
+        self.attr.ledger.as_ref()
+    }
+
+    /// Process every walk of partition `i` (Algorithm 2 lines 12–17 plus
+    /// the frontier drain). Walks loaded from the host stream through the
+    /// pipeline: copy on the load stream, kernel on the compute stream.
+    ///
+    /// One loop: acquire → [`Self::step_batch`] → [`Self::finish_kernel`].
+    /// Only the stepping fans out over the pool; every walk-pool and
+    /// metrics mutation stays on this thread, so every `kernel_threads`
+    /// runs the same sequence of acquires and reshuffles (DESIGN.md §11).
+    pub(super) fn drain_partition(
+        &mut self,
+        i: PartitionId,
+        use_zc: bool,
+    ) -> Result<(), EngineError> {
+        while let Some(batch) = self.acquire_next_batch(i)? {
+            let outputs = self.step_batch(i, batch, use_zc);
+            self.finish_kernel(i, use_zc, outputs)?;
+        }
+        debug_assert_eq!(
+            self.pools.walks_in(i),
+            0,
+            "a drained partition must have no walks left"
+        );
+        Ok(())
+    }
+
+    /// §III-D preemptive scheduling: while the load stream is busy, run
+    /// kernels for *queued* batches whose graph partition is also cached —
+    /// the "ready state" tasks that preempt the sleeping ones. Partial
+    /// write frontiers are left in place (they keep filling), exactly as
+    /// the paper dispatches batches, so preempted partitions retain walks
+    /// and can later be scheduled as graph-pool hits.
+    pub(super) fn preemptive_phase(&mut self, current: PartitionId) -> Result<(), EngineError> {
+        while self.gpu.busy(self.load_stream) {
+            let Some(j) =
+                schedule::pick_preemptive_partition(&self.pools, self.cfg.selective, current)
+            else {
+                break;
+            };
+            let batch = self
+                .pools
+                .device
+                .pop_queue_batch(j)
+                .expect("pick_preemptive_partition picks only partitions with a queued batch");
+            let outputs = self.step_batch(j, batch, false);
+            self.finish_kernel(j, false, outputs)?;
+            self.gpu.synchronize(self.comp_stream);
+            self.metrics.preemptive_batches += 1;
+        }
+        Ok(())
+    }
+
+    /// Pop the next batch of partition `i` in drain order: host batches
+    /// first (H2D copy on the load stream, then through the device queue),
+    /// then device-resident queued batches, then the frontier remainder.
+    /// `Ok(None)` means the partition is drained.
+    ///
+    /// This is the single sequence point where the walk pool hands
+    /// walkers to a kernel, always after the previous batch's reshuffle,
+    /// so simulated copies and charges are issued identically for every
+    /// `kernel_threads`.
+    fn acquire_next_batch(&mut self, i: PartitionId) -> Result<Option<WalkBatch>, EngineError> {
+        let Some(mut batch) = self.pools.host.pop_batch(i) else {
+            return Ok(self
+                .pools
+                .device
+                .pop_queue_batch(i)
+                .or_else(|| self.pools.device.take_frontier(i)));
+        };
+        if let Err(e) = self.copy_batch(&batch, TrafficDirection::H2d, Category::WalkLoad) {
+            // The batch never reached the device: requeue it at the head,
+            // walkers intact, before surfacing the error.
+            self.pools.host.push_evicted(batch);
+            return Err(e);
+        }
+        self.metrics.walk_batches_loaded += 1;
+        // A full pool gives up a queued batch, never one of `i` unless
+        // it is the only choice.
+        while let Err(b) = self.pools.device.add_loaded_batch(batch) {
+            batch = b;
+            let victim = evict_victim(&mut self.pools, self.cfg.selective, i);
+            if let Err(e) = self.park_evicted([victim]) {
+                self.pools.host.push_evicted(batch);
+                return Err(e);
+            }
+        }
+        self.gpu.synchronize(self.load_stream);
+        let b = self
+            .pools
+            .device
+            .pop_queue_batch(i)
+            .expect("the queue holds at least the batch just loaded");
+        Ok(Some(b))
+    }
+
+    /// Charge the D2H copies of batches already taken out of the device
+    /// pool, in order, and park each on the host, counting the copies that
+    /// succeed. On a fatal copy fault the remaining batches are parked
+    /// before the error surfaces (the host-side walk index shadows
+    /// in-flight batches), so no walk is ever lost to a device fault.
+    fn park_evicted(
+        &mut self,
+        evicted: impl IntoIterator<Item = WalkBatch>,
+    ) -> Result<(), EngineError> {
+        let mut evicted = evicted.into_iter();
+        while let Some(batch) = evicted.next() {
+            let res = self.copy_batch(&batch, TrafficDirection::D2h, Category::WalkEvict);
+            if res.is_ok() {
+                self.metrics.walk_batches_evicted += 1;
+            }
+            self.pools.host.push_evicted(batch);
+            if let Err(e) = res {
+                for rest in evicted.by_ref() {
+                    self.pools.host.push_evicted(rest);
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Step one batch to completion on the host — the pure half of the
+    /// kernel: every walker runs until it terminates or leaves partition
+    /// `part`. The batch splits into up to `kernel_threads` contiguous
+    /// chunks (floor [`kernel::MIN_CHUNK_WALKERS`]) stepped against one
+    /// [`KernelTask`] that borrows the engine's graph view, algorithm and
+    /// scratch pool for the call: inline when one chunk, as an ordered
+    /// group on the persistent pool otherwise. Outputs come back in chunk
+    /// order, which equals the sequential iteration order of the batch,
+    /// so every thread count merges to bit-identical results (see
+    /// [`crate::kernel`]). Only the kernel counters are booked here; no
+    /// walk-pool or simulated-device state is touched.
+    fn step_batch(
+        &mut self,
+        part: PartitionId,
+        mut batch: WalkBatch,
+        use_zc: bool,
+    ) -> Vec<ChunkOutput> {
+        debug_assert_eq!(batch.partition(), part);
+        let chunks = kernel::plan_chunks(batch.len(), self.kernel_threads);
+        let reads_prev = self.alg.reads_prev_neighbors();
+        // Zero copy over an out-of-core store or an evolving graph has no
+        // RAM CSR to read; its blocks are fetched (mutating the host
+        // cache) before the task borrows the rest of the engine.
+        let view = if !use_zc {
+            GraphView::Resident(
+                self.pools
+                    .graph
+                    .get(part)
+                    .expect("a partition drained without zero copy was made resident"),
+            )
+        } else if let Some(g) = self.pg.ram_csr() {
+            GraphView::Host(g)
+        } else {
+            GraphView::Blocks(self.build_block_view(part, batch.walkers(), reads_prev))
+        };
+        let task = KernelTask {
+            view,
+            alg: &*self.alg,
+            reads_prev,
+            seed: self.cfg.seed,
+            num_vertices: self.pg.num_vertices(),
+            range: self.pg.vertex_range(part),
+            // Tag attribution needs the per-step visit events even when
+            // no algorithm-level visit buffer exists.
+            track_visits: self.visit_counts.is_some() || self.cfg.track_tags,
+            track_paths: self.paths.is_some(),
+            track_tags: self.cfg.track_tags,
+            scratch: &self.scratch,
+        };
+        let wall = Instant::now();
+        let outputs = if chunks <= 1 {
+            vec![kernel::step_chunk(&task, batch.drain())]
+        } else {
+            let task = &task;
+            self.exec.run_ordered(
+                batch
+                    .drain_chunks(chunks)
+                    .into_iter()
+                    .map(|ws| Box::new(move || kernel::step_chunk(task, ws)) as _)
+                    .collect(),
+            )
+        };
+        self.metrics.host_kernel_wall_ns += wall.elapsed().as_nanos() as u64;
+        self.metrics.host_kernels += 1;
+        self.metrics.max_kernel_threads = self.metrics.max_kernel_threads.max(chunks as u64);
+        outputs
+    }
+
+    /// Collect the partition blocks a zero-copy kernel can read where no
+    /// RAM CSR exists (out-of-core store, evolving graph): the batch's own
+    /// partition and, only when the algorithm reads second-order context
+    /// (`reads_prev`), the partition of every walker's previous vertex
+    /// (`aux` at batch start; after the first step `aux` always lies in
+    /// the batch's partition). A first-order walk costs one fetch per
+    /// kernel, like an explicit copy. For clocks in `aux` see
+    /// [`HostBlockView`].
+    fn build_block_view(
+        &mut self,
+        part: PartitionId,
+        walkers: &[Walker],
+        reads_prev: bool,
+    ) -> HostBlockView {
+        let mut needed: Vec<PartitionId> = vec![part];
+        if reads_prev {
+            let nv = self.pg.num_vertices();
+            for w in walkers {
+                if w.aux != VertexId::MAX && (w.aux as u64) < nv {
+                    needed.push(self.pg.partition_of(w.aux));
+                }
+            }
+            needed.sort_unstable();
+            needed.dedup();
+        }
+        HostBlockView::new(
+            needed
+                .into_iter()
+                .map(|p| self.fetch_partition(p))
+                .collect(),
+        )
+    }
+
+    /// The stateful half of the kernel: merge the chunk outputs in chunk
+    /// order, book the walk metrics, reshuffle leavers into their new
+    /// frontiers (charging eviction copies in eviction order), and charge
+    /// the kernel's simulated cost. Runs on the scheduler thread only.
+    /// `outputs` holds one entry per chunk, in chunk order.
+    fn finish_kernel(
+        &mut self,
+        part: PartitionId,
+        use_zc: bool,
+        outputs: Vec<ChunkOutput>,
+    ) -> Result<(), EngineError> {
+        let chunks = outputs.len();
+        // Deterministic merge: chunk order equals the sequential iteration
+        // order of the batch, so visit counts, paths, the length histogram,
+        // and the reshuffle input come out exactly as with one thread.
+        let mut steps: u64 = 0;
+        let mut finished: u64 = 0;
+        for o in &outputs {
+            steps += o.steps;
+            finished += o.finished;
+            if self.cfg.track_tags {
+                self.attr.fold(o);
+            }
+            if let Some(counts) = self.visit_counts.as_mut() {
+                for &v in &o.visits {
+                    counts[v as usize] += 1;
+                }
+            }
+            if let Some(paths) = self.paths.as_mut() {
+                for &(id, v) in &o.path_events {
+                    paths.push(id, v);
+                }
+            }
+            for &l in &o.lengths {
+                self.metrics.record_length(l);
+            }
+        }
+        // The kernel side effects are already applied; book them before the
+        // reshuffle so a fatal eviction fault below leaves the counters
+        // consistent with the walkers we park.
+        self.active -= finished;
+        self.metrics.total_steps += steps;
+        self.metrics.finished_walks += finished;
+        let np = self.pg.num_partitions();
+        // Reshuffle (DESIGN.md §10), wall-clocked end to end: one stable
+        // counting sort of the movers by target partition, read straight
+        // out of the chunk outputs in chunk order, then one bulk insert
+        // per run, partitions ascending, on the scheduler thread. Every
+        // insert and evict decision is a function of the batch and the
+        // pool state alone.
+        let rs_wall = Instant::now();
+        self.local_index.sort(
+            outputs.iter().map(|o| o.moved.as_slice()),
+            self.pg.boundaries(),
+        );
+        debug_assert!(
+            self.local_index.run(part).is_empty(),
+            "multi-step walking never reinserts locally"
+        );
+        let evicted = insert_runs(&mut self.pools, &self.local_index, self.cfg.selective, part);
+        self.metrics.host_reshuffle_wall_ns += rs_wall.elapsed().as_nanos() as u64;
+        self.metrics.host_reshuffles += 1;
+        self.metrics.max_reshuffle_threads = 1;
+        let n_moved = self.local_index.len() as u64;
+        // A zero-copy charge splits by this kernel's per-tag steps; count
+        // them before the buffers go back.
+        let zc_tag_steps = (use_zc && self.cfg.track_tags && self.attr.ledger.is_some())
+            .then(|| tag_steps(&outputs));
+        // Merged and sorted out: hand the buffers back for the next
+        // round's chunks.
+        for o in outputs {
+            self.scratch.put(o);
+        }
+        // Charge the evictions' D2H copies in eviction order. Every moved
+        // walker is already inside the device pool, so even a fatal copy
+        // fault here leaves the walk index intact.
+        self.park_evicted(evicted)?;
+        let two_level = self.cfg.reshuffle == ReshuffleMode::TwoLevel;
+        let working_set = self.pg.partition_bytes(part);
+        let kcost = KernelCost {
+            update_ns: self.cost.step_time_in(steps, working_set),
+            reshuffle_ns: self.cost.reshuffle_time(n_moved, np, two_level),
+            other_ns: 0,
+            zero_copy_bytes: if use_zc {
+                steps * 2 * self.cost.cacheline_bytes
+            } else {
+                0
+            },
+        };
+        let cat = if use_zc {
+            Category::ZeroCopy
+        } else {
+            Category::Compute
+        };
+        let zc_bytes = kcost.zero_copy_bytes;
+        self.gpu
+            .kernel_async_with_threads(kcost, cat, self.comp_stream, chunks);
+        if use_zc {
+            self.metrics.zero_copy_kernels += 1;
+        }
+        if let Some(l) = self.attr.ledger.as_mut() {
+            if !self.cfg.track_tags {
+                // Untracked tags: every walker carries tag 0. (Tracked,
+                // the fold credited each tag's steps.)
+                l.add_steps(0, steps);
+            }
+            if zc_bytes > 0 {
+                // Mirror the device's zero-copy H2D charge. The engine
+                // requests a cacheline multiple (`steps * 2 * cacheline`),
+                // so the device's cacheline rounding is the identity and
+                // this equals the simulated charge bit for bit. The
+                // counterfactual is the explicit load this kernel avoided:
+                // the partition's resident bytes.
+                let weights = zc_tag_steps.unwrap_or_else(|| vec![(0, steps)]);
+                l.charge_rows(
+                    part,
+                    TrafficDirection::H2d,
+                    &apportion_exact(zc_bytes, &weights),
+                );
+                l.note_zero_copy(zc_bytes, working_set);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The insert half of the reshuffle: copy every run of the sorted movers
+/// into its frontier — partitions ascending, within a partition arrival
+/// order — evicting a victim whenever a promotion finds the free list
+/// empty. Returns the evicted batches in eviction order; the caller
+/// charges their D2H copies afterwards, so the host pool the victim
+/// heuristic reads does not change during the phase.
+///
+/// Livelock audit: `insert_run` stops early only when the free list is
+/// empty; the `2P + 1` floor pins exactly `2P` blocks to frontier/reserve
+/// pairs, so every remaining block then holds a queued batch and
+/// `evict_queue_batch` frees exactly one — even when the only victim is
+/// the protected partition itself. The next `insert_run` promotes and
+/// takes at least one walker, so the loop evicts at most once per
+/// frontier block the run fills.
+fn insert_runs(
+    pools: &mut Pools,
+    movers: &LocalIndex,
+    selective: bool,
+    protect: PartitionId,
+) -> Vec<WalkBatch> {
+    let mut evicted = Vec::new();
+    for p in 0..pools.device.num_partitions() {
+        let mut run = pools.device.insert_run(p, movers.run(p));
+        while !run.is_empty() {
+            evicted.push(evict_victim(pools, selective, protect));
+            run = pools.device.insert_run(p, run);
+        }
+    }
+    evicted
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::graph;
+    use crate::algorithm::{PageRank, UniformSampling};
+    use crate::{EngineConfig, LightTraffic, ReshuffleMode, ZeroCopyPolicy};
+    use lt_graph::PartitionedGraph;
+    use std::sync::Arc;
+
+    /// Tentpole acceptance: parallel host kernels are *bit-identical* to
+    /// sequential ones for every scheduling / reshuffle / zero-copy mode —
+    /// data outputs, sampled paths, and the full simulated timeline.
+    #[test]
+    fn parallel_kernels_match_sequential_exactly() {
+        let g = graph();
+        let variants: Vec<EngineConfig> = vec![
+            EngineConfig {
+                batch_capacity: 256,
+                ..EngineConfig::light_traffic(16 << 10, 4)
+            },
+            EngineConfig {
+                batch_capacity: 256,
+                ..EngineConfig::baseline(16 << 10, 4)
+            },
+            EngineConfig {
+                batch_capacity: 256,
+                zero_copy: ZeroCopyPolicy::Always,
+                ..EngineConfig::baseline(16 << 10, 4)
+            },
+            EngineConfig {
+                batch_capacity: 256,
+                preemptive: true,
+                ..EngineConfig::baseline(16 << 10, 4)
+            },
+            EngineConfig {
+                batch_capacity: 128,
+                selective: true,
+                reshuffle: ReshuffleMode::DirectWrite,
+                ..EngineConfig::baseline(16 << 10, 4)
+            },
+        ];
+        for (k, base) in variants.into_iter().enumerate() {
+            let run = |threads: usize| {
+                let cfg = EngineConfig {
+                    kernel_threads: threads,
+                    record_paths: true,
+                    ..base.clone()
+                };
+                let mut e =
+                    LightTraffic::new(g.clone(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+                e.run(3_000).unwrap()
+            };
+            let seq = run(1);
+            let par = run(4);
+            assert_eq!(par.visit_counts, seq.visit_counts, "variant {k} visits");
+            assert_eq!(par.paths, seq.paths, "variant {k} paths");
+            assert_eq!(par.metrics.finished_walks, seq.metrics.finished_walks);
+            assert_eq!(par.metrics.total_steps, seq.metrics.total_steps);
+            assert_eq!(par.metrics.iterations, seq.metrics.iterations);
+            assert_eq!(
+                par.metrics.makespan_ns, seq.metrics.makespan_ns,
+                "variant {k} simulated clock"
+            );
+            assert_eq!(par.metrics.length_histogram, seq.metrics.length_histogram);
+            // The whole simulated breakdown (traffic, busy times, counts)
+            // must be thread-count independent.
+            assert_eq!(
+                serde_json::to_string(&par.gpu).unwrap(),
+                serde_json::to_string(&seq.gpu).unwrap(),
+                "variant {k} gpu stats"
+            );
+            assert!(
+                par.metrics.max_kernel_threads > 1,
+                "variant {k} never fanned out — the parallel path was not exercised"
+            );
+            assert_eq!(seq.metrics.max_kernel_threads, 1);
+            assert_eq!(
+                par.deterministic_fingerprint(),
+                seq.deterministic_fingerprint(),
+                "variant {k} fingerprint"
+            );
+        }
+    }
+
+    /// Regression for the full-pool retry loop of the reshuffle insert:
+    /// with the walk pool at its `2P + 1` floor and batches small enough
+    /// that every frontier block is occupied, inserts keep failing until
+    /// eviction — including when the only evictable victim belongs to the
+    /// protected partition. The loop must make progress (evict one block,
+    /// insert, repeat), never spin.
+    #[test]
+    fn full_pool_with_only_protected_victims_makes_progress() {
+        let g = graph();
+        let pg = Arc::new(PartitionedGraph::build(g.clone(), 16 << 10));
+        let p = pg.num_partitions() as usize;
+        for selective in [false, true] {
+            let cfg = EngineConfig {
+                batch_capacity: 8, // many tiny batches: worst-case occupancy
+                walk_pool_blocks: Some(2 * p + 1),
+                selective,
+                ..EngineConfig::light_traffic(16 << 10, 2)
+            };
+            let mut e =
+                LightTraffic::with_partitioned(pg.clone(), Arc::new(UniformSampling::new(8)), cfg)
+                    .unwrap();
+            let r = e.run(5_000).unwrap();
+            assert_eq!(r.metrics.finished_walks, 5_000, "selective={selective}");
+            assert!(
+                r.metrics.walk_batches_evicted > 0,
+                "the full-pool path was not exercised (selective={selective})"
+            );
+        }
+    }
+
+    #[test]
+    fn walk_evictions_happen_under_tight_walk_pool() {
+        let g = graph();
+        let pg = Arc::new(PartitionedGraph::build(g.clone(), 16 << 10));
+        let p = pg.num_partitions() as usize;
+        let cfg = EngineConfig {
+            batch_capacity: 32,
+            walk_pool_blocks: Some(2 * p + 1), // minimum legal size
+            ..EngineConfig::light_traffic(16 << 10, 4)
+        };
+        let mut e =
+            LightTraffic::with_partitioned(pg, Arc::new(UniformSampling::new(8)), cfg).unwrap();
+        let r = e.run(20_000).unwrap();
+        assert_eq!(r.metrics.finished_walks, 20_000);
+        assert!(
+            r.metrics.walk_batches_evicted > 0,
+            "tight pool must trigger evictions"
+        );
+        assert!(r.gpu.walk_evict.bytes > 0);
+    }
+
+    /// Fails with a free list per group of partitions: a pool sized to
+    /// hold every walk (Figure 15's largest pool, one block per full batch
+    /// on top of the `2P + 1` floor, plus one per partition for the
+    /// partial batches the initial injection leaves) never evicts, however
+    /// skewed the graph.
+    #[test]
+    fn a_pool_that_holds_every_walk_never_evicts() {
+        let g = graph();
+        let pg = Arc::new(PartitionedGraph::build(g.clone(), 16 << 10));
+        let p = pg.num_partitions() as usize;
+        let (walks, batch) = (20_000, 32);
+        let cfg = EngineConfig {
+            batch_capacity: batch,
+            walk_pool_blocks: Some(walks / batch + 2 * p + 1 + p),
+            ..EngineConfig::light_traffic(16 << 10, 4)
+        };
+        let mut e =
+            LightTraffic::with_partitioned(pg, Arc::new(UniformSampling::new(8)), cfg).unwrap();
+        let r = e.run(walks as u64).unwrap();
+        assert_eq!(r.metrics.finished_walks, walks as u64);
+        assert!(r.metrics.walk_batches_loaded > 0);
+        assert_eq!(r.metrics.walk_batches_evicted, 0);
+    }
+}

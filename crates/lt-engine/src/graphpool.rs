@@ -26,9 +26,9 @@ pub enum GraphEviction {
 #[derive(Debug)]
 pub struct DeviceGraphPool {
     // Blocks hold `Arc<PartitionData>`: out-of-core stores share one
-    // decoded copy with the host decode cache (see `insert`), and a kernel
-    // task owns the handle it reads (see `crate::kernel`). Graph data is
-    // immutable, so the shared handle is free of hazards.
+    // decoded copy with the host decode cache (see `insert`), and epoch
+    // seals hand over the sealed block itself (see `refresh`). Graph data
+    // is immutable, so the shared handle is free of hazards.
     pool: BlockPool<Arc<PartitionData>>,
     resident: Vec<Option<BlockId>>,
     /// Residency order, oldest first (for FIFO eviction).
@@ -76,10 +76,9 @@ impl DeviceGraphPool {
         self.resident[p as usize].is_some()
     }
 
-    /// Clone the owned handle to the resident copy of partition `p` (a
-    /// kernel task owns what it reads, see [`crate::kernel`]).
-    pub fn get_arc(&self, p: PartitionId) -> Option<Arc<PartitionData>> {
-        self.resident[p as usize].map(|id| Arc::clone(self.pool.get(id)))
+    /// The resident copy of partition `p`.
+    pub fn get(&self, p: PartitionId) -> Option<&PartitionData> {
+        self.resident[p as usize].map(|id| &**self.pool.get(id))
     }
 
     /// Insert partition data, evicting per `policy` if the pool is full.
@@ -115,9 +114,7 @@ impl DeviceGraphPool {
     /// not a copy: the simulated link is charged for the bytes, the host
     /// moves none. Residency order is untouched: a refresh is not a new
     /// insertion, so FIFO eviction age is preserved and eviction decisions
-    /// are identical to a run without mutations. Prior `Arc` handles keep
-    /// the old data — the engine seals epochs only at iteration barriers,
-    /// where no kernel task is live.
+    /// are identical to a run without mutations.
     ///
     /// # Panics
     /// Panics if `p` is not resident or `data` belongs to another
@@ -249,9 +246,9 @@ mod tests {
         let (gpu, pg) = setup();
         let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
         pool.insert(part(&pg, 1), GraphEviction::Fifo, &|_| 0, 1);
-        let d = pool.get_arc(1).unwrap();
+        let d = pool.get(1).unwrap();
         assert_eq!(d.id, 1);
         assert_eq!(*d, pg.extract(1));
-        assert!(pool.get_arc(0).is_none());
+        assert!(pool.get(0).is_none());
     }
 }

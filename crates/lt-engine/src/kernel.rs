@@ -31,14 +31,15 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Where a kernel reads its graph data from: the CSR or partition blocks,
-/// nothing else. The view owns its handles (cheap `Arc` clones), so a
-/// task never borrows from the engine it was built by. `Host` and
-/// `Resident` differ in second-order context availability.
-pub(crate) enum GraphView {
+/// nothing else. `Resident` and `Host` borrow from the engine for the
+/// length of one batch; `Blocks` owns the fetched blocks, gathered before
+/// the task borrows. `Host` and `Resident` differ in second-order context
+/// availability.
+pub(crate) enum GraphView<'a> {
     /// The partition is resident in the graph pool.
-    Resident(Arc<PartitionData>),
+    Resident(&'a PartitionData),
     /// Zero copy: read the host CSR directly.
-    Host(Arc<Csr>),
+    Host(&'a Csr),
     /// Zero copy where no host CSR exists — an out-of-core store or an
     /// evolving graph: read host-side partition blocks directly.
     Blocks(HostBlockView),
@@ -79,16 +80,9 @@ impl HostBlockView {
         self.find(v)
             .unwrap_or_else(|| panic!("zero-copy block view does not cover vertex {v}"))
     }
-
-    /// Previous-vertex adjacency for second-order context; `None` when the
-    /// view does not cover `v` (see the type docs for who gets here).
-    #[inline]
-    fn prev_neighbors(&self, v: VertexId) -> Option<&[VertexId]> {
-        self.find(v).map(|d| d.neighbors(v))
-    }
 }
 
-impl GraphView {
+impl GraphView<'_> {
     #[inline]
     pub(crate) fn neighbors(&self, v: VertexId) -> (&[VertexId], Option<&[f32]>, Option<&[u32]>) {
         match self {
@@ -161,6 +155,7 @@ const EST_STEPS_PER_WALKER: usize = 8;
 
 /// Everything one chunk produces. Merging these in chunk order reproduces
 /// the sequential kernel exactly (see the module docs).
+#[derive(Default)]
 pub(crate) struct ChunkOutput {
     /// Steps executed in this chunk.
     pub steps: u64,
@@ -184,23 +179,6 @@ pub(crate) struct ChunkOutput {
 }
 
 impl ChunkOutput {
-    /// Pre-size the output buffers for a chunk of `walkers` walkers:
-    /// `moved`/`lengths` can never exceed the walker count, and the
-    /// per-step event vectors get a length-estimate hint when tracked.
-    fn with_capacity(walkers: usize, track_visits: bool, track_paths: bool) -> Self {
-        let est_steps = walkers.saturating_mul(EST_STEPS_PER_WALKER);
-        ChunkOutput {
-            steps: 0,
-            finished: 0,
-            moved: Vec::with_capacity(walkers),
-            visits: Vec::with_capacity(if track_visits { est_steps } else { 0 }),
-            visit_tags: Vec::new(),
-            path_events: Vec::with_capacity(if track_paths { est_steps } else { 0 }),
-            lengths: Vec::with_capacity(walkers),
-            length_tags: Vec::new(),
-        }
-    }
-
     /// Zero the counters and empty the vectors, keeping their capacity —
     /// the recycling contract of [`ScratchPool`].
     fn clear(&mut self) {
@@ -214,8 +192,9 @@ impl ChunkOutput {
         self.length_tags.clear();
     }
 
-    /// Grow a recycled (cleared) buffer to the sizing a fresh
-    /// [`ChunkOutput::with_capacity`] would have.
+    /// Size a cleared buffer for a chunk of `walkers` walkers:
+    /// `moved`/`lengths` can never exceed the walker count, and the
+    /// per-step event vectors get a length-estimate hint when tracked.
     fn reserve_for(&mut self, walkers: usize, track_visits: bool, track_paths: bool) {
         debug_assert_eq!(self.steps, 0, "recycled buffer was not cleared");
         self.moved.reserve(walkers);
@@ -236,32 +215,23 @@ impl ChunkOutput {
 const SCRATCH_POOL_CAP: usize = 32;
 
 /// Recycled [`ChunkOutput`] buffers shared by every chunk-step site of an
-/// engine — inline and pooled stepping. The scheduler thread returns each buffer after merging it, so steady-state
-/// drains reuse the per-chunk vectors instead of reallocating them every
-/// round. Purely an allocation cache: a recycled buffer is cleared before
-/// reuse, so outputs are bit-identical with or without it.
+/// engine — inline and pooled stepping. The scheduler thread returns each
+/// buffer after merging it, so steady-state drains reuse the per-chunk
+/// vectors instead of reallocating them every round. Purely an
+/// allocation cache: a recycled buffer is cleared before reuse, so
+/// outputs are bit-identical with or without it.
+#[derive(Default)]
 pub(crate) struct ScratchPool {
     bufs: Mutex<Vec<ChunkOutput>>,
 }
 
 impl ScratchPool {
-    pub(crate) fn new() -> Self {
-        ScratchPool {
-            bufs: Mutex::new(Vec::new()),
-        }
-    }
-
     /// A cleared buffer sized for `walkers` — recycled when one is
     /// available, freshly allocated otherwise.
     fn take(&self, walkers: usize, track_visits: bool, track_paths: bool) -> ChunkOutput {
-        let recycled = self.bufs.lock().unwrap().pop();
-        match recycled {
-            Some(mut o) => {
-                o.reserve_for(walkers, track_visits, track_paths);
-                o
-            }
-            None => ChunkOutput::with_capacity(walkers, track_visits, track_paths),
-        }
+        let mut o = self.bufs.lock().unwrap().pop().unwrap_or_default();
+        o.reserve_for(walkers, track_visits, track_paths);
+        o
     }
 
     /// Return a merged-out buffer for reuse (dropped when the pool is
@@ -275,14 +245,15 @@ impl ScratchPool {
     }
 }
 
-/// Shared read-only inputs of one kernel invocation; every chunk of the
-/// batch steps against the same task, inline or from a worker thread
-/// that borrows it for the duration of the fan-out.
-pub(crate) struct KernelTask {
+/// Shared read-only inputs of one kernel invocation, borrowed from the
+/// engine for one batch; every chunk of the batch steps against the same
+/// task, inline or from a worker thread that borrows it for the duration
+/// of the fan-out.
+pub(crate) struct KernelTask<'a> {
     /// Where graph data is read from.
-    pub view: GraphView,
+    pub view: GraphView<'a>,
     /// The walk algorithm.
-    pub alg: Arc<dyn WalkAlgorithm>,
+    pub alg: &'a dyn WalkAlgorithm,
     /// [`WalkAlgorithm::reads_prev_neighbors`], read once per batch.
     pub reads_prev: bool,
     /// RNG seed (trajectories hash `(seed, walk_id, step)`).
@@ -300,9 +271,8 @@ pub(crate) struct KernelTask {
     /// Requires `track_visits` so the tag vector stays parallel to the
     /// visit vector.
     pub track_tags: bool,
-    /// Recycled output buffers; `None` allocates fresh ones (tests,
-    /// baselines).
-    pub scratch: Option<Arc<ScratchPool>>,
+    /// Recycled output buffers.
+    pub scratch: &'a ScratchPool,
 }
 
 /// Step every walker of one chunk, one at a time and each to its exit:
@@ -319,17 +289,13 @@ pub(crate) struct KernelTask {
 /// out-of-memory engine at ~50 partitions sees 98 % of all steps leave
 /// the partition — one step per residency (measured, DESIGN.md §12).
 pub(crate) fn step_chunk(task: &KernelTask, walkers: Vec<Walker>) -> ChunkOutput {
-    let mut out = match &task.scratch {
-        Some(s) => s.take(walkers.len(), task.track_visits, task.track_paths),
-        None => ChunkOutput::with_capacity(walkers.len(), task.track_visits, task.track_paths),
-    };
-    // Bound once per chunk: going through the `Arc<dyn _>` at every step
-    // measured 2-10 % slower on DeepWalk.
-    let alg: &dyn WalkAlgorithm = &*task.alg;
+    let mut out = task
+        .scratch
+        .take(walkers.len(), task.track_visits, task.track_paths);
     for mut w in walkers {
         debug_assert!(task.range.contains(&w.vertex), "batch invariant violated");
         loop {
-            let d = step_once(task, alg, &w);
+            let d = step_once(task, &w);
             match d {
                 StepDecision::Terminate => {
                     out.finished += 1;
@@ -369,7 +335,7 @@ pub(crate) fn step_chunk(task: &KernelTask, walkers: Vec<Walker>) -> ChunkOutput
 /// it (always via zero copy; only in-partition when resident — the
 /// asymmetry second-order systems accept).
 #[inline]
-fn step_once(task: &KernelTask, alg: &dyn WalkAlgorithm, w: &Walker) -> StepDecision {
+fn step_once(task: &KernelTask, w: &Walker) -> StepDecision {
     let (neighbors, weights, timestamps) = task.view.neighbors(w.vertex);
     // The bounds guard is for a `JobTable` mixing a second-order job with
     // a temporal one: `reads_prev` then holds for the whole batch, and a
@@ -380,7 +346,11 @@ fn step_once(task: &KernelTask, alg: &dyn WalkAlgorithm, w: &Walker) -> StepDeci
         (_, VertexId::MAX) => None,
         (GraphView::Host(g), aux) if (aux as u64) < task.num_vertices => Some(g.neighbors(aux)),
         (GraphView::Resident(d), aux) if d.contains(aux) => Some(d.neighbors(aux)),
-        (GraphView::Blocks(h), aux) if (aux as u64) < task.num_vertices => h.prev_neighbors(aux),
+        // A block view that does not cover `aux` serves nothing (see
+        // `HostBlockView` for who gets here).
+        (GraphView::Blocks(h), aux) if (aux as u64) < task.num_vertices => {
+            h.find(aux).map(|d| d.neighbors(aux))
+        }
         _ => None,
     };
     let ctx = StepContext {
@@ -390,7 +360,7 @@ fn step_once(task: &KernelTask, alg: &dyn WalkAlgorithm, w: &Walker) -> StepDeci
         timestamps,
         num_vertices: task.num_vertices,
     };
-    alg.step(w, ctx, task.seed)
+    task.alg.step(w, ctx, task.seed)
 }
 
 /// Apply a move decision to a walker: remember the previous vertex for
@@ -433,6 +403,28 @@ mod tests {
     use lt_graph::gen::erdos_renyi;
     use std::sync::Arc;
 
+    /// A task over the whole of `g` with every tracker off; tests override
+    /// the fields they exercise.
+    fn task<'a>(
+        view: GraphView<'a>,
+        alg: &'a dyn WalkAlgorithm,
+        scratch: &'a ScratchPool,
+        num_vertices: u64,
+    ) -> KernelTask<'a> {
+        KernelTask {
+            view,
+            alg,
+            reads_prev: false,
+            seed: 0,
+            num_vertices,
+            range: 0..num_vertices as VertexId,
+            track_visits: false,
+            track_paths: false,
+            track_tags: false,
+            scratch,
+        }
+    }
+
     #[test]
     fn plan_chunks_bounds() {
         assert_eq!(plan_chunks(0, 8), 1);
@@ -452,21 +444,16 @@ mod tests {
     /// Chunked stepping merged in chunk order equals one-shot stepping.
     #[test]
     fn chunked_equals_sequential() {
-        let g = Arc::new(erdos_renyi(512, 4096, 3).csr);
-        let alg = Arc::new(UniformSampling::new(9));
-        let nv = g.num_vertices();
+        let g = erdos_renyi(512, 4096, 3).csr;
+        let alg = UniformSampling::new(9);
+        let scratch = ScratchPool::default();
         let walkers: Vec<Walker> = (0..300).map(|i| Walker::new(i, (i % 512) as u32)).collect();
+        // Whole graph: no movers.
         let task = KernelTask {
-            view: GraphView::Host(g.clone()),
-            alg,
-            reads_prev: false,
             seed: 7,
-            num_vertices: nv,
-            range: 0..nv as VertexId, // whole graph: no movers
             track_visits: true,
             track_paths: true,
-            track_tags: false,
-            scratch: None,
+            ..task(GraphView::Host(&g), &alg, &scratch, g.num_vertices())
         };
         let whole = step_chunk(&task, walkers.clone());
         let mut merged_visits = Vec::new();
@@ -505,20 +492,14 @@ mod tests {
 
     #[test]
     fn movers_keep_stepping_order_within_chunk() {
-        let g = Arc::new(erdos_renyi(256, 4096, 5).csr);
-        let alg = Arc::new(UniformSampling::new(20));
+        let g = erdos_renyi(256, 4096, 5).csr;
+        let alg = UniformSampling::new(20);
+        let scratch = ScratchPool::default();
         let walkers: Vec<Walker> = (0..200).map(|i| Walker::new(i, (i % 128) as u32)).collect();
         let task = KernelTask {
-            view: GraphView::Host(g.clone()),
-            alg,
-            reads_prev: false,
             seed: 1,
-            num_vertices: g.num_vertices(),
             range: 0..128u32, // half the graph: walks leave
-            track_visits: false,
-            track_paths: false,
-            track_tags: false,
-            scratch: None,
+            ..task(GraphView::Host(&g), &alg, &scratch, g.num_vertices())
         };
         let whole = step_chunk(&task, walkers.clone());
         let mut merged: Vec<Walker> = Vec::new();
@@ -551,29 +532,23 @@ mod tests {
         assert!((256..512).contains(&long_rows), "{long_rows} long rows");
         let pg = PartitionedGraph::build(g.clone(), u64::MAX);
         let block = Arc::new(pg.extract(0));
-        let alg = Arc::new(TemporalWalk::new(40, 6));
+        let alg = TemporalWalk::new(40, 6);
+        let scratch = ScratchPool::default();
         let walkers: Vec<Walker> = (0..500).map(|i| Walker::new(i, (i % 512) as u32)).collect();
         let run = |view| {
             let task = KernelTask {
-                view,
-                alg: alg.clone(),
-                reads_prev: false,
                 seed: 9,
-                num_vertices: 512,
-                range: 0..512,
                 track_visits: true,
-                track_paths: false,
-                track_tags: false,
-                scratch: None,
+                ..task(view, &alg, &scratch, 512)
             };
             let o = step_chunk(&task, walkers.clone());
             (o.steps, o.visits, o.lengths)
         };
-        let host = run(GraphView::Host(g.clone()));
+        let host = run(GraphView::Host(&g));
         assert!(host.0 > 2_000, "walks must actually move: {} steps", host.0);
-        assert_eq!(run(GraphView::Resident(block.clone())), host);
+        assert_eq!(run(GraphView::Resident(&block)), host);
         assert_eq!(
-            run(GraphView::Blocks(HostBlockView::new(vec![block]))),
+            run(GraphView::Blocks(HostBlockView::new(vec![block.clone()]))),
             host
         );
     }
@@ -581,29 +556,24 @@ mod tests {
     /// Recycled scratch buffers must not leak state between rounds.
     #[test]
     fn scratch_pool_recycling_is_transparent() {
-        let g = Arc::new(erdos_renyi(256, 4096, 7).csr);
-        let alg = Arc::new(UniformSampling::new(12));
-        let pool = Arc::new(ScratchPool::new());
+        let g = erdos_renyi(256, 4096, 7).csr;
+        let alg = UniformSampling::new(12);
+        let (pool, unused_pool) = (ScratchPool::default(), ScratchPool::default());
         let walkers: Vec<Walker> = (0..150).map(|i| Walker::new(i, (i % 128) as u32)).collect();
         let mk_task = |scratch| KernelTask {
-            view: GraphView::Host(g.clone()),
-            alg: alg.clone(),
-            reads_prev: false,
             seed: 5,
-            num_vertices: g.num_vertices(),
             range: 0..128u32,
             track_visits: true,
             track_paths: true,
-            track_tags: false,
-            scratch,
+            ..task(GraphView::Host(&g), &alg, scratch, g.num_vertices())
         };
-        let fresh = step_chunk(&mk_task(None), walkers.clone());
+        let fresh = step_chunk(&mk_task(&unused_pool), walkers.clone());
         // Dirty the pool with an unrelated round, recycle its buffer, and
         // step the same walkers through the recycled buffer.
         let dirty: Vec<Walker> = (500..700)
             .map(|i| Walker::new(i, (i % 100) as u32))
             .collect();
-        let task = mk_task(Some(pool.clone()));
+        let task = mk_task(&pool);
         let o = step_chunk(&task, dirty);
         pool.put(o);
         let recycled = step_chunk(&task, walkers);

@@ -3,7 +3,9 @@
 //! fault-free outputs intact (DESIGN.md §8).
 
 use lt_engine::algorithm::{PageRank, UniformSampling};
-use lt_engine::{EngineConfig, EngineError, LightTraffic, RunResult, RunStatus};
+use lt_engine::{
+    EngineConfig, EngineError, LightTraffic, RunResult, RunStatus, TagDelta, WalkAlgorithm,
+};
 use lt_gpusim::FaultPlan;
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
@@ -31,6 +33,19 @@ fn cfg(faults: Option<FaultPlan>, kernel_threads: usize) -> EngineConfig {
     };
     cfg.gpu.faults = faults;
     cfg
+}
+
+/// The fatal-fault drill: 8% of copies lose the device, and the engine
+/// snapshots every 8 iterations to recover.
+fn recovering_cfg() -> EngineConfig {
+    let plan = FaultPlan {
+        copy_fatal_rate: 0.08,
+        ..FaultPlan::default()
+    };
+    EngineConfig {
+        checkpoint_every: Some(8),
+        ..cfg(Some(plan), 1)
+    }
 }
 
 fn run(faults: Option<FaultPlan>, kernel_threads: usize) -> RunResult {
@@ -106,13 +121,8 @@ fn retries_cost_simulated_time() {
 #[test]
 fn fatal_faults_recover_from_auto_checkpoints() {
     let clean = run(None, 1);
-    let plan = FaultPlan {
-        copy_fatal_rate: 0.08,
-        ..FaultPlan::default()
-    };
-    let mut cfg = cfg(Some(plan), 1);
-    cfg.checkpoint_every = Some(8);
-    let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+    let mut e =
+        LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), recovering_cfg()).unwrap();
     let r = e.run(2_000).unwrap();
     assert!(
         r.metrics.recoveries > 0,
@@ -213,9 +223,12 @@ fn corrupted_partitions_degrade_to_zero_copy() {
         corruption_rate: 0.6,
         ..FaultPlan::default()
     };
-    let mut cfg = cfg(Some(plan), 1);
-    cfg.corruption_degrade_threshold = 2;
-    let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+    let mut e = LightTraffic::new(
+        graph(),
+        Arc::new(PageRank::new(8, 0.15)),
+        cfg(Some(plan), 1),
+    )
+    .unwrap();
     let r = e.run(2_000).unwrap();
     assert!(
         r.metrics.degraded_partitions > 0,
@@ -225,4 +238,64 @@ fn corrupted_partitions_degrade_to_zero_copy() {
     assert_eq!(r.visit_counts, clean.visit_counts);
     assert_eq!(r.metrics.finished_walks, clean.metrics.finished_walks);
     assert_eq!(r.metrics.total_steps, clean.metrics.total_steps);
+}
+
+/// Walkers injected between two slices are in the snapshot the next
+/// slice rolls back to (DESIGN.md §8's snapshot rule). Before the rule,
+/// the rollback went to a snapshot taken before the injection and the
+/// second half of the walkers vanished: the run reported `Completed`
+/// with half the finished walks and steps.
+#[test]
+fn walkers_injected_between_slices_survive_recovery() {
+    let clean = run(None, 1);
+    let alg = Arc::new(PageRank::new(8, 0.15));
+    let mut e = LightTraffic::new(graph(), alg.clone(), recovering_cfg()).unwrap();
+    let mut walkers = alg.place_walkers(e.partitions().num_vertices(), 2_000);
+    let second = walkers.split_off(1_000);
+    e.inject(walkers);
+    assert!(matches!(e.step(10).unwrap(), RunStatus::Paused));
+    e.inject(second);
+    let r = e.finish().unwrap();
+    assert!(r.metrics.recoveries > 0, "the drill must recover");
+    assert_eq!(r.metrics.finished_walks, clean.metrics.finished_walks);
+    assert_eq!(r.metrics.total_steps, clean.metrics.total_steps);
+    assert_eq!(r.visit_counts, clean.visit_counts);
+    assert_eq!(r.paths, clean.paths);
+    assert_eq!(r.metrics.length_histogram, clean.metrics.length_histogram);
+}
+
+/// Per-tag results roll back with the data state: a recovered run drains
+/// the fault-free per-tag results (before, every rollback left the lost
+/// work in the deltas, which then summed to about twice the run). The
+/// ledger's step column counts executed work, replays included, and so
+/// agrees with tags tracked or not.
+#[test]
+fn tag_deltas_roll_back_with_recovery() {
+    let tagged = |cfg: EngineConfig, track_tags: bool| {
+        let cfg = EngineConfig {
+            track_tags,
+            attribution: true,
+            ..cfg
+        };
+        let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
+        let r = e.run(2_000).unwrap();
+        let mut deltas = e.take_tag_deltas();
+        deltas.iter_mut().for_each(|d| d.lengths.sort_unstable());
+        let ledger_steps = e.traffic_ledger().unwrap().steps(0);
+        (r, deltas, ledger_steps)
+    };
+    let (clean, clean_deltas, _) = tagged(cfg(None, 1), true);
+    let (r, deltas, ledger_steps) = tagged(recovering_cfg(), true);
+    assert!(r.metrics.recoveries > 0, "the drill must recover");
+    assert_eq!(r.metrics.total_steps, clean.metrics.total_steps);
+    assert_eq!(deltas, clean_deltas);
+    let sum = |f: fn(&TagDelta) -> u64| deltas.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|d| d.steps), r.metrics.total_steps);
+    assert_eq!(sum(|d| d.finished), r.metrics.finished_walks);
+    let (_, _, untagged_steps) = tagged(recovering_cfg(), false);
+    assert_eq!(ledger_steps, untagged_steps);
+    assert!(
+        ledger_steps > r.metrics.total_steps,
+        "replayed work is executed work"
+    );
 }

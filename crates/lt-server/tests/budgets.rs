@@ -233,9 +233,9 @@ fn suspend_resume_round_trips_through_a_checkpoint() {
     let cp = sched.suspend(id).expect("live job suspends");
     assert!(matches!(sched.status(id), Some(JobStatus::Blocked { .. })));
     // Suspended: pumping makes no progress for this job.
-    let steps_before = sched.result(id).unwrap().steps;
+    let suspended_steps = sched.result(id).unwrap().steps;
     sched.run_until_idle().unwrap();
-    assert_eq!(sched.result(id).unwrap().steps, steps_before);
+    assert_eq!(sched.result(id).unwrap().steps, suspended_steps);
 
     sched.resume(id, cp).unwrap();
     sched.run_until_idle().unwrap();

@@ -222,8 +222,5 @@ pub fn to_engine_config(c: &ArbConfig, g: &Arc<Csr>) -> EngineConfig {
         attribution: true,
         host_cache_partitions: 0,
         checkpoint_every: None,
-        copy_retries: 3,
-        retry_backoff_ns: 200_000,
-        corruption_degrade_threshold: 3,
     }
 }
