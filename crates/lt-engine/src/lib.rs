@@ -80,7 +80,7 @@ pub use exec::{ExecPool, ExecStats};
 pub use graphpool::GraphEviction;
 pub use hostcache::HostDecodeCache;
 pub use job::{JobId, JobSpec, JobStart, JobStatus, JobTable, TagDelta};
-pub use kernel::{advance_walker, host_step};
+pub use kernel::{advance_walker, host_step, multiplicity_for};
 pub use lt_graph::delta::{DeltaGraph, EdgeOp, EdgeUpdate};
 pub use lt_telemetry::{EventBus, Level, MetricRegistry};
 pub use metrics::IterationRecord;

@@ -28,7 +28,7 @@
 
 use crate::{Csr, GraphError, PartitionData, PartitionId, PartitionedGraph, VertexId};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What an [`EdgeUpdate`] does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,13 +137,17 @@ impl Columns {
         }
     }
 
-    fn push(&mut self, dst: VertexId, weight: f32, timestamp: u32) {
-        self.edges.push(dst);
+    /// Insert an edge to `dst` after every edge to a target `<= dst`, so
+    /// a vertex-sorted row stays sorted and parallel edges keep their
+    /// insertion order.
+    fn insert_sorted(&mut self, dst: VertexId, weight: f32, timestamp: u32) {
+        let k = self.edges.partition_point(|&x| x <= dst);
+        self.edges.insert(k, dst);
         if let Some(w) = &mut self.weights {
-            w.push(weight);
+            w.insert(k, weight);
         }
         if let Some(t) = &mut self.timestamps {
-            t.push(timestamp);
+            t.insert(k, timestamp);
         }
     }
 
@@ -237,6 +241,9 @@ pub struct DeltaGraph {
     /// copied from the partition table and frozen.
     boundaries: Vec<VertexId>,
     blocks: Vec<Arc<PartitionData>>,
+    /// Each block's [`PartitionData::max_multiplicity`], computed on first
+    /// use and forgotten when a seal replaces the block.
+    multiplicity: Vec<OnceLock<u32>>,
     pending: Vec<EdgeUpdate>,
     epoch: u64,
 }
@@ -245,14 +252,26 @@ impl DeltaGraph {
     /// Start at epoch 0 with nothing buffered, over a copy of every
     /// partition of `pg` (one [`PartitionedGraph::extract`] each).
     pub fn new(pg: &PartitionedGraph) -> Self {
+        let np = pg.num_partitions();
         DeltaGraph {
             boundaries: pg.boundaries().to_vec(),
-            blocks: (0..pg.num_partitions())
-                .map(|p| Arc::new(pg.extract(p)))
-                .collect(),
+            blocks: (0..np).map(|p| Arc::new(pg.extract(p))).collect(),
+            multiplicity: (0..np).map(|_| OnceLock::new()).collect(),
             pending: Vec::new(),
             epoch: 0,
         }
+    }
+
+    /// [`Csr::max_multiplicity`] of the sealed view. Only blocks sealed
+    /// since the last call are scanned, so a first-order run that never
+    /// asks never scans at all.
+    pub fn max_multiplicity(&self) -> u32 {
+        self.blocks
+            .iter()
+            .zip(&self.multiplicity)
+            .map(|(b, m)| *m.get_or_init(|| b.max_multiplicity()))
+            .max()
+            .unwrap_or(1)
     }
 
     /// The current epoch (number of seals performed).
@@ -327,9 +346,11 @@ impl DeltaGraph {
     ///
     /// Updates take effect in submission order per source vertex (rows
     /// are independent, so that is the full submission order): an insert
-    /// appends with weight 1.0 and the sealing epoch as defaults, a
-    /// delete removes the first stored match and is a no-op that dirties
-    /// nothing when there is none. The sorted updates are cut at partition
+    /// goes after the row's last target `<= dst` — a vertex-sorted row
+    /// stays sorted, which second-order walks rely on — with weight 1.0
+    /// and the sealing epoch as defaults; a delete removes the first
+    /// stored match and is a no-op that dirties nothing when there is
+    /// none. The sorted updates are cut at partition
     /// boundaries and each touched partition's block is rewritten in one
     /// pass over the old one (`rebuild_block`), so a seal costs
     /// O(pending + bytes of the dirty partitions).
@@ -354,6 +375,7 @@ impl DeltaGraph {
                 rebuild_block(&self.blocks[p], ops, default_ts, &mut row, &mut seal)
             {
                 self.blocks[p] = Arc::new(block);
+                self.multiplicity[p] = OnceLock::new();
                 seal.dirty_partitions.push(p as PartitionId);
             }
         }
@@ -414,7 +436,7 @@ fn rebuild_block(
         for u in ops {
             match u.op {
                 EdgeOp::Insert => {
-                    row.push(
+                    row.insert_sorted(
                         u.dst,
                         u.weight.unwrap_or(1.0),
                         u.timestamp.unwrap_or(default_ts),
@@ -517,9 +539,30 @@ mod tests {
         assert_eq!(seal.dirty, vec![0, 3]);
         assert_eq!(seal.dirty_partitions, vec![0, 2]);
         assert_eq!((seal.inserted, seal.deleted), (3, 2));
-        assert_eq!(dg.neighbors(0), &[1, 2, 0]);
-        assert_eq!(dg.neighbors(3), &[1, 2, 0]);
+        assert_eq!(dg.neighbors(0), &[0, 1, 2]);
+        assert_eq!(dg.neighbors(3), &[0, 1, 2]);
         assert_eq!(dg.to_csr().offsets(), &[0, 3, 4, 4, 7]);
+    }
+
+    /// An insert keeps a vertex-sorted row sorted: appending gave
+    /// `[2, 5, 0]`, where node2vec's search of the row misses the `0`.
+    /// The multiplicity bound follows the seals up and back down.
+    #[test]
+    fn inserts_keep_rows_sorted_and_seals_update_the_multiplicity() {
+        let g = Csr::new(vec![0, 0, 2, 2, 2, 2, 2], vec![2, 5], None).unwrap();
+        let mut dg = DeltaGraph::new(&PartitionedGraph::build(Arc::new(g), 1 << 10));
+        assert_eq!(dg.max_multiplicity(), 1);
+        dg.buffer(EdgeUpdate::insert(1, 0)).unwrap();
+        dg.seal_epoch();
+        assert_eq!(dg.neighbors(1), &[0, 2, 5]);
+        dg.buffer(EdgeUpdate::insert(1, 2)).unwrap();
+        dg.buffer(EdgeUpdate::insert(1, 2)).unwrap();
+        dg.seal_epoch();
+        assert_eq!(dg.neighbors(1), &[0, 2, 2, 2, 5]);
+        assert_eq!(dg.max_multiplicity(), 3);
+        dg.buffer(EdgeUpdate::delete(1, 2)).unwrap();
+        dg.seal_epoch();
+        assert_eq!(dg.max_multiplicity(), 2);
     }
 
     #[test]

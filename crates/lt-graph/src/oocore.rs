@@ -43,7 +43,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Magic bytes of the out-of-core compressed format, revision 1.
 pub const OOC_MAGIC: &[u8; 8] = b"LTOOCGR1";
@@ -521,6 +521,8 @@ pub struct OocGraph {
     part_bytes: Vec<u64>,
     part_edges: Vec<u64>,
     regions: Vec<u64>,
+    /// [`OocGraph::max_multiplicity`], computed on first use.
+    multiplicity: OnceLock<u32>,
 }
 
 impl OocGraph {
@@ -608,6 +610,7 @@ impl OocGraph {
             part_bytes,
             part_edges,
             regions,
+            multiplicity: OnceLock::new(),
         })
     }
 
@@ -748,6 +751,19 @@ impl OocGraph {
         Ok(data)
     }
 
+    /// [`Csr::max_multiplicity`] of the stored graph: the first call
+    /// decodes every partition once, one at a time, and caches the result.
+    pub fn max_multiplicity(&self) -> Result<u32, GraphError> {
+        if let Some(&m) = self.multiplicity.get() {
+            return Ok(m);
+        }
+        let mut m = 1;
+        for p in 0..self.num_partitions() {
+            m = m.max(self.decode_partition(p)?.max_multiplicity());
+        }
+        Ok(*self.multiplicity.get_or_init(|| m))
+    }
+
     /// Decode the whole graph back into a RAM-resident [`Csr`] — the
     /// escape hatch for consumers that need full random access (alias
     /// table construction, evolving-graph runs, tests).
@@ -837,6 +853,20 @@ impl GraphStore {
         match self {
             GraphStore::Ram(g) => g.is_temporal(),
             GraphStore::OutOfCore(g) => g.is_temporal(),
+        }
+    }
+
+    /// [`Csr::max_multiplicity`] of the stored graph, cached by the store.
+    ///
+    /// # Panics
+    /// Panics if an out-of-core partition fails to read or decode, as
+    /// [`PartitionedGraph::extract`] does.
+    pub fn max_multiplicity(&self) -> u32 {
+        match self {
+            GraphStore::Ram(g) => g.max_multiplicity(),
+            GraphStore::OutOfCore(g) => g
+                .max_multiplicity()
+                .unwrap_or_else(|e| panic!("out-of-core graph unreadable: {e}")),
         }
     }
 

@@ -341,6 +341,11 @@ impl PartitionData {
         Some(&t[self.offsets[i] as usize..self.offsets[i + 1] as usize])
     }
 
+    /// [`Csr::max_multiplicity`] over this partition's rows (one scan).
+    pub fn max_multiplicity(&self) -> u32 {
+        crate::csr::max_multiplicity(&self.offsets, &self.edges)
+    }
+
     /// Transfer size of this partition in bytes.
     pub fn bytes(&self) -> u64 {
         self.offsets.len() as u64 * VERTEX_ENTRY_BYTES

@@ -108,6 +108,36 @@ fn engine_matches_cpu_baseline_on_twenty_graphs() {
     }
 }
 
+/// node2vec over parallel edges: every edge to an even target doubled, so
+/// the return edge has one or two copies under a multiplicity bound of 2.
+/// The engine reads the bound from the graph's cache and the baseline
+/// from the same CSR; a kernel stepping with bound 1 would take the
+/// return strip too often and diverge.
+#[test]
+fn node2vec_over_parallel_edges_matches_the_cpu_baseline() {
+    for graph_seed in [1u64, 6] {
+        let g = random_graph(graph_seed);
+        let (mut offsets, mut edges) = (vec![0u64], Vec::new());
+        for v in 0..g.num_vertices() as u32 {
+            for &t in g.neighbors(v) {
+                edges.extend(std::iter::repeat_n(t, 1 + (t % 2 == 0) as usize));
+            }
+            offsets.push(edges.len() as u64);
+        }
+        let g = Arc::new(Csr::new(offsets, edges, None).expect("same rows, doubled"));
+        assert_eq!(g.max_multiplicity(), 2);
+        let alg: Arc<dyn WalkAlgorithm> = Arc::new(SecondOrderWalk::node2vec(8, 0.25, 2.0));
+        let r = run_engine(&g, &alg, config(ZeroCopyPolicy::Always, 1, None));
+        let walks = g.num_vertices().min(1_000);
+        let baseline = cpu::run_walk_centric_tracked(&g, &alg, walks, SEED, 1);
+        assert_eq!(
+            visits_from_paths(&r, g.num_vertices()),
+            baseline.visits.expect("tracked run has visits"),
+            "graph seed {graph_seed}"
+        );
+    }
+}
+
 /// Visit counts are identical across `kernel_threads` in {1, 4}, with and
 /// without injected retryable faults. Retries replay copies on the
 /// simulated timeline but never alter trajectories.

@@ -189,7 +189,9 @@ proptest! {
                     let row = &mut model[u.src as usize];
                     match u.op {
                         EdgeOp::Insert => {
-                            row.push((
+                            // After the last target <= dst: rows stay sorted.
+                            let k = row.partition_point(|e| e.0 <= u.dst);
+                            row.insert(k, (
                                 u.dst,
                                 u.weight.unwrap_or(1.0),
                                 u.timestamp.unwrap_or(epoch as u32),
@@ -251,6 +253,10 @@ proptest! {
                 }
                 prop_assert_eq!(csr.is_weighted(), flavor == "weighted");
                 prop_assert_eq!(csr.is_temporal(), flavor == "temporal");
+                // Sorted rows, and the per-block multiplicity the seal
+                // refreshed equals a fresh scan of the whole sealed view.
+                prop_assert!((0..nv).all(|v| csr.neighbors(v).windows(2).all(|w| w[0] <= w[1])));
+                prop_assert_eq!(dg.max_multiplicity(), csr.max_multiplicity(), "{}", at);
             }
         }
     }
