@@ -195,6 +195,7 @@ impl LightTraffic {
         cfg: EngineConfig,
     ) -> Result<Self, EngineError> {
         cfg.validate()?;
+        alg.validate().map_err(EngineError::Admission)?;
         let p = pg.num_partitions();
         let gpu = Gpu::new(cfg.gpu.clone());
         let cost = gpu.cost_model();

@@ -1,8 +1,9 @@
 //! The one driver, through the public API only: `LightTraffic::step`
-//! under any budget, `finish`, and `restore`'s refusal of checkpoints that
-//! do not belong to the engine's graph.
+//! under any budget, `finish`, `restore`'s refusal of checkpoints that do
+//! not belong to the engine's graph, and construction's refusal of
+//! parameters a walk could never finish under.
 
-use lt_engine::algorithm::{PageRank, UniformSampling};
+use lt_engine::algorithm::{PageRank, SecondOrderWalk, UniformSampling};
 use lt_engine::{EngineConfig, EngineError, LightTraffic, RunStatus};
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
@@ -120,6 +121,31 @@ fn zero_budget_step_is_a_safe_no_op() {
     assert_eq!(e.metrics().total_steps, 0);
     let r = e.finish().unwrap();
     assert_eq!(r.metrics.finished_walks, 500);
+}
+
+/// node2vec parameters outside `SecondOrderWalk::PARAM_RANGE` are refused
+/// at construction: `p = 0`, NaN or `q = 1e300` would leave every
+/// mid-walk step proposing forever.
+#[test]
+fn construction_refuses_node2vec_parameters_out_of_range() {
+    for (return_p, in_out_q) in [(0.0, 1.0), (-1.0, 1.0), (1.0, f64::NAN), (1.0, 1e300)] {
+        let alg = SecondOrderWalk {
+            length: 8,
+            return_p,
+            in_out_q,
+        };
+        match LightTraffic::new(graph(9), Arc::new(alg), cfg()) {
+            Err(EngineError::Admission(msg)) => assert!(msg.contains("node2vec"), "{msg}"),
+            Err(e) => panic!("p = {return_p}, q = {in_out_q}: wrong error {e}"),
+            Ok(_) => panic!("p = {return_p}, q = {in_out_q} admitted"),
+        }
+    }
+    let edge = SecondOrderWalk::node2vec(8, 0.01, 100.0);
+    let r = LightTraffic::new(graph(9), Arc::new(edge), cfg())
+        .unwrap()
+        .run(200)
+        .unwrap();
+    assert_eq!(r.metrics.finished_walks, 200);
 }
 
 #[test]

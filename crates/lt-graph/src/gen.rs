@@ -102,7 +102,7 @@ pub fn erdos_renyi(num_vertices: u64, num_edges: u64, seed: u64) -> BuiltGraph {
 }
 
 /// Attach deterministic pseudo-random weights in `(0, 1]` to an unweighted
-/// graph, for weighted-walk tests and the rejection-sampling extension.
+/// graph, for weighted-walk tests and examples.
 pub fn with_random_weights(csr: &Csr, seed: u64) -> Csr {
     let mut rng = SmallRng::seed_from_u64(seed);
     let weights: Vec<f32> = (0..csr.num_edges())

@@ -291,7 +291,8 @@ impl Scheduler {
     /// Submit a job for `tenant`. Returns the job handle plus the
     /// receiving end of its event stream. Fails with
     /// [`EngineError::Admission`] when the job table is full, the spec
-    /// is empty, or a seed vertex is not in the graph.
+    /// is empty, a seed vertex is not in the graph, or the algorithm
+    /// fails [`lt_engine::WalkAlgorithm::validate`].
     pub fn submit(
         &mut self,
         tenant: &str,

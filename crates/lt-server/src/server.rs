@@ -25,9 +25,10 @@
 //!
 //! Other ops: `cancel {job}`, `topup {tenant,tokens}`, `budget
 //! {tenant}`, `result {job}`. `submit` accepts `algorithm`
-//! `"deepwalk"` or `"node2vec"` (with `p`/`q`), `walks` or explicit
-//! `seeds:[v,…]`, `max_length`, `seed`. A seed vertex outside the graph
-//! is refused with `ok:false`.
+//! `"deepwalk"` or `"node2vec"` (with `p`/`q`, each default 1), `walks`
+//! or explicit `seeds:[v,…]`, `max_length`, `seed`. A seed vertex outside
+//! the graph, or a `p`/`q` outside `SecondOrderWalk::PARAM_RANGE`
+//! (0.01–100), is refused with `ok:false`.
 //!
 //! A request line may be at most [`MAX_REQUEST_LINE_BYTES`] long; a
 //! longer one is answered with `{"ok":false,"error":…}` and the connection
@@ -47,6 +48,7 @@
 //! deterministically from their next step on.
 
 use crate::scheduler::{JobEvent, JobInfo, JobResult, Scheduler, ServerConfig};
+use lt_engine::algorithm::SecondOrderWalk;
 use lt_engine::{EdgeUpdate, EngineError, EpochSummary, JobId, JobSpec, JobStart};
 use lt_graph::Csr;
 use lt_telemetry::MetricRegistry;
@@ -532,6 +534,7 @@ fn parse_spec(req: &Value) -> Result<JobSpec, String> {
         "node2vec" => {
             let p = req.get("p").and_then(Value::as_f64).unwrap_or(1.0);
             let q = req.get("q").and_then(Value::as_f64).unwrap_or(1.0);
+            SecondOrderWalk::check(p, q)?;
             JobSpec::node2vec(0, max_length, p, q, seed)
         }
         other => return Err(format!("unknown algorithm {other:?}")),

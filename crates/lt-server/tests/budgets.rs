@@ -475,6 +475,47 @@ fn tcp_submit_with_out_of_range_seeds_is_refused() {
     server.shutdown();
 }
 
+/// node2vec parameters a walk could never finish under — `p = 0` makes
+/// every mid-walk step propose forever — are answered `ok:false` over the
+/// wire, and the same connection's next node2vec `submit` runs to `done`.
+#[test]
+fn node2vec_parameters_out_of_range_are_refused_at_submit() {
+    let server = Server::start(graph(), config()).unwrap();
+    let front = TcpFrontend::bind(server.handle(), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = connect(front.local_addr());
+    let submit = |p: f64, q: f64| {
+        json!({"op": "submit", "algorithm": "node2vec", "p": p, "q": q,
+               "walks": 40, "max_length": 6})
+    };
+    for (p, q) in [
+        (0.0, 1.0),
+        (-1.0, 1.0),
+        (1.0, 0.0),
+        (1.0, 1e300),
+        (1e-300, 1.0),
+    ] {
+        let r = send_req(&mut writer, &mut reader, &submit(p, q));
+        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false), "{r}");
+    }
+    let r = send_req(&mut writer, &mut reader, &submit(0.5, 2.0));
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r}");
+    let job = r.get("job").and_then(Value::as_u64).unwrap();
+    let status = (0..500)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            let r = send_req(
+                &mut writer,
+                &mut reader,
+                &json!({"op": "status", "job": job}),
+            );
+            r.get("status").and_then(Value::as_str).unwrap().to_string()
+        })
+        .find(|s| s == "done");
+    assert_eq!(status.as_deref(), Some("done"));
+    front.shutdown();
+    server.shutdown();
+}
+
 /// A request line past the cap is answered with an error and the
 /// connection is closed, without the server waiting for a newline.
 #[test]
