@@ -249,11 +249,12 @@ impl LightTraffic {
     /// Step one batch to completion on the host — the pure half of the
     /// kernel: every walker runs until it terminates or leaves partition
     /// `part`. The batch splits into up to `kernel_threads` contiguous
-    /// chunks (floor [`kernel::MIN_CHUNK_WALKERS`]) stepped against one
+    /// chunks ([`kernel::plan_chunks`]; a batch of at most
+    /// [`kernel::MIN_CHUNK_WALKERS`] stays whole) stepped against one
     /// [`KernelTask`] that borrows the engine's graph view, algorithm and
-    /// scratch pool for the call: inline when one chunk, as an ordered
-    /// group on the persistent pool otherwise. Outputs come back in chunk
-    /// order, which equals the sequential iteration order of the batch,
+    /// scratch pool for the call, read in place: inline when one chunk, as
+    /// an ordered group on the persistent pool otherwise. Outputs come back
+    /// in chunk order, which equals the sequential iteration order of the batch,
     /// so every thread count merges to bit-identical results (see
     /// [`crate::kernel`]). Only the kernel counters are booked here; no
     /// walk-pool or simulated-device state is touched.
@@ -271,12 +272,7 @@ impl LightTraffic {
         // RAM CSR to read; its blocks are fetched (mutating the host
         // cache) before the task borrows the rest of the engine.
         let view = if !use_zc {
-            GraphView::Resident(
-                self.pools
-                    .graph
-                    .get(part)
-                    .expect("a partition drained without zero copy was made resident"),
-            )
+            self.resident_view(part)
         } else if let Some(g) = self.pg.ram_csr() {
             GraphView::Host(g)
         } else {
@@ -314,6 +310,24 @@ impl LightTraffic {
         self.metrics.host_kernels += 1;
         self.metrics.max_kernel_threads = self.metrics.max_kernel_threads.max(chunks as u64);
         outputs
+    }
+
+    /// Where a kernel reads resident partition `part`, in place: the block
+    /// an out-of-core store pinned in the pool, an evolving graph's sealed
+    /// block, or a RAM store's CSR.
+    fn resident_view(&self, part: PartitionId) -> GraphView<'_> {
+        debug_assert!(
+            self.pools.graph.contains(part),
+            "a partition drained without zero copy was made resident"
+        );
+        if let Some(d) = self.pools.graph.pinned(part) {
+            return GraphView::ResidentBlock(d);
+        }
+        match (&self.evolving, self.pg.ram_csr()) {
+            (Some(delta), _) => GraphView::ResidentBlock(delta.block(part)),
+            (None, Some(g)) => GraphView::ResidentCsr(g),
+            (None, None) => unreachable!("an out-of-core store pins every resident block"),
+        }
     }
 
     /// The graph's [`lt_graph::Csr::max_multiplicity`] for second-order
@@ -534,25 +548,25 @@ mod tests {
         let g = graph();
         let variants: Vec<EngineConfig> = vec![
             EngineConfig {
-                batch_capacity: 256,
+                batch_capacity: 512,
                 ..EngineConfig::light_traffic(16 << 10, 4)
             },
             EngineConfig {
-                batch_capacity: 256,
+                batch_capacity: 512,
                 ..EngineConfig::baseline(16 << 10, 4)
             },
             EngineConfig {
-                batch_capacity: 256,
+                batch_capacity: 512,
                 zero_copy: ZeroCopyPolicy::Always,
                 ..EngineConfig::baseline(16 << 10, 4)
             },
             EngineConfig {
-                batch_capacity: 256,
+                batch_capacity: 512,
                 preemptive: true,
                 ..EngineConfig::baseline(16 << 10, 4)
             },
             EngineConfig {
-                batch_capacity: 128,
+                batch_capacity: 512,
                 selective: true,
                 reshuffle: ReshuffleMode::DirectWrite,
                 ..EngineConfig::baseline(16 << 10, 4)

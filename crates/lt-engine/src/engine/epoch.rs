@@ -1,6 +1,6 @@
 //! Evolving graphs (DESIGN.md §15): buffer edge mutations, and seal them
 //! into a new graph epoch at a barrier between scheduler slices,
-//! refreshing the device-resident partitions they dirtied.
+//! reloading the device-resident partitions they dirtied.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use super::*;
@@ -82,9 +82,10 @@ impl LightTraffic {
     /// blocks of the dirty partitions (the partition boundaries are
     /// *frozen*, so walker→partition routing never changes), the
     /// partition table takes their new sizes, and the resident partitions
-    /// among them are refreshed — handed the sealed block, charged on the
-    /// simulated link as [`Category::GraphReload`] and attributed in the
-    /// traffic ledger under [`TrafficDirection::Reload`]. At low mutation
+    /// among them are reloaded — charged on the simulated link as
+    /// [`Category::GraphReload`] and attributed in the traffic ledger under
+    /// [`TrafficDirection::Reload`]; kernels read the sealed blocks in
+    /// place, so the host copies nothing. At low mutation
     /// rates that is a small fraction of the residency set (the
     /// evolving-graph extension of the paper's traffic thesis). Clean
     /// partitions are not visited.
@@ -135,17 +136,18 @@ impl LightTraffic {
                 }
                 self.forced_zc.oversized[p as usize] = oversized;
             }
-            // Refresh stale resident partitions. Residency order (oldest
-            // first) is schedule-deterministic, so reload charges are too.
-            let refresh: Vec<Arc<PartitionData>> = self
+            // Reload stale resident partitions. The link is charged their
+            // new bytes; kernels already read the sealed blocks in place.
+            // Residency order (oldest first) is schedule-deterministic, so
+            // reload charges are too.
+            let stale: Vec<PartitionId> = self
                 .pools
                 .graph
                 .resident_partitions()
                 .filter(|p| seal.dirty_partitions.binary_search(p).is_ok())
-                .map(|p| Arc::clone(delta.block(p)))
                 .collect();
-            for data in refresh {
-                let (p, bytes) = (data.id, data.bytes());
+            for p in stale {
+                let bytes = self.pg.partition_bytes(p);
                 self.copy_with_retry(
                     TrafficDirection::Reload,
                     Category::GraphReload,
@@ -153,7 +155,6 @@ impl LightTraffic {
                     p,
                     &[(SHARED_TAG, bytes)],
                 )?;
-                self.pools.graph.refresh(p, data);
                 summary.reloaded_partitions += 1;
                 summary.reload_bytes += bytes;
             }

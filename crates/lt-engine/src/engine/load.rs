@@ -42,10 +42,16 @@ impl LightTraffic {
     /// [`CORRUPTION_DEGRADE_THRESHOLD`]th corrupted load degrades the
     /// partition to zero-copy access instead (the caller falls back to
     /// reading it in place).
+    ///
+    /// The simulated link is charged the partition's bytes; the host
+    /// copies nothing. A RAM store or an evolving graph is read in place
+    /// once resident, so only an out-of-core store fetches its decoded
+    /// block (once per attempt, as a device upload reads it) and pins it
+    /// in the pool.
     pub(super) fn load_partition(&mut self, i: PartitionId) -> Result<bool, EngineError> {
+        let bytes = self.pg.partition_bytes(i);
         loop {
-            let data = self.fetch_partition(i);
-            let bytes = data.bytes();
+            let pinned = self.host_cache.is_some().then(|| self.fetch_partition(i));
             // Graph partitions are shared infrastructure, not owned by any
             // one job: the whole load (and every corrupted reload) is
             // charged to the shared tag, keyed by the partition.
@@ -64,7 +70,7 @@ impl LightTraffic {
                     device,
                     graph,
                 } = &mut self.pools;
-                graph.insert(data, policy, &|p| host.count(p) + device.count(p), i);
+                graph.insert(i, pinned, policy, &|p| host.count(p) + device.count(p), i);
                 return Ok(true);
             }
             self.forced_zc.corrupt_loads[i as usize] += 1;
@@ -85,23 +91,25 @@ impl LightTraffic {
         }
     }
 
-    /// Produce partition `i`'s data behind an `Arc`. An evolving graph
-    /// hands out its sealed block — no copy, and the same allocation every
-    /// reader of this epoch shares; a static RAM store extracts it (slice
-    /// copies) per call; an out-of-core store fetches through the host
-    /// decode cache, charging each miss's decode to the host traffic tier
+    /// Produce partition `i`'s block behind an `Arc`, for a store held as
+    /// blocks. An evolving graph hands out its sealed block — no copy, and
+    /// the same allocation every reader of this epoch shares; an
+    /// out-of-core store fetches through the host decode cache, charging
+    /// each miss's decode to the host traffic tier
     /// ([`TrafficDirection::HostLoad`] in the ledger, keyed like graph
     /// loads by `(SHARED_TAG, partition)`, plus `host_decode_bytes`) —
     /// exactly once per decode, so corruption-driven reload loops (cache
     /// hits on re-fetch) add no phantom host-tier traffic. Only that last
-    /// case is a decode and only it moves a host-tier counter.
+    /// case is a decode and only it moves a host-tier counter. A static
+    /// RAM store is never fetched: its rows are read from the CSR.
     pub(super) fn fetch_partition(&mut self, i: PartitionId) -> Arc<PartitionData> {
         if let Some(delta) = &self.evolving {
             return Arc::clone(delta.block(i));
         }
-        let Some(cache) = self.host_cache.as_mut() else {
-            return Arc::new(self.pg.extract(i));
-        };
+        let cache = self
+            .host_cache
+            .as_mut()
+            .expect("only out-of-core and evolving stores are read as blocks");
         let pools = &self.pools;
         let rank = |p| hostcache::eviction_rank(pools.graph.contains(p), pools.walks_in(p));
         let policy = schedule::graph_eviction(self.cfg.selective);

@@ -23,13 +23,18 @@ pub enum GraphEviction {
 }
 
 /// A cache of graph partitions in reserved device blocks.
+///
+/// An entry records residency: the simulated link was charged for the
+/// partition's bytes, and the block is reserved on the device. The host
+/// moves no bytes for it. A kernel reads a RAM store's resident rows in
+/// place from the CSR, and an evolving graph's from its block table.
+/// Only an out-of-core store pins its decoded block in the entry, because
+/// the host decode cache may evict that block while it is resident.
 #[derive(Debug)]
 pub struct DeviceGraphPool {
-    // Blocks hold `Arc<PartitionData>`: out-of-core stores share one
-    // decoded copy with the host decode cache (see `insert`), and epoch
-    // seals hand over the sealed block itself (see `refresh`). Graph data
-    // is immutable, so the shared handle is free of hazards.
-    pool: BlockPool<Arc<PartitionData>>,
+    // Graph data is immutable, so a pinned block shared with the host
+    // decode cache is free of hazards.
+    pool: BlockPool<Option<Arc<PartitionData>>>,
     resident: Vec<Option<BlockId>>,
     /// Residency order, oldest first (for FIFO eviction).
     order: VecDeque<PartitionId>,
@@ -76,53 +81,41 @@ impl DeviceGraphPool {
         self.resident[p as usize].is_some()
     }
 
-    /// The resident copy of partition `p`.
-    pub fn get(&self, p: PartitionId) -> Option<&PartitionData> {
-        self.resident[p as usize].map(|id| &**self.pool.get(id))
+    /// The block pinned for resident partition `p` (out-of-core stores
+    /// only; `None` for a partition read in place or not resident).
+    pub fn pinned(&self, p: PartitionId) -> Option<&PartitionData> {
+        self.resident[p as usize].and_then(|id| self.pool.get(id).as_deref())
     }
 
-    /// Insert partition data, evicting per `policy` if the pool is full.
-    /// `walk_counts(p)` supplies the per-partition walk totals selective
-    /// eviction minimizes over; `protect` (the partition being scheduled)
-    /// is never evicted. Returns the evicted partition, if any. The data
-    /// comes behind an `Arc` because out-of-core stores share one decoded
-    /// copy between the host decode cache and the device pool instead of
-    /// cloning megabytes per upload.
+    /// Make partition `p` resident, evicting per `policy` if the pool is
+    /// full. `pinned` is the decoded block an out-of-core store hands
+    /// over, shared with the host decode cache; `None` for stores read in
+    /// place. `walk_counts(p)` supplies the per-partition walk totals
+    /// selective eviction minimizes over; `protect` (the partition being
+    /// scheduled) is never evicted. Returns the evicted partition, if any.
     pub fn insert(
         &mut self,
-        data: Arc<PartitionData>,
+        p: PartitionId,
+        pinned: Option<Arc<PartitionData>>,
         policy: GraphEviction,
         walk_counts: &dyn Fn(PartitionId) -> u64,
         protect: PartitionId,
     ) -> Option<PartitionId> {
-        debug_assert!(!self.contains(data.id), "partition already resident");
+        debug_assert!(!self.contains(p), "partition already resident");
+        debug_assert!(pinned.as_ref().is_none_or(|d| d.id == p));
         let mut evicted = None;
         if self.pool.is_full() {
             let victim = pick_victim(&self.order, policy, walk_counts, protect);
             self.evict(victim);
             evicted = Some(victim);
         }
-        let p = data.id;
-        let id = self.pool.acquire(data).expect("space ensured by eviction");
+        let id = self
+            .pool
+            .acquire(pinned)
+            .expect("space ensured by eviction");
         self.resident[p as usize] = Some(id);
         self.order.push_back(p);
         evicted
-    }
-
-    /// Replace the resident copy of partition `p` in place (evolving-graph
-    /// reload after an epoch seal) with the sealed block itself — a handle,
-    /// not a copy: the simulated link is charged for the bytes, the host
-    /// moves none. Residency order is untouched: a refresh is not a new
-    /// insertion, so FIFO eviction age is preserved and eviction decisions
-    /// are identical to a run without mutations.
-    ///
-    /// # Panics
-    /// Panics if `p` is not resident or `data` belongs to another
-    /// partition.
-    pub fn refresh(&mut self, p: PartitionId, data: Arc<PartitionData>) {
-        assert_eq!(data.id, p, "refresh data must belong to partition {p}");
-        let id = self.resident[p as usize].expect("refreshing a non-resident partition");
-        *self.pool.get_mut(id) = data;
     }
 
     /// Drop partition `p` from the cache (graph data needs no write-back —
@@ -169,10 +162,6 @@ mod tests {
     use lt_graph::PartitionedGraph;
     use std::sync::Arc;
 
-    fn part(pg: &PartitionedGraph, p: PartitionId) -> Arc<PartitionData> {
-        Arc::new(pg.extract(p))
-    }
-
     fn setup() -> (Gpu, PartitionedGraph) {
         let gpu = Gpu::new(GpuConfig {
             memory_bytes: 1 << 30,
@@ -196,16 +185,10 @@ mod tests {
         assert!(pg.num_partitions() >= 4);
         let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
         let zero = |_: PartitionId| 0u64;
-        assert_eq!(
-            pool.insert(part(&pg, 0), GraphEviction::Fifo, &zero, 0),
-            None
-        );
-        assert_eq!(
-            pool.insert(part(&pg, 1), GraphEviction::Fifo, &zero, 1),
-            None
-        );
+        assert_eq!(pool.insert(0, None, GraphEviction::Fifo, &zero, 0), None);
+        assert_eq!(pool.insert(1, None, GraphEviction::Fifo, &zero, 1), None);
         assert!(pool.contains(0) && pool.contains(1));
-        let ev = pool.insert(part(&pg, 2), GraphEviction::Fifo, &zero, 2);
+        let ev = pool.insert(2, None, GraphEviction::Fifo, &zero, 2);
         assert_eq!(ev, Some(0));
         assert!(!pool.contains(0));
         assert!(pool.contains(1) && pool.contains(2));
@@ -222,9 +205,9 @@ mod tests {
             _ => 0,
         };
         for p in 0..3 {
-            pool.insert(part(&pg, p), GraphEviction::FewestWalks, &counts, p);
+            pool.insert(p, None, GraphEviction::FewestWalks, &counts, p);
         }
-        let ev = pool.insert(part(&pg, 3), GraphEviction::FewestWalks, &counts, 3);
+        let ev = pool.insert(3, None, GraphEviction::FewestWalks, &counts, 3);
         assert_eq!(ev, Some(1), "partition with fewest walks evicted");
     }
 
@@ -233,22 +216,23 @@ mod tests {
         let (gpu, pg) = setup();
         let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 1, 16 << 10).unwrap();
         let counts = |_: PartitionId| 0u64;
-        pool.insert(part(&pg, 0), GraphEviction::FewestWalks, &counts, 0);
+        pool.insert(0, None, GraphEviction::FewestWalks, &counts, 0);
         // Pool of one block: inserting partition 1 while protecting 1 must
         // evict 0 even though policy would accept anything.
-        let ev = pool.insert(part(&pg, 1), GraphEviction::FewestWalks, &counts, 1);
+        let ev = pool.insert(1, None, GraphEviction::FewestWalks, &counts, 1);
         assert_eq!(ev, Some(0));
         assert!(pool.contains(1));
     }
 
     #[test]
-    fn get_returns_correct_data() {
+    fn only_a_pinned_block_is_held() {
         let (gpu, pg) = setup();
         let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
-        pool.insert(part(&pg, 1), GraphEviction::Fifo, &|_| 0, 1);
-        let d = pool.get(1).unwrap();
-        assert_eq!(d.id, 1);
-        assert_eq!(*d, pg.extract(1));
-        assert!(pool.get(0).is_none());
+        pool.insert(0, None, GraphEviction::Fifo, &|_| 0, 0);
+        let block = Arc::new(pg.extract(1));
+        pool.insert(1, Some(block), GraphEviction::Fifo, &|_| 0, 1);
+        assert!(pool.contains(0) && pool.pinned(0).is_none());
+        assert_eq!(*pool.pinned(1).unwrap(), pg.extract(1));
+        assert!(pool.pinned(2).is_none());
     }
 }

@@ -31,13 +31,20 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Where a kernel reads its graph data from: the CSR or partition blocks,
-/// nothing else. `Resident` and `Host` borrow from the engine for the
-/// length of one batch; `Blocks` owns the fetched blocks, gathered before
-/// the task borrows. `Host` and `Resident` differ in second-order context
-/// availability.
+/// nothing else, always in place — a resident partition is a simulated
+/// copy, and the host moves no bytes for it. `ResidentCsr`,
+/// `ResidentBlock` and `Host` borrow from the engine for the length of one
+/// batch; `Blocks` owns the fetched blocks, gathered before the task
+/// borrows. The resident views differ from the zero-copy ones in
+/// second-order context: only the partition's own rows are on the device.
 pub(crate) enum GraphView<'a> {
-    /// The partition is resident in the graph pool.
-    Resident(&'a PartitionData),
+    /// A resident partition of a RAM store: its rows, read from the CSR.
+    /// Second-order context is served only for a previous vertex inside
+    /// the kernel's range, exactly as from the partition's block.
+    ResidentCsr(&'a Csr),
+    /// A resident partition held as a block: an evolving graph's sealed
+    /// block, or an out-of-core store's decoded block pinned in the pool.
+    ResidentBlock(&'a PartitionData),
     /// Zero copy: read the host CSR directly.
     Host(&'a Csr),
     /// Zero copy where no host CSR exists — an out-of-core store or an
@@ -86,12 +93,12 @@ impl GraphView<'_> {
     #[inline]
     pub(crate) fn neighbors(&self, v: VertexId) -> (&[VertexId], Option<&[f32]>, Option<&[u32]>) {
         match self {
-            GraphView::Resident(d) => (
+            GraphView::ResidentBlock(d) => (
                 d.neighbors(v),
                 d.neighbor_weights(v),
                 d.neighbor_timestamps(v),
             ),
-            GraphView::Host(g) => (
+            GraphView::ResidentCsr(g) | GraphView::Host(g) => (
                 g.neighbors(v),
                 g.neighbor_weights(v),
                 g.neighbor_timestamps(v),
@@ -108,14 +115,19 @@ impl GraphView<'_> {
     }
 }
 
-/// Smallest chunk worth a thread: below this, dispatch overhead dwarfs
-/// the stepping work and the batch runs inline instead.
-pub(crate) const MIN_CHUNK_WALKERS: usize = 64;
+/// Largest batch stepped inline: a batch fans out only above this many
+/// walkers, so every chunk carries at least half of it. Below, waking a
+/// worker and moving the walkers to another core's cache costs more
+/// than the chunk's stepping saves. Measured on 2 CPUs (DESIGN.md §11):
+/// `serve_tcp`'s ~100-walker batches gained ×1.2–1.3 in `jobs_per_s` from
+/// 64 to 256, and 512 or 1,024 gained no more; library workloads, whose
+/// batches hold thousands of walkers, stayed flat.
+pub(crate) const MIN_CHUNK_WALKERS: usize = 256;
 
 /// Number of chunks a batch of `walkers` walkers is split into when up to
-/// `threads` host threads are available and a chunk must carry at least
-/// [`MIN_CHUNK_WALKERS`] walkers. `1` means "run inline on the scheduler
-/// thread".
+/// `threads` host threads are available: one per started
+/// [`MIN_CHUNK_WALKERS`], at most `threads`. `1` means "run inline on the
+/// scheduler thread".
 pub(crate) fn plan_chunks(walkers: usize, threads: usize) -> usize {
     if threads <= 1 || walkers == 0 {
         return 1;
@@ -331,12 +343,13 @@ pub(crate) fn step_chunk(task: &KernelTask, walkers: Vec<Walker>) -> ChunkOutput
     out
 }
 
-/// One step of `w` against the task's view. Second-order context is built
-/// only for an algorithm that declared it reads it — on every view alike,
-/// so a first-order walk sees `None` on a CSR and on blocks — and then the
-/// previous vertex's adjacency is served where this kernel's view reaches
-/// it (always via zero copy; only in-partition when resident — the
-/// asymmetry second-order systems accept).
+/// One step of `w` against the task's view, read in place. Second-order
+/// context is built only for an algorithm that declared it reads it — on
+/// every view alike, so a first-order walk sees `None` on a CSR and on
+/// blocks — and then the previous vertex's adjacency is served where this
+/// kernel's view reaches it: always via zero copy, and only inside the
+/// kernel's partition when resident, whether its rows come from the CSR
+/// or from a block (the asymmetry second-order systems accept).
 #[inline]
 fn step_once(task: &KernelTask, w: &Walker) -> StepDecision {
     let (neighbors, weights, timestamps) = task.view.neighbors(w.vertex);
@@ -348,7 +361,8 @@ fn step_once(task: &KernelTask, w: &Walker) -> StepDecision {
         _ if !task.reads_prev => None,
         (_, VertexId::MAX) => None,
         (GraphView::Host(g), aux) if (aux as u64) < task.num_vertices => Some(g.neighbors(aux)),
-        (GraphView::Resident(d), aux) if d.contains(aux) => Some(d.neighbors(aux)),
+        (GraphView::ResidentCsr(g), aux) if task.range.contains(&aux) => Some(g.neighbors(aux)),
+        (GraphView::ResidentBlock(d), aux) if d.contains(aux) => Some(d.neighbors(aux)),
         // A block view that does not cover `aux` serves nothing (see
         // `HostBlockView` for who gets here).
         (GraphView::Blocks(h), aux) if (aux as u64) < task.num_vertices => {
@@ -449,10 +463,11 @@ mod tests {
     fn plan_chunks_bounds() {
         assert_eq!(plan_chunks(0, 8), 1);
         assert_eq!(plan_chunks(1000, 1), 1);
-        assert_eq!(plan_chunks(63, 8), 1);
-        assert_eq!(plan_chunks(65, 8), 2);
+        assert_eq!(plan_chunks(100, 8), 1);
+        assert_eq!(plan_chunks(256, 8), 1);
+        assert_eq!(plan_chunks(257, 8), 2);
         assert_eq!(plan_chunks(10_000, 4), 4);
-        assert_eq!(plan_chunks(128, 64), 2);
+        assert_eq!(plan_chunks(512, 64), 2);
     }
 
     #[test]
@@ -535,7 +550,7 @@ mod tests {
     /// A step is a pure function of `(row, walker, seed)`: the temporal
     /// sampler — proposals on long rows, scans on short ones — picks the
     /// same edges whether the row is read from the CSR, a resident
-    /// partition or a block view.
+    /// partition (in place or as a block) or a block view.
     #[test]
     fn temporal_steps_agree_on_every_view() {
         use crate::algorithm::TemporalWalk;
@@ -566,11 +581,52 @@ mod tests {
         };
         let host = run(GraphView::Host(&g));
         assert!(host.0 > 2_000, "walks must actually move: {} steps", host.0);
-        assert_eq!(run(GraphView::Resident(&block)), host);
+        assert_eq!(run(GraphView::ResidentCsr(&g)), host);
+        assert_eq!(run(GraphView::ResidentBlock(&block)), host);
         assert_eq!(
             run(GraphView::Blocks(HostBlockView::new(vec![block.clone()]))),
             host
         );
+    }
+
+    /// A resident partition read in place from the CSR serves second-order
+    /// context exactly as its block does: only for a previous vertex
+    /// inside the partition. A zero-copy read of the CSR serves it for
+    /// every vertex, so some walks step differently there.
+    #[test]
+    fn resident_csr_serves_context_only_inside_the_partition() {
+        use crate::algorithm::SecondOrderWalk;
+        use lt_graph::PartitionedGraph;
+        let g = Arc::new(erdos_renyi(512, 512 * 8, 13).csr);
+        let pg = PartitionedGraph::build(g.clone(), 8 << 10);
+        assert!(pg.num_partitions() >= 3);
+        let block = pg.extract(1);
+        let alg = SecondOrderWalk::node2vec(30, 0.25, 4.0);
+        let scratch = ScratchPool::default();
+        let range = block.v_start..block.v_end;
+        // Mid-walk, previous vertices on both sides of the partition
+        // boundary.
+        let walkers: Vec<Walker> = (0..400)
+            .map(|i| Walker {
+                step: 1,
+                aux: (i as u32 * 37) % 512,
+                ..Walker::new(i, range.start + i as u32 % (range.end - range.start))
+            })
+            .collect();
+        let run = |view| {
+            let task = KernelTask {
+                reads_prev: true,
+                seed: 3,
+                range: range.clone(),
+                track_visits: true,
+                ..task(view, &alg, &scratch, 512)
+            };
+            let o = step_chunk(&task, walkers.clone());
+            (o.steps, o.visits, o.lengths, o.moved)
+        };
+        let resident = run(GraphView::ResidentBlock(&block));
+        assert_eq!(run(GraphView::ResidentCsr(&g)), resident);
+        assert_ne!(run(GraphView::Host(&g)), resident);
     }
 
     /// Recycled scratch buffers must not leak state between rounds.

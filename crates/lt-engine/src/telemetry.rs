@@ -319,7 +319,7 @@ mod tests {
         // must be there all the same.
         for kernel_threads in [1, 4] {
             let cfg = EngineConfig {
-                batch_capacity: 256,
+                batch_capacity: 512,
                 kernel_threads,
                 ..EngineConfig::light_traffic(16 << 10, 4)
             };

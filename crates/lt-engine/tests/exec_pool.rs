@@ -28,7 +28,7 @@ fn graph(seed: u64) -> Arc<Csr> {
 
 fn config(kernel_threads: usize, fault_seed: Option<u64>) -> EngineConfig {
     EngineConfig {
-        batch_capacity: 96,
+        batch_capacity: 384,
         record_paths: true,
         kernel_threads,
         gpu: GpuConfig {
@@ -42,7 +42,7 @@ fn config(kernel_threads: usize, fault_seed: Option<u64>) -> EngineConfig {
 fn run(g: &Arc<Csr>, cfg: EngineConfig) -> RunResult {
     let mut e =
         LightTraffic::new(g.clone(), Arc::new(UniformSampling::new(8)), cfg).expect("pools fit");
-    e.run(g.num_vertices().min(600)).expect("run completes")
+    e.run(3_000).expect("run completes")
 }
 
 proptest! {
@@ -74,7 +74,8 @@ proptest! {
 }
 
 /// The tightest walk pools: the `2P + 1` floor (where every promotion
-/// evicts) and one and two blocks above it, small batches, either
+/// evicts) and one and two blocks above it, batches just large enough to
+/// fan out, either
 /// eviction policy. Eviction under pressure interleaves with fanned-out
 /// kernels, and the run still equals the `kernel_threads: 1` one.
 #[test]
@@ -83,7 +84,7 @@ fn tight_pools_match_the_serial_drain() {
         let g = graph(graph_seed);
         let p = PartitionedGraph::build(g.clone(), 8 << 10).num_partitions() as usize;
         for walk_pool_blocks in [0, 2 * p + 2, 2 * p + 3] {
-            for batch_capacity in [96, 128] {
+            for batch_capacity in [320, 384] {
                 for selective in [false, true] {
                     let run = |kernel_threads| {
                         let cfg = EngineConfig {
@@ -123,11 +124,11 @@ fn tight_pools_match_the_serial_drain() {
 #[test]
 fn one_engine_reused_across_many_runs_matches_the_serial_engine() {
     const ROUNDS: u64 = 30;
-    const WALKS: u64 = 200;
+    const WALKS: u64 = 1_500;
     let g = graph(7);
     let run_all = |kernel_threads: usize| {
         let cfg = EngineConfig {
-            batch_capacity: 256,
+            batch_capacity: 512,
             kernel_threads,
             ..EngineConfig::light_traffic(8 << 10, 4)
         };

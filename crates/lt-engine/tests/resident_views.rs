@@ -1,0 +1,137 @@
+//! Pinned fingerprints of RAM-store runs. A resident partition of a RAM
+//! store is read in place, from the CSR restricted to the partition's
+//! vertex range, and after the first mutation from the evolving block
+//! table. These goldens were recorded when every resident partition was
+//! still a host copy of its rows; they prove that the view a kernel reads
+//! through changes no walk and no simulated counter.
+
+use lt_engine::algorithm::{PageRank, SecondOrderWalk};
+use lt_engine::{EngineConfig, LightTraffic, RunResult, WalkAlgorithm, ZeroCopyPolicy};
+use lt_graph::gen::{erdos_renyi, locality_mutations, rmat, RmatParams};
+use lt_graph::Csr;
+use std::sync::Arc;
+
+/// FNV-1a over a fingerprint string: short enough to pin in source.
+fn digest(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn fingerprint(r: &RunResult) -> u64 {
+    digest(&r.deterministic_fingerprint())
+}
+
+fn graphs() -> Vec<(&'static str, Arc<Csr>)> {
+    let rm = |scale, edge_factor, seed| {
+        Arc::new(
+            rmat(RmatParams {
+                scale,
+                edge_factor,
+                seed,
+                ..RmatParams::default()
+            })
+            .csr,
+        )
+    };
+    vec![
+        ("rmat11", rm(11, 8, 7)),
+        ("er2048", Arc::new(erdos_renyi(2048, 2048 * 12, 5).csr)),
+        ("rmat12", rm(12, 4, 19)),
+    ]
+}
+
+fn cfg(zero_copy: ZeroCopyPolicy, kernel_threads: usize) -> EngineConfig {
+    EngineConfig {
+        zero_copy,
+        kernel_threads,
+        record_paths: true,
+        record_iterations: true,
+        ..EngineConfig::light_traffic(16 << 10, 3)
+    }
+}
+
+fn policies() -> [(&'static str, ZeroCopyPolicy); 2] {
+    [
+        ("never", ZeroCopyPolicy::Never),
+        ("adaptive", ZeroCopyPolicy::adaptive()),
+    ]
+}
+
+fn algorithms() -> [(&'static str, Arc<dyn WalkAlgorithm>); 2] {
+    [
+        (
+            "node2vec",
+            Arc::new(SecondOrderWalk::node2vec(20, 0.25, 4.0)),
+        ),
+        ("pagerank", Arc::new(PageRank::new(20, 0.15))),
+    ]
+}
+
+/// node2vec (p = 0.25, q = 4) and PageRank on three graphs, under
+/// explicit copies only and under adaptive zero copy, at one and four
+/// kernel threads: every fingerprint equals its golden.
+#[test]
+fn resident_reads_keep_the_recorded_fingerprints() {
+    #[rustfmt::skip]
+    let golden: &[(&str, &str, &str, u64)] = &[
+        ("rmat11", "node2vec", "never", 0x9681a75c7a7e2949),
+        ("rmat11", "node2vec", "adaptive", 0x6b91bd9a2b0f2296),
+        ("rmat11", "pagerank", "never", 0x3f0d950271ef1c24),
+        ("rmat11", "pagerank", "adaptive", 0x5950bbcd3f9d23db),
+        ("er2048", "node2vec", "never", 0x48c992c497a98b6b),
+        ("er2048", "node2vec", "adaptive", 0xa1c97033687218aa),
+        ("er2048", "pagerank", "never", 0x1b1405c640dc72ae),
+        ("er2048", "pagerank", "adaptive", 0x9c599b5f7814f368),
+        ("rmat12", "node2vec", "never", 0xc8194756fdd185be),
+        ("rmat12", "node2vec", "adaptive", 0xf62ab16ebc7a180e),
+        ("rmat12", "pagerank", "never", 0x9351cd0d43903cf8),
+        ("rmat12", "pagerank", "adaptive", 0xee44efdec9e9e8cc),
+    ];
+    let mut got = Vec::new();
+    for (gname, g) in graphs() {
+        for (aname, alg) in algorithms() {
+            for (pname, policy) in policies() {
+                let mut prints = [1, 4].map(|threads| {
+                    let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg(policy, threads))
+                        .expect("pools fit");
+                    fingerprint(&e.run(3_000).expect("run completes"))
+                });
+                prints.sort_unstable();
+                assert_eq!(
+                    prints[0], prints[1],
+                    "{gname} {aname} {pname}: thread counts"
+                );
+                got.push((gname, aname, pname, prints[0]));
+            }
+        }
+    }
+    assert_eq!(got, golden);
+}
+
+/// Resident loads on a RAM engine, then a mutation and a seal, then more
+/// walks: the reads move from the borrowed CSR to the sealed blocks, and
+/// the fingerprint equals its golden at one and four kernel threads.
+#[test]
+fn a_seal_hands_resident_reads_over_to_the_block_table() {
+    let (_, g) = graphs().swap_remove(0);
+    let alg: Arc<dyn WalkAlgorithm> = Arc::new(SecondOrderWalk::node2vec(20, 0.25, 4.0));
+    let golden: u64 = 0x0258911cd47aabf0;
+    for threads in [1, 4] {
+        let mut e = LightTraffic::new(
+            g.clone(),
+            alg.clone(),
+            cfg(ZeroCopyPolicy::adaptive(), threads),
+        )
+        .expect("pools fit");
+        let first = e.run(2_000).expect("first wave completes");
+        assert!(first.metrics.explicit_graph_copies > 0, "no resident loads");
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        e.mutate(locality_mutations(&g, 400, 0.2, &mut state))
+            .expect("updates are valid");
+        let seal = e.seal_epoch().expect("seal succeeds");
+        assert!(seal.reloaded_partitions > 0, "the seal reloaded nothing");
+        let r = e.run(2_000).expect("second wave completes");
+        assert_eq!(fingerprint(&r), golden, "{threads} kernel threads");
+    }
+}

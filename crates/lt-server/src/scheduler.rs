@@ -219,6 +219,10 @@ pub struct Scheduler {
     graph: Arc<Csr>,
     table: Arc<JobTable>,
     jobs: Vec<JobState>,
+    /// Indices of the jobs a pump visits, ascending: every live job, and
+    /// every finished one whose event stream has not closed yet. A pump
+    /// costs what these jobs cost, however many jobs were ever submitted.
+    active: Vec<usize>,
     tenants: BTreeMap<String, Tenant>,
     rr_cursor: usize,
     cfg: ServerConfig,
@@ -257,6 +261,7 @@ impl Scheduler {
             graph,
             table,
             jobs: Vec::new(),
+            active: Vec::new(),
             tenants: BTreeMap::new(),
             rr_cursor: 0,
             cfg,
@@ -336,6 +341,7 @@ impl Scheduler {
             ),
         });
         let idx = self.jobs.len() - 1;
+        self.active.push(idx);
         self.record_span(idx, JobPhase::Submitted, format!("walks={total}"));
         self.record_span(idx, JobPhase::Queued, String::new());
         self.registry
@@ -591,10 +597,15 @@ impl Scheduler {
 
     /// Retry delivery of backlogged events (a long-lived serving loop
     /// calls this between pump rounds so slow consumers still drain).
+    /// A finished job whose stream has closed leaves the pump's job list
+    /// here.
     pub fn flush_streams(&mut self) {
-        for j in &mut self.jobs {
+        let jobs = &mut self.jobs;
+        self.active.retain(|&idx| {
+            let j = &mut jobs[idx];
             Self::flush_job(j);
-        }
+            j.live() || j.stream.is_some()
+        });
     }
 
     /// One deterministic scheduling round: admit a tranche per runnable
@@ -641,7 +652,8 @@ impl Scheduler {
     /// traffic each job charged before the crash.
     fn on_fault(&mut self, e: &EngineError) {
         let detail = format!("engine fault: {e}");
-        for idx in 0..self.jobs.len() {
+        for k in 0..self.active.len() {
+            let idx = self.active[k];
             if !self.jobs[idx].live() {
                 continue;
             }
@@ -664,7 +676,7 @@ impl Scheduler {
         if self.engine.active_walks() > 0 {
             return true;
         }
-        self.jobs.iter().any(|j| {
+        self.active.iter().map(|&idx| &self.jobs[idx]).any(|j| {
             j.live()
                 && !j.suspended
                 && (!j.pending.is_empty() || !j.parked.is_empty() || j.in_flight() > 0)
@@ -674,20 +686,24 @@ impl Scheduler {
 
     /// Round-robin admission: starting at the rotating cursor, each
     /// runnable job may admit up to `tranche_walkers` — parked walkers
-    /// first (free), then fresh ones at a token each.
+    /// first (free), then fresh ones at a token each. The cursor turns
+    /// over every job ever submitted; only the active ones are visited,
+    /// in the order a scan from the cursor would meet them.
     fn admit(&mut self) {
         if self.jobs.is_empty() {
             return;
         }
-        let n = self.jobs.len();
-        let start = self.rr_cursor % n;
+        let start = self.rr_cursor % self.jobs.len();
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
-        for off in 0..n {
-            let idx = (start + off) % n;
-            let tenant = self.jobs[idx].tenant.clone();
-            let budget = self.tenants[&tenant].budget;
+        let split = self.active.partition_point(|&idx| idx < start);
+        for k in (split..self.active.len()).chain(0..split) {
+            let idx = self.active[k];
             let j = &mut self.jobs[idx];
-            if !j.live() || j.suspended || budget == 0 {
+            if !j.live() || j.suspended {
+                continue;
+            }
+            let budget = self.tenants[&j.tenant].budget;
+            if budget == 0 {
                 continue;
             }
             let was_queued = matches!(j.status, JobStatus::Queued);
@@ -717,6 +733,7 @@ impl Scheduler {
             }
             j.injected += fresh;
             j.status = JobStatus::Running;
+            let tenant = j.tenant.clone();
             let batch_len = batch.len();
             let t = self.tenants.get_mut(&tenant).expect("tenant registered");
             t.budget -= fresh;
@@ -791,15 +808,15 @@ impl Scheduler {
     /// come out of the engine into the job's parked set and the job turns
     /// [`JobStatus::Blocked`]. Never an error, never drops a walker.
     fn park_exhausted(&mut self) {
-        for idx in 0..self.jobs.len() {
-            let tenant = self.jobs[idx].tenant.clone();
-            if self.tenants[&tenant].budget > 0 {
-                continue;
-            }
+        for k in 0..self.active.len() {
+            let idx = self.active[k];
             let j = &self.jobs[idx];
-            if !matches!(j.status, JobStatus::Queued | JobStatus::Running) {
+            if !matches!(j.status, JobStatus::Queued | JobStatus::Running)
+                || self.tenants[&j.tenant].budget > 0
+            {
                 continue;
             }
+            let tenant = j.tenant.clone();
             if j.in_flight() > 0 {
                 let extracted = self.engine.extract_tagged(idx as u32);
                 self.jobs[idx].parked.extend(extracted);
@@ -833,7 +850,8 @@ impl Scheduler {
     /// Promote jobs whose every walk has retired to [`JobStatus::Done`]
     /// and deliver their final result.
     fn retire(&mut self) {
-        for idx in 0..self.jobs.len() {
+        for k in 0..self.active.len() {
+            let idx = self.active[k];
             let j = &mut self.jobs[idx];
             if !matches!(j.status, JobStatus::Queued | JobStatus::Running) {
                 continue;
@@ -850,8 +868,12 @@ impl Scheduler {
             // schedule-invariant, so the sorted vectors are the
             // bit-identical cross-schedule representation (retirement
             // order, by contrast, depends on how tenants interleave).
+            // A done job keeps its result for as long as the scheduler
+            // lives, so it gives back the growth slack.
             j.result.visits.sort_unstable();
+            j.result.visits.shrink_to_fit();
             j.result.lengths.sort_unstable();
+            j.result.lengths.shrink_to_fit();
             let result = j.result.clone();
             let finished = result.finished;
             Self::deliver(j, JobEvent::Done { result });
@@ -1052,5 +1074,73 @@ impl Scheduler {
     /// Pump rounds executed.
     pub fn pumps(&self) -> u64 {
         self.pumps
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lt_graph::gen::{rmat, RmatParams};
+
+    fn scheduler(max_jobs: usize) -> Scheduler {
+        let g = rmat(RmatParams {
+            scale: 8,
+            edge_factor: 8,
+            ..Default::default()
+        })
+        .csr;
+        let mut cfg = ServerConfig::new(EngineConfig::light_traffic(8 << 10, 4));
+        cfg.max_jobs = max_jobs;
+        cfg.tranche_walkers = 32;
+        Scheduler::new(Arc::new(g), cfg).unwrap()
+    }
+
+    /// A done job's result vectors hold exactly their elements: it keeps
+    /// them for the scheduler's lifetime.
+    #[test]
+    fn done_results_are_exact_size() {
+        let mut s = scheduler(1);
+        let (id, events) = s.submit("t", JobSpec::deepwalk(300, 12, 4)).unwrap();
+        s.run_until_idle().unwrap();
+        assert_eq!(s.status(id), Some(JobStatus::Done));
+        let r = s.result(id).unwrap();
+        assert_eq!(r.visits.len(), 300 * 12);
+        assert_eq!(r.visits.capacity(), r.visits.len());
+        assert_eq!(r.lengths.capacity(), r.lengths.len());
+        let done = events.iter().find_map(|ev| match ev {
+            JobEvent::Done { result } => Some(result),
+            _ => None,
+        });
+        assert_eq!(done.as_ref(), Some(r));
+    }
+
+    /// The pump visits live jobs and unclosed streams only: a job leaves
+    /// the list once it is done or cancelled and its stream has closed,
+    /// and a done job whose consumer lags stays until it has drained.
+    #[test]
+    fn finished_jobs_leave_the_pump() {
+        let mut s = scheduler(8);
+        for seed in 0..4 {
+            s.submit("t", JobSpec::deepwalk(50, 6, seed)).unwrap();
+            s.run_until_idle().unwrap();
+            assert!(s.active.is_empty(), "job {seed} still visited");
+        }
+        let (cancelled, _) = s.submit("t", JobSpec::deepwalk(50, 6, 9)).unwrap();
+        s.cfg.stream_capacity = 1;
+        let (slow, rx) = s.submit("u", JobSpec::deepwalk(50, 6, 10)).unwrap();
+        assert_eq!(s.active, vec![4, 5]);
+        assert!(s.cancel(cancelled));
+        s.pump().unwrap();
+        assert_eq!(s.active, vec![5]);
+        s.run_until_idle().unwrap();
+        assert_eq!(s.status(slow), Some(JobStatus::Done));
+        assert_eq!(s.active, vec![5], "undelivered events keep the stream open");
+        let mut events = Vec::new();
+        while let Ok(ev) = rx.try_recv() {
+            events.push(ev);
+            s.flush_streams();
+        }
+        assert!(matches!(events.last(), Some(JobEvent::Done { .. })));
+        assert!(s.active.is_empty());
     }
 }

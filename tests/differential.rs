@@ -29,6 +29,9 @@ use lighttraffic::graph::Csr;
 use std::sync::Arc;
 
 const SEED: u64 = 42;
+/// Walks per run: enough that some partition fills a batch past
+/// the kernel's fan-out threshold.
+const WALKS: u64 = 3_000;
 
 /// The two embedding-style workloads of the battery.
 fn algorithms() -> Vec<(&'static str, Arc<dyn WalkAlgorithm>, ZeroCopyPolicy)> {
@@ -52,7 +55,8 @@ fn config(
     faults: Option<FaultPlan>,
 ) -> EngineConfig {
     EngineConfig {
-        batch_capacity: 128,
+        // Batches large enough that pooled runs fan kernels out.
+        batch_capacity: 512,
         seed: SEED,
         record_paths: true,
         // The whole battery runs with traffic attribution on: the ledger
@@ -81,9 +85,8 @@ fn visits_from_paths(r: &RunResult, nv: u64) -> Vec<u64> {
 }
 
 fn run_engine(g: &Arc<Csr>, alg: &Arc<dyn WalkAlgorithm>, cfg: EngineConfig) -> RunResult {
-    let walks = g.num_vertices().min(1_000);
     let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("pools fit");
-    e.run(walks).expect("run completes")
+    e.run(WALKS).expect("run completes")
 }
 
 /// 20 random graphs × {DeepWalk, node2vec}: the engine's trajectory-derived
@@ -92,11 +95,10 @@ fn run_engine(g: &Arc<Csr>, alg: &Arc<dyn WalkAlgorithm>, cfg: EngineConfig) -> 
 fn engine_matches_cpu_baseline_on_twenty_graphs() {
     for graph_seed in 0..20u64 {
         let g = random_graph(graph_seed);
-        let walks = g.num_vertices().min(1_000);
         for (name, alg, zc) in algorithms() {
             let r = run_engine(&g, &alg, config(zc, 1, None));
             let engine_visits = visits_from_paths(&r, g.num_vertices());
-            let baseline = cpu::run_walk_centric_tracked(&g, &alg, walks, SEED, 1);
+            let baseline = cpu::run_walk_centric_tracked(&g, &alg, WALKS, SEED, 1);
             assert_eq!(
                 engine_visits,
                 baseline.visits.expect("tracked run has visits"),
@@ -128,8 +130,7 @@ fn node2vec_over_parallel_edges_matches_the_cpu_baseline() {
         assert_eq!(g.max_multiplicity(), 2);
         let alg: Arc<dyn WalkAlgorithm> = Arc::new(SecondOrderWalk::node2vec(8, 0.25, 2.0));
         let r = run_engine(&g, &alg, config(ZeroCopyPolicy::Always, 1, None));
-        let walks = g.num_vertices().min(1_000);
-        let baseline = cpu::run_walk_centric_tracked(&g, &alg, walks, SEED, 1);
+        let baseline = cpu::run_walk_centric_tracked(&g, &alg, WALKS, SEED, 1);
         assert_eq!(
             visits_from_paths(&r, g.num_vertices()),
             baseline.visits.expect("tracked run has visits"),

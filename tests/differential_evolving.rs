@@ -76,7 +76,8 @@ fn schedule(g: &Csr, schedule_seed: u64, waves: usize, per_wave: usize, walks: u
 
 fn config(kernel_threads: usize, faults: Option<FaultPlan>) -> EngineConfig {
     EngineConfig {
-        batch_capacity: 128,
+        // Batches large enough that pooled runs fan kernels out.
+        batch_capacity: 512,
         seed: SEED,
         record_paths: true,
         attribution: true,
@@ -168,7 +169,7 @@ fn evolving_engine_matches_naive_walker_across_execution_grid() {
         ),
     ];
     for (name, g, alg) in workloads {
-        let waves = schedule(&g, 0xC0FFEE ^ g.num_edges(), 4, 48, 192);
+        let waves = schedule(&g, 0xC0FFEE ^ g.num_edges(), 4, 48, 1_536);
         let mutated: u64 = waves
             .iter()
             .flat_map(|w| &w.updates)
@@ -245,7 +246,7 @@ fn zero_copy_after_a_seal_reads_the_sealed_blocks() {
         let fresh = (0..nv as VertexId)
             .find(|v| *v != hub && !g.neighbors(hub).contains(v))
             .expect("the hub does not reach every vertex");
-        let mut waves = schedule(&g, 0xBEEF ^ g.num_edges(), 3, 32, 2 * nv);
+        let mut waves = schedule(&g, 0xBEEF ^ g.num_edges(), 3, 32, 8 * nv);
         // Later waves leave the rewired row alone.
         for w in &mut waves {
             w.updates.retain(|u| u.src != hub);

@@ -38,6 +38,9 @@ use std::sync::Arc;
 
 const SEED: u64 = 42;
 const PARTITION_BYTES: u64 = 8 << 10;
+/// Walks per run: enough that some partition fills a batch past
+/// the kernel's fan-out threshold.
+const WALKS: u64 = 3_000;
 
 /// The two embedding-style workloads of the battery (same pair as
 /// `differential.rs`; node2vec pins zero copy for the second-order
@@ -64,7 +67,8 @@ fn config(
     faults: Option<FaultPlan>,
 ) -> EngineConfig {
     EngineConfig {
-        batch_capacity: 128,
+        // Batches large enough that pooled runs fan kernels out.
+        batch_capacity: 512,
         seed: SEED,
         record_paths: true,
         attribution: true,
@@ -93,17 +97,15 @@ fn ooc_graph(g: &Arc<Csr>, name: &str) -> Arc<OocGraph> {
 }
 
 fn run_ram(g: &Arc<Csr>, alg: &Arc<dyn WalkAlgorithm>, cfg: EngineConfig) -> RunResult {
-    let walks = g.num_vertices().min(1_000);
     let mut e = LightTraffic::new(Arc::clone(g), Arc::clone(alg), cfg).expect("pools fit");
-    e.run(walks).expect("run completes")
+    e.run(WALKS).expect("run completes")
 }
 
 fn run_ooc(ooc: &Arc<OocGraph>, alg: &Arc<dyn WalkAlgorithm>, cfg: EngineConfig) -> RunResult {
-    let walks = ooc.num_vertices().min(1_000);
     let mut e =
         LightTraffic::from_store(GraphStore::OutOfCore(Arc::clone(ooc)), Arc::clone(alg), cfg)
             .expect("pools fit");
-    e.run(walks).expect("run completes")
+    e.run(WALKS).expect("run completes")
 }
 
 /// The deterministic fingerprint with the host-tier counters additionally
@@ -325,14 +327,13 @@ fn host_load_attribution_is_exact() {
     let g = random_graph(4);
     for (name, alg, zc) in algorithms() {
         let ooc = ooc_graph(&g, &format!("ledger_{name}"));
-        let walks = ooc.num_vertices().min(1_000);
         let mut e = LightTraffic::from_store(
             GraphStore::OutOfCore(Arc::clone(&ooc)),
             Arc::clone(&alg),
             config(zc, 2, None),
         )
         .expect("pools fit");
-        let r = e.run(walks).expect("run completes");
+        let r = e.run(WALKS).expect("run completes");
         let stats = e.gpu().stats();
         let ledger = e.traffic_ledger().expect("attribution is on");
 
