@@ -132,15 +132,6 @@ pub trait WalkAlgorithm: Send + Sync {
         false
     }
 
-    /// Whether the algorithm carries state built from the epoch-0 graph
-    /// (e.g. [`crate::AliasWeightedWalk`]'s alias table, indexed by the
-    /// original CSR offsets). Such state goes stale at the first seal, so
-    /// the engine refuses [`crate::LightTraffic::mutate`] and
-    /// [`crate::LightTraffic::seal_epoch`] under it.
-    fn holds_epoch0_state(&self) -> bool {
-        false
-    }
-
     /// Check the algorithm's parameters before any walker steps. The
     /// engine ([`crate::LightTraffic::new`]) and the job table
     /// ([`crate::JobTable::register`]) refuse an algorithm that fails
@@ -343,9 +334,10 @@ impl WalkAlgorithm for Ppr {
 /// Exact weighted first-order walk (§II-A) by inverse transform: one pass
 /// sums the row's weights, one draw picks a point below the sum, and a
 /// prefix-sum scan finds the edge it falls on. O(d) per step and no
-/// retries, however skewed the row; [`crate::AliasWeightedWalk`] is the
-/// O(1)-per-step sampler, at the price of a table built once from the
-/// epoch-0 graph.
+/// retries, however skewed the row, and no state built from the graph, so
+/// it walks an evolving graph across seals. It is the one weighted
+/// sampler: an O(1)-per-step alias table would be a second path with no
+/// weighted benchmark workload to measure it on (DESIGN.md §12).
 #[derive(Clone, Copy, Debug)]
 pub struct WeightedWalk {
     /// Fixed walk length.
@@ -977,12 +969,11 @@ mod tests {
             };
             alg.step(&w, with, 3) == alg.step(&w, without, 3)
         };
-        let first_order: [Box<dyn WalkAlgorithm>; 6] = [
+        let first_order: [Box<dyn WalkAlgorithm>; 5] = [
             Box::new(UniformSampling::new(8)),
             Box::new(PageRank::new(8, 0.15)),
             Box::new(Ppr::new(0, 0.15)),
             Box::new(WeightedWalk::new(8)),
-            Box::new(crate::alias::AliasWeightedWalk::new(&g, 8)),
             Box::new(TemporalWalk::new(8, 16)),
         ];
         for alg in &first_order {

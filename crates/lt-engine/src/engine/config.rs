@@ -95,12 +95,6 @@ pub struct EngineConfig {
     /// it never feeds back into scheduling or the simulated timeline.
     /// Off by default — disabled runs pay one `Option` check per copy.
     pub attribution: bool,
-    /// Decoded-partition slots in the host decode cache used when the
-    /// graph store is out-of-core ([`lt_graph::GraphStore::OutOfCore`]).
-    /// `0` derives `max(2, 2 × graph_pool_blocks)` (clamped to the
-    /// partition count): the RAM tier holds what the device holds plus
-    /// headroom for second-order zero-copy views. Ignored on RAM stores.
-    pub host_cache_partitions: usize,
 }
 
 impl EngineConfig {
@@ -125,7 +119,6 @@ impl EngineConfig {
             kernel_threads: 0,
             track_tags: false,
             attribution: false,
-            host_cache_partitions: 0,
             checkpoint_every: None,
         }
     }

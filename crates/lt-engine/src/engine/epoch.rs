@@ -18,13 +18,14 @@ impl LightTraffic {
         self.evolving.as_ref().map_or(0, |d| d.pending())
     }
 
-    /// Refuse mutation where a seal could not be honoured:
-    /// - the evolving-graph layer holds every partition block in RAM (a
-    ///   seal rewrites the dirty ones); an out-of-core store cannot serve
-    ///   that. Materialize with [`lt_graph::OocGraph::to_csr`] first.
-    /// - an algorithm with [`crate::WalkAlgorithm::holds_epoch0_state`] would
-    ///   keep sampling from the epoch-0 graph after the seal.
-    fn reject_mutation(&self) -> Result<(), EngineError> {
+    /// The evolving-graph block table, creating it on first use: one copy
+    /// of every partition, after which the partition table lets go of the
+    /// epoch-0 CSR — nothing reads adjacency from it again.
+    ///
+    /// Refused over an out-of-core store: the table holds every block in
+    /// RAM and a seal rewrites the dirty ones, which the file cannot take.
+    /// Materialize with [`lt_graph::OocGraph::to_csr`] first.
+    fn delta_mut(&mut self) -> Result<&mut DeltaGraph, EngineError> {
         if self.host_cache.is_some() {
             return Err(EngineError::Admission(
                 "graph store is out-of-core (immutable); decode it to RAM \
@@ -32,27 +33,13 @@ impl LightTraffic {
                     .into(),
             ));
         }
-        if self.alg.holds_epoch0_state() {
-            return Err(EngineError::Admission(format!(
-                "algorithm `{}` holds state built from the epoch-0 graph; \
-                 it cannot walk a mutated graph",
-                self.alg.name()
-            )));
-        }
-        Ok(())
-    }
-
-    /// The evolving-graph block table, creating it on first use: one copy
-    /// of every partition, after which the partition table lets go of the
-    /// epoch-0 CSR — nothing reads adjacency from it again.
-    fn delta_mut(&mut self) -> &mut DeltaGraph {
         let pg = &mut self.pg;
-        self.evolving.get_or_insert_with(|| {
+        Ok(self.evolving.get_or_insert_with(|| {
             let pg = Arc::make_mut(pg);
             let delta = DeltaGraph::new(pg);
             pg.release_store();
             delta
-        })
+        }))
     }
 
     /// Buffer edge mutations against the evolving graph. Buffered updates
@@ -64,11 +51,9 @@ impl LightTraffic {
     /// Fails with [`EngineError::Admission`] when an endpoint is outside
     /// the (frozen) vertex set or a weight is invalid; updates before the
     /// offending one stay buffered. Refuses, buffering nothing, over an
-    /// out-of-core store or under an algorithm that
-    /// [`crate::WalkAlgorithm::holds_epoch0_state`].
+    /// out-of-core store.
     pub fn mutate(&mut self, updates: Vec<EdgeUpdate>) -> Result<usize, EngineError> {
-        self.reject_mutation()?;
-        let delta = self.delta_mut();
+        let delta = self.delta_mut()?;
         for u in updates {
             delta
                 .buffer(u)
@@ -103,9 +88,8 @@ impl LightTraffic {
     /// dropped. Device errors from the reload copies propagate like any
     /// fatal copy failure.
     pub fn seal_epoch(&mut self) -> Result<EpochSummary, EngineError> {
-        self.reject_mutation()?;
+        let seal = self.delta_mut()?.seal_epoch();
         self.drop_snapshot();
-        let seal = self.delta_mut().seal_epoch();
         self.metrics.epochs += 1;
         let mut summary = EpochSummary {
             epoch: seal.epoch,
@@ -253,5 +237,25 @@ mod tests {
             }) => assert!(bytes > block_bytes),
             other => panic!("expected an oversized block, got {other:?}"),
         }
+    }
+
+    /// The one refusal: an out-of-core store cannot take a seal, so
+    /// `mutate` and `seal_epoch` fail before touching anything, and the
+    /// engine keeps walking the file.
+    #[test]
+    fn mutation_is_refused_over_an_out_of_core_store() {
+        let pg = PartitionedGraph::build(graph(), 16 << 10);
+        let path = std::env::temp_dir().join(format!("lt_epoch_ooc_{}", std::process::id()));
+        lt_graph::oocore::write_oocore(&pg, &path).unwrap();
+        let ooc = Arc::new(lt_graph::OocGraph::open(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+        let alg = Arc::new(UniformSampling::new(4));
+        let mut e = LightTraffic::from_store(GraphStore::OutOfCore(ooc), alg, small_cfg()).unwrap();
+        let refused = |r: Result<_, EngineError>| matches!(r, Err(EngineError::Admission(_)));
+        assert!(refused(e.mutate(vec![EdgeUpdate::insert(0, 1)])));
+        assert!(refused(e.seal_epoch().map(|_| 0)));
+        assert!(e.evolving.is_none());
+        assert_eq!((e.pending_mutations(), e.epoch()), (0, 0));
+        assert_eq!(e.run(500).unwrap().metrics.finished_walks, 500);
     }
 }

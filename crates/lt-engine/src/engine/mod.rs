@@ -169,10 +169,11 @@ impl LightTraffic {
     /// Build an engine over a [`GraphStore`] — RAM-resident or
     /// out-of-core. For out-of-core stores the file fixes the partition
     /// geometry, so `cfg.partition_bytes` is overridden with the block
-    /// budget the file was written with, and a host decode cache
-    /// ([`EngineConfig::host_cache_partitions`]) is installed between
-    /// disk and the device graph pool. Walk output is bit-identical to a
-    /// RAM store of the same graph partitioned at the same budget.
+    /// budget the file was written with, and a host decode cache of
+    /// `max(2, 2 × graph_pool_blocks)` partitions (at most all of them) is
+    /// installed between disk and the device graph pool. Walk output is
+    /// bit-identical to a RAM store of the same graph partitioned at the
+    /// same budget.
     pub fn from_store(
         store: GraphStore,
         alg: Arc<dyn WalkAlgorithm>,
@@ -231,14 +232,12 @@ impl LightTraffic {
             oversized[part as usize] = true;
         }
         let kernel_threads = kernel::resolve_threads(cfg.kernel_threads);
-        let host_cache = pg.store().ooc().map(|ooc| {
-            let slots = if cfg.host_cache_partitions == 0 {
-                (2 * cfg.graph_pool_blocks).max(2)
-            } else {
-                cfg.host_cache_partitions
-            };
-            HostDecodeCache::new(Arc::clone(ooc), slots.min(p as usize).max(1))
-        });
+        // The RAM tier holds what the device holds plus headroom for
+        // second-order zero-copy views; the cache clamps it to `P`.
+        let host_cache = pg
+            .store()
+            .ooc()
+            .map(|ooc| HostDecodeCache::new(Arc::clone(ooc), (2 * cfg.graph_pool_blocks).max(2)));
         Ok(LightTraffic {
             telemetry: gpu.telemetry(),
             attr: drain::Attribution {

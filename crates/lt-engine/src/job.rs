@@ -293,14 +293,6 @@ impl WalkAlgorithm for JobTable {
         self.reads_prev.load(Ordering::Acquire)
     }
 
-    /// True once any registered job does (slots are append-only).
-    fn holds_epoch0_state(&self) -> bool {
-        self.entries
-            .iter()
-            .filter_map(OnceLock::get)
-            .any(|e| e.algorithm.holds_epoch0_state())
-    }
-
     /// Safety rail: the widest registered job (0 when empty).
     fn max_steps(&self) -> u32 {
         self.entries

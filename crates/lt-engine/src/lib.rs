@@ -54,7 +54,6 @@
 //! ```
 
 pub mod algorithm;
-pub mod alias;
 pub mod batch;
 pub mod checkpoint;
 pub mod engine;
@@ -71,7 +70,6 @@ pub mod walker;
 pub mod walkpool;
 
 pub use algorithm::{PageRank, Ppr, UniformSampling, WalkAlgorithm};
-pub use alias::{AliasTable, AliasWeightedWalk};
 pub use checkpoint::Checkpoint;
 pub use engine::{
     EngineConfig, EngineError, EpochSummary, LightTraffic, RunStatus, ZeroCopyPolicy,

@@ -6,9 +6,7 @@
 //! iterations).
 
 use lt_engine::algorithm::{PageRank, UniformSampling};
-use lt_engine::{
-    AliasWeightedWalk, EdgeOp, EdgeUpdate, EngineConfig, EngineError, LightTraffic, RunStatus,
-};
+use lt_engine::{EdgeOp, EdgeUpdate, EngineConfig, EngineError, LightTraffic, RunStatus};
 use lt_graph::gen::{locality_mutations, rmat, RmatParams};
 use lt_graph::{Csr, PartitionedGraph, VertexId};
 use lt_telemetry::SHARED_TAG;
@@ -205,32 +203,6 @@ fn restore_rejects_checkpoints_from_older_epochs() {
         }
         other => panic!("stale-epoch restore must fail, got {other:?}"),
     }
-}
-
-/// An algorithm holding state built from the epoch-0 graph cannot walk a
-/// mutated one: after trimming a hub to one edge and sealing,
-/// `AliasWeightedWalk` would still draw from the hub's original row and
-/// index past the new one inside a kernel task. `mutate` and `seal_epoch`
-/// refuse it with a typed error before buffering anything, and the engine
-/// keeps walking the graph its table was built from.
-#[test]
-fn mutation_is_refused_under_epoch0_algorithm_state() {
-    let g = skewed();
-    let hub = (0..g.num_vertices() as VertexId)
-        .max_by_key(|&v| g.degree(v))
-        .expect("non-empty graph");
-    let trim: Vec<EdgeUpdate> = g.neighbors(hub)[1..]
-        .iter()
-        .map(|&dst| EdgeUpdate::delete(hub, dst))
-        .collect();
-    let alg = Arc::new(AliasWeightedWalk::new(&g, 8));
-    let mut e = LightTraffic::new(g, alg, cfg()).expect("pools fit");
-    assert!(matches!(e.mutate(trim), Err(EngineError::Admission(_))));
-    assert_eq!(e.pending_mutations(), 0);
-    assert!(matches!(e.seal_epoch(), Err(EngineError::Admission(_))));
-    assert_eq!(e.epoch(), 0);
-    let r = e.run(2_000).expect("run completes");
-    assert_eq!(r.metrics.finished_walks, 2_000);
 }
 
 /// An empty seal advances the epoch clock but touches nothing on the

@@ -13,8 +13,6 @@
 use lt_engine::algorithm::{
     SecondOrderWalk, StepContext, TemporalWalk, WalkAlgorithm, WeightedWalk,
 };
-use lt_engine::alias::{AliasTable, AliasWeightedWalk};
-use lt_engine::rng::{step_value, step_value2, uniform_f64};
 use lt_engine::walker::Walker;
 use lt_graph::gen::{erdos_renyi, with_random_weights};
 use lt_graph::Csr;
@@ -108,63 +106,32 @@ fn check_sampler(g: &Csr, trials: u64, label: &str, mut draw: impl FnMut(u32, u6
     assert!(tested >= 32, "{label}: only {tested} vertices qualified");
 }
 
-/// Alias-table draws match the exact weight distribution at every vertex.
-#[test]
-fn alias_table_fits_exact_distribution() {
-    let g = weighted_graph();
-    let table = AliasTable::build(&g);
-    check_sampler(&g, 40_000, "alias table", |v, t| {
-        let r1 = step_value(7, t, 0);
-        let r2 = uniform_f64(step_value2(7, t, 0));
-        table.sample(v, r1, r2)
-    });
+/// Index in `v`'s row of the first hop [`WeightedWalk`] draws out of `v`
+/// for walk `id`.
+fn weighted_first_hop(g: &Csr, v: u32, id: u64, seed: u64) -> usize {
+    let nbrs = g.neighbors(v);
+    let ctx = StepContext {
+        neighbors: nbrs,
+        weights: g.neighbor_weights(v),
+        prev_neighbors: None,
+        timestamps: None,
+        max_multiplicity: 1,
+        num_vertices: g.num_vertices(),
+    };
+    let to = WeightedWalk::new(1)
+        .step(&Walker::new(id, v), ctx, seed)
+        .target()
+        .expect("fixed-length step 0 cannot terminate");
+    nbrs.iter().position(|&x| x == to).unwrap()
 }
 
-/// The full [`AliasWeightedWalk`] algorithm (table + step plumbing)
-/// produces the same next-hop frequencies as the raw table.
-#[test]
-fn alias_walk_step_fits_exact_distribution() {
-    let g = weighted_graph();
-    let alg = AliasWeightedWalk::new(&g, 1);
-    check_sampler(&g, 40_000, "alias walk", |v, t| {
-        let nbrs = g.neighbors(v);
-        let ctx = StepContext {
-            neighbors: nbrs,
-            weights: g.neighbor_weights(v),
-            prev_neighbors: None,
-            timestamps: None,
-            max_multiplicity: 1,
-            num_vertices: g.num_vertices(),
-        };
-        let to = alg
-            .step(&Walker::new(t, v), ctx, 13)
-            .target()
-            .expect("fixed-length step 0 cannot terminate");
-        nbrs.iter().position(|&x| x == to).unwrap()
-    });
-}
-
-/// The prefix-sum scan of [`WeightedWalk`] converges to the same exact
-/// distribution — the two weighted samplers cross-validate each other.
+/// The prefix-sum scan of [`WeightedWalk`] draws every vertex's next hop
+/// from the exact weight distribution.
 #[test]
 fn weighted_walk_fits_exact_distribution() {
     let g = weighted_graph();
-    let alg = WeightedWalk::new(1);
     check_sampler(&g, 40_000, "weighted walk", |v, t| {
-        let nbrs = g.neighbors(v);
-        let ctx = StepContext {
-            neighbors: nbrs,
-            weights: g.neighbor_weights(v),
-            prev_neighbors: None,
-            timestamps: None,
-            max_multiplicity: 1,
-            num_vertices: g.num_vertices(),
-        };
-        let to = alg
-            .step(&Walker::new(t, v), ctx, 17)
-            .target()
-            .expect("fixed-length step 0 cannot terminate");
-        nbrs.iter().position(|&x| x == to).unwrap()
+        weighted_first_hop(&g, v, t, 17)
     });
 }
 
@@ -490,7 +457,6 @@ fn node2vec_is_exact_under_a_loose_envelope() {
 #[test]
 fn chi_square_rejects_wrong_distribution() {
     let g = weighted_graph();
-    let table = AliasTable::build(&g);
     let trials = 40_000u64;
     let v = (0..g.num_vertices() as u32)
         .find(|&v| {
@@ -503,11 +469,9 @@ fn chi_square_rejects_wrong_distribution() {
     let d = g.degree(v) as usize;
     let mut counts = vec![0u64; d];
     for t in 0..trials {
-        let r1 = step_value(7, t, 0);
-        let r2 = uniform_f64(step_value2(7, t, 0));
-        counts[table.sample(v, r1, r2)] += 1;
+        counts[weighted_first_hop(&g, v, t, 7)] += 1;
     }
-    // Claim the transition were uniform: alias draws from the (non-uniform)
+    // Claim the transition were uniform: draws from the (non-uniform)
     // weights must blow past the critical value.
     let uniform = vec![1.0 / d as f64; d];
     let stat = chi_square(&counts, &uniform, trials);

@@ -14,6 +14,7 @@
 //! Vertex ids are `u32` (the largest paper dataset, ClueWeb09, has 1.68 B
 //! vertices, which fits in `u32`); edge offsets are `u64` (up to 15.6 B
 //! edges).
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod components;

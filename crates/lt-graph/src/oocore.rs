@@ -5,9 +5,9 @@
 //! traffic-optimization story one tier up: the graph lives on disk in a
 //! **partition-granular compressed** form — delta+varint adjacency per
 //! vertex, grouped into small fixed-vertex-count chunks with a per-partition
-//! chunk directory — written once and `mmap`-read (`pread` on fallback), so
-//! the **OS page cache is the residency policy** for the host tier exactly
-//! like the device graph pool is for GPU memory.
+//! chunk directory — written once and read one region per positional read
+//! (`pread`), so the **OS page cache is the residency policy** for the
+//! compressed bytes exactly like the device graph pool is for GPU memory.
 //!
 //! Layout (all little-endian):
 //!
@@ -41,7 +41,6 @@ use crate::partition::{PartitionData, PartitionedGraph};
 use crate::{Csr, GraphError, VertexId};
 use std::fs::File;
 use std::io::Write as _;
-use std::ops::Deref;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -393,83 +392,8 @@ fn encode_region(data: &PartitionData, out: &mut Vec<u8>) {
 }
 
 // ---------------------------------------------------------------------------
-// mmap / pread backing
+// Positional reads
 // ---------------------------------------------------------------------------
-
-#[cfg(unix)]
-mod mm {
-    /// Read-only private mapping of a whole file. Dropping unmaps.
-    pub struct Mapping {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ/MAP_PRIVATE — immutable shared
-    // bytes, safe to read from any thread.
-    unsafe impl Send for Mapping {}
-    unsafe impl Sync for Mapping {}
-
-    extern "C" {
-        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
-        fn munmap(addr: *mut u8, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    impl Mapping {
-        /// Map `len` bytes of `fd` read-only. `None` if the kernel refuses
-        /// (callers fall back to `pread`).
-        pub fn new(fd: i32, len: usize) -> Option<Mapping> {
-            if len == 0 {
-                return None;
-            }
-            // SAFETY: requesting a fresh read-only private mapping of a
-            // file we hold open; the kernel validates fd/len and we check
-            // for MAP_FAILED.
-            let ptr = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, fd, 0) };
-            if ptr as isize == -1 {
-                None
-            } else {
-                Some(Mapping { ptr, len })
-            }
-        }
-
-        pub fn as_slice(&self) -> &[u8] {
-            // SAFETY: ptr..ptr+len is a live PROT_READ mapping for the
-            // lifetime of self.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            // SAFETY: unmapping exactly the region mmap returned.
-            unsafe {
-                munmap(self.ptr as *mut u8, self.len);
-            }
-        }
-    }
-}
-
-enum Backing {
-    /// The whole file is mapped; reads hit the OS page cache directly.
-    #[cfg(unix)]
-    Mmap(mm::Mapping),
-    /// Positional reads into a transient buffer per region.
-    Pread(File),
-}
-
-/// How [`OocGraph::open_with`] should back its reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OocBacking {
-    /// `mmap` when the platform and kernel allow it, else `pread`. The
-    /// `LT_OOC_NO_MMAP` environment variable forces the fallback (CI
-    /// exercises both paths).
-    Auto,
-    /// Positional reads only.
-    Pread,
-}
 
 #[cfg(unix)]
 fn read_exact_at(f: &File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
@@ -487,23 +411,6 @@ fn read_exact_at(f: &File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
     f.read_exact(buf)
 }
 
-/// A partition region's bytes: borrowed from the mapping or owned from a
-/// positional read.
-pub enum Region<'a> {
-    Borrowed(&'a [u8]),
-    Owned(Vec<u8>),
-}
-
-impl Deref for Region<'_> {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        match self {
-            Region::Borrowed(b) => b,
-            Region::Owned(v) => v,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // OocGraph
 // ---------------------------------------------------------------------------
@@ -511,7 +418,9 @@ impl Deref for Region<'_> {
 /// An opened out-of-core compressed graph: the header and partition table
 /// live in RAM, adjacency stays on disk until a partition is decoded.
 pub struct OocGraph {
-    backing: Backing,
+    /// Read by positional reads only, so decoders on any number of threads
+    /// share it with no cursor to race on.
+    file: File,
     weighted: bool,
     temporal: bool,
     num_vertices: u64,
@@ -526,13 +435,9 @@ pub struct OocGraph {
 }
 
 impl OocGraph {
-    /// Open with the default backing policy ([`OocBacking::Auto`]).
+    /// Open `path`, validating the header and partition table. Adjacency
+    /// stays on disk until [`OocGraph::region`] reads it.
     pub fn open(path: &Path) -> Result<OocGraph, GraphError> {
-        Self::open_with(path, OocBacking::Auto)
-    }
-
-    /// Open `path`, validating the header and partition table.
-    pub fn open_with(path: &Path, mode: OocBacking) -> Result<OocGraph, GraphError> {
         let f = File::open(path)?;
         let mut fixed = [0u8; HEADER_FIXED];
         read_exact_at(&f, &mut fixed, 0)?;
@@ -587,20 +492,8 @@ impl OocGraph {
         if *regions.last().unwrap() != file_len {
             return Err(GraphError::Format("region table exceeds the file".into()));
         }
-        let use_mmap = mode == OocBacking::Auto && std::env::var_os("LT_OOC_NO_MMAP").is_none();
-        let backing = match use_mmap {
-            #[cfg(unix)]
-            true => {
-                use std::os::unix::io::AsRawFd;
-                match mm::Mapping::new(f.as_raw_fd(), file_len as usize) {
-                    Some(m) => Backing::Mmap(m),
-                    None => Backing::Pread(f),
-                }
-            }
-            _ => Backing::Pread(f),
-        };
         Ok(OocGraph {
-            backing,
+            file: f,
             weighted: flags & FLAG_WEIGHTED != 0,
             temporal: flags & FLAG_TEMPORAL != 0,
             num_vertices,
@@ -672,29 +565,15 @@ impl OocGraph {
         (self.num_vertices + 1) * 8 + self.num_edges * per_edge
     }
 
-    /// Which backing the open resolved to (`"mmap"` or `"pread"`).
-    pub fn backing_name(&self) -> &'static str {
-        match self.backing {
-            #[cfg(unix)]
-            Backing::Mmap(_) => "mmap",
-            Backing::Pread(_) => "pread",
-        }
-    }
-
-    /// The raw compressed bytes of partition `p`'s region: a zero-copy
-    /// slice under mmap, one positional read under pread.
-    pub fn region(&self, p: u32) -> Result<Region<'_>, GraphError> {
+    /// The raw compressed bytes of partition `p`'s region, in a fresh
+    /// buffer filled by one positional read. A file cut short since
+    /// [`OocGraph::open`] fails here with [`GraphError::Io`].
+    pub fn region(&self, p: u32) -> Result<Vec<u8>, GraphError> {
         let lo = self.regions[p as usize];
         let hi = self.regions[p as usize + 1];
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Mmap(m) => Ok(Region::Borrowed(&m.as_slice()[lo as usize..hi as usize])),
-            Backing::Pread(f) => {
-                let mut buf = vec![0u8; (hi - lo) as usize];
-                read_exact_at(f, &mut buf, lo)?;
-                Ok(Region::Owned(buf))
-            }
-        }
+        let mut buf = vec![0u8; (hi - lo) as usize];
+        read_exact_at(&self.file, &mut buf, lo)?;
+        Ok(buf)
     }
 
     /// Chunk decode plans for partition `p`'s region bytes (as returned by
@@ -765,8 +644,8 @@ impl OocGraph {
     }
 
     /// Decode the whole graph back into a RAM-resident [`Csr`] — the
-    /// escape hatch for consumers that need full random access (alias
-    /// table construction, evolving-graph runs, tests).
+    /// escape hatch for consumers that need full random access
+    /// (evolving-graph runs, tests).
     pub fn to_csr(&self) -> Result<Csr, GraphError> {
         let nv = self.num_vertices as usize;
         let ne = self.num_edges as usize;
@@ -803,7 +682,6 @@ impl std::fmt::Debug for OocGraph {
             .field("num_edges", &self.num_edges)
             .field("num_partitions", &self.num_partitions())
             .field("file_bytes", &self.file_bytes())
-            .field("backing", &self.backing_name())
             .finish()
     }
 }
@@ -981,21 +859,20 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A file cut short after `open` fails the read of a region past the
+    /// cut with an I/O error, never a signal: nothing maps the file.
     #[test]
-    fn pread_backing_matches_mmap() {
+    fn truncation_after_open_is_an_io_error() {
         let csr = Arc::new(powerlaw(9, 8, 21));
-        let pg = PartitionedGraph::build(csr.clone(), 8 << 10);
-        let path = tmp("pread");
-        write_oocore(&pg, &path).unwrap();
-        let auto = OocGraph::open(&path).unwrap();
-        let pread = OocGraph::open_with(&path, OocBacking::Pread).unwrap();
-        assert_eq!(pread.backing_name(), "pread");
-        for p in 0..pg.num_partitions() {
-            let a = auto.decode_partition(p).unwrap();
-            let b = pread.decode_partition(p).unwrap();
-            assert_eq!(a.offsets, b.offsets);
-            assert_eq!(a.edges, b.edges);
-        }
+        let pg = PartitionedGraph::build(csr, 8 << 10);
+        let path = tmp("truncated_after_open");
+        let len = write_oocore(&pg, &path).unwrap();
+        let ooc = OocGraph::open(&path).unwrap();
+        let last = ooc.num_partitions() - 1;
+        ooc.decode_partition(last).expect("the intact file decodes");
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(len / 2).unwrap();
+        assert!(matches!(ooc.decode_partition(last), Err(GraphError::Io(_))));
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,16 +1,16 @@
 //! Tour of every walk algorithm the engine supports, on one graph:
-//! uniform sampling, PageRank, PPR, weighted walks (prefix-sum scan *and*
-//! alias sampling — same distribution, different per-step cost profile), and
-//! full node2vec with its return/in-out parameters.
+//! uniform sampling, PageRank, PPR, the exact weighted walk (one prefix-sum
+//! scan of each row), and full node2vec with its return/in-out parameters.
 //!
 //! ```sh
 //! cargo run --release --example algorithms_tour
 //! ```
 
 use lighttraffic::engine::algorithm::{
-    PageRank, Ppr, SecondOrderWalk, UniformSampling, WalkAlgorithm, WeightedWalk,
+    PageRank, Ppr, SecondOrderWalk, StepContext, StepDecision, UniformSampling, WalkAlgorithm,
+    WeightedWalk,
 };
-use lighttraffic::engine::alias::AliasWeightedWalk;
+use lighttraffic::engine::walker::Walker;
 use lighttraffic::engine::{EngineConfig, LightTraffic};
 use lighttraffic::graph::gen::{rmat, with_random_weights, RmatParams};
 use std::sync::Arc;
@@ -40,7 +40,6 @@ fn main() {
         (Arc::new(PageRank::new(30, 0.15)), false),
         (Arc::new(Ppr::from_highest_degree(&unweighted, 0.15)), false),
         (Arc::new(WeightedWalk::new(30)), true),
-        (Arc::new(AliasWeightedWalk::new(&weighted, 30)), true),
         (Arc::new(SecondOrderWalk::node2vec(30, 0.5, 2.0)), false),
         (Arc::new(SecondOrderWalk::node2vec(30, 2.0, 0.5)), false),
     ];
@@ -76,47 +75,42 @@ fn main() {
         );
     }
 
-    // Scan vs alias: identical distributions, checked on first-step
-    // frequencies from a hub vertex.
-    println!("\nchecking prefix-sum sampling ≡ alias sampling (distribution)...");
+    // Weighted draws follow the weights: first-step frequencies from a hub
+    // vertex against its row's normalized weights.
+    println!("\nchecking weighted sampling against the weights at the hub...");
     let hub = (0..weighted.num_vertices() as u32)
         .max_by_key(|&v| weighted.degree(v))
         .unwrap();
+    let nbrs = weighted.neighbors(hub);
+    let weights = weighted.neighbor_weights(hub).expect("weighted graph");
     let trials = 200_000u64;
-    let count_firsts = |alg: &dyn WalkAlgorithm| -> Vec<u64> {
-        use lighttraffic::engine::algorithm::{StepContext, StepDecision};
-        use lighttraffic::engine::walker::Walker;
-        let nbrs = weighted.neighbors(hub);
-        let mut counts = vec![0u64; nbrs.len()];
-        for id in 0..trials {
-            let w = Walker::new(id, hub);
-            let ctx = StepContext {
-                neighbors: nbrs,
-                weights: weighted.neighbor_weights(hub),
-                prev_neighbors: None,
-                timestamps: None,
-                max_multiplicity: 1,
-                num_vertices: weighted.num_vertices(),
-            };
-            if let StepDecision::Move(v) = alg.step(&w, ctx, 99) {
-                counts[nbrs.iter().position(|&x| x == v).unwrap()] += 1;
-            }
+    let alg = WeightedWalk::new(5);
+    let mut counts = vec![0u64; nbrs.len()];
+    for id in 0..trials {
+        let ctx = StepContext {
+            neighbors: nbrs,
+            weights: Some(weights),
+            prev_neighbors: None,
+            timestamps: None,
+            max_multiplicity: 1,
+            num_vertices: weighted.num_vertices(),
+        };
+        if let StepDecision::Move(v) = alg.step(&Walker::new(id, hub), ctx, 99) {
+            counts[nbrs.iter().position(|&x| x == v).unwrap()] += 1;
         }
-        counts
-    };
-    let scan = count_firsts(&WeightedWalk::new(5));
-    let alias = count_firsts(&AliasWeightedWalk::new(&weighted, 5));
-    let max_dev = scan
+    }
+    let w_sum: f64 = weights.iter().map(|&w| w as f64).sum();
+    let max_dev = counts
         .iter()
-        .zip(&alias)
-        .map(|(&a, &b)| (a as f64 - b as f64).abs() / trials as f64)
+        .zip(weights)
+        .map(|(&c, &w)| (c as f64 / trials as f64 - w as f64 / w_sum).abs())
         .fold(0.0f64, f64::max);
     println!(
-        "max per-neighbor frequency deviation over {} draws: {:.4} (hub degree {})",
+        "max per-neighbor deviation from the weights over {} draws: {:.4} (hub degree {})",
         trials,
         max_dev,
         weighted.degree(hub)
     );
-    assert!(max_dev < 0.01, "distributions must agree");
+    assert!(max_dev < 0.01, "weighted draws must follow the weights");
     println!("\nall algorithms completed with matching semantics ✓");
 }

@@ -220,7 +220,6 @@ pub fn to_engine_config(c: &ArbConfig, g: &Arc<Csr>) -> EngineConfig {
         // §14), so every fingerprint comparison in these sweeps doubles
         // as proof that tracing perturbs nothing.
         attribution: true,
-        host_cache_partitions: 0,
         checkpoint_every: None,
     }
 }

@@ -17,12 +17,13 @@ mod common;
 use common::random_graph;
 use lighttraffic::baselines::evolving::{run_evolving_waves, Wave};
 use lighttraffic::engine::algorithm::{
-    SecondOrderWalk, TemporalWalk, UniformSampling, WalkAlgorithm,
+    SecondOrderWalk, TemporalWalk, UniformSampling, WalkAlgorithm, WeightedWalk,
 };
 use lighttraffic::engine::{
     EdgeOp, EdgeUpdate, EngineConfig, LightTraffic, RunResult, ZeroCopyPolicy,
 };
 use lighttraffic::gpusim::{FaultPlan, GpuConfig};
+use lighttraffic::graph::gen::with_random_weights;
 use lighttraffic::graph::{Csr, VertexId};
 use std::sync::Arc;
 
@@ -37,7 +38,8 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// A seeded wave schedule over `g`'s frozen vertex set: each wave injects
 /// `walks` walks and then seals a mix of inserts (some with explicit
-/// timestamps on temporal graphs, the rest epoch-stamped) and deletes
+/// timestamps on temporal graphs or explicit weights on weighted graphs,
+/// the rest epoch-stamped at unit weight) and deletes
 /// (half aimed at real base edges, half at arbitrary pairs whose absence
 /// makes them no-ops — both sides must agree on no-op semantics too).
 fn schedule(g: &Csr, schedule_seed: u64, waves: usize, per_wave: usize, walks: u64) -> Vec<Wave> {
@@ -54,6 +56,10 @@ fn schedule(g: &Csr, schedule_seed: u64, waves: usize, per_wave: usize, walks: u
                         5 if g.is_temporal() => {
                             EdgeUpdate::insert_at(src, dst, (xorshift(&mut state) % 16) as u32)
                         }
+                        5 if g.is_weighted() => EdgeUpdate {
+                            weight: Some((1 + xorshift(&mut state) % 8) as f32 / 8.0),
+                            ..EdgeUpdate::insert(src, dst)
+                        },
                         5 => EdgeUpdate::insert(src, dst),
                         6 | 7 => {
                             // Aim at a real edge of `src` when it has any.
@@ -150,10 +156,12 @@ fn temporal_graph() -> Arc<Csr> {
 }
 
 /// The battery: for a skewed static-start graph under DeepWalk-style
-/// uniform walks and a timestamped graph under temporal walks, every
-/// point of the kernel-threads × faults grid reproduces the naive CPU
-/// walker's visits exactly, and every pooled run equals the
-/// `kernel_threads: 1` run on the full deterministic fingerprint.
+/// uniform walks, the same graph weighted under `WeightedWalk` (so no
+/// in-tree algorithm is refused mutation) and a timestamped graph under
+/// temporal walks, every point of the kernel-threads × faults grid
+/// reproduces the naive CPU walker's visits exactly, and every pooled run
+/// equals the `kernel_threads: 1` run on the full deterministic
+/// fingerprint.
 #[test]
 fn evolving_engine_matches_naive_walker_across_execution_grid() {
     let workloads: Vec<(&str, Arc<Csr>, Arc<dyn WalkAlgorithm>)> = vec![
@@ -161,6 +169,11 @@ fn evolving_engine_matches_naive_walker_across_execution_grid() {
             "uniform",
             random_graph(6),
             Arc::new(UniformSampling::new(8)),
+        ),
+        (
+            "weighted",
+            Arc::new(with_random_weights(&random_graph(6), 7)),
+            Arc::new(WeightedWalk::new(8)),
         ),
         (
             "temporal",

@@ -240,33 +240,29 @@ fn ooc_host_tier_counters_are_deterministic() {
 }
 
 /// A small host cache under memory pressure must evict — and eviction
-/// must not change any output: a one-slot cache fingerprints identically
-/// (host-tier counters masked, since hit/miss totals legitimately
-/// change with capacity) to a cache holding every partition.
+/// must not change any output: at `graph_pool_blocks: 1` the cache has
+/// two slots for the file's more than four partitions, and the run still
+/// fingerprints identically to its RAM twin (host-tier counters masked).
 #[test]
 fn host_cache_pressure_changes_no_output() {
-    let g = random_graph(6);
+    let g = random_graph(8);
     let (name, alg, zc) = algorithms().remove(0);
     let ooc = ooc_graph(&g, &format!("pressure_{name}"));
-    let roomy = {
-        let mut cfg = config(zc, 2, None);
-        cfg.host_cache_partitions = ooc.num_partitions() as usize;
-        run_ooc(&ooc, &alg, cfg)
+    let cfg = || EngineConfig {
+        graph_pool_blocks: 1,
+        ..config(zc, 2, None)
     };
-    let tight = {
-        let mut cfg = config(zc, 2, None);
-        cfg.host_cache_partitions = 1;
-        run_ooc(&ooc, &alg, cfg)
-    };
+    let ram = run_ram(&g, &alg, cfg());
+    let tight = run_ooc(&ooc, &alg, cfg());
     assert!(
         tight.metrics.host_cache_evictions > 0,
-        "a one-slot cache over {} partitions never evicted",
+        "a two-slot cache over {} partitions never evicted",
         ooc.num_partitions()
     );
     assert_eq!(
         tier_masked_fingerprint(tight),
-        tier_masked_fingerprint(roomy),
-        "cache capacity leaked into walk output"
+        tier_masked_fingerprint(ram),
+        "cache pressure leaked into walk output"
     );
 }
 
@@ -299,8 +295,7 @@ fn host_tier_fetches_only_what_a_kernel_reads() {
         assert!(partitions.len() > 4, "{name}: {partitions:?}");
         let max_bytes = partitions.map(|p| pg.partition_bytes(p)).max().unwrap();
         for kernel_threads in [1usize, 4] {
-            let mut cfg = config(ZeroCopyPolicy::adaptive(), kernel_threads, None);
-            cfg.host_cache_partitions = 2;
+            let cfg = config(ZeroCopyPolicy::adaptive(), kernel_threads, None);
             let m = run_ooc(&ooc, &alg, cfg).metrics;
             assert!(m.zero_copy_kernels > 0, "{name}: no zero-copy kernel ran");
             let fetches = m.host_cache_hits + m.host_cache_misses;
