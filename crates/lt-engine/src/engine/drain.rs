@@ -105,18 +105,20 @@ fn evict_victim(pools: &mut Pools, selective: bool, protect: PartitionId) -> Wal
 impl LightTraffic {
     /// Drain the per-tag results accumulated since the previous drain
     /// ([`super::EngineConfig::track_tags`]): one [`TagDelta`] per tag
-    /// that made progress, in ascending tag order. Each delta's `visits`
-    /// are sorted — the visit *multiset* per tag is invariant across
-    /// `kernel_threads` and chunkings, but the event order is not, so the
-    /// canonical form is sorted. `lengths` are already emitted in the
-    /// deterministic chunk-merge order and are left as-is. Empty when tags
-    /// are not tracked.
+    /// that made progress, in ascending tag order. Events merge in chunk
+    /// order, so their order is the same at every `kernel_threads`; each
+    /// delta's `visits` are still sorted (by [`crate::radix_sort_u32`])
+    /// because a recovery replays work in a different order and a job
+    /// spans pumps, so only the visit multiset is canonical. `lengths` are
+    /// left in chunk-merge order. Empty when tags are not tracked.
     pub fn take_tag_deltas(&mut self) -> Vec<TagDelta> {
         self.drop_snapshot();
         let mut deltas: Vec<TagDelta> = std::mem::take(&mut self.attr.deltas)
             .into_values()
             .collect();
-        deltas.iter_mut().for_each(|d| d.visits.sort_unstable());
+        deltas
+            .iter_mut()
+            .for_each(|d| crate::radix_sort_u32(&mut d.visits));
         deltas
     }
 

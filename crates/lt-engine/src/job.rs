@@ -161,9 +161,9 @@ pub struct TagDelta {
     pub steps: u64,
     /// Walks of this tag that terminated since the last drain.
     pub finished: u64,
-    /// Vertices visited by this tag's steps, sorted (the multiset is
-    /// schedule-invariant; the event order is not, so the canonical form
-    /// is sorted — see `take_tag_deltas`).
+    /// Vertices visited by this tag's steps, sorted: a recovery replays
+    /// work in a different order and a job spans pumps, so only the
+    /// multiset is canonical (see `take_tag_deltas`).
     pub visits: Vec<VertexId>,
     /// Final lengths of the walks that terminated, in deterministic
     /// chunk-merge order.
@@ -176,6 +176,43 @@ impl TagDelta {
             tag,
             ..TagDelta::default()
         }
+    }
+}
+
+/// Sort `keys` ascending in O(n): an LSD radix sort on 8-bit digits. One
+/// pass builds all four digit histograms, and a digit every key shares is
+/// skipped, so ids below 65,536 take two scatter passes. The scratch is
+/// `keys.len()` long whatever the id range, so no `|V|`-sized table.
+/// Equal to `sort_unstable` (keys are plain integers).
+pub fn radix_sort_u32(keys: &mut Vec<u32>) {
+    let n = keys.len();
+    if n < 2 {
+        return;
+    }
+    let mut counts = [[0usize; 256]; 4];
+    for &k in keys.iter() {
+        for (d, c) in counts.iter_mut().enumerate() {
+            c[(k >> (8 * d)) as usize & 0xff] += 1;
+        }
+    }
+    let mut scratch = vec![0u32; n];
+    for (d, c) in counts.iter_mut().enumerate() {
+        let shift = 8 * d;
+        if c[(keys[0] >> shift) as usize & 0xff] == n {
+            continue;
+        }
+        let mut start = 0;
+        for slot in c.iter_mut() {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        for &k in keys.iter() {
+            let b = (k >> shift) as usize & 0xff;
+            scratch[c[b]] = k;
+            c[b] += 1;
+        }
+        std::mem::swap(keys, &mut scratch);
     }
 }
 

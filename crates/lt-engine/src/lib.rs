@@ -77,7 +77,7 @@ pub use engine::{
 pub use exec::{ExecPool, ExecStats};
 pub use graphpool::GraphEviction;
 pub use hostcache::HostDecodeCache;
-pub use job::{JobId, JobSpec, JobStart, JobStatus, JobTable, TagDelta};
+pub use job::{radix_sort_u32, JobId, JobSpec, JobStart, JobStatus, JobTable, TagDelta};
 pub use kernel::{advance_walker, host_step, multiplicity_for};
 pub use lt_graph::delta::{DeltaGraph, EdgeOp, EdgeUpdate};
 pub use lt_telemetry::{EventBus, Level, MetricRegistry};

@@ -21,8 +21,8 @@
 //! were spent at first admission.
 
 use lt_engine::{
-    Checkpoint, EdgeUpdate, EngineConfig, EngineError, JobId, JobSpec, JobStart, JobStatus,
-    JobTable, LightTraffic, Walker,
+    radix_sort_u32, Checkpoint, EdgeUpdate, EngineConfig, EngineError, JobId, JobSpec, JobStart,
+    JobStatus, JobTable, LightTraffic, Walker,
 };
 use lt_graph::{Csr, VertexId};
 use lt_telemetry::chrome::ChromeTraceBuilder;
@@ -199,6 +199,13 @@ impl JobState {
 
     fn in_flight(&self) -> u64 {
         self.injected - self.result.finished - self.parked.len() as u64
+    }
+
+    /// Free the walker queues of a job no walker can enter again. The
+    /// event backlog goes when the stream closes ([`Scheduler::flush_job`]).
+    fn release_queues(&mut self) {
+        self.pending = VecDeque::new();
+        self.parked = Vec::new();
     }
 }
 
@@ -423,8 +430,7 @@ impl Scheduler {
             self.engine.extract_tagged(idx as u32);
         }
         let j = &mut self.jobs[idx];
-        j.pending.clear();
-        j.parked.clear();
+        j.release_queues();
         j.status = JobStatus::Evicted;
         let tenant = j.tenant.clone();
         Self::deliver(j, JobEvent::Evicted);
@@ -578,6 +584,7 @@ impl Scheduler {
         }
         if !j.live() && j.backlog.is_empty() {
             j.stream = None;
+            j.backlog = VecDeque::new();
         }
     }
 
@@ -869,11 +876,13 @@ impl Scheduler {
             // bit-identical cross-schedule representation (retirement
             // order, by contrast, depends on how tenants interleave).
             // A done job keeps its result for as long as the scheduler
-            // lives, so it gives back the growth slack.
-            j.result.visits.sort_unstable();
+            // lives, so it gives back the growth slack and its emptied
+            // walker queues.
+            radix_sort_u32(&mut j.result.visits);
             j.result.visits.shrink_to_fit();
-            j.result.lengths.sort_unstable();
+            radix_sort_u32(&mut j.result.lengths);
             j.result.lengths.shrink_to_fit();
+            j.release_queues();
             let result = j.result.clone();
             let finished = result.finished;
             Self::deliver(j, JobEvent::Done { result });
@@ -1112,6 +1121,39 @@ mod tests {
             _ => None,
         });
         assert_eq!(done.as_ref(), Some(r));
+    }
+
+    /// A done job keeps its result and nothing else: its walker queues and
+    /// event backlog, which held walkers and events while it ran, are
+    /// freed, and the result is still whole and sorted.
+    #[test]
+    fn finished_jobs_release_their_queues() {
+        let mut s = scheduler(1);
+        s.cfg.default_budget = 400;
+        s.cfg.stream_capacity = 1;
+        let (id, rx) = s.submit("t", JobSpec::deepwalk(300, 12, 4)).unwrap();
+        s.run_until_idle().unwrap();
+        let j = &s.jobs[0];
+        assert!(matches!(j.status, JobStatus::Blocked { .. }));
+        assert!(j.pending.capacity() > 0 && j.parked.capacity() > 0);
+        assert!(j.backlog.capacity() > 0);
+        s.top_up("t", u64::MAX / 2);
+        s.run_until_idle().unwrap();
+        assert_eq!(s.status(id), Some(JobStatus::Done));
+        let mut events = Vec::new();
+        while let Ok(ev) = rx.try_recv() {
+            events.push(ev);
+            s.flush_streams();
+        }
+        let j = &s.jobs[0];
+        assert_eq!(j.pending.capacity(), 0);
+        assert_eq!(j.parked.capacity(), 0);
+        assert_eq!(j.backlog.capacity(), 0);
+        let r = s.result(id).unwrap();
+        assert_eq!(r.finished, 300);
+        assert_eq!(r.visits.len(), 300 * 12);
+        assert!(r.visits.is_sorted() && r.lengths.is_sorted());
+        assert!(matches!(events.last(), Some(JobEvent::Done { result }) if result == r));
     }
 
     /// The pump visits live jobs and unclosed streams only: a job leaves

@@ -46,6 +46,13 @@
 //! and `w` (weight; defaults to 1.0). The seal executes at an
 //! inter-pump barrier, so running jobs observe the new adjacency
 //! deterministically from their next step on.
+//!
+//! Progress, `done` and `result` lines carry a job's visits and are most
+//! of the bytes served, so they are written straight from the result
+//! vectors into one reused buffer per connection, with decimal integers
+//! formatted by hand; every other reply goes through a `serde_json`
+//! [`Value`]. Both render the same bytes: keys in sorted order, no
+//! whitespace.
 
 use crate::scheduler::{JobEvent, JobInfo, JobResult, Scheduler, ServerConfig};
 use lt_engine::algorithm::SecondOrderWalk;
@@ -430,8 +437,13 @@ fn serve_connection(
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
+    // Each reply line is built here and sent with one `write_all`:
+    // writing tokens straight onto the socket would issue a write (a
+    // syscall, and with `TCP_NODELAY` a segment) per token.
+    let mut out = Vec::new();
     loop {
         buf.clear();
+        out.clear();
         // One byte past the cap tells an oversized line from a full one.
         let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
         if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
@@ -441,28 +453,127 @@ fn serve_connection(
             buf.pop();
         } else if buf.len() > MAX_REQUEST_LINE_BYTES {
             let msg = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
-            return write_line(&mut writer, &err_json(&msg));
+            push_json(&mut out, &err_json(&msg));
+            return writer.write_all(&out);
         }
         let line = std::str::from_utf8(&buf)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match serde_json::from_str::<Value>(line) {
-            Ok(req) => dispatch(&req, handle, streams, &mut writer)?,
-            Err(e) => err_json(&format!("bad json: {e:?}")),
-        };
-        write_line(&mut writer, &reply)?;
+        match serde_json::from_str::<Value>(line) {
+            Ok(req) => dispatch(&req, handle, streams, &mut writer, &mut out)?,
+            Err(e) => push_json(&mut out, &err_json(&format!("bad json: {e:?}"))),
+        }
+        writer.write_all(&out)?;
     }
 }
 
-/// Send one JSONL line as one `write_all`: formatting a [`Value`]
-/// straight onto the socket would issue a write (a syscall, and with
-/// `TCP_NODELAY` a segment) per token.
-fn write_line(writer: &mut TcpStream, line: &Value) -> std::io::Result<()> {
-    let mut buf = line.to_string();
-    buf.push('\n');
-    writer.write_all(buf.as_bytes())
+/// Append `line` and its newline.
+fn push_json(out: &mut Vec<u8>, line: &Value) {
+    out.extend_from_slice(line.to_string().as_bytes());
+    out.push(b'\n');
+}
+
+/// `"00"`, `"01"`, …, `"99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Append `n` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Append `xs` as a JSON array.
+fn push_u32s(out: &mut Vec<u8>, xs: &[u32]) {
+    out.push(b'[');
+    for (i, &x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_u64(out, x.into());
+    }
+    out.push(b']');
+}
+
+/// Append one line of a job's results: a stream event named `event`
+/// (`progress` or `done`), or with `None` the `result` op's reply, which
+/// carries `"ok":true` instead. Keys are in the sorted order a
+/// [`Value`] object renders them in.
+fn push_result_line(
+    out: &mut Vec<u8>,
+    event: Option<&str>,
+    steps: u64,
+    finished: u64,
+    visits: &[u32],
+    lengths: &[u32],
+) {
+    out.push(b'{');
+    if let Some(event) = event {
+        out.extend_from_slice(b"\"event\":\"");
+        out.extend_from_slice(event.as_bytes());
+        out.extend_from_slice(b"\",");
+    }
+    out.extend_from_slice(b"\"finished\":");
+    push_u64(out, finished);
+    out.extend_from_slice(b",\"lengths\":");
+    push_u32s(out, lengths);
+    if event.is_none() {
+        out.extend_from_slice(b",\"ok\":true");
+    }
+    out.extend_from_slice(b",\"steps\":");
+    push_u64(out, steps);
+    out.extend_from_slice(b",\"visits\":");
+    push_u32s(out, visits);
+    out.extend_from_slice(b"}\n");
+}
+
+/// Append one stream line for `ev`.
+fn push_event(out: &mut Vec<u8>, ev: &JobEvent) {
+    match ev {
+        JobEvent::Progress {
+            steps,
+            finished,
+            visits,
+            lengths,
+        } => push_result_line(out, Some("progress"), *steps, *finished, visits, lengths),
+        JobEvent::Done { result: r } => push_result_line(
+            out,
+            Some("done"),
+            r.steps,
+            r.finished,
+            &r.visits,
+            &r.lengths,
+        ),
+        JobEvent::Blocked { reason } => {
+            push_json(out, &json!({"event": "blocked", "reason": reason}))
+        }
+        JobEvent::Evicted => push_json(out, &json!({"event": "evicted"})),
+    }
 }
 
 fn err_json(msg: &str) -> Value {
@@ -543,47 +654,15 @@ fn parse_spec(req: &Value) -> Result<JobSpec, String> {
     Ok(spec)
 }
 
-fn result_json(r: &JobResult) -> Value {
-    json!({
-        "steps": r.steps,
-        "finished": r.finished,
-        "visits": r.visits,
-        "lengths": r.lengths,
-    })
-}
-
-fn event_json(ev: &JobEvent) -> Value {
-    match ev {
-        JobEvent::Progress {
-            steps,
-            finished,
-            visits,
-            lengths,
-        } => json!({
-            "event": "progress",
-            "steps": steps,
-            "finished": finished,
-            "visits": visits,
-            "lengths": lengths,
-        }),
-        JobEvent::Blocked { reason } => json!({"event": "blocked", "reason": reason}),
-        JobEvent::Done { result } => {
-            let mut v = result_json(result);
-            if let Some(obj) = v.as_object_mut() {
-                obj.insert("event".into(), Value::String("done".into()));
-            }
-            v
-        }
-        JobEvent::Evicted => json!({"event": "evicted"}),
-    }
-}
-
+/// Answer one request into `out`; a `stream` request first writes its
+/// event lines to `writer` itself.
 fn dispatch(
     req: &Value,
     handle: &ServerHandle,
     streams: &Mutex<HashMap<u64, Receiver<JobEvent>>>,
     writer: &mut TcpStream,
-) -> std::io::Result<Value> {
+    out: &mut Vec<u8>,
+) -> std::io::Result<()> {
     let op = get_str(req, "op").unwrap_or_default();
     let reply = match op.as_str() {
         "submit" => {
@@ -649,11 +728,8 @@ fn dispatch(
                 Err(e) => err_json(&e.to_string()),
                 Ok(None) => err_json("unknown job"),
                 Ok(Some(r)) => {
-                    let mut v = result_json(&r);
-                    if let Some(obj) = v.as_object_mut() {
-                        obj.insert("ok".into(), Value::Bool(true));
-                    }
-                    v
+                    push_result_line(out, None, r.steps, r.finished, &r.visits, &r.lengths);
+                    return Ok(());
                 }
             },
         },
@@ -683,8 +759,11 @@ fn dispatch(
                         // One line per event until the scheduler drops
                         // the sender (job done/evicted, backlog drained).
                         for ev in rx.iter() {
-                            write_line(writer, &event_json(&ev))?;
+                            out.clear();
+                            push_event(out, &ev);
+                            writer.write_all(out)?;
                         }
+                        out.clear();
                         json!({"ok": true, "end": true})
                     }
                 }
@@ -714,5 +793,125 @@ fn dispatch(
         },
         other => err_json(&format!("unknown op {other:?}")),
     };
-    Ok(reply)
+    push_json(out, &reply);
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lt_engine::EngineConfig;
+    use lt_graph::gen::{rmat, RmatParams};
+
+    /// The `Value` rendering the direct writer must match byte for byte.
+    fn result_json(r: &JobResult) -> Value {
+        json!({
+            "steps": r.steps,
+            "finished": r.finished,
+            "visits": r.visits,
+            "lengths": r.lengths,
+        })
+    }
+
+    fn event_json(ev: &JobEvent) -> Value {
+        match ev {
+            JobEvent::Progress {
+                steps,
+                finished,
+                visits,
+                lengths,
+            } => json!({
+                "event": "progress",
+                "steps": steps,
+                "finished": finished,
+                "visits": visits,
+                "lengths": lengths,
+            }),
+            JobEvent::Blocked { reason } => json!({"event": "blocked", "reason": reason}),
+            JobEvent::Done { result } => {
+                let mut v = result_json(result);
+                if let Some(obj) = v.as_object_mut() {
+                    obj.insert("event".into(), Value::String("done".into()));
+                }
+                v
+            }
+            JobEvent::Evicted => json!({"event": "evicted"}),
+        }
+    }
+
+    /// Check the event's stream line and, for a result, the `result`
+    /// op's reply against the `Value` rendering.
+    fn assert_same_bytes(ev: &JobEvent) {
+        let mut out = Vec::new();
+        push_event(&mut out, ev);
+        let want = format!("{}\n", event_json(ev));
+        assert_eq!(String::from_utf8(out).unwrap(), want);
+        if let JobEvent::Done { result: r } = ev {
+            let mut out = Vec::new();
+            push_result_line(&mut out, None, r.steps, r.finished, &r.visits, &r.lengths);
+            let mut v = result_json(r);
+            v.as_object_mut()
+                .unwrap()
+                .insert("ok".into(), Value::Bool(true));
+            assert_eq!(String::from_utf8(out).unwrap(), format!("{v}\n"));
+        }
+    }
+
+    #[test]
+    fn stream_lines_match_the_value_rendering() {
+        let edge = |steps, finished, visits: Vec<u32>, lengths: Vec<u32>| {
+            [
+                JobEvent::Progress {
+                    steps,
+                    finished,
+                    visits: visits.clone(),
+                    lengths: lengths.clone(),
+                },
+                JobEvent::Done {
+                    result: JobResult {
+                        steps,
+                        finished,
+                        visits,
+                        lengths,
+                    },
+                },
+            ]
+        };
+        let digits: Vec<u32> = (0..10).map(|e| 10u32.pow(e)).collect();
+        let cases = [
+            edge(0, 0, vec![], vec![]),
+            edge(u64::MAX, u64::MAX, vec![0, u32::MAX], vec![u32::MAX]),
+            edge(7, 1, vec![0, 0, 9, 10, 99, 100, 101], vec![0]),
+            edge(1 << 40, 3, digits.iter().map(|d| d - 1).collect(), digits),
+        ];
+        for ev in cases.iter().flatten() {
+            assert_same_bytes(ev);
+        }
+        assert_same_bytes(&JobEvent::Blocked {
+            reason: "tenant \"a\" budget exhausted".into(),
+        });
+        assert_same_bytes(&JobEvent::Evicted);
+    }
+
+    /// Every line of a real 2,048-walk job, as the wire carries it.
+    #[test]
+    fn served_job_lines_match_the_value_rendering() {
+        let g = rmat(RmatParams {
+            scale: 12,
+            edge_factor: 8,
+            ..Default::default()
+        })
+        .csr;
+        let cfg = ServerConfig::new(EngineConfig::light_traffic(32 << 10, 4));
+        let mut s = Scheduler::new(Arc::new(g), cfg).unwrap();
+        let (id, rx) = s.submit("t", JobSpec::deepwalk(2048, 40, 42)).unwrap();
+        s.run_until_idle().unwrap();
+        let events: Vec<JobEvent> = rx.try_iter().collect();
+        assert!(events.len() > 2, "want several progress lines");
+        assert!(
+            matches!(events.last(), Some(JobEvent::Done { result }) if result.steps == 2048 * 40)
+        );
+        assert_eq!(s.result(id).map(|r| r.visits.len()), Some(2048 * 40));
+        events.iter().for_each(assert_same_bytes);
+    }
 }
