@@ -17,6 +17,7 @@
 //! All baselines reuse [`lt_engine`]'s algorithms and counter-based RNG, so
 //! they produce *identical trajectories* to LightTraffic — correctness can
 //! be cross-checked system-to-system, and only the timing differs.
+#![forbid(unsafe_code)]
 
 use lt_engine::Metrics;
 use lt_gpusim::GpuStats;

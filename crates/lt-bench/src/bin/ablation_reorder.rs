@@ -7,6 +7,7 @@
 //! the engine's multi-step ratio (steps per reshuffle), and throughput.
 //!
 //! Accepts `--scale N` and `--seed N`.
+#![forbid(unsafe_code)]
 
 use lt_bench::table::{msteps, print_table};
 use lt_engine::algorithm::{UniformSampling, WalkAlgorithm};

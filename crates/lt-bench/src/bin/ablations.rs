@@ -11,6 +11,7 @@
 //!    what eviction traffic does a tight pool cost?
 //!
 //! Accepts `--scale N` and `--seed N`.
+#![forbid(unsafe_code)]
 
 use lt_bench::table::{ms, msteps, print_table};
 use lt_bench::Testbed;

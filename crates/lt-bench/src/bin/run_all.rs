@@ -1,6 +1,7 @@
 //! Runs the paper's evaluation: every table and figure in paper order, or
 //! only the ones named (`run_all fig13 table3`). Accepts `--scale N` and
 //! `--seed N`; an unknown name exits with the list of valid ones.
+#![forbid(unsafe_code)]
 use lt_bench::experiments as exp;
 
 type Experiment = fn(u32, u64) -> serde_json::Value;

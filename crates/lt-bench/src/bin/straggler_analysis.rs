@@ -9,6 +9,7 @@
 //! of all walks have finished, and how thin those iterations are.
 //!
 //! Accepts `--scale N` and `--seed N`.
+#![forbid(unsafe_code)]
 
 use lt_bench::table::print_table;
 use lt_bench::Testbed;

@@ -13,6 +13,7 @@
 //! scaled by the *same* paper ratios (graph bytes : GPU memory), so who
 //! wins, by what factor, and where crossovers fall are preserved even
 //! though absolute sizes are not.
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod table;

@@ -9,6 +9,7 @@
 
 use crate::walker::Walker;
 use lt_graph::PartitionId;
+use std::ops::Range;
 
 /// A fixed-capacity array of walkers, all staying in the same partition.
 #[derive(Clone, Debug)]
@@ -100,15 +101,6 @@ impl WalkBatch {
         std::mem::take(&mut self.walkers)
     }
 
-    /// Take all walkers out as `chunks` contiguous runs in storage order
-    /// (sizes differing by at most one), the unit of host-parallel kernel
-    /// execution. Concatenating the chunks reproduces [`WalkBatch::drain`]
-    /// exactly, which is what makes the parallel merge deterministic.
-    /// Trailing chunks are empty when `chunks > len`.
-    pub fn drain_chunks(&mut self, chunks: usize) -> Vec<Vec<Walker>> {
-        split_chunks(self.drain(), chunks)
-    }
-
     /// Simulated transfer size of the *occupied* part of the batch, given
     /// the per-walk index size `S_w`.
     #[inline]
@@ -117,23 +109,16 @@ impl WalkBatch {
     }
 }
 
-/// Split a walker list into `chunks` contiguous runs in storage order,
-/// sizes differing by at most one: chunk `k` starts at
-/// `k*base + min(k, extra)`, so the first `len % chunks` chunks carry the
-/// extra walker. Trailing chunks are empty when `chunks > len`.
-pub(crate) fn split_chunks(mut ws: Vec<Walker>, chunks: usize) -> Vec<Vec<Walker>> {
-    assert!(chunks > 0, "at least one chunk");
-    let (base, extra) = (ws.len() / chunks, ws.len() % chunks);
-    // Cut tails off back to front so chunk 0 keeps the input allocation
-    // (one memcpy per non-head chunk, none for the head or the inline
-    // single-chunk path).
-    let mut out: Vec<Vec<Walker>> = (1..chunks)
-        .rev()
-        .map(|k| ws.split_off(k * base + k.min(extra)))
-        .collect();
-    out.push(ws);
-    out.reverse();
-    out
+/// The index range of run `k` when `len` walkers split into `chunks`
+/// contiguous runs in storage order, sizes differing by at most one: run
+/// `k` starts at `k*base + min(k, extra)`, so the first `len % chunks`
+/// runs carry the extra walker. Concatenating the runs gives `0..len`,
+/// which is what makes the parallel merge deterministic. Trailing runs are
+/// empty when `chunks > len`.
+pub(crate) fn chunk_range(len: usize, chunks: usize, k: usize) -> Range<usize> {
+    assert!(k < chunks, "run {k} of {chunks}");
+    let (base, extra) = (len / chunks, len % chunks);
+    k * base + k.min(extra)..(k + 1) * base + (k + 1).min(extra)
 }
 
 #[cfg(test)]
@@ -168,29 +153,21 @@ mod tests {
     }
 
     #[test]
-    fn drain_chunks_is_a_contiguous_split() {
-        let mut b = WalkBatch::new(0, 16);
-        for i in 0..10 {
-            b.push(Walker::new(i, 1)).unwrap();
+    fn chunk_ranges_are_a_contiguous_split() {
+        for (len, chunks) in [(10, 3), (2, 4), (0, 2), (512, 2), (7, 1)] {
+            let runs: Vec<Range<usize>> =
+                (0..chunks).map(|k| chunk_range(len, chunks, k)).collect();
+            let concat: Vec<usize> = runs.iter().cloned().flatten().collect();
+            assert_eq!(concat, (0..len).collect::<Vec<_>>(), "{len} over {chunks}");
+            let sizes: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            assert!(hi - lo <= 1, "{len} over {chunks}: sizes {sizes:?}");
+            if chunks > len {
+                assert!(runs[len..].iter().all(|r| r.is_empty()));
+            }
         }
-        let chunks = b.drain_chunks(3);
-        assert!(b.is_empty());
-        // 10 walkers over 3 chunks: sizes 4, 3, 3, in order.
-        let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
-        let ids: Vec<u64> = chunks.into_iter().flatten().map(|w| w.id).collect();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>(), "concat == drain order");
-    }
-
-    #[test]
-    fn drain_chunks_handles_more_chunks_than_walkers() {
-        let mut b = WalkBatch::new(0, 4);
-        b.push(Walker::new(0, 1)).unwrap();
-        b.push(Walker::new(1, 1)).unwrap();
-        let chunks = b.drain_chunks(4);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks[0].len() + chunks[1].len(), 2);
-        assert!(chunks[2].is_empty() && chunks[3].is_empty());
+        let sizes: Vec<usize> = (0..3).map(|k| chunk_range(10, 3, k).len()).collect();
+        assert_eq!(sizes, [4, 3, 3], "the first runs carry the extra walkers");
     }
 
     #[test]

@@ -221,6 +221,11 @@ pub enum EngineError {
     /// attempt) and no recovery snapshot was available. The source
     /// [`lt_gpusim::DeviceError`] is attached.
     Device(lt_gpusim::DeviceError),
+    /// Reading or decoding the graph store failed mid-run (an out-of-core
+    /// file truncated or unreadable after it was opened). The source
+    /// [`lt_graph::GraphError`] is attached; the engine does not recover
+    /// from it, and every walker stays in the walk pools.
+    Graph(lt_graph::GraphError),
     /// The run passed [`EngineConfig::max_iterations`].
     IterationLimit(u64),
     /// A checkpoint was created under a different RNG seed; resuming it
@@ -277,6 +282,7 @@ impl std::fmt::Display for EngineError {
             EngineError::InvalidConfig(reason) => write!(f, "invalid engine config: {reason}"),
             EngineError::OutOfMemory(e) => write!(f, "{e}"),
             EngineError::Device(e) => write!(f, "device error: {e}"),
+            EngineError::Graph(e) => write!(f, "reading the graph store: {e}"),
             EngineError::IterationLimit(n) => {
                 write!(f, "exceeded the scheduler iteration limit ({n})")
             }
@@ -313,6 +319,7 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Device(e) => Some(e),
+            EngineError::Graph(e) => Some(e),
             _ => None,
         }
     }

@@ -142,7 +142,7 @@ impl LightTraffic {
         use_zc: bool,
     ) -> Result<(), EngineError> {
         while let Some(batch) = self.acquire_next_batch(i)? {
-            let outputs = self.step_batch(i, batch, use_zc);
+            let outputs = self.step_batch(i, batch, use_zc)?;
             self.finish_kernel(i, use_zc, outputs)?;
         }
         debug_assert_eq!(
@@ -171,7 +171,7 @@ impl LightTraffic {
                 .device
                 .pop_queue_batch(j)
                 .expect("pick_preemptive_partition picks only partitions with a queued batch");
-            let outputs = self.step_batch(j, batch, false);
+            let outputs = self.step_batch(j, batch, false)?;
             self.finish_kernel(j, false, outputs)?;
             self.gpu.synchronize(self.comp_stream);
             self.metrics.preemptive_batches += 1;
@@ -255,17 +255,20 @@ impl LightTraffic {
     /// [`kernel::MIN_CHUNK_WALKERS`] stays whole) stepped against one
     /// [`KernelTask`] that borrows the engine's graph view, algorithm and
     /// scratch pool for the call, read in place: inline when one chunk, as
-    /// an ordered group on the persistent pool otherwise. Outputs come back
-    /// in chunk order, which equals the sequential iteration order of the batch,
-    /// so every thread count merges to bit-identical results (see
-    /// [`crate::kernel`]). Only the kernel counters are booked here; no
-    /// walk-pool or simulated-device state is touched.
+    /// one [`crate::ExecPool::map`] over chunk indices otherwise, each
+    /// index reading its [`crate::batch::chunk_range`] of the batch.
+    /// Outputs come back in chunk order, which equals the sequential
+    /// iteration order of the batch, so every thread count merges to
+    /// bit-identical results (see [`crate::kernel`]). Only the kernel
+    /// counters are booked here; no walk-pool or simulated-device state is
+    /// touched, except that a failed block fetch puts the batch back on
+    /// the host pool before the error surfaces.
     fn step_batch(
         &mut self,
         part: PartitionId,
-        mut batch: WalkBatch,
+        batch: WalkBatch,
         use_zc: bool,
-    ) -> Vec<ChunkOutput> {
+    ) -> Result<Vec<ChunkOutput>, EngineError> {
         debug_assert_eq!(batch.partition(), part);
         let chunks = kernel::plan_chunks(batch.len(), self.kernel_threads);
         let reads_prev = self.alg.reads_prev_neighbors();
@@ -278,7 +281,13 @@ impl LightTraffic {
         } else if let Some(g) = self.pg.ram_csr() {
             GraphView::Host(g)
         } else {
-            GraphView::Blocks(self.build_block_view(part, batch.walkers(), reads_prev))
+            match self.build_block_view(part, batch.walkers(), reads_prev) {
+                Ok(blocks) => GraphView::Blocks(blocks),
+                Err(e) => {
+                    self.pools.host.push_evicted(batch);
+                    return Err(e);
+                }
+            }
         };
         let task = KernelTask {
             view,
@@ -296,22 +305,19 @@ impl LightTraffic {
             scratch: &self.scratch,
         };
         let wall = Instant::now();
+        let walkers = batch.walkers();
         let outputs = if chunks <= 1 {
-            vec![kernel::step_chunk(&task, batch.drain())]
+            vec![kernel::step_chunk(&task, walkers)]
         } else {
-            let task = &task;
-            self.exec.run_ordered(
-                batch
-                    .drain_chunks(chunks)
-                    .into_iter()
-                    .map(|ws| Box::new(move || kernel::step_chunk(task, ws)) as _)
-                    .collect(),
-            )
+            self.exec.map(chunks, |k| {
+                let run = crate::batch::chunk_range(walkers.len(), chunks, k);
+                kernel::step_chunk(&task, &walkers[run])
+            })
         };
         self.metrics.host_kernel_wall_ns += wall.elapsed().as_nanos() as u64;
         self.metrics.host_kernels += 1;
         self.metrics.max_kernel_threads = self.metrics.max_kernel_threads.max(chunks as u64);
-        outputs
+        Ok(outputs)
     }
 
     /// Where a kernel reads resident partition `part`, in place: the block
@@ -357,7 +363,7 @@ impl LightTraffic {
         part: PartitionId,
         walkers: &[Walker],
         reads_prev: bool,
-    ) -> HostBlockView {
+    ) -> Result<HostBlockView, EngineError> {
         let mut needed: Vec<PartitionId> = vec![part];
         if reads_prev {
             let nv = self.pg.num_vertices();
@@ -369,12 +375,11 @@ impl LightTraffic {
             needed.sort_unstable();
             needed.dedup();
         }
-        HostBlockView::new(
-            needed
-                .into_iter()
-                .map(|p| self.fetch_partition(p))
-                .collect(),
-        )
+        let blocks = needed
+            .into_iter()
+            .map(|p| self.fetch_partition(p))
+            .collect::<Result<_, _>>()?;
+        Ok(HostBlockView::new(blocks))
     }
 
     /// The stateful half of the kernel: merge the chunk outputs in chunk

@@ -51,7 +51,11 @@ impl LightTraffic {
     pub(super) fn load_partition(&mut self, i: PartitionId) -> Result<bool, EngineError> {
         let bytes = self.pg.partition_bytes(i);
         loop {
-            let pinned = self.host_cache.is_some().then(|| self.fetch_partition(i));
+            let pinned = self
+                .host_cache
+                .is_some()
+                .then(|| self.fetch_partition(i))
+                .transpose()?;
             // Graph partitions are shared infrastructure, not owned by any
             // one job: the whole load (and every corrupted reload) is
             // charged to the shared tag, keyed by the partition.
@@ -101,10 +105,14 @@ impl LightTraffic {
     /// exactly once per decode, so corruption-driven reload loops (cache
     /// hits on re-fetch) add no phantom host-tier traffic. Only that last
     /// case is a decode and only it moves a host-tier counter. A static
-    /// RAM store is never fetched: its rows are read from the CSR.
-    pub(super) fn fetch_partition(&mut self, i: PartitionId) -> Arc<PartitionData> {
+    /// RAM store is never fetched: its rows are read from the CSR. A
+    /// store read that fails mid-run is [`EngineError::Graph`].
+    pub(super) fn fetch_partition(
+        &mut self,
+        i: PartitionId,
+    ) -> Result<Arc<PartitionData>, EngineError> {
         if let Some(delta) = &self.evolving {
-            return Arc::clone(delta.block(i));
+            return Ok(Arc::clone(delta.block(i)));
         }
         let cache = self
             .host_cache
@@ -113,7 +121,9 @@ impl LightTraffic {
         let pools = &self.pools;
         let rank = |p| hostcache::eviction_rank(pools.graph.contains(p), pools.walks_in(p));
         let policy = schedule::graph_eviction(self.cfg.selective);
-        let f = cache.fetch(i, policy, &rank, i, Some(&self.exec), self.kernel_threads);
+        let f = cache
+            .fetch(i, policy, &rank, i, Some(&self.exec), self.kernel_threads)
+            .map_err(EngineError::Graph)?;
         if f.missed {
             let bytes = f.data.bytes();
             self.metrics.host_cache_misses += 1;
@@ -128,7 +138,7 @@ impl LightTraffic {
         } else {
             self.metrics.host_cache_hits += 1;
         }
-        f.data
+        Ok(f.data)
     }
 
     /// Issue a simulated copy of `bytes` in ledger direction `tdir`:

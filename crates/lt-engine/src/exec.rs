@@ -1,57 +1,81 @@
-//! Persistent deterministic host executor.
+//! Persistent deterministic host executor: one fork-join over indices.
 //!
 //! Every parallel host-side phase (kernel chunks, out-of-core decode)
 //! runs on one long-lived worker pool per engine — the hot path never
-//! spawns a thread.  Workers park on a condvar, tasks carry their
-//! submission index, and the one join primitive,
-//! [`ExecPool::run_ordered`], collects outputs in submission order, so
-//! merged results are bit-identical to serial execution (see DESIGN.md
-//! §11).
+//! spawns a thread. The one primitive, [`ExecPool::map`], runs `f(0..n)`
+//! and returns the outputs in index order, so merged results are
+//! bit-identical to serial execution (see DESIGN.md §11).
 //!
-//! `run_ordered` accepts *borrowing* closures (like `thread::scope`): the
-//! kernel lends its task and the out-of-core decode lends disjoint `&mut`
-//! slices of one partition.  That is sound because the call blocks until
-//! every task of its group has finished — panicking or not — before it
-//! returns, so no borrow outlives the frame that lent it.
-//!
-//! While a caller waits on its group it *helps*: it pops queued jobs and
-//! runs them on its own thread (counted as `caller_tasks` in
-//! [`ExecStats`]).  A popped job may belong to another group, but every
-//! queued job belongs to some `run_ordered` call that is still blocked
-//! waiting for it, so any borrow the job carries is still live.  Nested
-//! calls (a task that itself calls `run_ordered`) are covered by the same
-//! argument, and cannot deadlock: a waiter either runs a queued job
-//! itself or parks only while its remaining tasks are already running.
+//! The pool holds at most one job: the caller's `f` behind a
+//! lifetime-erased reference, plus an atomic next-index counter that the
+//! caller and the parked workers claim indices from until `n`, and a done
+//! count. `f` may borrow from the caller's frame (like `thread::scope`):
+//! `map` returns only once all `n` indices are done, after which no claim
+//! can succeed, so `f` is never called again. A call made while a job is
+//! in flight — a nested call from inside `f`, or a second thread — runs
+//! all its indices inline on its own thread, so no call ever waits on
+//! another.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Number of log2 buckets tracked for the queue-depth histogram.
-/// Bucket `i` counts submissions that observed a queue depth in
-/// `[2^(i-1), 2^i)` (bucket 0 = depth 0).
-pub const QUEUE_DEPTH_BUCKETS: usize = 24;
+/// The job in flight: `f` over the indices `0..n`, claimed through `next`
+/// and counted through `done` once run.
+struct Job {
+    f: &'static (dyn Fn(usize) + Sync),
+    n: usize,
+    next: AtomicUsize,
+    done: AtomicUsize,
+}
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+impl Job {
+    /// Claim and run indices until none is left, counting each into
+    /// `ran`; returns whether this thread ran the job's last index.
+    fn claim_all(&self, ran: &AtomicU64) -> bool {
+        let mut last = false;
+        loop {
+            // Relaxed: a claim publishes nothing; each output travels
+            // through its slot's mutex.
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                return last;
+            }
+            (self.f)(i);
+            ran.fetch_add(1, Ordering::Relaxed);
+            // Release pairs with the caller's Acquire load of `done`.
+            last = self.done.fetch_add(1, Ordering::Release) + 1 == self.n;
+        }
+    }
+}
+
+/// Reinterprets a borrowed `f` as `'static` without moving it.
+union Erased<'a> {
+    short: &'a (dyn Fn(usize) + Sync + 'a),
+    long: &'static (dyn Fn(usize) + Sync + 'static),
+}
 
 struct State {
-    queue: VecDeque<Job>,
+    /// The job in flight, if any.
+    job: Option<Arc<Job>>,
+    /// Jobs installed so far; a worker joins each at most once.
+    seq: u64,
     shutdown: bool,
-    /// Jobs executed by pool workers.
-    tasks: u64,
-    /// Jobs executed by waiting callers (work "stolen" back).
-    caller_tasks: u64,
-    /// log2 histogram of the queue depth observed at each submission.
-    depth_hist: [u64; QUEUE_DEPTH_BUCKETS],
 }
 
 struct Inner {
     state: Mutex<State>,
+    /// Wakes workers for a new job or for shutdown.
     work: Condvar,
-    /// Nanoseconds pool workers spent executing jobs (host wall clock —
+    /// Wakes the caller when a worker ran its job's last index.
+    done: Condvar,
+    /// Indices run by pool workers.
+    tasks: AtomicU64,
+    /// Indices run by calling threads.
+    caller_tasks: AtomicU64,
+    /// Nanoseconds pool workers spent running indices (host wall clock —
     /// never published to deterministic outputs).
     busy_ns: AtomicU64,
     workers: usize,
@@ -61,16 +85,14 @@ struct Inner {
 }
 
 impl Inner {
-    /// Pop one queued job on behalf of a waiting caller.
-    fn pop_for_caller(&self) -> Option<Job> {
-        let mut s = self.state.lock().unwrap();
-        let job = s.queue.pop_front();
-        if job.is_some() {
-            s.caller_tasks += 1;
-        }
-        job
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(POISON)
     }
 }
+
+/// Why a poisoned pool lock is a bug: the state lock and the output
+/// slots are only held for plain field updates.
+const POISON: &str = "no code panics while holding a pool lock";
 
 /// Snapshot of pool activity counters (host-wall values; quarantined
 /// from all deterministic outputs just like the `host_*` metrics).
@@ -78,138 +100,39 @@ impl Inner {
 pub struct ExecStats {
     /// Number of persistent worker threads (0 = inline execution).
     pub workers: usize,
-    /// Jobs executed by pool workers.
+    /// Indices run by pool workers.
     pub tasks: u64,
-    /// Jobs executed by waiting callers (caller-help / steals).
+    /// Indices run by calling threads (their own share, and every index
+    /// of an inline call).
     pub caller_tasks: u64,
-    /// Total nanoseconds workers spent executing jobs.
+    /// Total nanoseconds workers spent running indices.
     pub busy_ns: u64,
     /// Nanoseconds since the pool was constructed.
     pub uptime_ns: u64,
-    /// log2 histogram of queue depth observed at submission
-    /// (bucket 0 = empty queue, bucket i = depth in `[2^(i-1), 2^i)`).
-    pub queue_depth_log2: [u64; QUEUE_DEPTH_BUCKETS],
 }
 
-/// Result slots for one submitted group, filled in submission order.
-struct GroupState<T> {
-    results: Vec<Option<std::thread::Result<T>>>,
-    remaining: usize,
-}
-
-struct Group<T> {
-    slots: Mutex<GroupState<T>>,
-    done: Condvar,
-}
-
-impl<T> Group<T> {
-    fn new(n: usize) -> Arc<Self> {
-        Arc::new(Group {
-            slots: Mutex::new(GroupState {
-                results: (0..n).map(|_| None).collect(),
-                remaining: n,
-            }),
-            done: Condvar::new(),
-        })
-    }
-
-    /// Wrap `task` so it records its outcome into slot `i` and wakes the
-    /// group's waiter when the group completes.  Panics are caught here,
-    /// so jobs handed to workers never unwind through the worker loop.
-    fn wrap<'env>(
-        self: &Arc<Self>,
-        i: usize,
-        task: Box<dyn FnOnce() -> T + Send + 'env>,
-    ) -> Box<dyn FnOnce() + Send + 'env>
-    where
-        T: Send + 'env,
-    {
-        let group = Arc::clone(self);
-        Box::new(move || {
-            let r = catch_unwind(AssertUnwindSafe(task));
-            let mut s = group.slots.lock().unwrap();
-            s.results[i] = Some(r);
-            s.remaining -= 1;
-            if s.remaining == 0 {
-                group.done.notify_all();
-            }
-        })
-    }
-
-    /// Block until every task in the group has completed, running queued
-    /// jobs on the calling thread while waiting.
-    fn wait_help(&self, inner: &Inner) {
-        loop {
-            {
-                let s = self.slots.lock().unwrap();
-                if s.remaining == 0 {
-                    return;
-                }
-            }
-            // Help: drain the pool queue from this thread.  If the queue
-            // is empty our remaining tasks are already running on
-            // workers, so parking on the group condvar is correct.
-            if let Some(job) = inner.pop_for_caller() {
-                job();
-                continue;
-            }
-            let s = self.slots.lock().unwrap();
-            if s.remaining == 0 {
-                return;
-            }
-            // A completing worker decrements `remaining` under this lock
-            // before notifying, so no wakeup can be lost.
-            let _s = self.done.wait(s).unwrap();
-        }
-    }
-
-    /// Collect results in submission order; re-raises the first panic.
-    fn collect(&self) -> Vec<T> {
-        let results = {
-            let mut s = self.slots.lock().unwrap();
-            debug_assert_eq!(s.remaining, 0);
-            std::mem::take(&mut s.results)
-        };
-        let mut out = Vec::with_capacity(results.len());
-        let mut panic = None;
-        for r in results {
-            match r.expect("group slot unfilled after wait") {
-                Ok(v) => out.push(v),
-                Err(p) => {
-                    if panic.is_none() {
-                        panic = Some(p);
-                    }
-                }
-            }
-        }
-        if let Some(p) = panic {
-            resume_unwind(p);
-        }
-        out
-    }
-}
-
-/// Long-lived worker pool with ordered joins.  One per engine; shared by
-/// kernel chunk stepping and out-of-core decode.
+/// Long-lived worker pool with an index-ordered fork-join. One per
+/// engine; shared by kernel chunk stepping and out-of-core decode.
 pub struct ExecPool {
     inner: Arc<Inner>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl ExecPool {
-    /// Create a pool with `workers` persistent threads.  `workers == 0`
-    /// creates an inline pool: all primitives execute on the calling
-    /// thread (useful for forcing serial execution in tests).
+    /// Create a pool with `workers` persistent threads. `workers == 0`
+    /// creates an inline pool: every call runs on the calling thread
+    /// (useful for forcing serial execution in tests).
     pub fn new(workers: usize) -> Self {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
-                queue: VecDeque::new(),
+                job: None,
+                seq: 0,
                 shutdown: false,
-                tasks: 0,
-                caller_tasks: 0,
-                depth_hist: [0; QUEUE_DEPTH_BUCKETS],
             }),
             work: Condvar::new(),
+            done: Condvar::new(),
+            tasks: AtomicU64::new(0),
+            caller_tasks: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
             workers,
             started: Instant::now(),
@@ -233,91 +156,98 @@ impl ExecPool {
 
     /// Snapshot the activity counters.
     pub fn stats(&self) -> ExecStats {
-        let s = self.inner.state.lock().unwrap();
         ExecStats {
             workers: self.inner.workers,
-            tasks: s.tasks,
-            caller_tasks: s.caller_tasks,
+            tasks: self.inner.tasks.load(Ordering::Relaxed),
+            caller_tasks: self.inner.caller_tasks.load(Ordering::Relaxed),
             busy_ns: self.inner.busy_ns.load(Ordering::Relaxed),
             uptime_ns: self.inner.started.elapsed().as_nanos() as u64,
-            queue_depth_log2: s.depth_hist,
         }
     }
 
-    /// Run a group of borrowing tasks and return their outputs in
-    /// submission order.  Blocks until every task has completed — that
-    /// blocking is what makes lending non-`'static` borrows sound, the
-    /// same argument as `std::thread::scope`.  The calling thread helps
-    /// execute queued jobs while it waits.  Panics propagate to the
-    /// caller after the whole group has finished.
-    pub fn run_ordered<'env, T: Send + 'env>(
-        &self,
-        tasks: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
-    ) -> Vec<T> {
-        if tasks.is_empty() {
-            return Vec::new();
+    /// Run `f(i)` for every `i` in `0..n` and return the outputs in index
+    /// order. The calling thread runs indices too; a call made while
+    /// another is in flight, or on a pool without workers, runs them all
+    /// inline. `f` may borrow from the caller: `map` returns only after
+    /// every index has run and no worker holds `f` any more. If indices
+    /// panic, the first (by index) is re-raised once all have run, and
+    /// the pool stays usable.
+    pub fn map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        // Catches every panic, so a claim loop never unwinds past a job
+        // it installed.
+        let run = |i: usize| {
+            let r = catch_unwind(AssertUnwindSafe(|| f(i)));
+            *slots[i].lock().expect(POISON) = Some(r);
+        };
+        self.fork_join(n, &run);
+        let mut out = Vec::with_capacity(n);
+        let mut panic = None;
+        for slot in slots {
+            match slot.into_inner().expect(POISON).expect("every index ran") {
+                Ok(v) => out.push(v),
+                Err(p) => {
+                    panic.get_or_insert(p);
+                }
+            }
         }
-        let group = Group::new(tasks.len());
-        let jobs: Vec<Job> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let wrapped = group.wrap(i, t);
-                // SAFETY: `wrapped` only borrows data live for 'env.  We
-                // do not return before `wait_help` observes the whole
-                // group complete (even on panic), so no borrow escapes —
-                // the same guarantee `std::thread::scope` relies on.
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(wrapped) }
-            })
-            .collect();
-        self.enqueue(jobs);
-        group.wait_help(&self.inner);
-        group.collect()
+        if let Some(p) = panic {
+            resume_unwind(p);
+        }
+        out
     }
 
-    fn enqueue(&self, jobs: Vec<Job>) {
-        if self.inner.workers == 0 {
-            // Inline pool: execute immediately on the calling thread.
-            // Jobs never panic (Group::wrap catches), so counters stay
-            // consistent even under task panics.
-            {
-                let mut s = self.inner.state.lock().unwrap();
-                s.caller_tasks += jobs.len() as u64;
-                s.depth_hist[0] += jobs.len() as u64;
+    /// Run `run(0..n)` (which must not unwind) on this thread and, when
+    /// the pool is free, on its workers; return once every index ran and
+    /// the job is gone from the pool.
+    fn fork_join(&self, n: usize, run: &(dyn Fn(usize) + Sync)) {
+        // SAFETY: the `'static` reference is only called for a claimed
+        // index. This call returns once all `n` indices are done (`run`
+        // does not unwind, so it cannot leave earlier), and after that
+        // every claim fails: a worker still holding the job touches only
+        // its counters, never the reference, once `run` is out of scope.
+        #[allow(unsafe_code)]
+        let f = unsafe { Erased { short: run }.long };
+        let job = Arc::new(Job {
+            f,
+            n,
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+        });
+        let installed = n > 1 && self.inner.workers > 0 && {
+            let mut s = self.inner.lock();
+            let free = s.job.is_none();
+            if free {
+                s.job = Some(Arc::clone(&job));
+                s.seq += 1;
             }
-            for job in jobs {
-                job();
-            }
-            return;
-        }
-        let notify = jobs.len();
-        {
-            let mut s = self.inner.state.lock().unwrap();
-            for job in jobs {
-                let depth = s.queue.len();
-                let bucket = if depth == 0 {
-                    0
-                } else {
-                    (usize::BITS - depth.leading_zeros()) as usize
-                };
-                s.depth_hist[bucket.min(QUEUE_DEPTH_BUCKETS - 1)] += 1;
-                s.queue.push_back(job);
-            }
-        }
-        if notify == 1 {
-            self.inner.work.notify_one();
-        } else {
+            free
+        };
+        if installed {
             self.inner.work.notify_all();
+        }
+        job.claim_all(&self.inner.caller_tasks);
+        if installed {
+            // The job stays in flight until its last index is done, so an
+            // index's nested call runs inline.
+            let mut s = self.inner.lock();
+            while job.done.load(Ordering::Acquire) < n {
+                s = self.inner.done.wait(s).expect(POISON);
+            }
+            s.job = None;
         }
     }
 }
 
 impl Drop for ExecPool {
     fn drop(&mut self) {
-        {
-            let mut s = self.inner.state.lock().unwrap();
-            s.shutdown = true;
-        }
+        // Never panic in `drop`: a poisoned lock still holds a valid flag.
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
         self.inner.work.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -326,29 +256,33 @@ impl Drop for ExecPool {
 }
 
 fn worker_loop(inner: &Inner) {
+    let mut seen = 0;
     loop {
         let job = {
-            let mut s = inner.state.lock().unwrap();
+            let mut s = inner.lock();
             loop {
-                if let Some(j) = s.queue.pop_front() {
-                    s.tasks += 1;
-                    break Some(j);
-                }
                 if s.shutdown {
-                    break None;
+                    return;
                 }
-                s = inner.work.wait(s).unwrap();
+                if s.seq != seen {
+                    seen = s.seq;
+                    if let Some(job) = s.job.clone() {
+                        break job;
+                    }
+                }
+                s = inner.work.wait(s).expect(POISON);
             }
         };
-        match job {
-            Some(job) => {
-                let t = Instant::now();
-                job();
-                inner
-                    .busy_ns
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-            None => return,
+        let t = Instant::now();
+        let ran_last = job.claim_all(&inner.tasks);
+        inner
+            .busy_ns
+            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if ran_last {
+            // The caller checks `done` under this lock before it waits,
+            // so taking it here means the wake-up cannot be lost.
+            let _s = inner.lock();
+            inner.done.notify_one();
         }
     }
 }
@@ -357,175 +291,153 @@ fn worker_loop(inner: &Inner) {
 mod tests {
     use super::*;
 
-    fn boxed<T: Send>(
-        fns: Vec<impl FnOnce() -> T + Send + 'static>,
-    ) -> Vec<Box<dyn FnOnce() -> T + Send + 'static>> {
-        fns.into_iter()
-            .map(|f| Box::new(f) as Box<dyn FnOnce() -> T + Send + 'static>)
-            .collect()
-    }
-
     #[test]
-    fn run_ordered_preserves_submission_order() {
+    fn map_returns_outputs_in_index_order() {
         for workers in [0, 1, 2, 4] {
             let pool = ExecPool::new(workers);
-            let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64usize)
-                .map(|i| {
-                    Box::new(move || {
-                        if i % 7 == 0 {
-                            std::thread::yield_now();
-                        }
-                        i * i
-                    }) as Box<dyn FnOnce() -> usize + Send>
-                })
-                .collect();
-            let out = pool.run_ordered(tasks);
-            assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
+            for n in [0, 1, workers, 64] {
+                let out = pool.map(n, |i| {
+                    if i % 7 == 0 {
+                        std::thread::yield_now();
+                    }
+                    i * i
+                });
+                let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(out, want, "workers={workers} n={n}");
+            }
         }
     }
 
     #[test]
-    fn run_ordered_lends_stack_borrows() {
+    fn map_lends_stack_borrows() {
         let pool = ExecPool::new(3);
         let data: Vec<u64> = (0..1000).collect();
         let chunks: Vec<&[u64]> = data.chunks(137).collect();
-        let tasks: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = chunks
-            .iter()
-            .map(|c| {
-                let c = *c;
-                Box::new(move || c.iter().sum::<u64>()) as Box<dyn FnOnce() -> u64 + Send + '_>
-            })
-            .collect();
-        let sums = pool.run_ordered(tasks);
+        let sums = pool.map(chunks.len(), |k| chunks[k].iter().sum::<u64>());
         assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
+    /// Disjoint `&mut` spans travel to their index through a slot taken
+    /// once, the way the out-of-core decode lends its output buffers.
     #[test]
-    fn run_ordered_mutates_disjoint_slices() {
+    fn map_mutates_disjoint_spans_handed_over_through_slots() {
         let pool = ExecPool::new(4);
         let mut data = vec![0u32; 100];
         {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = data
-                .chunks_mut(13)
-                .map(|c| {
-                    Box::new(move || {
-                        for v in c.iter_mut() {
-                            *v += 1;
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_ordered(tasks);
+            let slots: Vec<Mutex<Option<&mut [u32]>>> =
+                data.chunks_mut(13).map(|c| Mutex::new(Some(c))).collect();
+            let lens = pool.map(slots.len(), |k| {
+                let span = slots[k].lock().unwrap().take().expect("taken once");
+                span.iter_mut().for_each(|v| *v += k as u32 + 1);
+                span.len()
+            });
+            assert_eq!(lens.iter().sum::<usize>(), 100);
         }
-        assert!(data.iter().all(|&v| v == 1));
+        let want: Vec<u32> = (0..100).map(|i| i / 13 + 1).collect();
+        assert_eq!(data, want);
     }
 
     #[test]
-    fn panics_propagate_after_group_completes() {
+    fn a_panic_resurfaces_after_every_other_index_ran() {
         for workers in [0, 2] {
             let pool = ExecPool::new(workers);
-            let done = Arc::new(AtomicU64::new(0));
-            let d2 = Arc::clone(&done);
-            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                pool.run_ordered(boxed(vec![
-                    Box::new(|| panic!("task 0 panicked")) as Box<dyn FnOnce() + Send>,
-                    Box::new(move || {
-                        d2.fetch_add(1, Ordering::SeqCst);
-                    }),
-                ]))
+            let ran = AtomicU64::new(0);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.map(8, |i| {
+                    assert!(i != 0, "index 0 panicked");
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
             }));
             assert!(r.is_err());
-            // The non-panicking task still ran before the panic resurfaced.
-            assert_eq!(done.load(Ordering::SeqCst), 1);
-            // The pool is still usable afterwards.
-            let out = pool.run_ordered(boxed(vec![|| 41usize + 1]));
-            assert_eq!(out, vec![42]);
+            assert_eq!(ran.load(Ordering::SeqCst), 7, "workers={workers}");
+            assert_eq!(pool.map(1, |_| 41usize + 1), vec![42]);
         }
     }
 
-    /// Tasks that themselves call `run_ordered` on the same pool: the
-    /// outer call still returns in submission order, a panic in a nested
-    /// group resurfaces at the outer call only after every other task ran,
-    /// and the pool stays usable — on inline, one- and two-worker pools.
+    /// An index that itself calls `map` on the same pool runs that call
+    /// inline: the outer call still returns in index order, a panic in a
+    /// nested call resurfaces at the outer call only after every other
+    /// index ran, and the pool stays usable — on inline, one- and
+    /// two-worker pools.
     #[test]
-    fn nested_run_ordered_keeps_order_and_survives_panics() {
-        type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
+    fn nested_map_keeps_order_and_survives_panics() {
         for workers in [0, 1, 2] {
             let pool = &ExecPool::new(workers);
             for round in 0..20u64 {
-                let outer: Vec<Task<'_, Vec<u64>>> = (0..6u64)
-                    .map(|i| {
-                        Box::new(move || {
-                            pool.run_ordered(boxed(
-                                (0..5u64)
-                                    .map(|j| move || round * 100 + i * 10 + j)
-                                    .collect::<Vec<_>>(),
-                            ))
-                        }) as Task<'_, Vec<u64>>
-                    })
-                    .collect();
+                let out = pool.map(6, |i| {
+                    pool.map(5, |j| round * 100 + i as u64 * 10 + j as u64)
+                });
                 let want: Vec<Vec<u64>> = (0..6)
                     .map(|i| (0..5).map(|j| round * 100 + i * 10 + j).collect())
                     .collect();
-                assert_eq!(pool.run_ordered(outer), want, "workers={workers}");
+                assert_eq!(out, want, "workers={workers}");
             }
 
             let ran = &AtomicU64::new(0);
-            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let outer: Vec<Task<'_, ()>> = (0..4u64)
-                    .map(|i| {
-                        Box::new(move || {
-                            let inner: Vec<Task<'_, ()>> = (0..3u64)
-                                .map(|j| {
-                                    Box::new(move || {
-                                        assert!(i != 2 || j != 1, "nested task panicked");
-                                        ran.fetch_add(1, Ordering::SeqCst);
-                                    }) as Task<'_, ()>
-                                })
-                                .collect();
-                            pool.run_ordered(inner);
-                        }) as Task<'_, ()>
-                    })
-                    .collect();
-                pool.run_ordered(outer)
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.map(4, |i| {
+                    pool.map(3, |j| {
+                        assert!(i != 2 || j != 1, "nested index panicked");
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    });
+                })
             }));
             assert!(r.is_err(), "workers={workers}: the nested panic was lost");
             assert_eq!(ran.load(Ordering::SeqCst), 11, "workers={workers}");
-            assert_eq!(pool.run_ordered(boxed(vec![|| 7u64])), vec![7]);
+            assert_eq!(pool.map(1, |_| 7u64), vec![7]);
         }
+    }
+
+    #[test]
+    fn concurrent_callers_both_get_ordered_results() {
+        let pool = ExecPool::new(2);
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let pool = &pool;
+                    s.spawn(move || {
+                        for round in 0..50u64 {
+                            let out = pool.map(16, |i| t * 10_000 + round * 100 + i as u64);
+                            let want: Vec<u64> =
+                                (0..16).map(|i| t * 10_000 + round * 100 + i).collect();
+                            assert_eq!(out, want);
+                        }
+                    })
+                })
+                .collect();
+            for c in callers {
+                c.join().unwrap();
+            }
+        });
+        let stats = pool.stats();
+        assert_eq!(stats.tasks + stats.caller_tasks, 2 * 50 * 16);
     }
 
     #[test]
     fn pool_survives_many_reuse_rounds() {
         let pool = ExecPool::new(3);
+        let mut total = 0;
         for round in 0..200u64 {
-            let out = pool.run_ordered(boxed(
-                (0..5).map(|i| move || round * 10 + i).collect::<Vec<_>>(),
-            ));
-            assert_eq!(out, (0..5).map(|i| round * 10 + i).collect::<Vec<_>>());
+            let n = (round % 9) as usize;
+            let out = pool.map(n, |i| round * 10 + i as u64);
+            assert_eq!(
+                out,
+                (0..n as u64).map(|i| round * 10 + i).collect::<Vec<_>>()
+            );
+            total += n as u64;
         }
         let stats = pool.stats();
         assert_eq!(stats.workers, 3);
-        assert_eq!(stats.tasks + stats.caller_tasks, 1000);
+        assert_eq!(stats.tasks + stats.caller_tasks, total);
     }
 
     #[test]
     fn inline_pool_counts_caller_tasks() {
         let pool = ExecPool::new(0);
-        pool.run_ordered(boxed((0..4).map(|i| move || i).collect::<Vec<_>>()));
+        pool.map(4, |i| i);
         let stats = pool.stats();
         assert_eq!(stats.workers, 0);
         assert_eq!(stats.tasks, 0);
         assert_eq!(stats.caller_tasks, 4);
-        assert_eq!(stats.queue_depth_log2[0], 4);
-    }
-
-    #[test]
-    fn stats_track_queue_depth_histogram() {
-        let pool = ExecPool::new(1);
-        pool.run_ordered(boxed((0..32).map(|i| move || i).collect::<Vec<_>>()));
-        let stats = pool.stats();
-        let total: u64 = stats.queue_depth_log2.iter().sum();
-        assert_eq!(total, 32);
     }
 }

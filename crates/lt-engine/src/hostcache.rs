@@ -29,7 +29,7 @@ use crate::graphpool::{pick_victim, GraphEviction};
 use lt_graph::oocore::{decode_chunk, ChunkPlan};
 use lt_graph::{GraphError, OocGraph, PartitionData, PartitionId};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Selective eviction's key for one cached partition; the lowest is
@@ -86,7 +86,8 @@ impl HostDecodeCache {
     /// lowest `rank` (an [`eviction_rank`]); `Fifo` ignores it, and
     /// `protect` is never evicted. `exec` fans the chunk decode out over
     /// up to `threads` workers; chunk boundaries are fixed by the file
-    /// format, so the decoded bytes are identical at any thread count.
+    /// format, so the decoded bytes are identical at any thread count. A
+    /// read or decode failure is returned and leaves `p` uncached.
     pub fn fetch(
         &mut self,
         p: PartitionId,
@@ -95,14 +96,14 @@ impl HostDecodeCache {
         protect: PartitionId,
         exec: Option<&ExecPool>,
         threads: usize,
-    ) -> Fetched {
+    ) -> Result<Fetched, GraphError> {
         if let Some(data) = &self.slots[p as usize] {
-            return Fetched {
+            return Ok(Fetched {
                 data: Arc::clone(data),
                 missed: false,
                 evicted: false,
                 decode_ns: 0,
-            };
+            });
         }
         let mut evicted = false;
         if self.order.len() >= self.capacity {
@@ -112,16 +113,16 @@ impl HostDecodeCache {
             evicted = true;
         }
         let start = Instant::now();
-        let data = Arc::new(decode(&self.ooc, p, exec, threads));
+        let data = Arc::new(decode(&self.ooc, p, exec, threads)?);
         let decode_ns = start.elapsed().as_nanos() as u64;
         self.slots[p as usize] = Some(Arc::clone(&data));
         self.order.push_back(p);
-        Fetched {
+        Ok(Fetched {
             data,
             missed: true,
             evicted,
             decode_ns,
-        }
+        })
     }
 
     /// Whether partition `p` is resident.
@@ -154,31 +155,22 @@ fn group_ends(plans: &[ChunkPlan], part_edges: u64, groups: usize) -> Vec<usize>
 
 /// Decode partition `p` of `ooc`: [`OocGraph::decode_partition`], fanned
 /// out over `exec` in contiguous chunk groups when there is a pool and
-/// more than one chunk to share. Panics on a corrupt region — the file was
-/// validated at open, so mid-run decode failure is a programming or I/O
-/// error, matching `PartitionedGraph::extract`.
+/// more than one chunk to share. The file was validated at open, so an
+/// error here means it changed or became unreadable since.
 fn decode(
     ooc: &OocGraph,
     p: PartitionId,
     exec: Option<&ExecPool>,
     threads: usize,
-) -> PartitionData {
-    let serial = || {
-        ooc.decode_partition(p)
-            .unwrap_or_else(|e| panic!("decoding partition {p}: {e}"))
-    };
+) -> Result<PartitionData, GraphError> {
     let Some(exec) = exec.filter(|_| threads > 1) else {
-        return serial();
+        return ooc.decode_partition(p);
     };
-    let region = ooc
-        .region(p)
-        .unwrap_or_else(|e| panic!("reading region of partition {p}: {e}"));
-    let plans = ooc
-        .chunk_plans(p, &region)
-        .unwrap_or_else(|e| panic!("parsing chunk index of partition {p}: {e}"));
+    let region = ooc.region(p)?;
+    let plans = ooc.chunk_plans(p, &region)?;
     let groups = threads.min(plans.len());
     if groups <= 1 {
-        return serial();
+        return ooc.decode_partition(p);
     }
     let v_start = ooc.boundaries()[p as usize];
     let v_end = ooc.boundaries()[p as usize + 1];
@@ -194,12 +186,11 @@ fn decode(
         weights: weighted.then(|| vec![0.0; ne]),
         timestamps: temporal.then(|| vec![0; ne]),
     };
-    // Each run's vertex and edge spans are contiguous, so the output
-    // buffers split into disjoint `&mut` subslices — no
-    // synchronization inside the decode.
-    let region = &*region;
-    let mut tasks: Vec<Box<dyn FnOnce() -> Result<(), GraphError> + Send + '_>> =
-        Vec::with_capacity(groups);
+    // Each group's vertex and edge spans are contiguous, so the output
+    // buffers split into disjoint `&mut` subslices, each handed to its
+    // group's index through a slot taken once — no synchronization inside
+    // the decode.
+    let mut slots = Vec::with_capacity(groups);
     let mut off_rest: &mut [u64] = &mut buf.offsets[..n];
     let mut edge_rest: &mut [u32] = &mut buf.edges[..];
     let mut w_rest: Option<&mut [f32]> = buf.weights.as_mut().map(|w| &mut w[..]);
@@ -216,42 +207,47 @@ fn decode(
         off_rest = rest;
         let (edge_g, rest) = edge_rest.split_at_mut(ge);
         edge_rest = rest;
-        let mut w_g = w_rest.take().map(|w| {
+        let w_g = w_rest.take().map(|w| {
             let (a, b) = w.split_at_mut(ge);
             w_rest = Some(b);
             a
         });
-        let mut t_g = t_rest.take().map(|t| {
+        let t_g = t_rest.take().map(|t| {
             let (a, b) = t.split_at_mut(ge);
             t_rest = Some(b);
             a
         });
-        let (v_base, e_base) = (first.v_start, first.first_edge);
-        tasks.push(Box::new(move || {
-            for plan in group {
-                let ls = (plan.v_start - v_base) as usize;
-                let le = (plan.v_end - v_base) as usize;
-                let e0 = (plan.first_edge - e_base) as usize;
-                let e1 = e0 + plan.num_edges as usize;
-                decode_chunk(
-                    region,
-                    plan,
-                    weighted,
-                    temporal,
-                    &mut off_g[ls..le],
-                    &mut edge_g[e0..e1],
-                    w_g.as_mut().map(|w| &mut w[e0..e1]),
-                    t_g.as_mut().map(|t| &mut t[e0..e1]),
-                )?;
-            }
-            Ok(())
-        }));
+        slots.push(Mutex::new(Some((group, off_g, edge_g, w_g, t_g))));
     }
-    for r in exec.run_ordered(tasks) {
-        r.unwrap_or_else(|e| panic!("decoding partition {p}: {e}"));
-    }
+    let region = &*region;
+    let decoded = exec.map(slots.len(), |g| {
+        let (group, off_g, edge_g, mut w_g, mut t_g) = slots[g]
+            .lock()
+            .expect("a slot is only locked to take it")
+            .take()
+            .expect("a group decodes once");
+        let (v_base, e_base) = (group[0].v_start, group[0].first_edge);
+        for plan in group {
+            let ls = (plan.v_start - v_base) as usize;
+            let le = (plan.v_end - v_base) as usize;
+            let e0 = (plan.first_edge - e_base) as usize;
+            let e1 = e0 + plan.num_edges as usize;
+            decode_chunk(
+                region,
+                plan,
+                weighted,
+                temporal,
+                &mut off_g[ls..le],
+                &mut edge_g[e0..e1],
+                w_g.as_mut().map(|w| &mut w[e0..e1]),
+                t_g.as_mut().map(|t| &mut t[e0..e1]),
+            )?;
+        }
+        Ok(())
+    });
+    decoded.into_iter().collect::<Result<(), GraphError>>()?;
     buf.offsets[n] = ne as u64;
-    buf
+    Ok(buf)
 }
 
 #[cfg(test)]
@@ -293,7 +289,9 @@ mod tests {
         exec: Option<&ExecPool>,
         threads: usize,
     ) -> Fetched {
-        cache.fetch(p, GraphEviction::Fifo, &|_| (true, 0), p, exec, threads)
+        cache
+            .fetch(p, GraphEviction::Fifo, &|_| (true, 0), p, exec, threads)
+            .unwrap()
     }
 
     #[test]
@@ -334,7 +332,9 @@ mod tests {
         assert!(f1.missed && !f1.evicted, "the second slot was free");
         // Partition 1 is on the device; FIFO does not care.
         let rank = |p: PartitionId| eviction_rank(p == 1, 0);
-        let f2 = cache.fetch(2, GraphEviction::Fifo, &rank, 2, None, 1);
+        let f2 = cache
+            .fetch(2, GraphEviction::Fifo, &rank, 2, None, 1)
+            .unwrap();
         assert!(f2.missed && f2.evicted);
         assert!(!cache.contains(0), "FIFO evicts the oldest");
         assert!(cache.contains(1) && cache.contains(2));
@@ -358,7 +358,9 @@ mod tests {
             _ => eviction_rank(false, 0),
         };
         let fetch = |cache: &mut HostDecodeCache, p, protect| {
-            cache.fetch(p, GraphEviction::FewestWalks, &rank, protect, None, 1);
+            cache
+                .fetch(p, GraphEviction::FewestWalks, &rank, protect, None, 1)
+                .unwrap();
         };
         let filled = || {
             let mut cache = HostDecodeCache::new(Arc::clone(&ooc), 2);

@@ -303,11 +303,11 @@ pub(crate) struct KernelTask<'a> {
 /// walker stays resident long enough to prefetch its next lookup, and an
 /// out-of-memory engine at ~50 partitions sees 98 % of all steps leave
 /// the partition — one step per residency (measured, DESIGN.md §12).
-pub(crate) fn step_chunk(task: &KernelTask, walkers: Vec<Walker>) -> ChunkOutput {
+pub(crate) fn step_chunk(task: &KernelTask, walkers: &[Walker]) -> ChunkOutput {
     let mut out = task
         .scratch
         .take(walkers.len(), task.track_visits, task.track_paths);
-    for mut w in walkers {
+    for mut w in walkers.iter().copied() {
         debug_assert!(task.range.contains(&w.vertex), "batch invariant violated");
         loop {
             let d = step_once(task, &w);
@@ -490,13 +490,13 @@ mod tests {
             track_paths: true,
             ..task(GraphView::Host(&g), &alg, &scratch, g.num_vertices())
         };
-        let whole = step_chunk(&task, walkers.clone());
+        let whole = step_chunk(&task, &walkers);
         let mut merged_visits = Vec::new();
         let mut merged_paths = Vec::new();
         let mut steps = 0;
         let mut finished = 0;
         for chunk in walkers.chunks(77) {
-            let o = step_chunk(&task, chunk.to_vec());
+            let o = step_chunk(&task, chunk);
             steps += o.steps;
             finished += o.finished;
             merged_visits.extend(o.visits);
@@ -536,10 +536,10 @@ mod tests {
             range: 0..128u32, // half the graph: walks leave
             ..task(GraphView::Host(&g), &alg, &scratch, g.num_vertices())
         };
-        let whole = step_chunk(&task, walkers.clone());
+        let whole = step_chunk(&task, &walkers);
         let mut merged: Vec<Walker> = Vec::new();
         for chunk in walkers.chunks(50) {
-            merged.extend(step_chunk(&task, chunk.to_vec()).moved);
+            merged.extend(step_chunk(&task, chunk).moved);
         }
         assert_eq!(
             merged, whole.moved,
@@ -576,7 +576,7 @@ mod tests {
                 track_visits: true,
                 ..task(view, &alg, &scratch, 512)
             };
-            let o = step_chunk(&task, walkers.clone());
+            let o = step_chunk(&task, &walkers);
             (o.steps, o.visits, o.lengths)
         };
         let host = run(GraphView::Host(&g));
@@ -621,7 +621,7 @@ mod tests {
                 track_visits: true,
                 ..task(view, &alg, &scratch, 512)
             };
-            let o = step_chunk(&task, walkers.clone());
+            let o = step_chunk(&task, &walkers);
             (o.steps, o.visits, o.lengths, o.moved)
         };
         let resident = run(GraphView::ResidentBlock(&block));
@@ -643,16 +643,16 @@ mod tests {
             track_paths: true,
             ..task(GraphView::Host(&g), &alg, scratch, g.num_vertices())
         };
-        let fresh = step_chunk(&mk_task(&unused_pool), walkers.clone());
+        let fresh = step_chunk(&mk_task(&unused_pool), &walkers);
         // Dirty the pool with an unrelated round, recycle its buffer, and
         // step the same walkers through the recycled buffer.
         let dirty: Vec<Walker> = (500..700)
             .map(|i| Walker::new(i, (i % 100) as u32))
             .collect();
         let task = mk_task(&pool);
-        let o = step_chunk(&task, dirty);
+        let o = step_chunk(&task, &dirty);
         pool.put(o);
-        let recycled = step_chunk(&task, walkers);
+        let recycled = step_chunk(&task, &walkers);
         assert_eq!(recycled.steps, fresh.steps);
         assert_eq!(recycled.finished, fresh.finished);
         assert_eq!(recycled.moved, fresh.moved);

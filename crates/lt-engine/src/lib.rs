@@ -15,10 +15,11 @@
 //! - host-parallel kernel execution with a deterministic chunk-order merge
 //!   (wall-clock throughput scales with [`EngineConfig::kernel_threads`]
 //!   while simulated results stay bit-identical) — [`kernel`];
-//! - a persistent deterministic executor: every parallel phase runs on
-//!   one long-lived worker pool per engine with ordered joins, so the
-//!   one drain loop (acquire → step → merge/reshuffle) is bit-identical
-//!   to the `kernel_threads: 1` run that steps inline — [`exec`];
+//! - a persistent deterministic executor: every parallel phase is one
+//!   fork-join over indices ([`ExecPool::map`]) on one long-lived worker
+//!   pool per engine, with outputs in index order, so the one drain loop
+//!   (acquire → step → merge/reshuffle) is bit-identical to the
+//!   `kernel_threads: 1` run that steps inline — [`exec`];
 //! - fault injection and recovery: retry-with-backoff for faulted copies,
 //!   corruption-driven degradation to zero copy, and automatic rollback to
 //!   periodic in-memory checkpoints on fatal device errors
@@ -52,6 +53,8 @@
 //! assert_eq!(result.metrics.finished_walks, 2 * graph.num_vertices());
 //! println!("throughput: {:.0} steps/s", result.metrics.throughput());
 //! ```
+
+#![deny(unsafe_code)]
 
 pub mod algorithm;
 pub mod batch;

@@ -2,7 +2,7 @@
 //! comparisons are built from.
 
 use lt_gpusim::GpuStats;
-use lt_telemetry::{log2_histogram_percentile, LengthPercentiles, MetricRegistry};
+use lt_telemetry::{LengthPercentiles, MetricRegistry};
 use serde::Serialize;
 
 /// One scheduler iteration's record, collected when
@@ -182,12 +182,6 @@ impl Metrics {
         } else {
             self.total_steps as f64 / (self.host_kernel_wall_ns as f64 / 1e9)
         }
-    }
-
-    /// Walk-length `q`-quantile off the log₂ histogram (inclusive bucket
-    /// upper bound, in steps). `None` before any walk finishes.
-    pub fn length_percentile(&self, q: f64) -> Option<u64> {
-        log2_histogram_percentile(&self.length_histogram, q)
     }
 
     /// The `p50/p95/p99/p999` walk-length summary. `None` before any

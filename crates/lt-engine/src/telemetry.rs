@@ -123,19 +123,19 @@ fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
             .gauge("lt_exec_workers", "Persistent executor worker threads", &[])
             .set(es.workers as f64);
         registry
-            .counter("lt_exec_tasks_total", "Tasks executed by pool workers", &[])
+            .counter("lt_exec_tasks_total", "Indices run by pool workers", &[])
             .set(es.tasks);
         registry
             .counter(
                 "lt_exec_caller_tasks_total",
-                "Tasks executed by waiting callers (caller-help)",
+                "Indices run by calling threads",
                 &[],
             )
             .set(es.caller_tasks);
         registry
             .gauge(
                 "lt_exec_busy_ns",
-                "Host nanoseconds pool workers spent executing tasks",
+                "Host nanoseconds pool workers spent running indices",
                 &[],
             )
             .set(es.busy_ns as f64);
@@ -143,7 +143,7 @@ fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
         registry
             .gauge(
                 "lt_exec_worker_utilization",
-                "Fraction of pool capacity spent executing tasks",
+                "Fraction of pool capacity spent running indices",
                 &[],
             )
             .set(if capacity_ns == 0 {
@@ -151,29 +151,6 @@ fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
             } else {
                 (es.busy_ns as f64 / capacity_ns as f64).min(1.0)
             });
-        let submissions: u64 = es.queue_depth_log2.iter().sum();
-        if submissions > 0 {
-            // log₂ buckets: 0, then [2^(i-1), 2^i) with inclusive upper
-            // bound 2^i - 1 (the walk-length histogram idiom).
-            let bounds: Vec<f64> = (0..es.queue_depth_log2.len())
-                .map(|i| {
-                    if i == 0 {
-                        0.0
-                    } else {
-                        ((1u64 << i) - 1) as f64
-                    }
-                })
-                .collect();
-            let h = registry.histogram(
-                "lt_exec_queue_depth",
-                "Executor queue depth observed at each task submission",
-                &[],
-                &bounds,
-            );
-            for (i, &count) in es.queue_depth_log2.iter().enumerate() {
-                h.observe_n(bounds[i], count);
-            }
-        }
     }
     // Traffic attribution (DESIGN.md §14), present only under
     // [`crate::EngineConfig::attribution`]. Like the ledger itself the
@@ -339,9 +316,6 @@ mod tests {
                 );
             }
             assert!(!text.contains("lt_exec_strategy{"));
-            if kernel_threads > 1 {
-                assert!(text.contains("lt_exec_queue_depth_bucket"));
-            }
         }
     }
 }

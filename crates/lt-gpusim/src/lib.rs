@@ -25,6 +25,7 @@
 //! `max(host clock at enqueue, stream tail, engine availability)` — FIFO per
 //! engine in enqueue order — which is exact for the in-order hardware queues
 //! the paper's three streams map onto.
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod fault;

@@ -392,19 +392,6 @@ impl Gpu {
         }
     }
 
-    /// Advance the host clock to at least `t` without charging any
-    /// category — used for barriers across multiple simulated devices
-    /// (multi-GPU supersteps wait for the slowest device).
-    pub fn advance_to(&self, t: Nanos) {
-        let mut g = self.inner.lock();
-        if t > g.host_clock {
-            g.host_clock = t;
-            if t > g.stats.makespan_ns {
-                g.stats.makespan_ns = t;
-            }
-        }
-    }
-
     /// Charge `ns` of host-side work (advances the host clock).
     pub fn host_advance(&self, ns: Nanos, category: Category) {
         let mut g = self.inner.lock();
@@ -421,11 +408,6 @@ impl Gpu {
     /// Current host clock (ns).
     pub fn now(&self) -> Nanos {
         self.inner.lock().host_clock
-    }
-
-    /// Completion time of the last op enqueued on `stream`.
-    pub fn stream_tail(&self, stream: StreamId) -> Nanos {
-        self.inner.lock().stream_tails[stream.0]
     }
 
     /// Snapshot of the accumulated statistics.

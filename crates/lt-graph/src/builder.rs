@@ -105,11 +105,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of raw edges accumulated so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Run preprocessing and produce the CSR.
     pub fn build(self) -> Result<BuiltGraph, GraphError> {
         let GraphBuilder {

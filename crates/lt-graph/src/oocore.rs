@@ -548,11 +548,6 @@ impl OocGraph {
         self.part_edges[p as usize]
     }
 
-    /// Compressed on-disk size of partition `p`'s region.
-    pub fn region_bytes(&self, p: u32) -> u64 {
-        self.regions[p as usize + 1] - self.regions[p as usize]
-    }
-
     /// Total file size.
     pub fn file_bytes(&self) -> u64 {
         *self.regions.last().unwrap()

@@ -35,6 +35,7 @@
 //! assert_eq!(sched.result(alice).unwrap().finished, 500);
 //! assert_eq!(sched.result(bob).unwrap().finished, 300);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod scheduler;
 pub mod server;

@@ -1075,11 +1075,6 @@ impl Scheduler {
         b.build()
     }
 
-    /// Jobs submitted so far (any status), in submission order.
-    pub fn job_ids(&self) -> Vec<JobId> {
-        self.jobs.iter().map(|j| j.id).collect()
-    }
-
     /// Pump rounds executed.
     pub fn pumps(&self) -> u64 {
         self.pumps

@@ -64,71 +64,45 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-enum Command {
-    Submit {
-        tenant: String,
-        spec: JobSpec,
-        #[allow(clippy::type_complexity)]
-        reply: SyncSender<Result<(JobId, Receiver<JobEvent>), EngineError>>,
-    },
-    Info {
-        id: JobId,
-        reply: SyncSender<Option<JobInfo>>,
-    },
-    Cancel {
-        id: JobId,
-        reply: SyncSender<bool>,
-    },
-    TopUp {
-        tenant: String,
-        tokens: u64,
-        reply: SyncSender<()>,
-    },
-    Budget {
-        tenant: String,
-        reply: SyncSender<Option<(u64, u64)>>,
-    },
-    Result {
-        id: JobId,
-        reply: SyncSender<Option<JobResult>>,
-    },
-    Traffic {
-        top_k: usize,
-        reply: SyncSender<Option<lt_telemetry::TrafficReport>>,
-    },
-    FlightRecord {
-        id: JobId,
-        reason: String,
-        reply: SyncSender<Option<String>>,
-    },
-    Mutate {
-        updates: Vec<EdgeUpdate>,
-        reply: SyncSender<Result<EpochSummary, EngineError>>,
-    },
-    Shutdown,
-}
+/// One request to the scheduler thread: the operation to run there,
+/// given the engine error that stopped the pump, if one did.
+type Request = Box<dyn FnOnce(&mut Scheduler, Option<&EngineError>) + Send>;
 
 fn stopped() -> EngineError {
     EngineError::Admission("server stopped".into())
+}
+
+/// The refusal of work that needs the engine after a fatal engine error.
+fn engine_failed(e: &EngineError) -> EngineError {
+    EngineError::Admission(format!("engine failed: {e}"))
 }
 
 /// Cloneable client of a running [`Server`]: every method is a
 /// synchronous request/reply exchange with the scheduler thread.
 #[derive(Clone)]
 pub struct ServerHandle {
-    tx: Sender<Command>,
+    /// `None` stops the scheduler thread.
+    tx: Sender<Option<Request>>,
     registry: Arc<MetricRegistry>,
 }
 
 impl ServerHandle {
-    fn call<T>(&self, make: impl FnOnce(SyncSender<T>) -> Command) -> Result<T, EngineError> {
+    /// Run `op` on the scheduler thread, between pump rounds in request
+    /// order, and wait for its answer.
+    fn call<T: Send + 'static>(
+        &self,
+        op: impl FnOnce(&mut Scheduler, Option<&EngineError>) -> T + Send + 'static,
+    ) -> Result<T, EngineError> {
         let (tx, rx) = sync_channel(1);
-        self.tx.send(make(tx)).map_err(|_| stopped())?;
+        let request: Request = Box::new(move |sched, fatal| {
+            let _ = tx.send(op(sched, fatal));
+        });
+        self.tx.send(Some(request)).map_err(|_| stopped())?;
         rx.recv().map_err(|_| stopped())
     }
 
@@ -139,43 +113,38 @@ impl ServerHandle {
         tenant: &str,
         spec: JobSpec,
     ) -> Result<(JobId, Receiver<JobEvent>), EngineError> {
-        self.call(|reply| Command::Submit {
-            tenant: tenant.to_string(),
-            spec,
-            reply,
+        let tenant = tenant.to_string();
+        self.call(move |s, fatal| match fatal {
+            Some(e) => Err(engine_failed(e)),
+            None => s.submit(&tenant, spec),
         })?
     }
 
     /// A job's bookkeeping snapshot.
     pub fn info(&self, id: JobId) -> Result<Option<JobInfo>, EngineError> {
-        self.call(|reply| Command::Info { id, reply })
+        self.call(move |s, _| s.info(id))
     }
 
     /// Cancel a job.
     pub fn cancel(&self, id: JobId) -> Result<bool, EngineError> {
-        self.call(|reply| Command::Cancel { id, reply })
+        self.call(move |s, _| s.cancel(id))
     }
 
     /// Grant tokens to a tenant; parked jobs resume.
     pub fn top_up(&self, tenant: &str, tokens: u64) -> Result<(), EngineError> {
-        self.call(|reply| Command::TopUp {
-            tenant: tenant.to_string(),
-            tokens,
-            reply,
-        })
+        let tenant = tenant.to_string();
+        self.call(move |s, _| s.top_up(&tenant, tokens))
     }
 
     /// `(remaining, spent)` tokens of a tenant.
     pub fn budget(&self, tenant: &str) -> Result<Option<(u64, u64)>, EngineError> {
-        self.call(|reply| Command::Budget {
-            tenant: tenant.to_string(),
-            reply,
-        })
+        let tenant = tenant.to_string();
+        self.call(move |s, _| s.budget(&tenant).zip(s.spent(&tenant)))
     }
 
     /// A job's accumulated result (complete once done).
     pub fn result(&self, id: JobId) -> Result<Option<JobResult>, EngineError> {
-        self.call(|reply| Command::Result { id, reply })
+        self.call(move |s, _| s.result(id).cloned())
     }
 
     /// The scheduler's traffic report with at most `top_k` hot
@@ -184,17 +153,20 @@ impl ServerHandle {
         &self,
         top_k: usize,
     ) -> Result<Option<lt_telemetry::TrafficReport>, EngineError> {
-        self.call(|reply| Command::Traffic { top_k, reply })
+        self.call(move |s, _| {
+            // A traffic read doubles as a scrape: refresh the registry's
+            // attribution series so the Prometheus text rendered next to
+            // this report shows the same, current totals.
+            s.refresh_observability();
+            s.traffic_report(top_k)
+        })
     }
 
     /// A job's flight-record JSONL, built on demand (`None` for unknown
     /// jobs) — the same format the scheduler dumps on fault/eviction.
     pub fn flight_record(&self, id: JobId, reason: &str) -> Result<Option<String>, EngineError> {
-        self.call(|reply| Command::FlightRecord {
-            id,
-            reason: reason.to_string(),
-            reply,
-        })
+        let reason = reason.to_string();
+        self.call(move |s, _| s.flight_record(id, &reason))
     }
 
     /// Seal `updates` as one graph epoch on the serving engine (see
@@ -202,7 +174,10 @@ impl ServerHandle {
     /// inter-pump barrier, so jobs in flight observe the new adjacency
     /// deterministically from their next step on.
     pub fn mutate(&self, updates: Vec<EdgeUpdate>) -> Result<EpochSummary, EngineError> {
-        self.call(|reply| Command::Mutate { updates, reply })?
+        self.call(move |s, fatal| match fatal {
+            Some(e) => Err(engine_failed(e)),
+            None => s.mutate(updates),
+        })?
     }
 
     /// The metric registry the scheduler reports into — render with
@@ -225,7 +200,7 @@ impl Server {
     pub fn start(graph: Arc<Csr>, cfg: ServerConfig) -> Result<Server, EngineError> {
         let registry = Arc::new(MetricRegistry::new());
         let mut sched = Scheduler::with_registry(graph, cfg, registry.clone())?;
-        let (tx, rx) = std::sync::mpsc::channel::<Command>();
+        let (tx, rx) = std::sync::mpsc::channel::<Option<Request>>();
         let thread = std::thread::Builder::new()
             .name("lt-server-scheduler".into())
             .spawn(move || serve_loop(&mut sched, &rx))
@@ -245,7 +220,7 @@ impl Server {
     /// graceful stop drains jobs first via [`Scheduler::run_until_idle`]
     /// semantics — pump until `submit`ted work completes, then drop).
     pub fn shutdown(mut self) {
-        let _ = self.handle.tx.send(Command::Shutdown);
+        let _ = self.handle.tx.send(None);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -254,27 +229,27 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        let _ = self.handle.tx.send(Command::Shutdown);
+        let _ = self.handle.tx.send(None);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
 }
 
-/// The scheduler thread: interleave command handling with pump rounds;
-/// park on the channel when idle (with a short timeout so backlogged
-/// stream events keep draining to slow consumers).
-fn serve_loop(sched: &mut Scheduler, rx: &Receiver<Command>) {
+/// The scheduler thread: interleave requests with pump rounds; park on
+/// the channel when idle (with a short timeout so backlogged stream
+/// events keep draining to slow consumers). A `None` message or a closed
+/// channel stops it.
+fn serve_loop(sched: &mut Scheduler, rx: &Receiver<Option<Request>>) {
     let mut fatal: Option<EngineError> = None;
     loop {
-        // Drain every queued command before the next pump round so
-        // command order, not arrival timing, decides scheduling.
+        // Run every queued request before the next pump round so request
+        // order, not arrival timing, decides scheduling.
         loop {
             match rx.try_recv() {
-                Ok(Command::Shutdown) => return,
-                Ok(cmd) => handle_command(sched, cmd, &fatal),
-                Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => return,
+                Ok(Some(request)) => request(sched, fatal.as_ref()),
+                Ok(None) | Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Empty) => break,
             }
         }
         if fatal.is_none() && sched.has_runnable_work() {
@@ -285,66 +260,10 @@ fn serve_loop(sched: &mut Scheduler, rx: &Receiver<Command>) {
         }
         sched.flush_streams();
         match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(Command::Shutdown) => return,
-            Ok(cmd) => handle_command(sched, cmd, &fatal),
+            Ok(Some(request)) => request(sched, fatal.as_ref()),
+            Ok(None) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
         }
-    }
-}
-
-fn handle_command(sched: &mut Scheduler, cmd: Command, fatal: &Option<EngineError>) {
-    match cmd {
-        Command::Submit {
-            tenant,
-            spec,
-            reply,
-        } => {
-            let r = match fatal {
-                Some(e) => Err(EngineError::Admission(format!("engine failed: {e}"))),
-                None => sched.submit(&tenant, spec),
-            };
-            let _ = reply.send(r);
-        }
-        Command::Info { id, reply } => {
-            let _ = reply.send(sched.info(id));
-        }
-        Command::Cancel { id, reply } => {
-            let _ = reply.send(sched.cancel(id));
-        }
-        Command::TopUp {
-            tenant,
-            tokens,
-            reply,
-        } => {
-            sched.top_up(&tenant, tokens);
-            let _ = reply.send(());
-        }
-        Command::Budget { tenant, reply } => {
-            let b = sched.budget(&tenant).zip(sched.spent(&tenant));
-            let _ = reply.send(b);
-        }
-        Command::Result { id, reply } => {
-            let _ = reply.send(sched.result(id).cloned());
-        }
-        Command::Traffic { top_k, reply } => {
-            // A traffic read doubles as a scrape: refresh the registry's
-            // attribution series so the Prometheus text rendered next to
-            // this report shows the same, current totals.
-            sched.refresh_observability();
-            let _ = reply.send(sched.traffic_report(top_k));
-        }
-        Command::FlightRecord { id, reason, reply } => {
-            let _ = reply.send(sched.flight_record(id, &reason));
-        }
-        Command::Mutate { updates, reply } => {
-            let r = match fatal {
-                Some(e) => Err(EngineError::Admission(format!("engine failed: {e}"))),
-                None => sched.mutate(updates),
-            };
-            let _ = reply.send(r);
-        }
-        Command::Shutdown => unreachable!("handled by the loop"),
     }
 }
 

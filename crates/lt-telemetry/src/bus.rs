@@ -245,20 +245,6 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
     }
 }
 
-/// A buffered [`JsonlSink`] over a newly created file (host-wall fields
-/// included — file sinks are for humans and offline tooling).
-pub fn jsonl_file_sink(
-    path: impl AsRef<std::path::Path>,
-    min_level: Level,
-) -> std::io::Result<Box<dyn EventSink>> {
-    let f = std::fs::File::create(path)?;
-    Ok(Box::new(JsonlSink::new(
-        std::io::BufWriter::new(f),
-        min_level,
-        true,
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,6 +31,7 @@
 //!
 //! A disabled [`EventBus`] (the default) is a `None` check per potential
 //! emission site.
+#![forbid(unsafe_code)]
 
 pub mod bus;
 pub mod chrome;
@@ -40,7 +41,7 @@ pub mod pipeline;
 pub mod registry;
 pub mod span;
 
-pub use bus::{jsonl_file_sink, EventBus, EventSink, JsonlSink, RingHandle};
+pub use bus::{EventBus, EventSink, JsonlSink, RingHandle};
 pub use event::{Event, FieldValue, Level};
 pub use ledger::{
     apportion_exact, PartitionHeat, TagTraffic, TrafficCell, TrafficDirection, TrafficLedger,

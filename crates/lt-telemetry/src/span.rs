@@ -78,11 +78,6 @@ impl JobPhase {
             _ => return None,
         })
     }
-
-    /// Terminal phases end the job's Chrome track.
-    pub fn is_terminal(self) -> bool {
-        matches!(self, JobPhase::Done | JobPhase::Evicted)
-    }
 }
 
 /// One phase transition of one job.
@@ -348,7 +343,5 @@ mod tests {
             assert_eq!(JobPhase::parse(p.as_str()), Some(p));
         }
         assert_eq!(JobPhase::parse("nope"), None);
-        assert!(JobPhase::Done.is_terminal());
-        assert!(!JobPhase::Running.is_terminal());
     }
 }

@@ -8,6 +8,7 @@
 //!     --partition-kb 64 --graph-pool 8 --trace timeline.json
 //! lightwalk compare graph.bin --walks 2x --length 40
 //! ```
+#![forbid(unsafe_code)]
 
 use lighttraffic::baselines::{cpu, ingpu, subway};
 use lighttraffic::engine::algorithm::{PageRank, Ppr, UniformSampling, WalkAlgorithm};

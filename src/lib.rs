@@ -42,6 +42,7 @@
 //! let result = engine.run(2 * g.num_vertices()).unwrap();
 //! assert_eq!(result.metrics.finished_walks, 2 * g.num_vertices());
 //! ```
+#![forbid(unsafe_code)]
 
 pub use lt_baselines as baselines;
 pub use lt_engine as engine;

@@ -27,12 +27,12 @@ use lighttraffic::engine::algorithm::{
     PageRank, SecondOrderWalk, TemporalWalk, UniformSampling, WalkAlgorithm,
 };
 use lighttraffic::engine::{
-    EngineConfig, JobSpec, JobTable, LightTraffic, RunResult, ZeroCopyPolicy,
+    EngineConfig, EngineError, JobSpec, JobTable, LightTraffic, RunResult, ZeroCopyPolicy,
 };
 use lighttraffic::gpusim::{FaultPlan, GpuConfig};
 use lighttraffic::graph::gen::with_random_timestamps;
 use lighttraffic::graph::oocore::write_oocore;
-use lighttraffic::graph::{Csr, GraphStore, OocGraph, PartitionedGraph};
+use lighttraffic::graph::{Csr, GraphError, GraphStore, OocGraph, PartitionedGraph};
 use lighttraffic::telemetry::SHARED_TAG;
 use std::sync::Arc;
 
@@ -264,6 +264,53 @@ fn host_cache_pressure_changes_no_output() {
         tier_masked_fingerprint(ram),
         "cache pressure leaked into walk output"
     );
+}
+
+/// An out-of-core file truncated after it was opened fails the run with
+/// [`EngineError::Graph`] rather than a panic, on the explicit-copy path
+/// (`load_partition` fetches before its copy) and on the zero-copy path
+/// (`step_batch` fetches after the batch was acquired and must put it
+/// back), inline and fanned out alike. Every walker in flight stays in the
+/// walk pools, so the engine is still checkpointable.
+#[test]
+fn truncated_store_fails_the_run_with_walkers_conserved() {
+    let g = random_graph(8);
+    let (_, alg, _) = algorithms().remove(0);
+    let pg = PartitionedGraph::build(Arc::clone(&g), PARTITION_BYTES);
+    for zero_copy in [ZeroCopyPolicy::adaptive(), ZeroCopyPolicy::Always] {
+        for kernel_threads in [1usize, 2] {
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "lt_diff_ooc_truncated_{kernel_threads}_{}_{}.ltg",
+                zero_copy == ZeroCopyPolicy::Always,
+                std::process::id()
+            ));
+            write_oocore(&pg, &path).expect("write out-of-core file");
+            let ooc = Arc::new(OocGraph::open(&path).expect("reopen out-of-core file"));
+            let cfg = EngineConfig {
+                graph_pool_blocks: 1,
+                ..config(zero_copy, kernel_threads, None)
+            };
+            let mut e = LightTraffic::from_store(GraphStore::OutOfCore(ooc), Arc::clone(&alg), cfg)
+                .expect("pools fit");
+            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            file.set_len(file.metadata().unwrap().len() / 2).unwrap();
+            let r = e.run(WALKS);
+            std::fs::remove_file(&path).ok();
+            let cell = format!("{zero_copy:?} kernel_threads={kernel_threads}");
+            assert!(
+                matches!(r, Err(EngineError::Graph(GraphError::Io(_)))),
+                "{cell}: expected a graph i/o error, got {:?}",
+                r.err()
+            );
+            assert!(e.active_walks() > 0, "{cell}");
+            assert_eq!(
+                e.checkpoint().walkers.len() as u64,
+                e.active_walks(),
+                "{cell}: the failed fetch lost walkers"
+            );
+        }
+    }
 }
 
 /// The host tier decodes only what a kernel can read. A first-order walk
