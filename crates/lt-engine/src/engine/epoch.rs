@@ -13,11 +13,6 @@ impl LightTraffic {
         self.evolving.as_ref().map_or(0, |d| d.epoch())
     }
 
-    /// Buffered edge updates awaiting the next [`Self::seal_epoch`].
-    pub fn pending_mutations(&self) -> usize {
-        self.evolving.as_ref().map_or(0, |d| d.pending())
-    }
-
     /// The evolving-graph block table, creating it on first use: one copy
     /// of every partition, after which the partition table lets go of the
     /// epoch-0 CSR — nothing reads adjacency from it again.
@@ -255,7 +250,7 @@ mod tests {
         assert!(refused(e.mutate(vec![EdgeUpdate::insert(0, 1)])));
         assert!(refused(e.seal_epoch().map(|_| 0)));
         assert!(e.evolving.is_none());
-        assert_eq!((e.pending_mutations(), e.epoch()), (0, 0));
+        assert_eq!(e.epoch(), 0);
         assert_eq!(e.run(500).unwrap().metrics.finished_walks, 500);
     }
 }

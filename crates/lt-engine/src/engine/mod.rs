@@ -293,20 +293,14 @@ impl LightTraffic {
         &self.metrics
     }
 
-    /// Per-iteration records collected so far, when
-    /// [`EngineConfig::record_iterations`] is set.
-    pub fn iteration_records(&self) -> Option<&[IterationRecord]> {
-        self.iteration_log.as_deref()
-    }
-
     /// The event bus engine and device publish into (see
     /// [`lt_gpusim::GpuConfig::telemetry`]).
     pub fn telemetry_bus(&self) -> EventBus {
         self.telemetry.clone()
     }
 
-    /// Live counters of the persistent worker pool, always `Some` (the
-    /// telemetry snapshot publishes them as `lt_exec_*` series).
+    /// Live counters of the persistent worker pool, always `Some`
+    /// ([`Self::publish`] exports them as `lt_exec_*` series).
     pub fn exec_stats(&self) -> Option<crate::exec::ExecStats> {
         Some(self.exec.stats())
     }
@@ -323,8 +317,8 @@ impl LightTraffic {
         self
     }
 
-    /// The device walk pool (the telemetry snapshot publishes its
-    /// occupancy, which derives from the schedule alone).
+    /// The device walk pool ([`Self::publish`] exports its occupancy,
+    /// which derives from the schedule alone).
     pub(crate) fn device_pool(&self) -> &DeviceWalkPool {
         &self.pools.device
     }

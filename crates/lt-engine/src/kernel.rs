@@ -381,15 +381,6 @@ fn step_once(task: &KernelTask, w: &Walker) -> StepDecision {
     task.alg.step(w, ctx, task.seed)
 }
 
-/// Apply a move decision to a walker: remember the previous vertex for
-/// second-order context, hop, and count the step.
-#[inline]
-pub fn advance_walker(w: &mut Walker, v: VertexId) {
-    w.aux = w.vertex;
-    w.vertex = v;
-    w.step += 1;
-}
-
 /// The [`StepContext::max_multiplicity`] to step `alg` with: for an
 /// algorithm that reads second-order context, `graph_bound()` — the
 /// stepped graph's cached [`Csr::max_multiplicity`] — and 1 otherwise, so

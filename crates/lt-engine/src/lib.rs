@@ -25,7 +25,9 @@
 //!   periodic in-memory checkpoints on fatal device errors
 //!   ([`EngineConfig::checkpoint_every`]) — all driven by a deterministic
 //!   [`lt_gpusim::FaultPlan`], so recovered runs produce the same outputs
-//!   as fault-free ones.
+//!   as fault-free ones;
+//! - one metrics export, [`LightTraffic::publish`], of engine, device and
+//!   executor counters into a Prometheus registry — [`telemetry`].
 //!
 //! # Quick example
 //!
@@ -81,11 +83,10 @@ pub use exec::{ExecPool, ExecStats};
 pub use graphpool::GraphEviction;
 pub use hostcache::HostDecodeCache;
 pub use job::{radix_sort_u32, JobId, JobSpec, JobStart, JobStatus, JobTable, TagDelta};
-pub use kernel::{advance_walker, host_step, multiplicity_for};
+pub use kernel::{host_step, multiplicity_for};
 pub use lt_graph::delta::{DeltaGraph, EdgeOp, EdgeUpdate};
 pub use lt_telemetry::{EventBus, Level, MetricRegistry};
 pub use metrics::IterationRecord;
 pub use metrics::{Metrics, RunResult};
 pub use reshuffle::ReshuffleMode;
-pub use telemetry::TelemetrySnapshot;
 pub use walker::Walker;

@@ -191,10 +191,11 @@ impl Metrics {
     }
 
     /// Publish this snapshot into a metric registry under `lt_engine_*`
-    /// names, plus the `lt_walk_length_steps` histogram rebuilt from the
-    /// log₂ buckets. Values are `set`, so re-publishing overwrites.
+    /// names, plus the `lt_walk_length_steps` histogram of the log₂
+    /// buckets. Values are `set`, so re-publishing overwrites. The
+    /// makespan is the device's `lt_gpu_makespan_ns`.
     pub fn publish(&self, registry: &MetricRegistry) {
-        let series: [(&str, &str, u64); 20] = [
+        let series: [(&str, &str, u64); 19] = [
             (
                 "lt_engine_iterations_total",
                 "Scheduler iterations",
@@ -261,11 +262,6 @@ impl Metrics {
                 self.recoveries,
             ),
             (
-                "lt_engine_makespan_ns",
-                "Simulated wall time of the run",
-                self.makespan_ns,
-            ),
-            (
                 "lt_engine_epochs_total",
                 "Graph mutation epochs sealed",
                 self.epochs,
@@ -302,22 +298,21 @@ impl Metrics {
         registry
             .gauge("lt_engine_pool_hit_rate", "Graph-pool hit rate", &[])
             .set(self.graph_pool_hit_rate());
-        if !self.length_histogram.is_empty() {
-            // Rebuild the log₂ histogram: one finite bucket per power of
-            // two, observations placed at each bucket's upper bound.
-            let bounds: Vec<f64> = (0..self.length_histogram.len())
-                .map(|i| ((1u64 << (i + 1)) - 1) as f64)
-                .collect();
-            let h = registry.histogram(
+        // One finite bucket per power of two, each observation counted at
+        // its bucket's upper bound; nothing lands past the last one.
+        let bounds: Vec<f64> = (0..self.length_histogram.len())
+            .map(|i| ((1u64 << (i + 1)) - 1) as f64)
+            .collect();
+        let mut counts = self.length_histogram.clone();
+        counts.push(0);
+        let sum = bounds.iter().zip(&counts).map(|(b, &c)| b * c as f64).sum();
+        registry
+            .histogram(
                 "lt_walk_length_steps",
                 "Finished walk lengths in steps",
                 &[],
-                &bounds,
-            );
-            for (i, &count) in self.length_histogram.iter().enumerate() {
-                h.observe_n(bounds[i], count);
-            }
-        }
+            )
+            .set(&bounds, &counts, sum);
     }
 }
 

@@ -1,244 +1,146 @@
-//! The engine's observability surface: one call
-//! ([`LightTraffic::telemetry`]) snapshots everything the
-//! telemetry layer can derive from a run — a metric registry filled from
-//! [`Metrics`] and [`lt_gpusim::GpuStats`], the pipeline-bubble analysis
-//! of the recorded op log, and the straggler report over the iteration
-//! series.
+//! The engine's metrics export: [`LightTraffic::publish`] is the one
+//! projection of engine and device state into a [`MetricRegistry`]. The
+//! CLI's `--metrics-out` file and the server's `metrics` op both render
+//! what it writes.
 //!
 //! Everything here is a *pull*: the engine keeps its plain counters and
-//! this module projects them into [`lt_telemetry`] types on demand, so
-//! runs without observers pay nothing.
+//! this module projects them on demand, so runs without observers pay
+//! nothing. Every value is `set`, never added, so publishing again into
+//! a long-lived registry overwrites instead of double-counting.
 
 use crate::engine::LightTraffic;
-use crate::metrics::{IterationRecord, Metrics};
-use lt_telemetry::{
-    straggler_report, IterationSample, MetricRegistry, PipelineReport, StragglerReport,
-    TrafficReport, SHARED_TAG,
-};
-
-/// A point-in-time projection of a run into the telemetry layer.
-pub struct TelemetrySnapshot {
-    /// Engine + device counters, ready for Prometheus export.
-    pub registry: MetricRegistry,
-    /// Per-engine utilization, bubbles, and compute/copy overlap — present
-    /// when the device recorded its op log
-    /// ([`lt_gpusim::GpuConfig::record_ops`]).
-    pub pipeline: Option<PipelineReport>,
-    /// Straggler-tail analysis of the iteration series — present when
-    /// [`crate::EngineConfig::record_iterations`] is set and at least one
-    /// iteration ran.
-    pub stragglers: Option<StragglerReport>,
-    /// Per-tag/per-partition traffic attribution — present when
-    /// [`crate::EngineConfig::attribution`] is on. Top-8 hot partitions.
-    pub traffic: Option<TrafficReport>,
-}
-
-impl TelemetrySnapshot {
-    /// Render the registry in the Prometheus text exposition format.
-    pub fn prometheus(&self) -> String {
-        self.registry.render_prometheus()
-    }
-}
-
-/// Project iteration records into the analyzer's sample type.
-pub fn iteration_samples(records: &[IterationRecord]) -> Vec<IterationSample> {
-    records
-        .iter()
-        .map(|r| IterationSample {
-            index: r.index,
-            start_ns: r.start_ns,
-            walks: r.walks,
-        })
-        .collect()
-}
+use lt_telemetry::MetricRegistry;
 
 impl LightTraffic {
-    /// Snapshot the run's observability surface: a metric registry filled
-    /// from engine and device counters, the pipeline-bubble analysis (when
-    /// the op log is recorded), and the straggler report (when iterations
-    /// are recorded). Callable at any pause and after [`Self::finish`].
-    pub fn telemetry(&self) -> TelemetrySnapshot {
-        snapshot(self)
-    }
-}
-
-fn snapshot(engine: &LightTraffic) -> TelemetrySnapshot {
-    let registry = MetricRegistry::new();
-    let gpu_stats = engine.gpu().stats();
-    // Mid-run the metrics struct lags the device for the run-end fields;
-    // publish a view with those filled so the export is self-consistent.
-    let mut m: Metrics = engine.metrics().clone();
-    m.makespan_ns = gpu_stats.makespan_ns;
-    m.faults_injected = gpu_stats.faults_injected;
-    m.publish(&registry);
-    gpu_stats.publish(&registry);
-    // Evolving-graph clock and reload traffic (DESIGN.md §15). Both are
-    // schedule-deterministic: the epoch advances only at explicit seal
-    // calls and reload bytes mirror the device's graph_reload category.
-    registry
-        .gauge(
-            "lt_graph_epoch",
-            "Current evolving-graph epoch (0 = static graph)",
-            &[],
-        )
-        .set(engine.epoch() as f64);
-    registry
-        .counter(
-            "lt_reload_bytes_total",
-            "Bytes re-copied to refresh resident partitions after epoch seals",
-            &[],
-        )
-        .set(m.reload_bytes);
-    registry
-        .counter(
-            "lt_host_decode_bytes_total",
-            "Uncompressed bytes decoded from the out-of-core store into host memory",
-            &[],
-        )
-        .set(m.host_decode_bytes);
-    // Device walk-pool occupancy (DESIGN.md §10). Both gauges derive from
-    // the schedule alone, so the export stays bit-identical across
-    // `kernel_threads` settings.
-    registry
-        .gauge(
-            "lt_walk_pool_walkers",
-            "Walkers resident in the device walk pool",
-            &[],
-        )
-        .set(engine.device_pool().total() as f64);
-    registry
-        .gauge(
-            "lt_walk_pool_free_blocks",
-            "Blocks on the device walk pool's free list",
-            &[],
-        )
-        .set(engine.device_pool().free_blocks() as f64);
-    // Persistent-executor activity (DESIGN.md §11). All
-    // values are host-side observations — like the `host_*` metrics they
-    // never feed back into simulated outputs, so they are exported here,
-    // on the pull side, and never emitted into the deterministic event
-    // stream.
-    if let Some(es) = engine.exec_stats() {
+    /// Publish the run so far into `registry`: the `lt_engine_*` counters
+    /// and walk-length histogram ([`crate::Metrics::publish`]), the
+    /// `lt_gpu_*` device counters ([`lt_gpusim::GpuStats::publish`]), the
+    /// epoch and walk-pool gauges, the `lt_exec_*` executor series, and —
+    /// under [`crate::EngineConfig::attribution`] — link bytes for every
+    /// partition that has moved any, plus the zero-copy totals.
+    /// Callable at any pause and after [`Self::finish`].
+    pub fn publish(&self, registry: &MetricRegistry) {
+        self.metrics().publish(registry);
+        self.gpu().stats().publish(registry);
+        // Evolving-graph clock and reload traffic (DESIGN.md §15). Both are
+        // schedule-deterministic: the epoch advances only at explicit seal
+        // calls and reload bytes mirror the device's graph_reload category.
         registry
-            .gauge("lt_exec_workers", "Persistent executor worker threads", &[])
-            .set(es.workers as f64);
-        registry
-            .counter("lt_exec_tasks_total", "Indices run by pool workers", &[])
-            .set(es.tasks);
+            .gauge(
+                "lt_graph_epoch",
+                "Current evolving-graph epoch (0 = static graph)",
+                &[],
+            )
+            .set(self.epoch() as f64);
         registry
             .counter(
-                "lt_exec_caller_tasks_total",
-                "Indices run by calling threads",
+                "lt_reload_bytes_total",
+                "Bytes re-copied to refresh resident partitions after epoch seals",
                 &[],
             )
-            .set(es.caller_tasks);
+            .set(self.metrics().reload_bytes);
+        // Device walk-pool occupancy (DESIGN.md §10). Both gauges derive from
+        // the schedule alone, so the export stays bit-identical across
+        // `kernel_threads` settings.
         registry
             .gauge(
-                "lt_exec_busy_ns",
-                "Host nanoseconds pool workers spent running indices",
+                "lt_walk_pool_walkers",
+                "Walkers resident in the device walk pool",
                 &[],
             )
-            .set(es.busy_ns as f64);
-        let capacity_ns = es.workers as u64 * es.uptime_ns;
+            .set(self.device_pool().total() as f64);
         registry
             .gauge(
-                "lt_exec_worker_utilization",
-                "Fraction of pool capacity spent running indices",
+                "lt_walk_pool_free_blocks",
+                "Blocks on the device walk pool's free list",
                 &[],
             )
-            .set(if capacity_ns == 0 {
-                0.0
-            } else {
-                (es.busy_ns as f64 / capacity_ns as f64).min(1.0)
-            });
-    }
-    // Traffic attribution (DESIGN.md §14), present only under
-    // [`crate::EngineConfig::attribution`]. Like the ledger itself the
-    // export is strictly pull-side: labeled series are projected from the
-    // scheduler-written cells here and never feed back into the engine.
-    let traffic = engine.traffic_ledger().map(|l| {
-        let tag_label = |tag: u32| {
-            if tag == SHARED_TAG {
-                "shared".to_string()
-            } else {
-                tag.to_string()
-            }
-        };
-        for cell in l.cells() {
-            let t = tag_label(cell.tag);
-            let p = cell.partition.to_string();
-            for (dir, bytes) in [
-                ("h2d", cell.h2d_bytes),
-                ("d2h", cell.d2h_bytes),
-                ("reload", cell.reload_bytes),
-                ("host_load", cell.host_load_bytes),
-            ] {
-                if bytes > 0 {
+            .set(self.device_pool().free_blocks() as f64);
+        // Persistent-executor activity (DESIGN.md §11). All values are
+        // host-side observations — like the `host_*` metrics they never
+        // feed back into simulated outputs, so they are exported here, on
+        // the pull side, and never emitted into the deterministic event
+        // stream.
+        if let Some(es) = self.exec_stats() {
+            registry
+                .gauge("lt_exec_workers", "Persistent executor worker threads", &[])
+                .set(es.workers as f64);
+            registry
+                .counter("lt_exec_tasks_total", "Indices run by pool workers", &[])
+                .set(es.tasks);
+            registry
+                .counter(
+                    "lt_exec_caller_tasks_total",
+                    "Indices run by calling threads",
+                    &[],
+                )
+                .set(es.caller_tasks);
+            registry
+                .gauge(
+                    "lt_exec_busy_ns",
+                    "Host nanoseconds pool workers spent running indices",
+                    &[],
+                )
+                .set(es.busy_ns as f64);
+            let capacity_ns = es.workers as u64 * es.uptime_ns;
+            registry
+                .gauge(
+                    "lt_exec_worker_utilization",
+                    "Fraction of pool capacity spent running indices",
+                    &[],
+                )
+                .set(if capacity_ns == 0 {
+                    0.0
+                } else {
+                    (es.busy_ns as f64 / capacity_ns as f64).min(1.0)
+                });
+        }
+        // Traffic attribution (DESIGN.md §14). Per-job traffic stays with
+        // the ledger's report; the registry carries only series whose
+        // count is bounded by the partition table, never by the jobs run.
+        // A partition's link bytes only grow, so once published its series
+        // is rewritten by every later publish and never left stale.
+        if let Some(l) = self.traffic_ledger() {
+            let report = l.report(usize::MAX);
+            for p in &report.hot_partitions {
+                if p.h2d_bytes + p.d2h_bytes == 0 {
+                    continue;
+                }
+                let part = p.partition.to_string();
+                for (dir, bytes) in [("h2d", p.h2d_bytes), ("d2h", p.d2h_bytes)] {
                     registry
                         .counter(
-                            "lt_traffic_bytes_total",
-                            "Bytes attributed to (tag, partition, direction); host_load is the host tier, not the link",
-                            &[("tag", &t), ("partition", &p), ("direction", dir)],
+                            "lt_traffic_partition_bytes_total",
+                            "CPU-GPU link bytes per graph partition and direction",
+                            &[("partition", &part), ("direction", dir)],
                         )
                         .set(bytes);
                 }
             }
-        }
-        let report = l.report(8);
-        for tag in &report.tags {
-            let t = tag_label(tag.tag);
             registry
                 .counter(
-                    "lt_traffic_tag_steps_total",
-                    "Walker steps executed per job tag",
-                    &[("tag", &t)],
+                    "lt_traffic_zero_copy_bytes_total",
+                    "Link bytes moved by zero-copy kernel reads",
+                    &[],
                 )
-                .set(tag.steps);
+                .set(report.zero_copy_bytes);
             registry
                 .gauge(
-                    "lt_traffic_tag_bytes_per_step",
-                    "Link bytes moved per executed step, per job tag",
-                    &[("tag", &t)],
+                    "lt_traffic_zero_copy_saved_bytes",
+                    "Explicit-load bytes avoided by zero-copy kernels",
+                    &[],
                 )
-                .set(tag.bytes_per_step);
+                .set(report.zero_copy_saved_bytes as f64);
         }
-        registry
-            .counter(
-                "lt_traffic_zero_copy_bytes_total",
-                "Link bytes moved by zero-copy kernel reads",
-                &[],
-            )
-            .set(report.zero_copy_bytes);
-        registry
-            .gauge(
-                "lt_traffic_zero_copy_saved_bytes",
-                "Explicit-load bytes avoided by zero-copy kernels",
-                &[],
-            )
-            .set(report.zero_copy_saved_bytes as f64);
-        report
-    });
-    let pipeline = {
-        let ops = engine.gpu().op_log();
-        (!ops.is_empty()).then(|| lt_gpusim::analyze_op_log(&ops))
-    };
-    let stragglers = engine
-        .iteration_records()
-        .and_then(|r| straggler_report(&iteration_samples(r), gpu_stats.makespan_ns));
-    TelemetrySnapshot {
-        registry,
-        pipeline,
-        stragglers,
-        traffic,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::algorithm::PageRank;
-    use crate::engine::EngineConfig;
+    use crate::algorithm::{PageRank, Ppr};
+    use crate::engine::{EngineConfig, LightTraffic};
     use lt_graph::gen::{rmat, RmatParams};
+    use lt_telemetry::MetricRegistry;
     use std::sync::Arc;
 
     fn graph() -> Arc<lt_graph::Csr> {
@@ -253,45 +155,82 @@ mod tests {
         )
     }
 
+    fn render(e: &LightTraffic) -> String {
+        let registry = MetricRegistry::new();
+        e.publish(&registry);
+        registry.render_prometheus()
+    }
+
     #[test]
-    fn snapshot_covers_registry_pipeline_and_stragglers() {
+    fn publish_covers_engine_device_pool_and_attribution_series() {
         let cfg = EngineConfig {
             batch_capacity: 256,
-            record_iterations: true,
-            gpu: lt_gpusim::GpuConfig {
-                record_ops: true,
-                ..Default::default()
-            },
+            attribution: true,
             ..EngineConfig::light_traffic(16 << 10, 4)
         };
         let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
         e.inject_walks(2_000);
-        let t = e.telemetry();
-        // Before any work: registry renders, no ops, no iterations.
-        assert!(t.prometheus().contains("lt_engine_iterations_total 0"));
-        assert!(t.pipeline.is_none());
-        assert!(t.stragglers.is_none());
+        // Before any work the export already renders.
+        assert!(render(&e).contains("lt_engine_iterations_total 0\n"));
         let r = e.finish().unwrap();
-        let t = e.telemetry();
-        let text = t.prometheus();
-        assert!(text.contains("lt_engine_finished_walks_total 2000"));
-        assert!(text.contains("lt_gpu_makespan_ns"));
+        let text = render(&e);
+        assert!(text.contains("lt_engine_finished_walks_total 2000\n"));
+        assert!(text.contains(&format!("lt_gpu_makespan_ns {}\n", r.gpu.makespan_ns)));
         assert!(text.contains("lt_walk_length_steps_bucket"));
-        assert!(
-            text.contains("lt_walk_pool_walkers "),
-            "walk-pool occupancy gauges missing from the export"
-        );
+        assert!(text.contains("lt_walk_pool_walkers "));
         assert!(text.contains("lt_walk_pool_free_blocks "));
-        let p = t.pipeline.expect("op log was recorded");
-        assert_eq!(p.makespan_ns, r.metrics.makespan_ns);
-        assert!(p.tracks.iter().any(|tr| tr.busy_ns > 0));
-        let st = t.stragglers.expect("iterations were recorded");
-        assert_eq!(st.iterations, r.metrics.iterations);
-        assert!(st.max_walks > 0);
+        assert!(text.contains("lt_graph_epoch 0\n"));
+        assert!(text.contains("lt_traffic_partition_bytes_total{"));
+        assert!(text.contains("lt_traffic_zero_copy_bytes_total "));
+        // Each value has one series: the device's makespan and decode
+        // bytes are not repeated under engine names.
+        for gone in [
+            "lt_engine_makespan_ns",
+            "lt_host_decode_bytes_total",
+            "tag=\"",
+        ] {
+            assert!(!text.contains(gone), "{gone} is still exported");
+        }
     }
 
     #[test]
-    fn snapshot_always_publishes_executor_series() {
+    fn publishing_again_overwrites_instead_of_adding() {
+        // Attribution on over more than 16 small partitions, so the
+        // per-partition series outnumber any top-k cut; no executor
+        // workers, so the host-clock utilization gauge reads 0 in both.
+        let cfg = EngineConfig {
+            batch_capacity: 256,
+            attribution: true,
+            ..EngineConfig::light_traffic(1 << 10, 4)
+        };
+        let mut e = LightTraffic::new(graph(), Arc::new(Ppr::new(0, 0.15)), cfg).unwrap();
+        let hottest = |e: &LightTraffic| -> Vec<u32> {
+            let report = e.traffic_ledger().unwrap().report(16);
+            report.hot_partitions.iter().map(|p| p.partition).collect()
+        };
+        let long_lived = MetricRegistry::new();
+        e.run(20).unwrap();
+        e.publish(&long_lived);
+        let buckets = e.metrics().length_histogram.len();
+        let hot_before = hottest(&e);
+        // More walks, and longer ones: PPR's geometric lengths reach new
+        // log₂ buckets, so the histogram's bounds change as well, and the
+        // hot partition set shifts.
+        e.run(4_000).unwrap();
+        assert!(e.metrics().length_histogram.len() > buckets);
+        assert_ne!(hottest(&e), hot_before);
+        e.publish(&long_lived);
+        let text = long_lived.render_prometheus();
+        assert_eq!(text, render(&e));
+        let series = text
+            .lines()
+            .filter(|l| l.starts_with("lt_traffic_partition_bytes_total{"))
+            .count();
+        assert!(series > 2 * 16, "only {series} partition series");
+    }
+
+    #[test]
+    fn publish_always_carries_executor_series() {
         // `kernel_threads: 1` never dispatches a kernel chunk; the series
         // must be there all the same.
         for kernel_threads in [1, 4] {
@@ -302,7 +241,7 @@ mod tests {
             };
             let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
             e.run(2_000).unwrap();
-            let text = e.telemetry().prometheus();
+            let text = render(&e);
             for series in [
                 "lt_exec_workers",
                 "lt_exec_tasks_total",

@@ -105,11 +105,6 @@ impl HostWalkPool {
         self.total
     }
 
-    /// Number of host batches of `part`.
-    pub fn num_batches(&self, part: PartitionId) -> usize {
-        self.queues[part as usize].len()
-    }
-
     /// Most walkers ever resident on the host at once — the CPU-memory
     /// footprint the paper's out-of-memory walk index pays for its
     /// scalability (walk index bytes = peak × S_w).
@@ -439,12 +434,14 @@ mod tests {
             hp.insert(1, walker(i));
         }
         assert_eq!(hp.count(1), 5);
-        assert_eq!(hp.num_batches(1), 3);
         assert_eq!(hp.total(), 5);
         let b = hp.pop_batch(1).unwrap();
         assert_eq!(b.len(), 2);
         assert_eq!(hp.count(1), 3);
         assert!(hp.pop_batch(0).is_none());
+        // Five walkers in batches of two: three batches in all.
+        let rest: Vec<usize> = std::iter::from_fn(|| hp.pop_batch(1).map(|b| b.len())).collect();
+        assert_eq!((rest.len(), rest.iter().sum::<usize>()), (2, 3));
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod fault;
 pub mod pool;
 pub mod sim;
 pub mod stats;
-pub mod telemetry;
 pub mod trace;
 
 pub use cost::{CostModel, KernelCost};
@@ -41,4 +40,3 @@ pub use lt_telemetry::{EventBus, Level};
 pub use pool::BlockPool;
 pub use sim::{Allocation, Direction, Gpu, GpuConfig, OpRecord, StreamId};
 pub use stats::{Category, GpuStats};
-pub use telemetry::{analyze_op_log, engine_analyzer_config, op_spans, ENGINE_NAMES};

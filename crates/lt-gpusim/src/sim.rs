@@ -1009,6 +1009,59 @@ mod tests {
     }
 
     #[test]
+    fn engine_busy_counters_equal_summed_op_durations() {
+        // Utilization is busy / makespan off these counters (DESIGN.md
+        // §9), so on a pipelined run each engine's busy time must be
+        // exactly the summed durations of its ops in the log.
+        let g = Gpu::new(GpuConfig {
+            record_ops: true,
+            ..Default::default()
+        });
+        let load = g.create_stream("load");
+        let comp = g.create_stream("comp");
+        let evict = g.create_stream("evict");
+        for i in 0..8u64 {
+            g.copy_async(
+                Direction::HostToDevice,
+                (i + 1) << 18,
+                Category::WalkLoad,
+                load,
+            )
+            .unwrap();
+            g.kernel_async(
+                KernelCost {
+                    update_ns: 40_000 + i * 1_000,
+                    reshuffle_ns: 5_000,
+                    zero_copy_bytes: if i % 2 == 0 { 1 << 16 } else { 0 },
+                    ..Default::default()
+                },
+                Category::Compute,
+                comp,
+            );
+            g.copy_async(Direction::DeviceToHost, 1 << 17, Category::WalkEvict, evict)
+                .unwrap();
+        }
+        g.device_synchronize();
+        let ops = g.op_log();
+        let stats = g.stats();
+        let summed = |engine: usize| -> Nanos {
+            ops.iter()
+                .filter(|o| o.engine == engine)
+                .map(|o| o.end - o.start)
+                .sum()
+        };
+        assert_eq!(stats.h2d_busy_ns, summed(0));
+        assert_eq!(stats.d2h_busy_ns, summed(1));
+        assert_eq!(stats.compute_busy_ns, summed(2));
+        assert_eq!(stats.makespan_ns, ops.iter().map(|o| o.end).max().unwrap());
+        // Pipelined: the engines overlap, so busy time sums past the
+        // makespan while no single engine exceeds it.
+        let busy = [stats.h2d_busy_ns, stats.d2h_busy_ns, stats.compute_busy_ns];
+        assert!(busy.iter().all(|&b| b > 0 && b <= stats.makespan_ns));
+        assert!(busy.iter().sum::<Nanos>() > stats.makespan_ns);
+    }
+
+    #[test]
     fn makespan_is_max_completion() {
         let g = gpu();
         let s = g.create_stream("s");

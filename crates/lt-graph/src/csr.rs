@@ -7,7 +7,7 @@
 //! supports temporal walks (edges are traversable only inside a sliding
 //! window relative to the walker's current edge time — DESIGN.md §15).
 
-use crate::{EdgeIndex, GraphError, VertexId, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES};
+use crate::{GraphError, VertexId, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES};
 use std::sync::OnceLock;
 
 /// The most copies of one target any row of `offsets`/`edges` holds, at
@@ -188,13 +188,6 @@ impl Csr {
         self.edges[(base + k) as usize]
     }
 
-    /// Range of edge-array indices owned by `v`.
-    #[inline]
-    pub fn edge_range(&self, v: VertexId) -> std::ops::Range<EdgeIndex> {
-        let v = v as usize;
-        self.offsets[v]..self.offsets[v + 1]
-    }
-
     /// Raw offsets array (length `num_vertices + 1`).
     #[inline]
     pub fn offsets(&self) -> &[u64] {
@@ -298,7 +291,7 @@ mod tests {
         let g = small();
         assert_eq!(g.neighbor(3, 0), 0);
         assert_eq!(g.neighbor(3, 2), 2);
-        assert_eq!(g.edge_range(3), 3..6);
+        assert_eq!(&g.offsets()[3..5], &[3, 6]);
     }
 
     #[test]

@@ -25,7 +25,6 @@ use lt_engine::{
     JobStatus, JobTable, LightTraffic, Walker,
 };
 use lt_graph::{Csr, VertexId};
-use lt_telemetry::chrome::ChromeTraceBuilder;
 use lt_telemetry::{
     derive_trace_id, log2_histogram_percentile, EventBus, FieldValue, JobPhase, JobTrace,
     LengthPercentiles, Level, MetricRegistry, TrafficReport, SHARED_TAG,
@@ -35,11 +34,6 @@ use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Chrome-trace pid base for per-job tracks: devices occupy pids
-/// `0..device_count`, jobs sit far above so the two namespaces never
-/// collide (the trace builder dedupes metadata by pid regardless).
-const JOB_TRACK_PID_BASE: u64 = 1000;
 
 /// Serving-layer configuration over the engine's.
 #[derive(Clone, Debug)]
@@ -903,20 +897,14 @@ impl Scheduler {
         }
     }
 
-    /// Refresh every attribution series in the registry from current
-    /// ledger/GPU/histogram state. The pump never publishes these — they
-    /// are pull-side only — so anyone reading the registry directly must
-    /// call this first; the server's `metrics` and `traffic` ops do it
-    /// automatically.
+    /// Publish the engine's series ([`LightTraffic::publish`]), then the
+    /// ones that need the tag → tenant map: per-tenant link bytes and
+    /// step-latency quantiles. The pump never publishes — this is pure
+    /// pull, and nothing here is read back by the scheduler — so anyone
+    /// reading the registry directly must call this first; the server's
+    /// `metrics` and `traffic` ops do it automatically.
     pub fn refresh_observability(&self) {
-        self.publish_observability();
-    }
-
-    /// Project the quarantined attribution state — GPU counters, the
-    /// traffic ledger, per-tenant latency histograms — into the metric
-    /// registry. Pure pull: nothing here is read back by the scheduler.
-    fn publish_observability(&self) {
-        self.engine.gpu().stats().publish(&self.registry);
+        self.engine.publish(&self.registry);
         if let Some(l) = self.engine.traffic_ledger() {
             let mut per_tenant: BTreeMap<String, (u64, u64)> = BTreeMap::new();
             for c in l.cells() {
@@ -933,18 +921,6 @@ impl Scheduler {
                             "lt_server_tenant_traffic_bytes_total",
                             "CPU-GPU link bytes attributed per tenant and direction",
                             &[("tenant", &tenant), ("direction", dir)],
-                        )
-                        .set(bytes);
-                }
-            }
-            for p in l.report(16).hot_partitions {
-                let part = p.partition.to_string();
-                for (dir, bytes) in [("h2d", p.h2d_bytes), ("d2h", p.d2h_bytes)] {
-                    self.registry
-                        .counter(
-                            "lt_traffic_partition_bytes_total",
-                            "CPU-GPU link bytes per graph partition and direction",
-                            &[("partition", &part), ("direction", dir)],
                         )
                         .set(bytes);
                 }
@@ -974,12 +950,6 @@ impl Scheduler {
     /// (`None` when attribution is disabled).
     pub fn traffic_report(&self, top_k: usize) -> Option<TrafficReport> {
         self.engine.traffic_ledger().map(|l| l.report(top_k))
-    }
-
-    /// Full telemetry snapshot of the underlying engine (registry,
-    /// pipeline report, stragglers, traffic report).
-    pub fn telemetry(&self) -> lt_engine::TelemetrySnapshot {
-        self.engine.telemetry()
     }
 
     /// Build a job's flight-record JSONL on demand: a meta line, the
@@ -1022,57 +992,6 @@ impl Scheduler {
             let _ = std::fs::create_dir_all(dir);
             let _ = std::fs::write(dir.join(format!("flight-job{id}-{reason}.jsonl")), dump);
         }
-    }
-
-    /// Chrome trace of the whole service: the device's engine rows
-    /// (when the op log was recorded) plus one process per job whose
-    /// single row renders the phase spans on the simulated clock.
-    pub fn chrome_trace(&self) -> String {
-        let mut b = ChromeTraceBuilder::new();
-        let gpu = self.engine.gpu();
-        lt_gpusim::trace::render_devices_into(
-            &mut b,
-            &[lt_gpusim::trace::DeviceTrace {
-                name: "gpu 0".to_string(),
-                ops: gpu.op_log(),
-                faults: gpu.fault_log(),
-            }],
-        );
-        for j in &self.jobs {
-            let pid = JOB_TRACK_PID_BASE + j.id.0;
-            b.process_name(pid, &format!("job {} ({})", j.id.0, j.tenant));
-            b.thread_name(pid, 0, "phase");
-            let spans: Vec<_> = j.trace.spans().collect();
-            for w in spans.windows(2) {
-                b.span(
-                    pid,
-                    0,
-                    w[0].phase.as_str(),
-                    "job",
-                    w[0].sim_ns,
-                    w[1].sim_ns,
-                    serde_json::json!({
-                        "step_clock": w[0].step_clock,
-                        "detail": w[0].detail,
-                        "trace_id": format!("{:016x}", j.trace.trace_id),
-                    }),
-                );
-            }
-            if let Some(last) = spans.last() {
-                b.instant(
-                    pid,
-                    0,
-                    last.phase.as_str(),
-                    "job",
-                    last.sim_ns,
-                    serde_json::json!({
-                        "step_clock": last.step_clock,
-                        "detail": last.detail,
-                    }),
-                );
-            }
-        }
-        b.build()
     }
 
     /// Pump rounds executed.

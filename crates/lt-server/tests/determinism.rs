@@ -265,9 +265,10 @@ fn attribution_changes_no_result_and_no_device_counter() {
             .iter()
             .map(|&id| sched.result(id).unwrap().clone())
             .collect();
+        sched.refresh_observability();
         let device: Vec<String> = sched
-            .telemetry()
-            .prometheus()
+            .registry()
+            .render_prometheus()
             .lines()
             .filter(|l| l.starts_with("lt_gpu_"))
             .map(String::from)
@@ -314,7 +315,8 @@ fn pooled_server_matches_the_serial_one() {
             .iter()
             .map(|&id| sched.result(id).unwrap().clone())
             .collect();
-        let text = sched.telemetry().prometheus();
+        sched.refresh_observability();
+        let text = sched.registry().render_prometheus();
         let series = |name: &str| -> u64 {
             text.lines()
                 .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))

@@ -1,27 +1,32 @@
 //! Serving-layer observability acceptance: the attribution tentpole's
 //! user-visible surfaces — labeled Prometheus series, the traffic
-//! report, per-job traces, the composite Chrome trace, and on-demand
-//! flight records — all agree with each other and with the device's own
-//! counters after a multi-tenant run.
+//! report, per-job traces, and on-demand flight records — all agree with
+//! each other and with the device's own counters after a multi-tenant
+//! run, and the served registry carries the engine's own series.
 
-use lt_engine::{EngineConfig, JobSpec, JobStatus};
+use lt_engine::{EngineConfig, JobSpec, JobStatus, LightTraffic, UniformSampling};
 use lt_graph::gen::{rmat, RmatParams};
+use lt_graph::Csr;
 use lt_server::{Scheduler, ServerConfig};
-use lt_telemetry::derive_trace_id;
+use lt_telemetry::{derive_trace_id, MetricRegistry};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-fn scheduler() -> Scheduler {
-    let g = Arc::new(
+fn graph() -> Arc<Csr> {
+    Arc::new(
         rmat(RmatParams {
             scale: 9,
             edge_factor: 8,
             ..Default::default()
         })
         .csr,
-    );
+    )
+}
+
+fn scheduler() -> Scheduler {
     let mut cfg = ServerConfig::new(EngineConfig::light_traffic(8 << 10, 4));
     cfg.tranche_walkers = 64;
-    Scheduler::new(g, cfg).expect("scheduler builds")
+    Scheduler::new(graph(), cfg).expect("scheduler builds")
 }
 
 /// Sum every sample of `name` in the Prometheus text that carries all of
@@ -41,6 +46,21 @@ fn prom_sum(text: &str, name: &str, label_filters: &[(&str, &str)]) -> u64 {
         }
     }
     sum
+}
+
+/// The value of the unlabeled sample `name`, if the text carries it.
+fn prom_value(text: &str, name: &str) -> Option<f64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+/// Family names from the `# TYPE` headers that start with `prefix`.
+fn prom_families(text: &str, prefix: &str) -> BTreeSet<String> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .filter(|name| name.starts_with(prefix))
+        .map(String::from)
+        .collect()
 }
 
 /// Distinct values of `label` across all samples of `name`.
@@ -147,9 +167,56 @@ fn tenant_traffic_series_sum_to_global_copy_bytes() {
     assert_eq!(quantiles, vec!["p50", "p95", "p99", "p999"]);
 }
 
+/// The served registry is the engine's export plus the server's own
+/// series: the `lt_engine_*` counters match what the jobs report, and the
+/// `lt_engine_*`, `lt_gpu_*` and `lt_exec_*` families are exactly those a
+/// direct [`LightTraffic::publish`] writes.
+#[test]
+fn served_registry_carries_the_engine_families() {
+    let mut sched = scheduler();
+    let ids: Vec<_> = ["acme", "beta", "corp", "dune"]
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            sched
+                .submit(t, JobSpec::deepwalk(150 + 25 * i as u64, 8, i as u64))
+                .expect("submit")
+                .0
+        })
+        .collect();
+    sched.run_until_idle().expect("run completes");
+    sched.refresh_observability();
+    let text = sched.registry().render_prometheus();
+
+    let finished: u64 = ids
+        .iter()
+        .map(|&id| sched.result(id).expect("done jobs keep results").finished)
+        .sum();
+    assert_eq!(finished, 150 + 175 + 200 + 225);
+    assert_eq!(
+        prom_value(&text, "lt_engine_finished_walks_total"),
+        Some(finished as f64)
+    );
+    assert!(prom_value(&text, "lt_exec_workers").is_some());
+
+    let direct = MetricRegistry::new();
+    LightTraffic::new(
+        graph(),
+        Arc::new(UniformSampling::new(8)),
+        EngineConfig::light_traffic(8 << 10, 4),
+    )
+    .expect("engine builds")
+    .publish(&direct);
+    let direct = direct.render_prometheus();
+    for prefix in ["lt_engine_", "lt_gpu_", "lt_exec_"] {
+        let served = prom_families(&text, prefix);
+        assert!(!served.is_empty(), "no {prefix}* families served");
+        assert_eq!(served, prom_families(&direct, prefix), "{prefix}*");
+    }
+}
+
 /// Per-job traces: deterministic trace ids, a full lifecycle span
-/// stream, a composite Chrome trace with one named track per job, and a
-/// parseable on-demand flight record.
+/// stream, and a parseable on-demand flight record.
 #[test]
 fn job_traces_and_flight_records_are_complete() {
     let mut sched = scheduler();
@@ -169,25 +236,6 @@ fn job_traces_and_flight_records_are_complete() {
         );
         assert!(t.last().unwrap().step_clock > 0, "done span carries steps");
     }
-
-    let trace = sched.chrome_trace();
-    let v: serde_json::Value = serde_json::from_str(&trace).expect("valid trace JSON");
-    let names: Vec<&str> = v
-        .as_array()
-        .unwrap()
-        .iter()
-        .filter(|e| e["name"] == "process_name")
-        .filter_map(|e| e["args"]["name"].as_str())
-        .collect();
-    assert!(names.contains(&"gpu 0"), "device track missing");
-    assert!(
-        names.contains(&"job 0 (acme)"),
-        "job track missing: {names:?}"
-    );
-    assert!(
-        names.contains(&"job 1 (beta)"),
-        "job track missing: {names:?}"
-    );
 
     let dump = sched.flight_record(a, "inspect").expect("flight record");
     let lines: Vec<serde_json::Value> = dump

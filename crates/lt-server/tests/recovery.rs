@@ -47,7 +47,8 @@ fn serve(fatal_faults: bool) -> (JobResult, u64) {
         }
     }
     assert_eq!(sched.status(id), Some(JobStatus::Done));
-    let text = sched.telemetry().prometheus();
+    sched.refresh_observability();
+    let text = sched.registry().render_prometheus();
     let recoveries = text
         .lines()
         .find_map(|l| l.strip_prefix("lt_engine_recoveries_total "))

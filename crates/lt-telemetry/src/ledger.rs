@@ -34,8 +34,8 @@
 //! quantities only (byte counts, tags, partitions — never host wall
 //! time), so its contents are bit-identical across `kernel_threads` and
 //! retryable-fault plans. It is *read* only
-//! pull-side — `LightTraffic::telemetry()`, the server's metric publication —
-//! and never feeds an event stream or a scheduling decision, so enabling
+//! pull-side — by `LightTraffic::publish` and the server's per-tenant
+//! series — and never feeds an event stream or a scheduling decision, so enabling
 //! attribution cannot perturb any deterministic fingerprint.
 //!
 //! Bytes with no owning job (graph-partition loads serve whoever walks

@@ -1,23 +1,23 @@
 //! Unified telemetry for the LightTraffic workspace.
 //!
-//! The paper's core claims are *timeline* claims — the 3-phase pipeline
-//! overlap of Figure 8, the straggler dynamics of §III-E, the traffic
-//! breakdowns of Table III. This crate turns those from eyeball artifacts
-//! into data, with three pillars (DESIGN.md §9):
+//! The paper argues from counters: Table III's traffic rows and the
+//! load ‖ compute ‖ evict overlap of Figure 8. The engine and the
+//! simulator keep those counters exactly; this crate is how they leave
+//! the process (DESIGN.md §9):
 //!
 //! - **Structured events** ([`Event`], [`EventBus`]): every event carries
 //!   *both clocks* — the deterministic simulated nanosecond it describes
 //!   and the host wall nanosecond it was emitted at — plus a level, a
 //!   scope, and typed fields. Sinks are pluggable ([`EventSink`]): an
 //!   in-memory ring buffer ([`RingHandle`]) and a JSONL writer
-//!   ([`JsonlSink`]) ship here; the Chrome-trace exporter in `lt-gpusim`
-//!   renders through [`chrome::ChromeTraceBuilder`].
+//!   ([`JsonlSink`]) ship here.
 //! - **A metric registry** ([`MetricRegistry`]): counters, gauges, and
 //!   histograms with label sets, exported in the Prometheus text format.
-//!   `Metrics` and `GpuStats` publish into it.
-//! - **A pipeline analyzer** ([`pipeline::analyze`]): per-engine
-//!   utilization, bubble (idle-gap) intervals, the compute/copy overlap
-//!   ratio, and a straggler report from iteration records.
+//!   Every value is a snapshot that is *set*, so publishing again
+//!   overwrites; `LightTraffic::publish` is the one projection of engine
+//!   and device state into it.
+//! - **A traffic ledger** ([`TrafficLedger`]): link bytes attributed to
+//!   (tag, partition, direction), and per-job phase spans ([`JobTrace`]).
 //!
 //! # Determinism rules
 //!
@@ -34,10 +34,8 @@
 #![forbid(unsafe_code)]
 
 pub mod bus;
-pub mod chrome;
 pub mod event;
 pub mod ledger;
-pub mod pipeline;
 pub mod registry;
 pub mod span;
 
@@ -46,10 +44,6 @@ pub use event::{Event, FieldValue, Level};
 pub use ledger::{
     apportion_exact, PartitionHeat, TagTraffic, TrafficCell, TrafficDirection, TrafficLedger,
     TrafficReport, SHARED_TAG,
-};
-pub use pipeline::{
-    straggler_report, AnalyzerConfig, Bubble, IterationSample, PipelineReport, Span,
-    StragglerReport, TrackReport,
 };
 pub use registry::{
     log2_histogram_percentile, Counter, Gauge, Histogram, LengthPercentiles, MetricRegistry,

@@ -65,79 +65,35 @@ struct HistData {
     /// One count per finite bucket plus the trailing `+Inf` bucket.
     counts: Vec<u64>,
     sum: f64,
-    count: u64,
 }
 
-/// A histogram series with fixed bucket bounds.
+/// A histogram series. Like a [`Counter`] published with `set`, it holds
+/// a snapshot that is overwritten whole, so publishing an accumulated
+/// distribution twice never double-counts it.
 #[derive(Clone)]
 pub struct Histogram {
     data: Arc<Mutex<HistData>>,
 }
 
 impl Histogram {
-    /// Record one observation.
-    pub fn observe(&self, value: f64) {
-        self.observe_n(value, 1);
-    }
-
-    /// Record `n` observations of the same value (bulk publish).
-    pub fn observe_n(&self, value: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
+    /// Overwrite the snapshot. `bounds` are the inclusive upper bounds of
+    /// the finite buckets (strictly increasing), `counts` holds one count
+    /// per finite bucket plus one for the trailing `+Inf` bucket, and
+    /// `sum` is the sum of the observed values.
+    pub fn set(&self, bounds: &[f64], counts: &[u64], sum: f64) {
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly increasing"
+        );
+        assert_eq!(
+            counts.len(),
+            bounds.len() + 1,
+            "one count per finite bucket plus +Inf"
+        );
         let mut d = self.data.lock();
-        let idx = d
-            .bounds
-            .iter()
-            .position(|b| value <= *b)
-            .unwrap_or(d.bounds.len());
-        d.counts[idx] += n;
-        d.sum += value * n as f64;
-        d.count += n;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.data.lock().count
-    }
-
-    /// Sum of observed values.
-    pub fn sum(&self) -> f64 {
-        self.data.lock().sum
-    }
-
-    /// Estimate the `q`-quantile (`0 < q <= 1`) by linear interpolation
-    /// within the bucket holding the target rank. Observations in the
-    /// overflow (`+Inf`) bucket report the largest finite bound. Returns
-    /// `None` when the histogram is empty.
-    pub fn percentile(&self, q: f64) -> Option<f64> {
-        let d = self.data.lock();
-        if d.count == 0 {
-            return None;
-        }
-        let rank = (q * d.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, c) in d.counts.iter().enumerate() {
-            let prev = cum;
-            cum += c;
-            if cum >= rank {
-                if i >= d.bounds.len() {
-                    // Overflow bucket: no finite upper bound to interpolate
-                    // toward; report the last finite bound (or the sum-mean
-                    // when there are no finite buckets at all).
-                    return Some(d.bounds.last().copied().unwrap_or(d.sum / d.count as f64));
-                }
-                let lo = if i == 0 { 0.0 } else { d.bounds[i - 1] };
-                let hi = d.bounds[i];
-                let frac = if *c == 0 {
-                    1.0
-                } else {
-                    (rank - prev) as f64 / *c as f64
-                };
-                return Some(lo + (hi - lo) * frac);
-            }
-        }
-        None
+        d.bounds = bounds.to_vec();
+        d.counts = counts.to_vec();
+        d.sum = sum;
     }
 }
 
@@ -268,28 +224,16 @@ impl MetricRegistry {
         }
     }
 
-    /// Get or create a histogram series with the given finite bucket
-    /// bounds (must be strictly increasing; a `+Inf` bucket is implicit).
-    pub fn histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
+    /// Get or create a histogram series (empty until [`Histogram::set`]).
+    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
         let mut inner = self.inner.lock();
         let fam = Self::family(&mut inner, name, help, Kind::Histogram);
         let series = fam.series.entry(render_labels(labels)).or_insert_with(|| {
             Series::Histogram(Histogram {
                 data: Arc::new(Mutex::new(HistData {
-                    bounds: bounds.to_vec(),
-                    counts: vec![0; bounds.len() + 1],
+                    bounds: Vec::new(),
+                    counts: vec![0],
                     sum: 0.0,
-                    count: 0,
                 })),
             })
         });
@@ -324,10 +268,11 @@ impl MetricRegistry {
                             let le = bucket_labels(labels, &fmt_f64(*b));
                             out.push_str(&format!("{name}_bucket{le} {cum}\n"));
                         }
+                        let count: u64 = d.counts.iter().sum();
                         let le = bucket_labels(labels, "+Inf");
-                        out.push_str(&format!("{name}_bucket{le} {}\n", d.count));
+                        out.push_str(&format!("{name}_bucket{le} {count}\n"));
                         out.push_str(&format!("{name}_sum{labels} {}\n", fmt_f64(d.sum)));
-                        out.push_str(&format!("{name}_count{labels} {}\n", d.count));
+                        out.push_str(&format!("{name}_count{labels} {count}\n"));
                     }
                 }
             }
@@ -433,45 +378,19 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentile_empty_is_none() {
+    fn histogram_set_overwrites_the_snapshot() {
         let reg = MetricRegistry::new();
-        let h = reg.histogram("lt_lat_ns", "Latency", &[], &[10.0, 100.0]);
-        assert_eq!(h.percentile(0.5), None);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn histogram_percentile_single_bucket() {
-        let reg = MetricRegistry::new();
-        let h = reg.histogram("lt_lat_ns", "Latency", &[], &[100.0]);
-        h.observe_n(50.0, 4);
-        // All mass in [0, 100]: every quantile lands inside that bucket.
-        for q in [0.01, 0.5, 0.99, 1.0] {
-            let p = h.percentile(q).unwrap();
-            assert!((0.0..=100.0).contains(&p), "q={q} -> {p}");
-        }
-        assert_eq!(h.percentile(1.0), Some(100.0));
-    }
-
-    #[test]
-    fn histogram_percentile_interpolates_and_overflows() {
-        let reg = MetricRegistry::new();
-        let h = reg.histogram("lt_lat_ns", "Latency", &[], &[10.0, 20.0]);
-        h.observe_n(5.0, 10); // bucket [0,10]
-        h.observe_n(15.0, 10); // bucket (10,20]
-        let p50 = h.percentile(0.5).unwrap();
-        assert!(
-            (p50 - 10.0).abs() < 1e-9,
-            "rank 10 is the top of bucket 0: {p50}"
-        );
-        let p75 = h.percentile(0.75).unwrap();
-        assert!((10.0..=20.0).contains(&p75));
-        h.observe_n(1e9, 100); // overflow bucket
-        assert_eq!(
-            h.percentile(0.99),
-            Some(20.0),
-            "overflow reports last bound"
-        );
+        let h = reg.histogram("lt_len", "Lengths", &[]);
+        assert!(reg.render_prometheus().contains("lt_len_count 0\n"));
+        h.set(&[1.0], &[3, 0], 3.0);
+        // A wider, newer snapshot replaces the old one instead of adding.
+        h.set(&[1.0, 3.0], &[3, 2, 0], 9.0);
+        let text = reg.render_prometheus();
+        assert!(text.contains("lt_len_bucket{le=\"1\"} 3\n"));
+        assert!(text.contains("lt_len_bucket{le=\"3\"} 5\n"));
+        assert!(text.contains("lt_len_bucket{le=\"+Inf\"} 5\n"));
+        assert!(text.contains("lt_len_sum 9\n"));
+        assert!(text.contains("lt_len_count 5\n"));
     }
 
     #[test]
@@ -480,15 +399,8 @@ mod tests {
         reg.counter("lt_walks_total", "Walks finished", &[]).add(7);
         reg.gauge("lt_overlap_ratio", "Copy/compute overlap", &[])
             .set(0.5);
-        let h = reg.histogram(
-            "lt_copy_ns",
-            "Copy latency",
-            &[("engine", "h2d")],
-            &[10.0, 100.0],
-        );
-        h.observe(5.0);
-        h.observe(50.0);
-        h.observe(500.0);
+        reg.histogram("lt_copy_ns", "Copy latency", &[("engine", "h2d")])
+            .set(&[10.0, 100.0], &[1, 1, 1], 555.0);
         let text = reg.render_prometheus();
         assert!(text.contains("# HELP lt_walks_total Walks finished\n"));
         assert!(text.contains("# TYPE lt_walks_total counter\n"));

@@ -25,15 +25,9 @@ fn prometheus_text_matches_golden_file() {
         &[],
     )
     .set(0.75);
-    let h = reg.histogram(
-        "lt_copy_ns",
-        "Copy op latency",
-        &[("engine", "h2d")],
-        &[1000.0, 10000.0],
-    );
-    h.observe(500.0);
-    h.observe(5000.0);
-    h.observe(50000.0);
+    // Observations 500, 5000 and 50000: one per bucket, `+Inf` included.
+    reg.histogram("lt_copy_ns", "Copy op latency", &[("engine", "h2d")])
+        .set(&[1000.0, 10000.0], &[1, 1, 1], 55500.0);
 
     let golden = include_str!("golden/metrics.prom");
     assert_eq!(reg.render_prometheus(), golden);
@@ -88,7 +82,8 @@ fn prometheus_sample_lines_match_exposition_grammar() {
     let reg = MetricRegistry::new();
     reg.counter("lt_a_total", "a", &[]).add(1);
     reg.gauge("lt_b", "b", &[("x", "y")]).set(-1.25e-3);
-    reg.histogram("lt_c_ns", "c", &[], &[0.5, 2.0]).observe(1.0);
+    reg.histogram("lt_c_ns", "c", &[])
+        .set(&[0.5, 2.0], &[0, 1, 0], 1.0);
     for line in reg.render_prometheus().lines() {
         if line.starts_with('#') {
             continue;

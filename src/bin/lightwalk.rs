@@ -325,15 +325,14 @@ fn parse_run(f: &Flags) -> Result<RunSetup, String> {
     })
 }
 
-/// `--metrics-out FILE`: export the run's counters in the Prometheus text
-/// exposition format.
-fn write_metrics_out(f: &Flags, r: &lighttraffic::engine::RunResult) -> Result<(), String> {
+/// `--metrics-out FILE`: export the engine's series
+/// ([`LightTraffic::publish`]) in the Prometheus text exposition format.
+fn write_metrics_out(f: &Flags, engine: &LightTraffic) -> Result<(), String> {
     let Some(path) = f.get("metrics-out") else {
         return Ok(());
     };
     let registry = MetricRegistry::new();
-    r.metrics.publish(&registry);
-    r.gpu.publish(&registry);
+    engine.publish(&registry);
     std::fs::write(path, registry.render_prometheus()).map_err(|e| e.to_string())?;
     eprintln!("[metrics written to {path}]");
     Ok(())
@@ -355,7 +354,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
         engine.restore(cp).map_err(|e| e.to_string())?;
         let r = engine.finish().map_err(|e| e.to_string())?;
-        write_metrics_out(&f, &r)?;
+        write_metrics_out(&f, &engine)?;
         if f.has("json") {
             println!(
                 "{}",
@@ -376,7 +375,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         engine.inject_walks(setup.walks);
         return match engine.step(pause_after).map_err(|e| e.to_string())? {
             lighttraffic::engine::RunStatus::Completed(r) => {
-                write_metrics_out(&f, &r)?;
+                write_metrics_out(&f, &engine)?;
                 if f.has("json") {
                     println!(
                         "{}",
@@ -421,7 +420,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
         eprintln!("[trace written to {path}]");
     }
-    write_metrics_out(&f, &r)?;
+    write_metrics_out(&f, &engine)?;
     if f.has("json") {
         println!(
             "{}",

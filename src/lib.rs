@@ -21,7 +21,8 @@
 //!   job scheduler with budgeted admission control and the TCP/JSONL
 //!   front end.
 //! - [`telemetry`] ([`lt_telemetry`]): structured events, the metric
-//!   registry with Prometheus export, and the pipeline-bubble analyzer.
+//!   registry with Prometheus export (`LightTraffic::publish` fills it),
+//!   and the traffic ledger.
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the architecture and
 //! hardware-substitution rationale, and `EXPERIMENTS.md` for
