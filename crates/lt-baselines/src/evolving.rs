@@ -249,7 +249,7 @@ mod tests {
     fn adjacency_seal_matches_delta_graph() {
         let g = base();
         let mut adj = AdjacencyGraph::from_csr(&g);
-        let mut dg = DeltaGraph::new(&PartitionedGraph::build(g.clone(), 256));
+        let mut dg = DeltaGraph::new(PartitionedGraph::build(g.clone(), 256));
         let schedule = vec![
             EdgeUpdate::insert(3, 9),
             EdgeUpdate::delete(3, 9),
@@ -262,15 +262,16 @@ mod tests {
         for u in &schedule {
             dg.buffer(*u).unwrap();
         }
-        let seal = dg.seal_epoch();
+        let seal = dg.seal_epoch(&[]).unwrap();
         let (ins, del) = adj.seal(&schedule);
         assert_eq!(ins, seal.inserted);
         assert_eq!(del, seal.deleted);
         assert_eq!(adj.epoch(), dg.epoch());
         assert!(adj.max_multiplicity >= 2);
-        assert_eq!(adj.max_multiplicity, dg.max_multiplicity());
+        assert_eq!(adj.max_multiplicity, dg.table().max_multiplicity().unwrap());
+        let sealed = dg.to_csr().unwrap();
         for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(adj.neighbors(v), dg.neighbors(v), "vertex {v}");
+            assert_eq!(adj.neighbors(v), sealed.neighbors(v), "vertex {v}");
         }
     }
 
@@ -281,17 +282,18 @@ mod tests {
         let g =
             Arc::new(Csr::with_timestamps(vec![0, 1, 1], vec![1], None, Some(vec![7])).unwrap());
         let mut adj = AdjacencyGraph::from_csr(&g);
-        let mut dg = DeltaGraph::new(&PartitionedGraph::build(g, 256));
+        let mut dg = DeltaGraph::new(PartitionedGraph::build(g, 256));
         adj.seal(&[]);
-        dg.seal_epoch();
+        dg.seal_epoch(&[]).unwrap();
         let schedule = vec![EdgeUpdate::insert(1, 0), EdgeUpdate::insert_at(0, 1, 99)];
         for u in &schedule {
             dg.buffer(*u).unwrap();
         }
-        dg.seal_epoch();
+        dg.seal_epoch(&[]).unwrap();
         adj.seal(&schedule);
+        let sealed = dg.to_csr().unwrap();
         for v in 0..2 {
-            assert_eq!(adj.neighbor_timestamps(v), dg.neighbor_timestamps(v));
+            assert_eq!(adj.neighbor_timestamps(v), sealed.neighbor_timestamps(v));
         }
     }
 

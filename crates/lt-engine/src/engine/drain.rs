@@ -9,8 +9,9 @@
 
 use super::*;
 use crate::job::TagDelta;
-use crate::kernel::{ChunkOutput, GraphView, HostBlockView, KernelTask};
+use crate::kernel::{ChunkOutput, GraphView, KernelTask};
 use lt_gpusim::KernelCost;
+use lt_graph::partition::Rows;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -261,8 +262,8 @@ impl LightTraffic {
     /// iteration order of the batch, so every thread count merges to
     /// bit-identical results (see [`crate::kernel`]). Only the kernel
     /// counters are booked here; no walk-pool or simulated-device state is
-    /// touched, except that a failed block fetch puts the batch back on
-    /// the host pool before the error surfaces.
+    /// touched, except that a failed store read puts the batch back on the
+    /// host pool before the error surfaces.
     fn step_batch(
         &mut self,
         part: PartitionId,
@@ -272,31 +273,24 @@ impl LightTraffic {
         debug_assert_eq!(batch.partition(), part);
         let chunks = kernel::plan_chunks(batch.len(), self.kernel_threads);
         let reads_prev = self.alg.reads_prev_neighbors();
-        let max_multiplicity = kernel::multiplicity_for(&*self.alg, || self.max_multiplicity());
-        // Zero copy over an out-of-core store or an evolving graph has no
-        // RAM CSR to read; its blocks are fetched (mutating the host
-        // cache) before the task borrows the rest of the engine.
-        let view = if !use_zc {
-            self.resident_view(part)
-        } else if let Some(g) = self.pg.ram_csr() {
-            GraphView::Host(g)
-        } else {
-            match self.build_block_view(part, batch.walkers(), reads_prev) {
-                Ok(blocks) => GraphView::Blocks(blocks),
+        let (max_multiplicity, parts, fetched) =
+            match self.kernel_reads(part, batch.walkers(), use_zc, reads_prev) {
+                Ok(reads) => reads,
                 Err(e) => {
                     self.pools.host.push_evicted(batch);
                     return Err(e);
                 }
-            }
-        };
+            };
+        let table = self.graph.table();
+        let rows = |p| kernel_rows(table, &fetched, &self.pools.graph, p);
+        let context = parts.iter().filter(|&&p| p != part).map(|&p| rows(p));
         let task = KernelTask {
-            view,
+            view: GraphView::new(rows(part), context.collect()),
             alg: &*self.alg,
             reads_prev,
             max_multiplicity,
             seed: self.cfg.seed,
-            num_vertices: self.pg.num_vertices(),
-            range: self.pg.vertex_range(part),
+            num_vertices: table.num_vertices(),
             // Tag attribution needs the per-step visit events even when
             // no algorithm-level visit buffer exists.
             track_visits: self.visit_counts.is_some() || self.cfg.track_tags,
@@ -320,66 +314,50 @@ impl LightTraffic {
         Ok(outputs)
     }
 
-    /// Where a kernel reads resident partition `part`, in place: the block
-    /// an out-of-core store pinned in the pool, an evolving graph's sealed
-    /// block, or a RAM store's CSR.
-    fn resident_view(&self, part: PartitionId) -> GraphView<'_> {
-        debug_assert!(
-            self.pools.graph.contains(part),
-            "a partition drained without zero copy was made resident"
-        );
-        if let Some(d) = self.pools.graph.pinned(part) {
-            return GraphView::ResidentBlock(d);
-        }
-        match (&self.evolving, self.pg.ram_csr()) {
-            (Some(delta), _) => GraphView::ResidentBlock(delta.block(part)),
-            (None, Some(g)) => GraphView::ResidentCsr(g),
-            (None, None) => unreachable!("an out-of-core store pins every resident block"),
-        }
-    }
-
-    /// The graph's [`lt_graph::Csr::max_multiplicity`] for second-order
-    /// kernels, from the graph's own cache: the RAM CSR's (the one
-    /// [`crate::host_step`] reads), the out-of-core file's, or the
-    /// evolving block table's, which every seal refreshes for the blocks
-    /// it replaced.
-    fn max_multiplicity(&self) -> u32 {
-        match &self.evolving {
-            Some(delta) => delta.max_multiplicity(),
-            None => self.pg.store().max_multiplicity(),
-        }
-    }
-
-    /// Collect the partition blocks a zero-copy kernel can read where no
-    /// RAM CSR exists (out-of-core store, evolving graph): the batch's own
-    /// partition and, only when the algorithm reads second-order context
-    /// (`reads_prev`), the partition of every walker's previous vertex
-    /// (`aux` at batch start; after the first step `aux` always lies in
-    /// the batch's partition). A first-order walk costs one fetch per
-    /// kernel, like an explicit copy. For clocks in `aux` see
-    /// [`HostBlockView`].
-    fn build_block_view(
+    /// What a kernel on `part` reads, gathered before its task borrows
+    /// the engine, since both reads can fail on an out-of-core store: the
+    /// graph's [`lt_graph::Csr::max_multiplicity`] when the algorithm reads
+    /// second-order context (`reads_prev`), else 1; the partitions its
+    /// [`GraphView`] covers, ascending; and, for a zero-copy kernel, the
+    /// blocks of those the table cannot lend, fetched through the host
+    /// decode cache (a resident kernel reads its pin). A first-order walk
+    /// costs one fetch per kernel, like an explicit copy.
+    fn kernel_reads(
         &mut self,
         part: PartitionId,
         walkers: &[Walker],
+        use_zc: bool,
         reads_prev: bool,
-    ) -> Result<HostBlockView, EngineError> {
-        let mut needed: Vec<PartitionId> = vec![part];
-        if reads_prev {
-            let nv = self.pg.num_vertices();
+    ) -> Result<KernelReads, EngineError> {
+        let table = self.graph.table();
+        let max_multiplicity = if reads_prev {
+            table.max_multiplicity().map_err(EngineError::Graph)?
+        } else {
+            1
+        };
+        let mut parts = vec![part];
+        if use_zc && reads_prev {
+            // Walkers arrive in runs from one source partition: look one
+            // up only when `aux` leaves the last partition found.
+            let (nv, mut last) = (table.num_vertices(), table.vertex_range(part));
             for w in walkers {
-                if w.aux != VertexId::MAX && (w.aux as u64) < nv {
-                    needed.push(self.pg.partition_of(w.aux));
+                if (w.aux as u64) < nv && !last.contains(&w.aux) {
+                    parts.push(table.partition_of(w.aux));
+                    last = table.vertex_range(parts[parts.len() - 1]);
                 }
             }
-            needed.sort_unstable();
-            needed.dedup();
+            parts.sort_unstable();
+            parts.dedup();
         }
-        let blocks = needed
-            .into_iter()
-            .map(|p| self.fetch_partition(p))
-            .collect::<Result<_, _>>()?;
-        Ok(HostBlockView::new(blocks))
+        let mut fetched = Vec::new();
+        if use_zc {
+            for &p in &parts {
+                if self.graph.table().rows(p).is_none() {
+                    fetched.push(self.fetch_partition(p)?);
+                }
+            }
+        }
+        Ok((max_multiplicity, parts, fetched))
     }
 
     /// The stateful half of the kernel: merge the chunk outputs in chunk
@@ -425,7 +403,7 @@ impl LightTraffic {
         self.active -= finished;
         self.metrics.total_steps += steps;
         self.metrics.finished_walks += finished;
-        let np = self.pg.num_partitions();
+        let np = self.graph.table().num_partitions();
         // Reshuffle (DESIGN.md §10), wall-clocked end to end: one stable
         // counting sort of the movers by target partition, read straight
         // out of the chunk outputs in chunk order, then one bulk insert
@@ -435,7 +413,7 @@ impl LightTraffic {
         let rs_wall = Instant::now();
         self.local_index.sort(
             outputs.iter().map(|o| o.moved.as_slice()),
-            self.pg.boundaries(),
+            self.graph.table().boundaries(),
         );
         debug_assert!(
             self.local_index.run(part).is_empty(),
@@ -460,7 +438,7 @@ impl LightTraffic {
         // fault here leaves the walk index intact.
         self.park_evicted(evicted)?;
         let two_level = self.cfg.reshuffle == ReshuffleMode::TwoLevel;
-        let working_set = self.pg.partition_bytes(part);
+        let working_set = self.graph.table().partition_bytes(part);
         let kcost = KernelCost {
             update_ns: self.cost.step_time_in(steps, working_set),
             reshuffle_ns: self.cost.reshuffle_time(n_moved, np, two_level),
@@ -506,6 +484,26 @@ impl LightTraffic {
         }
         Ok(())
     }
+}
+
+/// What [`LightTraffic::kernel_reads`] gathers: the multiplicity bound,
+/// the covered partitions and the blocks fetched for them.
+type KernelReads = (u32, Vec<PartitionId>, Vec<Arc<PartitionData>>);
+
+/// Partition `p`'s rows for a kernel: lent by the block table, else
+/// from the block fetched for the kernel, else the graph pool's pin of a
+/// resident partition.
+fn kernel_rows<'a>(
+    table: &'a PartitionedGraph,
+    fetched: &'a [Arc<PartitionData>],
+    pool: &'a DeviceGraphPool,
+    p: PartitionId,
+) -> Rows<'a> {
+    table
+        .rows(p)
+        .or_else(|| fetched.iter().find(|d| d.id == p).map(|d| d.rows()))
+        .or_else(|| pool.pinned(p).map(PartitionData::rows))
+        .expect("a kernel's partition is lent, fetched for it, or pinned")
 }
 
 /// The insert half of the reshuffle: copy every run of the sorted movers

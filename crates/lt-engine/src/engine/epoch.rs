@@ -1,6 +1,8 @@
 //! Evolving graphs (DESIGN.md §15): buffer edge mutations, and seal them
 //! into a new graph epoch at a barrier between scheduler slices,
-//! reloading the device-resident partitions they dirtied.
+//! reloading the device-resident partitions they dirtied. A seal reads
+//! each dirty partition from its block-table entry, so mutation runs the
+//! same code over a RAM store and over an out-of-core one.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use super::*;
@@ -10,31 +12,7 @@ impl LightTraffic {
     /// The current graph epoch: the number of [`Self::seal_epoch`] calls.
     /// 0 for a static (never-mutated) graph.
     pub fn epoch(&self) -> u64 {
-        self.evolving.as_ref().map_or(0, |d| d.epoch())
-    }
-
-    /// The evolving-graph block table, creating it on first use: one copy
-    /// of every partition, after which the partition table lets go of the
-    /// epoch-0 CSR — nothing reads adjacency from it again.
-    ///
-    /// Refused over an out-of-core store: the table holds every block in
-    /// RAM and a seal rewrites the dirty ones, which the file cannot take.
-    /// Materialize with [`lt_graph::OocGraph::to_csr`] first.
-    fn delta_mut(&mut self) -> Result<&mut DeltaGraph, EngineError> {
-        if self.host_cache.is_some() {
-            return Err(EngineError::Admission(
-                "graph store is out-of-core (immutable); decode it to RAM \
-                 (OocGraph::to_csr) to run evolving-graph workloads"
-                    .into(),
-            ));
-        }
-        let pg = &mut self.pg;
-        Ok(self.evolving.get_or_insert_with(|| {
-            let pg = Arc::make_mut(pg);
-            let delta = DeltaGraph::new(pg);
-            pg.release_store();
-            delta
-        }))
+        self.graph.epoch()
     }
 
     /// Buffer edge mutations against the evolving graph. Buffered updates
@@ -42,33 +20,38 @@ impl LightTraffic {
     /// — sampling decisions never observe a half-applied batch, which is
     /// what keeps mutation visibility deterministic across kernel thread
     /// counts (DESIGN.md §15). Returns the number of updates now pending.
+    /// Only buffers: no partition is copied or read.
     ///
     /// Fails with [`EngineError::Admission`] when an endpoint is outside
     /// the (frozen) vertex set or a weight is invalid; updates before the
-    /// offending one stay buffered. Refuses, buffering nothing, over an
-    /// out-of-core store.
+    /// offending one stay buffered.
     pub fn mutate(&mut self, updates: Vec<EdgeUpdate>) -> Result<usize, EngineError> {
-        let delta = self.delta_mut()?;
         for u in updates {
-            delta
+            self.graph
                 .buffer(u)
                 .map_err(|e| EngineError::Admission(format!("edge update rejected: {e}")))?;
         }
-        Ok(delta.pending())
+        Ok(self.graph.pending())
     }
 
     /// Apply every buffered mutation, advance the graph epoch, and
     /// invalidate affected device state: the delta layer rebuilds the
-    /// blocks of the dirty partitions (the partition boundaries are
-    /// *frozen*, so walker→partition routing never changes), the
-    /// partition table takes their new sizes, and the resident partitions
-    /// among them are reloaded — charged on the simulated link as
-    /// [`Category::GraphReload`] and attributed in the traffic ledger under
-    /// [`TrafficDirection::Reload`]; kernels read the sealed blocks in
-    /// place, so the host copies nothing. At low mutation
-    /// rates that is a small fraction of the residency set (the
-    /// evolving-graph extension of the paper's traffic thesis). Clean
-    /// partitions are not visited.
+    /// entries of the dirty partitions from their current rows (the
+    /// partition boundaries are *frozen*, so walker→partition routing
+    /// never changes) and records their new sizes, and the resident
+    /// partitions among them are reloaded — charged on the simulated link
+    /// as [`Category::GraphReload`] and attributed in the traffic ledger
+    /// under [`TrafficDirection::Reload`]; kernels read the sealed blocks
+    /// in place, so the host copies nothing. At low mutation rates that
+    /// is a small fraction of the residency set (the evolving-graph
+    /// extension of the paper's traffic thesis). Clean partitions are not
+    /// visited.
+    ///
+    /// Over an out-of-core store a touched partition that is still clean
+    /// is fetched through the host decode cache first, like any other
+    /// read of it. A sealed block stays in RAM — nothing rewrites the
+    /// file — and replaces the partition's decode-cache slot and
+    /// graph-pool pin, so no stale rows stay reachable.
     ///
     /// Call this only *between* [`Self::step`] slices — the epoch
     /// barrier. Sealing with nothing buffered still advances the epoch
@@ -76,14 +59,24 @@ impl LightTraffic {
     /// state.
     ///
     /// # Errors
-    /// [`EngineError::Admission`] where [`Self::mutate`] refuses.
+    /// [`EngineError::Graph`] when a fetch from an out-of-core store
+    /// fails: nothing is sealed and the buffer is kept.
     /// [`EngineError::OversizedPartition`] when a mutated hub vertex
     /// overflows its partition block under [`ZeroCopyPolicy::Never`] —
     /// the engine cannot make the partition resident and should be
     /// dropped. Device errors from the reload copies propagate like any
     /// fatal copy failure.
     pub fn seal_epoch(&mut self) -> Result<EpochSummary, EngineError> {
-        let seal = self.delta_mut()?.seal_epoch();
+        let fetched = self
+            .graph
+            .bases_to_fetch()
+            .into_iter()
+            .map(|p| self.fetch_partition(p))
+            .collect::<Result<Vec<_>, _>>()?;
+        let seal = self
+            .graph
+            .seal_epoch(&fetched)
+            .map_err(EngineError::Graph)?;
         self.drop_snapshot();
         self.metrics.epochs += 1;
         let mut summary = EpochSummary {
@@ -95,16 +88,14 @@ impl LightTraffic {
             ..EpochSummary::default()
         };
         if !seal.dirty_partitions.is_empty() {
-            let delta = self
-                .evolving
-                .as_ref()
-                .expect("delta_mut created the block table this seal ran on");
             // Mutation can grow a hub past its block (or shrink one back
             // under it); only a rebuilt block can have changed size.
-            let pg = Arc::make_mut(&mut self.pg);
             for &p in &seal.dirty_partitions {
-                let bytes = delta.block(p).bytes();
-                pg.set_partition_bytes(p, bytes);
+                if let Some(cache) = self.host_cache.as_mut() {
+                    cache.forget(p);
+                }
+                self.pools.graph.unpin(p);
+                let bytes = self.graph.table().partition_bytes(p);
                 let oversized = bytes > self.cfg.partition_bytes;
                 if oversized && matches!(self.cfg.zero_copy, ZeroCopyPolicy::Never) {
                     return Err(EngineError::OversizedPartition {
@@ -126,7 +117,7 @@ impl LightTraffic {
                 .filter(|p| seal.dirty_partitions.binary_search(p).is_ok())
                 .collect();
             for p in stale {
-                let bytes = self.pg.partition_bytes(p);
+                let bytes = self.graph.table().partition_bytes(p);
                 self.copy_with_retry(
                     TrafficDirection::Reload,
                     Category::GraphReload,
@@ -165,11 +156,11 @@ mod tests {
     use crate::EngineConfig;
     use lt_graph::{PartitionId, VertexId};
 
-    /// The block table's contract with the engine: the first mutation
-    /// moves adjacency out of the epoch-0 CSR for good, a dirty seal
-    /// replaces exactly the dirty block and re-sizes exactly its table
-    /// entry, and a block that outgrows the budget flips its own
-    /// `oversized` flag — clean partitions are not visited at all.
+    /// The block table's contract with the engine: a mutation copies
+    /// nothing and a clean seal seals nothing, so the engine keeps reading
+    /// the caller's CSR; a dirty seal replaces exactly the dirty entry and
+    /// re-sizes exactly it, and a block that outgrows the budget flips its
+    /// own `oversized` flag — clean partitions are not visited at all.
     #[test]
     fn a_dirty_seal_replaces_exactly_the_dirty_block() {
         let g = graph();
@@ -185,39 +176,49 @@ mod tests {
             LightTraffic::new(g.clone(), Arc::new(UniformSampling::new(4)), cfg).unwrap()
         };
         let mut e = engine(ZeroCopyPolicy::adaptive());
+        let np = e.partitions().num_partitions();
+        let sealed = |e: &LightTraffic| -> Vec<Option<Arc<PartitionData>>> {
+            (0..np).map(|p| e.partitions().sealed(p).cloned()).collect()
+        };
         // A delete of an absent edge applies nothing: the seal is clean,
-        // but the table exists and the CSR is no longer the engine's.
+        // no entry is sealed, and the engine still reads the caller's CSR.
         e.mutate(vec![EdgeUpdate::delete(0, absent)]).unwrap();
         let s = e.seal_epoch().unwrap();
         assert_eq!((s.epoch, s.dirty_vertices, s.dirty_partitions), (1, 0, 0));
-        assert!(e.pg.ram_csr().is_none());
-        assert_eq!(Arc::strong_count(&g), 1, "the engine still holds the CSR");
-        let np = e.pg.num_partitions();
-        let blocks = |e: &LightTraffic| -> Vec<Arc<PartitionData>> {
-            let delta = e.evolving.as_ref().expect("mutate creates the table");
-            (0..np).map(|p| Arc::clone(delta.block(p))).collect()
+        assert!(sealed(&e).iter().all(Option::is_none));
+        let GraphStore::Ram(csr) = e.partitions().store() else {
+            panic!("a RAM engine's store is its CSR");
         };
-        let before = blocks(&e);
+        assert!(Arc::ptr_eq(csr, &g));
+        assert_eq!(e.partitions().rows(0).unwrap().neighbors(0), g.neighbors(0));
+        let before_bytes: Vec<u64> = (0..np).map(|p| e.partitions().partition_bytes(p)).collect();
         // Only a visit could reset this marker on a clean partition.
         e.forced_zc.oversized[np as usize - 1] = true;
 
         e.mutate(vec![EdgeUpdate::insert(0, absent)]).unwrap();
         let s = e.seal_epoch().unwrap();
         assert_eq!((s.epoch, s.dirty_vertices, s.dirty_partitions), (2, 1, 1));
-        let after = blocks(&e);
-        for p in 0..np as usize {
-            assert_eq!(Arc::ptr_eq(&after[p], &before[p]), p != 0, "block {p}");
-            assert_eq!(e.pg.partition_bytes(p as PartitionId), after[p].bytes());
+        let after = sealed(&e);
+        for p in 0..np {
+            assert_eq!(after[p as usize].is_some(), p == 0, "entry {p}");
+            let bytes = e.partitions().extract(p).bytes();
+            assert_eq!(e.partitions().partition_bytes(p as PartitionId), bytes);
         }
-        assert_eq!(after[0].bytes(), before[0].bytes() + 4);
-        assert!(after[0].neighbors(0).binary_search(&absent).is_ok());
+        assert_eq!(e.partitions().partition_bytes(0), before_bytes[0] + 4);
+        let rows = e.partitions().rows(0).unwrap();
+        assert!(rows.neighbors(0).binary_search(&absent).is_ok());
         assert!(!e.forced_zc.oversized[0] && e.forced_zc.oversized[np as usize - 1]);
 
         // Enough inserts into one row to overflow the 16 KiB block.
         let flood: Vec<EdgeUpdate> = (0..5_000).map(|k| EdgeUpdate::insert(0, k % nv)).collect();
         e.mutate(flood.clone()).unwrap();
         e.seal_epoch().unwrap();
-        assert!(e.forced_zc.oversized[0] && e.pg.partition_bytes(0) > e.cfg.partition_bytes);
+        assert!(!Arc::ptr_eq(
+            sealed(&e)[0].as_ref().unwrap(),
+            after[0].as_ref().unwrap()
+        ));
+        let table = e.partitions();
+        assert!(e.forced_zc.oversized[0] && table.partition_bytes(0) > e.cfg.partition_bytes);
         let r = e.run(500).unwrap().metrics;
         assert_eq!(r.finished_walks, 500);
         assert!(r.zero_copy_kernels > 0, "the hub block reads in place");
@@ -232,25 +233,5 @@ mod tests {
             }) => assert!(bytes > block_bytes),
             other => panic!("expected an oversized block, got {other:?}"),
         }
-    }
-
-    /// The one refusal: an out-of-core store cannot take a seal, so
-    /// `mutate` and `seal_epoch` fail before touching anything, and the
-    /// engine keeps walking the file.
-    #[test]
-    fn mutation_is_refused_over_an_out_of_core_store() {
-        let pg = PartitionedGraph::build(graph(), 16 << 10);
-        let path = std::env::temp_dir().join(format!("lt_epoch_ooc_{}", std::process::id()));
-        lt_graph::oocore::write_oocore(&pg, &path).unwrap();
-        let ooc = Arc::new(lt_graph::OocGraph::open(&path).unwrap());
-        std::fs::remove_file(&path).ok();
-        let alg = Arc::new(UniformSampling::new(4));
-        let mut e = LightTraffic::from_store(GraphStore::OutOfCore(ooc), alg, small_cfg()).unwrap();
-        let refused = |r: Result<_, EngineError>| matches!(r, Err(EngineError::Admission(_)));
-        assert!(refused(e.mutate(vec![EdgeUpdate::insert(0, 1)])));
-        assert!(refused(e.seal_epoch().map(|_| 0)));
-        assert!(e.evolving.is_none());
-        assert_eq!(e.epoch(), 0);
-        assert_eq!(e.run(500).unwrap().metrics.finished_walks, 500);
     }
 }

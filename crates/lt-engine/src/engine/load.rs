@@ -44,18 +44,17 @@ impl LightTraffic {
     /// reading it in place).
     ///
     /// The simulated link is charged the partition's bytes; the host
-    /// copies nothing. A RAM store or an evolving graph is read in place
-    /// once resident, so only an out-of-core store fetches its decoded
-    /// block (once per attempt, as a device upload reads it) and pins it
-    /// in the pool.
+    /// copies nothing. A partition whose rows the block table lends is
+    /// read in place once resident, so only a clean partition of an
+    /// out-of-core store fetches its decoded block (once per attempt, as
+    /// a device upload reads it) and pins it in the pool.
     pub(super) fn load_partition(&mut self, i: PartitionId) -> Result<bool, EngineError> {
-        let bytes = self.pg.partition_bytes(i);
+        let bytes = self.graph.table().partition_bytes(i);
         loop {
-            let pinned = self
-                .host_cache
-                .is_some()
-                .then(|| self.fetch_partition(i))
-                .transpose()?;
+            let pinned = match self.graph.table().rows(i) {
+                Some(_) => None,
+                None => Some(self.fetch_partition(i)?),
+            };
             // Graph partitions are shared infrastructure, not owned by any
             // one job: the whole load (and every corrupted reload) is
             // charged to the shared tag, keyed by the partition.
@@ -95,29 +94,22 @@ impl LightTraffic {
         }
     }
 
-    /// Produce partition `i`'s block behind an `Arc`, for a store held as
-    /// blocks. An evolving graph hands out its sealed block — no copy, and
-    /// the same allocation every reader of this epoch shares; an
-    /// out-of-core store fetches through the host decode cache, charging
-    /// each miss's decode to the host traffic tier
+    /// Fetch a clean partition `i` of an out-of-core store — the only
+    /// rows the block table cannot lend — through the host decode cache,
+    /// charging each miss's decode to the host traffic tier
     /// ([`TrafficDirection::HostLoad`] in the ledger, keyed like graph
     /// loads by `(SHARED_TAG, partition)`, plus `host_decode_bytes`) —
     /// exactly once per decode, so corruption-driven reload loops (cache
-    /// hits on re-fetch) add no phantom host-tier traffic. Only that last
-    /// case is a decode and only it moves a host-tier counter. A static
-    /// RAM store is never fetched: its rows are read from the CSR. A
-    /// store read that fails mid-run is [`EngineError::Graph`].
+    /// hits on re-fetch) add no phantom host-tier traffic. A store read
+    /// that fails mid-run is [`EngineError::Graph`].
     pub(super) fn fetch_partition(
         &mut self,
         i: PartitionId,
     ) -> Result<Arc<PartitionData>, EngineError> {
-        if let Some(delta) = &self.evolving {
-            return Ok(Arc::clone(delta.block(i)));
-        }
         let cache = self
             .host_cache
             .as_mut()
-            .expect("only out-of-core and evolving stores are read as blocks");
+            .expect("a partition the table cannot lend lives in an out-of-core store");
         let pools = &self.pools;
         let rank = |p| hostcache::eviction_rank(pools.graph.contains(p), pools.walks_in(p));
         let policy = schedule::graph_eviction(self.cfg.selective);

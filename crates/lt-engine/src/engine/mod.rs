@@ -100,7 +100,11 @@ pub struct LightTraffic {
     cfg: EngineConfig,
     cost: CostModel,
     gpu: Gpu,
-    pg: Arc<PartitionedGraph>,
+    /// The block table, the mutations buffered against it and the epoch
+    /// clock. Every adjacency read starts here: a partition's rows are
+    /// its sealed block, a RAM store's CSR range or, for a clean
+    /// partition of an out-of-core store, a block from `host_cache`.
+    graph: DeltaGraph,
     alg: Arc<dyn WalkAlgorithm>,
     walker_bytes: u64,
     load_stream: StreamId,
@@ -139,15 +143,9 @@ pub struct LightTraffic {
     /// the stream is bit-identical across
     /// [`EngineConfig::kernel_threads`] settings.
     telemetry: EventBus,
-    /// Evolving-graph block table, created lazily by the first
-    /// [`LightTraffic::mutate`] / [`LightTraffic::seal_epoch`] call.
-    /// `None` means the graph is static and the epoch clock reads 0.
-    /// `Some` means every adjacency read goes to these blocks: `pg` has
-    /// released its store and keeps only the partition geometry and sizes.
-    evolving: Option<DeltaGraph>,
-    /// Host decode cache — the RAM tier between disk and device when the
-    /// graph store is out-of-core. `None` on RAM stores (partition
-    /// extraction is a slice copy there).
+    /// Host decode cache — the RAM tier between disk and device for the
+    /// clean partitions of an out-of-core store. `None` on RAM stores,
+    /// whose rows are read in place.
     host_cache: Option<HostDecodeCache>,
 }
 
@@ -189,12 +187,15 @@ impl LightTraffic {
         }
     }
 
-    /// Build an engine over an already-partitioned graph.
+    /// Build an engine over an already-partitioned graph. The engine's
+    /// block table starts as `pg`'s, sharing its store: no adjacency is
+    /// copied.
     pub fn with_partitioned(
         pg: Arc<PartitionedGraph>,
         alg: Arc<dyn WalkAlgorithm>,
         cfg: EngineConfig,
     ) -> Result<Self, EngineError> {
+        let pg = Arc::unwrap_or_clone(pg);
         cfg.validate()?;
         alg.validate().map_err(EngineError::Admission)?;
         let p = pg.num_partitions();
@@ -234,10 +235,13 @@ impl LightTraffic {
         let kernel_threads = kernel::resolve_threads(cfg.kernel_threads);
         // The RAM tier holds what the device holds plus headroom for
         // second-order zero-copy views; the cache clamps it to `P`.
-        let host_cache = pg
-            .store()
-            .ooc()
-            .map(|ooc| HostDecodeCache::new(Arc::clone(ooc), (2 * cfg.graph_pool_blocks).max(2)));
+        let host_cache = match pg.store() {
+            GraphStore::OutOfCore(ooc) => Some(HostDecodeCache::new(
+                Arc::clone(ooc),
+                (2 * cfg.graph_pool_blocks).max(2),
+            )),
+            GraphStore::Ram(_) => None,
+        };
         Ok(LightTraffic {
             telemetry: gpu.telemetry(),
             attr: drain::Attribution {
@@ -256,7 +260,7 @@ impl LightTraffic {
             cfg,
             cost,
             gpu,
-            pg,
+            graph: DeltaGraph::new(pg),
             alg,
             walker_bytes,
             pools,
@@ -272,14 +276,13 @@ impl LightTraffic {
             scratch: kernel::ScratchPool::default(),
             local_index: LocalIndex::default(),
             snapshot: None,
-            evolving: None,
             host_cache,
         })
     }
 
     /// The partition table in use.
     pub fn partitions(&self) -> &PartitionedGraph {
-        &self.pg
+        self.graph.table()
     }
 
     /// The simulated device (for inspecting stats mid-run).
@@ -342,7 +345,9 @@ impl LightTraffic {
     /// Generate and add `num_walks` of the algorithm's standard walkers to
     /// the in-flight set without running anything.
     pub fn inject_walks(&mut self, num_walks: u64) {
-        let walkers = self.alg.place_walkers(self.pg.num_vertices(), num_walks);
+        let walkers = self
+            .alg
+            .place_walkers(self.graph.table().num_vertices(), num_walks);
         self.inject(walkers);
     }
 
@@ -371,7 +376,7 @@ impl LightTraffic {
                 }
                 paths.push(w.id, w.vertex);
             }
-            let p = self.pg.partition_of(w.vertex);
+            let p = self.graph.table().partition_of(w.vertex);
             self.pools.host.insert(p, w);
             self.active += 1;
         }
@@ -440,7 +445,7 @@ impl LightTraffic {
             &self.pools,
             self.cfg.zero_copy,
             self.forced_zc.forced(i),
-            self.pg.partition_bytes(i),
+            self.graph.table().partition_bytes(i),
             i,
         );
         let (walks, graph_hit) = (self.pools.walks_in(i), self.pools.graph.contains(i));

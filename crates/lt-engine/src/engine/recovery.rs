@@ -68,7 +68,7 @@ impl LightTraffic {
                 engine: self.epoch(),
             });
         }
-        let nv = self.pg.num_vertices();
+        let nv = self.graph.table().num_vertices();
         if let Some(w) = cp.walkers.iter().find(|w| u64::from(w.vertex) >= nv) {
             return Err(EngineError::Admission(format!(
                 "checkpoint walker {} sits on vertex {}, outside this graph (|V| = {nv})",
@@ -133,7 +133,7 @@ impl LightTraffic {
         self.pools.host.reset();
         self.pools.device.reset();
         for w in walkers {
-            let p = self.pg.partition_of(w.vertex);
+            let p = self.graph.table().partition_of(w.vertex);
             self.pools.host.insert(p, w);
         }
     }

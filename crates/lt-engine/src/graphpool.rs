@@ -26,10 +26,12 @@ pub enum GraphEviction {
 ///
 /// An entry records residency: the simulated link was charged for the
 /// partition's bytes, and the block is reserved on the device. The host
-/// moves no bytes for it. A kernel reads a RAM store's resident rows in
-/// place from the CSR, and an evolving graph's from its block table.
-/// Only an out-of-core store pins its decoded block in the entry, because
-/// the host decode cache may evict that block while it is resident.
+/// moves no bytes for it. A kernel reads a resident partition's rows in
+/// place wherever the engine's block table lends them (a RAM store's CSR
+/// range, a sealed block). Only a clean partition of an out-of-core
+/// store pins its decoded block in the entry, because the host decode
+/// cache may evict that block while it is resident; a seal of the
+/// partition drops the pin.
 #[derive(Debug)]
 pub struct DeviceGraphPool {
     // Graph data is immutable, so a pinned block shared with the host
@@ -81,10 +83,19 @@ impl DeviceGraphPool {
         self.resident[p as usize].is_some()
     }
 
-    /// The block pinned for resident partition `p` (out-of-core stores
-    /// only; `None` for a partition read in place or not resident).
+    /// The block pinned for resident partition `p` (clean out-of-core
+    /// partitions only; `None` for a partition read in place or not
+    /// resident).
     pub fn pinned(&self, p: PartitionId) -> Option<&PartitionData> {
         self.resident[p as usize].and_then(|id| self.pool.get(id).as_deref())
+    }
+
+    /// Drop the block pinned for partition `p`, if any, keeping it
+    /// resident: an epoch seal replaced its rows.
+    pub fn unpin(&mut self, p: PartitionId) {
+        if let Some(id) = self.resident[p as usize] {
+            *self.pool.get_mut(id) = None;
+        }
     }
 
     /// Make partition `p` resident, evicting per `policy` if the pool is
@@ -141,16 +152,6 @@ impl DeviceGraphPool {
                 .expect("order lists only resident partitions");
             self.pool.release(id);
         }
-    }
-
-    /// Number of blocks.
-    pub fn capacity(&self) -> usize {
-        self.pool.capacity()
-    }
-
-    /// Blocks in use.
-    pub fn in_use(&self) -> usize {
-        self.pool.in_use()
     }
 }
 
@@ -234,5 +235,7 @@ mod tests {
         assert!(pool.contains(0) && pool.pinned(0).is_none());
         assert_eq!(*pool.pinned(1).unwrap(), pg.extract(1));
         assert!(pool.pinned(2).is_none());
+        pool.unpin(1);
+        assert!(pool.contains(1) && pool.pinned(1).is_none());
     }
 }

@@ -1,13 +1,16 @@
 //! Host decode cache: the RAM tier of the out-of-core substrate.
 //!
-//! When the graph store is [`lt_graph::OocGraph`], partitions live on disk
-//! as delta+varint compressed regions and must be decoded before the
-//! simulated H2D upload. Decoding is far from free (it walks every edge),
-//! so the engine keeps a bounded cache of decoded partitions in host
-//! memory — a third traffic tier between disk and device, mirroring the
-//! device graph pool one level up. Decode work is charged to
-//! [`lt_telemetry::TrafficDirection::HostLoad`] by the engine so the
-//! ledger's exactness invariant (DESIGN.md §14) extends to the host tier.
+//! When the graph store is [`lt_graph::OocGraph`], clean partitions live
+//! on disk as delta+varint compressed regions and must be decoded before
+//! the simulated H2D upload; a partition an epoch seal rebuilt is read
+//! from the engine's block table instead, and the seal drops its slot
+//! here ([`HostDecodeCache::forget`]). Decoding is far from free (it
+//! walks every edge), so the engine keeps a bounded cache of decoded
+//! partitions in host memory — a third traffic tier between disk and
+//! device, mirroring the device graph pool one level up. Decode work is
+//! charged to [`lt_telemetry::TrafficDirection::HostLoad`] by the engine
+//! so the ledger's exactness invariant (DESIGN.md §14) extends to the
+//! host tier.
 //!
 //! The engine fetches one partition per explicit graph copy and per
 //! zero-copy kernel, plus the walkers' previous-vertex partitions only for
@@ -128,6 +131,13 @@ impl HostDecodeCache {
     /// Whether partition `p` is resident.
     pub fn contains(&self, p: PartitionId) -> bool {
         self.slots[p as usize].is_some()
+    }
+
+    /// Drop partition `p`'s slot, if cached: its rows were replaced.
+    pub fn forget(&mut self, p: PartitionId) {
+        if self.slots[p as usize].take().is_some() {
+            self.order.retain(|&x| x != p);
+        }
     }
 }
 

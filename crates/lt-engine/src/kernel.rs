@@ -3,9 +3,9 @@
 //! The engine's kernels execute eagerly on the host while their *simulated*
 //! duration is charged on the [`lt_gpusim`] timeline. This module is the
 //! host execution layer: a batch is split into contiguous per-thread chunks
-//! (in walker order), every chunk is stepped independently against a shared
-//! read-only `GraphView`, and the per-chunk outputs are merged back **in
-//! chunk order**.
+//! (in walker order), every chunk is stepped independently against one
+//! read-only `GraphView` of borrowed block-table rows, whatever store holds
+//! them, and the per-chunk outputs are merged back **in chunk order**.
 //!
 //! Chunk-order merging makes the result bit-identical to sequential
 //! execution for *any* chunking:
@@ -26,92 +26,43 @@
 
 use crate::algorithm::{StepContext, StepDecision, WalkAlgorithm};
 use crate::walker::Walker;
-use lt_graph::{Csr, PartitionData, VertexId};
-use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use lt_graph::partition::Rows;
+use lt_graph::{Csr, VertexId};
+use std::sync::{Mutex, OnceLock};
 
-/// Where a kernel reads its graph data from: the CSR or partition blocks,
-/// nothing else, always in place — a resident partition is a simulated
-/// copy, and the host moves no bytes for it. `ResidentCsr`,
-/// `ResidentBlock` and `Host` borrow from the engine for the length of one
-/// batch; `Blocks` owns the fetched blocks, gathered before the task
-/// borrows. The resident views differ from the zero-copy ones in
-/// second-order context: only the partition's own rows are on the device.
-pub(crate) enum GraphView<'a> {
-    /// A resident partition of a RAM store: its rows, read from the CSR.
-    /// Second-order context is served only for a previous vertex inside
-    /// the kernel's range, exactly as from the partition's block.
-    ResidentCsr(&'a Csr),
-    /// A resident partition held as a block: an evolving graph's sealed
-    /// block, or an out-of-core store's decoded block pinned in the pool.
-    ResidentBlock(&'a PartitionData),
-    /// Zero copy: read the host CSR directly.
-    Host(&'a Csr),
-    /// Zero copy where no host CSR exists — an out-of-core store or an
-    /// evolving graph: read host-side partition blocks directly.
-    Blocks(HostBlockView),
-}
-
-/// The host-side graph view for zero-copy kernels over a graph held as
-/// partition blocks: the host decode cache's partitions of an out-of-core
-/// store, or the block table of an evolving graph
-/// ([`lt_graph::delta::DeltaGraph`]). Holds the blocks a batch can read:
-/// its own and, only when the algorithm
+/// The rows a kernel reads, always in place: its own partition's and,
+/// only for a zero-copy kernel of an algorithm that
 /// [reads second-order context](WalkAlgorithm::reads_prev_neighbors),
-/// every partition a walker's previous vertex lives in (computed at batch
-/// start; after a walker's first step its `aux` lies in the batch's own
-/// partition). A lookup outside the view then only comes from a
-/// [`crate::JobTable`] mixing a second-order job with a temporal one — a
-/// clock in `aux` aliasing a vertex id — and returns `None`, which
-/// temporal walks never read.
-pub(crate) struct HostBlockView {
-    /// Covered partitions, sorted by vertex range, pairwise disjoint.
-    parts: Vec<Arc<PartitionData>>,
+/// those of every partition a walker's previous vertex (`aux`) lies in at
+/// batch start — after its first step a walker's `aux` lies in the own
+/// partition. Each is a range of a RAM CSR, a sealed block of the block
+/// table, or an out-of-core block fetched or pinned for the batch; the
+/// host moves no bytes for any of them. A resident kernel's view covers
+/// only its own partition, as only that partition is on the device.
+pub(crate) struct GraphView<'a> {
+    own: Rows<'a>,
+    /// The other covered partitions, sorted by vertex range.
+    context: Vec<Rows<'a>>,
 }
 
-impl HostBlockView {
-    pub(crate) fn new(mut parts: Vec<Arc<PartitionData>>) -> HostBlockView {
-        parts.sort_by_key(|d| d.v_start);
-        parts.dedup_by_key(|d| d.id);
-        HostBlockView { parts }
+impl<'a> GraphView<'a> {
+    /// A view over `own` plus `context`, partitions other than `own`.
+    pub(crate) fn new(own: Rows<'a>, mut context: Vec<Rows<'a>>) -> GraphView<'a> {
+        context.sort_by_key(|r| r.v_start);
+        GraphView { own, context }
     }
 
+    /// The covered rows holding `v`, if any. A lookup outside the view
+    /// only comes from a [`crate::JobTable`] mixing a second-order job
+    /// with a temporal one — a clock in `aux` aliasing a vertex id or
+    /// exceeding |V| — and temporal walks never read what it returns.
     #[inline]
-    fn find(&self, v: VertexId) -> Option<&PartitionData> {
-        let i = self.parts.partition_point(|d| d.v_end <= v);
-        self.parts.get(i).filter(|d| d.contains(v)).map(|d| &**d)
-    }
-
-    #[inline]
-    fn covering(&self, v: VertexId) -> &PartitionData {
-        self.find(v)
-            .unwrap_or_else(|| panic!("zero-copy block view does not cover vertex {v}"))
-    }
-}
-
-impl GraphView<'_> {
-    #[inline]
-    pub(crate) fn neighbors(&self, v: VertexId) -> (&[VertexId], Option<&[f32]>, Option<&[u32]>) {
-        match self {
-            GraphView::ResidentBlock(d) => (
-                d.neighbors(v),
-                d.neighbor_weights(v),
-                d.neighbor_timestamps(v),
-            ),
-            GraphView::ResidentCsr(g) | GraphView::Host(g) => (
-                g.neighbors(v),
-                g.neighbor_weights(v),
-                g.neighbor_timestamps(v),
-            ),
-            GraphView::Blocks(h) => {
-                let d = h.covering(v);
-                (
-                    d.neighbors(v),
-                    d.neighbor_weights(v),
-                    d.neighbor_timestamps(v),
-                )
-            }
+    fn find(&self, v: VertexId) -> Option<&Rows<'a>> {
+        if self.own.contains(v) {
+            return Some(&self.own);
         }
+        let i = self.context.partition_point(|r| r.v_end <= v);
+        self.context.get(i).filter(|r| r.contains(v))
     }
 }
 
@@ -262,7 +213,8 @@ impl ScratchPool {
 /// task, inline or from a worker thread that borrows it for the duration
 /// of the fan-out.
 pub(crate) struct KernelTask<'a> {
-    /// Where graph data is read from.
+    /// Where graph data is read from; walkers leaving its own partition
+    /// stop.
     pub view: GraphView<'a>,
     /// The walk algorithm.
     pub alg: &'a dyn WalkAlgorithm,
@@ -275,8 +227,6 @@ pub(crate) struct KernelTask<'a> {
     pub seed: u64,
     /// `|V|` of the full graph.
     pub num_vertices: u64,
-    /// The kernel partition's vertex range; walkers leaving it stop.
-    pub range: Range<VertexId>,
     /// Collect per-step visit events.
     pub track_visits: bool,
     /// Collect per-step `(walk_id, vertex)` path events.
@@ -308,7 +258,7 @@ pub(crate) fn step_chunk(task: &KernelTask, walkers: &[Walker]) -> ChunkOutput {
         .scratch
         .take(walkers.len(), task.track_visits, task.track_paths);
     for mut w in walkers.iter().copied() {
-        debug_assert!(task.range.contains(&w.vertex), "batch invariant violated");
+        debug_assert!(task.view.own.contains(w.vertex), "batch invariant violated");
         loop {
             let d = step_once(task, &w);
             match d {
@@ -332,7 +282,7 @@ pub(crate) fn step_chunk(task: &KernelTask, walkers: &[Walker]) -> ChunkOutput {
                     if task.track_paths {
                         out.path_events.push((w.id, v));
                     }
-                    if !task.range.contains(&v) {
+                    if !task.view.own.contains(v) {
                         out.moved.push(w);
                         break;
                     }
@@ -344,37 +294,22 @@ pub(crate) fn step_chunk(task: &KernelTask, walkers: &[Walker]) -> ChunkOutput {
 }
 
 /// One step of `w` against the task's view, read in place. Second-order
-/// context is built only for an algorithm that declared it reads it — on
-/// every view alike, so a first-order walk sees `None` on a CSR and on
-/// blocks — and then the previous vertex's adjacency is served where this
-/// kernel's view reaches it: always via zero copy, and only inside the
-/// kernel's partition when resident, whether its rows come from the CSR
-/// or from a block (the asymmetry second-order systems accept).
+/// context is built only for an algorithm that declared it reads it, so
+/// a first-order walk sees `None` on every view, and then it is the
+/// view's row for `aux` wherever the view holds one, else `None`.
 #[inline]
 fn step_once(task: &KernelTask, w: &Walker) -> StepDecision {
-    let (neighbors, weights, timestamps) = task.view.neighbors(w.vertex);
-    // The bounds guard is for a `JobTable` mixing a second-order job with
-    // a temporal one: `reads_prev` then holds for the whole batch, and a
-    // temporal walker's clock in `aux` can exceed |V| (a small clock
-    // aliasing a vertex id is harmless: temporal walks ignore the field).
-    let prev_neighbors = match (&task.view, w.aux) {
-        _ if !task.reads_prev => None,
-        (_, VertexId::MAX) => None,
-        (GraphView::Host(g), aux) if (aux as u64) < task.num_vertices => Some(g.neighbors(aux)),
-        (GraphView::ResidentCsr(g), aux) if task.range.contains(&aux) => Some(g.neighbors(aux)),
-        (GraphView::ResidentBlock(d), aux) if d.contains(aux) => Some(d.neighbors(aux)),
-        // A block view that does not cover `aux` serves nothing (see
-        // `HostBlockView` for who gets here).
-        (GraphView::Blocks(h), aux) if (aux as u64) < task.num_vertices => {
-            h.find(aux).map(|d| d.neighbors(aux))
-        }
-        _ => None,
+    let own = &task.view.own;
+    let prev_neighbors = if task.reads_prev {
+        task.view.find(w.aux).map(|r| r.neighbors(w.aux))
+    } else {
+        None
     };
     let ctx = StepContext {
-        neighbors,
-        weights,
+        neighbors: own.neighbors(w.vertex),
+        weights: own.neighbor_weights(w.vertex),
         prev_neighbors,
-        timestamps,
+        timestamps: own.neighbor_timestamps(w.vertex),
         max_multiplicity: task.max_multiplicity,
         num_vertices: task.num_vertices,
     };
@@ -384,8 +319,8 @@ fn step_once(task: &KernelTask, w: &Walker) -> StepDecision {
 /// The [`StepContext::max_multiplicity`] to step `alg` with: for an
 /// algorithm that reads second-order context, `graph_bound()` — the
 /// stepped graph's cached [`Csr::max_multiplicity`] — and 1 otherwise, so
-/// a first-order walk never scans for it. The engine and every CPU
-/// baseline pick the value here, which keeps them bit-identical.
+/// a first-order walk never scans for it. Every CPU baseline picks the value
+/// here, and the engine by the same rule, which keeps them bit-identical.
 #[inline]
 pub fn multiplicity_for(alg: &dyn WalkAlgorithm, graph_bound: impl FnOnce() -> u32) -> u32 {
     if alg.reads_prev_neighbors() {
@@ -425,10 +360,16 @@ mod tests {
     use super::*;
     use crate::algorithm::UniformSampling;
     use lt_graph::gen::erdos_renyi;
+    use std::ops::Range;
     use std::sync::Arc;
 
-    /// A task over the whole of `g` with every tracker off; tests override
-    /// the fields they exercise.
+    /// A view of `g`'s vertices `range`, read in place from the CSR.
+    fn csr_view(g: &Csr, range: Range<VertexId>) -> GraphView<'_> {
+        GraphView::new(Rows::csr(g, range), Vec::new())
+    }
+
+    /// A task with every tracker off; tests override the fields they
+    /// exercise.
     fn task<'a>(
         view: GraphView<'a>,
         alg: &'a dyn WalkAlgorithm,
@@ -442,7 +383,6 @@ mod tests {
             max_multiplicity: 1,
             seed: 0,
             num_vertices,
-            range: 0..num_vertices as VertexId,
             track_visits: false,
             track_paths: false,
             track_tags: false,
@@ -479,7 +419,7 @@ mod tests {
             seed: 7,
             track_visits: true,
             track_paths: true,
-            ..task(GraphView::Host(&g), &alg, &scratch, g.num_vertices())
+            ..task(csr_view(&g, 0..512), &alg, &scratch, g.num_vertices())
         };
         let whole = step_chunk(&task, &walkers);
         let mut merged_visits = Vec::new();
@@ -524,8 +464,8 @@ mod tests {
         let walkers: Vec<Walker> = (0..200).map(|i| Walker::new(i, (i % 128) as u32)).collect();
         let task = KernelTask {
             seed: 1,
-            range: 0..128u32, // half the graph: walks leave
-            ..task(GraphView::Host(&g), &alg, &scratch, g.num_vertices())
+            // Half the graph: walks leave.
+            ..task(csr_view(&g, 0..128), &alg, &scratch, g.num_vertices())
         };
         let whole = step_chunk(&task, &walkers);
         let mut merged: Vec<Walker> = Vec::new();
@@ -540,15 +480,14 @@ mod tests {
 
     /// A step is a pure function of `(row, walker, seed)`: the temporal
     /// sampler — proposals on long rows, scans on short ones — picks the
-    /// same edges whether the row is read from the CSR, a resident
-    /// partition (in place or as a block) or a block view.
+    /// same edges whether the rows are a CSR range or a block.
     #[test]
     fn temporal_steps_agree_on_every_view() {
         use crate::algorithm::TemporalWalk;
         use lt_graph::gen::with_random_timestamps;
         use lt_graph::PartitionedGraph;
-        // Dense enough that most rows are long (~280 edges): all three
-        // views go through propose-accept, its fallback and the plain scan.
+        // Dense enough that most rows are long (~280 edges): both views
+        // go through propose-accept, its fallback and the plain scan.
         let g = Arc::new(with_random_timestamps(
             &erdos_renyi(512, 512 * 220, 11).csr,
             3,
@@ -557,33 +496,29 @@ mod tests {
         let long_rows = (0..512).filter(|&v| g.degree(v) >= 256).count();
         assert!((256..512).contains(&long_rows), "{long_rows} long rows");
         let pg = PartitionedGraph::build(g.clone(), u64::MAX);
-        let block = Arc::new(pg.extract(0));
+        let block = pg.extract(0);
         let alg = TemporalWalk::new(40, 6);
         let scratch = ScratchPool::default();
         let walkers: Vec<Walker> = (0..500).map(|i| Walker::new(i, (i % 512) as u32)).collect();
-        let run = |view| {
+        let run = |own| {
             let task = KernelTask {
                 seed: 9,
                 track_visits: true,
-                ..task(view, &alg, &scratch, 512)
+                ..task(GraphView::new(own, Vec::new()), &alg, &scratch, 512)
             };
             let o = step_chunk(&task, &walkers);
             (o.steps, o.visits, o.lengths)
         };
-        let host = run(GraphView::Host(&g));
-        assert!(host.0 > 2_000, "walks must actually move: {} steps", host.0);
-        assert_eq!(run(GraphView::ResidentCsr(&g)), host);
-        assert_eq!(run(GraphView::ResidentBlock(&block)), host);
-        assert_eq!(
-            run(GraphView::Blocks(HostBlockView::new(vec![block.clone()]))),
-            host
-        );
+        let csr = run(Rows::csr(&g, 0..512));
+        assert!(csr.0 > 2_000, "walks must actually move: {} steps", csr.0);
+        assert_eq!(run(block.rows()), csr);
     }
 
-    /// A resident partition read in place from the CSR serves second-order
-    /// context exactly as its block does: only for a previous vertex
-    /// inside the partition. A zero-copy read of the CSR serves it for
-    /// every vertex, so some walks step differently there.
+    /// A view serves second-order context only for the partitions it
+    /// covers: a resident view of the kernel's own partition steps some
+    /// node2vec walks differently from a view that also covers the
+    /// partitions of the walkers' previous vertices, and CSR rows equal
+    /// block rows under either coverage.
     #[test]
     fn resident_csr_serves_context_only_inside_the_partition() {
         use crate::algorithm::SecondOrderWalk;
@@ -591,10 +526,10 @@ mod tests {
         let g = Arc::new(erdos_renyi(512, 512 * 8, 13).csr);
         let pg = PartitionedGraph::build(g.clone(), 8 << 10);
         assert!(pg.num_partitions() >= 3);
-        let block = pg.extract(1);
+        let blocks: Vec<_> = (0..pg.num_partitions()).map(|p| pg.extract(p)).collect();
+        let range = pg.vertex_range(1);
         let alg = SecondOrderWalk::node2vec(30, 0.25, 4.0);
         let scratch = ScratchPool::default();
-        let range = block.v_start..block.v_end;
         // Mid-walk, previous vertices on both sides of the partition
         // boundary.
         let walkers: Vec<Walker> = (0..400)
@@ -608,16 +543,27 @@ mod tests {
             let task = KernelTask {
                 reads_prev: true,
                 seed: 3,
-                range: range.clone(),
                 track_visits: true,
                 ..task(view, &alg, &scratch, 512)
             };
             let o = step_chunk(&task, &walkers);
             (o.steps, o.visits, o.lengths, o.moved)
         };
-        let resident = run(GraphView::ResidentBlock(&block));
-        assert_eq!(run(GraphView::ResidentCsr(&g)), resident);
-        assert_ne!(run(GraphView::Host(&g)), resident);
+        /// Partition 1's view, covering every other partition too when
+        /// `covered`.
+        fn view<'a>(rows: &[Rows<'a>], covered: bool) -> GraphView<'a> {
+            let others = rows.iter().enumerate().filter(|&(p, _)| covered && p != 1);
+            GraphView::new(rows[1], others.map(|(_, r)| *r).collect())
+        }
+        let csr_rows: Vec<_> = (0..pg.num_partitions())
+            .map(|p| Rows::csr(&g, pg.vertex_range(p)))
+            .collect();
+        let block_rows: Vec<_> = blocks.iter().map(|b| b.rows()).collect();
+        let resident = run(view(&block_rows, false));
+        assert_eq!(run(view(&csr_rows, false)), resident);
+        let covered = run(view(&csr_rows, true));
+        assert_ne!(covered, resident);
+        assert_eq!(run(view(&block_rows, true)), covered);
     }
 
     /// Recycled scratch buffers must not leak state between rounds.
@@ -629,10 +575,9 @@ mod tests {
         let walkers: Vec<Walker> = (0..150).map(|i| Walker::new(i, (i % 128) as u32)).collect();
         let mk_task = |scratch| KernelTask {
             seed: 5,
-            range: 0..128u32,
             track_visits: true,
             track_paths: true,
-            ..task(GraphView::Host(&g), &alg, scratch, g.num_vertices())
+            ..task(csr_view(&g, 0..128), &alg, scratch, g.num_vertices())
         };
         let fresh = step_chunk(&mk_task(&unused_pool), &walkers);
         // Dirty the pool with an unrelated round, recycle its buffer, and

@@ -1,34 +1,39 @@
-//! Evolving-graph layer: buffered edge updates over one block per
-//! partition.
+//! Evolving-graph layer: buffered edge updates over the block table.
 //!
 //! The paper walks a static CSR, but its reshuffle/cache design is most
 //! stressed when partition contents change mid-run (the LightRW /
 //! FlexiWalker dynamic-walk scenario). [`DeltaGraph`] holds the graph as
-//! the table of [`PartitionData`] blocks the engine already moves — the
+//! the [`PartitionedGraph`] block table the engine already moves — the
 //! paper's unit of traffic (§III-B) is also the unit of mutation — with a
 //! buffer of pending updates and an epoch clock:
 //!
 //! - **Buffering**: [`DeltaGraph::buffer`] queues [`EdgeUpdate`]s without
-//!   making them visible to readers.
+//!   making them visible to readers. Nothing is copied, however large the
+//!   graph: every entry starts clean, read from the base store.
 //! - **Epoch seal**: [`DeltaGraph::seal_epoch`] merges every buffered
-//!   update into fresh blocks for the partitions it touches, advances the
-//!   epoch and reports the dirty vertex and partition sets. A clean
-//!   partition keeps its `Arc`, so a seal costs the bytes of the dirty
-//!   partitions, not of the graph, and a copy of a block is stale exactly
-//!   when `Arc::ptr_eq` says so. All readers observe the new adjacency
-//!   atomically after the seal — the engine runs seals only at iteration
-//!   barriers, which is what makes mutation visibility deterministic
-//!   (DESIGN.md §15).
+//!   update into fresh blocks for the partitions it touches, read from
+//!   whatever their entries hold — the CSR range or block a kernel reads,
+//!   or an out-of-core partition's decoded block — advances the epoch and
+//!   reports the dirty vertex and partition sets. An untouched entry keeps
+//!   what it had, so a seal costs the bytes of the dirty partitions, not
+//!   of the graph, and a copy of a block is stale exactly when its entry
+//!   was sealed since. All readers observe the new adjacency atomically
+//!   after the seal — the engine runs seals only at iteration barriers,
+//!   which is what makes mutation visibility deterministic (DESIGN.md
+//!   §15). Sealed blocks stay in RAM; nothing rewrites an out-of-core
+//!   file.
 //!
 //! Temporal coupling: on a temporal base graph, an insert without an
 //! explicit timestamp is stamped with the sealing epoch's index, so the
 //! edge-time horizon advances in lockstep with the delta stream and
 //! temporal walkers' sliding windows (see `TemporalWalk` in `lt-engine`)
 //! move forward as epochs are sealed.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+use crate::partition::Rows;
 use crate::{Csr, GraphError, PartitionData, PartitionId, PartitionedGraph, VertexId};
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What an [`EdgeUpdate`] does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,14 +100,11 @@ struct Columns {
 
 impl Columns {
     /// Empty columns with the same optional arrays as `base`.
-    fn like(base: &PartitionData, capacity: usize) -> Self {
+    fn like(base: &Rows, capacity: usize) -> Self {
         Columns {
             edges: Vec::with_capacity(capacity),
-            weights: base.weights.as_ref().map(|_| Vec::with_capacity(capacity)),
-            timestamps: base
-                .timestamps
-                .as_ref()
-                .map(|_| Vec::with_capacity(capacity)),
+            weights: base.weights.map(|_| Vec::with_capacity(capacity)),
+            timestamps: base.timestamps.map(|_| Vec::with_capacity(capacity)),
         }
     }
 
@@ -116,13 +118,13 @@ impl Columns {
         }
     }
 
-    /// Append `base`'s edge entries `range` as whole slices.
-    fn extend_from_base(&mut self, base: &PartitionData, range: Range<usize>) {
+    /// Append `base`'s edge-column entries `range` as whole slices.
+    fn extend_from_base(&mut self, base: &Rows, range: Range<usize>) {
         self.edges.extend_from_slice(&base.edges[range.clone()]);
-        if let (Some(out), Some(w)) = (&mut self.weights, &base.weights) {
+        if let (Some(out), Some(w)) = (&mut self.weights, base.weights) {
             out.extend_from_slice(&w[range.clone()]);
         }
-        if let (Some(out), Some(t)) = (&mut self.timestamps, &base.timestamps) {
+        if let (Some(out), Some(t)) = (&mut self.timestamps, base.timestamps) {
             out.extend_from_slice(&t[range]);
         }
     }
@@ -172,21 +174,21 @@ struct NextBlock {
 
 impl NextBlock {
     /// Sized for `base` grown by at most `max_inserts` edges.
-    fn new(base: &PartitionData, max_inserts: usize) -> Self {
+    fn new(base: &Rows, max_inserts: usize) -> Self {
         let mut offsets = Vec::with_capacity(base.offsets.len());
         offsets.push(0);
         NextBlock {
             offsets,
-            cols: Columns::like(base, base.edges.len() + max_inserts),
+            cols: Columns::like(base, base.edge_span().len() + max_inserts),
         }
     }
 
     /// Emit the rows from the first one not yet written up to local row
     /// `until` — a run no update touched — as whole slices of `base`, with
     /// their offsets rebased onto the output.
-    fn copy_clean_rows(&mut self, base: &PartitionData, until: usize) {
+    fn copy_clean_rows(&mut self, base: &Rows, until: usize) {
         let from = self.offsets.len() - 1;
-        let base_off = &base.offsets;
+        let base_off = base.offsets;
         let start = self.cols.edges.len() as u64;
         self.cols
             .extend_from_base(base, base_off[from] as usize..base_off[until] as usize);
@@ -210,7 +212,7 @@ pub struct EpochSeal {
     pub epoch: u64,
     /// Sorted, deduplicated source vertices whose adjacency changed.
     pub dirty: Vec<VertexId>,
-    /// Sorted partitions holding a dirty vertex — exactly the blocks this
+    /// Sorted partitions holding a dirty vertex — exactly the entries this
     /// seal replaced.
     pub dirty_partitions: Vec<PartitionId>,
     /// Edges inserted by this seal.
@@ -219,95 +221,50 @@ pub struct EpochSeal {
     pub deleted: u64,
 }
 
-/// One block per partition, the updates buffered against them, and an
-/// epoch clock.
+/// A block table, the updates buffered against it, and an epoch clock.
 ///
 /// ```
 /// use std::sync::Arc;
 /// use lt_graph::{Csr, PartitionedGraph, delta::{DeltaGraph, EdgeUpdate}};
 /// let base = Arc::new(Csr::new(vec![0, 2, 3, 3], vec![1, 2, 0], None).unwrap());
-/// let mut dg = DeltaGraph::new(&PartitionedGraph::build(base, 40));
+/// let mut dg = DeltaGraph::new(PartitionedGraph::build(base, 40));
 /// dg.buffer(EdgeUpdate::insert(2, 0)).unwrap();
-/// assert_eq!(dg.neighbors(2), &[] as &[u32]); // invisible until sealed
-/// let seal = dg.seal_epoch();
+/// assert_eq!(dg.to_csr().unwrap().neighbors(2), &[] as &[u32]); // invisible until sealed
+/// let seal = dg.seal_epoch(&[]).unwrap();
 /// assert_eq!(seal.epoch, 1);
 /// assert_eq!(seal.dirty, vec![2]);
 /// assert_eq!(seal.dirty_partitions, vec![1]);
-/// assert_eq!(dg.neighbors(2), &[0]);
+/// assert_eq!(dg.table().rows(1).unwrap().neighbors(2), &[0]);
+/// assert!(dg.table().sealed(0).is_none()); // untouched, still the CSR's rows
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeltaGraph {
-    /// `boundaries[p]..boundaries[p+1]` is block `p`'s vertex interval,
-    /// copied from the partition table and frozen.
-    boundaries: Vec<VertexId>,
-    blocks: Vec<Arc<PartitionData>>,
-    /// Each block's [`PartitionData::max_multiplicity`], computed on first
-    /// use and forgotten when a seal replaces the block.
-    multiplicity: Vec<OnceLock<u32>>,
+    table: PartitionedGraph,
     pending: Vec<EdgeUpdate>,
     epoch: u64,
 }
 
 impl DeltaGraph {
-    /// Start at epoch 0 with nothing buffered, over a copy of every
-    /// partition of `pg` (one [`PartitionedGraph::extract`] each).
-    pub fn new(pg: &PartitionedGraph) -> Self {
-        let np = pg.num_partitions();
+    /// Start at epoch 0 with nothing buffered and every entry of `table`
+    /// as it is. Copies nothing.
+    pub fn new(table: PartitionedGraph) -> Self {
         DeltaGraph {
-            boundaries: pg.boundaries().to_vec(),
-            blocks: (0..np).map(|p| Arc::new(pg.extract(p))).collect(),
-            multiplicity: (0..np).map(|_| OnceLock::new()).collect(),
+            table,
             pending: Vec::new(),
             epoch: 0,
         }
     }
 
-    /// [`Csr::max_multiplicity`] of the sealed view. Only blocks sealed
-    /// since the last call are scanned, so a first-order run that never
-    /// asks never scans at all.
-    pub fn max_multiplicity(&self) -> u32 {
-        self.blocks
-            .iter()
-            .zip(&self.multiplicity)
-            .map(|(b, m)| *m.get_or_init(|| b.max_multiplicity()))
-            .max()
-            .unwrap_or(1)
+    /// The block table as of the last seal.
+    #[inline]
+    pub fn table(&self) -> &PartitionedGraph {
+        &self.table
     }
 
     /// The current epoch (number of seals performed).
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The sealed view of partition `p`: its rows as of the last seal, in
-    /// the allocation the engine loads, reloads and reads through zero
-    /// copy. Only a seal that changes one of the rows replaces it.
-    #[inline]
-    pub fn block(&self, p: PartitionId) -> &Arc<PartitionData> {
-        &self.blocks[p as usize]
-    }
-
-    /// Index of the partition holding vertex `v` (binary search over the
-    /// boundaries, as in [`PartitionedGraph::partition_of`]).
-    #[inline]
-    fn partition_of(&self, v: VertexId) -> usize {
-        self.boundaries.partition_point(|&b| b <= v) - 1
-    }
-
-    #[inline]
-    fn block_of(&self, v: VertexId) -> &PartitionData {
-        &self.blocks[self.partition_of(v)]
-    }
-
-    #[inline]
-    pub fn num_vertices(&self) -> u64 {
-        *self.boundaries.last().expect("at least one partition") as u64
-    }
-
-    /// Sealed-view edge count.
-    pub fn num_edges(&self) -> u64 {
-        self.blocks.iter().map(|b| b.edges.len() as u64).sum()
     }
 
     /// Buffered updates awaiting the next seal.
@@ -320,7 +277,7 @@ impl DeltaGraph {
     /// Both endpoints must be existing vertices (the vertex set is frozen;
     /// only edges evolve).
     pub fn buffer(&mut self, update: EdgeUpdate) -> Result<(), GraphError> {
-        let nv = self.num_vertices();
+        let nv = self.table.num_vertices();
         for v in [update.src, update.dst] {
             if (v as u64) >= nv {
                 return Err(GraphError::VertexOutOfRange {
@@ -340,6 +297,22 @@ impl DeltaGraph {
         Ok(())
     }
 
+    /// The partitions the next seal rebuilds whose rows the table cannot
+    /// lend — clean partitions of an out-of-core store — ascending. A
+    /// caller with its own cache of decoded blocks fetches these and
+    /// hands them to [`DeltaGraph::seal_epoch`].
+    pub fn bases_to_fetch(&self) -> Vec<PartitionId> {
+        let mut parts: Vec<PartitionId> = self
+            .pending
+            .iter()
+            .map(|u| self.table.partition_of(u.src))
+            .filter(|&p| self.table.rows(p).is_none())
+            .collect();
+        parts.sort_unstable();
+        parts.dedup();
+        parts
+    }
+
     /// Apply every buffered update, advance the epoch and report the dirty
     /// vertex and partition sets. Sealing with an empty buffer still
     /// advances the epoch (an empty epoch).
@@ -350,73 +323,82 @@ impl DeltaGraph {
     /// stays sorted, which second-order walks rely on — with weight 1.0
     /// and the sealing epoch as defaults; a delete removes the first
     /// stored match and is a no-op that dirties nothing when there is
-    /// none. The sorted updates are cut at partition
-    /// boundaries and each touched partition's block is rewritten in one
-    /// pass over the old one (`rebuild_block`), so a seal costs
-    /// O(pending + bytes of the dirty partitions).
-    pub fn seal_epoch(&mut self) -> EpochSeal {
-        self.epoch += 1;
-        let default_ts = self.epoch.min(u32::MAX as u64) as u32;
+    /// none. The sorted updates are cut at partition boundaries and each
+    /// touched partition's rows are rewritten in one pass
+    /// (`rebuild_block`), so a seal costs O(pending + bytes of the dirty
+    /// partitions).
+    ///
+    /// A touched partition is read from its entry when the table lends
+    /// its rows, else from its block in `fetched` (see
+    /// [`DeltaGraph::bases_to_fetch`]), else decoded from the file. A
+    /// failed decode returns its error before anything changes: the
+    /// epoch, the table and the buffer stay as they were.
+    pub fn seal_epoch(&mut self, fetched: &[Arc<PartitionData>]) -> Result<EpochSeal, GraphError> {
+        // Stable, so the ops of one source keep their submission order.
+        self.pending.sort_by_key(|u| u.src);
+        let epoch = self.epoch + 1;
+        let default_ts = epoch.min(u32::MAX as u64) as u32;
         let mut seal = EpochSeal {
-            epoch: self.epoch,
+            epoch,
             ..EpochSeal::default()
         };
-        let mut pending = std::mem::take(&mut self.pending);
-        // Stable, so the ops of one source keep their submission order.
-        pending.sort_by_key(|u| u.src);
-        let mut row = Columns::like(&self.blocks[0], 0);
-        let mut rest = pending.as_slice();
+        let mut rebuilt = Vec::new();
+        let mut row = None;
+        let mut rest = self.pending.as_slice();
         while let Some(first) = rest.first() {
-            let p = self.partition_of(first.src);
-            let v_end = self.boundaries[p + 1];
+            let p = self.table.partition_of(first.src);
+            let v_end = self.table.vertex_range(p).end;
             let (ops, tail) = rest.split_at(rest.partition_point(|u| u.src < v_end));
             rest = tail;
-            if let Some(block) =
-                rebuild_block(&self.blocks[p], ops, default_ts, &mut row, &mut seal)
-            {
-                self.blocks[p] = Arc::new(block);
-                self.multiplicity[p] = OnceLock::new();
-                seal.dirty_partitions.push(p as PartitionId);
+            let decoded;
+            let base = match (self.table.rows(p), fetched.iter().find(|d| d.id == p)) {
+                (Some(rows), _) => rows,
+                (None, Some(block)) => block.rows(),
+                (None, None) => {
+                    decoded = self.table.read_block(p)?;
+                    decoded.rows()
+                }
+            };
+            let row = row.get_or_insert_with(|| Columns::like(&base, 0));
+            if let Some(block) = rebuild_block(p, &base, ops, default_ts, row, &mut seal) {
+                rebuilt.push(block);
+                seal.dirty_partitions.push(p);
             }
         }
-        seal
-    }
-
-    /// Sealed-view neighbors of `v`.
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.block_of(v).neighbors(v)
-    }
-
-    /// Sealed-view timestamps parallel to [`DeltaGraph::neighbors`].
-    #[inline]
-    pub fn neighbor_timestamps(&self, v: VertexId) -> Option<&[u32]> {
-        self.block_of(v).neighbor_timestamps(v)
+        for block in rebuilt {
+            self.table.seal(block);
+        }
+        self.pending.clear();
+        self.epoch = epoch;
+        Ok(seal)
     }
 
     /// The sealed view as one CSR — O(|V| + |E|), for tests and reference
     /// implementations that want a whole graph; nothing on the walk path
-    /// builds one.
-    pub fn to_csr(&self) -> Csr {
-        let mut offsets = Vec::with_capacity(self.num_vertices() as usize + 1);
-        offsets.push(0);
-        let mut cols = Columns::like(&self.blocks[0], self.num_edges() as usize);
-        for b in &self.blocks {
+    /// builds one. A clean out-of-core partition is decoded from the file.
+    pub fn to_csr(&self) -> Result<Csr, GraphError> {
+        let blocks = (0..self.table.num_partitions())
+            .map(|p| self.table.read_block(p))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut offsets = vec![0];
+        let mut cols = Columns::like(&blocks[0].rows(), 0);
+        for b in &blocks {
             let start = cols.edges.len() as u64;
             offsets.extend(b.offsets[1..].iter().map(|&o| o + start));
-            cols.extend_from_base(b, 0..b.edges.len());
+            cols.extend_from_base(&b.rows(), 0..b.edges.len());
         }
         Csr::with_timestamps(offsets, cols.edges, cols.weights, cols.timestamps)
-            .expect("valid blocks concatenate to a valid CSR")
     }
 }
 
-/// Apply `part_ops` — the sealed epoch's updates whose source lies in `base`'s
-/// partition, sorted by source, submission order within one — and return
-/// the rebuilt block, or `None` when none of them changed a row. `row` is
-/// scratch; `seal` collects the dirty vertices and the applied counts.
+/// Apply `part_ops` — the sealed epoch's updates whose source lies in
+/// partition `id`, whose current rows are `base`, sorted by source,
+/// submission order within one — and return the rebuilt block, or `None`
+/// when none of them changed a row. `row` is scratch; `seal` collects the
+/// dirty vertices and the applied counts.
 fn rebuild_block(
-    base: &PartitionData,
+    id: PartitionId,
+    base: &Rows,
     part_ops: &[EdgeUpdate],
     default_ts: u32,
     row: &mut Columns,
@@ -460,10 +442,10 @@ fn rebuild_block(
         next.push_row(row);
     }
     let mut next = next?;
-    next.copy_clean_rows(base, base.num_vertices() as usize);
+    next.copy_clean_rows(base, (base.v_end - base.v_start) as usize);
     let NextBlock { offsets, cols } = next;
     Some(PartitionData {
-        id: base.id,
+        id,
         v_start: base.v_start,
         v_end: base.v_end,
         offsets,
@@ -483,7 +465,17 @@ mod tests {
         let g = Csr::new(vec![0, 2, 3, 3, 6], vec![1, 2, 0, 0, 1, 2], None).unwrap();
         let pg = PartitionedGraph::build(Arc::new(g), 30);
         assert_eq!(pg.boundaries(), &[0, 1, 3, 4]);
-        DeltaGraph::new(&pg)
+        DeltaGraph::new(pg)
+    }
+
+    /// The sealed view's row of `v`.
+    fn neighbors(dg: &DeltaGraph, v: VertexId) -> &[VertexId] {
+        let t = dg.table();
+        t.rows(t.partition_of(v)).unwrap().neighbors(v)
+    }
+
+    fn seal(dg: &mut DeltaGraph) -> EpochSeal {
+        dg.seal_epoch(&[]).unwrap()
     }
 
     #[test]
@@ -491,27 +483,32 @@ mod tests {
         let mut dg = base();
         dg.buffer(EdgeUpdate::insert(1, 3)).unwrap();
         dg.buffer(EdgeUpdate::delete(0, 2)).unwrap();
-        assert_eq!(dg.neighbors(1), &[0]);
-        assert_eq!(dg.neighbors(0), &[1, 2]);
+        assert_eq!(neighbors(&dg, 1), &[0]);
+        assert_eq!(neighbors(&dg, 0), &[1, 2]);
         assert_eq!(dg.pending(), 2);
-        let seal = dg.seal_epoch();
+        let seal = seal(&mut dg);
         assert_eq!(seal.epoch, 1);
         assert_eq!(seal.dirty, vec![0, 1]);
         assert_eq!(seal.dirty_partitions, vec![0, 1]);
         assert_eq!((seal.inserted, seal.deleted), (1, 1));
-        assert_eq!(dg.neighbors(1), &[0, 3]);
-        assert_eq!(dg.neighbors(0), &[1]);
-        assert_eq!(dg.num_edges(), 6);
+        assert_eq!(neighbors(&dg, 1), &[0, 3]);
+        assert_eq!(neighbors(&dg, 0), &[1]);
+        assert_eq!(dg.to_csr().unwrap().num_edges(), 6);
+        // Only the dirty entries hold blocks; the clean one still reads
+        // the CSR.
+        assert!(dg.table().sealed(2).is_none());
+        assert_eq!(dg.table().partition_bytes(1), 3 * 8 + 2 * 4);
     }
 
     #[test]
     fn delete_of_absent_edge_is_noop() {
         let mut dg = base();
         dg.buffer(EdgeUpdate::delete(2, 0)).unwrap();
-        let seal = dg.seal_epoch();
+        let seal = seal(&mut dg);
         assert_eq!(seal.deleted, 0);
         assert!(seal.dirty.is_empty() && seal.dirty_partitions.is_empty());
-        assert_eq!(dg.num_edges(), 6);
+        assert!((0..3).all(|p| dg.table().sealed(p).is_none()));
+        assert_eq!(dg.to_csr().unwrap().num_edges(), 6);
     }
 
     #[test]
@@ -535,13 +532,13 @@ mod tests {
         ] {
             dg.buffer(u).unwrap();
         }
-        let seal = dg.seal_epoch();
+        let seal = seal(&mut dg);
         assert_eq!(seal.dirty, vec![0, 3]);
         assert_eq!(seal.dirty_partitions, vec![0, 2]);
         assert_eq!((seal.inserted, seal.deleted), (3, 2));
-        assert_eq!(dg.neighbors(0), &[0, 1, 2]);
-        assert_eq!(dg.neighbors(3), &[0, 1, 2]);
-        assert_eq!(dg.to_csr().offsets(), &[0, 3, 4, 4, 7]);
+        assert_eq!(neighbors(&dg, 0), &[0, 1, 2]);
+        assert_eq!(neighbors(&dg, 3), &[0, 1, 2]);
+        assert_eq!(dg.to_csr().unwrap().offsets(), &[0, 3, 4, 4, 7]);
     }
 
     /// An insert keeps a vertex-sorted row sorted: appending gave
@@ -550,31 +547,69 @@ mod tests {
     #[test]
     fn inserts_keep_rows_sorted_and_seals_update_the_multiplicity() {
         let g = Csr::new(vec![0, 0, 2, 2, 2, 2, 2], vec![2, 5], None).unwrap();
-        let mut dg = DeltaGraph::new(&PartitionedGraph::build(Arc::new(g), 1 << 10));
-        assert_eq!(dg.max_multiplicity(), 1);
+        let mut dg = DeltaGraph::new(PartitionedGraph::build(Arc::new(g), 1 << 10));
+        let multiplicity = |dg: &DeltaGraph| dg.table().max_multiplicity().unwrap();
+        assert_eq!(multiplicity(&dg), 1);
         dg.buffer(EdgeUpdate::insert(1, 0)).unwrap();
-        dg.seal_epoch();
-        assert_eq!(dg.neighbors(1), &[0, 2, 5]);
+        seal(&mut dg);
+        assert_eq!(neighbors(&dg, 1), &[0, 2, 5]);
         dg.buffer(EdgeUpdate::insert(1, 2)).unwrap();
         dg.buffer(EdgeUpdate::insert(1, 2)).unwrap();
-        dg.seal_epoch();
-        assert_eq!(dg.neighbors(1), &[0, 2, 2, 2, 5]);
-        assert_eq!(dg.max_multiplicity(), 3);
+        seal(&mut dg);
+        assert_eq!(neighbors(&dg, 1), &[0, 2, 2, 2, 5]);
+        assert_eq!(multiplicity(&dg), 3);
         dg.buffer(EdgeUpdate::delete(1, 2)).unwrap();
-        dg.seal_epoch();
-        assert_eq!(dg.max_multiplicity(), 2);
+        seal(&mut dg);
+        assert_eq!(multiplicity(&dg), 2);
     }
 
     #[test]
     fn temporal_inserts_default_to_sealing_epoch() {
         let g = Csr::with_timestamps(vec![0, 1, 1], vec![1], None, Some(vec![7])).unwrap();
-        let mut dg = DeltaGraph::new(&PartitionedGraph::build(Arc::new(g), 1 << 10));
-        dg.seal_epoch(); // epoch 1
+        let mut dg = DeltaGraph::new(PartitionedGraph::build(Arc::new(g), 1 << 10));
+        seal(&mut dg); // epoch 1
         dg.buffer(EdgeUpdate::insert(1, 0)).unwrap();
         dg.buffer(EdgeUpdate::insert_at(0, 1, 99)).unwrap();
-        let seal = dg.seal_epoch(); // epoch 2
+        let seal = seal(&mut dg); // epoch 2
         assert_eq!(seal.epoch, 2);
-        assert_eq!(dg.neighbor_timestamps(1), Some(&[2u32][..]));
-        assert_eq!(dg.neighbor_timestamps(0), Some(&[7u32, 99][..]));
+        let rows = dg.table().rows(0).unwrap();
+        assert_eq!(rows.neighbor_timestamps(1), Some(&[2u32][..]));
+        assert_eq!(rows.neighbor_timestamps(0), Some(&[7u32, 99][..]));
+    }
+
+    /// Over an out-of-core store a clean entry has no rows to lend: a seal
+    /// names it in `bases_to_fetch`, rebuilds it from a handed-in block or
+    /// from the file, and a failed read changes nothing.
+    #[test]
+    fn out_of_core_seals_read_the_file_or_a_fetched_block() {
+        use crate::oocore::{write_oocore, OocGraph};
+        let g = Arc::new(Csr::new(vec![0, 2, 3, 3, 6], vec![1, 2, 0, 0, 1, 2], None).unwrap());
+        let pg = PartitionedGraph::build(g, 30);
+        let path = std::env::temp_dir().join(format!("lt_delta_ooc_{}", std::process::id()));
+        write_oocore(&pg, &path).unwrap();
+        let ooc = Arc::new(OocGraph::open(&path).unwrap());
+        let mut dg = DeltaGraph::new(PartitionedGraph::from_ooc(ooc));
+        assert!((0..3).all(|p| dg.table().rows(p).is_none()));
+        dg.buffer(EdgeUpdate::insert(1, 3)).unwrap();
+        dg.buffer(EdgeUpdate::delete(0, 2)).unwrap();
+        assert_eq!(dg.bases_to_fetch(), vec![0, 1]);
+        // Partition 0 comes fetched, partition 1 from the file.
+        let fetched = [Arc::new(pg.extract(0))];
+        let s = dg.seal_epoch(&fetched).unwrap();
+        assert_eq!(s.dirty_partitions, vec![0, 1]);
+        assert!(dg.table().rows(2).is_none() && dg.bases_to_fetch().is_empty());
+        assert_eq!(dg.table().rows(1).unwrap().neighbors(1), &[0, 3]);
+        assert_eq!(dg.to_csr().unwrap().offsets(), &[0, 1, 3, 3, 6]);
+        // Empty the file: a seal that must read partition 2 fails after
+        // rebuilding partition 1, and keeps its buffer, epoch and table.
+        let file = std::fs::OpenOptions::new().write(true).open(&path);
+        file.unwrap().set_len(0).unwrap();
+        dg.buffer(EdgeUpdate::insert(1, 2)).unwrap();
+        dg.buffer(EdgeUpdate::insert(3, 3)).unwrap();
+        assert!(matches!(dg.seal_epoch(&[]), Err(GraphError::Io(_))));
+        assert_eq!((dg.epoch(), dg.pending()), (1, 2));
+        assert_eq!(dg.table().rows(1).unwrap().neighbors(1), &[0, 3]);
+        assert!(dg.table().rows(2).is_none());
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -36,13 +36,14 @@
 //! output slices with no cross-chunk scan — the engine's `ExecPool` runs
 //! [`decode_chunk`] per chunk in parallel (see `lt-engine`'s host decode
 //! cache).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::partition::{PartitionData, PartitionedGraph};
 use crate::{Csr, GraphError, VertexId};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Magic bytes of the out-of-core compressed format, revision 1.
 pub const OOC_MAGIC: &[u8; 8] = b"LTOOCGR1";
@@ -139,6 +140,15 @@ fn encode_row(
     }
 }
 
+/// The `N` bytes of `buf` at `at`, as an array for `from_le_bytes`. The
+/// caller has checked that `buf` holds them.
+#[inline]
+fn array_at<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    let mut a = [0u8; N];
+    a.copy_from_slice(&buf[at..at + N]);
+    a
+}
+
 fn truncated() -> GraphError {
     GraphError::Format("out-of-core payload truncated".into())
 }
@@ -177,7 +187,7 @@ pub fn parse_chunk_plans(
     if region.len() < 4 {
         return Err(truncated());
     }
-    let count = u32::from_le_bytes(region[0..4].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(array_at(region, 0)) as usize;
     let dir_end = 4 + count * DIR_ENTRY;
     if region.len() < dir_end {
         return Err(truncated());
@@ -191,9 +201,9 @@ pub fn parse_chunk_plans(
     let mut plans = Vec::with_capacity(count);
     for i in 0..count {
         let e = 4 + i * DIR_ENTRY;
-        let first_vertex = u32::from_le_bytes(region[e..e + 4].try_into().unwrap());
-        let first_edge = u64::from_le_bytes(region[e + 4..e + 12].try_into().unwrap());
-        let payload_off = u64::from_le_bytes(region[e + 12..e + 20].try_into().unwrap());
+        let first_vertex = u32::from_le_bytes(array_at(region, e));
+        let first_edge = u64::from_le_bytes(array_at(region, e + 4));
+        let payload_off = u64::from_le_bytes(array_at(region, e + 12));
         let payload_start = dir_end
             .checked_add(payload_off as usize)
             .filter(|&p| p <= region.len())
@@ -286,8 +296,8 @@ pub fn decode_chunk(
                 if end > region.len() {
                     return Err(truncated());
                 }
-                for (slot, raw) in row.iter_mut().zip(region[pos..end].chunks_exact(4)) {
-                    *slot = f32::from_le_bytes(raw.try_into().unwrap());
+                for (k, slot) in row.iter_mut().enumerate() {
+                    *slot = f32::from_le_bytes(array_at(region, pos + 4 * k));
                 }
                 pos = end;
             }
@@ -306,16 +316,19 @@ pub fn decode_chunk(
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Write `pg` (a RAM-resident partitioning) as an out-of-core compressed
+/// Write `pg` (a table over a RAM store) as an out-of-core compressed
 /// file at `path`. Returns the total file size in bytes.
 ///
-/// Each partition is extracted **once** and encoded region by region; the
-/// header's `part_bytes` records the uncompressed [`PartitionData::bytes`]
-/// so engine-side H2D charges are identical between substrates.
+/// Each partition's current rows are read **once** and encoded region by
+/// region; the header's `part_bytes` records the uncompressed
+/// [`PartitionData::bytes`] so engine-side H2D charges are identical
+/// between substrates.
 pub fn write_oocore(pg: &PartitionedGraph, path: &Path) -> Result<u64, GraphError> {
-    let csr = pg
-        .ram_csr()
-        .ok_or_else(|| GraphError::Format("write_oocore needs a RAM-resident graph".into()))?;
+    let GraphStore::Ram(csr) = pg.store() else {
+        return Err(GraphError::Format(
+            "write_oocore needs a RAM-resident graph".into(),
+        ));
+    };
     let p = pg.num_partitions() as usize;
     let flags = (u8::from(csr.is_weighted()) * FLAG_WEIGHTED)
         | (u8::from(csr.is_temporal()) * FLAG_TEMPORAL);
@@ -327,7 +340,7 @@ pub fn write_oocore(pg: &PartitionedGraph, path: &Path) -> Result<u64, GraphErro
     let header_len = HEADER_FIXED + 4 * (p + 1) + 8 * p + 8 * p + 8 * (p + 1);
     for part in 0..p as u32 {
         regions.push(header_len as u64 + body.len() as u64);
-        let data = pg.extract(part);
+        let data = pg.read_block(part)?;
         part_bytes.push(data.bytes());
         part_edges.push(data.edges.len() as u64);
         encode_region(&data, &mut body);
@@ -337,8 +350,8 @@ pub fn write_oocore(pg: &PartitionedGraph, path: &Path) -> Result<u64, GraphErro
     let mut header: Vec<u8> = Vec::with_capacity(header_len);
     header.extend_from_slice(OOC_MAGIC);
     header.push(flags);
-    header.extend_from_slice(&csr.num_vertices().to_le_bytes());
-    header.extend_from_slice(&csr.num_edges().to_le_bytes());
+    header.extend_from_slice(&pg.num_vertices().to_le_bytes());
+    header.extend_from_slice(&part_edges.iter().sum::<u64>().to_le_bytes());
     header.extend_from_slice(&pg.num_partitions().to_le_bytes());
     header.extend_from_slice(&pg.block_bytes().to_le_bytes());
     for &b in pg.boundaries() {
@@ -374,6 +387,7 @@ fn encode_region(data: &PartitionData, out: &mut Vec<u8>) {
         let v_lo = data.v_start + c * CHUNK_VERTICES;
         let v_hi = (v_lo + CHUNK_VERTICES).min(data.v_end);
         let first_edge = data.offsets[(v_lo - data.v_start) as usize];
+        let rows = data.rows();
         let payload_off = (out.len() - payload_base) as u64;
         let e = dir_start + c as usize * DIR_ENTRY;
         out[e..e + 4].copy_from_slice(&v_lo.to_le_bytes());
@@ -382,9 +396,9 @@ fn encode_region(data: &PartitionData, out: &mut Vec<u8>) {
         for v in v_lo..v_hi {
             encode_row(
                 v,
-                data.neighbors(v),
-                data.neighbor_weights(v),
-                data.neighbor_timestamps(v),
+                rows.neighbors(v),
+                rows.neighbor_weights(v),
+                rows.neighbor_timestamps(v),
                 out,
             );
         }
@@ -430,8 +444,6 @@ pub struct OocGraph {
     part_bytes: Vec<u64>,
     part_edges: Vec<u64>,
     regions: Vec<u64>,
-    /// [`OocGraph::max_multiplicity`], computed on first use.
-    multiplicity: OnceLock<u32>,
 }
 
 impl OocGraph {
@@ -447,31 +459,35 @@ impl OocGraph {
             ));
         }
         let flags = fixed[8];
-        let num_vertices = u64::from_le_bytes(fixed[9..17].try_into().unwrap());
-        let num_edges = u64::from_le_bytes(fixed[17..25].try_into().unwrap());
-        let p = u32::from_le_bytes(fixed[25..29].try_into().unwrap()) as usize;
-        let block_bytes = u64::from_le_bytes(fixed[29..37].try_into().unwrap());
+        let num_vertices = u64::from_le_bytes(array_at(&fixed, 9));
+        let num_edges = u64::from_le_bytes(array_at(&fixed, 17));
+        let p = u32::from_le_bytes(array_at(&fixed, 25)) as usize;
+        let block_bytes = u64::from_le_bytes(array_at(&fixed, 29));
         if p == 0 || num_vertices == 0 {
             return Err(GraphError::Format("empty partition table".into()));
         }
         let table_len = 4 * (p + 1) + 8 * p + 8 * p + 8 * (p + 1);
+        // Checked before the allocation a hostile partition count sizes.
+        let file_len = f.metadata()?.len();
+        if (HEADER_FIXED + table_len) as u64 > file_len {
+            return Err(GraphError::Format(
+                "partition table exceeds the file".into(),
+            ));
+        }
         let mut table = vec![0u8; table_len];
         read_exact_at(&f, &mut table, HEADER_FIXED as u64)?;
-        let mut pos = 0usize;
-        let take_u32 = |t: &[u8], pos: &mut usize| {
-            let v = u32::from_le_bytes(t[*pos..*pos + 4].try_into().unwrap());
-            *pos += 4;
-            v
+        // The four arrays back to back; `table` holds exactly them.
+        let boundaries: Vec<VertexId> = (0..=p)
+            .map(|i| u32::from_le_bytes(array_at(&table, 4 * i)))
+            .collect();
+        let u64s = |first: usize, n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|i| u64::from_le_bytes(array_at(&table, first + 8 * i)))
+                .collect()
         };
-        let boundaries: Vec<VertexId> = (0..=p).map(|_| take_u32(&table, &mut pos)).collect();
-        let take_u64 = |t: &[u8], pos: &mut usize| {
-            let v = u64::from_le_bytes(t[*pos..*pos + 8].try_into().unwrap());
-            *pos += 8;
-            v
-        };
-        let part_bytes: Vec<u64> = (0..p).map(|_| take_u64(&table, &mut pos)).collect();
-        let part_edges: Vec<u64> = (0..p).map(|_| take_u64(&table, &mut pos)).collect();
-        let regions: Vec<u64> = (0..=p).map(|_| take_u64(&table, &mut pos)).collect();
+        let part_bytes = u64s(4 * (p + 1), p);
+        let part_edges = u64s(4 * (p + 1) + 8 * p, p);
+        let regions = u64s(4 * (p + 1) + 16 * p, p + 1);
         if boundaries[0] != 0
             || boundaries[p] as u64 != num_vertices
             || boundaries.windows(2).any(|w| w[0] >= w[1])
@@ -488,8 +504,7 @@ impl OocGraph {
                 "partition edge counts do not sum to |E|".into(),
             ));
         }
-        let file_len = f.metadata()?.len();
-        if *regions.last().unwrap() != file_len {
+        if regions[p] != file_len {
             return Err(GraphError::Format("region table exceeds the file".into()));
         }
         Ok(OocGraph {
@@ -503,7 +518,6 @@ impl OocGraph {
             part_bytes,
             part_edges,
             regions,
-            multiplicity: OnceLock::new(),
         })
     }
 
@@ -550,7 +564,7 @@ impl OocGraph {
 
     /// Total file size.
     pub fn file_bytes(&self) -> u64 {
-        *self.regions.last().unwrap()
+        self.regions[self.regions.len() - 1]
     }
 
     /// What the decoded graph's [`Csr::csr_bytes`] would be — the RAM
@@ -586,7 +600,7 @@ impl OocGraph {
     ///
     /// The engine's host decode cache uses the chunk-level API instead
     /// when it has workers to fan the decode out over; this is the path
-    /// for everything else (`extract`, [`OocGraph::to_csr`], tests).
+    /// for everything else ([`PartitionedGraph::read_block`], tests).
     pub fn decode_partition(&self, p: u32) -> Result<PartitionData, GraphError> {
         let v_start = self.boundaries[p as usize];
         let v_end = self.boundaries[p as usize + 1];
@@ -624,50 +638,6 @@ impl OocGraph {
         data.offsets[n] = self.part_edges[p as usize];
         Ok(data)
     }
-
-    /// [`Csr::max_multiplicity`] of the stored graph: the first call
-    /// decodes every partition once, one at a time, and caches the result.
-    pub fn max_multiplicity(&self) -> Result<u32, GraphError> {
-        if let Some(&m) = self.multiplicity.get() {
-            return Ok(m);
-        }
-        let mut m = 1;
-        for p in 0..self.num_partitions() {
-            m = m.max(self.decode_partition(p)?.max_multiplicity());
-        }
-        Ok(*self.multiplicity.get_or_init(|| m))
-    }
-
-    /// Decode the whole graph back into a RAM-resident [`Csr`] — the
-    /// escape hatch for consumers that need full random access
-    /// (evolving-graph runs, tests).
-    pub fn to_csr(&self) -> Result<Csr, GraphError> {
-        let nv = self.num_vertices as usize;
-        let ne = self.num_edges as usize;
-        let mut offsets = vec![0u64; nv + 1];
-        let mut edges = vec![0; ne];
-        let mut weights = self.weighted.then(|| vec![0.0f32; ne]);
-        let mut timestamps = self.temporal.then(|| vec![0u32; ne]);
-        let mut edge_base = 0u64;
-        for p in 0..self.num_partitions() {
-            let data = self.decode_partition(p)?;
-            let (vs, n) = (data.v_start as usize, data.num_vertices() as usize);
-            for li in 0..n {
-                offsets[vs + li] = edge_base + data.offsets[li];
-            }
-            let (e0, e1) = (edge_base as usize, edge_base as usize + data.edges.len());
-            edges[e0..e1].copy_from_slice(&data.edges);
-            if let (Some(dst), Some(src)) = (weights.as_mut(), data.weights.as_ref()) {
-                dst[e0..e1].copy_from_slice(src);
-            }
-            if let (Some(dst), Some(src)) = (timestamps.as_mut(), data.timestamps.as_ref()) {
-                dst[e0..e1].copy_from_slice(src);
-            }
-            edge_base += data.edges.len() as u64;
-        }
-        offsets[nv] = edge_base;
-        Csr::with_timestamps(offsets, edges, weights, timestamps)
-    }
 }
 
 impl std::fmt::Debug for OocGraph {
@@ -685,13 +655,14 @@ impl std::fmt::Debug for OocGraph {
 // GraphStore
 // ---------------------------------------------------------------------------
 
-/// Where a graph's adjacency lives: the substrate abstraction threaded
-/// through [`PartitionedGraph`] and the engine.
+/// Where a graph's base adjacency lives: the store under a
+/// [`PartitionedGraph`]'s clean entries.
 ///
 /// `Ram` is the original fully-resident CSR; `OutOfCore` keeps only the
 /// partition table resident and decodes partitions on demand. Walk results
-/// are bit-identical between the two (the differential battery pins this):
-/// the substrate changes *where bytes come from*, never *which bytes*.
+/// are bit-identical between the two (the differential battery pins this),
+/// mutation included: the substrate changes *where bytes come from*, never
+/// *which bytes*.
 #[derive(Clone)]
 pub enum GraphStore {
     /// Fully RAM-resident CSR.
@@ -700,74 +671,13 @@ pub enum GraphStore {
     OutOfCore(Arc<OocGraph>),
 }
 
-impl GraphStore {
-    pub fn num_vertices(&self) -> u64 {
-        match self {
-            GraphStore::Ram(g) => g.num_vertices(),
-            GraphStore::OutOfCore(g) => g.num_vertices(),
-        }
-    }
-
-    pub fn num_edges(&self) -> u64 {
-        match self {
-            GraphStore::Ram(g) => g.num_edges(),
-            GraphStore::OutOfCore(g) => g.num_edges(),
-        }
-    }
-
-    pub fn is_weighted(&self) -> bool {
-        match self {
-            GraphStore::Ram(g) => g.is_weighted(),
-            GraphStore::OutOfCore(g) => g.is_weighted(),
-        }
-    }
-
-    pub fn is_temporal(&self) -> bool {
-        match self {
-            GraphStore::Ram(g) => g.is_temporal(),
-            GraphStore::OutOfCore(g) => g.is_temporal(),
-        }
-    }
-
-    /// [`Csr::max_multiplicity`] of the stored graph, cached by the store.
-    ///
-    /// # Panics
-    /// Panics if an out-of-core partition fails to read or decode, as
-    /// [`PartitionedGraph::extract`] does.
-    pub fn max_multiplicity(&self) -> u32 {
-        match self {
-            GraphStore::Ram(g) => g.max_multiplicity(),
-            GraphStore::OutOfCore(g) => g
-                .max_multiplicity()
-                .unwrap_or_else(|e| panic!("out-of-core graph unreadable: {e}")),
-        }
-    }
-
-    /// The RAM CSR, if this store is RAM-resident.
-    pub fn ram(&self) -> Option<&Arc<Csr>> {
-        match self {
-            GraphStore::Ram(g) => Some(g),
-            GraphStore::OutOfCore(_) => None,
-        }
-    }
-
-    /// The out-of-core handle, if this store is disk-backed.
-    pub fn ooc(&self) -> Option<&Arc<OocGraph>> {
-        match self {
-            GraphStore::Ram(_) => None,
-            GraphStore::OutOfCore(g) => Some(g),
-        }
-    }
-}
-
 impl std::fmt::Debug for GraphStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphStore::Ram(g) => write!(f, "GraphStore::Ram({} vertices)", g.num_vertices()),
-            GraphStore::OutOfCore(g) => {
-                write!(f, "GraphStore::OutOfCore({} vertices)", g.num_vertices())
-            }
-        }
+        let (kind, nv) = match self {
+            GraphStore::Ram(g) => ("Ram", g.num_vertices()),
+            GraphStore::OutOfCore(g) => ("OutOfCore", g.num_vertices()),
+        };
+        write!(f, "GraphStore::{kind}({nv} vertices)")
     }
 }
 
@@ -828,11 +738,6 @@ mod tests {
             assert_eq!(ooc.is_temporal(), csr.is_temporal());
             assert_eq!(ooc.uncompressed_bytes(), csr.csr_bytes());
             assert_partitions_match(&pg, &ooc);
-            let back = ooc.to_csr().expect("full decode");
-            assert_eq!(back.offsets(), csr.offsets());
-            assert_eq!(back.edges(), csr.edges());
-            assert_eq!(back.weights(), csr.weights());
-            assert_eq!(back.timestamps(), csr.timestamps());
             std::fs::remove_file(&path).ok();
         }
     }
@@ -849,8 +754,6 @@ mod tests {
         write_oocore(&pg, &path).unwrap();
         let ooc = OocGraph::open(&path).unwrap();
         assert_partitions_match(&pg, &ooc);
-        let back = ooc.to_csr().unwrap();
-        assert_eq!(back.edges(), csr.edges());
         std::fs::remove_file(&path).ok();
     }
 
@@ -899,6 +802,12 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 7]).unwrap();
         assert!(OocGraph::open(&path).is_err(), "truncated file must fail");
+        // A hostile partition count sizes no allocation: the table it
+        // implies (~120 GB) is checked against the file first.
+        let mut hostile = full.clone();
+        hostile[25..29].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &hostile).unwrap();
+        assert!(matches!(OocGraph::open(&path), Err(GraphError::Format(_))));
         std::fs::remove_file(&path).ok();
     }
 

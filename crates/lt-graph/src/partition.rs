@@ -7,22 +7,27 @@
 //! partition size approximately fits any budget, and the partition of a
 //! vertex is found by binary search.
 //!
-//! A [`PartitionedGraph`] is the table plus the store its adjacency is
-//! read from. An evolving engine moves the adjacency into a
-//! [`crate::delta::DeltaGraph`]'s block table on its first mutation and
-//! [releases the store](PartitionedGraph::release_store): from then on the
-//! table answers geometry and byte-size questions only:
-//! [`PartitionedGraph::ram_csr`] is `None`, and [`PartitionedGraph::store`]
-//! and [`PartitionedGraph::extract`] panic instead of serving epoch-0 rows.
+//! A [`PartitionedGraph`] is the engine's block table: the interval
+//! boundaries plus one entry per partition. An entry is *clean* while its
+//! rows are the base store's — a range of the RAM CSR, read in place, or a
+//! region of the out-of-core file, decoded on demand — and *sealed* once an
+//! epoch seal ([`crate::delta::DeltaGraph`]) rebuilt it into a
+//! [`PartitionData`] block held in RAM. Building the table copies no
+//! adjacency, and a sealed block is never written back to the file.
+//! Readers get a partition's rows as one borrowed [`Rows`] whatever the
+//! entry holds.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::oocore::{GraphStore, OocGraph};
-use crate::{Csr, VertexId, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES};
-use std::sync::Arc;
+use crate::{Csr, GraphError, VertexId, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a graph partition (index into the partition table).
 pub type PartitionId = u32;
 
-/// A graph plus its range partition table.
+/// A graph's block table: its store, its range partitioning and one entry
+/// per partition.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -33,24 +38,29 @@ pub type PartitionId = u32;
 /// let p = pg.partition_of(v);
 /// assert!(pg.vertex_range(p).contains(&v));
 /// assert!(pg.partition_bytes(p) <= 8 << 10);
+/// assert_eq!(pg.rows(p).unwrap().neighbors(v), g.neighbors(v));
 /// ```
 #[derive(Clone, Debug)]
 pub struct PartitionedGraph {
-    /// Where adjacency lives: RAM CSR or the out-of-core compressed file.
-    /// `None` once [`PartitionedGraph::release_store`] handed it over to an
-    /// evolving graph's block table.
-    store: Option<GraphStore>,
+    /// Where clean entries' rows live: RAM CSR or the out-of-core file.
+    store: GraphStore,
     /// `boundaries[p]..boundaries[p+1]` is partition `p`'s vertex interval.
     boundaries: Vec<VertexId>,
-    /// CSR bytes of each partition (what an explicit copy transfers).
+    /// CSR bytes of each partition's current rows (what an explicit copy
+    /// transfers).
     bytes: Vec<u64>,
     /// The budget used to build the table.
     block_bytes: u64,
+    /// Per partition, the block a seal rebuilt it into; `None` while clean.
+    sealed: Vec<Option<Arc<PartitionData>>>,
+    /// Each entry's [`Csr::max_multiplicity`], computed on first use and
+    /// forgotten when a seal replaces the entry.
+    multiplicity: Vec<OnceLock<u32>>,
 }
 
 /// A materialized partition: the contiguous data an explicit copy moves
-/// into the GPU graph pool. Offsets are rebased so the partition is
-/// self-contained.
+/// into the GPU graph pool, and the form a sealed entry takes. Offsets are
+/// rebased so the partition is self-contained.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartitionData {
     /// Which partition this is.
@@ -67,6 +77,28 @@ pub struct PartitionData {
     pub weights: Option<Vec<f32>>,
     /// Optional edge timestamps parallel to `edges` (temporal graphs).
     pub timestamps: Option<Vec<u32>>,
+}
+
+/// One partition's rows, borrowed in place: a range of a CSR or a whole
+/// block. `offsets[i]..offsets[i + 1]` are row `v_start + i`'s entries of
+/// the edge columns, which a CSR range shares with the whole graph, so
+/// nothing is rebased or copied.
+#[derive(Clone, Copy, Debug)]
+pub struct Rows<'a> {
+    /// First vertex (inclusive).
+    pub v_start: VertexId,
+    /// Last vertex (exclusive).
+    pub v_end: VertexId,
+    pub(crate) offsets: &'a [u64],
+    pub(crate) edges: &'a [VertexId],
+    pub(crate) weights: Option<&'a [f32]>,
+    pub(crate) timestamps: Option<&'a [u32]>,
+}
+
+/// Where an entry's rows are: lent by the table, or still in the file.
+enum Entry<'a> {
+    Rows(Rows<'a>),
+    File(&'a OocGraph),
 }
 
 impl PartitionedGraph {
@@ -88,8 +120,9 @@ impl PartitionedGraph {
         let nv = csr.num_vertices() as usize;
         let mut boundaries = vec![0 as VertexId];
         let mut bytes = Vec::new();
+        // Per-edge bytes beyond the target id: weights and timestamps.
+        let extra = 4 * u64::from(csr.is_weighted()) + 4 * u64::from(csr.is_temporal());
         let mut cur_bytes = VERTEX_ENTRY_BYTES; // the leading offset entry
-        let extra = Self::extra_edge_bytes(&csr);
         let mut cur_start = 0usize;
         for v in 0..nv {
             let deg = csr.degree(v as VertexId);
@@ -104,42 +137,37 @@ impl PartitionedGraph {
         }
         boundaries.push(nv as VertexId);
         bytes.push(cur_bytes);
-        PartitionedGraph {
-            store: Some(GraphStore::Ram(csr)),
-            boundaries,
-            bytes,
-            block_bytes,
-        }
+        Self::with_store(GraphStore::Ram(csr), boundaries, bytes, block_bytes)
     }
 
     /// Adopt an out-of-core compressed graph: the partition table
     /// (boundaries, per-partition bytes and budget) comes straight from the
-    /// file header — no adjacency is read until [`PartitionedGraph::extract`]
-    /// decodes a partition on demand.
+    /// file header — no adjacency is read until a partition is decoded.
     pub fn from_ooc(ooc: Arc<OocGraph>) -> Self {
         let boundaries = ooc.boundaries().to_vec();
         let bytes = (0..ooc.num_partitions())
             .map(|p| ooc.partition_bytes(p))
             .collect();
         let block_bytes = ooc.block_bytes();
+        Self::with_store(GraphStore::OutOfCore(ooc), boundaries, bytes, block_bytes)
+    }
+
+    /// Every entry clean.
+    fn with_store(
+        store: GraphStore,
+        boundaries: Vec<VertexId>,
+        bytes: Vec<u64>,
+        block_bytes: u64,
+    ) -> Self {
+        let np = bytes.len();
         PartitionedGraph {
-            store: Some(GraphStore::OutOfCore(ooc)),
+            store,
             boundaries,
             bytes,
             block_bytes,
+            sealed: vec![None; np],
+            multiplicity: vec![OnceLock::new(); np],
         }
-    }
-
-    /// Per-edge bytes beyond the target id: weights and timestamps.
-    fn extra_edge_bytes(csr: &Csr) -> u64 {
-        let mut b = 0;
-        if csr.is_weighted() {
-            b += 4;
-        }
-        if csr.is_temporal() {
-            b += 4;
-        }
-        b
     }
 
     /// The interval boundary table (`boundaries[p]..boundaries[p+1]` is
@@ -150,48 +178,17 @@ impl PartitionedGraph {
         &self.boundaries
     }
 
-    /// The graph substrate.
-    ///
-    /// # Panics
-    /// Panics after [`PartitionedGraph::release_store`]: the adjacency an
-    /// evolving engine walks lives in its block table, and the epoch-0
-    /// rows this table was built over must not be read in its place.
+    /// The base store clean entries are read from.
     #[inline]
     pub fn store(&self) -> &GraphStore {
-        self.store
-            .as_ref()
-            .expect("graph store released: adjacency lives in the evolving block table")
-    }
-
-    /// The RAM CSR, when there is one to read: `None` for an out-of-core
-    /// store and after [`PartitionedGraph::release_store`].
-    #[inline]
-    pub fn ram_csr(&self) -> Option<&Arc<Csr>> {
-        self.store.as_ref().and_then(GraphStore::ram)
-    }
-
-    /// Drop this table's handle on the graph store. Called by an evolving
-    /// engine once every partition has been copied into its
-    /// [`crate::delta::DeltaGraph`]; a caller that also drops its own
-    /// handle gets the epoch-0 graph's memory back.
-    pub fn release_store(&mut self) {
-        self.store = None;
-    }
-
-    /// Record partition `p`'s new transfer size after an epoch seal
-    /// rebuilt its block ([`PartitionData::bytes`] of the new block).
-    pub fn set_partition_bytes(&mut self, p: PartitionId, bytes: u64) {
-        self.bytes[p as usize] = bytes;
+        &self.store
     }
 
     /// `|V|` of the full graph (every substrate): the boundary table ends
-    /// there.
+    /// there, after at least one partition.
     #[inline]
     pub fn num_vertices(&self) -> u64 {
-        *self
-            .boundaries
-            .last()
-            .expect("a table has at least one partition") as u64
+        self.boundaries[self.boundaries.len() - 1] as u64
     }
 
     /// Number of partitions `P`.
@@ -221,7 +218,7 @@ impl PartitionedGraph {
 
     /// Vertex interval of partition `p`.
     #[inline]
-    pub fn vertex_range(&self, p: PartitionId) -> std::ops::Range<VertexId> {
+    pub fn vertex_range(&self, p: PartitionId) -> Range<VertexId> {
         self.boundaries[p as usize]..self.boundaries[p as usize + 1]
     }
 
@@ -238,17 +235,6 @@ impl PartitionedGraph {
         self.bytes[p as usize]
     }
 
-    /// Number of edges in partition `p`.
-    pub fn num_edges_in(&self, p: PartitionId) -> u64 {
-        match self.store() {
-            GraphStore::Ram(csr) => {
-                let r = self.vertex_range(p);
-                csr.offsets()[r.end as usize] - csr.offsets()[r.start as usize]
-            }
-            GraphStore::OutOfCore(ooc) => ooc.partition_edges(p),
-        }
-    }
-
     /// Ids of partitions that exceed the block budget (singleton hub
     /// partitions, e.g. Yahoo's).
     pub fn oversized_partitions(&self) -> Vec<PartitionId> {
@@ -260,90 +246,107 @@ impl PartitionedGraph {
             .collect()
     }
 
-    /// Materialize partition `p` for transfer into a graph-pool block:
-    /// contiguous slice copies for a RAM store, a full region decode for
-    /// an out-of-core store (the engine's host decode cache wraps the
-    /// latter with recycling and chunk-parallel decode).
+    fn entry(&self, p: PartitionId) -> Entry<'_> {
+        match (&self.sealed[p as usize], &self.store) {
+            (Some(block), _) => Entry::Rows(block.rows()),
+            (None, GraphStore::Ram(csr)) => Entry::Rows(Rows::csr(csr, self.vertex_range(p))),
+            (None, GraphStore::OutOfCore(ooc)) => Entry::File(ooc),
+        }
+    }
+
+    /// Partition `p`'s current rows, in place: its sealed block, or a RAM
+    /// store's CSR range. `None` for a clean partition of an out-of-core
+    /// store, whose rows exist only as a decoded block.
+    #[inline]
+    pub fn rows(&self, p: PartitionId) -> Option<Rows<'_>> {
+        match self.entry(p) {
+            Entry::Rows(rows) => Some(rows),
+            Entry::File(_) => None,
+        }
+    }
+
+    /// The block a seal rebuilt partition `p` into; `None` while clean.
+    pub fn sealed(&self, p: PartitionId) -> Option<&Arc<PartitionData>> {
+        self.sealed[p as usize].as_ref()
+    }
+
+    /// Install a seal's rebuilt block as its partition's entry, with its
+    /// transfer size.
+    pub(crate) fn seal(&mut self, block: PartitionData) {
+        let p = block.id as usize;
+        self.bytes[p] = block.bytes();
+        self.multiplicity[p] = OnceLock::new();
+        self.sealed[p] = Some(Arc::new(block));
+    }
+
+    /// Number of edges in partition `p`.
+    pub fn num_edges_in(&self, p: PartitionId) -> u64 {
+        match self.entry(p) {
+            Entry::Rows(rows) => rows.edge_span().len() as u64,
+            Entry::File(ooc) => ooc.partition_edges(p),
+        }
+    }
+
+    /// Partition `p`'s current rows as a fresh block: slice copies of
+    /// rows the table lends, a serial region decode for a clean
+    /// out-of-core partition (the engine's host decode cache wraps the
+    /// latter with chunk-parallel decode). A file that cannot be read or
+    /// decoded fails with the read's [`GraphError`].
+    pub fn read_block(&self, p: PartitionId) -> Result<PartitionData, GraphError> {
+        match self.entry(p) {
+            Entry::Rows(rows) => Ok(rows.to_block(p)),
+            Entry::File(ooc) => ooc.decode_partition(p),
+        }
+    }
+
+    /// [`PartitionedGraph::read_block`] for a caller that cannot handle a
+    /// failed read, such as a copy out of a RAM store, which never fails.
     ///
     /// # Panics
-    /// Panics if an out-of-core region fails to read or decode — an
-    /// unreadable graph file is unrecoverable mid-run.
+    /// Panics if an out-of-core region fails to read or decode.
     pub fn extract(&self, p: PartitionId) -> PartitionData {
-        match self.store() {
-            GraphStore::Ram(csr) => {
-                let r = self.vertex_range(p);
-                let base = csr.offsets()[r.start as usize];
-                let end = csr.offsets()[r.end as usize];
-                let offsets: Vec<u64> = csr.offsets()[r.start as usize..=r.end as usize]
-                    .iter()
-                    .map(|&o| o - base)
-                    .collect();
-                let edges = csr.edges()[base as usize..end as usize].to_vec();
-                let weights = csr
-                    .weights()
-                    .map(|w| w[base as usize..end as usize].to_vec());
-                let timestamps = csr
-                    .timestamps()
-                    .map(|t| t[base as usize..end as usize].to_vec());
-                PartitionData {
-                    id: p,
-                    v_start: r.start,
-                    v_end: r.end,
-                    offsets,
-                    edges,
-                    weights,
-                    timestamps,
+        self.read_block(p)
+            .unwrap_or_else(|e| panic!("out-of-core partition {p} unreadable: {e}"))
+    }
+
+    /// [`Csr::max_multiplicity`] over every entry's current rows. Each
+    /// entry is scanned once until a seal replaces it; a clean
+    /// out-of-core entry is decoded for the scan straight from the file,
+    /// outside any cache, so a first-order run never pays for it.
+    pub fn max_multiplicity(&self) -> Result<u32, GraphError> {
+        let mut best = 1;
+        for (p, m) in self.multiplicity.iter().enumerate() {
+            let m = match m.get() {
+                Some(&m) => m,
+                None => {
+                    let scanned = match self.entry(p as PartitionId) {
+                        Entry::Rows(rows) => rows.max_multiplicity(),
+                        Entry::File(ooc) => ooc
+                            .decode_partition(p as PartitionId)?
+                            .rows()
+                            .max_multiplicity(),
+                    };
+                    *m.get_or_init(|| scanned)
                 }
-            }
-            GraphStore::OutOfCore(ooc) => ooc
-                .decode_partition(p)
-                .unwrap_or_else(|e| panic!("out-of-core partition {p} unreadable: {e}")),
+            };
+            best = best.max(m);
         }
+        Ok(best)
     }
 }
 
 impl PartitionData {
-    /// Whether global vertex `v` lives in this partition.
+    /// This block's rows.
     #[inline]
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.v_start <= v && v < self.v_end
-    }
-
-    /// Degree of global vertex `v` (must be in this partition).
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> u64 {
-        debug_assert!(self.contains(v));
-        let i = (v - self.v_start) as usize;
-        self.offsets[i + 1] - self.offsets[i]
-    }
-
-    /// Neighbors of global vertex `v` (must be in this partition).
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        debug_assert!(self.contains(v));
-        let i = (v - self.v_start) as usize;
-        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Weights parallel to [`PartitionData::neighbors`].
-    #[inline]
-    pub fn neighbor_weights(&self, v: VertexId) -> Option<&[f32]> {
-        let w = self.weights.as_ref()?;
-        let i = (v - self.v_start) as usize;
-        Some(&w[self.offsets[i] as usize..self.offsets[i + 1] as usize])
-    }
-
-    /// Timestamps parallel to [`PartitionData::neighbors`].
-    #[inline]
-    pub fn neighbor_timestamps(&self, v: VertexId) -> Option<&[u32]> {
-        let t = self.timestamps.as_ref()?;
-        let i = (v - self.v_start) as usize;
-        Some(&t[self.offsets[i] as usize..self.offsets[i + 1] as usize])
-    }
-
-    /// [`Csr::max_multiplicity`] over this partition's rows (one scan).
-    pub fn max_multiplicity(&self) -> u32 {
-        crate::csr::max_multiplicity(&self.offsets, &self.edges)
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            v_start: self.v_start,
+            v_end: self.v_end,
+            offsets: &self.offsets,
+            edges: &self.edges,
+            weights: self.weights.as_deref(),
+            timestamps: self.timestamps.as_deref(),
+        }
     }
 
     /// Transfer size of this partition in bytes.
@@ -353,11 +356,78 @@ impl PartitionData {
             + self.weights.as_ref().map_or(0, |w| w.len() as u64 * 4)
             + self.timestamps.as_ref().map_or(0, |t| t.len() as u64 * 4)
     }
+}
 
-    /// Number of vertices in the partition.
+impl<'a> Rows<'a> {
+    /// The rows of `csr`'s vertices `range`, in place.
+    pub fn csr(csr: &'a Csr, range: Range<VertexId>) -> Self {
+        Rows {
+            v_start: range.start,
+            v_end: range.end,
+            offsets: &csr.offsets()[range.start as usize..=range.end as usize],
+            edges: csr.edges(),
+            weights: csr.weights(),
+            timestamps: csr.timestamps(),
+        }
+    }
+
+    /// Whether global vertex `v` has a row here.
     #[inline]
-    pub fn num_vertices(&self) -> u64 {
-        (self.v_end - self.v_start) as u64
+    pub fn contains(&self, v: VertexId) -> bool {
+        self.v_start <= v && v < self.v_end
+    }
+
+    /// The edge-column entries of global vertex `v`'s row (`v` must be
+    /// here).
+    #[inline]
+    fn span(&self, v: VertexId) -> Range<usize> {
+        debug_assert!(self.contains(v));
+        let i = (v - self.v_start) as usize;
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
+    }
+
+    /// Neighbors of global vertex `v` (must be here).
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {
+        &self.edges[self.span(v)]
+    }
+
+    /// Weights parallel to [`Rows::neighbors`].
+    #[inline]
+    pub fn neighbor_weights(&self, v: VertexId) -> Option<&'a [f32]> {
+        Some(&self.weights?[self.span(v)])
+    }
+
+    /// Timestamps parallel to [`Rows::neighbors`].
+    #[inline]
+    pub fn neighbor_timestamps(&self, v: VertexId) -> Option<&'a [u32]> {
+        Some(&self.timestamps?[self.span(v)])
+    }
+
+    /// The edge-column entries of every row here.
+    #[inline]
+    pub(crate) fn edge_span(&self) -> Range<usize> {
+        self.offsets[0] as usize..self.offsets[self.offsets.len() - 1] as usize
+    }
+
+    /// [`Csr::max_multiplicity`] over these rows (one scan).
+    pub fn max_multiplicity(&self) -> u32 {
+        crate::csr::max_multiplicity(self.offsets, self.edges)
+    }
+
+    /// Copy these rows into a self-contained block for partition `id`.
+    pub fn to_block(&self, id: PartitionId) -> PartitionData {
+        let span = self.edge_span();
+        let base = span.start as u64;
+        PartitionData {
+            id,
+            v_start: self.v_start,
+            v_end: self.v_end,
+            offsets: self.offsets.iter().map(|&o| o - base).collect(),
+            edges: self.edges[span.clone()].to_vec(),
+            weights: self.weights.map(|w| w[span.clone()].to_vec()),
+            timestamps: self.timestamps.map(|t| t[span].to_vec()),
+        }
     }
 }
 
@@ -424,9 +494,10 @@ mod tests {
         let pg = PartitionedGraph::build(g.clone(), 8 << 10);
         for p in 0..pg.num_partitions().min(8) {
             let data = pg.extract(p);
+            let lent = pg.rows(p).expect("a RAM store lends every partition");
             for v in data.v_start..data.v_end {
-                assert_eq!(data.neighbors(v), g.neighbors(v));
-                assert_eq!(data.degree(v), g.degree(v));
+                assert_eq!(data.rows().neighbors(v), g.neighbors(v));
+                assert_eq!(lent.neighbors(v), g.neighbors(v));
             }
         }
     }

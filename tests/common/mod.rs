@@ -10,7 +10,8 @@
 //! uses a different subset of it.
 #![allow(dead_code)]
 
-use lighttraffic::engine::{EdgeUpdate, EngineConfig, ReshuffleMode, ZeroCopyPolicy};
+use lighttraffic::baselines::evolving::Wave;
+use lighttraffic::engine::{EdgeUpdate, EngineConfig, ReshuffleMode, RunResult, ZeroCopyPolicy};
 use lighttraffic::gpusim::GpuConfig;
 use lighttraffic::graph::builder::GraphBuilder;
 use lighttraffic::graph::gen::{erdos_renyi, rmat, RmatParams};
@@ -222,4 +223,73 @@ pub fn to_engine_config(c: &ArbConfig, g: &Arc<Csr>) -> EngineConfig {
         attribution: true,
         checkpoint_every: None,
     }
+}
+
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// A seeded wave schedule over `g`'s frozen vertex set: each wave injects
+/// `walks` walks and then seals a mix of inserts (some with explicit
+/// timestamps on temporal graphs or explicit weights on weighted graphs,
+/// the rest epoch-stamped at unit weight) and deletes
+/// (half aimed at real base edges, half at arbitrary pairs whose absence
+/// makes them no-ops — both sides must agree on no-op semantics too).
+pub fn schedule(
+    g: &Csr,
+    schedule_seed: u64,
+    waves: usize,
+    per_wave: usize,
+    walks: u64,
+) -> Vec<Wave> {
+    let nv = g.num_vertices();
+    let mut state = schedule_seed | 1;
+    (0..waves)
+        .map(|_| {
+            let updates = (0..per_wave)
+                .map(|_| {
+                    let src = (xorshift(&mut state) % nv) as VertexId;
+                    let dst = (xorshift(&mut state) % nv) as VertexId;
+                    match xorshift(&mut state) % 10 {
+                        0..=4 => EdgeUpdate::insert(src, dst),
+                        5 if g.is_temporal() => {
+                            EdgeUpdate::insert_at(src, dst, (xorshift(&mut state) % 16) as u32)
+                        }
+                        5 if g.is_weighted() => EdgeUpdate {
+                            weight: Some((1 + xorshift(&mut state) % 8) as f32 / 8.0),
+                            ..EdgeUpdate::insert(src, dst)
+                        },
+                        5 => EdgeUpdate::insert(src, dst),
+                        6 | 7 => {
+                            // Aim at a real edge of `src` when it has any.
+                            let row = g.neighbors(src);
+                            if row.is_empty() {
+                                EdgeUpdate::delete(src, dst)
+                            } else {
+                                let k = (xorshift(&mut state) as usize) % row.len();
+                                EdgeUpdate::delete(src, row[k])
+                            }
+                        }
+                        _ => EdgeUpdate::delete(src, dst),
+                    }
+                })
+                .collect();
+            Wave { walks, updates }
+        })
+        .collect()
+}
+
+/// Per-vertex visit counts from recorded paths (start vertex excluded; a
+/// visit is a step target), the engine-side fingerprint.
+pub fn visits_from_paths(r: &RunResult, nv: u64) -> Vec<u64> {
+    let mut counts = vec![0u64; nv as usize];
+    for path in r.paths.as_ref().expect("paths were recorded") {
+        for &v in path.iter().skip(1) {
+            counts[v as usize] += 1;
+        }
+    }
+    counts
 }

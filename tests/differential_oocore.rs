@@ -18,19 +18,22 @@
 //! Also covered: the DESIGN.md §14 exactness invariant extended to the
 //! host tier — every decoded byte lands in exactly one
 //! `(SHARED_TAG, partition, host_load)` ledger cell, and the link
-//! directions stay untouched by host-tier traffic.
+//! directions stay untouched by host-tier traffic — and mutation: epoch
+//! seals over the file equal the RAM twin's and the naive evolving
+//! walker's.
 
 mod common;
 
-use common::random_graph;
+use common::{random_graph, schedule, visits_from_paths};
+use lighttraffic::baselines::evolving::{run_evolving_waves, Wave};
 use lighttraffic::engine::algorithm::{
-    PageRank, SecondOrderWalk, TemporalWalk, UniformSampling, WalkAlgorithm,
+    PageRank, SecondOrderWalk, TemporalWalk, UniformSampling, WalkAlgorithm, WeightedWalk,
 };
 use lighttraffic::engine::{
     EngineConfig, EngineError, JobSpec, JobTable, LightTraffic, RunResult, ZeroCopyPolicy,
 };
 use lighttraffic::gpusim::{FaultPlan, GpuConfig};
-use lighttraffic::graph::gen::with_random_timestamps;
+use lighttraffic::graph::gen::{with_random_timestamps, with_random_weights};
 use lighttraffic::graph::oocore::write_oocore;
 use lighttraffic::graph::{Csr, GraphError, GraphStore, OocGraph, PartitionedGraph};
 use lighttraffic::telemetry::SHARED_TAG;
@@ -270,45 +273,49 @@ fn host_cache_pressure_changes_no_output() {
 /// [`EngineError::Graph`] rather than a panic, on the explicit-copy path
 /// (`load_partition` fetches before its copy) and on the zero-copy path
 /// (`step_batch` fetches after the batch was acquired and must put it
-/// back), inline and fanned out alike. Every walker in flight stays in the
-/// walk pools, so the engine is still checkpointable.
+/// back), inline and fanned out alike — and for a second-order walk,
+/// whose kernels first read the graph's multiplicity bound from the file.
+/// Every walker in flight stays in the walk pools, so the engine is still
+/// checkpointable.
 #[test]
 fn truncated_store_fails_the_run_with_walkers_conserved() {
     let g = random_graph(8);
-    let (_, alg, _) = algorithms().remove(0);
     let pg = PartitionedGraph::build(Arc::clone(&g), PARTITION_BYTES);
-    for zero_copy in [ZeroCopyPolicy::adaptive(), ZeroCopyPolicy::Always] {
-        for kernel_threads in [1usize, 2] {
-            let mut path = std::env::temp_dir();
-            path.push(format!(
-                "lt_diff_ooc_truncated_{kernel_threads}_{}_{}.ltg",
-                zero_copy == ZeroCopyPolicy::Always,
-                std::process::id()
-            ));
-            write_oocore(&pg, &path).expect("write out-of-core file");
-            let ooc = Arc::new(OocGraph::open(&path).expect("reopen out-of-core file"));
-            let cfg = EngineConfig {
-                graph_pool_blocks: 1,
-                ..config(zero_copy, kernel_threads, None)
-            };
-            let mut e = LightTraffic::from_store(GraphStore::OutOfCore(ooc), Arc::clone(&alg), cfg)
-                .expect("pools fit");
-            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            file.set_len(file.metadata().unwrap().len() / 2).unwrap();
-            let r = e.run(WALKS);
-            std::fs::remove_file(&path).ok();
-            let cell = format!("{zero_copy:?} kernel_threads={kernel_threads}");
-            assert!(
-                matches!(r, Err(EngineError::Graph(GraphError::Io(_)))),
-                "{cell}: expected a graph i/o error, got {:?}",
-                r.err()
-            );
-            assert!(e.active_walks() > 0, "{cell}");
-            assert_eq!(
-                e.checkpoint().walkers.len() as u64,
-                e.active_walks(),
-                "{cell}: the failed fetch lost walkers"
-            );
+    for (name, alg, _) in algorithms() {
+        for zero_copy in [ZeroCopyPolicy::adaptive(), ZeroCopyPolicy::Always] {
+            for kernel_threads in [1usize, 2] {
+                let cell = format!("{name} {zero_copy:?} kernel_threads={kernel_threads}");
+                let mut path = std::env::temp_dir();
+                path.push(format!(
+                    "lt_diff_ooc_truncated_{name}_{kernel_threads}_{}_{}.ltg",
+                    zero_copy == ZeroCopyPolicy::Always,
+                    std::process::id()
+                ));
+                write_oocore(&pg, &path).expect("write out-of-core file");
+                let ooc = Arc::new(OocGraph::open(&path).expect("reopen out-of-core file"));
+                let cfg = EngineConfig {
+                    graph_pool_blocks: 1,
+                    ..config(zero_copy, kernel_threads, None)
+                };
+                let store = GraphStore::OutOfCore(ooc);
+                let mut e =
+                    LightTraffic::from_store(store, Arc::clone(&alg), cfg).expect("pools fit");
+                let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                file.set_len(file.metadata().unwrap().len() / 2).unwrap();
+                let r = e.run(WALKS);
+                std::fs::remove_file(&path).ok();
+                assert!(
+                    matches!(r, Err(EngineError::Graph(GraphError::Io(_)))),
+                    "{cell}: expected a graph i/o error, got {:?}",
+                    r.err()
+                );
+                assert!(e.active_walks() > 0, "{cell}");
+                assert_eq!(
+                    e.checkpoint().walkers.len() as u64,
+                    e.active_walks(),
+                    "{cell}: the failed fetch lost walkers"
+                );
+            }
         }
     }
 }
@@ -406,5 +413,120 @@ fn host_load_attribution_is_exact() {
         let report = ledger.report(4);
         assert_eq!(report.host_load_bytes, host_load);
         assert_eq!(report.h2d_bytes, stats.h2d_bytes());
+    }
+}
+
+/// Drive `waves` through `e`: inject each wave's walks (ids offset past
+/// earlier waves), run to quiescence, then mutate and seal. Returns the
+/// last wave's cumulative result.
+fn run_waves(e: &mut LightTraffic, alg: &Arc<dyn WalkAlgorithm>, waves: &[Wave]) -> RunResult {
+    let nv = e.partitions().num_vertices();
+    let mut last = None;
+    for (k, wave) in waves.iter().enumerate() {
+        let offset = waves[..k].iter().map(|w| w.walks).sum::<u64>();
+        let mut walkers = alg.place_walkers(nv, wave.walks);
+        walkers.iter_mut().for_each(|w| w.id += offset);
+        e.inject(walkers);
+        last = Some(e.finish().expect("wave completes"));
+        e.mutate(wave.updates.clone()).expect("schedule is valid");
+        e.seal_epoch().expect("seal succeeds");
+    }
+    last.expect("schedule has at least one wave")
+}
+
+/// Mutation over an out-of-core store: the same seeded waves of walks and
+/// epoch seals give the RAM twin's fingerprint (host tier masked) and the
+/// naive evolving walker's visits, for first-order, second-order,
+/// weighted and temporal walks, under adaptive and forced zero copy, at
+/// one and four kernel threads, with retryable faults. A one-block graph
+/// pool makes seals reload resident dirty partitions and the two-slot
+/// host cache evict, and the ledger still reconciles with the device per
+/// direction and with the decode counter. node2vec under `Adaptive` is
+/// held to its RAM twin only: its resident kernels see `prev_neighbors`
+/// only inside their partition (`differential_evolving.rs` has the same
+/// exemption).
+#[test]
+fn mutation_over_ooc_matches_ram_and_the_naive_walker() {
+    let g = random_graph(8);
+    let workloads: Vec<(&str, Arc<Csr>, Arc<dyn WalkAlgorithm>)> = vec![
+        ("uniform", Arc::clone(&g), Arc::new(UniformSampling::new(8))),
+        (
+            "node2vec",
+            Arc::clone(&g),
+            Arc::new(SecondOrderWalk::node2vec(8, 0.5, 2.0)),
+        ),
+        (
+            "weighted",
+            Arc::new(with_random_weights(&g, 7)),
+            Arc::new(WeightedWalk::new(8)),
+        ),
+        (
+            "temporal",
+            Arc::new(with_random_timestamps(&g, 9, 16)),
+            Arc::new(TemporalWalk::new(8, 4)),
+        ),
+    ];
+    for (name, g, alg) in workloads {
+        let waves = schedule(&g, 0xD15C ^ g.num_edges(), 3, 48, 1_024);
+        let expected = run_evolving_waves(&g, &alg, &waves, SEED)
+            .visits
+            .expect("baseline tracks visits");
+        let ooc = ooc_graph(&g, &format!("mutation_{name}"));
+        for zero_copy in [ZeroCopyPolicy::adaptive(), ZeroCopyPolicy::Always] {
+            let matches_naive = !alg.reads_prev_neighbors() || zero_copy == ZeroCopyPolicy::Always;
+            for kernel_threads in [1usize, 4] {
+                let at = format!("{name}: {zero_copy:?}, kt={kernel_threads}");
+                let cfg = EngineConfig {
+                    graph_pool_blocks: 1,
+                    ..config(
+                        zero_copy,
+                        kernel_threads,
+                        Some(FaultPlan::retryable_only(7, 0.05)),
+                    )
+                };
+                let mut ram = LightTraffic::new(Arc::clone(&g), Arc::clone(&alg), cfg.clone())
+                    .expect("pools fit");
+                let ram = run_waves(&mut ram, &alg, &waves);
+                let store = GraphStore::OutOfCore(Arc::clone(&ooc));
+                let mut e =
+                    LightTraffic::from_store(store, Arc::clone(&alg), cfg).expect("pools fit");
+                let r = run_waves(&mut e, &alg, &waves);
+                // Counters after the last seal, its reloads included.
+                let m = e.metrics();
+                assert_eq!(m.epochs, waves.len() as u64, "{at}");
+                assert!(
+                    m.host_cache_evictions > 0,
+                    "{at}: the host cache never evicted"
+                );
+                if zero_copy != ZeroCopyPolicy::Always {
+                    assert!(
+                        m.reload_copies > 0,
+                        "{at}: no seal reloaded a resident partition"
+                    );
+                }
+                if matches_naive {
+                    assert_eq!(visits_from_paths(&r, g.num_vertices()), expected, "{at}");
+                }
+                let stats = e.gpu().stats();
+                let ledger = e.traffic_ledger().expect("attribution is on");
+                assert_eq!(ledger.h2d_bytes(), stats.h2d_bytes(), "{at}: ledger H2D");
+                assert_eq!(ledger.d2h_bytes(), stats.d2h_bytes(), "{at}: ledger D2H");
+                assert_eq!(
+                    ledger.reload_bytes(),
+                    stats.reload_bytes(),
+                    "{at}: ledger reload"
+                );
+                assert_eq!(
+                    ledger.host_load_bytes(),
+                    m.host_decode_bytes,
+                    "{at}: host load"
+                );
+                assert_eq!(
+                    tier_masked_fingerprint(r),
+                    tier_masked_fingerprint(ram),
+                    "{at}: out-of-core run diverged from its RAM twin"
+                );
+            }
+        }
     }
 }
