@@ -6,6 +6,7 @@
 //! source, geometric termination with p = 0.15). As extensions we add an
 //! exact weighted first-order walk and an exact node2vec-style second-order
 //! walk, both mentioned in §II-A as the natural generalisations.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::rng::{step_value, step_value2, uniform_f64, uniform_index};
 use crate::walker::Walker;
@@ -96,6 +97,10 @@ pub struct StepContext<'a> {
 /// Implementations must be deterministic in `(seed, walker.id,
 /// walker.step)` — all randomness must come from [`crate::rng`] — so that
 /// trajectories are independent of scheduling (see `rng` module docs).
+/// The same purity lets the kernel ask, before a walker's turn, which
+/// entry of its row the step will read first
+/// ([`WalkAlgorithm::first_read`]) and prefetch it while earlier walkers
+/// step.
 pub trait WalkAlgorithm: Send + Sync {
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -117,6 +122,21 @@ pub trait WalkAlgorithm: Send + Sync {
     /// Decide walker's next move. Called with `walker.step` equal to the
     /// number of steps already taken.
     fn step(&self, walker: &Walker, ctx: StepContext<'_>, seed: u64) -> StepDecision;
+
+    /// The index, in the walker's current row of `degree` entries (at
+    /// least one), of the entry [`WalkAlgorithm::step`] reads first: its
+    /// first drawn candidate, or 0 for a step that scans the row. The
+    /// kernel prefetches that entry of every edge column a few walkers
+    /// ahead (`kernel::PREFETCH_AHEAD`).
+    ///
+    /// A hint only: a wrong answer costs a cache miss, never a result.
+    /// The default, 0, is right for a scan such as [`WeightedWalk`]'s.
+    /// An implementation takes its answer from the helper its `step`
+    /// takes the first draw from, so the two cannot drift apart.
+    fn first_read(&self, walker: &Walker, degree: usize, seed: u64) -> usize {
+        let _ = (walker, degree, seed);
+        0
+    }
 
     /// Whether [`WalkAlgorithm::step`] reads
     /// [`StepContext::prev_neighbors`]. The engine asks once per batch and
@@ -161,6 +181,24 @@ fn spread_walkers(nv: u64, num_walks: u64) -> Vec<Walker> {
         .collect()
 }
 
+/// The entry a walker's `salt`-th uniform draw names in a row of `degree`
+/// entries (`degree > 0`); salt 0 is the unsalted draw. The uniform row
+/// picks of every `step` with a [`WalkAlgorithm::first_read`] hint go
+/// through here, and so do the hints that name one.
+#[inline]
+fn pick(seed: u64, walker: &Walker, salt: u64, degree: usize) -> usize {
+    let r = step_value(seed ^ (salt << 32), walker.id, walker.step);
+    uniform_index(r, degree as u64) as usize
+}
+
+/// The entry a walker's second draw names in a row of `degree` entries
+/// (`degree > 0`): the neighbor choice of a step whose first draw decides
+/// whether to restart or stop.
+#[inline]
+fn pick2(seed: u64, walker: &Walker, degree: usize) -> usize {
+    uniform_index(step_value2(seed, walker.id, walker.step), degree as u64) as usize
+}
+
 /// DeepWalk-style uniform sampling: fixed length `l`, uniform neighbor at
 /// each step, `walk_id` recorded in the walk index (`S_w` = 16).
 #[derive(Clone, Copy, Debug)]
@@ -189,9 +227,11 @@ impl WalkAlgorithm for UniformSampling {
         if walker.step >= self.length || ctx.neighbors.is_empty() {
             return StepDecision::Terminate;
         }
-        let r = step_value(seed, walker.id, walker.step);
-        let k = uniform_index(r, ctx.neighbors.len() as u64) as usize;
-        StepDecision::Move(ctx.neighbors[k])
+        StepDecision::Move(ctx.neighbors[pick(seed, walker, 0, ctx.neighbors.len())])
+    }
+
+    fn first_read(&self, walker: &Walker, degree: usize, seed: u64) -> usize {
+        pick(seed, walker, 0, degree)
     }
 
     fn walker_state_bytes(&self) -> u64 {
@@ -244,9 +284,11 @@ impl WalkAlgorithm for PageRank {
             let r2 = step_value2(seed, walker.id, walker.step);
             return StepDecision::Move(uniform_index(r2, ctx.num_vertices) as VertexId);
         }
-        let r2 = step_value2(seed, walker.id, walker.step);
-        let k = uniform_index(r2, ctx.neighbors.len() as u64) as usize;
-        StepDecision::Move(ctx.neighbors[k])
+        StepDecision::Move(ctx.neighbors[pick2(seed, walker, ctx.neighbors.len())])
+    }
+
+    fn first_read(&self, walker: &Walker, degree: usize, seed: u64) -> usize {
+        pick2(seed, walker, degree)
     }
 
     fn tracks_visits(&self) -> bool {
@@ -313,9 +355,11 @@ impl WalkAlgorithm for Ppr {
         if uniform_f64(r) < self.stop_p {
             return StepDecision::Terminate;
         }
-        let r2 = step_value2(seed, walker.id, walker.step);
-        let k = uniform_index(r2, ctx.neighbors.len() as u64) as usize;
-        StepDecision::Move(ctx.neighbors[k])
+        StepDecision::Move(ctx.neighbors[pick2(seed, walker, ctx.neighbors.len())])
+    }
+
+    fn first_read(&self, walker: &Walker, degree: usize, seed: u64) -> usize {
+        pick2(seed, walker, degree)
     }
 
     fn tracks_visits(&self) -> bool {
@@ -519,11 +563,10 @@ impl WalkAlgorithm for SecondOrderWalk {
             return StepDecision::Terminate;
         }
         let prev = walker.aux;
-        // First step (or missing history): uniform.
+        // First step (or missing history): uniform, the unsalted draw
+        // the first proposal below also takes.
         if walker.step == 0 || prev == VertexId::MAX {
-            let r = step_value(seed, walker.id, walker.step);
-            let k = uniform_index(r, ctx.neighbors.len() as u64) as usize;
-            return StepDecision::Move(ctx.neighbors[k]);
+            return StepDecision::Move(ctx.neighbors[pick(seed, walker, 0, ctx.neighbors.len())]);
         }
         let row = ctx.neighbors;
         let (ret, out) = (1.0 / self.return_p, 1.0 / self.in_out_q);
@@ -541,9 +584,8 @@ impl WalkAlgorithm for SecondOrderWalk {
         let mut salt = 0u64;
         loop {
             let s = seed ^ (salt << 32);
-            let k = uniform_index(step_value(s, walker.id, walker.step), row.len() as u64);
+            let cand = row[pick(seed, walker, salt, row.len())];
             let y = uniform_f64(step_value2(s, walker.id, walker.step)) * height;
-            let cand = row[k as usize];
             if y >= cap {
                 // The strip: `prev`'s excess weight, per copy in the row.
                 let m = copies(row, prev, m_max);
@@ -564,6 +606,12 @@ impl WalkAlgorithm for SecondOrderWalk {
             }
             salt += 1;
         }
+    }
+
+    /// The unsalted draw: the first step's uniform pick and every later
+    /// step's first proposal alike.
+    fn first_read(&self, walker: &Walker, degree: usize, seed: u64) -> usize {
+        pick(seed, walker, 0, degree)
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -709,8 +757,7 @@ impl WalkAlgorithm for TemporalWalk {
             Some(ts) => ts,
             // Non-temporal graph: degenerate to uniform sampling.
             None => {
-                let r = step_value(seed, walker.id, walker.step);
-                let k = uniform_index(r, ctx.neighbors.len() as u64) as usize;
+                let k = pick(seed, walker, 0, ctx.neighbors.len());
                 return StepDecision::Move(ctx.neighbors[k]);
             }
         };
@@ -720,8 +767,7 @@ impl WalkAlgorithm for TemporalWalk {
         let span = t.saturating_add(self.window) - t;
         if ts.len() >= PROPOSE_MIN_ROW {
             for salt in 1..=propose_tries(ts.len()) {
-                let r = step_value(seed ^ (salt << 32), walker.id, walker.step);
-                let k = uniform_index(r, ts.len() as u64) as usize;
+                let k = pick(seed, walker, salt, ts.len());
                 if ts[k].wrapping_sub(t) <= span {
                     return StepDecision::MoveAt(ctx.neighbors[k], ts[k]);
                 }
@@ -734,6 +780,16 @@ impl WalkAlgorithm for TemporalWalk {
         let r = step_value(seed, walker.id, walker.step);
         let k = nth_in_window(ts, t, span, uniform_index(r, count as u64) as usize);
         StepDecision::MoveAt(ctx.neighbors[k], ts[k])
+    }
+
+    /// The first proposal (salt 1) on a row long enough to propose on;
+    /// a shorter row is scanned from its start.
+    fn first_read(&self, walker: &Walker, degree: usize, seed: u64) -> usize {
+        if degree >= PROPOSE_MIN_ROW {
+            pick(seed, walker, 1, degree)
+        } else {
+            0
+        }
     }
 
     fn walker_state_bytes(&self) -> u64 {
@@ -983,6 +1039,112 @@ mod tests {
         let node2vec = SecondOrderWalk::node2vec(8, 0.25, 4.0);
         assert!(node2vec.reads_prev_neighbors());
         assert!(!(0..300).all(|id| same(&node2vec, id)));
+    }
+
+    /// `first_read` names the entry `step` reads wherever the step's first
+    /// draw decides it. Rows hold distinct ids, so the move names the
+    /// index.
+    #[test]
+    fn first_read_names_the_entry_step_reads() {
+        use crate::JobTable;
+        use std::sync::Arc;
+        const BASE: VertexId = 1_000;
+        let row = |d: u32| -> Vec<VertexId> { (0..d).map(|k| BASE + k).collect() };
+        // Whether `alg`'s step of `w` under `seed` moves to the entry its
+        // hint names.
+        let agrees = |alg: &dyn WalkAlgorithm,
+                      w: &Walker,
+                      row: &[VertexId],
+                      ts: Option<&[u32]>,
+                      seed: u64| {
+            let k = alg.first_read(w, row.len(), seed);
+            assert!(
+                k < row.len(),
+                "{}: hint {k} outside a row of {}",
+                alg.name(),
+                row.len()
+            );
+            let ctx = StepContext {
+                timestamps: ts,
+                ..ctx(row, 1 << 20)
+            };
+            alg.step(w, ctx, seed).target() == Some(row[k])
+        };
+        let seed = 42;
+        let walkers = |ids: std::ops::Range<u64>| {
+            ids.map(|id| Walker {
+                step: (id % 7) as u32,
+                aux: BASE + (id % 5) as u32,
+                ..Walker::new(id, 0)
+            })
+        };
+        let first_draw = |w: &Walker| uniform_f64(step_value(seed, w.id, w.step));
+        for d in [1, 2, 3, 17, 300, 1_000] {
+            let row = row(d);
+            let uniform = UniformSampling::new(100);
+            assert!(walkers(0..500).all(|w| agrees(&uniform, &w, &row, None, seed)));
+            // PageRank and PPR: where the first draw neither restarts nor
+            // stops.
+            let (pagerank, ppr) = (PageRank::new(100, 0.15), Ppr::new(0, 0.15));
+            let moving: Vec<Walker> = walkers(0..500).filter(|w| first_draw(w) >= 0.15).collect();
+            assert!(moving.len() > 350, "{} moving walkers", moving.len());
+            for w in &moving {
+                assert!(
+                    agrees(&pagerank, w, &row, None, seed),
+                    "pagerank walker {}",
+                    w.id
+                );
+                assert!(agrees(&ppr, w, &row, None, seed), "ppr walker {}", w.id);
+            }
+            // node2vec accepts its first proposal when p = q = 1, with the
+            // previous vertex in the row or not; step 0 is the same draw.
+            let node2vec = SecondOrderWalk::node2vec(100, 1.0, 1.0);
+            let fresh = (0..200).map(|id| Walker::new(id, 0));
+            for w in walkers(0..500).chain(fresh) {
+                assert!(
+                    agrees(&node2vec, &w, &row, None, seed),
+                    "node2vec walker {}",
+                    w.id
+                );
+            }
+        }
+        // Temporal: a long row whose stamps all lie in the window, so the
+        // first (salt-1) proposal is taken.
+        let temporal = TemporalWalk::starting_at(100, 4, 10);
+        for d in [PROPOSE_MIN_ROW as u32, 300, 4_096] {
+            let (row, ts) = (row(d), vec![12; d as usize]);
+            let ws = walkers(0..500).map(|w| Walker { aux: 10, ..w });
+            for w in ws {
+                assert!(
+                    agrees(&temporal, &w, &row, Some(&ts), seed),
+                    "temporal walker {}",
+                    w.id
+                );
+            }
+        }
+        // The job table hints under the job's seed, not the engine's.
+        let (job_seed, engine_seed) = (99, 12_345);
+        let table = JobTable::with_capacity(2);
+        let tag = table
+            .register(Arc::new(UniformSampling::new(100)), job_seed)
+            .expect("a free slot");
+        let row = row(1_000);
+        let tagged: Vec<Walker> = walkers(0..500).map(|w| Walker { tag, ..w }).collect();
+        for w in &tagged {
+            assert!(
+                agrees(&table, w, &row, None, engine_seed),
+                "job walker {}",
+                w.id
+            );
+        }
+        let uniform = UniformSampling::new(100);
+        assert!(
+            tagged
+                .iter()
+                .any(|w| uniform.first_read(w, row.len(), job_seed)
+                    != uniform.first_read(w, row.len(), engine_seed)),
+            "the two seeds must name different entries"
+        );
     }
 
     #[test]

@@ -313,6 +313,13 @@ impl WalkAlgorithm for JobTable {
         e.algorithm.step(walker, ctx, e.seed)
     }
 
+    /// The owning job's hint under the *job's* seed, the seed its `step`
+    /// draws with: the engine seed passed in is ignored here too.
+    fn first_read(&self, walker: &Walker, degree: usize, _seed: u64) -> usize {
+        let e = self.entry(walker.tag);
+        e.algorithm.first_read(walker, degree, e.seed)
+    }
+
     /// Per-job visit events flow through tag deltas instead of the
     /// engine-global visit buffer.
     fn tracks_visits(&self) -> bool {

@@ -23,12 +23,19 @@
 //! Simulated kernel time is still charged from the *total* step count, so
 //! simulated metrics (makespan, traffic, per-category busy time) are
 //! unchanged by the thread count — only wall-clock throughput scales.
+//!
+//! The same purity hides the kernel's main stall. A step's first draw
+//! names the row entry it reads, so while one walker steps, the chunk
+//! prefetches the entry the walker `PREFETCH_AHEAD` (16) places later will
+//! read first ([`WalkAlgorithm::first_read`]). Nothing is staged or
+//! reordered: every output is what plain stepping gives.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::algorithm::{StepContext, StepDecision, WalkAlgorithm};
 use crate::walker::Walker;
 use lt_graph::partition::Rows;
 use lt_graph::{Csr, VertexId};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The rows a kernel reads, always in place: its own partition's and,
 /// only for a zero-copy kernel of an algorithm that
@@ -192,7 +199,7 @@ impl ScratchPool {
     /// A cleared buffer sized for `walkers` — recycled when one is
     /// available, freshly allocated otherwise.
     fn take(&self, walkers: usize, track_visits: bool, track_paths: bool) -> ChunkOutput {
-        let mut o = self.bufs.lock().unwrap().pop().unwrap_or_default();
+        let mut o = self.lock().pop().unwrap_or_default();
         o.reserve_for(walkers, track_visits, track_paths);
         o
     }
@@ -201,10 +208,17 @@ impl ScratchPool {
     /// already at capacity).
     pub(crate) fn put(&self, mut o: ChunkOutput) {
         o.clear();
-        let mut bufs = self.bufs.lock().unwrap();
+        let mut bufs = self.lock();
         if bufs.len() < SCRATCH_POOL_CAP {
             bufs.push(o);
         }
+    }
+
+    /// The retained buffers. A panic while the lock was held cannot leave
+    /// the pool unsound — it only ever holds cleared buffers — so a
+    /// poisoned lock is used as it is.
+    fn lock(&self) -> MutexGuard<'_, Vec<ChunkOutput>> {
+        self.bufs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -240,6 +254,14 @@ pub(crate) struct KernelTask<'a> {
     pub scratch: &'a ScratchPool,
 }
 
+/// How many walkers ahead of the one stepping [`step_chunk`] prefetches:
+/// far enough that the line arrives before its walker's turn (a step
+/// takes tens of nanoseconds, a miss to DRAM about a hundred), near
+/// enough that it is still cached then. In a one-thread microbenchmark on
+/// the benchmark graph (DESIGN.md §12), 8 and 16 both took a walker from
+/// 28–29 ns to 22 ns.
+pub(crate) const PREFETCH_AHEAD: usize = 16;
+
 /// Step every walker of one chunk, one at a time and each to its exit:
 /// until it terminates or leaves the task's range.
 ///
@@ -248,17 +270,22 @@ pub(crate) struct KernelTask<'a> {
 /// parallel paths run it once per chunk on worker threads. `moved` and
 /// `lengths` are emitted in walker order with no staging.
 ///
-/// There is deliberately no step-interleaved variant (ThunderRW-style
-/// groups of walkers with software prefetch): interleaving pays when a
-/// walker stays resident long enough to prefetch its next lookup, and an
-/// out-of-memory engine at ~50 partitions sees 98 % of all steps leave
-/// the partition — one step per residency (measured, DESIGN.md §12).
+/// While walker `j` steps, the row entry walker `j + PREFETCH_AHEAD`
+/// will read first is prefetched ([`prefetch_first_read`]). That entry,
+/// not the walker's next row, is the miss that matters: an out-of-memory
+/// engine at ~50 partitions sees 98 % of all steps leave the partition,
+/// so most walkers take one step per residency, and on a hub row the
+/// drawn entry is a random line of kilobytes (DESIGN.md §12). Walkers
+/// after the chunk's last get no prefetch.
 pub(crate) fn step_chunk(task: &KernelTask, walkers: &[Walker]) -> ChunkOutput {
     let mut out = task
         .scratch
         .take(walkers.len(), task.track_visits, task.track_paths);
-    for mut w in walkers.iter().copied() {
+    for (j, mut w) in walkers.iter().copied().enumerate() {
         debug_assert!(task.view.own.contains(w.vertex), "batch invariant violated");
+        if let Some(ahead) = walkers.get(j + PREFETCH_AHEAD) {
+            prefetch_first_read(task, ahead);
+        }
         loop {
             let d = step_once(task, &w);
             match d {
@@ -291,6 +318,50 @@ pub(crate) fn step_chunk(task: &KernelTask, walkers: &[Walker]) -> ChunkOutput {
         }
     }
     out
+}
+
+/// Prefetch, in every edge column of the own partition, the entry of
+/// `w`'s row that its next step reads first. Walkers of a batch all lie
+/// in the own partition, so the row is there; an empty row has nothing
+/// to read, and a hint past the row's end is held to its last entry.
+#[inline]
+fn prefetch_first_read(task: &KernelTask, w: &Walker) {
+    let own = &task.view.own;
+    let span = own.span(w.vertex);
+    if span.is_empty() {
+        return;
+    }
+    let hint = task.alg.first_read(w, span.len(), task.seed);
+    let i = span.start + hint.min(span.len() - 1);
+    let (edges, weights, timestamps) = own.columns();
+    if let Some(e) = edges.get(i) {
+        prefetch(e);
+    }
+    if let Some(x) = weights.and_then(|c| c.get(i)) {
+        prefetch(x);
+    }
+    if let Some(t) = timestamps.and_then(|c| c.get(i)) {
+        prefetch(t);
+    }
+}
+
+/// Ask the CPU to bring the cache line holding `r` into L1, without
+/// waiting for it. A no-op off x86-64. A plain load would not do: it
+/// blocks retirement until the line arrives, and a load 8 or 16 walkers
+/// ahead ran no faster than no look-ahead (DESIGN.md §12).
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint. It never faults, whatever the address,
+    // and changes no architectural state; and a `&T` is always a live
+    // address besides.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((r as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
 }
 
 /// One step of `w` against the task's view, read in place. Second-order
@@ -564,6 +635,112 @@ mod tests {
         let covered = run(view(&csr_rows, true));
         assert_ne!(covered, resident);
         assert_eq!(run(view(&block_rows, true)), covered);
+    }
+
+    /// Everything a chunk produced that the merge reads.
+    type Summary = (
+        u64,
+        u64,
+        Vec<Walker>,
+        Vec<VertexId>,
+        Vec<(u64, VertexId)>,
+        Vec<u32>,
+    );
+
+    fn summary(o: ChunkOutput) -> Summary {
+        (
+            o.steps,
+            o.finished,
+            o.moved,
+            o.visits,
+            o.path_events,
+            o.lengths,
+        )
+    }
+
+    /// The prefetch pipeline changes no output: stepping the first `n`
+    /// walkers in one call equals stepping them one per call, for every
+    /// `n` up to two look-ahead windows and one more walker. A one-walker
+    /// call has nothing ahead to prefetch, which makes it the reference.
+    /// Every algorithm with a hint is covered, on every column a hint
+    /// prefetches in: node2vec over a view covering the previous
+    /// vertices, the weighted scan on weights, the temporal walk on
+    /// timestamps and rows long enough to propose on.
+    #[test]
+    fn prefetching_ahead_changes_no_output() {
+        use crate::algorithm::{PageRank, SecondOrderWalk, TemporalWalk, WeightedWalk};
+        use lt_graph::gen::{with_random_timestamps, with_random_weights};
+        use lt_graph::PartitionedGraph;
+        let plain = Arc::new(erdos_renyi(512, 512 * 16, 21).csr);
+        let weighted = Arc::new(with_random_weights(&plain, 4));
+        // ~280 edges a row: most rows are proposed on.
+        let temporal = Arc::new(with_random_timestamps(
+            &erdos_renyi(512, 512 * 220, 11).csr,
+            3,
+            64,
+        ));
+        let cases: [(Arc<Csr>, Box<dyn WalkAlgorithm>); 5] = [
+            (plain.clone(), Box::new(UniformSampling::new(12))),
+            (plain.clone(), Box::new(PageRank::new(12, 0.15))),
+            (plain, Box::new(SecondOrderWalk::node2vec(12, 0.25, 4.0))),
+            (weighted, Box::new(WeightedWalk::new(12))),
+            (temporal, Box::new(TemporalWalk::new(12, 16))),
+        ];
+        let scratch = ScratchPool::default();
+        for (g, alg) in &cases {
+            let alg = alg.as_ref();
+            let pg = PartitionedGraph::build(g.clone(), g.csr_bytes() / 4);
+            assert!(pg.num_partitions() >= 3, "{}", alg.name());
+            let rows: Vec<_> = (0..pg.num_partitions())
+                .map(|p| Rows::csr(g, pg.vertex_range(p)))
+                .collect();
+            let reads_prev = alg.reads_prev_neighbors();
+            let context = rows
+                .iter()
+                .enumerate()
+                .filter(|&(p, _)| reads_prev && p != 1);
+            let view = GraphView::new(rows[1], context.map(|(_, r)| *r).collect());
+            let range = pg.vertex_range(1);
+            let walkers: Vec<Walker> = (0..2 * PREFETCH_AHEAD as u64 + 1)
+                .map(|i| Walker {
+                    step: (i % 2) as u32,
+                    // A previous vertex anywhere in the graph, or a
+                    // clock early in the temporal graph's 64 ticks.
+                    aux: if reads_prev {
+                        (i as u32 * 37) % 512
+                    } else {
+                        i as u32 % 32
+                    },
+                    ..Walker::new(i, range.start + i as u32 % (range.end - range.start))
+                })
+                .collect();
+            let task = KernelTask {
+                reads_prev,
+                max_multiplicity: g.max_multiplicity(),
+                seed: 5,
+                track_visits: true,
+                track_paths: true,
+                ..task(view, alg, &scratch, 512)
+            };
+            let mut reference: Summary = Default::default();
+            let mut prefixes = vec![reference.clone()];
+            for w in &walkers {
+                let (steps, finished, moved, visits, paths, lengths) =
+                    summary(step_chunk(&task, std::slice::from_ref(w)));
+                reference.0 += steps;
+                reference.1 += finished;
+                reference.2.extend(moved);
+                reference.3.extend(visits);
+                reference.4.extend(paths);
+                reference.5.extend(lengths);
+                prefixes.push(reference.clone());
+            }
+            assert!(reference.0 > 40, "{}: {} steps", alg.name(), reference.0);
+            for (n, want) in prefixes.iter().enumerate() {
+                let got = summary(step_chunk(&task, &walkers[..n]));
+                assert_eq!(&got, want, "{}, {n} walkers", alg.name());
+            }
+        }
     }
 
     /// Recycled scratch buffers must not leak state between rounds.

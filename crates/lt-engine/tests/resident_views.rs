@@ -4,9 +4,15 @@
 //! table. These goldens were recorded when every resident partition was
 //! still a host copy of its rows; they prove that the view a kernel reads
 //! through changes no walk and no simulated counter.
+//!
+//! The goldens include the simulated clock, which the retryable faults of
+//! the `LT_TEST_FAULT_SEED` drill move, so every golden run spells out a
+//! fault-free device. Under the drill each run is repeated with its
+//! faults, and must produce the same visits and paths.
 
 use lt_engine::algorithm::{PageRank, SecondOrderWalk};
 use lt_engine::{EngineConfig, LightTraffic, RunResult, WalkAlgorithm, ZeroCopyPolicy};
+use lt_gpusim::GpuConfig;
 use lt_graph::gen::{erdos_renyi, locality_mutations, rmat, RmatParams};
 use lt_graph::Csr;
 use std::sync::Arc;
@@ -47,8 +53,29 @@ fn cfg(zero_copy: ZeroCopyPolicy, kernel_threads: usize) -> EngineConfig {
         kernel_threads,
         record_paths: true,
         record_iterations: true,
+        gpu: GpuConfig::default(),
         ..EngineConfig::light_traffic(16 << 10, 3)
     }
+}
+
+/// The device of the fault drill when `LT_TEST_FAULT_SEED` is set: the
+/// one `EngineConfig::light_traffic` builds, with its retryable plan.
+fn drill() -> Option<GpuConfig> {
+    let gpu = EngineConfig::light_traffic(16 << 10, 3).gpu;
+    gpu.faults.is_some().then_some(gpu)
+}
+
+/// `cfg` under the fault drill, when it is on.
+fn faulted(cfg: &EngineConfig) -> Option<EngineConfig> {
+    drill().map(|gpu| EngineConfig { gpu, ..cfg.clone() })
+}
+
+/// A faulted run produced what its fault-free twin did. Returns the
+/// copies it re-issued, so a test can tell the drill injected something.
+fn assert_same_outputs(faulted: &RunResult, clean: &RunResult, what: &str) -> u64 {
+    assert_eq!(faulted.visit_counts, clean.visit_counts, "{what}: visits");
+    assert_eq!(faulted.paths, clean.paths, "{what}: paths");
+    faulted.metrics.retries
 }
 
 fn policies() -> [(&'static str, ZeroCopyPolicy); 2] {
@@ -70,7 +97,8 @@ fn algorithms() -> [(&'static str, Arc<dyn WalkAlgorithm>); 2] {
 
 /// node2vec (p = 0.25, q = 4) and PageRank on three graphs, under
 /// explicit copies only and under adaptive zero copy, at one and four
-/// kernel threads: every fingerprint equals its golden.
+/// kernel threads: every fingerprint equals its golden, and under the
+/// fault drill every faulted run has the same visits and paths.
 #[test]
 fn resident_reads_keep_the_recorded_fingerprints() {
     #[rustfmt::skip]
@@ -89,13 +117,22 @@ fn resident_reads_keep_the_recorded_fingerprints() {
         ("rmat12", "pagerank", "adaptive", 0xee44efdec9e9e8cc),
     ];
     let mut got = Vec::new();
+    let mut retries = 0;
     for (gname, g) in graphs() {
         for (aname, alg) in algorithms() {
             for (pname, policy) in policies() {
+                let run = |cfg| {
+                    let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("pools fit");
+                    e.run(3_000).expect("run completes")
+                };
                 let mut prints = [1, 4].map(|threads| {
-                    let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg(policy, threads))
-                        .expect("pools fit");
-                    fingerprint(&e.run(3_000).expect("run completes"))
+                    let cfg = cfg(policy, threads);
+                    let clean = run(cfg.clone());
+                    if let Some(cfg) = faulted(&cfg) {
+                        let what = format!("{gname} {aname} {pname} {threads} threads");
+                        retries += assert_same_outputs(&run(cfg), &clean, &what);
+                    }
+                    fingerprint(&clean)
                 });
                 prints.sort_unstable();
                 assert_eq!(
@@ -107,23 +144,25 @@ fn resident_reads_keep_the_recorded_fingerprints() {
         }
     }
     assert_eq!(got, golden);
+    assert!(
+        drill().is_none() || retries > 0,
+        "the drill injected no fault"
+    );
 }
 
 /// Resident loads on a RAM engine, then a mutation and a seal, then more
 /// walks: the reads move from the borrowed CSR to the sealed blocks, and
-/// the fingerprint equals its golden at one and four kernel threads.
+/// the fingerprint equals its golden at one and four kernel threads. Under
+/// the fault drill both waves of a faulted engine have the same visits
+/// and paths.
 #[test]
 fn a_seal_hands_resident_reads_over_to_the_block_table() {
     let (_, g) = graphs().swap_remove(0);
     let alg: Arc<dyn WalkAlgorithm> = Arc::new(SecondOrderWalk::node2vec(20, 0.25, 4.0));
     let golden: u64 = 0x0258911cd47aabf0;
-    for threads in [1, 4] {
-        let mut e = LightTraffic::new(
-            g.clone(),
-            alg.clone(),
-            cfg(ZeroCopyPolicy::adaptive(), threads),
-        )
-        .expect("pools fit");
+    // Both waves: before the seal and after it.
+    let waves = |cfg| {
+        let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("pools fit");
         let first = e.run(2_000).expect("first wave completes");
         assert!(first.metrics.explicit_graph_copies > 0, "no resident loads");
         let mut state = 0x9e37_79b9_7f4a_7c15;
@@ -131,7 +170,18 @@ fn a_seal_hands_resident_reads_over_to_the_block_table() {
             .expect("updates are valid");
         let seal = e.seal_epoch().expect("seal succeeds");
         assert!(seal.reloaded_partitions > 0, "the seal reloaded nothing");
-        let r = e.run(2_000).expect("second wave completes");
-        assert_eq!(fingerprint(&r), golden, "{threads} kernel threads");
+        (first, e.run(2_000).expect("second wave completes"))
+    };
+    for threads in [1, 4] {
+        let cfg = cfg(ZeroCopyPolicy::adaptive(), threads);
+        let (first, second) = waves(cfg.clone());
+        assert_eq!(fingerprint(&second), golden, "{threads} kernel threads");
+        if let Some(cfg) = faulted(&cfg) {
+            let (f1, f2) = waves(cfg);
+            let retries =
+                assert_same_outputs(&f1, &first, &format!("first wave, {threads} threads"))
+                    + assert_same_outputs(&f2, &second, &format!("second wave, {threads} threads"));
+            assert!(retries > 0, "the drill injected no fault");
+        }
     }
 }

@@ -378,9 +378,9 @@ impl<'a> Rows<'a> {
     }
 
     /// The edge-column entries of global vertex `v`'s row (`v` must be
-    /// here).
+    /// here): its positions in each of [`Rows::columns`].
     #[inline]
-    fn span(&self, v: VertexId) -> Range<usize> {
+    pub fn span(&self, v: VertexId) -> Range<usize> {
         debug_assert!(self.contains(v));
         let i = (v - self.v_start) as usize;
         self.offsets[i] as usize..self.offsets[i + 1] as usize
@@ -402,6 +402,14 @@ impl<'a> Rows<'a> {
     #[inline]
     pub fn neighbor_timestamps(&self, v: VertexId) -> Option<&'a [u32]> {
         Some(&self.timestamps?[self.span(v)])
+    }
+
+    /// The edge columns these rows index: targets, and weights and
+    /// timestamps when the graph has them. [`Rows::span`] says where a
+    /// row lies in each; a CSR range shares them with the whole graph.
+    #[inline]
+    pub fn columns(&self) -> (&'a [VertexId], Option<&'a [f32]>, Option<&'a [u32]>) {
+        (self.edges, self.weights, self.timestamps)
     }
 
     /// The edge-column entries of every row here.
