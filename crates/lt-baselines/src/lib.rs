@@ -7,14 +7,15 @@
 //!   strawman of §II-B / Figure 16.
 //! - [`ingpu`]: a NextDoor-like fully in-GPU-memory engine for graphs that
 //!   fit (Figure 11).
-//! - [`csaw`]: the C-SAW-like per-step/per-partition queue layout whose
-//!   out-of-memory failure §IV-B reports (excluded from Figure 9).
+//! - [`csaw`]: the queue arithmetic of the C-SAW-like per-step/per-partition
+//!   layout, whose out-of-memory failure §IV-B reports (excluded from
+//!   Figure 9). It plans the reservation and runs no walks.
 //! - [`cpu`]: real host-executed random walk engines in the spirit of
 //!   ThunderRW (step-interleaved walk-centric loop) and FlashMob
 //!   (walkers sorted by vertex for cache locality), plus calibrated
 //!   throughput models for the paper's testbed (Figure 9).
 //!
-//! All baselines reuse [`lt_engine`]'s algorithms and counter-based RNG, so
+//! All executing baselines reuse [`lt_engine`]'s algorithms and counter-based RNG, so
 //! they produce *identical trajectories* to LightTraffic — correctness can
 //! be cross-checked system-to-system, and only the timing differs.
 #![forbid(unsafe_code)]

@@ -1,8 +1,10 @@
-//! One function per table/figure of the paper's evaluation. Every function
-//! prints the rows the paper reports and returns the same rows as JSON for
-//! `results/`.
+//! One function per table/figure of the paper's evaluation, plus the two
+//! analyses beyond it. Every function prints the rows the paper reports
+//! and returns the same rows as JSON; it writes no file. `run_all` saves
+//! each experiment's rows as `results/<name>.json`, and
+//! `tests/claims.rs` checks each EXPERIMENTS.md verdict against them.
 //!
-//! | paper artifact | function | binary |
+//! | paper artifact | function | `run_all` name |
 //! |---|---|---|
 //! | Table I   | [`motivation::table1`]  | `table1` |
 //! | Table II  | [`table2`]              | `table2` |
@@ -18,6 +20,8 @@
 //! | Figure 16 | [`techniques::fig16`]   | `fig16` |
 //! | Figure 17 | [`sensitivity::fig17`]  | `fig17` |
 //! | Figure 18 | [`sensitivity::fig18`]  | `fig18` |
+//! | §III-E straggler tail | [`techniques::stragglers`] | `straggler_analysis` |
+//! | ablations beyond the paper | [`sensitivity::ablations`] | `ablations` |
 
 pub mod motivation;
 pub mod overall;
@@ -25,9 +29,26 @@ pub mod sensitivity;
 pub mod techniques;
 
 use crate::table::print_table;
+use crate::Testbed;
+use lt_engine::algorithm::WalkAlgorithm;
+use lt_engine::{EngineConfig, LightTraffic, RunResult};
 use lt_graph::gen::datasets;
 use lt_graph::stats::{human_bytes, stats};
 use serde_json::{json, Value};
+use std::sync::Arc;
+
+/// Run `walks` walks of `alg` on the testbed's graph under `cfg`.
+fn run_engine(
+    tb: &Testbed,
+    alg: &Arc<dyn WalkAlgorithm>,
+    cfg: EngineConfig,
+    walks: u64,
+) -> RunResult {
+    LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
+        .expect("pools fit")
+        .run(walks)
+        .expect("run completes")
+}
 
 /// Table II: statistics of the graph datasets — paper numbers for the real
 /// datasets next to the measured statistics of the generated stand-ins.
@@ -81,13 +102,4 @@ pub fn table2(shift: u32, seed: u64) -> Value {
         "\n(skew = edge share of the top 1% vertices; power-law stand-ins ≫ FS's flat profile)"
     );
     json!(json_rows)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn table2_runs() {
-        let v = super::table2(2, 1);
-        assert_eq!(v.as_array().unwrap().len(), 7);
-    }
 }

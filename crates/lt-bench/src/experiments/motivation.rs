@@ -118,27 +118,3 @@ pub fn table1(shift: u32, seed: u64) -> Value {
     println!("\npaper: UK 11.2% / 40.4% / 48.4%; FS 2.0% / 43.7% / 54.3%");
     json!(json_rows)
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fig03_produces_both_series() {
-        let v = super::fig03(4, 1);
-        let obj = v.as_object().unwrap();
-        assert!(obj.contains_key("FS") && obj.contains_key("UK"));
-        assert!(!obj["FS"].as_array().unwrap().is_empty());
-    }
-
-    #[test]
-    fn table1_shape_matches_paper() {
-        let v = super::table1(4, 1);
-        for row in v.as_array().unwrap() {
-            let comp = row["computation_pct"].as_f64().unwrap();
-            let trans = row["transmission_pct"].as_f64().unwrap();
-            let sub = row["subgraph_creation_pct"].as_f64().unwrap();
-            assert!((comp + trans + sub - 100.0).abs() < 1e-6);
-            // The paper's shape: transmission + subgraph creation dominate.
-            assert!(trans + sub > 60.0, "trans {trans} + sub {sub}");
-        }
-    }
-}

@@ -1,13 +1,14 @@
 //! §IV-B overall performance: Figure 9 (vs CPU systems), Figure 10 (vs
 //! Subway), Figure 11 (vs an in-GPU-memory system).
 
+use super::run_engine;
 use crate::table::{msteps, print_table};
 use crate::Testbed;
 use lt_baselines::cpu::{self, CpuThroughputModel};
 use lt_baselines::ingpu::run_in_gpu_memory;
 use lt_baselines::subway::{run_subway, SubwayConfig};
 use lt_engine::algorithm::{PageRank, Ppr, UniformSampling, WalkAlgorithm};
-use lt_engine::{EngineConfig, LightTraffic};
+use lt_engine::EngineConfig;
 use lt_gpusim::CostModel;
 use lt_graph::gen::datasets;
 use serde_json::{json, Value};
@@ -29,11 +30,9 @@ fn lt_throughput(tb: &Testbed, alg: &Arc<dyn WalkAlgorithm>, cost: CostModel, se
         gpu: tb.gpu_config(cost),
         ..tb.engine_config()
     };
-    let r = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
-        .expect("scaled pools fit")
-        .run(tb.standard_walks())
-        .expect("run completes");
-    r.metrics.throughput()
+    run_engine(tb, alg, cfg, tb.standard_walks())
+        .metrics
+        .throughput()
 }
 
 /// Figure 9: LightTraffic (PCIe 3.0 / PCIe 4.0, simulated) vs the CPU
@@ -143,10 +142,7 @@ pub fn fig10(shift: u32, seed: u64) -> Value {
                 seed,
                 ..tb.engine_config()
             };
-            let lt = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
-                .expect("pools fit")
-                .run(walks)
-                .expect("run completes");
+            let lt = run_engine(&tb, &alg, cfg, walks);
             let sub_gpu = sub.gpu.as_ref().expect("subway is simulated");
             let total_speedup = sub.metrics.makespan_ns as f64 / lt.metrics.makespan_ns as f64;
             let comp_speedup = sub_gpu.computing_ns() as f64 / lt.gpu.computing_ns().max(1) as f64;
@@ -204,10 +200,7 @@ pub fn fig11(shift: u32, seed: u64) -> Value {
                 seed,
                 ..tb.engine_config()
             };
-            let lt = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
-                .expect("pools fit")
-                .run(walks)
-                .expect("run completes");
+            let lt = run_engine(&tb, &alg, cfg, walks);
             let speedup = ig.metrics.makespan_ns as f64 / lt.metrics.makespan_ns as f64;
             let lt_telemetry = crate::run_telemetry_json(&lt);
             rows.push(vec![
@@ -240,27 +233,4 @@ pub fn fig11(shift: u32, seed: u64) -> Value {
     println!("\npaper: LightTraffic slightly outperforms NextDoor (pipelining +");
     println!("       two-level caching offset the out-of-memory machinery).");
     json!(json_rows)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig10_lighttraffic_beats_subway() {
-        let v = fig10(5, 1);
-        for row in v.as_array().unwrap() {
-            let s = row["total_speedup"].as_f64().unwrap();
-            assert!(s > 1.0, "LightTraffic must beat Subway: {row}");
-        }
-    }
-
-    #[test]
-    fn fig11_lighttraffic_competitive_with_ingpu() {
-        let v = fig11(2, 1);
-        for row in v.as_array().unwrap() {
-            let s = row["lt_speedup"].as_f64().unwrap();
-            assert!(s > 0.8, "LT should be at least competitive: {row}");
-        }
-    }
 }

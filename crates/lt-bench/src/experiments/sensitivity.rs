@@ -1,10 +1,12 @@
 //! §IV-D sensitivity analysis: Figure 15 (memory pool sizes), Figure 17
-//! (partition size), Figure 18 (scalability vs walk density).
+//! (partition size), Figure 18 (scalability vs walk density), and the
+//! ablations beyond the paper's figures.
 
-use crate::table::{ms, print_table};
+use super::run_engine;
+use crate::table::{ms, msteps, print_table};
 use crate::Testbed;
-use lt_engine::algorithm::{PageRank, UniformSampling, WalkAlgorithm};
-use lt_engine::{EngineConfig, LightTraffic};
+use lt_engine::algorithm::{PageRank, SecondOrderWalk, UniformSampling, WalkAlgorithm};
+use lt_engine::EngineConfig;
 use lt_gpusim::{CostModel, GpuConfig};
 use lt_graph::gen::datasets;
 use lt_graph::stats::human_bytes;
@@ -35,10 +37,7 @@ pub fn fig15(shift: u32, seed: u64) -> Value {
                 gpu: tb.gpu_config(CostModel::pcie3()),
                 ..EngineConfig::light_traffic(tb.partition_bytes, pool)
             };
-            let r = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
-                .expect("pools fit")
-                .run(total_walks)
-                .expect("run completes");
+            let r = run_engine(&tb, &alg, cfg, total_walks);
             let g = &r.gpu;
             rows.push(vec![
                 pool.to_string(),
@@ -105,10 +104,7 @@ pub fn fig17(shift: u32, seed: u64) -> Value {
             },
             ..EngineConfig::light_traffic(part_bytes, pool)
         };
-        let r = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
-            .expect("fits")
-            .run(tb.standard_walks())
-            .expect("run completes");
+        let r = run_engine(&tb, &alg, cfg, tb.standard_walks());
         let g = &r.gpu;
         rows.push(vec![
             human_bytes(part_bytes),
@@ -169,10 +165,7 @@ pub fn fig18(shift: u32, seed: u64) -> Value {
                 gpu: tb.gpu_config(CostModel::pcie3()),
                 ..EngineConfig::light_traffic(tb.partition_bytes, pool)
             };
-            let r = LightTraffic::new(tb.graph.clone(), alg.clone(), cfg)
-                .expect("fits")
-                .run(walks)
-                .expect("run completes");
+            let r = run_engine(&tb, &alg, cfg, walks);
             let density = walks as f64 * s_w / tb.graph.csr_bytes() as f64;
             let theory = (cost.pcie_bandwidth / s_w) / (1.0 + 1.0 / density);
             rows.push(vec![
@@ -206,30 +199,149 @@ pub fn fig18(shift: u32, seed: u64) -> Value {
     json!(json_rows)
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fig18_throughput_rises_with_density() {
-        let v = super::fig18(5, 1);
-        let rows = v.as_array().unwrap();
-        for chunk in rows.chunks(3) {
-            let tp: Vec<f64> = chunk
-                .iter()
-                .map(|r| r["measured_steps_per_sec"].as_f64().unwrap())
-                .collect();
-            assert!(
-                tp.windows(2).all(|w| w[1] > w[0] * 0.9),
-                "throughput should broadly rise with density: {tp:?}"
-            );
-        }
-    }
+/// Ablation studies beyond the paper's figures, on the UK stand-in, for
+/// the design choices DESIGN.md calls out:
+///
+/// 1. **interconnect**: PCIe 3.0 vs PCIe 4.0 vs NVLink 2.0 (§IV-B closes
+///    by naming NVLink as the opportunity; the cost model has a preset).
+/// 2. **batch size**: the paper fixes B ≈ 16× the core count; how
+///    sensitive is the engine to it?
+/// 3. **walk index size**: S_w = 8 (PageRank) vs 16 (sampling with
+///    walk_id) vs 20 (second-order): walk-traffic share of total time.
+/// 4. **frontier reservation**: the `2P+1` floor vs a roomy walk pool:
+///    what eviction traffic does a tight pool cost?
+pub fn ablations(shift: u32, seed: u64) -> Value {
+    let uniform = |l| Arc::new(UniformSampling::new(l)) as Arc<dyn WalkAlgorithm>;
+    let shift = shift + 4;
+    let tb = Testbed::new(&datasets::UK, shift, seed);
+    let mut out = serde_json::Map::new();
 
-    #[test]
-    fn fig17_reshuffle_shrinks_with_partition_size() {
-        let v = super::fig17(5, 1);
-        let rows = v.as_array().unwrap();
-        let first = rows.first().unwrap()["reshuffling_ms"].as_f64().unwrap();
-        let last = rows.last().unwrap()["reshuffling_ms"].as_f64().unwrap();
-        assert!(last < first, "reshuffle {last} !< {first}");
+    // --- 1. interconnect ---
+    println!("Ablation 1: interconnect generation (uniform sampling, l=80)\n");
+    let mut rows = Vec::new();
+    let mut j = Vec::new();
+    for (name, cost) in [
+        ("PCIe 3.0", CostModel::pcie3()),
+        ("PCIe 4.0", CostModel::pcie4()),
+        ("NVLink 2.0", CostModel::nvlink()),
+    ] {
+        let cfg = EngineConfig {
+            seed,
+            gpu: tb.gpu_config(cost),
+            ..tb.engine_config()
+        };
+        let r = run_engine(&tb, &uniform(80), cfg, tb.standard_walks());
+        rows.push(vec![
+            name.to_string(),
+            msteps(r.metrics.throughput()),
+            ms(r.metrics.makespan_ns),
+        ]);
+        j.push(json!({"interconnect": name, "steps_per_sec": r.metrics.throughput()}));
     }
+    print_table(&["interconnect", "M steps/s", "total (ms)"], &rows);
+    out.insert("interconnect".into(), json!(j));
+
+    // --- 2. batch size ---
+    println!("\nAblation 2: batch capacity (paper default: 16× GPU cores)\n");
+    let mut rows = Vec::new();
+    let mut j = Vec::new();
+    let base_batch = tb.batch_capacity();
+    for mult in [1usize, 2, 4, 8] {
+        let batch = (base_batch * mult / 2).max(16);
+        let blocks =
+            (tb.standard_walks() as usize).div_ceil(batch) + 2 * tb.num_partitions as usize + 1;
+        let cfg = EngineConfig {
+            seed,
+            batch_capacity: batch,
+            walk_pool_blocks: Some(blocks),
+            ..tb.engine_config()
+        };
+        let r = run_engine(&tb, &uniform(40), cfg, tb.standard_walks());
+        rows.push(vec![
+            batch.to_string(),
+            msteps(r.metrics.throughput()),
+            r.metrics.preemptive_batches.to_string(),
+            r.gpu.compute.count.to_string(),
+        ]);
+        j.push(json!({
+            "batch_capacity": batch,
+            "steps_per_sec": r.metrics.throughput(),
+            "kernels": r.gpu.compute.count,
+        }));
+    }
+    print_table(
+        &["batch walkers", "M steps/s", "preempted", "kernels"],
+        &rows,
+    );
+    out.insert("batch_size".into(), json!(j));
+
+    // --- 3. walk index size ---
+    println!("\nAblation 3: walk index size S_w (walk-traffic share)\n");
+    let mut rows = Vec::new();
+    let mut j = Vec::new();
+    let algs: Vec<(Arc<dyn WalkAlgorithm>, &str)> = vec![
+        (Arc::new(PageRank::new(40, 0.15)), "8 B (vertex+steps)"),
+        (Arc::new(UniformSampling::new(40)), "16 B (+walk id)"),
+        (
+            Arc::new(SecondOrderWalk::new(40, 0.5)),
+            "20 B (+prev vertex)",
+        ),
+    ];
+    for (alg, label) in algs {
+        let s_w = alg.walker_state_bytes();
+        let cfg = EngineConfig {
+            seed,
+            ..tb.engine_config()
+        };
+        let r = run_engine(&tb, &alg, cfg, tb.standard_walks());
+        let walk_bytes = r.gpu.walk_load.bytes + r.gpu.walk_evict.bytes;
+        let share = walk_bytes as f64 / (r.gpu.h2d_bytes() + r.gpu.d2h_bytes()) as f64;
+        rows.push(vec![
+            label.to_string(),
+            msteps(r.metrics.throughput()),
+            format!("{:.1}%", 100.0 * share),
+        ]);
+        j.push(json!({
+            "walker_bytes": s_w,
+            "steps_per_sec": r.metrics.throughput(),
+            "walk_traffic_share": share,
+        }));
+    }
+    print_table(&["walk index", "M steps/s", "walk-traffic share"], &rows);
+    out.insert("walk_index_size".into(), json!(j));
+
+    // --- 4. walk pool sizing ---
+    println!("\nAblation 4: walk pool size (2P+1 floor vs roomy)\n");
+    let mut rows = Vec::new();
+    let mut j = Vec::new();
+    let p = tb.num_partitions as usize;
+    let batch = tb.batch_capacity();
+    let full_blocks = (tb.standard_walks() as usize).div_ceil(batch) + 2 * p + 1;
+    for (label, blocks) in [
+        ("2P+1 (floor)", 2 * p + 1),
+        ("2P+1 + W/4", 2 * p + 1 + (full_blocks - 2 * p - 1) / 4),
+        ("all walks fit", full_blocks),
+    ] {
+        let cfg = EngineConfig {
+            seed,
+            walk_pool_blocks: Some(blocks),
+            ..tb.engine_config()
+        };
+        let r = run_engine(&tb, &uniform(40), cfg, tb.standard_walks());
+        rows.push(vec![
+            label.to_string(),
+            blocks.to_string(),
+            msteps(r.metrics.throughput()),
+            r.metrics.walk_batches_evicted.to_string(),
+        ]);
+        j.push(json!({
+            "walk_pool_blocks": blocks,
+            "steps_per_sec": r.metrics.throughput(),
+            "evictions": r.metrics.walk_batches_evicted,
+        }));
+    }
+    print_table(&["walk pool", "blocks", "M steps/s", "evictions"], &rows);
+    out.insert("walk_pool".into(), json!(j));
+
+    Value::Object(out)
 }

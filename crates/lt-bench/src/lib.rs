@@ -3,10 +3,11 @@
 //!
 //! Each experiment is a library function in [`experiments`] that runs the
 //! scaled workload, prints the same rows/series the paper reports, and
-//! returns machine-readable rows. `run_all` executes the whole evaluation,
-//! or the experiments it is given by name
+//! returns machine-readable rows. `run_all`, the crate's one binary,
+//! executes the whole evaluation, or the experiments it is given by name
 //! (`cargo run -p lt-bench --bin run_all fig09`), and writes their
-//! `results/*.json`.
+//! `results/*.json`. `tests/claims.rs` holds one test per EXPERIMENTS.md
+//! verdict, asserting the shape it states at `--scale 0`.
 //!
 //! Scaling discipline (DESIGN.md §5): every dataset of Table II gets a
 //! deterministic stand-in a few thousand times smaller; GPU pool sizes are
@@ -115,15 +116,6 @@ impl Testbed {
         }
     }
 
-    /// The default scaled PCIe 3.0 [`lt_gpusim::GpuConfig`] (for harness
-    /// code building custom testbeds).
-    pub fn scaled_cost_config() -> lt_gpusim::GpuConfig {
-        lt_gpusim::GpuConfig {
-            cost: Self::scaled_cost(lt_gpusim::CostModel::pcie3()),
-            ..lt_gpusim::GpuConfig::default()
-        }
-    }
-
     /// An [`lt_engine::EngineConfig`] preset for this testbed with
     /// LightTraffic's full feature set and scaled overheads.
     pub fn engine_config(&self) -> lt_engine::EngineConfig {
@@ -155,65 +147,6 @@ pub fn run_telemetry_json(r: &lt_engine::RunResult) -> serde_json::Value {
         },
         "length_percentiles": r.metrics.length_percentiles(),
     })
-}
-
-/// Results directory for JSON rows (`<workspace>/results`).
-pub fn results_dir() -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Write an experiment's rows as JSON next to the printed table.
-pub fn save_json(experiment: &str, rows: &serde_json::Value) {
-    let path = results_dir().join(format!("{experiment}.json"));
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(rows).expect("serialize"),
-    )
-    .expect("write results json");
-    println!("\n[saved {}]", path.display());
-}
-
-/// Parse `--scale N` (extra shrink shift) and `--seed N` from argv, with
-/// defaults. Every harness binary accepts these; unknown arguments panic
-/// so typos never silently run the default experiment.
-pub fn parse_args() -> (u32, u64) {
-    match parse_named_args() {
-        (names, shift, seed) if names.is_empty() => (shift, seed),
-        (names, ..) => panic!(
-            "unknown argument {} (supported: --scale N, --seed N)",
-            names[0]
-        ),
-    }
-}
-
-/// [`parse_args`] that also collects bare arguments (experiment names)
-/// in order.
-pub fn parse_named_args() -> (Vec<String>, u32, u64) {
-    let mut args = std::env::args().skip(1);
-    let (mut names, mut shift, mut seed) = (Vec::new(), 0u32, 42u64);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                shift = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--scale takes an integer shrink shift");
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed takes an integer");
-            }
-            flag if flag.starts_with('-') => {
-                panic!("unknown argument {flag} (supported: --scale N, --seed N)")
-            }
-            _ => names.push(arg),
-        }
-    }
-    (names, shift, seed)
 }
 
 #[cfg(test)]

@@ -258,19 +258,6 @@ pub enum EngineError {
         /// The graph-pool block size.
         block_bytes: u64,
     },
-    /// A tenant's token budget cannot cover the requested admission. The
-    /// serving layer (`lt-server`) treats exhaustion as backpressure —
-    /// jobs park and resume after a top-up — and surfaces this error only
-    /// for operations that *require* immediate budget (e.g. submitting to
-    /// a tenant whose balance is already zero with parking disabled).
-    BudgetExhausted {
-        /// The tenant whose balance ran dry.
-        tenant: String,
-        /// Tokens the operation needed.
-        needed: u64,
-        /// Tokens actually available.
-        available: u64,
-    },
     /// A submission was rejected at admission time (unknown tenant, job
     /// table full, malformed spec). The message says why.
     Admission(String),
@@ -300,15 +287,9 @@ impl std::fmt::Display for EngineError {
                 block_bytes,
             } => write!(
                 f,
-                "partition {partition} ({bytes} bytes) exceeds the graph-pool block                  ({block_bytes} bytes) and zero copy is disabled; a hub vertex this                  large needs zero copy (or vertex splitting, the paper's future work)"
-            ),
-            EngineError::BudgetExhausted {
-                tenant,
-                needed,
-                available,
-            } => write!(
-                f,
-                "tenant {tenant} has {available} budget tokens but the operation                  needs {needed}"
+                "partition {partition} ({bytes} bytes) exceeds the graph-pool block \
+                 ({block_bytes} bytes) and zero copy is disabled; a hub vertex this \
+                 large needs zero copy (or vertex splitting, the paper's future work)"
             ),
             EngineError::Admission(msg) => write!(f, "admission rejected: {msg}"),
         }
@@ -369,9 +350,24 @@ mod tests {
             ..EngineConfig::baseline(1 << 10, 4)
         };
         match LightTraffic::new(hub_graph(), Arc::new(UniformSampling::new(4)), cfg) {
-            Err(EngineError::OversizedPartition {
-                bytes, block_bytes, ..
-            }) => assert!(bytes > block_bytes),
+            Err(
+                e @ EngineError::OversizedPartition {
+                    partition,
+                    bytes,
+                    block_bytes,
+                },
+            ) => {
+                assert!(bytes > block_bytes);
+                assert_eq!(
+                    e.to_string(),
+                    format!(
+                        "partition {partition} ({bytes} bytes) exceeds the graph-pool block \
+                         ({block_bytes} bytes) and zero copy is disabled; a hub vertex this \
+                         large needs zero copy (or vertex splitting, the paper's future work)"
+                    )
+                );
+                assert!(!e.to_string().contains("  "), "{e}");
+            }
             other => panic!("expected oversized error, got {:?}", other.err()),
         }
     }

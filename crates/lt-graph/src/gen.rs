@@ -322,20 +322,6 @@ pub mod datasets {
 
     /// All seven Table II datasets in paper order.
     pub const ALL: [&DatasetSpec; 7] = [&LJ, &OR, &TW, &FS, &UK, &YH, &CW];
-
-    /// Generate the Yahoo stand-in's distinguishing feature: a hub vertex
-    /// adjacent to every other vertex (d_max = |V| - 1), grafted onto an
-    /// R-MAT core. Used by the Figure 18 harness, which notes YH's
-    /// hub-partition caveat.
-    pub fn yahoo_with_hub(shift: u32, seed: u64) -> BuiltGraph {
-        let core = YH.generate(shift, seed);
-        let nv = core.csr.num_vertices() as u32;
-        let mut b = GraphBuilder::new().extend_edges(core.csr.iter_edges());
-        for v in 1..nv {
-            b = b.add_edge(0, v);
-        }
-        b.build().expect("hub graph non-empty")
-    }
 }
 
 #[cfg(test)]
@@ -414,13 +400,6 @@ mod tests {
             assert!(g.num_vertices() >= 128, "{} too small", spec.name);
             assert!(g.num_edges() > 0);
         }
-    }
-
-    #[test]
-    fn yahoo_hub_has_full_degree() {
-        let g = datasets::yahoo_with_hub(9, 3).csr;
-        assert_eq!(g.max_degree(), g.num_vertices() - 1);
-        assert_eq!(g.degree(0), g.num_vertices() - 1);
     }
 
     #[test]

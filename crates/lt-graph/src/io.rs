@@ -92,7 +92,17 @@ pub fn read_binary(path: impl AsRef<Path>) -> Result<Csr, GraphError> {
     let nv = buf.get_u64_le();
     let ne = buf.get_u64_le();
     let weighted = buf.get_u8() != 0;
-    let need = (nv + 1) * 8 + ne * 4 + if weighted { ne * 4 } else { 0 };
+    // Checked: a hostile header must not wrap `need` below the body size
+    // and so reach the allocations below.
+    let edge_bytes = if weighted { 8 } else { 4 };
+    let need = nv
+        .checked_add(1)
+        .and_then(|n| n.checked_mul(8))
+        .zip(ne.checked_mul(edge_bytes))
+        .and_then(|(offsets, edges)| offsets.checked_add(edges))
+        .ok_or_else(|| {
+            GraphError::Format(format!("header sizes overflow: {nv} vertices, {ne} edges"))
+        })?;
     if (buf.remaining() as u64) < need {
         return Err(GraphError::Format(format!(
             "truncated body: need {need} bytes, have {}",
@@ -195,5 +205,18 @@ mod tests {
         assert!(matches!(read_binary(&path), Err(GraphError::Format(_))));
         std::fs::write(&path, b"short").unwrap();
         assert!(matches!(read_binary(&path), Err(GraphError::Format(_))));
+        // Headers whose body size overflows `u64`: each used to panic.
+        for (nv, ne) in [(u64::MAX, 0), (1 << 61, 0), (1, 1 << 62)] {
+            let mut file = MAGIC.to_vec();
+            file.put_u64_le(nv);
+            file.put_u64_le(ne);
+            file.put_u8(0);
+            file.put_slice(&[0; 64]);
+            std::fs::write(&path, &file).unwrap();
+            assert!(
+                matches!(read_binary(&path), Err(GraphError::Format(_))),
+                "nv {nv}, ne {ne}"
+            );
+        }
     }
 }

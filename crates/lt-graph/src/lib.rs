@@ -24,7 +24,6 @@ pub mod gen;
 pub mod io;
 pub mod oocore;
 pub mod partition;
-pub mod reorder;
 pub mod stats;
 
 pub use builder::GraphBuilder;

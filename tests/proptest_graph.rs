@@ -17,6 +17,18 @@ use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
+/// `LTGRAPH1` header counts: the values whose body size overflows
+/// `u64`, small honest ones, and anything.
+fn header_field() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(u64::MAX),
+        Just(1u64 << 61),
+        Just(1u64 << 62),
+        0u64..64,
+        any::<u64>(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -104,6 +116,45 @@ proptest! {
         let g2 = io::read_binary(&path).unwrap();
         prop_assert_eq!(g.offsets(), g2.offsets());
         prop_assert_eq!(g.edges(), g2.edges());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A corrupt or hostile `LTGRAPH1` file is an error, never a panic:
+    /// a valid file with its header fields replaced (overflowing sizes
+    /// included), cut short, or with bits flipped.
+    #[test]
+    fn corrupt_binary_files_are_errors_not_panics(
+        edges in edges_strategy(),
+        nv in header_field(),
+        ne in header_field(),
+        weighted in any::<u8>(),
+        cut in any::<prop::sample::Index>(),
+        flips in prop::collection::vec((any::<prop::sample::Index>(), 0u8..8), 1..4),
+    ) {
+        let Some(g) = build_csr(&edges) else { return Ok(()); };
+        let dir = std::env::temp_dir().join("lt_proptest_io");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("corrupt_{}.bin", std::process::id()));
+        io::write_binary(&g, &path).unwrap();
+        let valid = std::fs::read(&path).unwrap();
+        let mut header = valid.clone();
+        header[8..16].copy_from_slice(&nv.to_le_bytes());
+        header[16..24].copy_from_slice(&ne.to_le_bytes());
+        header[24] = weighted;
+        let truncated = valid[..cut.index(valid.len())].to_vec();
+        let mut flipped = valid.clone();
+        for (at, bit) in &flips {
+            flipped[at.index(valid.len())] ^= 1 << bit;
+        }
+        for (corruption, bytes) in [("header", header), ("truncated", truncated), ("flipped", flipped)] {
+            std::fs::write(&path, &bytes).unwrap();
+            let read = std::panic::catch_unwind(|| io::read_binary(&path));
+            prop_assert!(
+                read.is_ok(),
+                "read_binary panicked on a {} file (nv {}, ne {}, weighted {})",
+                corruption, nv, ne, weighted
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
