@@ -413,7 +413,7 @@ impl LightTraffic {
         let rs_wall = Instant::now();
         self.local_index.sort(
             outputs.iter().map(|o| o.moved.as_slice()),
-            self.graph.table().boundaries(),
+            self.graph.table().lookup(),
         );
         debug_assert!(
             self.local_index.run(part).is_empty(),

@@ -10,15 +10,19 @@
 //! instead of scattered single writes.
 //!
 //! On the host that is `LocalIndex::sort`: one partition lookup per
-//! mover, one stable counting-sort scatter into a recycled buffer, and —
-//! in the engine — one bulk copy of each run into its frontier
-//! ([`crate::walkpool::DeviceWalkPool::insert_run`]). The host always runs this one sort.
-//! [`ReshuffleMode`] does not select a host path; it selects which branch
-//! of [`lt_gpusim::CostModel::reshuffle_time`] the *simulated* device is
+//! mover, read from the block table's bucket table
+//! ([`lt_graph::PartitionLookup`]: one table read and one boundary
+//! compare, no search), one stable counting-sort scatter into a recycled
+//! buffer, and — in the engine — one bulk copy of each run into its
+//! frontier ([`crate::walkpool::DeviceWalkPool::insert_run`]). The host
+//! always runs this one sort. [`ReshuffleMode`] does not select a host
+//! path; it selects which branch of
+//! [`lt_gpusim::CostModel::reshuffle_time`] the *simulated* device is
 //! charged, which is the whole of the Figure 12 comparison.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::walker::Walker;
-use lt_graph::{PartitionId, VertexId};
+use lt_graph::{PartitionId, PartitionLookup};
 
 /// How the simulated device writes updated walks to the frontiers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -64,9 +68,8 @@ pub(crate) struct LocalIndex {
 
 impl LocalIndex {
     /// Sort the movers of `chunks` (read in the order given, which is
-    /// their arrival order) by the partition their vertex lies in.
-    /// `boundaries[p]..boundaries[p + 1]` is partition `p`'s vertex
-    /// interval, as in [`lt_graph::PartitionedGraph::boundaries`].
+    /// their arrival order) by the partition `lookup` files their vertex
+    /// in.
     ///
     /// Pass 1 looks every mover's partition up once and builds the
     /// histogram; a prefix sum turns it into run offsets; pass 2 scatters
@@ -75,20 +78,20 @@ impl LocalIndex {
     /// `partition_groups(..)[p]` element for element.
     ///
     /// # Panics
-    /// Panics if a mover's vertex lies outside `boundaries`.
+    /// Panics if a mover's vertex lies outside the graph.
     pub(crate) fn sort<'a>(
         &mut self,
         chunks: impl Iterator<Item = &'a [Walker]> + Clone,
-        boundaries: &[VertexId],
+        lookup: &PartitionLookup,
     ) {
-        let np = boundaries.len() - 1;
+        let np = lookup.num_partitions() as usize;
         self.parts.clear();
         self.offsets.clear();
         self.offsets.resize(np + 1, 0);
         for w in chunks.clone().flatten() {
-            let p = boundaries.partition_point(|&b| b <= w.vertex) - 1;
-            self.offsets[p + 1] += 1;
-            self.parts.push(p as PartitionId);
+            let p = lookup.get(w.vertex);
+            self.offsets[p as usize + 1] += 1;
+            self.parts.push(p);
         }
         for p in 0..np {
             self.offsets[p + 1] += self.offsets[p];
@@ -146,21 +149,21 @@ mod tests {
 
     #[test]
     fn local_index_is_reusable_and_handles_empty_input() {
-        let boundaries = [0, 10, 20, 30, 40];
+        let lookup = PartitionLookup::new(vec![0, 10, 20, 30, 40]);
         let mut index = LocalIndex::default();
         let big = walkers(&[25, 3, 17, 4, 38, 11]);
-        index.sort([&big[..4], &big[4..]].into_iter(), &boundaries);
+        index.sort([&big[..4], &big[4..]].into_iter(), &lookup);
         assert_eq!(index.len(), 6);
         let ids = |ws: &[Walker]| ws.iter().map(|w| w.id).collect::<Vec<_>>();
         assert_eq!(ids(index.run(0)), vec![1, 3]);
         assert_eq!(ids(index.run(1)), vec![2, 5]);
         // A smaller sort over the same buffers must not see stale movers.
         let small = walkers(&[35]);
-        index.sort([small.as_slice()].into_iter(), &boundaries);
+        index.sort([small.as_slice()].into_iter(), &lookup);
         assert_eq!(index.len(), 1);
         assert_eq!(ids(index.run(3)), vec![0]);
         assert!((0..3).all(|p| index.run(p).is_empty()));
-        index.sort(std::iter::empty(), &boundaries);
+        index.sort(std::iter::empty(), &lookup);
         assert_eq!(index.len(), 0);
         assert!((0..4).all(|p| index.run(p).is_empty()));
     }
@@ -170,7 +173,8 @@ mod tests {
 
         /// For arbitrary movers, partition counts and boundary tables,
         /// however the movers are split into chunks, the fused sort's
-        /// runs are `partition_groups`' groups element for element.
+        /// runs are `partition_groups`' groups element for element, with
+        /// the groups filed by a binary search over the boundaries.
         #[test]
         fn local_index_runs_equal_partition_groups(
             widths in prop::collection::vec(1u32..40, 1..=64),
@@ -196,13 +200,14 @@ mod tests {
             cuts.extend([0, movers.len()]);
             cuts.sort_unstable();
             let chunks: Vec<&[Walker]> = cuts.windows(2).map(|c| &movers[c[0]..c[1]]).collect();
+            let lookup = PartitionLookup::new(boundaries.clone());
             let mut index = LocalIndex::default();
             if reused {
                 // Dirty the recycled buffers with an unrelated, larger sort.
                 let other = walkers(&(0..500).map(|i| i % nv).collect::<Vec<_>>());
-                index.sort([other.as_slice()].into_iter(), &boundaries);
+                index.sort([other.as_slice()].into_iter(), &lookup);
             }
-            index.sort(chunks.iter().copied(), &boundaries);
+            index.sort(chunks.iter().copied(), &lookup);
             let b = boundaries.clone();
             let reference = partition_groups(
                 movers.clone(),

@@ -26,6 +26,7 @@
 //! paper's: with a floor of `2P + 1` blocks, `2P` are pinned, so when the
 //! free list is empty every other block holds a queued batch and one
 //! eviction always unblocks the insert.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::batch::WalkBatch;
 use crate::walker::Walker;
@@ -67,9 +68,9 @@ impl HostWalkPool {
             q.push_back(WalkBatch::new(part, self.batch_capacity));
         }
         q.back_mut()
-            .expect("just ensured")
+            .expect("a tail batch exists: one was pushed above if the queue was empty")
             .push(w)
-            .expect("tail batch not full");
+            .expect("the tail batch has room: a full tail was followed by a fresh batch above");
         self.counts[part as usize] += 1;
         self.total += 1;
         self.peak = self.peak.max(self.total);
@@ -174,8 +175,9 @@ impl DeviceWalkPool {
         let mut pinned = || {
             (0..num_partitions)
                 .map(|part| {
-                    pool.acquire(WalkBatch::new(part, batch_capacity))
-                        .expect("sized for 2P pinned blocks")
+                    pool.acquire(WalkBatch::new(part, batch_capacity)).expect(
+                        "the pool holds at least 2P + 1 blocks, asserted above, so 2P pins fit",
+                    )
                 })
                 .collect::<Vec<_>>()
         };
@@ -268,7 +270,7 @@ impl DeviceWalkPool {
         self.reserve[l] = self
             .pool
             .acquire(WalkBatch::new(part, self.batch_capacity))
-            .expect("free block checked by the caller");
+            .expect("both callers promote only after seeing a free block");
     }
 
     /// Insert a reshuffled walker into its partition's frontier.
@@ -290,7 +292,7 @@ impl DeviceWalkPool {
         self.pool
             .get_mut(self.frontier[l])
             .push(w)
-            .expect("frontier not full after promotion");
+            .expect("the frontier has room: a full one was promoted to the queue above");
         self.counts[l] += 1;
         self.total += 1;
         Ok(())
@@ -376,7 +378,7 @@ impl DeviceWalkPool {
         self.reserve[l] = self
             .pool
             .acquire(WalkBatch::new(part, self.batch_capacity))
-            .expect("a block was just freed");
+            .expect("the old frontier's block was released just above");
         self.counts[l] -= b.len() as u64;
         self.total -= b.len() as u64;
         Some(b)

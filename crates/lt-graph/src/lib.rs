@@ -30,7 +30,7 @@ pub use builder::GraphBuilder;
 pub use csr::Csr;
 pub use delta::{DeltaGraph, EdgeOp, EdgeUpdate, EpochSeal};
 pub use oocore::{GraphStore, OocGraph};
-pub use partition::{PartitionData, PartitionId, PartitionedGraph};
+pub use partition::{PartitionData, PartitionId, PartitionLookup, PartitionedGraph};
 
 /// Vertex identifier. Dense, `0..num_vertices`.
 pub type VertexId = u32;
