@@ -134,16 +134,6 @@ impl LightTraffic {
             self.metrics.reload_copies += summary.reloaded_partitions;
             self.metrics.reload_bytes += summary.reload_bytes;
         }
-        self.emit(Level::Info, "epoch_seal", || {
-            vec![
-                ("epoch", summary.epoch.into()),
-                ("inserted", summary.inserted.into()),
-                ("deleted", summary.deleted.into()),
-                ("dirty_partitions", summary.dirty_partitions.into()),
-                ("reloaded_partitions", summary.reloaded_partitions.into()),
-                ("reload_bytes", summary.reload_bytes.into()),
-            ]
-        });
         Ok(summary)
     }
 }

@@ -77,17 +77,8 @@ impl LightTraffic {
                 return Ok(true);
             }
             self.forced_zc.corrupt_loads[i as usize] += 1;
-            let corrupt_loads = self.forced_zc.corrupt_loads[i as usize];
-            let fields = || {
-                vec![
-                    ("partition", i.into()),
-                    ("corrupt_loads", corrupt_loads.into()),
-                ]
-            };
-            self.emit(Level::Warn, "corrupted_load", fields);
-            if corrupt_loads >= CORRUPTION_DEGRADE_THRESHOLD {
+            if self.forced_zc.corrupt_loads[i as usize] >= CORRUPTION_DEGRADE_THRESHOLD {
                 self.metrics.degraded_partitions += 1;
-                self.emit(Level::Warn, "degrade_partition", fields);
                 return Ok(false);
             }
             // Reload: the copy was charged but the data is junk.
@@ -176,9 +167,6 @@ impl LightTraffic {
                     attempt += 1;
                     self.metrics.retries += 1;
                     let backoff = RETRY_BACKOFF_NS << (attempt - 1);
-                    self.emit(Level::Warn, "copy_retry", || {
-                        vec![("attempt", attempt.into()), ("backoff_ns", backoff.into())]
-                    });
                     self.gpu.host_advance(backoff, Category::HostWork);
                 }
                 Err(e) => return Err(EngineError::Device(e)),

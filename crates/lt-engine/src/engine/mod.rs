@@ -46,8 +46,7 @@ use lt_gpusim::sim::{Allocation, OutOfMemory};
 use lt_gpusim::{Category, CostModel, Gpu, GpuConfig, StreamId};
 use lt_graph::delta::DeltaGraph;
 use lt_graph::{Csr, GraphStore, PartitionData, PartitionId, PartitionedGraph, VertexId};
-use lt_telemetry::{apportion_exact, EventBus, FieldValue, Level, TrafficDirection};
-use lt_telemetry::{TrafficLedger, SHARED_TAG};
+use lt_telemetry::{apportion_exact, TrafficDirection, TrafficLedger, SHARED_TAG};
 use std::sync::Arc;
 
 /// Host-side accumulation of sampled walk paths, keyed by walk id.
@@ -137,12 +136,6 @@ pub struct LightTraffic {
     attr: drain::Attribution,
     /// Latest automatic snapshot (fatal faults roll back to it).
     snapshot: Option<recovery::AutoSnapshot>,
-    /// Event bus shared with the simulated device
-    /// ([`lt_gpusim::GpuConfig::telemetry`]). Engine events are emitted
-    /// only from the driver thread, stamped with the simulated clock, so
-    /// the stream is bit-identical across
-    /// [`EngineConfig::kernel_threads`] settings.
-    telemetry: EventBus,
     /// Host decode cache — the RAM tier between disk and device for the
     /// clean partitions of an out-of-core store. `None` on RAM stores,
     /// whose rows are read in place.
@@ -243,7 +236,6 @@ impl LightTraffic {
             GraphStore::Ram(_) => None,
         };
         Ok(LightTraffic {
-            telemetry: gpu.telemetry(),
             attr: drain::Attribution {
                 deltas: Default::default(),
                 ledger: cfg.attribution.then(TrafficLedger::new),
@@ -294,12 +286,6 @@ impl LightTraffic {
     /// final values land in [`RunResult::metrics`]).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The event bus engine and device publish into (see
-    /// [`lt_gpusim::GpuConfig::telemetry`]).
-    pub fn telemetry_bus(&self) -> EventBus {
-        self.telemetry.clone()
     }
 
     /// Live counters of the persistent worker pool, always `Some`
@@ -412,14 +398,6 @@ impl LightTraffic {
         self.metrics.makespan_ns = gpu_stats.makespan_ns;
         self.metrics.host_peak_walkers = self.pools.host.peak_walkers();
         self.metrics.faults_injected = gpu_stats.faults_injected;
-        // After the device synchronize the host clock is the makespan.
-        self.emit(Level::Info, "run_complete", || {
-            vec![
-                ("finished_walks", self.metrics.finished_walks.into()),
-                ("total_steps", self.metrics.total_steps.into()),
-                ("makespan_ns", self.metrics.makespan_ns.into()),
-            ]
-        });
         Ok(RunStatus::Completed(Box::new(RunResult {
             metrics: self.metrics.clone(),
             gpu: gpu_stats,
@@ -459,15 +437,6 @@ impl LightTraffic {
                 start_ns: self.gpu.now(),
             });
         }
-        self.emit(Level::Debug, "iteration", || {
-            vec![
-                ("index", self.metrics.iterations.into()),
-                ("partition", i.into()),
-                ("walks", walks.into()),
-                ("zero_copy", use_zc.into()),
-                ("graph_hit", graph_hit.into()),
-            ]
-        });
         if !use_zc {
             if graph_hit {
                 self.metrics.graph_pool_hits += 1;
@@ -485,21 +454,6 @@ impl LightTraffic {
             }
         }
         self.drain_partition(i, use_zc)
-    }
-
-    /// Emit an engine-scope event at `level`, stamped with the simulated
-    /// clock. `fields` runs only when the bus takes `level`, so a disabled
-    /// site allocates nothing.
-    fn emit(
-        &self,
-        level: Level,
-        name: &'static str,
-        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
-    ) {
-        if self.telemetry.level_enabled(level) {
-            self.telemetry
-                .emit(level, self.gpu.now(), "engine", name, fields());
-        }
     }
 }
 

@@ -167,12 +167,6 @@ impl LightTraffic {
             rr_cursor: self.rr_cursor,
             tag_marks: self.attr.marks(),
         });
-        self.emit(Level::Info, "checkpoint", || {
-            vec![
-                ("iteration", iteration.into()),
-                ("walkers", self.active.into()),
-            ]
-        });
     }
 
     /// Roll back to the automatic snapshot after a fatal device error.
@@ -200,11 +194,5 @@ impl LightTraffic {
         self.active = snap.cp.walkers.len() as u64;
         self.requeue(snap.cp.walkers);
         self.metrics.recoveries += 1;
-        self.emit(Level::Warn, "recovery", || {
-            vec![
-                ("recoveries", self.metrics.recoveries.into()),
-                ("walkers", self.active.into()),
-            ]
-        });
     }
 }

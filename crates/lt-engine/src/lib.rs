@@ -85,7 +85,7 @@ pub use hostcache::HostDecodeCache;
 pub use job::{radix_sort_u32, JobId, JobSpec, JobStart, JobStatus, JobTable, TagDelta};
 pub use kernel::{host_step, multiplicity_for};
 pub use lt_graph::delta::{DeltaGraph, EdgeOp, EdgeUpdate};
-pub use lt_telemetry::{EventBus, Level, MetricRegistry};
+pub use lt_telemetry::MetricRegistry;
 pub use metrics::IterationRecord;
 pub use metrics::{Metrics, RunResult};
 pub use reshuffle::ReshuffleMode;

@@ -36,7 +36,6 @@ pub mod trace;
 
 pub use cost::{CostModel, KernelCost};
 pub use fault::{DeviceError, FaultKind, FaultPlan, FaultRecord};
-pub use lt_telemetry::{EventBus, Level};
 pub use pool::BlockPool;
 pub use sim::{Allocation, Direction, Gpu, GpuConfig, OpRecord, StreamId};
 pub use stats::{Category, GpuStats};

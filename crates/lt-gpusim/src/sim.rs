@@ -6,7 +6,6 @@ use crate::fault::{
     DeviceError, FaultKind, FaultPlan, FaultRecord, SALT_COPY, SALT_CORRUPT, SALT_STRAGGLER,
 };
 use crate::stats::{Category, GpuStats};
-use lt_telemetry::{EventBus, Level};
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::Arc;
@@ -72,16 +71,14 @@ pub struct GpuConfig {
     pub memory_bytes: u64,
     /// The timing model.
     pub cost: CostModel,
-    /// Record every op (category, engine, start, end) for tests/debugging.
+    /// Record the timeline: every op in [`Gpu::op_log`] and every injected
+    /// fault in [`Gpu::fault_log`]. Off by default, so a long-lived device
+    /// keeps no per-op history; [`GpuStats::faults_injected`] counts faults
+    /// either way.
     pub record_ops: bool,
     /// Deterministic fault-injection schedule; `None` (and the all-zero
     /// default plan) injects nothing.
     pub faults: Option<FaultPlan>,
-    /// Event bus ops and faults are published on. The default bus is
-    /// disabled — one pointer check per emission site. All emission
-    /// happens under the device mutex in enqueue order, stamped with the
-    /// simulated clock, so the stream is independent of host thread count.
-    pub telemetry: EventBus,
 }
 
 impl Default for GpuConfig {
@@ -91,7 +88,6 @@ impl Default for GpuConfig {
             cost: CostModel::default(),
             record_ops: false,
             faults: None,
-            telemetry: EventBus::disabled(),
         }
     }
 }
@@ -291,8 +287,7 @@ impl Gpu {
                     at_ns: end - dur,
                     engine,
                 };
-                g.emit_fault(&rec);
-                g.fault_log.push(rec);
+                g.log_fault(rec);
             }
         }
         match failure {
@@ -356,8 +351,7 @@ impl Gpu {
                 at_ns: end - dur,
                 engine: ENGINE_COMPUTE,
             };
-            g.emit_fault(&rec);
-            g.fault_log.push(rec);
+            g.log_fault(rec);
         }
         g.stats.kernel_update_ns += cost.update_ns;
         g.stats.kernel_reshuffle_ns += cost.reshuffle_ns;
@@ -451,61 +445,24 @@ impl Gpu {
                 at_ns,
                 engine: ENGINE_H2D,
             };
-            g.emit_fault(&rec);
-            g.fault_log.push(rec);
+            g.log_fault(rec);
             true
         } else {
             false
         }
     }
 
-    /// Every fault injected so far, in decision order.
+    /// Every fault injected so far, in decision order (empty unless
+    /// [`GpuConfig::record_ops`]).
     pub fn fault_log(&self) -> Vec<FaultRecord> {
         self.inner.lock().fault_log.clone()
-    }
-
-    /// The event bus this device publishes on (disabled by default).
-    pub fn telemetry(&self) -> EventBus {
-        self.inner.lock().config.telemetry.clone()
     }
 }
 
 impl Inner {
-    /// Publish one scheduled op on the event bus. Runs under the device
-    /// mutex in enqueue order; fields are simulated-clock only (no
-    /// `host_threads`), so the stream is thread-count independent.
-    fn emit_op(&self, category: Category, engine: usize, start: Nanos, end: Nanos, stream: usize) {
-        if self.config.telemetry.level_enabled(Level::Debug) {
-            self.config.telemetry.emit(
-                Level::Debug,
-                start,
-                "gpusim",
-                "op",
-                vec![
-                    ("category", category.name().into()),
-                    ("engine", engine.into()),
-                    ("start_ns", start.into()),
-                    ("end_ns", end.into()),
-                    ("stream", stream.into()),
-                ],
-            );
-        }
-    }
-
-    /// Publish one injected fault on the event bus.
-    fn emit_fault(&self, rec: &FaultRecord) {
-        if self.config.telemetry.level_enabled(Level::Warn) {
-            self.config.telemetry.emit(
-                Level::Warn,
-                rec.at_ns,
-                "gpusim",
-                "fault",
-                vec![
-                    ("kind", rec.kind.name().into()),
-                    ("op_index", rec.op_index.into()),
-                    ("engine", rec.engine.into()),
-                ],
-            );
+    fn log_fault(&mut self, rec: FaultRecord) {
+        if self.config.record_ops {
+            self.fault_log.push(rec);
         }
     }
 
@@ -544,7 +501,6 @@ impl Inner {
                 fault,
             });
         }
-        self.emit_op(category, engine, start, end, stream.0);
         end
     }
 
@@ -601,10 +557,6 @@ impl Inner {
                     fault: None,
                 });
             }
-        }
-        self.emit_op(category, ENGINE_COMPUTE, start, end, stream.0);
-        if zc_link_ns > 0 {
-            self.emit_op(category, ENGINE_H2D, start, start + zc_link_ns, stream.0);
         }
         end
     }
@@ -871,7 +823,6 @@ mod tests {
                 cost: CostModel::pcie3(),
                 record_ops: true,
                 faults: Some(FaultPlan::retryable_only(11, 0.5)),
-                ..Default::default()
             });
             let s = g.create_stream("s");
             let outcomes: Vec<bool> = (0..64)
@@ -948,7 +899,6 @@ mod tests {
                 straggler_factor: 4,
                 ..FaultPlan::default()
             }),
-            ..Default::default()
         });
         let s = g.create_stream("s");
         let end = g
@@ -987,6 +937,7 @@ mod tests {
     #[test]
     fn corruption_rolls_follow_the_plan() {
         let g = Gpu::new(GpuConfig {
+            record_ops: true,
             faults: Some(FaultPlan {
                 seed: 13,
                 corruption_rate: 0.5,
@@ -998,10 +949,9 @@ mod tests {
         let hits = rolls.iter().filter(|c| **c).count();
         assert!(hits > 0 && hits < 64);
         assert_eq!(g.stats().faults_injected, hits as u64);
-        assert!(g
-            .fault_log()
-            .iter()
-            .all(|f| f.kind == FaultKind::Corruption));
+        let log = g.fault_log();
+        assert_eq!(log.len(), hits);
+        assert!(log.iter().all(|f| f.kind == FaultKind::Corruption));
         // No plan → never corrupt, no counter noise.
         let clean = Gpu::new(GpuConfig::default());
         assert!((0..64).all(|_| !clean.roll_corruption()));

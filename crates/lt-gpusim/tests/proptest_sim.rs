@@ -166,7 +166,6 @@ proptest! {
                     straggler_rate,
                     ..lt_gpusim::FaultPlan::default()
                 }),
-                ..Default::default()
             });
             let s = gpu.create_stream("s");
             let outcomes: Vec<Option<u64>> = sizes

@@ -36,6 +36,7 @@
 //! assert_eq!(sched.result(bob).unwrap().finished, 300);
 //! ```
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod scheduler;
 pub mod server;

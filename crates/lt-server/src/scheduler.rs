@@ -26,8 +26,8 @@ use lt_engine::{
 };
 use lt_graph::{Csr, VertexId};
 use lt_telemetry::{
-    derive_trace_id, log2_histogram_percentile, EventBus, FieldValue, JobPhase, JobTrace,
-    LengthPercentiles, Level, MetricRegistry, TrafficReport, SHARED_TAG,
+    derive_trace_id, log2_histogram_percentile, JobPhase, JobTrace, LengthPercentiles,
+    MetricRegistry, TrafficReport, SHARED_TAG,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -232,9 +232,6 @@ pub struct Scheduler {
     /// Host-wall epoch for span `host_ns` (latency breakdowns only —
     /// never on the deterministic path).
     epoch: Instant,
-    /// The engine's event bus; job phase transitions are emitted here
-    /// under scope `"server"` when a bus is attached.
-    bus: EventBus,
 }
 
 impl Scheduler {
@@ -256,7 +253,6 @@ impl Scheduler {
         cfg.engine.record_paths = false;
         let table = Arc::new(JobTable::with_capacity(cfg.max_jobs));
         let engine = LightTraffic::new(graph.clone(), table.clone(), cfg.engine.clone())?;
-        let bus = engine.telemetry_bus();
         Ok(Scheduler {
             engine,
             graph,
@@ -269,7 +265,6 @@ impl Scheduler {
             registry,
             pumps: 0,
             epoch: Instant::now(),
-            bus,
         })
     }
 
@@ -355,35 +350,15 @@ impl Scheduler {
         Ok((id, rx))
     }
 
-    /// Record a phase transition on one job's trace and mirror it onto
-    /// the event bus. `step_clock` is the job's schedule-invariant
-    /// logical clock; `sim_ns`/`host_ns` are the wall-like clocks the
-    /// canonical form masks.
+    /// Record a phase transition on one job's trace. `step_clock` is the
+    /// job's schedule-invariant logical clock; `sim_ns`/`host_ns` are the
+    /// wall-like clocks the canonical form masks.
     fn record_span(&mut self, idx: usize, phase: JobPhase, detail: String) {
         let sim_ns = self.engine.gpu().now();
         let host_ns = self.epoch.elapsed().as_nanos() as u64;
         let j = &mut self.jobs[idx];
         j.trace
-            .record(phase, j.result.steps, sim_ns, host_ns, detail.clone());
-        if self.bus.enabled() {
-            self.bus.emit(
-                Level::Info,
-                sim_ns,
-                "server",
-                "job_phase",
-                vec![
-                    ("job", FieldValue::from(j.id.0)),
-                    ("tenant", FieldValue::from(j.tenant.clone())),
-                    (
-                        "trace_id",
-                        FieldValue::from(format!("{:016x}", j.trace.trace_id)),
-                    ),
-                    ("phase", FieldValue::from(phase.as_str())),
-                    ("step_clock", FieldValue::from(j.result.steps)),
-                    ("detail", FieldValue::from(detail)),
-                ],
-            );
-        }
+            .record(phase, j.result.steps, sim_ns, host_ns, detail);
     }
 
     /// A job's current bookkeeping, or `None` for an unknown id.
@@ -508,7 +483,9 @@ impl Scheduler {
         let Some(j) = self.jobs.get_mut(id.0 as usize) else {
             return Err(EngineError::Admission(format!("unknown job {id}")));
         };
-        if !matches!(j.status, JobStatus::Blocked { .. }) {
+        // A budget park is `Blocked` too, but its walkers are still here:
+        // restoring a checkpoint into it would run them twice.
+        if !j.suspended || !j.live() {
             return Err(EngineError::Admission(format!("{id} is not suspended")));
         }
         for w in &cp.walkers {
@@ -717,9 +694,7 @@ impl Scheduler {
             quota -= take_parked;
             // Fresh walkers are budget-gated: one token per admission.
             let fresh = (quota as u64).min(j.pending.len() as u64).min(budget);
-            for _ in 0..fresh {
-                batch.push(j.pending.pop_front().expect("bounded by pending.len()"));
-            }
+            batch.extend(j.pending.drain(..fresh as usize));
             if batch.is_empty() {
                 // A blocked job with everything already in flight — or
                 // nothing admissible this round.
@@ -736,7 +711,10 @@ impl Scheduler {
             j.status = JobStatus::Running;
             let tenant = j.tenant.clone();
             let batch_len = batch.len();
-            let t = self.tenants.get_mut(&tenant).expect("tenant registered");
+            let t = self
+                .tenants
+                .get_mut(&tenant)
+                .expect("submit registers the tenant before any job of it is admitted");
             t.budget -= fresh;
             t.spent += fresh;
             self.registry
@@ -779,7 +757,10 @@ impl Scheduler {
                     lengths: delta.lengths,
                 },
             );
-            let t = self.tenants.get_mut(&tenant).expect("tenant registered");
+            let t = self
+                .tenants
+                .get_mut(&tenant)
+                .expect("submit registers the tenant before any job of it is admitted");
             let cost = delta.steps.min(t.budget);
             t.budget -= cost;
             t.spent += delta.steps;

@@ -65,7 +65,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -204,7 +204,7 @@ impl Server {
         let thread = std::thread::Builder::new()
             .name("lt-server-scheduler".into())
             .spawn(move || serve_loop(&mut sched, &rx))
-            .expect("spawn scheduler thread");
+            .expect("the OS starts the one scheduler thread a server owns");
         Ok(Server {
             handle: ServerHandle { tx, registry },
             thread: Some(thread),
@@ -306,8 +306,7 @@ impl TcpFrontend {
                         Err(_) => break,
                     }
                 }
-            })
-            .expect("spawn accept thread");
+            })?;
         Ok(TcpFrontend {
             addr: local,
             shutdown,
@@ -591,7 +590,10 @@ fn dispatch(
                 Ok(spec) => match handle.submit(&tenant, spec) {
                     Err(e) => err_json(&e.to_string()),
                     Ok((id, rx)) => {
-                        streams.lock().unwrap().insert(id.0, rx);
+                        streams
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .insert(id.0, rx);
                         json!({"ok": true, "job": id.0})
                     }
                 },
@@ -671,7 +673,12 @@ fn dispatch(
         "stream" => match get_u64(req, "job") {
             None => err_json("need job"),
             Some(id) => {
-                let rx = streams.lock().unwrap().remove(&id);
+                // The map only ever holds whole receivers, so a
+                // connection that panicked holding the lock left it intact.
+                let rx = streams
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove(&id);
                 match rx {
                     None => err_json("no stream for job (already taken or unknown)"),
                     Some(rx) => {

@@ -243,6 +243,45 @@ fn suspend_resume_round_trips_through_a_checkpoint() {
     assert_eq!(sched.result(id).unwrap(), &want);
 }
 
+/// `resume` takes a checkpoint only into a suspended job. Resumed into a
+/// budget, the job parks on exhaustion again, and that parking is not a
+/// suspension: a second `resume` with the stale checkpoint is refused
+/// instead of re-admitting its walkers a second time, and a top-up then
+/// finishes the job with the unbudgeted result.
+#[test]
+fn resume_refuses_a_job_parked_on_its_budget() {
+    let mut free = Scheduler::new(graph(), config()).unwrap();
+    let (free_id, _) = free.submit("t", JobSpec::deepwalk(100, 8, 5)).unwrap();
+    free.run_until_idle().unwrap();
+    let want = free.result(free_id).unwrap().clone();
+
+    let mut cfg = config();
+    cfg.default_budget = 400;
+    let mut sched = Scheduler::new(graph(), cfg).unwrap();
+    let (id, _rx) = sched.submit("t", JobSpec::deepwalk(100, 8, 5)).unwrap();
+    sched.pump().unwrap();
+    let cp = sched.suspend(id).expect("live job suspends");
+    assert!(!cp.walkers.is_empty(), "one pump leaves walkers in flight");
+    sched.resume(id, cp.clone()).unwrap();
+    sched.run_until_idle().unwrap();
+    match sched.status(id).unwrap() {
+        JobStatus::Blocked { reason } => assert!(reason.contains("budget"), "reason: {reason}"),
+        other => panic!("expected a budget park, got {other:?}"),
+    }
+
+    assert!(matches!(
+        sched.resume(id, cp),
+        Err(EngineError::Admission(_))
+    ));
+    let info = sched.info(id).unwrap();
+    assert!(info.finished <= info.injected && info.injected <= 100);
+
+    sched.top_up("t", 1_000);
+    sched.run_until_idle().unwrap();
+    assert_eq!(sched.status(id), Some(JobStatus::Done));
+    assert_eq!(sched.result(id).unwrap(), &want, "no walker ran twice");
+}
+
 /// A checkpoint with a walker outside this graph (one taken on a larger
 /// graph, say) is refused at `resume`, before the walker can reach the
 /// engine and panic the pump; the job stays suspended and other jobs run

@@ -35,7 +35,7 @@
 //! time), so its contents are bit-identical across `kernel_threads` and
 //! retryable-fault plans. It is *read* only
 //! pull-side — by `LightTraffic::publish` and the server's per-tenant
-//! series — and never feeds an event stream or a scheduling decision, so enabling
+//! series — and never feeds a scheduling decision, so enabling
 //! attribution cannot perturb any deterministic fingerprint.
 //!
 //! Bytes with no owning job (graph-partition loads serve whoever walks

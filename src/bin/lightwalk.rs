@@ -17,7 +17,7 @@ use lighttraffic::gpusim::{CostModel, GpuConfig};
 use lighttraffic::graph::gen::{self, datasets};
 use lighttraffic::graph::stats::{human_bytes, stats};
 use lighttraffic::graph::{io, Csr, PartitionedGraph};
-use lighttraffic::telemetry::{EventBus, JsonlSink, Level, MetricRegistry};
+use lighttraffic::telemetry::MetricRegistry;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -72,7 +72,6 @@ RUN OPTIONS:
   --seed N            RNG seed                           (default 42)
   --trace FILE        write a Chrome trace of the timeline
   --metrics-out FILE  write run metrics in Prometheus text format
-  --log-level LEVEL   stream debug|info|warn|error events as JSONL to stderr
   --checkpoint FILE   pause after --pause-after iterations and save state
   --pause-after N     iterations to run before checkpointing (default 100)
   --resume FILE       resume a previously saved checkpoint
@@ -94,11 +93,32 @@ SERVE OPTIONS (multi-tenant walk service, JSONL over TCP):
 
 INSPECT:
   Render a flight-record dump (from serve --flight-dir or the TCP
-  `inspect` op) as a per-job latency and traffic breakdown table."
+  `inspect` op) as a per-job latency and traffic breakdown table.
+
+`compare` takes the run options up to --seed. A flag a command does not
+take is an error that names it."
     );
 }
 
-/// Tiny flag parser: `--key value` pairs plus positionals.
+/// Value flags every engine-driving command (`run`, `compare`) takes.
+const ENGINE_FLAGS: &[&str] = &[
+    "algorithm",
+    "walks",
+    "length",
+    "restart",
+    "partition-kb",
+    "graph-pool",
+    "batch",
+    "pcie",
+    "zero-copy",
+    "seed",
+];
+/// Switches every engine-driving command takes.
+const ENGINE_SWITCHES: &[&str] = &["no-preemptive", "no-selective"];
+
+/// Tiny flag parser: `--key value` pairs, switches and positionals. Each
+/// command passes the value flags and switches it knows; any other
+/// `--name` is an error that names it.
 #[derive(Debug)]
 struct Flags {
     positionals: Vec<String>,
@@ -107,7 +127,7 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], switches: &[&str]) -> Result<Self, String> {
+    fn parse(args: &[String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut f = Flags {
             positionals: Vec::new(),
             pairs: Vec::new(),
@@ -120,12 +140,14 @@ impl Flags {
                 if switches.contains(&name) {
                     f.switches.push(name.to_string());
                     i += 1;
-                } else {
+                } else if values.contains(&name) {
                     let v = args
                         .get(i + 1)
                         .ok_or_else(|| format!("--{name} needs a value"))?;
                     f.pairs.push((name.to_string(), v.clone()));
                     i += 2;
+                } else {
+                    return Err(format!("unknown flag `--{name}` (try `lightwalk help`)"));
                 }
             } else {
                 f.positionals.push(a.clone());
@@ -158,7 +180,7 @@ impl Flags {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, &[])?;
+    let f = Flags::parse(args, &["rmat", "dataset", "shift", "seed", "out"], &[])?;
     let out = f.get("out").ok_or("generate needs --out FILE")?;
     let seed: u64 = f.get_parse("seed", 42)?;
     let csr = if let Some(spec) = f.get("rmat") {
@@ -203,7 +225,7 @@ fn load_graph(f: &Flags) -> Result<Arc<Csr>, String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, &[])?;
+    let f = Flags::parse(args, &["partition-kb"], &[])?;
     let g = load_graph(&f)?;
     let s = stats(&g);
     println!("vertices     : {}", s.num_vertices);
@@ -291,16 +313,6 @@ fn parse_run(f: &Flags) -> Result<RunSetup, String> {
         "adaptive" => ZeroCopyPolicy::adaptive(),
         other => return Err(format!("unknown zero-copy mode `{other}`")),
     };
-    let telemetry = match f.get("log-level") {
-        None => EventBus::disabled(),
-        Some(s) => {
-            let level = Level::parse(s)
-                .ok_or_else(|| format!("unknown log level `{s}` (debug|info|warn|error)"))?;
-            let bus = EventBus::new(level);
-            bus.add_sink(Box::new(JsonlSink::new(std::io::stderr(), level, true)));
-            bus
-        }
-    };
     let cfg = EngineConfig {
         batch_capacity: batch,
         seed,
@@ -310,7 +322,6 @@ fn parse_run(f: &Flags) -> Result<RunSetup, String> {
         gpu: GpuConfig {
             cost,
             record_ops: f.get("trace").is_some(),
-            telemetry,
             ..Default::default()
         },
         ..EngineConfig::light_traffic(part_bytes, graph_pool)
@@ -339,7 +350,18 @@ fn write_metrics_out(f: &Flags, engine: &LightTraffic) -> Result<(), String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, &["no-preemptive", "no-selective", "json"])?;
+    let values = [
+        ENGINE_FLAGS,
+        &[
+            "trace",
+            "metrics-out",
+            "checkpoint",
+            "pause-after",
+            "resume",
+        ],
+    ]
+    .concat();
+    let f = Flags::parse(args, &values, &[ENGINE_SWITCHES, &["json"]].concat())?;
     let setup = parse_run(&f)?;
     let mut engine =
         LightTraffic::with_partitioned(setup.partitions.clone(), setup.alg.clone(), setup.cfg)
@@ -464,7 +486,19 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// to a file on a short cadence — the very registry the TCP `metrics` op
 /// renders, so there is exactly one source of metrics truth.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, &[])?;
+    let values = [
+        "addr",
+        "partition-kb",
+        "graph-pool",
+        "batch",
+        "seed",
+        "max-jobs",
+        "default-budget",
+        "metrics-out",
+        "flight-dir",
+        "max-seconds",
+    ];
+    let f = Flags::parse(args, &values, &[])?;
     let graph = load_graph(&f)?;
     let seed: u64 = f.get_parse("seed", 42)?;
     let default_part_kb = (graph.csr_bytes() / 48 / 1024).max(256);
@@ -549,7 +583,7 @@ fn parse_flight_dumps(text: &str) -> Result<Vec<FlightDump>, String> {
 /// of a flight record written by `serve --flight-dir` (or the TCP
 /// `inspect` op).
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, &[])?;
+    let f = Flags::parse(args, &[], &[])?;
     let path = f
         .positionals
         .first()
@@ -660,7 +694,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, &["no-preemptive", "no-selective", "json"])?;
+    let f = Flags::parse(args, ENGINE_FLAGS, ENGINE_SWITCHES)?;
     let setup = parse_run(&f)?;
     println!(
         "comparing systems on {} walks of `{}`:\n",
@@ -734,6 +768,7 @@ mod tests {
     fn flags_parse_pairs_switches_and_positionals() {
         let f = Flags::parse(
             &args(&["graph.bin", "--walks", "2x", "--json", "--seed", "7"]),
+            &["walks", "seed", "missing"],
             &["json"],
         )
         .unwrap();
@@ -746,19 +781,42 @@ mod tests {
 
     #[test]
     fn flags_reject_missing_value() {
-        let err = Flags::parse(&args(&["--walks"]), &[]).unwrap_err();
+        let err = Flags::parse(&args(&["--walks"]), &["walks"], &[]).unwrap_err();
         assert!(err.contains("--walks"));
     }
 
     #[test]
     fn flags_reject_unparseable_value() {
-        let f = Flags::parse(&args(&["--seed", "xyz"]), &[]).unwrap();
+        let f = Flags::parse(&args(&["--seed", "xyz"]), &["seed"], &[]).unwrap();
         assert!(f.get_parse::<u64>("seed", 0).is_err());
     }
 
     #[test]
     fn later_flags_override_earlier() {
-        let f = Flags::parse(&args(&["--seed", "1", "--seed", "2"]), &[]).unwrap();
+        let f = Flags::parse(&args(&["--seed", "1", "--seed", "2"]), &["seed"], &[]).unwrap();
         assert_eq!(f.get("seed"), Some("2"));
+    }
+
+    /// A flag the command does not take is an error naming it, not a
+    /// silently ignored pair: a misspelled switch no longer swallows the
+    /// next flag as its value.
+    #[test]
+    fn flags_reject_unknown_names() {
+        let values = &["walks"];
+        let switches = &["no-selective", "json"];
+        let err = Flags::parse(&args(&["--walkz", "10"]), values, switches).unwrap_err();
+        assert!(err.contains("`--walkz`"), "{err}");
+        let err = Flags::parse(&args(&["--no-selectiv", "--json"]), values, switches).unwrap_err();
+        assert!(err.contains("`--no-selectiv`"), "{err}");
+        let err = Flags::parse(&args(&["--log-level", "info"]), values, switches).unwrap_err();
+        assert!(err.contains("`--log-level`"), "{err}");
+        let f = Flags::parse(
+            &args(&["--no-selective", "--json", "--walks", "10"]),
+            values,
+            switches,
+        )
+        .unwrap();
+        assert!(f.has("no-selective") && f.has("json"));
+        assert_eq!(f.get("walks"), Some("10"));
     }
 }

@@ -20,9 +20,9 @@
 //! - [`server`] ([`lt_server`]): walk-as-a-service — the multi-tenant
 //!   job scheduler with budgeted admission control and the TCP/JSONL
 //!   front end.
-//! - [`telemetry`] ([`lt_telemetry`]): structured events, the metric
-//!   registry with Prometheus export (`LightTraffic::publish` fills it),
-//!   and the traffic ledger.
+//! - [`telemetry`] ([`lt_telemetry`]): the metric registry with
+//!   Prometheus export (`LightTraffic::publish` fills it), the traffic
+//!   ledger and per-job phase spans.
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the architecture and
 //! hardware-substitution rationale, and `EXPERIMENTS.md` for
