@@ -1,30 +1,21 @@
-//! CPU random walk engines (Figure 9's comparison targets).
+//! The CPU side of Figure 9's comparison.
 //!
-//! Two real, host-executed engines:
-//!
-//! - [`run_walk_centric`] — ThunderRW-style: a walk-centric loop chasing
-//!   each walk to completion, optionally across threads. ThunderRW's actual
-//!   contribution is hiding DRAM latency with step interleaving; the
-//!   equivalent effect of a tight interleaved loop is approximated by
-//!   processing walks in rings of `INTERLEAVE` so adjacent memory accesses
-//!   are independent.
-//! - [`run_shuffle_sorted`] — FlashMob-style: step-synchronous execution
-//!   where walkers are bucket-sorted by current vertex every step, so graph
-//!   accesses sweep the CSR in order (cache efficiency). Like FlashMob it
-//!   only supports fixed-length workloads well; variable-length walks
-//!   simply drop out of the sort.
-//!
-//! Both reuse the engine's counter-based RNG, so their trajectories equal
-//! LightTraffic's — asserted in tests.
-//!
-//! Because this container's CPU is far from the paper's 2×Xeon Gold 5218R,
-//! [`CpuThroughputModel`] also provides calibrated steps/s models of the
-//! published systems for shape comparisons in the Figure 9 harness.
+//! - [`CpuThroughputModel`] — calibrated steps/s models of ThunderRW and
+//!   FlashMob on the paper's 2×Xeon Gold 5218R. Figure 9 plots these, not
+//!   a host measurement, so its results depend on the seed alone.
+//! - [`run_walk_centric`] — a real, host-executed ThunderRW-style engine:
+//!   a walk-centric loop chasing each walk to completion, optionally
+//!   across threads. ThunderRW's actual contribution is hiding DRAM
+//!   latency with step interleaving; the equivalent effect of a tight
+//!   interleaved loop is approximated by processing walks in rings of
+//!   `INTERLEAVE` so adjacent memory accesses are independent. It reuses
+//!   the engine's counter-based RNG, so its trajectories equal
+//!   LightTraffic's; the test batteries and `lightwalk compare` use it as
+//!   the reference.
 
 use crate::BaselineRun;
 use lt_engine::algorithm::{StepDecision, WalkAlgorithm};
 use lt_engine::host_step;
-use lt_engine::walker::Walker;
 use lt_engine::Metrics;
 use lt_graph::Csr;
 use serde::Serialize;
@@ -149,42 +140,6 @@ fn walk_centric(
     host_run(total_steps, finished, start.elapsed(), visit_counts)
 }
 
-/// FlashMob-style engine: step-synchronous, with walkers bucket-sorted by
-/// current vertex every super-step so CSR accesses are near-sequential.
-pub fn run_shuffle_sorted(
-    graph: &Arc<Csr>,
-    alg: &Arc<dyn WalkAlgorithm>,
-    num_walks: u64,
-    seed: u64,
-) -> BaselineRun {
-    let nv = graph.num_vertices();
-    let mut live: Vec<Walker> = alg.place_walkers(graph.num_vertices(), num_walks);
-    let mut visit_counts = alg.tracks_visits().then(|| vec![0u64; nv as usize]);
-    let mut total_steps = 0u64;
-    let mut finished = 0u64;
-    let start = Instant::now();
-    while !live.is_empty() {
-        // The FlashMob move: sort the walker array by current vertex so
-        // this super-step's graph reads sweep memory in order.
-        live.sort_unstable_by_key(|w| w.vertex);
-        let mut next = Vec::with_capacity(live.len());
-        for mut w in live {
-            match host_step(graph, alg.as_ref(), &mut w, seed) {
-                StepDecision::Terminate => finished += 1,
-                StepDecision::Move(v) | StepDecision::MoveAt(v, _) => {
-                    total_steps += 1;
-                    if let Some(c) = visit_counts.as_mut() {
-                        c[v as usize] += 1;
-                    }
-                    next.push(w);
-                }
-            }
-        }
-        live = next;
-    }
-    host_run(total_steps, finished, start.elapsed(), visit_counts)
-}
-
 /// Calibrated steps/s models of the published CPU systems on the paper's
 /// testbed (2× Xeon Gold 5218R, 40 cores, 208 GB DRAM), for shape
 /// comparisons when the local host differs.
@@ -281,51 +236,28 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_sorted_completes() {
-        let g = graph();
-        let alg: Arc<dyn WalkAlgorithm> = Arc::new(UniformSampling::new(10));
-        let r = run_shuffle_sorted(&g, &alg, 2_000, 42);
-        assert_eq!(r.metrics.finished_walks, 2_000);
-        assert_eq!(r.metrics.total_steps, 20_000);
-    }
-
-    #[test]
-    fn both_engines_agree_with_each_other() {
-        let g = graph();
-        let alg: Arc<dyn WalkAlgorithm> = Arc::new(PageRank::new(8, 0.15));
-        let a = run_walk_centric(&g, &alg, 1_000, 42, 3);
-        let b = run_shuffle_sorted(&g, &alg, 1_000, 42);
-        assert_eq!(a.visits.unwrap(), b.visits.unwrap());
-        assert_eq!(a.metrics.total_steps, b.metrics.total_steps);
-    }
-
-    #[test]
     fn cpu_engines_match_lighttraffic() {
         let g = graph();
-        let alg: Arc<dyn WalkAlgorithm> = Arc::new(PageRank::new(8, 0.15));
-        let a = run_walk_centric(&g, &alg, 1_000, 42, 2);
-        let mut lt = lt_engine::LightTraffic::new(
-            g.clone(),
-            alg,
-            lt_engine::EngineConfig {
-                batch_capacity: 128,
-                seed: 42,
-                ..lt_engine::EngineConfig::light_traffic(16 << 10, 4)
-            },
-        )
-        .unwrap();
-        let ltr = lt.run(1_000).unwrap();
-        assert_eq!(a.visits.unwrap(), ltr.visit_counts.unwrap());
-    }
-
-    #[test]
-    fn variable_length_works_on_both() {
-        let g = graph();
-        let alg: Arc<dyn WalkAlgorithm> = Arc::new(Ppr::from_highest_degree(&g, 0.2));
-        let a = run_walk_centric(&g, &alg, 2_000, 7, 2);
-        let b = run_shuffle_sorted(&g, &alg, 2_000, 7);
-        assert_eq!(a.metrics.finished_walks, 2_000);
-        assert_eq!(a.metrics.total_steps, b.metrics.total_steps);
+        let ppr: Arc<dyn WalkAlgorithm> = Arc::new(Ppr::from_highest_degree(&g, 0.2));
+        let pagerank: Arc<dyn WalkAlgorithm> = Arc::new(PageRank::new(8, 0.15));
+        // Fixed-length and variable-length walks.
+        for (alg, seed) in [(pagerank, 42), (ppr, 7)] {
+            let a = run_walk_centric(&g, &alg, 2_000, seed, 2);
+            let mut lt = lt_engine::LightTraffic::new(
+                g.clone(),
+                alg,
+                lt_engine::EngineConfig {
+                    batch_capacity: 128,
+                    seed,
+                    ..lt_engine::EngineConfig::light_traffic(16 << 10, 4)
+                },
+            )
+            .unwrap();
+            let ltr = lt.run(2_000).unwrap();
+            assert_eq!(a.metrics.finished_walks, 2_000);
+            assert_eq!(a.metrics.total_steps, ltr.metrics.total_steps);
+            assert_eq!(a.visits.unwrap(), ltr.visit_counts.unwrap());
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! explicitly.
 
 use crate::BaselineRun;
-use lt_engine::algorithm::{StepContext, StepDecision, WalkAlgorithm};
-use lt_engine::Metrics;
+use lt_engine::algorithm::{StepDecision, WalkAlgorithm};
+use lt_engine::{host_step, Metrics};
 use lt_gpusim::{Category, Direction, Gpu, GpuConfig, KernelCost};
 use lt_graph::Csr;
 use std::sync::Arc;
@@ -51,7 +51,6 @@ pub fn run_in_gpu_memory(
     let cost = gpu.cost_model();
     let stream = gpu.create_stream("ingpu");
     let nv = graph.num_vertices();
-    let multiplicity = lt_engine::multiplicity_for(alg.as_ref(), || graph.max_multiplicity());
 
     let graph_bytes = graph.csr_bytes();
     let walk_bytes = num_walks * alg.walker_state_bytes();
@@ -90,24 +89,13 @@ pub fn run_in_gpu_memory(
         let mut steps = 0u64;
         for w in chunk.iter_mut() {
             loop {
-                let ctx = StepContext {
-                    neighbors: graph.neighbors(w.vertex),
-                    weights: graph.neighbor_weights(w.vertex),
-                    prev_neighbors: (w.aux != u32::MAX && (w.aux as u64) < nv)
-                        .then(|| graph.neighbors(w.aux)),
-                    timestamps: graph.neighbor_timestamps(w.vertex),
-                    max_multiplicity: multiplicity,
-                    num_vertices: nv,
-                };
-                let d = alg.step(w, ctx, seed);
-                match d {
+                match host_step(graph, alg.as_ref(), w, seed) {
                     StepDecision::Terminate => {
                         finished += 1;
                         break;
                     }
                     StepDecision::Move(v) | StepDecision::MoveAt(v, _) => {
                         steps += 1;
-                        d.advance(w);
                         if let Some(c) = visit_counts.as_mut() {
                             c[v as usize] += 1;
                         }

@@ -16,8 +16,8 @@
 //!   Figure 10's computation speedups.
 
 use crate::BaselineRun;
-use lt_engine::algorithm::{StepContext, StepDecision, WalkAlgorithm};
-use lt_engine::Metrics;
+use lt_engine::algorithm::{StepDecision, WalkAlgorithm};
+use lt_engine::{host_step, Metrics};
 use lt_gpusim::{Category, Direction, Gpu, GpuConfig, KernelCost};
 use lt_graph::{Csr, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES};
 use serde::Serialize;
@@ -134,7 +134,6 @@ pub fn run_subway_traced(
     let cost = gpu.cost_model();
     let stream = gpu.create_stream("subway");
     let nv = graph.num_vertices();
-    let multiplicity = lt_engine::multiplicity_for(alg.as_ref(), || graph.max_multiplicity());
 
     // Subway keeps all application state (here: the full walk index) in
     // GPU memory — the design whose memory ceiling §II-B criticizes.
@@ -195,18 +194,7 @@ pub fn run_subway_traced(
             if !active[i] {
                 continue;
             }
-            let w = &mut walkers[i];
-            let ctx = StepContext {
-                neighbors: graph.neighbors(w.vertex),
-                weights: graph.neighbor_weights(w.vertex),
-                prev_neighbors: (w.aux != u32::MAX && (w.aux as u64) < nv)
-                    .then(|| graph.neighbors(w.aux)),
-                timestamps: graph.neighbor_timestamps(w.vertex),
-                max_multiplicity: multiplicity,
-                num_vertices: nv,
-            };
-            let d = alg.step(w, ctx, cfg.seed);
-            match d {
+            match host_step(graph, alg.as_ref(), &mut walkers[i], cfg.seed) {
                 StepDecision::Terminate => {
                     active[i] = false;
                     finished += 1;
@@ -214,7 +202,6 @@ pub fn run_subway_traced(
                 }
                 StepDecision::Move(v) | StepDecision::MoveAt(v, _) => {
                     steps_this_iter += 1;
-                    d.advance(w);
                     if let Some(c) = visit_counts.as_mut() {
                         c[v as usize] += 1;
                     }

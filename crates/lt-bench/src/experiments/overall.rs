@@ -4,7 +4,7 @@
 use super::run_engine;
 use crate::table::{msteps, print_table};
 use crate::Testbed;
-use lt_baselines::cpu::{self, CpuThroughputModel};
+use lt_baselines::cpu::CpuThroughputModel;
 use lt_baselines::ingpu::run_in_gpu_memory;
 use lt_baselines::subway::{run_subway, SubwayConfig};
 use lt_engine::algorithm::{PageRank, Ppr, UniformSampling, WalkAlgorithm};
@@ -38,11 +38,10 @@ fn lt_throughput(tb: &Testbed, alg: &Arc<dyn WalkAlgorithm>, cost: CostModel, se
 /// Figure 9: LightTraffic (PCIe 3.0 / PCIe 4.0, simulated) vs the CPU
 /// engines, three algorithms × all seven datasets.
 ///
-/// The CPU columns report the *calibrated models* of FlashMob/ThunderRW on
-/// the paper's 40-core testbed (this container's CPU is not comparable);
-/// the real host engines are also run and reported in the JSON for
-/// completeness. FlashMob supports only fixed-length walks, so its PPR
-/// column is n/a, as in the paper.
+/// The CPU columns are the *calibrated models* of FlashMob/ThunderRW on the
+/// paper's 40-core testbed, so every column is a function of the seed
+/// alone. FlashMob supports only fixed-length walks, so its PPR column is
+/// n/a, as in the paper.
 pub fn fig09(shift: u32, seed: u64) -> Value {
     println!("Figure 9: comparison with CPU-based random walk systems\n");
     let shift = shift + 4;
@@ -57,10 +56,8 @@ pub fn fig09(shift: u32, seed: u64) -> Value {
             let walks = tb.standard_walks();
             let lt3 = lt_throughput(&tb, &alg, CostModel::pcie3(), seed);
             let lt4 = lt_throughput(&tb, &alg, CostModel::pcie4(), seed);
-            // Real host engines (measured on this machine).
-            let thunder = cpu::run_walk_centric(&tb.graph, &alg, walks, seed, 2);
-            let flash_ok = *alg_label != "ppr"; // FlashMob: fixed length only
-            let flash = flash_ok.then(|| cpu::run_shuffle_sorted(&tb.graph, &alg, walks, seed));
+            // FlashMob supports fixed-length walks only.
+            let flash_ok = *alg_label != "ppr";
             // Modeled testbed throughput for the published systems, at the
             // *paper* dataset's size (that is what degrades their caches).
             let thunder_model = model.walk_centric_rate(spec.paper_csr_bytes);
@@ -82,8 +79,6 @@ pub fn fig09(shift: u32, seed: u64) -> Value {
                 "lt_pcie4_steps_per_sec": lt4,
                 "thunder_model_steps_per_sec": thunder_model,
                 "flashmob_model_steps_per_sec": flash_model,
-                "thunder_real_steps_per_sec": thunder.throughput(),
-                "flashmob_real_steps_per_sec": flash.map(|f| f.throughput()),
                 "speedup_vs_thunder_model": lt4 / thunder_model,
                 "speedup_vs_flashmob_model": flash_model.map(|f| lt4 / f),
             }));
@@ -100,7 +95,7 @@ pub fn fig09(shift: u32, seed: u64) -> Value {
             ],
             &rows,
         );
-        println!("(* modeled on the paper's 2×Xeon 5218R; real host-engine numbers in JSON)\n");
+        println!("(* modeled on the paper's 2×Xeon 5218R)\n");
     }
     println!("paper: LT(PCIe4) speedup 1.4–12.8× over ThunderRW, 1.7–5.0× over FlashMob;");
     println!("       PPR gains smaller (variable length ⇒ fewer walks per partition).");

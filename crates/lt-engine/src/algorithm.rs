@@ -166,10 +166,6 @@ pub trait WalkAlgorithm: Send + Sync {
     fn walker_state_bytes(&self) -> u64 {
         8
     }
-
-    /// An upper bound on steps per walk, used only as a safety rail for
-    /// unbounded algorithms.
-    fn max_steps(&self) -> u32;
 }
 
 /// Helper: spread `num_walks` walkers uniformly over all vertices
@@ -241,10 +237,6 @@ impl WalkAlgorithm for UniformSampling {
     fn reads_prev_neighbors(&self) -> bool {
         false
     }
-
-    fn max_steps(&self) -> u32 {
-        self.length
-    }
 }
 
 /// Monte-Carlo PageRank: random walk with restart. At each step the walk
@@ -297,10 +289,6 @@ impl WalkAlgorithm for PageRank {
 
     fn reads_prev_neighbors(&self) -> bool {
         false
-    }
-
-    fn max_steps(&self) -> u32 {
-        self.length
     }
 }
 
@@ -368,10 +356,6 @@ impl WalkAlgorithm for Ppr {
 
     fn reads_prev_neighbors(&self) -> bool {
         false
-    }
-
-    fn max_steps(&self) -> u32 {
-        self.cap
     }
 }
 
@@ -442,10 +426,6 @@ impl WalkAlgorithm for WeightedWalk {
 
     fn reads_prev_neighbors(&self) -> bool {
         false
-    }
-
-    fn max_steps(&self) -> u32 {
-        self.length
     }
 }
 
@@ -625,10 +605,6 @@ impl WalkAlgorithm for SecondOrderWalk {
     fn reads_prev_neighbors(&self) -> bool {
         true
     }
-
-    fn max_steps(&self) -> u32 {
-        self.length
-    }
 }
 
 /// Rows at least this long are sampled by propose-accept before they are
@@ -798,10 +774,6 @@ impl WalkAlgorithm for TemporalWalk {
 
     fn reads_prev_neighbors(&self) -> bool {
         false
-    }
-
-    fn max_steps(&self) -> u32 {
-        self.length
     }
 }
 

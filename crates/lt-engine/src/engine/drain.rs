@@ -371,7 +371,6 @@ impl LightTraffic {
         use_zc: bool,
         outputs: Vec<ChunkOutput>,
     ) -> Result<(), EngineError> {
-        let chunks = outputs.len();
         // Deterministic merge: chunk order equals the sequential iteration
         // order of the batch, so visit counts, paths, the length histogram,
         // and the reshuffle input come out exactly as with one thread.
@@ -422,7 +421,6 @@ impl LightTraffic {
         let evicted = insert_runs(&mut self.pools, &self.local_index, self.cfg.selective, part);
         self.metrics.host_reshuffle_wall_ns += rs_wall.elapsed().as_nanos() as u64;
         self.metrics.host_reshuffles += 1;
-        self.metrics.max_reshuffle_threads = 1;
         let n_moved = self.local_index.len() as u64;
         // A zero-copy charge splits by this kernel's per-tag steps; count
         // them before the buffers go back.
@@ -455,8 +453,7 @@ impl LightTraffic {
             Category::Compute
         };
         let zc_bytes = kcost.zero_copy_bytes;
-        self.gpu
-            .kernel_async_with_threads(kcost, cat, self.comp_stream, chunks);
+        self.gpu.kernel_async(kcost, cat, self.comp_stream);
         if use_zc {
             self.metrics.zero_copy_kernels += 1;
         }

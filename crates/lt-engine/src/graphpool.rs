@@ -5,6 +5,8 @@
 //! partition with the fewest walks ("such a graph partition should have the
 //! lowest chance to be reused").
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use lt_gpusim::pool::{BlockId, BlockPool};
 use lt_gpusim::sim::OutOfMemory;
 use lt_gpusim::Gpu;
@@ -123,7 +125,7 @@ impl DeviceGraphPool {
         let id = self
             .pool
             .acquire(pinned)
-            .expect("space ensured by eviction");
+            .expect("a full pool had a victim evicted just above, so a block is free");
         self.resident[p as usize] = Some(id);
         self.order.push_back(p);
         evicted
@@ -131,10 +133,10 @@ impl DeviceGraphPool {
 
     /// Drop partition `p` from the cache (graph data needs no write-back —
     /// it is immutable, so eviction is free).
-    pub fn evict(&mut self, p: PartitionId) {
+    fn evict(&mut self, p: PartitionId) {
         let id = self.resident[p as usize]
             .take()
-            .expect("evicting a non-resident partition");
+            .expect("the victim comes from `order`, which lists only resident partitions");
         self.pool.release(id);
         self.order.retain(|&x| x != p);
     }

@@ -336,16 +336,6 @@ impl WalkAlgorithm for JobTable {
     fn reads_prev_neighbors(&self) -> bool {
         self.reads_prev.load(Ordering::Acquire)
     }
-
-    /// Safety rail: the widest registered job (0 when empty).
-    fn max_steps(&self) -> u32 {
-        self.entries
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(|e| e.algorithm.max_steps())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

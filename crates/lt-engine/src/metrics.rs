@@ -67,10 +67,6 @@ pub struct Metrics {
     pub host_reshuffle_wall_ns: u64,
     /// Reshuffle invocations (one per host kernel).
     pub host_reshuffles: u64,
-    /// Threads the reshuffle ran on. It is one serial pass on the
-    /// scheduler thread, so this reads 1 once a kernel has finished; the
-    /// field stays because `benchmark/` reads it by name.
-    pub max_reshuffle_threads: u64,
     /// Retired: counted scoped-thread spawn rounds when the engine still
     /// had a spawn strategy. Every parallel phase now runs on the
     /// persistent pool, so this always reads 0; the field stays only
@@ -343,17 +339,17 @@ impl RunResult {
     }
 
     /// Everything this run produced, serialized, with the host-only
-    /// fields zeroed: the wall clocks (`host_*_wall_ns`) and the fan-out
-    /// high-water marks (`max_*_threads`). Two runs of the same workload
-    /// and seed must agree on this string whatever their thread counts or
-    /// machine — the one equality every differential battery asserts.
+    /// fields zeroed: the wall clocks (`host_*_wall_ns`) and the kernel
+    /// fan-out high-water mark (`max_kernel_threads`). Two runs of the
+    /// same workload and seed must agree on this string whatever their
+    /// thread counts or machine — the one equality every differential
+    /// battery asserts.
     pub fn deterministic_fingerprint(&self) -> String {
         let metrics = Metrics {
             host_kernel_wall_ns: 0,
             host_reshuffle_wall_ns: 0,
             host_decode_wall_ns: 0,
             max_kernel_threads: 0,
-            max_reshuffle_threads: 0,
             ..self.metrics.clone()
         };
         fn json<T: Serialize>(v: &T) -> String {

@@ -23,6 +23,12 @@
 //!   that run was doubled to `200 * |V|`. Evictions / iterations /
 //!   makespan before: 69 / 176 / 7113947 (at `100 * |V|`),
 //!   3213 / 52 / 36830022, 1679 / 121 / 20587309.
+//! - re-hashed when `Metrics` lost its reshuffle fan-out field (always 0
+//!   in the fingerprint): the fingerprint string lost that one `"…":0`
+//!   pair, and the previous strings with the pair cut out hash to the new
+//!   constants. Evictions, iterations and makespan did not move. Hashes
+//!   before: 7736391454572833660, 5076428522729951092,
+//!   7915301084599244605.
 //!
 //! The device config is spelled out (`GpuConfig::default()`), so the
 //! `LT_TEST_FAULT_SEED` drill does not reach these runs, and the
@@ -103,7 +109,7 @@ fn default_pool_large_batches() {
     assert_eq!(
         pinned(&r),
         Pinned {
-            fingerprint: 7_736_391_454_572_833_660,
+            fingerprint: 17_349_645_180_146_113_463,
             walk_batches_evicted: 195,
             iterations: 175,
             makespan_ns: 13_416_232,
@@ -129,7 +135,7 @@ fn pool_floor_evicts_constantly() {
     assert_eq!(
         pinned(&r),
         Pinned {
-            fingerprint: 5_076_428_522_729_951_092,
+            fingerprint: 5_287_810_042_768_202_907,
             walk_batches_evicted: 3236,
             iterations: 54,
             makespan_ns: 36_775_922,
@@ -157,7 +163,7 @@ fn direct_write_without_selective_scheduling() {
     assert_eq!(
         pinned(&r),
         Pinned {
-            fingerprint: 7_915_301_084_599_244_605,
+            fingerprint: 11_511_251_632_741_374_094,
             walk_batches_evicted: 1694,
             iterations: 124,
             makespan_ns: 20_526_390,

@@ -5,6 +5,11 @@
 //! still a host copy of its rows; they prove that the view a kernel reads
 //! through changes no walk and no simulated counter.
 //!
+//! They were re-hashed once since, when `Metrics` lost its always-zero
+//! reshuffle fan-out field: each fingerprint string lost that one
+//! `"…":0` pair, and the previous strings with the pair cut out hash to
+//! the current goldens, so no walk and no counter moved.
+//!
 //! The goldens include the simulated clock, which the retryable faults of
 //! the `LT_TEST_FAULT_SEED` drill move, so every golden run spells out a
 //! fault-free device. Under the drill each run is repeated with its
@@ -103,18 +108,18 @@ fn algorithms() -> [(&'static str, Arc<dyn WalkAlgorithm>); 2] {
 fn resident_reads_keep_the_recorded_fingerprints() {
     #[rustfmt::skip]
     let golden: &[(&str, &str, &str, u64)] = &[
-        ("rmat11", "node2vec", "never", 0x9681a75c7a7e2949),
-        ("rmat11", "node2vec", "adaptive", 0x6b91bd9a2b0f2296),
-        ("rmat11", "pagerank", "never", 0x3f0d950271ef1c24),
-        ("rmat11", "pagerank", "adaptive", 0x5950bbcd3f9d23db),
-        ("er2048", "node2vec", "never", 0x48c992c497a98b6b),
-        ("er2048", "node2vec", "adaptive", 0xa1c97033687218aa),
-        ("er2048", "pagerank", "never", 0x1b1405c640dc72ae),
-        ("er2048", "pagerank", "adaptive", 0x9c599b5f7814f368),
-        ("rmat12", "node2vec", "never", 0xc8194756fdd185be),
-        ("rmat12", "node2vec", "adaptive", 0xf62ab16ebc7a180e),
-        ("rmat12", "pagerank", "never", 0x9351cd0d43903cf8),
-        ("rmat12", "pagerank", "adaptive", 0xee44efdec9e9e8cc),
+        ("rmat11", "node2vec", "never", 0x9b4bc107d2744c06),
+        ("rmat11", "node2vec", "adaptive", 0xc738e05192d825cd),
+        ("rmat11", "pagerank", "never", 0x25d1ddc8d692e93f),
+        ("rmat11", "pagerank", "adaptive", 0x6d09e9cf0888610a),
+        ("er2048", "node2vec", "never", 0x1597b74dc045e776),
+        ("er2048", "node2vec", "adaptive", 0xc2deaf95560b625f),
+        ("er2048", "pagerank", "never", 0x5b4f072645787d85),
+        ("er2048", "pagerank", "adaptive", 0xf1e41f4c667edd93),
+        ("rmat12", "node2vec", "never", 0x544062cd639ef71d),
+        ("rmat12", "node2vec", "adaptive", 0x6fc02a4c3f2cbd47),
+        ("rmat12", "pagerank", "never", 0xb664bf5ec38ee64b),
+        ("rmat12", "pagerank", "adaptive", 0xcffdf453d820a35f),
     ];
     let mut got = Vec::new();
     let mut retries = 0;
@@ -159,7 +164,7 @@ fn resident_reads_keep_the_recorded_fingerprints() {
 fn a_seal_hands_resident_reads_over_to_the_block_table() {
     let (_, g) = graphs().swap_remove(0);
     let alg: Arc<dyn WalkAlgorithm> = Arc::new(SecondOrderWalk::node2vec(20, 0.25, 4.0));
-    let golden: u64 = 0x0258911cd47aabf0;
+    let golden: u64 = 0x244a750c9140242d;
     // Both waves: before the seal and after it.
     let waves = |cfg| {
         let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("pools fit");

@@ -1,7 +1,6 @@
 //! Determinism contract of the typed timeline: a run's device op log,
 //! fault log and iteration log are functions of the simulated schedule
-//! alone. With each op's `host_threads` masked (the one field that
-//! records the host fan-out), a run at four kernel threads records
+//! alone. With no field masked, a run at four kernel threads records
 //! exactly what the one-thread run records — fault-free, under retryable
 //! faults, and through a fatal fault and the recovery that follows it.
 
@@ -23,7 +22,7 @@ struct Timeline {
 /// A run's timeline plus the facts each case checks it exercised.
 struct Recorded {
     timeline: Timeline,
-    max_host_threads: usize,
+    max_kernel_threads: u64,
     fault_kinds: Vec<FaultKind>,
     recoveries: u64,
 }
@@ -54,12 +53,8 @@ fn record(faults: Option<FaultPlan>, kernel_threads: usize) -> Recorded {
     let mut e = LightTraffic::new(g, Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
     let r = e.run(4_096).unwrap();
     let iterations = r.iterations.as_ref().unwrap();
-    let mut ops = e.gpu().op_log();
+    let ops = e.gpu().op_log();
     assert!(!ops.is_empty() && !iterations.is_empty());
-    let max_host_threads = ops.iter().map(|o| o.host_threads).max().unwrap_or(0);
-    for op in &mut ops {
-        op.host_threads = 1;
-    }
     let fault_log = e.gpu().fault_log();
     Recorded {
         timeline: Timeline {
@@ -68,7 +63,7 @@ fn record(faults: Option<FaultPlan>, kernel_threads: usize) -> Recorded {
             iterations: serde_json::to_string(iterations).unwrap(),
             fingerprint: r.deterministic_fingerprint(),
         },
-        max_host_threads,
+        max_kernel_threads: r.metrics.max_kernel_threads,
         fault_kinds: fault_log.iter().map(|f| f.kind).collect(),
         recoveries: r.metrics.recoveries,
     }
@@ -79,9 +74,9 @@ fn record(faults: Option<FaultPlan>, kernel_threads: usize) -> Recorded {
 fn assert_thread_count_independent(faults: Option<FaultPlan>) -> Recorded {
     let one = record(faults.clone(), 1);
     let four = record(faults, 4);
-    assert_eq!(one.max_host_threads, 1);
+    assert_eq!(one.max_kernel_threads, 1);
     assert!(
-        four.max_host_threads > 1,
+        four.max_kernel_threads > 1,
         "no kernel fanned out; the case cannot tell thread counts apart"
     );
     assert_eq!(one.timeline, four.timeline);

@@ -8,6 +8,8 @@
 //! reservation against the device's capacity at construction and afterwards
 //! hands out slots without any further device allocation.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use crate::sim::{Allocation, Gpu, OutOfMemory};
 
 /// Index of a slot inside a [`BlockPool`].
@@ -23,9 +25,6 @@ pub struct BlockPool<T> {
     blocks: Vec<Option<T>>,
     free: Vec<usize>,
     block_bytes: u64,
-    /// Blocks whose contents failed an integrity check (fault injection);
-    /// cleared when the block is released.
-    poisoned: Vec<bool>,
 }
 
 impl<T> BlockPool<T> {
@@ -38,7 +37,6 @@ impl<T> BlockPool<T> {
             blocks: (0..num_blocks).map(|_| None).collect(),
             free: (0..num_blocks).rev().collect(),
             block_bytes,
-            poisoned: vec![false; num_blocks],
         })
     }
 
@@ -86,25 +84,11 @@ impl<T> BlockPool<T> {
     /// # Panics
     /// Panics if the block is not in use.
     pub fn release(&mut self, id: BlockId) -> T {
-        let v = self.blocks[id.0].take().expect("releasing an empty block");
+        let v = self.blocks[id.0]
+            .take()
+            .expect("releasing an empty block: each acquired id is released once");
         self.free.push(id.0);
-        self.poisoned[id.0] = false;
         v
-    }
-
-    /// Mark an in-use block as corrupted (its contents failed an integrity
-    /// check). The mark persists until the block is released.
-    ///
-    /// # Panics
-    /// Panics if the block is not in use.
-    pub fn poison(&mut self, id: BlockId) {
-        assert!(self.blocks[id.0].is_some(), "poisoning an empty block");
-        self.poisoned[id.0] = true;
-    }
-
-    /// Whether `id` was marked corrupted since it was last acquired.
-    pub fn is_poisoned(&self, id: BlockId) -> bool {
-        self.poisoned[id.0]
     }
 
     /// Borrow the value cached in `id`.
@@ -112,7 +96,9 @@ impl<T> BlockPool<T> {
     /// # Panics
     /// Panics if the block is not in use.
     pub fn get(&self, id: BlockId) -> &T {
-        self.blocks[id.0].as_ref().expect("reading an empty block")
+        self.blocks[id.0]
+            .as_ref()
+            .expect("reading an empty block: callers hold only ids acquired and not yet released")
     }
 
     /// Mutably borrow the value cached in `id`.
@@ -120,7 +106,9 @@ impl<T> BlockPool<T> {
     /// # Panics
     /// Panics if the block is not in use.
     pub fn get_mut(&mut self, id: BlockId) -> &mut T {
-        self.blocks[id.0].as_mut().expect("writing an empty block")
+        self.blocks[id.0]
+            .as_mut()
+            .expect("writing an empty block: callers hold only ids acquired and not yet released")
     }
 
     /// Iterate over `(BlockId, &T)` for all in-use blocks.
@@ -195,30 +183,6 @@ mod tests {
         pool.release(a);
         let vals: Vec<u32> = pool.iter().map(|(_, v)| *v).collect();
         assert_eq!(vals, vec![2]);
-    }
-
-    #[test]
-    fn poison_marks_block_until_release() {
-        let g = gpu(1 << 20);
-        let mut pool: BlockPool<u32> = BlockPool::reserve(&g, 2, 1024).unwrap();
-        let a = pool.acquire(1).unwrap();
-        assert!(!pool.is_poisoned(a));
-        pool.poison(a);
-        assert!(pool.is_poisoned(a));
-        pool.release(a);
-        // Re-acquiring the same slot hands out a clean block.
-        let b = pool.acquire(2).unwrap();
-        assert!(!pool.is_poisoned(b));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty block")]
-    fn poison_of_free_block_panics() {
-        let g = gpu(1 << 20);
-        let mut pool: BlockPool<u32> = BlockPool::reserve(&g, 1, 16).unwrap();
-        let a = pool.acquire(1).unwrap();
-        pool.release(a);
-        pool.poison(a);
     }
 
     #[test]

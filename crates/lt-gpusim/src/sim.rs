@@ -110,11 +110,6 @@ pub struct OpRecord {
     pub end: Nanos,
     /// Stream the op was enqueued on.
     pub stream: usize,
-    /// Host threads that executed the op's eager host-side work (1 for
-    /// copies and sequential kernels; the engine's host-parallel kernels
-    /// report their chunk fan-out here so traces show where wall-clock
-    /// time was spent, without affecting any simulated time).
-    pub host_threads: usize,
     /// Fault injected into this op, if any (the copy failure when one
     /// fired, otherwise a straggler spike).
     pub fault: Option<FaultKind>,
@@ -274,7 +269,7 @@ impl Gpu {
         }
         // The op record carries the most severe fault: the failure when one
         // fired, a straggler spike otherwise.
-        let end = g.schedule(engine, dur, category, stream, fired.last().copied());
+        let end = g.schedule(engine, dur, 0, category, stream, fired.last().copied());
         let cat = g.stats.category_mut(category);
         cat.bytes += bytes;
         if !fired.is_empty() {
@@ -305,21 +300,6 @@ impl Gpu {
     /// traffic; their duration is the max of device time and link time.
     /// Returns the simulated completion time.
     pub fn kernel_async(&self, cost: KernelCost, category: Category, stream: StreamId) -> Nanos {
-        self.kernel_async_with_threads(cost, category, stream, 1)
-    }
-
-    /// [`Gpu::kernel_async`] for a kernel whose eager host execution used
-    /// `host_threads` threads. The thread count is recorded on the op log
-    /// (and nowhere else): simulated duration, stats, and scheduling are
-    /// charged exactly as for [`Gpu::kernel_async`], so host parallelism
-    /// can never change simulated results.
-    pub fn kernel_async_with_threads(
-        &self,
-        cost: KernelCost,
-        category: Category,
-        stream: StreamId,
-        host_threads: usize,
-    ) -> Nanos {
         let mut g = self.inner.lock();
         let device_ns = cost.device_ns() + g.config.cost.kernel_launch_ns;
         let (mut dur, zc_link_ns, zc_bytes) = if cost.zero_copy_bytes > 0 {
@@ -341,7 +321,7 @@ impl Gpu {
                 op_fault = Some(FaultKind::Straggler);
             }
         }
-        let end = g.schedule_kernel(dur, zc_link_ns, category, stream, host_threads, op_fault);
+        let end = g.schedule(ENGINE_COMPUTE, dur, zc_link_ns, category, stream, op_fault);
         if let Some(kind) = op_fault {
             g.stats.faults_injected += 1;
             let op_index = g.fault_counter - 1;
@@ -466,65 +446,30 @@ impl Inner {
         }
     }
 
-    /// Schedule a single-engine op. Start = max(host clock, stream tail,
-    /// engine free); FIFO per engine in enqueue order.
+    /// Schedule an op on `engine`. Start = max(host clock, stream tail,
+    /// engine free); FIFO per engine in enqueue order. A kernel with
+    /// zero-copy traffic (`zc_link_ns > 0`) also waits for, and reserves,
+    /// the H2D link for `zc_link_ns` from its start; that reservation is
+    /// logged as a second op right after the kernel's.
     fn schedule(
         &mut self,
         engine: usize,
         duration: Nanos,
-        category: Category,
-        stream: StreamId,
-        fault: Option<FaultKind>,
-    ) -> Nanos {
-        let start = self
-            .host_clock
-            .max(self.stream_tails[stream.0])
-            .max(self.engine_free[engine]);
-        let end = start + duration;
-        self.engine_free[engine] = end;
-        self.engine_busy[engine] += duration;
-        self.stream_tails[stream.0] = end;
-        let cat = self.stats.category_mut(category);
-        cat.busy_ns += duration;
-        cat.count += 1;
-        if end > self.stats.makespan_ns {
-            self.stats.makespan_ns = end;
-        }
-        if self.config.record_ops {
-            self.op_log.push(OpRecord {
-                category,
-                engine,
-                start,
-                end,
-                stream: stream.0,
-                host_threads: 1,
-                fault,
-            });
-        }
-        end
-    }
-
-    /// Schedule a kernel on the compute engine, optionally reserving the
-    /// H2D link for zero-copy traffic during its execution.
-    fn schedule_kernel(
-        &mut self,
-        duration: Nanos,
         zc_link_ns: Nanos,
         category: Category,
         stream: StreamId,
-        host_threads: usize,
         fault: Option<FaultKind>,
     ) -> Nanos {
         let mut start = self
             .host_clock
             .max(self.stream_tails[stream.0])
-            .max(self.engine_free[ENGINE_COMPUTE]);
+            .max(self.engine_free[engine]);
         if zc_link_ns > 0 {
             start = start.max(self.engine_free[ENGINE_H2D]);
         }
         let end = start + duration;
-        self.engine_free[ENGINE_COMPUTE] = end;
-        self.engine_busy[ENGINE_COMPUTE] += duration;
+        self.engine_free[engine] = end;
+        self.engine_busy[engine] += duration;
         if zc_link_ns > 0 {
             self.engine_free[ENGINE_H2D] = start + zc_link_ns;
             self.engine_busy[ENGINE_H2D] += zc_link_ns;
@@ -539,11 +484,10 @@ impl Inner {
         if self.config.record_ops {
             self.op_log.push(OpRecord {
                 category,
-                engine: ENGINE_COMPUTE,
+                engine,
                 start,
                 end,
                 stream: stream.0,
-                host_threads,
                 fault,
             });
             if zc_link_ns > 0 {
@@ -553,7 +497,6 @@ impl Inner {
                     start,
                     end: start + zc_link_ns,
                     stream: stream.0,
-                    host_threads: 1,
                     fault: None,
                 });
             }
@@ -782,37 +725,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn host_threads_are_logged_but_never_charged() {
-        let run = |threads: usize| {
-            let g = gpu();
-            let s = g.create_stream("comp");
-            let end = g.kernel_async_with_threads(
-                KernelCost {
-                    update_ns: 10_000,
-                    reshuffle_ns: 500,
-                    ..Default::default()
-                },
-                Category::Compute,
-                s,
-                threads,
-            );
-            (end, g.stats(), g.op_log())
-        };
-        let (e1, s1, l1) = run(1);
-        let (e8, s8, l8) = run(8);
-        assert_eq!(e1, e8, "simulated completion is thread-count independent");
-        assert_eq!(s1.makespan_ns, s8.makespan_ns);
-        assert_eq!(s1.compute_busy_ns, s8.compute_busy_ns);
-        assert_eq!(l1[0].host_threads, 1);
-        assert_eq!(l8[0].host_threads, 8);
-        // The delegating single-thread entry point reports 1.
-        let g = gpu();
-        let s = g.create_stream("comp");
-        g.kernel_async(KernelCost::default(), Category::Compute, s);
-        assert_eq!(g.op_log()[0].host_threads, 1);
     }
 
     #[test]

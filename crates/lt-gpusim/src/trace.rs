@@ -38,12 +38,8 @@ pub fn chrome_trace(ops: &[OpRecord], faults: &[FaultRecord]) -> String {
     }
     for op in ops {
         let args = match op.fault {
-            Some(kind) => json!({
-                "stream": op.stream,
-                "host_threads": op.host_threads,
-                "fault": kind.name(),
-            }),
-            None => json!({ "stream": op.stream, "host_threads": op.host_threads }),
+            Some(kind) => json!({ "stream": op.stream, "fault": kind.name() }),
+            None => json!({ "stream": op.stream }),
         };
         events.push(json!({
             "ph": "X",
@@ -123,7 +119,7 @@ mod tests {
             assert_eq!(e["ts"].as_f64(), Some(op.start as f64 / 1e3));
             assert_eq!(e["dur"].as_f64(), Some((op.end - op.start) as f64 / 1e3));
             assert_eq!(e["tid"].as_u64(), Some(op.engine as u64));
-            assert!(e["args"]["host_threads"].as_u64().unwrap() >= 1);
+            assert_eq!(e["args"]["stream"].as_u64(), Some(op.stream as u64));
         }
         let names: Vec<_> = arr
             .iter()

@@ -7,9 +7,9 @@
 //! jobs' walkers through a single engine pipeline (walkers carry their
 //! job's tag, kernel merges attribute results per tag), enforces
 //! per-tenant token budgets (admission + steps; exhaustion parks jobs,
-//! never errors), streams incremental results over bounded channels, and
-//! suspends/resumes individual jobs on the engine's checkpoint
-//! machinery.
+//! never errors), streams incremental results over one channel per job
+//! (closed after the job's last event), and suspends/resumes individual
+//! jobs on the engine's checkpoint machinery.
 //!
 //! The front end is [`Server`] (scheduler on its own thread, cloneable
 //! in-process [`ServerHandle`]) plus the optional [`TcpFrontend`]

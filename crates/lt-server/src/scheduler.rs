@@ -31,7 +31,7 @@ use lt_telemetry::{
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,9 +50,6 @@ pub struct ServerConfig {
     pub tranche_walkers: usize,
     /// Engine scheduler iterations per pump round.
     pub pump_iterations: u64,
-    /// Bound of each job's streaming event channel; overflow falls back
-    /// to an in-scheduler backlog, never blocks the pump.
-    pub stream_capacity: usize,
     /// Recent phase spans retained per job (the flight-recorder ring;
     /// older spans drop but stay counted).
     pub span_capacity: usize,
@@ -89,14 +86,13 @@ impl ServerConfig {
             default_budget: u64::MAX,
             tranche_walkers: 1 << 12,
             pump_iterations: 8,
-            stream_capacity: 64,
             span_capacity: 64,
             flight_recorder_dir: None,
         }
     }
 }
 
-/// Incremental per-job delivery, streamed over a bounded channel as
+/// Incremental per-job delivery, streamed over the job's channel as
 /// batches retire.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JobEvent {
@@ -176,8 +172,9 @@ struct JobState {
     /// with budget, until [`Scheduler::resume`] hands the checkpoint
     /// back. Budget parking, by contrast, auto-resumes on top-up.
     suspended: bool,
-    stream: Option<SyncSender<JobEvent>>,
-    backlog: VecDeque<JobEvent>,
+    /// Sender of the job's event stream; dropped right after the job's
+    /// `Done` or `Evicted` event, or once the consumer hangs up.
+    stream: Option<Sender<JobEvent>>,
     /// Phase-span ring (trace identity + flight recorder, DESIGN.md §14).
     trace: JobTrace,
 }
@@ -195,8 +192,7 @@ impl JobState {
         self.injected - self.result.finished - self.parked.len() as u64
     }
 
-    /// Free the walker queues of a job no walker can enter again. The
-    /// event backlog goes when the stream closes ([`Scheduler::flush_job`]).
+    /// Free the walker queues of a job no walker can enter again.
     fn release_queues(&mut self) {
         self.pending = VecDeque::new();
         self.parked = Vec::new();
@@ -220,9 +216,10 @@ pub struct Scheduler {
     graph: Arc<Csr>,
     table: Arc<JobTable>,
     jobs: Vec<JobState>,
-    /// Indices of the jobs a pump visits, ascending: every live job, and
-    /// every finished one whose event stream has not closed yet. A pump
-    /// costs what these jobs cost, however many jobs were ever submitted.
+    /// Indices of the live jobs, ascending: the jobs a pump visits. A job
+    /// leaves when it ends (in the pump that retires it, or in
+    /// [`Scheduler::cancel`]), so a pump costs what the live jobs cost,
+    /// however many jobs were ever submitted.
     active: Vec<usize>,
     tenants: BTreeMap<String, Tenant>,
     rr_cursor: usize,
@@ -315,7 +312,7 @@ impl Scheduler {
         self.tenant_entry(tenant);
         let pending: VecDeque<Walker> = spec.place_walkers(nv, tag).into();
         let id = JobId(tag as u64);
-        let (tx, rx) = std::sync::mpsc::sync_channel(self.cfg.stream_capacity.max(1));
+        let (tx, rx) = std::sync::mpsc::channel();
         let total = pending.len() as u64;
         self.jobs.push(JobState {
             id,
@@ -328,7 +325,6 @@ impl Scheduler {
             result: JobResult::default(),
             suspended: false,
             stream: Some(tx),
-            backlog: VecDeque::new(),
             trace: JobTrace::new(
                 id.0,
                 tenant,
@@ -403,6 +399,7 @@ impl Scheduler {
         j.status = JobStatus::Evicted;
         let tenant = j.tenant.clone();
         Self::deliver(j, JobEvent::Evicted);
+        self.active.retain(|&i| i != idx);
         self.record_span(idx, JobPhase::Evicted, "cancelled".into());
         self.dump_flight_record(idx, "evicted");
         self.registry
@@ -532,58 +529,16 @@ impl Scheduler {
         self.engine.epoch()
     }
 
-    /// Push `ev` to the job's stream; overflow and disconnects fall back
-    /// to the in-scheduler backlog so the pump never blocks on a slow or
-    /// absent consumer.
+    /// Send `ev` on the job's stream. The channel is unbounded, so the
+    /// pump never blocks on a slow or absent consumer; a consumer that
+    /// hung up loses its events (results stay queryable). A job's last
+    /// event drops the sender, which ends the consumer's stream.
     fn deliver(j: &mut JobState, ev: JobEvent) {
-        j.backlog.push_back(ev);
-        Self::flush_job(j);
-    }
-
-    /// Drain as much backlog into the bounded channel as fits. Once a
-    /// finished job's backlog is empty its sender is dropped, which ends
-    /// the consumer's stream.
-    fn flush_job(j: &mut JobState) {
-        while let Some(ev) = j.backlog.pop_front() {
-            match Self::try_send(&mut j.stream, ev) {
-                Ok(()) => {}
-                Err(ev) => {
-                    j.backlog.push_front(ev);
-                    break;
-                }
+        if let Some(tx) = &j.stream {
+            if tx.send(ev).is_err() || !j.live() {
+                j.stream = None;
             }
         }
-        if !j.live() && j.backlog.is_empty() {
-            j.stream = None;
-            j.backlog = VecDeque::new();
-        }
-    }
-
-    fn try_send(stream: &mut Option<SyncSender<JobEvent>>, ev: JobEvent) -> Result<(), JobEvent> {
-        match stream {
-            None => Ok(()), // consumer gone: drop silently, results remain queryable
-            Some(tx) => match tx.try_send(ev) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(ev)) => Err(ev),
-                Err(TrySendError::Disconnected(_)) => {
-                    *stream = None;
-                    Ok(())
-                }
-            },
-        }
-    }
-
-    /// Retry delivery of backlogged events (a long-lived serving loop
-    /// calls this between pump rounds so slow consumers still drain).
-    /// A finished job whose stream has closed leaves the pump's job list
-    /// here.
-    pub fn flush_streams(&mut self) {
-        let jobs = &mut self.jobs;
-        self.active.retain(|&idx| {
-            let j = &mut jobs[idx];
-            Self::flush_job(j);
-            j.live() || j.stream.is_some()
-        });
     }
 
     /// One deterministic scheduling round: admit a tranche per runnable
@@ -606,7 +561,8 @@ impl Scheduler {
         self.drain(sim_elapsed);
         self.park_exhausted();
         self.retire();
-        self.flush_streams();
+        let jobs = &self.jobs;
+        self.active.retain(|&idx| jobs[idx].live());
         let runnable = self.has_runnable_work();
         // Attribution series are pull-side monitoring state: refreshing
         // them is O(cells) of label formatting, too heavy even for the
@@ -632,9 +588,6 @@ impl Scheduler {
         let detail = format!("engine fault: {e}");
         for k in 0..self.active.len() {
             let idx = self.active[k];
-            if !self.jobs[idx].live() {
-                continue;
-            }
             self.record_span(idx, JobPhase::Blocked, detail.clone());
             self.dump_flight_record(idx, "fault");
         }
@@ -655,8 +608,7 @@ impl Scheduler {
             return true;
         }
         self.active.iter().map(|&idx| &self.jobs[idx]).any(|j| {
-            j.live()
-                && !j.suspended
+            !j.suspended
                 && (!j.pending.is_empty() || !j.parked.is_empty() || j.in_flight() > 0)
                 && self.tenants[&j.tenant].budget > 0
         })
@@ -677,7 +629,7 @@ impl Scheduler {
         for k in (split..self.active.len()).chain(0..split) {
             let idx = self.active[k];
             let j = &mut self.jobs[idx];
-            if !j.live() || j.suspended {
+            if j.suspended {
                 continue;
             }
             let budget = self.tenants[&j.tenant].budget;
@@ -1018,32 +970,28 @@ mod tests {
         assert_eq!(done.as_ref(), Some(r));
     }
 
-    /// A done job keeps its result and nothing else: its walker queues and
-    /// event backlog, which held walkers and events while it ran, are
+    /// A done job keeps its result and nothing else: its walker queues,
+    /// which held walkers while it ran, and its stream's sender are
     /// freed, and the result is still whole and sorted.
     #[test]
     fn finished_jobs_release_their_queues() {
         let mut s = scheduler(1);
         s.cfg.default_budget = 400;
-        s.cfg.stream_capacity = 1;
         let (id, rx) = s.submit("t", JobSpec::deepwalk(300, 12, 4)).unwrap();
         s.run_until_idle().unwrap();
         let j = &s.jobs[0];
         assert!(matches!(j.status, JobStatus::Blocked { .. }));
         assert!(j.pending.capacity() > 0 && j.parked.capacity() > 0);
-        assert!(j.backlog.capacity() > 0);
+        assert!(j.stream.is_some());
         s.top_up("t", u64::MAX / 2);
         s.run_until_idle().unwrap();
         assert_eq!(s.status(id), Some(JobStatus::Done));
-        let mut events = Vec::new();
-        while let Ok(ev) = rx.try_recv() {
-            events.push(ev);
-            s.flush_streams();
-        }
         let j = &s.jobs[0];
         assert_eq!(j.pending.capacity(), 0);
         assert_eq!(j.parked.capacity(), 0);
-        assert_eq!(j.backlog.capacity(), 0);
+        assert!(j.stream.is_none());
+        // The sender is gone, so the stream ends after its last event.
+        let events: Vec<JobEvent> = rx.iter().collect();
         let r = s.result(id).unwrap();
         assert_eq!(r.finished, 300);
         assert_eq!(r.visits.len(), 300 * 12);
@@ -1051,9 +999,9 @@ mod tests {
         assert!(matches!(events.last(), Some(JobEvent::Done { result }) if result == r));
     }
 
-    /// The pump visits live jobs and unclosed streams only: a job leaves
-    /// the list once it is done or cancelled and its stream has closed,
-    /// and a done job whose consumer lags stays until it has drained.
+    /// The pump visits live jobs only: a job leaves the list in the pump
+    /// that ends it (or at once when cancelled), whether or not its
+    /// consumer has read a single event.
     #[test]
     fn finished_jobs_leave_the_pump() {
         let mut s = scheduler(8);
@@ -1062,22 +1010,19 @@ mod tests {
             s.run_until_idle().unwrap();
             assert!(s.active.is_empty(), "job {seed} still visited");
         }
-        let (cancelled, _) = s.submit("t", JobSpec::deepwalk(50, 6, 9)).unwrap();
-        s.cfg.stream_capacity = 1;
+        let (cancelled, gone) = s.submit("t", JobSpec::deepwalk(50, 6, 9)).unwrap();
         let (slow, rx) = s.submit("u", JobSpec::deepwalk(50, 6, 10)).unwrap();
         assert_eq!(s.active, vec![4, 5]);
         assert!(s.cancel(cancelled));
-        s.pump().unwrap();
         assert_eq!(s.active, vec![5]);
-        s.run_until_idle().unwrap();
-        assert_eq!(s.status(slow), Some(JobStatus::Done));
-        assert_eq!(s.active, vec![5], "undelivered events keep the stream open");
-        let mut events = Vec::new();
-        while let Ok(ev) = rx.try_recv() {
-            events.push(ev);
-            s.flush_streams();
+        assert_eq!(gone.iter().last(), Some(JobEvent::Evicted));
+        while s.pump().unwrap() {
+            let done = s.status(slow) == Some(JobStatus::Done);
+            assert_eq!(s.active.is_empty(), done);
         }
-        assert!(matches!(events.last(), Some(JobEvent::Done { .. })));
+        assert_eq!(s.status(slow), Some(JobStatus::Done));
         assert!(s.active.is_empty());
+        let events: Vec<JobEvent> = rx.iter().collect();
+        assert!(matches!(events.last(), Some(JobEvent::Done { .. })));
     }
 }

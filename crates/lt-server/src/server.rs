@@ -64,7 +64,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -237,9 +237,7 @@ impl Drop for Server {
 }
 
 /// The scheduler thread: interleave requests with pump rounds; park on
-/// the channel when idle (with a short timeout so backlogged stream
-/// events keep draining to slow consumers). A `None` message or a closed
-/// channel stops it.
+/// the channel when idle. A `None` message or a closed channel stops it.
 fn serve_loop(sched: &mut Scheduler, rx: &Receiver<Option<Request>>) {
     let mut fatal: Option<EngineError> = None;
     loop {
@@ -258,11 +256,9 @@ fn serve_loop(sched: &mut Scheduler, rx: &Receiver<Option<Request>>) {
             }
             continue;
         }
-        sched.flush_streams();
-        match rx.recv_timeout(Duration::from_millis(20)) {
+        match rx.recv() {
             Ok(Some(request)) => request(sched, fatal.as_ref()),
-            Ok(None) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
+            Ok(None) | Err(_) => return,
         }
     }
 }
@@ -683,7 +679,7 @@ fn dispatch(
                     None => err_json("no stream for job (already taken or unknown)"),
                     Some(rx) => {
                         // One line per event until the scheduler drops
-                        // the sender (job done/evicted, backlog drained).
+                        // the sender (job done or evicted).
                         for ev in rx.iter() {
                             out.clear();
                             push_event(out, &ev);

@@ -176,7 +176,7 @@ fn equal_budgets_share_the_engine_within_the_documented_spread() {
     }
 }
 
-/// The bounded stream delivers incremental progress that sums to the
+/// The job's stream delivers incremental progress that sums to the
 /// final result, ending with the Done event.
 #[test]
 fn stream_delivers_incremental_progress_then_done() {
