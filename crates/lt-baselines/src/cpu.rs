@@ -83,14 +83,14 @@ fn walk_centric(
     let start = Instant::now();
 
     let chunk_size = walkers.len().div_ceil(threads).max(1);
-    let results: Vec<(u64, u64, Option<Vec<u64>>)> = crossbeam::thread::scope(|s| {
+    let results: Vec<(u64, u64, Option<Vec<u64>>)> = std::thread::scope(|s| {
         let handles: Vec<_> = walkers
             .chunks(chunk_size)
             .map(|chunk| {
                 let graph = Arc::clone(graph);
                 let alg = Arc::clone(alg);
                 let mut chunk = chunk.to_vec();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut steps = 0u64;
                     let mut finished = 0u64;
                     let mut visits = track.then(|| vec![0u64; nv as usize]);
@@ -121,9 +121,11 @@ fn walk_centric(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .expect("walker threads do not panic");
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("walker threads do not panic"))
+            .collect()
+    });
 
     let mut total_steps = 0;
     let mut finished = 0;

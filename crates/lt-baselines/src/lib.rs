@@ -10,10 +10,10 @@
 //! - [`csaw`]: the queue arithmetic of the C-SAW-like per-step/per-partition
 //!   layout, whose out-of-memory failure §IV-B reports (excluded from
 //!   Figure 9). It plans the reservation and runs no walks.
-//! - [`cpu`]: real host-executed random walk engines in the spirit of
-//!   ThunderRW (step-interleaved walk-centric loop) and FlashMob
-//!   (walkers sorted by vertex for cache locality), plus calibrated
-//!   throughput models for the paper's testbed (Figure 9).
+//! - [`cpu`]: a real host-executed random walk engine in the spirit of
+//!   ThunderRW (step-interleaved walk-centric loop), plus calibrated
+//!   ThunderRW and FlashMob throughput models for the paper's testbed
+//!   (Figure 9).
 //!
 //! All executing baselines reuse [`lt_engine`]'s algorithms and counter-based RNG, so
 //! they produce *identical trajectories* to LightTraffic — correctness can

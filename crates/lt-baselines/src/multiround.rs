@@ -47,8 +47,8 @@ pub fn run_multi_round(
     Ok(result.expect("at least one round"))
 }
 
-fn estimate_partitions(graph: &Csr, cfg: &EngineConfig) -> usize {
-    lt_graph::PartitionedGraph::build(Arc::new(graph.clone()), cfg.partition_bytes).num_partitions()
+fn estimate_partitions(graph: &Arc<Csr>, cfg: &EngineConfig) -> usize {
+    lt_graph::PartitionedGraph::build(Arc::clone(graph), cfg.partition_bytes).num_partitions()
         as usize
 }
 

@@ -34,20 +34,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Format a float with engineering-style precision (3 significant-ish
-/// digits) for table cells.
-pub fn eng(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else if x.abs() >= 100.0 {
-        format!("{x:.0}")
-    } else if x.abs() >= 1.0 {
-        format!("{x:.2}")
-    } else {
-        format!("{x:.4}")
-    }
-}
-
 /// Format a throughput in M steps/s.
 pub fn msteps(x: f64) -> String {
     format!("{:.1}", x / 1e6)
@@ -61,14 +47,6 @@ pub fn ms(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn eng_formats() {
-        assert_eq!(eng(0.0), "0");
-        assert_eq!(eng(12345.0), "12345");
-        assert_eq!(eng(3.14259), "3.14");
-        assert_eq!(eng(0.1234), "0.1234");
-    }
 
     #[test]
     fn ms_and_msteps() {

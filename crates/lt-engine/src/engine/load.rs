@@ -105,7 +105,7 @@ impl LightTraffic {
         let rank = |p| hostcache::eviction_rank(pools.graph.contains(p), pools.walks_in(p));
         let policy = schedule::graph_eviction(self.cfg.selective);
         let f = cache
-            .fetch(i, policy, &rank, i, Some(&self.exec), self.kernel_threads)
+            .fetch(i, policy, &rank, i, &self.exec)
             .map_err(EngineError::Graph)?;
         if f.missed {
             let bytes = f.data.bytes();

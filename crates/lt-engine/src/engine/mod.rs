@@ -263,8 +263,9 @@ impl LightTraffic {
             active: 0,
             kernel_threads,
             // One long-lived pool; it outlives every batch, so the hot
-            // path never spawns a thread.
-            exec: ExecPool::new(kernel_threads),
+            // path never spawns a thread. `map`'s caller claims indices
+            // too, so `kernel_threads - 1` workers make `kernel_threads`.
+            exec: ExecPool::new(kernel_threads - 1),
             scratch: kernel::ScratchPool::default(),
             local_index: LocalIndex::default(),
             snapshot: None,

@@ -168,18 +168,6 @@ impl Metrics {
         }
     }
 
-    /// Measured host-side stepping rate: steps per *wall-clock* second
-    /// spent inside kernels. This is the number host-parallel execution
-    /// scales (contrast with [`Metrics::throughput`], which reads the
-    /// simulated clock and is thread-count independent).
-    pub fn host_steps_per_second(&self) -> f64 {
-        if self.host_kernel_wall_ns == 0 {
-            0.0
-        } else {
-            self.total_steps as f64 / (self.host_kernel_wall_ns as f64 / 1e9)
-        }
-    }
-
     /// The `p50/p95/p99/p999` walk-length summary. `None` before any
     /// walk finishes.
     pub fn length_percentiles(&self) -> Option<LengthPercentiles> {
@@ -387,18 +375,6 @@ mod tests {
         let m = Metrics::default();
         assert_eq!(m.graph_pool_hit_rate(), 0.0);
         assert_eq!(m.throughput(), 0.0);
-        assert_eq!(m.host_steps_per_second(), 0.0);
-    }
-
-    #[test]
-    fn host_rate_uses_wall_clock() {
-        let m = Metrics {
-            total_steps: 3_000,
-            host_kernel_wall_ns: 1_500_000,
-            makespan_ns: 1, // simulated clock must not leak into the host rate
-            ..Default::default()
-        };
-        assert!((m.host_steps_per_second() - 2e6).abs() < 1.0);
     }
 
     #[test]

@@ -160,3 +160,24 @@ fn one_engine_reused_across_many_runs_matches_the_serial_engine() {
         "the persistent pool never executed a task"
     );
 }
+
+/// `map`'s caller claims indices too, and no fan-out hands out more than
+/// `kernel_threads` of them, so the pool keeps `kernel_threads - 1`
+/// workers: none at one thread.
+#[test]
+fn the_pool_counts_its_caller() {
+    for kernel_threads in [1, 2, 4] {
+        let e = LightTraffic::new(
+            graph(3),
+            Arc::new(UniformSampling::new(4)),
+            config(kernel_threads, None),
+        )
+        .expect("pools fit");
+        let stats = e.exec_stats().expect("the executor is always present");
+        assert_eq!(
+            stats.workers,
+            kernel_threads - 1,
+            "{kernel_threads} threads"
+        );
+    }
+}

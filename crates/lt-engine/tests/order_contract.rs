@@ -4,10 +4,12 @@
 //! commit, so a reorder applied consistently to both sides (a different
 //! frontier insertion order, an eviction taken one walker earlier) would
 //! pass them all while changing the simulated timeline. These three
-//! fixed configurations instead compare a run's
-//! [`RunResult::deterministic_fingerprint`] with recorded constants. A
-//! change that keeps frontier order, eviction timing and victim choice
-//! keeps these numbers; any later change must say why it moves them.
+//! fixed configurations instead compare a digest of a run's simulated
+//! records — device stats, visit counts, paths and the iteration log —
+//! and three named counters with recorded constants. A change that keeps
+//! frontier order, eviction timing and victim choice keeps these
+//! numbers; any later change must say why it moves them. The digest
+//! covers no `Metrics` field, so adding or deleting one moves nothing.
 //!
 //! History of the constants:
 //! - recorded at `5dc395d` (per-walker `try_insert` reshuffle) and kept
@@ -29,6 +31,11 @@
 //!   constants. Evictions, iterations and makespan did not move. Hashes
 //!   before: 7736391454572833660, 5076428522729951092,
 //!   7915301084599244605.
+//! - replaced by the digest of the simulated records, which names no
+//!   `Metrics` field. The parent commit's runs give the same digests and
+//!   the same evictions, iterations and makespan. Whole-fingerprint
+//!   hashes before: 17349645180146113463, 5287810042768202907,
+//!   11511251632741374094.
 //!
 //! The device config is spelled out (`GpuConfig::default()`), so the
 //! `LT_TEST_FAULT_SEED` drill does not reach these runs, and the
@@ -54,19 +61,28 @@ fn graph(scale: u32) -> Arc<Csr> {
     )
 }
 
-/// FNV-1a over the fingerprint: stable across toolchains, unlike
-/// `DefaultHasher`.
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+/// FNV-1a over the serialized simulated records: stable across
+/// toolchains, unlike `DefaultHasher`.
+fn records_digest(r: &RunResult) -> u64 {
+    [
+        serde_json::to_string(&r.gpu),
+        serde_json::to_string(&r.visit_counts),
+        serde_json::to_string(&r.paths),
+        serde_json::to_string(&r.iterations),
+    ]
+    .map(|s| s.expect("simulated records serialize"))
+    .join("|")
+    .bytes()
+    .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
-/// What a configuration is pinned to: the hashed fingerprint plus three
-/// counters a reader can interpret when the hash moves.
+/// What a configuration is pinned to: the records digest plus three
+/// counters a reader can interpret when the digest moves.
 #[derive(Debug, PartialEq, Eq)]
 struct Pinned {
-    fingerprint: u64,
+    records: u64,
     walk_batches_evicted: u64,
     iterations: u64,
     makespan_ns: u64,
@@ -86,7 +102,7 @@ fn run(g: Arc<Csr>, alg: Arc<dyn WalkAlgorithm>, cfg: EngineConfig, walks: u64) 
 
 fn pinned(r: &RunResult) -> Pinned {
     Pinned {
-        fingerprint: fnv1a(&r.deterministic_fingerprint()),
+        records: records_digest(r),
         walk_batches_evicted: r.metrics.walk_batches_evicted,
         iterations: r.metrics.iterations,
         makespan_ns: r.metrics.makespan_ns,
@@ -109,7 +125,7 @@ fn default_pool_large_batches() {
     assert_eq!(
         pinned(&r),
         Pinned {
-            fingerprint: 17_349_645_180_146_113_463,
+            records: 11_035_110_564_600_937_240,
             walk_batches_evicted: 195,
             iterations: 175,
             makespan_ns: 13_416_232,
@@ -135,7 +151,7 @@ fn pool_floor_evicts_constantly() {
     assert_eq!(
         pinned(&r),
         Pinned {
-            fingerprint: 5_287_810_042_768_202_907,
+            records: 18_416_939_030_400_039_400,
             walk_batches_evicted: 3236,
             iterations: 54,
             makespan_ns: 36_775_922,
@@ -163,7 +179,7 @@ fn direct_write_without_selective_scheduling() {
     assert_eq!(
         pinned(&r),
         Pinned {
-            fingerprint: 11_511_251_632_741_374_094,
+            records: 5_046_116_244_713_741_238,
             walk_batches_evicted: 1694,
             iterations: 124,
             makespan_ns: 20_526_390,

@@ -1,14 +1,17 @@
-//! Pinned fingerprints of RAM-store runs. A resident partition of a RAM
+//! Pinned digests of RAM-store runs. A resident partition of a RAM
 //! store is read in place, from the CSR restricted to the partition's
 //! vertex range, and after the first mutation from the evolving block
-//! table. These goldens were recorded when every resident partition was
-//! still a host copy of its rows; they prove that the view a kernel reads
-//! through changes no walk and no simulated counter.
+//! table. The first goldens were recorded when every resident partition
+//! was still a host copy of its rows; they prove that the view a kernel
+//! reads through changes no walk and no simulated record.
 //!
-//! They were re-hashed once since, when `Metrics` lost its always-zero
-//! reshuffle fan-out field: each fingerprint string lost that one
-//! `"…":0` pair, and the previous strings with the pair cut out hash to
-//! the current goldens, so no walk and no counter moved.
+//! A golden is a digest of a run's simulated records: device stats, visit
+//! counts, paths and the iteration log. It covers no `Metrics` field, so
+//! adding or deleting one moves nothing. The goldens were first hashes of
+//! the whole `deterministic_fingerprint` string. They were re-hashed when
+//! `Metrics` lost its always-zero reshuffle fan-out field, then replaced
+//! by the records digest; at each step the parent commit's runs gave the
+//! new goldens and the same evictions, iterations and makespan.
 //!
 //! The goldens include the simulated clock, which the retryable faults of
 //! the `LT_TEST_FAULT_SEED` drill move, so every golden run spells out a
@@ -22,15 +25,21 @@ use lt_graph::gen::{erdos_renyi, locality_mutations, rmat, RmatParams};
 use lt_graph::Csr;
 use std::sync::Arc;
 
-/// FNV-1a over a fingerprint string: short enough to pin in source.
-fn digest(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+/// FNV-1a over the serialized simulated records: short enough to pin in
+/// source.
+fn digest(r: &RunResult) -> u64 {
+    [
+        serde_json::to_string(&r.gpu),
+        serde_json::to_string(&r.visit_counts),
+        serde_json::to_string(&r.paths),
+        serde_json::to_string(&r.iterations),
+    ]
+    .map(|s| s.expect("simulated records serialize"))
+    .join("|")
+    .bytes()
+    .fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
-}
-
-fn fingerprint(r: &RunResult) -> u64 {
-    digest(&r.deterministic_fingerprint())
 }
 
 fn graphs() -> Vec<(&'static str, Arc<Csr>)> {
@@ -102,24 +111,24 @@ fn algorithms() -> [(&'static str, Arc<dyn WalkAlgorithm>); 2] {
 
 /// node2vec (p = 0.25, q = 4) and PageRank on three graphs, under
 /// explicit copies only and under adaptive zero copy, at one and four
-/// kernel threads: every fingerprint equals its golden, and under the
+/// kernel threads: every digest equals its golden, and under the
 /// fault drill every faulted run has the same visits and paths.
 #[test]
 fn resident_reads_keep_the_recorded_fingerprints() {
     #[rustfmt::skip]
     let golden: &[(&str, &str, &str, u64)] = &[
-        ("rmat11", "node2vec", "never", 0x9b4bc107d2744c06),
-        ("rmat11", "node2vec", "adaptive", 0xc738e05192d825cd),
-        ("rmat11", "pagerank", "never", 0x25d1ddc8d692e93f),
-        ("rmat11", "pagerank", "adaptive", 0x6d09e9cf0888610a),
-        ("er2048", "node2vec", "never", 0x1597b74dc045e776),
-        ("er2048", "node2vec", "adaptive", 0xc2deaf95560b625f),
-        ("er2048", "pagerank", "never", 0x5b4f072645787d85),
-        ("er2048", "pagerank", "adaptive", 0xf1e41f4c667edd93),
-        ("rmat12", "node2vec", "never", 0x544062cd639ef71d),
-        ("rmat12", "node2vec", "adaptive", 0x6fc02a4c3f2cbd47),
-        ("rmat12", "pagerank", "never", 0xb664bf5ec38ee64b),
-        ("rmat12", "pagerank", "adaptive", 0xcffdf453d820a35f),
+        ("rmat11", "node2vec", "never", 0x05f1fb7cb6665445),
+        ("rmat11", "node2vec", "adaptive", 0x4c80afa7a3d34463),
+        ("rmat11", "pagerank", "never", 0x1f60aa0f79919937),
+        ("rmat11", "pagerank", "adaptive", 0x3940b8d9e23165f8),
+        ("er2048", "node2vec", "never", 0xf85ee2aeec383177),
+        ("er2048", "node2vec", "adaptive", 0xdd051926ee93d5a0),
+        ("er2048", "pagerank", "never", 0x172baa1142c29ab8),
+        ("er2048", "pagerank", "adaptive", 0xc8ccc0c601b34e4e),
+        ("rmat12", "node2vec", "never", 0xbb70dbd12ccc0209),
+        ("rmat12", "node2vec", "adaptive", 0xe1c2bc48617b90eb),
+        ("rmat12", "pagerank", "never", 0x24d157c268664af1),
+        ("rmat12", "pagerank", "adaptive", 0xed6ef249f6bb3b77),
     ];
     let mut got = Vec::new();
     let mut retries = 0;
@@ -137,7 +146,7 @@ fn resident_reads_keep_the_recorded_fingerprints() {
                         let what = format!("{gname} {aname} {pname} {threads} threads");
                         retries += assert_same_outputs(&run(cfg), &clean, &what);
                     }
-                    fingerprint(&clean)
+                    digest(&clean)
                 });
                 prints.sort_unstable();
                 assert_eq!(
@@ -157,14 +166,14 @@ fn resident_reads_keep_the_recorded_fingerprints() {
 
 /// Resident loads on a RAM engine, then a mutation and a seal, then more
 /// walks: the reads move from the borrowed CSR to the sealed blocks, and
-/// the fingerprint equals its golden at one and four kernel threads. Under
+/// the digest equals its golden at one and four kernel threads. Under
 /// the fault drill both waves of a faulted engine have the same visits
 /// and paths.
 #[test]
 fn a_seal_hands_resident_reads_over_to_the_block_table() {
     let (_, g) = graphs().swap_remove(0);
     let alg: Arc<dyn WalkAlgorithm> = Arc::new(SecondOrderWalk::node2vec(20, 0.25, 4.0));
-    let golden: u64 = 0x244a750c9140242d;
+    let golden: u64 = 0x9332f442de226d6f;
     // Both waves: before the seal and after it.
     let waves = |cfg| {
         let mut e = LightTraffic::new(g.clone(), alg.clone(), cfg).expect("pools fit");
@@ -180,7 +189,7 @@ fn a_seal_hands_resident_reads_over_to_the_block_table() {
     for threads in [1, 4] {
         let cfg = cfg(ZeroCopyPolicy::adaptive(), threads);
         let (first, second) = waves(cfg.clone());
-        assert_eq!(fingerprint(&second), golden, "{threads} kernel threads");
+        assert_eq!(digest(&second), golden, "{threads} kernel threads");
         if let Some(cfg) = faulted(&cfg) {
             let (f1, f2) = waves(cfg);
             let retries =

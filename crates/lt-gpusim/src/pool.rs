@@ -45,11 +45,6 @@ impl<T> BlockPool<T> {
         self.blocks.len()
     }
 
-    /// Blocks currently holding a value.
-    pub fn in_use(&self) -> usize {
-        self.blocks.len() - self.free.len()
-    }
-
     /// Blocks currently free.
     pub fn free_blocks(&self) -> usize {
         self.free.len()
@@ -169,7 +164,6 @@ mod tests {
         assert_eq!(pool.free_blocks(), 1);
         let c = pool.acquire(30).unwrap();
         assert_eq!(*pool.get(c), 30);
-        assert_eq!(pool.in_use(), 2);
         *pool.get_mut(b) = 21;
         assert_eq!(*pool.get(b), 21);
     }

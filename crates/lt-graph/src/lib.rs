@@ -35,9 +35,6 @@ pub use partition::{PartitionData, PartitionId, PartitionLookup, PartitionedGrap
 /// Vertex identifier. Dense, `0..num_vertices`.
 pub type VertexId = u32;
 
-/// Index into the CSR edge array.
-pub type EdgeIndex = u64;
-
 /// Bytes used per vertex entry in the CSR on-device layout (one `u64` offset).
 pub const VERTEX_ENTRY_BYTES: u64 = 8;
 

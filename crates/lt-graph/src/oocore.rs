@@ -33,9 +33,16 @@
 //!
 //! Chunks hold [`CHUNK_VERTICES`] vertices each and record their absolute
 //! first edge, so a partition decode fans out across chunks into disjoint
-//! output slices with no cross-chunk scan — the engine's `ExecPool` runs
-//! [`decode_chunk`] per chunk in parallel (see `lt-engine`'s host decode
-//! cache).
+//! output slices with no cross-chunk scan.
+//!
+//! This module is the only one that knows the layout: outside it a file
+//! holds partitions, not chunks. [`OocGraph::decode_partition_with`] is
+//! the one partition decoder. It reads the region with one positional
+//! read, cuts its chunks into groups of about equal edge count, carves the
+//! output buffers into disjoint spans per group, and runs the groups
+//! through a fan-out its caller passes in (the engine's host decode cache
+//! passes its worker pool). [`OocGraph::decode_partition`] is its serial
+//! one-group case.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::partition::{PartitionData, PartitionedGraph};
@@ -43,7 +50,7 @@ use crate::{Csr, GraphError, VertexId};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Magic bytes of the out-of-core compressed format, revision 1.
 pub const OOC_MAGIC: &[u8; 8] = b"LTOOCGR1";
@@ -154,21 +161,21 @@ fn truncated() -> GraphError {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk plans
+// Chunk plans and the grouped decode
 // ---------------------------------------------------------------------------
 
 /// One independently-decodable unit of a partition region: a contiguous run
 /// of vertex rows plus where its output lands.
 #[derive(Clone, Debug)]
-pub struct ChunkPlan {
+struct ChunkPlan {
     /// First vertex of the chunk (global id, inclusive).
-    pub v_start: VertexId,
+    v_start: VertexId,
     /// Last vertex of the chunk (global id, exclusive).
-    pub v_end: VertexId,
+    v_end: VertexId,
     /// Index of the chunk's first edge, relative to the partition start.
-    pub first_edge: u64,
+    first_edge: u64,
     /// Number of edges in the chunk.
-    pub num_edges: u64,
+    num_edges: u64,
     /// Byte offset of the chunk's first row within the region.
     payload_start: usize,
 }
@@ -178,7 +185,7 @@ pub struct ChunkPlan {
 /// `v_start..v_end` is the partition's vertex range and `part_edges` its
 /// edge count (both from the file header); they bound the directory so a
 /// corrupt region fails cleanly instead of mis-slicing output buffers.
-pub fn parse_chunk_plans(
+fn parse_chunk_plans(
     region: &[u8],
     v_start: VertexId,
     v_end: VertexId,
@@ -216,6 +223,13 @@ pub fn parse_chunk_plans(
             payload_start,
         });
     }
+    // Chunks tile the partition from its first vertex and edge on, so a
+    // decode can hand them consecutive output spans.
+    if plans[0].v_start != v_start || plans[0].first_edge != 0 {
+        return Err(GraphError::Format(
+            "chunk directory does not start at the partition start".into(),
+        ));
+    }
     for i in 0..count {
         let (next_v, next_e) = if i + 1 < count {
             (plans[i + 1].v_start, plans[i + 1].first_edge)
@@ -234,27 +248,83 @@ pub fn parse_chunk_plans(
     Ok(plans)
 }
 
-/// Decode one chunk into pre-split output slices.
-///
-/// `offsets` receives one entry per chunk vertex: the partition-relative
-/// edge start of each row (the caller writes the final `offsets[n] =
-/// part_edges` sentinel once, after all chunks). `edges` (and the optional
-/// `weights`/`timestamps`) are the slices `[first_edge .. first_edge +
-/// num_edges)` of the partition's output buffers — disjoint across chunks,
-/// so a parallel decode needs no synchronization.
-#[allow(clippy::too_many_arguments)] // one pre-split output slice per CSR array
-pub fn decode_chunk(
-    region: &[u8],
-    plan: &ChunkPlan,
-    weighted: bool,
-    temporal: bool,
-    offsets: &mut [u64],
-    edges: &mut [VertexId],
-    mut weights: Option<&mut [f32]>,
-    mut timestamps: Option<&mut [u32]>,
-) -> Result<(), GraphError> {
-    debug_assert_eq!(offsets.len(), (plan.v_end - plan.v_start) as usize);
-    debug_assert_eq!(edges.len() as u64, plan.num_edges);
+/// Cut `plans` (one partition's chunks, `part_edges` edges in all) into
+/// `groups` contiguous non-empty runs of about equal *edge* count, as
+/// exclusive end indices: decode time follows edges, and a power-law
+/// partition keeps its hubs in the first chunks. Run `g` ends at the first
+/// chunk starting at or past `g/groups` of the edges, clamped so that
+/// every run keeps a chunk.
+fn group_ends(plans: &[ChunkPlan], part_edges: u64, groups: usize) -> Vec<usize> {
+    debug_assert!((1..=plans.len()).contains(&groups));
+    let mut ends = Vec::with_capacity(groups);
+    let mut start = 0;
+    for g in 1..groups {
+        let target = g as u64 * part_edges / groups as u64;
+        let end = plans
+            .partition_point(|c| c.first_edge < target)
+            .clamp(start + 1, plans.len() - (groups - g));
+        ends.push(end);
+        start = end;
+    }
+    ends.push(plans.len());
+    ends
+}
+
+/// One chunk's share of a partition decode: its plan and the disjoint
+/// output spans its rows fill — `offsets` one entry per chunk vertex,
+/// `edges` (and, for a weighted or temporal file, `weights` /
+/// `timestamps`) the chunk's `[first_edge .. first_edge + num_edges)` of
+/// the partition's buffers.
+struct ChunkOut<'a> {
+    plan: &'a ChunkPlan,
+    offsets: &'a mut [u64],
+    edges: &'a mut [VertexId],
+    weights: Option<&'a mut [f32]>,
+    timestamps: Option<&'a mut [u32]>,
+}
+
+/// Split the first `n` items off `rest`, leaving the remainder there.
+fn take_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (front, back) = std::mem::take(rest).split_at_mut(n);
+    *rest = back;
+    front
+}
+
+/// Cut `data`'s output buffers into one [`ChunkOut`] per plan. Chunks
+/// tile the partition in order, so the buffers split into disjoint
+/// `&mut` subslices (the final `offsets` sentinel belongs to none).
+fn carve<'a>(plans: &'a [ChunkPlan], data: &'a mut PartitionData) -> Vec<ChunkOut<'a>> {
+    let n = data.offsets.len() - 1;
+    let mut offsets = &mut data.offsets[..n];
+    let mut edges = &mut data.edges[..];
+    let mut weights = data.weights.as_deref_mut();
+    let mut timestamps = data.timestamps.as_deref_mut();
+    plans
+        .iter()
+        .map(|plan| {
+            let ne = plan.num_edges as usize;
+            ChunkOut {
+                plan,
+                offsets: take_front(&mut offsets, (plan.v_end - plan.v_start) as usize),
+                edges: take_front(&mut edges, ne),
+                weights: weights.as_mut().map(|w| take_front(w, ne)),
+                timestamps: timestamps.as_mut().map(|t| take_front(t, ne)),
+            }
+        })
+        .collect()
+}
+
+/// Decode one chunk into its spans. `offsets` receives the
+/// partition-relative edge start of each row; the caller writes the
+/// final `offsets[n] = part_edges` sentinel once, after all chunks.
+fn decode_chunk(region: &[u8], out: ChunkOut) -> Result<(), GraphError> {
+    let ChunkOut {
+        plan,
+        offsets,
+        edges,
+        mut weights,
+        mut timestamps,
+    } = out;
     let mut pos = plan.payload_start;
     let mut edge_cursor = 0usize;
     for (li, v) in (plan.v_start..plan.v_end).enumerate() {
@@ -273,34 +343,30 @@ pub fn decode_chunk(
             *slot = VertexId::try_from(prev)
                 .map_err(|_| GraphError::Format("decoded neighbor out of u32 range".into()))?;
         }
-        if temporal {
-            if let Some(ts) = timestamps.as_deref_mut() {
-                let row = &mut ts[edge_cursor..edge_cursor + d];
-                if let Some((first, rest)) = row.split_first_mut() {
-                    let t0 = get_varint(region, &mut pos).ok_or_else(truncated)?;
-                    *first = u32::try_from(t0)
+        if let Some(ts) = timestamps.as_deref_mut() {
+            let row = &mut ts[edge_cursor..edge_cursor + d];
+            if let Some((first, rest)) = row.split_first_mut() {
+                let t0 = get_varint(region, &mut pos).ok_or_else(truncated)?;
+                *first = u32::try_from(t0)
+                    .map_err(|_| GraphError::Format("timestamp out of u32 range".into()))?;
+                let mut prev = *first as i64;
+                for slot in rest {
+                    prev += unzigzag(get_varint(region, &mut pos).ok_or_else(truncated)?);
+                    *slot = u32::try_from(prev)
                         .map_err(|_| GraphError::Format("timestamp out of u32 range".into()))?;
-                    let mut prev = *first as i64;
-                    for slot in rest {
-                        prev += unzigzag(get_varint(region, &mut pos).ok_or_else(truncated)?);
-                        *slot = u32::try_from(prev)
-                            .map_err(|_| GraphError::Format("timestamp out of u32 range".into()))?;
-                    }
                 }
             }
         }
-        if weighted {
-            if let Some(ws) = weights.as_deref_mut() {
-                let row = &mut ws[edge_cursor..edge_cursor + d];
-                let end = pos + 4 * d;
-                if end > region.len() {
-                    return Err(truncated());
-                }
-                for (k, slot) in row.iter_mut().enumerate() {
-                    *slot = f32::from_le_bytes(array_at(region, pos + 4 * k));
-                }
-                pos = end;
+        if let Some(ws) = weights.as_deref_mut() {
+            let row = &mut ws[edge_cursor..edge_cursor + d];
+            let end = pos + 4 * d;
+            if end > region.len() {
+                return Err(truncated());
             }
+            for (k, slot) in row.iter_mut().enumerate() {
+                *slot = f32::from_le_bytes(array_at(region, pos + 4 * k));
+            }
+            pos = end;
         }
         edge_cursor += d;
     }
@@ -448,7 +514,7 @@ pub struct OocGraph {
 
 impl OocGraph {
     /// Open `path`, validating the header and partition table. Adjacency
-    /// stays on disk until [`OocGraph::region`] reads it.
+    /// stays on disk until a partition is decoded.
     pub fn open(path: &Path) -> Result<OocGraph, GraphError> {
         let f = File::open(path)?;
         let mut fixed = [0u8; HEADER_FIXED];
@@ -529,14 +595,6 @@ impl OocGraph {
         self.num_edges
     }
 
-    pub fn is_weighted(&self) -> bool {
-        self.weighted
-    }
-
-    pub fn is_temporal(&self) -> bool {
-        self.temporal
-    }
-
     pub fn num_partitions(&self) -> u32 {
         (self.boundaries.len() - 1) as u32
     }
@@ -558,7 +616,7 @@ impl OocGraph {
     }
 
     /// Edge count of partition `p`.
-    pub fn partition_edges(&self, p: u32) -> u64 {
+    pub(crate) fn partition_edges(&self, p: u32) -> u64 {
         self.part_edges[p as usize]
     }
 
@@ -577,7 +635,7 @@ impl OocGraph {
     /// The raw compressed bytes of partition `p`'s region, in a fresh
     /// buffer filled by one positional read. A file cut short since
     /// [`OocGraph::open`] fails here with [`GraphError::Io`].
-    pub fn region(&self, p: u32) -> Result<Vec<u8>, GraphError> {
+    fn region(&self, p: u32) -> Result<Vec<u8>, GraphError> {
         let lo = self.regions[p as usize];
         let hi = self.regions[p as usize + 1];
         let mut buf = vec![0u8; (hi - lo) as usize];
@@ -585,57 +643,69 @@ impl OocGraph {
         Ok(buf)
     }
 
-    /// Chunk decode plans for partition `p`'s region bytes (as returned by
-    /// [`OocGraph::region`]).
-    pub fn chunk_plans(&self, p: u32, region: &[u8]) -> Result<Vec<ChunkPlan>, GraphError> {
-        parse_chunk_plans(
-            region,
-            self.boundaries[p as usize],
-            self.boundaries[p as usize + 1],
-            self.part_edges[p as usize],
-        )
+    /// Decode partition `p` serially into a fresh [`PartitionData`]: the
+    /// one-group case of [`OocGraph::decode_partition_with`].
+    pub fn decode_partition(&self, p: u32) -> Result<PartitionData, GraphError> {
+        self.decode_partition_with(p, 1, |n, f| (0..n).map(f).collect())
     }
 
-    /// Decode partition `p` serially into a fresh [`PartitionData`].
-    ///
-    /// The engine's host decode cache uses the chunk-level API instead
-    /// when it has workers to fan the decode out over; this is the path
-    /// for everything else ([`PartitionedGraph::read_block`], tests).
-    pub fn decode_partition(&self, p: u32) -> Result<PartitionData, GraphError> {
+    /// Decode partition `p` into a fresh [`PartitionData`], its chunks cut
+    /// into at most `groups` contiguous groups of about equal edge count
+    /// (at least one, at most one per chunk). `fan_out(n, f)` must run
+    /// `f(g)` once for every group `g` in `0..n` and return the outputs in
+    /// index order, on as many threads as it likes (`|n, f| exec.map(n,
+    /// f)` over a worker pool): each group writes only its own disjoint
+    /// spans of the output, handed to its index through a slot taken
+    /// once. Chunk boundaries are fixed by the file, so the decoded bytes
+    /// are the same for every group count. A read or decode failure is
+    /// returned, the lowest failing group's first.
+    pub fn decode_partition_with<F>(
+        &self,
+        p: u32,
+        groups: usize,
+        fan_out: F,
+    ) -> Result<PartitionData, GraphError>
+    where
+        F: FnOnce(
+            usize,
+            &(dyn Fn(usize) -> Result<(), GraphError> + Sync),
+        ) -> Vec<Result<(), GraphError>>,
+    {
         let v_start = self.boundaries[p as usize];
         let v_end = self.boundaries[p as usize + 1];
-        let ne = self.part_edges[p as usize] as usize;
+        let ne = self.part_edges[p as usize];
         let n = (v_end - v_start) as usize;
+        let region = self.region(p)?;
+        let plans = parse_chunk_plans(&region, v_start, v_end, ne)?;
         let mut data = PartitionData {
             id: p,
             v_start,
             v_end,
             offsets: vec![0u64; n + 1],
-            edges: vec![0; ne],
-            weights: self.weighted.then(|| vec![0.0; ne]),
-            timestamps: self.temporal.then(|| vec![0; ne]),
+            edges: vec![0; ne as usize],
+            weights: self.weighted.then(|| vec![0.0; ne as usize]),
+            timestamps: self.temporal.then(|| vec![0; ne as usize]),
         };
-        let region = self.region(p)?;
-        let plans = self.chunk_plans(p, &region)?;
-        for plan in &plans {
-            let ls = (plan.v_start - v_start) as usize;
-            let le = (plan.v_end - v_start) as usize;
-            let (e0, e1) = (
-                plan.first_edge as usize,
-                (plan.first_edge + plan.num_edges) as usize,
-            );
-            decode_chunk(
-                &region,
-                plan,
-                self.weighted,
-                self.temporal,
-                &mut data.offsets[ls..le],
-                &mut data.edges[e0..e1],
-                data.weights.as_mut().map(|w| &mut w[e0..e1]),
-                data.timestamps.as_mut().map(|t| &mut t[e0..e1]),
-            )?;
-        }
-        data.offsets[n] = self.part_edges[p as usize];
+        let mut chunks = carve(&plans, &mut data).into_iter();
+        let mut start = 0;
+        let slots: Vec<Mutex<Vec<ChunkOut>>> = group_ends(&plans, ne, groups.clamp(1, plans.len()))
+            .into_iter()
+            .map(|end| {
+                let group = chunks.by_ref().take(end - start).collect();
+                start = end;
+                Mutex::new(group)
+            })
+            .collect();
+        let decode_group = |g: usize| {
+            let group =
+                std::mem::take(&mut *slots[g].lock().expect("a slot is only locked to take it"));
+            group.into_iter().try_for_each(|c| decode_chunk(&region, c))
+        };
+        let decoded = fan_out(slots.len(), &decode_group);
+        debug_assert_eq!(decoded.len(), slots.len(), "the fan-out ran every group");
+        decoded.into_iter().collect::<Result<(), GraphError>>()?;
+        drop(slots);
+        data.offsets[n] = ne;
         Ok(data)
     }
 }
@@ -734,8 +804,8 @@ mod tests {
             let ooc = OocGraph::open(&path).expect("opens");
             assert_eq!(ooc.num_vertices(), csr.num_vertices());
             assert_eq!(ooc.num_edges(), csr.num_edges());
-            assert_eq!(ooc.is_weighted(), csr.is_weighted());
-            assert_eq!(ooc.is_temporal(), csr.is_temporal());
+            assert_eq!(ooc.weighted, csr.is_weighted());
+            assert_eq!(ooc.temporal, csr.is_temporal());
             assert_eq!(ooc.uncompressed_bytes(), csr.csr_bytes());
             assert_partitions_match(&pg, &ooc);
             std::fs::remove_file(&path).ok();
@@ -772,6 +842,146 @@ mod tests {
         f.set_len(len / 2).unwrap();
         assert!(matches!(ooc.decode_partition(last), Err(GraphError::Io(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A directory whose first chunk starts past the partition's first
+    /// vertex or edge is refused, not decoded into shifted spans.
+    #[test]
+    fn a_directory_that_skips_the_partition_start_is_refused() {
+        let pg = PartitionedGraph::build(Arc::new(powerlaw(9, 8, 29)), 8 << 10);
+        let path = tmp("skipped_start");
+        write_oocore(&pg, &path).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        let entry = OocGraph::open(&path).unwrap().regions[0] as usize + 4;
+        for (field, at) in [("first vertex", entry), ("first edge", entry + 4)] {
+            let mut bad = full.clone();
+            bad[at] += 1;
+            std::fs::write(&path, &bad).unwrap();
+            let ooc = OocGraph::open(&path).unwrap();
+            assert!(
+                matches!(ooc.decode_partition(0), Err(GraphError::Format(_))),
+                "{field}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A fan-out on one scoped thread per group, so the groups of a
+    /// grouped decode really run at once.
+    fn on_threads(
+        n: usize,
+        f: &(dyn Fn(usize) -> Result<(), GraphError> + Sync),
+    ) -> Vec<Result<(), GraphError>> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n).map(|g| s.spawn(move || f(g))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    fn plans(ooc: &OocGraph, p: u32) -> Vec<ChunkPlan> {
+        let (i, region) = (p as usize, ooc.region(p).unwrap());
+        parse_chunk_plans(
+            &region,
+            ooc.boundaries[i],
+            ooc.boundaries[i + 1],
+            ooc.part_edges[i],
+        )
+        .unwrap()
+    }
+
+    /// Every flavour, every partition, every group count from one to the
+    /// partition's chunk count, on as many threads as groups: each decode
+    /// equals `extract`.
+    #[test]
+    fn grouped_decode_matches_extract_at_every_group_count() {
+        let base = powerlaw(11, 4, 17);
+        for (name, csr) in [
+            ("plain", base.clone()),
+            ("weighted", with_random_weights(&base, 7)),
+            ("temporal", with_random_timestamps(&base, 7, 1000)),
+        ] {
+            let pg = PartitionedGraph::build(Arc::new(csr), 32 << 10);
+            let path = tmp(&format!("grouped_{name}"));
+            write_oocore(&pg, &path).unwrap();
+            let ooc = OocGraph::open(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let mut most_chunks = 0;
+            for p in 0..ooc.num_partitions() {
+                let chunks = plans(&ooc, p).len();
+                most_chunks = most_chunks.max(chunks);
+                let want = pg.extract(p);
+                for groups in 1..=chunks {
+                    let got = ooc.decode_partition_with(p, groups, on_threads).unwrap();
+                    assert_eq!(got, want, "{name} partition {p}, {groups} groups");
+                }
+            }
+            assert!(
+                most_chunks >= 3,
+                "{name}: at most {most_chunks} chunks a partition"
+            );
+        }
+    }
+
+    /// A hub in a partition's first chunk: groups of equal chunk count
+    /// would give one thread most of the edges. The edge-balanced cut
+    /// keeps the larger of two groups within one chunk of half, and the
+    /// decode is identical however many groups share it.
+    #[test]
+    fn skewed_partition_splits_by_edges_and_decodes_identically() {
+        let (n, hub_degree) = (2048u32, 2000u32);
+        let mut edges: Vec<u32> = (1..=hub_degree).collect();
+        edges.extend((1..n).map(|v| (v + 1) % n));
+        let offsets = (0..=n as u64).map(|v| if v == 0 { 0 } else { hub_degree as u64 + v - 1 });
+        let csr = Csr::new(offsets.collect(), edges, None).unwrap();
+        let pg = PartitionedGraph::build(Arc::new(csr), 32 << 10);
+        let path = tmp("skewed");
+        write_oocore(&pg, &path).unwrap();
+        let ooc = OocGraph::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let ne = ooc.partition_edges(0);
+        let plans = plans(&ooc, 0);
+        assert!(plans.len() >= 4, "partition 0 has {} chunks", plans.len());
+        assert!(2 * plans[0].num_edges > ne, "the first chunk holds the hub");
+        let ends = group_ends(&plans, ne, 2);
+        assert_eq!(ends, [1, plans.len()], "the hub's chunk is its own group");
+        let largest_chunk = plans.iter().map(|c| c.num_edges).max().unwrap();
+        assert!(plans[0].num_edges <= ne / 2 + largest_chunk);
+        let want = pg.extract(0);
+        for groups in 1..=plans.len() {
+            let ends = group_ends(&plans, ne, groups);
+            assert_eq!((ends.len(), ends[groups - 1]), (groups, plans.len()));
+            assert!(ends[0] >= 1 && ends.windows(2).all(|w| w[0] < w[1]));
+            let got = ooc.decode_partition_with(0, groups, on_threads).unwrap();
+            assert_eq!(got, want, "{groups} groups");
+        }
+        // More groups than chunks: one group per chunk.
+        let got = ooc.decode_partition_with(0, 64, |n, f| {
+            assert_eq!(n, plans.len());
+            on_threads(n, f)
+        });
+        assert_eq!(got.unwrap(), want);
+    }
+
+    /// One opened file, read on four threads at once in different
+    /// partition orders: positional reads share no cursor.
+    #[test]
+    fn concurrent_readers_share_one_ooc_graph() {
+        let pg = PartitionedGraph::build(Arc::new(powerlaw(11, 8, 23)), 32 << 10);
+        let path = tmp("concurrent");
+        write_oocore(&pg, &path).unwrap();
+        let ooc = OocGraph::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let parts = ooc.num_partitions();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (ooc, pg) = (&ooc, &pg);
+                s.spawn(move || {
+                    for p in (0..parts).map(|p| (p + t) % parts) {
+                        assert_eq!(ooc.decode_partition(p).unwrap(), pg.extract(p), "{p}");
+                    }
+                });
+            }
+        });
     }
 
     /// Sorted power-law adjacency must compress well — the engine's whole

@@ -35,6 +35,10 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Recent phase spans retained per job (the flight-recorder ring; older
+/// spans drop but stay counted).
+const SPAN_CAPACITY: usize = 64;
+
 /// Serving-layer configuration over the engine's.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -50,9 +54,6 @@ pub struct ServerConfig {
     pub tranche_walkers: usize,
     /// Engine scheduler iterations per pump round.
     pub pump_iterations: u64,
-    /// Recent phase spans retained per job (the flight-recorder ring;
-    /// older spans drop but stay counted).
-    pub span_capacity: usize,
     /// When set, flight records are dumped here as JSONL
     /// (`flight-job<id>-<reason>.jsonl`) whenever a job is evicted, parks
     /// on budget exhaustion, or the engine faults — readable with
@@ -86,7 +87,6 @@ impl ServerConfig {
             default_budget: u64::MAX,
             tranche_walkers: 1 << 12,
             pump_iterations: 8,
-            span_capacity: 64,
             flight_recorder_dir: None,
         }
     }
@@ -329,7 +329,7 @@ impl Scheduler {
                 id.0,
                 tenant,
                 derive_trace_id(self.cfg.engine.seed, tag),
-                self.cfg.span_capacity,
+                SPAN_CAPACITY,
             ),
         });
         let idx = self.jobs.len() - 1;
