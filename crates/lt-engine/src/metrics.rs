@@ -2,7 +2,7 @@
 //! comparisons are built from.
 
 use lt_gpusim::GpuStats;
-use lt_telemetry::{LengthPercentiles, MetricRegistry};
+use lt_telemetry::{log2_bucket, LengthPercentiles, MetricRegistry};
 use serde::Serialize;
 
 /// One scheduler iteration's record, collected when
@@ -137,11 +137,7 @@ pub struct Metrics {
 impl Metrics {
     /// Record a finished walk of `steps` steps into the length histogram.
     pub(crate) fn record_length(&mut self, steps: u32) {
-        let b = if steps == 0 {
-            0
-        } else {
-            (31 - steps.leading_zeros()) as usize
-        };
+        let b = log2_bucket(steps.into());
         if b >= self.length_histogram.len() {
             self.length_histogram.resize(b + 1, 0);
         }

@@ -160,6 +160,17 @@ fn truncated() -> GraphError {
     GraphError::Format("out-of-core payload truncated".into())
 }
 
+/// Refuse a partition of `vertices` rows and `edges` edges in a region of
+/// `bytes`: every row's degree and every edge cost at least one byte.
+fn check_fits(vertices: u32, edges: u64, bytes: u64) -> Result<(), GraphError> {
+    if edges.saturating_add(vertices.into()) > bytes {
+        return Err(GraphError::Format(
+            "partition edge count exceeds its region".into(),
+        ));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Chunk plans and the grouped decode
 // ---------------------------------------------------------------------------
@@ -194,6 +205,8 @@ fn parse_chunk_plans(
     if region.len() < 4 {
         return Err(truncated());
     }
+    // Checked before the allocations a hostile edge count sizes.
+    check_fits(v_end - v_start, part_edges, region.len() as u64)?;
     let count = u32::from_le_bytes(array_at(region, 0)) as usize;
     let dir_end = 4 + count * DIR_ENTRY;
     if region.len() < dir_end {
@@ -565,13 +578,19 @@ impl OocGraph {
         if regions.windows(2).any(|w| w[0] > w[1]) {
             return Err(GraphError::Format("region table not monotone".into()));
         }
+        if regions[p] != file_len {
+            return Err(GraphError::Format("region table exceeds the file".into()));
+        }
+        // Bounding each count by its region's bytes first keeps the sum
+        // below the file's length.
+        for i in 0..p {
+            let vertices = boundaries[i + 1] - boundaries[i];
+            check_fits(vertices, part_edges[i], regions[i + 1] - regions[i])?;
+        }
         if part_edges.iter().sum::<u64>() != num_edges {
             return Err(GraphError::Format(
                 "partition edge counts do not sum to |E|".into(),
             ));
-        }
-        if regions[p] != file_len {
-            return Err(GraphError::Format("region table exceeds the file".into()));
         }
         Ok(OocGraph {
             file: f,
@@ -1018,6 +1037,38 @@ mod tests {
         hostile[25..29].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &hostile).unwrap();
         assert!(matches!(OocGraph::open(&path), Err(GraphError::Format(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A header that claims 2^40 more edges in one partition (and in
+    /// |E|, so the sum still matches) is refused by `open`, and a decode
+    /// against such a count is refused too: neither sizes an allocation
+    /// from it.
+    #[test]
+    fn hostile_edge_counts_are_refused_not_allocated() {
+        let pg = PartitionedGraph::build(Arc::new(powerlaw(8, 8, 9)), 8 << 10);
+        let path = tmp("hostile_edges");
+        write_oocore(&pg, &path).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        let ooc = OocGraph::open(&path).unwrap();
+        let p = ooc.num_partitions() as usize;
+        let part_edges_at = HEADER_FIXED + 4 * (p + 1) + 8 * p;
+        let bump = |bytes: &mut [u8], at: usize| {
+            let v = u64::from_le_bytes(array_at(bytes, at)) + (1 << 40);
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        };
+        let mut hostile = full.clone();
+        bump(&mut hostile, 17);
+        bump(&mut hostile, part_edges_at);
+        std::fs::write(&path, &hostile).unwrap();
+        assert!(matches!(OocGraph::open(&path), Err(GraphError::Format(_))));
+        std::fs::write(&path, &full).unwrap();
+        let mut ooc = OocGraph::open(&path).unwrap();
+        ooc.part_edges[0] += 1 << 40;
+        assert!(matches!(
+            ooc.decode_partition(0),
+            Err(GraphError::Format(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 

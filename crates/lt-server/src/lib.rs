@@ -14,6 +14,8 @@
 //! The front end is [`Server`] (scheduler on its own thread, cloneable
 //! in-process [`ServerHandle`]) plus the optional [`TcpFrontend`]
 //! speaking line-delimited JSON — no async runtime anywhere.
+//! Metrics are pulled: [`ServerHandle::metrics`] publishes the scheduler
+//! into the server's one registry and renders it.
 //!
 //! Determinism: scheduling decisions are pure functions of submission
 //! order and budget state, and each job's result is bit-identical to the

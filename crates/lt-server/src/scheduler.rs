@@ -19,6 +19,10 @@
 //! ([`JobStatus::Blocked`]) and a [`Scheduler::top_up`] resumes them
 //! where they left off. Re-injecting parked walkers is free — the tokens
 //! were spent at first admission.
+//!
+//! Observability is pull: the scheduler keeps plain per-tenant counters,
+//! owns no registry, and [`Scheduler::publish`] projects them with the
+//! engine's series on demand.
 
 use lt_engine::{
     radix_sort_u32, Checkpoint, EdgeUpdate, EngineConfig, EngineError, JobId, JobSpec, JobStart,
@@ -26,8 +30,8 @@ use lt_engine::{
 };
 use lt_graph::{Csr, VertexId};
 use lt_telemetry::{
-    derive_trace_id, log2_histogram_percentile, JobPhase, JobTrace, LengthPercentiles,
-    MetricRegistry, TrafficReport, SHARED_TAG,
+    derive_trace_id, log2_bucket, log2_histogram_percentile, JobPhase, JobTrace, LengthPercentiles,
+    TrafficCell, TrafficDirection, TrafficReport, TrafficRow, SHARED_TAG,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -199,15 +203,35 @@ impl JobState {
     }
 }
 
+/// A tenant's budget and its plain counters. Only the budget feeds a
+/// scheduling decision; the rest is read by [`Scheduler::publish`].
+#[derive(Default)]
 struct Tenant {
     budget: u64,
-    spent: u64,
-    /// log₂ histogram of simulated nanoseconds per step the tenant
-    /// observed each pump round (bucket 0 = 0 ns, bucket i covers
-    /// `[2^(i-1), 2^i)`). Pull-side only: exported as quantile gauges,
-    /// never read by a scheduling decision.
+    jobs_submitted: u64,
+    jobs_evicted: u64,
+    jobs_parked: u64,
+    /// Fresh walkers admitted (one token each).
+    walkers: u64,
+    /// Steps executed (one token each).
+    steps: u64,
+    /// log₂ histogram ([`log2_bucket`]) of simulated nanoseconds per step
+    /// the tenant observed each pump round.
     step_latency_log2: Vec<u64>,
 }
+
+/// A per-tenant counter: name, help, and the [`Tenant`] field it reads.
+type TenantCounter = (&'static str, &'static str, fn(&Tenant) -> u64);
+
+/// The per-tenant counters [`Scheduler::publish`] exports.
+#[rustfmt::skip]
+const TENANT_COUNTERS: [TenantCounter; 5] = [
+    ("lt_server_jobs_submitted_total", "jobs accepted by the scheduler", |t| t.jobs_submitted),
+    ("lt_server_jobs_evicted_total", "jobs cancelled or expelled", |t| t.jobs_evicted),
+    ("lt_server_jobs_parked_total", "jobs parked on budget exhaustion", |t| t.jobs_parked),
+    ("lt_server_tenant_walkers_total", "fresh walkers admitted per tenant", |t| t.walkers),
+    ("lt_server_tenant_steps_total", "steps executed per tenant", |t| t.steps),
+];
 
 /// The deterministic multiplexer: many jobs, one engine. See the module
 /// docs for the scheduling and budget model.
@@ -224,7 +248,6 @@ pub struct Scheduler {
     tenants: BTreeMap<String, Tenant>,
     rr_cursor: usize,
     cfg: ServerConfig,
-    registry: Arc<MetricRegistry>,
     pumps: u64,
     /// Host-wall epoch for span `host_ns` (latency breakdowns only —
     /// never on the deterministic path).
@@ -235,17 +258,7 @@ impl Scheduler {
     /// Build a scheduler over `graph`. The engine is constructed once,
     /// with a [`JobTable`] of `cfg.max_jobs` slots as its single
     /// algorithm; jobs plug into the table at submit time.
-    pub fn new(graph: Arc<Csr>, cfg: ServerConfig) -> Result<Self, EngineError> {
-        Scheduler::with_registry(graph, cfg, Arc::new(MetricRegistry::new()))
-    }
-
-    /// Like [`Scheduler::new`] with a caller-supplied metric registry
-    /// (so an embedding process exports one registry, not two).
-    pub fn with_registry(
-        graph: Arc<Csr>,
-        mut cfg: ServerConfig,
-        registry: Arc<MetricRegistry>,
-    ) -> Result<Self, EngineError> {
+    pub fn new(graph: Arc<Csr>, mut cfg: ServerConfig) -> Result<Self, EngineError> {
         cfg.engine.track_tags = true;
         cfg.engine.record_paths = false;
         let table = Arc::new(JobTable::with_capacity(cfg.max_jobs));
@@ -259,20 +272,9 @@ impl Scheduler {
             tenants: BTreeMap::new(),
             rr_cursor: 0,
             cfg,
-            registry,
             pumps: 0,
             epoch: Instant::now(),
         })
-    }
-
-    /// The metric registry this scheduler reports into.
-    pub fn registry(&self) -> Arc<MetricRegistry> {
-        self.registry.clone()
-    }
-
-    /// The shared graph.
-    pub fn graph(&self) -> &Arc<Csr> {
-        &self.graph
     }
 
     fn tenant_entry(&mut self, tenant: &str) -> &mut Tenant {
@@ -281,8 +283,8 @@ impl Scheduler {
             .entry(tenant.to_string())
             .or_insert_with(|| Tenant {
                 budget: default_budget,
-                spent: 0,
                 step_latency_log2: vec![0; 64],
+                ..Tenant::default()
             })
     }
 
@@ -309,7 +311,7 @@ impl Scheduler {
         }
         let tag = self.table.register(spec.algorithm.clone(), spec.seed)?;
         debug_assert_eq!(tag as usize, self.jobs.len());
-        self.tenant_entry(tenant);
+        self.tenant_entry(tenant).jobs_submitted += 1;
         let pending: VecDeque<Walker> = spec.place_walkers(nv, tag).into();
         let id = JobId(tag as u64);
         let (tx, rx) = std::sync::mpsc::channel();
@@ -336,13 +338,6 @@ impl Scheduler {
         self.active.push(idx);
         self.record_span(idx, JobPhase::Submitted, format!("walks={total}"));
         self.record_span(idx, JobPhase::Queued, String::new());
-        self.registry
-            .counter(
-                "lt_server_jobs_submitted_total",
-                "jobs accepted by the scheduler",
-                &[("tenant", tenant)],
-            )
-            .inc();
         Ok((id, rx))
     }
 
@@ -397,18 +392,13 @@ impl Scheduler {
         let j = &mut self.jobs[idx];
         j.release_queues();
         j.status = JobStatus::Evicted;
-        let tenant = j.tenant.clone();
         Self::deliver(j, JobEvent::Evicted);
+        if let Some(t) = self.tenants.get_mut(&j.tenant) {
+            t.jobs_evicted += 1;
+        }
         self.active.retain(|&i| i != idx);
         self.record_span(idx, JobPhase::Evicted, "cancelled".into());
         self.dump_flight_record(idx, "evicted");
-        self.registry
-            .counter(
-                "lt_server_jobs_evicted_total",
-                "jobs cancelled or expelled",
-                &[("tenant", &tenant)],
-            )
-            .inc();
         true
     }
 
@@ -424,9 +414,10 @@ impl Scheduler {
         self.tenants.get(tenant).map(|t| t.budget)
     }
 
-    /// Tokens `tenant` has spent so far.
+    /// Tokens `tenant` has spent so far: one per fresh walker admitted,
+    /// one per step executed.
     pub fn spent(&self, tenant: &str) -> Option<u64> {
-        self.tenants.get(tenant).map(|t| t.spent)
+        self.tenants.get(tenant).map(|t| t.walkers + t.steps)
     }
 
     /// Suspend one job onto the checkpoint machinery: its in-flight and
@@ -563,21 +554,7 @@ impl Scheduler {
         self.retire();
         let jobs = &self.jobs;
         self.active.retain(|&idx| jobs[idx].live());
-        let runnable = self.has_runnable_work();
-        // Attribution series are pull-side monitoring state: refreshing
-        // them is O(cells) of label formatting, too heavy even for the
-        // idle transition (it lands inside every serve loop). They are
-        // published purely on demand — [`Scheduler::refresh_observability`],
-        // which the server's `metrics`/`traffic` ops call before reading
-        // the registry — so the pump pays nothing for attribution.
-        self.registry
-            .gauge(
-                "lt_server_active_walks",
-                "walkers in flight inside the engine",
-                &[],
-            )
-            .set(self.engine.active_walks() as f64);
-        Ok(runnable)
+        Ok(self.has_runnable_work())
     }
 
     /// A fatal engine error ends every live job's usable timeline: mark
@@ -661,21 +638,13 @@ impl Scheduler {
             }
             j.injected += fresh;
             j.status = JobStatus::Running;
-            let tenant = j.tenant.clone();
             let batch_len = batch.len();
             let t = self
                 .tenants
-                .get_mut(&tenant)
+                .get_mut(&j.tenant)
                 .expect("submit registers the tenant before any job of it is admitted");
             t.budget -= fresh;
-            t.spent += fresh;
-            self.registry
-                .counter(
-                    "lt_server_tenant_walkers_total",
-                    "fresh walkers admitted per tenant",
-                    &[("tenant", &tenant)],
-                )
-                .add(fresh);
+            t.walkers += fresh;
             self.engine.inject(batch);
             if was_queued {
                 // First walkers in: the queued span ends, the running one
@@ -693,9 +662,7 @@ impl Scheduler {
     /// events. `sim_elapsed` is the pump round's simulated duration.
     fn drain(&mut self, sim_elapsed: u64) {
         for delta in self.engine.take_tag_deltas() {
-            let idx = delta.tag as usize;
-            let tenant = self.jobs[idx].tenant.clone();
-            let j = &mut self.jobs[idx];
+            let j = &mut self.jobs[delta.tag as usize];
             j.result.steps += delta.steps;
             j.result.finished += delta.finished;
             j.result.visits.extend_from_slice(&delta.visits);
@@ -711,30 +678,16 @@ impl Scheduler {
             );
             let t = self
                 .tenants
-                .get_mut(&tenant)
+                .get_mut(&j.tenant)
                 .expect("submit registers the tenant before any job of it is admitted");
             let cost = delta.steps.min(t.budget);
             t.budget -= cost;
-            t.spent += delta.steps;
+            t.steps += delta.steps;
             // Step latency as the tenant saw it this round: simulated
-            // ns elapsed per step it got. Derived from the simulated
-            // clock, read pull-side only — the histogram never feeds
-            // a scheduling decision.
+            // ns elapsed per step it got.
             if let Some(ns_per_step) = sim_elapsed.checked_div(delta.steps) {
-                let bucket = if ns_per_step == 0 {
-                    0
-                } else {
-                    (64 - ns_per_step.leading_zeros() as usize).min(63)
-                };
-                t.step_latency_log2[bucket] += 1;
+                t.step_latency_log2[log2_bucket(ns_per_step)] += 1;
             }
-            self.registry
-                .counter(
-                    "lt_server_tenant_steps_total",
-                    "steps executed per tenant",
-                    &[("tenant", &tenant)],
-                )
-                .add(delta.steps);
         }
     }
 
@@ -769,15 +722,11 @@ impl Scheduler {
                     reason: reason.clone(),
                 },
             );
+            if let Some(t) = self.tenants.get_mut(&tenant) {
+                t.jobs_parked += 1;
+            }
             self.record_span(idx, JobPhase::Blocked, reason);
             self.dump_flight_record(idx, "budget");
-            self.registry
-                .counter(
-                    "lt_server_jobs_parked_total",
-                    "jobs parked on budget exhaustion",
-                    &[("tenant", &tenant)],
-                )
-                .inc();
         }
     }
 
@@ -830,14 +779,37 @@ impl Scheduler {
         }
     }
 
-    /// Publish the engine's series ([`LightTraffic::publish`]), then the
-    /// ones that need the tag → tenant map: per-tenant link bytes and
-    /// step-latency quantiles. The pump never publishes — this is pure
-    /// pull, and nothing here is read back by the scheduler — so anyone
-    /// reading the registry directly must call this first; the server's
-    /// `metrics` and `traffic` ops do it automatically.
-    pub fn refresh_observability(&self) {
-        self.engine.publish(&self.registry);
+    /// The scheduler's one export, pure pull: the engine's series
+    /// ([`LightTraffic::publish`]), then every `lt_server_*` series from
+    /// the plain counters and the tag → tenant map. Values are set, so
+    /// publishing again overwrites; the pump never touches a registry.
+    pub fn publish(&self, registry: &lt_telemetry::MetricRegistry) {
+        self.engine.publish(registry);
+        registry
+            .gauge(
+                "lt_server_active_walks",
+                "walkers in flight inside the engine",
+                &[],
+            )
+            .set(self.engine.active_walks() as f64);
+        for (tenant, t) in &self.tenants {
+            for (name, help, value) in TENANT_COUNTERS {
+                registry
+                    .counter(name, help, &[("tenant", tenant)])
+                    .set(value(t));
+            }
+            for &(qname, q) in LengthPercentiles::QUANTILES.iter() {
+                if let Some(v) = log2_histogram_percentile(&t.step_latency_log2, q) {
+                    registry
+                        .gauge(
+                            "lt_server_tenant_step_latency_ns",
+                            "Simulated ns per step a tenant observed per pump round",
+                            &[("tenant", tenant), ("quantile", qname)],
+                        )
+                        .set(v as f64);
+                }
+            }
+        }
         if let Some(l) = self.engine.traffic_ledger() {
             let mut per_tenant: BTreeMap<String, (u64, u64)> = BTreeMap::new();
             for c in l.cells() {
@@ -849,26 +821,13 @@ impl Scheduler {
             }
             for (tenant, (h2d, d2h)) in per_tenant {
                 for (dir, bytes) in [("h2d", h2d), ("d2h", d2h)] {
-                    self.registry
+                    registry
                         .counter(
                             "lt_server_tenant_traffic_bytes_total",
                             "CPU-GPU link bytes attributed per tenant and direction",
                             &[("tenant", &tenant), ("direction", dir)],
                         )
                         .set(bytes);
-                }
-            }
-        }
-        for (tenant, t) in &self.tenants {
-            for &(qname, q) in LengthPercentiles::QUANTILES.iter() {
-                if let Some(v) = log2_histogram_percentile(&t.step_latency_log2, q) {
-                    self.registry
-                        .gauge(
-                            "lt_server_tenant_step_latency_ns",
-                            "Simulated ns per step a tenant observed per pump round",
-                            &[("tenant", tenant), ("quantile", qname)],
-                        )
-                        .set(v as f64);
                 }
             }
         }
@@ -885,32 +844,30 @@ impl Scheduler {
         self.engine.traffic_ledger().map(|l| l.report(top_k))
     }
 
-    /// Build a job's flight-record JSONL on demand: a meta line, the
-    /// retained spans, and the traffic rows the ledger attributes to the
-    /// job. `None` for unknown ids.
+    /// A job's flight record ([`lt_telemetry::FlightRecord`]) as JSONL:
+    /// its retained spans and the traffic the ledger attributes to it.
+    /// `None` for unknown ids.
     pub fn flight_record(&self, id: JobId, reason: &str) -> Option<String> {
         let j = self.jobs.get(id.0 as usize)?;
-        let rows = self.job_traffic_rows(id.0 as u32);
-        Some(j.trace.flight_record_jsonl(reason, &rows))
-    }
-
-    fn job_traffic_rows(&self, tag: u32) -> Vec<(u32, &'static str, u64)> {
-        let Some(l) = self.engine.traffic_ledger() else {
-            return Vec::new();
+        let tag = id.0 as u32;
+        let rows = |c: TrafficCell| {
+            [
+                (TrafficDirection::H2d, c.h2d_bytes),
+                (TrafficDirection::D2h, c.d2h_bytes),
+            ]
+            .map(|(direction, bytes)| TrafficRow {
+                partition: c.partition,
+                direction,
+                bytes,
+            })
         };
-        let mut rows = Vec::new();
-        for c in l.cells() {
-            if c.tag != tag {
-                continue;
-            }
-            if c.h2d_bytes > 0 {
-                rows.push((c.partition, "h2d", c.h2d_bytes));
-            }
-            if c.d2h_bytes > 0 {
-                rows.push((c.partition, "d2h", c.d2h_bytes));
-            }
-        }
-        rows
+        let ledger = self.engine.traffic_ledger();
+        let traffic = (ledger.into_iter().flat_map(|l| l.cells()))
+            .filter(|c| c.tag == tag)
+            .flat_map(rows)
+            .filter(|r| r.bytes > 0)
+            .collect();
+        Some(j.trace.flight_record(reason, traffic).to_jsonl())
     }
 
     /// Write a job's flight record into `cfg.flight_recorder_dir`
@@ -997,6 +954,26 @@ mod tests {
         assert_eq!(r.visits.len(), 300 * 12);
         assert!(r.visits.is_sorted() && r.lengths.is_sorted());
         assert!(matches!(events.last(), Some(JobEvent::Done { result }) if result == r));
+    }
+
+    /// One pump round files one step-latency observation `v`, the
+    /// simulated ns per step the tenant got, and the exported p50 reads it
+    /// back in `[v, 2v)`: the bucket it was filed in is the bucket read.
+    #[test]
+    fn step_latency_reads_back_the_bucket_it_was_filed_in() {
+        let mut s = scheduler(1);
+        s.submit("t", JobSpec::deepwalk(32, 6, 3)).unwrap();
+        let before = s.engine.gpu().now();
+        s.pump().unwrap();
+        let t = &s.tenants["t"];
+        let v = (s.engine.gpu().now() - before) / t.steps;
+        assert!(v > 0);
+        assert_eq!(t.step_latency_log2.iter().sum::<u64>(), 1);
+        let p50 = log2_histogram_percentile(&t.step_latency_log2, 0.5).unwrap();
+        assert!(
+            v <= p50 && p50 < 2 * v,
+            "v {v} ns/step exported as p50 {p50}"
+        );
     }
 
     /// The pump visits live jobs only: a job leaves the list in the pump

@@ -58,7 +58,7 @@ use crate::scheduler::{JobEvent, JobInfo, JobResult, Scheduler, ServerConfig};
 use lt_engine::algorithm::SecondOrderWalk;
 use lt_engine::{EdgeUpdate, EngineError, EpochSummary, JobId, JobSpec, JobStart};
 use lt_graph::Csr;
-use lt_telemetry::MetricRegistry;
+use lt_telemetry::{MetricRegistry, TrafficReport};
 use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -147,19 +147,18 @@ impl ServerHandle {
         self.call(move |s, _| s.result(id).cloned())
     }
 
-    /// The scheduler's traffic report with at most `top_k` hot
-    /// partitions (`None` when attribution is disabled).
-    pub fn traffic(
-        &self,
-        top_k: usize,
-    ) -> Result<Option<lt_telemetry::TrafficReport>, EngineError> {
-        self.call(move |s, _| {
-            // A traffic read doubles as a scrape: refresh the registry's
-            // attribution series so the Prometheus text rendered next to
-            // this report shows the same, current totals.
-            s.refresh_observability();
+    /// One scrape, between two pump rounds: publish the scheduler into the
+    /// server's registry ([`Scheduler::publish`]) and build the traffic
+    /// report with at most `top_k` hot partitions (`None` without
+    /// attribution), then render the registry as Prometheus text. The
+    /// `metrics` op and `lightwalk serve --metrics-out` both call this.
+    pub fn metrics(&self, top_k: usize) -> Result<(String, Option<TrafficReport>), EngineError> {
+        let registry = self.registry.clone();
+        let traffic = self.call(move |s, _| {
+            s.publish(&registry);
             s.traffic_report(top_k)
-        })
+        })?;
+        Ok((self.registry.render_prometheus(), traffic))
     }
 
     /// A job's flight-record JSONL, built on demand (`None` for unknown
@@ -180,8 +179,8 @@ impl ServerHandle {
         })?
     }
 
-    /// The metric registry the scheduler reports into — render with
-    /// [`MetricRegistry::render_prometheus`] for the ops endpoint.
+    /// The server's metric registry: it holds what the last
+    /// [`ServerHandle::metrics`] call published.
     pub fn registry(&self) -> Arc<MetricRegistry> {
         self.registry.clone()
     }
@@ -198,8 +197,8 @@ impl Server {
     /// Spawn the scheduler thread over `graph`. Configuration errors
     /// surface here, on the calling thread.
     pub fn start(graph: Arc<Csr>, cfg: ServerConfig) -> Result<Server, EngineError> {
+        let mut sched = Scheduler::new(graph, cfg)?;
         let registry = Arc::new(MetricRegistry::new());
-        let mut sched = Scheduler::with_registry(graph, cfg, registry.clone())?;
         let (tx, rx) = std::sync::mpsc::channel::<Option<Request>>();
         let thread = std::thread::Builder::new()
             .name("lt-server-scheduler".into())
@@ -219,12 +218,8 @@ impl Server {
     /// Stop the scheduler thread (any in-flight work is abandoned; a
     /// graceful stop drains jobs first via [`Scheduler::run_until_idle`]
     /// semantics — pump until `submit`ted work completes, then drop).
-    pub fn shutdown(mut self) {
-        let _ = self.handle.tx.send(None);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// Dropping the server does the same.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Server {
@@ -316,13 +311,8 @@ impl TcpFrontend {
     }
 
     /// Stop accepting. Existing connections run until their client
-    /// hangs up.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// hangs up. Dropping the frontend does the same.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for TcpFrontend {
@@ -691,17 +681,14 @@ fn dispatch(
                 }
             }
         },
-        "metrics" => {
-            let traffic = match handle.traffic(8) {
-                Ok(Some(r)) => serde_json::to_value(&r),
-                _ => Value::Null,
-            };
-            json!({
+        "metrics" => match handle.metrics(8) {
+            Err(e) => err_json(&e.to_string()),
+            Ok((prometheus, traffic)) => json!({
                 "ok": true,
-                "prometheus": handle.registry().render_prometheus(),
-                "traffic": traffic,
-            })
-        }
+                "prometheus": prometheus,
+                "traffic": traffic.map_or(Value::Null, |r| serde_json::to_value(&r)),
+            }),
+        },
         "inspect" => match get_u64(req, "job") {
             None => err_json("need job"),
             Some(id) => {

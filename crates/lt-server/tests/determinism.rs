@@ -9,8 +9,16 @@ use lt_gpusim::FaultPlan;
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
 use lt_server::{JobResult, Scheduler, ServerConfig};
+use lt_telemetry::{JobPhase, JobTrace, MetricRegistry};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// The scheduler's series, published into a fresh registry and rendered.
+fn scrape(sched: &Scheduler) -> String {
+    let registry = MetricRegistry::new();
+    sched.publish(&registry);
+    registry.render_prometheus()
+}
 
 fn graph() -> Arc<Csr> {
     Arc::new(
@@ -133,9 +141,18 @@ proptest! {
     }
 }
 
-/// Canonical span streams (sim/host clocks masked) for jobs run
-/// concurrently on one scheduler.
-fn multiplexed_spans(jobs: &[ArbJob], kernel_threads: usize, faults: bool) -> Vec<String> {
+/// A job's span stream with both wall-like clocks (`sim_ns`, `host_ns`)
+/// masked: sequence number, phase, step clock and detail.
+type CanonicalSpans = Vec<(u64, JobPhase, u64, String)>;
+
+fn canonical(t: &JobTrace) -> CanonicalSpans {
+    t.spans()
+        .map(|s| (s.seq, s.phase, s.step_clock, s.detail.clone()))
+        .collect()
+}
+
+/// Canonical span streams for jobs run concurrently on one scheduler.
+fn multiplexed_spans(jobs: &[ArbJob], kernel_threads: usize, faults: bool) -> Vec<CanonicalSpans> {
     let mut sched =
         Scheduler::new(graph(), server_config(kernel_threads, faults)).expect("scheduler builds");
     let ids: Vec<_> = jobs
@@ -150,19 +167,19 @@ fn multiplexed_spans(jobs: &[ArbJob], kernel_threads: usize, faults: bool) -> Ve
         .collect();
     sched.run_until_idle().expect("multiplexed run completes");
     ids.iter()
-        .map(|&id| sched.trace(id).expect("trace exists").canonical_jsonl())
+        .map(|&id| canonical(sched.trace(id).expect("trace exists")))
         .collect()
 }
 
 /// Canonical span stream for each job run alone (the isolation reference).
-fn isolated_spans(jobs: &[ArbJob]) -> Vec<String> {
+fn isolated_spans(jobs: &[ArbJob]) -> Vec<CanonicalSpans> {
     jobs.iter()
         .map(|j| {
             let mut sched =
                 Scheduler::new(graph(), server_config(1, false)).expect("scheduler builds");
             let (id, _rx) = sched.submit("solo", j.spec()).expect("submit");
             sched.run_until_idle().expect("isolated run completes");
-            sched.trace(id).expect("trace exists").canonical_jsonl()
+            canonical(sched.trace(id).expect("trace exists"))
         })
         .collect()
 }
@@ -176,13 +193,13 @@ proptest! {
     /// every execution combo, including retryable fault injection. Spans
     /// are recorded only at status transitions and their details are
     /// built from schedule-invariant quantities, so not just the phases
-    /// but the full canonical JSONL must agree.
+    /// but the whole masked stream, details included, must agree.
     #[test]
     fn job_span_streams_match_isolated_runs(jobs in prop::collection::vec(job_strategy(), 1..4)) {
         let reference = isolated_spans(&jobs);
         for r in &reference {
-            prop_assert!(r.contains("\"phase\":\"submitted\""));
-            prop_assert!(r.contains("\"phase\":\"done\""));
+            prop_assert!(r.iter().any(|s| s.1 == JobPhase::Submitted));
+            prop_assert!(r.iter().any(|s| s.1 == JobPhase::Done));
         }
         for &kernel_threads in &[1usize, 2, 4, 8] {
             for &faults in &[false, true] {
@@ -265,10 +282,7 @@ fn attribution_changes_no_result_and_no_device_counter() {
             .iter()
             .map(|&id| sched.result(id).unwrap().clone())
             .collect();
-        sched.refresh_observability();
-        let device: Vec<String> = sched
-            .registry()
-            .render_prometheus()
+        let device: Vec<String> = scrape(&sched)
             .lines()
             .filter(|l| l.starts_with("lt_gpu_"))
             .map(String::from)
@@ -315,8 +329,7 @@ fn pooled_server_matches_the_serial_one() {
             .iter()
             .map(|&id| sched.result(id).unwrap().clone())
             .collect();
-        sched.refresh_observability();
-        let text = sched.registry().render_prometheus();
+        let text = scrape(&sched);
         let series = |name: &str| -> u64 {
             text.lines()
                 .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))

@@ -8,9 +8,16 @@ use lt_engine::{EngineConfig, JobSpec, JobStatus, LightTraffic, UniformSampling}
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
 use lt_server::{Scheduler, ServerConfig};
-use lt_telemetry::{derive_trace_id, MetricRegistry};
+use lt_telemetry::{derive_trace_id, FlightRecord, MetricRegistry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// The scheduler's series, published into a fresh registry and rendered.
+fn scrape(sched: &Scheduler) -> String {
+    let registry = MetricRegistry::new();
+    sched.publish(&registry);
+    registry.render_prometheus()
+}
 
 fn graph() -> Arc<Csr> {
     Arc::new(
@@ -102,10 +109,9 @@ fn tenant_traffic_series_sum_to_global_copy_bytes() {
         assert_eq!(sched.status(id), Some(JobStatus::Done));
     }
 
-    // Attribution series publish on demand, not from the pump: a direct
-    // registry read refreshes first (the server's ops do this for us).
-    sched.refresh_observability();
-    let text = sched.registry().render_prometheus();
+    // Every series is pulled: the scheduler publishes into a registry on
+    // demand (the server's `metrics` op does this for us).
+    let text = scrape(&sched);
     let global_h2d = prom_sum(&text, "lt_gpu_bytes_total", &[("category", "graph_load")])
         + prom_sum(&text, "lt_gpu_bytes_total", &[("category", "walk_load")])
         + prom_sum(&text, "lt_gpu_bytes_total", &[("category", "zero_copy")]);
@@ -185,8 +191,7 @@ fn served_registry_carries_the_engine_families() {
         })
         .collect();
     sched.run_until_idle().expect("run completes");
-    sched.refresh_observability();
-    let text = sched.registry().render_prometheus();
+    let text = scrape(&sched);
 
     let finished: u64 = ids
         .iter()
@@ -215,6 +220,75 @@ fn served_registry_carries_the_engine_families() {
     }
 }
 
+/// The pulled per-tenant counters agree with the engine and with what
+/// the test drove, after a four-tenant run with one budget park and one
+/// cancel.
+#[test]
+fn pulled_tenant_counters_match_the_engine() {
+    let mut cfg = ServerConfig::new(EngineConfig::light_traffic(8 << 10, 4));
+    cfg.tranche_walkers = 64;
+    cfg.default_budget = 500;
+    let mut sched = Scheduler::new(graph(), cfg).expect("scheduler builds");
+    let tenants = ["acme", "beta", "corp", "dune"];
+    // Every tenant but `corp` can pay for its job; `corp` parks.
+    for t in ["acme", "beta", "dune"] {
+        sched.top_up(t, 1 << 40);
+    }
+    let ids: Vec<_> = tenants
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            sched
+                .submit(t, JobSpec::deepwalk(150 + 25 * i as u64, 8, i as u64))
+                .expect("submit")
+                .0
+        })
+        .collect();
+    sched.pump().expect("pump");
+    assert!(sched.cancel(ids[3]), "dune's job is cancelled mid-run");
+    sched.run_until_idle().expect("run completes");
+    assert!(matches!(
+        sched.status(ids[2]),
+        Some(JobStatus::Blocked { .. })
+    ));
+    sched.top_up("corp", 1 << 40);
+    sched.run_until_idle().expect("run completes");
+    for &id in &ids[..3] {
+        assert_eq!(sched.status(id), Some(JobStatus::Done));
+    }
+    assert_eq!(sched.status(ids[3]), Some(JobStatus::Evicted));
+
+    let text = scrape(&sched);
+    let engine_steps = prom_value(&text, "lt_engine_steps_total").expect("engine steps") as u64;
+    assert!(engine_steps > 0);
+    assert_eq!(
+        prom_sum(&text, "lt_server_tenant_steps_total", &[]),
+        engine_steps
+    );
+    let admitted: u64 = ids
+        .iter()
+        .map(|&id| sched.info(id).expect("known job").injected)
+        .sum();
+    assert_eq!(
+        prom_sum(&text, "lt_server_tenant_walkers_total", &[]),
+        admitted
+    );
+    for t in tenants {
+        let count = |name| prom_sum(&text, name, &[("tenant", t)]);
+        assert_eq!(count("lt_server_jobs_submitted_total"), 1, "{t}");
+        assert_eq!(
+            count("lt_server_jobs_evicted_total"),
+            u64::from(t == "dune"),
+            "{t}"
+        );
+        assert_eq!(
+            count("lt_server_jobs_parked_total"),
+            u64::from(t == "corp"),
+            "{t}"
+        );
+    }
+}
+
 /// Per-job traces: deterministic trace ids, a full lifecycle span
 /// stream, and a parseable on-demand flight record.
 #[test]
@@ -234,18 +308,27 @@ fn job_traces_and_flight_records_are_complete() {
             phases,
             vec!["submitted", "queued", "admitted", "running", "done"]
         );
-        assert!(t.last().unwrap().step_clock > 0, "done span carries steps");
+        assert!(
+            t.spans().last().unwrap().step_clock > 0,
+            "done span carries steps"
+        );
     }
 
     let dump = sched.flight_record(a, "inspect").expect("flight record");
-    let lines: Vec<serde_json::Value> = dump
-        .lines()
-        .map(|l| serde_json::from_str(l).expect("JSONL line"))
-        .collect();
-    assert_eq!(lines[0]["kind"], "meta");
-    assert_eq!(lines[0]["tenant"], "acme");
+    let records = FlightRecord::parse_jsonl(&dump).expect("the dump reads back");
+    assert_eq!(records.len(), 1);
+    let r = &records[0];
+    assert_eq!(
+        (r.job, r.tenant.as_str(), r.reason.as_str()),
+        (0, "acme", "inspect")
+    );
+    assert_eq!(r.trace_id, derive_trace_id(42, 0));
+    assert!(r
+        .spans
+        .iter()
+        .eq(sched.trace(a).expect("trace exists").spans()));
     assert!(
-        lines.iter().any(|l| l["kind"] == "traffic"),
+        !r.traffic.is_empty(),
         "flight record carries no traffic rows"
     );
 }

@@ -9,7 +9,15 @@ use lt_engine::{EngineConfig, JobSpec, JobStatus};
 use lt_gpusim::FaultPlan;
 use lt_graph::gen::{rmat, RmatParams};
 use lt_server::{JobResult, Scheduler, ServerConfig};
+use lt_telemetry::MetricRegistry;
 use std::sync::Arc;
+
+/// The scheduler's series, published into a fresh registry and rendered.
+fn scrape(sched: &Scheduler) -> String {
+    let registry = MetricRegistry::new();
+    sched.publish(&registry);
+    registry.render_prometheus()
+}
 
 /// Serve one DeepWalk job to completion; returns its result and the
 /// engine's recovery count.
@@ -47,8 +55,7 @@ fn serve(fatal_faults: bool) -> (JobResult, u64) {
         }
     }
     assert_eq!(sched.status(id), Some(JobStatus::Done));
-    sched.refresh_observability();
-    let text = sched.registry().render_prometheus();
+    let text = scrape(&sched);
     let recoveries = text
         .lines()
         .find_map(|l| l.strip_prefix("lt_engine_recoveries_total "))

@@ -14,7 +14,7 @@
 //! - **A traffic ledger** ([`TrafficLedger`]): link bytes attributed to
 //!   (tag, partition, direction).
 //! - **Per-job phase spans** ([`JobTrace`]): each served job's lifecycle,
-//!   kept in a bounded ring that doubles as the flight recorder.
+//!   kept in a bounded ring dumped as a [`FlightRecord`] (JSONL).
 #![forbid(unsafe_code)]
 
 pub mod ledger;
@@ -26,6 +26,7 @@ pub use ledger::{
     TrafficReport, SHARED_TAG,
 };
 pub use registry::{
-    log2_histogram_percentile, Counter, Gauge, Histogram, LengthPercentiles, MetricRegistry,
+    log2_bucket, log2_histogram_percentile, Counter, Gauge, Histogram, LengthPercentiles,
+    MetricRegistry,
 };
-pub use span::{derive_trace_id, JobPhase, JobTrace, SpanRecord};
+pub use span::{derive_trace_id, FlightRecord, JobPhase, JobTrace, SpanRecord, TrafficRow};

@@ -12,25 +12,15 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A monotonically increasing (or snapshot-set) integer series.
+/// A monotonically increasing integer series, published as a snapshot of
+/// a count kept elsewhere.
 #[derive(Clone)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Increment by `n`.
-    pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite the value. Intended for publishing an already-accumulated
-    /// snapshot (e.g. `Metrics` after a run), not for live counting.
+    /// Overwrite the value with the publisher's current count.
     pub fn set(&self, v: u64) {
         self.cell.store(v, Ordering::Relaxed);
     }
@@ -333,10 +323,16 @@ impl LengthPercentiles {
     }
 }
 
+/// The bucket [`log2_histogram_percentile`] reads `v` from: `i` holds
+/// `[2^i, 2^(i+1))`, 0 also holds 0. Every log2 histogram files through it.
+pub fn log2_bucket(v: u64) -> usize {
+    v.checked_ilog2().unwrap_or(0) as usize
+}
+
 /// Percentile over a log2-bucketed histogram where bucket `i` counts
-/// values in `[2^i, 2^(i+1))` (bucket 0 also holds value 0). Returns the
-/// inclusive upper bound of the bucket containing the `q`-quantile rank,
-/// or `None` when every bucket is empty.
+/// values in `[2^i, 2^(i+1))` (bucket 0 also holds value 0; see
+/// [`log2_bucket`]). Returns the inclusive upper bound of the bucket
+/// containing the `q`-quantile rank, or `None` when every bucket is empty.
 pub fn log2_histogram_percentile(buckets: &[u64], q: f64) -> Option<u64> {
     let total: u64 = buckets.iter().sum();
     if total == 0 {
@@ -347,7 +343,7 @@ pub fn log2_histogram_percentile(buckets: &[u64], q: f64) -> Option<u64> {
     for (i, c) in buckets.iter().enumerate() {
         cum += c;
         if cum >= rank {
-            return Some((1u64 << (i + 1)) - 1);
+            return Some(u64::MAX >> 63usize.saturating_sub(i));
         }
     }
     None
@@ -361,8 +357,7 @@ mod tests {
     fn counter_and_gauge_round_trip() {
         let reg = MetricRegistry::new();
         let c = reg.counter("lt_steps_total", "Total steps", &[]);
-        c.inc();
-        c.add(9);
+        c.set(10);
         assert_eq!(c.get(), 10);
         // Same name + labels returns the same series.
         assert_eq!(reg.counter("lt_steps_total", "Total steps", &[]).get(), 10);
@@ -396,7 +391,7 @@ mod tests {
     #[test]
     fn prometheus_rendering_shape() {
         let reg = MetricRegistry::new();
-        reg.counter("lt_walks_total", "Walks finished", &[]).add(7);
+        reg.counter("lt_walks_total", "Walks finished", &[]).set(7);
         reg.gauge("lt_overlap_ratio", "Copy/compute overlap", &[])
             .set(0.5);
         reg.histogram("lt_copy_ns", "Copy latency", &[("engine", "h2d")])
@@ -435,6 +430,20 @@ mod tests {
         assert_eq!(log2_histogram_percentile(&skew, 0.95), Some(31));
         assert_eq!(log2_histogram_percentile(&skew, 0.99), Some(31));
         assert_eq!(log2_histogram_percentile(&skew, 0.999), Some(31));
+    }
+
+    /// One observation `v` reads back as a p50 in `[v, 2v)`: the bucket
+    /// it is filed in is the bucket the percentile reads.
+    #[test]
+    fn one_observation_reads_back_within_a_factor_of_two() {
+        for v in [1u64, 2, 3, 7, 8, 1000, 1 << 40, u64::MAX] {
+            let mut buckets = vec![0u64; 64];
+            buckets[log2_bucket(v)] += 1;
+            let p50 = log2_histogram_percentile(&buckets, 0.5).unwrap();
+            assert!(p50 >= v && p50 / 2 < v, "v {v} read back as {p50}");
+        }
+        assert_eq!(log2_bucket(0), 0);
+        assert_eq!(log2_histogram_percentile(&[1], 0.5), Some(1));
     }
 
     #[test]

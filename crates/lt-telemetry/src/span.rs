@@ -15,17 +15,18 @@
 //!   it is *masked* in the canonical form alongside `host_ns`.
 //! - `host_ns` — host wall time, for real-world latency breakdowns.
 //!
-//! The canonical form ([`JobTrace::canonical_jsonl`]) keeps
-//! `seq`/`phase`/`step_clock`/`detail` only; the serving proptests assert
-//! it is bit-identical for a job run multiplexed vs alone.
+//! With both wall-like clocks masked, a job's spans (`seq`, `phase`,
+//! `step_clock`, `detail`) are its canonical form: the serving proptests
+//! assert it is identical for a job run multiplexed vs alone.
 //!
 //! The trace doubles as the **flight recorder**: a bounded ring of the
-//! most recent spans (older records drop, counted in `dropped`), dumped
-//! as JSONL ([`JobTrace::flight_record_jsonl`]) when a job faults, is
-//! evicted, or parks on budget exhaustion — `lightwalk inspect` renders
-//! the dump as a latency/traffic breakdown table.
+//! most recent spans (older records drop, counted in `dropped`), dumped as
+//! a [`FlightRecord`] when a job faults, is evicted, or parks on budget
+//! exhaustion. This module alone knows the dump's JSONL format: it writes
+//! it and reads it back into typed records for `lightwalk inspect`.
 
-use serde_json::json;
+use crate::ledger::TrafficDirection;
+use serde_json::{json, Value};
 use std::collections::VecDeque;
 
 /// A job lifecycle phase (the span taxonomy of DESIGN.md §14).
@@ -64,7 +65,8 @@ impl JobPhase {
         }
     }
 
-    /// Parse the stable name back (for `lightwalk inspect`).
+    /// Parse the stable name back; the flight-record reader
+    /// ([`FlightRecord::parse_jsonl`]) reads phases with it.
     pub fn parse(s: &str) -> Option<JobPhase> {
         Some(match s {
             "submitted" => JobPhase::Submitted,
@@ -100,8 +102,7 @@ pub struct SpanRecord {
     pub detail: String,
 }
 
-/// Per-job span store: identity, a bounded ring of recent spans, and the
-/// serializers for the canonical / flight-record forms.
+/// Per-job span store: identity and a bounded ring of recent spans.
 #[derive(Clone, Debug)]
 pub struct JobTrace {
     /// Job id (the scheduler's slot index).
@@ -162,89 +163,177 @@ impl JobTrace {
         self.spans.iter()
     }
 
-    /// The most recent span.
-    pub fn last(&self) -> Option<&SpanRecord> {
-        self.spans.back()
-    }
-
-    /// Spans dropped from the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total transitions recorded (retained + dropped).
-    pub fn recorded(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// The canonical, fully deterministic serialization: both wall-like
-    /// clocks (`host_ns` *and* the engine `sim_ns`) are masked, leaving
-    /// `seq`/`phase`/`step_clock`/`detail`. Bit-identical for a job run
-    /// multiplexed with other tenants vs alone (given equal budgets) —
-    /// the telemetry extension of the serving determinism contract.
-    pub fn canonical_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            out.push_str(
-                &json!({
-                    "seq": s.seq,
-                    "phase": s.phase.as_str(),
-                    "step_clock": s.step_clock,
-                    "detail": s.detail,
-                })
-                .to_string(),
-            );
-            out.push('\n');
+    /// The flight record of this trace: its retained spans plus the
+    /// traffic rows the ledger attributes to the job, dumped for `reason`.
+    pub fn flight_record(&self, reason: &str, traffic: Vec<TrafficRow>) -> FlightRecord {
+        FlightRecord {
+            job: self.job,
+            tenant: self.tenant.clone(),
+            trace_id: self.trace_id,
+            reason: reason.to_string(),
+            dropped: self.dropped,
+            spans: self.spans.iter().cloned().collect(),
+            traffic,
         }
-        out
     }
+}
 
-    /// The flight-record dump: one `meta` line, one `span` line per
-    /// retained record (all clocks included), and one `traffic` line per
-    /// attributed `(partition, direction, bytes)` row for this job.
-    pub fn flight_record_jsonl(&self, reason: &str, traffic: &[(u32, &str, u64)]) -> String {
-        let mut out = String::new();
-        out.push_str(
-            &json!({
-                "kind": "meta",
-                "job": self.job,
-                "tenant": self.tenant,
-                "trace_id": format!("{:016x}", self.trace_id),
-                "reason": reason,
-                "spans": self.spans.len(),
-                "dropped": self.dropped,
+/// Link bytes the ledger attributed to one job on one partition in one
+/// direction: one `traffic` line of a flight record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TrafficRow {
+    /// Partition whose data moved.
+    pub partition: u32,
+    /// Link direction.
+    pub direction: TrafficDirection,
+    /// Bytes moved.
+    pub bytes: u64,
+}
+
+/// A job's flight record: who the job is, why it was dumped, its
+/// retained spans and its attributed traffic.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FlightRecord {
+    /// Job id.
+    pub job: u64,
+    /// Owning tenant.
+    pub tenant: String,
+    /// Deterministic trace id.
+    pub trace_id: u64,
+    /// Why the record was dumped (`evicted`, `budget`, `fault`, ...).
+    pub reason: String,
+    /// Spans that fell out of the ring before the dump.
+    pub dropped: u64,
+    /// Retained spans, oldest first.
+    pub spans: Vec<SpanRecord>,
+    /// Traffic attributed to the job.
+    pub traffic: Vec<TrafficRow>,
+}
+
+impl FlightRecord {
+    /// The JSONL dump, keys sorted: one `meta` line, one `span` line per
+    /// retained record (all clocks included), one `traffic` line per row.
+    pub fn to_jsonl(&self) -> String {
+        let meta = json!({
+            "kind": "meta",
+            "job": self.job,
+            "tenant": self.tenant,
+            "trace_id": format!("{:016x}", self.trace_id),
+            "reason": self.reason,
+            "spans": self.spans.len(),
+            "dropped": self.dropped,
+        });
+        let spans = self.spans.iter().map(|s| {
+            json!({
+                "kind": "span",
+                "seq": s.seq,
+                "phase": s.phase.as_str(),
+                "step_clock": s.step_clock,
+                "sim_ns": s.sim_ns,
+                "host_ns": s.host_ns,
+                "detail": s.detail,
             })
-            .to_string(),
-        );
-        out.push('\n');
-        for s in &self.spans {
-            out.push_str(
-                &json!({
-                    "kind": "span",
-                    "seq": s.seq,
-                    "phase": s.phase.as_str(),
-                    "step_clock": s.step_clock,
-                    "sim_ns": s.sim_ns,
-                    "host_ns": s.host_ns,
-                    "detail": s.detail,
-                })
-                .to_string(),
-            );
-            out.push('\n');
+        });
+        let traffic = self.traffic.iter().map(|t| {
+            json!({
+                "kind": "traffic",
+                "partition": t.partition,
+                "direction": t.direction.label(),
+                "bytes": t.bytes,
+            })
+        });
+        std::iter::once(meta)
+            .chain(spans)
+            .chain(traffic)
+            .map(|line| format!("{line}\n"))
+            .collect()
+    }
+
+    /// Read back every record in `text` (dumps may be concatenated; blank
+    /// lines are skipped). The error starts `line N: `, naming the first
+    /// line that is not JSON, lacks a field, names an unknown kind, phase
+    /// or direction, or precedes any `meta` line, or the `meta` line of a
+    /// record whose span lines do not number what it counts.
+    pub fn parse_jsonl(text: &str) -> Result<Vec<FlightRecord>, String> {
+        let mut records: Vec<FlightRecord> = Vec::new();
+        // Each record's `meta` line number and the spans it counts.
+        let mut promised: Vec<(usize, u64)> = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            let n = i + 1;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let err = |message: String| format!("line {n}: {message}");
+            let v: Value = serde_json::from_str(line).map_err(|e| err(format!("bad json: {e}")))?;
+            let field = |key: &str| v.get(key).ok_or_else(|| err(format!("no {key}")));
+            let num = |key: &str| {
+                let x = field(key)?;
+                x.as_u64()
+                    .ok_or_else(|| err(format!("{key} {x} is not a count")))
+            };
+            let string = |key: &str| {
+                let x = field(key)?;
+                x.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| err(format!("{key} {x} is not a string")))
+            };
+            let kind = string("kind")?;
+            if kind == "meta" {
+                let trace_id = string("trace_id")?;
+                promised.push((n, num("spans")?));
+                records.push(FlightRecord {
+                    job: num("job")?,
+                    tenant: string("tenant")?,
+                    trace_id: u64::from_str_radix(&trace_id, 16)
+                        .map_err(|_| err(format!("trace_id {trace_id:?} is not hex")))?,
+                    reason: string("reason")?,
+                    dropped: num("dropped")?,
+                    spans: Vec::new(),
+                    traffic: Vec::new(),
+                });
+                continue;
+            }
+            let Some(r) = records.last_mut() else {
+                return Err(err("record before any meta line".into()));
+            };
+            match kind.as_str() {
+                "span" => {
+                    let phase = string("phase")?;
+                    r.spans.push(SpanRecord {
+                        seq: num("seq")?,
+                        phase: JobPhase::parse(&phase)
+                            .ok_or_else(|| err(format!("unknown phase {phase:?}")))?,
+                        step_clock: num("step_clock")?,
+                        sim_ns: num("sim_ns")?,
+                        host_ns: num("host_ns")?,
+                        detail: string("detail")?,
+                    });
+                }
+                "traffic" => {
+                    let direction = string("direction")?;
+                    let partition = num("partition")?;
+                    r.traffic.push(TrafficRow {
+                        partition: u32::try_from(partition)
+                            .map_err(|_| err(format!("partition {partition} is out of range")))?,
+                        direction: [TrafficDirection::H2d, TrafficDirection::D2h]
+                            .into_iter()
+                            .find(|d| d.label() == direction)
+                            .ok_or_else(|| err(format!("unknown direction {direction:?}")))?,
+                        bytes: num("bytes")?,
+                    });
+                }
+                other => return Err(err(format!("unknown kind {other:?}"))),
+            }
         }
-        for &(partition, direction, bytes) in traffic {
-            out.push_str(
-                &json!({
-                    "kind": "traffic",
-                    "partition": partition,
-                    "direction": direction,
-                    "bytes": bytes,
-                })
-                .to_string(),
-            );
-            out.push('\n');
+        for (r, &(line, want)) in records.iter().zip(&promised) {
+            if r.spans.len() as u64 != want {
+                let got = r.spans.len();
+                return Err(format!(
+                    "line {line}: meta counts {want} spans, {got} follow"
+                ));
+            }
         }
-        out
+        Ok(records)
     }
 }
 
@@ -271,30 +360,14 @@ mod tests {
         t.record(JobPhase::Submitted, 0, 10, 99, "");
         t.record(JobPhase::Queued, 0, 10, 100, "");
         t.record(JobPhase::Running, 5, 20, 120, "");
-        assert_eq!(t.dropped(), 1);
-        assert_eq!(t.recorded(), 3);
+        assert_eq!(t.flight_record("ring", Vec::new()).dropped, 1);
         let seqs: Vec<u64> = t.spans().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![1, 2], "oldest record fell out, seq continues");
-        assert_eq!(t.last().unwrap().phase, JobPhase::Running);
+        let phases: Vec<JobPhase> = t.spans().map(|s| s.phase).collect();
+        assert_eq!(phases, vec![JobPhase::Queued, JobPhase::Running]);
     }
 
-    #[test]
-    fn canonical_form_masks_both_wall_clocks() {
-        let mut a = JobTrace::new(0, "t", 1, 16);
-        let mut b = JobTrace::new(0, "t", 1, 16);
-        // Same logical history, wildly different sim/host clocks.
-        a.record(JobPhase::Submitted, 0, 100, 5_000, "");
-        b.record(JobPhase::Submitted, 0, 777_777, 9_999_999, "");
-        a.record(JobPhase::Done, 42, 200, 6_000, "finished=7");
-        b.record(JobPhase::Done, 42, 888_888, 10_000_000, "finished=7");
-        assert_eq!(a.canonical_jsonl(), b.canonical_jsonl());
-        assert!(a.canonical_jsonl().contains("\"phase\":\"done\""));
-        assert!(!a.canonical_jsonl().contains("sim_ns"));
-        assert!(!a.canonical_jsonl().contains("host_ns"));
-    }
-
-    #[test]
-    fn flight_record_round_trips_as_jsonl() {
+    fn budget_record() -> FlightRecord {
         let mut t = JobTrace::new(7, "acme", 0xdead, 8);
         t.record(JobPhase::Submitted, 0, 1, 2, "");
         t.record(
@@ -304,21 +377,81 @@ mod tests {
             700,
             "tenant acme budget exhausted",
         );
-        let dump = t.flight_record_jsonl("budget", &[(0, "h2d", 4096), (2, "d2h", 128)]);
-        let lines: Vec<serde_json::Value> = dump
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        assert_eq!(lines.len(), 5);
-        assert_eq!(lines[0]["kind"], "meta");
-        assert_eq!(lines[0]["job"].as_u64(), Some(7));
-        assert_eq!(lines[0]["reason"], "budget");
-        assert_eq!(lines[1]["kind"], "span");
-        assert_eq!(lines[2]["phase"], "blocked");
-        assert_eq!(lines[2]["sim_ns"].as_u64(), Some(500));
-        assert_eq!(lines[3]["kind"], "traffic");
-        assert_eq!(lines[3]["bytes"].as_u64(), Some(4096));
-        assert_eq!(lines[4]["direction"], "d2h");
+        let row = |partition, direction, bytes| TrafficRow {
+            partition,
+            direction,
+            bytes,
+        };
+        t.flight_record(
+            "budget",
+            vec![
+                row(0, TrafficDirection::H2d, 4096),
+                row(2, TrafficDirection::D2h, 128),
+            ],
+        )
+    }
+
+    /// The dump's bytes are pinned: sorted keys, no whitespace, one line
+    /// per meta, span and traffic row.
+    #[test]
+    fn flight_record_writes_sorted_key_jsonl() {
+        let want = concat!(
+            r#"{"dropped":0,"job":7,"kind":"meta","reason":"budget","spans":2,"tenant":"acme","trace_id":"000000000000dead"}"#,
+            "\n",
+            r#"{"detail":"","host_ns":2,"kind":"span","phase":"submitted","seq":0,"sim_ns":1,"step_clock":0}"#,
+            "\n",
+            r#"{"detail":"tenant acme budget exhausted","host_ns":700,"kind":"span","phase":"blocked","seq":1,"sim_ns":500,"step_clock":30}"#,
+            "\n",
+            r#"{"bytes":4096,"direction":"h2d","kind":"traffic","partition":0}"#,
+            "\n",
+            r#"{"bytes":128,"direction":"d2h","kind":"traffic","partition":2}"#,
+            "\n",
+        );
+        assert_eq!(budget_record().to_jsonl(), want);
+    }
+
+    #[test]
+    fn flight_records_read_back_typed() {
+        let r = budget_record();
+        assert_eq!(
+            FlightRecord::parse_jsonl(&r.to_jsonl()),
+            Ok(vec![r.clone()])
+        );
+        // Dumps concatenate; blank lines between them are skipped.
+        let two = format!("{}\n{}", r.to_jsonl(), r.to_jsonl());
+        assert_eq!(FlightRecord::parse_jsonl(&two), Ok(vec![r.clone(), r]));
+        assert_eq!(FlightRecord::parse_jsonl(""), Ok(vec![]));
+    }
+
+    /// Every malformed dump is an error naming its line: a line cut
+    /// short, a dropped span line, a bad field, a line before any meta.
+    #[test]
+    fn malformed_flight_records_name_the_line() {
+        let dump = budget_record().to_jsonl();
+        let line_of = |text: &str| {
+            let err = FlightRecord::parse_jsonl(text).unwrap_err();
+            let n = err.strip_prefix("line ").and_then(|e| e.split(':').next());
+            n.and_then(|n| n.parse::<usize>().ok()).unwrap()
+        };
+        assert_eq!(line_of(&dump[..dump.len() - 10]), 5, "cut mid-line");
+        let lines: Vec<&str> = dump.lines().collect();
+        let without = |k: usize| {
+            let mut l = lines.clone();
+            l.remove(k);
+            l.join("\n")
+        };
+        assert_eq!(line_of(&without(2)), 1, "a span line went missing");
+        assert_eq!(line_of(&without(0)), 1, "no meta line");
+        for (from, to, line) in [
+            ("\"blocked\"", "\"stalled\"", 3),
+            ("\"d2h\"", "\"sideways\"", 5),
+            ("\"kind\":\"traffic\"", "\"kind\":\"noise\"", 4),
+            ("\"seq\":1", "\"seq\":-1", 3),
+            ("\"tenant\"", "\"owner\"", 1),
+            ("000000000000dead", "not-hex", 1),
+        ] {
+            assert_eq!(line_of(&dump.replacen(from, to, 1)), line, "{to}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use lt_telemetry::MetricRegistry;
 #[test]
 fn prometheus_text_matches_golden_file() {
     let reg = MetricRegistry::new();
-    reg.counter("lt_walks_total", "Walks finished", &[]).add(42);
+    reg.counter("lt_walks_total", "Walks finished", &[]).set(42);
     reg.counter("lt_faults_total", "Injected faults", &[("kind", "crash")])
         .set(2);
     reg.counter(
@@ -35,7 +35,7 @@ fn prometheus_text_matches_golden_file() {
 #[test]
 fn prometheus_sample_lines_match_exposition_grammar() {
     let reg = MetricRegistry::new();
-    reg.counter("lt_a_total", "a", &[]).add(1);
+    reg.counter("lt_a_total", "a", &[]).set(1);
     reg.gauge("lt_b", "b", &[("x", "y")]).set(-1.25e-3);
     reg.histogram("lt_c_ns", "c", &[])
         .set(&[0.5, 2.0], &[0, 1, 0], 1.0);

@@ -17,7 +17,7 @@ use lighttraffic::gpusim::{CostModel, GpuConfig};
 use lighttraffic::graph::gen::{self, datasets};
 use lighttraffic::graph::stats::{human_bytes, stats};
 use lighttraffic::graph::{io, Csr, PartitionedGraph};
-use lighttraffic::telemetry::MetricRegistry;
+use lighttraffic::telemetry::{FlightRecord, MetricRegistry, TrafficDirection};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -85,15 +85,16 @@ SERVE OPTIONS (multi-tenant walk service, JSONL over TCP):
   --seed N            engine RNG seed                    (default 42)
   --max-jobs N        job slots over the server lifetime (default 256)
   --default-budget N  tokens granted per new tenant      (default unlimited)
-  --metrics-out FILE  periodically write the live server registry
-                      (same registry the `metrics` op exports)
+  --metrics-out FILE  every 0.5 s, write the same scrape the `metrics`
+                      op returns (engine and server series)
   --flight-dir DIR    dump per-job flight records (JSONL) here on fault,
                       eviction, or budget exhaustion
   --max-seconds N     exit after N seconds (0 = run forever; default 0)
 
 INSPECT:
   Render a flight-record dump (from serve --flight-dir or the TCP
-  `inspect` op) as a per-job latency and traffic breakdown table.
+  `inspect` op) as a per-job latency and traffic breakdown table. A
+  malformed dump is an error naming its line.
 
 `compare` takes the run options up to --seed. A flag a command does not
 take is an error that names it."
@@ -482,9 +483,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 /// `lightwalk serve`: expose the graph as a multi-tenant walk service
-/// (see `lt-server`). `--metrics-out` mirrors the *live* server registry
-/// to a file on a short cadence — the very registry the TCP `metrics` op
-/// renders, so there is exactly one source of metrics truth.
+/// (see `lt-server`). `--metrics-out` writes a scrape to a file on a short
+/// cadence through the same [`ServerHandle::metrics`] call the TCP
+/// `metrics` op makes, so both carry the same series.
+///
+/// [`ServerHandle::metrics`]: lighttraffic::server::ServerHandle::metrics
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let values = [
         "addr",
@@ -525,11 +528,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     eprintln!("[serving walks on {}]", front.local_addr());
     let max_seconds: u64 = f.get_parse("max-seconds", 0)?;
     let started = std::time::Instant::now();
-    let registry = handle.registry();
     loop {
         std::thread::sleep(std::time::Duration::from_millis(500));
         if let Some(path) = f.get("metrics-out") {
-            std::fs::write(path, registry.render_prometheus()).map_err(|e| e.to_string())?;
+            let (prometheus, _) = handle.metrics(0).map_err(|e| e.to_string())?;
+            std::fs::write(path, prometheus).map_err(|e| e.to_string())?;
         }
         if max_seconds > 0 && started.elapsed().as_secs() >= max_seconds {
             break;
@@ -538,45 +541,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     front.shutdown();
     server.shutdown();
     Ok(())
-}
-
-/// One parsed flight record: the meta line plus its span/traffic lines.
-struct FlightDump {
-    meta: serde_json::Value,
-    spans: Vec<serde_json::Value>,
-    traffic: Vec<serde_json::Value>,
-}
-
-/// Parse a flight-record JSONL file. A file may hold several
-/// concatenated dumps; each starts at a `"kind":"meta"` line.
-fn parse_flight_dumps(text: &str) -> Result<Vec<FlightDump>, String> {
-    let mut dumps: Vec<FlightDump> = Vec::new();
-    for (n, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v: serde_json::Value =
-            serde_json::from_str(line).map_err(|e| format!("line {}: bad json: {e:?}", n + 1))?;
-        match v.get("kind").and_then(|k| k.as_str()) {
-            Some("meta") => dumps.push(FlightDump {
-                meta: v,
-                spans: Vec::new(),
-                traffic: Vec::new(),
-            }),
-            Some(kind) => {
-                let d = dumps
-                    .last_mut()
-                    .ok_or_else(|| format!("line {}: record before any meta line", n + 1))?;
-                match kind {
-                    "span" => d.spans.push(v),
-                    "traffic" => d.traffic.push(v),
-                    other => return Err(format!("line {}: unknown kind {other:?}", n + 1)),
-                }
-            }
-            None => return Err(format!("line {}: record without a kind field", n + 1)),
-        }
-    }
-    Ok(dumps)
 }
 
 /// `lightwalk inspect DUMP.jsonl`: per-job latency and traffic breakdown
@@ -589,31 +553,25 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         .first()
         .ok_or("inspect needs a flight-record dump (write one with `serve --flight-dir`)")?;
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let dumps = parse_flight_dumps(&text)?;
-    if dumps.is_empty() {
+    let records = FlightRecord::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
+    if records.is_empty() {
         return Err(format!("{path}: no flight records"));
     }
-    let s = |v: &serde_json::Value, k: &str| {
-        v.get(k).and_then(|x| x.as_str()).unwrap_or("?").to_string()
-    };
-    let u = |v: &serde_json::Value, k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
-    for d in &dumps {
+    for d in &records {
         println!(
-            "job {} · tenant {:?} · trace {} · reason {} · {} spans retained ({} dropped)",
-            u(&d.meta, "job"),
-            s(&d.meta, "tenant"),
-            s(&d.meta, "trace_id"),
-            s(&d.meta, "reason"),
+            "job {} · tenant {:?} · trace {:016x} · reason {} · {} spans retained ({} dropped)",
+            d.job,
+            d.tenant,
+            d.trace_id,
+            d.reason,
             d.spans.len(),
-            u(&d.meta, "dropped"),
+            d.dropped,
         );
-        if d.spans.is_empty() {
+        let Some(first) = d.spans.first() else {
             println!("  (no spans retained)\n");
             continue;
-        }
+        };
         // Timeline: clocks shown relative to the first retained span.
-        let sim0 = u(&d.spans[0], "sim_ns");
-        let host0 = u(&d.spans[0], "host_ns");
         println!(
             "\n  {:>4}  {:<10} {:>10} {:>11} {:>11}  detail",
             "seq", "phase", "steps", "sim(ms)", "host(ms)"
@@ -621,23 +579,23 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         for sp in &d.spans {
             println!(
                 "  {:>4}  {:<10} {:>10} {:>11.3} {:>11.3}  {}",
-                u(sp, "seq"),
-                s(sp, "phase"),
-                u(sp, "step_clock"),
-                u(sp, "sim_ns").saturating_sub(sim0) as f64 / 1e6,
-                u(sp, "host_ns").saturating_sub(host0) as f64 / 1e6,
-                s(sp, "detail"),
+                sp.seq,
+                sp.phase.as_str(),
+                sp.step_clock,
+                sp.sim_ns.saturating_sub(first.sim_ns) as f64 / 1e6,
+                sp.host_ns.saturating_sub(first.host_ns) as f64 / 1e6,
+                sp.detail,
             );
         }
         // Latency breakdown: the interval between two transitions is
         // attributed to the phase being left.
-        let mut by_phase: std::collections::BTreeMap<String, (u64, u64, u64)> =
+        let mut by_phase: std::collections::BTreeMap<&str, (u64, u64, u64)> =
             std::collections::BTreeMap::new();
         for w in d.spans.windows(2) {
-            let e = by_phase.entry(s(&w[0], "phase")).or_insert((0, 0, 0));
+            let e = by_phase.entry(w[0].phase.as_str()).or_insert((0, 0, 0));
             e.0 += 1;
-            e.1 += u(&w[1], "sim_ns").saturating_sub(u(&w[0], "sim_ns"));
-            e.2 += u(&w[1], "host_ns").saturating_sub(u(&w[0], "host_ns"));
+            e.1 += w[1].sim_ns.saturating_sub(w[0].sim_ns);
+            e.2 += w[1].host_ns.saturating_sub(w[0].host_ns);
         }
         if !by_phase.is_empty() {
             println!(
@@ -655,40 +613,38 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
             }
         }
         // Traffic attributed to the job.
-        let (mut h2d, mut d2h) = (0u64, 0u64);
-        if !d.traffic.is_empty() {
-            println!(
-                "\n  traffic:    {:>9} {:>9} {:>12}",
-                "partition", "dir", "bytes"
-            );
-            for t in &d.traffic {
-                let bytes = u(t, "bytes");
-                match s(t, "direction").as_str() {
-                    "h2d" => h2d += bytes,
-                    _ => d2h += bytes,
-                }
-                println!(
-                    "              {:>9} {:>9} {:>12}",
-                    u(t, "partition"),
-                    s(t, "direction"),
-                    human_bytes(bytes)
-                );
-            }
-            let steps = d.spans.last().map(|sp| u(sp, "step_clock")).unwrap_or(0);
-            let per_step = if steps > 0 {
-                format!(", {:.1} B/step", (h2d + d2h) as f64 / steps as f64)
-            } else {
-                String::new()
-            };
-            println!(
-                "    total     h2d {} · d2h {}{per_step}",
-                human_bytes(h2d),
-                human_bytes(d2h)
-            );
-        } else {
-            println!("\n  traffic: none attributed");
+        if d.traffic.is_empty() {
+            println!("\n  traffic: none attributed\n");
+            continue;
         }
-        println!();
+        let (mut h2d, mut d2h) = (0u64, 0u64);
+        println!(
+            "\n  traffic:    {:>9} {:>9} {:>12}",
+            "partition", "dir", "bytes"
+        );
+        for t in &d.traffic {
+            match t.direction {
+                TrafficDirection::H2d => h2d += t.bytes,
+                _ => d2h += t.bytes,
+            }
+            println!(
+                "              {:>9} {:>9} {:>12}",
+                t.partition,
+                t.direction.label(),
+                human_bytes(t.bytes)
+            );
+        }
+        let steps = d.spans.last().map_or(0, |sp| sp.step_clock);
+        let per_step = if steps > 0 {
+            format!(", {:.1} B/step", (h2d + d2h) as f64 / steps as f64)
+        } else {
+            String::new()
+        };
+        println!(
+            "    total     h2d {} · d2h {}{per_step}\n",
+            human_bytes(h2d),
+            human_bytes(d2h)
+        );
     }
     Ok(())
 }
