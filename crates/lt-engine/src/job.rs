@@ -16,6 +16,7 @@
 //! job's algorithm *and seed*, ignoring the engine seed — so a job's
 //! visit multiset is bit-identical whether it runs alone or interleaved
 //! with any number of other jobs, at any `kernel_threads` setting.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::algorithm::{StepContext, StepDecision, WalkAlgorithm};
 use crate::engine::EngineError;
@@ -285,7 +286,7 @@ impl JobTable {
         }
         self.entries[idx]
             .set(JobEntry { algorithm, seed })
-            .unwrap_or_else(|_| unreachable!("slot {idx} claimed twice"));
+            .unwrap_or_else(|_| unreachable!("`next` hands slot {idx} out once"));
         Ok(idx as u32)
     }
 
@@ -293,7 +294,7 @@ impl JobTable {
         self.entries
             .get(tag as usize)
             .and_then(OnceLock::get)
-            .expect("walker carries an unregistered job tag")
+            .expect("a walker's tag is one `register` returned")
     }
 }
 

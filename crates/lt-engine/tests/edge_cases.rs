@@ -3,9 +3,10 @@
 
 use lt_engine::algorithm::{PageRank, Ppr, UniformSampling};
 use lt_engine::walker::Walker;
-use lt_engine::{EngineConfig, LightTraffic, ZeroCopyPolicy};
+use lt_engine::{EngineConfig, EngineError, LightTraffic, ZeroCopyPolicy};
 use lt_graph::gen::{erdos_renyi, rmat, RmatParams};
-use lt_graph::{Csr, GraphBuilder};
+use lt_graph::oocore::write_oocore;
+use lt_graph::{Csr, GraphBuilder, GraphError, GraphStore, OocGraph, PartitionedGraph};
 use std::sync::Arc;
 
 fn small_graph() -> Arc<Csr> {
@@ -230,4 +231,46 @@ fn length_histogram_distinguishes_fixed_from_geometric() {
     let geo = e.run(2_000).unwrap().metrics.length_histogram;
     assert_eq!(geo.iter().sum::<u64>(), 2_000);
     assert!(geo.iter().filter(|&&c| c > 0).count() >= 3, "{geo:?}");
+}
+
+/// A corrupt out-of-core file ends the run in a typed error, never a
+/// panic: in a 12-vertex ring, one payload byte rewritten so vertex 0's
+/// first neighbor reads 63, a vertex no partition holds.
+#[test]
+fn an_ooc_neighbor_outside_the_graph_fails_the_run() {
+    let n = 12u32;
+    let edges = (0..n)
+        .flat_map(|v| {
+            let (lo, hi) = ((v + 1) % n, (v + n - 1) % n);
+            [lo.min(hi), lo.max(hi)]
+        })
+        .collect();
+    let ring = Csr::new((0..=u64::from(n)).map(|v| 2 * v).collect(), edges, None).unwrap();
+    let path = std::env::temp_dir().join(format!("lt_edge_ring_{}.ltg", std::process::id()));
+    write_oocore(&PartitionedGraph::build(Arc::new(ring), 64), &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    // `LTOOCGR1` (oocore.rs): a 37-byte fixed header with the partition
+    // count P at byte 25, then P + 1 u32 boundaries, P u64 partition
+    // sizes, P u64 edge counts and P + 1 u64 region offsets. Region 0 is
+    // a u32 chunk count, one 20-byte chunk entry, then vertex 0's row:
+    // degree 2, zigzag(+1) = 2, zigzag(+10) = 20.
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let p = u32::from_le_bytes(bytes[25..29].try_into().unwrap()) as usize;
+    let payload = u64_at(37 + 4 * (p + 1) + 16 * p) as usize + 4 + 20;
+    assert_eq!(bytes[payload..payload + 3], [2, 2, 20]);
+    bytes[payload + 1] = 126;
+    std::fs::write(&path, &bytes).unwrap();
+    let store = GraphStore::OutOfCore(Arc::new(OocGraph::open(&path).unwrap()));
+    let run = LightTraffic::from_store(
+        store,
+        Arc::new(UniformSampling::new(8)),
+        EngineConfig::light_traffic(1 << 20, 1),
+    )
+    .and_then(|mut e| e.run(64));
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(run, Err(EngineError::Graph(GraphError::Format(_)))),
+        "{:?}",
+        run.err()
+    );
 }

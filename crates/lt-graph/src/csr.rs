@@ -6,6 +6,7 @@
 //! walks (§II-A), and a parallel timestamp array
 //! supports temporal walks (edges are traversable only inside a sliding
 //! window relative to the walker's current edge time — DESIGN.md §15).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::{GraphError, VertexId, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES};
 use std::sync::OnceLock;
@@ -22,6 +23,20 @@ pub(crate) fn max_multiplicity(offsets: &[u64], edges: &[VertexId]) -> u32 {
         }
     }
     best
+}
+
+/// The one rule for edge weights, applied by every reader that admits
+/// them ([`Csr::with_timestamps`], [`crate::DeltaGraph::buffer`] and the
+/// out-of-core decoder): each weight is finite and non-negative. A NaN,
+/// negative or infinite weight would make a weighted walk's scan pick an
+/// edge nobody asked for.
+pub(crate) fn check_weights(weights: &[f32]) -> Result<(), GraphError> {
+    match weights.iter().find(|w| !w.is_finite() || **w < 0.0) {
+        Some(w) => Err(GraphError::Format(format!(
+            "edge weight {w} is not finite and non-negative"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// An immutable graph in CSR form.
@@ -75,19 +90,18 @@ impl Csr {
         weights: Option<Vec<f32>>,
         timestamps: Option<Vec<u32>>,
     ) -> Result<Self, GraphError> {
-        if offsets.is_empty() {
+        let (Some(&first), Some(&last)) = (offsets.first(), offsets.last()) else {
             return Err(GraphError::Format("offsets array must be non-empty".into()));
-        }
-        if offsets[0] != 0 {
+        };
+        if first != 0 {
             return Err(GraphError::Format("offsets[0] must be 0".into()));
         }
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(GraphError::Format("offsets must be non-decreasing".into()));
         }
-        if *offsets.last().unwrap() != edges.len() as u64 {
+        if last != edges.len() as u64 {
             return Err(GraphError::Format(format!(
-                "last offset {} != edge count {}",
-                offsets.last().unwrap(),
+                "last offset {last} != edge count {}",
                 edges.len()
             )));
         }
@@ -106,11 +120,7 @@ impl Csr {
                     edges.len()
                 )));
             }
-            if w.iter().any(|x| !x.is_finite() || *x < 0.0) {
-                return Err(GraphError::Format(
-                    "weights must be finite and non-negative".into(),
-                ));
-            }
+            check_weights(w)?;
         }
         if let Some(t) = &timestamps {
             if t.len() != edges.len() {

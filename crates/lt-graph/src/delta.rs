@@ -30,6 +30,7 @@
 //! move forward as epochs are sealed.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+use crate::csr::check_weights;
 use crate::partition::Rows;
 use crate::{Csr, GraphError, PartitionData, PartitionId, PartitionedGraph, VertexId};
 use std::ops::Range;
@@ -275,7 +276,7 @@ impl DeltaGraph {
 
     /// Queue one update; it stays invisible until [`DeltaGraph::seal_epoch`].
     /// Both endpoints must be existing vertices (the vertex set is frozen;
-    /// only edges evolve).
+    /// only edges evolve), and a weight must be finite and non-negative.
     pub fn buffer(&mut self, update: EdgeUpdate) -> Result<(), GraphError> {
         let nv = self.table.num_vertices();
         for v in [update.src, update.dst] {
@@ -286,13 +287,7 @@ impl DeltaGraph {
                 });
             }
         }
-        if let Some(w) = update.weight {
-            if !w.is_finite() || w < 0.0 {
-                return Err(GraphError::Format(
-                    "edge-update weights must be finite and non-negative".into(),
-                ));
-            }
-        }
+        check_weights(update.weight.as_slice())?;
         self.pending.push(update);
         Ok(())
     }

@@ -45,6 +45,7 @@
 //! one-group case.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+use crate::csr::check_weights;
 use crate::partition::{PartitionData, PartitionedGraph};
 use crate::{Csr, GraphError, VertexId};
 use std::fs::File;
@@ -158,6 +159,14 @@ fn array_at<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
 
 fn truncated() -> GraphError {
     GraphError::Format("out-of-core payload truncated".into())
+}
+
+/// `e`, naming partition `p` if it is a [`GraphError::Format`].
+fn in_partition(p: u32, e: GraphError) -> GraphError {
+    match e {
+        GraphError::Format(m) => GraphError::Format(format!("partition {p}: {m}")),
+        e => e,
+    }
 }
 
 /// Refuse a partition of `vertices` rows and `edges` edges in a region of
@@ -327,10 +336,12 @@ fn carve<'a>(plans: &'a [ChunkPlan], data: &'a mut PartitionData) -> Vec<ChunkOu
         .collect()
 }
 
-/// Decode one chunk into its spans. `offsets` receives the
-/// partition-relative edge start of each row; the caller writes the
-/// final `offsets[n] = part_edges` sentinel once, after all chunks.
-fn decode_chunk(region: &[u8], out: ChunkOut) -> Result<(), GraphError> {
+/// Decode one chunk of a graph with `num_vertices` vertices into its
+/// spans. `offsets` receives the partition-relative edge start of each
+/// row; the caller writes the final `offsets[n] = part_edges` sentinel
+/// once, after all chunks. A neighbor outside `0..num_vertices` or a
+/// weight [`check_weights`] refuses is a [`GraphError::Format`].
+fn decode_chunk(region: &[u8], num_vertices: u64, out: ChunkOut) -> Result<(), GraphError> {
     let ChunkOut {
         plan,
         offsets,
@@ -353,8 +364,13 @@ fn decode_chunk(region: &[u8], out: ChunkOut) -> Result<(), GraphError> {
         for slot in row.iter_mut() {
             let delta = unzigzag(get_varint(region, &mut pos).ok_or_else(truncated)?);
             prev += delta;
-            *slot = VertexId::try_from(prev)
-                .map_err(|_| GraphError::Format("decoded neighbor out of u32 range".into()))?;
+            // A negative `prev` wraps far above any vertex count.
+            if prev as u64 >= num_vertices {
+                return Err(GraphError::Format(format!(
+                    "vertex {v} has neighbor {prev}, outside the graph's {num_vertices} vertices"
+                )));
+            }
+            *slot = prev as VertexId;
         }
         if let Some(ts) = timestamps.as_deref_mut() {
             let row = &mut ts[edge_cursor..edge_cursor + d];
@@ -379,6 +395,7 @@ fn decode_chunk(region: &[u8], out: ChunkOut) -> Result<(), GraphError> {
             for (k, slot) in row.iter_mut().enumerate() {
                 *slot = f32::from_le_bytes(array_at(region, pos + 4 * k));
             }
+            check_weights(row)?;
             pos = end;
         }
         edge_cursor += d;
@@ -677,7 +694,10 @@ impl OocGraph {
     /// spans of the output, handed to its index through a slot taken
     /// once. Chunk boundaries are fixed by the file, so the decoded bytes
     /// are the same for every group count. A read or decode failure is
-    /// returned, the lowest failing group's first.
+    /// returned, the lowest failing group's first; a block that would
+    /// break the row contract [`Csr::new`] checks (a neighbor outside the
+    /// graph, a weight that is not finite and non-negative) is a
+    /// [`GraphError::Format`] naming `p`.
     pub fn decode_partition_with<F>(
         &self,
         p: u32,
@@ -695,7 +715,8 @@ impl OocGraph {
         let ne = self.part_edges[p as usize];
         let n = (v_end - v_start) as usize;
         let region = self.region(p)?;
-        let plans = parse_chunk_plans(&region, v_start, v_end, ne)?;
+        let plans =
+            parse_chunk_plans(&region, v_start, v_end, ne).map_err(|e| in_partition(p, e))?;
         let mut data = PartitionData {
             id: p,
             v_start,
@@ -718,11 +739,16 @@ impl OocGraph {
         let decode_group = |g: usize| {
             let group =
                 std::mem::take(&mut *slots[g].lock().expect("a slot is only locked to take it"));
-            group.into_iter().try_for_each(|c| decode_chunk(&region, c))
+            group
+                .into_iter()
+                .try_for_each(|c| decode_chunk(&region, self.num_vertices, c))
         };
         let decoded = fan_out(slots.len(), &decode_group);
         debug_assert_eq!(decoded.len(), slots.len(), "the fan-out ran every group");
-        decoded.into_iter().collect::<Result<(), GraphError>>()?;
+        decoded
+            .into_iter()
+            .collect::<Result<(), GraphError>>()
+            .map_err(|e| in_partition(p, e))?;
         drop(slots);
         data.offsets[n] = ne;
         Ok(data)
@@ -880,6 +906,65 @@ mod tests {
             assert!(
                 matches!(ooc.decode_partition(0), Err(GraphError::Format(_))),
                 "{field}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A 12-vertex ring (every weight 1.0 if `weighted`) written to
+    /// `path`, as bytes, and where partition 0's payload starts: vertex
+    /// 0's row is degree 2, zigzag(+1) = 2, zigzag(+10) = 20, then its
+    /// weights.
+    fn ring_file(path: &Path, weighted: bool) -> (Vec<u8>, usize) {
+        let n = 12u32;
+        let edges: Vec<VertexId> = (0..n)
+            .flat_map(|v| {
+                let (lo, hi) = ((v + 1) % n, (v + n - 1) % n);
+                [lo.min(hi), lo.max(hi)]
+            })
+            .collect();
+        let weights = weighted.then(|| vec![1.0; edges.len()]);
+        let csr = Csr::new((0..=u64::from(n)).map(|v| 2 * v).collect(), edges, weights).unwrap();
+        write_oocore(&PartitionedGraph::build(Arc::new(csr), 64), path).unwrap();
+        let payload = OocGraph::open(path).unwrap().regions[0] as usize + 4 + DIR_ENTRY;
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(bytes[payload..payload + 3], [2, 2, 20]);
+        (bytes, payload)
+    }
+
+    /// A payload byte rewritten so vertex 0's first neighbor reads 63 of
+    /// 12 is refused by the decode, naming the partition, instead of
+    /// handing the engine a vertex no partition holds.
+    #[test]
+    fn a_neighbor_outside_the_graph_is_refused() {
+        let path = tmp("ring_neighbor");
+        let (mut bytes, payload) = ring_file(&path, false);
+        bytes[payload + 1] = 126;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = OocGraph::open(&path).unwrap().decode_partition(0);
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(&err, Err(GraphError::Format(m)) if m.starts_with("partition 0:") && m.contains("neighbor 63")),
+            "{err:?}"
+        );
+    }
+
+    /// A stored weight rewritten to NaN, a negative or an infinity is
+    /// refused by the decode like `Csr::new` refuses it.
+    #[test]
+    fn a_weight_the_weight_rule_refuses_is_refused() {
+        let path = tmp("ring_weight");
+        let (full, payload) = ring_file(&path, true);
+        let at = payload + 3;
+        assert_eq!(full[at..at + 4], 1.0f32.to_le_bytes());
+        for bad in [f32::NAN, -1.0, f32::INFINITY] {
+            let mut bytes = full.clone();
+            bytes[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = OocGraph::open(&path).unwrap().decode_partition(0);
+            assert!(
+                matches!(&err, Err(GraphError::Format(m)) if m.starts_with("partition 0:")),
+                "weight {bad}: {err:?}"
             );
         }
         std::fs::remove_file(&path).ok();

@@ -698,7 +698,7 @@ mod tests {
     #[test]
     fn hub_vertex_gets_singleton_overflow_partition() {
         // One vertex with degree 1000, budget fits ~100 edges.
-        let mut b = crate::GraphBuilder::new().drop_zero_degree(false);
+        let mut b = crate::GraphBuilder::new();
         for v in 1..=1000u32 {
             b = b.add_edge(0, v);
         }

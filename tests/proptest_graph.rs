@@ -1,7 +1,8 @@
 //! Property-based tests of the graph substrate: the builder's
 //! preprocessing, CSR structure, the range partitioner's invariants,
-//! binary serialization — DESIGN.md invariants 1, 2 and 7 — and the
-//! evolving layer's epoch seal (§15).
+//! binary serialization — DESIGN.md invariants 1, 2 and 7 — the
+//! out-of-core format's decode of corrupt payloads, and the evolving
+//! layer's epoch seal (§15).
 //!
 //! Generators live in [`common`] and are shared with `proptest_engine`
 //! and `differential`.
@@ -12,7 +13,7 @@ use common::{build_csr, edges_strategy, materialize_update, raw_updates_strategy
 use lighttraffic::graph::delta::{DeltaGraph, EdgeOp};
 use lighttraffic::graph::gen::{with_random_timestamps, with_random_weights};
 use lighttraffic::graph::oocore::write_oocore;
-use lighttraffic::graph::{io, OocGraph, PartitionedGraph, VertexId};
+use lighttraffic::graph::{io, GraphError, OocGraph, PartitionedGraph, VertexId};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
@@ -27,6 +28,25 @@ fn header_field() -> impl Strategy<Value = u64> {
         0u64..64,
         any::<u64>(),
     ]
+}
+
+/// Every byte position inside an `LTOOCGR1` file's region payloads, past
+/// each region's chunk directory. The layout is `oocore.rs`'s: a 37-byte
+/// fixed header with the partition count P at byte 25, then P + 1 u32
+/// boundaries, P u64 partition sizes, P u64 edge counts and P + 1 u64
+/// region offsets; a region is a u32 chunk count, 20 bytes a chunk, then
+/// the payload.
+fn ooc_payload_positions(bytes: &[u8]) -> Vec<usize> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let p = u32_at(25);
+    let regions: Vec<usize> = (0..=p)
+        .map(|i| u64_at(37 + 4 * (p + 1) + 16 * p + 8 * i))
+        .collect();
+    regions
+        .windows(2)
+        .flat_map(|r| r[0] + 4 + 20 * u32_at(r[0])..r[1])
+        .collect()
 }
 
 proptest! {
@@ -185,6 +205,63 @@ proptest! {
                 );
             }
             std::fs::remove_file(&ooc_path).ok();
+        }
+    }
+
+    /// A corrupt `LTOOCGR1` payload decodes to the row contract or to an
+    /// error, never a panic: small graphs of every flavor written with
+    /// `write_oocore`, then 1–3 bytes inside region payloads rewritten.
+    /// A neighbor rewritten to another in-range vertex still decodes;
+    /// only a checksum could tell.
+    #[test]
+    fn corrupt_ooc_payloads_decode_to_the_row_contract_or_an_error(
+        edges in edges_strategy(),
+        budget in 64u64..1024,
+        seed in 0u64..1000,
+        flavor in 0usize..3,
+        rewrites in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..4),
+    ) {
+        let Some(plain) = build_csr(&edges) else { return Ok(()); };
+        let nv = plain.num_vertices();
+        let g = match flavor {
+            0 => plain,
+            1 => with_random_weights(&plain, seed),
+            _ => with_random_timestamps(&plain, seed, 16),
+        };
+        let path = std::env::temp_dir()
+            .join(format!("lt_proptest_corrupt_ooc_{}.ltg", std::process::id()));
+        write_oocore(&PartitionedGraph::build(Arc::new(g), budget), &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let payload = ooc_payload_positions(&bytes);
+        for (at, value) in &rewrites {
+            bytes[payload[at.index(payload.len())]] = *value;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let decoded = std::panic::catch_unwind(|| {
+            let ooc = OocGraph::open(&path)?;
+            Ok::<_, GraphError>(
+                (0..ooc.num_partitions()).map(|p| ooc.decode_partition(p)).collect::<Vec<_>>(),
+            )
+        });
+        std::fs::remove_file(&path).ok();
+        let Ok(Ok(blocks)) = decoded else {
+            prop_assert!(decoded.is_ok(), "open or decode panicked");
+            return Ok(());
+        };
+        for block in blocks.into_iter().flatten() {
+            let p = block.id;
+            let offsets = &block.offsets;
+            prop_assert_eq!(offsets.len() as u32, block.v_end - block.v_start + 1);
+            prop_assert_eq!(offsets[0], 0, "partition {}", p);
+            prop_assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "partition {}", p);
+            prop_assert_eq!(offsets[offsets.len() - 1], block.edges.len() as u64);
+            prop_assert!(
+                block.edges.iter().all(|&n| u64::from(n) < nv),
+                "partition {} decoded a neighbor outside its {} vertices", p, nv
+            );
+            for &w in block.weights.iter().flatten() {
+                prop_assert!(w.is_finite() && w >= 0.0, "partition {} decoded weight {}", p, w);
+            }
         }
     }
 
