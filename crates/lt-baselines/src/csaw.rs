@@ -83,7 +83,7 @@ mod tests {
         let walker_bytes = UniformSampling::new(80).walker_state_bytes();
         let plan = plan_queues(100_000, partitions, 80, walker_bytes);
         assert_eq!(plan.total_bytes, 30_848_000_000);
-        let r = Gpu::new(GpuConfig::default()).malloc(plan.total_bytes);
+        let r = Gpu::new(GpuConfig::default()).reserve(plan.total_bytes);
         assert!(matches!(r, Err(OutOfMemory { .. })), "must OOM: {r:?}");
     }
 }

@@ -47,20 +47,17 @@ pub fn run_in_gpu_memory(
     gpu_config: GpuConfig,
     seed: u64,
 ) -> Result<BaselineRun, InGpuError> {
-    let gpu = Gpu::new(gpu_config);
-    let cost = gpu.cost_model();
-    let stream = gpu.create_stream("ingpu");
+    let mut gpu = Gpu::new(gpu_config);
+    let stream = gpu.create_stream();
     let nv = graph.num_vertices();
 
     let graph_bytes = graph.csr_bytes();
     let walk_bytes = num_walks * alg.walker_state_bytes();
-    let _graph_alloc = gpu.malloc(graph_bytes).map_err(InGpuError::OutOfMemory)?;
-    let _walk_alloc = gpu.malloc(walk_bytes).map_err(InGpuError::OutOfMemory)?;
-    let _visit_alloc = if alg.tracks_visits() {
-        Some(gpu.malloc(nv * 4).map_err(InGpuError::OutOfMemory)?)
-    } else {
-        None
-    };
+    gpu.reserve(graph_bytes).map_err(InGpuError::OutOfMemory)?;
+    gpu.reserve(walk_bytes).map_err(InGpuError::OutOfMemory)?;
+    if alg.tracks_visits() {
+        gpu.reserve(nv * 4).map_err(InGpuError::OutOfMemory)?;
+    }
 
     // Load everything up front; no overlap with computation.
     gpu.copy_async(
@@ -108,10 +105,11 @@ pub fn run_in_gpu_memory(
         // regrouped by their transit vertex so a sub-warp reads one
         // adjacency list — a shared-memory sort analogous to two-level
         // reshuffling, paid once per step.
-        let grouping_ns = cost.reshuffle_time(steps, TRANSIT_GROUPS, true);
+        let grouping_ns = gpu.cost().reshuffle_time(steps, TRANSIT_GROUPS, true);
+        let update_ns = gpu.cost().step_time(steps);
         gpu.kernel_async(
             KernelCost {
-                update_ns: cost.step_time(steps),
+                update_ns,
                 other_ns: grouping_ns,
                 ..Default::default()
             },
@@ -120,7 +118,7 @@ pub fn run_in_gpu_memory(
         );
     }
     gpu.device_synchronize();
-    let stats = gpu.stats();
+    let stats = gpu.stats().clone();
     let metrics = Metrics {
         total_steps,
         finished_walks: finished,

@@ -130,17 +130,15 @@ pub fn run_subway_traced(
     num_walks: u64,
     cfg: &SubwayConfig,
 ) -> (BaselineRun, Vec<IterationRecord>) {
-    let gpu = Gpu::new(cfg.gpu.clone());
-    let cost = gpu.cost_model();
-    let stream = gpu.create_stream("subway");
+    let mut gpu = Gpu::new(cfg.gpu.clone());
+    let stream = gpu.create_stream();
     let nv = graph.num_vertices();
 
     // Subway keeps all application state (here: the full walk index) in
     // GPU memory — the design whose memory ceiling §II-B criticizes.
-    let walk_alloc = gpu.malloc(num_walks * alg.walker_state_bytes());
     // Past the memory ceiling Subway simply cannot run; we keep going so
     // the harness can still report a (charitable) number.
-    let _walk_alloc = walk_alloc.ok();
+    let _ = gpu.reserve(num_walks * alg.walker_state_bytes());
 
     let mut walkers = alg.place_walkers(graph.num_vertices(), num_walks);
     let mut active: Vec<bool> = vec![true; walkers.len()];
@@ -176,7 +174,8 @@ pub fn run_subway_traced(
         // adjacency lists and materializes a fresh CSR.
         let subgraph_bytes = active_vertices * VERTEX_ENTRY_BYTES + active_edges * EDGE_ENTRY_BYTES;
         let scan_bytes = remaining * alg.walker_state_bytes() + 2 * subgraph_bytes;
-        gpu.host_advance(cost.host_scan_time(scan_bytes), Category::HostWork);
+        let scan_ns = gpu.cost().host_scan_time(scan_bytes);
+        gpu.host_advance(scan_ns, Category::HostWork);
 
         // --- Transfer the active subgraph. ---
         gpu.copy_async(
@@ -214,8 +213,8 @@ pub fn run_subway_traced(
         // and the critical path through the most loaded vertex, whose
         // single thread advances its walks as a dependent chain of random
         // memory accesses.
-        let ideal_ns = cost.step_time(steps_this_iter);
-        let critical_ns = cost.serial_step_time(max_load as u64);
+        let ideal_ns = gpu.cost().step_time(steps_this_iter);
+        let critical_ns = gpu.cost().serial_step_time(max_load as u64);
         gpu.kernel_async(
             KernelCost {
                 update_ns: ideal_ns.max(critical_ns),
@@ -237,7 +236,7 @@ pub fn run_subway_traced(
     }
 
     gpu.device_synchronize();
-    let stats = gpu.stats();
+    let stats = gpu.stats().clone();
     let metrics = Metrics {
         iterations,
         total_steps,

@@ -437,12 +437,13 @@ impl LightTraffic {
         self.park_evicted(evicted)?;
         let two_level = self.cfg.reshuffle == ReshuffleMode::TwoLevel;
         let working_set = self.graph.table().partition_bytes(part);
+        let cost = self.gpu.cost();
         let kcost = KernelCost {
-            update_ns: self.cost.step_time_in(steps, working_set),
-            reshuffle_ns: self.cost.reshuffle_time(n_moved, np, two_level),
+            update_ns: cost.step_time_in(steps, working_set),
+            reshuffle_ns: cost.reshuffle_time(n_moved, np, two_level),
             other_ns: 0,
             zero_copy_bytes: if use_zc {
-                steps * 2 * self.cost.cacheline_bytes
+                steps * 2 * cost.cacheline_bytes
             } else {
                 0
             },

@@ -42,8 +42,8 @@ use crate::metrics::{IterationRecord, Metrics, RunResult};
 use crate::reshuffle::{LocalIndex, ReshuffleMode};
 use crate::walker::Walker;
 use crate::walkpool::{DeviceWalkPool, HostWalkPool};
-use lt_gpusim::sim::{Allocation, OutOfMemory};
-use lt_gpusim::{Category, CostModel, Gpu, GpuConfig, StreamId};
+use lt_gpusim::sim::OutOfMemory;
+use lt_gpusim::{Category, Gpu, GpuConfig, StreamId};
 use lt_graph::delta::DeltaGraph;
 use lt_graph::{Csr, GraphStore, PartitionData, PartitionId, PartitionedGraph, VertexId};
 use lt_telemetry::{apportion_exact, TrafficDirection, TrafficLedger, SHARED_TAG};
@@ -97,7 +97,6 @@ impl Pools {
 /// The out-of-GPU-memory random walk engine.
 pub struct LightTraffic {
     cfg: EngineConfig,
-    cost: CostModel,
     gpu: Gpu,
     /// The block table, the mutations buffered against it and the epoch
     /// clock. Every adjacency read starts here: a partition's rows are
@@ -113,7 +112,6 @@ pub struct LightTraffic {
     /// Partitions that must be read in place (oversized or degraded).
     forced_zc: load::ForcedZeroCopy,
     visit_counts: Option<Vec<u64>>,
-    visit_alloc: Option<Allocation>,
     paths: Option<PathLog>,
     iteration_log: Option<Vec<IterationRecord>>,
     metrics: Metrics,
@@ -192,8 +190,7 @@ impl LightTraffic {
         cfg.validate()?;
         alg.validate().map_err(EngineError::Admission)?;
         let p = pg.num_partitions();
-        let gpu = Gpu::new(cfg.gpu.clone());
-        let cost = gpu.cost_model();
+        let mut gpu = Gpu::new(cfg.gpu.clone());
         let walker_bytes = alg.walker_state_bytes();
         let batch_capacity = cfg.batch_capacity;
         let batch_bytes = batch_capacity as u64 * walker_bytes;
@@ -203,16 +200,16 @@ impl LightTraffic {
             .unwrap_or(4 * p as usize)
             .max(2 * p as usize + 1);
         let pools = Pools {
-            graph: DeviceGraphPool::new(&gpu, p, cfg.graph_pool_blocks, cfg.partition_bytes)?,
-            device: DeviceWalkPool::new(&gpu, p, walk_blocks, batch_bytes, batch_capacity)?,
+            graph: DeviceGraphPool::new(&mut gpu, p, cfg.graph_pool_blocks, cfg.partition_bytes)?,
+            device: DeviceWalkPool::new(&mut gpu, p, walk_blocks, batch_bytes, batch_capacity)?,
             host: HostWalkPool::new(p, batch_capacity),
         };
-        let (visit_counts, visit_alloc) = if alg.tracks_visits() {
+        let visit_counts = if alg.tracks_visits() {
             let nv = pg.num_vertices();
-            let alloc = gpu.malloc(nv * 4)?;
-            (Some(vec![0u64; nv as usize]), Some(alloc))
+            gpu.reserve(nv * 4)?;
+            Some(vec![0u64; nv as usize])
         } else {
-            (None, None)
+            None
         };
         let mut oversized = vec![false; p as usize];
         for part in pg.oversized_partitions() {
@@ -246,18 +243,16 @@ impl LightTraffic {
             },
             paths: cfg.record_paths.then(PathLog::default),
             iteration_log: cfg.record_iterations.then(Vec::new),
-            load_stream: gpu.create_stream("load"),
-            evict_stream: gpu.create_stream("evict"),
-            comp_stream: gpu.create_stream("compute"),
+            load_stream: gpu.create_stream(),
+            evict_stream: gpu.create_stream(),
+            comp_stream: gpu.create_stream(),
             cfg,
-            cost,
             gpu,
             graph: DeltaGraph::new(pg),
             alg,
             walker_bytes,
             pools,
             visit_counts,
-            visit_alloc,
             metrics: Metrics::default(),
             rr_cursor: 0,
             active: 0,
@@ -395,7 +390,7 @@ impl LightTraffic {
             }
         }
         self.gpu.device_synchronize();
-        let gpu_stats = self.gpu.stats();
+        let gpu_stats = self.gpu.stats().clone();
         self.metrics.makespan_ns = gpu_stats.makespan_ns;
         self.metrics.host_peak_walkers = self.pools.host.peak_walkers();
         self.metrics.faults_injected = gpu_stats.faults_injected;
@@ -417,8 +412,8 @@ impl LightTraffic {
         if self.metrics.iterations > self.cfg.max_iterations {
             return Err(EngineError::IterationLimit(self.cfg.max_iterations));
         }
-        self.gpu
-            .host_advance(self.cost.host_iteration_ns, Category::HostWork);
+        let host_iteration_ns = self.gpu.cost().host_iteration_ns;
+        self.gpu.host_advance(host_iteration_ns, Category::HostWork);
         let i = schedule::select_partition(&self.pools, self.cfg.selective, &mut self.rr_cursor);
         let mut use_zc = schedule::decide_zero_copy(
             &self.pools,
@@ -458,19 +453,11 @@ impl LightTraffic {
     }
 }
 
-impl Drop for LightTraffic {
-    fn drop(&mut self) {
-        if let Some(a) = self.visit_alloc.take() {
-            self.gpu.free(a);
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::algorithm::{PageRank, Ppr, UniformSampling};
-    use lt_gpusim::GpuConfig;
+    use lt_gpusim::{CostModel, GpuConfig};
     use lt_graph::gen::{rmat, RmatParams};
 
     pub(crate) fn graph() -> Arc<Csr> {

@@ -16,6 +16,8 @@
 //! all its indices inline on its own thread, so no call ever waits on
 //! another.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -78,7 +80,6 @@ struct Inner {
     /// Nanoseconds pool workers spent running indices (host wall clock —
     /// never published to deterministic outputs).
     busy_ns: AtomicU64,
-    workers: usize,
     /// Pool construction time, for the utilization gauge
     /// (`busy_ns / (workers × uptime)`).
     started: Instant,
@@ -119,9 +120,12 @@ pub struct ExecPool {
 }
 
 impl ExecPool {
-    /// Create a pool with `workers` persistent threads. `workers == 0`
-    /// creates an inline pool: every call runs on the calling thread
-    /// (useful for forcing serial execution in tests).
+    /// Create a pool with up to `workers` persistent threads. `workers ==
+    /// 0` creates an inline pool: every call runs on the calling thread
+    /// (useful for forcing serial execution in tests). If the OS refuses a
+    /// thread, the pool keeps the workers it has: outputs are in index
+    /// order, so every worker count computes the same bytes, and
+    /// [`Self::workers`] reports the real count.
     pub fn new(workers: usize) -> Self {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
@@ -134,16 +138,15 @@ impl ExecPool {
             tasks: AtomicU64::new(0),
             caller_tasks: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
-            workers,
             started: Instant::now(),
         });
         let handles = (0..workers)
-            .map(|i| {
+            .map_while(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("lt-exec-{i}"))
                     .spawn(move || worker_loop(&inner))
-                    .expect("spawn lt-exec worker")
+                    .ok()
             })
             .collect();
         ExecPool { inner, handles }
@@ -151,13 +154,13 @@ impl ExecPool {
 
     /// Number of persistent worker threads.
     pub fn workers(&self) -> usize {
-        self.inner.workers
+        self.handles.len()
     }
 
     /// Snapshot the activity counters.
     pub fn stats(&self) -> ExecStats {
         ExecStats {
-            workers: self.inner.workers,
+            workers: self.workers(),
             tasks: self.inner.tasks.load(Ordering::Relaxed),
             caller_tasks: self.inner.caller_tasks.load(Ordering::Relaxed),
             busy_ns: self.inner.busy_ns.load(Ordering::Relaxed),
@@ -215,7 +218,7 @@ impl ExecPool {
             next: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
         });
-        let installed = n > 1 && self.inner.workers > 0 && {
+        let installed = n > 1 && !self.handles.is_empty() && {
             let mut s = self.inner.lock();
             let free = s.job.is_none();
             if free {

@@ -66,7 +66,7 @@ pub(crate) fn pick_victim<K: Ord>(
 impl DeviceGraphPool {
     /// Reserve `blocks` partition-sized blocks (`m_g` of the paper).
     pub fn new(
-        gpu: &Gpu,
+        gpu: &mut Gpu,
         num_partitions: u32,
         blocks: usize,
         block_bytes: u64,
@@ -184,9 +184,9 @@ mod tests {
 
     #[test]
     fn insert_until_full_then_fifo_evicts_oldest() {
-        let (gpu, pg) = setup();
+        let (mut gpu, pg) = setup();
         assert!(pg.num_partitions() >= 4);
-        let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
+        let mut pool = DeviceGraphPool::new(&mut gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
         let zero = |_: PartitionId| 0u64;
         assert_eq!(pool.insert(0, None, GraphEviction::Fifo, &zero, 0), None);
         assert_eq!(pool.insert(1, None, GraphEviction::Fifo, &zero, 1), None);
@@ -199,8 +199,8 @@ mod tests {
 
     #[test]
     fn fewest_walks_eviction_picks_minimum() {
-        let (gpu, pg) = setup();
-        let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 3, 16 << 10).unwrap();
+        let (mut gpu, pg) = setup();
+        let mut pool = DeviceGraphPool::new(&mut gpu, pg.num_partitions(), 3, 16 << 10).unwrap();
         let counts = |p: PartitionId| match p {
             0 => 50u64,
             1 => 5,
@@ -216,8 +216,8 @@ mod tests {
 
     #[test]
     fn protected_partition_survives_eviction() {
-        let (gpu, pg) = setup();
-        let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 1, 16 << 10).unwrap();
+        let (mut gpu, pg) = setup();
+        let mut pool = DeviceGraphPool::new(&mut gpu, pg.num_partitions(), 1, 16 << 10).unwrap();
         let counts = |_: PartitionId| 0u64;
         pool.insert(0, None, GraphEviction::FewestWalks, &counts, 0);
         // Pool of one block: inserting partition 1 while protecting 1 must
@@ -229,8 +229,8 @@ mod tests {
 
     #[test]
     fn only_a_pinned_block_is_held() {
-        let (gpu, pg) = setup();
-        let mut pool = DeviceGraphPool::new(&gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
+        let (mut gpu, pg) = setup();
+        let mut pool = DeviceGraphPool::new(&mut gpu, pg.num_partitions(), 2, 16 << 10).unwrap();
         pool.insert(0, None, GraphEviction::Fifo, &|_| 0, 0);
         let block = Arc::new(pg.extract(1));
         pool.insert(1, Some(block), GraphEviction::Fifo, &|_| 0, 1);

@@ -158,7 +158,7 @@ impl DeviceWalkPool {
     /// least one block must circulate so the insert-or-evict loop cannot
     /// livelock.
     pub fn new(
-        gpu: &Gpu,
+        gpu: &mut Gpu,
         num_partitions: u32,
         blocks: usize,
         block_bytes: u64,
@@ -460,12 +460,12 @@ mod tests {
 
     #[test]
     fn device_pool_requires_2p_plus_1_blocks() {
-        let g = gpu();
+        let mut g = gpu();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            DeviceWalkPool::new(&g, 4, 8, 1024, 16)
+            DeviceWalkPool::new(&mut g, 4, 8, 1024, 16)
         }));
         assert!(r.is_err(), "8 blocks < 2*4+1 must be rejected");
-        let dp = DeviceWalkPool::new(&g, 4, 9, 1024, 16).unwrap();
+        let dp = DeviceWalkPool::new(&mut g, 4, 9, 1024, 16).unwrap();
         assert_eq!(dp.free_blocks(), 1);
     }
 
@@ -474,9 +474,9 @@ mod tests {
     /// while the pool has room.
     #[test]
     fn one_partition_can_use_every_circulating_block() {
-        let g = gpu();
+        let mut g = gpu();
         let (p, capacity) = (16u32, 4usize);
-        let mut dp = DeviceWalkPool::new(&g, p, 2 * p as usize + 8, 1024, capacity).unwrap();
+        let mut dp = DeviceWalkPool::new(&mut g, p, 2 * p as usize + 8, 1024, capacity).unwrap();
         let ws: Vec<Walker> = (0..9 * capacity as u64 + 1).map(walker).collect();
         let (nine_batches, next) = ws.split_at(9 * capacity);
         // Frontier + eight promotions: all nine batches' worth go in.
@@ -491,8 +491,8 @@ mod tests {
 
     #[test]
     fn frontier_insert_and_promotion() {
-        let g = gpu();
-        let mut dp = DeviceWalkPool::new(&g, 2, 8, 1024, 2).unwrap();
+        let mut g = gpu();
+        let mut dp = DeviceWalkPool::new(&mut g, 2, 8, 1024, 2).unwrap();
         dp.try_insert(0, walker(1)).unwrap();
         dp.try_insert(0, walker(2)).unwrap();
         assert_eq!(dp.frontier_len(0), 2);
@@ -507,9 +507,9 @@ mod tests {
 
     #[test]
     fn pool_full_surfaces_and_eviction_recovers() {
-        let g = gpu();
+        let mut g = gpu();
         // 2 partitions => 4 pinned blocks, 5 total => 1 circulating block.
-        let mut dp = DeviceWalkPool::new(&g, 2, 5, 1024, 1).unwrap();
+        let mut dp = DeviceWalkPool::new(&mut g, 2, 5, 1024, 1).unwrap();
         dp.try_insert(0, walker(1)).unwrap(); // frontier full (capacity 1)
         dp.try_insert(0, walker(2)).unwrap(); // promote, uses the free block
         assert_eq!(dp.try_insert(0, walker(3)), Err(PoolFull));
@@ -524,8 +524,8 @@ mod tests {
 
     #[test]
     fn take_frontier_swaps_in_reserve() {
-        let g = gpu();
-        let mut dp = DeviceWalkPool::new(&g, 1, 3, 1024, 4).unwrap();
+        let mut g = gpu();
+        let mut dp = DeviceWalkPool::new(&mut g, 1, 3, 1024, 4).unwrap();
         assert!(dp.take_frontier(0).is_none(), "empty frontier yields None");
         dp.try_insert(0, walker(1)).unwrap();
         dp.try_insert(0, walker(2)).unwrap();
@@ -540,8 +540,8 @@ mod tests {
 
     #[test]
     fn loaded_batch_enters_queue() {
-        let g = gpu();
-        let mut dp = DeviceWalkPool::new(&g, 1, 4, 1024, 2).unwrap();
+        let mut g = gpu();
+        let mut dp = DeviceWalkPool::new(&mut g, 1, 4, 1024, 2).unwrap();
         let mut b = WalkBatch::new(0, 2);
         b.push(walker(5)).unwrap();
         b.push(walker(6)).unwrap();
@@ -555,8 +555,8 @@ mod tests {
 
     #[test]
     fn add_loaded_batch_fails_when_full() {
-        let g = gpu();
-        let mut dp = DeviceWalkPool::new(&g, 1, 3, 1024, 2).unwrap();
+        let mut g = gpu();
+        let mut dp = DeviceWalkPool::new(&mut g, 1, 3, 1024, 2).unwrap();
         let mut b1 = WalkBatch::new(0, 2);
         b1.push(walker(1)).unwrap();
         dp.add_loaded_batch(b1).unwrap(); // uses the only circulating block
@@ -574,9 +574,9 @@ mod tests {
     /// that one eviction always unblocks the insert.
     #[test]
     fn full_pool_always_has_an_eviction_victim() {
-        let g = gpu();
+        let mut g = gpu();
         // 2 partitions, minimum legal pool: 4 pinned + 1 circulating.
-        let mut dp = DeviceWalkPool::new(&g, 2, 5, 1024, 1).unwrap();
+        let mut dp = DeviceWalkPool::new(&mut g, 2, 5, 1024, 1).unwrap();
         let mut id = 0u64;
         let mut evictions = 0;
         for round in 0..50 {
@@ -601,9 +601,9 @@ mod tests {
 
     #[test]
     fn counts_conserved_through_all_ops() {
-        let g = gpu();
+        let mut g = gpu();
         let mut hp = HostWalkPool::new(2, 2);
-        let mut dp = DeviceWalkPool::new(&g, 2, 8, 1024, 2).unwrap();
+        let mut dp = DeviceWalkPool::new(&mut g, 2, 8, 1024, 2).unwrap();
         for i in 0..7 {
             hp.insert((i % 2) as u32, walker(i));
         }
@@ -661,9 +661,9 @@ mod tests {
 
     #[test]
     fn insert_run_promotes_where_try_insert_would() {
-        let g = gpu();
+        let mut g = gpu();
         // One partition, capacity 2, two circulating blocks.
-        let mut dp = DeviceWalkPool::new(&g, 1, 4, 1024, 2).unwrap();
+        let mut dp = DeviceWalkPool::new(&mut g, 1, 4, 1024, 2).unwrap();
         let ws: Vec<Walker> = (0..9).map(walker).collect();
         // A run that exactly fills the frontier does not promote it.
         assert!(dp.insert_run(0, &ws[..2]).is_empty());
@@ -704,10 +704,10 @@ mod tests {
             prepare in prop::collection::vec((0u32..12, 0usize..40), 0..12),
             runs in prop::collection::vec((0u32..12, 0usize..80), 1..16),
         ) {
-            let g = gpu();
+            let mut g = gpu();
             let blocks = 2 * parts as usize + 1 + spare;
-            let mut serial = DeviceWalkPool::new(&g, parts, blocks, 1024, capacity).unwrap();
-            let mut bulk = DeviceWalkPool::new(&g, parts, blocks, 1024, capacity).unwrap();
+            let mut serial = DeviceWalkPool::new(&mut g, parts, blocks, 1024, capacity).unwrap();
+            let mut bulk = DeviceWalkPool::new(&mut g, parts, blocks, 1024, capacity).unwrap();
             let mut next_id = 0u64;
             let mut fresh = |n: usize| -> Vec<Walker> {
                 let ws = (next_id..next_id + n as u64).map(walker).collect();
@@ -742,8 +742,8 @@ mod tests {
 
     #[test]
     fn iter_walkers_yields_queues_then_frontiers() {
-        let g = gpu();
-        let mut dp = DeviceWalkPool::new(&g, 3, 2 * 3 + 3, 1024, 2).unwrap();
+        let mut g = gpu();
+        let mut dp = DeviceWalkPool::new(&mut g, 3, 2 * 3 + 3, 1024, 2).unwrap();
         // Queue a batch on partition 2 and put frontier walkers on 0 and 1.
         let mut b = WalkBatch::new(2, 2);
         b.push(walker(10)).unwrap();

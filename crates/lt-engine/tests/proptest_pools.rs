@@ -48,12 +48,12 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..200),
         blocks in (2 * PARTS as usize + 1)..24,
     ) {
-        let gpu = Gpu::new(GpuConfig {
+        let mut gpu = Gpu::new(GpuConfig {
             memory_bytes: 1 << 30,
             ..Default::default()
         });
         let mut host = HostWalkPool::new(PARTS, BATCH);
-        let mut dev = DeviceWalkPool::new(&gpu, PARTS, blocks, 64, BATCH).unwrap();
+        let mut dev = DeviceWalkPool::new(&mut gpu, PARTS, blocks, 64, BATCH).unwrap();
         let mut next_id = 0u64;
         let mut live: HashSet<u64> = HashSet::new();
         let mut consumed: HashSet<u64> = HashSet::new();
@@ -130,12 +130,12 @@ proptest! {
         // With exactly 2P+1 blocks (the floor), any insertion
         // pattern either succeeds or reports PoolFull — never panics,
         // never loses the reserve.
-        let gpu = Gpu::new(GpuConfig {
+        let mut gpu = Gpu::new(GpuConfig {
             memory_bytes: 1 << 30,
             ..Default::default()
         });
         let floor = 2 * PARTS as usize + 1;
-        let mut dev = DeviceWalkPool::new(&gpu, PARTS, floor, 64, 2).unwrap();
+        let mut dev = DeviceWalkPool::new(&mut gpu, PARTS, floor, 64, 2).unwrap();
         let mut id = 0u64;
         for (p, n) in inserts {
             for _ in 0..n {

@@ -4,7 +4,7 @@
 //! never drawn from ambient randomness, so a faulty run is exactly
 //! reproducible from `(plan.seed, op order)`. Every injection decision hashes
 //! the plan seed with a per-device op counter and a salt identifying the
-//! decision site; the counter advances under the device mutex in enqueue
+//! decision site; the counter advances on the device's one owner in enqueue
 //! order, which the engine keeps independent of host thread count. That is
 //! what lets the recovery tests demand bit-identical results between faulty
 //! and fault-free runs.

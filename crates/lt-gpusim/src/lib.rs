@@ -4,9 +4,9 @@
 //! DESIGN.md §1). It models exactly the resources whose contention the paper
 //! optimizes:
 //!
-//! - **Device memory** with a hard capacity, allocated up front into
+//! - **Device memory** with a hard capacity, reserved once up front into
 //!   fixed-size block pools (`cudaMalloc` semantics — no dynamic
-//!   reallocation inside kernels, §II-B) — [`Gpu::malloc`] / [`pool::BlockPool`].
+//!   reallocation inside kernels, §II-B) — [`Gpu::reserve`] / [`pool::BlockPool`].
 //! - **A full-duplex PCIe link**: independent host→device and device→host
 //!   copy engines, so walk-batch eviction overlaps loading (§III-D).
 //! - **A compute engine** executing kernels; kernel *side effects* run
@@ -37,5 +37,5 @@ pub mod trace;
 pub use cost::{CostModel, KernelCost};
 pub use fault::{DeviceError, FaultKind, FaultPlan, FaultRecord};
 pub use pool::BlockPool;
-pub use sim::{Allocation, Direction, Gpu, GpuConfig, OpRecord, StreamId};
+pub use sim::{Direction, Gpu, GpuConfig, OpRecord, StreamId};
 pub use stats::{Category, GpuStats};

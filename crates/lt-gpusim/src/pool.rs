@@ -5,12 +5,13 @@
 //! and walk pool with `cudaMalloc` up front, organized in fixed-size blocks
 //! (graph pool block = partition size, walk pool block = batch size), and
 //! operates them as caches. [`BlockPool`] models that: it takes one
-//! reservation against the device's capacity at construction and afterwards
-//! hands out slots without any further device allocation.
+//! [`Gpu::reserve`] against the device's capacity at construction, held
+//! for the device's life, and afterwards hands out slots without any
+//! further device allocation.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use crate::sim::{Allocation, Gpu, OutOfMemory};
+use crate::sim::{Gpu, OutOfMemory};
 
 /// Index of a slot inside a [`BlockPool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -20,8 +21,6 @@ pub struct BlockId(pub usize);
 /// host-provided value of type `T` (partition data, walk batch, …).
 #[derive(Debug)]
 pub struct BlockPool<T> {
-    gpu: Gpu,
-    reservation: Option<Allocation>,
     blocks: Vec<Option<T>>,
     free: Vec<usize>,
     block_bytes: u64,
@@ -29,11 +28,14 @@ pub struct BlockPool<T> {
 
 impl<T> BlockPool<T> {
     /// Reserve `num_blocks * block_bytes` of device memory.
-    pub fn reserve(gpu: &Gpu, num_blocks: usize, block_bytes: u64) -> Result<Self, OutOfMemory> {
-        let reservation = gpu.malloc(num_blocks as u64 * block_bytes)?;
+    pub fn reserve(
+        gpu: &mut Gpu,
+        num_blocks: usize,
+        block_bytes: u64,
+    ) -> Result<Self, OutOfMemory> {
+        // Saturates, so a product past `u64` is refused, not wrapped.
+        gpu.reserve((num_blocks as u64).saturating_mul(block_bytes))?;
         Ok(BlockPool {
-            gpu: gpu.clone(),
-            reservation: Some(reservation),
             blocks: (0..num_blocks).map(|_| None).collect(),
             free: (0..num_blocks).rev().collect(),
             block_bytes,
@@ -115,14 +117,6 @@ impl<T> BlockPool<T> {
     }
 }
 
-impl<T> Drop for BlockPool<T> {
-    fn drop(&mut self) {
-        if let Some(r) = self.reservation.take() {
-            self.gpu.free(r);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,24 +131,24 @@ mod tests {
 
     #[test]
     fn reserve_accounts_device_memory() {
-        let g = gpu(1 << 20);
-        let pool: BlockPool<Vec<u8>> = BlockPool::reserve(&g, 4, 64 << 10).unwrap();
+        let mut g = gpu(1 << 20);
+        let pool: BlockPool<Vec<u8>> = BlockPool::reserve(&mut g, 4, 64 << 10).unwrap();
         assert_eq!(g.used_bytes(), 256 << 10);
         assert_eq!(pool.capacity(), 4);
-        drop(pool);
-        assert_eq!(g.used_bytes(), 0);
     }
 
     #[test]
     fn reserve_fails_past_capacity() {
-        let g = gpu(1 << 20);
-        assert!(BlockPool::<()>::reserve(&g, 32, 64 << 10).is_err());
+        let mut g = gpu(1 << 20);
+        assert!(BlockPool::<()>::reserve(&mut g, 32, 64 << 10).is_err());
+        assert!(BlockPool::<()>::reserve(&mut g, usize::MAX, 1 << 20).is_err());
+        assert_eq!(g.used_bytes(), 0);
     }
 
     #[test]
     fn acquire_release_cycle() {
-        let g = gpu(1 << 20);
-        let mut pool: BlockPool<u32> = BlockPool::reserve(&g, 2, 1024).unwrap();
+        let mut g = gpu(1 << 20);
+        let mut pool: BlockPool<u32> = BlockPool::reserve(&mut g, 2, 1024).unwrap();
         let a = pool.acquire(10).unwrap();
         let b = pool.acquire(20).unwrap();
         assert!(pool.is_full());
@@ -170,8 +164,8 @@ mod tests {
 
     #[test]
     fn iter_lists_in_use_blocks() {
-        let g = gpu(1 << 20);
-        let mut pool: BlockPool<u32> = BlockPool::reserve(&g, 3, 1024).unwrap();
+        let mut g = gpu(1 << 20);
+        let mut pool: BlockPool<u32> = BlockPool::reserve(&mut g, 3, 1024).unwrap();
         let a = pool.acquire(1).unwrap();
         let _b = pool.acquire(2).unwrap();
         pool.release(a);
@@ -182,8 +176,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty block")]
     fn double_release_panics() {
-        let g = gpu(1 << 20);
-        let mut pool: BlockPool<u32> = BlockPool::reserve(&g, 1, 16).unwrap();
+        let mut g = gpu(1 << 20);
+        let mut pool: BlockPool<u32> = BlockPool::reserve(&mut g, 1, 16).unwrap();
         let a = pool.acquire(1).unwrap();
         pool.release(a);
         pool.release(a);

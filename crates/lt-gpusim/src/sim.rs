@@ -6,9 +6,7 @@ use crate::fault::{
     DeviceError, FaultKind, FaultPlan, FaultRecord, SALT_COPY, SALT_CORRUPT, SALT_STRAGGLER,
 };
 use crate::stats::{Category, GpuStats};
-use parking_lot::Mutex;
 use serde::Serialize;
-use std::sync::Arc;
 
 /// Transfer direction over the link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,28 +22,12 @@ pub enum Direction {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct StreamId(pub(crate) usize);
 
-/// A device memory allocation. Not `Clone`: it must be returned to
-/// [`Gpu::free`] exactly once (dropping it leaks simulated memory, as in
-/// CUDA).
-#[derive(Debug)]
-pub struct Allocation {
-    id: u64,
-    bytes: u64,
-}
-
-impl Allocation {
-    /// Size of the allocation.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
 /// Device capacity exceeded.
 #[derive(Clone, Copy, Debug)]
 pub struct OutOfMemory {
-    /// Bytes requested by the failing `malloc`.
+    /// Bytes requested by the refused reservation.
     pub requested: u64,
-    /// Bytes already allocated.
+    /// Bytes already reserved.
     pub used: u64,
     /// Device capacity.
     pub capacity: u64,
@@ -115,33 +97,14 @@ pub struct OpRecord {
     pub fault: Option<FaultKind>,
 }
 
-#[derive(Debug)]
-struct Inner {
-    config: GpuConfig,
-    host_clock: Nanos,
-    used_bytes: u64,
-    next_alloc_id: u64,
-    live_allocs: u64,
-    /// Completion time of the last op enqueued on each stream.
-    stream_tails: Vec<Nanos>,
-    stream_names: Vec<String>,
-    /// Next-free time of each engine.
-    engine_free: [Nanos; NUM_ENGINES],
-    engine_busy: [Nanos; NUM_ENGINES],
-    stats: GpuStats,
-    op_log: Vec<OpRecord>,
-    /// Device op counter driving fault decisions; advances in enqueue order
-    /// under the mutex, so it is independent of host thread count.
-    fault_counter: u64,
-    fault_log: Vec<FaultRecord>,
-}
-
-/// The simulated GPU. Cheap to clone (shared handle).
+/// The simulated GPU. A plain value with one owner — the engine or
+/// baseline that drives it: ops that advance the simulated clock or the
+/// fault counter take `&mut self`, reads take `&self` and borrow.
 ///
 /// ```
 /// use lt_gpusim::{Gpu, GpuConfig, Direction, Category};
-/// let gpu = Gpu::new(GpuConfig::default());
-/// let load = gpu.create_stream("load");
+/// let mut gpu = Gpu::new(GpuConfig::default());
+/// let load = gpu.create_stream();
 /// gpu.copy_async(Direction::HostToDevice, 12 << 30, Category::GraphLoad, load).unwrap();
 /// assert!(gpu.busy(load));
 /// gpu.synchronize(load);
@@ -149,84 +112,69 @@ struct Inner {
 /// // 12 GB at 12 GB/s ≈ 1 simulated second.
 /// assert!((0.9e9..1.1e9).contains(&(gpu.now() as f64)));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Gpu {
-    inner: Arc<Mutex<Inner>>,
+    config: GpuConfig,
+    host_clock: Nanos,
+    used_bytes: u64,
+    /// Completion time of the last op enqueued on each stream.
+    stream_tails: Vec<Nanos>,
+    /// Next-free time of each engine.
+    engine_free: [Nanos; NUM_ENGINES],
+    stats: GpuStats,
+    op_log: Vec<OpRecord>,
+    /// Device op counter driving fault decisions; advances in enqueue
+    /// order, so it is independent of host thread count.
+    fault_counter: u64,
+    fault_log: Vec<FaultRecord>,
 }
 
 impl Gpu {
     /// Create a device.
     pub fn new(config: GpuConfig) -> Self {
         Gpu {
-            inner: Arc::new(Mutex::new(Inner {
-                config,
-                host_clock: 0,
-                used_bytes: 0,
-                next_alloc_id: 0,
-                live_allocs: 0,
-                stream_tails: Vec::new(),
-                stream_names: Vec::new(),
-                engine_free: [0; NUM_ENGINES],
-                engine_busy: [0; NUM_ENGINES],
-                stats: GpuStats::default(),
-                op_log: Vec::new(),
-                fault_counter: 0,
-                fault_log: Vec::new(),
-            })),
+            config,
+            host_clock: 0,
+            used_bytes: 0,
+            stream_tails: Vec::new(),
+            engine_free: [0; NUM_ENGINES],
+            stats: GpuStats::default(),
+            op_log: Vec::new(),
+            fault_counter: 0,
+            fault_log: Vec::new(),
         }
     }
 
     /// The cost model in use.
-    pub fn cost_model(&self) -> CostModel {
-        self.inner.lock().config.cost.clone()
+    pub fn cost(&self) -> &CostModel {
+        &self.config.cost
     }
 
-    /// Reserve `bytes` of device memory (`cudaMalloc`).
-    pub fn malloc(&self, bytes: u64) -> Result<Allocation, OutOfMemory> {
-        let mut g = self.inner.lock();
-        if g.used_bytes + bytes > g.config.memory_bytes {
-            return Err(OutOfMemory {
+    /// Reserve `bytes` of device memory for the rest of the device's life
+    /// (`cudaMalloc` once, §III-B). A refused reservation changes nothing.
+    pub fn reserve(&mut self, bytes: u64) -> Result<(), OutOfMemory> {
+        match self.used_bytes.checked_add(bytes) {
+            Some(total) if total <= self.config.memory_bytes => {
+                self.used_bytes = total;
+                Ok(())
+            }
+            _ => Err(OutOfMemory {
                 requested: bytes,
-                used: g.used_bytes,
-                capacity: g.config.memory_bytes,
-            });
+                used: self.used_bytes,
+                capacity: self.config.memory_bytes,
+            }),
         }
-        g.used_bytes += bytes;
-        g.live_allocs += 1;
-        let id = g.next_alloc_id;
-        g.next_alloc_id += 1;
-        Ok(Allocation { id, bytes })
     }
 
-    /// Release an allocation (`cudaFree`).
-    pub fn free(&self, alloc: Allocation) {
-        let mut g = self.inner.lock();
-        debug_assert!(alloc.id < g.next_alloc_id);
-        g.used_bytes -= alloc.bytes;
-        g.live_allocs -= 1;
-    }
-
-    /// Bytes currently allocated.
+    /// Bytes reserved so far.
     pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().used_bytes
+        self.used_bytes
     }
 
-    /// Device capacity.
-    pub fn capacity(&self) -> u64 {
-        self.inner.lock().config.memory_bytes
-    }
-
-    /// Number of live allocations.
-    pub fn live_allocations(&self) -> u64 {
-        self.inner.lock().live_allocs
-    }
-
-    /// Create a named stream.
-    pub fn create_stream(&self, name: &str) -> StreamId {
-        let mut g = self.inner.lock();
-        g.stream_tails.push(0);
-        g.stream_names.push(name.to_string());
-        StreamId(g.stream_tails.len() - 1)
+    /// Create a stream.
+    pub fn create_stream(&mut self) -> StreamId {
+        self.stream_tails.push(0);
+        StreamId(self.stream_tails.len() - 1)
     }
 
     /// Enqueue an async copy of `bytes` in `dir`, charged to `category`.
@@ -237,23 +185,22 @@ impl Gpu {
     /// engine and moved bytes before erroring — so retry overhead lands on
     /// the simulated clock where recovery benchmarks can see it.
     pub fn copy_async(
-        &self,
+        &mut self,
         dir: Direction,
         bytes: u64,
         category: Category,
         stream: StreamId,
     ) -> Result<Nanos, DeviceError> {
-        let mut g = self.inner.lock();
-        let mut dur = g.config.cost.copy_time(bytes);
+        let mut dur = self.config.cost.copy_time(bytes);
         let engine = match dir {
             Direction::HostToDevice => ENGINE_H2D,
             Direction::DeviceToHost => ENGINE_D2H,
         };
         let mut fired: Vec<FaultKind> = Vec::new();
         let mut failure: Option<bool> = None;
-        if let Some(plan) = g.config.faults.clone().filter(FaultPlan::is_active) {
-            let n = g.fault_counter;
-            g.fault_counter += 1;
+        if let Some(plan) = self.config.faults.as_ref().filter(|p| p.is_active()) {
+            let n = self.fault_counter;
+            self.fault_counter += 1;
             if plan.roll(n, SALT_STRAGGLER) < plan.straggler_rate {
                 dur = dur.saturating_mul(u64::from(plan.straggler_factor.max(1)));
                 fired.push(FaultKind::Straggler);
@@ -269,20 +216,18 @@ impl Gpu {
         }
         // The op record carries the most severe fault: the failure when one
         // fired, a straggler spike otherwise.
-        let end = g.schedule(engine, dur, 0, category, stream, fired.last().copied());
-        let cat = g.stats.category_mut(category);
-        cat.bytes += bytes;
+        let end = self.schedule(engine, dur, 0, category, stream, fired.last().copied());
+        self.stats.category_mut(category).bytes += bytes;
         if !fired.is_empty() {
-            g.stats.faults_injected += fired.len() as u64;
-            let op_index = g.fault_counter - 1;
+            self.stats.faults_injected += fired.len() as u64;
+            let op_index = self.fault_counter - 1;
             for kind in fired {
-                let rec = FaultRecord {
+                self.log_fault(FaultRecord {
                     kind,
                     op_index,
                     at_ns: end - dur,
                     engine,
-                };
-                g.log_fault(rec);
+                });
             }
         }
         match failure {
@@ -299,108 +244,89 @@ impl Gpu {
     /// `zero_copy_bytes > 0` also reserve the H2D link for the zero-copy
     /// traffic; their duration is the max of device time and link time.
     /// Returns the simulated completion time.
-    pub fn kernel_async(&self, cost: KernelCost, category: Category, stream: StreamId) -> Nanos {
-        let mut g = self.inner.lock();
-        let device_ns = cost.device_ns() + g.config.cost.kernel_launch_ns;
+    pub fn kernel_async(
+        &mut self,
+        cost: KernelCost,
+        category: Category,
+        stream: StreamId,
+    ) -> Nanos {
+        let model = &self.config.cost;
+        let device_ns = cost.device_ns() + model.kernel_launch_ns;
         let (mut dur, zc_link_ns, zc_bytes) = if cost.zero_copy_bytes > 0 {
-            let link = g.config.cost.zero_copy_time(cost.zero_copy_bytes);
+            let link = model.zero_copy_time(cost.zero_copy_bytes);
             (
                 device_ns.max(link),
                 link,
-                g.config.cost.zero_copy_bytes(cost.zero_copy_bytes),
+                model.zero_copy_bytes(cost.zero_copy_bytes),
             )
         } else {
             (device_ns, 0, 0)
         };
         let mut op_fault = None;
-        if let Some(plan) = g.config.faults.clone().filter(FaultPlan::is_active) {
-            let n = g.fault_counter;
-            g.fault_counter += 1;
+        if let Some(plan) = self.config.faults.as_ref().filter(|p| p.is_active()) {
+            let n = self.fault_counter;
+            self.fault_counter += 1;
             if plan.roll(n, SALT_STRAGGLER) < plan.straggler_rate {
                 dur = dur.saturating_mul(u64::from(plan.straggler_factor.max(1)));
                 op_fault = Some(FaultKind::Straggler);
             }
         }
-        let end = g.schedule(ENGINE_COMPUTE, dur, zc_link_ns, category, stream, op_fault);
+        let end = self.schedule(ENGINE_COMPUTE, dur, zc_link_ns, category, stream, op_fault);
         if let Some(kind) = op_fault {
-            g.stats.faults_injected += 1;
-            let op_index = g.fault_counter - 1;
-            let rec = FaultRecord {
+            self.stats.faults_injected += 1;
+            self.log_fault(FaultRecord {
                 kind,
-                op_index,
+                op_index: self.fault_counter - 1,
                 at_ns: end - dur,
                 engine: ENGINE_COMPUTE,
-            };
-            g.log_fault(rec);
+            });
         }
-        g.stats.kernel_update_ns += cost.update_ns;
-        g.stats.kernel_reshuffle_ns += cost.reshuffle_ns;
-        g.stats.kernel_other_ns += cost.other_ns + g.config.cost.kernel_launch_ns;
-        let cat = g.stats.category_mut(category);
-        cat.bytes += zc_bytes;
+        self.stats.kernel_update_ns += cost.update_ns;
+        self.stats.kernel_reshuffle_ns += cost.reshuffle_ns;
+        self.stats.kernel_other_ns += cost.other_ns + self.config.cost.kernel_launch_ns;
+        self.stats.category_mut(category).bytes += zc_bytes;
         end
     }
 
     /// Block the host until every op on `stream` has completed
     /// (`cudaStreamSynchronize`).
-    pub fn synchronize(&self, stream: StreamId) {
-        let mut g = self.inner.lock();
-        let tail = g.stream_tails[stream.0];
-        if tail > g.host_clock {
-            g.host_clock = tail;
-        }
+    pub fn synchronize(&mut self, stream: StreamId) {
+        self.host_clock = self.host_clock.max(self.stream_tails[stream.0]);
     }
 
     /// Whether `stream` still has ops the host has not yet waited past.
     pub fn busy(&self, stream: StreamId) -> bool {
-        let g = self.inner.lock();
-        g.stream_tails[stream.0] > g.host_clock
+        self.stream_tails[stream.0] > self.host_clock
     }
 
     /// Block the host until the whole device drains (`cudaDeviceSynchronize`).
-    pub fn device_synchronize(&self) {
-        let mut g = self.inner.lock();
-        let max = g.stream_tails.iter().copied().max().unwrap_or(0);
-        if max > g.host_clock {
-            g.host_clock = max;
-        }
+    pub fn device_synchronize(&mut self) {
+        let max = self.stream_tails.iter().copied().max().unwrap_or(0);
+        self.host_clock = self.host_clock.max(max);
     }
 
     /// Charge `ns` of host-side work (advances the host clock).
-    pub fn host_advance(&self, ns: Nanos, category: Category) {
-        let mut g = self.inner.lock();
-        g.host_clock += ns;
-        let cat = g.stats.category_mut(category);
+    pub fn host_advance(&mut self, ns: Nanos, category: Category) {
+        self.host_clock += ns;
+        let cat = self.stats.category_mut(category);
         cat.busy_ns += ns;
         cat.count += 1;
-        let clock = g.host_clock;
-        if clock > g.stats.makespan_ns {
-            g.stats.makespan_ns = clock;
-        }
+        self.stats.makespan_ns = self.stats.makespan_ns.max(self.host_clock);
     }
 
     /// Current host clock (ns).
     pub fn now(&self) -> Nanos {
-        self.inner.lock().host_clock
+        self.host_clock
     }
 
-    /// Snapshot of the accumulated statistics.
-    pub fn stats(&self) -> GpuStats {
-        let mut g = self.inner.lock();
-        let mut s = g.stats.clone();
-        s.h2d_busy_ns = g.engine_busy[ENGINE_H2D];
-        s.d2h_busy_ns = g.engine_busy[ENGINE_D2H];
-        s.compute_busy_ns = g.engine_busy[ENGINE_COMPUTE];
-        // Keep the stored copy in sync so later snapshots are monotone.
-        g.stats.h2d_busy_ns = s.h2d_busy_ns;
-        g.stats.d2h_busy_ns = s.d2h_busy_ns;
-        g.stats.compute_busy_ns = s.compute_busy_ns;
-        s
+    /// The accumulated statistics.
+    pub fn stats(&self) -> &GpuStats {
+        &self.stats
     }
 
     /// The recorded op log (empty unless [`GpuConfig::record_ops`]).
-    pub fn op_log(&self) -> Vec<OpRecord> {
-        self.inner.lock().op_log.clone()
+    pub fn op_log(&self) -> &[OpRecord] {
+        &self.op_log
     }
 
     /// Roll the configured corruption rate for a graph block that just
@@ -409,23 +335,20 @@ impl Gpu {
     /// block and either reload or degrade the partition. Always `false`
     /// without an active fault plan, and consumes one op-counter slot when
     /// a plan is active so decisions stay aligned across runs.
-    pub fn roll_corruption(&self) -> bool {
-        let mut g = self.inner.lock();
-        let Some(plan) = g.config.faults.clone().filter(FaultPlan::is_active) else {
+    pub fn roll_corruption(&mut self) -> bool {
+        let Some(plan) = self.config.faults.as_ref().filter(|p| p.is_active()) else {
             return false;
         };
-        let n = g.fault_counter;
-        g.fault_counter += 1;
+        let n = self.fault_counter;
+        self.fault_counter += 1;
         if plan.roll(n, SALT_CORRUPT) < plan.corruption_rate {
-            let at_ns = g.host_clock;
-            g.stats.faults_injected += 1;
-            let rec = FaultRecord {
+            self.stats.faults_injected += 1;
+            self.log_fault(FaultRecord {
                 kind: FaultKind::Corruption,
                 op_index: n,
-                at_ns,
+                at_ns: self.host_clock,
                 engine: ENGINE_H2D,
-            };
-            g.log_fault(rec);
+            });
             true
         } else {
             false
@@ -434,15 +357,22 @@ impl Gpu {
 
     /// Every fault injected so far, in decision order (empty unless
     /// [`GpuConfig::record_ops`]).
-    pub fn fault_log(&self) -> Vec<FaultRecord> {
-        self.inner.lock().fault_log.clone()
+    pub fn fault_log(&self) -> &[FaultRecord] {
+        &self.fault_log
     }
-}
 
-impl Inner {
     fn log_fault(&mut self, rec: FaultRecord) {
         if self.config.record_ops {
             self.fault_log.push(rec);
+        }
+    }
+
+    /// Busy-time accumulator of `engine`.
+    fn engine_busy(&mut self, engine: usize) -> &mut Nanos {
+        match engine {
+            ENGINE_H2D => &mut self.stats.h2d_busy_ns,
+            ENGINE_D2H => &mut self.stats.d2h_busy_ns,
+            _ => &mut self.stats.compute_busy_ns,
         }
     }
 
@@ -469,18 +399,16 @@ impl Inner {
         }
         let end = start + duration;
         self.engine_free[engine] = end;
-        self.engine_busy[engine] += duration;
+        *self.engine_busy(engine) += duration;
         if zc_link_ns > 0 {
             self.engine_free[ENGINE_H2D] = start + zc_link_ns;
-            self.engine_busy[ENGINE_H2D] += zc_link_ns;
+            *self.engine_busy(ENGINE_H2D) += zc_link_ns;
         }
         self.stream_tails[stream.0] = end;
         let cat = self.stats.category_mut(category);
         cat.busy_ns += duration;
         cat.count += 1;
-        if end > self.stats.makespan_ns {
-            self.stats.makespan_ns = end;
-        }
+        self.stats.makespan_ns = self.stats.makespan_ns.max(end);
         if self.config.record_ops {
             self.op_log.push(OpRecord {
                 category,
@@ -519,25 +447,24 @@ mod tests {
     }
 
     #[test]
-    fn malloc_respects_capacity() {
-        let g = gpu();
-        let a = g.malloc(512 << 10).unwrap();
-        let b = g.malloc(512 << 10).unwrap();
-        assert!(g.malloc(1).is_err());
+    fn reserve_respects_capacity() {
+        let mut g = gpu();
+        g.reserve(512 << 10).unwrap();
+        g.reserve(512 << 10).unwrap();
+        let err = g.reserve(1).unwrap_err();
+        assert_eq!(
+            (err.requested, err.used, err.capacity),
+            (1, 1 << 20, 1 << 20)
+        );
+        // A request that would overflow the running total is refused too.
+        assert!(g.reserve(u64::MAX).is_err());
         assert_eq!(g.used_bytes(), 1 << 20);
-        g.free(a);
-        assert_eq!(g.used_bytes(), 512 << 10);
-        let c = g.malloc(256 << 10).unwrap();
-        g.free(b);
-        g.free(c);
-        assert_eq!(g.used_bytes(), 0);
-        assert_eq!(g.live_allocations(), 0);
     }
 
     #[test]
     fn streams_are_ordered() {
-        let g = gpu();
-        let s = g.create_stream("load");
+        let mut g = gpu();
+        let s = g.create_stream();
         let e1 = g
             .copy_async(Direction::HostToDevice, 1 << 20, Category::GraphLoad, s)
             .unwrap();
@@ -552,9 +479,9 @@ mod tests {
 
     #[test]
     fn full_duplex_copies_overlap() {
-        let g = gpu();
-        let load = g.create_stream("load");
-        let evict = g.create_stream("evict");
+        let mut g = gpu();
+        let load = g.create_stream();
+        let evict = g.create_stream();
         let e1 = g
             .copy_async(Direction::HostToDevice, 4 << 20, Category::WalkLoad, load)
             .unwrap();
@@ -571,9 +498,9 @@ mod tests {
 
     #[test]
     fn same_direction_copies_serialize() {
-        let g = gpu();
-        let s1 = g.create_stream("a");
-        let s2 = g.create_stream("b");
+        let mut g = gpu();
+        let s1 = g.create_stream();
+        let s2 = g.create_stream();
         g.copy_async(Direction::HostToDevice, 4 << 20, Category::GraphLoad, s1)
             .unwrap();
         g.copy_async(Direction::HostToDevice, 4 << 20, Category::GraphLoad, s2)
@@ -584,9 +511,9 @@ mod tests {
 
     #[test]
     fn compute_overlaps_with_loading() {
-        let g = gpu();
-        let load = g.create_stream("load");
-        let comp = g.create_stream("comp");
+        let mut g = gpu();
+        let load = g.create_stream();
+        let comp = g.create_stream();
         let load_end = g
             .copy_async(Direction::HostToDevice, 8 << 20, Category::GraphLoad, load)
             .unwrap();
@@ -603,8 +530,8 @@ mod tests {
 
     #[test]
     fn synchronize_advances_host_clock() {
-        let g = gpu();
-        let s = g.create_stream("s");
+        let mut g = gpu();
+        let s = g.create_stream();
         assert!(!g.busy(s));
         let end = g
             .copy_async(Direction::HostToDevice, 1 << 20, Category::GraphLoad, s)
@@ -617,8 +544,8 @@ mod tests {
 
     #[test]
     fn host_clock_gates_new_ops() {
-        let g = gpu();
-        let s = g.create_stream("s");
+        let mut g = gpu();
+        let s = g.create_stream();
         g.host_advance(1_000_000, Category::HostWork);
         let log_start = {
             g.copy_async(Direction::HostToDevice, 1 << 20, Category::GraphLoad, s)
@@ -630,9 +557,9 @@ mod tests {
 
     #[test]
     fn zero_copy_kernel_reserves_link() {
-        let g = gpu();
-        let comp = g.create_stream("comp");
-        let load = g.create_stream("load");
+        let mut g = gpu();
+        let comp = g.create_stream();
+        let load = g.create_stream();
         // Zero-copy kernel whose link time dominates.
         let k_end = g.kernel_async(
             KernelCost {
@@ -651,14 +578,14 @@ mod tests {
         let copy = log.iter().filter(|o| o.engine == 0).nth(1).unwrap();
         assert_eq!(copy.start, link_res.end);
         // Kernel duration = max(device, link) = link here.
-        let zc_time = g.cost_model().zero_copy_time(8 << 20);
+        let zc_time = g.cost().zero_copy_time(8 << 20);
         assert_eq!(k_end, zc_time);
     }
 
     #[test]
     fn stats_accumulate_by_category() {
-        let g = gpu();
-        let s = g.create_stream("s");
+        let mut g = gpu();
+        let s = g.create_stream();
         g.copy_async(Direction::HostToDevice, 1000, Category::GraphLoad, s)
             .unwrap();
         g.copy_async(Direction::HostToDevice, 2000, Category::WalkLoad, s)
@@ -689,8 +616,8 @@ mod tests {
 
     #[test]
     fn ops_on_one_engine_never_overlap() {
-        let g = gpu();
-        let streams: Vec<_> = (0..4).map(|i| g.create_stream(&format!("s{i}"))).collect();
+        let mut g = gpu();
+        let streams: Vec<_> = (0..4).map(|_| g.create_stream()).collect();
         for (i, &s) in streams.iter().enumerate().cycle().take(40) {
             if i % 2 == 0 {
                 g.copy_async(
@@ -730,20 +657,20 @@ mod tests {
     #[test]
     fn injected_copy_faults_are_deterministic_and_charged() {
         let run = || {
-            let g = Gpu::new(GpuConfig {
+            let mut g = Gpu::new(GpuConfig {
                 memory_bytes: 1 << 20,
                 cost: CostModel::pcie3(),
                 record_ops: true,
                 faults: Some(FaultPlan::retryable_only(11, 0.5)),
             });
-            let s = g.create_stream("s");
+            let s = g.create_stream();
             let outcomes: Vec<bool> = (0..64)
                 .map(|_| {
                     g.copy_async(Direction::HostToDevice, 1 << 16, Category::GraphLoad, s)
                         .is_ok()
                 })
                 .collect();
-            (outcomes, g.stats(), g.fault_log().len())
+            (outcomes, g.stats().clone(), g.fault_log().len())
         };
         let (o1, s1, f1) = run();
         let (o2, s2, f2) = run();
@@ -762,12 +689,12 @@ mod tests {
         let marked = s1.faults_injected;
         let logged = run().1.faults_injected;
         assert_eq!(marked, logged);
-        let g = Gpu::new(GpuConfig {
+        let mut g = Gpu::new(GpuConfig {
             record_ops: true,
             faults: Some(FaultPlan::retryable_only(11, 1.0)),
             ..Default::default()
         });
-        let s = g.create_stream("s");
+        let s = g.create_stream();
         let err = g
             .copy_async(Direction::HostToDevice, 4096, Category::WalkLoad, s)
             .unwrap_err();
@@ -777,7 +704,7 @@ mod tests {
 
     #[test]
     fn fatal_faults_outrank_retryable() {
-        let g = Gpu::new(GpuConfig {
+        let mut g = Gpu::new(GpuConfig {
             faults: Some(FaultPlan {
                 seed: 5,
                 copy_retryable_rate: 1.0,
@@ -786,7 +713,7 @@ mod tests {
             }),
             ..Default::default()
         });
-        let s = g.create_stream("s");
+        let s = g.create_stream();
         let err = g
             .copy_async(Direction::DeviceToHost, 4096, Category::WalkEvict, s)
             .unwrap_err();
@@ -796,12 +723,12 @@ mod tests {
     #[test]
     fn stragglers_multiply_latency_without_failing() {
         let base = {
-            let g = gpu();
-            let s = g.create_stream("s");
+            let mut g = gpu();
+            let s = g.create_stream();
             g.copy_async(Direction::HostToDevice, 1 << 20, Category::GraphLoad, s)
                 .unwrap()
         };
-        let g = Gpu::new(GpuConfig {
+        let mut g = Gpu::new(GpuConfig {
             memory_bytes: 1 << 20,
             cost: CostModel::pcie3(),
             record_ops: true,
@@ -812,7 +739,7 @@ mod tests {
                 ..FaultPlan::default()
             }),
         });
-        let s = g.create_stream("s");
+        let s = g.create_stream();
         let end = g
             .copy_async(Direction::HostToDevice, 1 << 20, Category::GraphLoad, s)
             .unwrap();
@@ -821,8 +748,8 @@ mod tests {
         assert_eq!(g.stats().faults_injected, 1);
         // Kernels spike too.
         let k_base = {
-            let g2 = gpu();
-            let c = g2.create_stream("c");
+            let mut g2 = gpu();
+            let c = g2.create_stream();
             g2.kernel_async(
                 KernelCost {
                     update_ns: 10_000,
@@ -834,7 +761,7 @@ mod tests {
         };
         // The compute engine is idle, so the kernel starts at time 0 and
         // its completion time is its (quadrupled) duration.
-        let c = g.create_stream("c");
+        let c = g.create_stream();
         let k_end = g.kernel_async(
             KernelCost {
                 update_ns: 10_000,
@@ -848,7 +775,7 @@ mod tests {
 
     #[test]
     fn corruption_rolls_follow_the_plan() {
-        let g = Gpu::new(GpuConfig {
+        let mut g = Gpu::new(GpuConfig {
             record_ops: true,
             faults: Some(FaultPlan {
                 seed: 13,
@@ -865,7 +792,7 @@ mod tests {
         assert_eq!(log.len(), hits);
         assert!(log.iter().all(|f| f.kind == FaultKind::Corruption));
         // No plan → never corrupt, no counter noise.
-        let clean = Gpu::new(GpuConfig::default());
+        let mut clean = Gpu::new(GpuConfig::default());
         assert!((0..64).all(|_| !clean.roll_corruption()));
         assert_eq!(clean.stats().faults_injected, 0);
     }
@@ -875,13 +802,13 @@ mod tests {
         // Utilization is busy / makespan off these counters (DESIGN.md
         // §9), so on a pipelined run each engine's busy time must be
         // exactly the summed durations of its ops in the log.
-        let g = Gpu::new(GpuConfig {
+        let mut g = Gpu::new(GpuConfig {
             record_ops: true,
             ..Default::default()
         });
-        let load = g.create_stream("load");
-        let comp = g.create_stream("comp");
-        let evict = g.create_stream("evict");
+        let load = g.create_stream();
+        let comp = g.create_stream();
+        let evict = g.create_stream();
         for i in 0..8u64 {
             g.copy_async(
                 Direction::HostToDevice,
@@ -925,8 +852,8 @@ mod tests {
 
     #[test]
     fn makespan_is_max_completion() {
-        let g = gpu();
-        let s = g.create_stream("s");
+        let mut g = gpu();
+        let s = g.create_stream();
         let mut max_end = 0;
         for i in 0..10 {
             let e = g.copy_async(

@@ -20,7 +20,7 @@ fn us(ns: u64) -> f64 {
 }
 
 /// A device's full timeline — ops *and* injected faults — as a Chrome
-/// trace (the JSON array form). Pass `&gpu.fault_log()`, which is empty
+/// trace (the JSON array form). Pass `gpu.fault_log()`, which is empty
 /// without a fault plan.
 pub fn chrome_trace(ops: &[OpRecord], faults: &[FaultRecord]) -> String {
     let meta = |name: &str, tid: usize, label: String| {
@@ -84,12 +84,12 @@ mod tests {
     use crate::stats::Category;
 
     fn sample_gpu() -> Gpu {
-        let g = Gpu::new(GpuConfig {
+        let mut g = Gpu::new(GpuConfig {
             record_ops: true,
             ..Default::default()
         });
-        let load = g.create_stream("load");
-        let comp = g.create_stream("comp");
+        let load = g.create_stream();
+        let comp = g.create_stream();
         g.copy_async(Direction::HostToDevice, 1 << 20, Category::GraphLoad, load)
             .unwrap();
         g.kernel_async(
@@ -106,15 +106,16 @@ mod tests {
 
     #[test]
     fn trace_is_valid_json_with_all_ops() {
-        let ops = sample_gpu().op_log();
-        let json = chrome_trace(&ops, &[]);
+        let gpu = sample_gpu();
+        let ops = gpu.op_log();
+        let json = chrome_trace(ops, &[]);
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let arr = v.as_array().unwrap();
         // 1 process-name + 3 thread-name metadata records + one per op.
         assert_eq!(arr.len(), 4 + ops.len());
         let op_events: Vec<_> = arr.iter().filter(|e| e["ph"] == "X").collect();
         assert_eq!(op_events.len(), ops.len());
-        for (e, op) in op_events.iter().zip(&ops) {
+        for (e, op) in op_events.iter().zip(ops) {
             // Microseconds on the simulated clock, fractions kept.
             assert_eq!(e["ts"].as_f64(), Some(op.start as f64 / 1e3));
             assert_eq!(e["dur"].as_f64(), Some((op.end - op.start) as f64 / 1e3));
@@ -135,12 +136,12 @@ mod tests {
     #[test]
     fn faulty_ops_and_fault_instants_appear_in_trace() {
         use crate::fault::FaultPlan;
-        let g = Gpu::new(GpuConfig {
+        let mut g = Gpu::new(GpuConfig {
             record_ops: true,
             faults: Some(FaultPlan::retryable_only(3, 1.0)),
             ..Default::default()
         });
-        let load = g.create_stream("load");
+        let load = g.create_stream();
         let err = g
             .copy_async(Direction::HostToDevice, 1 << 20, Category::GraphLoad, load)
             .unwrap_err();
@@ -148,7 +149,7 @@ mod tests {
         let ops = g.op_log();
         let faults = g.fault_log();
         assert_eq!(faults.len(), 1);
-        let json = chrome_trace(&ops, &faults);
+        let json = chrome_trace(ops, faults);
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let arr = v.as_array().unwrap();
         // 1 process + 3 threads metadata + 1 op + 1 fault instant.
@@ -166,7 +167,7 @@ mod tests {
     fn trace_writes_to_disk_with_faults() {
         let g = sample_gpu();
         let path = std::env::temp_dir().join("lt_trace_test.json");
-        write_chrome_trace(&g.op_log(), &g.fault_log(), &path).unwrap();
+        write_chrome_trace(g.op_log(), g.fault_log(), &path).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("graph load"));
         assert!(content.contains("zero copy"));

@@ -58,13 +58,13 @@ proptest! {
     fn timeline_is_always_consistent(
         ops in prop::collection::vec(op_strategy(3), 1..80),
     ) {
-        let gpu = Gpu::new(GpuConfig {
+        let mut gpu = Gpu::new(GpuConfig {
             memory_bytes: 1 << 30,
             cost: CostModel::pcie3(),
             record_ops: true,
             ..Default::default()
         });
-        let streams: Vec<_> = (0..3).map(|i| gpu.create_stream(&format!("s{i}"))).collect();
+        let streams: Vec<_> = (0..3).map(|_| gpu.create_stream()).collect();
         let mut h2d_bytes = 0u64;
         let mut d2h_bytes = 0u64;
         let mut host_clock_prev = 0;
@@ -155,7 +155,7 @@ proptest! {
         sizes in prop::collection::vec(1u64..1_000_000, 1..60),
     ) {
         let run = || {
-            let gpu = Gpu::new(GpuConfig {
+            let mut gpu = Gpu::new(GpuConfig {
                 memory_bytes: 1 << 30,
                 cost: CostModel::pcie3(),
                 record_ops: true,
@@ -167,7 +167,7 @@ proptest! {
                     ..lt_gpusim::FaultPlan::default()
                 }),
             });
-            let s = gpu.create_stream("s");
+            let s = gpu.create_stream();
             let outcomes: Vec<Option<u64>> = sizes
                 .iter()
                 .map(|&b| gpu.copy_async(Direction::HostToDevice, b, Category::GraphLoad, s).ok())
@@ -185,33 +185,46 @@ proptest! {
     }
 
     #[test]
-    fn malloc_free_never_corrupts_accounting(
+    fn reservations_are_accepted_iff_they_fit(
+        capacity in 1u64..4_000_000,
         sizes in prop::collection::vec(1u64..1_000_000, 1..40),
-        free_order in prop::collection::vec(any::<prop::sample::Index>(), 0..40),
     ) {
-        let gpu = Gpu::new(GpuConfig {
-            memory_bytes: 1 << 30,
+        let mut gpu = Gpu::new(GpuConfig {
+            memory_bytes: capacity,
             ..Default::default()
         });
-        let mut allocs = Vec::new();
         let mut expected = 0u64;
         for &s in &sizes {
-            if let Ok(a) = gpu.malloc(s) {
-                expected += s;
-                allocs.push(a);
+            let fits = expected + s <= capacity;
+            match gpu.reserve(s) {
+                Ok(()) => {
+                    prop_assert!(fits, "accepted {} with {}/{} reserved", s, expected, capacity);
+                    expected += s;
+                }
+                Err(e) => {
+                    // A refusal names the request and changes nothing.
+                    prop_assert!(!fits, "refused {} with {}/{} reserved", s, expected, capacity);
+                    prop_assert_eq!((e.requested, e.used, e.capacity), (s, expected, capacity));
+                }
             }
-        }
-        prop_assert_eq!(gpu.used_bytes(), expected);
-        for idx in free_order {
-            if allocs.is_empty() {
-                break;
-            }
-            let i = idx.index(allocs.len());
-            let a = allocs.swap_remove(i);
-            expected -= a.bytes();
-            gpu.free(a);
             prop_assert_eq!(gpu.used_bytes(), expected);
         }
-        prop_assert_eq!(gpu.live_allocations(), allocs.len() as u64);
+    }
+}
+
+// The vendored runner does not shrink, so a failing case must name its
+// inputs: index, message, then each argument's `Debug`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    #[should_panic(
+        expected = "case 0 of a_failing_case_prints_its_inputs: refused 5\ninputs:\n  bytes = 5\n  streams = [2, 2]"
+    )]
+    fn a_failing_case_prints_its_inputs(
+        bytes in 5u64..6,
+        streams in prop::collection::vec(2usize..3, 2..3),
+    ) {
+        prop_assert!(streams.len() > 2, "refused {}", bytes);
     }
 }

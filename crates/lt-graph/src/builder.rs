@@ -79,30 +79,31 @@ impl GraphBuilder {
         edges.sort_unstable();
         edges.dedup();
         // Every edge is stored both ways, so the largest id is the last
-        // source, and an id has an edge iff it is some edge's source.
+        // source, and an id has an edge iff it is some edge's source: the
+        // distinct sources, ascending, are the kept ids. No array is sized
+        // by an id.
         let Some(&(max_id, _)) = edges.last() else {
             return Err(GraphError::Empty);
         };
-        let mut has_edge = vec![false; max_id as usize + 1];
-        for &(s, _) in &edges {
-            has_edge[s as usize] = true;
-        }
-        let mut relabel = Vec::new();
-        if has_edge.contains(&false) {
-            let mut map = vec![VertexId::MAX; has_edge.len()];
-            for (old, _) in has_edge.iter().enumerate().filter(|(_, &kept)| kept) {
-                map[old] = relabel.len() as VertexId;
-                relabel.push(old as VertexId);
+        // A kept id's new label is its rank among them, so each source
+        // becomes its rank in the same pass (the identity when no id is
+        // missing).
+        let mut ids: Vec<VertexId> = Vec::new();
+        for e in &mut edges {
+            if ids.last() != Some(&e.0) {
+                ids.push(e.0);
             }
+            e.0 = (ids.len() - 1) as VertexId;
+        }
+        let nv = ids.len();
+        let relabel = if nv as u64 == u64::from(max_id) + 1 {
+            Vec::new()
+        } else {
             // Monotone, so the edges stay sorted.
             for e in &mut edges {
-                *e = (map[e.0 as usize], map[e.1 as usize]);
+                e.1 = ids.partition_point(|&id| id < e.1) as VertexId;
             }
-        }
-        let nv = if relabel.is_empty() {
-            has_edge.len()
-        } else {
-            relabel.len()
+            ids
         };
         let mut offsets = vec![0u64; nv + 1];
         for &(s, _) in &edges {
@@ -157,5 +158,16 @@ mod tests {
         assert_eq!(default.csr.offsets(), new.csr.offsets());
         assert_eq!(default.csr.edges(), new.csr.edges());
         assert_eq!(default.relabel, [0, 3, 7]);
+    }
+
+    #[test]
+    fn huge_ids_cost_no_id_sized_memory() {
+        let built = GraphBuilder::new()
+            .add_edge(0, u32::MAX - 1)
+            .build()
+            .unwrap();
+        assert_eq!(built.csr.num_vertices(), 2);
+        assert_eq!(built.csr.num_edges(), 2);
+        assert_eq!(built.relabel, [0, u32::MAX - 1]);
     }
 }

@@ -436,8 +436,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let r = engine.run(setup.walks).map_err(|e| e.to_string())?;
     if let Some(path) = f.get("trace") {
         lighttraffic::gpusim::trace::write_chrome_trace(
-            &engine.gpu().op_log(),
-            &engine.gpu().fault_log(),
+            engine.gpu().op_log(),
+            engine.gpu().fault_log(),
             path,
         )
         .map_err(|e| e.to_string())?;

@@ -357,7 +357,7 @@ fn pipeline_genuinely_overlaps_transfer_and_compute() {
         "pipeline must overlap: makespan {overlapped} vs serial {serial}"
     );
     // The trace exporter handles a full engine run.
-    let trace = lighttraffic::gpusim::trace::chrome_trace(&e.gpu().op_log(), &e.gpu().fault_log());
+    let trace = lighttraffic::gpusim::trace::chrome_trace(e.gpu().op_log(), e.gpu().fault_log());
     let parsed: serde_json::Value = serde_json::from_str(&trace).unwrap();
     assert!(parsed.as_array().unwrap().len() > 10);
 }
