@@ -506,13 +506,13 @@ fn kernel_rows<'a>(
 
 /// The insert half of the reshuffle: copy every run of the sorted movers
 /// into its frontier — partitions ascending, within a partition arrival
-/// order — evicting a victim whenever a promotion finds the free list
-/// empty. Returns the evicted batches in eviction order; the caller
+/// order — evicting a victim whenever a promotion finds no block
+/// free. Returns the evicted batches in eviction order; the caller
 /// charges their D2H copies afterwards, so the host pool the victim
 /// heuristic reads does not change during the phase.
 ///
-/// Livelock audit: `insert_run` stops early only when the free list is
-/// empty; the `2P + 1` floor pins exactly `2P` blocks to frontier/reserve
+/// Livelock audit: `insert_run` stops early only when no block is
+/// free; the `2P + 1` floor pins exactly `2P` blocks to frontier/reserve
 /// pairs, so every remaining block then holds a queued batch and
 /// `evict_queue_batch` frees exactly one — even when the only victim is
 /// the protected partition itself. The next `insert_run` promotes and

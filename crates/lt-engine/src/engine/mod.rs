@@ -224,7 +224,7 @@ impl LightTraffic {
         }
         let kernel_threads = kernel::resolve_threads(cfg.kernel_threads);
         // The RAM tier holds what the device holds plus headroom for
-        // second-order zero-copy views; the cache clamps it to `P`.
+        // second-order zero-copy views; it never holds more than all `P`.
         let host_cache = match pg.store() {
             GraphStore::OutOfCore(ooc) => Some(HostDecodeCache::new(
                 Arc::clone(ooc),

@@ -182,7 +182,7 @@ impl LightTraffic {
             .snapshot
             .clone()
             .expect("step recovers only while it holds a snapshot");
-        self.pools.graph.reset();
+        self.pools.graph.clear();
         self.metrics.total_steps = snap.cp.total_steps;
         self.metrics.finished_walks = snap.cp.finished_walks;
         self.metrics.length_histogram = snap.length_histogram;

@@ -113,7 +113,7 @@ pub(super) fn pick_victim(pools: &Pools, selective: bool, protect: PartitionId) 
             let by_policy = selective.then(|| (pools.graph.contains(p), pools.walks_in(p)));
             (p == protect, by_policy, p)
         })
-        .expect("the 2P+1 floor guarantees a queued batch when the free list is empty")
+        .expect("the 2P+1 floor guarantees a queued batch when no block is free")
 }
 
 #[cfg(test)]

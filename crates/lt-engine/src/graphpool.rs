@@ -1,5 +1,6 @@
 //! The GPU graph pool: a cache of partition blocks (§III-B) with the
-//! eviction policies of §III-D.
+//! eviction policies of §III-D, over the one partition cache it shares
+//! with the host decode cache ([`crate::hostcache`]).
 //!
 //! The baseline pipeline evicts FIFO; selective scheduling overwrites the
 //! partition with the fewest walks ("such a graph partition should have the
@@ -7,7 +8,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use lt_gpusim::pool::{BlockId, BlockPool};
 use lt_gpusim::sim::OutOfMemory;
 use lt_gpusim::Gpu;
 use lt_graph::{PartitionData, PartitionId};
@@ -24,6 +24,109 @@ pub enum GraphEviction {
     FewestWalks,
 }
 
+/// A bounded cache of per-partition values: one slot per partition, the
+/// residency order (oldest first, the FIFO age) and a capacity. The
+/// device graph pool ([`DeviceGraphPool`]) and the host decode cache
+/// ([`crate::HostDecodeCache`]) are both this cache.
+#[derive(Debug)]
+pub struct PartitionCache<T> {
+    slots: Vec<Option<T>>,
+    order: VecDeque<PartitionId>,
+    capacity: usize,
+}
+
+impl<T> PartitionCache<T> {
+    /// An empty cache of `capacity` slots over `num_partitions` partitions.
+    pub fn with_capacity(num_partitions: u32, capacity: usize) -> Self {
+        assert!(capacity >= 1, "a partition cache needs at least one slot");
+        PartitionCache {
+            slots: (0..num_partitions).map(|_| None).collect(),
+            order: VecDeque::new(),
+            capacity,
+        }
+    }
+
+    /// Whether partition `p` is resident.
+    #[inline]
+    pub fn contains(&self, p: PartitionId) -> bool {
+        self.slots[p as usize].is_some()
+    }
+
+    /// The value cached for `p`, if resident.
+    #[inline]
+    pub fn get(&self, p: PartitionId) -> Option<&T> {
+        self.slots[p as usize].as_ref()
+    }
+
+    /// When the cache is full, evict the partition `policy` picks from the
+    /// residency order and return it. [`GraphEviction::FewestWalks`] takes
+    /// the minimum of `(rank(p), p)`: the device graph pool ranks by
+    /// pending walks, the host decode cache by
+    /// [`crate::hostcache::eviction_rank`]. `protect` is never chosen.
+    pub fn make_room<K: Ord>(
+        &mut self,
+        policy: GraphEviction,
+        rank: &dyn Fn(PartitionId) -> K,
+        protect: PartitionId,
+    ) -> Option<PartitionId> {
+        if self.order.len() < self.capacity {
+            return None;
+        }
+        let candidates = || self.order.iter().copied().filter(|&p| p != protect);
+        let victim = match policy {
+            GraphEviction::Fifo => candidates().next(),
+            GraphEviction::FewestWalks => candidates().min_by_key(|&p| (rank(p), p)),
+        }
+        .expect("a full cache holds at least one unprotected resident partition");
+        self.remove(victim);
+        Some(victim)
+    }
+
+    /// Cache `value` for partition `p`, which is not resident; the caller
+    /// has made room.
+    pub fn push(&mut self, p: PartitionId, value: T) {
+        debug_assert!(!self.contains(p), "partition already resident");
+        debug_assert!(self.order.len() < self.capacity, "no room was made");
+        self.slots[p as usize] = Some(value);
+        self.order.push_back(p);
+    }
+
+    /// Cache `value` for partition `p`, evicting per `policy` first if the
+    /// cache is full ([`PartitionCache::make_room`]). Returns the evicted
+    /// partition, if any.
+    pub fn insert<K: Ord>(
+        &mut self,
+        p: PartitionId,
+        value: T,
+        policy: GraphEviction,
+        rank: &dyn Fn(PartitionId) -> K,
+        protect: PartitionId,
+    ) -> Option<PartitionId> {
+        let evicted = self.make_room(policy, rank, protect);
+        self.push(p, value);
+        evicted
+    }
+
+    /// Drop partition `p`'s slot, returning its value if it was resident.
+    pub fn remove(&mut self, p: PartitionId) -> Option<T> {
+        let value = self.slots[p as usize].take()?;
+        self.order.retain(|&x| x != p);
+        Some(value)
+    }
+
+    /// Resident partitions, oldest first.
+    pub fn resident_partitions(&self) -> impl Iterator<Item = PartitionId> + '_ {
+        self.order.iter().copied()
+    }
+
+    /// Drop every resident partition.
+    pub fn clear(&mut self) {
+        for p in self.order.drain(..) {
+            self.slots[p as usize] = None;
+        }
+    }
+}
+
 /// A cache of graph partitions in reserved device blocks.
 ///
 /// An entry records residency: the simulated link was charged for the
@@ -33,126 +136,37 @@ pub enum GraphEviction {
 /// range, a sealed block). Only a clean partition of an out-of-core
 /// store pins its decoded block in the entry, because the host decode
 /// cache may evict that block while it is resident; a seal of the
-/// partition drops the pin.
-#[derive(Debug)]
-pub struct DeviceGraphPool {
-    // Graph data is immutable, so a pinned block shared with the host
-    // decode cache is free of hazards.
-    pool: BlockPool<Option<Arc<PartitionData>>>,
-    resident: Vec<Option<BlockId>>,
-    /// Residency order, oldest first (for FIFO eviction).
-    order: VecDeque<PartitionId>,
-}
-
-/// The partition to evict from a full residency queue (`order`, oldest
-/// first) under `policy`; `protect` is never chosen.
-/// [`GraphEviction::FewestWalks`] takes the minimum of `(rank(p), p)`: the
-/// device graph pool ranks by pending walks, the host decode cache by
-/// [`crate::hostcache::eviction_rank`].
-pub(crate) fn pick_victim<K: Ord>(
-    order: &VecDeque<PartitionId>,
-    policy: GraphEviction,
-    rank: &dyn Fn(PartitionId) -> K,
-    protect: PartitionId,
-) -> PartitionId {
-    let candidates = || order.iter().copied().filter(|&p| p != protect);
-    match policy {
-        GraphEviction::Fifo => candidates().next(),
-        GraphEviction::FewestWalks => candidates().min_by_key(|&p| (rank(p), p)),
-    }
-    .expect("a full cache holds at least one unprotected resident partition")
-}
+/// partition drops the pin. Graph data is immutable, so a pinned block
+/// shared with the host decode cache is free of hazards, and eviction
+/// needs no write-back.
+pub type DeviceGraphPool = PartitionCache<Option<Arc<PartitionData>>>;
 
 impl DeviceGraphPool {
-    /// Reserve `blocks` partition-sized blocks (`m_g` of the paper).
+    /// Reserve `blocks` partition-sized blocks (`m_g` of the paper) in one
+    /// device reservation.
     pub fn new(
         gpu: &mut Gpu,
         num_partitions: u32,
         blocks: usize,
         block_bytes: u64,
     ) -> Result<Self, OutOfMemory> {
-        assert!(blocks >= 1, "graph pool needs at least one block");
-        Ok(DeviceGraphPool {
-            pool: BlockPool::reserve(gpu, blocks, block_bytes)?,
-            resident: vec![None; num_partitions as usize],
-            order: VecDeque::new(),
-        })
-    }
-
-    /// Whether partition `p` is resident.
-    #[inline]
-    pub fn contains(&self, p: PartitionId) -> bool {
-        self.resident[p as usize].is_some()
+        // Saturates, so a product past `u64` is refused, not wrapped.
+        gpu.reserve((blocks as u64).saturating_mul(block_bytes))?;
+        Ok(PartitionCache::with_capacity(num_partitions, blocks))
     }
 
     /// The block pinned for resident partition `p` (clean out-of-core
     /// partitions only; `None` for a partition read in place or not
     /// resident).
     pub fn pinned(&self, p: PartitionId) -> Option<&PartitionData> {
-        self.resident[p as usize].and_then(|id| self.pool.get(id).as_deref())
+        self.get(p)?.as_deref()
     }
 
     /// Drop the block pinned for partition `p`, if any, keeping it
     /// resident: an epoch seal replaced its rows.
     pub fn unpin(&mut self, p: PartitionId) {
-        if let Some(id) = self.resident[p as usize] {
-            *self.pool.get_mut(id) = None;
-        }
-    }
-
-    /// Make partition `p` resident, evicting per `policy` if the pool is
-    /// full. `pinned` is the decoded block an out-of-core store hands
-    /// over, shared with the host decode cache; `None` for stores read in
-    /// place. `walk_counts(p)` supplies the per-partition walk totals
-    /// selective eviction minimizes over; `protect` (the partition being
-    /// scheduled) is never evicted. Returns the evicted partition, if any.
-    pub fn insert(
-        &mut self,
-        p: PartitionId,
-        pinned: Option<Arc<PartitionData>>,
-        policy: GraphEviction,
-        walk_counts: &dyn Fn(PartitionId) -> u64,
-        protect: PartitionId,
-    ) -> Option<PartitionId> {
-        debug_assert!(!self.contains(p), "partition already resident");
-        debug_assert!(pinned.as_ref().is_none_or(|d| d.id == p));
-        let mut evicted = None;
-        if self.pool.is_full() {
-            let victim = pick_victim(&self.order, policy, walk_counts, protect);
-            self.evict(victim);
-            evicted = Some(victim);
-        }
-        let id = self
-            .pool
-            .acquire(pinned)
-            .expect("a full pool had a victim evicted just above, so a block is free");
-        self.resident[p as usize] = Some(id);
-        self.order.push_back(p);
-        evicted
-    }
-
-    /// Drop partition `p` from the cache (graph data needs no write-back —
-    /// it is immutable, so eviction is free).
-    fn evict(&mut self, p: PartitionId) {
-        let id = self.resident[p as usize]
-            .take()
-            .expect("the victim comes from `order`, which lists only resident partitions");
-        self.pool.release(id);
-        self.order.retain(|&x| x != p);
-    }
-
-    /// Resident partitions, oldest first.
-    pub fn resident_partitions(&self) -> impl Iterator<Item = PartitionId> + '_ {
-        self.order.iter().copied()
-    }
-
-    /// Drop every resident partition (checkpoint recovery).
-    pub fn reset(&mut self) {
-        while let Some(p) = self.order.pop_front() {
-            let id = self.resident[p as usize]
-                .take()
-                .expect("order lists only resident partitions");
-            self.pool.release(id);
+        if let Some(pin) = self.slots[p as usize].as_mut() {
+            *pin = None;
         }
     }
 }
@@ -180,6 +194,21 @@ mod tests {
         );
         let pg = PartitionedGraph::build(g, 16 << 10);
         (gpu, pg)
+    }
+
+    /// The pool is one reservation of `blocks × block_bytes`; a request
+    /// past the device, or whose product overflows `u64`, reserves nothing.
+    #[test]
+    fn new_reserves_once_and_refuses_past_capacity() {
+        let mut gpu = Gpu::new(GpuConfig {
+            memory_bytes: 1 << 20,
+            ..Default::default()
+        });
+        assert!(DeviceGraphPool::new(&mut gpu, 4, 32, 64 << 10).is_err());
+        assert!(DeviceGraphPool::new(&mut gpu, 4, usize::MAX, 1 << 20).is_err());
+        assert_eq!(gpu.used_bytes(), 0);
+        DeviceGraphPool::new(&mut gpu, 4, 4, 64 << 10).unwrap();
+        assert_eq!(gpu.used_bytes(), 256 << 10);
     }
 
     #[test]
@@ -239,5 +268,26 @@ mod tests {
         assert!(pool.pinned(2).is_none());
         pool.unpin(1);
         assert!(pool.contains(1) && pool.pinned(1).is_none());
+    }
+
+    /// `remove` and `clear` drop slots and residency order together, and
+    /// a freed slot is room without an eviction.
+    #[test]
+    fn remove_and_clear_keep_slots_and_order_in_step() {
+        let mut cache = PartitionCache::with_capacity(4, 3);
+        for p in 0..3 {
+            cache.push(p, p * 10);
+        }
+        assert_eq!(cache.remove(1), Some(10));
+        assert_eq!(cache.remove(1), None);
+        assert_eq!(cache.resident_partitions().collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(cache.make_room(GraphEviction::Fifo, &|_| 0, 0), None);
+        cache.push(3, 30);
+        // Full again: FIFO skips the protected oldest (0) for the next.
+        assert_eq!(cache.make_room(GraphEviction::Fifo, &|_| 0, 0), Some(2));
+        assert_eq!(cache.get(3), Some(&30));
+        cache.clear();
+        assert!((0..4).all(|p| !cache.contains(p)));
+        assert_eq!(cache.resident_partitions().count(), 0);
     }
 }

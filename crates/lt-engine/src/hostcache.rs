@@ -7,10 +7,10 @@
 //! here ([`HostDecodeCache::forget`]). Decoding is far from free (it
 //! walks every edge), so the engine keeps a bounded cache of decoded
 //! partitions in host memory — a third traffic tier between disk and
-//! device, mirroring the device graph pool one level up. Decode work is
-//! charged to [`lt_telemetry::TrafficDirection::HostLoad`] by the engine
-//! so the ledger's exactness invariant (DESIGN.md §14) extends to the
-//! host tier.
+//! device, held in the same [`PartitionCache`] as the device graph pool
+//! one level up. Decode work is charged to
+//! [`lt_telemetry::TrafficDirection::HostLoad`] by the engine so the
+//! ledger's exactness invariant (DESIGN.md §14) extends to the host tier.
 //!
 //! The engine fetches one partition per explicit graph copy and per
 //! zero-copy kernel, plus the walkers' previous-vertex partitions only for
@@ -18,8 +18,8 @@
 //! [reads them](crate::WalkAlgorithm::reads_prev_neighbors). Selective
 //! eviction drops what the device already holds first ([`eviction_rank`]).
 //!
-//! This module holds blocks, not the format: slots, residency order,
-//! eviction and [`Fetched`]. A miss calls
+//! This module adds the decode to the shared partition cache (slots,
+//! residency order, eviction) and reports [`Fetched`]. A miss calls
 //! [`OocGraph::decode_partition_with`], which owns the chunk layout and
 //! its grouped decode, and lends it the engine's [`ExecPool`] as the
 //! fan-out; the block lands in fresh buffers (the evicted copy is usually
@@ -33,9 +33,8 @@
 //! `host_*_wall_ns` counters).
 
 use crate::exec::ExecPool;
-use crate::graphpool::{pick_victim, GraphEviction};
+use crate::graphpool::{GraphEviction, PartitionCache};
 use lt_graph::{GraphError, OocGraph, PartitionData, PartitionId};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -69,23 +68,13 @@ pub struct Fetched {
 /// A bounded cache of decoded partitions backed by an out-of-core graph.
 pub struct HostDecodeCache {
     ooc: Arc<OocGraph>,
-    slots: Vec<Option<Arc<PartitionData>>>,
-    /// Residency order, oldest first (FIFO eviction age), mirroring
-    /// [`crate::graphpool::DeviceGraphPool`].
-    order: VecDeque<PartitionId>,
-    capacity: usize,
+    cache: PartitionCache<Arc<PartitionData>>,
 }
 
 impl HostDecodeCache {
     pub fn new(ooc: Arc<OocGraph>, capacity: usize) -> HostDecodeCache {
-        assert!(capacity >= 1, "host decode cache needs at least one slot");
-        let p = ooc.num_partitions() as usize;
-        HostDecodeCache {
-            ooc,
-            slots: vec![None; p],
-            order: VecDeque::new(),
-            capacity: capacity.min(p.max(1)),
-        }
+        let cache = PartitionCache::with_capacity(ooc.num_partitions(), capacity);
+        HostDecodeCache { ooc, cache }
     }
 
     /// Fetch partition `p`, decoding from disk on a miss. When the cache
@@ -104,7 +93,7 @@ impl HostDecodeCache {
         protect: PartitionId,
         exec: &ExecPool,
     ) -> Result<Fetched, GraphError> {
-        if let Some(data) = &self.slots[p as usize] {
+        if let Some(data) = self.cache.get(p) {
             return Ok(Fetched {
                 data: Arc::clone(data),
                 missed: false,
@@ -112,13 +101,7 @@ impl HostDecodeCache {
                 decode_ns: 0,
             });
         }
-        let mut evicted = false;
-        if self.order.len() >= self.capacity {
-            let victim = pick_victim(&self.order, policy, rank, protect);
-            self.slots[victim as usize] = None;
-            self.order.retain(|&x| x != victim);
-            evicted = true;
-        }
+        let evicted = self.cache.make_room(policy, rank, protect).is_some();
         let start = Instant::now();
         let groups = exec.workers() + 1;
         let data = Arc::new(
@@ -126,8 +109,7 @@ impl HostDecodeCache {
                 .decode_partition_with(p, groups, |n, f| exec.map(n, f))?,
         );
         let decode_ns = start.elapsed().as_nanos() as u64;
-        self.slots[p as usize] = Some(Arc::clone(&data));
-        self.order.push_back(p);
+        self.cache.push(p, Arc::clone(&data));
         Ok(Fetched {
             data,
             missed: true,
@@ -138,14 +120,12 @@ impl HostDecodeCache {
 
     /// Whether partition `p` is resident.
     pub fn contains(&self, p: PartitionId) -> bool {
-        self.slots[p as usize].is_some()
+        self.cache.contains(p)
     }
 
     /// Drop partition `p`'s slot, if cached: its rows were replaced.
     pub fn forget(&mut self, p: PartitionId) {
-        if self.slots[p as usize].take().is_some() {
-            self.order.retain(|&x| x != p);
-        }
+        self.cache.remove(p);
     }
 }
 

@@ -9,11 +9,14 @@
 //! memory, and frontier overflow is handled without dynamic allocation by
 //! swapping in the reserve.
 //!
-//! # One pool, one free list
+//! # One reservation, one free-block count
 //!
-//! The device pool is the paper's reserved pool: `2P` blocks are pinned
-//! (a frontier and a reserve per partition) and every other block
-//! circulates on **one** [`BlockPool`] free list, so any partition's
+//! The device pool is the paper's reserved pool: one device reservation
+//! of `blocks` batch blocks, of which `2P` are pinned (a frontier and a
+//! reserve per partition). The reserve is a counted block, not a batch
+//! held aside: promoting a full frontier queues it, starts a fresh
+//! frontier in the reserve's block and draws the new reserve from **one**
+//! free-block count (`blocks − 2P − queued`), so any partition's
 //! promotion or load can take any free block. The reshuffle visits the
 //! partitions in ascending order and hands each partition's movers to
 //! [`DeviceWalkPool::insert_run`] as one run (one bulk copy per frontier
@@ -23,14 +26,13 @@
 //! timeline) is bit-identical for any `kernel_threads`.
 //!
 //! The livelock invariant of the engine's insert-or-evict loop is the
-//! paper's: with a floor of `2P + 1` blocks, `2P` are pinned, so when the
-//! free list is empty every other block holds a queued batch and one
-//! eviction always unblocks the insert.
+//! paper's: with a floor of `2P + 1` blocks, `2P` are pinned, so when no
+//! block is free every other block holds a queued batch and one eviction
+//! always unblocks the insert.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::batch::WalkBatch;
 use crate::walker::Walker;
-use lt_gpusim::pool::{BlockId, BlockPool};
 use lt_gpusim::sim::OutOfMemory;
 use lt_gpusim::Gpu;
 use lt_graph::PartitionId;
@@ -135,15 +137,15 @@ impl HostWalkPool {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolFull;
 
-/// The GPU-side walk pool: per-partition queues, resident frontiers, and
-/// reserved free batches over one [`BlockPool`] free list (see the module
-/// docs).
+/// The GPU-side walk pool: per-partition queues and resident frontiers
+/// over one free-block count (see the module docs).
 #[derive(Debug)]
 pub struct DeviceWalkPool {
-    pool: BlockPool<WalkBatch>,
-    queues: Vec<VecDeque<BlockId>>,
-    frontier: Vec<BlockId>,
-    reserve: Vec<BlockId>,
+    queues: Vec<VecDeque<WalkBatch>>,
+    frontier: Vec<WalkBatch>,
+    /// Blocks neither pinned (a frontier and a reserve per partition) nor
+    /// holding a queued batch: `blocks − 2P − queued`.
+    free: usize,
     counts: Vec<u64>,
     total: u64,
     batch_capacity: usize,
@@ -171,23 +173,14 @@ impl DeviceWalkPool {
             "walk pool needs at least 2P+1 = {floor} blocks (P = {num_partitions} \
              partitions), got {blocks}"
         );
-        let mut pool = BlockPool::reserve(gpu, blocks, block_bytes)?;
-        let mut pinned = || {
-            (0..num_partitions)
-                .map(|part| {
-                    pool.acquire(WalkBatch::new(part, batch_capacity)).expect(
-                        "the pool holds at least 2P + 1 blocks, asserted above, so 2P pins fit",
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let frontier = pinned();
-        let reserve = pinned();
+        // Saturates, so a product past `u64` is refused, not wrapped.
+        gpu.reserve((blocks as u64).saturating_mul(block_bytes))?;
         Ok(DeviceWalkPool {
-            pool,
             queues: (0..p).map(|_| VecDeque::new()).collect(),
-            frontier,
-            reserve,
+            frontier: (0..num_partitions)
+                .map(|part| WalkBatch::new(part, batch_capacity))
+                .collect(),
+            free: blocks - 2 * p,
             counts: vec![0; p],
             total: 0,
             batch_capacity,
@@ -218,10 +211,10 @@ impl DeviceWalkPool {
         self.batch_capacity
     }
 
-    /// Blocks on the free list.
+    /// Free blocks: neither pinned nor queued.
     #[inline]
     pub fn free_blocks(&self) -> usize {
-        self.pool.free_blocks()
+        self.free
     }
 
     /// Number of queued (non-frontier) batches of `part`.
@@ -231,24 +224,20 @@ impl DeviceWalkPool {
 
     /// Walkers in the frontier batch of `part`.
     pub fn frontier_len(&self, part: PartitionId) -> usize {
-        self.pool.get(self.frontier[part as usize]).len()
-    }
-
-    fn head_batch(&self, part: PartitionId) -> Option<&WalkBatch> {
-        self.queues[part as usize]
-            .front()
-            .map(|&b| self.pool.get(b))
+        self.frontier[part as usize].len()
     }
 
     /// Whether the queued batch at the head of `part` is full (preemptive
     /// scheduling prefers full batches).
     pub fn head_batch_full(&self, part: PartitionId) -> bool {
-        self.head_batch(part).is_some_and(|b| b.is_full())
+        self.queues[part as usize]
+            .front()
+            .is_some_and(|b| b.is_full())
     }
 
     /// Walkers in the head queued batch of `part` (0 when none).
     pub fn head_batch_len(&self, part: PartitionId) -> usize {
-        self.head_batch(part).map_or(0, |b| b.len())
+        self.queues[part as usize].front().map_or(0, |b| b.len())
     }
 
     /// Partitions that have at least one queued batch, ascending.
@@ -260,37 +249,33 @@ impl DeviceWalkPool {
             .map(|(p, _)| p as PartitionId)
     }
 
-    /// Queue the (full) frontier of `part`, make the reserve the new
-    /// frontier and draw a fresh reserve from the free list. The caller
-    /// has checked that the free list is not empty.
+    /// Queue the (full) frontier of `part`: the reserve becomes the new
+    /// frontier and a free block the new reserve. The caller has checked
+    /// that a block is free.
     fn promote_frontier(&mut self, part: PartitionId) {
-        let l = part as usize;
-        self.queues[l].push_back(self.frontier[l]);
-        self.frontier[l] = self.reserve[l];
-        self.reserve[l] = self
-            .pool
-            .acquire(WalkBatch::new(part, self.batch_capacity))
-            .expect("both callers promote only after seeing a free block");
+        let fresh = WalkBatch::new(part, self.batch_capacity);
+        let full = std::mem::replace(&mut self.frontier[part as usize], fresh);
+        self.queues[part as usize].push_back(full);
+        self.free -= 1;
     }
 
     /// Insert a reshuffled walker into its partition's frontier.
     ///
     /// On frontier overflow the full frontier is promoted to the queue and
     /// the reserved free batch becomes the new frontier; a fresh reserve is
-    /// drawn from the free list. Fails with [`PoolFull`] (walker
-    /// untouched) when the free list is empty — the caller must evict a
-    /// queued batch first.
+    /// drawn from the free blocks. Fails with [`PoolFull`] (walker
+    /// untouched) when no block is free — the caller must evict a queued
+    /// batch first.
     pub fn try_insert(&mut self, part: PartitionId, w: Walker) -> Result<(), PoolFull> {
         let l = part as usize;
-        debug_assert_eq!(self.pool.get(self.frontier[l]).partition(), part);
-        if self.pool.get(self.frontier[l]).is_full() {
-            if self.pool.free_blocks() == 0 {
+        debug_assert_eq!(self.frontier[l].partition(), part);
+        if self.frontier[l].is_full() {
+            if self.free == 0 {
                 return Err(PoolFull);
             }
             self.promote_frontier(part);
         }
-        self.pool
-            .get_mut(self.frontier[l])
+        self.frontier[l]
             .push(w)
             .expect("the frontier has room: a full one was promoted to the queue above");
         self.counts[l] += 1;
@@ -304,23 +289,23 @@ impl DeviceWalkPool {
     /// full frontier is promoted only when another walker arrives), and
     /// continue into the new frontier. Returns the walkers not yet
     /// inserted: empty when the whole run went in, otherwise the rest of
-    /// the run at the point where the frontier is full and the free list
-    /// is empty — the caller must evict a queued batch and call again
+    /// the run at the point where the frontier is full and no block is
+    /// free — the caller must evict a queued batch and call again
     /// with the rest. Counts are bumped before that return, so the
     /// eviction heuristic reads the same counts as it would between two
     /// `try_insert` calls.
     pub fn insert_run<'a>(&mut self, part: PartitionId, run: &'a [Walker]) -> &'a [Walker] {
         let l = part as usize;
-        debug_assert_eq!(self.pool.get(self.frontier[l]).partition(), part);
+        debug_assert_eq!(self.frontier[l].partition(), part);
         let mut rest = run;
         while !rest.is_empty() {
-            if self.pool.get(self.frontier[l]).is_full() {
-                if self.pool.free_blocks() == 0 {
+            if self.frontier[l].is_full() {
+                if self.free == 0 {
                     break;
                 }
                 self.promote_frontier(part);
             }
-            let frontier = self.pool.get_mut(self.frontier[l]);
+            let frontier = &mut self.frontier[l];
             let (head, tail) = rest.split_at(rest.len().min(frontier.capacity() - frontier.len()));
             frontier.extend_from_slice(head);
             self.counts[l] += head.len() as u64;
@@ -331,20 +316,23 @@ impl DeviceWalkPool {
     }
 
     /// Add a batch loaded from the host to the partition's queue. Fails
-    /// (returning the batch) when the free list is empty.
-    pub fn add_loaded_batch(&mut self, batch: WalkBatch) -> Result<BlockId, WalkBatch> {
+    /// (returning the batch) when no block is free.
+    pub fn add_loaded_batch(&mut self, batch: WalkBatch) -> Result<(), WalkBatch> {
+        if self.free == 0 {
+            return Err(batch);
+        }
         let l = batch.partition() as usize;
-        let len = batch.len() as u64;
-        let id = self.pool.acquire(batch)?;
-        self.queues[l].push_back(id);
-        self.counts[l] += len;
-        self.total += len;
-        Ok(id)
+        self.counts[l] += batch.len() as u64;
+        self.total += batch.len() as u64;
+        self.queues[l].push_back(batch);
+        self.free -= 1;
+        Ok(())
     }
 
-    /// Release queued block `id` of `part` and take it off the counts.
-    fn release_queued(&mut self, part: PartitionId, id: BlockId) -> WalkBatch {
-        let b = self.pool.release(id);
+    /// Free the block of a batch taken off `part`'s queue and take it off
+    /// the counts.
+    fn release_queued(&mut self, part: PartitionId, b: WalkBatch) -> WalkBatch {
+        self.free += 1;
         self.counts[part as usize] -= b.len() as u64;
         self.total -= b.len() as u64;
         b
@@ -352,33 +340,32 @@ impl DeviceWalkPool {
 
     /// Fetch (and free) the head queued batch of `part` for computation.
     pub fn pop_queue_batch(&mut self, part: PartitionId) -> Option<WalkBatch> {
-        let id = self.queues[part as usize].pop_front()?;
-        Some(self.release_queued(part, id))
+        let b = self.queues[part as usize].pop_front()?;
+        Some(self.release_queued(part, b))
     }
 
     /// Evict the tail queued batch of `part` back to the host (the caller
     /// performs the simulated D2H copy and hands the batch to the
     /// [`HostWalkPool`]).
     pub fn evict_queue_batch(&mut self, part: PartitionId) -> Option<WalkBatch> {
-        let id = self.queues[part as usize].pop_back()?;
-        Some(self.release_queued(part, id))
+        let b = self.queues[part as usize].pop_back()?;
+        Some(self.release_queued(part, b))
     }
 
     /// Take the frontier batch of `part` for computation (when draining the
     /// scheduled partition). The reserve becomes the new frontier and the
     /// freed block immediately refills the reserve, so this always
-    /// succeeds. Returns `None` when the frontier is empty.
+    /// succeeds and leaves the free count alone. Returns `None` when the
+    /// frontier is empty.
     pub fn take_frontier(&mut self, part: PartitionId) -> Option<WalkBatch> {
         let l = part as usize;
-        if self.pool.get(self.frontier[l]).is_empty() {
+        if self.frontier[l].is_empty() {
             return None;
         }
-        let b = self.pool.release(self.frontier[l]);
-        self.frontier[l] = self.reserve[l];
-        self.reserve[l] = self
-            .pool
-            .acquire(WalkBatch::new(part, self.batch_capacity))
-            .expect("the old frontier's block was released just above");
+        let b = std::mem::replace(
+            &mut self.frontier[l],
+            WalkBatch::new(part, self.batch_capacity),
+        );
         self.counts[l] -= b.len() as u64;
         self.total -= b.len() as u64;
         Some(b)
@@ -389,23 +376,19 @@ impl DeviceWalkPool {
     /// ascending partition order (checkpointing).
     pub fn iter_walkers(&self) -> impl Iterator<Item = &Walker> {
         let queued = self.queues.iter().flatten();
-        queued
-            .chain(&self.frontier)
-            .flat_map(|&id| self.pool.get(id).walkers())
+        queued.chain(&self.frontier).flat_map(|b| b.walkers())
     }
 
-    /// Discard every walker (checkpoint recovery): queued blocks are
-    /// released back to the free list and the pinned frontier/reserve
-    /// batches are emptied in place, so the device reservation survives
-    /// intact.
+    /// Discard every walker (checkpoint recovery): queued blocks return
+    /// to the free count and the frontiers are emptied in place, so the
+    /// device reservation survives intact.
     pub fn reset(&mut self) {
         for q in &mut self.queues {
-            while let Some(id) = q.pop_front() {
-                self.pool.release(id);
-            }
+            self.free += q.len();
+            q.clear();
         }
-        for &id in self.frontier.iter().chain(self.reserve.iter()) {
-            self.pool.get_mut(id).drain();
+        for b in &mut self.frontier {
+            b.drain();
         }
         self.counts.fill(0);
         self.total = 0;
@@ -467,6 +450,21 @@ mod tests {
         assert!(r.is_err(), "8 blocks < 2*4+1 must be rejected");
         let dp = DeviceWalkPool::new(&mut g, 4, 9, 1024, 16).unwrap();
         assert_eq!(dp.free_blocks(), 1);
+    }
+
+    /// The pool is one reservation of `blocks × block_bytes`; a request
+    /// past the device, or whose product overflows `u64`, reserves nothing.
+    #[test]
+    fn new_reserves_once_and_refuses_past_capacity() {
+        let mut g = Gpu::new(GpuConfig {
+            memory_bytes: 1 << 20,
+            ..Default::default()
+        });
+        assert!(DeviceWalkPool::new(&mut g, 2, 32, 64 << 10, 16).is_err());
+        assert!(DeviceWalkPool::new(&mut g, 2, usize::MAX, 1 << 20, 16).is_err());
+        assert_eq!(g.used_bytes(), 0);
+        DeviceWalkPool::new(&mut g, 2, 5, 64 << 10, 16).unwrap();
+        assert_eq!(g.used_bytes(), 5 * (64 << 10));
     }
 
     /// Fails with per-shard free lists: any partition can use every
@@ -674,7 +672,7 @@ mod tests {
         assert_eq!(dp.queue_len(0), 0);
         // Five more arrive on the full frontier: promote, fill, promote,
         // fill, and stop with one walker left where the third promotion
-        // finds the free list empty. Counts cover what went in.
+        // finds no block free. Counts cover what went in.
         let rest = dp.insert_run(0, &ws[2..7]);
         assert_eq!(rest, &ws[6..7]);
         assert_eq!((dp.frontier_len(0), dp.queue_len(0)), (2, 2));
@@ -693,8 +691,8 @@ mod tests {
         /// On two identically prepared pools, bulk runs with
         /// evict-on-rest and per-walker inserts with evict-on-`PoolFull`
         /// evict the same batches in the same order and leave the same
-        /// walkers, counts and free lists behind — for any capacity,
-        /// any free-list depth from the `2P + 1` floor up, and runs
+        /// walkers, counts and free blocks behind — for any capacity,
+        /// any free-block depth from the `2P + 1` floor up, and runs
         /// spanning up to five frontier blocks.
         #[test]
         fn insert_run_matches_per_walker_inserts(

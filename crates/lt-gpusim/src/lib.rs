@@ -4,9 +4,10 @@
 //! DESIGN.md §1). It models exactly the resources whose contention the paper
 //! optimizes:
 //!
-//! - **Device memory** with a hard capacity, reserved once up front into
-//!   fixed-size block pools (`cudaMalloc` semantics — no dynamic
-//!   reallocation inside kernels, §II-B) — [`Gpu::reserve`] / [`pool::BlockPool`].
+//! - **Device memory** with a hard capacity, reserved once up front by
+//!   each fixed-size block pool (`cudaMalloc` semantics — no dynamic
+//!   reallocation inside kernels, §II-B) — [`Gpu::reserve`]; the pools
+//!   themselves, which count blocks, live in `lt-engine`.
 //! - **A full-duplex PCIe link**: independent host→device and device→host
 //!   copy engines, so walk-batch eviction overlaps loading (§III-D).
 //! - **A compute engine** executing kernels; kernel *side effects* run
@@ -29,13 +30,11 @@
 
 pub mod cost;
 pub mod fault;
-pub mod pool;
 pub mod sim;
 pub mod stats;
 pub mod trace;
 
 pub use cost::{CostModel, KernelCost};
 pub use fault::{DeviceError, FaultKind, FaultPlan, FaultRecord};
-pub use pool::BlockPool;
 pub use sim::{Direction, Gpu, GpuConfig, OpRecord, StreamId};
 pub use stats::{Category, GpuStats};

@@ -43,6 +43,12 @@ use std::time::Instant;
 /// spans drop but stay counted).
 const SPAN_CAPACITY: usize = 64;
 
+/// Most walks one job may ask for. A job's walkers are all placed at
+/// admission, so this caps what one `submit` can make the host allocate
+/// (2^28 walkers of 24 bytes, 6 GiB); a larger count is refused with
+/// [`EngineError::Admission`] before any walker is placed.
+pub const MAX_JOB_WALKS: u64 = 1 << 28;
+
 /// Serving-layer configuration over the engine's.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -298,8 +304,14 @@ impl Scheduler {
         tenant: &str,
         spec: JobSpec,
     ) -> Result<(JobId, Receiver<JobEvent>), EngineError> {
-        if spec.num_walks() == 0 {
-            return Err(EngineError::Admission("job has zero walks".into()));
+        match spec.num_walks() {
+            0 => return Err(EngineError::Admission("job has zero walks".into())),
+            n if n > MAX_JOB_WALKS => {
+                return Err(EngineError::Admission(format!(
+                    "job asks for {n} walks, more than {MAX_JOB_WALKS}"
+                )))
+            }
+            _ => {}
         }
         let nv = self.graph.num_vertices();
         if let JobStart::Seeds(seeds) = &spec.start {
@@ -906,6 +918,21 @@ mod tests {
         cfg.max_jobs = max_jobs;
         cfg.tranche_walkers = 32;
         Scheduler::new(Arc::new(g), cfg).unwrap()
+    }
+
+    /// A walk count past [`MAX_JOB_WALKS`] is refused before a walker is
+    /// placed (at `u64::MAX` placing them overflowed the allocation) and
+    /// takes no job slot: the one slot still serves the next job.
+    #[test]
+    fn a_walk_count_past_the_cap_is_refused() {
+        let mut s = scheduler(1);
+        for walks in [MAX_JOB_WALKS + 1, u64::MAX] {
+            let r = s.submit("t", JobSpec::deepwalk(walks, 8, 1));
+            assert!(matches!(r, Err(EngineError::Admission(_))), "{walks}");
+        }
+        let (id, _) = s.submit("t", JobSpec::deepwalk(20, 4, 1)).unwrap();
+        s.run_until_idle().unwrap();
+        assert_eq!(s.result(id).map(|r| r.steps), Some(20 * 4));
     }
 
     /// A done job's result vectors hold exactly their elements: it keeps

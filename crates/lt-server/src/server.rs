@@ -32,7 +32,9 @@
 //!
 //! A request line may be at most [`MAX_REQUEST_LINE_BYTES`] long; a
 //! longer one is answered with `{"ok":false,"error":…}` and the connection
-//! is closed.
+//! is closed. A `submit` may ask for at most
+//! [`MAX_JOB_WALKS`](crate::scheduler::MAX_JOB_WALKS) walks (2^28); a
+//! larger `walks` is answered `ok:false` and the connection stays usable.
 //!
 //! Evolving graphs (DESIGN.md §15): `mutate` seals an edge-update batch
 //! as one graph epoch on the serving engine —

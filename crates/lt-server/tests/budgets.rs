@@ -4,6 +4,7 @@
 use lt_engine::{EngineConfig, EngineError, JobSpec, JobStart, JobStatus};
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
+use lt_server::scheduler::MAX_JOB_WALKS;
 use lt_server::server::MAX_REQUEST_LINE_BYTES;
 use lt_server::{JobEvent, Scheduler, Server, ServerConfig, TcpFrontend};
 use serde_json::{json, Value};
@@ -551,6 +552,32 @@ fn node2vec_parameters_out_of_range_are_refused_at_submit() {
         })
         .find(|s| s == "done");
     assert_eq!(status.as_deref(), Some("done"));
+    front.shutdown();
+    server.shutdown();
+}
+
+/// A `submit` for `u64::MAX` walks is answered `ok:false` before any
+/// walker is placed, and the server keeps answering: the same
+/// connection's next request gets a reply.
+#[test]
+fn tcp_submit_past_the_walk_cap_is_refused_and_the_server_lives() {
+    let server = Server::start(graph(), config()).unwrap();
+    let front = TcpFrontend::bind(server.handle(), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = connect(front.local_addr());
+    let submit = |walks: u64| json!({"op": "submit", "walks": walks, "max_length": 8});
+    for walks in [MAX_JOB_WALKS + 1, u64::MAX] {
+        let r = send_req(&mut writer, &mut reader, &submit(walks));
+        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false), "{r}");
+    }
+    let r = send_req(&mut writer, &mut reader, &submit(20));
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r}");
+    let job = r.get("job").and_then(Value::as_u64).unwrap();
+    let r = send_req(
+        &mut writer,
+        &mut reader,
+        &json!({"op": "status", "job": job}),
+    );
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r}");
     front.shutdown();
     server.shutdown();
 }

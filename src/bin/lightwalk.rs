@@ -12,7 +12,7 @@
 
 use lighttraffic::baselines::{cpu, ingpu, subway};
 use lighttraffic::engine::algorithm::{PageRank, Ppr, UniformSampling, WalkAlgorithm};
-use lighttraffic::engine::{EngineConfig, LightTraffic, ZeroCopyPolicy};
+use lighttraffic::engine::{Checkpoint, EngineConfig, LightTraffic, RunStatus, ZeroCopyPolicy};
 use lighttraffic::gpusim::{CostModel, GpuConfig};
 use lighttraffic::graph::gen::{self, datasets};
 use lighttraffic::graph::stats::{human_bytes, stats};
@@ -72,6 +72,7 @@ RUN OPTIONS:
   --seed N            RNG seed                           (default 42)
   --trace FILE        write a Chrome trace of the timeline
   --metrics-out FILE  write run metrics in Prometheus text format
+                      (both also apply to --checkpoint and --resume runs)
   --checkpoint FILE   pause after --pause-after iterations and save state
   --pause-after N     iterations to run before checkpointing (default 100)
   --resume FILE       resume a previously saved checkpoint
@@ -350,6 +351,23 @@ fn write_metrics_out(f: &Flags, engine: &LightTraffic) -> Result<(), String> {
     Ok(())
 }
 
+/// `--trace FILE`: write the simulated timeline as a Chrome trace.
+fn write_trace(f: &Flags, engine: &LightTraffic) -> Result<(), String> {
+    let Some(path) = f.get("trace") else {
+        return Ok(());
+    };
+    let gpu = engine.gpu();
+    lighttraffic::gpusim::trace::write_chrome_trace(gpu.op_log(), gpu.fault_log(), path)
+        .map_err(|e| e.to_string())?;
+    eprintln!("[trace written to {path}]");
+    Ok(())
+}
+
+/// `lightwalk run`, one flow for every flag: restore `--resume`'s
+/// checkpoint or inject `--walks` fresh walks; step to the end, or for
+/// `--pause-after` iterations when `--checkpoint` names a file, saving
+/// the checkpoint if the run paused; then write `--trace` and
+/// `--metrics-out` if asked and print one report.
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let values = [
         ENGINE_FLAGS,
@@ -367,83 +385,57 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut engine =
         LightTraffic::with_partitioned(setup.partitions.clone(), setup.alg.clone(), setup.cfg)
             .map_err(|e| e.to_string())?;
-    // Checkpoint workflows: either resume an existing snapshot, or run a
-    // bounded number of iterations and save one.
-    if let Some(cp_path) = f.get("resume") {
-        let cp = lighttraffic::engine::Checkpoint::load(cp_path).map_err(|e| e.to_string())?;
-        eprintln!(
-            "[resuming {} in-flight walks from {cp_path}]",
-            cp.active_walks()
-        );
-        engine.restore(cp).map_err(|e| e.to_string())?;
-        let r = engine.finish().map_err(|e| e.to_string())?;
-        write_metrics_out(&f, &engine)?;
-        if f.has("json") {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&r).map_err(|e| e.to_string())?
+    let total_walks = match f.get("resume") {
+        Some(cp_path) => {
+            let cp = Checkpoint::load(cp_path).map_err(|e| e.to_string())?;
+            eprintln!(
+                "[resuming {} in-flight walks from {cp_path}]",
+                cp.active_walks()
             );
-        } else {
-            println!(
-                "resumed run finished: {} walks, {} steps, {:.2} M steps/s",
-                r.metrics.finished_walks,
-                r.metrics.total_steps,
-                r.metrics.throughput() / 1e6
-            );
+            let total = cp.finished_walks.saturating_add(cp.active_walks());
+            engine.restore(cp).map_err(|e| e.to_string())?;
+            total
         }
-        return Ok(());
-    }
-    if let Some(cp_path) = f.get("checkpoint") {
-        let pause_after: u64 = f.get_parse("pause-after", 100)?;
-        engine.inject_walks(setup.walks);
-        return match engine.step(pause_after).map_err(|e| e.to_string())? {
-            lighttraffic::engine::RunStatus::Completed(r) => {
-                write_metrics_out(&f, &engine)?;
-                if f.has("json") {
-                    println!(
-                        "{}",
-                        serde_json::to_string_pretty(&r).map_err(|e| e.to_string())?
-                    );
-                } else {
-                    println!(
-                        "run completed before the checkpoint budget: {} walks, {} steps",
-                        r.metrics.finished_walks, r.metrics.total_steps
-                    );
-                }
-                Ok(())
-            }
-            lighttraffic::engine::RunStatus::Paused => {
-                let cp = engine.checkpoint();
-                cp.save(cp_path).map_err(|e| e.to_string())?;
+        None => {
+            engine.inject_walks(setup.walks);
+            setup.walks
+        }
+    };
+    let checkpoint = f.get("checkpoint");
+    let budget = match checkpoint {
+        Some(_) => f.get_parse("pause-after", 100)?,
+        None => u64::MAX,
+    };
+    let status = engine.step(budget).map_err(|e| e.to_string())?;
+    let saved = match (&status, checkpoint) {
+        (RunStatus::Paused, Some(cp_path)) => {
+            let cp = engine.checkpoint();
+            cp.save(cp_path).map_err(|e| e.to_string())?;
+            Some((cp_path, cp.active_walks()))
+        }
+        _ => None,
+    };
+    write_trace(&f, &engine)?;
+    write_metrics_out(&f, &engine)?;
+    let r = match (status, saved) {
+        (RunStatus::Completed(r), _) => r,
+        (RunStatus::Paused, Some((cp_path, in_flight))) => {
+            if f.has("json") {
                 let msg = serde_json::json!({
-                    "paused_after_iterations": pause_after,
-                    "walks_in_flight": cp.active_walks(),
+                    "paused_after_iterations": budget,
+                    "walks_in_flight": in_flight,
                     "checkpoint": cp_path,
                 });
-                if f.has("json") {
-                    println!("{msg}");
-                } else {
-                    println!(
-                        "paused after {pause_after} iterations; {} walks in flight saved to {cp_path}",
-                        cp.active_walks()
-                    );
-                }
-                Ok(())
+                println!("{msg}");
+            } else {
+                println!(
+                    "paused after {budget} iterations; {in_flight} walks in flight saved to {cp_path}"
+                );
             }
-            other => Err(format!("unexpected run status: {other:?}")),
-        };
-    }
-    let r = engine.run(setup.walks).map_err(|e| e.to_string())?;
-    if let Some(path) = f.get("trace") {
-        lighttraffic::gpusim::trace::write_chrome_trace(
-            engine.gpu().op_log(),
-            engine.gpu().fault_log(),
-            path,
-        )
-        .map_err(|e| e.to_string())?;
-        eprintln!("[trace written to {path}]");
-    }
-    write_metrics_out(&f, &engine)?;
+            return Ok(());
+        }
+        (other, _) => return Err(format!("unexpected run status: {other:?}")),
+    };
     if f.has("json") {
         println!(
             "{}",
@@ -454,8 +446,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let m = &r.metrics;
     println!("algorithm            : {}", setup.alg.name());
     println!(
-        "walks                : {} finished of {}",
-        m.finished_walks, setup.walks
+        "walks                : {} finished of {total_walks}",
+        m.finished_walks
     );
     println!("steps                : {}", m.total_steps);
     println!("iterations           : {}", m.iterations);
@@ -714,7 +706,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::Flags;
+    use super::{cmd_run, gen, io, Flags};
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -774,5 +766,51 @@ mod tests {
         .unwrap();
         assert!(f.has("no-selective") && f.has("json"));
         assert_eq!(f.get("walks"), Some("10"));
+    }
+
+    /// `--trace` and `--metrics-out` are written on the pause path and
+    /// on the resume path, beside the checkpoint itself.
+    #[test]
+    fn run_writes_every_named_file_on_pause_and_resume() {
+        let dir = std::env::temp_dir().join(format!("lightwalk_run_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let csr = gen::rmat(gen::RmatParams {
+            scale: 10,
+            edge_factor: 8,
+            ..Default::default()
+        })
+        .csr;
+        io::write_binary(&csr, path("g.bin")).unwrap();
+        let run = |extra: &[&str]| {
+            let mut a = args(&["--walks", "4x", "--length", "40", "--partition-kb", "8"]);
+            a.insert(0, path("g.bin"));
+            a.extend(extra.iter().map(|s| s.to_string()));
+            cmd_run(&a)
+        };
+        let (cp, t1, m1, t2, m2) = (
+            path("cp.json"),
+            path("pause.trace.json"),
+            path("pause.prom"),
+            path("resume.trace.json"),
+            path("resume.prom"),
+        );
+        run(&[
+            "--checkpoint",
+            &cp,
+            "--pause-after",
+            "1",
+            "--trace",
+            &t1,
+            "--metrics-out",
+            &m1,
+        ])
+        .unwrap();
+        run(&["--resume", &cp, "--trace", &t2, "--metrics-out", &m2]).unwrap();
+        for file in [&cp, &t1, &m1, &t2, &m2] {
+            let len = std::fs::metadata(file).map_or(0, |m| m.len());
+            assert!(len > 0, "{file} was not written");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
