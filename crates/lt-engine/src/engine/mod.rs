@@ -49,6 +49,23 @@ use lt_graph::{Csr, GraphStore, PartitionData, PartitionId, PartitionedGraph, Ve
 use lt_telemetry::{apportion_exact, TrafficDirection, TrafficLedger, SHARED_TAG};
 use std::sync::Arc;
 
+/// Most walks one job or one [`LightTraffic::run`] may ask for. Walkers
+/// are all placed up front, so this caps what one call can make the host
+/// allocate (2^28 walkers of 24 bytes, 6 GiB); [`check_walk_count`]
+/// refuses a larger count before any walker is placed.
+pub const MAX_JOB_WALKS: u64 = 1 << 28;
+
+/// Refuse a walk count past [`MAX_JOB_WALKS`] with
+/// [`EngineError::Admission`].
+pub fn check_walk_count(num_walks: u64) -> Result<(), EngineError> {
+    if num_walks > MAX_JOB_WALKS {
+        return Err(EngineError::Admission(format!(
+            "job asks for {num_walks} walks, more than {MAX_JOB_WALKS}"
+        )));
+    }
+    Ok(())
+}
+
 /// Host-side accumulation of sampled walk paths, keyed by walk id.
 #[derive(Clone, Debug, Default)]
 struct PathLog {
@@ -309,8 +326,10 @@ impl LightTraffic {
     }
 
     /// Run the algorithm's standard workload of `num_walks` walks:
-    /// [`Self::inject_walks`] then [`Self::finish`].
+    /// [`Self::inject_walks`] then [`Self::finish`]. A count past
+    /// [`MAX_JOB_WALKS`] is [`EngineError::Admission`], and nothing runs.
     pub fn run(&mut self, num_walks: u64) -> Result<RunResult, EngineError> {
+        check_walk_count(num_walks)?;
         self.inject_walks(num_walks);
         self.finish()
     }
@@ -326,7 +345,16 @@ impl LightTraffic {
 
     /// Generate and add `num_walks` of the algorithm's standard walkers to
     /// the in-flight set without running anything.
+    ///
+    /// # Panics
+    ///
+    /// Past [`MAX_JOB_WALKS`]: a caller taking the count from outside the
+    /// program checks it with [`check_walk_count`] first.
     pub fn inject_walks(&mut self, num_walks: u64) {
+        assert!(
+            num_walks <= MAX_JOB_WALKS,
+            "{num_walks} walks is more than MAX_JOB_WALKS ({MAX_JOB_WALKS})"
+        );
         let walkers = self
             .alg
             .place_walkers(self.graph.table().num_vertices(), num_walks);

@@ -51,10 +51,13 @@ impl LightTraffic {
     }
 
     /// Check that `cp` can join this engine: same seed, same graph epoch,
-    /// every walker on a vertex of this graph, and visit counts (when
-    /// present) one per vertex. [`Self::restore`] runs it before touching
-    /// any state; the serving layer runs it before re-admitting a
-    /// suspended job.
+    /// every walker on a vertex of this graph, visit counts (when
+    /// present) one per vertex, and counters that fit: merged into this
+    /// engine's, its finished walks (counting every walker in flight,
+    /// the engine's and its own, as finished), its steps and each visit
+    /// count must not overflow a `u64`. [`Self::restore`] runs it before
+    /// touching any state; the serving layer runs it before re-admitting
+    /// a suspended job.
     pub fn check_checkpoint(&self, cp: &Checkpoint) -> Result<(), EngineError> {
         if cp.seed != self.cfg.seed {
             return Err(EngineError::SeedMismatch {
@@ -80,6 +83,30 @@ impl LightTraffic {
                 "checkpoint holds {} visit counts for a graph of {nv} vertices",
                 counts.len()
             )));
+        }
+        let overflows = |what: &str| {
+            EngineError::Admission(format!(
+                "checkpoint {what} overflow this engine's when merged"
+            ))
+        };
+        self.metrics
+            .finished_walks
+            .checked_add(self.active)
+            .and_then(|n| n.checked_add(cp.finished_walks))
+            .and_then(|n| n.checked_add(cp.walkers.len() as u64))
+            .ok_or_else(|| overflows("finished and in-flight walks"))?;
+        self.metrics
+            .total_steps
+            .checked_add(cp.total_steps)
+            .ok_or_else(|| overflows("steps"))?;
+        if let (Some(mine), Some(theirs)) = (&self.visit_counts, &cp.visit_counts) {
+            if mine
+                .iter()
+                .zip(theirs)
+                .any(|(a, b)| a.checked_add(*b).is_none())
+            {
+                return Err(overflows("visit counts"));
+            }
         }
         Ok(())
     }

@@ -1,14 +1,14 @@
 //! Host decode cache: the RAM tier of the out-of-core substrate.
 //!
 //! When the graph store is [`lt_graph::OocGraph`], clean partitions live
-//! on disk as delta+varint compressed regions and must be decoded before
-//! the simulated H2D upload; a partition an epoch seal rebuilt is read
-//! from the engine's block table instead, and the seal drops its slot
-//! here ([`HostDecodeCache::forget`]). Decoding is far from free (it
-//! walks every edge), so the engine keeps a bounded cache of decoded
-//! partitions in host memory — a third traffic tier between disk and
-//! device, held in the same [`PartitionCache`] as the device graph pool
-//! one level up. Decode work is charged to
+//! on disk as bit-packed, checksummed compressed regions and must be
+//! decoded before the simulated H2D upload; a partition an epoch seal
+//! rebuilt is read from the engine's block table instead, and the seal
+//! drops its slot here ([`HostDecodeCache::forget`]). Decoding is far
+//! from free (it walks every edge), so the engine keeps a bounded cache
+//! of decoded partitions in host memory — a third traffic tier between
+//! disk and device, held in the same [`PartitionCache`] as the device
+//! graph pool one level up. Decode work is charged to
 //! [`lt_telemetry::TrafficDirection::HostLoad`] by the engine so the
 //! ledger's exactness invariant (DESIGN.md §14) extends to the host tier.
 //!

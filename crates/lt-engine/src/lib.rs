@@ -77,7 +77,8 @@ pub mod walkpool;
 pub use algorithm::{PageRank, Ppr, UniformSampling, WalkAlgorithm};
 pub use checkpoint::Checkpoint;
 pub use engine::{
-    EngineConfig, EngineError, EpochSummary, LightTraffic, RunStatus, ZeroCopyPolicy,
+    check_walk_count, EngineConfig, EngineError, EpochSummary, LightTraffic, RunStatus,
+    ZeroCopyPolicy, MAX_JOB_WALKS,
 };
 pub use exec::{ExecPool, ExecStats};
 pub use graphpool::GraphEviction;

@@ -156,6 +156,68 @@ fn finish_on_an_idle_engine_is_empty_success() {
     assert_eq!(r.metrics.total_steps, 0);
 }
 
+/// A checkpoint whose counters would overflow the engine's when merged
+/// is refused before any state changes: finished walks at `u64::MAX`,
+/// finished walks that overflow only once its walkers are counted, steps
+/// or a visit count at `u64::MAX`. At the exact limit it restores and
+/// finishes with every counter at `u64::MAX`, in debug and release alike.
+#[test]
+fn restore_refuses_a_checkpoint_whose_counters_would_overflow() {
+    let g = graph(9);
+    let cp = {
+        let mut e = pagerank(&g);
+        e.inject_walks(2_000);
+        assert!(matches!(e.step(5).unwrap(), RunStatus::Paused));
+        e.checkpoint()
+    };
+    let walkers = cp.walkers.len() as u64;
+    let mut e = pagerank(&g);
+    e.run(100).unwrap();
+    let before = e.checkpoint();
+    let visited = before
+        .visit_counts
+        .as_ref()
+        .unwrap()
+        .iter()
+        .position(|&c| c > 0)
+        .unwrap();
+    let limit = u64::MAX - before.finished_walks - walkers;
+    for what in [
+        "finished walks",
+        "finished plus walkers",
+        "steps",
+        "visit count",
+    ] {
+        let mut bad = cp.clone();
+        match what {
+            "finished walks" => bad.finished_walks = u64::MAX,
+            "finished plus walkers" => bad.finished_walks = limit + 1,
+            "steps" => bad.total_steps = u64::MAX,
+            _ => bad.visit_counts.as_mut().unwrap()[visited] = u64::MAX,
+        }
+        let err = e.restore(bad);
+        assert!(
+            matches!(&err, Err(EngineError::Admission(m)) if m.contains("overflow")),
+            "{what}: {err:?}"
+        );
+        let after = e.checkpoint();
+        assert_eq!(e.active_walks(), 0, "{what}");
+        assert_eq!(
+            (after.finished_walks, after.total_steps, after.visit_counts),
+            (
+                before.finished_walks,
+                before.total_steps,
+                before.visit_counts.clone()
+            ),
+            "{what}"
+        );
+    }
+    let mut exact = cp;
+    exact.finished_walks = limit;
+    e.restore(exact).unwrap();
+    assert_eq!(e.finish().unwrap().metrics.finished_walks, u64::MAX);
+}
+
 /// A checkpoint from another graph is refused before any state changes:
 /// walkers past this graph's vertex range, or visit counts of the wrong
 /// length, give `Admission` and leave the engine as it was.

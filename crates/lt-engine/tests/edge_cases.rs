@@ -234,10 +234,11 @@ fn length_histogram_distinguishes_fixed_from_geometric() {
 }
 
 /// A corrupt out-of-core file ends the run in a typed error, never a
-/// panic: in a 12-vertex ring, one payload byte rewritten so vertex 0's
-/// first neighbor reads 63, a vertex no partition holds.
+/// panic: in a 12-vertex ring, one bit flipped in the payload where
+/// vertex 0's first neighbor is stored fails its chunk's checksum before
+/// any neighbor is decoded.
 #[test]
-fn an_ooc_neighbor_outside_the_graph_fails_the_run() {
+fn a_corrupt_ooc_chunk_fails_the_run() {
     let n = 12u32;
     let edges = (0..n)
         .flat_map(|v| {
@@ -249,16 +250,18 @@ fn an_ooc_neighbor_outside_the_graph_fails_the_run() {
     let path = std::env::temp_dir().join(format!("lt_edge_ring_{}.ltg", std::process::id()));
     write_oocore(&PartitionedGraph::build(Arc::new(ring), 64), &path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
-    // `LTOOCGR1` (oocore.rs): a 37-byte fixed header with the partition
+    // `LTOOCGR2` (oocore.rs): a 37-byte fixed header with the partition
     // count P at byte 25, then P + 1 u32 boundaries, P u64 partition
     // sizes, P u64 edge counts and P + 1 u64 region offsets. Region 0 is
-    // a u32 chunk count, one 20-byte chunk entry, then vertex 0's row:
-    // degree 2, zigzag(+1) = 2, zigzag(+10) = 20.
+    // a u32 chunk count and one 24-byte chunk entry, then its one chunk:
+    // the degree block (width 2, 16 bytes), then the neighbor block's
+    // width 5 and vertex 0's zigzag(+1) = 2 in its low bits.
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     let p = u32::from_le_bytes(bytes[25..29].try_into().unwrap()) as usize;
-    let payload = u64_at(37 + 4 * (p + 1) + 16 * p) as usize + 4 + 20;
-    assert_eq!(bytes[payload..payload + 3], [2, 2, 20]);
-    bytes[payload + 1] = 126;
+    let chunk = u64_at(37 + 4 * (p + 1) + 16 * p) as usize + 4 + 24;
+    assert_eq!(bytes[chunk + 17], 5);
+    assert_eq!(bytes[chunk + 18] & 0x1f, 2);
+    bytes[chunk + 18] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
     let store = GraphStore::OutOfCore(Arc::new(OocGraph::open(&path).unwrap()));
     let run = LightTraffic::from_store(
@@ -269,7 +272,13 @@ fn an_ooc_neighbor_outside_the_graph_fails_the_run() {
     .and_then(|mut e| e.run(64));
     std::fs::remove_file(&path).ok();
     assert!(
-        matches!(run, Err(EngineError::Graph(GraphError::Format(_)))),
+        matches!(
+            run,
+            Err(EngineError::Graph(GraphError::Corrupt {
+                partition: 0,
+                chunk: 0
+            }))
+        ),
         "{:?}",
         run.err()
     );

@@ -54,6 +54,9 @@ pub enum GraphError {
     Parse { line: usize, message: String },
     /// A binary graph file had an invalid header or truncated body.
     Format(String),
+    /// A chunk of an out-of-core file does not match the checksum its
+    /// directory entry records: its bytes changed after they were written.
+    Corrupt { partition: u32, chunk: u32 },
 }
 
 impl std::fmt::Display for GraphError {
@@ -72,6 +75,10 @@ impl std::fmt::Display for GraphError {
                 write!(f, "edge list parse error at line {line}: {message}")
             }
             GraphError::Format(m) => write!(f, "invalid binary graph file: {m}"),
+            GraphError::Corrupt { partition, chunk } => write!(
+                f,
+                "out-of-core partition {partition}, chunk {chunk}: checksum mismatch"
+            ),
         }
     }
 }

@@ -3,8 +3,8 @@
 //! The paper's real datasets (TW/FS/UK/CW) are billion-edge; a RAM-resident
 //! CSR caps what one box can serve. This module extends the paper's
 //! traffic-optimization story one tier up: the graph lives on disk in a
-//! **partition-granular compressed** form — delta+varint adjacency per
-//! vertex, grouped into small fixed-vertex-count chunks with a per-partition
+//! **partition-granular compressed** form — bit-packed delta adjacency,
+//! grouped into small fixed-vertex-count chunks with a per-partition
 //! chunk directory — written once and read one region per positional read
 //! (`pread`), so the **OS page cache is the residency policy** for the
 //! compressed bytes exactly like the device graph pool is for GPU memory.
@@ -12,24 +12,42 @@
 //! Layout (all little-endian):
 //!
 //! ```text
-//! magic "LTOOCGR1" | flags u8 | |V| u64 | |E| u64 | P u32 | block_bytes u64
+//! magic "LTOOCGR2" | flags u8 | |V| u64 | |E| u64 | P u32 | block_bytes u64
 //! boundaries  u32 × (P+1)          partition vertex ranges
 //! part_bytes  u64 × P              uncompressed PartitionData bytes
 //! part_edges  u64 × P              edges per partition
 //! regions     u64 × (P+1)          absolute byte offset of each region
+//! table_sum   u64                  checksum of every byte above
 //! P × region:
 //!   chunk_count u32
-//!   chunk dir: { first_vertex u32, first_edge u64, payload_off u64 } × chunks
-//!   payload: per-vertex rows
+//!   chunk dir: { first_edge u64, payload_off u64, checksum u64 } × chunks
+//!   payload: the chunks, back to back
+//! chunk:
+//!   degrees     blocks, one value per vertex
+//!   neighbors   blocks, one zigzag delta per edge
+//!   timestamps  blocks, one value per edge           (temporal files)
+//!   weights     f32 × edges                          (weighted files)
+//! block: width u8 | 8 × width bytes: 64 values of `width` bits, LSB first
 //! ```
 //!
-//! A row for vertex `v` with degree `d` is `varint(d)`, then `d` zigzag
-//! varints: the first is `n₀ − v`, the rest successive-neighbor differences
-//! — this round-trips **arbitrary** neighbor order exactly (order determines
-//! sampling, so the codec must be lossless in order, not just as a set)
-//! while compressing the sorted rows the preprocessed generators emit to a
-//! few bits per edge. Temporal rows append `varint(t₀)` plus zigzag deltas;
-//! weighted rows append `d` raw little-endian `f32`s (incompressible).
+//! A row for vertex `v` stores `zigzag(n₀ − v)`, then the zigzag
+//! successive-neighbor differences — this round-trips **arbitrary**
+//! neighbor order exactly (order determines sampling, so the codec must be
+//! lossless in order, not just as a set) while packing the sorted rows the
+//! preprocessed generators emit into a few bits per edge. A temporal row
+//! stores `t₀`, then zigzag successive differences. Differences are taken
+//! mod 2^32, so every value fits a `u32` and no block is wider than 32
+//! bits. Each stream is cut into blocks of 64 values (the last one padded
+//! with zeros), and a block is as wide as its largest value: unpacking
+//! it is the same shifts and masks whatever the values are, with no
+//! branch per value.
+//!
+//! Integrity: `table_sum` covers the header and partition table and is
+//! checked by [`OocGraph::open`]; each directory entry carries the
+//! checksum of its chunk's bytes, checked before any of them is unpacked,
+//! so a flipped bit is [`GraphError::Corrupt`] naming the partition and
+//! chunk, never wrong neighbors. An `LTOOCGR1` file (LEB128 rows, no
+//! checksums) is refused by `open`, naming its revision.
 //!
 //! Chunks hold [`CHUNK_VERTICES`] vertices each and record their absolute
 //! first edge, so a partition decode fans out across chunks into disjoint
@@ -50,15 +68,16 @@ use crate::partition::{PartitionData, PartitionedGraph};
 use crate::{Csr, GraphError, VertexId};
 use std::fs::File;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Magic bytes of the out-of-core compressed format, revision 1.
-pub const OOC_MAGIC: &[u8; 8] = b"LTOOCGR1";
+/// Magic bytes of the out-of-core compressed format, revision 2.
+pub const OOC_MAGIC: &[u8; 8] = b"LTOOCGR2";
 
 /// Vertices per compressed chunk: small enough that a partition splits
 /// into many independently-decodable units for the `ExecPool` fan-out,
-/// large enough that the 20-byte directory entry is noise (<0.1 bytes per
+/// large enough that the 24-byte directory entry is noise (<0.1 bytes per
 /// vertex at typical degrees).
 pub const CHUNK_VERTICES: u32 = 256;
 
@@ -68,82 +87,174 @@ const FLAG_TEMPORAL: u8 = 2;
 /// Fixed-size header prefix: magic + flags + |V| + |E| + P + block_bytes.
 const HEADER_FIXED: usize = 8 + 1 + 8 + 8 + 4 + 8;
 
-/// Directory entry size: first_vertex u32 + first_edge u64 + payload_off u64.
-const DIR_ENTRY: usize = 4 + 8 + 8;
+/// Directory entry size: first_edge u64 + payload_off u64 + checksum u64.
+const DIR_ENTRY: usize = 8 + 8 + 8;
 
-// ---------------------------------------------------------------------------
-// varint / zigzag codec
-// ---------------------------------------------------------------------------
+/// Values per bit-packed block.
+const BLOCK_VALUES: usize = 64;
 
-#[inline]
-fn put_varint(mut x: u64, out: &mut Vec<u8>) {
-    while x >= 0x80 {
-        out.push((x as u8) | 0x80);
-        x >>= 7;
-    }
-    out.push(x as u8);
+/// Widest block: a `u32` value or mod-2^32 zigzag delta.
+const MAX_WIDTH: usize = 32;
+
+/// Bytes of the partition table after the fixed header, for `p`
+/// partitions (the checksum that follows it excluded).
+fn table_len(p: usize) -> usize {
+    4 * (p + 1) + 8 * p + 8 * p + 8 * (p + 1)
 }
 
-/// Decode one LEB128 varint at `*pos`, advancing it. `None` on truncation.
+// ---------------------------------------------------------------------------
+// Checksum
+// ---------------------------------------------------------------------------
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// One mixing step. For a fixed `word` it is a bijection of `lane`, and
+/// for a fixed `lane` a bijection of `word` (odd multipliers, an add and
+/// a rotation), so a change to any one input word always changes the
+/// lane it feeds, and every later step carries that change to the end.
 #[inline]
-fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut x: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos)?;
-        *pos += 1;
-        x |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some(x);
+fn mix(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// 64-bit checksum of `bytes`: four independent lanes over 32-byte
+/// stripes, a word at a time, then the lanes, the tail words and the
+/// length folded together. Every step is a bijection of the word it
+/// takes, so any change confined to one 8-byte word — every single-bit
+/// flip — changes the sum. Not a cryptographic hash: it guards against
+/// corruption, not forgery.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        let (words, _) = stripe.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = mix(*lane, u64::from_le_bytes(*word));
         }
-        shift += 7;
-        if shift >= 64 {
-            return None;
-        }
     }
-}
-
-#[inline]
-fn zigzag(x: i64) -> u64 {
-    ((x << 1) ^ (x >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(x: u64) -> i64 {
-    ((x >> 1) as i64) ^ -((x & 1) as i64)
+    let mut h = (bytes.len() as u64).wrapping_mul(P3);
+    for lane in lanes {
+        h = mix(h, lane);
+    }
+    for word in stripes.remainder().chunks(8) {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        h = mix(h, u64::from_le_bytes(w));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 // ---------------------------------------------------------------------------
-// Row encode / decode
+// Bit-packed blocks
 // ---------------------------------------------------------------------------
 
-/// Append the compressed row of vertex `v` to `out`.
-fn encode_row(
-    v: VertexId,
-    neighbors: &[VertexId],
-    weights: Option<&[f32]>,
-    timestamps: Option<&[u32]>,
-    out: &mut Vec<u8>,
-) {
-    put_varint(neighbors.len() as u64, out);
-    let mut prev = v as i64;
-    for &n in neighbors {
-        put_varint(zigzag(n as i64 - prev), out);
-        prev = n as i64;
-    }
-    if let Some(ts) = timestamps {
-        if let Some((&first, rest)) = ts.split_first() {
-            put_varint(u64::from(first), out);
-            let mut prev = first as i64;
-            for &t in rest {
-                put_varint(zigzag(t as i64 - prev), out);
-                prev = t as i64;
+/// Zigzag of a mod-2^32 difference: small magnitudes of either sign map
+/// to small values.
+#[inline]
+fn zigzag(d: u32) -> u32 {
+    let d = d as i32;
+    ((d << 1) ^ (d >> 31)) as u32
+}
+
+#[inline]
+fn unzigzag(x: u32) -> u32 {
+    (x >> 1) ^ (x & 1).wrapping_neg()
+}
+
+/// Append `values` to `out` as blocks of [`BLOCK_VALUES`], each as wide
+/// as its largest value; a short last block is padded with zeros.
+fn pack(values: &[u32], out: &mut Vec<u8>) {
+    for block in values.chunks(BLOCK_VALUES) {
+        let width = 32 - block.iter().fold(0, |a, &v| a | v).leading_zeros();
+        out.push(width as u8);
+        let (mut acc, mut bits) = (0u64, 0);
+        let padding = std::iter::repeat_n(&0, BLOCK_VALUES - block.len());
+        for &v in block.iter().chain(padding) {
+            acc |= u64::from(v) << bits;
+            bits += width;
+            while bits >= 8 {
+                out.push(acc as u8);
+                acc >>= 8;
+                bits -= 8;
             }
         }
     }
-    if let Some(ws) = weights {
-        for w in ws {
-            out.extend_from_slice(&w.to_le_bytes());
+}
+
+/// Zero bytes after the last chunk in a region's read buffer. A block's
+/// unpack reads [`SLACK`] bytes from its first data byte on whatever its
+/// width, so every read has a fixed size and stays inside the buffer.
+const SLACK: usize = 8 * MAX_WIDTH + 8;
+
+/// Fill `out` from the blocks at `*pos` in `src`, advancing `*pos` past
+/// them: one block per [`BLOCK_VALUES`] values. The chunk ends at `end`,
+/// and `src` holds at least [`SLACK`] bytes past it. A block that does
+/// not fit before `end` is truncation, and a width above [`MAX_WIDTH`] is
+/// a format error.
+fn unpack(src: &[u8], pos: &mut usize, end: usize, out: &mut [u32]) -> Result<(), GraphError> {
+    let mut short = [0u32; BLOCK_VALUES];
+    for values in out.chunks_mut(BLOCK_VALUES) {
+        if *pos >= end {
+            return Err(truncated());
+        }
+        let width = usize::from(src[*pos]);
+        if width > MAX_WIDTH {
+            return Err(GraphError::Format(format!(
+                "block width {width} is more than {MAX_WIDTH} bits"
+            )));
+        }
+        let next = *pos + 1 + 8 * width;
+        if next > end {
+            return Err(truncated());
+        }
+        let bytes = src[*pos + 1..*pos + 1 + SLACK]
+            .try_into()
+            .expect("a region buffer holds SLACK bytes past its last chunk");
+        match <&mut [u32; BLOCK_VALUES]>::try_from(&mut *values) {
+            Ok(full) => UNPACK[width](bytes, full),
+            Err(_) => {
+                UNPACK[width](bytes, &mut short);
+                values.copy_from_slice(&short[..values.len()]);
+            }
+        }
+        *pos = next;
+    }
+    Ok(())
+}
+
+type UnpackBlock = fn(&[u8; SLACK], &mut [u32; BLOCK_VALUES]);
+
+macro_rules! by_width {
+    ($($w:literal)*) => { [$(unpack_block::<$w>),*] };
+}
+
+/// [`unpack_block`] for each width, indexed by width.
+const UNPACK: [UnpackBlock; MAX_WIDTH + 1] = by_width!(
+    0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+);
+
+/// Unpack the 64 values of a block of width `W` from `bytes`, its
+/// `8 × W` data bytes and what follows them. Eight values take exactly
+/// `W` bytes, so value `j` of every group of eight starts at the same
+/// byte and bit of its group, known at compile time: each value is one
+/// fixed-offset 8-byte load, a constant shift and a mask, whatever the
+/// values are.
+#[inline(always)]
+fn unpack_block<const W: usize>(bytes: &[u8; SLACK], out: &mut [u32; BLOCK_VALUES]) {
+    let mask = ((1u64 << W) - 1) as u32;
+    for (g, group) in out.chunks_exact_mut(8).enumerate() {
+        let src = &bytes[g * W..g * W + W + 8];
+        for (j, v) in group.iter_mut().enumerate() {
+            let bit = j * W;
+            *v = (u64::from_le_bytes(array_at(src, bit / 8)) >> (bit % 8)) as u32 & mask;
         }
     }
 }
@@ -170,9 +281,14 @@ fn in_partition(p: u32, e: GraphError) -> GraphError {
 }
 
 /// Refuse a partition of `vertices` rows and `edges` edges in a region of
-/// `bytes`: every row's degree and every edge cost at least one byte.
+/// `bytes`: every [`BLOCK_VALUES`] degrees and every [`BLOCK_VALUES`]
+/// edges cost at least one byte.
 fn check_fits(vertices: u32, edges: u64, bytes: u64) -> Result<(), GraphError> {
-    if edges.saturating_add(vertices.into()) > bytes {
+    if edges
+        .saturating_add(vertices.into())
+        .div_ceil(BLOCK_VALUES as u64)
+        > bytes
+    {
         return Err(GraphError::Format(
             "partition edge count exceeds its region".into(),
         ));
@@ -188,6 +304,8 @@ fn check_fits(vertices: u32, edges: u64, bytes: u64) -> Result<(), GraphError> {
 /// of vertex rows plus where its output lands.
 #[derive(Clone, Debug)]
 struct ChunkPlan {
+    /// The chunk's index in its partition.
+    index: u32,
     /// First vertex of the chunk (global id, inclusive).
     v_start: VertexId,
     /// Last vertex of the chunk (global id, exclusive).
@@ -196,8 +314,10 @@ struct ChunkPlan {
     first_edge: u64,
     /// Number of edges in the chunk.
     num_edges: u64,
-    /// Byte offset of the chunk's first row within the region.
-    payload_start: usize,
+    /// The chunk's bytes within the region.
+    bytes: Range<usize>,
+    /// [`checksum`] of those bytes, from the directory.
+    checksum: u64,
 }
 
 /// Parse a partition region's chunk directory into decode plans.
@@ -205,6 +325,8 @@ struct ChunkPlan {
 /// `v_start..v_end` is the partition's vertex range and `part_edges` its
 /// edge count (both from the file header); they bound the directory so a
 /// corrupt region fails cleanly instead of mis-slicing output buffers.
+/// Chunk `i` holds the partition's vertices from `i × CHUNK_VERTICES` on,
+/// so the directory stores only where its edges and bytes start.
 fn parse_chunk_plans(
     region: &[u8],
     v_start: VertexId,
@@ -216,58 +338,55 @@ fn parse_chunk_plans(
     }
     // Checked before the allocations a hostile edge count sizes.
     check_fits(v_end - v_start, part_edges, region.len() as u64)?;
-    let count = u32::from_le_bytes(array_at(region, 0)) as usize;
-    let dir_end = 4 + count * DIR_ENTRY;
-    if region.len() < dir_end {
-        return Err(truncated());
-    }
-    let expect = (v_end - v_start).div_ceil(CHUNK_VERTICES).max(1) as usize;
+    let count = u32::from_le_bytes(array_at(region, 0));
+    let expect = (v_end - v_start).div_ceil(CHUNK_VERTICES).max(1);
     if count != expect {
         return Err(GraphError::Format(format!(
             "chunk directory has {count} entries, partition needs {expect}"
         )));
     }
-    let mut plans = Vec::with_capacity(count);
-    for i in 0..count {
-        let e = 4 + i * DIR_ENTRY;
-        let first_vertex = u32::from_le_bytes(array_at(region, e));
-        let first_edge = u64::from_le_bytes(array_at(region, e + 4));
-        let payload_off = u64::from_le_bytes(array_at(region, e + 12));
-        let payload_start = dir_end
-            .checked_add(payload_off as usize)
-            .filter(|&p| p <= region.len())
-            .ok_or_else(truncated)?;
-        plans.push(ChunkPlan {
-            v_start: first_vertex,
-            v_end: first_vertex, // patched below
-            first_edge,
-            num_edges: 0, // patched below
-            payload_start,
-        });
+    let dir_end = 4 + count as usize * DIR_ENTRY;
+    if region.len() < dir_end {
+        return Err(truncated());
     }
-    // Chunks tile the partition from its first vertex and edge on, so a
-    // decode can hand them consecutive output spans.
-    if plans[0].v_start != v_start || plans[0].first_edge != 0 {
+    let payload_len = (region.len() - dir_end) as u64;
+    // (first_edge, payload_off, checksum) of entry `i`; the entry past
+    // the last is the partition's end.
+    let entry = |i: u32| {
+        if i == count {
+            return (part_edges, payload_len, 0);
+        }
+        let e = 4 + i as usize * DIR_ENTRY;
+        let u64_at = |k: usize| u64::from_le_bytes(array_at(region, e + 8 * k));
+        (u64_at(0), u64_at(1), u64_at(2))
+    };
+    if entry(0).0 != 0 || entry(0).1 != 0 {
         return Err(GraphError::Format(
             "chunk directory does not start at the partition start".into(),
         ));
     }
-    for i in 0..count {
-        let (next_v, next_e) = if i + 1 < count {
-            (plans[i + 1].v_start, plans[i + 1].first_edge)
-        } else {
-            (v_end, part_edges)
-        };
-        let p = &mut plans[i];
-        if next_v < p.v_start || next_e < p.first_edge || p.v_start < v_start || next_v > v_end {
-            return Err(GraphError::Format(
-                "chunk directory is not monotone over the partition range".into(),
-            ));
-        }
-        p.v_end = next_v;
-        p.num_edges = next_e - p.first_edge;
-    }
-    Ok(plans)
+    (0..count)
+        .map(|i| {
+            let ((first_edge, off, checksum), (next_edge, next_off, _)) = (entry(i), entry(i + 1));
+            // Chunks tile the partition's edges and payload in order, so a
+            // decode can hand them consecutive output spans.
+            if next_edge < first_edge || next_off < off || next_off > payload_len {
+                return Err(GraphError::Format(
+                    "chunk directory is not monotone over the partition range".into(),
+                ));
+            }
+            let first_vertex = v_start + i * CHUNK_VERTICES;
+            Ok(ChunkPlan {
+                index: i,
+                v_start: first_vertex,
+                v_end: first_vertex.saturating_add(CHUNK_VERTICES).min(v_end),
+                first_edge,
+                num_edges: next_edge - first_edge,
+                bytes: dir_end + off as usize..dir_end + next_off as usize,
+                checksum,
+            })
+        })
+        .collect()
 }
 
 /// Cut `plans` (one partition's chunks, `part_edges` edges in all) into
@@ -336,73 +455,98 @@ fn carve<'a>(plans: &'a [ChunkPlan], data: &'a mut PartitionData) -> Vec<ChunkOu
         .collect()
 }
 
-/// Decode one chunk of a graph with `num_vertices` vertices into its
-/// spans. `offsets` receives the partition-relative edge start of each
-/// row; the caller writes the final `offsets[n] = part_edges` sentinel
-/// once, after all chunks. A neighbor outside `0..num_vertices` or a
-/// weight [`check_weights`] refuses is a [`GraphError::Format`].
-fn decode_chunk(region: &[u8], num_vertices: u64, out: ChunkOut) -> Result<(), GraphError> {
+/// Decode one chunk of partition `p` of a graph with `num_vertices`
+/// vertices into its spans. `region` is the region's read buffer, padded
+/// with [`SLACK`] bytes. The chunk's bytes must match the directory's
+/// checksum before any is unpacked: a mismatch is
+/// [`GraphError::Corrupt`]. `offsets` receives the partition-relative
+/// edge start of each row; the caller writes the final `offsets[n] =
+/// part_edges` sentinel once, after all chunks. Degrees that do not sum
+/// to the directory's edge count, a neighbor outside `0..num_vertices`, a
+/// weight [`check_weights`] refuses, or bytes left over are a
+/// [`GraphError::Format`]. Nothing is allocated: the degrees are unpacked
+/// onto the stack, every other stream straight into its span.
+fn decode_chunk(region: &[u8], p: u32, num_vertices: u64, out: ChunkOut) -> Result<(), GraphError> {
     let ChunkOut {
         plan,
         offsets,
         edges,
-        mut weights,
-        mut timestamps,
+        weights,
+        timestamps,
     } = out;
-    let mut pos = plan.payload_start;
-    let mut edge_cursor = 0usize;
-    for (li, v) in (plan.v_start..plan.v_end).enumerate() {
-        offsets[li] = plan.first_edge + edge_cursor as u64;
-        let d = get_varint(region, &mut pos).ok_or_else(truncated)? as usize;
-        if edge_cursor + d > edges.len() {
-            return Err(GraphError::Format(
-                "row degrees exceed the chunk's edge count".into(),
-            ));
+    let (src, len) = (&region[plan.bytes.start..], plan.bytes.len());
+    if checksum(&src[..len]) != plan.checksum {
+        return Err(GraphError::Corrupt {
+            partition: p,
+            chunk: plan.index,
+        });
+    }
+    let mut pos = 0;
+    let mut degrees = [0u32; CHUNK_VERTICES as usize];
+    let degrees = &mut degrees[..offsets.len()];
+    unpack(src, &mut pos, len, degrees)?;
+    let mut at = plan.first_edge;
+    for (o, &d) in offsets.iter_mut().zip(&*degrees) {
+        *o = at;
+        at += u64::from(d);
+    }
+    if at - plan.first_edge != plan.num_edges {
+        return Err(GraphError::Format(
+            "row degrees do not sum to the chunk's edge count".into(),
+        ));
+    }
+    // Unzigzag and the range check run over the whole span, where they
+    // vectorize; only the per-row prefix add is serial.
+    unpack(src, &mut pos, len, edges)?;
+    for n in edges.iter_mut() {
+        *n = unzigzag(*n);
+    }
+    let mut rest = &mut *edges;
+    for (v, &d) in (plan.v_start..plan.v_end).zip(&*degrees) {
+        let mut prev = v;
+        for n in take_front(&mut rest, d as usize) {
+            prev = prev.wrapping_add(*n);
+            *n = prev;
         }
-        let row = &mut edges[edge_cursor..edge_cursor + d];
-        let mut prev = v as i64;
-        for slot in row.iter_mut() {
-            let delta = unzigzag(get_varint(region, &mut pos).ok_or_else(truncated)?);
-            prev += delta;
-            // A negative `prev` wraps far above any vertex count.
-            if prev as u64 >= num_vertices {
-                return Err(GraphError::Format(format!(
-                    "vertex {v} has neighbor {prev}, outside the graph's {num_vertices} vertices"
-                )));
-            }
-            *slot = prev as VertexId;
-        }
-        if let Some(ts) = timestamps.as_deref_mut() {
-            let row = &mut ts[edge_cursor..edge_cursor + d];
-            if let Some((first, rest)) = row.split_first_mut() {
-                let t0 = get_varint(region, &mut pos).ok_or_else(truncated)?;
-                *first = u32::try_from(t0)
-                    .map_err(|_| GraphError::Format("timestamp out of u32 range".into()))?;
-                let mut prev = *first as i64;
-                for slot in rest {
-                    prev += unzigzag(get_varint(region, &mut pos).ok_or_else(truncated)?);
-                    *slot = u32::try_from(prev)
-                        .map_err(|_| GraphError::Format("timestamp out of u32 range".into()))?;
+    }
+    if u64::from(edges.iter().fold(0, |m, &n| m.max(n))) >= num_vertices {
+        let k = edges
+            .iter()
+            .position(|&n| u64::from(n) >= num_vertices)
+            .unwrap_or_default();
+        let v =
+            plan.v_start + offsets.partition_point(|&o| o - plan.first_edge <= k as u64) as u32 - 1;
+        return Err(GraphError::Format(format!(
+            "vertex {v} has neighbor {}, outside the graph's {num_vertices} vertices",
+            edges[k]
+        )));
+    }
+    if let Some(ts) = timestamps {
+        unpack(src, &mut pos, len, ts)?;
+        let mut rest = ts;
+        for &d in degrees.iter() {
+            if let Some((first, tail)) = take_front(&mut rest, d as usize).split_first_mut() {
+                let mut prev = *first;
+                for t in tail {
+                    prev = prev.wrapping_add(unzigzag(*t));
+                    *t = prev;
                 }
             }
         }
-        if let Some(ws) = weights.as_deref_mut() {
-            let row = &mut ws[edge_cursor..edge_cursor + d];
-            let end = pos + 4 * d;
-            if end > region.len() {
-                return Err(truncated());
-            }
-            for (k, slot) in row.iter_mut().enumerate() {
-                *slot = f32::from_le_bytes(array_at(region, pos + 4 * k));
-            }
-            check_weights(row)?;
-            pos = end;
-        }
-        edge_cursor += d;
     }
-    if edge_cursor as u64 != plan.num_edges {
+    if let Some(ws) = weights {
+        let raw = src[..len]
+            .get(pos..pos + 4 * ws.len())
+            .ok_or_else(truncated)?;
+        for (w, b) in ws.iter_mut().zip(raw.chunks_exact(4)) {
+            *w = f32::from_le_bytes(array_at(b, 0));
+        }
+        check_weights(ws)?;
+        pos += raw.len();
+    }
+    if pos != len {
         return Err(GraphError::Format(
-            "chunk decoded a different edge count than its directory entry".into(),
+            "chunk holds bytes past its streams".into(),
         ));
     }
     Ok(())
@@ -433,13 +577,13 @@ pub fn write_oocore(pg: &PartitionedGraph, path: &Path) -> Result<u64, GraphErro
     let mut part_bytes = Vec::with_capacity(p);
     let mut part_edges = Vec::with_capacity(p);
     let mut body: Vec<u8> = Vec::new();
-    let header_len = HEADER_FIXED + 4 * (p + 1) + 8 * p + 8 * p + 8 * (p + 1);
+    let header_len = HEADER_FIXED + table_len(p) + 8;
     for part in 0..p as u32 {
         regions.push(header_len as u64 + body.len() as u64);
         let data = pg.read_block(part)?;
         part_bytes.push(data.bytes());
         part_edges.push(data.edges.len() as u64);
-        encode_region(&data, &mut body);
+        encode_region(&data, &mut body)?;
     }
     regions.push(header_len as u64 + body.len() as u64);
 
@@ -462,6 +606,7 @@ pub fn write_oocore(pg: &PartitionedGraph, path: &Path) -> Result<u64, GraphErro
     for &r in &regions {
         header.extend_from_slice(&r.to_le_bytes());
     }
+    header.extend_from_slice(&checksum(&header).to_le_bytes());
     debug_assert_eq!(header.len(), header_len);
 
     let mut f = File::create(path)?;
@@ -472,33 +617,66 @@ pub fn write_oocore(pg: &PartitionedGraph, path: &Path) -> Result<u64, GraphErro
 }
 
 /// Encode one partition's region (chunk directory + payload) onto `out`.
-fn encode_region(data: &PartitionData, out: &mut Vec<u8>) {
+/// A row of 2^32 or more edges has no `u32` degree and is refused.
+fn encode_region(data: &PartitionData, out: &mut Vec<u8>) -> Result<(), GraphError> {
     let n = data.v_end - data.v_start;
     let chunks = n.div_ceil(CHUNK_VERTICES).max(1);
     out.extend_from_slice(&chunks.to_le_bytes());
     let dir_start = out.len();
     out.resize(dir_start + chunks as usize * DIR_ENTRY, 0);
     let payload_base = out.len();
+    let mut values = Vec::new();
     for c in 0..chunks {
-        let v_lo = data.v_start + c * CHUNK_VERTICES;
-        let v_hi = (v_lo + CHUNK_VERTICES).min(data.v_end);
-        let first_edge = data.offsets[(v_lo - data.v_start) as usize];
-        let rows = data.rows();
-        let payload_off = (out.len() - payload_base) as u64;
-        let e = dir_start + c as usize * DIR_ENTRY;
-        out[e..e + 4].copy_from_slice(&v_lo.to_le_bytes());
-        out[e + 4..e + 12].copy_from_slice(&first_edge.to_le_bytes());
-        out[e + 12..e + 20].copy_from_slice(&payload_off.to_le_bytes());
-        for v in v_lo..v_hi {
-            encode_row(
-                v,
-                rows.neighbors(v),
-                rows.neighbor_weights(v),
-                rows.neighbor_timestamps(v),
-                out,
+        let lo = (c * CHUNK_VERTICES) as usize;
+        let hi = (lo + CHUNK_VERTICES as usize).min(n as usize);
+        let rows = &data.offsets[lo..=hi];
+        let (e0, e1) = (rows[0] as usize, rows[hi - lo] as usize);
+        let chunk_start = out.len();
+
+        values.clear();
+        for w in rows.windows(2) {
+            values.push(
+                u32::try_from(w[1] - w[0])
+                    .map_err(|_| GraphError::Format("a row has 2^32 or more edges".into()))?,
             );
         }
+        pack(&values, out);
+        values.clear();
+        for (v, w) in (data.v_start + lo as u32..data.v_end).zip(rows.windows(2)) {
+            let mut prev = v;
+            for &u in &data.edges[w[0] as usize..w[1] as usize] {
+                values.push(zigzag(u.wrapping_sub(prev)));
+                prev = u;
+            }
+        }
+        pack(&values, out);
+        if let Some(ts) = &data.timestamps {
+            values.clear();
+            for w in rows.windows(2) {
+                if let Some((&t0, rest)) = ts[w[0] as usize..w[1] as usize].split_first() {
+                    values.push(t0);
+                    let mut prev = t0;
+                    for &t in rest {
+                        values.push(zigzag(t.wrapping_sub(prev)));
+                        prev = t;
+                    }
+                }
+            }
+            pack(&values, out);
+        }
+        if let Some(ws) = &data.weights {
+            for w in &ws[e0..e1] {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+
+        let sum = checksum(&out[chunk_start..]);
+        let e = dir_start + c as usize * DIR_ENTRY;
+        out[e..e + 8].copy_from_slice(&(e0 as u64).to_le_bytes());
+        out[e + 8..e + 16].copy_from_slice(&((chunk_start - payload_base) as u64).to_le_bytes());
+        out[e + 16..e + 24].copy_from_slice(&sum.to_le_bytes());
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -543,16 +721,25 @@ pub struct OocGraph {
 }
 
 impl OocGraph {
-    /// Open `path`, validating the header and partition table. Adjacency
-    /// stays on disk until a partition is decoded.
+    /// Open `path`, validating the header and partition table against
+    /// their checksum and each other. Adjacency stays on disk until a
+    /// partition is decoded. A file of another revision of this format
+    /// is a [`GraphError::Format`] naming the revision.
     pub fn open(path: &Path) -> Result<OocGraph, GraphError> {
         let f = File::open(path)?;
         let mut fixed = [0u8; HEADER_FIXED];
         read_exact_at(&f, &mut fixed, 0)?;
-        if &fixed[0..8] != OOC_MAGIC {
-            return Err(GraphError::Format(
-                "bad magic (not an out-of-core graph file)".into(),
-            ));
+        let magic = &fixed[0..8];
+        if magic != OOC_MAGIC {
+            return Err(GraphError::Format(if magic[..7] == OOC_MAGIC[..7] {
+                format!(
+                    "{} is another revision of the out-of-core format; this build reads {} only, so write the file again",
+                    String::from_utf8_lossy(magic),
+                    String::from_utf8_lossy(OOC_MAGIC)
+                )
+            } else {
+                "bad magic (not an out-of-core graph file)".into()
+            }));
         }
         let flags = fixed[8];
         let num_vertices = u64::from_le_bytes(array_at(&fixed, 9));
@@ -562,23 +749,29 @@ impl OocGraph {
         if p == 0 || num_vertices == 0 {
             return Err(GraphError::Format("empty partition table".into()));
         }
-        let table_len = 4 * (p + 1) + 8 * p + 8 * p + 8 * (p + 1);
+        let covered = HEADER_FIXED + table_len(p);
         // Checked before the allocation a hostile partition count sizes.
         let file_len = f.metadata()?.len();
-        if (HEADER_FIXED + table_len) as u64 > file_len {
+        if (covered + 8) as u64 > file_len {
             return Err(GraphError::Format(
                 "partition table exceeds the file".into(),
             ));
         }
-        let mut table = vec![0u8; table_len];
-        read_exact_at(&f, &mut table, HEADER_FIXED as u64)?;
+        let mut header = vec![0u8; covered + 8];
+        read_exact_at(&f, &mut header, 0)?;
+        if checksum(&header[..covered]) != u64::from_le_bytes(array_at(&header, covered)) {
+            return Err(GraphError::Format(
+                "header checksum mismatch: the header or partition table is corrupt".into(),
+            ));
+        }
         // The four arrays back to back; `table` holds exactly them.
+        let table = &header[HEADER_FIXED..covered];
         let boundaries: Vec<VertexId> = (0..=p)
-            .map(|i| u32::from_le_bytes(array_at(&table, 4 * i)))
+            .map(|i| u32::from_le_bytes(array_at(table, 4 * i)))
             .collect();
         let u64s = |first: usize, n: usize| -> Vec<u64> {
             (0..n)
-                .map(|i| u64::from_le_bytes(array_at(&table, first + 8 * i)))
+                .map(|i| u64::from_le_bytes(array_at(table, first + 8 * i)))
                 .collect()
         };
         let part_bytes = u64s(4 * (p + 1), p);
@@ -599,7 +792,7 @@ impl OocGraph {
             return Err(GraphError::Format("region table exceeds the file".into()));
         }
         // Bounding each count by its region's bytes first keeps the sum
-        // below the file's length.
+        // far from overflow.
         for i in 0..p {
             let vertices = boundaries[i + 1] - boundaries[i];
             check_fits(vertices, part_edges[i], regions[i + 1] - regions[i])?;
@@ -669,13 +862,14 @@ impl OocGraph {
     }
 
     /// The raw compressed bytes of partition `p`'s region, in a fresh
-    /// buffer filled by one positional read. A file cut short since
-    /// [`OocGraph::open`] fails here with [`GraphError::Io`].
+    /// buffer filled by one positional read and followed by [`SLACK`]
+    /// zero bytes. A file cut short since [`OocGraph::open`] fails here
+    /// with [`GraphError::Io`].
     fn region(&self, p: u32) -> Result<Vec<u8>, GraphError> {
         let lo = self.regions[p as usize];
-        let hi = self.regions[p as usize + 1];
-        let mut buf = vec![0u8; (hi - lo) as usize];
-        read_exact_at(&self.file, &mut buf, lo)?;
+        let len = (self.regions[p as usize + 1] - lo) as usize;
+        let mut buf = vec![0u8; len + SLACK];
+        read_exact_at(&self.file, &mut buf[..len], lo)?;
         Ok(buf)
     }
 
@@ -694,10 +888,11 @@ impl OocGraph {
     /// spans of the output, handed to its index through a slot taken
     /// once. Chunk boundaries are fixed by the file, so the decoded bytes
     /// are the same for every group count. A read or decode failure is
-    /// returned, the lowest failing group's first; a block that would
-    /// break the row contract [`Csr::new`] checks (a neighbor outside the
-    /// graph, a weight that is not finite and non-negative) is a
-    /// [`GraphError::Format`] naming `p`.
+    /// returned, the lowest failing group's first; a chunk whose bytes
+    /// fail their checksum is [`GraphError::Corrupt`], and a block that
+    /// would break the row contract [`Csr::new`] checks (a neighbor
+    /// outside the graph, a weight that is not finite and non-negative)
+    /// is a [`GraphError::Format`] naming `p`.
     pub fn decode_partition_with<F>(
         &self,
         p: u32,
@@ -715,8 +910,8 @@ impl OocGraph {
         let ne = self.part_edges[p as usize];
         let n = (v_end - v_start) as usize;
         let region = self.region(p)?;
-        let plans =
-            parse_chunk_plans(&region, v_start, v_end, ne).map_err(|e| in_partition(p, e))?;
+        let plans = parse_chunk_plans(&region[..region.len() - SLACK], v_start, v_end, ne)
+            .map_err(|e| in_partition(p, e))?;
         let mut data = PartitionData {
             id: p,
             v_start,
@@ -741,7 +936,7 @@ impl OocGraph {
                 std::mem::take(&mut *slots[g].lock().expect("a slot is only locked to take it"));
             group
                 .into_iter()
-                .try_for_each(|c| decode_chunk(&region, self.num_vertices, c))
+                .try_for_each(|c| decode_chunk(&region, p, self.num_vertices, c))
         };
         let decoded = fan_out(slots.len(), &decode_group);
         debug_assert_eq!(decoded.len(), slots.len(), "the fan-out ran every group");
@@ -889,8 +1084,34 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Recompute every checksum of the file `bytes` after a test edited
+    /// them, so that the edit reaches the checks behind the checksums.
+    fn reseal(bytes: &mut [u8]) {
+        let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(array_at(b, at)) as usize;
+        let p = u32::from_le_bytes(array_at(bytes, 25)) as usize;
+        let covered = HEADER_FIXED + table_len(p);
+        let regions: Vec<usize> = (0..=p)
+            .map(|i| u64_at(bytes, HEADER_FIXED + 4 * (p + 1) + 16 * p + 8 * i))
+            .collect();
+        for r in regions.windows(2) {
+            let count = u32::from_le_bytes(array_at(bytes, r[0])) as usize;
+            let base = r[0] + 4 + count * DIR_ENTRY;
+            for c in 0..count {
+                let e = r[0] + 4 + c * DIR_ENTRY;
+                let end = match c + 1 < count {
+                    true => base + u64_at(bytes, e + DIR_ENTRY + 8),
+                    false => r[1],
+                };
+                let sum = checksum(&bytes[base + u64_at(bytes, e + 8)..end]);
+                bytes[e + 16..e + 24].copy_from_slice(&sum.to_le_bytes());
+            }
+        }
+        let sum = checksum(&bytes[..covered]);
+        bytes[covered..covered + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
     /// A directory whose first chunk starts past the partition's first
-    /// vertex or edge is refused, not decoded into shifted spans.
+    /// edge or byte is refused, not decoded into shifted spans.
     #[test]
     fn a_directory_that_skips_the_partition_start_is_refused() {
         let pg = PartitionedGraph::build(Arc::new(powerlaw(9, 8, 29)), 8 << 10);
@@ -898,7 +1119,7 @@ mod tests {
         write_oocore(&pg, &path).unwrap();
         let full = std::fs::read(&path).unwrap();
         let entry = OocGraph::open(&path).unwrap().regions[0] as usize + 4;
-        for (field, at) in [("first vertex", entry), ("first edge", entry + 4)] {
+        for (field, at) in [("first edge", entry), ("payload offset", entry + 8)] {
             let mut bad = full.clone();
             bad[at] += 1;
             std::fs::write(&path, &bad).unwrap();
@@ -912,10 +1133,12 @@ mod tests {
     }
 
     /// A 12-vertex ring (every weight 1.0 if `weighted`) written to
-    /// `path`, as bytes, and where partition 0's payload starts: vertex
-    /// 0's row is degree 2, zigzag(+1) = 2, zigzag(+10) = 20, then its
-    /// weights.
-    fn ring_file(path: &Path, weighted: bool) -> (Vec<u8>, usize) {
+    /// `path`, as bytes, and the absolute byte range of partition 0's one
+    /// chunk. The chunk opens with the degree block (width 2: every
+    /// degree is 2), then the neighbor block, whose first value is vertex
+    /// 0's zigzag(+1) = 2 and whose width is 5 for vertex 0's second,
+    /// zigzag(+10) = 20; the weights end it.
+    fn ring_file(path: &Path, weighted: bool) -> (Vec<u8>, Range<usize>) {
         let n = 12u32;
         let edges: Vec<VertexId> = (0..n)
             .flat_map(|v| {
@@ -926,40 +1149,52 @@ mod tests {
         let weights = weighted.then(|| vec![1.0; edges.len()]);
         let csr = Csr::new((0..=u64::from(n)).map(|v| 2 * v).collect(), edges, weights).unwrap();
         write_oocore(&PartitionedGraph::build(Arc::new(csr), 64), path).unwrap();
-        let payload = OocGraph::open(path).unwrap().regions[0] as usize + 4 + DIR_ENTRY;
+        let ooc = OocGraph::open(path).unwrap();
+        let [chunk] = &plans(&ooc, 0)[..] else {
+            panic!("partition 0 is one chunk")
+        };
+        let base = ooc.regions[0] as usize;
         let bytes = std::fs::read(path).unwrap();
-        assert_eq!(bytes[payload..payload + 3], [2, 2, 20]);
-        (bytes, payload)
+        let at = base + chunk.bytes.start;
+        assert_eq!(bytes[at], 2);
+        assert_eq!((bytes[at + 17], bytes[at + 18] & 0x1f), (5, 2));
+        (bytes, base + chunk.bytes.start..base + chunk.bytes.end)
     }
 
-    /// A payload byte rewritten so vertex 0's first neighbor reads 63 of
-    /// 12 is refused by the decode, naming the partition, instead of
-    /// handing the engine a vertex no partition holds.
+    /// Vertex 0's first neighbor delta rewritten to zigzag(+15) = 30, and
+    /// the checksums recomputed: the decode refuses neighbor 15 of 12,
+    /// naming the partition, instead of handing the engine a vertex no
+    /// partition holds.
     #[test]
     fn a_neighbor_outside_the_graph_is_refused() {
         let path = tmp("ring_neighbor");
-        let (mut bytes, payload) = ring_file(&path, false);
-        bytes[payload + 1] = 126;
+        let (mut bytes, chunk) = ring_file(&path, false);
+        let at = chunk.start + 18;
+        bytes[at] = (bytes[at] & !0x1f) | 30;
+        reseal(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         let err = OocGraph::open(&path).unwrap().decode_partition(0);
         std::fs::remove_file(&path).ok();
         assert!(
-            matches!(&err, Err(GraphError::Format(m)) if m.starts_with("partition 0:") && m.contains("neighbor 63")),
+            matches!(&err, Err(GraphError::Format(m)) if m.starts_with("partition 0:") && m.contains("neighbor 15")),
             "{err:?}"
         );
     }
 
-    /// A stored weight rewritten to NaN, a negative or an infinity is
-    /// refused by the decode like `Csr::new` refuses it.
+    /// A stored weight rewritten to NaN, a negative or an infinity, with
+    /// the checksums recomputed, is refused by the decode like `Csr::new`
+    /// refuses it.
     #[test]
     fn a_weight_the_weight_rule_refuses_is_refused() {
         let path = tmp("ring_weight");
-        let (full, payload) = ring_file(&path, true);
-        let at = payload + 3;
+        let (full, chunk) = ring_file(&path, true);
+        let edges = OocGraph::open(&path).unwrap().partition_edges(0) as usize;
+        let at = chunk.end - 4 * edges;
         assert_eq!(full[at..at + 4], 1.0f32.to_le_bytes());
         for bad in [f32::NAN, -1.0, f32::INFINITY] {
             let mut bytes = full.clone();
             bytes[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            reseal(&mut bytes);
             std::fs::write(&path, &bytes).unwrap();
             let err = OocGraph::open(&path).unwrap().decode_partition(0);
             assert!(
@@ -968,6 +1203,109 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A block width byte above 32, with the checksums recomputed, is a
+    /// format error: no `u32` value or mod-2^32 zigzag delta needs it.
+    #[test]
+    fn an_over_wide_block_is_a_format_error() {
+        let path = tmp("ring_wide");
+        let (mut bytes, chunk) = ring_file(&path, false);
+        for (block, width) in [(chunk.start, 33), (chunk.start + 17, 255)] {
+            let mut bad = bytes.clone();
+            bad[block] = width;
+            reseal(&mut bad);
+            std::fs::write(&path, &bad).unwrap();
+            let err = OocGraph::open(&path).unwrap().decode_partition(0);
+            assert!(
+                matches!(&err, Err(GraphError::Format(m)) if m.contains(&format!("block width {width}"))),
+                "{err:?}"
+            );
+        }
+        // Unsealed, the same edit is caught by the checksum first.
+        bytes[chunk.start] = 33;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = OocGraph::open(&path).unwrap().decode_partition(0);
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(
+                err,
+                Err(GraphError::Corrupt {
+                    partition: 0,
+                    chunk: 0
+                })
+            ),
+            "{err:?}"
+        );
+    }
+
+    /// An `LTOOCGR1` file is refused by `open` with an error naming its
+    /// revision; other magic is not a graph file at all.
+    #[test]
+    fn an_older_revision_is_refused_and_named() {
+        let path = tmp("gr1");
+        write_oocore(
+            &PartitionedGraph::build(Arc::new(powerlaw(8, 8, 5)), 8 << 10),
+            &path,
+        )
+        .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"LTOOCGR1");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = OocGraph::open(&path);
+        assert!(
+            matches!(&err, Err(GraphError::Format(m)) if m.starts_with("LTOOCGR1 is another revision") && m.contains("LTOOCGR2")),
+            "{err:?}"
+        );
+        bytes[..8].copy_from_slice(b"LTGRAPH1");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = OocGraph::open(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(&err, Err(GraphError::Format(m)) if m.starts_with("bad magic")));
+    }
+
+    /// One bit flipped in a chunk's bytes is `Corrupt` naming that
+    /// partition and chunk, whatever its neighbors would have decoded
+    /// to, and every other partition still decodes; one flipped in the
+    /// header or partition table fails `open`.
+    #[test]
+    fn a_flipped_bit_is_corrupt_naming_its_chunk() {
+        let pg = PartitionedGraph::build(Arc::new(powerlaw(11, 4, 31)), 32 << 10);
+        let path = tmp("flipped");
+        write_oocore(&pg, &path).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        let ooc = OocGraph::open(&path).unwrap();
+        let (p, c) = (1u32, 2usize);
+        let chunk = plans(&ooc, p)[c].bytes.clone();
+        let base = ooc.regions[p as usize] as usize;
+        for at in [chunk.start, (chunk.start + chunk.end) / 2, chunk.end - 1] {
+            let mut bytes = full.clone();
+            bytes[base + at] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+            let ooc = OocGraph::open(&path).unwrap();
+            for q in 0..ooc.num_partitions() {
+                let got = ooc.decode_partition(q);
+                match q == p {
+                    true => assert!(
+                        matches!(
+                            got,
+                            Err(GraphError::Corrupt {
+                                partition: 1,
+                                chunk: 2
+                            })
+                        ),
+                        "{got:?}"
+                    ),
+                    false => assert_eq!(got.unwrap(), pg.extract(q)),
+                }
+            }
+        }
+        let mut bytes = full.clone();
+        bytes[HEADER_FIXED + 5] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = OocGraph::open(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(&err, Err(GraphError::Format(m)) if m.contains("checksum")));
     }
 
     /// A fan-out on one scoped thread per group, so the groups of a
@@ -985,7 +1323,7 @@ mod tests {
     fn plans(ooc: &OocGraph, p: u32) -> Vec<ChunkPlan> {
         let (i, region) = (p as usize, ooc.region(p).unwrap());
         parse_chunk_plans(
-            &region,
+            &region[..region.len() - SLACK],
             ooc.boundaries[i],
             ooc.boundaries[i + 1],
             ooc.part_edges[i],
@@ -1126,9 +1464,9 @@ mod tests {
     }
 
     /// A header that claims 2^40 more edges in one partition (and in
-    /// |E|, so the sum still matches) is refused by `open`, and a decode
-    /// against such a count is refused too: neither sizes an allocation
-    /// from it.
+    /// |E|, so the sum still matches), its checksum recomputed, is
+    /// refused by `open`, and a decode against such a count is refused
+    /// too: neither sizes an allocation from it.
     #[test]
     fn hostile_edge_counts_are_refused_not_allocated() {
         let pg = PartitionedGraph::build(Arc::new(powerlaw(8, 8, 9)), 8 << 10);
@@ -1145,8 +1483,13 @@ mod tests {
         let mut hostile = full.clone();
         bump(&mut hostile, 17);
         bump(&mut hostile, part_edges_at);
+        reseal(&mut hostile);
         std::fs::write(&path, &hostile).unwrap();
-        assert!(matches!(OocGraph::open(&path), Err(GraphError::Format(_))));
+        let err = OocGraph::open(&path);
+        assert!(
+            matches!(&err, Err(GraphError::Format(m)) if m.contains("exceeds its region")),
+            "{err:?}"
+        );
         std::fs::write(&path, &full).unwrap();
         let mut ooc = OocGraph::open(&path).unwrap();
         ooc.part_edges[0] += 1 << 40;
@@ -1157,18 +1500,53 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Blocks of every width round-trip, a short last block included,
+    /// and zigzag inverts over all of `u32`.
     #[test]
-    fn varint_zigzag_roundtrip() {
-        for x in [0i64, 1, -1, 127, -128, 300, -300, i64::MAX, i64::MIN] {
+    fn blocks_of_every_width_roundtrip() {
+        for x in [0u32, 1, 2, 127, 1 << 31, u32::MAX, u32::MAX - 1] {
             assert_eq!(unzigzag(zigzag(x)), x);
         }
-        let mut buf = Vec::new();
-        for x in [0u64, 1, 127, 128, 16384, u64::MAX] {
-            buf.clear();
-            put_varint(x, &mut buf);
+        assert_eq!((zigzag(1), zigzag(u32::MAX), zigzag(10)), (2, 1, 20));
+        for width in 0..=32u32 {
+            let top = (1u64 << width) - 1;
+            let values: Vec<u32> = (0..150u64)
+                .map(|i| (i.wrapping_mul(0x9E37_79B9) & top) as u32)
+                .chain([top as u32])
+                .collect();
+            let mut bytes = Vec::new();
+            pack(&values, &mut bytes);
+            let len = bytes.len();
+            assert_eq!(len, 3 * (1 + 8 * width as usize), "width {width}");
+            bytes.resize(len + SLACK, 0xff);
+            let mut got = vec![0; values.len()];
             let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos), Some(x));
-            assert_eq!(pos, buf.len());
+            unpack(&bytes, &mut pos, len, &mut got).unwrap();
+            assert_eq!((got, pos), (values, len), "width {width}");
+            assert!(matches!(
+                unpack(&bytes, &mut 0, len - 1, &mut [0; 151]),
+                Err(GraphError::Format(_))
+            ));
+        }
+    }
+
+    /// Every single-bit flip of an input of any length changes the
+    /// checksum, and so does a change of length.
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        let data: Vec<u8> = (0..101u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in [0, 1, 7, 8, 31, 32, 33, 64, 100, 101] {
+            let bytes = &data[..len];
+            let sum = checksum(bytes);
+            if len > 0 {
+                assert_ne!(sum, checksum(&bytes[..len - 1]), "{len}");
+            }
+            let mut flipped = bytes.to_vec();
+            for bit in 0..8 * len {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum(&flipped), sum, "length {len}, bit {bit}");
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
         }
     }
 }

@@ -43,11 +43,9 @@ use std::time::Instant;
 /// spans drop but stay counted).
 const SPAN_CAPACITY: usize = 64;
 
-/// Most walks one job may ask for. A job's walkers are all placed at
-/// admission, so this caps what one `submit` can make the host allocate
-/// (2^28 walkers of 24 bytes, 6 GiB); a larger count is refused with
+/// Most walks one job may ask for: a larger count is refused with
 /// [`EngineError::Admission`] before any walker is placed.
-pub const MAX_JOB_WALKS: u64 = 1 << 28;
+pub use lt_engine::MAX_JOB_WALKS;
 
 /// Serving-layer configuration over the engine's.
 #[derive(Clone, Debug)]
@@ -306,12 +304,7 @@ impl Scheduler {
     ) -> Result<(JobId, Receiver<JobEvent>), EngineError> {
         match spec.num_walks() {
             0 => return Err(EngineError::Admission("job has zero walks".into())),
-            n if n > MAX_JOB_WALKS => {
-                return Err(EngineError::Admission(format!(
-                    "job asks for {n} walks, more than {MAX_JOB_WALKS}"
-                )))
-            }
-            _ => {}
+            n => lt_engine::check_walk_count(n)?,
         }
         let nv = self.graph.num_vertices();
         if let JobStart::Seeds(seeds) = &spec.start {

@@ -12,7 +12,9 @@
 
 use lighttraffic::baselines::{cpu, ingpu, subway};
 use lighttraffic::engine::algorithm::{PageRank, Ppr, UniformSampling, WalkAlgorithm};
-use lighttraffic::engine::{Checkpoint, EngineConfig, LightTraffic, RunStatus, ZeroCopyPolicy};
+use lighttraffic::engine::{
+    Checkpoint, EngineConfig, LightTraffic, RunStatus, ZeroCopyPolicy, MAX_JOB_WALKS,
+};
 use lighttraffic::gpusim::{CostModel, GpuConfig};
 use lighttraffic::graph::gen::{self, datasets};
 use lighttraffic::graph::stats::{human_bytes, stats};
@@ -285,15 +287,20 @@ fn parse_run(f: &Flags) -> Result<RunSetup, String> {
         "ppr" => Arc::new(Ppr::from_highest_degree(&graph, restart)),
         other => return Err(format!("unknown algorithm `{other}`")),
     };
-    let walks = match f.get("walks").unwrap_or("2x") {
-        s if s.ends_with('x') => {
-            let mult: u64 = s[..s.len() - 1]
-                .parse()
-                .map_err(|_| "--walks: bad multiplier")?;
-            mult * graph.num_vertices()
-        }
-        s => s.parse().map_err(|_| "--walks: bad count")?,
-    };
+    // Every walker is placed before the run starts, so the count is
+    // capped here, where it enters, before anything is allocated.
+    let spec = f.get("walks").unwrap_or("2x");
+    let walks = match spec.strip_suffix('x') {
+        Some(mult) => mult
+            .parse::<u64>()
+            .map_err(|_| "--walks: bad multiplier")?
+            .checked_mul(graph.num_vertices()),
+        None => Some(spec.parse::<u64>().map_err(|_| "--walks: bad count")?),
+    }
+    .filter(|&n| n <= MAX_JOB_WALKS)
+    .ok_or_else(|| {
+        format!("--walks {spec}: more than the {MAX_JOB_WALKS} walks one run may place")
+    })?;
     // Floor of 256 KB: partitions much smaller than the per-copy DMA
     // latency×bandwidth product are latency-bound on real hardware too.
     let default_part_kb = (graph.csr_bytes() / 48 / 1024).max(256);
@@ -766,6 +773,31 @@ mod tests {
         .unwrap();
         assert!(f.has("no-selective") && f.has("json"));
         assert_eq!(f.get("walks"), Some("10"));
+    }
+
+    /// A walk count past the cap, or a multiplier whose product with |V|
+    /// overflows, is a one-line error before any walker is placed.
+    #[test]
+    fn run_refuses_walk_counts_past_the_cap() {
+        let dir = std::env::temp_dir().join(format!("lightwalk_walks_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph = dir.join("g.bin").to_string_lossy().into_owned();
+        let csr = gen::rmat(gen::RmatParams {
+            scale: 8,
+            edge_factor: 4,
+            ..Default::default()
+        })
+        .csr;
+        io::write_binary(&csr, &graph).unwrap();
+        for walks in ["18446744073709551615", "30000000000000000x", "268435457"] {
+            let err = cmd_run(&args(&[&graph, "--walks", walks])).unwrap_err();
+            assert_eq!(
+                err,
+                format!("--walks {walks}: more than the 268435456 walks one run may place")
+            );
+        }
+        cmd_run(&args(&[&graph, "--walks", "1x", "--length", "4"])).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `--trace` and `--metrics-out` are written on the pause path and

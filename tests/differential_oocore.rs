@@ -1,5 +1,5 @@
 //! Differential battery for the out-of-core compressed CSR substrate:
-//! an engine reading partitions from a delta+varint compressed file
+//! an engine reading partitions from a bit-packed compressed file
 //! through the host decode cache must be **bit-identical** to the same
 //! engine over the RAM-resident graph — same walks, same paths, same
 //! simulated clock, same device-stats breakdown — across kernel thread

@@ -30,23 +30,44 @@ fn header_field() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// Every byte position inside an `LTOOCGR1` file's region payloads, past
-/// each region's chunk directory. The layout is `oocore.rs`'s: a 37-byte
-/// fixed header with the partition count P at byte 25, then P + 1 u32
-/// boundaries, P u64 partition sizes, P u64 edge counts and P + 1 u64
-/// region offsets; a region is a u32 chunk count, 20 bytes a chunk, then
-/// the payload.
-fn ooc_payload_positions(bytes: &[u8]) -> Vec<usize> {
+/// Where a byte of an `LTOOCGR2` file sits.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum OocSection {
+    /// The fixed header, the partition table or its checksum.
+    Header,
+    /// Partition `p`'s chunk count or directory.
+    Directory(u32),
+    /// Chunk `c` of partition `p`.
+    Chunk(u32, u32),
+}
+
+/// The section of byte `at` of an `LTOOCGR2` file. The layout is
+/// `oocore.rs`'s: a 37-byte fixed header with the partition count P at
+/// byte 25, then P + 1 u32 boundaries, P u64 partition sizes, P u64 edge
+/// counts, P + 1 u64 region offsets and a u64 checksum; a region is a
+/// u32 chunk count, 24 bytes a chunk (first edge, payload offset,
+/// checksum), then the chunks back to back.
+fn ooc_section(bytes: &[u8], at: usize) -> OocSection {
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
     let p = u32_at(25);
     let regions: Vec<usize> = (0..=p)
         .map(|i| u64_at(37 + 4 * (p + 1) + 16 * p + 8 * i))
         .collect();
-    regions
-        .windows(2)
-        .flat_map(|r| r[0] + 4 + 20 * u32_at(r[0])..r[1])
-        .collect()
+    if at < regions[0] {
+        return OocSection::Header;
+    }
+    let part = regions.partition_point(|&r| r <= at) - 1;
+    let count = u32_at(regions[part]);
+    let base = regions[part] + 4 + 24 * count;
+    if at < base {
+        return OocSection::Directory(part as u32);
+    }
+    let chunk = (0..count)
+        .take_while(|&c| base + u64_at(regions[part] + 4 + 24 * c + 8) <= at)
+        .count()
+        - 1;
+    OocSection::Chunk(part as u32, chunk as u32)
 }
 
 proptest! {
@@ -178,7 +199,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The delta+varint compressed out-of-core file reproduces every
+    /// The bit-packed compressed out-of-core file reproduces every
     /// partition of every graph flavor (plain / weighted / temporal)
     /// bit-for-bit: the store's per-partition decode equals the in-memory
     /// `extract`, field by field, at an arbitrary partition budget.
@@ -208,59 +229,73 @@ proptest! {
         }
     }
 
-    /// A corrupt `LTOOCGR1` payload decodes to the row contract or to an
-    /// error, never a panic: small graphs of every flavor written with
-    /// `write_oocore`, then 1–3 bytes inside region payloads rewritten.
-    /// A neighbor rewritten to another in-range vertex still decodes;
-    /// only a checksum could tell.
+    /// Every single-bit flip anywhere in an `LTOOCGR2` file is an error,
+    /// never a panic or a decode: small graphs of every flavor written
+    /// with `write_oocore`, then one bit flipped in the header, the
+    /// partition table, a chunk directory or a chunk. A flip before the
+    /// first region fails `open`; a flip in a region fails the decode of
+    /// that partition alone, and a flip in a chunk is `Corrupt` naming
+    /// its partition and chunk: a neighbor rewritten to another in-range
+    /// vertex is caught by the chunk's checksum. Every other partition
+    /// still decodes to `extract`.
     #[test]
     fn corrupt_ooc_payloads_decode_to_the_row_contract_or_an_error(
         edges in edges_strategy(),
         budget in 64u64..1024,
         seed in 0u64..1000,
-        flavor in 0usize..3,
-        rewrites in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..4),
+        at in any::<prop::sample::Index>(),
+        bit in 0u8..8,
     ) {
         let Some(plain) = build_csr(&edges) else { return Ok(()); };
-        let nv = plain.num_vertices();
-        let g = match flavor {
-            0 => plain,
-            1 => with_random_weights(&plain, seed),
-            _ => with_random_timestamps(&plain, seed, 16),
-        };
-        let path = std::env::temp_dir()
-            .join(format!("lt_proptest_corrupt_ooc_{}.ltg", std::process::id()));
-        write_oocore(&PartitionedGraph::build(Arc::new(g), budget), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let payload = ooc_payload_positions(&bytes);
-        for (at, value) in &rewrites {
-            bytes[payload[at.index(payload.len())]] = *value;
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        let decoded = std::panic::catch_unwind(|| {
-            let ooc = OocGraph::open(&path)?;
-            Ok::<_, GraphError>(
-                (0..ooc.num_partitions()).map(|p| ooc.decode_partition(p)).collect::<Vec<_>>(),
-            )
-        });
-        std::fs::remove_file(&path).ok();
-        let Ok(Ok(blocks)) = decoded else {
-            prop_assert!(decoded.is_ok(), "open or decode panicked");
-            return Ok(());
-        };
-        for block in blocks.into_iter().flatten() {
-            let p = block.id;
-            let offsets = &block.offsets;
-            prop_assert_eq!(offsets.len() as u32, block.v_end - block.v_start + 1);
-            prop_assert_eq!(offsets[0], 0, "partition {}", p);
-            prop_assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "partition {}", p);
-            prop_assert_eq!(offsets[offsets.len() - 1], block.edges.len() as u64);
-            prop_assert!(
-                block.edges.iter().all(|&n| u64::from(n) < nv),
-                "partition {} decoded a neighbor outside its {} vertices", p, nv
-            );
-            for &w in block.weights.iter().flatten() {
-                prop_assert!(w.is_finite() && w >= 0.0, "partition {} decoded weight {}", p, w);
+        let weighted = with_random_weights(&plain, seed);
+        let temporal = with_random_timestamps(&plain, seed, 16);
+        for (flavor, g) in [("plain", plain), ("weighted", weighted), ("temporal", temporal)] {
+            let pg = PartitionedGraph::build(Arc::new(g), budget);
+            let path = std::env::temp_dir()
+                .join(format!("lt_proptest_corrupt_ooc_{}_{flavor}.ltg", std::process::id()));
+            write_oocore(&pg, &path).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = at.index(bytes.len());
+            let section = ooc_section(&bytes, at);
+            bytes[at] ^= 1 << bit;
+            std::fs::write(&path, &bytes).unwrap();
+            let decoded = std::panic::catch_unwind(|| {
+                let ooc = OocGraph::open(&path)?;
+                Ok::<_, GraphError>(
+                    (0..ooc.num_partitions()).map(|p| ooc.decode_partition(p)).collect::<Vec<_>>(),
+                )
+            });
+            std::fs::remove_file(&path).ok();
+            let at = format!("{flavor}, byte {at} bit {bit} ({section:?})");
+            let Ok(opened) = decoded else {
+                prop_assert!(false, "open or decode panicked: {}", at);
+                return Ok(());
+            };
+            let hit = match section {
+                OocSection::Header => {
+                    prop_assert!(opened.is_err(), "open accepted a flipped header: {}", at);
+                    continue;
+                }
+                OocSection::Directory(p) | OocSection::Chunk(p, _) => p,
+            };
+            let Ok(blocks) = opened else {
+                prop_assert!(false, "open refused a file whose header is intact: {}", at);
+                return Ok(());
+            };
+            for (p, block) in blocks.into_iter().enumerate() {
+                let p = p as u32;
+                match (block, section) {
+                    (Ok(block), _) if p != hit => prop_assert_eq!(block, pg.extract(p), "{}", at),
+                    (Err(e), _) if p != hit => prop_assert!(false, "partition {} failed: {}: {}", p, e, at),
+                    (Ok(_), _) => prop_assert!(false, "the hit partition decoded: {}", at),
+                    (Err(GraphError::Corrupt { partition, chunk }), OocSection::Chunk(_, c)) => {
+                        prop_assert_eq!((partition, chunk), (hit, c), "{}", at)
+                    }
+                    (Err(e), OocSection::Chunk(..)) => {
+                        prop_assert!(false, "a flipped chunk gave {:?}, not Corrupt: {}", e, at)
+                    }
+                    (Err(_), _) => {}
+                }
             }
         }
     }
