@@ -6,10 +6,14 @@
 //! walks (§II-A), and a parallel timestamp array
 //! supports temporal walks (edges are traversable only inside a sliding
 //! window relative to the walker's current edge time — DESIGN.md §15).
+//!
+//! Each column is reference-counted, so a graph derived from another by
+//! adding a column (weights or timestamps, [`crate::gen`]) shares the
+//! parent's offsets and edges instead of copying and re-checking them.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::{GraphError, VertexId, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The most copies of one target any row of `offsets`/`edges` holds, at
 /// least 1. Rows are vertex-sorted, so copies of a target are adjacent.
@@ -26,7 +30,8 @@ pub(crate) fn max_multiplicity(offsets: &[u64], edges: &[VertexId]) -> u32 {
 }
 
 /// The one rule for edge weights, applied by every reader that admits
-/// them ([`Csr::with_timestamps`], [`crate::DeltaGraph::buffer`] and the
+/// them ([`Csr::with_timestamps`], `Csr::with_weight_column`,
+/// [`crate::io::read_binary`], [`crate::DeltaGraph::buffer`] and the
 /// out-of-core decoder): each weight is finite and non-negative. A NaN,
 /// negative or infinite weight would make a weighted walk's scan pick an
 /// edge nobody asked for.
@@ -36,6 +41,17 @@ pub(crate) fn check_weights(weights: &[f32]) -> Result<(), GraphError> {
             "edge weight {w} is not finite and non-negative"
         ))),
         None => Ok(()),
+    }
+}
+
+/// A parallel column of `len` entries must have one entry per edge.
+fn check_column(name: &str, len: usize, edges: usize) -> Result<(), GraphError> {
+    if len == edges {
+        Ok(())
+    } else {
+        Err(GraphError::Format(format!(
+            "{name} len {len} != edges len {edges}"
+        )))
     }
 }
 
@@ -61,12 +77,15 @@ pub(crate) fn check_weights(weights: &[f32]) -> Result<(), GraphError> {
 /// Rows are expected vertex-sorted (the builder, the generators and
 /// evolving-graph seals all keep them so); second-order walks search
 /// them.
+///
+/// A clone shares every column: a `Csr` is immutable, so sharing is
+/// never observable except as memory not spent.
 #[derive(Clone, Debug)]
 pub struct Csr {
-    offsets: Vec<u64>,
-    edges: Vec<VertexId>,
-    weights: Option<Vec<f32>>,
-    timestamps: Option<Vec<u32>>,
+    offsets: Arc<Vec<u64>>,
+    edges: Arc<Vec<VertexId>>,
+    weights: Option<Arc<Vec<f32>>>,
+    timestamps: Option<Arc<Vec<u32>>>,
     /// [`Csr::max_multiplicity`], computed on first use.
     multiplicity: OnceLock<u32>,
 }
@@ -113,30 +132,55 @@ impl Csr {
             });
         }
         if let Some(w) = &weights {
-            if w.len() != edges.len() {
-                return Err(GraphError::Format(format!(
-                    "weights len {} != edges len {}",
-                    w.len(),
-                    edges.len()
-                )));
-            }
+            check_column("weights", w.len(), edges.len())?;
             check_weights(w)?;
         }
         if let Some(t) = &timestamps {
-            if t.len() != edges.len() {
-                return Err(GraphError::Format(format!(
-                    "timestamps len {} != edges len {}",
-                    t.len(),
-                    edges.len()
-                )));
-            }
+            check_column("timestamps", t.len(), edges.len())?;
         }
-        Ok(Csr {
-            offsets,
-            edges,
-            weights,
-            timestamps,
+        let mut csr = Csr::from_checked(offsets, edges, weights);
+        csr.timestamps = timestamps.map(Arc::new);
+        Ok(csr)
+    }
+
+    /// A CSR from columns its caller has already checked against every
+    /// invariant above: [`crate::io::read_binary`] checks each piece of a
+    /// file as it decodes it, so a second pass here would only re-read
+    /// memory.
+    pub(crate) fn from_checked(
+        offsets: Vec<u64>,
+        edges: Vec<VertexId>,
+        weights: Option<Vec<f32>>,
+    ) -> Csr {
+        Csr {
+            offsets: Arc::new(offsets),
+            edges: Arc::new(edges),
+            weights: weights.map(Arc::new),
+            timestamps: None,
             multiplicity: OnceLock::new(),
+        }
+    }
+
+    /// This graph's rows (and timestamps, if any) with `weights` as their
+    /// weights. The offsets and edges are shared, not copied, and only
+    /// the new column is checked.
+    pub(crate) fn with_weight_column(&self, weights: Vec<f32>) -> Result<Csr, GraphError> {
+        check_column("weights", weights.len(), self.edges.len())?;
+        check_weights(&weights)?;
+        Ok(Csr {
+            weights: Some(Arc::new(weights)),
+            ..self.clone()
+        })
+    }
+
+    /// This graph's rows (and weights, if any) with `timestamps` as their
+    /// timestamps. The offsets and edges are shared, not copied, and only
+    /// the new column is checked.
+    pub(crate) fn with_timestamp_column(&self, timestamps: Vec<u32>) -> Result<Csr, GraphError> {
+        check_column("timestamps", timestamps.len(), self.edges.len())?;
+        Ok(Csr {
+            timestamps: Some(Arc::new(timestamps)),
+            ..self.clone()
         })
     }
 
@@ -219,7 +263,7 @@ impl Csr {
     /// Raw weight array parallel to [`Csr::edges`], if weighted.
     #[inline]
     pub fn weights(&self) -> Option<&[f32]> {
-        self.weights.as_deref()
+        self.weights.as_deref().map(Vec::as_slice)
     }
 
     /// Whether the graph carries edge timestamps.
@@ -231,7 +275,7 @@ impl Csr {
     /// Raw timestamp array parallel to [`Csr::edges`], if temporal.
     #[inline]
     pub fn timestamps(&self) -> Option<&[u32]> {
-        self.timestamps.as_deref()
+        self.timestamps.as_deref().map(Vec::as_slice)
     }
 
     /// Largest out-degree (`d_max` of Table II). Zero for an empty graph.

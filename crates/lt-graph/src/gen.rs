@@ -9,6 +9,7 @@
 //!
 //! All generators are fully deterministic given a seed, so experiment rows
 //! are reproducible bit-for-bit.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::builder::BuiltGraph;
 use crate::{Csr, EdgeUpdate, GraphBuilder, VertexId};
@@ -101,33 +102,30 @@ pub fn erdos_renyi(num_vertices: u64, num_edges: u64, seed: u64) -> BuiltGraph {
     b.build().expect("ER graph with edges")
 }
 
-/// Attach deterministic pseudo-random weights in `(0, 1]` to an unweighted
-/// graph, for weighted-walk tests and examples.
+/// Attach deterministic pseudo-random weights in `(0, 1]` to a graph,
+/// for weighted-walk tests and examples. The result shares `csr`'s
+/// offsets and edges; timestamps (if any) are preserved.
 pub fn with_random_weights(csr: &Csr, seed: u64) -> Csr {
     let mut rng = SmallRng::seed_from_u64(seed);
     let weights: Vec<f32> = (0..csr.num_edges())
         .map(|_| rng.gen_range(0.001f32..=1.0))
         .collect();
-    Csr::new(csr.offsets().to_vec(), csr.edges().to_vec(), Some(weights))
-        .expect("same structure stays valid")
+    csr.with_weight_column(weights)
+        .expect("one weight in (0, 1] per edge")
 }
 
 /// Attach deterministic pseudo-random edge timestamps in `[0, horizon)`
 /// to a graph, for temporal-walk tests and the evolving-graph battery.
-/// Weights (if any) are preserved.
+/// The result shares `csr`'s offsets and edges; weights (if any) are
+/// preserved.
 pub fn with_random_timestamps(csr: &Csr, seed: u64, horizon: u32) -> Csr {
     assert!(horizon > 0, "timestamp horizon must be positive");
     let mut rng = SmallRng::seed_from_u64(seed);
     let timestamps: Vec<u32> = (0..csr.num_edges())
         .map(|_| rng.gen_range(0..horizon))
         .collect();
-    Csr::with_timestamps(
-        csr.offsets().to_vec(),
-        csr.edges().to_vec(),
-        csr.weights().map(|w| w.to_vec()),
-        Some(timestamps),
-    )
-    .expect("same structure stays valid")
+    csr.with_timestamp_column(timestamps)
+        .expect("one timestamp per edge")
 }
 
 /// Seeded mutation schedule of `k` updates with a tunable spatial
@@ -415,5 +413,45 @@ mod tests {
         assert_eq!(w.num_edges(), g.num_edges());
         let nw = w.neighbor_weights(0).unwrap();
         assert!(nw.iter().all(|&x| x > 0.0 && x <= 1.0));
+    }
+
+    fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    fn rows_digest(g: &Csr) -> u64 {
+        let offsets = g.offsets().iter().flat_map(|o| o.to_le_bytes());
+        fnv(offsets.chain(g.edges().iter().flat_map(|e| e.to_le_bytes())))
+    }
+
+    /// The derived graphs' columns, as FNV-1a digests of their bytes,
+    /// recorded when each derived graph still copied its parent's rows:
+    /// sharing them changed no value. The rows are the parent's own
+    /// columns, not copies.
+    #[test]
+    fn derived_columns_are_pinned_and_rows_shared() {
+        let g = rmat(RmatParams {
+            scale: 10,
+            edge_factor: 8,
+            seed: 3,
+            ..RmatParams::default()
+        })
+        .csr;
+        let w = with_random_weights(&g, 11);
+        let t = with_random_timestamps(&w, 12, 1000);
+        assert_eq!(g.num_edges(), 11_942);
+        for c in [&g, &w, &t] {
+            assert_eq!(rows_digest(c), 0x0095_6394_d182_22fb);
+            assert!(std::ptr::eq(c.offsets(), g.offsets()));
+            assert!(std::ptr::eq(c.edges(), g.edges()));
+        }
+        let weights = |c: &Csr| fnv(c.weights().unwrap().iter().flat_map(|x| x.to_le_bytes()));
+        assert_eq!(weights(&w), 0xb2df_4493_0e84_b663);
+        assert_eq!(weights(&t), 0xb2df_4493_0e84_b663);
+        assert!(std::ptr::eq(t.weights().unwrap(), w.weights().unwrap()));
+        let stamps = fnv(t.timestamps().unwrap().iter().flat_map(|x| x.to_le_bytes()));
+        assert_eq!(stamps, 0xbed1_d9fa_e6e6_7697);
     }
 }

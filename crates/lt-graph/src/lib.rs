@@ -17,6 +17,7 @@
 #![forbid(unsafe_code)]
 
 pub mod builder;
+mod checksum;
 pub mod components;
 pub mod csr;
 pub mod delta;

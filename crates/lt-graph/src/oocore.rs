@@ -63,6 +63,7 @@
 //! one-group case.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+use crate::checksum::checksum;
 use crate::csr::check_weights;
 use crate::partition::{PartitionData, PartitionedGraph};
 use crate::{Csr, GraphError, VertexId};
@@ -100,56 +101,6 @@ const MAX_WIDTH: usize = 32;
 /// partitions (the checksum that follows it excluded).
 fn table_len(p: usize) -> usize {
     4 * (p + 1) + 8 * p + 8 * p + 8 * (p + 1)
-}
-
-// ---------------------------------------------------------------------------
-// Checksum
-// ---------------------------------------------------------------------------
-
-const P1: u64 = 0x9E37_79B1_85EB_CA87;
-const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-const P3: u64 = 0x1656_67B1_9E37_79F9;
-
-/// One mixing step. For a fixed `word` it is a bijection of `lane`, and
-/// for a fixed `lane` a bijection of `word` (odd multipliers, an add and
-/// a rotation), so a change to any one input word always changes the
-/// lane it feeds, and every later step carries that change to the end.
-#[inline]
-fn mix(lane: u64, word: u64) -> u64 {
-    lane.wrapping_add(word.wrapping_mul(P2))
-        .rotate_left(31)
-        .wrapping_mul(P1)
-}
-
-/// 64-bit checksum of `bytes`: four independent lanes over 32-byte
-/// stripes, a word at a time, then the lanes, the tail words and the
-/// length folded together. Every step is a bijection of the word it
-/// takes, so any change confined to one 8-byte word — every single-bit
-/// flip — changes the sum. Not a cryptographic hash: it guards against
-/// corruption, not forgery.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
-    let mut stripes = bytes.chunks_exact(32);
-    for stripe in &mut stripes {
-        let (words, _) = stripe.as_chunks::<8>();
-        for (lane, word) in lanes.iter_mut().zip(words) {
-            *lane = mix(*lane, u64::from_le_bytes(*word));
-        }
-    }
-    let mut h = (bytes.len() as u64).wrapping_mul(P3);
-    for lane in lanes {
-        h = mix(h, lane);
-    }
-    for word in stripes.remainder().chunks(8) {
-        let mut w = [0u8; 8];
-        w[..word.len()].copy_from_slice(word);
-        h = mix(h, u64::from_le_bytes(w));
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
 }
 
 // ---------------------------------------------------------------------------
@@ -1527,26 +1478,6 @@ mod tests {
                 unpack(&bytes, &mut 0, len - 1, &mut [0; 151]),
                 Err(GraphError::Format(_))
             ));
-        }
-    }
-
-    /// Every single-bit flip of an input of any length changes the
-    /// checksum, and so does a change of length.
-    #[test]
-    fn every_single_bit_flip_changes_the_checksum() {
-        let data: Vec<u8> = (0..101u32).map(|i| (i * 37 % 251) as u8).collect();
-        for len in [0, 1, 7, 8, 31, 32, 33, 64, 100, 101] {
-            let bytes = &data[..len];
-            let sum = checksum(bytes);
-            if len > 0 {
-                assert_ne!(sum, checksum(&bytes[..len - 1]), "{len}");
-            }
-            let mut flipped = bytes.to_vec();
-            for bit in 0..8 * len {
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                assert_ne!(checksum(&flipped), sum, "length {len}, bit {bit}");
-                flipped[bit / 8] ^= 1 << (bit % 8);
-            }
         }
     }
 }

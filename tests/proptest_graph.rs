@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
-/// `LTGRAPH1` header counts: the values whose body size overflows
+/// `LTGRAPH2` header counts: the values whose body size overflows
 /// `u64`, small honest ones, and anything.
 fn header_field() -> impl Strategy<Value = u64> {
     prop_oneof![
@@ -160,41 +160,71 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A corrupt or hostile `LTGRAPH1` file is an error, never a panic:
-    /// a valid file with its header fields replaced (overflowing sizes
-    /// included), cut short, or with bits flipped.
+    /// A corrupt or hostile `LTGRAPH2` file is an error, never a panic
+    /// and never a graph: a plain or weighted file with any single bit
+    /// flipped anywhere, cut short anywhere, or with its header's sizes
+    /// and flags replaced (overflowing sizes included). An `LTGRAPH1`
+    /// file is a `Format` error that names the revision.
     #[test]
     fn corrupt_binary_files_are_errors_not_panics(
         edges in edges_strategy(),
+        seed in 0u64..1000,
         nv in header_field(),
         ne in header_field(),
-        weighted in any::<u8>(),
+        flags in prop_oneof![Just(0u64), Just(1), any::<u64>()],
         cut in any::<prop::sample::Index>(),
-        flips in prop::collection::vec((any::<prop::sample::Index>(), 0u8..8), 1..4),
+        flips in prop::collection::vec((any::<prop::sample::Index>(), 0u8..8), 1..9),
     ) {
-        let Some(g) = build_csr(&edges) else { return Ok(()); };
+        let Some(plain) = build_csr(&edges) else { return Ok(()); };
+        let weighted = with_random_weights(&plain, seed);
         let dir = std::env::temp_dir().join("lt_proptest_io");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("corrupt_{}.bin", std::process::id()));
-        io::write_binary(&g, &path).unwrap();
-        let valid = std::fs::read(&path).unwrap();
-        let mut header = valid.clone();
-        header[8..16].copy_from_slice(&nv.to_le_bytes());
-        header[16..24].copy_from_slice(&ne.to_le_bytes());
-        header[24] = weighted;
-        let truncated = valid[..cut.index(valid.len())].to_vec();
-        let mut flipped = valid.clone();
-        for (at, bit) in &flips {
-            flipped[at.index(valid.len())] ^= 1 << bit;
-        }
-        for (corruption, bytes) in [("header", header), ("truncated", truncated), ("flipped", flipped)] {
-            std::fs::write(&path, &bytes).unwrap();
-            let read = std::panic::catch_unwind(|| io::read_binary(&path));
-            prop_assert!(
-                read.is_ok(),
-                "read_binary panicked on a {} file (nv {}, ne {}, weighted {})",
-                corruption, nv, ne, weighted
-            );
+        for (flavor, g) in [("plain", &plain), ("weighted", &weighted)] {
+            io::write_binary(g, &path).unwrap();
+            let valid = std::fs::read(&path).unwrap();
+            let mut header = valid.clone();
+            header[8..16].copy_from_slice(&nv.to_le_bytes());
+            header[16..24].copy_from_slice(&ne.to_le_bytes());
+            header[24..32].copy_from_slice(&flags.to_le_bytes());
+            let mut corrupt = vec![
+                ("header", header),
+                ("truncated", valid[..cut.index(valid.len())].to_vec()),
+            ];
+            for (at, bit) in &flips {
+                let mut flipped = valid.clone();
+                flipped[at.index(valid.len())] ^= 1 << bit;
+                corrupt.push(("flipped", flipped));
+            }
+            let mut old = valid.clone();
+            old[..8].copy_from_slice(b"LTGRAPH1");
+            for (corruption, bytes) in corrupt.into_iter().chain([("LTGRAPH1", old)]) {
+                if bytes == valid {
+                    // A header rewritten with its own sizes and flags.
+                    continue;
+                }
+                std::fs::write(&path, &bytes).unwrap();
+                let read = std::panic::catch_unwind(|| io::read_binary(&path));
+                let Ok(read) = read else {
+                    return Err(TestCaseError::fail(format!(
+                        "read_binary panicked on a {corruption} {flavor} file (nv {nv}, ne {ne}, flags {flags:#x})"
+                    )));
+                };
+                match (corruption, read) {
+                    ("LTGRAPH1", Err(GraphError::Format(m))) => {
+                        prop_assert!(m.contains("LTGRAPH1"), "{}", m);
+                    }
+                    ("LTGRAPH1", other) => {
+                        prop_assert!(false, "an LTGRAPH1 {} file read as {:?}", flavor, other);
+                    }
+                    (_, Err(_)) => {}
+                    (_, Ok(_)) => prop_assert!(
+                        false,
+                        "a {} {} file read as a graph (nv {}, ne {}, flags {:#x})",
+                        corruption, flavor, nv, ne, flags
+                    ),
+                }
+            }
         }
         std::fs::remove_file(&path).ok();
     }
