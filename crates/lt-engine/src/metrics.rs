@@ -174,7 +174,7 @@ impl Metrics {
     /// names, plus the `lt_walk_length_steps` histogram of the log₂
     /// buckets. Values are `set`, so re-publishing overwrites. The
     /// makespan is the device's `lt_gpu_makespan_ns`.
-    pub fn publish(&self, registry: &MetricRegistry) {
+    pub fn publish(&self, registry: &mut MetricRegistry) {
         let series: [(&str, &str, u64); 19] = [
             (
                 "lt_engine_iterations_total",

@@ -19,7 +19,7 @@ impl LightTraffic {
     /// under [`crate::EngineConfig::attribution`] — link bytes for every
     /// partition that has moved any, plus the zero-copy totals.
     /// Callable at any pause and after [`Self::finish`].
-    pub fn publish(&self, registry: &MetricRegistry) {
+    pub fn publish(&self, registry: &mut MetricRegistry) {
         self.metrics().publish(registry);
         self.gpu().stats().publish(registry);
         // Evolving-graph clock and reload traffic (DESIGN.md §15). Both are
@@ -156,8 +156,8 @@ mod tests {
     }
 
     fn render(e: &LightTraffic) -> String {
-        let registry = MetricRegistry::new();
-        e.publish(&registry);
+        let mut registry = MetricRegistry::new();
+        e.publish(&mut registry);
         registry.render_prometheus()
     }
 
@@ -208,9 +208,9 @@ mod tests {
             let report = e.traffic_ledger().unwrap().report(16);
             report.hot_partitions.iter().map(|p| p.partition).collect()
         };
-        let long_lived = MetricRegistry::new();
+        let mut long_lived = MetricRegistry::new();
         e.run(20).unwrap();
-        e.publish(&long_lived);
+        e.publish(&mut long_lived);
         let buckets = e.metrics().length_histogram.len();
         let hot_before = hottest(&e);
         // More walks, and longer ones: PPR's geometric lengths reach new
@@ -219,7 +219,7 @@ mod tests {
         e.run(4_000).unwrap();
         assert!(e.metrics().length_histogram.len() > buckets);
         assert_ne!(hottest(&e), hot_before);
-        e.publish(&long_lived);
+        e.publish(&mut long_lived);
         let text = long_lived.render_prometheus();
         assert_eq!(text, render(&e));
         let series = text

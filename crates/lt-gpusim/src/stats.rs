@@ -197,7 +197,7 @@ impl GpuStats {
     /// names: per-category busy/bytes/ops series plus engine busy times,
     /// makespan, and injected-fault count. Values are `set`, not added —
     /// re-publishing a newer snapshot overwrites the older one.
-    pub fn publish(&self, registry: &lt_telemetry::MetricRegistry) {
+    pub fn publish(&self, registry: &mut lt_telemetry::MetricRegistry) {
         for cat in Category::ALL {
             let s = self.category(cat);
             let labels = [("category", cat.label())];

@@ -15,7 +15,8 @@
 //! in-process [`ServerHandle`]) plus the optional [`TcpFrontend`]
 //! speaking line-delimited JSON — no async runtime anywhere.
 //! Metrics are pulled: [`ServerHandle::metrics`] publishes the scheduler
-//! into the server's one registry and renders it.
+//! into a fresh registry between two pump rounds and renders it, so each
+//! scrape is one snapshot.
 //!
 //! Determinism: scheduling decisions are pure functions of submission
 //! order and budget state, and each job's result is bit-identical to the

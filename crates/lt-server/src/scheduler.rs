@@ -788,7 +788,7 @@ impl Scheduler {
     /// ([`LightTraffic::publish`]), then every `lt_server_*` series from
     /// the plain counters and the tag → tenant map. Values are set, so
     /// publishing again overwrites; the pump never touches a registry.
-    pub fn publish(&self, registry: &lt_telemetry::MetricRegistry) {
+    pub fn publish(&self, registry: &mut lt_telemetry::MetricRegistry) {
         self.engine.publish(registry);
         registry
             .gauge(

@@ -32,8 +32,9 @@
 //!
 //! A request line may be at most [`MAX_REQUEST_LINE_BYTES`] long; a
 //! longer one is answered with `{"ok":false,"error":…}` and the connection
-//! is closed. A `submit` may ask for at most
-//! [`MAX_JOB_WALKS`](crate::scheduler::MAX_JOB_WALKS) walks (2^28); a
+//! is closed. A line that is not UTF-8, or not JSON, is answered
+//! `ok:false` and the connection keeps serving. A `submit` may ask for at
+//! most [`MAX_JOB_WALKS`](crate::scheduler::MAX_JOB_WALKS) walks (2^28); a
 //! larger `walks` is answered `ok:false` and the connection stays usable.
 //!
 //! Evolving graphs (DESIGN.md §15): `mutate` seals an edge-update batch
@@ -90,7 +91,6 @@ fn engine_failed(e: &EngineError) -> EngineError {
 pub struct ServerHandle {
     /// `None` stops the scheduler thread.
     tx: Sender<Option<Request>>,
-    registry: Arc<MetricRegistry>,
 }
 
 impl ServerHandle {
@@ -149,18 +149,16 @@ impl ServerHandle {
         self.call(move |s, _| s.result(id).cloned())
     }
 
-    /// One scrape, between two pump rounds: publish the scheduler into the
-    /// server's registry ([`Scheduler::publish`]) and build the traffic
-    /// report with at most `top_k` hot partitions (`None` without
-    /// attribution), then render the registry as Prometheus text. The
+    /// One scrape, between two pump rounds: on the scheduler thread,
+    /// publish the scheduler into a fresh registry ([`Scheduler::publish`])
+    /// and build the traffic report with at most `top_k` hot partitions
+    /// (`None` without attribution); then render the registry as
+    /// Prometheus text on the calling thread. Each scrape is one snapshot:
+    /// no other call runs between its publish and its report. The
     /// `metrics` op and `lightwalk serve --metrics-out` both call this.
     pub fn metrics(&self, top_k: usize) -> Result<(String, Option<TrafficReport>), EngineError> {
-        let registry = self.registry.clone();
-        let traffic = self.call(move |s, _| {
-            s.publish(&registry);
-            s.traffic_report(top_k)
-        })?;
-        Ok((self.registry.render_prometheus(), traffic))
+        let (registry, traffic) = self.call(move |s, _| (scrape(s), s.traffic_report(top_k)))?;
+        Ok((registry.render_prometheus(), traffic))
     }
 
     /// A job's flight-record JSONL, built on demand (`None` for unknown
@@ -181,11 +179,19 @@ impl ServerHandle {
         })?
     }
 
-    /// The server's metric registry: it holds what the last
-    /// [`ServerHandle::metrics`] call published.
-    pub fn registry(&self) -> Arc<MetricRegistry> {
-        self.registry.clone()
+    /// A fresh scrape: the scheduler's series ([`Scheduler::publish`])
+    /// in a registry of their own, published between two pump rounds.
+    /// Once the server has stopped, the registry is empty.
+    pub fn registry(&self) -> MetricRegistry {
+        self.call(|s, _| scrape(s)).unwrap_or_default()
     }
+}
+
+/// The scheduler's series, published into a fresh registry.
+fn scrape(sched: &Scheduler) -> MetricRegistry {
+    let mut registry = MetricRegistry::new();
+    sched.publish(&mut registry);
+    registry
 }
 
 /// A running walk service: owns the scheduler thread. Obtain clients
@@ -200,14 +206,13 @@ impl Server {
     /// surface here, on the calling thread.
     pub fn start(graph: Arc<Csr>, cfg: ServerConfig) -> Result<Server, EngineError> {
         let mut sched = Scheduler::new(graph, cfg)?;
-        let registry = Arc::new(MetricRegistry::new());
         let (tx, rx) = std::sync::mpsc::channel::<Option<Request>>();
         let thread = std::thread::Builder::new()
             .name("lt-server-scheduler".into())
             .spawn(move || serve_loop(&mut sched, &rx))
             .expect("the OS starts the one scheduler thread a server owns");
         Ok(Server {
-            handle: ServerHandle { tx, registry },
+            handle: ServerHandle { tx },
             thread: Some(thread),
         })
     }
@@ -362,14 +367,13 @@ fn serve_connection(
             push_json(&mut out, &err_json(&msg));
             return writer.write_all(&out);
         }
-        let line = std::str::from_utf8(&buf)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<Value>(line) {
-            Ok(req) => dispatch(&req, handle, streams, &mut writer, &mut out)?,
-            Err(e) => push_json(&mut out, &err_json(&format!("bad json: {e:?}"))),
+        match std::str::from_utf8(&buf) {
+            Err(_) => push_json(&mut out, &err_json("request line is not UTF-8")),
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => match serde_json::from_str::<Value>(line) {
+                Ok(req) => dispatch(&req, handle, streams, &mut writer, &mut out)?,
+                Err(e) => push_json(&mut out, &err_json(&format!("bad json: {e:?}"))),
+            },
         }
         writer.write_all(&out)?;
     }

@@ -606,3 +606,75 @@ fn tcp_oversized_request_line_is_refused_and_closed() {
     front.shutdown();
     server.shutdown();
 }
+
+/// JSON strings parse in linear time: a 4 MiB string, the size of the
+/// longest request line a connection may send, parses in well under a
+/// second (a parser that re-validated the rest of the input per character
+/// took minutes).
+#[test]
+fn a_four_mib_json_string_parses_in_under_a_second() {
+    let text = format!("\"{}é\\n\"", "x".repeat(4 << 20));
+    let start = std::time::Instant::now();
+    let v: Value = serde_json::from_str(&text).unwrap();
+    let took = start.elapsed();
+    assert_eq!(v.as_str().map(str::len), Some((4 << 20) + 3));
+    assert!(v.as_str().unwrap().ends_with("xé\n"));
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+    // Runs of plain characters between escapes keep multi-byte chars whole.
+    let v: Value = serde_json::from_str(r#""añb\"ç\u00e9\\ü""#).unwrap();
+    assert_eq!(v.as_str(), Some("añb\"çé\\ü"));
+    assert!(serde_json::from_str::<Value>(r#""añb"#).is_err());
+}
+
+/// A `budget` line just under the cap, its tenant name a 4 MiB string, is
+/// answered "unknown tenant" in bounded time, and the same connection's
+/// next request is answered too.
+#[test]
+fn tcp_request_line_just_under_the_cap_is_answered() {
+    let server = Server::start(graph(), config()).unwrap();
+    let front = TcpFrontend::bind(server.handle(), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = connect(front.local_addr());
+    let (head, tail) = ("{\"op\":\"budget\",\"tenant\":\"", "\"}");
+    let tenant = "t".repeat(MAX_REQUEST_LINE_BYTES - head.len() - tail.len());
+    let start = std::time::Instant::now();
+    writeln!(writer, "{head}{tenant}{tail}").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let took = start.elapsed();
+    let r: Value = serde_json::from_str(&line).unwrap();
+    assert_eq!(r, json!({"ok": false, "error": "unknown tenant"}));
+    assert!(took < Duration::from_secs(10), "took {took:?}");
+    let r = send_req(
+        &mut writer,
+        &mut reader,
+        &json!({"op": "topup", "tenant": "acme", "tokens": 5}),
+    );
+    assert_eq!(r, json!({"ok": true}));
+    front.shutdown();
+    server.shutdown();
+}
+
+/// A request line that is not UTF-8 gets a typed `ok:false` reply, and the
+/// connection keeps serving.
+#[test]
+fn tcp_non_utf8_request_line_gets_a_typed_reply() {
+    let server = Server::start(graph(), config()).unwrap();
+    let front = TcpFrontend::bind(server.handle(), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = connect(front.local_addr());
+    writer.write_all(b"\xff\xfe\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let r: Value = serde_json::from_str(&line).unwrap();
+    assert_eq!(
+        r,
+        json!({"ok": false, "error": "request line is not UTF-8"})
+    );
+    let r = send_req(
+        &mut writer,
+        &mut reader,
+        &json!({"op": "budget", "tenant": "acme"}),
+    );
+    assert_eq!(r, json!({"ok": false, "error": "unknown tenant"}));
+    front.shutdown();
+    server.shutdown();
+}

@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 /// The scheduler's series, published into a fresh registry and rendered.
 fn scrape(sched: &Scheduler) -> String {
-    let registry = MetricRegistry::new();
-    sched.publish(&registry);
+    let mut registry = MetricRegistry::new();
+    sched.publish(&mut registry);
     registry.render_prometheus()
 }
 

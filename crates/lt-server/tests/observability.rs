@@ -7,15 +7,16 @@
 use lt_engine::{EngineConfig, JobSpec, JobStatus, LightTraffic, UniformSampling};
 use lt_graph::gen::{rmat, RmatParams};
 use lt_graph::Csr;
-use lt_server::{Scheduler, ServerConfig};
+use lt_server::{Scheduler, Server, ServerConfig};
 use lt_telemetry::{derive_trace_id, FlightRecord, MetricRegistry};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The scheduler's series, published into a fresh registry and rendered.
 fn scrape(sched: &Scheduler) -> String {
-    let registry = MetricRegistry::new();
-    sched.publish(&registry);
+    let mut registry = MetricRegistry::new();
+    sched.publish(&mut registry);
     registry.render_prometheus()
 }
 
@@ -173,6 +174,88 @@ fn tenant_traffic_series_sum_to_global_copy_bytes() {
     assert_eq!(quantiles, vec!["p50", "p95", "p99", "p999"]);
 }
 
+/// Link bytes in one scraped text, per direction: the device's
+/// `lt_gpu_bytes_total` categories, then the per-tenant shares.
+fn link_bytes(text: &str) -> [(u64, u64); 2] {
+    let device = |c| prom_sum(text, "lt_gpu_bytes_total", &[("category", c)]);
+    let tenants = |d| {
+        prom_sum(
+            text,
+            "lt_server_tenant_traffic_bytes_total",
+            &[("direction", d)],
+        )
+    };
+    [
+        (
+            device("graph_load") + device("walk_load") + device("zero_copy"),
+            tenants("h2d"),
+        ),
+        (device("walk_evict"), tenants("d2h")),
+    ]
+}
+
+/// Each `ServerHandle::metrics` call is one snapshot: while four tenants'
+/// jobs run, two threads scrape over and over, and every text they get
+/// satisfies the per-tenant = device identity exactly, per direction. A
+/// scrape rendered from a registry another scrape publishes into at the
+/// same time mixes two pump rounds and breaks it.
+#[test]
+fn every_scrape_is_one_snapshot() {
+    let mut cfg = ServerConfig::new(EngineConfig::light_traffic(8 << 10, 4));
+    cfg.tranche_walkers = 64;
+    cfg.pump_iterations = 1;
+    // A scale-12 graph has enough partitions, and so partition series,
+    // that one scrape's render outlasts a pump round: the window in which
+    // a shared registry mixed two rounds.
+    let graph = rmat(RmatParams {
+        scale: 12,
+        edge_factor: 8,
+        ..Default::default()
+    });
+    let server = Server::start(Arc::new(graph.csr), cfg).expect("server starts");
+    let handle = server.handle();
+    let ids: Vec<_> = ["acme", "beta", "corp", "dune"]
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            handle
+                .submit(t, JobSpec::deepwalk(1_500 + 250 * i as u64, 12, i as u64))
+                .expect("submit")
+                .0
+        })
+        .collect();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let scrapers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let (mut scrapes, mut moved) = (0u32, 0u32);
+                    while !done.load(Ordering::Relaxed) || scrapes < 20 {
+                        let (text, _) = handle.metrics(0).expect("scrape");
+                        let bytes = link_bytes(&text);
+                        for (direction, (device, tenants)) in ["h2d", "d2h"].iter().zip(bytes) {
+                            assert_eq!(tenants, device, "{direction} drifts in scrape {scrapes}");
+                        }
+                        scrapes += 1;
+                        moved += u32::from(bytes[0].0 > 0);
+                    }
+                    (scrapes, moved)
+                })
+            })
+            .collect();
+        for id in ids {
+            while handle.info(id).expect("info").expect("known job").status != JobStatus::Done {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+        for scraper in scrapers {
+            let (scrapes, moved) = scraper.join().expect("no scrape broke the identity");
+            assert!(moved > 0, "none of {scrapes} scrapes saw traffic");
+        }
+    });
+}
+
 /// The served registry is the engine's export plus the server's own
 /// series: the `lt_engine_*` counters match what the jobs report, and the
 /// `lt_engine_*`, `lt_gpu_*` and `lt_exec_*` families are exactly those a
@@ -204,14 +287,14 @@ fn served_registry_carries_the_engine_families() {
     );
     assert!(prom_value(&text, "lt_exec_workers").is_some());
 
-    let direct = MetricRegistry::new();
+    let mut direct = MetricRegistry::new();
     LightTraffic::new(
         graph(),
         Arc::new(UniformSampling::new(8)),
         EngineConfig::light_traffic(8 << 10, 4),
     )
     .expect("engine builds")
-    .publish(&direct);
+    .publish(&mut direct);
     let direct = direct.render_prometheus();
     for prefix in ["lt_engine_", "lt_gpu_", "lt_exec_"] {
         let served = prom_families(&text, prefix);

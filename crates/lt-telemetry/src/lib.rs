@@ -8,14 +8,16 @@
 //!
 //! - **A metric registry** ([`MetricRegistry`]): counters, gauges, and
 //!   histograms with label sets, exported in the Prometheus text format.
-//!   Every value is a snapshot that is *set*, so publishing again
-//!   overwrites; `LightTraffic::publish` is the one projection of engine
-//!   and device state into it.
+//!   It is a plain value: each scrape publishes into a fresh one and
+//!   renders it. Every value is a snapshot that is *set*, so publishing
+//!   again overwrites; `LightTraffic::publish` is the one projection of
+//!   engine and device state into it.
 //! - **A traffic ledger** ([`TrafficLedger`]): link bytes attributed to
 //!   (tag, partition, direction).
 //! - **Per-job phase spans** ([`JobTrace`]): each served job's lifecycle,
 //!   kept in a bounded ring dumped as a [`FlightRecord`] (JSONL).
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod ledger;
 pub mod registry;

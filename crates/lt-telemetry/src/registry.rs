@@ -1,55 +1,56 @@
 //! Counter / gauge / histogram registry with Prometheus text export.
 //!
-//! Handles are cheap clones of shared atomics; the registry renders every
-//! family in the Prometheus text exposition format (`# HELP` / `# TYPE`
-//! headers, one `name{labels} value` line per series, cumulative
-//! `_bucket{le=...}` plus `_sum`/`_count` for histograms). Registering the
-//! same name + label set twice returns the same underlying series.
+//! A registry is a plain value: `publish` calls fill a fresh one on pull
+//! and [`MetricRegistry::render_prometheus`] turns it into the Prometheus
+//! text exposition format (`# HELP` / `# TYPE` headers, one
+//! `name{labels} value` line per series, cumulative `_bucket{le=...}` plus
+//! `_sum`/`_count` for histograms). Asking for the same name + label set
+//! twice returns the same series.
 
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A monotonically increasing integer series, published as a snapshot of
 /// a count kept elsewhere.
-#[derive(Clone)]
+#[derive(Default)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    value: u64,
 }
 
 impl Counter {
     /// Overwrite the value with the publisher's current count.
-    pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
+    pub fn set(&mut self, v: u64) {
+        self.value = v;
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.value
     }
 }
 
 /// A settable float series.
-#[derive(Clone)]
+#[derive(Default)]
 pub struct Gauge {
-    cell: Arc<AtomicU64>,
+    value: f64,
 }
 
 impl Gauge {
     /// Set the value.
-    pub fn set(&self, v: f64) {
-        self.cell.store(v.to_bits(), Ordering::Relaxed);
+    pub fn set(&mut self, v: f64) {
+        self.value = v;
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.cell.load(Ordering::Relaxed))
+        self.value
     }
 }
 
-struct HistData {
+/// A histogram series. Like a [`Counter`] published with `set`, it holds
+/// a snapshot that is overwritten whole, so publishing an accumulated
+/// distribution twice never double-counts it.
+pub struct Histogram {
     /// Inclusive upper bounds of the finite buckets, strictly increasing.
     bounds: Vec<f64>,
     /// One count per finite bucket plus the trailing `+Inf` bucket.
@@ -57,12 +58,14 @@ struct HistData {
     sum: f64,
 }
 
-/// A histogram series. Like a [`Counter`] published with `set`, it holds
-/// a snapshot that is overwritten whole, so publishing an accumulated
-/// distribution twice never double-counts it.
-#[derive(Clone)]
-pub struct Histogram {
-    data: Arc<Mutex<HistData>>,
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            bounds: Vec::new(),
+            counts: vec![0],
+            sum: 0.0,
+        }
+    }
 }
 
 impl Histogram {
@@ -70,7 +73,7 @@ impl Histogram {
     /// the finite buckets (strictly increasing), `counts` holds one count
     /// per finite bucket plus one for the trailing `+Inf` bucket, and
     /// `sum` is the sum of the observed values.
-    pub fn set(&self, bounds: &[f64], counts: &[u64], sum: f64) {
+    pub fn set(&mut self, bounds: &[f64], counts: &[u64], sum: f64) {
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
@@ -80,57 +83,39 @@ impl Histogram {
             bounds.len() + 1,
             "one count per finite bucket plus +Inf"
         );
-        let mut d = self.data.lock();
-        d.bounds = bounds.to_vec();
-        d.counts = counts.to_vec();
-        d.sum = sum;
+        self.bounds = bounds.to_vec();
+        self.counts = counts.to_vec();
+        self.sum = sum;
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
+/// One family's series, keyed by the rendered label block
+/// (`{a="x",b="y"}` or empty). The variant is the family's type.
+enum Series {
+    Counter(BTreeMap<String, Counter>),
+    Gauge(BTreeMap<String, Gauge>),
+    Histogram(BTreeMap<String, Histogram>),
 }
 
-impl Kind {
-    fn type_name(self) -> &'static str {
+impl Series {
+    fn type_name(&self) -> &'static str {
         match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
+            Series::Counter(_) => "counter",
+            Series::Gauge(_) => "gauge",
+            Series::Histogram(_) => "histogram",
         }
     }
 }
 
-enum Series {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
 struct Family {
     help: String,
-    kind: Kind,
-    /// Keyed by the rendered label block (`{a="x",b="y"}` or empty).
-    series: BTreeMap<String, Series>,
+    series: Series,
 }
 
-struct RegInner {
-    families: BTreeMap<String, Family>,
-}
-
-/// A shared metric registry. Clones share the same metric store.
-#[derive(Clone)]
+/// A metric registry: the families one scrape published, by name.
+#[derive(Default)]
 pub struct MetricRegistry {
-    inner: Arc<Mutex<RegInner>>,
-}
-
-impl Default for MetricRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+    families: BTreeMap<String, Family>,
 }
 
 fn valid_name(name: &str) -> bool {
@@ -157,79 +142,51 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
+fn two_types(name: &str) -> ! {
+    panic!("metric {name:?} registered with two different types")
+}
+
 impl MetricRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        MetricRegistry {
-            inner: Arc::new(Mutex::new(RegInner {
-                families: BTreeMap::new(),
-            })),
-        }
+        Self::default()
     }
 
-    fn family<'a>(inner: &'a mut RegInner, name: &str, help: &str, kind: Kind) -> &'a mut Family {
+    /// The series of family `name`, created as `empty` with `help` if it
+    /// is new.
+    fn family(&mut self, name: &str, help: &str, empty: Series) -> &mut Series {
         assert!(
             valid_name(name),
             "metric name {name:?} must match [a-z_][a-z0-9_]*"
         );
-        let fam = inner.families.entry(name.to_string()).or_insert(Family {
+        let fam = self.families.entry(name.to_string()).or_insert(Family {
             help: help.to_string(),
-            kind,
-            series: BTreeMap::new(),
+            series: empty,
         });
-        assert!(
-            fam.kind == kind,
-            "metric {name:?} registered with two different types"
-        );
-        fam
+        &mut fam.series
     }
 
     /// Get or create a counter series.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let mut inner = self.inner.lock();
-        let fam = Self::family(&mut inner, name, help, Kind::Counter);
-        let series = fam.series.entry(render_labels(labels)).or_insert_with(|| {
-            Series::Counter(Counter {
-                cell: Arc::new(AtomicU64::new(0)),
-            })
-        });
-        match series {
-            Series::Counter(c) => c.clone(),
-            _ => unreachable!("kind checked above"),
+    pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> &mut Counter {
+        match self.family(name, help, Series::Counter(BTreeMap::new())) {
+            Series::Counter(s) => s.entry(render_labels(labels)).or_default(),
+            _ => two_types(name),
         }
     }
 
     /// Get or create a gauge series.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let mut inner = self.inner.lock();
-        let fam = Self::family(&mut inner, name, help, Kind::Gauge);
-        let series = fam.series.entry(render_labels(labels)).or_insert_with(|| {
-            Series::Gauge(Gauge {
-                cell: Arc::new(AtomicU64::new(0.0f64.to_bits())),
-            })
-        });
-        match series {
-            Series::Gauge(g) => g.clone(),
-            _ => unreachable!("kind checked above"),
+    pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> &mut Gauge {
+        match self.family(name, help, Series::Gauge(BTreeMap::new())) {
+            Series::Gauge(s) => s.entry(render_labels(labels)).or_default(),
+            _ => two_types(name),
         }
     }
 
     /// Get or create a histogram series (empty until [`Histogram::set`]).
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        let mut inner = self.inner.lock();
-        let fam = Self::family(&mut inner, name, help, Kind::Histogram);
-        let series = fam.series.entry(render_labels(labels)).or_insert_with(|| {
-            Series::Histogram(Histogram {
-                data: Arc::new(Mutex::new(HistData {
-                    bounds: Vec::new(),
-                    counts: vec![0],
-                    sum: 0.0,
-                })),
-            })
-        });
-        match series {
-            Series::Histogram(h) => h.clone(),
-            _ => unreachable!("kind checked above"),
+    pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> &mut Histogram {
+        match self.family(name, help, Series::Histogram(BTreeMap::new())) {
+            Series::Histogram(s) => s.entry(render_labels(labels)).or_default(),
+            _ => two_types(name),
         }
     }
 
@@ -237,31 +194,33 @@ impl MetricRegistry {
     /// Families and series are emitted in sorted order, so the output is
     /// deterministic for a given set of values.
     pub fn render_prometheus(&self) -> String {
-        let inner = self.inner.lock();
         let mut out = String::new();
-        for (name, fam) in &inner.families {
+        for (name, fam) in &self.families {
             out.push_str(&format!("# HELP {name} {}\n", fam.help));
-            out.push_str(&format!("# TYPE {name} {}\n", fam.kind.type_name()));
-            for (labels, series) in &fam.series {
-                match series {
-                    Series::Counter(c) => {
-                        out.push_str(&format!("{name}{labels} {}\n", c.get()));
+            out.push_str(&format!("# TYPE {name} {}\n", fam.series.type_name()));
+            match &fam.series {
+                Series::Counter(s) => {
+                    for (labels, c) in s {
+                        out.push_str(&format!("{name}{labels} {}\n", c.value));
                     }
-                    Series::Gauge(g) => {
-                        out.push_str(&format!("{name}{labels} {}\n", fmt_f64(g.get())));
+                }
+                Series::Gauge(s) => {
+                    for (labels, g) in s {
+                        out.push_str(&format!("{name}{labels} {}\n", fmt_f64(g.value)));
                     }
-                    Series::Histogram(h) => {
-                        let d = h.data.lock();
+                }
+                Series::Histogram(s) => {
+                    for (labels, h) in s {
                         let mut cum = 0u64;
-                        for (i, b) in d.bounds.iter().enumerate() {
-                            cum += d.counts[i];
+                        for (b, c) in h.bounds.iter().zip(&h.counts) {
+                            cum += c;
                             let le = bucket_labels(labels, &fmt_f64(*b));
                             out.push_str(&format!("{name}_bucket{le} {cum}\n"));
                         }
-                        let count: u64 = d.counts.iter().sum();
+                        let count: u64 = h.counts.iter().sum();
                         let le = bucket_labels(labels, "+Inf");
                         out.push_str(&format!("{name}_bucket{le} {count}\n"));
-                        out.push_str(&format!("{name}_sum{labels} {}\n", fmt_f64(d.sum)));
+                        out.push_str(&format!("{name}_sum{labels} {}\n", fmt_f64(h.sum)));
                         out.push_str(&format!("{name}_count{labels} {count}\n"));
                     }
                 }
@@ -355,7 +314,7 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_round_trip() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         let c = reg.counter("lt_steps_total", "Total steps", &[]);
         c.set(10);
         assert_eq!(c.get(), 10);
@@ -373,10 +332,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "two different types")]
+    fn one_name_has_one_type() {
+        let mut reg = MetricRegistry::new();
+        reg.counter("lt_x", "x", &[]).set(1);
+        reg.gauge("lt_x", "x", &[("a", "b")]);
+    }
+
+    #[test]
     fn histogram_set_overwrites_the_snapshot() {
-        let reg = MetricRegistry::new();
-        let h = reg.histogram("lt_len", "Lengths", &[]);
+        let mut reg = MetricRegistry::new();
+        reg.histogram("lt_len", "Lengths", &[]);
         assert!(reg.render_prometheus().contains("lt_len_count 0\n"));
+        let h = reg.histogram("lt_len", "Lengths", &[]);
         h.set(&[1.0], &[3, 0], 3.0);
         // A wider, newer snapshot replaces the old one instead of adding.
         h.set(&[1.0, 3.0], &[3, 2, 0], 9.0);
@@ -390,7 +358,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_shape() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         reg.counter("lt_walks_total", "Walks finished", &[]).set(7);
         reg.gauge("lt_overlap_ratio", "Copy/compute overlap", &[])
             .set(0.5);

@@ -6,7 +6,7 @@ use lt_telemetry::MetricRegistry;
 /// series, `# HELP`/`# TYPE` headers, cumulative histogram buckets.
 #[test]
 fn prometheus_text_matches_golden_file() {
-    let reg = MetricRegistry::new();
+    let mut reg = MetricRegistry::new();
     reg.counter("lt_walks_total", "Walks finished", &[]).set(42);
     reg.counter("lt_faults_total", "Injected faults", &[("kind", "crash")])
         .set(2);
@@ -34,7 +34,7 @@ fn prometheus_text_matches_golden_file() {
 /// `^[a-z_]+(\{[^}]*\})? [0-9.eE+-]+$`.
 #[test]
 fn prometheus_sample_lines_match_exposition_grammar() {
-    let reg = MetricRegistry::new();
+    let mut reg = MetricRegistry::new();
     reg.counter("lt_a_total", "a", &[]).set(1);
     reg.gauge("lt_b", "b", &[("x", "y")]).set(-1.25e-3);
     reg.histogram("lt_c_ns", "c", &[])

@@ -351,8 +351,8 @@ fn write_metrics_out(f: &Flags, engine: &LightTraffic) -> Result<(), String> {
     let Some(path) = f.get("metrics-out") else {
         return Ok(());
     };
-    let registry = MetricRegistry::new();
-    engine.publish(&registry);
+    let mut registry = MetricRegistry::new();
+    engine.publish(&mut registry);
     std::fs::write(path, registry.render_prometheus()).map_err(|e| e.to_string())?;
     eprintln!("[metrics written to {path}]");
     Ok(())
