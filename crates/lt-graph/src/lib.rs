@@ -18,6 +18,7 @@
 
 pub mod builder;
 mod checksum;
+mod codec;
 pub mod components;
 pub mod csr;
 pub mod delta;
@@ -28,6 +29,7 @@ pub mod partition;
 pub mod stats;
 
 pub use builder::GraphBuilder;
+pub use codec::PackedSorted;
 pub use csr::Csr;
 pub use delta::{DeltaGraph, EdgeOp, EdgeUpdate, EpochSeal};
 pub use oocore::{GraphStore, OocGraph};

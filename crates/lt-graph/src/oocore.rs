@@ -40,7 +40,7 @@
 //! bits. Each stream is cut into blocks of 64 values (the last one padded
 //! with zeros), and a block is as wide as its largest value: unpacking
 //! it is the same shifts and masks whatever the values are, with no
-//! branch per value.
+//! branch per value. The block codec itself is `codec.rs`.
 //!
 //! Integrity: `table_sum` covers the header and partition table and is
 //! checked by [`OocGraph::open`]; each directory entry carries the
@@ -64,6 +64,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::checksum::checksum;
+use crate::codec::{array_at, pack, truncated, unpack, unzigzag, zigzag, BLOCK_VALUES, SLACK};
 use crate::csr::check_weights;
 use crate::partition::{PartitionData, PartitionedGraph};
 use crate::{Csr, GraphError, VertexId};
@@ -91,136 +92,10 @@ const HEADER_FIXED: usize = 8 + 1 + 8 + 8 + 4 + 8;
 /// Directory entry size: first_edge u64 + payload_off u64 + checksum u64.
 const DIR_ENTRY: usize = 8 + 8 + 8;
 
-/// Values per bit-packed block.
-const BLOCK_VALUES: usize = 64;
-
-/// Widest block: a `u32` value or mod-2^32 zigzag delta.
-const MAX_WIDTH: usize = 32;
-
 /// Bytes of the partition table after the fixed header, for `p`
 /// partitions (the checksum that follows it excluded).
 fn table_len(p: usize) -> usize {
     4 * (p + 1) + 8 * p + 8 * p + 8 * (p + 1)
-}
-
-// ---------------------------------------------------------------------------
-// Bit-packed blocks
-// ---------------------------------------------------------------------------
-
-/// Zigzag of a mod-2^32 difference: small magnitudes of either sign map
-/// to small values.
-#[inline]
-fn zigzag(d: u32) -> u32 {
-    let d = d as i32;
-    ((d << 1) ^ (d >> 31)) as u32
-}
-
-#[inline]
-fn unzigzag(x: u32) -> u32 {
-    (x >> 1) ^ (x & 1).wrapping_neg()
-}
-
-/// Append `values` to `out` as blocks of [`BLOCK_VALUES`], each as wide
-/// as its largest value; a short last block is padded with zeros.
-fn pack(values: &[u32], out: &mut Vec<u8>) {
-    for block in values.chunks(BLOCK_VALUES) {
-        let width = 32 - block.iter().fold(0, |a, &v| a | v).leading_zeros();
-        out.push(width as u8);
-        let (mut acc, mut bits) = (0u64, 0);
-        let padding = std::iter::repeat_n(&0, BLOCK_VALUES - block.len());
-        for &v in block.iter().chain(padding) {
-            acc |= u64::from(v) << bits;
-            bits += width;
-            while bits >= 8 {
-                out.push(acc as u8);
-                acc >>= 8;
-                bits -= 8;
-            }
-        }
-    }
-}
-
-/// Zero bytes after the last chunk in a region's read buffer. A block's
-/// unpack reads [`SLACK`] bytes from its first data byte on whatever its
-/// width, so every read has a fixed size and stays inside the buffer.
-const SLACK: usize = 8 * MAX_WIDTH + 8;
-
-/// Fill `out` from the blocks at `*pos` in `src`, advancing `*pos` past
-/// them: one block per [`BLOCK_VALUES`] values. The chunk ends at `end`,
-/// and `src` holds at least [`SLACK`] bytes past it. A block that does
-/// not fit before `end` is truncation, and a width above [`MAX_WIDTH`] is
-/// a format error.
-fn unpack(src: &[u8], pos: &mut usize, end: usize, out: &mut [u32]) -> Result<(), GraphError> {
-    let mut short = [0u32; BLOCK_VALUES];
-    for values in out.chunks_mut(BLOCK_VALUES) {
-        if *pos >= end {
-            return Err(truncated());
-        }
-        let width = usize::from(src[*pos]);
-        if width > MAX_WIDTH {
-            return Err(GraphError::Format(format!(
-                "block width {width} is more than {MAX_WIDTH} bits"
-            )));
-        }
-        let next = *pos + 1 + 8 * width;
-        if next > end {
-            return Err(truncated());
-        }
-        let bytes = src[*pos + 1..*pos + 1 + SLACK]
-            .try_into()
-            .expect("a region buffer holds SLACK bytes past its last chunk");
-        match <&mut [u32; BLOCK_VALUES]>::try_from(&mut *values) {
-            Ok(full) => UNPACK[width](bytes, full),
-            Err(_) => {
-                UNPACK[width](bytes, &mut short);
-                values.copy_from_slice(&short[..values.len()]);
-            }
-        }
-        *pos = next;
-    }
-    Ok(())
-}
-
-type UnpackBlock = fn(&[u8; SLACK], &mut [u32; BLOCK_VALUES]);
-
-macro_rules! by_width {
-    ($($w:literal)*) => { [$(unpack_block::<$w>),*] };
-}
-
-/// [`unpack_block`] for each width, indexed by width.
-const UNPACK: [UnpackBlock; MAX_WIDTH + 1] = by_width!(
-    0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
-);
-
-/// Unpack the 64 values of a block of width `W` from `bytes`, its
-/// `8 × W` data bytes and what follows them. Eight values take exactly
-/// `W` bytes, so value `j` of every group of eight starts at the same
-/// byte and bit of its group, known at compile time: each value is one
-/// fixed-offset 8-byte load, a constant shift and a mask, whatever the
-/// values are.
-#[inline(always)]
-fn unpack_block<const W: usize>(bytes: &[u8; SLACK], out: &mut [u32; BLOCK_VALUES]) {
-    let mask = ((1u64 << W) - 1) as u32;
-    for (g, group) in out.chunks_exact_mut(8).enumerate() {
-        let src = &bytes[g * W..g * W + W + 8];
-        for (j, v) in group.iter_mut().enumerate() {
-            let bit = j * W;
-            *v = (u64::from_le_bytes(array_at(src, bit / 8)) >> (bit % 8)) as u32 & mask;
-        }
-    }
-}
-
-/// The `N` bytes of `buf` at `at`, as an array for `from_le_bytes`. The
-/// caller has checked that `buf` holds them.
-#[inline]
-fn array_at<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
-    let mut a = [0u8; N];
-    a.copy_from_slice(&buf[at..at + N]);
-    a
-}
-
-fn truncated() -> GraphError {
-    GraphError::Format("out-of-core payload truncated".into())
 }
 
 /// `e`, naming partition `p` if it is a [`GraphError::Format`].
@@ -1449,35 +1324,5 @@ mod tests {
             Err(GraphError::Format(_))
         ));
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Blocks of every width round-trip, a short last block included,
-    /// and zigzag inverts over all of `u32`.
-    #[test]
-    fn blocks_of_every_width_roundtrip() {
-        for x in [0u32, 1, 2, 127, 1 << 31, u32::MAX, u32::MAX - 1] {
-            assert_eq!(unzigzag(zigzag(x)), x);
-        }
-        assert_eq!((zigzag(1), zigzag(u32::MAX), zigzag(10)), (2, 1, 20));
-        for width in 0..=32u32 {
-            let top = (1u64 << width) - 1;
-            let values: Vec<u32> = (0..150u64)
-                .map(|i| (i.wrapping_mul(0x9E37_79B9) & top) as u32)
-                .chain([top as u32])
-                .collect();
-            let mut bytes = Vec::new();
-            pack(&values, &mut bytes);
-            let len = bytes.len();
-            assert_eq!(len, 3 * (1 + 8 * width as usize), "width {width}");
-            bytes.resize(len + SLACK, 0xff);
-            let mut got = vec![0; values.len()];
-            let mut pos = 0;
-            unpack(&bytes, &mut pos, len, &mut got).unwrap();
-            assert_eq!((got, pos), (values, len), "width {width}");
-            assert!(matches!(
-                unpack(&bytes, &mut 0, len - 1, &mut [0; 151]),
-                Err(GraphError::Format(_))
-            ));
-        }
     }
 }

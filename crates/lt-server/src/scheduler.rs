@@ -28,7 +28,7 @@ use lt_engine::{
     radix_sort_u32, Checkpoint, EdgeUpdate, EngineConfig, EngineError, JobId, JobSpec, JobStart,
     JobStatus, JobTable, LightTraffic, Walker,
 };
-use lt_graph::{Csr, VertexId};
+use lt_graph::{Csr, PackedSorted, VertexId};
 use lt_telemetry::{
     derive_trace_id, log2_bucket, log2_histogram_percentile, JobPhase, JobTrace, LengthPercentiles,
     TrafficCell, TrafficDirection, TrafficReport, TrafficRow, SHARED_TAG,
@@ -132,6 +132,11 @@ pub enum JobEvent {
 }
 
 /// Everything a finished (or cancelled) job produced.
+///
+/// [`Scheduler::result`] builds it on demand: a running or cancelled
+/// job's vectors are copied out, a done job's are decoded from the
+/// bit-packed form the scheduler keeps (DESIGN.md §13), each vector
+/// exactly its length.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobResult {
     /// Steps executed for this job.
@@ -175,7 +180,13 @@ struct JobState {
     pending: VecDeque<Walker>,
     /// In-flight walkers extracted while parked; re-admission is free.
     parked: Vec<Walker>,
+    /// Steps and walks finished; while the job is not done, also its
+    /// visits and lengths as appended each pump. A done job's vectors are
+    /// empty: its visits and lengths live in `packed`.
     result: JobResult,
+    /// A done job's sorted visits and lengths, bit-packed: all the
+    /// scheduler keeps of them for its lifetime.
+    packed: Option<PackedResult>,
     /// Explicitly suspended ([`Scheduler::suspend`]): stays parked even
     /// with budget, until [`Scheduler::resume`] hands the checkpoint
     /// back. Budget parking, by contrast, auto-resumes on top-up.
@@ -185,6 +196,13 @@ struct JobState {
     stream: Option<Sender<JobEvent>>,
     /// Phase-span ring (trace identity + flight recorder, DESIGN.md §14).
     trace: JobTrace,
+}
+
+/// A done job's visits and lengths, each sorted and packed as
+/// [`PackedSorted`] deltas.
+struct PackedResult {
+    visits: PackedSorted,
+    lengths: PackedSorted,
 }
 
 impl JobState {
@@ -330,6 +348,7 @@ impl Scheduler {
             pending,
             parked: Vec::new(),
             result: JobResult::default(),
+            packed: None,
             suspended: false,
             stream: Some(tx),
             trace: JobTrace::new(
@@ -376,9 +395,20 @@ impl Scheduler {
     }
 
     /// A job's accumulated result (complete once [`JobStatus::Done`],
-    /// partial before then and after eviction).
-    pub fn result(&self, id: JobId) -> Option<&JobResult> {
-        self.jobs.get(id.0 as usize).map(|j| &j.result)
+    /// partial before then and after eviction), built for the caller: a
+    /// done job's is decoded from its packed form, equal to its `Done`
+    /// event's; any other job's is a copy of its vectors so far.
+    pub fn result(&self, id: JobId) -> Option<JobResult> {
+        let j = self.jobs.get(id.0 as usize)?;
+        Some(match &j.packed {
+            Some(p) => JobResult {
+                steps: j.result.steps,
+                finished: j.result.finished,
+                visits: p.visits.unpack(),
+                lengths: p.lengths.unpack(),
+            },
+            None => j.result.clone(),
+        })
     }
 
     /// Cancel a job: in-flight walkers are discarded, partial results
@@ -757,14 +787,20 @@ impl Scheduler {
             // bit-identical cross-schedule representation (retirement
             // order, by contrast, depends on how tenants interleave).
             // A done job keeps its result for as long as the scheduler
-            // lives, so it gives back the growth slack and its emptied
-            // walker queues.
+            // lives, so it keeps it packed, gives back its emptied walker
+            // queues, and moves the sorted vectors into its `Done` event.
             radix_sort_u32(&mut j.result.visits);
-            j.result.visits.shrink_to_fit();
             radix_sort_u32(&mut j.result.lengths);
-            j.result.lengths.shrink_to_fit();
+            j.packed = Some(PackedResult {
+                visits: PackedSorted::pack(&j.result.visits),
+                lengths: PackedSorted::pack(&j.result.lengths),
+            });
             j.release_queues();
-            let result = j.result.clone();
+            let result = JobResult {
+                visits: std::mem::take(&mut j.result.visits),
+                lengths: std::mem::take(&mut j.result.lengths),
+                ..j.result
+            };
             let finished = result.finished;
             Self::deliver(j, JobEvent::Done { result });
             self.record_span(idx, JobPhase::Done, format!("finished={finished}"));
@@ -928,8 +964,8 @@ mod tests {
         assert_eq!(s.result(id).map(|r| r.steps), Some(20 * 4));
     }
 
-    /// A done job's result vectors hold exactly their elements: it keeps
-    /// them for the scheduler's lifetime.
+    /// A done job's result vectors hold exactly their elements: the
+    /// vectors decoded for a caller carry no growth slack.
     #[test]
     fn done_results_are_exact_size() {
         let mut s = scheduler(1);
@@ -944,7 +980,60 @@ mod tests {
             JobEvent::Done { result } => Some(result),
             _ => None,
         });
-        assert_eq!(done.as_ref(), Some(r));
+        assert_eq!(done, Some(r));
+    }
+
+    /// A done 2048 × 40 DeepWalk job keeps its visits and lengths packed,
+    /// at most 4 bits a visit, and nothing of them as plain vectors; its
+    /// decoded result is its `Done` event's and an isolated run's. A
+    /// cancelled job's partial result and a running job's are its plain
+    /// vectors, as they were.
+    #[test]
+    fn done_results_are_kept_packed() {
+        let g = Arc::new(
+            rmat(RmatParams {
+                scale: 12,
+                edge_factor: 8,
+                ..Default::default()
+            })
+            .csr,
+        );
+        let spec = || JobSpec::deepwalk(2048, 40, 42);
+        let cfg = ServerConfig::new(EngineConfig::light_traffic(32 << 10, 4));
+        let mut alone = Scheduler::new(g.clone(), cfg.clone()).unwrap();
+        let (a, _) = alone.submit("t", spec()).unwrap();
+        alone.run_until_idle().unwrap();
+
+        let mut s = Scheduler::new(g, cfg).unwrap();
+        let (done, events) = s.submit("t", spec()).unwrap();
+        let (cancelled, _) = s.submit("u", JobSpec::deepwalk(2048, 40, 7)).unwrap();
+        let (running, _) = s.submit("u", JobSpec::deepwalk(1 << 16, 40, 8)).unwrap();
+        s.pump().unwrap();
+        assert!(s.cancel(cancelled));
+        while s.status(done) != Some(JobStatus::Done) {
+            s.pump().unwrap();
+        }
+        assert_eq!(s.status(running), Some(JobStatus::Running));
+
+        let j = &s.jobs[done.0 as usize];
+        let p = j.packed.as_ref().expect("a done job is packed");
+        assert_eq!(j.result.visits.capacity() + j.result.lengths.capacity(), 0);
+        let bits = 8 * (p.visits.heap_bytes() + p.lengths.heap_bytes());
+        assert!(bits <= 4 * 2048 * 40, "{bits} bits for 81,920 visits");
+        let r = s.result(done).unwrap();
+        assert_eq!(r.steps, 2048 * 40);
+        assert_eq!(Some(&r), alone.result(a).as_ref());
+        let event = events.try_iter().find_map(|ev| match ev {
+            JobEvent::Done { result } => Some(result),
+            _ => None,
+        });
+        assert_eq!(event, Some(r));
+        for id in [cancelled, running] {
+            let j = &s.jobs[id.0 as usize];
+            assert!(j.packed.is_none());
+            assert_eq!(s.result(id).as_ref(), Some(&j.result));
+            assert!(j.result.visits.len() as u64 == j.result.steps && j.result.steps > 0);
+        }
     }
 
     /// A done job keeps its result and nothing else: its walker queues,
@@ -973,7 +1062,7 @@ mod tests {
         assert_eq!(r.finished, 300);
         assert_eq!(r.visits.len(), 300 * 12);
         assert!(r.visits.is_sorted() && r.lengths.is_sorted());
-        assert!(matches!(events.last(), Some(JobEvent::Done { result }) if result == r));
+        assert!(matches!(events.last(), Some(JobEvent::Done { result }) if *result == r));
     }
 
     /// One pump round files one step-latency observation `v`, the

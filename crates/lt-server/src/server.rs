@@ -144,9 +144,10 @@ impl ServerHandle {
         self.call(move |s, _| s.budget(&tenant).zip(s.spent(&tenant)))
     }
 
-    /// A job's accumulated result (complete once done).
+    /// A job's accumulated result (complete once done), built on the
+    /// scheduler thread by [`Scheduler::result`].
     pub fn result(&self, id: JobId) -> Result<Option<JobResult>, EngineError> {
-        self.call(move |s, _| s.result(id).cloned())
+        self.call(move |s, _| s.result(id))
     }
 
     /// One scrape, between two pump rounds: on the scheduler thread,

@@ -39,7 +39,7 @@ fn budget_exhaustion_parks_then_top_up_resumes() {
     let mut free = Scheduler::new(graph(), config()).unwrap();
     let (free_id, _) = free.submit("t", JobSpec::deepwalk(100, 8, 5)).unwrap();
     free.run_until_idle().unwrap();
-    let want = free.result(free_id).unwrap().clone();
+    let want = free.result(free_id).unwrap();
     assert_eq!(want.finished, 100);
 
     // Constrained: 100 admissions + 800 steps needed, 150 tokens granted.
@@ -73,7 +73,7 @@ fn budget_exhaustion_parks_then_top_up_resumes() {
     assert!(topups >= 1, "the constrained run must actually block");
     assert_eq!(
         sched.result(id).unwrap(),
-        &want,
+        want,
         "parked+resumed == unbudgeted"
     );
 }
@@ -86,7 +86,7 @@ fn starved_tenant_blocks_without_impeding_others() {
     let mut iso = Scheduler::new(graph(), config()).unwrap();
     let (iso_id, _) = iso.submit("poor", JobSpec::deepwalk(60, 6, 9)).unwrap();
     iso.run_until_idle().unwrap();
-    let want = iso.result(iso_id).unwrap().clone();
+    let want = iso.result(iso_id).unwrap();
 
     let mut cfg = config();
     cfg.default_budget = 30; // not enough to even admit 60 walkers
@@ -104,7 +104,7 @@ fn starved_tenant_blocks_without_impeding_others() {
     sched.top_up("poor", 1 << 20);
     sched.run_until_idle().unwrap();
     assert_eq!(sched.status(poor), Some(JobStatus::Done));
-    assert_eq!(sched.result(poor).unwrap(), &want);
+    assert_eq!(sched.result(poor).unwrap(), want);
 }
 
 /// Fairness at equal budgets (DESIGN.md §13), read while it can still
@@ -214,7 +214,7 @@ fn stream_delivers_incremental_progress_then_done() {
         visits, done.visits,
         "streamed visits sum to the final result"
     );
-    assert_eq!(sched.result(id).unwrap(), &done);
+    assert_eq!(sched.result(id).unwrap(), done);
 }
 
 /// Suspend extracts a checkpoint mid-run; resume continues to the exact
@@ -224,7 +224,7 @@ fn suspend_resume_round_trips_through_a_checkpoint() {
     let mut iso = Scheduler::new(graph(), config()).unwrap();
     let (iso_id, _) = iso.submit("t", JobSpec::deepwalk(90, 8, 7)).unwrap();
     iso.run_until_idle().unwrap();
-    let want = iso.result(iso_id).unwrap().clone();
+    let want = iso.result(iso_id).unwrap();
 
     let mut sched = Scheduler::new(graph(), config()).unwrap();
     let (id, _rx) = sched.submit("t", JobSpec::deepwalk(90, 8, 7)).unwrap();
@@ -241,7 +241,7 @@ fn suspend_resume_round_trips_through_a_checkpoint() {
     sched.resume(id, cp).unwrap();
     sched.run_until_idle().unwrap();
     assert_eq!(sched.status(id), Some(JobStatus::Done));
-    assert_eq!(sched.result(id).unwrap(), &want);
+    assert_eq!(sched.result(id).unwrap(), want);
 }
 
 /// `resume` takes a checkpoint only into a suspended job. Resumed into a
@@ -254,7 +254,7 @@ fn resume_refuses_a_job_parked_on_its_budget() {
     let mut free = Scheduler::new(graph(), config()).unwrap();
     let (free_id, _) = free.submit("t", JobSpec::deepwalk(100, 8, 5)).unwrap();
     free.run_until_idle().unwrap();
-    let want = free.result(free_id).unwrap().clone();
+    let want = free.result(free_id).unwrap();
 
     let mut cfg = config();
     cfg.default_budget = 400;
@@ -280,7 +280,7 @@ fn resume_refuses_a_job_parked_on_its_budget() {
     sched.top_up("t", 1_000);
     sched.run_until_idle().unwrap();
     assert_eq!(sched.status(id), Some(JobStatus::Done));
-    assert_eq!(sched.result(id).unwrap(), &want, "no walker ran twice");
+    assert_eq!(sched.result(id).unwrap(), want, "no walker ran twice");
 }
 
 /// A checkpoint with a walker outside this graph (one taken on a larger

@@ -93,7 +93,7 @@ fn run_multiplexed(jobs: &[ArbJob], kernel_threads: usize, faults: bool) -> Vec<
     ids.iter()
         .map(|&id| {
             assert_eq!(sched.status(id), Some(JobStatus::Done));
-            sched.result(id).unwrap().clone()
+            sched.result(id).unwrap()
         })
         .collect()
 }
@@ -107,7 +107,7 @@ fn run_isolated(jobs: &[ArbJob], kernel_threads: usize, faults: bool) -> Vec<Job
             let (id, _rx) = sched.submit("solo", j.spec()).expect("submit");
             sched.run_until_idle().expect("isolated run completes");
             assert_eq!(sched.status(id), Some(JobStatus::Done));
-            sched.result(id).unwrap().clone()
+            sched.result(id).unwrap()
         })
         .collect()
 }
@@ -245,10 +245,7 @@ fn results_are_invariant_to_pump_granularity() {
             .map(|j| sched.submit("t", j.spec()).unwrap().0)
             .collect();
         sched.run_until_idle().unwrap();
-        let got: Vec<_> = ids
-            .iter()
-            .map(|&id| sched.result(id).unwrap().clone())
-            .collect();
+        let got: Vec<_> = ids.iter().map(|&id| sched.result(id).unwrap()).collect();
         assert_eq!(got, baseline, "tranche={tranche} pump={pump}");
     }
 }
@@ -278,10 +275,7 @@ fn attribution_changes_no_result_and_no_device_counter() {
             .collect();
         sched.run_until_idle().unwrap();
         assert_eq!(sched.traffic_report(4).is_some(), attribution);
-        let results: Vec<_> = ids
-            .iter()
-            .map(|&id| sched.result(id).unwrap().clone())
-            .collect();
+        let results: Vec<_> = ids.iter().map(|&id| sched.result(id).unwrap()).collect();
         let device: Vec<String> = scrape(&sched)
             .lines()
             .filter(|l| l.starts_with("lt_gpu_"))
@@ -325,10 +319,7 @@ fn pooled_server_matches_the_serial_one() {
             .map(|j| sched.submit("t", j.spec()).unwrap().0)
             .collect();
         sched.run_until_idle().unwrap();
-        let results: Vec<_> = ids
-            .iter()
-            .map(|&id| sched.result(id).unwrap().clone())
-            .collect();
+        let results: Vec<_> = ids.iter().map(|&id| sched.result(id).unwrap()).collect();
         let text = scrape(&sched);
         let series = |name: &str| -> u64 {
             text.lines()

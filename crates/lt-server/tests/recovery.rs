@@ -62,7 +62,7 @@ fn serve(fatal_faults: bool) -> (JobResult, u64) {
         .and_then(|v| v.parse().ok())
         .expect("the registry exports the recovery count");
     (
-        sched.result(id).expect("done jobs keep results").clone(),
+        sched.result(id).expect("done jobs keep results"),
         recoveries,
     )
 }
