@@ -152,6 +152,16 @@ pub trait WalkAlgorithm: Send + Sync {
         false
     }
 
+    /// Whether [`WalkAlgorithm::step`] routes each walker by
+    /// [`crate::Walker::tag`] to a job of its own. The engine asks once,
+    /// at construction, and on `true` splits every kernel's steps, visits
+    /// and finished walks by tag into [`crate::TagDelta`]s. The default,
+    /// `false`, is one job under tag 0; [`crate::JobTable`] answers
+    /// `true`.
+    fn routes_by_tag(&self) -> bool {
+        false
+    }
+
     /// Check the algorithm's parameters before any walker steps. The
     /// engine ([`crate::LightTraffic::new`]) and the job table
     /// ([`crate::JobTable::register`]) refuse an algorithm that fails

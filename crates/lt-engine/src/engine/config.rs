@@ -78,13 +78,6 @@ pub struct EngineConfig {
     /// bit-identical visit counts, paths, and simulated metrics — only
     /// wall-clock throughput changes. See [`crate::kernel`].
     pub kernel_threads: usize,
-    /// Attribute every executed step and finished walk to the owning job
-    /// tag ([`crate::Walker::tag`]) and buffer the per-tag results as
-    /// [`crate::TagDelta`]s for [`crate::LightTraffic::take_tag_deltas`].
-    /// This is the engine half of multi-tenant serving (`lt-server`): a
-    /// scheduler injects tagged walkers from many jobs and separates their
-    /// results on merge. Off by default — single-tenant runs pay nothing.
-    pub track_tags: bool,
     /// Mirror every simulated byte moved over the CPU-GPU link into a
     /// host-side [`lt_telemetry::TrafficLedger`] keyed by
     /// `(job tag, partition, direction)`. The ledger is charged at the
@@ -117,7 +110,6 @@ impl EngineConfig {
             gpu: Self::default_gpu(),
             max_iterations: 10_000_000,
             kernel_threads: 0,
-            track_tags: false,
             attribution: false,
             checkpoint_every: None,
         }

@@ -15,8 +15,9 @@ use lt_graph::partition::Rows;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Per-job-tag results ([`super::EngineConfig::track_tags`]) and the
-/// traffic ledger ([`super::EngineConfig::attribution`]).
+/// Per-job-tag results (when the algorithm [routes by
+/// tag](WalkAlgorithm::routes_by_tag)) and the traffic ledger
+/// ([`super::EngineConfig::attribution`]).
 pub(super) struct Attribution {
     /// Per-tag results since the last [`LightTraffic::take_tag_deltas`]
     /// drain. A `BTreeMap` so drains observe tags in ascending order —
@@ -32,28 +33,32 @@ pub(super) struct Attribution {
 }
 
 impl Attribution {
-    /// Fold one chunk's tagged visit and termination events in, crediting
-    /// the ledger with the steps. A walker's steps are consecutive events,
-    /// so the visits go in one run of equal tags at a time.
-    fn fold(&mut self, o: &ChunkOutput) {
-        debug_assert_eq!(o.visits.len(), o.visit_tags.len());
-        debug_assert_eq!(o.lengths.len(), o.length_tags.len());
-        let mut at = 0;
-        for run in o.visit_tags.chunk_by(|a, b| a == b) {
-            let (t, n) = (run[0], run.len());
-            let d = self.deltas.entry(t).or_insert_with(|| TagDelta::new(t));
-            d.steps += n as u64;
-            d.visits.extend_from_slice(&o.visits[at..at + n]);
-            at += n;
-            if let Some(l) = self.ledger.as_mut() {
-                l.add_steps(t, n as u64);
+    /// Fold one kernel's tagged visit and termination events in, chunk by
+    /// chunk, and return its steps per tag, ascending by tag. A walker's
+    /// steps are consecutive events, so the visits go in one run of equal
+    /// tags at a time: one delta lookup per run, and a merge into the
+    /// kernel's short row list.
+    fn fold(&mut self, outputs: &[ChunkOutput]) -> Vec<(u32, u64)> {
+        let mut rows = Vec::new();
+        for o in outputs {
+            debug_assert_eq!(o.visits.len(), o.visit_tags.len());
+            debug_assert_eq!(o.lengths.len(), o.length_tags.len());
+            let mut at = 0;
+            for run in o.visit_tags.chunk_by(|a, b| a == b) {
+                let (t, n) = (run[0], run.len());
+                let d = self.deltas.entry(t).or_insert_with(|| TagDelta::new(t));
+                d.steps += n as u64;
+                d.visits.extend_from_slice(&o.visits[at..at + n]);
+                at += n;
+                merge_row(&mut rows, t, n as u64);
+            }
+            for (&l, &t) in o.lengths.iter().zip(&o.length_tags) {
+                let d = self.deltas.entry(t).or_insert_with(|| TagDelta::new(t));
+                d.finished += 1;
+                d.lengths.push(l);
             }
         }
-        for (&l, &t) in o.lengths.iter().zip(&o.length_tags) {
-            let d = self.deltas.entry(t).or_insert_with(|| TagDelta::new(t));
-            d.finished += 1;
-            d.lengths.push(l);
-        }
+        rows
     }
 
     /// Each tag's visit and length counts, ascending by tag: the marks
@@ -80,19 +85,6 @@ impl Attribution {
     }
 }
 
-/// This kernel's steps per job tag (one per visit event), ascending by
-/// tag.
-fn tag_steps(outputs: &[ChunkOutput]) -> Vec<(u32, u64)> {
-    let mut steps = BTreeMap::new();
-    for run in outputs
-        .iter()
-        .flat_map(|o| o.visit_tags.chunk_by(|a, b| a == b))
-    {
-        *steps.entry(run[0]).or_insert(0) += run.len() as u64;
-    }
-    steps.into_iter().collect()
-}
-
 /// Take the queued batch [`schedule::pick_victim`] picks out of the
 /// device pool.
 fn evict_victim(pools: &mut Pools, selective: bool, protect: PartitionId) -> WalkBatch {
@@ -105,13 +97,14 @@ fn evict_victim(pools: &mut Pools, selective: bool, protect: PartitionId) -> Wal
 
 impl LightTraffic {
     /// Drain the per-tag results accumulated since the previous drain
-    /// ([`super::EngineConfig::track_tags`]): one [`TagDelta`] per tag
-    /// that made progress, in ascending tag order. Events merge in chunk
+    /// (kept when the algorithm [routes by
+    /// tag](WalkAlgorithm::routes_by_tag)): one [`TagDelta`] per tag that
+    /// made progress, in ascending tag order. Events merge in chunk
     /// order, so their order is the same at every `kernel_threads`; each
     /// delta's `visits` are still sorted (by [`crate::radix_sort_u32`])
     /// because a recovery replays work in a different order and a job
     /// spans pumps, so only the visit multiset is canonical. `lengths` are
-    /// left in chunk-merge order. Empty when tags are not tracked.
+    /// left in chunk-merge order. Empty for any other algorithm.
     pub fn take_tag_deltas(&mut self) -> Vec<TagDelta> {
         self.drop_snapshot();
         let mut deltas: Vec<TagDelta> = std::mem::take(&mut self.attr.deltas)
@@ -293,9 +286,9 @@ impl LightTraffic {
             num_vertices: table.num_vertices(),
             // Tag attribution needs the per-step visit events even when
             // no algorithm-level visit buffer exists.
-            track_visits: self.visit_counts.is_some() || self.cfg.track_tags,
+            track_visits: self.visit_counts.is_some() || self.tagged,
             track_paths: self.paths.is_some(),
-            track_tags: self.cfg.track_tags,
+            tagged: self.tagged,
             scratch: &self.scratch,
         };
         let wall = Instant::now();
@@ -379,9 +372,6 @@ impl LightTraffic {
         for o in &outputs {
             steps += o.steps;
             finished += o.finished;
-            if self.cfg.track_tags {
-                self.attr.fold(o);
-            }
             if let Some(counts) = self.visit_counts.as_mut() {
                 for &v in &o.visits {
                     counts[v as usize] += 1;
@@ -396,9 +386,20 @@ impl LightTraffic {
                 self.metrics.record_length(l);
             }
         }
+        // This kernel's steps per job tag, ascending by tag: one row under
+        // tag 0 unless the algorithm routes by tag. They credit the ledger
+        // and weight a zero-copy charge's split.
+        let tag_steps = if self.tagged {
+            self.attr.fold(&outputs)
+        } else {
+            vec![(0, steps)]
+        };
         // The kernel side effects are already applied; book them before the
         // reshuffle so a fatal eviction fault below leaves the counters
-        // consistent with the walkers we park.
+        // and the ledger consistent with the walkers we park.
+        if let Some(l) = self.attr.ledger.as_mut() {
+            tag_steps.iter().for_each(|&(t, n)| l.add_steps(t, n));
+        }
         self.active -= finished;
         self.metrics.total_steps += steps;
         self.metrics.finished_walks += finished;
@@ -422,10 +423,6 @@ impl LightTraffic {
         self.metrics.host_reshuffle_wall_ns += rs_wall.elapsed().as_nanos() as u64;
         self.metrics.host_reshuffles += 1;
         let n_moved = self.local_index.len() as u64;
-        // A zero-copy charge splits by this kernel's per-tag steps; count
-        // them before the buffers go back.
-        let zc_tag_steps = (use_zc && self.cfg.track_tags && self.attr.ledger.is_some())
-            .then(|| tag_steps(&outputs));
         // Merged and sorted out: hand the buffers back for the next
         // round's chunks.
         for o in outputs {
@@ -458,27 +455,17 @@ impl LightTraffic {
         if use_zc {
             self.metrics.zero_copy_kernels += 1;
         }
-        if let Some(l) = self.attr.ledger.as_mut() {
-            if !self.cfg.track_tags {
-                // Untracked tags: every walker carries tag 0. (Tracked,
-                // the fold credited each tag's steps.)
-                l.add_steps(0, steps);
-            }
-            if zc_bytes > 0 {
-                // Mirror the device's zero-copy H2D charge. The engine
-                // requests a cacheline multiple (`steps * 2 * cacheline`),
-                // so the device's cacheline rounding is the identity and
-                // this equals the simulated charge bit for bit. The
-                // counterfactual is the explicit load this kernel avoided:
-                // the partition's resident bytes.
-                let weights = zc_tag_steps.unwrap_or_else(|| vec![(0, steps)]);
-                l.charge_rows(
-                    part,
-                    TrafficDirection::H2d,
-                    &apportion_exact(zc_bytes, &weights),
-                );
-                l.note_zero_copy(zc_bytes, working_set);
-            }
+        if let Some(l) = self.attr.ledger.as_mut().filter(|_| zc_bytes > 0) {
+            // Mirror the device's zero-copy H2D charge. The engine requests
+            // a cacheline multiple (`steps * 2 * cacheline`), so the
+            // device's cacheline rounding is the identity and this equals
+            // the simulated charge bit for bit. The split is exact, and its
+            // ties go by position: `tag_steps` is ascending. The
+            // counterfactual is the explicit load this kernel avoided: the
+            // partition's resident bytes.
+            let rows = apportion_exact(zc_bytes, &tag_steps);
+            l.charge_rows(part, TrafficDirection::H2d, &rows);
+            l.note_zero_copy(zc_bytes, working_set);
         }
         Ok(())
     }

@@ -195,31 +195,13 @@ impl LightTraffic {
 /// Split `total` transfer bytes of `batch` across the job tags of its
 /// walkers; all of an empty batch's one-byte floor goes to [`SHARED_TAG`].
 fn walk_rows(batch: &WalkBatch, total: u64) -> Vec<(u32, u64)> {
-    // Counting pass, kept cheap for the hot path: serving assigns
-    // small consecutive tags, so a stack array turns the per-walker
-    // count into one bounds check and an increment. Larger tags
-    // (standalone engines with custom tag schemes) fall back to a
-    // sorted mini-vec, which stays ordered after the dense tags
-    // because every sparse tag exceeds them.
-    const DENSE: usize = 64;
-    let mut dense = [0u64; DENSE];
-    let mut sparse: Vec<(u32, u64)> = Vec::new();
+    // Count walkers per tag in a sorted mini-vec: a batch carries a few
+    // jobs' walkers, whatever their tags (a server's job slots grow past
+    // any fixed bound).
+    let mut counts = Vec::new();
     for w in batch.walkers() {
-        match dense.get_mut(w.tag as usize) {
-            Some(c) => *c += 1,
-            None => match sparse.binary_search_by_key(&w.tag, |&(t, _)| t) {
-                Ok(i) => sparse[i].1 += 1,
-                Err(i) => sparse.insert(i, (w.tag, 1)),
-            },
-        }
+        merge_row(&mut counts, w.tag, 1);
     }
-    let mut counts: Vec<(u32, u64)> = dense
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(t, &c)| (t as u32, c))
-        .collect();
-    counts.extend(sparse);
     match counts.len() {
         0 => vec![(SHARED_TAG, total)],
         1 => vec![(counts[0].0, total)],

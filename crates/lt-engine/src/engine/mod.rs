@@ -46,7 +46,7 @@ use lt_gpusim::sim::OutOfMemory;
 use lt_gpusim::{Category, Gpu, GpuConfig, StreamId};
 use lt_graph::delta::DeltaGraph;
 use lt_graph::{Csr, GraphStore, PartitionData, PartitionId, PartitionedGraph, VertexId};
-use lt_telemetry::{apportion_exact, TrafficDirection, TrafficLedger, SHARED_TAG};
+use lt_telemetry::{apportion_exact, merge_row, TrafficDirection, TrafficLedger, SHARED_TAG};
 use std::sync::Arc;
 
 /// Most walks one job or one [`LightTraffic::run`] may ask for. Walkers
@@ -121,6 +121,9 @@ pub struct LightTraffic {
     /// partition of an out-of-core store, a block from `host_cache`.
     graph: DeltaGraph,
     alg: Arc<dyn WalkAlgorithm>,
+    /// [`WalkAlgorithm::routes_by_tag`], read once here: kernels then
+    /// split their results by walker tag.
+    tagged: bool,
     walker_bytes: u64,
     load_stream: StreamId,
     evict_stream: StreamId,
@@ -266,6 +269,7 @@ impl LightTraffic {
             cfg,
             gpu,
             graph: DeltaGraph::new(pg),
+            tagged: alg.routes_by_tag(),
             alg,
             walker_bytes,
             pools,

@@ -5,11 +5,11 @@
 //! The serving layer (`lt-server`) multiplexes many jobs over one engine
 //! by tagging every walker with its job's slot ([`crate::Walker::tag`])
 //! and registering the per-job algorithm in a [`JobTable`], which the
-//! engine runs as its single [`WalkAlgorithm`]. With
-//! [`crate::EngineConfig::track_tags`] on, every kernel merge folds the
-//! batch's results into per-tag [`TagDelta`]s that the scheduler drains
-//! with [`crate::LightTraffic::take_tag_deltas`] — so per-job results are
-//! separable even though batches freely mix tenants.
+//! engine runs as its single [`WalkAlgorithm`]. The table routes by tag
+//! ([`WalkAlgorithm::routes_by_tag`]), so every kernel merge of its
+//! engine folds the batch's results into per-tag [`TagDelta`]s that the
+//! scheduler drains with [`crate::LightTraffic::take_tag_deltas`] — so
+//! per-job results are separable even though batches freely mix tenants.
 //!
 //! Determinism: a job's trajectories are pure functions of `(job seed,
 //! local walker id, step)` — the table routes each step to the owning
@@ -151,8 +151,9 @@ impl JobSpec {
     }
 }
 
-/// Per-tag results of one drain slice, produced by kernel merges under
-/// [`crate::EngineConfig::track_tags`] and drained with
+/// Per-tag results of one drain slice, produced by the kernel merges of
+/// an engine whose algorithm [routes by
+/// tag](WalkAlgorithm::routes_by_tag) and drained with
 /// [`crate::LightTraffic::take_tag_deltas`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TagDelta {
@@ -325,6 +326,12 @@ impl WalkAlgorithm for JobTable {
     /// engine-global visit buffer.
     fn tracks_visits(&self) -> bool {
         false
+    }
+
+    /// Every step goes to the job the walker's tag names, so the engine
+    /// splits results by tag.
+    fn routes_by_tag(&self) -> bool {
+        true
     }
 
     /// The host walker superset: id (8) + vertex, step, aux, tag (4 each).

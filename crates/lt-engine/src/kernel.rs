@@ -136,15 +136,15 @@ pub(crate) struct ChunkOutput {
     /// One entry per step when visit counts are tracked: the visited vertex.
     pub visits: Vec<VertexId>,
     /// Owning job tag of each `visits` entry, parallel to `visits`, filled
-    /// only when tags are tracked (multi-tenant attribution; see
-    /// [`crate::EngineConfig::track_tags`]).
+    /// only when the algorithm routes by tag (multi-tenant serving; see
+    /// [`crate::WalkAlgorithm::routes_by_tag`]).
     pub visit_tags: Vec<u32>,
     /// One `(walk_id, vertex)` entry per step when paths are recorded.
     pub path_events: Vec<(u64, VertexId)>,
     /// Final step counts of the walks that terminated here.
     pub lengths: Vec<u32>,
     /// Owning job tag of each `lengths` entry, parallel to `lengths`,
-    /// filled only when tags are tracked.
+    /// filled only when the algorithm routes by tag.
     pub length_tags: Vec<u32>,
 }
 
@@ -246,10 +246,10 @@ pub(crate) struct KernelTask<'a> {
     /// Collect per-step `(walk_id, vertex)` path events.
     pub track_paths: bool,
     /// Attribute visit and termination events to the owning job tag
-    /// (fills the `visit_tags`/`length_tags` vectors of [`ChunkOutput`]).
-    /// Requires `track_visits` so the tag vector stays parallel to the
-    /// visit vector.
-    pub track_tags: bool,
+    /// (fills the `visit_tags`/`length_tags` vectors of [`ChunkOutput`]):
+    /// [`WalkAlgorithm::routes_by_tag`]. Requires `track_visits` so the
+    /// tag vector stays parallel to the visit vector.
+    pub tagged: bool,
     /// Recycled output buffers.
     pub scratch: &'a ScratchPool,
 }
@@ -292,7 +292,7 @@ pub(crate) fn step_chunk(task: &KernelTask, walkers: &[Walker]) -> ChunkOutput {
                 StepDecision::Terminate => {
                     out.finished += 1;
                     out.lengths.push(w.step);
-                    if task.track_tags {
+                    if task.tagged {
                         out.length_tags.push(w.tag);
                     }
                     break;
@@ -302,7 +302,7 @@ pub(crate) fn step_chunk(task: &KernelTask, walkers: &[Walker]) -> ChunkOutput {
                     d.advance(&mut w);
                     if task.track_visits {
                         out.visits.push(v);
-                        if task.track_tags {
+                        if task.tagged {
                             out.visit_tags.push(w.tag);
                         }
                     }
@@ -456,7 +456,7 @@ mod tests {
             num_vertices,
             track_visits: false,
             track_paths: false,
-            track_tags: false,
+            tagged: false,
             scratch,
         }
     }

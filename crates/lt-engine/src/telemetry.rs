@@ -101,8 +101,7 @@ impl LightTraffic {
         // A partition's link bytes only grow, so once published its series
         // is rewritten by every later publish and never left stale.
         if let Some(l) = self.traffic_ledger() {
-            let report = l.report(usize::MAX);
-            for p in &report.hot_partitions {
+            for p in l.partition_totals() {
                 if p.h2d_bytes + p.d2h_bytes == 0 {
                     continue;
                 }
@@ -123,14 +122,14 @@ impl LightTraffic {
                     "Link bytes moved by zero-copy kernel reads",
                     &[],
                 )
-                .set(report.zero_copy_bytes);
+                .set(l.zero_copy_bytes());
             registry
                 .gauge(
                     "lt_traffic_zero_copy_saved_bytes",
                     "Explicit-load bytes avoided by zero-copy kernels",
                     &[],
                 )
-                .set(report.zero_copy_saved_bytes as f64);
+                .set(l.zero_copy_saved_bytes() as f64);
         }
     }
 }

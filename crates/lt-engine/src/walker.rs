@@ -26,9 +26,9 @@ pub struct Walker {
     /// move the walker's clock.
     pub aux: u32,
     /// Owning job slot when the engine multiplexes several jobs
-    /// ([`crate::JobTable`], [`crate::EngineConfig::track_tags`]); `0` for
-    /// single-tenant runs. Defaults to `0` when absent so pre-tagging
-    /// checkpoints keep loading.
+    /// ([`crate::JobTable`], [`crate::WalkAlgorithm::routes_by_tag`]);
+    /// `0` for single-tenant runs. Defaults to `0` when absent so
+    /// pre-tagging checkpoints keep loading.
     #[serde(default)]
     pub tag: u32,
 }

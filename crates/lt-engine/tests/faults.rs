@@ -4,7 +4,8 @@
 
 use lt_engine::algorithm::{PageRank, UniformSampling};
 use lt_engine::{
-    EngineConfig, EngineError, LightTraffic, RunResult, RunStatus, TagDelta, WalkAlgorithm,
+    EngineConfig, EngineError, JobTable, LightTraffic, RunResult, RunStatus, TagDelta,
+    WalkAlgorithm,
 };
 use lt_gpusim::FaultPlan;
 use lt_graph::gen::{rmat, RmatParams};
@@ -268,32 +269,43 @@ fn walkers_injected_between_slices_survive_recovery() {
 /// the fault-free per-tag results (before, every rollback left the lost
 /// work in the deltas, which then summed to about twice the run). The
 /// ledger's step column counts executed work, replays included, and so
-/// agrees with tags tracked or not.
+/// agrees with an untagged run's.
 #[test]
 fn tag_deltas_roll_back_with_recovery() {
-    let tagged = |cfg: EngineConfig, track_tags: bool| {
-        let cfg = EngineConfig {
-            track_tags,
-            attribution: true,
-            ..cfg
-        };
-        let mut e = LightTraffic::new(graph(), Arc::new(PageRank::new(8, 0.15)), cfg).unwrap();
-        let r = e.run(2_000).unwrap();
+    let pagerank = || Arc::new(PageRank::new(8, 0.15));
+    let attributed = |cfg: EngineConfig| EngineConfig {
+        attribution: true,
+        ..cfg
+    };
+    // The tagged run: PageRank registered as job 0 of a job table, under
+    // the engine seed.
+    let tagged = |cfg: EngineConfig| {
+        let cfg = attributed(cfg);
+        let table = Arc::new(JobTable::with_capacity(1));
+        assert_eq!(table.register(pagerank(), cfg.seed).unwrap(), 0);
+        let mut e = LightTraffic::new(graph(), table, cfg).unwrap();
+        e.inject(pagerank().place_walkers(e.partitions().num_vertices(), 2_000));
+        let r = e.finish().unwrap();
         let mut deltas = e.take_tag_deltas();
         deltas.iter_mut().for_each(|d| d.lengths.sort_unstable());
         let ledger_steps = e.traffic_ledger().unwrap().steps(0);
         (r, deltas, ledger_steps)
     };
-    let (clean, clean_deltas, _) = tagged(cfg(None, 1), true);
-    let (r, deltas, ledger_steps) = tagged(recovering_cfg(), true);
+    let (clean, clean_deltas, _) = tagged(cfg(None, 1));
+    let (r, deltas, ledger_steps) = tagged(recovering_cfg());
     assert!(r.metrics.recoveries > 0, "the drill must recover");
     assert_eq!(r.metrics.total_steps, clean.metrics.total_steps);
     assert_eq!(deltas, clean_deltas);
     let sum = |f: fn(&TagDelta) -> u64| deltas.iter().map(f).sum::<u64>();
     assert_eq!(sum(|d| d.steps), r.metrics.total_steps);
     assert_eq!(sum(|d| d.finished), r.metrics.finished_walks);
-    let (_, _, untagged_steps) = tagged(recovering_cfg(), false);
-    assert_eq!(ledger_steps, untagged_steps);
+    let mut e = LightTraffic::new(graph(), pagerank(), attributed(recovering_cfg())).unwrap();
+    e.run(2_000).unwrap();
+    assert!(
+        e.take_tag_deltas().is_empty(),
+        "an untagged run keeps no deltas"
+    );
+    assert_eq!(ledger_steps, e.traffic_ledger().unwrap().steps(0));
     assert!(
         ledger_steps > r.metrics.total_steps,
         "replayed work is executed work"

@@ -50,9 +50,9 @@ pub use lt_engine::MAX_JOB_WALKS;
 /// Serving-layer configuration over the engine's.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Engine configuration. `track_tags` is forced on and
-    /// `record_paths` forced off (the path log indexes by walker id,
-    /// which collides across jobs).
+    /// Engine configuration. `record_paths` is forced off (the path log
+    /// indexes by walker id, which collides across jobs); per-job results
+    /// need no switch, since the engine's [`JobTable`] routes by tag.
     pub engine: EngineConfig,
     /// Job slots over the scheduler's lifetime ([`JobTable`] capacity).
     pub max_jobs: usize,
@@ -281,7 +281,6 @@ impl Scheduler {
     /// with a [`JobTable`] of `cfg.max_jobs` slots as its single
     /// algorithm; jobs plug into the table at submit time.
     pub fn new(graph: Arc<Csr>, mut cfg: ServerConfig) -> Result<Self, EngineError> {
-        cfg.engine.track_tags = true;
         cfg.engine.record_paths = false;
         let table = Arc::new(JobTable::with_capacity(cfg.max_jobs));
         let engine = LightTraffic::new(graph.clone(), table.clone(), cfg.engine.clone())?;

@@ -159,9 +159,9 @@ pub struct TrafficReport {
     pub tags: Vec<TagTraffic>,
 }
 
-/// The accumulating ledger. Plain `u64` arithmetic behind a `BTreeMap` —
-/// writes happen on the engine's scheduler thread only, reads are
-/// pull-side snapshots, so no interior mutability is needed.
+/// The accumulating ledger: plain `u64` arithmetic over sorted row
+/// vectors. Writes happen on the engine's scheduler thread only, reads
+/// are pull-side snapshots, so no interior mutability is needed.
 ///
 /// Storage is keyed the way the write path charges: one copy touches one
 /// `(partition, direction)` and splits across a handful of job tags.
@@ -172,11 +172,14 @@ pub struct TrafficReport {
 /// scrapes) while writes ride the engine's copy path.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficLedger {
-    /// Indexed by partition: `[h2d rows, d2h rows, reload rows]`, each a
-    /// sorted `(tag, bytes)` vec. Grown on first charge to a partition.
+    /// Indexed by partition, then by [`TrafficDirection`] (H2D, D2H,
+    /// reload, host load): each a sorted `(tag, bytes)` row vec. Grown on
+    /// first charge to a partition.
     cells: Vec<[Vec<(u32, u64)>; NUM_DIRECTIONS]>,
-    /// Steps executed per tag (for bytes-per-step intensity).
-    steps: BTreeMap<u32, u64>,
+    /// Steps executed per tag, a sorted `(tag, steps)` row vec like a
+    /// cell's (for bytes-per-step intensity). Each kernel merges in its
+    /// own per-tag rows.
+    steps: Vec<(u32, u64)>,
     /// Zero-copy bytes actually charged on the link.
     zero_copy_bytes: u64,
     /// Counterfactual bytes of the explicit loads that zero-copy kernels
@@ -192,10 +195,7 @@ impl TrafficLedger {
 
     /// Charge `bytes` to one cell.
     pub fn charge(&mut self, tag: u32, partition: u32, dir: TrafficDirection, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        Self::merge_row(self.cell_mut(partition, dir), tag, bytes);
+        self.charge_rows(partition, dir, &[(tag, bytes)]);
     }
 
     /// Charge a pre-apportioned `(tag, bytes)` split against one
@@ -205,35 +205,21 @@ impl TrafficLedger {
         if !rows.iter().any(|&(_, b)| b > 0) {
             return;
         }
-        let cell = self.cell_mut(partition, dir);
-        for &(tag, bytes) in rows {
-            if bytes > 0 {
-                Self::merge_row(cell, tag, bytes);
-            }
-        }
-    }
-
-    fn cell_mut(&mut self, partition: u32, dir: TrafficDirection) -> &mut Vec<(u32, u64)> {
         let p = partition as usize;
         if p >= self.cells.len() {
             self.cells.resize_with(p + 1, Default::default);
         }
-        &mut self.cells[p][dir as usize]
-    }
-
-    fn merge_row(rows: &mut Vec<(u32, u64)>, tag: u32, bytes: u64) {
-        match rows.binary_search_by_key(&tag, |&(t, _)| t) {
-            Ok(i) => rows[i].1 += bytes,
-            Err(i) => rows.insert(i, (tag, bytes)),
+        let cell = &mut self.cells[p][dir as usize];
+        for &(tag, bytes) in rows.iter().filter(|&&(_, b)| b > 0) {
+            merge_row(cell, tag, bytes);
         }
     }
 
     /// Record `steps` executed steps for `tag`.
     pub fn add_steps(&mut self, tag: u32, steps: u64) {
-        if steps == 0 {
-            return;
+        if steps > 0 {
+            merge_row(&mut self.steps, tag, steps);
         }
-        *self.steps.entry(tag).or_insert(0) += steps;
     }
 
     /// Record one zero-copy kernel: `charged` bytes actually moved over
@@ -278,86 +264,102 @@ impl TrafficLedger {
 
     /// Steps recorded for `tag`.
     pub fn steps(&self, tag: u32) -> u64 {
-        self.steps.get(&tag).copied().unwrap_or(0)
+        match self.steps.binary_search_by_key(&tag, |&(t, _)| t) {
+            Ok(i) => self.steps[i].1,
+            Err(_) => 0,
+        }
+    }
+
+    /// Link bytes moved by zero-copy kernel reads (part of
+    /// [`Self::h2d_bytes`]).
+    pub fn zero_copy_bytes(&self) -> u64 {
+        self.zero_copy_bytes
+    }
+
+    /// Explicit-load bytes the zero-copy kernels avoided: what the loads
+    /// they replaced would have moved, minus what they moved (saturating).
+    pub fn zero_copy_saved_bytes(&self) -> u64 {
+        self.zero_copy_counterfactual_bytes
+            .saturating_sub(self.zero_copy_bytes)
+    }
+
+    /// Every partition that has moved any bytes, ascending by id, with
+    /// its totals per direction summed over tags.
+    pub fn partition_totals(&self) -> impl Iterator<Item = PartitionHeat> + '_ {
+        let total = |rows: &[(u32, u64)]| rows.iter().map(|&(_, b)| b).sum::<u64>();
+        self.cells
+            .iter()
+            .enumerate()
+            .filter(|(_, per_dir)| per_dir.iter().any(|rows| !rows.is_empty()))
+            .map(
+                move |(partition, [h2d, d2h, reload, host_load])| PartitionHeat {
+                    partition: partition as u32,
+                    h2d_bytes: total(h2d),
+                    d2h_bytes: total(d2h),
+                    reload_bytes: total(reload),
+                    host_load_bytes: total(host_load),
+                },
+            )
     }
 
     /// Every non-empty cell, in `(tag, partition, direction)` order.
     pub fn cells(&self) -> impl Iterator<Item = TrafficCell> + '_ {
         // Re-group storage's (partition, direction) rows by (tag,
         // partition); the BTreeMap re-sort restores the emitted order.
-        let mut out: BTreeMap<(u32, u32), TrafficCell> = BTreeMap::new();
+        let mut out: BTreeMap<(u32, u32), [u64; NUM_DIRECTIONS]> = BTreeMap::new();
         for (partition, per_dir) in self.cells.iter().enumerate() {
             for (di, rows) in per_dir.iter().enumerate() {
                 for &(tag, bytes) in rows {
-                    let cell = out.entry((tag, partition as u32)).or_insert(TrafficCell {
-                        tag,
-                        partition: partition as u32,
-                        h2d_bytes: 0,
-                        d2h_bytes: 0,
-                        reload_bytes: 0,
-                        host_load_bytes: 0,
-                    });
-                    match di {
-                        d if d == TrafficDirection::H2d as usize => cell.h2d_bytes += bytes,
-                        d if d == TrafficDirection::D2h as usize => cell.d2h_bytes += bytes,
-                        d if d == TrafficDirection::Reload as usize => cell.reload_bytes += bytes,
-                        _ => cell.host_load_bytes += bytes,
-                    }
+                    out.entry((tag, partition as u32)).or_default()[di] += bytes;
                 }
             }
         }
-        out.into_values().collect::<Vec<_>>().into_iter()
+        out.into_iter().map(
+            |((tag, partition), [h2d, d2h, reload, host_load])| TrafficCell {
+                tag,
+                partition,
+                h2d_bytes: h2d,
+                d2h_bytes: d2h,
+                reload_bytes: reload,
+                host_load_bytes: host_load,
+            },
+        )
     }
 
     /// Summarize into a [`TrafficReport`] with at most `top_k` hot
     /// partitions.
     pub fn report(&self, top_k: usize) -> TrafficReport {
-        let mut by_partition: BTreeMap<u32, [u64; NUM_DIRECTIONS]> = BTreeMap::new();
         let mut by_tag: BTreeMap<u32, [u64; NUM_DIRECTIONS]> = BTreeMap::new();
-        for (partition, per_dir) in self.cells.iter().enumerate() {
+        for per_dir in &self.cells {
             for (di, rows) in per_dir.iter().enumerate() {
                 for &(tag, bytes) in rows {
-                    by_partition.entry(partition as u32).or_default()[di] += bytes;
                     by_tag.entry(tag).or_default()[di] += bytes;
                 }
             }
         }
-        let h2d = TrafficDirection::H2d as usize;
-        let d2h = TrafficDirection::D2h as usize;
-        let reload = TrafficDirection::Reload as usize;
-        let host = TrafficDirection::HostLoad as usize;
-        let mut hot: Vec<PartitionHeat> = by_partition
-            .into_iter()
-            .map(|(partition, b)| PartitionHeat {
-                partition,
-                h2d_bytes: b[h2d],
-                d2h_bytes: b[d2h],
-                reload_bytes: b[reload],
-                host_load_bytes: b[host],
-            })
-            .collect();
-        // Descending by total bytes; the BTreeMap iteration already
-        // ordered equal totals by ascending partition id and the sort is
-        // stable, so ties stay deterministic.
+        let mut hot: Vec<PartitionHeat> = self.partition_totals().collect();
+        // Descending by total bytes; `partition_totals` already ordered
+        // equal totals by ascending partition id and the sort is stable,
+        // so ties stay deterministic.
         hot.sort_by_key(|h| {
             std::cmp::Reverse(h.h2d_bytes + h.d2h_bytes + h.reload_bytes + h.host_load_bytes)
         });
         hot.truncate(top_k);
         // Tags that executed steps but moved no attributable bytes (pure
         // zero-copy residents) still deserve a row.
-        for &tag in self.steps.keys() {
+        for &(tag, _) in &self.steps {
             by_tag.entry(tag).or_default();
         }
         let tags: Vec<TagTraffic> = by_tag
             .into_iter()
-            .map(|(tag, b)| {
+            .map(|(tag, [h2d, d2h, reload, host_load])| {
                 let steps = self.steps(tag);
                 TagTraffic {
                     tag,
-                    h2d_bytes: b[h2d],
-                    d2h_bytes: b[d2h],
-                    reload_bytes: b[reload],
-                    host_load_bytes: b[host],
+                    h2d_bytes: h2d,
+                    d2h_bytes: d2h,
+                    reload_bytes: reload,
+                    host_load_bytes: host_load,
                     steps,
                     // Intensity stays a steady-state *link* metric: reload
                     // bytes are epoch-driven and host-load bytes never
@@ -365,7 +367,7 @@ impl TrafficLedger {
                     bytes_per_step: if steps == 0 {
                         0.0
                     } else {
-                        (b[h2d] + b[d2h]) as f64 / steps as f64
+                        (h2d + d2h) as f64 / steps as f64
                     },
                 }
             })
@@ -375,13 +377,22 @@ impl TrafficLedger {
             d2h_bytes: self.d2h_bytes(),
             reload_bytes: self.reload_bytes(),
             host_load_bytes: self.host_load_bytes(),
-            zero_copy_bytes: self.zero_copy_bytes,
-            zero_copy_saved_bytes: self
-                .zero_copy_counterfactual_bytes
-                .saturating_sub(self.zero_copy_bytes),
+            zero_copy_bytes: self.zero_copy_bytes(),
+            zero_copy_saved_bytes: self.zero_copy_saved_bytes(),
             hot_partitions: hot,
             tags,
         }
+    }
+}
+
+/// Add `n` to `tag`'s entry of a row vec sorted by tag, inserting the
+/// entry in order when `tag` has none: the one tally behind every
+/// ledger row and a kernel's per-tag step split.
+#[inline]
+pub fn merge_row(rows: &mut Vec<(u32, u64)>, tag: u32, n: u64) {
+    match rows.binary_search_by_key(&tag, |&(t, _)| t) {
+        Ok(i) => rows[i].1 += n,
+        Err(i) => rows.insert(i, (tag, n)),
     }
 }
 

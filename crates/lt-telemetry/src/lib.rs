@@ -24,8 +24,8 @@ pub mod registry;
 pub mod span;
 
 pub use ledger::{
-    apportion_exact, PartitionHeat, TagTraffic, TrafficCell, TrafficDirection, TrafficLedger,
-    TrafficReport, SHARED_TAG,
+    apportion_exact, merge_row, PartitionHeat, TagTraffic, TrafficCell, TrafficDirection,
+    TrafficLedger, TrafficReport, SHARED_TAG,
 };
 pub use registry::{
     log2_bucket, log2_histogram_percentile, Counter, Gauge, Histogram, LengthPercentiles,

@@ -215,7 +215,6 @@ pub fn to_engine_config(c: &ArbConfig, g: &Arc<Csr>) -> EngineConfig {
         },
         max_iterations: 10_000_000,
         kernel_threads: c.kernel_threads,
-        track_tags: false,
         // Attribution on across the whole differential battery: the
         // ledger is quarantined off the deterministic path (DESIGN.md
         // §14), so every fingerprint comparison in these sweeps doubles
