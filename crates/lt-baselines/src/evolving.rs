@@ -40,10 +40,10 @@ pub struct Wave {
 
 /// A mutable adjacency-list graph with the same mutation semantics as the
 /// engine's delta layer, implemented independently: inserts go after the
-/// source row's last target `<= dst` (epoch-stamped on temporal graphs
-/// when no timestamp is given), deletes remove the first matching edge
-/// (no-op when absent), and updates apply in submission order at each
-/// seal.
+/// source row's last edge that sorts no later — by target, or on a
+/// temporal graph by `(timestamp, target)`, epoch-stamped when no
+/// timestamp is given — deletes remove the first matching edge (no-op
+/// when absent), and updates apply in submission order at each seal.
 #[derive(Clone, Debug)]
 pub struct AdjacencyGraph {
     edges: Vec<Vec<VertexId>>,
@@ -55,12 +55,19 @@ pub struct AdjacencyGraph {
     epoch: u64,
 }
 
-/// The most copies of one target any of the vertex-sorted `rows` holds
-/// (at least 1): copies are adjacent, so it is the longest run.
+/// The most copies of one target any of `rows` holds (at least 1),
+/// counted on a sorted copy of each row: a temporal row is in time
+/// order, where copies of one target need not be adjacent.
 fn max_multiplicity(rows: &[Vec<VertexId>]) -> u32 {
     rows.iter()
-        .flat_map(|row| row.chunk_by(|a, b| a == b))
-        .map(|run| run.len() as u32)
+        .map(|row| {
+            let mut sorted = row.clone();
+            sorted.sort_unstable();
+            sorted
+                .chunk_by(|a, b| a == b)
+                .map(|run| run.len() as u32)
+                .fold(1, u32::max)
+        })
         .fold(1, u32::max)
 }
 
@@ -121,13 +128,22 @@ impl AdjacencyGraph {
             let row = &mut self.edges[u.src as usize];
             match u.op {
                 EdgeOp::Insert => {
-                    let k = row.iter().take_while(|&&x| x <= u.dst).count();
+                    let ts = u.timestamp.unwrap_or(default_ts);
+                    let k = match &self.timestamps {
+                        Some(t) => {
+                            let stamps = &t[u.src as usize];
+                            (row.iter().zip(stamps))
+                                .take_while(|&(&x, &s)| (s, x) <= (ts, u.dst))
+                                .count()
+                        }
+                        None => row.iter().take_while(|&&x| x <= u.dst).count(),
+                    };
                     row.insert(k, u.dst);
                     if let Some(w) = &mut self.weights {
                         w[u.src as usize].insert(k, u.weight.unwrap_or(1.0));
                     }
                     if let Some(t) = &mut self.timestamps {
-                        t[u.src as usize].insert(k, u.timestamp.unwrap_or(default_ts));
+                        t[u.src as usize].insert(k, ts);
                     }
                     ins += 1;
                 }

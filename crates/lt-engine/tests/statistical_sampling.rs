@@ -16,6 +16,7 @@ use lt_engine::algorithm::{
 use lt_engine::walker::Walker;
 use lt_graph::gen::{erdos_renyi, with_random_weights};
 use lt_graph::Csr;
+use std::collections::BTreeMap;
 
 /// Upper α-quantile of the chi-square distribution with `k` degrees of
 /// freedom via the Wilson–Hilferty cube approximation, with `z` the
@@ -298,6 +299,106 @@ fn temporal_walk_terminates_on_empty_window() {
     }
 }
 
+/// A counter-based hash for the long-row graphs below.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^ (z >> 31)
+}
+
+/// Twenty vertices, each with a row of 300–555 edges in time order: a
+/// multigraph (every target repeats) whose stamps sit near both ends of
+/// a 10,000-tick horizon and near `u32::MAX`, so windows there are long
+/// ranges of long rows, and a window can be clipped by `u32` saturation.
+fn long_row_temporal_graph() -> Csr {
+    let n = 20u64;
+    let (mut offsets, mut edges, mut stamps) = (vec![0u64], Vec::new(), Vec::new());
+    for v in 0..n {
+        for k in 0..300 + mix(v) % 256 {
+            let h = mix(v << 32 | k);
+            edges.push((h >> 40) as u32 % n as u32);
+            stamps.push(match h % 3 {
+                0 => (h >> 8) as u32 % 64,
+                1 => 10_000 - 64 + (h >> 8) as u32 % 64,
+                _ => u32::MAX - (h >> 8) as u32 % 64,
+            });
+        }
+        offsets.push(edges.len() as u64);
+    }
+    Csr::with_timestamps(offsets, edges, None, Some(stamps)).expect("a valid temporal CSR")
+}
+
+/// The window law on long rows in time order (256 or more entries, where
+/// the window is found by search): clocks near the start and the end of
+/// the horizon, near `u32::MAX`, and a window whose end `clock + window`
+/// saturates at `u32::MAX`; at the walk's start and mid-walk. Draws are
+/// counted per `(target, stamp)` cell — copies of one edge are one cell,
+/// weighted by their number — and a draw outside the window fails at
+/// once.
+#[test]
+fn temporal_walk_fits_window_distribution_on_long_rows() {
+    let g = long_row_temporal_graph();
+    assert!((0..20).all(|v| g.degree(v) >= 256));
+    let trials = 10_000u64;
+    for (clock, window) in [
+        (0, 20),
+        (30, 20),
+        (10_000 - 70, 30),
+        (10_000 - 20, 30),
+        (u32::MAX - 40, 20),
+        (u32::MAX - 50, 1_000),
+        (u32::MAX - 50, u32::MAX),
+    ] {
+        for mid_walk in [false, true] {
+            let label = format!("long rows, clock={clock} window={window} mid_walk={mid_walk}");
+            let alg = match mid_walk {
+                true => TemporalWalk::new(4, window),
+                false => TemporalWalk::starting_at(4, window, clock),
+            };
+            let mut tested = 0;
+            for v in 0..g.num_vertices() as u32 {
+                let (row, ts) = (g.neighbors(v), g.neighbor_timestamps(v).unwrap());
+                let mut law: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+                for (&x, &t) in row.iter().zip(ts) {
+                    if t >= clock && t <= clock.saturating_add(window) {
+                        *law.entry((x, t)).or_default() += 1.0;
+                    }
+                }
+                if law.len() < 2 {
+                    continue;
+                }
+                let mut counts: BTreeMap<(u32, u32), u64> = law.keys().map(|&k| (k, 0)).collect();
+                for id in 0..trials {
+                    let mut w = Walker::new(id, v);
+                    if mid_walk {
+                        (w.step, w.aux) = (1, clock);
+                    }
+                    let ctx = StepContext {
+                        neighbors: row,
+                        weights: None,
+                        prev_neighbors: None,
+                        timestamps: Some(ts),
+                        max_multiplicity: 1,
+                        num_vertices: g.num_vertices(),
+                    };
+                    let cell = match alg.step(&w, ctx, 37) {
+                        lt_engine::algorithm::StepDecision::MoveAt(to, at) => (to, at),
+                        other => panic!("{label}: vertex {v} produced {other:?}"),
+                    };
+                    let c = counts.get_mut(&cell);
+                    *c.unwrap_or_else(|| panic!("{label}: vertex {v} drew {cell:?}")) += 1;
+                }
+                let total: f64 = law.values().sum();
+                let exact: Vec<f64> = law.values().map(|m| m / total).collect();
+                let observed: Vec<u64> = counts.into_values().collect();
+                assert_fits(&format!("{label}: vertex {v}"), &observed, &exact, trials);
+                tested += 1;
+            }
+            assert!(tested >= 16, "{label}: only {tested} vertices qualified");
+        }
+    }
+}
+
 /// A hub whose one heavy edge (weight 1,000 among 999 of weight 1)
 /// carries half the mass. Rejection against `w_max` would need ~500
 /// proposals a step; a 64-proposal cap that accepts its last proposal
@@ -449,6 +550,74 @@ fn node2vec_is_exact_under_a_loose_envelope() {
         &[law[k], 1.0 - law[k]],
         trials,
     );
+}
+
+/// node2vec on a timestamped multigraph, whose rows are in time order:
+/// a target's copies sit at different stamps, apart in the row — the
+/// previous vertex's among them — and the previous vertex's row is in
+/// time order too. Membership and copies are counted over such rows
+/// exactly: the law is the one of the same multiset sorted by vertex.
+#[test]
+fn node2vec_fits_its_exact_law_on_a_time_sorted_multigraph() {
+    // Vertex 0 is current, vertex 3 previous. Row 0 holds 3 three times
+    // (stamps 1, 5, 9) and 7 twice (stamps 2, 8); row 3 holds 0, 4, 7
+    // and 9 at descending stamps.
+    let row0 = [
+        (3u32, 1u32),
+        (7, 2),
+        (4, 3),
+        (3, 5),
+        (6, 6),
+        (9, 7),
+        (7, 8),
+        (3, 9),
+        (1, 4),
+    ];
+    let row3 = [(9u32, 1u32), (7, 2), (4, 3), (0, 4)];
+    let mut offsets = vec![0u64, row0.len() as u64];
+    offsets.extend([row0.len() as u64; 2]);
+    offsets.extend([(row0.len() + row3.len()) as u64; 7]);
+    let (edges, stamps): (Vec<u32>, Vec<u32>) = row0.iter().chain(&row3).copied().unzip();
+    let g = Csr::with_timestamps(offsets, edges, None, Some(stamps)).expect("valid");
+    let (row, prev_row) = (g.neighbors(0), g.neighbors(3));
+    assert_eq!(row, &[3, 7, 4, 1, 3, 6, 9, 7, 3], "row 0 in time order");
+    assert!(!prev_row.is_sorted(), "row 3 in time order, not by vertex");
+    assert_eq!(g.max_multiplicity(), 3);
+    let mut sorted = row.to_vec();
+    sorted.sort_unstable();
+    let trials = 40_000;
+    for (p, q) in [(0.25, 4.0), (4.0, 0.25), (1.0, 1.0), (0.5, 2.0)] {
+        let alg = SecondOrderWalk::node2vec(8, p, q);
+        for context in [Some(prev_row), None] {
+            let (targets, law) = node2vec_law((p, q), &sorted, 3, context);
+            let mut counts = vec![0u64; targets.len()];
+            for id in 0..trials {
+                let w = Walker {
+                    step: 1,
+                    aux: 3,
+                    ..Walker::new(id, 0)
+                };
+                let ctx = StepContext {
+                    neighbors: row,
+                    weights: None,
+                    prev_neighbors: context,
+                    timestamps: g.neighbor_timestamps(0),
+                    max_multiplicity: g.max_multiplicity(),
+                    num_vertices: g.num_vertices(),
+                };
+                let to = alg
+                    .step(&w, ctx, 31)
+                    .target()
+                    .expect("a mid-walk step moves");
+                counts[targets.binary_search(&to).expect("drawn from the row")] += 1;
+            }
+            let label = format!(
+                "time-sorted node2vec p={p} q={q}, context {}",
+                context.is_some()
+            );
+            assert_fits(&label, &counts, &law, trials);
+        }
+    }
 }
 
 /// Sanity check on the harness itself: a deliberately wrong expected

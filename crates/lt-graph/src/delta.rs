@@ -27,7 +27,8 @@
 //! explicit timestamp is stamped with the sealing epoch's index, so the
 //! edge-time horizon advances in lockstep with the delta stream and
 //! temporal walkers' sliding windows (see `TemporalWalk` in `lt-engine`)
-//! move forward as epochs are sealed.
+//! move forward as epochs are sealed. An insert lands at its
+//! `(timestamp, target)` position, so a temporal row stays in time order.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::csr::check_weights;
@@ -140,11 +141,22 @@ impl Columns {
         }
     }
 
-    /// Insert an edge to `dst` after every edge to a target `<= dst`, so
-    /// a vertex-sorted row stays sorted and parallel edges keep their
-    /// insertion order.
+    /// Insert an edge to `dst` after every edge that sorts no later: on a
+    /// timestamped row every edge whose `(timestamp, target)` is at most
+    /// `(timestamp, dst)`, elsewhere every edge to a target `<= dst`. A
+    /// row in time order stays in time order, a vertex-sorted row stays
+    /// vertex-sorted, and parallel edges keep their insertion order.
     fn insert_sorted(&mut self, dst: VertexId, weight: f32, timestamp: u32) {
-        let k = self.edges.partition_point(|&x| x <= dst);
+        let k = match &self.timestamps {
+            Some(ts) => {
+                let (lo, hi) = (
+                    ts.partition_point(|&t| t < timestamp),
+                    ts.partition_point(|&t| t <= timestamp),
+                );
+                lo + self.edges[lo..hi].partition_point(|&x| x <= dst)
+            }
+            None => self.edges.partition_point(|&x| x <= dst),
+        };
         self.edges.insert(k, dst);
         if let Some(w) = &mut self.weights {
             w.insert(k, weight);
@@ -314,9 +326,10 @@ impl DeltaGraph {
     ///
     /// Updates take effect in submission order per source vertex (rows
     /// are independent, so that is the full submission order): an insert
-    /// goes after the row's last target `<= dst` — a vertex-sorted row
-    /// stays sorted, which second-order walks rely on — with weight 1.0
-    /// and the sealing epoch as defaults; a delete removes the first
+    /// goes after the row's last edge that sorts no later — by target,
+    /// or on a timestamped graph by `(timestamp, target)`, so every row
+    /// keeps its order ([`Csr`]) — with weight 1.0 and the sealing epoch
+    /// as defaults; a delete removes the first
     /// stored match and is a no-op that dirties nothing when there is
     /// none. The sorted updates are cut at partition boundaries and each
     /// touched partition's rows are rewritten in one pass

@@ -33,6 +33,7 @@ use lt_telemetry::{
     derive_trace_id, log2_bucket, log2_histogram_percentile, JobPhase, JobTrace, LengthPercentiles,
     TrafficCell, TrafficDirection, TrafficReport, TrafficRow, SHARED_TAG,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
@@ -808,14 +809,14 @@ impl Scheduler {
 
     /// Tenant label for a ledger tag: the owning job's tenant,
     /// `"shared"` for unattributable traffic, the raw tag otherwise.
-    fn tenant_of_tag(&self, tag: u32) -> String {
+    fn tenant_name(&self, tag: u32) -> Cow<'_, str> {
         if tag == SHARED_TAG {
-            "shared".to_string()
+            Cow::Borrowed("shared")
         } else {
-            self.jobs
-                .get(tag as usize)
-                .map(|j| j.tenant.clone())
-                .unwrap_or_else(|| tag.to_string())
+            match self.jobs.get(tag as usize) {
+                Some(j) => Cow::Borrowed(&j.tenant),
+                None => Cow::Owned(tag.to_string()),
+            }
         }
     }
 
@@ -851,21 +852,20 @@ impl Scheduler {
             }
         }
         if let Some(l) = self.engine.traffic_ledger() {
-            let mut per_tenant: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-            for c in l.cells() {
-                let e = per_tenant
-                    .entry(self.tenant_of_tag(c.tag))
-                    .or_insert((0, 0));
-                e.0 += c.h2d_bytes;
-                e.1 += c.d2h_bytes;
+            // Each tag's tenant is looked up once, and borrowed.
+            let mut per_tenant: BTreeMap<Cow<'_, str>, [u64; 2]> = BTreeMap::new();
+            for (tag, [h2d, d2h]) in l.tag_link_bytes() {
+                let e = per_tenant.entry(self.tenant_name(tag)).or_default();
+                e[0] += h2d;
+                e[1] += d2h;
             }
-            for (tenant, (h2d, d2h)) in per_tenant {
-                for (dir, bytes) in [("h2d", h2d), ("d2h", d2h)] {
+            for (tenant, [h2d, d2h]) in &per_tenant {
+                for (dir, bytes) in [("h2d", *h2d), ("d2h", *d2h)] {
                     registry
                         .counter(
                             "lt_server_tenant_traffic_bytes_total",
                             "CPU-GPU link bytes attributed per tenant and direction",
-                            &[("tenant", &tenant), ("direction", dir)],
+                            &[("tenant", tenant), ("direction", dir)],
                         )
                         .set(bytes);
                 }

@@ -302,6 +302,31 @@ impl TrafficLedger {
             )
     }
 
+    /// Every tag charged in any direction, ascending, with its link
+    /// bytes summed over partitions: `[host→device, device→host]`. Read
+    /// straight from the per-direction rows, with no regrouping by
+    /// partition.
+    pub fn tag_link_bytes(&self) -> Vec<(u32, [u64; 2])> {
+        let mut out: Vec<(u32, [u64; 2])> = Vec::new();
+        for per_dir in &self.cells {
+            for (di, rows) in per_dir.iter().enumerate() {
+                for &(tag, bytes) in rows {
+                    let i = match out.binary_search_by_key(&tag, |&(t, _)| t) {
+                        Ok(i) => i,
+                        Err(i) => {
+                            out.insert(i, (tag, [0; 2]));
+                            i
+                        }
+                    };
+                    if let Some(b) = out[i].1.get_mut(di) {
+                        *b += bytes;
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Every non-empty cell, in `(tag, partition, direction)` order.
     pub fn cells(&self) -> impl Iterator<Item = TrafficCell> + '_ {
         // Re-group storage's (partition, direction) rows by (tag,

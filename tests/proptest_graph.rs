@@ -13,7 +13,7 @@ use common::{build_csr, edges_strategy, materialize_update, raw_updates_strategy
 use lighttraffic::graph::delta::{DeltaGraph, EdgeOp};
 use lighttraffic::graph::gen::{with_random_timestamps, with_random_weights};
 use lighttraffic::graph::oocore::write_oocore;
-use lighttraffic::graph::{io, GraphError, OocGraph, PartitionedGraph, VertexId};
+use lighttraffic::graph::{io, Csr, GraphError, OocGraph, PartitionedGraph, VertexId};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
@@ -385,13 +385,16 @@ proptest! {
                     let row = &mut model[u.src as usize];
                     match u.op {
                         EdgeOp::Insert => {
-                            // After the last target <= dst: rows stay sorted.
-                            let k = row.partition_point(|e| e.0 <= u.dst);
-                            row.insert(k, (
-                                u.dst,
-                                u.weight.unwrap_or(1.0),
-                                u.timestamp.unwrap_or(epoch as u32),
-                            ));
+                            // After the last edge that sorts no later: by
+                            // target, or on a temporal graph by (timestamp,
+                            // target). Rows keep their order.
+                            let ts = u.timestamp.unwrap_or(epoch as u32);
+                            let k = if flavor == "temporal" {
+                                row.partition_point(|e| (e.2, e.0) <= (ts, u.dst))
+                            } else {
+                                row.partition_point(|e| e.0 <= u.dst)
+                            };
+                            row.insert(k, (u.dst, u.weight.unwrap_or(1.0), ts));
                             inserted += 1;
                             dirty.insert(u.src);
                         }
@@ -451,13 +454,122 @@ proptest! {
                 }
                 prop_assert_eq!(csr.is_weighted(), flavor == "weighted");
                 prop_assert_eq!(csr.is_temporal(), flavor == "temporal");
-                // Sorted rows, and the per-block multiplicity the seal
-                // refreshed equals a fresh scan of the whole sealed view.
-                prop_assert!((0..nv).all(|v| csr.neighbors(v).windows(2).all(|w| w[0] <= w[1])));
+                // Rows in order — a temporal row by (timestamp, target),
+                // any other by target — and the per-block multiplicity
+                // the seal refreshed equals a fresh scan of the whole
+                // sealed view.
+                prop_assert!((0..nv).all(|v| {
+                    let (row, ts) = (csr.neighbors(v), csr.neighbor_timestamps(v));
+                    let key = |k: usize| (ts.map_or(0, |t| t[k]), row[k]);
+                    (1..row.len()).all(|k| key(k - 1) <= key(k))
+                }));
                 let multiplicity = dg.table().max_multiplicity().unwrap();
                 prop_assert_eq!(multiplicity, csr.max_multiplicity(), "{}", at);
             }
         }
+    }
+
+    /// Every producer of a timestamped graph yields rows in time order,
+    /// stably sorted by `(timestamp, target)`, each a permutation of what
+    /// it was given: the timestamp generator (over plain and weighted
+    /// rows), `Csr::with_timestamps` (over rows given reversed, with
+    /// parallel edges, stamps up to `u32::MAX`, weights numbering the
+    /// given order so stability shows), seals with explicit and default
+    /// stamps (the table's rows, read in place), and an `LTOOCGR2` round
+    /// trip.
+    #[test]
+    fn every_producer_keeps_temporal_rows_in_time_order(
+        edges in edges_strategy(),
+        seed in 0u64..1000,
+        horizon in 1u32..2_000,
+        budget in 64u64..1024,
+        raw in raw_updates_strategy(24),
+    ) {
+        let Some(plain) = build_csr(&edges) else { return Ok(()); };
+        let nv = plain.num_vertices() as VertexId;
+        let in_order = |row: &[VertexId], ts: &[u32]| {
+            (1..row.len()).all(|k| (ts[k - 1], row[k - 1]) <= (ts[k], row[k]))
+        };
+        // A row as a sorted multiset of (target, weight bits).
+        let pairs = |g: &Csr, v: VertexId| {
+            let w = g.neighbor_weights(v);
+            let mut out: Vec<(VertexId, u32)> = (g.neighbors(v).iter().enumerate())
+                .map(|(k, &x)| (x, w.map_or(0, |w| w[k].to_bits())))
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        // The generator.
+        let weighted = with_random_weights(&plain, seed);
+        for parent in [&plain, &weighted] {
+            let t = with_random_timestamps(parent, seed, horizon);
+            for v in 0..nv {
+                let ts = t.neighbor_timestamps(v).unwrap();
+                prop_assert!(in_order(t.neighbors(v), ts), "generator, row {}", v);
+                prop_assert!(ts.iter().all(|&x| x < horizon));
+                prop_assert_eq!(pairs(&t, v), pairs(parent, v));
+            }
+        }
+        // `Csr::with_timestamps`: each row reversed, its last target
+        // repeated, stamps of either end of `u32`.
+        let (mut offsets, mut targets, mut stamps) = (vec![0u64], Vec::new(), Vec::new());
+        for v in 0..nv {
+            let row = plain.neighbors(v);
+            targets.extend(row.iter().rev().chain(row.last()));
+            offsets.push(targets.len() as u64);
+        }
+        for (e, &x) in targets.iter().enumerate() {
+            let h = (e as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            let near = (h % 3) as u32;
+            stamps.push(if h & 4 == 0 { near } else { u32::MAX - near - x % 2 });
+        }
+        let order: Vec<f32> = (0..nv as usize)
+            .flat_map(|v| (0..offsets[v + 1] - offsets[v]).map(|k| k as f32))
+            .collect();
+        let given = (offsets.clone(), targets.clone(), stamps.clone());
+        let g = Csr::with_timestamps(offsets, targets, Some(order), Some(stamps)).unwrap();
+        for v in 0..nv as usize {
+            let r = given.0[v] as usize..given.0[v + 1] as usize;
+            let mut want: Vec<(u32, VertexId, u32)> = (r.clone())
+                .map(|e| (given.2[e], given.1[e], (e - r.start) as u32))
+                .collect();
+            want.sort();
+            let (row, ts) = (g.neighbors(v as u32), g.neighbor_timestamps(v as u32).unwrap());
+            let got: Vec<(u32, VertexId, u32)> = (0..row.len())
+                .map(|k| (ts[k], row[k], g.neighbor_weights(v as u32).unwrap()[k] as u32))
+                .collect();
+            // Sorted by (stamp, target) with the given order breaking ties:
+            // exactly the stable sort.
+            prop_assert_eq!(got, want, "with_timestamps, row {}", v);
+        }
+        // Seals, explicit and default stamps alike.
+        let g = Arc::new(g);
+        let mut dg = DeltaGraph::new(PartitionedGraph::build(g.clone(), budget));
+        for r in &raw {
+            dg.buffer(materialize_update(r, &g)).unwrap();
+        }
+        dg.seal_epoch(&[]).unwrap();
+        let table = dg.table();
+        for v in 0..nv {
+            let rows = table.rows(table.partition_of(v)).unwrap();
+            let ts = rows.neighbor_timestamps(v).unwrap();
+            prop_assert!(in_order(rows.neighbors(v), ts), "seal, row {}", v);
+        }
+        // An `LTOOCGR2` round trip.
+        let pg = PartitionedGraph::build(g, budget);
+        let path = std::env::temp_dir()
+            .join(format!("lt_proptest_time_order_{}.ltg", std::process::id()));
+        write_oocore(&pg, &path).unwrap();
+        let ooc = OocGraph::open(&path).unwrap();
+        for p in 0..pg.num_partitions() {
+            let block = ooc.decode_partition(p).unwrap();
+            prop_assert_eq!(&block, &pg.extract(p));
+            let rows = block.rows();
+            for v in block.v_start..block.v_end {
+                prop_assert!(in_order(rows.neighbors(v), rows.neighbor_timestamps(v).unwrap()));
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
