@@ -78,26 +78,29 @@ fn walk_centric(
     track: bool,
 ) -> BaselineRun {
     let nv = graph.num_vertices();
-    let walkers = alg.place_walkers(graph.num_vertices(), num_walks);
-    let threads = threads.max(1);
     let start = Instant::now();
 
-    let chunk_size = walkers.len().div_ceil(threads).max(1);
+    // Each thread places its own id range, a ring at a time.
+    let chunk_size = num_walks.div_ceil(threads.max(1) as u64).max(1);
     let results: Vec<(u64, u64, Option<Vec<u64>>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = walkers
-            .chunks(chunk_size)
-            .map(|chunk| {
+        let handles: Vec<_> = (0..num_walks)
+            .step_by(chunk_size as usize)
+            .map(|lo| {
                 let graph = Arc::clone(graph);
                 let alg = Arc::clone(alg);
-                let mut chunk = chunk.to_vec();
                 s.spawn(move || {
                     let mut steps = 0u64;
                     let mut finished = 0u64;
                     let mut visits = track.then(|| vec![0u64; nv as usize]);
+                    let mut placed = (lo..num_walks.min(lo + chunk_size))
+                        .map_while(|id| alg.place_walker(nv, id))
+                        .fuse()
+                        .peekable();
                     // Ring of INTERLEAVE concurrent walks: the next memory
                     // access belongs to a different walk, approximating
                     // ThunderRW's latency hiding.
-                    for ring in chunk.chunks_mut(INTERLEAVE) {
+                    while placed.peek().is_some() {
+                        let mut ring: Vec<_> = placed.by_ref().take(INTERLEAVE).collect();
                         let mut live: Vec<usize> = (0..ring.len()).collect();
                         while !live.is_empty() {
                             live.retain(|&i| {

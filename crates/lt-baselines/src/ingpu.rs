@@ -76,17 +76,20 @@ pub fn run_in_gpu_memory(
     .expect("no fault plan in the in-GPU baseline");
     gpu.synchronize(stream);
 
-    let mut walkers = alg.place_walkers(graph.num_vertices(), num_walks);
     let mut visit_counts = alg.tracks_visits().then(|| vec![0u64; nv as usize]);
     let mut total_steps = 0u64;
     let mut finished = 0u64;
-    // Walk-centric: chase every walk to termination, kernel per chunk.
+    // Walk-centric: place and chase every walk to termination, kernel per chunk.
     const KERNEL_CHUNK: usize = 1 << 16;
-    for chunk in walkers.chunks_mut(KERNEL_CHUNK) {
+    let mut placed = (0..num_walks)
+        .map_while(|id| alg.place_walker(nv, id))
+        .fuse()
+        .peekable();
+    while placed.peek().is_some() {
         let mut steps = 0u64;
-        for w in chunk.iter_mut() {
+        for mut w in placed.by_ref().take(KERNEL_CHUNK) {
             loop {
-                match host_step(graph, alg.as_ref(), w, seed) {
+                match host_step(graph, alg.as_ref(), &mut w, seed) {
                     StepDecision::Terminate => {
                         finished += 1;
                         break;

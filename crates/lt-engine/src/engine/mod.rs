@@ -49,9 +49,10 @@ use lt_graph::{Csr, GraphStore, PartitionData, PartitionId, PartitionedGraph, Ve
 use lt_telemetry::{apportion_exact, merge_row, TrafficDirection, TrafficLedger, SHARED_TAG};
 use std::sync::Arc;
 
-/// Most walks one job or one [`LightTraffic::run`] may ask for. Walkers
-/// are all placed up front, so this caps what one call can make the host
-/// allocate (2^28 walkers of 24 bytes, 6 GiB); [`check_walk_count`]
+/// Most walks one job or one [`LightTraffic::run`] may ask for. `run` and
+/// `inject_walks` place every walker up front, so this caps what one call
+/// can make the host allocate (2^28 walkers of 24 bytes, 6 GiB); a served
+/// job places its walkers only as they are admitted. [`check_walk_count`]
 /// refuses a larger count before any walker is placed.
 pub const MAX_JOB_WALKS: u64 = 1 << 28;
 

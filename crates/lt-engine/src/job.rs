@@ -130,23 +130,19 @@ impl JobSpec {
         }
     }
 
-    /// The job's initial walkers, tagged with its slot. Walker ids are
-    /// job-local (`0..n`) so the same spec replays identical trajectories
-    /// whether it runs alone or multiplexed.
-    pub fn place_walkers(&self, num_vertices: u64, tag: u32) -> Vec<Walker> {
+    /// The job's initial walker `i`, tagged with its slot, or `None` past
+    /// the job's walks. Walker ids are job-local (`0..n`) so the same
+    /// spec replays identical trajectories whether it runs alone or
+    /// multiplexed, and placement reads `(num_vertices, i)` alone, so the
+    /// scheduler places each walker as it admits it.
+    pub fn place_walker(&self, num_vertices: u64, tag: u32, i: u64) -> Option<Walker> {
         match &self.start {
-            JobStart::WalkCount(n) => {
-                let mut ws = self.algorithm.place_walkers(num_vertices, *n);
-                for w in &mut ws {
-                    w.tag = tag;
-                }
-                ws
-            }
-            JobStart::Seeds(seeds) => seeds
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| Walker::tagged(i as u64, v, tag))
-                .collect(),
+            JobStart::WalkCount(n) if i < *n => self
+                .algorithm
+                .place_walker(num_vertices, i)
+                .map(|w| Walker { tag, ..w }),
+            JobStart::WalkCount(_) => None,
+            JobStart::Seeds(seeds) => seeds.get(i as usize).map(|&v| Walker::tagged(i, v, tag)),
         }
     }
 }
@@ -266,12 +262,16 @@ impl JobTable {
 
     /// Claim the next slot for a job. Returns the tag its walkers must
     /// carry, or [`EngineError::Admission`] when the table is full or the
-    /// algorithm fails [`WalkAlgorithm::validate`] (which claims nothing).
+    /// algorithm routes by tag itself (a table: it places no walkers) or
+    /// fails [`WalkAlgorithm::validate`] (which claims nothing).
     pub fn register(
         &self,
         algorithm: Arc<dyn WalkAlgorithm>,
         seed: u64,
     ) -> Result<u32, EngineError> {
+        if algorithm.routes_by_tag() {
+            return Err(EngineError::Admission("a job cannot route by tag".into()));
+        }
         algorithm.validate().map_err(EngineError::Admission)?;
         let idx = self.next.fetch_add(1, Ordering::AcqRel) as usize;
         if idx >= self.entries.len() {
@@ -304,9 +304,9 @@ impl WalkAlgorithm for JobTable {
         "job-table"
     }
 
-    /// The table has no workload of its own — the scheduler injects each
-    /// job's walkers explicitly ([`JobSpec::place_walkers`]) — so it
-    /// places none.
+    /// The table has no workload of its own — the scheduler places each
+    /// job's walkers as it admits them ([`JobSpec::place_walker`]) — so
+    /// it places none.
     fn place_walker(&self, _num_vertices: u64, _id: u64) -> Option<Walker> {
         None
     }
@@ -408,20 +408,52 @@ mod tests {
     fn spec_walkers_are_tagged_and_job_local() {
         let g = lt_graph::gen::erdos_renyi(64, 256, 1).csr;
         let spec = JobSpec::deepwalk(10, 4, 7);
-        let ws = spec.place_walkers(g.num_vertices(), 3);
-        assert_eq!(ws.len(), 10);
-        for (i, w) in ws.iter().enumerate() {
-            assert_eq!(w.id, i as u64);
-            assert_eq!(w.tag, 3);
+        let nv = g.num_vertices();
+        for i in 0..10 {
+            let w = spec.place_walker(nv, 3, i).unwrap();
+            assert_eq!((w.id, w.tag), (i, 3));
         }
+        assert_eq!(spec.place_walker(nv, 3, 10), None);
         let seeded = JobSpec {
             algorithm: Arc::new(UniformSampling::new(4)),
             start: JobStart::Seeds(vec![5, 9]),
             seed: 7,
         };
-        let ws = seeded.place_walkers(g.num_vertices(), 1);
-        assert_eq!(ws.len(), 2);
-        assert_eq!((ws[0].vertex, ws[0].tag, ws[0].id), (5, 1, 0));
-        assert_eq!((ws[1].vertex, ws[1].tag, ws[1].id), (9, 1, 1));
+        assert_eq!(seeded.place_walker(nv, 1, 0), Some(Walker::tagged(0, 5, 1)));
+        assert_eq!(seeded.place_walker(nv, 1, 1), Some(Walker::tagged(1, 9, 1)));
+        assert_eq!(seeded.place_walker(nv, 1, 2), None);
+    }
+
+    /// A spec places walker `i` exactly as its algorithm's standard
+    /// placement does (or as the seed list says), with the job's tag set:
+    /// placing on admission changes no walker.
+    #[test]
+    fn place_walker_is_entry_i_of_the_standard_placement_tagged() {
+        let nv = 1_000;
+        for spec in [
+            JobSpec::deepwalk(300, 8, 5),
+            JobSpec::node2vec(300, 8, 0.5, 2.0, 6),
+            JobSpec {
+                algorithm: Arc::new(crate::algorithm::PageRank::new(16, 0.15)),
+                ..JobSpec::deepwalk(300, 8, 7)
+            },
+        ] {
+            let placed = spec.algorithm.place_walkers(nv, 300);
+            assert_eq!(placed.len(), 300);
+            for (i, w) in placed.into_iter().enumerate() {
+                let tagged = Walker { tag: 4, ..w };
+                assert_eq!(spec.place_walker(nv, 4, i as u64), Some(tagged));
+            }
+        }
+        let seeds: Vec<VertexId> = (0..300).map(|i| (i * 7 % 1_000) as VertexId).collect();
+        let seeded = JobSpec {
+            start: JobStart::Seeds(seeds.clone()),
+            ..JobSpec::deepwalk(0, 8, 7)
+        };
+        for (i, &v) in seeds.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(seeded.place_walker(nv, 4, i), Some(Walker::tagged(i, v, 4)));
+        }
+        assert_eq!(seeded.place_walker(nv, 4, 300), None);
     }
 }

@@ -402,8 +402,8 @@ pub fn multiplicity_for(alg: &dyn WalkAlgorithm, graph_bound: impl FnOnce() -> u
 }
 
 /// One host-graph step for the CPU baselines: build the [`StepContext`]
-/// from the full CSR (all adjacencies readable, so second-order context is
-/// always served) and apply the decision in place.
+/// from the full CSR (all adjacencies readable, so an algorithm that reads
+/// second-order context is always served it) and apply the decision in place.
 ///
 /// Returns the decision so callers can account finishes/steps; on a move
 /// decision ([`StepDecision::Move`] or [`StepDecision::MoveAt`]) the
@@ -415,8 +415,10 @@ pub fn host_step(graph: &Csr, alg: &dyn WalkAlgorithm, w: &mut Walker, seed: u64
         weights: graph.neighbor_weights(w.vertex),
         // Bounds guard: temporal walks keep their clock in `aux`, which
         // can exceed |V| (see `step_once`).
-        prev_neighbors: (w.aux != VertexId::MAX && (w.aux as u64) < graph.num_vertices())
-            .then(|| graph.neighbors(w.aux)),
+        prev_neighbors: (alg.reads_prev_neighbors()
+            && w.aux != VertexId::MAX
+            && (w.aux as u64) < graph.num_vertices())
+        .then(|| graph.neighbors(w.aux)),
         timestamps: graph.neighbor_timestamps(w.vertex),
         max_multiplicity: multiplicity_for(alg, || graph.max_multiplicity()),
         num_vertices: graph.num_vertices(),

@@ -31,10 +31,10 @@ use lt_engine::{
 use lt_graph::{Csr, PackedSorted, VertexId};
 use lt_telemetry::{
     derive_trace_id, log2_bucket, log2_histogram_percentile, JobPhase, JobTrace, LengthPercentiles,
-    TrafficCell, TrafficDirection, TrafficReport, TrafficRow, SHARED_TAG,
+    TrafficDirection, TrafficReport, TrafficRow, SHARED_TAG,
 };
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ use std::time::Instant;
 const SPAN_CAPACITY: usize = 64;
 
 /// Most walks one job may ask for: a larger count is refused with
-/// [`EngineError::Admission`] before any walker is placed.
+/// [`EngineError::Admission`] at submit.
 pub use lt_engine::MAX_JOB_WALKS;
 
 /// Serving-layer configuration over the engine's.
@@ -176,9 +176,10 @@ struct JobState {
     tenant: String,
     status: JobStatus,
     total: u64,
+    /// The placement cursor: walkers `injected..total` are placed
+    /// ([`JobSpec::place_walker`]) only as they are admitted.
     injected: u64,
-    /// Walkers generated at submit, awaiting first (budgeted) admission.
-    pending: VecDeque<Walker>,
+    spec: JobSpec,
     /// In-flight walkers extracted while parked; re-admission is free.
     parked: Vec<Walker>,
     /// Steps and walks finished; while the job is not done, also its
@@ -207,7 +208,7 @@ struct PackedResult {
 }
 
 impl JobState {
-    /// Work remains somewhere (pending, parked, or in the engine).
+    /// Work remains somewhere (unplaced, parked, or in the engine).
     fn live(&self) -> bool {
         matches!(
             self.status,
@@ -219,10 +220,13 @@ impl JobState {
         self.injected - self.result.finished - self.parked.len() as u64
     }
 
-    /// Free the walker queues of a job no walker can enter again.
+    /// Free the parked walkers and the seed list of a job no walker can
+    /// enter again.
     fn release_queues(&mut self) {
-        self.pending = VecDeque::new();
         self.parked = Vec::new();
+        if let JobStart::Seeds(seeds) = &mut self.spec.start {
+            *seeds = Vec::new();
+        }
     }
 }
 
@@ -312,9 +316,9 @@ impl Scheduler {
 
     /// Submit a job for `tenant`. Returns the job handle plus the
     /// receiving end of its event stream. Fails with
-    /// [`EngineError::Admission`] when the job table is full, the spec
-    /// is empty, a seed vertex is not in the graph, or the algorithm
-    /// fails [`lt_engine::WalkAlgorithm::validate`].
+    /// [`EngineError::Admission`] when the spec is empty, a seed vertex
+    /// is not in the graph, or [`JobTable::register`] refuses it. O(1) in
+    /// the walk count: a walker is placed when it is admitted.
     pub fn submit(
         &mut self,
         tenant: &str,
@@ -335,17 +339,16 @@ impl Scheduler {
         let tag = self.table.register(spec.algorithm.clone(), spec.seed)?;
         debug_assert_eq!(tag as usize, self.jobs.len());
         self.tenant_entry(tenant).jobs_submitted += 1;
-        let pending: VecDeque<Walker> = spec.place_walkers(nv, tag).into();
         let id = JobId(tag as u64);
         let (tx, rx) = std::sync::mpsc::channel();
-        let total = pending.len() as u64;
+        let total = spec.num_walks();
         self.jobs.push(JobState {
             id,
             tenant: tenant.to_string(),
             status: JobStatus::Queued,
             total,
             injected: 0,
-            pending,
+            spec,
             parked: Vec::new(),
             result: JobResult::default(),
             packed: None,
@@ -458,8 +461,8 @@ impl Scheduler {
     /// Suspend one job onto the checkpoint machinery: its in-flight and
     /// parked walkers are extracted into a [`Checkpoint`] (serializable,
     /// resumable on this or an equally-configured scheduler via
-    /// [`Scheduler::resume`]). Walkers still pending first admission stay
-    /// inside the scheduler. `None` for unknown or non-live jobs.
+    /// [`Scheduler::resume`]). Walks not yet placed stay behind the job's
+    /// placement cursor. `None` for unknown or non-live jobs.
     pub fn suspend(&mut self, id: JobId) -> Option<Checkpoint> {
         let idx = id.0 as usize;
         if !self.jobs.get(idx)?.live() {
@@ -474,15 +477,7 @@ impl Scheduler {
         walkers.append(&mut j.parked);
         walkers.sort_unstable_by_key(|w| w.id);
         j.suspended = true;
-        j.status = JobStatus::Blocked {
-            reason: "suspended".into(),
-        };
-        Self::deliver(
-            j,
-            JobEvent::Blocked {
-                reason: "suspended".into(),
-            },
-        );
+        Self::block(j, "suspended".into());
         self.record_span(idx, JobPhase::Blocked, "suspended".into());
         let j = &mut self.jobs[idx];
         Some(Checkpoint {
@@ -511,21 +506,15 @@ impl Scheduler {
         if !j.suspended || !j.live() {
             return Err(EngineError::Admission(format!("{id} is not suspended")));
         }
-        for w in &cp.walkers {
-            if w.tag != id.0 as u32 {
-                return Err(EngineError::Admission(format!(
-                    "checkpoint walker tagged {} does not belong to {id}",
-                    w.tag
-                )));
-            }
+        if let Some(w) = cp.walkers.iter().find(|w| w.tag != id.0 as u32) {
+            return Err(EngineError::Admission(format!(
+                "checkpoint walker tagged {} does not belong to {id}",
+                w.tag
+            )));
         }
         j.parked.extend(cp.walkers);
         j.suspended = false;
-        j.status = if j.injected > 0 || !j.pending.is_empty() || !j.parked.is_empty() {
-            JobStatus::Running
-        } else {
-            JobStatus::Queued
-        };
+        j.status = JobStatus::Running;
         self.record_span(
             id.0 as usize,
             JobPhase::Resumed,
@@ -565,6 +554,14 @@ impl Scheduler {
                 j.stream = None;
             }
         }
+    }
+
+    /// Park a job for `reason`: its status and its stream say why.
+    fn block(j: &mut JobState, reason: String) {
+        j.status = JobStatus::Blocked {
+            reason: reason.clone(),
+        };
+        Self::deliver(j, JobEvent::Blocked { reason });
     }
 
     /// One deterministic scheduling round: admit a tranche per runnable
@@ -620,21 +617,21 @@ impl Scheduler {
             return true;
         }
         self.active.iter().map(|&idx| &self.jobs[idx]).any(|j| {
-            !j.suspended
-                && (!j.pending.is_empty() || !j.parked.is_empty() || j.in_flight() > 0)
-                && self.tenants[&j.tenant].budget > 0
+            !j.suspended && j.result.finished < j.total && self.tenants[&j.tenant].budget > 0
         })
     }
 
     /// Round-robin admission: starting at the rotating cursor, each
     /// runnable job may admit up to `tranche_walkers` — parked walkers
-    /// first (free), then fresh ones at a token each. The cursor turns
-    /// over every job ever submitted; only the active ones are visited,
-    /// in the order a scan from the cursor would meet them.
+    /// first (free), then fresh ones at a token each, placed straight
+    /// into the engine. The cursor turns over every job ever submitted;
+    /// only the active ones are visited, in the order a scan from the
+    /// cursor would meet them.
     fn admit(&mut self) {
         if self.jobs.is_empty() {
             return;
         }
+        let nv = self.graph.num_vertices();
         let start = self.rr_cursor % self.jobs.len();
         self.rr_cursor = self.rr_cursor.wrapping_add(1);
         let split = self.active.partition_point(|&idx| idx < start);
@@ -650,37 +647,40 @@ impl Scheduler {
             }
             let was_queued = matches!(j.status, JobStatus::Queued);
             let was_blocked = matches!(j.status, JobStatus::Blocked { .. });
-            let mut quota = self.cfg.tranche_walkers;
-            let mut batch: Vec<Walker> = Vec::new();
-            // Parked walkers re-enter free of charge.
-            let take_parked = j.parked.len().min(quota);
-            batch.extend(j.parked.drain(..take_parked));
-            quota -= take_parked;
-            // Fresh walkers are budget-gated: one token per admission.
-            let fresh = (quota as u64).min(j.pending.len() as u64).min(budget);
-            batch.extend(j.pending.drain(..fresh as usize));
-            if batch.is_empty() {
+            // Parked walkers re-enter free of charge; fresh walkers are
+            // budget-gated, one token per admission.
+            let take_parked = j.parked.len().min(self.cfg.tranche_walkers);
+            let quota = (self.cfg.tranche_walkers - take_parked) as u64;
+            let fresh = quota.min(j.total - j.injected).min(budget);
+            if take_parked == 0 && fresh == 0 {
                 // A blocked job with everything already in flight — or
                 // nothing admissible this round.
-                if matches!(&j.status, JobStatus::Blocked { .. })
-                    && j.parked.is_empty()
-                    && budget > 0
-                {
+                if was_blocked && j.parked.is_empty() {
                     j.status = JobStatus::Running;
                     self.record_span(idx, JobPhase::Resumed, "unparked".into());
                 }
                 continue;
             }
-            j.injected += fresh;
+            let (first, tag, spec) = (j.injected, idx as u32, &j.spec);
+            let mut placed = 0;
+            let placements = (first..first + fresh)
+                .map_while(|i| spec.place_walker(nv, tag, i))
+                .inspect(|_| placed += 1);
+            self.engine
+                .inject(j.parked.drain(..take_parked).chain(placements));
+            // A placement that stops early (`None`) ends the job there.
+            if placed < fresh {
+                j.total = first + placed;
+            }
+            j.injected += placed;
             j.status = JobStatus::Running;
-            let batch_len = batch.len();
+            let batch_len = take_parked as u64 + placed;
             let t = self
                 .tenants
                 .get_mut(&j.tenant)
                 .expect("submit registers the tenant before any job of it is admitted");
-            t.budget -= fresh;
-            t.walkers += fresh;
-            self.engine.inject(batch);
+            t.budget -= placed;
+            t.walkers += placed;
             if was_queued {
                 // First walkers in: the queued span ends, the running one
                 // opens. Both step_clock 0, both schedule-invariant.
@@ -733,8 +733,11 @@ impl Scheduler {
         for k in 0..self.active.len() {
             let idx = self.active[k];
             let j = &self.jobs[idx];
+            // A job with every walk finished has nothing to park; retire()
+            // decides Done.
             if !matches!(j.status, JobStatus::Queued | JobStatus::Running)
                 || self.tenants[&j.tenant].budget > 0
+                || j.result.finished == j.total
             {
                 continue;
             }
@@ -744,19 +747,8 @@ impl Scheduler {
                 self.jobs[idx].parked.extend(extracted);
             }
             let j = &mut self.jobs[idx];
-            if j.pending.is_empty() && j.parked.is_empty() && j.in_flight() == 0 {
-                continue; // nothing left to park; retire() decides Done
-            }
             let reason = format!("tenant {tenant} budget exhausted");
-            j.status = JobStatus::Blocked {
-                reason: reason.clone(),
-            };
-            Self::deliver(
-                j,
-                JobEvent::Blocked {
-                    reason: reason.clone(),
-                },
-            );
+            Self::block(j, reason.clone());
             if let Some(t) = self.tenants.get_mut(&tenant) {
                 t.jobs_parked += 1;
             }
@@ -771,14 +763,11 @@ impl Scheduler {
         for k in 0..self.active.len() {
             let idx = self.active[k];
             let j = &mut self.jobs[idx];
-            if !matches!(j.status, JobStatus::Queued | JobStatus::Running) {
-                continue;
-            }
-            let complete = j.pending.is_empty()
-                && j.parked.is_empty()
-                && j.injected == j.total
-                && j.result.finished == j.total;
-            if !complete {
+            // `finished + parked <= injected <= total`, so every walk has
+            // retired exactly when `finished == total`.
+            if !matches!(j.status, JobStatus::Queued | JobStatus::Running)
+                || j.result.finished != j.total
+            {
                 continue;
             }
             j.status = JobStatus::Done;
@@ -788,7 +777,8 @@ impl Scheduler {
             // order, by contrast, depends on how tenants interleave).
             // A done job keeps its result for as long as the scheduler
             // lives, so it keeps it packed, gives back its emptied walker
-            // queues, and moves the sorted vectors into its `Done` event.
+            // queue and seed list, and moves the sorted vectors into its
+            // `Done` event.
             radix_sort_u32(&mut j.result.visits);
             radix_sort_u32(&mut j.result.lengths);
             j.packed = Some(PackedResult {
@@ -854,7 +844,7 @@ impl Scheduler {
         if let Some(l) = self.engine.traffic_ledger() {
             // Each tag's tenant is looked up once, and borrowed.
             let mut per_tenant: BTreeMap<Cow<'_, str>, [u64; 2]> = BTreeMap::new();
-            for (tag, [h2d, d2h]) in l.tag_link_bytes() {
+            for (tag, [h2d, d2h, ..]) in l.tag_totals() {
                 let e = per_tenant.entry(self.tenant_name(tag)).or_default();
                 e[0] += h2d;
                 e[1] += d2h;
@@ -889,21 +879,15 @@ impl Scheduler {
     /// `None` for unknown ids.
     pub fn flight_record(&self, id: JobId, reason: &str) -> Option<String> {
         let j = self.jobs.get(id.0 as usize)?;
-        let tag = id.0 as u32;
-        let rows = |c: TrafficCell| {
-            [
-                (TrafficDirection::H2d, c.h2d_bytes),
-                (TrafficDirection::D2h, c.d2h_bytes),
-            ]
-            .map(|(direction, bytes)| TrafficRow {
-                partition: c.partition,
+        let rows = |(partition, bytes): (u32, [u64; 4])| {
+            [TrafficDirection::H2d, TrafficDirection::D2h].map(|direction| TrafficRow {
+                partition,
                 direction,
-                bytes,
+                bytes: bytes[direction as usize],
             })
         };
         let ledger = self.engine.traffic_ledger();
-        let traffic = (ledger.into_iter().flat_map(|l| l.cells()))
-            .filter(|c| c.tag == tag)
+        let traffic = (ledger.into_iter().flat_map(|l| l.tag_cells(id.0 as u32)))
             .flat_map(rows)
             .filter(|r| r.bytes > 0)
             .collect();
@@ -1035,6 +1019,27 @@ mod tests {
         }
     }
 
+    /// A seeded job places walker `i` from its seed list as it admits it,
+    /// and gives the list back once no walker can enter again.
+    #[test]
+    fn a_done_seeded_job_frees_its_seed_list() {
+        let mut s = scheduler(1);
+        let spec = JobSpec {
+            start: JobStart::Seeds((0..300).map(|v| v % 200).collect()),
+            ..JobSpec::deepwalk(0, 12, 4)
+        };
+        let (id, _rx) = s.submit("t", spec).unwrap();
+        let seeds = |s: &Scheduler| match &s.jobs[0].spec.start {
+            JobStart::Seeds(seeds) => seeds.capacity(),
+            JobStart::WalkCount(_) => unreachable!("submitted with seeds"),
+        };
+        assert!(seeds(&s) >= 300);
+        s.run_until_idle().unwrap();
+        assert_eq!(s.status(id), Some(JobStatus::Done));
+        assert_eq!(s.result(id).unwrap().finished, 300);
+        assert_eq!(seeds(&s), 0);
+    }
+
     /// A done job keeps its result and nothing else: its walker queues,
     /// which held walkers while it ran, and its stream's sender are
     /// freed, and the result is still whole and sorted.
@@ -1046,13 +1051,12 @@ mod tests {
         s.run_until_idle().unwrap();
         let j = &s.jobs[0];
         assert!(matches!(j.status, JobStatus::Blocked { .. }));
-        assert!(j.pending.capacity() > 0 && j.parked.capacity() > 0);
+        assert!(j.parked.capacity() > 0);
         assert!(j.stream.is_some());
         s.top_up("t", u64::MAX / 2);
         s.run_until_idle().unwrap();
         assert_eq!(s.status(id), Some(JobStatus::Done));
         let j = &s.jobs[0];
-        assert_eq!(j.pending.capacity(), 0);
         assert_eq!(j.parked.capacity(), 0);
         assert!(j.stream.is_none());
         // The sender is gone, so the stream ends after its last event.

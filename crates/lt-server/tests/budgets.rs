@@ -582,6 +582,46 @@ fn tcp_submit_past_the_walk_cap_is_refused_and_the_server_lives() {
     server.shutdown();
 }
 
+/// A job at the walk cap is accepted and costs what its admitted walkers
+/// cost: `submit` places none, one pump places exactly one tranche, and
+/// `cancel` ends the job with the rest never placed.
+#[test]
+fn a_job_at_the_walk_cap_places_only_what_it_admits() {
+    let cfg = config();
+    let tranche = cfg.tranche_walkers as u64;
+    let mut sched = Scheduler::new(graph(), cfg).unwrap();
+    let (id, rx) = sched
+        .submit("t", JobSpec::deepwalk(MAX_JOB_WALKS, 8, 1))
+        .unwrap();
+    let info = sched.info(id).unwrap();
+    assert_eq!((info.total_walks, info.injected), (MAX_JOB_WALKS, 0));
+    sched.pump().unwrap();
+    assert_eq!(sched.info(id).unwrap().injected, tranche);
+    assert!(sched.cancel(id));
+    assert_eq!(sched.status(id), Some(JobStatus::Evicted));
+    sched.run_until_idle().unwrap();
+    assert_eq!(rx.iter().last(), Some(JobEvent::Evicted));
+}
+
+/// A job whose algorithm is itself a job table is refused at `submit`:
+/// a table places no walkers, so it would be accepted and retire `Done`
+/// with nothing run, and its walkers' tags would name this scheduler's
+/// jobs.
+#[test]
+fn a_job_table_as_a_job_is_refused_at_submit() {
+    let mut sched = Scheduler::new(graph(), config()).unwrap();
+    let spec = JobSpec {
+        algorithm: Arc::new(lt_engine::JobTable::with_capacity(2)),
+        ..JobSpec::deepwalk(10, 4, 1)
+    };
+    let err = sched.submit("t", spec).unwrap_err();
+    assert!(matches!(err, EngineError::Admission(_)), "got: {err}");
+    assert!(!sched.has_runnable_work());
+    let (id, _rx) = sched.submit("t", JobSpec::deepwalk(10, 4, 1)).unwrap();
+    sched.run_until_idle().unwrap();
+    assert_eq!(sched.result(id).unwrap().finished, 10);
+}
+
 /// A request line past the cap is answered with an error and the
 /// connection is closed, without the server waiting for a newline.
 #[test]

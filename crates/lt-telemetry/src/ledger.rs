@@ -42,7 +42,6 @@
 //! the partition) are charged to the reserved [`SHARED_TAG`].
 
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Pseudo-tag for traffic with no single owning job: explicit graph
 /// partition loads are shared infrastructure, charged here and rendered
@@ -264,10 +263,7 @@ impl TrafficLedger {
 
     /// Steps recorded for `tag`.
     pub fn steps(&self, tag: u32) -> u64 {
-        match self.steps.binary_search_by_key(&tag, |&(t, _)| t) {
-            Ok(i) => self.steps[i].1,
-            Err(_) => 0,
-        }
+        row_value(&self.steps, tag)
     }
 
     /// Link bytes moved by zero-copy kernel reads (part of
@@ -302,66 +298,56 @@ impl TrafficLedger {
             )
     }
 
-    /// Every tag charged in any direction, ascending, with its link
-    /// bytes summed over partitions: `[host→device, device→host]`. Read
+    /// Every tag charged in any direction, ascending, with its bytes
+    /// summed over partitions, indexed by [`TrafficDirection`]. Read
     /// straight from the per-direction rows, with no regrouping by
     /// partition.
-    pub fn tag_link_bytes(&self) -> Vec<(u32, [u64; 2])> {
-        let mut out: Vec<(u32, [u64; 2])> = Vec::new();
+    pub fn tag_totals(&self) -> Vec<(u32, [u64; NUM_DIRECTIONS])> {
+        let mut out: Vec<(u32, [u64; NUM_DIRECTIONS])> = Vec::new();
         for per_dir in &self.cells {
             for (di, rows) in per_dir.iter().enumerate() {
                 for &(tag, bytes) in rows {
-                    let i = match out.binary_search_by_key(&tag, |&(t, _)| t) {
-                        Ok(i) => i,
-                        Err(i) => {
-                            out.insert(i, (tag, [0; 2]));
-                            i
-                        }
-                    };
-                    if let Some(b) = out[i].1.get_mut(di) {
-                        *b += bytes;
-                    }
+                    row_entry(&mut out, tag)[di] += bytes;
                 }
             }
         }
         out
     }
 
+    /// `tag`'s bytes in every partition, ascending, indexed by
+    /// [`TrafficDirection`] (zero where it moved none): one binary search
+    /// of each partition's rows per direction, leaving other tags' rows
+    /// unread.
+    pub fn tag_cells(&self, tag: u32) -> impl Iterator<Item = (u32, [u64; NUM_DIRECTIONS])> + '_ {
+        (0..)
+            .zip(&self.cells)
+            .map(move |(p, rows)| (p, rows.each_ref().map(|r| row_value(r, tag))))
+    }
+
     /// Every non-empty cell, in `(tag, partition, direction)` order.
     pub fn cells(&self) -> impl Iterator<Item = TrafficCell> + '_ {
-        // Re-group storage's (partition, direction) rows by (tag,
-        // partition); the BTreeMap re-sort restores the emitted order.
-        let mut out: BTreeMap<(u32, u32), [u64; NUM_DIRECTIONS]> = BTreeMap::new();
-        for (partition, per_dir) in self.cells.iter().enumerate() {
-            for (di, rows) in per_dir.iter().enumerate() {
-                for &(tag, bytes) in rows {
-                    out.entry((tag, partition as u32)).or_default()[di] += bytes;
-                }
-            }
-        }
-        out.into_iter().map(
-            |((tag, partition), [h2d, d2h, reload, host_load])| TrafficCell {
-                tag,
-                partition,
-                h2d_bytes: h2d,
-                d2h_bytes: d2h,
-                reload_bytes: reload,
-                host_load_bytes: host_load,
-            },
-        )
+        // Tag by tag, each partition's cell from the tag's rows.
+        let tags = self.tag_totals().into_iter().map(|(tag, _)| tag);
+        tags.flat_map(move |tag| {
+            self.tag_cells(tag)
+                .filter(|&(_, bytes)| bytes != [0; NUM_DIRECTIONS])
+                .map(
+                    move |(partition, [h2d, d2h, reload, host_load])| TrafficCell {
+                        tag,
+                        partition,
+                        h2d_bytes: h2d,
+                        d2h_bytes: d2h,
+                        reload_bytes: reload,
+                        host_load_bytes: host_load,
+                    },
+                )
+        })
     }
 
     /// Summarize into a [`TrafficReport`] with at most `top_k` hot
     /// partitions.
     pub fn report(&self, top_k: usize) -> TrafficReport {
-        let mut by_tag: BTreeMap<u32, [u64; NUM_DIRECTIONS]> = BTreeMap::new();
-        for per_dir in &self.cells {
-            for (di, rows) in per_dir.iter().enumerate() {
-                for &(tag, bytes) in rows {
-                    by_tag.entry(tag).or_default()[di] += bytes;
-                }
-            }
-        }
+        let mut by_tag = self.tag_totals();
         let mut hot: Vec<PartitionHeat> = self.partition_totals().collect();
         // Descending by total bytes; `partition_totals` already ordered
         // equal totals by ascending partition id and the sort is stable,
@@ -373,7 +359,7 @@ impl TrafficLedger {
         // Tags that executed steps but moved no attributable bytes (pure
         // zero-copy residents) still deserve a row.
         for &(tag, _) in &self.steps {
-            by_tag.entry(tag).or_default();
+            row_entry(&mut by_tag, tag);
         }
         let tags: Vec<TagTraffic> = by_tag
             .into_iter()
@@ -410,15 +396,33 @@ impl TrafficLedger {
     }
 }
 
-/// Add `n` to `tag`'s entry of a row vec sorted by tag, inserting the
-/// entry in order when `tag` has none: the one tally behind every
-/// ledger row and a kernel's per-tag step split.
+/// `tag`'s value in a row vec sorted by tag (0 when it has no entry).
+fn row_value(rows: &[(u32, u64)], tag: u32) -> u64 {
+    match rows.binary_search_by_key(&tag, |&(t, _)| t) {
+        Ok(i) => rows[i].1,
+        Err(_) => 0,
+    }
+}
+
+/// Add `n` to `tag`'s entry of a row vec sorted by tag: the one tally
+/// behind every ledger row and a kernel's per-tag step split.
 #[inline]
 pub fn merge_row(rows: &mut Vec<(u32, u64)>, tag: u32, n: u64) {
-    match rows.binary_search_by_key(&tag, |&(t, _)| t) {
-        Ok(i) => rows[i].1 += n,
-        Err(i) => rows.insert(i, (tag, n)),
-    }
+    *row_entry(rows, tag) += n;
+}
+
+/// `tag`'s entry of a row vec sorted by tag, inserted (as the default) in
+/// order when `tag` has none.
+#[inline]
+fn row_entry<T: Default>(rows: &mut Vec<(u32, T)>, tag: u32) -> &mut T {
+    let i = match rows.binary_search_by_key(&tag, |r| r.0) {
+        Ok(i) => i,
+        Err(i) => {
+            rows.insert(i, (tag, T::default()));
+            i
+        }
+    };
+    &mut rows[i].1
 }
 
 /// Split `total` across `weights` proportionally with the
@@ -484,6 +488,36 @@ mod tests {
         assert_eq!(cells[0].h2d_bytes, 150);
         assert_eq!(cells[0].d2h_bytes, 30);
         assert_eq!(cells[2].tag, SHARED_TAG);
+    }
+
+    /// The per-tag reads agree with `cells()`: `tag_totals` sums each
+    /// tag's cells ascending by tag, and `tag_cells(tag)` returns the
+    /// tag's cells in partition order, zero in the partitions it never
+    /// touched.
+    #[test]
+    fn per_tag_reads_agree_with_cells() {
+        let mut l = TrafficLedger::new();
+        l.charge(3, 2, TrafficDirection::D2h, 8);
+        l.charge(0, 2, TrafficDirection::H2d, 100);
+        l.charge(3, 0, TrafficDirection::Reload, 5);
+        l.charge(0, 1, TrafficDirection::HostLoad, 40);
+        l.charge(SHARED_TAG, 1, TrafficDirection::H2d, 1000);
+        assert_eq!(
+            l.tag_totals(),
+            [
+                (0, [100, 0, 0, 40]),
+                (3, [0, 8, 5, 0]),
+                (SHARED_TAG, [1000, 0, 0, 0])
+            ]
+        );
+        let three: Vec<_> = l.tag_cells(3).collect();
+        assert_eq!(three, [(0, [0, 0, 5, 0]), (1, [0; 4]), (2, [0, 8, 0, 0])]);
+        assert!(l.tag_cells(7).all(|(_, b)| b == [0; 4]));
+        for c in l.cells() {
+            let bytes = [c.h2d_bytes, c.d2h_bytes, c.reload_bytes, c.host_load_bytes];
+            assert!(l.tag_cells(c.tag).any(|cell| cell == (c.partition, bytes)));
+        }
+        assert_eq!(l.cells().count(), 5);
     }
 
     #[test]

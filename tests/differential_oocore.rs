@@ -193,7 +193,9 @@ fn mixed_job_table_over_ooc_matches_ram() {
         let tag = table.register(Arc::clone(&spec.algorithm), spec.seed);
         // Job-local ids restart at 0; shift them so paths stay one per walk.
         let base = walkers.len() as u64;
-        for mut w in spec.place_walkers(g.num_vertices(), tag.expect("table has room")) {
+        for i in 0..spec.num_walks() {
+            let tag = tag.as_ref().expect("table has room");
+            let mut w = spec.place_walker(g.num_vertices(), *tag, i).unwrap();
             w.id += base;
             walkers.push(w);
         }
