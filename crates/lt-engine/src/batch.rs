@@ -10,6 +10,10 @@
 use crate::walker::Walker;
 use lt_graph::PartitionId;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next batch serial; see [`WalkBatch::serial`].
+static NEXT_SERIAL: AtomicU64 = AtomicU64::new(0);
 
 /// A fixed-capacity array of walkers, all staying in the same partition.
 #[derive(Clone, Debug)]
@@ -17,6 +21,7 @@ pub struct WalkBatch {
     partition: PartitionId,
     walkers: Vec<Walker>,
     capacity: usize,
+    serial: u64,
 }
 
 impl WalkBatch {
@@ -27,7 +32,18 @@ impl WalkBatch {
             partition,
             walkers: Vec::with_capacity(capacity),
             capacity,
+            // Relaxed: the serial is a name, and the counter publishes
+            // nothing else.
+            serial: NEXT_SERIAL.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// The batch's name, stamped at creation and unique in the process:
+    /// a drain that steps batches ahead of their acquire finds their
+    /// outputs by it, wherever the batch has moved since.
+    #[inline]
+    pub(crate) fn serial(&self) -> u64 {
+        self.serial
     }
 
     /// The partition every contained walker stays in.
@@ -136,6 +152,15 @@ mod tests {
         assert_eq!(rejected.id, 2);
         assert_eq!(b.len(), 2);
         assert_eq!(b.partition(), 3);
+    }
+
+    #[test]
+    fn every_batch_gets_its_own_serial() {
+        let serials: Vec<u64> = (0..4).map(|p| WalkBatch::new(p, 2).serial()).collect();
+        let mut distinct = serials.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), serials.len(), "{serials:?}");
     }
 
     #[test]

@@ -50,17 +50,20 @@ pub struct Metrics {
     pub finished_walks: u64,
     /// Simulated wall time of the run (ns).
     pub makespan_ns: u64,
-    /// *Host* wall-clock ns spent stepping kernels (the only counters in
+    /// *Host* wall-clock ns spent stepping kernels, each chunk's counting
+    /// sort of its movers included (the only counters in
     /// this struct that depend on the real machine — everything else is a
     /// function of the simulated timeline and is bit-identical across
     /// [`crate::EngineConfig::kernel_threads`] settings).
     pub host_kernel_wall_ns: u64,
     /// Host kernel invocations (batches stepped).
     pub host_kernels: u64,
-    /// Widest host-thread fan-out any single kernel used.
+    /// Most host threads any one kernel fan-out used: its chunk count, at
+    /// most [`crate::EngineConfig::kernel_threads`].
     pub max_kernel_threads: u64,
-    /// *Host* wall-clock ns spent in the reshuffle (counting sort of the
-    /// movers + insert-or-evict, partitions ascending). Wall-clock like
+    /// *Host* wall-clock ns spent in the reshuffle's insert-or-evict
+    /// (partitions ascending; the chunks sorted their movers inside the
+    /// kernel). Wall-clock like
     /// `host_kernel_wall_ns`: machine-dependent, and deliberately never
     /// published into the metric registry so telemetry streams stay
     /// bit-identical across thread counts.

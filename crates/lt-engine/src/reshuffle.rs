@@ -9,12 +9,14 @@
 //! inverted map, so that each frontier receives one contiguous run
 //! instead of scattered single writes.
 //!
-//! On the host that is `LocalIndex::sort`: one partition lookup per
-//! mover, read from the block table's bucket table
-//! ([`lt_graph::PartitionLookup`]: one table read and one boundary
-//! compare, no search), one stable counting-sort scatter into a recycled
-//! buffer, and — in the engine — one bulk copy of each run into its
-//! frontier ([`crate::walkpool::DeviceWalkPool::insert_run`]). The host
+//! On the host that is `LocalIndex::sort`, run by each kernel chunk on its
+//! own movers, as each of the paper's thread blocks builds its own index:
+//! one partition lookup per mover, read from the block table's bucket
+//! table ([`lt_graph::PartitionLookup`]: one table read and one boundary
+//! compare, no search), and one stable counting-sort scatter into a
+//! recycled buffer. The engine then copies each chunk's runs into their
+//! frontiers in bulk ([`crate::walkpool::DeviceWalkPool::insert_run`]),
+//! partitions ascending and, within a partition, chunk by chunk. The host
 //! always runs this one sort. [`ReshuffleMode`] does not select a host
 //! path; it selects which branch of
 //! [`lt_gpusim::CostModel::reshuffle_time`] the *simulated* device is
@@ -38,7 +40,7 @@ pub enum ReshuffleMode {
 /// Group reshuffled walkers by target partition in one serial pass of
 /// arrival-order bucketing: `groups[p]` is exactly the arrival-order
 /// subsequence of `walkers` targeting `p`. The reference the engine's
-/// fused sort (`LocalIndex`) is tested against.
+/// per-chunk sort (`LocalIndex`) is tested against.
 pub fn partition_groups(
     walkers: Vec<Walker>,
     partition_of: &(dyn Fn(&Walker) -> PartitionId + Sync),
@@ -51,10 +53,11 @@ pub fn partition_groups(
     groups
 }
 
-/// Algorithm 1's local index on the host: the movers of one kernel,
-/// stably counting-sorted by target partition. The three buffers are
-/// recycled across reshuffles (cleared, never shrunk), so a steady-state
-/// reshuffle allocates nothing.
+/// Algorithm 1's local index on the host: the movers of one kernel chunk,
+/// stably counting-sorted by target partition. It travels in the chunk's
+/// recycled output ([`crate::kernel::ChunkOutput`]), so its three buffers
+/// are cleared and never shrunk, and a steady-state reshuffle allocates
+/// nothing.
 #[derive(Default)]
 pub(crate) struct LocalIndex {
     /// Target partition of every mover, in arrival order.
@@ -67,9 +70,8 @@ pub(crate) struct LocalIndex {
 }
 
 impl LocalIndex {
-    /// Sort the movers of `chunks` (read in the order given, which is
-    /// their arrival order) by the partition `lookup` files their vertex
-    /// in.
+    /// Sort `movers` (in arrival order) by the partition `lookup` files
+    /// their vertex in.
     ///
     /// Pass 1 looks every mover's partition up once and builds the
     /// histogram; a prefix sum turns it into run offsets; pass 2 scatters
@@ -79,16 +81,12 @@ impl LocalIndex {
     ///
     /// # Panics
     /// Panics if a mover's vertex lies outside the graph.
-    pub(crate) fn sort<'a>(
-        &mut self,
-        chunks: impl Iterator<Item = &'a [Walker]> + Clone,
-        lookup: &PartitionLookup,
-    ) {
+    pub(crate) fn sort(&mut self, movers: &[Walker], lookup: &PartitionLookup) {
         let np = lookup.num_partitions() as usize;
         self.parts.clear();
         self.offsets.clear();
         self.offsets.resize(np + 1, 0);
-        for w in chunks.clone().flatten() {
+        for w in movers {
             let p = lookup.get(w.vertex);
             self.offsets[p as usize + 1] += 1;
             self.parts.push(p);
@@ -103,7 +101,7 @@ impl LocalIndex {
         // After the scatter `offsets[p]` has advanced to the end of run
         // `p`, i.e. the start of run `p + 1`; shifting one slot right
         // restores the run starts without a second cursor array.
-        for (w, &p) in chunks.flatten().zip(&self.parts) {
+        for (w, &p) in movers.iter().zip(&self.parts) {
             let slot = &mut self.offsets[p as usize];
             self.sorted[*slot as usize] = *w;
             *slot += 1;
@@ -112,15 +110,24 @@ impl LocalIndex {
         self.offsets[0] = 0;
     }
 
+    /// Forget the last sort, keeping the buffers: no mover, no run.
+    pub(crate) fn clear(&mut self) {
+        self.parts.clear();
+        self.offsets.clear();
+    }
+
     /// Movers sorted by the last [`LocalIndex::sort`].
     pub(crate) fn len(&self) -> usize {
         self.parts.len()
     }
 
-    /// The movers targeting partition `p`, in arrival order.
+    /// The movers targeting partition `p`, in arrival order; none after a
+    /// [`LocalIndex::clear`].
     pub(crate) fn run(&self, p: PartitionId) -> &[Walker] {
-        let p = p as usize;
-        &self.sorted[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+        match self.offsets.get(p as usize..p as usize + 2) {
+            Some(&[start, end]) => &self.sorted[start as usize..end as usize],
+            _ => &[],
+        }
     }
 }
 
@@ -152,18 +159,23 @@ mod tests {
         let lookup = PartitionLookup::new(vec![0, 10, 20, 30, 40]);
         let mut index = LocalIndex::default();
         let big = walkers(&[25, 3, 17, 4, 38, 11]);
-        index.sort([&big[..4], &big[4..]].into_iter(), &lookup);
+        index.sort(&big, &lookup);
         assert_eq!(index.len(), 6);
         let ids = |ws: &[Walker]| ws.iter().map(|w| w.id).collect::<Vec<_>>();
         assert_eq!(ids(index.run(0)), vec![1, 3]);
         assert_eq!(ids(index.run(1)), vec![2, 5]);
         // A smaller sort over the same buffers must not see stale movers.
         let small = walkers(&[35]);
-        index.sort([small.as_slice()].into_iter(), &lookup);
+        index.sort(&small, &lookup);
         assert_eq!(index.len(), 1);
         assert_eq!(ids(index.run(3)), vec![0]);
         assert!((0..3).all(|p| index.run(p).is_empty()));
-        index.sort(std::iter::empty(), &lookup);
+        index.sort(&[], &lookup);
+        assert_eq!(index.len(), 0);
+        assert!((0..4).all(|p| index.run(p).is_empty()));
+        // Nor may a cleared one.
+        index.sort(&big, &lookup);
+        index.clear();
         assert_eq!(index.len(), 0);
         assert!((0..4).all(|p| index.run(p).is_empty()));
     }
@@ -172,9 +184,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// For arbitrary movers, partition counts and boundary tables,
-        /// however the movers are split into chunks, the fused sort's
-        /// runs are `partition_groups`' groups element for element, with
-        /// the groups filed by a binary search over the boundaries.
+        /// however the movers are cut into chunks, sorting each chunk on
+        /// its own and reading partition `p`'s runs chunk by chunk gives
+        /// `partition_groups`' group `p` element for element, with the
+        /// groups filed by a binary search over the boundaries. That is
+        /// the order the engine inserts a kernel's runs in.
         #[test]
         fn local_index_runs_equal_partition_groups(
             widths in prop::collection::vec(1u32..40, 1..=64),
@@ -199,24 +213,32 @@ mod tests {
                 .collect();
             cuts.extend([0, movers.len()]);
             cuts.sort_unstable();
-            let chunks: Vec<&[Walker]> = cuts.windows(2).map(|c| &movers[c[0]..c[1]]).collect();
             let lookup = PartitionLookup::new(boundaries.clone());
-            let mut index = LocalIndex::default();
-            if reused {
-                // Dirty the recycled buffers with an unrelated, larger sort.
-                let other = walkers(&(0..500).map(|i| i % nv).collect::<Vec<_>>());
-                index.sort([other.as_slice()].into_iter(), &lookup);
-            }
-            index.sort(chunks.iter().copied(), &lookup);
+            let other = walkers(&(0..500).map(|i| i % nv).collect::<Vec<_>>());
+            let indexes: Vec<LocalIndex> = cuts
+                .windows(2)
+                .map(|c| {
+                    let mut index = LocalIndex::default();
+                    if reused {
+                        // Dirty the recycled buffers with an unrelated,
+                        // larger sort.
+                        index.sort(&other, &lookup);
+                    }
+                    index.sort(&movers[c[0]..c[1]], &lookup);
+                    index
+                })
+                .collect();
             let b = boundaries.clone();
             let reference = partition_groups(
                 movers.clone(),
                 &move |w: &Walker| (b.partition_point(|&x| x <= w.vertex) - 1) as PartitionId,
                 np,
             );
-            prop_assert_eq!(index.len(), movers.len());
+            let sorted: usize = indexes.iter().map(LocalIndex::len).sum();
+            prop_assert_eq!(sorted, movers.len());
             for p in 0..np {
-                prop_assert_eq!(index.run(p), reference[p as usize].as_slice(), "partition {}", p);
+                let runs: Vec<Walker> = indexes.iter().flat_map(|x| x.run(p)).copied().collect();
+                prop_assert_eq!(&runs, &reference[p as usize], "partition {}", p);
             }
         }
     }

@@ -115,6 +115,12 @@ impl HostWalkPool {
         self.peak
     }
 
+    /// The queued batches of `part`, head first: the order
+    /// [`Self::pop_batch`] hands them out.
+    pub(crate) fn batches(&self, part: PartitionId) -> impl Iterator<Item = &WalkBatch> {
+        self.queues[part as usize].iter()
+    }
+
     /// Iterate over every walker currently on the host (checkpointing).
     pub fn iter_walkers(&self) -> impl Iterator<Item = &Walker> {
         self.queues
@@ -371,6 +377,18 @@ impl DeviceWalkPool {
         Some(b)
     }
 
+    /// The queued batches of `part`, head first: the order
+    /// [`Self::pop_queue_batch`] hands them out.
+    pub(crate) fn queued(&self, part: PartitionId) -> impl Iterator<Item = &WalkBatch> {
+        self.queues[part as usize].iter()
+    }
+
+    /// The frontier batch of `part`, unless it is empty: what
+    /// [`Self::take_frontier`] would hand out.
+    pub(crate) fn frontier(&self, part: PartitionId) -> Option<&WalkBatch> {
+        Some(&self.frontier[part as usize]).filter(|b| !b.is_empty())
+    }
+
     /// Iterate over every walker currently on the device: queued batches
     /// in ascending partition order, then the resident frontiers in
     /// ascending partition order (checkpointing).
@@ -621,16 +639,19 @@ mod tests {
     }
 
     /// Insert `run` into `part` the way the engine does, either walker
-    /// by walker (`try_insert`, evict on `PoolFull`) or in bulk
-    /// (`insert_run`, evict on a non-empty rest). The victim is the
-    /// queued partition with the fewest walkers, lowest id on a tie, so
-    /// the choice depends on the counts at the moment of the eviction.
-    /// Returns the evicted batches (partition, walker ids) in order.
+    /// by walker (`try_insert`, evict on `PoolFull`; `cuts` is `None`) or
+    /// in bulk (`insert_run`, evict on a non-empty rest), one piece after
+    /// another: `cuts`, ascending positions in the run, cut it into
+    /// pieces, as the engine's chunks cut a kernel's movers. The victim
+    /// is the queued partition with the fewest walkers, lowest id on a
+    /// tie, so the choice depends on the counts at the moment of the
+    /// eviction. Returns the evicted batches (partition, walker ids) in
+    /// order.
     fn insert_or_evict(
         dp: &mut DeviceWalkPool,
         part: PartitionId,
         run: &[Walker],
-        bulk: bool,
+        cuts: Option<&[usize]>,
     ) -> Vec<(PartitionId, Vec<u64>)> {
         let mut evicted = Vec::new();
         let mut evict = |dp: &mut DeviceWalkPool| {
@@ -641,11 +662,16 @@ mod tests {
             let b = dp.evict_queue_batch(victim).unwrap();
             evicted.push((b.partition(), b.walkers().iter().map(|w| w.id).collect()));
         };
-        if bulk {
-            let mut rest = dp.insert_run(part, run);
-            while !rest.is_empty() {
-                evict(dp);
-                rest = dp.insert_run(part, rest);
+        if let Some(cuts) = cuts {
+            let ends = cuts.iter().copied().chain([run.len()]);
+            let mut start = 0;
+            for end in ends {
+                let mut rest = dp.insert_run(part, &run[start..end]);
+                while !rest.is_empty() {
+                    evict(dp);
+                    rest = dp.insert_run(part, rest);
+                }
+                start = end;
             }
         } else {
             for &w in run {
@@ -688,24 +714,30 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// On two identically prepared pools, bulk runs with
-        /// evict-on-rest and per-walker inserts with evict-on-`PoolFull`
-        /// evict the same batches in the same order and leave the same
-        /// walkers, counts and free blocks behind — for any capacity,
-        /// any free-block depth from the `2P + 1` floor up, and runs
-        /// spanning up to five frontier blocks.
+        /// On three identically prepared pools, bulk runs with
+        /// evict-on-rest, the same runs inserted in pieces cut at
+        /// arbitrary points, one piece after another, and per-walker
+        /// inserts with evict-on-`PoolFull` evict the same batches in the
+        /// same order and leave the same walkers, counts, frontiers and
+        /// free blocks behind — for any capacity, any free-block depth
+        /// from the `2P + 1` floor up, and runs spanning up to five
+        /// frontier blocks.
         #[test]
         fn insert_run_matches_per_walker_inserts(
             parts in 1u32..=12,
             capacity in 1usize..=16,
             spare in 0usize..20,
             prepare in prop::collection::vec((0u32..12, 0usize..40), 0..12),
-            runs in prop::collection::vec((0u32..12, 0usize..80), 1..16),
+            runs in prop::collection::vec(
+                (0u32..12, 0usize..80, prop::collection::vec(any::<usize>(), 0..5)),
+                1..16,
+            ),
         ) {
             let mut g = gpu();
             let blocks = 2 * parts as usize + 1 + spare;
             let mut serial = DeviceWalkPool::new(&mut g, parts, blocks, 1024, capacity).unwrap();
             let mut bulk = DeviceWalkPool::new(&mut g, parts, blocks, 1024, capacity).unwrap();
+            let mut pieces = DeviceWalkPool::new(&mut g, parts, blocks, 1024, capacity).unwrap();
             let mut next_id = 0u64;
             let mut fresh = |n: usize| -> Vec<Walker> {
                 let ws = (next_id..next_id + n as u64).map(walker).collect();
@@ -715,26 +747,34 @@ mod tests {
             // Arbitrary queue/frontier fill, built the same way on both.
             for &(p, n) in &prepare {
                 let ws = fresh(n);
-                for dp in [&mut serial, &mut bulk] {
-                    insert_or_evict(dp, p % parts, &ws, false);
+                for dp in [&mut serial, &mut bulk, &mut pieces] {
+                    insert_or_evict(dp, p % parts, &ws, None);
                 }
             }
-            for &(p, n) in &runs {
-                let (p, n) = (p % parts, n.min(5 * capacity));
+            for (p, n, cuts) in &runs {
+                let (p, n) = (p % parts, (*n).min(5 * capacity));
                 let ws = fresh(n);
-                let expect = insert_or_evict(&mut serial, p, &ws, false);
-                let got = insert_or_evict(&mut bulk, p, &ws, true);
-                prop_assert_eq!(got, expect, "evictions of a {}-walker run into {}", n, p);
+                let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+                cuts.sort_unstable();
+                let expect = insert_or_evict(&mut serial, p, &ws, None);
+                let got = insert_or_evict(&mut bulk, p, &ws, Some(&[]));
+                prop_assert_eq!(&got, &expect, "evictions of a {}-walker run into {}", n, p);
+                let got = insert_or_evict(&mut pieces, p, &ws, Some(&cuts));
+                prop_assert_eq!(&got, &expect, "{}-walker run into {} cut at {:?}", n, p, cuts);
             }
             let ids = |dp: &DeviceWalkPool| dp.iter_walkers().map(|w| w.id).collect::<Vec<_>>();
-            prop_assert_eq!(ids(&bulk), ids(&serial));
-            prop_assert_eq!(bulk.total(), serial.total());
-            for p in 0..parts {
-                prop_assert_eq!(bulk.count(p), serial.count(p));
-                prop_assert_eq!(bulk.queue_len(p), serial.queue_len(p));
-                prop_assert_eq!(bulk.frontier_len(p), serial.frontier_len(p));
+            let frontier = |dp: &DeviceWalkPool, p| dp.frontier(p).map(|b| b.walkers().to_vec());
+            for dp in [&bulk, &pieces] {
+                prop_assert_eq!(ids(dp), ids(&serial));
+                prop_assert_eq!(dp.total(), serial.total());
+                for p in 0..parts {
+                    prop_assert_eq!(dp.count(p), serial.count(p));
+                    prop_assert_eq!(dp.queue_len(p), serial.queue_len(p));
+                    prop_assert_eq!(dp.frontier_len(p), serial.frontier_len(p));
+                    prop_assert_eq!(frontier(dp, p), frontier(&serial, p));
+                }
+                prop_assert_eq!(dp.free_blocks(), serial.free_blocks());
             }
-            prop_assert_eq!(bulk.free_blocks(), serial.free_blocks());
         }
     }
 
