@@ -196,10 +196,12 @@ mod tests {
     fn publishing_again_overwrites_instead_of_adding() {
         // Attribution on over more than 16 small partitions, so the
         // per-partition series outnumber any top-k cut; no executor
-        // workers, so the host-clock utilization gauge reads 0 in both.
+        // workers (one host thread), so the host-clock utilization gauge
+        // reads 0 in both.
         let cfg = EngineConfig {
             batch_capacity: 256,
             attribution: true,
+            kernel_threads: 1,
             ..EngineConfig::light_traffic(1 << 10, 4)
         };
         let mut e = LightTraffic::new(graph(), Arc::new(Ppr::new(0, 0.15)), cfg).unwrap();
